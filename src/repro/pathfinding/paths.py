@@ -143,7 +143,7 @@ class Path:
             raise ConflictError(
                 f"cannot truncate path starting at {self.start_time} "
                 f"to tick {t}")
-        return Path(self.steps[:t - self.start_time + 1])
+        return _trusted(self.steps[:t - self.start_time + 1])
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -161,8 +161,19 @@ class Path:
             raise ConflictError(
                 f"cannot concat: {self.goal}@{self.end_time} vs "
                 f"{other.source}@{other.start_time}")
-        return Path(self.steps + other.steps[1:])
+        return _trusted(self.steps + other.steps[1:])
 
     def spatial_cells(self) -> List[Cell]:
         """The cell sequence without timestamps (useful in tests)."""
         return [(x, y) for __, x, y in self.steps]
+
+
+def _trusted(steps: Tuple[TimedCell, ...]) -> Path:
+    """A :class:`Path` over steps already validated, skipping the walk.
+
+    A slice of a valid path is valid, and so is a join whose seam was
+    checked; re-walking every step there made leg assembly quadratic.
+    """
+    path = object.__new__(Path)
+    object.__setattr__(path, "steps", steps)
+    return path

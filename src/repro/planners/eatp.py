@@ -110,17 +110,22 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         restricted to the robot's neighbourhood so selection stays
         O(|A|·K).  The first candidate the ε-greedy policy accepts is
         claimed; if it refuses all of them the robot idles this timestamp.
+
+        ``racks`` (every selectable rack) is never walked: a neighbour's
+        selectability is read off the rack itself, so the cost does not
+        grow with the backlog.
         """
-        unclaimed: Set[int] = {rack.rack_id for rack in racks}
+        all_racks = self.state.racks
+        claimed: Set[int] = set()
         entries: List[SelectionEntry] = []
         # Serve robots whose best local candidate is most urgent first, so
         # a rack two robots can reach goes to the one that values it most —
         # still O(|A|·K + |A| log |A|), preserving the Sec. VI-A bound.
         per_robot = []
         for robot in robots:
-            candidates = [self.state.racks[rack_id]
+            candidates = [all_racks[rack_id]
                           for rack_id in self.knn.nearest(robot.location)
-                          if rack_id in unclaimed]
+                          if all_racks[rack_id].selectable]
             observed = [(self.observe(rack), rack) for rack in candidates]
             observed.sort(key=lambda pair: (self.agent.priority(pair[0]),
                                             pair[1].rack_id))
@@ -130,13 +135,13 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         per_robot.sort(key=lambda entry: entry[:2])
         for __, __, robot, observed in per_robot:
             for observation, rack in observed:
-                if rack.rack_id not in unclaimed:
+                if rack.rack_id in claimed:
                     continue
                 action = self.agent.choose_action(observation)
                 if action == ACTION_REQUEST:
                     entries.append(SelectionEntry(rack=rack, robot=robot))
                     self.agent.update(observation, ACTION_REQUEST)
-                    unclaimed.discard(rack.rack_id)
+                    claimed.add(rack.rack_id)
                     break  # Alg. 3 line 13: one rack per robot.
                 self.agent.update(observation, ACTION_WAIT)
         return entries

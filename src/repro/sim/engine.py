@@ -29,9 +29,10 @@ receives the whole span at once through its span-aware
 bit-identical to the frozen per-tick engine (the golden traces and the
 ``mini``-family equivalence suite enforce it); only wall-clock changes.
 
-Robot motion is materialised per-leg: a moving robot's ``location`` is
-written at its leg-completion event (and refreshed for all moving robots
-at planner-wake ticks), not every tick.  Consumers needing the
+Robot motion is materialised per-leg: a robot's ``location`` is written
+at its leg-completion event only.  Planners read it for *idle* robots
+alone, for which it is exact; while a leg is under way the truth is
+``mission.path`` (``path.cell_at(t)``), and consumers needing the
 tick-by-tick trail expand a leg with
 :meth:`~repro.pathfinding.paths.Path.cells_between`.
 
@@ -71,11 +72,6 @@ from ..sim.trace import BottleneckTrace
 from ..types import Tick
 from ..warehouse.entities import Item, RackPhase, RobotState
 from ..warehouse.state import WarehouseState
-
-#: ``MissionStage.moving`` as a set, so the per-wake world-sync loop pays
-#: one containment test per active mission instead of a property call.
-_MOVING_STAGES = frozenset((MissionStage.TO_RACK, MissionStage.TO_PICKER,
-                            MissionStage.RETURNING))
 
 
 @dataclass
@@ -152,8 +148,6 @@ class Simulation:
         self._busy_since: Dict[int, Tick] = {}
         #: Items emerged but not yet batched (== state.total_pending_items()).
         self._n_pending = state.total_pending_items()
-        #: Racks STORED with pending items (== len(state.selectable_racks())).
-        self._n_selectable = len(state.selectable_racks())
         # Instantaneous mission-stage decomposition (the Fig. 13 counts).
         self._n_transporting = 0
         self._n_queuing = 0
@@ -309,8 +303,7 @@ class Simulation:
         per-tick engine's ``plan`` call did *not* take its side-effect-free
         early return.
         """
-        return (self._n_selectable > 0
-                and len(self._active) < len(self.state.robots))
+        return self.state.dispatchable()
 
     @property
     def events_processed(self) -> int:
@@ -338,14 +331,10 @@ class Simulation:
     # -- stage 1: arrivals ----------------------------------------------------
 
     def _inject_arrivals(self, t: Tick) -> None:
-        items, racks = self._items, self.state.racks
+        items = self._items
         while (self._next_item < len(items)
                and items[self._next_item].arrival <= t):
-            item = items[self._next_item]
-            rack = racks[item.rack_id]
-            if rack.phase is RackPhase.STORED and not rack.pending_items:
-                self._n_selectable += 1
-            self.state.deliver_item(item)
+            self.state.deliver_item(items[self._next_item])
             self._n_pending += 1
             self._next_item += 1
 
@@ -356,8 +345,8 @@ class Simulation:
 
         Pickers fast-forward to the end of tick ``t - 1`` (their
         ``finish_time_estimate`` and accumulated-processing counters feed
-        every selector), and moving robots materialise their current leg
-        position — the state the frozen engine maintained tick by tick.
+        every selector).  Robots need nothing: the idle ones, the only
+        ones a planner locates, stand where their last leg ended.
         """
         synced = self._picker_synced
         racks = self.state.racks
@@ -366,24 +355,6 @@ class Simulation:
             if picker.current_rack is not None and synced[pid] < t - 1:
                 advance_picker_span(picker, racks, (t - 1) - synced[pid])
                 synced[pid] = t - 1
-        robots = self.state.robots
-        moving_stages = _MOVING_STAGES
-        for mission in self._active.values():
-            if mission.stage in moving_stages:
-                # Inlined Path.cell_at (clamped step lookup): this loop
-                # touches every moving mission on every planner wake, and
-                # the call + endpoint-property overhead is measurable at
-                # fleet scale.
-                path = mission.path
-                steps = path.steps
-                i = t - path.start_time
-                if i <= 0:
-                    __, x, y = steps[0]
-                elif i >= len(steps) - 1:
-                    __, x, y = steps[-1]
-                else:
-                    __, x, y = steps[i]
-                robots[mission.robot_id].location = (x, y)
 
     def _dispatch(self, t: Tick) -> None:
         scheme = self.planner.plan(t)
@@ -408,7 +379,6 @@ class Simulation:
             self._mission_of_rack[rack.rack_id] = mission
             self._batch_time_of[rack.rack_id] = mission.batch_processing_time
             self._n_pending -= len(batch)
-            self._n_selectable -= 1
             self._n_transporting += 1
             self._busy_since[robot.robot_id] = t
             self._mission_seq += 1
@@ -506,8 +476,6 @@ class Simulation:
             rack.last_return = now
             self._last_return = max(self._last_return, now)
             self._n_transporting -= 1
-            if rack.has_pending:
-                self._n_selectable += 1
             robot.busy_ticks += (now - 1) - self._busy_since.pop(robot.robot_id)
             del self._seq_of_robot[mission.robot_id]
             del self._active[mission.robot_id]

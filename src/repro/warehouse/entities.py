@@ -7,6 +7,14 @@ planners read them through :class:`~repro.warehouse.state.WarehouseState`.
 Identity conventions: every entity carries a small integer id unique within
 its kind.  Planners key their bookkeeping on those ids, never on object
 identity, so states can be snapshotted and compared in tests.
+
+A rack or robot owned by a :class:`~repro.warehouse.state.WarehouseState`
+reports every write of the fields its indices are derived from
+(``Rack.phase`` / ``Rack.pending_items``, ``Robot.state``) through a
+``__setattr__`` hook, so plain attribute assignment — by either engine or
+by a test — keeps ``idle_robots()`` / ``selectable_racks()`` current.  The
+one write the hook cannot see is an in-place ``pending_items.append``; use
+:meth:`~repro.warehouse.state.WarehouseState.deliver_item` for that.
 """
 
 from __future__ import annotations
@@ -75,6 +83,15 @@ class Rack:
     accumulated_processing: int = 0
     #: Tick at which the rack last returned home (f_r bookkeeping).
     last_return: Tick = 0
+    #: The ``WarehouseState`` indexing this rack (None when free-standing);
+    #: unannotated, so not a dataclass field.
+    _world = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if ((name == "phase" or name == "pending_items")
+                and self._world is not None):
+            self._world._rack_changed(self)
 
     @property
     def pending_processing_time(self) -> int:
@@ -85,6 +102,11 @@ class Rack:
     def has_pending(self) -> bool:
         """Whether the rack currently carries any unserved items."""
         return bool(self.pending_items)
+
+    @property
+    def selectable(self) -> bool:
+        """Home (STORED) with a pending item: a planner may pick it now."""
+        return self.phase is RackPhase.STORED and bool(self.pending_items)
 
     @property
     def oldest_arrival(self) -> Optional[Tick]:
@@ -155,7 +177,13 @@ class RobotState(enum.Enum):
 
 @dataclass
 class Robot:
-    """A mobile robot (Def. 3: ⟨l_a, s_a⟩)."""
+    """A mobile robot (Def. 3: ⟨l_a, s_a⟩).
+
+    ``location`` is exact whenever the robot is idle or has just finished
+    a leg — the only times a planner reads it.  While a leg is under way
+    the simulator does not touch it: a moving robot's position at tick
+    ``t`` is ``mission.path.cell_at(t)``.
+    """
 
     robot_id: int
     location: Cell
@@ -164,6 +192,14 @@ class Robot:
     rack_id: Optional[int] = None
     #: Total ticks spent in any busy state (for RWR).
     busy_ticks: int = 0
+    #: The ``WarehouseState`` indexing this robot (None when free-standing);
+    #: unannotated, so not a dataclass field.
+    _world = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name == "state" and self._world is not None:
+            self._world._robot_changed(self)
 
     @property
     def is_idle(self) -> bool:

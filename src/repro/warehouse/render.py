@@ -8,7 +8,8 @@ Produces a row-per-``y`` text map of the floor:
 * ``1``–``9`` rack home with that many pending items (``+`` for ≥ 10)
 * ``_``  rack home whose rack is currently in transit
 * ``P``  picker station (``Q`` when its queue is non-empty)
-* ``r``  idle robot / ``R`` busy robot (drawn above anything else)
+* ``r``  idle robot / ``R`` busy robot (drawn above anything else; a
+  moving robot is drawn where its current leg began, see ``Robot``)
 
 The legend is intentionally one character per cell so a whole default
 dataset fits in a terminal.

@@ -4,18 +4,37 @@
 the cheap indexes planners query every timestamp: racks per picker, idle
 robots, racks with pending items.  It is the ``R``, ``P``, ``A`` triple of
 the TPRW problem statement plus the grid they live on.
+
+The idle-robot and selectable-rack sets are kept incrementally — the write
+hooks of :mod:`~repro.warehouse.entities` re-file the one entity that
+changed — so a planner wake costs what changed, not a rescan of the world.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..types import Cell
 from .entities import Item, Picker, Rack, RackPhase, Robot, RobotState
 from .grid import Grid
 from .layout import WarehouseLayout
+
+_RACK_ID = attrgetter("rack_id")
+_ROBOT_ID = attrgetter("robot_id")
+
+
+def _file(members: list, entity, key: Callable, wanted: bool) -> None:
+    """Make ``entity``'s membership of the id-sorted ``members`` ``wanted``."""
+    i = bisect_left(members, key(entity), key=key)
+    present = i < len(members) and members[i] is entity
+    if wanted and not present:
+        members.insert(i, entity)
+    elif present and not wanted:
+        del members[i]
 
 
 @dataclass
@@ -32,6 +51,21 @@ class WarehouseState:
     pickers: List[Picker]
     robots: List[Robot]
     _racks_by_picker: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+    #: The idle robots / selectable racks, ascending by id — derived data,
+    #: kept current by :meth:`_robot_changed` / :meth:`_rack_changed`.
+    _idle: List[Robot] = field(default_factory=list, repr=False, compare=False)
+    _selectable: List[Rack] = field(default_factory=list, repr=False,
+                                    compare=False)
+
+    def __post_init__(self) -> None:
+        self._rebuild_indexes()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_idle" not in state:
+            # Pickled before the incremental indices existed: the
+            # entities carry no back-reference yet either.
+            self._rebuild_indexes()
 
     # -- construction -------------------------------------------------------
 
@@ -73,25 +107,47 @@ class WarehouseState:
                    for i, loc in enumerate(layout.picker_locations)]
         robots = [Robot(robot_id=i, location=layout.rack_homes[i])
                   for i in range(n_robots)]
-        state = cls(grid=layout.grid, racks=racks, pickers=pickers, robots=robots)
-        state._rebuild_indexes()
-        return state
+        return cls(grid=layout.grid, racks=racks, pickers=pickers, robots=robots)
 
     def _rebuild_indexes(self) -> None:
+        """Adopt the entities and derive every index from scratch."""
         self._racks_by_picker = {p.picker_id: [] for p in self.pickers}
         for rack in self.racks:
-            self._racks_by_picker[rack.picker_id].append(rack.rack_id)
+            self._racks_by_picker.setdefault(rack.picker_id, []).append(
+                rack.rack_id)
+            rack._world = self
+        for robot in self.robots:
+            robot._world = self
+        self._idle = self._scan_idle()
+        self._selectable = self._scan_selectable()
+
+    def _scan_idle(self) -> List[Robot]:
+        return [robot for robot in self.robots if robot.is_idle]
+
+    def _scan_selectable(self) -> List[Rack]:
+        return [rack for rack in self.racks if rack.selectable]
+
+    def _robot_changed(self, robot: Robot) -> None:
+        """Re-file ``robot`` after a write of its ``state``."""
+        _file(self._idle, robot, _ROBOT_ID, robot.is_idle)
+
+    def _rack_changed(self, rack: Rack) -> None:
+        """Re-file ``rack`` after a write of its ``phase`` / ``pending_items``."""
+        _file(self._selectable, rack, _RACK_ID, rack.selectable)
 
     # -- planner-facing queries ---------------------------------------------
 
     def idle_robots(self) -> List[Robot]:
         """The set A: robots able to accept a mission this timestamp."""
-        return [robot for robot in self.robots if robot.is_idle]
+        return list(self._idle)
 
     def selectable_racks(self) -> List[Rack]:
         """Racks that are home (STORED) and carry at least one pending item."""
-        return [rack for rack in self.racks
-                if rack.phase is RackPhase.STORED and rack.pending_items]
+        return list(self._selectable)
+
+    def dispatchable(self) -> bool:
+        """Whether an idle robot and a selectable rack coexist (O(1))."""
+        return bool(self._idle and self._selectable)
 
     def racks_of_picker(self, picker_id: int) -> List[Rack]:
         """All racks associated with ``picker_id`` (fixed association)."""
@@ -122,6 +178,7 @@ class WarehouseState:
         """Register a newly arrived item on its rack (online arrival)."""
         rack = self.racks[item.rack_id]
         rack.pending_items.append(item)
+        self._rack_changed(rack)
 
     def check_invariants(self) -> None:
         """Validate cross-entity invariants; raise on violation.
@@ -129,8 +186,20 @@ class WarehouseState:
         Used by tests and (cheaply) by the simulator in debug runs:
         - a robot in a carrying state references an existing rack;
         - a rack IN_TRANSIT is referenced by exactly one busy robot;
-        - picker queues only contain IN_TRANSIT racks.
+        - picker queues only contain IN_TRANSIT racks;
+        - the incremental idle / selectable indices equal a from-scratch
+          rescan (same objects, ascending id) — a writer that bypassed
+          the entity hooks fails here instead of silently diverging.
         """
+        for name, key, index, rescan in (
+                ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
+                ("selectable-rack", _RACK_ID, self._selectable,
+                 self._scan_selectable())):
+            if list(map(id, index)) != list(map(id, rescan)):
+                stale = set(map(key, index)) ^ set(map(key, rescan))
+                raise SimulationError(
+                    f"stale {name} index: ids {sorted(stale)} differ from "
+                    f"a rescan (or the order does)")
         carrier_of: Dict[int, int] = {}
         for robot in self.robots:
             if robot.state is RobotState.IDLE:

@@ -54,6 +54,25 @@ class TestRoundTrip:
         dump_checkpoint(sim)  # serialising must not perturb the run
         assert drained_view(sim) == expected
 
+    def test_state_pickled_without_the_indices_restores(self):
+        """A checkpoint from before ``WarehouseState`` kept its idle /
+        selectable indices (and the entities their back-reference) loads:
+        the indices are rebuilt and the run continues bit-identically."""
+        expected = drained_view(build_sim()[0])
+        sim, _ = build_sim()
+        sim.run_until(60)
+        old, _ = load_checkpoint_bytes(dump_checkpoint(sim))
+        for name in ("_idle", "_selectable"):
+            del old.state.__dict__[name]
+        for entity in old.state.racks + old.state.robots:
+            del entity.__dict__["_world"]
+        restored, _ = load_checkpoint_bytes(dump_checkpoint(old))
+        state = restored.state
+        assert all(e._world is state for e in state.racks + state.robots)
+        assert state.idle_robots() != state.robots  # genuinely mid-run
+        state.check_invariants()
+        assert drained_view(restored) == expected
+
     def test_extra_payload_roundtrips(self):
         sim, _ = build_sim()
         sim.run_until(30)

@@ -32,9 +32,19 @@ MINI_SEEDS = (20220513, 7)
 def run_engine(engine_cls, scenario, planner_name):
     state, items = scenario.build()
     planner = PLANNERS[planner_name](state)
+    plan = planner.plan
+
+    def checked_plan(t):
+        # Every wake of either engine: the incremental idle / selectable
+        # indices the planner is about to read must equal a rescan.
+        state.check_invariants()
+        return plan(t)
+
+    planner.plan = checked_plan
     config = SimulationConfig(record_bottleneck_trace=True,
                               collect_paths=True)
     result = engine_cls(state, planner, items, config).run()
+    state.check_invariants()
     return result, state
 
 

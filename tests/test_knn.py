@@ -1,5 +1,6 @@
 """Unit tests for the static K-nearest-racks index (flip requesting)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -64,3 +65,52 @@ class TestMemory:
         small = StaticRackKNN(HOMES, 12, 8, k=1)
         large = StaticRackKNN(HOMES, 12, 8, k=6)
         assert large.memory_bytes() > small.memory_bytes()
+
+
+def brute_force(homes, width, height, k):
+    """The oracle: first K of the stable argsort of every cell's distances."""
+    homes = np.array(homes, dtype=np.int64)
+    xs, ys = np.arange(width)[:, None, None], np.arange(height)[None, :, None]
+    dist = np.abs(xs - homes[:, 0]) + np.abs(ys - homes[:, 1])  # (W, H, R)
+    return np.argsort(dist, axis=2, kind="stable")[:, :, :min(k, len(homes))]
+
+
+def distinct_cells(rng, n, x_range, y_range):
+    """``n`` distinct cells of the box, in random (rack-id) order."""
+    box = [(x, y) for x in range(*x_range) for y in range(*y_range)]
+    return [box[i] for i in rng.permutation(len(box))[:n]]
+
+
+def layouts():
+    rng = np.random.default_rng(12)
+    tile = StaticRackKNN._TILE
+    wide, tall = 5 * tile + 3, 3 * tile + 1   # ragged edge tiles both ways
+    yield "random", distinct_cells(rng, 70, (0, wide), (0, tall)), wide, tall, 8
+    clustered = (distinct_cells(rng, 30, (0, 6), (0, 6))
+                 + distinct_cells(rng, 30, (wide - 5, wide), (tall - 7, tall)))
+    yield "clustered", clustered, wide, tall, 8
+    yield "one-corner", distinct_cells(rng, 40, (0, 7), (0, 6)), wide, tall, 8
+    yield "k-equals-racks", distinct_cells(rng, 9, (0, wide), (0, tall)), \
+        wide, tall, 9
+    yield "k-exceeds-racks", distinct_cells(rng, 5, (0, wide), (0, tall)), \
+        wide, tall, 50
+    # Equidistant racks everywhere (a lattice, plus racks sharing a cell):
+    # the id must break every tie.
+    lattice = [(x, y) for x in range(0, wide, 4) for y in range(0, tall, 4)]
+    yield "ties", lattice + lattice[:10], wide, tall, 8
+    yield "one-row", distinct_cells(rng, 25, (0, 60), (0, 1)), 60, 1, 8
+    yield "one-column", distinct_cells(rng, 25, (0, 1), (0, 60)), 1, 60, 8
+    yield "sub-tile-floor", distinct_cells(rng, 6, (0, 5), (0, 3)), 5, 3, 4
+
+
+@pytest.mark.parametrize("name,homes,width,height,k",
+                         [pytest.param(*case, id=case[0])
+                          for case in layouts()])
+def test_build_is_bit_identical_to_brute_force(name, homes, width, height, k):
+    index = StaticRackKNN(homes, width, height, k)
+    expected = brute_force(homes, width, height, k)
+    assert index._nearest.shape == expected.shape
+    assert index._nearest.dtype == np.int16
+    assert (index._nearest == expected).all()
+    assert index.memory_bytes() == (expected.size * 2
+                                    + len(homes) * 2 * 8)

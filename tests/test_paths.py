@@ -84,6 +84,26 @@ class TestConcat:
         with pytest.raises(ConflictError):
             a.concat(b)
 
+    def test_rejects_seam_that_is_only_adjacent(self):
+        # concat validates the seam alone (its halves are already
+        # validated paths), so the seam check must stay strict: a leg
+        # starting one lawful move away, not on the shared step, is
+        # still refused.
+        a = Path.from_cells([(0, 0), (1, 0)], start_time=0)
+        for start_time in (1, 2):
+            b = Path.from_cells([(1, 1), (1, 2)], start_time=start_time)
+            with pytest.raises(ConflictError):
+                a.concat(b)
+
+    def test_seam_only_products_equal_fully_validated_paths(self):
+        a = Path.from_cells([(0, 0), (1, 0)], start_time=0)
+        b = Path.from_cells([(1, 0), (1, 0), (1, 1)], start_time=1)
+        joined = a.concat(b)
+        assert joined == Path(joined.steps)
+        assert joined.truncate_at(1) == a
+        with pytest.raises(ConflictError):  # the constructor still walks
+            Path(joined.steps[:1] + joined.steps[2:])
+
 
 class TestIteration:
     def test_iter_yields_timed_cells(self):

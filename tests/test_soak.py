@@ -5,12 +5,13 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.soak import (SoakSpec, build_soak, run_soak, soak_ok,
-                                    smoke_spec)
+from repro.experiments.soak import (SoakSpec, _feed_through, build_soak,
+                                    run_soak, soak_ok, smoke_spec)
 from repro.pathfinding.cache import ShortestPathCache
 from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
 from repro.pathfinding.paths import Path
+from repro.sim.checkpoint import dump_checkpoint, load_checkpoint_bytes
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.warehouse.grid import Grid
@@ -105,6 +106,21 @@ class TestRunSoak:
         # Windows stop at the duration boundary; the drain tail finishes
         # the rest, so the final count can only exceed the window sum.
         assert report["final"]["items_processed"] >= processed
+
+    def test_state_indices_stay_exact_through_windows_and_restores(self):
+        # The always-on loop with a checkpoint round-trip at every
+        # boundary: a stale idle / selectable index must fail loudly.
+        spec = tiny_spec()
+        sim, stream, harness = build_soak(spec)
+        for boundary in range(spec.window_ticks, spec.duration + 1,
+                              spec.window_ticks):
+            _feed_through(sim, stream, harness, boundary, spec.feed_chunk)
+            sim.run_until(boundary)
+            sim.state.check_invariants()
+            sim, __ = load_checkpoint_bytes(dump_checkpoint(sim))
+            sim.state.check_invariants()
+        sim.run()
+        sim.state.check_invariants()
 
     def test_periodic_checkpoints_written(self, tmp_path):
         run_soak(tiny_spec(duration=900, window_ticks=300,

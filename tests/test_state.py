@@ -1,9 +1,12 @@
 """Unit tests for WarehouseState construction, indexes, and invariants."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import SimulationError
 from repro.warehouse.entities import Item, RackPhase, RobotState
+from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
 
 
@@ -125,3 +128,87 @@ class TestInvariants:
         small_state.pickers[0].queue.append(0)
         with pytest.raises(SimulationError):
             small_state.check_invariants()
+
+    def test_stale_index_fails(self, small_state):
+        # An in-place append is the one write the entity hooks cannot
+        # see; the rescan twin must catch what it leaves behind.
+        small_state.racks[2].pending_items.append(Item(0, 2, 0, 10))
+        with pytest.raises(SimulationError, match="stale selectable-rack"):
+            small_state.check_invariants()
+        small_state._idle.pop()
+        with pytest.raises(SimulationError, match="stale idle-robot"):
+            small_state.check_invariants()
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """Random writers of every kind; the indices must track each step."""
+
+    N_RACKS, N_ROBOTS = 8, 4
+    rack_ids = st.integers(0, N_RACKS - 1)
+    robot_ids = st.integers(0, N_ROBOTS - 1)
+
+    def __init__(self):
+        super().__init__()
+        layout = build_layout(16, 12, n_racks=self.N_RACKS, n_pickers=2)
+        self.state = WarehouseState.from_layout(layout, self.N_ROBOTS)
+        self.next_item = 0
+
+    def _item(self, rack_id):
+        self.next_item += 1
+        return Item(self.next_item, rack_id, 0, 5)
+
+    @rule(rack_id=rack_ids)
+    def deliver(self, rack_id):
+        self.state.deliver_item(self._item(rack_id))
+
+    @rule(pick=st.integers(0, 99))
+    def dispatch(self, pick):
+        robots = self.state.idle_robots()
+        racks = self.state.selectable_racks()
+        if not robots or not racks:
+            return
+        robot, rack = robots[pick % len(robots)], racks[pick % len(racks)]
+        assert rack.take_batch()
+        rack.phase = RackPhase.IN_TRANSIT
+        robot.state = RobotState.TO_RACK
+        robot.rack_id = rack.rack_id
+
+    @rule(robot_id=robot_ids)
+    def return_home(self, robot_id):
+        robot = self.state.robots[robot_id]
+        if robot.rack_id is None:
+            return
+        self.state.racks[robot.rack_id].phase = RackPhase.STORED
+        robot.state = RobotState.IDLE
+        robot.rack_id = None
+
+    @rule(robot_id=robot_ids, value=st.sampled_from(list(RobotState)))
+    def write_robot_state(self, robot_id, value):
+        self.state.robots[robot_id].state = value
+
+    @rule(rack_id=rack_ids, value=st.sampled_from(list(RackPhase)))
+    def write_rack_phase(self, rack_id, value):
+        self.state.racks[rack_id].phase = value
+
+    @rule(rack_id=rack_ids, n=st.integers(0, 2))
+    def write_pending(self, rack_id, n):
+        self.state.racks[rack_id].pending_items = [
+            self._item(rack_id) for _ in range(n)]
+
+    @invariant()
+    def indices_equal_rescan(self):
+        idle = self.state.idle_robots()
+        selectable = self.state.selectable_racks()
+        expected_idle = [r for r in self.state.robots if r.is_idle]
+        expected_selectable = [
+            r for r in self.state.racks
+            if r.phase is RackPhase.STORED and r.pending_items]
+        assert list(map(id, idle)) == list(map(id, expected_idle))
+        assert (list(map(id, selectable))
+                == list(map(id, expected_selectable)))
+        assert self.state.dispatchable() == bool(idle and selectable)
+
+
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = settings(max_examples=60,
+                                     stateful_step_count=40, deadline=None)
