@@ -258,9 +258,6 @@ class SimulationConfig:
     metrics_checkpoints:
         How many evenly spaced item-count checkpoints to record for the
         Fig. 10–12 series (the paper uses 10).
-    purge_interval:
-        How often (in ticks) reservation structures drop past timestamps —
-        the CDT update operation of Sec. VI-B.
     record_bottleneck_trace:
         Whether to record the per-tick transport/queuing/processing cost
         decomposition used by the Fig. 13 case study (small overhead).
@@ -271,7 +268,6 @@ class SimulationConfig:
 
     max_ticks: int = 500_000
     metrics_checkpoints: int = 10
-    purge_interval: int = 64
     record_bottleneck_trace: bool = False
     collect_paths: bool = False
 
@@ -279,5 +275,3 @@ class SimulationConfig:
         _require(self.max_ticks > 0, f"max_ticks must be > 0, got {self.max_ticks}")
         _require(self.metrics_checkpoints >= 1,
                  f"metrics_checkpoints must be >= 1, got {self.metrics_checkpoints}")
-        _require(self.purge_interval >= 1,
-                 f"purge_interval must be >= 1, got {self.purge_interval}")

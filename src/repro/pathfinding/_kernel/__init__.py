@@ -1,9 +1,10 @@
 """Optional native search kernel for the spatiotemporal A* core.
 
 ``load_compiled()`` is a pure import probe: it returns the compiled
-``_stsearch`` module when a built artefact is importable and ``None``
-otherwise — it never invokes a compiler.  Building is always an explicit
-act (``scripts/build_kernel.py``, the test/bench harnesses, or CI) via
+``_stsearch`` module when an artefact built from the C source on disk is
+importable and ``None`` otherwise — it never invokes a compiler.
+Building is always an explicit act (``scripts/build_kernel.py``, the
+test/bench harnesses, or CI) via
 :func:`repro.pathfinding._kernel.build.build_extension`, so importing the
 library on a machine without a toolchain stays side-effect free and the
 pure-python core remains the always-working fallback.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import importlib
 from typing import Optional
+
+from .build import build_extension, is_stale
 
 #: Result of the last probe: ``False`` = not probed yet, ``None`` =
 #: probed and absent, module = probed and loaded.
@@ -30,7 +33,9 @@ def load_compiled(refresh: bool = False):
     global _probed, _module
     if _probed and not refresh:
         return _module
-    if _module is None:
+    if _module is None and not is_stale():
+        # A binary compiled from some other ``_stsearchmodule.c`` may take
+        # different arguments than this tree passes: never import it.
         try:
             _module = importlib.import_module(
                 "repro.pathfinding._kernel._stsearch")
@@ -42,7 +47,6 @@ def load_compiled(refresh: bool = False):
 
 def build_and_load(force: bool = False):
     """Best-effort build then probe; ``None`` when either step fails."""
-    from .build import build_extension
     if build_extension(force=force) is None:
         return None
     return load_compiled(refresh=True)

@@ -30,6 +30,13 @@
 
 #define GRID_CAPSULE_NAME "repro.pathfinding._kernel.grid"
 
+/* sha256 of this file, passed in by build.py / setup.py.  build.py looks
+ * for the digest in the binary to tell whether it was compiled from the
+ * source beside it; a binary built without the flag never matches. */
+#ifndef STSEARCH_SOURCE_SHA256
+#define STSEARCH_SOURCE_SHA256 "unstamped"
+#endif
+
 /* Cell-key packing, mirrored from repro.types (x << 16 | y). */
 #define CELL_KEY_SHIFT 16
 #define CELL_KEY_MASK 0xFFFF
@@ -1241,26 +1248,6 @@ fail:
 /* final container contents and every returned delta.                  */
 /* ------------------------------------------------------------------ */
 
-/* Mirrors of the PackedChain probe packing in reservation.py. */
-#define MUT_VERTEX_TICK_SHIFT 32
-#define MUT_EDGE_TICK_SHIFT 34
-#define MUT_CHAIN_TICK_LIMIT ((int64_t)1 << 28)
-
-/* DIR_CODES: packed-key delta of a cardinal move -> 2-bit code. */
-static inline int
-mut_dir_code(int64_t delta)
-{
-    if (delta == ((int64_t)1 << CELL_KEY_SHIFT))
-        return 0;
-    if (delta == -((int64_t)1 << CELL_KEY_SHIFT))
-        return 1;
-    if (delta == 1)
-        return 2;
-    if (delta == -1)
-        return 3;
-    return -1;
-}
-
 typedef struct {
     Py_ssize_t n;
     int64_t *t;
@@ -1384,17 +1371,6 @@ set_bucket_discard(PyObject *dict, PyObject *t_obj, PyObject *key_obj)
     return 1;
 }
 
-static int
-probe_list_append(PyObject *list, int64_t value)
-{
-    PyObject *obj = PyLong_FromLongLong((long long)value);
-    if (obj == NULL)
-        return -1;
-    int rc = PyList_Append(list, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
 /* Materialise a zeroed dense layer (bytearray of ``n`` cells) at
  * dict[t].  Returns a borrowed reference, NULL on error. */
 static PyObject *
@@ -1431,15 +1407,14 @@ static PyObject *
 stsearch_reserve_path(PyObject *self, PyObject *args)
 {
     (void)self;
-    int mode, tile_bits, collect;
+    int mode, tile_bits;
     PyObject *vertex_obj, *edge_obj, *steps_obj;
     long long height_ll, block_cells_ll, horizon_ll, vfloor_ll, efloor_ll,
         high_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLLOLLLLp:reserve_path",
+    if (!PyArg_ParseTuple(args, "iOOiLLOLLLL:reserve_path",
                           &mode, &vertex_obj, &edge_obj, &tile_bits,
                           &height_ll, &block_cells_ll, &steps_obj,
-                          &horizon_ll, &vfloor_ll, &efloor_ll, &high_ll,
-                          &collect))
+                          &horizon_ll, &vfloor_ll, &efloor_ll, &high_ll))
         return NULL;
     if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
         return NULL;
@@ -1455,14 +1430,6 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
         return NULL;
 
     int64_t v_added = 0, vbuckets_added = 0, tiles_added = 0, e_added = 0;
-    int poison = 0;
-    PyObject *vprobes = NULL, *eprobes = NULL;
-    if (collect) {
-        vprobes = PyList_New(0);
-        eprobes = vprobes ? PyList_New(0) : NULL;
-        if (eprobes == NULL)
-            goto fail;
-    }
 
     int64_t mask = ((int64_t)1 << tile_bits) - 1;
     int64_t memo_tile_id = -1;
@@ -1526,22 +1493,7 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
             if (rc < 0)
                 goto step_fail;
             vbuckets_added += created;
-            if (fresh) {
-                v_added++;
-                if (collect) {
-                    if (t >= MUT_CHAIN_TICK_LIMIT) {
-                        poison = 1;
-                        collect = 0;
-                        Py_CLEAR(vprobes);
-                        Py_CLEAR(eprobes);
-                    } else if (probe_list_append(
-                                   vprobes,
-                                   (t << MUT_VERTEX_TICK_SHIFT)
-                                   | key) < 0) {
-                        goto step_fail;
-                    }
-                }
-            }
+            v_added += fresh;
             break;
         }
         case PROBE_DENSE: {
@@ -1687,38 +1639,15 @@ step_fail:
         Py_DECREF(t_obj);
         if (rc < 0)
             goto fail;
-        if (fresh) {
-            e_added++;
-            if (collect) {
-                int code = mut_dir_code(key1 - key0);
-                if (code < 0 || t0 >= MUT_CHAIN_TICK_LIMIT) {
-                    poison = 1;
-                    collect = 0;
-                    Py_CLEAR(vprobes);
-                    Py_CLEAR(eprobes);
-                } else if (probe_list_append(
-                               eprobes,
-                               (t0 << MUT_EDGE_TICK_SHIFT)
-                               | (key0 << 2) | code) < 0) {
-                    goto fail;
-                }
-            }
-        }
+        e_added += fresh;
     }
     steps_free(&sa);
-    PyObject *out = Py_BuildValue(
-        "LLLLLOOi",
+    return Py_BuildValue(
+        "LLLLL",
         (long long)v_added, (long long)vbuckets_added,
-        (long long)tiles_added, (long long)e_added, (long long)high,
-        vprobes ? vprobes : Py_None, eprobes ? eprobes : Py_None,
-        poison);
-    Py_XDECREF(vprobes);
-    Py_XDECREF(eprobes);
-    return out;
+        (long long)tiles_added, (long long)e_added, (long long)high);
 fail:
     steps_free(&sa);
-    Py_XDECREF(vprobes);
-    Py_XDECREF(eprobes);
     return NULL;
 }
 
@@ -2662,9 +2591,8 @@ static PyMethodDef stsearch_methods[] = {
      " -> (status, steps, finisher_tail, expansions, generated, peak_open)"},
     {"reserve_path", stsearch_reserve_path, METH_VARARGS,
      "reserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
-     "    block_cells, steps, horizon, vfloor, efloor, high, collect)\n"
-     " -> (v_added, vbuckets_added, tiles_added, e_added, new_high,\n"
-     "     vprobes, eprobes, poison)\n"
+     "    block_cells, steps, horizon, vfloor, efloor, high)\n"
+     " -> (v_added, vbuckets_added, tiles_added, e_added, new_high)\n"
      "Insert a path's vertices and edges, bit-identical to the python\n"
      "reserve_path of the mode's table; horizon < 0 means unbounded."},
     {"unreserve_path", stsearch_unreserve_path, METH_VARARGS,
@@ -2714,7 +2642,9 @@ PyInit__stsearch(void)
     PyObject *mod = PyModule_Create(&stsearch_module);
     if (mod == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(mod, "KERNEL_ABI", 3) < 0) {
+    if (PyModule_AddIntConstant(mod, "KERNEL_ABI", 4) < 0
+        || PyModule_AddStringConstant(mod, "SOURCE_SHA256",
+                                      STSEARCH_SOURCE_SHA256) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

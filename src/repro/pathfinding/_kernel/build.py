@@ -7,14 +7,15 @@ compiled artefact is written via a temp file + atomic ``os.replace`` so
 concurrent builders (a pytest-xdist swarm, parallel bench jobs) can race
 harmlessly.
 
-One module carries both halves of the native core: the ``KERNEL_ABI``-1
-search expansion loop and, since ABI 2, the reservation-mutation entry
-points (``reserve_path`` / ``unreserve_path`` / ``purge_before`` /
-``audit_path`` over the ``kernel_probe_spec`` modes).  A stale ABI-1
-artefact is rejected at selection time by ``set_mutation_kernel``, not
-here — rebuilding is still this module's only job, and a rebuilt
-extension cannot be re-imported into a process that already loaded the
-old one (CPython never unloads C extensions; run in a fresh process).
+Freshness is decided by content, not mtime: the build compiles the
+sha256 of ``_stsearchmodule.c`` into the artefact and :func:`is_stale`
+looks for the digest of the source on disk in the binary, so a binary
+that travelled with a different source (a copied tree, a tarball, a
+reverted edit) is rebuilt — or, where building is not possible, not
+loaded (see :func:`repro.pathfinding._kernel.load_compiled`) — instead of
+being handed calls its entry points do not take.  A rebuilt extension
+cannot be re-imported into a process that already loaded the old one
+(CPython never unloads C extensions; run in a fresh process).
 
 ``setup.py`` in this directory remains the documented setuptools route
 (``python setup.py build_ext --inplace``); this module is what the test
@@ -28,6 +29,7 @@ compiler).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shlex
 import subprocess
@@ -55,13 +57,18 @@ def build_allowed() -> bool:
     return os.environ.get("REPRO_KERNEL_BUILD", "1") != "0"
 
 
+def source_stamp() -> str:
+    """sha256 hex digest of the C source on disk."""
+    with open(_SOURCE, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def is_stale() -> bool:
-    """Whether the built artefact is missing or older than its source."""
-    target = extension_path()
-    if not os.path.exists(target):
-        return True
+    """Whether the built artefact is missing or was compiled from a
+    different ``_stsearchmodule.c`` than the one on disk."""
     try:
-        return os.path.getmtime(target) < os.path.getmtime(_SOURCE)
+        with open(extension_path(), "rb") as fh:
+            return source_stamp().encode("ascii") not in fh.read()
     except OSError:
         return True
 
@@ -72,7 +79,9 @@ def _compiler_command(output: str) -> Optional[List[str]]:
     if include is None:
         return None
     cmd = shlex.split(cc)
-    cmd += ["-O2", "-fPIC", "-shared", "-I" + include, _SOURCE, "-o", output]
+    cmd += ["-O2", "-fPIC", "-shared", "-I" + include,
+            f'-DSTSEARCH_SOURCE_SHA256="{source_stamp()}"',
+            _SOURCE, "-o", output]
     return cmd
 
 
@@ -84,11 +93,13 @@ def build_extension(force: bool = False, quiet: bool = True) -> Optional[str]:
     failed.  Callers treat that as "run pure python" — building is always
     best-effort, never an error.
     """
-    if not force and not is_stale():
-        return extension_path()
+    target = extension_path()
+    stale = is_stale()
+    if not stale and not force:
+        return target
     if not build_allowed():
-        return extension_path() if os.path.exists(extension_path()) else None
-    fd, temp_out = tempfile.mkstemp(suffix=".so", dir=_HERE)
+        return None if stale else target
+    fd, temp_out = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
     try:
         cmd = _compiler_command(temp_out)
@@ -102,9 +113,9 @@ def build_extension(force: bool = False, quiet: bool = True) -> Optional[str]:
                     "kernel build failed:\n" + result.stderr.decode(
                         "utf-8", "replace"))
             return None
-        os.replace(temp_out, extension_path())
+        os.replace(temp_out, target)
         temp_out = None
-        return extension_path()
+        return target
     except (OSError, subprocess.SubprocessError):
         if not quiet:
             raise

@@ -7,7 +7,13 @@ which drives the C compiler directly and needs no build backend; both
 produce the same ``_stsearch`` artefact in this directory.
 """
 
+import hashlib
+
 from setuptools import Extension, setup
+
+# The same source stamp build.py compiles in (see build.is_stale()).
+with open("_stsearchmodule.c", "rb") as fh:
+    _STAMP = hashlib.sha256(fh.read()).hexdigest()
 
 setup(
     name="repro-stsearch-kernel",
@@ -17,6 +23,7 @@ setup(
             "_stsearch",
             sources=["_stsearchmodule.c"],
             extra_compile_args=["-O2"],
+            define_macros=[("STSEARCH_SOURCE_SHA256", f'"{_STAMP}"')],
         )
     ],
 )

@@ -17,25 +17,8 @@ Supports the three operations of Sec. VI-B: conflict *search* (``is_free``
 / ``edge_free``), *insertion* (``reserve_path``) and the periodic *update*
 that deletes passed timestamps (``purge_before``).
 
-Two additions on top of the paper's structure, both behaviour-neutral:
+One addition on top of the paper's structure, behaviour-neutral:
 
-* **Vectorised bulk audits** (:class:`_ProbeIndex`).  The tier-0
-  free-flow fast path audits whole candidate paths far more often than it
-  reserves, and ``bench_kernels --profile`` shows the per-step
-  dict-get/set-probe loop of ``audit_path`` dominating fast-path cost on
-  large floors.  Both CDT variants can therefore mirror every live
-  reservation into an append-mostly sorted int64 index of combined
-  ``(tick, vertex)`` / ``(tick, edge)`` probe integers and answer bulk
-  audits with two ``searchsorted`` passes.  The probes are bit-identical
-  to the bucket probes (the index mirrors insertions and purges exactly);
-  the pure-python bucket walk is retained as the fallback when numpy is
-  missing, ticks overflow the packing, or an edge is not a cardinal move.
-  The index only pays for itself on large floors, where audited legs run
-  hundreds of steps — on the small historical floors the per-step upkeep
-  in ``reserve_path`` and the array building per audit cost more than the
-  dict walks they replace — so the global table ships with it *off*
-  (``vector_audit=False``, the seed's exact per-step behaviour) and the
-  planners switch it on alongside the rest of the paper-scale machinery.
 * **Region sharding** (:class:`ShardedConflictDetectionTable`).  The
   global table keys buckets by tick alone, so the periodic purge and the
   O(live ticks) ``memory_bytes`` sum walk state belonging to the whole
@@ -48,233 +31,25 @@ Two additions on top of the paper's structure, both behaviour-neutral:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from . import reservation as _rsv
 from .paths import Path
-from .reservation import (CHAIN_TICK_LIMIT, DIR_CODES, EDGE_TICK_SHIFT,
-                          VERTEX_TICK_SHIFT, PackedChain, ReservationTable,
-                          _EdgeMixin, _stale_ticks, tile_of_key)
-
-try:  # optional acceleration; the bucket-walk fallback stays bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-#: Below this many path steps the python bucket walk beats building numpy
-#: arrays; both sides are bit-identical so the cutoff is pure tuning.
-_VECTOR_MIN_STEPS = 16
+from .reservation import (ReservationTable, _EdgeMixin, _stale_ticks,
+                          tile_of_key)
 
 
-class _ProbeIndex:
-    """A sorted int64 membership index over combined probe integers.
-
-    Maintains the invariant "a combined integer is present iff the
-    corresponding (tick, vertex|edge) reservation is live", split into a
-    sorted numpy array plus a small unsorted pending tail so insertions
-    stay O(1) amortised.  Purges advance a floor; because the combined
-    packing is tick-major, everything below the floor is a sorted-array
-    prefix and pending strays are filtered at the next compaction (they
-    can never match a probe, which always carries a tick at or above the
-    purge floor).
-    """
-
-    __slots__ = ("_sorted", "_pending", "_pending_arr", "_floor")
-
-    #: Pending-tail length that triggers a merge into the sorted array.
-    _MERGE_AT = 8192
+class ConflictDetectionTable(_EdgeMixin, ReservationTable):
+    """Sparse tick-bucketed packed reservations (the compact structure)."""
 
     def __init__(self) -> None:
-        self._sorted = _np.empty(0, dtype=_np.int64)
-        self._pending: List[int] = []
-        self._pending_arr = None
-        self._floor = 0
-
-    def add(self, combined: int) -> None:
-        self._pending.append(combined)
-        self._pending_arr = None
-        if len(self._pending) >= self._MERGE_AT:
-            self._compact()
-
-    def add_many(self, values) -> None:
-        """Bulk :meth:`add` — one list extend per committed path (the
-        compiled mutation kernel returns a whole path's fresh probes at
-        once)."""
-        self._pending.extend(values)
-        self._pending_arr = None
-        if len(self._pending) >= self._MERGE_AT:
-            self._compact()
-
-    def drop_below(self, combined_floor: int) -> None:
-        if combined_floor > self._floor:
-            self._floor = combined_floor
-            left = int(_np.searchsorted(self._sorted, combined_floor))
-            if left:
-                self._sorted = self._sorted[left:]
-            if self._pending:
-                # Probes *at* purged ticks must answer free, exactly like
-                # the emptied buckets, so the unsorted tail is filtered
-                # eagerly too (it is at most ``_MERGE_AT`` long).
-                self._pending = [value for value in self._pending
-                                 if value >= combined_floor]
-                self._pending_arr = None
-
-    def _compact(self) -> None:
-        merged = _np.concatenate(
-            (self._sorted, _np.array(self._pending, dtype=_np.int64)))
-        self._pending = []
-        self._pending_arr = None
-        merged.sort()
-        left = int(_np.searchsorted(merged, self._floor))
-        self._sorted = merged[left:] if left else merged
-
-    def any_hit(self, probes) -> bool:
-        """Whether any combined probe in the int64 array is present."""
-        haystack = self._sorted
-        if haystack.size:
-            slots = _np.searchsorted(haystack, probes)
-            inside = slots < haystack.size
-            if inside.any() and (
-                    haystack[slots[inside]] == probes[inside]).any():
-                return True
-        if self._pending:
-            pending = self._pending_arr
-            if pending is None:
-                pending = self._pending_arr = _np.array(
-                    self._pending, dtype=_np.int64)
-            if _np.isin(probes, pending).any():
-                return True
-        return False
-
-
-class _VectorAuditMixin:
-    """Shared vectorised ``audit_path`` / ``audit_chain`` for CDT variants.
-
-    Hosts the two probe indexes and the translation from paths/chains to
-    combined probe arrays.  The owning class feeds the vertex index from
-    its ``reserve_path`` (via :meth:`_note_vertex`), wires
-    ``self._edge_note`` to :meth:`_note_edge`, and advances both floors
-    from ``purge_before`` (via :meth:`_drop_indexes_below`).  Any input
-    the packing cannot represent (no numpy, tick overflow, a non-cardinal
-    edge) permanently poisons the indexes and every audit falls back to
-    the bit-identical bucket walk.
-    """
-
-    def _init_indexes(self, vector_audit: bool = True) -> None:
-        if not vector_audit or _np is None:
-            self._vindex = self._eindex = None
-        else:
-            self._vindex = _ProbeIndex()
-            self._eindex = _ProbeIndex()
-            self._edge_note = self._note_edge
-
-    def _poison_indexes(self) -> None:
-        self._vindex = self._eindex = None
-        self._edge_note = None
-
-    def _note_vertex(self, t: Tick, key: int) -> None:
-        if t >= CHAIN_TICK_LIMIT:
-            self._poison_indexes()
-            return
-        self._vindex.add((t << VERTEX_TICK_SHIFT) | key)
-
-    def _note_edge(self, t0: Tick, x0: int, y0: int, x1: int, y1: int) -> None:
-        key0 = (x0 << CELL_KEY_SHIFT) | y0
-        key1 = (x1 << CELL_KEY_SHIFT) | y1
-        code = DIR_CODES.get(key1 - key0)
-        if code is None or t0 >= CHAIN_TICK_LIMIT:
-            self._poison_indexes()
-            return
-        self._eindex.add((t0 << EDGE_TICK_SHIFT) | (key0 << 2) | code)
-
-    def _drop_indexes_below(self, t: Tick) -> None:
-        if self._vindex is not None:
-            self._vindex.drop_below(t << VERTEX_TICK_SHIFT)
-            self._eindex.drop_below(t << EDGE_TICK_SHIFT)
-
-    def _fold_kernel_probes(self, vprobes, eprobes, poison: bool) -> None:
-        """Feed the probes a compiled ``reserve_path`` collected.
-
-        The kernel mirrors the per-insertion ``_note_vertex``/``_note_edge``
-        calls by returning the fresh probes in bulk; a poisoned batch (tick
-        overflow or a non-cardinal edge) kills the indexes exactly like the
-        per-call path would.
-        """
-        if self._vindex is None:
-            return
-        if poison:
-            self._poison_indexes()
-            return
-        if vprobes:
-            self._vindex.add_many(vprobes)
-        if eprobes:
-            self._eindex.add_many(eprobes)
-
-    # -- bulk audits ---------------------------------------------------------
-
-    def audit_chain(self, t: Tick, chain: PackedChain, limit: int) -> bool:
-        vindex = self._vindex
-        vshift = chain.vshift
-        if (vindex is None or vshift is None or limit < 1
-                or t + limit >= CHAIN_TICK_LIMIT):
-            return ReservationTable.audit_chain(self, t, chain, limit)
-        if vindex.any_hit((t << VERTEX_TICK_SHIFT) + vshift[1:limit + 1]):
-            return False
-        return not self._eindex.any_hit(
-            (t << EDGE_TICK_SHIFT) + chain.eshift[:limit])
-
-    def audit_path(self, path: Path) -> bool:
-        steps = path.steps
-        if (self._vindex is None or len(steps) <= _VECTOR_MIN_STEPS
-                or steps[-1][0] >= CHAIN_TICK_LIMIT):
-            return self._audit_path_buckets(path)
-        vertex_probes: List[int] = []
-        edge_probes: List[int] = []
-        previous_t = steps[0][0]
-        previous_key = (steps[0][1] << CELL_KEY_SHIFT) | steps[0][2]
-        for (t, x, y) in steps[1:]:
-            key = (x << CELL_KEY_SHIFT) | y
-            vertex_probes.append((t << VERTEX_TICK_SHIFT) | key)
-            if key != previous_key:
-                # The swap probe looks for the stored *opposing* traversal
-                # target -> source, encoded (target_key, direction back).
-                code = DIR_CODES.get(previous_key - key)
-                if code is None:
-                    return self._audit_path_buckets(path)
-                edge_probes.append(
-                    (previous_t << EDGE_TICK_SHIFT) | (key << 2) | code)
-            previous_t, previous_key = t, key
-        if self._vindex.any_hit(_np.array(vertex_probes, dtype=_np.int64)):
-            return False
-        if edge_probes and self._eindex.any_hit(
-                _np.array(edge_probes, dtype=_np.int64)):
-            return False
-        return True
-
-    def _audit_path_buckets(self, path: Path) -> bool:
-        """The pure-python fallback; overridden per storage layout."""
-        return ReservationTable.audit_path(self, path)
-
-
-class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
-    """Sparse tick-bucketed packed reservations (the compact structure).
-
-    ``vector_audit`` opts into the numpy probe indexes; it defaults off
-    because on the small historical floors the per-step index upkeep and
-    per-audit array building cost more than the dict walks they replace
-    (the planners enable it at paper scale, where audited legs run
-    hundreds of steps).
-    """
-
-    def __init__(self, vector_audit: bool = False) -> None:
         _EdgeMixin.__init__(self)
         #: t -> set of packed cell keys reserved at t.
         self._buckets: Dict[Tick, Set[int]] = {}
         self._floor: Tick = 0
         self._n_entries = 0
         self.mutation_stamp = 0
-        self._init_indexes(vector_audit)
 
     # -- ReservationTable -----------------------------------------------------
 
@@ -305,19 +80,16 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
-            (added, _, _, e_added, _, vprobes, eprobes,
-             poison) = kernel.reserve_path(
+            added, _, _, e_added, _ = kernel.reserve_path(
                 1, self._buckets, self._edge_buckets, 0, 0, 0, path.steps,
                 -1 if horizon is None else horizon, self._floor,
-                self._edge_floor, 0, self._vindex is not None)
+                self._edge_floor, 0)
             self._n_entries += added
             self._n_edges += e_added
-            self._fold_kernel_probes(vprobes, eprobes, poison)
             return
         self.mutation_kernel = "python"
         buckets = self._buckets
         floor = self._floor
-        vindex = self._vindex
         for (t, x, y) in path.steps:
             if horizon is not None and t > horizon:
                 break  # consecutive timestamps: everything after is later
@@ -329,19 +101,11 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
                 if key not in bucket:
                     bucket.add(key)
                     self._n_entries += 1
-                    if vindex is not None:
-                        if t >= CHAIN_TICK_LIMIT:
-                            self._poison_indexes()
-                            vindex = None
-                        else:
-                            vindex.add((t << VERTEX_TICK_SHIFT) | key)
         self._reserve_edges(path, horizon)
 
     def unreserve_path(self, path: Path,
                        horizon: Optional[Tick] = None) -> None:
         self.mutation_stamp += 1
-        if self._vindex is not None:
-            self._poison_indexes()  # the probe index is append-only
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
@@ -380,7 +144,6 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
             if t > self._floor:
                 self._n_entries -= removed
                 self._floor = t
-                self._drop_indexes_below(t)
             if t > self._edge_floor:
                 self._n_edges -= e_removed
                 self._edge_floor = t
@@ -393,7 +156,6 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
                 if bucket is not None:
                     self._n_entries -= len(bucket)
             self._floor = t
-            self._drop_indexes_below(t)
         self._purge_edges(t)
 
     def memory_bytes(self) -> int:
@@ -405,7 +167,7 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
         return (64 + 100 * len(self._buckets) + 32 * self._n_entries
                 + self._edges_memory())
 
-    def _audit_path_buckets(self, path: Path) -> bool:
+    def audit_path(self, path: Path) -> bool:
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             return kernel.audit_path(1, self._buckets, self._edge_buckets,
@@ -451,8 +213,7 @@ class ConflictDetectionTable(_VectorAuditMixin, _EdgeMixin, ReservationTable):
         return counts
 
 
-class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
-                                    ReservationTable):
+class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
     """The CDT with tick buckets partitioned into fixed-size spatial tiles.
 
     ``_tiles[tile][t]`` is the set of packed cell keys reserved at ``t``
@@ -473,9 +234,8 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
 
     ``packed_buckets`` answers ``None`` (the layout is no longer one dict
     per tick), so the packed A* core probes through the ``*_packed``
-    methods — slightly slower per probe, which the tier-0 fast path and
-    the vectorised bulk audits more than absorb on the large floors this
-    table is selected for.
+    methods — slightly slower per probe, which the tier-0 fast path
+    more than absorbs on the large floors this table is selected for.
     """
 
     def __init__(self, tile_bits: int = 5) -> None:
@@ -487,7 +247,6 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
         self._n_entries = 0
         self._n_tick_buckets = 0
         self.mutation_stamp = 0
-        self._init_indexes()
 
     @property
     def tile_bits(self) -> int:
@@ -522,21 +281,18 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
-            (added, buckets_added, _, e_added, _, vprobes, eprobes,
-             poison) = kernel.reserve_path(
+            added, buckets_added, _, e_added, _ = kernel.reserve_path(
                 3, self._tiles, self._edge_buckets, self._tile_bits, 0, 0,
                 path.steps, -1 if horizon is None else horizon,
-                self._floor, self._edge_floor, 0, self._vindex is not None)
+                self._floor, self._edge_floor, 0)
             self._n_entries += added
             self._n_tick_buckets += buckets_added
             self._n_edges += e_added
-            self._fold_kernel_probes(vprobes, eprobes, poison)
             return
         self.mutation_kernel = "python"
         tiles = self._tiles
         bits = self._tile_bits
         floor = self._floor
-        vindex = self._vindex
         last_tile_id = -1
         tile: Dict[Tick, Set[int]] = {}
         for (t, x, y) in path.steps:
@@ -558,19 +314,11 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
             if key not in bucket:
                 bucket.add(key)
                 self._n_entries += 1
-                if vindex is not None:
-                    if t >= CHAIN_TICK_LIMIT:
-                        self._poison_indexes()
-                        vindex = None
-                    else:
-                        vindex.add((t << VERTEX_TICK_SHIFT) | key)
         self._reserve_edges(path, horizon)
 
     def unreserve_path(self, path: Path,
                        horizon: Optional[Tick] = None) -> None:
         self.mutation_stamp += 1
-        if self._vindex is not None:
-            self._poison_indexes()  # the probe index is append-only
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
@@ -619,7 +367,6 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
                 self._n_entries -= removed
                 self._n_tick_buckets -= buckets_removed
                 self._floor = t
-                self._drop_indexes_below(t)
             if t > self._edge_floor:
                 self._n_edges -= e_removed
                 self._edge_floor = t
@@ -636,7 +383,6 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
                 if not tile:
                     del self._tiles[tile_id]
             self._floor = t
-            self._drop_indexes_below(t)
         self._purge_edges(t)
 
     def memory_bytes(self) -> int:
@@ -662,8 +408,8 @@ class ShardedConflictDetectionTable(_VectorAuditMixin, _EdgeMixin,
             + 64 + 100 * counts["edges"] + 64 * counts["edge_ticks"])
         return counts
 
-    def _audit_path_buckets(self, path: Path) -> bool:
-        """Bucket-walk audit: packed probes with a last-tile memo."""
+    def audit_path(self, path: Path) -> bool:
+        """Bulk audit: packed probes with a last-tile memo."""
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             return kernel.audit_path(3, self._tiles, self._edge_buckets,

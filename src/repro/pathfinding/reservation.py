@@ -25,18 +25,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from .paths import Path
 
-try:  # optional acceleration; every consumer keeps a pure-python path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 
 # -- native mutation kernel selection ----------------------------------------
 
-#: Minimum native-kernel ABI exposing the reservation *mutation* entry
-#: points (reserve/unreserve/purge/audit).  A stale ABI-1 artefact still
-#: accelerates the search but mutations silently stay pure-python.
-MUTATION_KERNEL_ABI = 2
+#: Minimum native-kernel ABI whose reservation *mutation* entry points
+#: (reserve/unreserve/purge/audit) have the signatures the tables call.
+#: A module below it is never handed a mutation call: the tables
+#: silently stay pure-python.
+MUTATION_KERNEL_ABI = 4
 
 #: The compiled module whose mutation entry points the production tables
 #: call, or ``None`` for the pure-python bodies.  Installed by
@@ -86,24 +82,6 @@ def tile_of_key(key: int, bits: int) -> int:
 
 # -- packed descent chains ---------------------------------------------------
 
-#: Bit positions of the tick in the combined (tick, vertex) / (tick, edge)
-#: probe integers of :class:`PackedChain`.  A vertex key is 32 bits, so the
-#: tick sits above bit 32; an edge is encoded as (source_key, direction) in
-#: 34 bits, so its tick sits above bit 34.
-VERTEX_TICK_SHIFT = 32
-EDGE_TICK_SHIFT = 34
-
-#: Ticks must stay below this for the combined probes to fit an int64
-#: (``tick << 34`` plus a 34-bit edge code); callers fall back to the
-#: pure-python audit past it.  Far beyond ``SimulationConfig.max_ticks``.
-CHAIN_TICK_LIMIT = 1 << 28
-
-#: Packed-key delta of each cardinal move -> 2-bit direction code.  An
-#: edge ``a -> b`` is losslessly ``(key_a << 2) | code(key_b - key_a)``
-#: because reserved edges only ever connect 4-adjacent cells.
-DIR_CODES = {1 << CELL_KEY_SHIFT: 0, -(1 << CELL_KEY_SHIFT): 1, 1: 2, -1: 3}
-
-
 class PackedChain:
     """A free-flow descent chain in every representation the audits use.
 
@@ -124,37 +102,15 @@ class PackedChain:
     flat:
         Flat cell indices (``x·H + y``) per chain cell, for dense
         (layer-indexed) reservation structures.
-    vshift, eshift:
-        Optional int64 numpy arrays for the vectorised audit:
-        ``vshift[i] = (i << 32) | keys[i]`` so that the combined
-        (tick, vertex) probe of arrival ``i`` at start tick ``t`` is the
-        single vectorised add ``(t << 32) + vshift[i]``; ``eshift[i]``
-        likewise encodes the *reversed* edge probed for the move
-        ``i -> i+1`` (the swap probe looks for the stored opposing
-        traversal) against its departure tick.  ``None`` when numpy is
-        unavailable or a chain step is not a cardinal move.
     """
 
-    __slots__ = ("cells", "keys", "flat", "vshift", "eshift")
+    __slots__ = ("cells", "keys", "flat")
 
     def __init__(self, cells: Tuple[Cell, ...], keys: List[int],
                  flat: List[int]) -> None:
         self.cells = cells
         self.keys = keys
         self.flat = flat
-        self.vshift = None
-        self.eshift = None
-        if _np is not None and len(keys) > 1:
-            ka = _np.array(keys, dtype=_np.int64)
-            idx = _np.arange(len(keys), dtype=_np.int64)
-            delta = ka[:-1] - ka[1:]
-            code = _np.full(len(keys) - 1, -1, dtype=_np.int64)
-            for value, direction in DIR_CODES.items():
-                code[delta == value] = direction
-            if (code >= 0).all():
-                self.vshift = (idx << VERTEX_TICK_SHIFT) | ka
-                self.eshift = ((idx[:-1] << EDGE_TICK_SHIFT)
-                               | (ka[1:] << 2) | code)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -344,9 +300,7 @@ class ReservationTable(abc.ABC):
         would probe a spurious self-edge.
 
         Tick-bucketed implementations answer through
-        :meth:`packed_buckets`; others go through the packed probes.  The
-        CDT overrides this with a vectorised probe over numpy arrays
-        (bit-identical, see :mod:`repro.pathfinding.cdt`).
+        :meth:`packed_buckets`; others go through the packed probes.
         """
         keys = chain.keys
         buckets = self.packed_buckets()
@@ -419,10 +373,6 @@ class _EdgeMixin:
         self._edge_buckets: Dict[Tick, Set[int]] = {}
         self._n_edges = 0
         self._edge_floor: Tick = 0
-        #: Optional ``(t0, x0, y0, x1, y1)`` callback fired once per newly
-        #: stored edge — the CDT's vectorised audit index subscribes here
-        #: so it sees every insertion without the mixin knowing about it.
-        self._edge_note = None
 
     def _edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
         return self._edge_free_packed(
@@ -440,7 +390,6 @@ class _EdgeMixin:
         steps = path.steps
         buckets = self._edge_buckets
         floor = self._edge_floor
-        note = self._edge_note
         # Windowed commit: an edge departing at t0 arrives at t0 + 1, so
         # only edges with t0 < horizon sit inside the committed window.
         ceiling = horizon if horizon is not None else None
@@ -456,8 +405,6 @@ class _EdgeMixin:
                 if key not in bucket:
                     bucket.add(key)
                     self._n_edges += 1
-                    if note is not None:
-                        note(t0, x0, y0, x1, y1)
 
     def _unreserve_edges(self, path: Path,
                          horizon: Optional[Tick] = None) -> None:

@@ -107,7 +107,7 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 2, self._layers, self._edge_buckets, 0, self._grid.height,
                 self._grid.n_cells, path.steps,
                 -1 if horizon is None else horizon, self._floor,
-                self._edge_floor, high, False)
+                self._edge_floor, high)
             if self._layers:
                 self._high = res[4]
             self._n_edges += res[3]
@@ -324,7 +324,7 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 4, self._layers, self._edge_buckets, self._tile_bits, 0,
                 self._tile_cells, path.steps,
                 -1 if horizon is None else horizon, self._floor,
-                self._edge_floor, 0, False)
+                self._edge_floor, 0)
             self._n_tile_layers += res[2]
             self._n_edges += res[3]
             return

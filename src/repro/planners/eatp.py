@@ -84,11 +84,8 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     def _make_reservation(self) -> ReservationTable:
         if self.sharded_reservations:
             return ShardedConflictDetectionTable(self.config.shard_tile_bits)
-        # The vectorised audits only pay off on paper-scale floors; below
-        # the gate this is the seed's exact table (and the argless call
-        # keeps the legacy-table swap of the equivalence suite working).
-        if self.paper_scale:
-            return ConflictDetectionTable(vector_audit=True)
+        # The argless call keeps the legacy-table swap of the equivalence
+        # suite working.
         return ConflictDetectionTable()
 
     # -- Alg. 3 selection: flip requesting --------------------------------------

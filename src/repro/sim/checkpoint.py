@@ -100,7 +100,12 @@ def load_checkpoint_bytes(blob: bytes
         raise CheckpointError(
             f"checkpoint version {version!r} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})")
-    sim, extra = unpickler.load()
+    try:
+        sim, extra = unpickler.load()
+    except Exception as exc:
+        # E.g. the graph names a class this build no longer has.
+        raise CheckpointError(
+            f"checkpoint body is unreadable by this build: {exc}") from exc
     if not isinstance(sim, Simulation):
         raise CheckpointError(
             f"checkpoint body holds {type(sim).__name__}, not a Simulation")

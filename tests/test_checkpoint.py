@@ -73,6 +73,22 @@ class TestRoundTrip:
         state.check_invariants()
         assert drained_view(restored) == expected
 
+    def test_state_pickled_with_since_removed_fields_restores(self):
+        """A checkpoint from when ``SimulationConfig`` had ``purge_interval``
+        and the CDT its (switched-off) audit-index slots loads: the stray
+        ``__dict__`` keys are carried and ignored."""
+        expected = drained_view(build_sim()[0])
+        sim, _ = build_sim()
+        sim.run_until(60)
+        old, _ = load_checkpoint_bytes(dump_checkpoint(sim))
+        old.config.__dict__["purge_interval"] = 64
+        old.planner.reservation.__dict__.update(
+            _vindex=None, _eindex=None, _edge_note=None)
+        restored, _ = load_checkpoint_bytes(dump_checkpoint(old))
+        assert restored.config.__dict__["purge_interval"] == 64
+        assert restored.config == sim.config
+        assert drained_view(restored) == expected
+
     def test_extra_payload_roundtrips(self):
         sim, _ = build_sim()
         sim.run_until(30)
@@ -99,6 +115,15 @@ class TestEnvelope:
         forged = (CHECKPOINT_MAGIC
                   + pickle.dumps(header, protocol=4) + body)
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint_bytes(forged)
+
+    def test_body_naming_a_removed_class_rejected(self):
+        # What a parent-written paper-scale EATP checkpoint looks like to
+        # this build: its sharded CDT pickled two ``_ProbeIndex`` objects.
+        forged = CHECKPOINT_MAGIC + pickle.dumps(
+            {"version": CHECKPOINT_VERSION}, protocol=4) + (
+            b"crepro.pathfinding.cdt\n_ProbeIndex\n.")
+        with pytest.raises(CheckpointError, match="body"):
             load_checkpoint_bytes(forged)
 
     def test_non_simulation_body_rejected(self):

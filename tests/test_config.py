@@ -66,7 +66,7 @@ class TestSimulationConfig:
         assert not cfg.collect_paths
 
     @pytest.mark.parametrize("field,value", [
-        ("max_ticks", 0), ("metrics_checkpoints", 0), ("purge_interval", 0),
+        ("max_ticks", 0), ("metrics_checkpoints", 0),
     ])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ConfigurationError):

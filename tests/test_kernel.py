@@ -10,7 +10,9 @@ on the fly here; where no compiler is available the compiled half skips
 and the selection/fallback tests still run.
 """
 
+import hashlib
 import random
+import subprocess
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +21,8 @@ from hypothesis import strategies as hyp
 from repro.config import search_kernel_choice
 from repro.errors import ConfigurationError
 from repro.experiments.harness import run_planner
-from repro.pathfinding import st_astar
-from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding import _kernel, st_astar
+from repro.pathfinding._kernel import build, build_and_load
 from repro.pathfinding._kernel.build import build_allowed
 from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import (ConflictDetectionTable,
@@ -145,6 +147,42 @@ class TestKernelSelection:
     def test_build_forbidden_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BUILD", "0")
         assert not build_allowed()
+
+    @pytest.fixture
+    def foreign_binary(self, monkeypatch, tmp_path):
+        """An artefact stamped for some other ``_stsearchmodule.c`` (a
+        copied tree, a reverted edit) and a process that has loaded none."""
+        artefact = tmp_path / build.extension_filename()
+        artefact.write_bytes(
+            b"\x7fELF" + hashlib.sha256(b"other source").hexdigest().encode())
+        monkeypatch.setattr(build, "extension_path", lambda: str(artefact))
+        monkeypatch.setattr(_kernel, "_module", None)
+        monkeypatch.setattr(_kernel, "_probed", False)
+        monkeypatch.setattr(st_astar, "_COMPILED", None)
+        return artefact
+
+    def test_foreign_binary_is_not_loaded_where_builds_are_off(
+            self, monkeypatch, foreign_binary):
+        monkeypatch.setenv("REPRO_KERNEL_BUILD", "0")
+        assert build.is_stale()
+        assert build_and_load() is None
+        assert set_search_kernel("auto") == "python"
+        with pytest.raises(ConfigurationError):
+            set_search_kernel("compiled")
+
+    def test_foreign_binary_is_rebuilt(self, monkeypatch, foreign_binary):
+        def fake_cc(cmd, **_):
+            define, = [arg for arg in cmd if arg.startswith("-DSTSEARCH_")]
+            with open(cmd[-1], "wb") as out:
+                out.write(define.encode())
+            return subprocess.CompletedProcess(cmd, 0, b"", b"")
+
+        monkeypatch.delenv("REPRO_KERNEL_BUILD", raising=False)
+        monkeypatch.setattr(subprocess, "run", fake_cc)
+        assert build.is_stale()
+        assert build.build_extension() == str(foreign_binary)
+        assert build.source_stamp().encode() in foreign_binary.read_bytes()
+        assert not build.is_stale()
 
     @needs_compiled
     def test_explicit_choices_select_the_named_core(self):

@@ -171,17 +171,36 @@ class TestEndToEndSharding:
         from repro.workloads.datasets import make_mini
 
         spec = make_mini(seed=11, n_items=40)
-        views = {}
-        for sharding in (False, True):
-            config = PlannerConfig(reservation_sharding=sharding)
-            result = run_planner(spec, "NTP", planner_config=config)
-            view = deterministic_view(result_to_dict(result))
-            # The structures differ in footprint by design; everything
-            # else — makespan, missions, traces, tier counters — is
-            # pinned identical.
-            view["metrics"].pop("peak_memory_bytes", None)
-            view["metrics"].pop("final_memory_bytes", None)
-            for checkpoint in view["metrics"].get("checkpoints", []):
-                checkpoint.pop("memory_bytes", None)
-            views[sharding] = view
-        assert views[False] == views[True]
+        # One planner per table family: ST-graph pair, then CDT pair.
+        for planner_name in ("NTP", "EATP"):
+            views = {}
+            for sharding in (False, True):
+                config = PlannerConfig(reservation_sharding=sharding)
+                result = run_planner(spec, planner_name,
+                                     planner_config=config)
+                view = deterministic_view(result_to_dict(result))
+                # The structures differ in footprint by design; everything
+                # else — makespan, missions, traces, tier counters — is
+                # pinned identical.
+                view["metrics"].pop("peak_memory_bytes", None)
+                view["metrics"].pop("final_memory_bytes", None)
+                for checkpoint in view["metrics"].get("checkpoints", []):
+                    checkpoint.pop("memory_bytes", None)
+                views[sharding] = view
+            assert views[False] == views[True], planner_name
+
+    def test_eatp_unsharded_at_paper_scale_is_the_plain_cdt(self):
+        from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
+        from repro.planners import PLANNERS
+        from repro.warehouse.entities import Rack
+        from repro.warehouse.state import WarehouseState
+
+        # EATP's KNN index needs at least one rack to index.
+        state = WarehouseState(
+            grid=Grid(128, 128), pickers=[], robots=[],
+            racks=[Rack(rack_id=0, home=(4, 4), picker_id=0)])
+        assert state.grid.n_cells >= PAPER_SCALE_MIN_CELLS
+        planner = PLANNERS["EATP"](
+            state, PlannerConfig(reservation_sharding=False))
+        assert planner.paper_scale and not planner.sharded_reservations
+        assert type(planner.reservation) is ConflictDetectionTable
