@@ -89,8 +89,8 @@ from repro.warehouse.grid import Grid  # noqa: E402
 GRID = Grid(64, 40)
 SEARCH_ENDPOINTS = [((0, 0), (60, 35)), ((63, 0), (2, 38)), ((5, 20), (58, 4))]
 
-#: The recorded PR-1 speedup is ~2.8x; CI fails below this floor (margin
-#: for noisy shared runners).
+#: The python core's recorded speedup over the seed is 2.6-2.8x; CI
+#: fails below this floor (margin for noisy shared runners).
 SMOKE_MIN_SEARCH_SPEEDUP = 1.5
 
 #: The recorded PR-3 event-engine speedup on the replayed Fleet-200 rung
@@ -147,11 +147,12 @@ SOAK_DURATION_TICKS = 220_000
 BIG_LADDER_PLANNERS = ("NTP", "EATP")
 
 #: CI floor for the native search kernel's expansions/s over the pure-
-#: python bucket-queue core, measured in-process on the same workload
-#: (the PR-8 gate, written to ``BENCH_PR8.json``).  Recorded speedups
-#: are 4-6x; the 3x floor is the ROADMAP target with margin for noisy
-#: shared runners.  The gate only arms when the extension builds — the
-#: pure-python CI job (``REPRO_KERNEL_BUILD=0``) skips it by design.
+#: python core (``st_astar._search_heap``), measured in-process on the
+#: same workload (the PR-8 gate, written to ``BENCH_PR8.json``).
+#: Recorded speedups are 6.5-8x; the 3x floor is the ROADMAP target
+#: with margin for noisy shared runners.  The gate only arms when the
+#: extension builds — the pure-python CI job (``REPRO_KERNEL_BUILD=0``)
+#: skips it by design.
 SMOKE_MIN_COMPILED_SPEEDUP = 3.0
 
 #: CI floor for the sharded reservation structure's *memory* advantage
@@ -251,7 +252,7 @@ def _calls_per_expansion(search_fn, make_table):
 def bench_st_astar(rounds=30):
     # Pinned to the pure-python core: this section records the *packed
     # rewrite's* gain over the seed.  The native kernel's gain over the
-    # packed core is bench_search_kernels' number (BENCH_PR8.json).
+    # python core is bench_search_kernels' number (BENCH_PR8.json).
     previous = search_kernel_name()
     set_search_kernel("python")
     try:
@@ -596,7 +597,7 @@ def bench_planning_fastpath(scale=1.0, fleets=FASTPATH_FLEETS,
     ``free_flow=False`` is exactly the PR-4 fallback chain (every leg
     pays a full spatiotemporal search); ``free_flow=True`` adds the
     tier-0 free-flow fast path in front of it.  Both runs share the
-    bucket-queue search core, so the recorded speedup isolates the fast
+    python search core, so the recorded speedup isolates the fast
     path itself; the search-core gain over the seed is the ``st_astar``
     section's number.  Makespans must be bit-identical between the two
     configurations — the fast path is provably behaviour-neutral — and
@@ -1827,9 +1828,8 @@ def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
     """The CI regression gate: quick benchmarks, hard floors.
 
     Four gates: the PR-1 packed-search speedup over the in-process seed
-    (the floor also guards the PR-5 bucket-queue rewrite of the same
-    kernel), the PR-3 event-engine speedup over the in-process frozen
-    per-tick engine on a reduced-scale 200-robot fleet-ladder rung (plus
+    (the python core, ``st_astar._search_heap``), the PR-3 event-engine
+    speedup over the in-process frozen per-tick engine on a reduced-scale 200-robot fleet-ladder rung (plus
     an absolute ``events_per_s`` backstop), the PR-4 full-fleet-ladder
     completion gate — all five planners must drain the 200-robot rung
     with no ``PathNotFoundError`` escaping the windowed pipeline — and

@@ -58,7 +58,7 @@ def main(argv=None):
               "from the _stsearchmodule.c on disk; rerun in a fresh process")
         return 1 if args.check else 0
     print(f"native kernel ready: {extension_path()} "
-          f"(ABI {module.KERNEL_ABI})")
+          f"(source {module.SOURCE_SHA256[:12]})")
     return 0
 
 

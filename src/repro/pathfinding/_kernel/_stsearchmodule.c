@@ -1,20 +1,21 @@
 /* _stsearch — native expansion loop for repro.pathfinding.st_astar.
  *
- * Implements the packed-integer spatiotemporal A* core (bucket queue,
- * epoch-stamped flat workspace, per-tick reservation probes) in C, with
- * results bit-identical to the pure-python cores in st_astar.py:
+ * Implements the packed-integer spatiotemporal A* core (bucket queue
+ * over a per-call hash map of touched states, per-tick reservation
+ * probes) in C, with results bit-identical to st_astar._search_heap:
  *
- *   - flat + FIFO   == _search_packed   (sub-gate floors, layer-capped)
- *   - hash + FIFO   == _search_heap, deep_ties=False  (overflow restarts)
- *   - hash + deep   == _search_heap, deep_ties=True   (paper-scale floors)
+ *   - FIFO order  == _search_heap, deep=False  (floors below the gate)
+ *   - deep order  == _search_heap, deep=True   (paper-scale floors)
  *
  * "Bit-identical" covers expansion order, tie breaking, the produced
  * path, and every SearchStats counter.  The FIFO bucket order reproduces
  * the heap's (f, tie) order; the deep-tie order (f, -g, tie) is realised
  * as per-f sub-buckets indexed by h = f - g, consumed smallest-h (i.e.
  * deepest-g) first, FIFO within a sub-bucket.  The stale-entry test
- * ``g_best + h != f_bucket`` is the same g-dominance restatement the
- * python cores use.
+ * ``g_best + h != f_bucket`` is g-dominance restated (a superseding
+ * push strictly lowered g, hence f).  Everything a search allocates is
+ * freed before run() returns, so a search started from inside a
+ * finisher is just another call.
  *
  * Reservation probes run natively for the library's own structures
  * (probe modes 1-4 below) and through the generic packed-probe callables
@@ -55,7 +56,6 @@ enum {
     ST_COMPLETE = 0,
     ST_BUDGET = 1,
     ST_EXHAUSTED = 2,
-    ST_OVERFLOW = 3,   /* flat workspace hit the layer cap: restart on hash */
     ST_FINISHER = 4,   /* finisher produced the tail; head steps attached */
 };
 
@@ -339,7 +339,7 @@ fbarray_free(FBArray *fa)
 }
 
 /* ------------------------------------------------------------------ */
-/* Open-addressing int64 -> (g, parent) map for the hash backends.     */
+/* Open-addressing int64 -> (g, parent) map: the search's state store. */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -405,61 +405,6 @@ hmap_grow(HMap *m)
     bigger.used = m->used;
     hmap_free(m);
     *m = bigger;
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Persistent flat workspace (epoch-stamped arrays + bucket skeletons) */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    Py_ssize_t n_cells;
-    Py_ssize_t size;       /* allocated entries (layers * n_cells) */
-    int64_t *g, *gen, *parent;
-    int64_t epoch;
-    BArray fifo;
-    int active;
-} Workspace;
-
-static Workspace global_ws;  /* one shape slot; reset on shape change */
-
-static void
-ws_reset(Workspace *w, Py_ssize_t n_cells)
-{
-    PyMem_Free(w->g);
-    PyMem_Free(w->gen);
-    PyMem_Free(w->parent);
-    barray_free_items(&w->fifo);
-    memset(w, 0, sizeof(Workspace));
-    w->n_cells = n_cells;
-}
-
-static int
-ws_grow(Workspace *w, Py_ssize_t rel, int64_t max_layers,
-        int64_t chunk_layers)
-{
-    Py_ssize_t cap = (Py_ssize_t)max_layers * w->n_cells;
-    Py_ssize_t need = rel + 1 - w->size;
-    Py_ssize_t chunk = (Py_ssize_t)chunk_layers * w->n_cells;
-    if (need > chunk)
-        chunk = need;
-    if (chunk > cap - w->size)
-        chunk = cap - w->size;
-    Py_ssize_t nsize = w->size + chunk;
-    int64_t *ng = PyMem_Realloc(w->g, nsize * sizeof(int64_t));
-    if (ng == NULL)
-        return -1;
-    w->g = ng;
-    int64_t *ngen = PyMem_Realloc(w->gen, nsize * sizeof(int64_t));
-    if (ngen == NULL)
-        return -1;
-    w->gen = ngen;
-    int64_t *np = PyMem_Realloc(w->parent, nsize * sizeof(int64_t));
-    if (np == NULL)
-        return -1;
-    w->parent = np;
-    memset(w->gen + w->size, 0, chunk * sizeof(int64_t));
-    w->size = nsize;
     return 0;
 }
 
@@ -684,19 +629,22 @@ typedef struct {
     const int32_t *hbuf;   /* h_mode 2: int32 buffer field (borrowed) */
     int h_mode;            /* 0 list, 1 native Manhattan, 2 int32 buffer */
     int64_t gx, gy;        /* h_mode 1 goal coordinates */
-    /* backends */
-    int use_flat;          /* flat workspace vs hash map */
+    /* per-call state: nothing outlives run() */
     int deep;              /* deep-tie sub-bucket order vs FIFO */
-    Workspace *ws;         /* flat: the (global or temp) workspace */
-    int ws_is_temp;
-    int64_t epoch;
-    int64_t max_layers, chunk_layers;
-    HMap hm;
-    BArray hash_fifo;      /* hash + FIFO open set */
-    FBArray deepq;         /* hash + deep open set */
+    HMap hm;               /* rel state -> (g, parent) */
+    BArray fifo;           /* FIFO open set */
+    FBArray deepq;         /* deep-tie open set */
     int64_t hi_f;
     int64_t h0;
 } Search;
+
+static void
+search_free(Search *s)
+{
+    hmap_free(&s->hm);
+    fbarray_free(&s->deepq);
+    barray_free_items(&s->fifo);
+}
 
 static inline int64_t
 heuristic_at(const Search *s, Py_ssize_t ci, int *err)
@@ -726,46 +674,33 @@ static inline int
 relax(Search *s, int64_t nrel, int64_t g_next, int64_t rel,
       int64_t nf, int64_t h)
 {
-    if (s->use_flat) {
-        Workspace *w = s->ws;
-        if (w->gen[nrel] == s->epoch && g_next >= w->g[nrel])
-            return 0;
-        w->gen[nrel] = s->epoch;
-        w->g[nrel] = g_next;
-        w->parent[nrel] = rel;
-        if (barray_ensure(&w->fifo, (Py_ssize_t)nf) < 0)
+    if ((s->hm.used + 1) * 3 > s->hm.cap * 2 && hmap_grow(&s->hm) < 0)
+        return -1;
+    Py_ssize_t slot = hmap_slot(&s->hm, nrel);
+    if (s->hm.keys[slot] == -1) {
+        s->hm.keys[slot] = nrel;
+        s->hm.used++;
+    } else if (g_next >= s->hm.g[slot]) {
+        return 0;
+    }
+    s->hm.g[slot] = g_next;
+    s->hm.parent[slot] = rel;
+    if (s->deep) {
+        if (fbarray_ensure(&s->deepq, (Py_ssize_t)nf) < 0)
             return -1;
-        if (bucket_push(&w->fifo.b[nf], nrel) < 0)
+        FBucket *fb = &s->deepq.b[nf];
+        if (fbucket_ensure_h(fb, (Py_ssize_t)h) < 0)
             return -1;
+        if (bucket_push(&fb->by_h[h], nrel) < 0)
+            return -1;
+        fb->live++;
+        if (h < fb->lo_h)
+            fb->lo_h = h;
     } else {
-        if ((s->hm.used + 1) * 3 > s->hm.cap * 2 && hmap_grow(&s->hm) < 0)
+        if (barray_ensure(&s->fifo, (Py_ssize_t)nf) < 0)
             return -1;
-        Py_ssize_t slot = hmap_slot(&s->hm, nrel);
-        if (s->hm.keys[slot] == -1) {
-            s->hm.keys[slot] = nrel;
-            s->hm.used++;
-        } else if (g_next >= s->hm.g[slot]) {
-            return 0;
-        }
-        s->hm.g[slot] = g_next;
-        s->hm.parent[slot] = rel;
-        if (s->deep) {
-            if (fbarray_ensure(&s->deepq, (Py_ssize_t)nf) < 0)
-                return -1;
-            FBucket *fb = &s->deepq.b[nf];
-            if (fbucket_ensure_h(fb, (Py_ssize_t)h) < 0)
-                return -1;
-            if (bucket_push(&fb->by_h[h], nrel) < 0)
-                return -1;
-            fb->live++;
-            if (h < fb->lo_h)
-                fb->lo_h = h;
-        } else {
-            if (barray_ensure(&s->hash_fifo, (Py_ssize_t)nf) < 0)
-                return -1;
-            if (bucket_push(&s->hash_fifo.b[nf], nrel) < 0)
-                return -1;
-        }
+        if (bucket_push(&s->fifo.b[nf], nrel) < 0)
+            return -1;
     }
     if (nf > s->hi_f)
         s->hi_f = nf;
@@ -792,12 +727,7 @@ reconstruct(const Search *s, int64_t rel, int64_t start_time)
             return NULL;
         }
         Py_DECREF(step);
-        if (s->use_flat) {
-            rel = s->ws->parent[rel];
-        } else {
-            Py_ssize_t slot = hmap_slot(&s->hm, rel);
-            rel = s->hm.parent[slot];
-        }
+        rel = s->hm.parent[hmap_slot(&s->hm, rel)];
     }
     if (PyList_Reverse(steps) < 0) {
         Py_DECREF(steps);
@@ -810,19 +740,19 @@ static PyObject *
 stsearch_run(PyObject *self, PyObject *args)
 {
     PyObject *capsule, *probe_a, *probe_b, *h_arg, *finisher;
-    int probe_mode, tile_bits, h_mode, use_flat, deep;
+    int probe_mode, tile_bits, h_mode, deep;
     Py_ssize_t source_ci, goal_ci;
     long long start_time, probe_limit, max_expansions;
-    long long finisher_trigger, max_layers, chunk_layers;
+    long long finisher_trigger;
     long long init_expansions, init_peak_open;
 
     if (!PyArg_ParseTuple(
-            args, "OiOOiiOnnLLLOLiiLLLL",
+            args, "OiOOiiOnnLLLOLiLL",
             &capsule, &probe_mode, &probe_a, &probe_b, &tile_bits,
             &h_mode, &h_arg, &source_ci, &goal_ci,
             &start_time, &probe_limit, &max_expansions,
-            &finisher, &finisher_trigger, &use_flat, &deep,
-            &max_layers, &chunk_layers, &init_expansions, &init_peak_open))
+            &finisher, &finisher_trigger, &deep,
+            &init_expansions, &init_peak_open))
         return NULL;
 
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
@@ -857,11 +787,7 @@ stsearch_run(PyObject *self, PyObject *args)
     s.height = gd->height;
     s.n_cells = gd->n_cells;
     s.h_mode = h_mode;
-    s.use_flat = use_flat;
     s.deep = deep;
-    s.max_layers = max_layers;
-    s.chunk_layers = chunk_layers;
-    s.hi_f = 0;
 
     Py_buffer hview;
     int have_hview = 0;
@@ -908,76 +834,13 @@ stsearch_run(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    /* Backend setup. */
-    Workspace temp_ws;
-    memset(&temp_ws, 0, sizeof(Workspace));
-    if (use_flat) {
-        Workspace *w = &global_ws;
-        if (w->active) {
-            /* Re-entrant search (a finisher that searches): hand out a
-             * throwaway workspace rather than corrupting the live one.
-             * This must be decided before any shape-change reset — the
-             * outer search owns the global arrays right now. */
-            temp_ws.n_cells = s.n_cells;
-            w = &temp_ws;
-            s.ws_is_temp = 1;
-        } else if (w->n_cells != s.n_cells) {
-            ws_reset(w, s.n_cells);
-        }
-        s.ws = w;
-        w->epoch += 1;
-        s.epoch = w->epoch;
-        w->active = 1;
-        if (w->size < s.n_cells
-                && ws_grow(w, s.n_cells - 1, max_layers, chunk_layers) < 0) {
-            w->active = 0;
-            if (have_hview)
-                PyBuffer_Release(&hview);
-            return PyErr_NoMemory();
-        }
-        w->gen[source_ci] = s.epoch;
-        w->g[source_ci] = 0;
-        w->parent[source_ci] = -1;
-        if (barray_ensure(&w->fifo, 0) < 0
-                || bucket_push(&w->fifo.b[0], source_ci) < 0) {
-            w->active = 0;
-            if (have_hview)
-                PyBuffer_Release(&hview);
-            return PyErr_NoMemory();
-        }
-    } else {
-        if (hmap_init(&s.hm, 4096) < 0) {
-            if (have_hview)
-                PyBuffer_Release(&hview);
-            return PyErr_NoMemory();
-        }
-        Py_ssize_t slot = hmap_slot(&s.hm, source_ci);
-        s.hm.keys[slot] = source_ci;
-        s.hm.g[slot] = 0;
-        s.hm.parent[slot] = -1;
-        s.hm.used = 1;
-        if (deep) {
-            if (fbarray_ensure(&s.deepq, 0) < 0
-                    || fbucket_ensure_h(&s.deepq.b[0], (Py_ssize_t)s.h0) < 0
-                    || bucket_push(&s.deepq.b[0].by_h[s.h0], source_ci) < 0) {
-                fbarray_free(&s.deepq);
-                hmap_free(&s.hm);
-                if (have_hview)
-                    PyBuffer_Release(&hview);
-                return PyErr_NoMemory();
-            }
-            s.deepq.b[0].live = 1;
-            s.deepq.b[0].lo_h = s.h0;
-        } else {
-            if (barray_ensure(&s.hash_fifo, 0) < 0
-                    || bucket_push(&s.hash_fifo.b[0], source_ci) < 0) {
-                barray_free_items(&s.hash_fifo);
-                hmap_free(&s.hm);
-                if (have_hview)
-                    PyBuffer_Release(&hview);
-                return PyErr_NoMemory();
-            }
-        }
+    /* State store and open set, seeded with the source. */
+    if (hmap_init(&s.hm, 4096) < 0
+            || relax(&s, source_ci, 0, -1, 0, s.h0) < 0) {
+        search_free(&s);
+        if (have_hview)
+            PyBuffer_Release(&hview);
+        return PyErr_NoMemory();
     }
 
     int64_t f_off = 0;           /* bucket cursor (f - h0) */
@@ -1026,7 +889,7 @@ stsearch_run(PyObject *self, PyObject *args)
             rel = hb->items[hb->pos++];
             fb->live--;
         } else {
-            BArray *ba = use_flat ? &s.ws->fifo : &s.hash_fifo;
+            BArray *ba = &s.fifo;
             while (f_off < ba->len
                     && ba->b[f_off].pos >= ba->b[f_off].len) {
                 f_off++;
@@ -1050,13 +913,7 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t h_ci = heuristic_at(&s, ci, &herr);
         if (herr)
             goto fail;
-        int64_t g;
-        if (use_flat) {
-            g = s.ws->g[rel];
-        } else {
-            Py_ssize_t slot = hmap_slot(&s.hm, rel);
-            g = s.hm.g[slot];
-        }
+        int64_t g = s.hm.g[hmap_slot(&s.hm, rel)];
         if (g + h_ci != f_abs)
             continue;  /* dominated by a later, cheaper push */
         expansions++;
@@ -1101,17 +958,6 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t g_next = g + 1;
         int64_t t1 = start_time + t_rel + 1;
         int64_t nxt_base = rel - ci + s.n_cells;
-        if (use_flat && nxt_base + s.n_cells > s.ws->size) {
-            if (t_rel + 2 > max_layers) {
-                status = ST_OVERFLOW;
-                goto done;
-            }
-            if (ws_grow(s.ws, (Py_ssize_t)(nxt_base + s.n_cells - 1),
-                        max_layers, chunk_layers) < 0) {
-                PyErr_NoMemory();
-                goto fail;
-            }
-        }
         int guarded = t1 <= probe_limit;
         int64_t base_f = g_next - s.h0;
 
@@ -1184,24 +1030,7 @@ done:
         Py_XDECREF(finisher_tail);
         steps = NULL;
         finisher_tail = NULL;
-        /* cleanup below runs with `out` ready */
-        if (use_flat) {
-            Workspace *w = s.ws;
-            for (Py_ssize_t i = 0; i <= (Py_ssize_t)s.hi_f
-                     && i < w->fifo.len; i++) {
-                w->fifo.b[i].len = 0;
-                w->fifo.b[i].pos = 0;
-            }
-            w->active = 0;
-            if (s.ws_is_temp)
-                ws_reset(&temp_ws, 0);
-        } else {
-            hmap_free(&s.hm);
-            if (s.deep)
-                fbarray_free(&s.deepq);
-            else
-                barray_free_items(&s.hash_fifo);
-        }
+        search_free(&s);
         if (have_hview)
             PyBuffer_Release(&hview);
         return out;
@@ -1212,32 +1041,14 @@ expand_fail:
 fail:
     Py_XDECREF(steps);
     Py_XDECREF(finisher_tail);
-    if (use_flat) {
-        Workspace *w = s.ws;
-        if (w != NULL) {
-            for (Py_ssize_t i = 0; i <= (Py_ssize_t)s.hi_f
-                     && i < w->fifo.len; i++) {
-                w->fifo.b[i].len = 0;
-                w->fifo.b[i].pos = 0;
-            }
-            w->active = 0;
-        }
-        if (s.ws_is_temp)
-            ws_reset(&temp_ws, 0);
-    } else {
-        hmap_free(&s.hm);
-        if (s.deep)
-            fbarray_free(&s.deepq);
-        else
-            barray_free_items(&s.hash_fifo);
-    }
+    search_free(&s);
     if (have_hview)
         PyBuffer_Release(&hview);
     return NULL;
 }
 
 /* ------------------------------------------------------------------ */
-/* Reservation mutation kernel (ABI 2).                                */
+/* Reservation mutation kernel.                                        */
 /*                                                                     */
 /* Compiled twins of the pure-python reserve/unreserve/purge/audit     */
 /* bodies in cdt.py and spatiotemporal_graph.py.  The same probe-mode  */
@@ -2184,7 +1995,7 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* Field + tier-0 kernel (ABI 3).                                      */
+/* Field + tier-0 kernel.                                              */
 /*                                                                     */
 /* bfs_fill floods true shortest-path distances over the prepared      */
 /* adjacency table straight into a caller-owned int32 buffer — the     */
@@ -2586,8 +2397,8 @@ static PyMethodDef stsearch_methods[] = {
     {"run", stsearch_run, METH_VARARGS,
      "run(grid_capsule, probe_mode, probe_a, probe_b, tile_bits,\n"
      "    h_mode, h_arg, source_ci, goal_ci, start_time, probe_limit,\n"
-     "    max_expansions, finisher, finisher_trigger, use_flat, deep,\n"
-     "    max_layers, chunk_layers, init_expansions, init_peak_open)\n"
+     "    max_expansions, finisher, finisher_trigger, deep,\n"
+     "    init_expansions, init_peak_open)\n"
      " -> (status, steps, finisher_tail, expansions, generated, peak_open)"},
     {"reserve_path", stsearch_reserve_path, METH_VARARGS,
      "reserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
@@ -2642,9 +2453,8 @@ PyInit__stsearch(void)
     PyObject *mod = PyModule_Create(&stsearch_module);
     if (mod == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(mod, "KERNEL_ABI", 4) < 0
-        || PyModule_AddStringConstant(mod, "SOURCE_SHA256",
-                                      STSEARCH_SOURCE_SHA256) < 0) {
+    if (PyModule_AddStringConstant(mod, "SOURCE_SHA256",
+                                   STSEARCH_SOURCE_SHA256) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

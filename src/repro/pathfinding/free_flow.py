@@ -56,10 +56,6 @@ from .reservation import PackedChain
 #: Distinguishes "memoised as unreachable" from "not memoised".
 _MISSING = object()
 
-#: Minimum compiled-module ABI carrying the fused tier-0 entry point
-#: (``tier0_leg``: greedy descent + bulk audit in one call).
-DESCENT_KERNEL_ABI = 3
-
 #: The loaded ``_stsearch`` module when the fused tier-0 kernel is
 #: active, else ``None`` (python descent + audit pair).  Set by
 #: :func:`repro.pathfinding.st_astar.set_search_kernel`.
@@ -69,14 +65,10 @@ _DESCENT_MODULE = None
 def set_descent_kernel(module) -> None:
     """Select the fused tier-0 kernel (``None`` = python pair).
 
-    A module predating :data:`DESCENT_KERNEL_ABI` is silently rejected,
-    mirroring the mutation/field kernels' staleness handling: search
-    may stay compiled while tier 0 falls back to the python bodies.
+    ``module`` is the loaded ``_stsearch`` extension (``tier0_leg``:
+    greedy descent + bulk audit in one call).
     """
     global _DESCENT_MODULE
-    if module is not None and \
-            getattr(module, "KERNEL_ABI", 0) < DESCENT_KERNEL_ABI:
-        module = None
     _DESCENT_MODULE = module
 
 

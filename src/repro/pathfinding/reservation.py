@@ -28,12 +28,6 @@ from .paths import Path
 
 # -- native mutation kernel selection ----------------------------------------
 
-#: Minimum native-kernel ABI whose reservation *mutation* entry points
-#: (reserve/unreserve/purge/audit) have the signatures the tables call.
-#: A module below it is never handed a mutation call: the tables
-#: silently stay pure-python.
-MUTATION_KERNEL_ABI = 4
-
 #: The compiled module whose mutation entry points the production tables
 #: call, or ``None`` for the pure-python bodies.  Installed by
 #: :func:`set_mutation_kernel` (wired from ``st_astar.set_search_kernel``
@@ -46,14 +40,10 @@ _MUTATION_MODULE = None
 def set_mutation_kernel(module) -> None:
     """Install (or clear) the compiled mutation kernel.
 
-    ``module`` is the loaded ``_stsearch`` extension or ``None``.  Modules
-    predating :data:`MUTATION_KERNEL_ABI` are rejected silently — the
-    pure-python bodies are always a correct stand-in.
+    ``module`` is the loaded ``_stsearch`` extension or ``None`` (the
+    pure-python bodies).
     """
     global _MUTATION_MODULE
-    if module is not None and getattr(
-            module, "KERNEL_ABI", 0) < MUTATION_KERNEL_ABI:
-        module = None
     _MUTATION_MODULE = module
 
 

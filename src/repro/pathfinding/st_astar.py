@@ -21,25 +21,14 @@ search statistics are bit-identical to the tuple-based seed implementation
 custom heuristic may re-expand states the seed's closed set would have
 frozen; the seed's answer there was arbitrary, not better.
 
-Two queue/bookkeeping backends implement that contract:
-
-* The **bucket-queue core** (:func:`_search_packed`) runs whenever the
-  heuristic is one of the library's own consistent fields (the default
-  Manhattan field or a cached exact :class:`~repro.pathfinding.heuristics.
-  HeuristicField`).  Unit edge costs make f monotone non-decreasing and
-  f-deltas small bounded integers, so the open set is a Dial-style array
-  of per-f FIFO lists — ``push`` is one ``list.append`` of a bare int (no
-  tuple allocation, no heap sift) and ``pop`` advances a cursor.  FIFO
-  order within an f-bucket reproduces the heap's ``(f, tie)`` ordering
-  bit for bit.  G-scores and parents live in **epoch-stamped flat
-  arrays** indexed by the packed state relative to ``start_time``; the
-  arrays belong to a per-grid-shape :class:`_Workspace` reused by every
-  search (a bumped epoch invalidates old entries), so steady-state
-  searches allocate nothing but the returned path.
-* The **heap core** (:func:`_search_heap`) keeps the classic
-  ``heapq``-plus-dict machinery for arbitrary caller-supplied heuristics
-  (lazy callables, custom ``flat`` objects), whose consistency the
-  bucket queue cannot assume.  Planner traffic never takes this path.
+The open set is ordered by ``(f, depth, tie)``; :func:`_search_heap`
+states the rule and is its python implementation — the fallback kernel
+and the oracle of the cross-kernel suites.  The native kernel
+(``_kernel/_stsearchmodule.c``, reached through :func:`_search_compiled`)
+realises the same order as a bucket queue over a per-call hash map and
+answers every search under one of the library's own heuristic fields;
+a caller-supplied heuristic (a callable, a custom ``flat``) stays on the
+python core.  Neither keeps any state once a search has returned.
 
 Two calling conventions coexist:
 
@@ -70,7 +59,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import (PAPER_SCALE_MIN_CELLS, SEARCH_KERNEL_CHOICES,
                       search_kernel_choice)
@@ -246,9 +235,8 @@ def set_search_kernel(choice: str) -> str:
     # One REPRO_KERNEL switch governs every compiled plane: the
     # reservation tables' mutation bodies, the heuristic-field flood and
     # the fused tier-0 descent all follow the search-kernel selection.
-    # Each setter rejects modules predating its own ABI, so a stale
-    # artefact degrades per-plane (pure-python mutations / floods /
-    # descents) while still accelerating whatever it does support.
+    # load_compiled() never returns a binary built from another source
+    # than the one on disk, so every plane may call what it is given.
     active = _COMPILED if _KERNEL == "compiled" else None
     set_mutation_kernel(active)
     set_field_kernel(active)
@@ -273,9 +261,8 @@ def search(grid: Grid, reservation: ReservationTable,
 
     Never raises for exhaustion: a failed search returns an outcome whose
     ``status`` names the failure and whose ``stats`` carry the counters.
-    See the module docstring for the windowed-mode contract and for the
-    two queue backends this dispatches between; both produce bit-identical
-    expansions, paths and statistics for consistent heuristics.
+    See the module docstring for the windowed-mode contract; both kernels
+    produce bit-identical expansions, paths and statistics.
     """
     source, goal = request.source, request.goal
     start_time = request.start_time
@@ -290,219 +277,68 @@ def search(grid: Grid, reservation: ReservationTable,
         return SearchOutcome(request, SEARCH_COMPLETE,
                              Path(((start_time, source[0], source[1]),)),
                              stats)
-    stats.kernel = "python"
 
     hfield = _heuristic_field(grid, goal, heuristic)
-    library_field = heuristic is None or isinstance(heuristic, HeuristicField)
-    if _KERNEL == "compiled" and library_field:
-        # The native kernel handles exactly the searches whose heuristics
-        # the library controls (flat list fields and the lazy Manhattan
-        # field — both consistent by construction); arbitrary callables
-        # keep the pure-python heap core below.  Dispatch covers all
-        # three python regimes — flat bucket queue, overflow restart, and
-        # paper-scale deep ties — with bit-identical results.
-        h_spec = _kernel_h_spec(hfield)
-        if h_spec is not None:
-            use_flat = (grid.n_cells < PAPER_SCALE_MIN_CELLS
-                        and hfield[source[0] * grid.height + source[1]]
-                        < _MAX_LAYERS)
-            return _search_compiled(grid, reservation, request, hfield,
-                                    h_spec, stats, use_flat)
-    if (library_field
-            and grid.n_cells < PAPER_SCALE_MIN_CELLS
-            and hfield[source[0] * grid.height + source[1]] < _MAX_LAYERS):
-        # The library's own fields are consistent by construction (exact
-        # BFS distances or Manhattan), which the bucket queue requires
-        # for its monotone-f invariant.  Two classes of search skip the
-        # bucket queue for the bit-identical heap core up front: legs
-        # whose h-value alone guarantees a _WorkspaceOverflow restart
-        # (the goal cannot pop under the layer cap), and paper-scale
-        # floors, where even one _CHUNK_LAYERS workspace slab is tens of
-        # millions of entries (~¾ GB at the 541×302 cap) for searches
-        # the free-flow tiers make rare anyway.
-        snapshot = (stats.expansions, stats.generated, stats.peak_open)
-        try:
-            return _search_packed(grid, reservation, request, hfield, stats)
-        except _WorkspaceOverflow:
-            # A deep, sparse search (a long wait chain out-waiting a
-            # blockade): the flat arrays scale with *time depth* times
-            # n_cells, not with touched states, so past the layer cap
-            # the dict-backed heap core — bit-identical for these
-            # heuristics and O(generated states) in memory — restarts
-            # the search instead.
-            stats.expansions, stats.generated, stats.peak_open = snapshot
-    return _search_heap(grid, reservation, request, hfield, stats)
+    deep = grid.n_cells >= PAPER_SCALE_MIN_CELLS
+    h_spec = (_kernel_h_spec(heuristic, hfield) if _KERNEL == "compiled"
+              else None)
+    if h_spec is not None:
+        return _search_compiled(grid, reservation, request, h_spec, deep,
+                                stats)
+    stats.kernel = "python"
+    return _search_heap(grid, reservation, request, hfield, deep, stats)
 
 
-#: Time-layer granularity of workspace growth: allocating this many
-#: layers at once keeps the amortised growth cost negligible while a
-#: fresh workspace stays a few hundred kilobytes on paper-scale grids.
-_CHUNK_LAYERS = 64
-
-#: Hard cap on workspace depth, in time layers.  The flat arrays cost
-#: ``3 · 8 B`` per (layer, cell) pair whether or not a state is touched,
-#: so a sparse search out-waiting a multi-thousand-tick blockade would
-#: otherwise grow (and permanently retain) hundreds of megabytes for a
-#: few thousand expansions.  Every plateau-shaped search the planners
-#: issue fits comfortably (leg durations plus fallback waits are well
-#: under 192 ticks); the rare deeper search restarts on the heap core
-#: via :class:`_WorkspaceOverflow`, with identical results.  Retained
-#: footprint is bounded at ``192 · n_cells · 24 B`` (~12 MB on the
-#: 64×40 Real-Large floor).
-_MAX_LAYERS = 192
-
-
-class _WorkspaceOverflow(Exception):
-    """A search outgrew the workspace layer cap; restart on the heap core."""
-
-
-class _Workspace:
-    """Per-grid-shape scratch arrays for the bucket-queue search core.
-
-    ``g``/``gen``/``parent`` are flat lists over *relative* packed states
-    ``(t - start_time) · n_cells + ci``.  ``gen[rel] == epoch`` marks an
-    entry as written by the current search — bumping ``epoch`` invalidates
-    every previous search's entries in O(1), so the arrays are never
-    cleared, only grown.  ``buckets[f - f0]`` holds generated states in
-    FIFO push order per f-value (a Dial / bucket priority queue); used
-    buckets are emptied when a search finishes, so the list skeletons are
-    reused too.
-    """
-
-    __slots__ = ("n_cells", "size", "g", "gen", "parent", "epoch",
-                 "buckets", "active")
-
-    def __init__(self, n_cells: int) -> None:
-        self.n_cells = n_cells
-        self.size = 0
-        self.g: List[int] = []
-        self.gen: List[int] = []
-        self.parent: List[int] = []
-        self.epoch = 0
-        self.buckets: List[List[int]] = []
-        self.active = False
-
-    def grow(self, rel: int) -> None:
-        """Ensure the state arrays cover relative index ``rel``.
-
-        Callers guarantee ``rel`` respects the :data:`_MAX_LAYERS` cap;
-        growth steps in :data:`_CHUNK_LAYERS` slabs, clipped to the cap.
-        """
-        cap = _MAX_LAYERS * self.n_cells
-        need = rel + 1 - self.size
-        chunk = min(max(need, _CHUNK_LAYERS * self.n_cells),
-                    cap - self.size)
-        filler = [0] * chunk
-        self.g.extend(filler)
-        self.gen.extend(filler)
-        self.parent.extend(filler)
-        self.size += chunk
-
-
-#: One workspace per grid *shape* — grids that differ only in blocked
-#: cells share scratch space (the arrays carry no grid content).
-_WORKSPACES: Dict[Tuple[int, int], _Workspace] = {}
-
-#: Cap on retained workspaces across distinct grid shapes, so a process
-#: sweeping many scenario sizes (a matrix family across scales, a
-#: long-lived worker reused across datasets) stays bounded — the same
-#: hygiene every other cache in this package applies.
-_WORKSPACE_CAP = 8
-
-
-def _workspace(grid: Grid) -> _Workspace:
-    key = (grid.width, grid.height)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        if len(_WORKSPACES) >= _WORKSPACE_CAP:
-            _WORKSPACES.clear()
-        ws = _WORKSPACES[key] = _Workspace(grid.n_cells)
-    if ws.active:
-        # Re-entrant search (a finisher hook that searches, a test doing
-        # something exotic): correctness over reuse — hand out a
-        # throwaway workspace instead of corrupting the live one.
-        return _Workspace(grid.n_cells)
-    return ws
-
-
-def _grid_capsule(grid: Grid):
-    """The grid's prepared adjacency capsule for the native kernel.
-
-    Lives on the grid itself (one flattening per grid, shared by search,
-    field flood and tier-0 descent); see :meth:`Grid.kernel_capsule`.
-    """
-    return grid.kernel_capsule(_COMPILED)
-
-
-def _kernel_h_spec(hfield):
+def _kernel_h_spec(heuristic: Optional[Heuristic], hfield):
     """Native heuristic encoding, or ``None`` when the kernel declines.
 
+    Only the library's own fields go native — the default Manhattan field
+    and :class:`~repro.pathfinding.heuristics.HeuristicField` are
+    consistent by construction, which the kernel's bucket queue relies on
+    and does not check; a caller-supplied ``flat`` promises nothing.
     Mode 0 indexes a plain list field; mode 1 computes Manhattan distance
     natively from the goal coordinates (the lazy paper-scale field, whose
     ``__getitem__`` the hot loop must not call back into); mode 2 reads
     an int32 buffer (the eager BFS fields' ``array('i')`` flats and the
     shared arena's memoryviews) through the buffer protocol, zero-copy.
     Anything else — the ``_LazyField`` adapter over arbitrary callables —
-    stays on the pure-python heap core.
+    stays on the pure-python core.
     """
+    if heuristic is not None and not isinstance(heuristic, HeuristicField):
+        return None
     if type(hfield) is list:
         return 0, hfield
     if isinstance(hfield, _LazyManhattanFlat):
         return 1, (hfield._gx, hfield._gy)
-    if getattr(_COMPILED, "KERNEL_ABI", 0) >= 3:
-        # Buffer heuristics arrived with ABI 3; a stale binary declines
-        # them here and the python cores (which index buffers and lists
-        # identically) answer instead.
-        if isinstance(hfield, array) and hfield.typecode == "i":
-            return 2, hfield
-        if isinstance(hfield, memoryview) and hfield.format == "i":
-            return 2, hfield
+    if isinstance(hfield, array) and hfield.typecode == "i":
+        return 2, hfield
+    if isinstance(hfield, memoryview) and hfield.format == "i":
+        return 2, hfield
     return None
 
 
 def _search_compiled(grid: Grid, reservation: ReservationTable,
-                     request: SearchRequest, hfield,
-                     h_spec, stats: SearchStats,
-                     use_flat: bool) -> SearchOutcome:
-    """Dispatch one search to the native kernel.
+                     request: SearchRequest, h_spec, deep: bool,
+                     stats: SearchStats) -> SearchOutcome:
+    """Hand one search to the native kernel.
 
-    Mirrors the python routing exactly: ``use_flat`` selects the flat
-    epoch-stamped backend (== ``_search_packed``), a layer-cap overflow
-    restarts on the hash backend with the stats snapshot semantics of the
-    python :class:`_WorkspaceOverflow` handler (== ``_search_heap``), and
-    paper-scale floors run the hash backend with deep-tie ordering.  The
-    kernel returns raw counters; this wrapper folds them into ``stats``
-    the same way the python cores' ``finally`` blocks do.
+    ``deep`` selects the open-set order exactly as in
+    :func:`_search_heap`.  The kernel returns raw counters; this wrapper
+    folds them into ``stats`` the way the python core's ``finally`` block
+    does.
     """
     source, goal = request.source, request.goal
     height = grid.height
-    source_ci = source[0] * height + source[1]
-    goal_ci = goal[0] * height + goal[1]
-    deep = grid.n_cells >= PAPER_SCALE_MIN_CELLS
     h_mode, h_arg = h_spec
     mode, probe_a, probe_b, tile_bits = reservation.kernel_probe_spec()
-    capsule = _grid_capsule(grid)
     stats.kernel = "compiled"
 
     status, steps, tail, expansions, generated, peak_open = _COMPILED.run(
-        capsule, mode, probe_a, probe_b, tile_bits, h_mode, h_arg,
-        source_ci, goal_ci, request.start_time, request.probe_limit,
+        grid.kernel_capsule(_COMPILED), mode, probe_a, probe_b, tile_bits,
+        h_mode, h_arg, source[0] * height + source[1],
+        goal[0] * height + goal[1], request.start_time, request.probe_limit,
         request.max_expansions, request.finisher, request.finisher_trigger,
-        1 if use_flat else 0, 1 if deep else 0,
-        _MAX_LAYERS, _CHUNK_LAYERS, stats.expansions, stats.peak_open)
-    if status == 3:
-        # Flat workspace hit the layer cap: the deep, sparse search
-        # restarts on the hash backend from the same stats snapshot,
-        # exactly like the python _WorkspaceOverflow handler (the first
-        # attempt's counters are discarded wholesale).
-        status, steps, tail, expansions, generated, peak_open = (
-            _COMPILED.run(
-                capsule, mode, probe_a, probe_b, tile_bits, h_mode, h_arg,
-                source_ci, goal_ci, request.start_time, request.probe_limit,
-                request.max_expansions, request.finisher,
-                request.finisher_trigger, 0, 1 if deep else 0,
-                _MAX_LAYERS, _CHUNK_LAYERS, stats.expansions,
-                stats.peak_open))
+        1 if deep else 0, stats.expansions, stats.peak_open)
 
     stats.expansions = expansions
     stats.generated += generated
@@ -520,221 +356,27 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
     return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
 
 
-def _search_packed(grid: Grid, reservation: ReservationTable,
-                   request: SearchRequest, hfield: Sequence[int],
-                   stats: SearchStats) -> SearchOutcome:
-    """The bucket-queue core (consistent flat-field heuristics only).
-
-    Bit-identical to :func:`_search_heap` — and therefore to the frozen
-    seed — in expansion order, tie breaking, produced path and counters:
-    FIFO within an f-bucket is exactly the heap's ``(f, tie)`` order, and
-    the stale-entry test ``g + h != f`` is g-dominance restated (a
-    superseding push strictly lowered g, hence f).
-    """
-    source, goal = request.source, request.goal
-    start_time = request.start_time
-    height = grid.height
-    n_cells = grid.width * height
-    adjacency = grid.adjacency
-    cell_keys = grid.cell_keys
-    max_expansions = request.max_expansions
-    finisher = request.finisher
-    finisher_trigger = request.finisher_trigger
-    probe_limit = request.probe_limit
-
-    vertex_free = reservation.is_free_packed
-    edge_free = reservation.edge_free_packed
-    res_buckets = reservation.packed_buckets()
-    if res_buckets is not None:
-        vertex_buckets, edge_buckets = res_buckets
-
-    ws = _workspace(grid)
-    ws.epoch = epoch = ws.epoch + 1
-    ws.active = True
-    g_arr, gen, parent, fbuckets = ws.g, ws.gen, ws.parent, ws.buckets
-    size = ws.size
-
-    source_ci = source[0] * height + source[1]
-    goal_ci = goal[0] * height + goal[1]
-    h0 = hfield[source_ci]
-
-    if size < n_cells:
-        ws.grow(n_cells - 1)
-        size = ws.size
-    if not fbuckets:
-        fbuckets.append([])
-
-    gen[source_ci] = epoch
-    g_arr[source_ci] = 0
-    parent[source_ci] = -1
-    bucket = fbuckets[0]
-    bucket.append(source_ci)
-    hi_f = 0       # highest f-offset bucket used (for cleanup)
-    f_off = 0      # bucket cursor: f of the entries being consumed, - h0
-    f_abs = h0     # absolute f at the cursor
-    pos = 0        # read position inside the current bucket
-    open_size = 1  # pushes minus pops == len(open_heap) of the heap core
-
-    expansions = stats.expansions
-    generated = 0
-    peak_open = stats.peak_open
-
-    try:
-        while open_size:
-            while pos >= len(bucket):
-                f_off += 1
-                if f_off > hi_f:  # unreachable for a consistent field
-                    raise AssertionError(
-                        "bucket queue underflow: heuristic field is not "
-                        "consistent")
-                bucket = fbuckets[f_off]
-                f_abs += 1
-                pos = 0
-            if open_size > peak_open:
-                peak_open = open_size
-            rel = bucket[pos]
-            pos += 1
-            open_size -= 1
-            t_rel, ci = divmod(rel, n_cells)
-            h_ci = hfield[ci]
-            g = g_arr[rel]
-            if g + h_ci != f_abs:
-                continue  # dominated by a later, cheaper push
-            expansions += 1
-            if expansions > max_expansions:
-                return SearchOutcome(request, SEARCH_BUDGET, None, stats)
-
-            if ci == goal_ci:
-                return SearchOutcome(
-                    request, SEARCH_COMPLETE,
-                    _reconstruct_packed(parent, rel, n_cells, height,
-                                        start_time),
-                    stats)
-
-            if finisher is not None and 0 < h_ci <= finisher_trigger:
-                tail = finisher(divmod(ci, height), start_time + t_rel)
-                if tail is not None:
-                    stats.cache_finished = True
-                    head = _reconstruct_packed(parent, rel, n_cells, height,
-                                               start_time)
-                    return SearchOutcome(request, SEARCH_COMPLETE,
-                                         head.concat(Path(tuple(tail))),
-                                         stats)
-
-            g_next = g + 1
-            t1 = start_time + t_rel + 1
-            nxt_base = rel - ci + n_cells
-            if nxt_base + n_cells > size:
-                if t_rel + 2 > _MAX_LAYERS:
-                    raise _WorkspaceOverflow()
-                ws.grow(nxt_base + n_cells - 1)
-                size = ws.size
-            source_key = cell_keys[ci]
-            guarded = t1 <= probe_limit
-            base_f = g_next - h0  # successor bucket = base_f + h(successor)
-
-            # Successor generation, wait first then the adjacency row —
-            # the same order (and the same two probe styles) as the heap
-            # core; see its comment block.
-            if res_buckets is not None:
-                occupied = vertex_buckets.get(t1) if guarded else None
-                swaps = edge_buckets.get(t1 - 1) if guarded else None
-                if occupied is None or source_key not in occupied:
-                    nrel = nxt_base + ci
-                    if gen[nrel] != epoch or g_next < g_arr[nrel]:
-                        gen[nrel] = epoch
-                        g_arr[nrel] = g_next
-                        parent[nrel] = rel
-                        generated += 1
-                        open_size += 1
-                        nf = base_f + h_ci
-                        while hi_f < nf:
-                            hi_f += 1
-                            if hi_f == len(fbuckets):
-                                fbuckets.append([])
-                        fbuckets[nf].append(nrel)
-                for nci, nkey in adjacency[ci]:
-                    if occupied is not None and nkey in occupied:
-                        continue
-                    if (swaps is not None
-                            and ((nkey << 32) | source_key) in swaps):
-                        continue
-                    nrel = nxt_base + nci
-                    if gen[nrel] != epoch or g_next < g_arr[nrel]:
-                        gen[nrel] = epoch
-                        g_arr[nrel] = g_next
-                        parent[nrel] = rel
-                        generated += 1
-                        open_size += 1
-                        nf = base_f + hfield[nci]
-                        while hi_f < nf:
-                            hi_f += 1
-                            if hi_f == len(fbuckets):
-                                fbuckets.append([])
-                        fbuckets[nf].append(nrel)
-            else:
-                if not guarded or vertex_free(t1, source_key):
-                    nrel = nxt_base + ci
-                    if gen[nrel] != epoch or g_next < g_arr[nrel]:
-                        gen[nrel] = epoch
-                        g_arr[nrel] = g_next
-                        parent[nrel] = rel
-                        generated += 1
-                        open_size += 1
-                        nf = base_f + h_ci
-                        while hi_f < nf:
-                            hi_f += 1
-                            if hi_f == len(fbuckets):
-                                fbuckets.append([])
-                        fbuckets[nf].append(nrel)
-                for nci, nkey in adjacency[ci]:
-                    if (not guarded
-                            or (vertex_free(t1, nkey)
-                                and edge_free(t1 - 1, source_key, nkey))):
-                        nrel = nxt_base + nci
-                        if gen[nrel] != epoch or g_next < g_arr[nrel]:
-                            gen[nrel] = epoch
-                            g_arr[nrel] = g_next
-                            parent[nrel] = rel
-                            generated += 1
-                            open_size += 1
-                            nf = base_f + hfield[nci]
-                            while hi_f < nf:
-                                hi_f += 1
-                                if hi_f == len(fbuckets):
-                                    fbuckets.append([])
-                            fbuckets[nf].append(nrel)
-        return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
-    finally:
-        stats.expansions = expansions
-        stats.generated += generated
-        stats.peak_open = peak_open
-        for used in fbuckets[:hi_f + 1]:
-            del used[:]
-        ws.active = False
-
-
-def _reconstruct_packed(parent: Sequence[int], rel: int, n_cells: int,
-                        height: int, start_time: Tick) -> Path:
-    steps: List = []
-    while rel >= 0:
-        t_rel, ci = divmod(rel, n_cells)
-        x, y = divmod(ci, height)
-        steps.append((start_time + t_rel, x, y))
-        rel = parent[rel]
-    steps.reverse()
-    assert steps[0][0] == start_time
-    return Path(tuple(steps))
-
-
 def _search_heap(grid: Grid, reservation: ReservationTable,
-                 request: SearchRequest, hfield,
+                 request: SearchRequest, hfield, deep: bool,
                  stats: SearchStats) -> SearchOutcome:
-    """The heap core: arbitrary (possibly lazy) heuristics.
+    """The python core: ``heapq`` open set, dict-backed g-scores/parents.
 
-    The pre-bucket-queue packed implementation, kept for heuristics whose
-    consistency is not guaranteed — exactly as fast as it ever was, and
-    still bit-identical to the seed for consistent inputs.
+    Answers every search when the python kernel is active, searches under
+    arbitrary (possibly lazy, possibly inconsistent) heuristics on either
+    kernel, and is what the cross-kernel suites hold the native kernel to.
+
+    **Tie rule.**  Heap entries are ``(f, depth, tie, g, state)`` with
+    ``tie`` the push counter.  Below the paper-scale gate ``depth`` is
+    pinned to 0, so equal-f entries pop FIFO — the seed's order exactly.
+    With ``deep`` set (floors at or above the paper-scale gate)
+    ``depth = -g`` breaks f-ties toward the *deepest* node instead: unit
+    costs make every f-optimal staircase equally long, so FIFO order
+    breadth-explores the whole O(d²) plateau between source and goal,
+    while prefer-deeper dives down a single staircase and backtracks only
+    where a reservation blocks it — near-linear expansions on open floors,
+    with the returned path still optimal (tie-breaking never affects A*
+    admissibility).  The 541×302 floor puts d in the hundreds, exactly
+    where the plateau is the "too slow to execute" wall.
     """
     source, goal = request.source, request.goal
     start_time = request.start_time
@@ -759,19 +401,6 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     goal_ci = goal[0] * height + goal[1]
     start_state = start_time * n_cells + source_ci
 
-    # Heap entries are (f, depth, tie, g, state): with ``depth`` pinned
-    # to 0 the f/tie order matches the seed exactly (FIFO among equal
-    # f).  On paper-scale floors ``depth = -g`` breaks f-ties toward the
-    # *deepest* node instead: unit costs make every f-optimal staircase
-    # equally long, so FIFO order breadth-explores the whole O(d²)
-    # plateau between source and goal, while prefer-deeper dives down a
-    # single staircase and backtracks only where a reservation blocks
-    # it — near-linear expansions on open floors, with the returned path
-    # still optimal (tie-breaking never affects A* admissibility).  The
-    # 541×302 floor puts d in the hundreds, exactly where the plateau is
-    # the "too slow to execute" wall; sub-gate searches keep the
-    # seed-identical order.
-    deep_ties = n_cells >= PAPER_SCALE_MIN_CELLS
     open_heap = [(hfield[source_ci], 0, 0, 0, start_state)]
     tie = 1
     g_score: Dict[int, int] = {start_state: 0}
@@ -812,7 +441,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                                              stats)
 
             g_next = g + 1
-            depth = -g_next if deep_ties else 0
+            depth = -g_next if deep else 0
             t1 = t + 1
             next_base = t1 * n_cells
             source_key = cell_keys[ci]

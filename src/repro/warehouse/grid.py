@@ -18,10 +18,6 @@ import numpy as np
 from ..errors import InvalidLocationError
 from ..types import CELL_KEY_SHIFT, Cell, manhattan
 
-#: Minimum compiled-module ABI carrying the native field kernel
-#: (``bfs_fill`` over the prepared adjacency capsule).
-FIELD_KERNEL_ABI = 3
-
 #: The loaded ``_stsearch`` module when the field kernel is active,
 #: else ``None`` (python flood).  Set by
 #: :func:`repro.pathfinding.st_astar.set_search_kernel` so one switch
@@ -32,15 +28,11 @@ _FIELD_MODULE = None
 def set_field_kernel(module) -> None:
     """Select the native heuristic-field flood (``None`` = python).
 
-    A module predating :data:`FIELD_KERNEL_ABI` is silently rejected —
-    the search kernel may still be usable while field construction
-    falls back to the python flood, exactly like the mutation kernel's
-    staleness handling.
+    ``module`` is the loaded ``_stsearch`` extension; whether a binary
+    may be called at all is decided once, by the source stamp
+    :func:`repro.pathfinding._kernel.load_compiled` checks.
     """
     global _FIELD_MODULE
-    if module is not None and \
-            getattr(module, "KERNEL_ABI", 0) < FIELD_KERNEL_ABI:
-        module = None
     _FIELD_MODULE = module
 
 

@@ -1,7 +1,7 @@
 """Native tier-0 plane: field flood, fused descent+audit, field arena.
 
-Three compiled surfaces arrived with KERNEL_ABI 3 and each must be a
-bit-identical drop-in for its python body:
+Three compiled surfaces, each of which must be a bit-identical drop-in
+for its python body:
 
 * ``bfs_fill`` — the heuristic-field flood over the prepared adjacency
   capsule must equal the python deque flood value for value on any grid,
@@ -14,9 +14,6 @@ bit-identical drop-in for its python body:
 * the shared :class:`FieldArena` — fields served from shared memory must
   equal locally flooded ones, attach across pickled handles, and degrade
   cleanly when the owning block is gone.
-
-Stale artefacts (pre-ABI-3 modules) must be silently rejected by the new
-setters, exactly like the mutation kernel's staleness handling.
 """
 
 from __future__ import annotations
@@ -84,26 +81,11 @@ class TestFieldKernelSelection:
         set_search_kernel("python")
         assert field_kernel_name() == "python"
 
-    def test_rejects_pre_field_abi(self):
-        class StaleModule:
-            KERNEL_ABI = 2
-
-        set_field_kernel(StaleModule())
-        # A pre-field ABI module must degrade to the python flood.
-        assert field_kernel_name() == "python"
-
     def test_search_selection_drives_descent_kernel(self):
         if COMPILED is not None:
             set_search_kernel("compiled")
             assert descent_kernel_name() == "compiled"
         set_search_kernel("python")
-        assert descent_kernel_name() == "python"
-
-    def test_rejects_pre_descent_abi(self):
-        class StaleModule:
-            KERNEL_ABI = 2
-
-        set_descent_kernel(StaleModule())
         assert descent_kernel_name() == "python"
 
 

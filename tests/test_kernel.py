@@ -1,18 +1,21 @@
 """Native search kernel: selection, fallback, and bit-identity.
 
-The compiled expansion loop must be a drop-in for the pure-python cores:
+The compiled expansion loop must be a drop-in for the pure-python core:
 same :class:`SearchOutcome` (status, path steps), same
 :class:`SearchStats` counters, same expansion order — across every
-reservation structure, both queue regimes (flat bucket queue and hash
-backend), the overflow restart, windowed horizons, the cache-aided
-finisher, and the paper-scale deep-tie ordering.  The extension is built
-on the fly here; where no compiler is available the compiled half skips
-and the selection/fallback tests still run.
+reservation structure, deep wait chains, windowed horizons, the
+cache-aided finisher, and the paper-scale deep-tie ordering.  Neither
+kernel may keep search state between calls.  The extension is built on
+the fly here; where no compiler is available the compiled half skips and
+the selection/fallback tests still run.
 """
 
+import dataclasses
+import gc
 import hashlib
 import random
 import subprocess
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,18 +90,22 @@ def run_on(kernel, grid, make_table, request, heuristic=None):
     return outcome, stats
 
 
+def assert_same_search(out, stats, ref_out, ref_stats):
+    assert out.status == ref_out.status
+    if ref_out.path is None:
+        assert out.path is None
+    else:
+        assert out.path.steps == ref_out.path.steps
+    assert stats.expansions == ref_stats.expansions
+    assert stats.generated == ref_stats.generated
+    assert stats.peak_open == ref_stats.peak_open
+    assert stats.cache_finished == ref_stats.cache_finished
+
+
 def assert_bit_identical(grid, make_table, request, heuristic=None):
     py_out, py_stats = run_on("python", grid, make_table, request, heuristic)
     c_out, c_stats = run_on("compiled", grid, make_table, request, heuristic)
-    assert c_out.status == py_out.status
-    if py_out.path is None:
-        assert c_out.path is None
-    else:
-        assert c_out.path.steps == py_out.path.steps
-    assert c_stats.expansions == py_stats.expansions
-    assert c_stats.generated == py_stats.generated
-    assert c_stats.peak_open == py_stats.peak_open
-    assert c_stats.cache_finished == py_stats.cache_finished
+    assert_same_search(c_out, c_stats, py_out, py_stats)
     assert py_stats.kernel == "python"
     assert c_stats.kernel == "compiled"
     return py_out
@@ -247,25 +254,25 @@ class TestKernelBitIdentity:
             table.reserve_path(Path.from_cells([(0, 0)] * 40, start_time=1))
             return table
 
-        py_out, py_stats = [None], [None]
         set_search_kernel("python")
+        py_stats = SearchStats()
         py = search(grid, boxed_table(), SearchRequest((0, 0), (9, 9), 0),
-                    stats=SearchStats())
+                    stats=py_stats)
         set_search_kernel("compiled")
+        c_stats = SearchStats()
         comp = search(grid, boxed_table(), SearchRequest((0, 0), (9, 9), 0),
-                      stats=SearchStats())
+                      stats=c_stats)
         assert py.status == st_astar.SEARCH_EXHAUSTED
-        assert comp.status == py.status
+        assert_same_search(comp, c_stats, py, py_stats)
 
-    def test_overflow_restart_matches(self):
-        # A single doorway reserved past the flat backend's layer cap
-        # forces the overflow restart onto the hash backend in both cores.
+    def test_deep_wait_chain_matches(self):
+        # A single doorway reserved for 222 ticks: the plan waits beside
+        # it, one time layer per tick.
         grid = Grid(12, 7, blocked=[(6, y) for y in range(7) if y != 3])
 
         def choked():
             table = ConflictDetectionTable()
-            table.reserve_path(Path.from_cells(
-                [(6, 3)] * (st_astar._MAX_LAYERS + 30), start_time=0))
+            table.reserve_path(Path.from_cells([(6, 3)] * 222, start_time=0))
             return table
 
         set_search_kernel("python")
@@ -276,11 +283,8 @@ class TestKernelBitIdentity:
         c_stats = SearchStats()
         comp = search(grid, choked(), SearchRequest((0, 3), (11, 3), 0),
                       stats=c_stats)
-        assert py.status == comp.status == st_astar.SEARCH_COMPLETE
-        assert comp.path.steps == py.path.steps
-        assert c_stats.expansions == py_stats.expansions
-        assert c_stats.generated == py_stats.generated
-        assert c_stats.peak_open == py_stats.peak_open
+        assert py.status == st_astar.SEARCH_COMPLETE
+        assert_same_search(comp, c_stats, py, py_stats)
 
     def test_exact_field_heuristic_matches(self):
         grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
@@ -332,8 +336,8 @@ class TestKernelBitIdentity:
         assert c_stats.expansions == py_stats.expansions
 
     def test_deep_tie_paper_scale_matches(self):
-        # 129 * 128 = 16512 cells >= PAPER_SCALE_MIN_CELLS: the hash
-        # backend switches to the paper-scale (f, -g, tie) ordering.
+        # 129 * 128 = 16512 cells >= PAPER_SCALE_MIN_CELLS: the open set
+        # switches to the paper-scale (f, -g, tie) ordering.
         grid = Grid(129, 128)
         assert grid.n_cells >= st_astar.PAPER_SCALE_MIN_CELLS
 
@@ -359,6 +363,80 @@ class TestKernelBitIdentity:
             assert comp.path.steps == py.path.steps
             assert c_stats.expansions == py_stats.expansions
             assert c_stats.peak_open == py_stats.peak_open
+
+
+# -- a search owns nothing outside its own call -----------------------------
+
+
+KERNELS = ["python", pytest.param("compiled", marks=needs_compiled)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_search_from_inside_a_finisher(kernel):
+    # The finisher fires mid-expansion of the outer search and starts a
+    # search of its own on the same grid and table.  Nesting must change
+    # neither: both equal the python core's un-nested answers.
+    grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
+                                 if y not in (3, 10)])
+    table = ConflictDetectionTable()
+    crossing_traffic(table, grid.width)
+    outer_request = SearchRequest((0, 0), (17, 12), 0)
+    inner_request = SearchRequest((17, 0), (0, 12), 4)
+
+    set_search_kernel("python")
+    ref_outer_stats, ref_inner_stats = SearchStats(), SearchStats()
+    ref_outer = search(grid, table, outer_request, stats=ref_outer_stats)
+    ref_inner = search(grid, table, inner_request, stats=ref_inner_stats)
+
+    nested = []
+
+    def searching_finisher(cell, t):
+        stats = SearchStats()
+        nested.append((search(grid, table, inner_request, stats=stats), stats))
+        return None  # decline: the outer search carries on to the goal
+
+    set_search_kernel(kernel)
+    outer_stats = SearchStats()
+    outer = search(grid, table,
+                   dataclasses.replace(outer_request,
+                                       finisher=searching_finisher,
+                                       finisher_trigger=6),
+                   stats=outer_stats)
+    assert nested
+    for inner, inner_stats in nested:
+        assert inner_stats.kernel == kernel
+        assert_same_search(inner, inner_stats, ref_inner, ref_inner_stats)
+    assert outer_stats.kernel == kernel
+    assert_same_search(outer, outer_stats, ref_outer, ref_outer_stats)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_search_retains_nothing(kernel):
+    # Out-waiting a doorway camped for 150 ticks on the 64x40 floor
+    # touches ~150 time layers; once the outcome is dropped, the memory
+    # must be back where it was before the call.
+    grid = Grid(64, 40, blocked=[(32, y) for y in range(40) if y != 20])
+    table = ConflictDetectionTable()
+    request = SearchRequest((0, 20), (63, 20), 0)
+    set_search_kernel(kernel)
+    # Warm what legitimately outlives a search: the grid's adjacency
+    # capsule and its memoised Manhattan field.
+    assert search(grid, table, request).ok
+    table.reserve_path(Path.from_cells([(32, 20)] * 150, start_time=0))
+
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        outcome = search(grid, table, request)
+        assert outcome.ok and outcome.path.duration > 150
+        del outcome
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 1 << 20   # the deep search did need real memory
+    assert after - before < 64 << 10
 
 
 # -- randomized property ----------------------------------------------------

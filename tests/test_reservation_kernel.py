@@ -137,14 +137,6 @@ class TestMutationKernelSelection:
         set_search_kernel("python")
         assert mutation_kernel_name() == "python"
 
-    def test_rejects_pre_mutation_abi(self):
-        class StaleModule:
-            KERNEL_ABI = 1
-
-        set_mutation_kernel(StaleModule())
-        # A pre-mutation ABI module must degrade to the python bodies.
-        assert mutation_kernel_name() == "python"
-
     def test_base_table_has_no_unreserve(self):
         class Minimal(SpatiotemporalGraph):
             pass

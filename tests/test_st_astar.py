@@ -85,20 +85,15 @@ class TestBudgetsAndStats:
         assert not stats.cache_finished
 
 
-class TestDeepSearchWorkspaceCap:
-    """Sparse deep searches must not grow the flat arrays without bound.
-
-    The bucket-queue workspace costs 24 B per (layer, cell) pair whether
-    or not a state is touched, so a robot out-waiting a multi-thousand-
-    tick blockade — a few thousand expansions, but one time layer per
-    wait tick — must restart on the O(generated) heap core instead of
-    retaining hundreds of megabytes, with bit-identical results.
+class TestDeepWaitChain:
+    """A robot out-waiting a multi-thousand-tick blockade: a few thousand
+    expansions spread over one time layer per wait tick, so search state
+    must cost O(touched states), not O(time depth × cells).
     """
 
     def make_problem(self):
         # A corridor whose only gap is camped for ~1500 ticks: the full
-        # search's optimal plan waits next to the gap, one layer per
-        # tick, far past the workspace layer cap.
+        # search's optimal plan waits next to the gap, one layer per tick.
         grid = Grid(8, 1)
         cdt = ConflictDetectionTable()
         cdt.reserve_path(Path.waiting((4, 0), 0, 1500))
@@ -120,17 +115,6 @@ class TestDeepSearchWorkspaceCap:
         assert stats.expansions == legacy_stats.expansions
         assert stats.generated == legacy_stats.generated
         assert stats.peak_open == legacy_stats.peak_open
-
-    def test_workspace_stays_bounded(self):
-        from repro.pathfinding.st_astar import (_MAX_LAYERS, _WORKSPACES,
-                                                _workspace)
-        grid, cdt = self.make_problem()
-        find_path(grid, cdt, (0, 0), (7, 0), 0)
-        ws = _workspace(grid)
-        assert ws.size <= _MAX_LAYERS * grid.n_cells
-        for other in _WORKSPACES.values():
-            assert other.size <= _MAX_LAYERS * other.n_cells
-            assert not other.active
 
 
 class TestFinisherHook:
