@@ -12,7 +12,8 @@ nor drift.  The soak harness drives exactly that regime:
   :class:`~repro.sim.metrics.WindowSample` at each boundary and
   recording the live-structure counters
   (``planner.reservation.live_counts()``, EATP's cache) into a flatness
-  series;
+  series, beside the size of the completed-mission ledger — the one
+  structure that grows with the run by design;
 * the run checkpoints periodically
   (:mod:`repro.sim.checkpoint`) with the stream and window tracker in
   the envelope's ``extra``, and the harness *proves* restore works: it
@@ -156,6 +157,14 @@ def _close_window(sim: Simulation, tracker: SteadyStateTracker,
     cache = getattr(sim.planner, "cache", None)
     if cache is not None:
         entry["cache"] = cache.live_counts()
+    # The one structure that is meant to grow with the run, beside the
+    # ones above that must stay flat; ``pending_items`` is what the
+    # engine still holds as objects (fed, not yet in the ledger).
+    ledger = sim.ledger
+    entry["history"] = {
+        "missions": len(ledger), "items": ledger.n_items,
+        "ledger_bytes": ledger.nbytes,
+        "pending_items": sim.items_total - ledger.n_items}
     harness.series.append(entry)
     harness.windows_closed += 1
 
@@ -299,6 +308,9 @@ def render_soak(report: Dict[str, Any]) -> str:
         f"median {flat['reservation_median_bytes']:.0f} B "
         f"({'FLAT' if flat['flat'] else 'GROWING'} at factor "
         f"{flat['flat_factor']:g})",
+        "  history at the last window: {missions} missions, {items} items "
+        "in a {ledger_bytes} B ledger, {pending_items} items pending".format(
+            **report["windows"][-1]["history"]),
         f"  drained: {report['final']['items_processed']} items, "
         f"makespan {report['final']['makespan_ticks']}",
     ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -186,12 +187,16 @@ class Planner(abc.ABC):
         and therefore cannot cross a pickle boundary: checkpoint restore
         (see :meth:`__setstate__`) rebuilds it fresh.
         """
+        # The chain points back weakly: a strong reference would make
+        # planner ↔ pipeline a cycle, and a finished run's reservation
+        # tables and field caches would then wait for the cyclic
+        # collector instead of going when the last reference does.
+        me = weakref.proxy(self)
         return FallbackChain(
             grid=self.grid, reservation=self.reservation,
             heuristics=self.heuristics, config=self.config,
-            full_search=lambda t, source, goal: self._find_leg(t, source,
-                                                               goal),
-            finisher_factory=lambda goal: self._make_finisher(goal),
+            full_search=lambda t, source, goal: me._find_leg(t, source, goal),
+            finisher_factory=lambda goal: me._make_finisher(goal),
             free_flow=self.free_flow)
 
     # -- checkpointing -----------------------------------------------------

@@ -50,10 +50,7 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
         super().__init__(state, config)
-        self.knn = StaticRackKNN(
-            rack_homes=[rack.home for rack in state.racks],
-            width=self.grid.width, height=self.grid.height,
-            k=self.config.knn_k)
+        self.knn = self._build_knn()
         self.cache = ShortestPathCache(self.grid, self.config.cache_threshold)
         self.cache.attach_fields(self.heuristics)
         #: Memoised (finisher, trigger) per goal — the closure reads the
@@ -61,18 +58,28 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         #: goal serves every tier of every leg (no per-leg allocation).
         self._finishers = {}
 
+    def _build_knn(self) -> StaticRackKNN:
+        """The K-nearest-racks table: a pure function of the rack homes."""
+        return StaticRackKNN(
+            rack_homes=[rack.home for rack in self.state.racks],
+            width=self.grid.width, height=self.grid.height,
+            k=self.config.knn_k)
+
     # -- checkpointing ----------------------------------------------------------
 
     #: The finisher memo holds closures, so it cannot cross a pickle
     #: boundary; entries are rebuilt lazily on first use and read the
     #: (pickled) cache and reservation only at call time, so a restored
     #: planner behaves identically.  ``self.cache`` itself — which *is*
-    #: charged to the MC metric — is plain data and pickles as-is.
-    _UNPICKLED = AdaptiveTaskPlanner._UNPICKLED + ("_finishers",)
+    #: charged to the MC metric — is plain data and pickles as-is.  The
+    #: KNN table is charged to MC too, but rack homes never move, so it
+    #: is rebuilt (same table, same ``memory_bytes()``) rather than stored.
+    _UNPICKLED = AdaptiveTaskPlanner._UNPICKLED + ("_finishers", "knn")
 
     def __setstate__(self, state) -> None:
         super().__setstate__(state)
         self._finishers = {}
+        self.knn = self._build_knn()
         # The restored cache lost its field oracle (dropped at pickle
         # time with the rest of the unpicklable closures); re-point it at
         # the freshly rebuilt heuristic cache.

@@ -15,6 +15,7 @@ from typing import List
 from ..types import Tick
 from ..warehouse.entities import Rack, Robot
 from .base import Planner, SelectionEntry
+from .greedy import most_slack_first
 
 
 class NaiveTaskPlanner(Planner):
@@ -24,21 +25,4 @@ class NaiveTaskPlanner(Planner):
 
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
-        entries: List[SelectionEntry] = []
-        budget = len(robots)
-
-        # Alg. 1 line 2: pickers ascending by finish time f_p.
-        pickers = sorted({rack.picker_id for rack in racks},
-                         key=lambda pid: (self.picker_finish_time(pid), pid))
-        racks_by_picker = {}
-        for rack in racks:
-            racks_by_picker.setdefault(rack.picker_id, []).append(rack)
-
-        for picker_id in pickers:
-            # Deterministic inner order: rack id (the paper leaves it free).
-            for rack in sorted(racks_by_picker[picker_id],
-                               key=lambda r: r.rack_id):
-                if len(entries) == budget:
-                    return entries
-                entries.append(SelectionEntry(rack=rack))
-        return entries
+        return most_slack_first(racks, len(robots), self.picker_finish_time)

@@ -1,6 +1,7 @@
 """The validation system: simulator, missions, queueing, metrics, trace."""
 
 from .engine import Simulation, SimulationResult
+from .ledger import MissionLedger
 from .metrics import (CheckpointSample, MetricsRecorder, RunMetrics,
                       picker_processing_rate, robot_working_rate)
 from .missions import Mission, MissionStage
@@ -16,6 +17,7 @@ __all__ = [
     "CheckpointSample",
     "MetricsRecorder",
     "Mission",
+    "MissionLedger",
     "MissionStage",
     "ProcessingCompletion",
     "RunMetrics",

@@ -9,19 +9,28 @@ produces the same :func:`~repro.sim.serialize.deterministic_view` as the
 uninterrupted run (the checkpoint round-trip tests pin this for all five
 planners).
 
-The payload is a versioned envelope around a pickle of the simulation
-object graph.  Pickle (not JSON) because the point is to resurrect live
-heaps, shared :class:`~repro.sim.missions.Mission` references and RNG
-state, none of which have a faithful JSON form; the envelope's plain
-header (magic, version, clock, planner, counts) is readable without
-unpickling so stale or foreign files fail fast with a
-:class:`~repro.errors.CheckpointError` instead of an unpickling crash.
-The planner-side contract — which structures are dropped and rebuilt
-instead of pickled — lives in ``Planner.__getstate__``
-(:mod:`repro.planners.base`).
+The payload is a versioned envelope of three sections after the magic:
 
-Only trust checkpoints you produced: the body is a pickle, with pickle's
-usual code-execution caveat for hostile files.
+1. a plain **header** (version, clock, planner, counts), readable
+   without touching the rest, so stale or foreign files fail fast with a
+   :class:`~repro.errors.CheckpointError` instead of an unpickling crash;
+2. a pickle of the **live graph** — the simulation with its calendar,
+   entities, reservations, planner and RNG, plus the caller's ``extra``.
+   Pickle (not JSON) because the point is to resurrect live heaps, shared
+   :class:`~repro.sim.missions.Mission` references and RNG state, none of
+   which have a faithful JSON form;
+3. the **ledger** of completed missions, as the raw int64 columns of
+   :class:`~repro.sim.ledger.MissionLedger` — history is data, copied,
+   never walked.
+
+So a dump costs what is live plus a memcpy of what has happened, and its
+time does not grow with the length of the run.  What the live graph
+leaves out lives with its owners: ``Simulation.__getstate__`` (the
+ledger) and ``Planner.__getstate__`` (:mod:`repro.planners.base`,
+structures rebuilt rather than stored).
+
+Only trust checkpoints you produced: section 2 is a pickle, with
+pickle's usual code-execution caveat for hostile files.
 """
 
 from __future__ import annotations
@@ -35,14 +44,16 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import CheckpointError
 from .engine import Simulation
+from .ledger import MissionLedger
 
 #: First bytes of every checkpoint file (version-independent).
 CHECKPOINT_MAGIC = b"repro-checkpoint"
 
 #: Bump on any change to the envelope layout or to the pickled object
 #: graph that an older reader could misinterpret; restore refuses other
-#: versions outright rather than guessing.
-CHECKPOINT_VERSION = 1
+#: versions outright rather than guessing.  Version 1 (one pickle that
+#: carried every completed mission as an object) is not migrated.
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol pinned explicitly so checkpoints written on newer
 #: interpreters stay readable on the oldest supported one.
@@ -60,6 +71,7 @@ def checkpoint_header(sim: Simulation,
         "items_total": sim.items_total,
         "items_processed": sim.items_processed,
         "events_processed": sim.events_processed,
+        "missions_completed": len(sim.ledger),
         "python": platform.python_version(),
         "has_extra": extra is not None,
     }
@@ -74,12 +86,11 @@ def dump_checkpoint(sim: Simulation,
     feed cursor there, so a restored soak replays the exact item
     sequence the uninterrupted run saw.
     """
-    buffer = io.BytesIO()
-    buffer.write(CHECKPOINT_MAGIC)
-    pickler = pickle.Pickler(buffer, protocol=_PICKLE_PROTOCOL)
-    pickler.dump(checkpoint_header(sim, extra))
-    pickler.dump((sim, extra))
-    return buffer.getvalue()
+    return b"".join([
+        CHECKPOINT_MAGIC,
+        pickle.dumps(checkpoint_header(sim, extra), _PICKLE_PROTOCOL),
+        pickle.dumps((sim, extra), _PICKLE_PROTOCOL),
+        *sim.ledger.buffers()])
 
 
 def load_checkpoint_bytes(blob: bytes
@@ -88,20 +99,15 @@ def load_checkpoint_bytes(blob: bytes
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(
             "not a repro checkpoint (missing envelope magic)")
-    buffer = io.BytesIO(blob[len(CHECKPOINT_MAGIC):])
-    unpickler = pickle.Unpickler(buffer)
-    try:
-        header = unpickler.load()
-    except Exception as exc:
+    buffer = io.BytesIO(blob)
+    buffer.seek(len(CHECKPOINT_MAGIC))
+    header = _load_header(buffer, "checkpoint")
+    if header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint header is unreadable: {exc}") from exc
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version!r} is not supported "
-            f"(this build reads version {CHECKPOINT_VERSION})")
+            f"checkpoint version {header['version']!r} is not supported "
+            f"(this build reads version {CHECKPOINT_VERSION} only)")
     try:
-        sim, extra = unpickler.load()
+        sim, extra = pickle.Unpickler(buffer).load()
     except Exception as exc:
         # E.g. the graph names a class this build no longer has.
         raise CheckpointError(
@@ -109,7 +115,24 @@ def load_checkpoint_bytes(blob: bytes
     if not isinstance(sim, Simulation):
         raise CheckpointError(
             f"checkpoint body holds {type(sim).__name__}, not a Simulation")
+    try:
+        sim.ledger = MissionLedger.from_bytes(
+            memoryview(blob)[buffer.tell():])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint ledger is damaged: {exc}") from exc
     return sim, extra
+
+
+def _load_header(fh, source) -> Dict[str, Any]:
+    """Unpickle and shape-check the plain header at ``fh``'s position."""
+    try:
+        header = pickle.Unpickler(fh).load()
+    except Exception as exc:  # truncated or garbled: any unpickling error
+        raise CheckpointError(
+            f"{source}: header is unreadable: {exc}") from exc
+    if not isinstance(header, dict) or "version" not in header:
+        raise CheckpointError(f"{source}: malformed checkpoint header")
+    return header
 
 
 def read_checkpoint_header(path: os.PathLike) -> Dict[str, Any]:
@@ -119,10 +142,7 @@ def read_checkpoint_header(path: os.PathLike) -> Dict[str, Any]:
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(
                 f"{path}: not a repro checkpoint (missing envelope magic)")
-        header = pickle.Unpickler(fh).load()
-    if not isinstance(header, dict) or "version" not in header:
-        raise CheckpointError(f"{path}: malformed checkpoint header")
-    return header
+        return _load_header(fh, path)
 
 
 def save_checkpoint(sim: Simulation, path: os.PathLike,

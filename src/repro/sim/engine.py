@@ -53,14 +53,15 @@ cell (Eq. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SimulationConfig
 from ..errors import SimulationError
 from ..pathfinding.paths import Path
 from ..planners.base import Planner
+from ..sim.ledger import MissionLedger
 from ..sim.metrics import (MetricsRecorder, RunMetrics, SteadyStateTracker,
                            WindowSample, picker_processing_rate,
                            robot_working_rate)
@@ -74,19 +75,38 @@ from ..warehouse.entities import Item, RackPhase, RobotState
 from ..warehouse.state import WarehouseState
 
 
-@dataclass
 class SimulationResult:
-    """Everything a run produced: metrics, trace, and planner counters."""
+    """Everything a run produced: metrics, trace, and planner counters.
 
-    planner_name: str
-    metrics: RunMetrics
-    trace: Optional[BottleneckTrace]
-    #: Completed missions, in completion order (for per-cycle analyses).
-    missions: List[Mission] = field(default_factory=list)
-    #: Every planned leg, when ``collect_paths`` was enabled.
-    paths: List[Path] = field(default_factory=list)
-    #: Robot id owning each entry of ``paths`` (parallel list).
-    path_owners: List[int] = field(default_factory=list)
+    Completed missions arrive as the engine's packed
+    :class:`~repro.sim.ledger.MissionLedger` (or, from the frozen
+    per-tick oracle, as its plain list, which is packed here).  Readers
+    of the columns use ``ledger``; ``missions`` builds the objects on
+    first access, so a run nobody inspects per cycle never pays for them.
+    """
+
+    def __init__(self, planner_name: str, metrics: RunMetrics,
+                 trace: Optional[BottleneckTrace],
+                 missions: Union[MissionLedger, List[Mission]],
+                 paths: List[Path], path_owners: List[int]) -> None:
+        self.planner_name = planner_name
+        self.metrics = metrics
+        self.trace = trace
+        if isinstance(missions, MissionLedger):
+            self.ledger, self._missions = missions, None
+        else:
+            self.ledger, self._missions = MissionLedger(missions), missions
+        #: Every planned leg, when ``collect_paths`` was enabled.
+        self.paths = paths
+        #: Robot id owning each entry of ``paths`` (parallel list).
+        self.path_owners = path_owners
+
+    @property
+    def missions(self) -> List[Mission]:
+        """Completed missions, in completion order (per-cycle analyses)."""
+        if self._missions is None:
+            self._missions = self.ledger.missions()
+        return self._missions
 
 
 class Simulation:
@@ -116,12 +136,22 @@ class Simulation:
         self.state = state
         self.planner = planner
         self.config = config if config is not None else SimulationConfig()
-        self._items = sorted(items, key=lambda item: (item.arrival, item.item_id))
-        self._next_item = 0
+        #: Items fed but not yet arrived, in ``(arrival, item_id)`` order;
+        #: an arrival leaves the queue for its rack, so nothing consumed
+        #: is retained here.
+        self._items: Deque[Item] = deque(
+            sorted(items, key=lambda item: (item.arrival, item.item_id)))
+        #: ``(arrival, item_id)`` of the last item fed (the order floor
+        #: for :meth:`extend_items`, which may find the queue empty).
+        self._tail_key = (self._items[-1].arrival, self._items[-1].item_id)
         self._active: Dict[int, Mission] = {}   # keyed by robot id
         self._batch_time_of: Dict[int, int] = {}  # rack id -> current batch time
         self._mission_of_rack: Dict[int, Mission] = {}
-        self._completed: List[Mission] = []
+        #: Completed missions — the run's only record of them, and the
+        #: one engine structure that grows with run length.  Not part of
+        #: the pickled graph (see :meth:`__getstate__`).
+        self.ledger = MissionLedger()
+        #: Also the count of items fed so far (``total_items``).
         self._recorder = MetricsRecorder(len(self._items),
                                          self.config.metrics_checkpoints)
         self._trace = (BottleneckTrace()
@@ -158,6 +188,17 @@ class Simulation:
         #: what lets a run pause (``run_until``), checkpoint, and resume
         #: without the loop noticing.
         self._t: Tick = 0
+
+    def __getstate__(self):
+        """The live graph only — what a checkpoint pickles.
+
+        The ledger is history: :mod:`repro.sim.checkpoint` writes its
+        columns beside the pickle and hands them back on restore, so a
+        dump costs what is live, not what has happened.
+        """
+        state = self.__dict__.copy()
+        state["ledger"] = None
+        return state
 
     # -- the main loop -----------------------------------------------------
 
@@ -220,7 +261,7 @@ class Simulation:
     @property
     def items_total(self) -> int:
         """Items fed so far (grows under :meth:`extend_items`)."""
-        return len(self._items)
+        return self._recorder.total_items
 
     @property
     def items_processed(self) -> int:
@@ -245,23 +286,22 @@ class Simulation:
         if not items:
             return
         fresh = sorted(items, key=lambda item: (item.arrival, item.item_id))
-        previous = self._items[-1]
+        previous = self._tail_key
         for item in fresh:
-            if (item.arrival, item.item_id) <= (previous.arrival,
-                                                previous.item_id):
+            if (item.arrival, item.item_id) <= previous:
                 raise SimulationError(
                     f"extended item {item.item_id} (arrival "
                     f"{item.arrival}) does not sort after the current "
-                    f"tail item {previous.item_id} (arrival "
-                    f"{previous.arrival})")
+                    f"tail item {previous[1]} (arrival {previous[0]})")
             if item.arrival < self._t:
                 raise SimulationError(
                     f"extended item {item.item_id} arrives at "
                     f"{item.arrival}, before the clock ({self._t}) — "
                     f"past arrivals would diverge from an up-front feed")
-            previous = item
+            previous = (item.arrival, item.item_id)
         self._items.extend(fresh)
-        self._recorder.extend_total(len(self._items))
+        self._tail_key = previous
+        self._recorder.extend_total(self.items_total + len(fresh))
 
     def sample_window(self, tracker: SteadyStateTracker) -> WindowSample:
         """Close a steady-state window at the clock (service telemetry).
@@ -292,7 +332,7 @@ class Simulation:
         return self._result(self._t)
 
     def _finished(self) -> bool:
-        return (self._next_item >= len(self._items)
+        return (not self._items
                 and self._n_pending == 0
                 and not self._active)
 
@@ -315,8 +355,8 @@ class Simulation:
         if self._finished():
             return t + 1
         nxt = self.config.max_ticks
-        if self._next_item < len(self._items):
-            nxt = min(nxt, self._items[self._next_item].arrival)
+        if self._items:
+            nxt = min(nxt, self._items[0].arrival)
         if self._motion_events:
             nxt = min(nxt, self._motion_events[0][0])
         if self._picker_events:
@@ -332,11 +372,9 @@ class Simulation:
 
     def _inject_arrivals(self, t: Tick) -> None:
         items = self._items
-        while (self._next_item < len(items)
-               and items[self._next_item].arrival <= t):
-            self.state.deliver_item(items[self._next_item])
+        while items and items[0].arrival <= t:
+            self.state.deliver_item(items.popleft())
             self._n_pending += 1
-            self._next_item += 1
 
     # -- stage 2: planning ------------------------------------------------------
 
@@ -481,7 +519,7 @@ class Simulation:
             del self._active[mission.robot_id]
             del self._mission_of_rack[mission.rack_id]
             del self._batch_time_of[mission.rack_id]
-            self._completed.append(mission)
+            self.ledger.append(mission)
         else:
             raise SimulationError(
                 f"leg completion in non-moving stage {mission.stage.value}")
@@ -606,7 +644,7 @@ class Simulation:
         metrics = RunMetrics(
             makespan=makespan,
             items_processed=self._recorder.items_processed,
-            missions_completed=len(self._completed),
+            missions_completed=len(self.ledger),
             ppr=picker_processing_rate(
                 [p.busy_ticks for p in self.state.pickers], elapsed),
             rwr=robot_working_rate(
@@ -632,11 +670,11 @@ class Simulation:
                 "rescued_legs": self.planner.stats.rescued_legs,
             },
         )
-        if metrics.items_processed != len(self._items):
+        if metrics.items_processed != self.items_total:
             raise SimulationError(
                 f"drained simulation processed {metrics.items_processed} of "
-                f"{len(self._items)} items — accounting bug")
+                f"{self.items_total} items — accounting bug")
         return SimulationResult(planner_name=self.planner.name,
                                 metrics=metrics, trace=self._trace,
-                                missions=self._completed, paths=self._paths,
+                                missions=self.ledger, paths=self._paths,
                                 path_owners=self._path_owners)

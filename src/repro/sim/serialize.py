@@ -109,17 +109,22 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
 
     Missions record the fields that make the run's *logic* auditable
     (which robot fulfilled which rack with which items, and when) — not
-    the per-leg paths, which would dwarf the payload.
+    the per-leg paths, which would dwarf the payload.  They are read off
+    the ledger's columns; no :class:`~repro.sim.missions.Mission` is built.
     """
+    ledger = result.ledger
+    item_ids = ledger.item_id.tolist()
+    starts = [0] + ledger.batch_end.tolist()
     return {
         "planner": result.planner_name,
         "metrics": metrics_to_dict(result.metrics),
         "trace": trace_to_dict(result.trace),
         "missions": [
-            {"robot_id": m.robot_id, "rack_id": m.rack_id,
-             "item_ids": [item.item_id for item in m.batch],
-             "dispatched_at": m.dispatched_at}
-            for m in result.missions],
+            {"robot_id": robot, "rack_id": rack,
+             "item_ids": item_ids[start:end], "dispatched_at": dispatched}
+            for robot, rack, dispatched, start, end in zip(
+                ledger.robot, ledger.rack, ledger.dispatched_at,
+                starts, ledger.batch_end)],
     }
 
 

@@ -4,10 +4,14 @@ The contract under test: pickling a paused run and resurrecting it is
 *invisible* — the restored run drains to a deterministic view
 bit-identical to the uninterrupted run's, for every planner.  Plus the
 envelope around the pickle: magic, version gate, cheap header probe,
-atomic file writes.
+atomic file writes — and one committed file per envelope version, so the
+load-or-``CheckpointError`` rule is tested against real bytes.
 """
 
+import hashlib
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +22,12 @@ from repro.sim.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                   load_checkpoint_bytes,
                                   read_checkpoint_header, save_checkpoint)
 from repro.sim.engine import Simulation
+from repro.sim.missions import Mission
 from repro.sim.serialize import deterministic_view, result_to_dict
+from repro.warehouse.entities import Item
 from repro.workloads.datasets import make_mini
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def build_sim(planner_name="EATP", n_items=40):
@@ -45,7 +53,24 @@ class TestRoundTrip:
         restored, extra = load_checkpoint_bytes(dump_checkpoint(sim))
         assert extra is None
         assert restored.tick == sim.tick
+        assert len(sim.ledger) > 0  # there is history to carry
+        assert restored.ledger.to_bytes() == sim.ledger.to_bytes()
         assert drained_view(restored) == expected
+
+    def test_knn_table_is_rebuilt_not_stored(self):
+        """EATP's KNN table is a function of the rack homes: the restored
+        one is a fresh build, equal in content and in its MC charge."""
+        sim, _ = build_sim("EATP")
+        sim.run_until(60)
+        assert sim.planner.__getstate__()["knn"] is None
+        restored, _ = load_checkpoint_bytes(dump_checkpoint(sim))
+        knn, knn2 = sim.planner.knn, restored.planner.knn
+        assert knn2 is not knn
+        assert knn2.memory_bytes() == knn.memory_bytes()
+        assert restored.planner.memory_bytes() == sim.planner.memory_bytes()
+        grid = sim.planner.grid
+        assert all(knn2.nearest((x, y)) == knn.nearest((x, y))
+                   for x in range(grid.width) for y in range(grid.height))
 
     def test_original_continues_unharmed_after_dump(self):
         expected = drained_view(build_sim()[0])
@@ -157,6 +182,139 @@ class TestEnvelope:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(CheckpointError):
             read_checkpoint_header(path)
+
+    @pytest.mark.parametrize("tail", [
+        pytest.param(lambda blob: blob[:len(CHECKPOINT_MAGIC) + 20],
+                     id="truncated-inside-the-header"),
+        pytest.param(lambda blob: blob[:len(CHECKPOINT_MAGIC)],
+                     id="nothing-after-the-magic"),
+        pytest.param(lambda blob: CHECKPOINT_MAGIC + b"\xff garbage \x00" * 4,
+                     id="garbage-after-the-magic"),
+    ])
+    def test_damaged_header_is_a_checkpoint_error(self, tmp_path, tail):
+        """Both readers: a raw ``EOFError`` / ``UnpicklingError`` from the
+        header must never escape."""
+        sim, _ = build_sim()
+        damaged = tail(dump_checkpoint(sim))
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match="header"):
+            read_checkpoint_header(path)
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint_bytes(damaged)
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda blob: blob[:-8], id="truncated"),
+        pytest.param(lambda blob: blob + b"\x00" * 8, id="trailing-bytes"),
+    ])
+    def test_damaged_ledger_section_rejected(self, damage):
+        sim, _ = build_sim()
+        sim.run_until(60)
+        with pytest.raises(CheckpointError, match="ledger"):
+            load_checkpoint_bytes(damage(dump_checkpoint(sim)))
+
+
+class TestCommittedFixtures:
+    """One real file per envelope version: it loads and drains to a pinned
+    result, or it is refused with a ``CheckpointError`` — never a crash.
+
+    Each was written by the build whose version it carries with::
+
+        PYTHONPATH=src python -c "
+        from repro.planners import PLANNERS
+        from repro.sim.checkpoint import CHECKPOINT_VERSION, save_checkpoint
+        from repro.sim.engine import Simulation
+        from repro.workloads.datasets import make_mini
+        state, items = make_mini(n_items=40).build()
+        sim = Simulation(state, PLANNERS['EATP'](state), items)
+        sim.run_until(60)
+        save_checkpoint(sim, f'tests/fixtures/checkpoint-v{CHECKPOINT_VERSION}-eatp.ckpt')"
+
+    A new envelope version adds a file; the older files stay and move to
+    whichever side of the rule the new build puts them on.
+    """
+
+    #: sha256 of the drained run's deterministic view (compact JSON,
+    #: sorted keys).  Changes only with an intentional behaviour change —
+    #: the same event that regenerates ``tests/golden/``.
+    V2_DRAINED_DIGEST = (
+        "be35beca67df87a0b190c914eb1203242cd6a82025a860c199cf9d6f9cbb22f9")
+
+    def test_v2_fixture_loads_and_drains_to_the_pinned_result(self):
+        path = FIXTURES / "checkpoint-v2-eatp.ckpt"
+        header = read_checkpoint_header(path)
+        assert (header["version"], header["tick"]) == (2, 60)
+        sim, extra = load_checkpoint(path)
+        assert extra is None
+        assert len(sim.ledger) == header["missions_completed"] == 3
+        view = drained_view(sim)
+        # The file is this build's own run, paused: same result as never
+        # having stopped, and that result is the pinned one.
+        assert view == drained_view(build_sim("EATP")[0])
+        blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
+        assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
+                == self.V2_DRAINED_DIGEST)
+
+    def test_v1_fixture_is_refused_naming_both_versions(self):
+        path = FIXTURES / "checkpoint-v1-eatp.ckpt"
+        assert read_checkpoint_header(path)["version"] == 1
+        with pytest.raises(CheckpointError,
+                           match=r"version 1 .* reads version 2"):
+            load_checkpoint(path)
+
+
+class _CountingPickler(pickle.Pickler):
+    """Collects the distinct ``Mission`` / ``Item`` objects a pickle walks
+    (by ``id``: the hook also sees every repeated reference)."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=4)
+        self.visited = set()
+
+    def persistent_id(self, obj):
+        if isinstance(obj, (Mission, Item)):
+            self.visited.add(id(obj))
+        return None
+
+
+class TestDumpCostsWhatIsLive:
+    def test_dump_does_not_walk_history(self):
+        """The pickled graph holds exactly the live missions and items —
+        active missions with their batches, items waiting on racks, items
+        fed but not yet arrived — at window 5 and, with five times the
+        history behind it, at window 25."""
+        import io
+        from repro.experiments.soak import (SoakSpec, _close_window,
+                                            _feed_through, build_soak)
+        from repro.sim.metrics import SteadyStateTracker
+
+        spec = SoakSpec(duration=10_000, window_ticks=400)
+        sim, stream, harness = build_soak(spec)
+        tracker = SteadyStateTracker(spec.window_ticks)
+        visited, completed = {}, {}
+        for window in range(1, 26):
+            _feed_through(sim, stream, harness, tracker.next_boundary,
+                          spec.feed_chunk)
+            sim.run_until(tracker.next_boundary)
+            _close_window(sim, tracker, harness)
+            if window in (5, 25):
+                pickler = _CountingPickler(io.BytesIO())
+                pickler.dump((sim, {"stream": stream, "tracker": tracker,
+                                    "harness": harness}))
+                live = (len(sim._active) + sim.items_total
+                        - sim.ledger.n_items)
+                assert len(pickler.visited) == live, window
+                visited[window] = live
+                completed[window] = len(sim.ledger)
+        assert completed[25] > 4 * completed[5]  # history did grow
+        # ... and the walk did not: the two live sets differ by no more
+        # than where each boundary fell within a feed chunk and how many
+        # robots were out.
+        assert (abs(visited[25] - visited[5])
+                <= spec.feed_chunk + spec.n_robots), visited
+        history = harness.series[-1]["history"]
+        assert history["missions"] == completed[25]
+        assert history["pending_items"] == visited[25] - len(sim._active)
 
 
 class TestServiceStepping:

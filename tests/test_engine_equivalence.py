@@ -69,6 +69,9 @@ def test_engines_identical_over_mini_family(planner_name):
                  for m in event_result.missions]
                 == [(m.robot_id, m.rack_id, m.dispatched_at)
                     for m in legacy_result.missions]), scenario.name
+        # Every field: the event engine's missions are rebuilt from its
+        # packed ledger, the oracle's are the objects it retired.
+        assert event_result.missions == legacy_result.missions, scenario.name
         assert (event_result.trace.samples
                 == legacy_result.trace.samples), scenario.name
         # Then the full serialised payload, field by field.

@@ -26,6 +26,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.planners import PLANNERS
+from repro.sim.missions import MissionStage
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.workloads.datasets import make_mini
 from repro.experiments.harness import run_planner
@@ -109,6 +110,27 @@ def test_golden_trace(planner, update_golden):
     if golden != actual:
         diff = "\n".join(field_diff(golden, actual))
         pytest.fail(f"{planner} diverged from its golden trace:\n{diff}")
+
+
+@pytest.mark.parametrize("planner", sorted(PLANNERS))
+def test_result_missions_match_the_golden_mission_order(planner):
+    """``result.missions`` — built from the ledger on first access — shows
+    readers what the golden files froze when it was a list of objects."""
+    result = run_planner(make_mini(seed=GOLDEN_SEED, n_items=GOLDEN_ITEMS),
+                         planner)
+    assert result._missions is None  # the run itself built no objects
+    golden = json.loads(
+        (GOLDEN_DIR / f"{planner.lower()}.json").read_text(encoding="utf-8"))
+    missions = result.missions
+    assert missions is result.missions  # built once
+    assert [{"robot_id": m.robot_id, "rack_id": m.rack_id,
+             "item_ids": [item.item_id for item in m.batch],
+             "dispatched_at": m.dispatched_at}
+            for m in missions] == golden["missions"]
+    assert all(m.stage is MissionStage.DONE and m.path is None
+               and m.stage_entered_at > m.dispatched_at for m in missions)
+    assert all(item.rack_id == m.rack_id for m in missions
+               for item in m.batch)
 
 
 def test_golden_files_have_no_timing_fields():

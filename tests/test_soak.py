@@ -96,6 +96,17 @@ class TestRunSoak:
             assert entry["reservation"]["memory_bytes"] >= 0
             assert "cache" in entry  # EATP exposes its cache counters
 
+    def test_history_is_the_series_that_grows(self, report):
+        history = [entry["history"] for entry in report["windows"]]
+        missions = [h["missions"] for h in history]
+        assert missions == sorted(missions) and missions[-1] > missions[0]
+        assert history[-1]["ledger_bytes"] > history[0]["ledger_bytes"]
+        # Every fed item is in exactly one place: the ledger or pending.
+        assert all(h["items"] >= h["missions"] and h["pending_items"] >= 0
+                   for h in history)
+        assert (history[-1]["items"] + history[-1]["pending_items"]
+                <= report["final"]["items_processed"])
+
     def test_restore_is_bit_identical(self, report):
         assert report["restore"]["bit_identical"]
         assert report["restore"]["checkpoint_bytes"] > 0
