@@ -129,8 +129,8 @@ SMOKE_MIN_FASTPATH_SPEEDUP = 1.5
 
 #: Rungs of the paper-scale big-ladder kernel (PR 6): the 541×302
 #: paper-true floor at the fleet sizes the paper excluded as "too slow
-#: to execute".  Region-sharded reservations, batched wakes and the
-#: wait-following rescue are auto-on here (the floor is far above
+#: to execute".  Region-sharded reservations and the wait-following
+#: rescue are auto-on here (the floor is far above
 #: ``PAPER_SCALE_MIN_CELLS``).
 BIG_LADDER_FLEETS = (500, 1000, 3000)
 
@@ -449,7 +449,6 @@ def _bench_engine_rung(spec, planner_name="NTP"):
         for checkpoint in view["metrics"]["checkpoints"]:
             checkpoint["memory_bytes"] = 0
         view["metrics"]["fastpath"] = {}
-        view["metrics"]["batch"] = {}
         return view
 
     if (strip_memory(deterministic_view(result_to_dict(live_result)))
@@ -738,8 +737,7 @@ def _big_ladder_cell(spec, planner_name):
     cell = {"scenario": spec.name, "planner": planner_name,
             "n_robots": spec.n_robots,
             "floor": f"{spec.width}x{spec.height}",
-            "sharded_reservations": planner.sharded_reservations,
-            "batch_planning": planner.batch_planning}
+            "sharded_reservations": planner.sharded_reservations}
     started = time.perf_counter()
     try:
         result = Simulation(state, planner, items).run()
@@ -759,9 +757,6 @@ def _big_ladder_cell(spec, planner_name):
                  "wait": stats.legs_wait},
         "rescued_legs": stats.rescued_legs,
         "fastpath_audit_rejects": stats.fastpath_audit_rejects,
-        "batched_wakes": stats.batched_wakes,
-        "batched_legs": stats.batched_legs,
-        "batch_conflicts": stats.batch_conflicts,
         "search_expansions": stats.search_expansions,
         "search_kernel": search_kernel_name(),
         "searches": {"compiled": stats.searches_compiled,
@@ -785,8 +780,8 @@ def bench_big_ladder(fleets=BIG_LADDER_FLEETS, planners=BIG_LADDER_PLANNERS):
     Every cell runs live at scale 1 on the paper's Real-Large floor
     dimensions — the regime the paper excluded as "too slow to execute"
     — with the paper-scale machinery auto-on: region-sharded reservation
-    structures, batched planner wakes with optimistic commit, the
-    wait-following descent rescue, and deep-tie full search.  Records
+    structures, the wait-following descent rescue, and deep-tie full
+    search.  Records
     per-rung planning/selection seconds, the tier histogram, the PR-6
     counters and both memory gauges (the planner-structure metric and
     the process ``ru_maxrss`` high watermark).
@@ -1723,7 +1718,6 @@ def report_big_ladder(big, out_path):
               f"plan={cell['planning_s']:7.1f}s "
               f"select={cell['selection_s']:5.1f}s "
               f"rescued={cell['rescued_legs']} "
-              f"batch={cell['batched_legs']}/{cell['batch_conflicts']} "
               f"peak={cell['peak_memory_bytes'] / 1e6:.0f}MB "
               f"rss={cell['ru_maxrss_kb'] / 1024:.0f}MB")
         if ceiling is not None and cell["wall_s"] > ceiling:

@@ -45,11 +45,13 @@ def search_kernel_choice() -> str:
 
 #: Floor size (in cells) past which the "paper-scale" machinery switches on
 #: automatically when the corresponding knob is left at ``None``:
-#: region-sharded reservation structures and batched planner wakes.  Every
-#: historical scenario (the scaled-down Table II floors, the small fleet
-#: rungs, the golden-trace mini floor) sits far below this threshold, so the
-#: auto rule leaves their behaviour — and their goldens — byte-identical;
-#: the paper-true 541×302 floor (163 382 cells) lands far above it.
+#: region-sharded reservation structures and the wait-following rescue (the
+#: deep-tie search order and the lazy Manhattan fields read the same size,
+#: without a knob).  Every historical scenario (the scaled-down Table II
+#: floors, the small fleet rungs, the golden-trace mini floor) sits far
+#: below this threshold, so the auto rule leaves their behaviour — and their
+#: goldens — byte-identical; the paper-true 541×302 floor (163 382 cells)
+#: lands far above it.
 PAPER_SCALE_MIN_CELLS = 16_384
 
 
@@ -172,23 +174,6 @@ class PlannerConfig:
     shard_tile_bits:
         log2 of the tile edge length used by the sharded reservation
         structures (5 → 32×32-cell tiles).
-    batch_planning:
-        Whether a planner wake that resolves several (robot, rack) legs
-        plans them as one batch — candidates planned independently against
-        the frozen reservation table, then audited-and-committed in order
-        with an optimistic replan on audit conflict.  ``None`` (default)
-        follows the same :data:`PAPER_SCALE_MIN_CELLS` auto rule as
-        ``reservation_sharding``.
-    batch_min_legs:
-        Minimum number of resolved legs in one wake before the batch path
-        engages; smaller wakes use the sequential plan-commit loop.
-    batch_workers:
-        Process-pool width for planning the independent candidates of one
-        batch in parallel (0 — the default — plans them in-process).  The
-        pool reuses the matrix executor plumbing (spawned workers, the
-        grid shipped once at initialisation) and is only consulted by
-        planners whose pipelines are pool-replicable (no memoising
-        finisher), so pooled and in-process batches stay bit-identical.
     qlearning:
         Nested learner configuration, used by ATP and EATP only.
     seed:
@@ -208,9 +193,6 @@ class PlannerConfig:
     reservation_horizon: int = 64
     reservation_sharding: Optional[bool] = None
     shard_tile_bits: int = 5
-    batch_planning: Optional[bool] = None
-    batch_min_legs: int = 8
-    batch_workers: int = 0
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7
 
@@ -236,10 +218,6 @@ class PlannerConfig:
         _require(2 <= self.shard_tile_bits <= 10,
                  f"shard_tile_bits must be in [2, 10], "
                  f"got {self.shard_tile_bits}")
-        _require(self.batch_min_legs >= 2,
-                 f"batch_min_legs must be >= 2, got {self.batch_min_legs}")
-        _require(self.batch_workers >= 0,
-                 f"batch_workers must be >= 0, got {self.batch_workers}")
 
     def with_(self, **changes) -> "PlannerConfig":
         """Return a copy with ``changes`` applied (ablation convenience)."""

@@ -81,13 +81,7 @@ def run_planner(scenario: ScenarioSpec, planner_name: str,
             planner.attach_field_arena(attach_field_arena(arena_handle))
         except (FileNotFoundError, OSError):
             pass
-    simulation = Simulation(state, planner, items, sim_config)
-    try:
-        return simulation.run()
-    finally:
-        # Release run-scoped resources — without this, a run with
-        # ``batch_workers > 0`` would leak its worker pool processes.
-        planner.close()
+    return Simulation(state, planner, items, sim_config).run()
 
 
 def run_comparison(scenario: ScenarioSpec,

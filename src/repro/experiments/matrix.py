@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..planners import PLANNERS
+from ..sim.metrics import FASTPATH_KEYS
 from ..workloads.datasets import SCENARIO_FAMILIES, scenario_family
 from .harness import DEFAULT_PLANNERS, plan_cells, run_matrix
 from .reporting import format_table
@@ -140,7 +141,9 @@ def render_fastpath_summary(payloads: Dict[str, dict]) -> str:
     healthy sweep shows a high hit rate.  Counters come from the
     serialised run metrics (``metrics.fastpath``), so cells stored by
     releases that predate the fast path read all-zero and are reported as
-    carrying no attempts.
+    carrying no attempts.  ``rescued_legs`` (tier 0.5, already inside
+    ``free_flow_legs``) is reported beside the hit rate, never in its
+    denominator.
 
     Per-scenario peak planner memory rides along (one line per rung):
     the fleet ladder's large rungs exist precisely because the paper's
@@ -148,7 +151,7 @@ def render_fastpath_summary(payloads: Dict[str, dict]) -> str:
     sweep surfaces the Fig. 12 peak without anyone opening the results
     directory.
     """
-    totals = {"free_flow_legs": 0, "audit_rejects": 0, "misses": 0}
+    totals = dict.fromkeys(FASTPATH_KEYS, 0)
     scenarios: List[str] = []
     peaks: Dict[str, List[str]] = {}
     for payload in payloads.values():
@@ -164,7 +167,8 @@ def render_fastpath_summary(payloads: Dict[str, dict]) -> str:
                 scenarios.append(scenario)
             peaks.setdefault(scenario, []).append(
                 f"{payload.get('planner', '?')} {_fmt_bytes(peak)}")
-    attempts = sum(totals.values())
+    rescued = totals["rescued_legs"]
+    attempts = sum(totals.values()) - rescued
     if not attempts:
         lines = ["fast path: no tier-0 attempts recorded"]
     else:
@@ -172,32 +176,13 @@ def render_fastpath_summary(payloads: Dict[str, dict]) -> str:
                  f"free-flow ({totals['free_flow_legs'] / attempts:.0%} hit "
                  f"rate; {totals['audit_rejects']} audit rejects, "
                  f"{totals['misses']} misses)"]
+        if rescued:
+            lines[0] += (f"; {rescued} conflicted descents rescued by "
+                         f"wait-following")
     for scenario in scenarios:
         lines.append(f"  peak memory [{scenario}]: "
                      + ", ".join(peaks[scenario]))
     return "\n".join(lines)
-
-
-def render_batch_summary(payloads: Dict[str, dict]) -> str:
-    """Aggregate batched-wake counts — the batch commit loop's pulse.
-
-    All-zero (and a one-line "none") below the paper-scale gate; at
-    paper scale the conflict/leg ratio tells whether optimistic commits
-    are holding up.
-    """
-    totals = {"batched_wakes": 0, "batched_legs": 0, "batch_conflicts": 0,
-              "rescued_legs": 0}
-    for payload in payloads.values():
-        batch = payload["result"]["metrics"].get("batch", {})
-        for key in totals:
-            totals[key] += batch.get(key, 0)
-    if not (totals["batched_wakes"] or totals["rescued_legs"]):
-        return "batched wakes: none (all wakes planned sequentially)"
-    return (f"batched wakes: {totals['batched_legs']} legs across "
-            f"{totals['batched_wakes']} wakes, "
-            f"{totals['batch_conflicts']} commit conflicts replanned; "
-            f"{totals['rescued_legs']} conflicted descents rescued by "
-            f"wait-following")
 
 
 def main(argv=None) -> None:
@@ -244,7 +229,6 @@ def main(argv=None) -> None:
     print(render_slowest_cells(payloads))
     print(render_fallback_summary(payloads))
     print(render_fastpath_summary(payloads))
-    print(render_batch_summary(payloads))
     if store is not None:
         print(f"cells stored under {store.root}/")
 

@@ -162,9 +162,9 @@ class FieldArena:
     """Read-only shared-memory store of eager heuristic-field buffers.
 
     One :mod:`multiprocessing.shared_memory` block holds the int32
-    distance buffer of every exported goal back to back, so matrix and
-    batch worker pools *inherit* fields by attaching instead of paying
-    a full-floor BFS flood per goal per process — the fields are
+    distance buffer of every exported goal back to back, so matrix
+    worker pools *inherit* fields by attaching instead of paying a
+    full-floor BFS flood per goal per process — the fields are
     physically shared pages, not per-worker copies.  The arena is
     immutable after build; attached :class:`HeuristicField` views are
     value-identical to locally flooded ones by construction (same

@@ -255,8 +255,8 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
 
     Tile blocks are indexed ``((x & mask) << bits) | (y & mask)``; no
     grid reference is needed (tiling is pure coordinate arithmetic),
-    which also keeps the table cheaply picklable for the in-run batch
-    pool.  Directed edges stay in the shared tick-keyed edge buckets for
+    which also keeps a checkpoint of the table proportional to live
+    reservations, not floor size.  Directed edges stay in the shared tick-keyed edge buckets for
     the same reason as the sharded CDT.  Byte counts are tracked
     incrementally so ``memory_bytes`` — charged per simulation event —
     is O(1).

@@ -19,8 +19,8 @@ import abc
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional
 
 from ..config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from ..errors import PlanningError
@@ -74,12 +74,6 @@ class PlannerStats:
     search_expansions: int = 0
     search_peak_open: int = 0
     cache_finished_legs: int = 0
-    #: Batched planner wakes (see ``Planner._plan_wake_batch``): how many
-    #: wakes planned their legs as one batch, how many legs rode in them,
-    #: and how many candidates an audit rejected into a sequential replan.
-    batched_wakes: int = 0
-    batched_legs: int = 0
-    batch_conflicts: int = 0
     #: Conflicted descents served by the paper-scale wait-following
     #: rescue (tier 0.5) instead of the full search; counted inside
     #: ``legs_free_flow`` in the tier histogram.
@@ -137,14 +131,6 @@ class Planner(abc.ABC):
     #: checkpoints pickled before the arena existed restore cleanly.
     _arena_handle = None
 
-    #: Whether the planner's leg planning can run in a worker process of
-    #: the in-run batch pool.  Requires leg planning to be a pure function
-    #: of (grid, config, reservation): EATP flips this off because its
-    #: cache-aided finisher memoises into the shortest-path cache — worker
-    #: processes would silently diverge from the main process's cache (and
-    #: its Fig. 12 memory metric).
-    parallel_batch_safe: bool = True
-
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
         self.state = state
@@ -152,20 +138,15 @@ class Planner(abc.ABC):
         self.grid = state.grid
         #: Paper-scale auto-gate: on floors of at least
         #: :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells the
-        #: scalability machinery (region-sharded reservations, batched
-        #: planner wakes) defaults on; every historical scenario sits far
-        #: below, so their runs stay byte-identical.  Explicit config
-        #: knobs override in either direction.
+        #: reservation structure defaults to its region-sharded form;
+        #: every historical scenario sits far below, so their runs stay
+        #: byte-identical.  The explicit config knob overrides in either
+        #: direction.
         self.paper_scale: bool = self.grid.n_cells >= PAPER_SCALE_MIN_CELLS
         self.sharded_reservations: bool = (
             self.config.reservation_sharding
             if self.config.reservation_sharding is not None
             else self.paper_scale)
-        self.batch_planning: bool = (
-            self.config.batch_planning
-            if self.config.batch_planning is not None
-            else self.paper_scale)
-        self._batch_pool = None
         self.reservation: ReservationTable = self._make_reservation()
         #: Exact per-goal heuristic fields, shared by every leg to the
         #: same picker / rack home (one BFS per distinct goal, ever).
@@ -205,11 +186,11 @@ class Planner(abc.ABC):
     #: The pipeline captures closures over ``self``; the heuristic-field
     #: and free-flow caches hold closure/weakref invalidation listeners
     #: and are pure functions of the immutable grid (rebuilt entries are
-    #: bit-identical, and neither is charged to the MC metric); the batch
-    #: pool is a live process pool.  Everything that carries *state* —
-    #: the reservation structure, the RNG, the learner, EATP's
-    #: shortest-path cache (which IS charged to MC) — is pickled as-is.
-    _UNPICKLED = ("pipeline", "heuristics", "free_flow", "_batch_pool")
+    #: bit-identical, and neither is charged to the MC metric).
+    #: Everything that carries *state* — the reservation structure, the
+    #: RNG, the learner, EATP's shortest-path cache (which IS charged to
+    #: MC) — is pickled as-is.
+    _UNPICKLED = ("pipeline", "heuristics", "free_flow")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -237,9 +218,8 @@ class Planner(abc.ABC):
         """Read heuristic fields from a shared :class:`FieldArena`.
 
         The harness calls this right after construction so matrix
-        workers (and this planner's own batch pool, which inherits the
-        handle at spawn) reuse the parent-built int32 distance fields
-        over shared memory instead of re-flooding them per process.
+        workers reuse the parent-built int32 distance fields over shared
+        memory instead of re-flooding them per process.
         Fields for goals outside the arena still flood locally; every
         answer is bit-identical either way.
         """
@@ -294,33 +274,22 @@ class Planner(abc.ABC):
                 f"{self.name} selected {len(entries)} racks for "
                 f"{len(robots)} idle robots")
 
-        # Resolve every (robot, rack) pair before planning any leg.
-        # Resolution reads only robot locations and the availability set —
-        # never the reservation structure — so hoisting it out of the
-        # planning loop is behaviour-neutral, and it is what allows a
-        # batched wake to see all of the tick's legs at once.
+        # The per-rack loop of Alg. 1 / Alg. 3: closest idle robot, ST-A*
+        # against the reservation structure, reserve, next — so each leg
+        # is planned against every earlier leg's reservation.
         available = {robot.robot_id: robot for robot in robots}
-        resolved: List[tuple] = []
         for entry in entries:
-            robot = entry.robot
+            robot, rack = entry.robot, entry.rack
             if robot is None:
-                robot = self._closest_robot(entry.rack, available.values())
+                robot = self._closest_robot(rack, available.values())
             if robot.robot_id not in available:
                 raise PlanningError(
                     f"{self.name} reused robot {robot.robot_id} at t={t}")
             del available[robot.robot_id]
-            resolved.append((robot, entry.rack))
-
-        if self.batch_planning and len(resolved) >= self.config.batch_min_legs:
-            paths = self._plan_wake_batch(
-                t, [(robot.location, rack.home) for robot, rack in resolved])
-        else:
-            paths = [self._plan_leg_timed(t, robot.location, rack.home)
-                     for robot, rack in resolved]
-        for (robot, rack), path in zip(resolved, paths):
-            scheme.add(Assignment(robot_id=robot.robot_id,
-                                  rack_id=rack.rack_id,
-                                  pickup_path=path))
+            scheme.add(Assignment(
+                robot_id=robot.robot_id, rack_id=rack.rack_id,
+                pickup_path=self._plan_leg_timed(t, robot.location,
+                                                 rack.home)))
         self.stats.schemes_emitted += 1
         self.stats.assignments_emitted += len(scheme)
         # End-of-wake high-water update: a selection can grow subclass
@@ -463,96 +432,13 @@ class Planner(abc.ABC):
         self._commit_leg(leg)
         return leg.path
 
-    # -- batched planner wakes ----------------------------------------------
-
-    def _plan_wake_batch(self, t: Tick,
-                         legs: Sequence[Tuple[Cell, Cell]]) -> List[Path]:
-        """Plan one wake's legs as a batch: candidates first, commits after.
-
-        Every leg is planned *independently* against the wake's opening
-        reservation state (optionally fanned across the worker pool), then
-        committed in resolution order with an optimistic audit: a
-        candidate whose committed portion survives the audit against the
-        now-partially-committed table is exactly as conflict-free as a
-        sequentially planned leg, so it commits as-is; a candidate the
-        audit rejects is replanned once against the live table — which
-        *is* the sequential contract for that leg — and the replan's
-        result commits unconditionally (the pipeline plans against live
-        reservations, so it cannot conflict).  The first leg never needs
-        the audit: nothing has committed since its candidate was planned.
-
-        Sequential and batched wakes therefore uphold the same invariant —
-        every committed leg is conflict-free against all earlier commits —
-        but batched candidates are planned against slightly staler
-        reservations, so individual paths may differ from a sequential
-        run's (a deliberate, documented trade: below the paper-scale gate
-        batching defaults off and runs stay byte-identical).  Candidate
-        generation and conflict replans are timed into
-        ``planning_seconds``; commits stay outside the timer, exactly like
-        the sequential path.
-        """
-        stats = self.stats
-        stats.batched_wakes += 1
-        stats.batched_legs += len(legs)
-        pool = self._batch_planner_pool()
-        started = time.perf_counter()
-        try:
-            if pool is not None:
-                candidates = pool.plan(self.reservation, t, legs)
-            else:
-                candidates = [self.pipeline.plan_leg(t, source, goal)
-                              for source, goal in legs]
-        finally:
-            stats.planning_seconds += time.perf_counter() - started
-        paths: List[Path] = []
-        for index, leg in enumerate(candidates):
-            if index and not self._commit_clean(leg):
-                stats.batch_conflicts += 1
-                source, goal = legs[index]
-                started = time.perf_counter()
-                try:
-                    leg = self.pipeline.plan_leg(t, source, goal)
-                finally:
-                    stats.planning_seconds += time.perf_counter() - started
-            self._commit_leg(leg)
-            paths.append(leg.path)
-        return paths
-
-    def _commit_clean(self, leg: LegPlan) -> bool:
-        """Whether a batch candidate's committed portion is conflict-free.
-
-        Audits exactly what :meth:`_commit_leg` would insert: the commit
-        path truncated at the windowed-commit bound (``reserve_path``
-        stores vertices through ``commit_until`` and edges departing
-        before it; the truncated path's audit probes precisely that set).
-        """
-        commit = leg.commit_path
-        if leg.commit_until is not None:
-            commit = commit.truncate_at(leg.commit_until)
-        return self.reservation.audit_path(commit)
-
-    def _batch_planner_pool(self):
-        """The lazily built in-run worker pool, or ``None`` (the default).
-
-        Built on the first batched wake when ``config.batch_workers`` asks
-        for workers and the planner's leg planning is pool-safe; the pool
-        ships the immutable grid once at worker start and the reservation
-        state per wake, so it only pays off when candidate search work
-        dominates (many simultaneous legs on a large floor).
-        """
-        if (self._batch_pool is None and self.config.batch_workers > 0
-                and self.parallel_batch_safe):
-            from .batch import LegPlanPool
-            self._batch_pool = LegPlanPool(self.grid, self.config,
-                                           self.config.batch_workers,
-                                           arena_handle=self._arena_handle)
-        return self._batch_pool
-
     def close(self) -> None:
-        """Release run-scoped resources (the batch worker pool)."""
-        if self._batch_pool is not None:
-            self._batch_pool.close()
-            self._batch_pool = None
+        """Release run-scoped resources: none today (an empty hook).
+
+        Kept only because the frozen ``bench/workloads.py`` calls it
+        after every paper-floor drain; see ROADMAP's measurement-plane
+        item for when it can go.
+        """
 
     def _commit_leg(self, leg: LegPlan) -> None:
         """Reserve a leg plan and fold it into the planner counters."""

@@ -42,11 +42,6 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
 
     name = "EATP"
 
-    #: The cache-aided finisher memoises into the shortest-path cache at
-    #: plan time; a worker process would grow its own divergent cache (and
-    #: memory metric), so EATP's batched wakes always plan in-process.
-    parallel_batch_safe = False
-
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
         super().__init__(state, config)

@@ -662,11 +662,6 @@ class Simulation:
                 "free_flow_legs": self.planner.stats.legs_free_flow,
                 "audit_rejects": self.planner.stats.fastpath_audit_rejects,
                 "misses": self.planner.stats.fastpath_misses,
-            },
-            batch={
-                "batched_wakes": self.planner.stats.batched_wakes,
-                "batched_legs": self.planner.stats.batched_legs,
-                "batch_conflicts": self.planner.stats.batch_conflicts,
                 "rescued_legs": self.planner.stats.rescued_legs,
             },
         )

@@ -24,24 +24,15 @@ FALLBACK_KEYS = ("windowed_legs", "wait_legs", "horizon_replans")
 
 #: Keys of the tier-0 fast-path accounting attached to run metrics
 #: (free-flow legs served without searching, candidates a reservation
-#: audit rejected, legs with no auditable candidate).  Same normalisation
+#: audit rejected, legs with no auditable candidate, and — tier 0.5, a
+#: subset of ``free_flow_legs`` — conflicted descents the wait-following
+#: rescue served instead of the full search).  Same normalisation
 #: contract as :data:`FALLBACK_KEYS`: a missing dict — results stored
 #: before the fast path existed — reads all-zero.  The counters are
 #: deterministic (they depend only on the run's seeds, never on timing),
 #: so they survive :func:`~repro.sim.serialize.deterministic_view` and
 #: compare exactly across serial and worker-pool runs.
-FASTPATH_KEYS = ("free_flow_legs", "audit_rejects", "misses")
-
-#: Keys of the batched-wake accounting attached to run metrics (wakes
-#: that planned their legs as one batch, legs that rode in them, and
-#: candidates whose commit audit forced a sequential replan).  Same
-#: normalisation contract as :data:`FALLBACK_KEYS`: a missing dict —
-#: results stored before batched wakes existed, or any run below the
-#: paper-scale gate — reads all-zero.  The counters depend only on the
-#: run's seeds and config, so they survive
-#: :func:`~repro.sim.serialize.deterministic_view`.
-BATCH_KEYS = ("batched_wakes", "batched_legs", "batch_conflicts",
-              "rescued_legs")
+FASTPATH_KEYS = ("free_flow_legs", "audit_rejects", "misses", "rescued_legs")
 
 
 @dataclass(frozen=True)
@@ -71,14 +62,8 @@ class RunMetrics:
     many legs the free-flow fast path served without searching, and why
     the others fell through to the full search.  Unlike ``fallback`` it
     is *expected* to be non-zero on healthy runs — a high hit rate is the
-    fast path doing its job.
-
-    ``batch`` is the paper-scale accounting (:data:`BATCH_KEYS`): the
-    batched-wake counters plus ``rescued_legs``, the conflicted descents
-    the wait-following rescue served instead of the full search.
-    All-zero on every run below the paper-scale gate (batching and the
-    rescue default off there); at paper scale a low ``batch_conflicts``
-    / ``batched_legs`` ratio is the optimistic commit doing its job.
+    fast path doing its job.  Its ``rescued_legs`` is zero on every run
+    below the paper-scale gate (the rescue defaults off there).
     """
 
     makespan: Tick = 0
@@ -92,7 +77,6 @@ class RunMetrics:
     checkpoints: List[CheckpointSample] = field(default_factory=list)
     fallback: Dict[str, int] = field(default_factory=dict)
     fastpath: Dict[str, int] = field(default_factory=dict)
-    batch: Dict[str, int] = field(default_factory=dict)
 
     def fallback_view(self) -> Dict[str, int]:
         """``fallback`` with every key present (missing keys read 0)."""
@@ -101,10 +85,6 @@ class RunMetrics:
     def fastpath_view(self) -> Dict[str, int]:
         """``fastpath`` with every key present (missing keys read 0)."""
         return {key: self.fastpath.get(key, 0) for key in FASTPATH_KEYS}
-
-    def batch_view(self) -> Dict[str, int]:
-        """``batch`` with every key present (missing keys read 0)."""
-        return {key: self.batch.get(key, 0) for key in BATCH_KEYS}
 
     @property
     def total_planner_seconds(self) -> float:

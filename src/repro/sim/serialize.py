@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .engine import SimulationResult
-from .metrics import (BATCH_KEYS, FALLBACK_KEYS, FASTPATH_KEYS,
-                      CheckpointSample, RunMetrics, WindowSample)
+from .metrics import (FALLBACK_KEYS, FASTPATH_KEYS, CheckpointSample,
+                      RunMetrics, WindowSample)
 from .trace import BottleneckTrace
 
 #: Keys holding wall-clock measurements, excluded from exact comparisons.
@@ -46,10 +46,6 @@ def metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
         # engines thread them from the live planner stats, so legacy-vs-
         # event equivalence comparisons see identical values.
         "fastpath": metrics.fastpath_view(),
-        # Batched-wake counters, same normalisation contract (all-zero on
-        # every run below the paper-scale gate and on stored payloads
-        # that predate batching).
-        "batch": metrics.batch_view(),
         "checkpoints": [
             {"items_processed": c.items_processed, "tick": c.tick,
              "ppr": c.ppr, "rwr": c.rwr,
@@ -143,9 +139,7 @@ def metrics_from_dict(payload: Dict[str, Any]) -> RunMetrics:
         fallback={key: payload.get("fallback", {}).get(key, 0)
                   for key in FALLBACK_KEYS},
         fastpath={key: payload.get("fastpath", {}).get(key, 0)
-                  for key in FASTPATH_KEYS},
-        batch={key: payload.get("batch", {}).get(key, 0)
-               for key in BATCH_KEYS})
+                  for key in FASTPATH_KEYS})
 
 
 def deterministic_view(payload: Any) -> Any:

@@ -1,29 +1,27 @@
-"""Batched planner wakes, the worker pool, the paper-scale auto-gate,
-and the tier-0.5 wait-following rescue.
+"""Many-leg planner wakes through the one plan-then-reserve loop, the
+paper-scale auto-gate, and the tier-0.5 wait-following rescue.
 
-The batched-wake contract (see ``Planner._plan_wake_batch``): candidates
-are planned independently against the wake's opening reservation state,
-then committed in order behind an optimistic audit — a rejected candidate
-is replanned once against the live table, which *is* the sequential
-contract for that leg.  The invariant the suite pins is therefore not
-path identity (candidates see staler reservations by design) but
-conflict-freedom of everything committed, plus exact accounting.
+A planner wake is the paper's Alg. 1 / Alg. 3 loop on every floor size:
+per selected rack — closest idle robot, ST-A* against the reservation
+structure, reserve, next.  The suite pins that ``Planner.plan`` with many
+resolved legs *is* that many ``plan_leg`` calls in the same order (paths,
+counters and reservation footprint), and that whatever a congested wake
+commits is conflict-free when replayed onto a fresh table.
 
-The worker pool must be a pure wall-clock knob: a run with
-``batch_workers=2`` produces the identical deterministic view as the
-inline batch, because workers plan the same candidates against the same
-shipped reservation state and the audit-then-commit loop runs unchanged
-in the main process.
+What the :data:`~repro.config.PAPER_SCALE_MIN_CELLS` gate still decides —
+reservation sharding, the rescue, the deep-tie search order — is pinned
+here too.  (The file keeps its PR-6 name so the surviving test ids stay
+stable.)
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
-from repro.experiments.harness import run_planner
 from repro.pathfinding.cdt import ShardedConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
@@ -34,129 +32,162 @@ from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.pathfinding.st_astar import find_path
 from repro.planners import PLANNERS
-from repro.sim.metrics import BATCH_KEYS
-from repro.sim.serialize import (deterministic_view, metrics_from_dict,
-                                 metrics_to_dict, result_to_dict)
-from repro.warehouse.entities import Rack
+from repro.planners.base import SelectionEntry
+from repro.warehouse.entities import Item, Picker, Rack, Robot
 from repro.warehouse.grid import Grid
 from repro.warehouse.state import WarehouseState
-from repro.workloads.datasets import ItemStreamSpec, make_mini
+from repro.workloads.datasets import make_mini
 
-#: Forces batching on the sub-gate mini floor: every wake with at least
-#: two legs plans as a batch.
-FORCED_BATCH = dict(batch_planning=True, batch_min_legs=2)
+#: Counters a ``plan()`` wake moves and bare ``plan_leg`` calls do not
+#: (or that are wall-clock): set aside when comparing the two.
+WAKE_ONLY_STATS = ("selection_seconds", "planning_seconds",
+                   "schemes_emitted", "assignments_emitted")
 
 
-def bursty_mini(seed: int = 1, n_items: int = 30):
-    """The mini floor under arrivals fast enough to co-idle robots.
+def wake_world(grid: Grid, legs) -> WarehouseState:
+    """A floor where leg ``i`` is robot ``i`` (at its source) fetching
+    rack ``i`` (homed at its goal, one pending item)."""
+    racks = [Rack(rack_id=i, home=goal, picker_id=0,
+                  pending_items=[Item(item_id=i, rack_id=i, arrival=0,
+                                      processing_time=5)])
+             for i, (__, goal) in enumerate(legs)]
+    robots = [Robot(robot_id=i, location=source)
+              for i, (source, __) in enumerate(legs)]
+    return WarehouseState(grid=grid, racks=racks,
+                          pickers=[Picker(picker_id=0, location=(0, 0))],
+                          robots=robots)
 
-    The stock mini stream (poisson rate 0.4) wakes the planner one leg
-    at a time, so a forced-batch run would never actually batch; at
-    rate 3.0 several items land per tick and multi-leg wakes occur
-    (seed 1 is pinned: two batched wakes, five batched legs).
+
+def scripted(planner_name: str):
+    """``planner_name`` with selection replaced by "i-th rack to i-th
+    robot" (both ascending by id) — the pre-matched form EATP's flip
+    requesting hands the base loop."""
+    class Scripted(PLANNERS[planner_name]):
+        def _select(self, t, racks, robots):
+            return [SelectionEntry(rack, robot)
+                    for rack, robot in zip(racks, robots)]
+    return Scripted
+
+
+def head_on_legs(y: int, x_left: int, x_right: int, pairs: int):
+    """``2 * pairs`` legs along rows ``y, y+1, …``: on every row one
+    robot crosses left→right and another right→left, head-on."""
+    legs = []
+    for row in range(pairs):
+        a, b = (x_left, y + row), (x_right, y + row)
+        legs += [(a, b), (b, a)]
+    return legs
+
+
+def assert_wake_is_the_sequential_loop(make_planner, t: int = 0):
+    """``plan(t)`` equals successive ``plan_leg`` calls on a twin planner.
+
+    ``make_planner`` builds a fresh (world, planner) each call; the twin
+    replays the wake's own (robot, rack) order leg by leg.  Paths, the
+    deterministic counters and the structure footprint must all agree.
     """
-    spec = make_mini(seed=seed, n_items=n_items)
-    return replace(spec, items=ItemStreamSpec.of(
-        "poisson", n_items=n_items, n_racks=12, rate=3.0, seed=seed,
-        processing_low=5, processing_high=12))
+    planner, twin = make_planner(), make_planner()
+    scheme = planner.plan(t)
+    for assignment in scheme:
+        robot = twin.state.robots[assignment.robot_id]
+        rack = twin.state.racks[assignment.rack_id]
+        assert twin.plan_leg(t, robot.location, rack.home) \
+            == assignment.pickup_path
+    stats, twin_stats = (dataclasses.asdict(p.stats) for p in (planner, twin))
+    for key in WAKE_ONLY_STATS:
+        del stats[key], twin_stats[key]
+    assert stats == twin_stats
+    assert planner.memory_bytes() == twin.memory_bytes()
+    return scheme, planner
 
 
-def open_row(grid: Grid, length: int):
-    """Endpoints of a horizontal run of ``length`` passable cells."""
-    for y in range(grid.height):
-        run = 0
-        for x in range(grid.width):
-            run = run + 1 if grid.passable((x, y)) else 0
-            if run >= length:
-                return (x - length + 1, y), (x, y)
-    raise AssertionError(f"no open row of {length} cells in the fixture")
+class TestWakeIsTheSequentialLoop:
+    """Fails before PR 18 on the at-gate floor — not on the paths (a
+    batched wake's conflict replan *was* the sequential leg) but on the
+    counters: every candidate the commit audit rejected had already paid
+    its search once (361 expansions against the loop's 252 here)."""
 
+    #: Traffic already on the table when the wake opens: two robots parked
+    #: past the rescue's wait caps (those rows must search), one parked
+    #: briefly (rescued), two crossing the rows.
+    CROSS_TRAFFIC = [([(36, 42)] * 40, 0), ([(42, 41)] * 40, 0),
+                     ([(38, 43)] * 12, 0),
+                     ([(40, y) for y in range(36, 50)], 3),
+                     ([(44, y) for y in range(49, 35, -1)], 5)]
 
-@pytest.fixture(scope="module")
-def forced_batch_result():
-    """One forced-batch NTP run over the bursty mini floor, shared."""
-    return run_planner(bursty_mini(), "NTP",
-                       planner_config=PlannerConfig(**FORCED_BATCH))
+    def at_gate(self, planner_name):
+        assert 128 * 128 == PAPER_SCALE_MIN_CELLS
 
+        def make_planner():
+            legs = head_on_legs(y=40, x_left=30, x_right=50, pairs=5)
+            planner = scripted(planner_name)(
+                wake_world(Grid(128, 128), legs))
+            for cells, t0 in self.CROSS_TRAFFIC:
+                planner.reservation.reserve_path(
+                    Path.from_cells(cells, start_time=t0))
+            return planner
+        return make_planner
 
-class TestForcedBatchRuns:
-    def test_run_drains_and_counts_batches(self, forced_batch_result):
-        # run_planner raising on an undrained run is the completion
-        # check; here we pin that batching actually engaged.
-        batch = forced_batch_result.metrics.batch_view()
-        assert batch["batched_wakes"] >= 1
-        assert batch["batched_legs"] >= batch["batched_wakes"]
-        assert batch["batch_conflicts"] >= 0
+    @pytest.mark.parametrize("planner_name", ["NTP", "EATP"])
+    def test_at_gate_floor(self, planner_name):
+        scheme, planner = assert_wake_is_the_sequential_loop(
+            self.at_gate(planner_name))
+        assert len(scheme) == 10
+        assert planner.paper_scale
+        # The wake was congested: most legs lost tier 0 and searched.
+        assert planner.stats.legs_full >= 5
 
-    def test_batch_off_below_gate_counters_zero(self):
-        spec = make_mini(seed=7, n_items=30)
-        result = run_planner(spec, "NTP")
-        assert result.metrics.batch_view() == {key: 0 for key in BATCH_KEYS}
+    @pytest.mark.parametrize("planner_name", ["NTP", "EATP"])
+    def test_mini_floor(self, planner_name):
+        spec = replace(make_mini(seed=3, n_items=10), n_robots=9)
+        # NTP as shipped (most-slack selection, closest-robot resolution);
+        # EATP's learned policy would defer most racks, so script it.
+        planner_class = (PLANNERS["NTP"] if planner_name == "NTP"
+                         else scripted(planner_name))
 
-    def test_batch_metrics_round_trip(self, forced_batch_result):
-        payload = metrics_to_dict(forced_batch_result.metrics)
-        rebuilt = metrics_from_dict(payload)
-        assert rebuilt.batch_view() == forced_batch_result.metrics.batch_view()
+        def make_planner():
+            state, __ = spec.build()
+            for rack in state.racks:
+                state.deliver_item(Item(item_id=rack.rack_id,
+                                        rack_id=rack.rack_id, arrival=0,
+                                        processing_time=5))
+            return planner_class(state)
+
+        scheme, planner = assert_wake_is_the_sequential_loop(make_planner)
+        assert len(scheme) >= 8
+        assert not planner.paper_scale
 
 
 class TestBatchConflictReplan:
+    """The PR-6 batch fixtures, kept as inputs to the one loop."""
+
     def test_head_on_batch_commits_conflict_free(self):
-        """Two head-on candidates: the audit catches the second, the
-        replan routes it around, and both commits are conflict-free."""
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(**FORCED_BATCH))
-        a, b = open_row(state.grid, 6)
-        paths = planner._plan_wake_batch(0, [(a, b), (b, a)])
-        assert planner.stats.batched_wakes == 1
-        assert planner.stats.batched_legs == 2
-        # Both free-flow candidates hug the same row in opposite
-        # directions, so the second one's audit must have failed.
-        assert planner.stats.batch_conflicts == 1
-        # Replay the commits onto a fresh table: each path must audit
-        # clean against everything committed before it.
-        fresh = SpatiotemporalGraph(state.grid)
-        for path in paths:
+        """Eight head-on legs in one wake: every leg is planned against
+        the reservations of the legs before it, so replaying the commits
+        onto a fresh table audits clean leg by leg."""
+        grid = Grid(12, 10)
+        legs = head_on_legs(y=3, x_left=2, x_right=9, pairs=4)
+        planner = scripted("NTP")(wake_world(grid, legs))
+        scheme = planner.plan(0)
+        assert len(scheme) == 8
+        # Each row's second robot meets the first one's descent head-on.
+        assert planner.stats.fastpath_audit_rejects >= 4
+        fresh = SpatiotemporalGraph(grid)
+        for assignment, (source, goal) in zip(scheme, legs):
+            path = assignment.pickup_path
+            assert (path.source, path.goal) == (source, goal)
             assert fresh.audit_path(path) is True
             fresh.reserve_path(path)
 
     def test_disjoint_batch_needs_no_replan(self):
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(**FORCED_BATCH))
-        a, b = open_row(state.grid, 6)
-        # Same direction, staggered start cells: candidates never meet.
-        paths = planner._plan_wake_batch(0, [(a, b), (a, b)])
-        assert planner.stats.batch_conflicts in (0, 1)
-        assert len(paths) == 2
-
-
-class TestWorkerPool:
-    def test_pool_matches_inline_batch(self):
-        """``batch_workers=2`` is wall-clock only: identical view."""
-        views = {}
-        for workers in (0, 2):
-            config = PlannerConfig(batch_workers=workers, **FORCED_BATCH)
-            result = run_planner(bursty_mini(), "NTP", planner_config=config)
-            views[workers] = deterministic_view(result_to_dict(result))
-        assert views[0] == views[2]
-
-    def test_eatp_opts_out_of_the_pool(self):
-        # EATP's cache-aided finisher memoises into the main process's
-        # shortest-path cache; a worker would silently diverge from it.
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["EATP"](state, PlannerConfig(batch_workers=2,
-                                                       **FORCED_BATCH))
-        assert planner.parallel_batch_safe is False
-        assert planner._batch_planner_pool() is None
-
-    def test_close_is_idempotent(self):
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(batch_workers=1,
-                                                       **FORCED_BATCH))
-        pool = planner._batch_planner_pool()
-        assert pool is not None
-        planner.close()
-        assert planner._batch_pool is None
-        planner.close()  # second close must be a no-op
+        # Same direction, one row each: the legs never meet, so every
+        # one of them is served by the tier-0 descent.
+        legs = [((2, y), (9, y)) for y in range(1, 9)]
+        planner = scripted("NTP")(wake_world(Grid(12, 10), legs))
+        scheme = planner.plan(0)
+        assert len(scheme) == 8
+        assert planner.stats.legs_free_flow == 8
+        assert planner.stats.fastpath_audit_rejects == 0
 
 
 class TestPaperScaleAutoGate:
@@ -165,7 +196,6 @@ class TestPaperScaleAutoGate:
         planner = PLANNERS["NTP"](state)
         assert planner.paper_scale is False
         assert planner.sharded_reservations is False
-        assert planner.batch_planning is False
         assert isinstance(planner.reservation, SpatiotemporalGraph)
 
     def test_paper_floor_defaults_on(self):
@@ -176,16 +206,14 @@ class TestPaperScaleAutoGate:
         planner = PLANNERS["NTP"](state)
         assert planner.paper_scale is True
         assert planner.sharded_reservations is True
-        assert planner.batch_planning is True
         assert isinstance(planner.reservation, ShardedSpatiotemporalGraph)
 
     def test_explicit_knobs_override_the_gate(self):
         big = WarehouseState(grid=Grid(128, 128), racks=[],
                              pickers=[], robots=[])
         forced_off = PLANNERS["NTP"](big, PlannerConfig(
-            reservation_sharding=False, batch_planning=False))
+            reservation_sharding=False))
         assert forced_off.sharded_reservations is False
-        assert forced_off.batch_planning is False
         assert isinstance(forced_off.reservation, SpatiotemporalGraph)
 
         small, __ = make_mini(seed=3, n_items=10).build()

@@ -460,10 +460,8 @@ class TestEndToEndEquivalence:
         slow_view = deterministic_view(result_to_dict(slow))
         # The runs must agree on everything except the fast-path
         # accounting itself (off reads all-zero by definition).
-        assert fast_view["metrics"].pop("fastpath") != {
-            "free_flow_legs": 0, "audit_rejects": 0, "misses": 0}
-        assert slow_view["metrics"].pop("fastpath") == {
-            "free_flow_legs": 0, "audit_rejects": 0, "misses": 0}
+        assert any(fast_view["metrics"].pop("fastpath").values())
+        assert not any(slow_view["metrics"].pop("fastpath").values())
         assert fast_view == slow_view
 
 
@@ -513,5 +511,12 @@ class TestCountersAndSerialization:
         }
         line = render_fastpath_summary(payloads)
         assert "8/10" in line and "80%" in line
+        assert "rescued" not in line
+        # Rescued legs are already inside free_flow_legs: reported, but
+        # never added to the hit-rate denominator.
+        payloads["a"]["result"]["metrics"]["fastpath"]["rescued_legs"] = 3
+        line = render_fastpath_summary(payloads)
+        assert "8/10" in line and "80%" in line
+        assert "3 conflicted descents rescued" in line
         assert "no tier-0 attempts" in render_fastpath_summary(
             {"b": {"result": {"metrics": {}}}})

@@ -44,7 +44,7 @@ GOLDEN_ITEMS = 48
 #: checkpoints, fallback tiers) still compares exactly, so the comparison
 #: ignores the key rather than forcing a regeneration that would change
 #: no behaviour.  Freshly written goldens include the key and pin it.
-ADDITIVE_METRIC_KEYS = ("fastpath", "batch")
+ADDITIVE_METRIC_KEYS = ("fastpath",)
 
 
 def comparable(golden: Dict[str, Any], actual: Dict[str, Any]) -> Dict[str, Any]:

@@ -224,7 +224,7 @@ class TestMetricsFromDictTolerance:
                              peak_memory_bytes=10)
         return metrics_to_dict(metrics)
 
-    @pytest.mark.parametrize("family", ["fallback", "fastpath", "batch"])
+    @pytest.mark.parametrize("family", ["fallback", "fastpath"])
     def test_missing_family_reads_all_zero(self, family):
         payload = self._payload()
         del payload[family]
@@ -234,10 +234,30 @@ class TestMetricsFromDictTolerance:
 
     def test_all_families_missing_reads_all_zero(self):
         payload = self._payload()
-        for family in ("fallback", "fastpath", "batch"):
+        for family in ("fallback", "fastpath"):
             del payload[family]
         rebuilt = metrics_from_dict(payload)
         assert rebuilt.makespan == 7
-        for family in ("fallback", "fastpath", "batch"):
+        for family in ("fallback", "fastpath"):
             view = getattr(rebuilt, f"{family}_view")()
             assert all(value == 0 for value in view.values())
+
+    def test_rescued_legs_round_trips_in_fastpath(self):
+        metrics = RunMetrics(makespan=7, fastpath={
+            "free_flow_legs": 9, "audit_rejects": 3, "misses": 1,
+            "rescued_legs": 2})
+        payload = metrics_to_dict(metrics)
+        assert payload["fastpath"]["rescued_legs"] == 2
+        assert "batch" not in payload
+        assert metrics_from_dict(payload).fastpath_view() \
+            == metrics.fastpath_view()
+
+    def test_pre_pr18_payload_reads_rescued_zero(self):
+        """A payload stored when ``rescued_legs`` lived in the (deleted)
+        ``batch`` block: the block is ignored, the missing key reads 0."""
+        payload = self._payload()
+        del payload["fastpath"]["rescued_legs"]
+        payload["batch"] = {"batch_conflicts": 3, "rescued_legs": 5}
+        rebuilt = metrics_from_dict(payload)
+        assert rebuilt.fastpath_view()["rescued_legs"] == 0
+        assert not hasattr(rebuilt, "batch")
