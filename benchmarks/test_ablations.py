@@ -1,4 +1,4 @@
-"""Benchmarks A1–A4 — the ablations DESIGN.md calls out.
+"""Benchmarks A1–A4 — the ablations of :mod:`repro.experiments.ablations`.
 
 Each ablation prints its sweep table and asserts the design claim it
 isolates:

@@ -5,7 +5,7 @@ spatial A*, spatiotemporal A* against both reservation structures, the
 cache-aided finisher, conflict probes, reservation purges, heuristic-field
 builds, the two selection strategies, and the two PR-5 pieces measured
 independently — the bucket queue vs. ``heapq`` on an identical push/pop
-stream, and tier-0 descent+audit vs. the full search on the same leg.
+stream, and the tier-0 descent vs. the full search on the same leg.
 
 ``scripts/bench_kernels.py`` runs the same scenarios (shared via
 ``_bench_common``) head-to-head against the frozen seed implementations
@@ -23,7 +23,6 @@ from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
-from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.pathfinding.st_astar import find_path
 from repro.planners import EfficientAdaptiveTaskPlanner, NaiveTaskPlanner
@@ -166,22 +165,6 @@ def test_free_flow_descent_memoised(benchmark):
     cache.descent((0, 0), (60, 35))
 
     benchmark(cache.descent, (0, 0), (60, 35))
-
-
-def test_free_flow_audit(benchmark):
-    """The bulk conflict audit of a descent path against live traffic.
-
-    Descent+audit against ``test_st_astar_with_heuristic_field`` (the
-    same endpoints) is the tier-0-vs-tier-1 comparison: the two PR-5
-    pieces are measurable independently.
-    """
-    table = ConflictDetectionTable()
-    crossing_traffic(table)
-    cache = FreeFlowPathCache(GRID, HeuristicFieldCache(GRID))
-    cells = cache.descent((0, 0), (60, 35))
-    path = Path.from_cells(cells, start_time=0)
-
-    benchmark(table.audit_path, path)
 
 
 def test_heuristic_field_build(benchmark):

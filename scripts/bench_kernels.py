@@ -34,8 +34,7 @@ rungs (the PR-5 gate, written to ``BENCH_PR5.json`` with per-rung hit
 rates and a bit-identical-makespan check), or when the paper-true
 541×302 floor's 500-robot rung fails to drain end to end under
 ``SMOKE_BIG_RUNG_CEILING_S`` (the PR-6 gate, written to
-``BENCH_PR6.json`` together with a sharded-vs-global audit micro whose
-verdicts must agree).  Comparing against the seed *in the same process*
+``BENCH_PR6.json``).  Comparing against the seed *in the same process*
 keeps the relative gates machine-independent — absolute expansions/sec
 vary across runners, the relative speedup does not.
 
@@ -44,14 +43,9 @@ cumulative hot spots and writes the same table to ``--profile-out``
 (default ``BENCH_PROFILE.txt``), so future perf PRs start from data and
 leave an artifact.  ``--big-only`` runs just the PR-6 paper-floor big
 ladder (500/1000/3000 robots, NTP+EATP) into ``BENCH_PR6.json``.
-``--reservations-only`` runs the PR-9 reservation-mutation micro
-(reserve/unreserve/purge/audit ops/s on every production table, python
-vs compiled mutation kernel, with cross-kernel state identity and
-incremental-counter checks) plus the compiled paper-floor ladder pinned
-to the ``BENCH_PR8.json`` makespans, into ``BENCH_PR9.json``; the smoke
-gate fails the build when any table's combined mutation-tape throughput
-(reserve + unreserve + purge) drops below
-``SMOKE_MIN_RESERVATION_SPEEDUP`` over the pure-python bodies.
+``--reservations-only`` runs the compiled paper-floor ladder pinned to
+the ``BENCH_PR8.json`` makespans into ``BENCH_PR9.json`` (cross-kernel
+reserve/purge identity is tier-1, in ``tests/test_reservation_kernel``).
 """
 
 from __future__ import annotations
@@ -78,7 +72,6 @@ from repro.pathfinding._legacy import (LegacyConflictDetectionTable,  # noqa: E4
                                        seed_planner_patches)
 from repro.pathfinding.cdt import (ConflictDetectionTable,  # noqa: E402
                                    ShardedConflictDetectionTable)
-from repro.pathfinding.paths import Path  # noqa: E402
 from repro.pathfinding.spatiotemporal_graph import (  # noqa: E402
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchStats, find_path,  # noqa: E402
@@ -155,12 +148,6 @@ BIG_LADDER_PLANNERS = ("NTP", "EATP")
 #: skips it by design.
 SMOKE_MIN_COMPILED_SPEEDUP = 3.0
 
-#: CI floor for the sharded reservation structure's *memory* advantage
-#: over the global dense table at the paper-scale audit load.  Memory —
-#: not audit latency — is the quantity sharding optimises (see
-#: ``bench_sharded_audit``); the recorded advantage is ~2.3-5.7x.
-SMOKE_MIN_SHARDED_MEMORY_ADVANTAGE = 1.5
-
 #: Rungs of the PR-8 kernel ladder: the paper-floor fleet sizes where a
 #: planning-seconds drop from the native kernel must be measurable.
 KERNEL_LADDER_FLEETS = (500, 1000, 3000)
@@ -172,21 +159,6 @@ KERNEL_LADDER_FLEETS = (500, 1000, 3000)
 #: ceiling is tightened to the post-kernel regime while still leaving
 #: several-fold headroom for slow shared runners.
 SMOKE_BIG_RUNG_CEILING_S = 150.0
-
-#: CI floor for the compiled reservation-mutation loops (PR 9), on the
-#: combined mutation tape (reserve + unreserve + purge seconds) per
-#: table.  Recorded combined speedups span 1.5-2.6x across repeats on
-#: the reference container (reserve/unreserve alone are consistently
-#: 1.9-3.4x); the dense ST-graph is both the lowest and the noisiest
-#: because its python bodies already lean on vectorised layer ops, so
-#: the floor sits with margin below the weakest observed repeat rather
-#: than the mean.  Full-horizon purge alone is ~1x by physics, not by a
-#: kernel gap: ~90% of a loaded purge is CPython object deallocation
-#: (measured against a raw ``dict.clear()`` of the same state), which
-#: the compiled loop must pay identically.  The gate only arms when the
-#: extension builds — the pure-python CI job runs the equivalence suite
-#: instead.
-SMOKE_MIN_RESERVATION_SPEEDUP = 1.4
 
 #: The four production reservation structures the mutation kernel
 #: accelerates (modes 1-4 of ``kernel_probe_spec``).
@@ -898,269 +870,6 @@ def report_kernels(kernels, out_path):
     return failed
 
 
-def bench_sharded_audit(n_paths=400, n_audits=400, seed=20220606):
-    """Sharded-vs-global reservation micro on the paper-true floor.
-
-    Loads both spatiotemporal-graph variants with the same pseudo-random
-    staircase legs, then times ``reserve_path`` over the load and
-    ``audit_path`` over a fresh batch of legs on each.  Per-probe the
-    sharded audit is *expected* to trail the global one by ~10-25%
-    (``audit_speedup`` below 1): a tile-dict indirection sits in front
-    of every bytearray index.  That is not the quantity sharding
-    optimises — the global table densifies every intermediate 163 KB
-    layer on this floor, so sharding wins ``reserve_speedup`` and,
-    decisively, ``memory_advantage``; that trade is why the planner gate
-    (``Planner.sharded_reservations``) arms sharding only at paper scale
-    and keeps the global table below the gate, where the audit constant
-    is the only term that matters.  Verdict equality over every audited
-    leg rides along as a correctness check.
-    """
-    grid = Grid(541, 302)
-    rng = random.Random(seed)
-
-    def staircase(t0):
-        (x0, y0), (x1, y1) = ((rng.randrange(541), rng.randrange(302))
-                              for _ in range(2))
-        cells = [(x0, y0)]
-        while (x0, y0) != (x1, y1):
-            if x0 != x1 and (y0 == y1 or rng.random() < 0.5):
-                x0 += 1 if x1 > x0 else -1
-            else:
-                y0 += 1 if y1 > y0 else -1
-            cells.append((x0, y0))
-        return Path.from_cells(cells, t0)
-
-    load = [staircase(rng.randrange(64)) for _ in range(n_paths)]
-    probes = [staircase(rng.randrange(64)) for _ in range(n_audits)]
-    timings = {}
-    verdicts = {}
-    for label, table in (("global", SpatiotemporalGraph(grid)),
-                         ("sharded", ShardedSpatiotemporalGraph())):
-        started = time.perf_counter()
-        for path in load:
-            table.reserve_path(path)
-        reserve_s = time.perf_counter() - started
-        started = time.perf_counter()
-        verdicts[label] = [table.audit_path(path) for path in probes]
-        timings[label] = {
-            "reserve_s": reserve_s,
-            "audit_s": time.perf_counter() - started,
-            "memory_bytes": table.memory_bytes(),
-        }
-    return {
-        "workload": f"{n_paths} reserved + {n_audits} audited staircase "
-                    "legs on the 541x302 floor, global vs sharded "
-                    "spatiotemporal graph",
-        "global": timings["global"],
-        "sharded": timings["sharded"],
-        "reserve_speedup": (timings["global"]["reserve_s"]
-                            / max(timings["sharded"]["reserve_s"], 1e-9)),
-        # Expected < 1 (tile indirection); see the docstring.  The gates
-        # below are the quantities sharding exists to win.
-        "audit_speedup": (timings["global"]["audit_s"]
-                          / max(timings["sharded"]["audit_s"], 1e-9)),
-        "memory_advantage": (timings["global"]["memory_bytes"]
-                             / max(timings["sharded"]["memory_bytes"], 1)),
-        "verdicts_identical": verdicts["global"] == verdicts["sharded"],
-    }
-
-
-def _staircase_paths(rng, n, width=541, height=302, t_span=64):
-    """``n`` pseudo-random staircase legs on a ``width``×``height`` floor.
-
-    Same leg shape the sharded-audit micro uses: monotone x/y staircases
-    between two uniform endpoints, departing at a uniform tick in
-    ``[0, t_span)`` — long diagonal sweeps that touch hundreds of
-    vertices each, the load profile the mutation loops see at paper
-    scale.
-    """
-    paths = []
-    for _ in range(n):
-        (x0, y0), (x1, y1) = ((rng.randrange(width), rng.randrange(height))
-                              for _ in range(2))
-        cells = [(x0, y0)]
-        while (x0, y0) != (x1, y1):
-            if x0 != x1 and (y0 == y1 or rng.random() < 0.5):
-                x0 += 1 if x1 > x0 else -1
-            else:
-                y0 += 1 if y1 > y0 else -1
-            cells.append((x0, y0))
-        paths.append(Path.from_cells(cells, rng.randrange(t_span)))
-    return paths
-
-
-#: Tick offset between purge-phase reloads of the mutation micro — past
-#: every staircase horizon (t0 < 64 plus ≤ ~850 staircase steps), so
-#: each round's legs land wholly above the previous round's purge floor.
-_PURGE_ROUND_SPAN = 2048
-
-
-def _time_mutations(make_table, warmup, load, probes, purge_rounds=4):
-    """Time the PR-9 mutation loops on one reservation table.
-
-    Measures steady-state throughput — the regime the planner lives in:
-
-    * an untimed ``warmup`` pass first materialises the tick buckets /
-      dense layers the legs cross, so the timed reserve pass measures
-      the per-step mutation loop rather than one-time container
-      allocation (identical python work under either kernel);
-    * reserve → audit → unreserve-every-other-leg run over the warm
-      table, the op mix one planner wake cycle generates;
-    * purge is timed over ``purge_rounds`` full-horizon purges, each on
-      freshly reloaded state (the load re-reserved one
-      ``_PURGE_ROUND_SPAN`` higher per round, untimed), so every timed
-      call tears down a loaded table instead of re-checking a drained
-      floor.
-
-    The mid-tape and end states both re-check the PR-9 incremental
-    counters (``live_counts``/``memory_bytes``) against a from-scratch
-    ``recount``, so the timing harness doubles as an equivalence proof
-    on the exact states the timings produced.
-
-    Cyclic GC is paused for the duration: the loads allocate enough
-    containers to trip gen-2 collections mid-timing, and a single pass
-    landing inside the (milliseconds-long) purge window is a 2x outlier
-    on that op.  Nothing here needs the collector — the tables are
-    acyclic and refcount-freed.
-    """
-    import gc
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _time_mutations_inner(make_table, warmup, load, probes,
-                                     purge_rounds)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _time_mutations_inner(make_table, warmup, load, probes, purge_rounds):
-    table = make_table()
-    for path in warmup:
-        table.reserve_path(path)
-
-    started = time.perf_counter()
-    for path in load:
-        table.reserve_path(path)
-    reserve_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    verdicts = [table.audit_path(path) for path in probes]
-    audit_s = time.perf_counter() - started
-
-    victims = load[::2]
-    started = time.perf_counter()
-    for path in victims:
-        table.unreserve_path(path)
-    unreserve_s = time.perf_counter() - started
-
-    mid_counts = table.live_counts()
-    mid_ok = (mid_counts == table.recount()
-              and table.memory_bytes() == mid_counts["memory_bytes"])
-
-    # Round 1 tears down the tape's own end state; later rounds tear
-    # down a fresh full reload of the load legs, re-reserved one span
-    # above the new floor (above it, so the dense graph materialises
-    # only the reloaded window, never the purged gap).
-    purge_s = 0.0
-    for round_index in range(1, purge_rounds + 1):
-        shift = round_index * _PURGE_ROUND_SPAN
-        started = time.perf_counter()
-        table.purge_before(shift)
-        purge_s += time.perf_counter() - started
-        if round_index < purge_rounds:
-            for path in load:
-                table.reserve_path(Path.from_cells(
-                    [(x, y) for _, x, y in path.steps],
-                    path.steps[0][0] + shift))
-
-    counts = table.live_counts()
-    recount = table.recount()
-    return {
-        "reserve_s": reserve_s, "reserve_ops": len(load),
-        "reserve_ops_per_s": len(load) / max(reserve_s, 1e-9),
-        "audit_s": audit_s, "audit_ops": len(probes),
-        "audit_ops_per_s": len(probes) / max(audit_s, 1e-9),
-        "unreserve_s": unreserve_s, "unreserve_ops": len(victims),
-        "unreserve_ops_per_s": len(victims) / max(unreserve_s, 1e-9),
-        "purge_s": purge_s, "purge_ops": purge_rounds,
-        "purge_ops_per_s": purge_rounds / max(purge_s, 1e-9),
-        "mutation_kernel": getattr(table, "mutation_kernel", ""),
-        "mid_live_counts": mid_counts,
-        "live_counts": counts,
-        "memory_bytes": table.memory_bytes(),
-        "counts_match_recount": (mid_ok and counts == recount
-                                 and table.memory_bytes()
-                                 == recount["memory_bytes"]),
-        "verdicts": verdicts,
-    }
-
-
-def bench_reservation_mutations(n_paths=300, n_audits=300, seed=20220808):
-    """The PR-9 micro: compiled vs python mutation loops, per table.
-
-    Runs the same staircase op tape through all four production
-    reservation structures on the paper-true 541×302 floor, once under
-    the pure-python mutation bodies and once under the native kernel
-    (selection via ``set_search_kernel`` — one switch governs search and
-    mutations alike).  Records per-op throughput and speedups, and
-    checks three identities per table: audit verdicts agree across
-    kernels, the end-state live counters agree across kernels, and each
-    kernel's incremental counters agree with a from-scratch recount.
-    """
-    workload = (f"{n_paths} reserved / {n_audits} audited / "
-                f"{(n_paths + 1) // 2} unreserved warm staircase legs + "
-                "4 full-horizon purges over reloaded state on the 541x302 "
-                "floor, python vs compiled mutation kernel, all four "
-                "production tables")
-    if build_and_load() is None:
-        return {"workload": workload, "compiled_available": False,
-                "tables": {}}
-    grid = Grid(541, 302)
-    previous = search_kernel_name()
-    tables = {}
-    try:
-        for name, make in RESERVATION_TABLE_MAKERS:
-            per_kernel = {}
-            for kernel in ("python", "compiled"):
-                set_search_kernel(kernel)
-                rng = random.Random(seed)
-                warmup = _staircase_paths(rng, max(20, n_paths // 5))
-                load = _staircase_paths(rng, n_paths)
-                probes = _staircase_paths(rng, n_audits)
-                per_kernel[kernel] = _time_mutations(
-                    lambda: make(grid), warmup, load, probes)
-            entry = {"state_identical": (
-                per_kernel["python"].pop("verdicts")
-                == per_kernel["compiled"].pop("verdicts")
-                and per_kernel["python"]["mid_live_counts"]
-                == per_kernel["compiled"]["mid_live_counts"]
-                and per_kernel["python"]["live_counts"]
-                == per_kernel["compiled"]["live_counts"]
-                and per_kernel["python"]["memory_bytes"]
-                == per_kernel["compiled"]["memory_bytes"]
-                and per_kernel["python"]["counts_match_recount"]
-                and per_kernel["compiled"]["counts_match_recount"])}
-            for op in ("reserve", "unreserve", "purge", "audit"):
-                entry[f"{op}_speedup"] = (
-                    per_kernel["python"][f"{op}_s"]
-                    / max(per_kernel["compiled"][f"{op}_s"], 1e-9))
-            # The gated number: the whole mutation tape (reserve +
-            # unreserve + purge), the mix one planner wake generates.
-            entry["mutation_speedup"] = (
-                sum(per_kernel["python"][f"{op}_s"]
-                    for op in ("reserve", "unreserve", "purge"))
-                / max(sum(per_kernel["compiled"][f"{op}_s"]
-                          for op in ("reserve", "unreserve", "purge")), 1e-9))
-            entry.update(per_kernel)
-            tables[name] = entry
-    finally:
-        set_search_kernel(previous)
-    return {"workload": workload, "compiled_available": True,
-            "tables": tables}
-
-
 def bench_pr9_ladder(fleets=KERNEL_LADDER_FLEETS, baseline="BENCH_PR8.json"):
     """The PR-9 ladder: compiled paper-floor rungs pinned to PR-8.
 
@@ -1287,11 +996,10 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
     into one call.  Outcome equivalence (verdict + payload) rides along
     as a correctness check on the timed tape itself.
 
-    Cyclic GC is paused around the timed passes for the same reason
-    ``_time_mutations`` pauses it: the loaded tables hold enough
-    containers that a single gen-2 collection landing inside a
-    milliseconds-long timed pass reads as a several-fold outlier on
-    that pass.
+    Cyclic GC is paused around the timed passes: the loaded tables
+    hold enough containers that a single gen-2 collection landing
+    inside a milliseconds-long timed pass reads as a several-fold
+    outlier on that pass.
     """
     import gc
 
@@ -1637,42 +1345,21 @@ def report_fields(fields, out_path):
     return failed
 
 
-def report_reservations(reservations, out_path):
-    """Write the PR-9 report and print one line per table and rung.
+def report_reservations(ladder, out_path):
+    """Write the PR-9 ladder report and print one line per rung.
 
-    Returns the failing items — a table whose compiled reserve or purge
-    speedup is under ``SMOKE_MIN_RESERVATION_SPEEDUP``, any cross-kernel
-    or counter divergence, a rung that errored, or a rung whose makespan
-    drifted from the PR-8 pin — so the smoke gate can fail the build.
+    Returns the failing items — a rung that errored, or a rung whose
+    makespan drifted from the PR-8 pin — so the caller can fail the
+    build.
     """
     report = {
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "reservation_mutations": reservations["reservation_mutations"],
+        "pr9_ladder": ladder,
     }
-    if "pr9_ladder" in reservations:
-        report["pr9_ladder"] = reservations["pr9_ladder"]
     FsPath(out_path).write_text(json.dumps(report, indent=2) + "\n")
     failed = []
-    micro = reservations["reservation_mutations"]
-    if not micro["compiled_available"]:
-        print("reserve  : native kernel unavailable — pure-python mutation "
-              "loops only (speedup gate skipped)")
-    for name, entry in micro["tables"].items():
-        print(f"reserve  : {name:>16} mutation {entry['mutation_speedup']:5.2f}x "
-              f"(reserve {entry['reserve_speedup']:5.2f}x "
-              f"unreserve {entry['unreserve_speedup']:5.2f}x "
-              f"purge {entry['purge_speedup']:5.2f}x "
-              f"audit {entry['audit_speedup']:5.2f}x; floor "
-              f"{SMOKE_MIN_RESERVATION_SPEEDUP}x on mutation) "
-              f"identical={entry['state_identical']}")
-        if not entry["state_identical"]:
-            failed.append({"section": "reservation_mutations",
-                           "table": name, "reason": "state diverged"})
-        if entry["mutation_speedup"] < SMOKE_MIN_RESERVATION_SPEEDUP:
-            failed.append({"section": "reservation_mutations", "table": name,
-                           "mutation_speedup": entry["mutation_speedup"]})
-    for cell in reservations.get("pr9_ladder", {}).get("cells", []):
+    for cell in ladder.get("cells", []):
         label = f"{cell['scenario']:>10} {cell['planner']:>4}"
         if "error" in cell:
             failed.append(cell)
@@ -1818,7 +1505,7 @@ def report_soak(report, out_path):
 def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
               fastpath_out="BENCH_PR5.json", big_out="BENCH_PR6.json",
               soak_out="BENCH_PR7.json", kernel_out="BENCH_PR8.json",
-              pr9_out="BENCH_PR9.json", fields_out="BENCH_PR10.json"):
+              fields_out="BENCH_PR10.json"):
     """The CI regression gate: quick benchmarks, hard floors.
 
     Four gates: the PR-1 packed-search speedup over the in-process seed
@@ -1855,20 +1542,6 @@ def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
         raise SystemExit(
             f"native-kernel gate failed: compiled speedup below "
             f"{SMOKE_MIN_COMPILED_SPEEDUP}x floor")
-
-    # The PR-9 gate: the compiled reservation-mutation loops must at
-    # least double reserve and purge throughput over the pure-python
-    # bodies on the paper floor, with cross-kernel state identical and
-    # incremental counters matching a recount.  The smoke report carries
-    # the micro only; the pinned paper-floor ladder is the full run's
-    # (or --reservations-only's) job.
-    reservations = {"reservation_mutations":
-                    bench_reservation_mutations(n_paths=120, n_audits=120)}
-    reservations["reservation_mutations"]["smoke"] = True
-    failed = report_reservations(reservations, pr9_out)
-    if failed:
-        raise SystemExit(
-            f"reservation-kernel gate failed: {failed}")
 
     # The PR-10 gate: the native field flood must clear the 5x floor
     # over the python deque flood, the fused tier-0 entry point the 2x
@@ -1932,28 +1605,12 @@ def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
     big = bench_big_ladder(fleets=(500,), planners=("NTP",))
     big["smoke"] = True
     big["ceiling_s"] = SMOKE_BIG_RUNG_CEILING_S
-    big["sharded_audit"] = bench_sharded_audit()
     failed = report_big_ladder(big, big_out)
     if failed:
         names = [f"{cell['scenario']}/{cell['planner']}" for cell in failed]
         raise SystemExit(
             f"paper-floor gate failed: {names} did not drain the "
             f"500-robot rung under {SMOKE_BIG_RUNG_CEILING_S:.0f}s")
-    audit = big["sharded_audit"]
-    print(f"sharded  : reserve {audit['reserve_speedup']:.2f}x, audit "
-          f"{audit['audit_speedup']:.2f}x (sub-1 by design: tile "
-          f"indirection), memory {audit['memory_advantage']:.1f}x "
-          f"(floor {SMOKE_MIN_SHARDED_MEMORY_ADVANTAGE}x), "
-          f"verdicts identical={audit['verdicts_identical']}")
-    if not audit["verdicts_identical"]:
-        raise SystemExit(
-            "sharded-vs-global audit verdicts diverged in the PR-6 micro")
-    if audit["memory_advantage"] < SMOKE_MIN_SHARDED_MEMORY_ADVANTAGE:
-        raise SystemExit(
-            f"sharded reservation memory advantage regressed: "
-            f"{audit['memory_advantage']:.2f}x < "
-            f"{SMOKE_MIN_SHARDED_MEMORY_ADVANTAGE}x floor")
-
     # The PR-7 gate: a bounded service-mode soak must hold the
     # reservation footprint flat and survive a mid-run
     # checkpoint→restore→continue with a bit-identical final view.
@@ -1991,8 +1648,8 @@ def main(argv=None):
                         help="output path of the native-kernel report "
                              "(default BENCH_PR8.json)")
     parser.add_argument("--pr9-out", default="BENCH_PR9.json",
-                        help="output path of the reservation-mutation "
-                             "kernel report (default BENCH_PR9.json)")
+                        help="output path of the --reservations-only "
+                             "ladder report (default BENCH_PR9.json)")
     parser.add_argument("--fields-out", default="BENCH_PR10.json",
                         help="output path of the tier-0 field/descent "
                              "kernel report (default BENCH_PR10.json)")
@@ -2004,12 +1661,9 @@ def main(argv=None):
                              "BENCH_PR9.json, and the shared-arena worker "
                              "RSS micro) and write BENCH_PR10.json")
     parser.add_argument("--reservations-only", action="store_true",
-                        help="run only the PR-9 reservation-mutation "
-                             "micro (reserve/unreserve/purge/audit ops/s "
-                             "per table, python vs compiled) plus the "
-                             "compiled paper-floor ladder pinned to the "
-                             "BENCH_PR8.json makespans, and write "
-                             "BENCH_PR9.json")
+                        help="run only the compiled paper-floor ladder "
+                             "pinned to the BENCH_PR8.json makespans and "
+                             "write BENCH_PR9.json")
     parser.add_argument("--kernel-only", action="store_true",
                         help="run only the native-kernel micro plus the "
                              "paper-floor kernel ladder (500/1000/3000 "
@@ -2026,8 +1680,7 @@ def main(argv=None):
     parser.add_argument("--big-only", action="store_true",
                         help="run only the paper-floor big ladder "
                              "(541x302, 500/1000/3000 robots, NTP+EATP) "
-                             "plus the sharded-audit micro and write "
-                             "BENCH_PR6.json")
+                             "and write BENCH_PR6.json")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the live Fleet-200 NTP run at "
                              "--engine-scale, print the top-20 "
@@ -2062,7 +1715,7 @@ def main(argv=None):
     if args.smoke:
         run_smoke(args.engine_out, args.ladder_out, args.fastpath_out,
                   args.big_out, args.soak_out, args.kernel_out,
-                  args.pr9_out, args.fields_out)
+                  args.fields_out)
         return
 
     if args.fields_only:
@@ -2089,9 +1742,8 @@ def main(argv=None):
     if args.reservations_only:
         fleets = (tuple(int(n) for n in args.kernel_fleets.split(","))
                   if args.kernel_fleets else KERNEL_LADDER_FLEETS)
-        reservations = {"reservation_mutations": bench_reservation_mutations(),
-                        "pr9_ladder": bench_pr9_ladder(fleets=fleets)}
-        failed = report_reservations(reservations, args.pr9_out)
+        failed = report_reservations(bench_pr9_ladder(fleets=fleets),
+                                     args.pr9_out)
         if failed:
             raise SystemExit(f"reservation-kernel gates failed: {failed}")
         return
@@ -2121,9 +1773,7 @@ def main(argv=None):
         return
 
     if args.big_only:
-        big = bench_big_ladder()
-        big["sharded_audit"] = bench_sharded_audit()
-        report_big_ladder(big, args.big_out)
+        report_big_ladder(bench_big_ladder(), args.big_out)
         return
 
     report = {
@@ -2140,15 +1790,10 @@ def main(argv=None):
                   args.ladder_out)
     report_fastpath(bench_planning_fastpath(scale=args.engine_scale),
                     args.fastpath_out)
-    big = bench_big_ladder()
-    big["sharded_audit"] = bench_sharded_audit()
-    report_big_ladder(big, args.big_out)
+    report_big_ladder(bench_big_ladder(), args.big_out)
     kernels = {"search_kernels": bench_search_kernels(),
                "kernel_ladder": bench_kernel_ladder()}
     report_kernels(kernels, args.kernel_out)
-    report_reservations(
-        {"reservation_mutations": bench_reservation_mutations()},
-        args.pr9_out)
     if report_soak(bench_soak(), args.soak_out):
         raise SystemExit("service-mode soak gate failed")
 

@@ -63,8 +63,8 @@ def main() -> None:
     w("# EXPERIMENTS — paper vs. measured")
     w("")
     w("All measured numbers come from this repository's default-scale "
-      "datasets (a documented ~1/6 linear scale-down of Table II — see "
-      "DESIGN.md §4), regenerated by `python scripts/"
+      "datasets (a ~1/6 linear scale-down of Table II — see the table "
+      "in `src/repro/workloads/datasets.py`), regenerated by `python scripts/"
       "generate_experiments_md.py`. Absolute values therefore differ "
       "from the paper's Java testbed by construction; the *shapes* — "
       "who wins, by roughly what factor, where crossovers fall — are "

@@ -119,7 +119,8 @@ class PlannerConfig:
         finisher takes over from spatiotemporal A* (EATP, Sec. VI-B).
         ``0`` disables the cache.  The paper's default of 50 is tuned to
         its 233×104-and-larger floors; our default of 12 is the same
-        fraction of the scaled-down layouts (DESIGN.md §4).
+        fraction of the scaled-down layouts (the ~1/6 linear scale-down
+        tabulated in :mod:`repro.workloads.datasets`).
     max_search_expansions:
         Safety valve for a single spatiotemporal A* run; prevents an
         accidentally unreachable goal from hanging an experiment.

@@ -1,4 +1,4 @@
-"""Ablations A1–A4: the design knobs DESIGN.md calls out.
+"""Ablations A1–A4: the design knobs the paper's Secs. V-D and VI call out.
 
 * **A1 — δ sweep** (Sec. V-D): the paper observes δ < 0.4 trains
   effectively; the sweep shows makespan across the bootstrap range.

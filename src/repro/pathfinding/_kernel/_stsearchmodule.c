@@ -1050,13 +1050,17 @@ fail:
 /* ------------------------------------------------------------------ */
 /* Reservation mutation kernel.                                        */
 /*                                                                     */
-/* Compiled twins of the pure-python reserve/unreserve/purge/audit     */
-/* bodies in cdt.py and spatiotemporal_graph.py.  The same probe-mode  */
-/* numbering as the search kernel selects the container layout; the    */
-/* python wrappers keep their incremental counters by folding in the   */
-/* delta tuples these entry points return.  Bit-identity with the      */
-/* python bodies is load-bearing: the equivalence suite pins the       */
-/* final container contents and every returned delta.                  */
+/* Compiled twins of the two mutating operations of a reservation      */
+/* table (paper Sec. VI-B): insertion (reserve_path) and the periodic  */
+/* update (purge_before), as bodied in python in cdt.py and            */
+/* spatiotemporal_graph.py.  The third operation, conflict search, is  */
+/* the probe_* family above; the only bulk audit a run executes lives  */
+/* in tier0_leg below.  The same probe-mode numbering as the search    */
+/* kernel selects the container layout; the python wrappers keep their */
+/* incremental counters by folding in the delta tuples these entry     */
+/* points return.  Bit-identity with the python bodies is load-        */
+/* bearing: the equivalence suite pins the final container contents    */
+/* and every returned delta.                                           */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -1156,30 +1160,6 @@ set_bucket_add(PyObject *dict, PyObject *t_obj, PyObject *key_obj,
         return -1;
     *fresh = PySet_GET_SIZE(bucket) != before;
     return 0;
-}
-
-/* Discard ``key_obj`` from dict[t]'s set bucket, dropping the bucket
- * when it empties.  Returns 0 absent, 1 removed, 2 removed + bucket
- * deleted, -1 error. */
-static int
-set_bucket_discard(PyObject *dict, PyObject *t_obj, PyObject *key_obj)
-{
-    PyObject *bucket = PyDict_GetItemWithError(dict, t_obj);
-    if (bucket == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    if (!PySet_Check(bucket)) {
-        PyErr_SetString(PyExc_TypeError, "tick bucket is not a set");
-        return -1;
-    }
-    int removed = PySet_Discard(bucket, key_obj);
-    if (removed <= 0)
-        return removed;
-    if (PySet_GET_SIZE(bucket) == 0) {
-        if (PyDict_DelItem(dict, t_obj) < 0)
-            return -1;
-        return 2;
-    }
-    return 1;
 }
 
 /* Materialise a zeroed dense layer (bytearray of ``n`` cells) at
@@ -1462,197 +1442,6 @@ fail:
     return NULL;
 }
 
-static PyObject *
-stsearch_unreserve_path(PyObject *self, PyObject *args)
-{
-    (void)self;
-    int mode, tile_bits;
-    PyObject *vertex_obj, *edge_obj, *steps_obj;
-    long long height_ll, horizon_ll, vfloor_ll, efloor_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLOLLL:unreserve_path",
-                          &mode, &vertex_obj, &edge_obj, &tile_bits,
-                          &height_ll, &steps_obj, &horizon_ll,
-                          &vfloor_ll, &efloor_ll))
-        return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
-        return NULL;
-    int64_t height = (int64_t)height_ll;
-    int64_t horizon = (int64_t)horizon_ll;  /* < 0 means None */
-    int64_t vfloor = (int64_t)vfloor_ll;
-    int64_t efloor = (int64_t)efloor_ll;
-
-    StepArray sa;
-    if (steps_load(steps_obj, &sa) < 0)
-        return NULL;
-
-    int64_t v_removed = 0, vbuckets_removed = 0, tiles_removed = 0;
-    int64_t e_removed = 0;
-    int64_t mask = ((int64_t)1 << tile_bits) - 1;
-
-    /* -- vertex pass -------------------------------------------------- */
-    for (Py_ssize_t i = 0; i < sa.n; i++) {
-        int64_t t = sa.t[i];
-        if (horizon >= 0 && t > horizon)
-            break;
-        if (t < vfloor)
-            continue;
-        int64_t x = sa.x[i], y = sa.y[i];
-        int64_t key = (x << CELL_KEY_SHIFT) | y;
-        PyObject *t_obj = PyLong_FromLongLong((long long)t);
-        if (t_obj == NULL)
-            goto fail;
-        switch (mode) {
-        case PROBE_CDT:
-        case PROBE_TILED_SET: {
-            PyObject *target = vertex_obj;
-            PyObject *tid = NULL;
-            if (mode == PROBE_TILED_SET) {
-                tid = PyLong_FromLongLong(
-                    (long long)tile_of_key(key, tile_bits));
-                if (tid == NULL)
-                    goto ustep_fail;
-                target = PyDict_GetItemWithError(vertex_obj, tid);
-                if (target == NULL) {
-                    Py_DECREF(tid);
-                    if (PyErr_Occurred())
-                        goto ustep_fail;
-                    break;  /* tile never materialised: nothing stored */
-                }
-            }
-            PyObject *key_obj = PyLong_FromLongLong((long long)key);
-            if (key_obj == NULL) {
-                Py_XDECREF(tid);
-                goto ustep_fail;
-            }
-            int rc = set_bucket_discard(target, t_obj, key_obj);
-            Py_DECREF(key_obj);
-            if (rc < 0) {
-                Py_XDECREF(tid);
-                goto ustep_fail;
-            }
-            if (rc >= 1)
-                v_removed++;
-            if (rc == 2) {
-                vbuckets_removed++;
-                if (mode == PROBE_TILED_SET
-                    && PyDict_GET_SIZE(target) == 0) {
-                    if (PyDict_DelItem(vertex_obj, tid) < 0) {
-                        Py_DECREF(tid);
-                        goto ustep_fail;
-                    }
-                    tiles_removed++;
-                }
-            }
-            Py_XDECREF(tid);
-            break;
-        }
-        case PROBE_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto ustep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(layer)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "dense layer is not a bytearray");
-                goto ustep_fail;
-            }
-            Py_ssize_t ci = (Py_ssize_t)(x * height + y);
-            if (ci < 0 || ci >= PyByteArray_GET_SIZE(layer)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "cell index outside dense layer");
-                goto ustep_fail;
-            }
-            char *bytes = PyByteArray_AS_STRING(layer);
-            if (bytes[ci]) {
-                bytes[ci] = 0;
-                v_removed++;
-            }
-            break;
-        }
-        case PROBE_TILED_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto ustep_fail;
-                break;
-            }
-            PyObject *tid = PyLong_FromLongLong(
-                (long long)tile_of_key(key, tile_bits));
-            if (tid == NULL)
-                goto ustep_fail;
-            PyObject *tile = PyDict_GetItemWithError(layer, tid);
-            Py_DECREF(tid);
-            if (tile == NULL) {
-                if (PyErr_Occurred())
-                    goto ustep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(tile)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "tile block is not a bytearray");
-                goto ustep_fail;
-            }
-            Py_ssize_t slot =
-                (Py_ssize_t)(((x & mask) << tile_bits) | (y & mask));
-            if (slot < 0 || slot >= PyByteArray_GET_SIZE(tile)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "slot outside tile block");
-                goto ustep_fail;
-            }
-            char *bytes = PyByteArray_AS_STRING(tile);
-            if (bytes[slot]) {
-                bytes[slot] = 0;
-                v_removed++;
-            }
-            break;
-        }
-        }
-        Py_DECREF(t_obj);
-        continue;
-ustep_fail:
-        Py_DECREF(t_obj);
-        goto fail;
-    }
-
-    /* -- edge pass (same bounds as _reserve_edges) -------------------- */
-    for (Py_ssize_t i = 0; i + 1 < sa.n; i++) {
-        int64_t t0 = sa.t[i];
-        if (horizon >= 0 && t0 >= horizon)
-            break;
-        int64_t x0 = sa.x[i], y0 = sa.y[i];
-        int64_t x1 = sa.x[i + 1], y1 = sa.y[i + 1];
-        if (t0 < efloor || (x0 == x1 && y0 == y1))
-            continue;
-        int64_t key0 = (x0 << CELL_KEY_SHIFT) | y0;
-        int64_t key1 = (x1 << CELL_KEY_SHIFT) | y1;
-        PyObject *t_obj = PyLong_FromLongLong((long long)t0);
-        if (t_obj == NULL)
-            goto fail;
-        PyObject *key_obj =
-            PyLong_FromLongLong((long long)((key0 << 32) | key1));
-        if (key_obj == NULL) {
-            Py_DECREF(t_obj);
-            goto fail;
-        }
-        int rc = set_bucket_discard(edge_obj, t_obj, key_obj);
-        Py_DECREF(key_obj);
-        Py_DECREF(t_obj);
-        if (rc < 0)
-            goto fail;
-        if (rc >= 1)
-            e_removed++;
-    }
-    steps_free(&sa);
-    return Py_BuildValue("LLLL",
-                         (long long)v_removed, (long long)vbuckets_removed,
-                         (long long)tiles_removed, (long long)e_removed);
-fail:
-    steps_free(&sa);
-    return NULL;
-}
-
 /* How purge_tick_dict tallies each removed bucket's contents. */
 typedef enum {
     PURGE_COUNT_SET = 0,     /* value is a set: count its members */
@@ -1827,171 +1616,6 @@ stsearch_purge_before(PyObject *self, PyObject *args)
     return Py_BuildValue("LLLL",
                          (long long)v_removed, (long long)vbuckets_removed,
                          (long long)tiles_removed, (long long)e_removed);
-}
-
-static PyObject *
-stsearch_audit_path(PyObject *self, PyObject *args)
-{
-    (void)self;
-    int mode, tile_bits;
-    PyObject *vertex_obj, *edge_obj, *steps_obj;
-    long long height_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLO:audit_path",
-                          &mode, &vertex_obj, &edge_obj, &tile_bits,
-                          &height_ll, &steps_obj))
-        return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
-        return NULL;
-    int64_t height = (int64_t)height_ll;
-    int64_t mask = ((int64_t)1 << tile_bits) - 1;
-
-    StepArray sa;
-    if (steps_load(steps_obj, &sa) < 0)
-        return NULL;
-
-    int blocked = 0;
-    int64_t memo_tile_id = -1;
-    int memo_valid = 0;
-    PyObject *memo_tile = NULL;  /* borrowed; audits never mutate */
-
-    for (Py_ssize_t i = 1; i < sa.n && !blocked; i++) {
-        int64_t t0 = sa.t[i - 1];
-        int64_t x0 = sa.x[i - 1], y0 = sa.y[i - 1];
-        int64_t t1 = sa.t[i];
-        int64_t x1 = sa.x[i], y1 = sa.y[i];
-        int64_t key1 = (x1 << CELL_KEY_SHIFT) | y1;
-        PyObject *t1_obj = PyLong_FromLongLong((long long)t1);
-        if (t1_obj == NULL)
-            goto fail;
-        switch (mode) {
-        case PROBE_CDT:
-        case PROBE_TILED_SET: {
-            PyObject *target = vertex_obj;
-            if (mode == PROBE_TILED_SET) {
-                int64_t tile_id = tile_of_key(key1, tile_bits);
-                if (!memo_valid || tile_id != memo_tile_id) {
-                    PyObject *tid =
-                        PyLong_FromLongLong((long long)tile_id);
-                    if (tid == NULL)
-                        goto astep_fail;
-                    memo_tile = PyDict_GetItemWithError(vertex_obj, tid);
-                    Py_DECREF(tid);
-                    if (memo_tile == NULL && PyErr_Occurred())
-                        goto astep_fail;
-                    memo_tile_id = tile_id;
-                    memo_valid = 1;
-                }
-                target = memo_tile;
-                if (target == NULL) {
-                    /* tile never materialised: vertex is free */
-                    break;
-                }
-            }
-            PyObject *bucket = PyDict_GetItemWithError(target, t1_obj);
-            if (bucket == NULL) {
-                if (PyErr_Occurred())
-                    goto astep_fail;
-                break;
-            }
-            PyObject *key_obj = PyLong_FromLongLong((long long)key1);
-            if (key_obj == NULL)
-                goto astep_fail;
-            int hit = PySet_Contains(bucket, key_obj);
-            Py_DECREF(key_obj);
-            if (hit < 0)
-                goto astep_fail;
-            blocked = hit;
-            break;
-        }
-        case PROBE_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t1_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto astep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(layer)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "dense layer is not a bytearray");
-                goto astep_fail;
-            }
-            Py_ssize_t ci = (Py_ssize_t)(x1 * height + y1);
-            if (ci < 0 || ci >= PyByteArray_GET_SIZE(layer)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "cell index outside dense layer");
-                goto astep_fail;
-            }
-            blocked = PyByteArray_AS_STRING(layer)[ci] != 0;
-            break;
-        }
-        case PROBE_TILED_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t1_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto astep_fail;
-                break;
-            }
-            PyObject *tid = PyLong_FromLongLong(
-                (long long)tile_of_key(key1, tile_bits));
-            if (tid == NULL)
-                goto astep_fail;
-            PyObject *tile = PyDict_GetItemWithError(layer, tid);
-            Py_DECREF(tid);
-            if (tile == NULL) {
-                if (PyErr_Occurred())
-                    goto astep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(tile)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "tile block is not a bytearray");
-                goto astep_fail;
-            }
-            Py_ssize_t slot =
-                (Py_ssize_t)(((x1 & mask) << tile_bits) | (y1 & mask));
-            if (slot < 0 || slot >= PyByteArray_GET_SIZE(tile)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "slot outside tile block");
-                goto astep_fail;
-            }
-            blocked = PyByteArray_AS_STRING(tile)[slot] != 0;
-            break;
-        }
-        }
-        if (!blocked && (x0 != x1 || y0 != y1)) {
-            /* swap probe: the stored opposing traversal, reversed key */
-            PyObject *t0_obj = PyLong_FromLongLong((long long)t0);
-            if (t0_obj == NULL)
-                goto astep_fail;
-            PyObject *swaps = PyDict_GetItemWithError(edge_obj, t0_obj);
-            Py_DECREF(t0_obj);
-            if (swaps == NULL) {
-                if (PyErr_Occurred())
-                    goto astep_fail;
-            } else {
-                int64_t key0 = (x0 << CELL_KEY_SHIFT) | y0;
-                PyObject *probe = PyLong_FromLongLong(
-                    (long long)((key1 << 32) | key0));
-                if (probe == NULL)
-                    goto astep_fail;
-                int hit = PySet_Contains(swaps, probe);
-                Py_DECREF(probe);
-                if (hit < 0)
-                    goto astep_fail;
-                blocked = hit;
-            }
-        }
-        Py_DECREF(t1_obj);
-        continue;
-astep_fail:
-        Py_DECREF(t1_obj);
-        goto fail;
-    }
-    steps_free(&sa);
-    return PyBool_FromLong(!blocked);
-fail:
-    steps_free(&sa);
-    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2406,22 +2030,11 @@ static PyMethodDef stsearch_methods[] = {
      " -> (v_added, vbuckets_added, tiles_added, e_added, new_high)\n"
      "Insert a path's vertices and edges, bit-identical to the python\n"
      "reserve_path of the mode's table; horizon < 0 means unbounded."},
-    {"unreserve_path", stsearch_unreserve_path, METH_VARARGS,
-     "unreserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
-     "    steps, horizon, vfloor, efloor)\n"
-     " -> (v_removed, vbuckets_removed, tiles_removed, e_removed)\n"
-     "Remove a previously reserved path (same iteration bounds as\n"
-     "reserve_path; dense layers/blocks stay materialised)."},
     {"purge_before", stsearch_purge_before, METH_VARARGS,
      "purge_before(mode, vertex_obj, edge_obj, tile_bits, t, vfloor,\n"
      "    efloor)\n"
      " -> (v_removed, vbuckets_removed, tiles_removed, e_removed)\n"
      "Drop all reservations strictly before t (the periodic update)."},
-    {"audit_path", stsearch_audit_path, METH_VARARGS,
-     "audit_path(mode, vertex_obj, edge_obj, tile_bits, height, steps)\n"
-     " -> bool\n"
-     "Bulk conflict audit: every arrival vertex at its arrival tick and\n"
-     "every traversed edge (reversed swap probe) at its departure tick."},
     {"bfs_fill", stsearch_bfs_fill, METH_VARARGS,
      "bfs_fill(grid_capsule, source_ci, buffer, unreached) -> None\n"
      "Flood true shortest-path distances from source_ci into a writable\n"

@@ -203,8 +203,8 @@ def seed_planner_patches():
     cache), the pre-bucketing reservation structures, and no tier-0
     free-flow fast path (the chain's class switch is flipped off, so the
     patched ``_find_leg`` really runs the seed search for every leg —
-    the legacy reservation structures also predate the bulk
-    ``audit_path`` the fast path needs).  Used by the end-to-end
+    the legacy reservation structures also predate the packed probes
+    the tier-0 audit needs).  Used by the end-to-end
     equivalence test and ``scripts/bench_kernels.py``.
     """
     from ..planners import base as base_mod

@@ -13,9 +13,12 @@ the seed's per-cell timestamp sets forced a scan of every live cell.  The
 packed keys are also exactly what the packed-integer spatiotemporal A*
 core probes with, so the search's hot loop never materialises a tuple.
 
-Supports the three operations of Sec. VI-B: conflict *search* (``is_free``
-/ ``edge_free``), *insertion* (``reserve_path``) and the periodic *update*
-that deletes passed timestamps (``purge_before``).
+Supports the three operations of Sec. VI-B and nothing else: conflict
+*search* (``is_free`` / ``edge_free``), *insertion* (``reserve_path``) and
+the periodic *update* that deletes passed timestamps (``purge_before``).
+Insertion and update run in the compiled mutation kernel when it is
+loaded, with the python bodies below as the bit-identical fallback; the
+bulk audits are the base class's, defined once over the probes.
 
 One addition on top of the paper's structure, behaviour-neutral:
 
@@ -103,35 +106,6 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
                     self._n_entries += 1
         self._reserve_edges(path, horizon)
 
-    def unreserve_path(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
-        self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            self.mutation_kernel = "compiled"
-            removed, _, _, e_removed = kernel.unreserve_path(
-                1, self._buckets, self._edge_buckets, 0, 0, path.steps,
-                -1 if horizon is None else horizon, self._floor,
-                self._edge_floor)
-            self._n_entries -= removed
-            self._n_edges -= e_removed
-            return
-        self.mutation_kernel = "python"
-        buckets = self._buckets
-        floor = self._floor
-        for (t, x, y) in path.steps:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
-            if t >= floor:
-                key = (x << CELL_KEY_SHIFT) | y
-                bucket = buckets.get(t)
-                if bucket is not None and key in bucket:
-                    bucket.discard(key)
-                    self._n_entries -= 1
-                    if not bucket:
-                        del buckets[t]
-        self._unreserve_edges(path, horizon)
-
     def purge_before(self, t: Tick) -> None:
         """The periodic *update* operation: delete all passed timestamps."""
         self.mutation_stamp += 1
@@ -166,13 +140,6 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
         # simulation engine charges the MC metric on every event.
         return (64 + 100 * len(self._buckets) + 32 * self._n_entries
                 + self._edges_memory())
-
-    def audit_path(self, path: Path) -> bool:
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            return kernel.audit_path(1, self._buckets, self._edge_buckets,
-                                     0, 0, path.steps)
-        return ReservationTable.audit_path(self, path)
 
     def recount(self):
         """Walk the buckets and recompute every incremental counter."""
@@ -218,9 +185,9 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
 
     ``_tiles[tile][t]`` is the set of packed cell keys reserved at ``t``
     within one ``2**tile_bits``-cell-square region of the floor, so
-    ``reserve_path``/``audit_path`` touch only the tiles the leg crosses
-    (with a last-tile memo — consecutive steps almost always stay inside
-    one tile) and the periodic purge walks each tile's own live ticks
+    ``reserve_path`` touches only the tiles the leg crosses (with a
+    last-tile memo — consecutive steps almost always stay inside one
+    tile) and the periodic purge walks each tile's own live ticks
     instead of one fleet-wide tick sequence.  Entry and bucket counts are
     tracked incrementally so ``memory_bytes`` is O(1) per call.
 
@@ -316,45 +283,6 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
                 self._n_entries += 1
         self._reserve_edges(path, horizon)
 
-    def unreserve_path(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
-        self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            self.mutation_kernel = "compiled"
-            removed, buckets_removed, _, e_removed = kernel.unreserve_path(
-                3, self._tiles, self._edge_buckets, self._tile_bits, 0,
-                path.steps, -1 if horizon is None else horizon,
-                self._floor, self._edge_floor)
-            self._n_entries -= removed
-            self._n_tick_buckets -= buckets_removed
-            self._n_edges -= e_removed
-            return
-        self.mutation_kernel = "python"
-        tiles = self._tiles
-        bits = self._tile_bits
-        floor = self._floor
-        for (t, x, y) in path.steps:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
-            if t < floor:
-                continue
-            key = (x << CELL_KEY_SHIFT) | y
-            tile_id = tile_of_key(key, bits)
-            tile = tiles.get(tile_id)
-            if tile is None:
-                continue
-            bucket = tile.get(t)
-            if bucket is not None and key in bucket:
-                bucket.discard(key)
-                self._n_entries -= 1
-                if not bucket:
-                    del tile[t]
-                    self._n_tick_buckets -= 1
-                    if not tile:
-                        del tiles[tile_id]
-        self._unreserve_edges(path, horizon)
-
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
@@ -407,40 +335,6 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
             + 64 * counts["tiles_live"]
             + 64 + 100 * counts["edges"] + 64 * counts["edge_ticks"])
         return counts
-
-    def audit_path(self, path: Path) -> bool:
-        """Bulk audit: packed probes with a last-tile memo."""
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            return kernel.audit_path(3, self._tiles, self._edge_buckets,
-                                     self._tile_bits, 0, path.steps)
-        tiles = self._tiles
-        bits = self._tile_bits
-        edge_buckets = self._edge_buckets
-        steps = path.steps
-        last_tile_id = -1
-        tile: Optional[Dict[Tick, Set[int]]] = None
-        previous = steps[0]
-        for step in steps[1:]:
-            t0, x0, y0 = previous
-            t1, x1, y1 = step
-            key1 = (x1 << CELL_KEY_SHIFT) | y1
-            tile_id = tile_of_key(key1, bits)
-            if tile_id != last_tile_id:
-                tile = tiles.get(tile_id)
-                last_tile_id = tile_id
-            if tile is not None:
-                occupied = tile.get(t1)
-                if occupied is not None and key1 in occupied:
-                    return False
-            if x0 != x1 or y0 != y1:
-                swaps = edge_buckets.get(t0)
-                if (swaps is not None
-                        and ((key1 << 32)
-                             | ((x0 << CELL_KEY_SHIFT) | y0)) in swaps):
-                    return False
-            previous = step
-        return True
 
     # -- introspection ----------------------------------------------------------
 

@@ -26,10 +26,13 @@ So::
     descent conflict-free  ⇒  full ST-A* returns exactly the descent
 
 which is what lets tier 0 answer without searching: extract the descent
-in O(d), bulk-audit it against the reservation structures
-(:meth:`~repro.pathfinding.reservation.ReservationTable.audit_path`), and
-on any hit fall through to the unchanged tier-1 search.  Behaviour is
-provably identical either way; only the cycle count changes.
+in O(d), bulk-audit it against the reservation structures, and on any
+hit fall through to the unchanged tier-1 search.  Behaviour is provably
+identical either way; only the cycle count changes.  Extraction and
+audit are one call, :meth:`FreeFlowPathCache.kernel_leg`, which answers
+the same verdict tuple from the native ``tier0_leg`` (walk and audit
+fused in C) or from the memoised chain and
+:meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain`.
 
 :class:`FreeFlowPathCache` memoises the descents per ``(source, goal)``
 pair — goals (rack homes, picker stations) recur thousands of times per
@@ -96,6 +99,12 @@ class FreeFlowPathCache:
     #: callers sweeping pairs across the whole floor.
     _ENTRY_CAP = 4096
 
+    #: Which kernel served the *last* :meth:`kernel_leg` call
+    #: (``"compiled"``/``"python"``; ``""`` before the first) — the
+    #: tier-0 counterpart of ``ReservationTable.mutation_kernel``, read
+    #: by the chain for ``LegPlan.descent_kernel``.
+    descent_kernel: str = ""
+
     def __init__(self, grid: Grid, heuristics: HeuristicFieldCache) -> None:
         self._grid = grid
         self._heuristics = heuristics
@@ -115,9 +124,9 @@ class FreeFlowPathCache:
         """The greedy-descent chain ``source → goal``, memoised and packed.
 
         The :class:`~repro.pathfinding.reservation.PackedChain` carries
-        the cell tuple plus the precomputed packed-key/flat-index/probe
-        representations the bulk audits consume; ``None`` when ``goal``
-        is spatially unreachable from ``source``.
+        the cell tuple plus the precomputed packed keys ``audit_chain``
+        probes with; ``None`` when ``goal`` is spatially unreachable
+        from ``source``.
         """
         key = (source, goal)
         chain = self._chains.get(key, _MISSING)
@@ -148,30 +157,49 @@ class FreeFlowPathCache:
 
     def kernel_leg(self, reservation, t: int, source: Cell, goal: Cell,
                    finisher_factory):
-        """One fused native call: greedy descent + bulk reservation audit.
+        """The one tier-0 entry: greedy descent + bulk reservation audit.
 
-        Returns ``None`` when the kernel declines — no compiled module,
-        a generic (mode-0) probe spec, or a foreign field representation
-        — and the caller runs the python tier-0 body instead.  Otherwise
-        ``(verdict, payload, j, finisher, trigger)`` where the verdict
-        mirrors ``tier0_leg``: 0 unreachable (payload ``None``), 1
-        conflict-free (payload the timed steps), 2 head prefix ``j``
-        audited clean for the finisher (payload the cell chain), 3 audit
-        reject (payload the cell chain, for the rescue tier).
+        Returns ``(verdict, payload, j, finisher, trigger)`` from either
+        kernel, for the chain's single verdict interpreter
+        (:meth:`FallbackChain._free_flow_leg
+        <repro.pathfinding.pipeline.FallbackChain._free_flow_leg>`):
 
-        The compiled path deliberately bypasses the ``packed()`` memo:
-        the walk itself is cheap in C, and skipping the memo keeps the
-        per-call cost flat.  Observable planning behaviour is identical
-        to the python tier (pinned by the equivalence suite); only the
-        memo's internal hit counters differ between kernels.
+        * 0 — ``goal`` unreachable; payload ``None``, and the finisher
+          factory was never consulted;
+        * 1 — the whole descent audited clean; payload the timed
+          ``(t, x, y)`` steps;
+        * 2 — a finisher is in force and the head prefix of ``j`` moves
+          audited clean; payload the cell chain, for the caller to
+          invoke ``finisher(payload[j], t + j)``;
+        * 3 — the audit hit a reservation; payload the cell chain, for
+          the rescue tier.
+
+        ``finisher, trigger`` are what ``finisher_factory(goal)``
+        answered.  Payloads are sequences (lists from the compiled
+        kernel, tuples from the python pair) of equal contents;
+        :attr:`descent_kernel` records which of the two served the call.
+
+        The compiled ``tier0_leg`` serves the library's own tables
+        (probe modes 1-4) over the two field representations it knows
+        and walks the descent itself (cheap in C, and skipping the
+        ``packed()`` memo keeps the per-call cost flat).  Anything else
+        — no module, a generic mode-0 table, a foreign field — takes
+        the memoised chain through ``audit_chain`` in the same order:
+        reachability, finisher factory, head audit.  EATP's
+        shortest-path cache depends on that order — consulting the
+        factory or the finisher where the full search would not mutates
+        the cache (and its memory metric) as no tier-0-off run would.
         """
         module = _DESCENT_MODULE
         if module is None:
-            return None
+            return self._python_leg(reservation, t, source, goal,
+                                    finisher_factory)
         mode, vertex_obj, edge_obj, tile_bits = \
             reservation.kernel_probe_spec()
-        if mode == 0:
-            return None  # generic callables: python tier handles them
+        if mode == 0:  # generic callables
+            return self._python_leg(reservation, t, source, goal,
+                                    finisher_factory)
+        self.descent_kernel = "compiled"
         grid = self._grid
         height = grid.height
         flat = self._heuristics.field(goal).flat
@@ -179,20 +207,39 @@ class FreeFlowPathCache:
         if isinstance(flat, _LazyManhattanFlat):
             h_mode, h_arg = 1, None
         elif isinstance(flat, (array, memoryview)):
-            # Match the python call order: an unreachable leg answers
-            # MISS without ever consulting the finisher factory.
+            # Same order as the python pair: an unreachable leg answers
+            # before the finisher factory is ever consulted.
             if flat[sci] > grid.n_cells:
-                return (0, None, 0, None, 0)
+                return 0, None, 0, None, 0
             h_mode, h_arg = 2, flat
-        else:
-            return None  # foreign field representation: python tier
+        else:  # foreign field representation
+            return self._python_leg(reservation, t, source, goal,
+                                    finisher_factory)
         finisher, trigger = finisher_factory(goal)
-        eff_trigger = trigger if finisher is not None else 0
         verdict, payload, j = module.tier0_leg(
             grid.kernel_capsule(module), mode, vertex_obj, edge_obj,
-            tile_bits, h_mode, h_arg, sci,
-            goal[0] * height + goal[1], t, eff_trigger)
+            tile_bits, h_mode, h_arg, sci, goal[0] * height + goal[1], t,
+            trigger if finisher is not None else 0)
         return verdict, payload, j, finisher, trigger
+
+    def _python_leg(self, reservation, t: int, source: Cell, goal: Cell,
+                    finisher_factory):
+        """:meth:`kernel_leg` over the memoised chain and ``audit_chain``."""
+        self.descent_kernel = "python"
+        chain = self.packed(source, goal)
+        if chain is None:
+            return 0, None, 0, None, 0
+        cells = chain.cells
+        finisher, trigger = finisher_factory(goal)
+        k = len(cells) - 1
+        if finisher is not None and trigger > 0 and k > 0:
+            j = k - trigger if k > trigger else 0
+            if reservation.audit_chain(t, chain, j):
+                return 2, cells, j, finisher, trigger
+        elif reservation.audit_chain(t, chain, k):
+            steps = tuple((t + i, x, y) for i, (x, y) in enumerate(cells))
+            return 1, steps, 0, finisher, trigger
+        return 3, cells, 0, finisher, trigger
 
     def _walk(self, source: Cell, goal: Cell) -> Optional[PackedChain]:
         flat = self._heuristics.field(goal).flat
@@ -224,9 +271,8 @@ class FreeFlowPathCache:
         cells = [(x, sy) for x in range(sx, gx, 1 if gx > sx else -1)]
         cells += [(gx, y) for y in range(sy, gy, 1 if gy > sy else -1)]
         cells.append(goal)
-        indices = [x * height + y for x, y in cells]
         return PackedChain(tuple(cells),
-                           [cell_keys[ci] for ci in indices], indices)
+                           [cell_keys[x * height + y] for x, y in cells])
 
     def _walk_generic(self, source: Cell, goal: Cell,
                       flat) -> Optional[PackedChain]:
@@ -240,7 +286,6 @@ class FreeFlowPathCache:
         cell_keys = grid.cell_keys
         cells = [source]
         keys = [cell_keys[ci]]
-        indices = [ci]
         append = cells.append
         while h:
             h -= 1
@@ -248,12 +293,11 @@ class FreeFlowPathCache:
                 if flat[nci] == h:
                     ci = nci
                     keys.append(nkey)
-                    indices.append(nci)
                     break
             else:  # pragma: no cover — exact fields always descend
                 return None
             append(divmod(ci, height))
-        return PackedChain(tuple(cells), keys, indices)
+        return PackedChain(tuple(cells), keys)
 
     # -- invalidation hooks -------------------------------------------------
 

@@ -33,8 +33,9 @@ fallback (the golden traces, the engine-equivalence suites) are unchanged.
 extract the leg's free-flow shortest path by greedy descent on the cached
 exact heuristic field (O(path length), tie-broken exactly like the full
 search — see :mod:`repro.pathfinding.free_flow`), bulk-audit it against
-the reservation structures
-(:meth:`~repro.pathfinding.reservation.ReservationTable.audit_path`), and
+the reservation structures (both in one call,
+:meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`, whose
+verdict tuple :meth:`FallbackChain._free_flow_leg` alone interprets), and
 serve the leg without searching when the audit finds no conflict.  Any
 hit — or any case tier 0 cannot prove byte-identical (tiny expansion
 budgets, a declining cache finisher) — drops straight into the unchanged
@@ -100,8 +101,8 @@ class LegPlan:
         a wait) ends early and the simulator replans from its last step
         (the *horizon replan*).
     tier:
-        Which chain tier produced the plan (:data:`TIER_FULL`,
-        :data:`TIER_WINDOWED` or :data:`TIER_WAIT`).
+        Which chain tier produced the plan (:data:`TIER_FREE_FLOW`,
+        :data:`TIER_FULL`, :data:`TIER_WINDOWED` or :data:`TIER_WAIT`).
     complete:
         Whether ``path`` ends on the requested goal.
     commit_path:
@@ -118,9 +119,9 @@ class LegPlan:
         on success), for the caller to fold into its counters.
     fastpath:
         What tier 0 did for this leg (:data:`FASTPATH_HIT`,
-        :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT` or
-        :data:`FASTPATH_OFF`) — the input of the planner's fast-path
-        hit-rate counters.
+        :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
+        :data:`FASTPATH_RESCUE` or :data:`FASTPATH_OFF`) — the input of
+        the planner's fast-path hit-rate counters.
     descent_kernel:
         Which tier-0 implementation attempted the leg (``"compiled"``
         for the fused native call, ``"python"`` for the descent + audit
@@ -223,7 +224,12 @@ class FallbackChain:
         Returns ``(leg | None, outcome, kernel)`` where ``kernel`` is
         ``"compiled"`` when the fused native tier-0 call attempted the
         leg, ``"python"`` for the descent + audit pair, ``""`` when
-        tier 0 was off.
+        tier 0 was off.  This is the one interpreter of the tier-0
+        verdict tuple :meth:`FreeFlowPathCache.kernel_leg
+        <repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg>`
+        answers from either kernel: 1 is a served leg, 2 hands the
+        audited head to the finisher, 3 tries the rescue then rejects,
+        0 is a miss.
 
         Emits a plan only when the result is *provably* byte-identical to
         what tier 1 would return (see :mod:`repro.pathfinding.free_flow`):
@@ -245,89 +251,38 @@ class FallbackChain:
         if not (self.free_flow_enabled and config.free_flow
                 and config.max_search_expansions >= self.grid.n_cells):
             return None, FASTPATH_OFF, ""
-        fused = self.free_flow.kernel_leg(self.reservation, t, source,
-                                          goal, self.finisher_factory)
-        if fused is not None:
-            leg, fastpath = self._kernel_fastpath(t, fused)
-            return leg, fastpath, "compiled"
-        chain = self.free_flow.packed(source, goal)
-        if chain is None:
+        free_flow = self.free_flow
+        verdict, payload, j, finisher, __ = free_flow.kernel_leg(
+            self.reservation, t, source, goal, self.finisher_factory)
+        kernel = free_flow.descent_kernel
+        if verdict == 0:
             # unreachable: tier 1 fails fast
-            return None, FASTPATH_MISS, "python"
-        cells = chain.cells
-        finisher, trigger = self.finisher_factory(goal)
-        k = len(cells) - 1
+            return None, FASTPATH_MISS, kernel
+        if verdict == 3:
+            rescued = self._rescue_leg(t, payload)
+            if rescued is not None:
+                return rescued, FASTPATH_RESCUE, kernel
+            return None, FASTPATH_AUDIT_REJECT, kernel
         search_stats: Tuple[SearchStats, ...] = ()
-        if finisher is not None and trigger > 0 and k > 0:
-            j = k - trigger if k > trigger else 0
-            # Audit the head *before* consulting the finisher: on a
-            # conflicted head the full search deviates and triggers the
-            # finisher elsewhere (or not at all), so calling it here
-            # would mutate the shortest-path cache — and its memory
-            # metric — in ways a tier-0-off run never would.  The chain
-            # audit probes exactly what ``audit_path`` would on the head
-            # prefix, without materialising a timed path for a candidate
-            # that may be rejected.
-            if not self.reservation.audit_chain(t, chain, j):
-                rescued = self._rescue_leg(t, cells)
-                if rescued is not None:
-                    return rescued, FASTPATH_RESCUE, "python"
-                return None, FASTPATH_AUDIT_REJECT, "python"
-            tail = finisher(cells[j], t + j)
+        if verdict == 2:
+            # Only a head that audited clean reaches the finisher (see
+            # ``kernel_leg`` on why the order matters to EATP's cache).
+            tail = finisher(payload[j], t + j)
             if tail is None:
                 # The full search would keep expanding past the first
                 # trigger and may finish through a *later* finisher call
                 # off the descent chain — not reproducible in O(d).
-                return None, FASTPATH_MISS, "python"
-            path = Path.from_cells(cells[:j + 1], t).concat(Path(tuple(tail)))
-            stats = SearchStats(cache_finished=True,
-                                budget=config.max_search_expansions)
-            search_stats = (stats,)
+                return None, FASTPATH_MISS, kernel
+            path = Path.from_cells(payload[:j + 1], t).concat(
+                Path(tuple(tail)))
+            search_stats = (SearchStats(
+                cache_finished=True, budget=config.max_search_expansions),)
         else:
-            if not self.reservation.audit_chain(t, chain, k):
-                rescued = self._rescue_leg(t, cells)
-                if rescued is not None:
-                    return rescued, FASTPATH_RESCUE, "python"
-                return None, FASTPATH_AUDIT_REJECT, "python"
-            path = Path.from_cells(cells, t)
+            path = Path(tuple(payload))
         leg = LegPlan(path=path, tier=TIER_FREE_FLOW, complete=True,
                       commit_path=path, search_stats=search_stats,
                       fastpath=FASTPATH_HIT)
-        return leg, FASTPATH_HIT, "python"
-
-    def _kernel_fastpath(self, t: Tick, fused):
-        """Translate a fused ``tier0_leg`` verdict into the tier-0 result.
-
-        Mirrors the python branches below step for step: verdict 1 is a
-        served leg, 2 hands the audited head to the finisher, 3 tries
-        the rescue then rejects, 0 is a miss.  The emitted paths are
-        bit-identical to the python tier's (the kernel builds the same
-        timed tuples ``Path.from_cells`` would).
-        """
-        verdict, payload, j, finisher, trigger = fused
-        if verdict == 0:
-            return None, FASTPATH_MISS
-        if verdict == 3:
-            rescued = self._rescue_leg(t, payload)
-            if rescued is not None:
-                return rescued, FASTPATH_RESCUE
-            return None, FASTPATH_AUDIT_REJECT
-        if verdict == 2:
-            tail = finisher(payload[j], t + j)
-            if tail is None:
-                return None, FASTPATH_MISS
-            path = Path.from_cells(payload[:j + 1], t).concat(
-                Path(tuple(tail)))
-            stats = SearchStats(cache_finished=True,
-                                budget=self.config.max_search_expansions)
-            leg = LegPlan(path=path, tier=TIER_FREE_FLOW, complete=True,
-                          commit_path=path, search_stats=(stats,),
-                          fastpath=FASTPATH_HIT)
-            return leg, FASTPATH_HIT
-        path = Path(tuple(payload))
-        leg = LegPlan(path=path, tier=TIER_FREE_FLOW, complete=True,
-                      commit_path=path, fastpath=FASTPATH_HIT)
-        return leg, FASTPATH_HIT
+        return leg, FASTPATH_HIT, kernel
 
     # -- tier 0.5: wait-following rescue of a conflicted descent ---------------
 

@@ -4,7 +4,16 @@ The spatiotemporal A* search (Sec. V-C) and the cache-aided finisher
 (Sec. VI-B) are written against this small abstract interface; the
 *spatiotemporal graph* (memory-heavy, Sec. V-C) and the *conflict detection
 table* (compact, Sec. VI-B) are its two implementations.  Swapping one for
-the other is the A4 ablation in DESIGN.md.
+the other is the A4 ablation (:mod:`repro.experiments.ablations`).
+
+A table is the paper's three operations (Sec. VI-B) plus accounting:
+conflict *search* (``is_free`` / ``edge_free``), *insertion*
+(``reserve_path``) and the periodic *update* (``purge_before``); the
+production tables dispatch the last two to the compiled mutation kernel
+when it is loaded.  The bulk audits are defined once, here, over the
+probes: :meth:`ReservationTable.audit_path` is the reference walk the
+tests compare against, :meth:`ReservationTable.audit_chain` is the
+python tier-0 audit (the native ``tier0_leg`` audits inside the kernel).
 
 Semantics: ``is_free(t, cell)`` guards single-grid conflicts;
 ``edge_free(t, a, b)`` guards inter-grid (swap) conflicts for a move that
@@ -73,7 +82,7 @@ def tile_of_key(key: int, bits: int) -> int:
 # -- packed descent chains ---------------------------------------------------
 
 class PackedChain:
-    """A free-flow descent chain in every representation the audits use.
+    """A free-flow descent chain in both representations tier 0 uses.
 
     Built once when the chain is memoised (see
     :class:`~repro.pathfinding.free_flow.FreeFlowPathCache`), then audited
@@ -89,18 +98,13 @@ class PackedChain:
         ``descent()`` payload).
     keys:
         Packed cell keys (``x << 16 | y``) per chain cell.
-    flat:
-        Flat cell indices (``x·H + y``) per chain cell, for dense
-        (layer-indexed) reservation structures.
     """
 
-    __slots__ = ("cells", "keys", "flat")
+    __slots__ = ("cells", "keys")
 
-    def __init__(self, cells: Tuple[Cell, ...], keys: List[int],
-                 flat: List[int]) -> None:
+    def __init__(self, cells: Tuple[Cell, ...], keys: List[int]) -> None:
         self.cells = cells
         self.keys = keys
-        self.flat = flat
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -114,8 +118,8 @@ class ReservationTable(abc.ABC):
     #: per-op kernel tags in ``PlannerStats``.
     mutation_kernel: str = ""
 
-    #: Monotonic mutation counter, bumped by every reserve/unreserve/
-    #: purge on the production tables; ``None`` on structures that do not
+    #: Monotonic mutation counter, bumped by every reserve/purge
+    #: on the production tables; ``None`` on structures that do not
     #: track it.  The planner keys its cached ``memory_bytes`` aggregate
     #: on this stamp, so the class default keeps legacy tables (and old
     #: pickles) on the always-recompute path.
@@ -123,7 +127,7 @@ class ReservationTable(abc.ABC):
 
     @abc.abstractmethod
     def is_free(self, t: Tick, cell: Cell) -> bool:
-        """Whether ``cell`` is unreserved at time ``t``."""
+        """Whether no path holds ``cell`` at time ``t``."""
 
     @abc.abstractmethod
     def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
@@ -144,19 +148,6 @@ class ReservationTable(abc.ABC):
     @abc.abstractmethod
     def purge_before(self, t: Tick) -> None:
         """Drop all reservations strictly before ``t`` (the periodic update)."""
-
-    def unreserve_path(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
-        """Remove a previously reserved path (inverse of ``reserve_path``).
-
-        Iterates exactly the vertices and edges ``reserve_path(path,
-        horizon)`` would have inserted.  The caller must only unreserve
-        paths it exclusively owns: a vertex shared with another live path
-        is removed outright.  Production tables implement this; the
-        legacy structures raise.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support unreserve_path")
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:
@@ -230,50 +221,27 @@ class ReservationTable(abc.ABC):
     def audit_path(self, path: Path) -> bool:
         """Whether every arrival and move of ``path`` is conflict-free.
 
-        The bulk form of the per-move probes: the tier-0 free-flow fast
-        path extracts a candidate path without searching and audits it
-        here in one pass — a single hit sends the leg to the full search,
-        so the audit only ever has to be *sound*, never clever.  Probes
-        exactly what the search core would have probed for the same
-        moves: each arrival vertex at its arrival tick and each traversed
-        edge at its departure tick; the source vertex at the start tick
-        is the robot's own position and is not probed.
-
-        This base implementation goes through :meth:`packed_buckets` when
-        the structure is tick-bucketed (one dict hit per tick, bare ``in``
-        per key — the same fast path the search core uses) and falls back
-        to the tuple probes otherwise; implementations with a different
-        native layout (the dense ST graph) override it.
+        The probe-by-probe reference walk over :meth:`is_free` /
+        :meth:`edge_free` — the one definition of "this path audits
+        clean" every table shares, and what the tier-0 equivalence tests
+        compare against.  No planning run calls it: the audit that does
+        run is tier 0's (:meth:`audit_chain` under the python kernel,
+        inside the native ``tier0_leg`` under the compiled one).  Probes
+        exactly what the search core would for the same moves: each
+        arrival vertex at its arrival tick and each traversed edge at its
+        departure tick; the source vertex at the start tick is the
+        robot's own position and is not probed.
         """
         steps = path.steps
-        buckets = self.packed_buckets()
-        if buckets is None:
-            previous = steps[0]
-            for step in steps[1:]:
-                t0, x0, y0 = previous
-                t1, x1, y1 = step
-                if not self.is_free(t1, (x1, y1)):
-                    return False
-                if ((x0 != x1 or y0 != y1)
-                        and not self.edge_free(t0, (x0, y0), (x1, y1))):
-                    return False
-                previous = step
-            return True
-        vertex_buckets, edge_buckets = buckets
         previous = steps[0]
         for step in steps[1:]:
             t0, x0, y0 = previous
             t1, x1, y1 = step
-            key1 = (x1 << CELL_KEY_SHIFT) | y1
-            occupied = vertex_buckets.get(t1)
-            if occupied is not None and key1 in occupied:
+            if not self.is_free(t1, (x1, y1)):
                 return False
-            if x0 != x1 or y0 != y1:
-                swaps = edge_buckets.get(t0)
-                if (swaps is not None
-                        and ((key1 << 32)
-                             | ((x0 << CELL_KEY_SHIFT) | y0)) in swaps):
-                    return False
+            if ((x0 != x1 or y0 != y1)
+                    and not self.edge_free(t0, (x0, y0), (x1, y1))):
+                return False
             previous = step
         return True
 
@@ -395,25 +363,6 @@ class _EdgeMixin:
                 if key not in bucket:
                     bucket.add(key)
                     self._n_edges += 1
-
-    def _unreserve_edges(self, path: Path,
-                         horizon: Optional[Tick] = None) -> None:
-        """Remove the edges ``_reserve_edges(path, horizon)`` inserted."""
-        buckets = self._edge_buckets
-        floor = self._edge_floor
-        ceiling = horizon if horizon is not None else None
-        for (t0, x0, y0), (__, x1, y1) in zip(path.steps, path.steps[1:]):
-            if ceiling is not None and t0 >= ceiling:
-                break  # timestamps are consecutive; the rest is later
-            if t0 >= floor and (x0 != x1 or y0 != y1):
-                key = ((((x0 << CELL_KEY_SHIFT) | y0) << 32)
-                       | ((x1 << CELL_KEY_SHIFT) | y1))
-                bucket = buckets.get(t0)
-                if bucket is not None and key in bucket:
-                    bucket.discard(key)
-                    self._n_edges -= 1
-                    if not bucket:
-                        del buckets[t0]
 
     def _recount_edge_state(self) -> Dict[str, int]:
         """Edge counters recomputed from the buckets (debug twin)."""

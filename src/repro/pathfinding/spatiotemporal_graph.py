@@ -127,66 +127,6 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 layer[x * height + y] = 1
         self._reserve_edges(path, horizon)
 
-    def unreserve_path(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
-        self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            self.mutation_kernel = "compiled"
-            res = kernel.unreserve_path(
-                2, self._layers, self._edge_buckets, 0, self._grid.height,
-                path.steps, -1 if horizon is None else horizon,
-                self._floor, self._edge_floor)
-            self._n_edges -= res[3]
-            return
-        self.mutation_kernel = "python"
-        # Layers stay materialised: a time-expanded graph keeps every
-        # timestep's grid copy; only the occupancy bytes are cleared.
-        height = self._grid.height
-        floor = self._floor
-        get = self._layers.get
-        for (t, x, y) in path:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
-            if t >= floor:
-                layer = get(t)
-                if layer is not None:
-                    layer[x * height + y] = 0
-        self._unreserve_edges(path, horizon)
-
-    def audit_path(self, path: Path) -> bool:
-        """Bulk conflict audit for the tier-0 free-flow fast path.
-
-        The dense-layer native form of
-        :meth:`~repro.pathfinding.reservation.ReservationTable.audit_path`:
-        one ``bytearray`` index per arrival (a missing layer means free —
-        layers below the floor are evicted) plus the shared tick-bucketed
-        swap probe.
-        """
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            return kernel.audit_path(2, self._layers, self._edge_buckets,
-                                     0, self._grid.height, path.steps)
-        height = self._grid.height
-        layers = self._layers
-        edge_buckets = self._edge_buckets
-        steps = path.steps
-        previous = steps[0]
-        for step in steps[1:]:
-            t0, x0, y0 = previous
-            t1, x1, y1 = step
-            layer = layers.get(t1)
-            if layer is not None and layer[x1 * height + y1]:
-                return False
-            if x0 != x1 or y0 != y1:
-                swaps = edge_buckets.get(t0)
-                if (swaps is not None
-                        and ((((x1 << CELL_KEY_SHIFT) | y1) << 32)
-                             | ((x0 << CELL_KEY_SHIFT) | y0)) in swaps):
-                    return False
-            previous = step
-        return True
-
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
@@ -351,67 +291,6 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 last = (t, tile_id)
             tile[self._tile_slot(x, y)] = 1
         self._reserve_edges(path, horizon)
-
-    def unreserve_path(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
-        self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            self.mutation_kernel = "compiled"
-            res = kernel.unreserve_path(
-                4, self._layers, self._edge_buckets, self._tile_bits, 0,
-                path.steps, -1 if horizon is None else horizon,
-                self._floor, self._edge_floor)
-            self._n_edges -= res[3]
-            return
-        self.mutation_kernel = "python"
-        # Materialised tile blocks persist (mirroring the dense global
-        # table); only the occupancy bytes are cleared.
-        layers = self._layers
-        bits = self._tile_bits
-        floor = self._floor
-        for (t, x, y) in path:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
-            if t < floor:
-                continue
-            layer = layers.get(t)
-            if layer is None:
-                continue
-            tile = layer.get(tile_of_cell(x, y, bits))
-            if tile is not None:
-                tile[self._tile_slot(x, y)] = 0
-        self._unreserve_edges(path, horizon)
-
-    def audit_path(self, path: Path) -> bool:
-        """Bulk conflict audit: one tile probe per arrival plus the shared
-        tick-bucketed swap probe (mirrors the global table's native
-        audit, restricted to the tiles the path crosses)."""
-        kernel = _rsv._MUTATION_MODULE
-        if kernel is not None:
-            return kernel.audit_path(4, self._layers, self._edge_buckets,
-                                     self._tile_bits, 0, path.steps)
-        layers = self._layers
-        bits = self._tile_bits
-        edge_buckets = self._edge_buckets
-        steps = path.steps
-        previous = steps[0]
-        for step in steps[1:]:
-            t0, x0, y0 = previous
-            t1, x1, y1 = step
-            layer = layers.get(t1)
-            if layer is not None:
-                tile = layer.get(tile_of_cell(x1, y1, bits))
-                if tile is not None and tile[self._tile_slot(x1, y1)]:
-                    return False
-            if x0 != x1 or y0 != y1:
-                swaps = edge_buckets.get(t0)
-                if (swaps is not None
-                        and ((((x1 << CELL_KEY_SHIFT) | y1) << 32)
-                             | ((x0 << CELL_KEY_SHIFT) | y0)) in swaps):
-                    return False
-            previous = step
-        return True
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1

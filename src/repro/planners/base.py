@@ -373,7 +373,7 @@ class Planner(abc.ABC):
         """Total live structure footprint — the Fig. 12 MC sample.
 
         The reservation aggregate is cached against the table's
-        ``mutation_stamp`` (bumped by every reserve / unreserve / purge),
+        ``mutation_stamp`` (bumped by every reserve / purge),
         so repeated samples between mutations cost one integer compare.
         Only the reservation term is cached: the subclass extras are all
         O(1) *and* can mutate outside the stamp's visibility (ATP's

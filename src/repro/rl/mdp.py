@@ -131,7 +131,7 @@ def wait_cost(observation: RackObservation, weight: float = 10.0) -> float:
     horizon comparable to one tick of overhead.  The induced dispatch
     boundary is ``|τ_r| ≳ max{f_p, d} / weight``: ~2–4 items when
     transport dominates, deep batches once the picker queue builds — the
-    Fig. 13 adaptive behaviour.  This is a documented refinement, not in
-    the paper's pseudocode (see DESIGN.md §5 notes).
+    Fig. 13 adaptive behaviour.  This is a reproduction refinement, not
+    in the paper's pseudocode (Alg. 2 grounds only selections).
     """
     return -weight * float(observation.n_pending)

@@ -75,8 +75,8 @@ class QLearningAgent:
         computed from the live observation, the continuation value from
         the learned table.  The lookahead is what lets selection react to
         the *current* picker status: the paper's bucketed ⟨ap, ar⟩ state
-        cannot encode f_p, but the immediate term can (a documented
-        reproduction refinement; see DESIGN.md §5 notes).
+        cannot encode f_p, but the immediate term can (a reproduction
+        refinement; see :func:`repro.rl.mdp.wait_cost`).
 
         With γ below 1 the induced decision boundary is approximately
         "request once |τ_r| ≳ (1 − γ)·max{f_p, d}": small batches

@@ -4,7 +4,7 @@ The synthetic datasets emerge items "following Poisson distribution"
 (Sec. VII-A); the real Geekplus traces are high-variance and bursty — we
 model them with a piecewise-rate (surge) Poisson process plus Zipf rack
 popularity, which reproduces the bottleneck migration of Fig. 13 without
-the proprietary data (see DESIGN.md §4).
+the proprietary data.
 
 Every generator is a pure function of its RNG seed, so workloads are
 reproducible across planners — all five algorithms see byte-identical item

@@ -15,8 +15,9 @@ Every generator takes a ``scale`` multiplier (linear dimensions and counts
 grow together), so paper-scale instances remain constructible; the default
 ``scale=1.0`` drains in seconds per planner.  The two "real" datasets
 substitute the proprietary Geekplus traces with bursty surge arrivals and
-Zipf rack popularity (DESIGN.md §4): what the experiments need from them is
-high-variance throughput on a larger floor, which the surge preserves.
+Zipf rack popularity (:mod:`repro.workloads.arrivals`): what the
+experiments need from them is high-variance throughput on a larger floor,
+which the surge preserves.
 
 The per-dataset proportions mirror the paper: Syn-B has *fewer racks but
 far more items* than Syn-A (high per-rack throughput — batching country),

@@ -10,7 +10,10 @@ for its python body:
   agree with the python ``packed()``/``audit_chain`` pair on every
   production reservation table, every verdict class (unreachable, clean,
   finisher head, audit reject), and on both field regimes (eager int32
-  buffers and the paper-scale lazy Manhattan closed form);
+  buffers and the paper-scale lazy Manhattan closed form) — and
+  ``FreeFlowPathCache.kernel_leg``, the one tier-0 entry, must answer the
+  same verdict tuple from either kernel, so the chain's single
+  interpreter builds the same leg;
 * the shared :class:`FieldArena` — fields served from shared memory must
   equal locally flooded ones, attach across pickled handles, and degrade
   cleanly when the owning block is gone.
@@ -18,14 +21,16 @@ for its python body:
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 
-from repro.config import PAPER_SCALE_MIN_CELLS
+from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
@@ -35,6 +40,8 @@ from repro.pathfinding.free_flow import (FreeFlowPathCache,
 from repro.pathfinding.heuristics import (FieldArena, HeuristicFieldCache,
                                           attach_field_arena)
 from repro.pathfinding.paths import Path
+from repro.pathfinding.pipeline import FallbackChain
+from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
@@ -189,6 +196,18 @@ TABLES = {
 }
 
 
+class GenericTable(ConflictDetectionTable):
+    """A third-party-style table: the base (mode-0) probe spec only."""
+
+    kernel_probe_spec = ReservationTable.kernel_probe_spec
+    packed_buckets = ReservationTable.packed_buckets
+
+
+#: Every table ``kernel_leg`` can meet: the four native layouts plus one
+#: the compiled kernel declines (so the python pair serves it).
+LEG_TABLES = dict(TABLES, generic=lambda grid: GenericTable())
+
+
 def random_traffic(rng: random.Random, grid: Grid, table) -> None:
     cells = passable_cells(grid)
     for __ in range(rng.randint(0, 8)):
@@ -283,18 +302,159 @@ class TestFusedLegEquivalence:
         assert seen_heads > 0
 
     def test_declines_generic_probe_spec(self, name):
+        """A mode-0 spec never reaches ``tier0_leg``: the python pair
+        answers, with the verdict the native layout would get."""
         set_descent_kernel(COMPILED)
         grid = Grid(WIDTH, HEIGHT)
         real = TABLES[name](grid)
+        real.reserve_path(Path.waiting((3, 0), 0, 9))
 
         class GenericProbe:
+            audit_chain = real.audit_chain
+
             def kernel_probe_spec(self):
                 spec = real.kernel_probe_spec()
                 return (0,) + tuple(spec[1:])
 
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        assert cache.kernel_leg(GenericProbe(), 0, (0, 0), (5, 5),
-                                lambda goal: (None, 0)) is None
+        for goal in ((5, 0), (0, 5)):  # through the camped cell, and not
+            declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal,
+                                        lambda goal: (None, 0))
+            assert cache.descent_kernel == "python"
+            native = cache.kernel_leg(real, 0, (0, 0), goal,
+                                      lambda goal: (None, 0))
+            assert cache.descent_kernel == "compiled"
+            assert normalised(declined) == normalised(native)
+
+
+def normalised(fused):
+    """A ``kernel_leg`` tuple with its payload sequence as a tuple."""
+    verdict, payload, j, finisher, trigger = fused
+    return (verdict, None if payload is None else tuple(payload), j,
+            finisher, trigger)
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(LEG_TABLES))
+class TestOneTierZeroContract:
+    """``kernel_leg`` answers one verdict tuple from either kernel."""
+
+    def problem(self, name, seed):
+        rng = random.Random(13_000 + seed)
+        grid = random_grid(rng)
+        cells = passable_cells(grid)
+        if len(cells) < 2:
+            return None
+        table = LEG_TABLES[name](grid)
+        random_traffic(rng, grid, table)
+        source, goal = rng.sample(cells, 2)
+        if rng.random() < 0.1:
+            goal = source  # k == 0: served even with a finisher in force
+        return rng, grid, table, source, goal, rng.randint(0, 5)
+
+    def finisher_factory(self, rng, cache):
+        """No finisher, or one that declines on odd ticks and otherwise
+        finishes along the descent (wait-free, so only valid as data)."""
+        if rng.random() < 0.4:
+            return lambda goal: (None, 0)
+        trigger = rng.randint(1, 6)
+
+        def factory(goal):
+            def finisher(cell, tick):
+                if tick % 2:
+                    return None
+                return Path.from_cells(cache.descent(cell, goal), tick).steps
+            return finisher, trigger
+        return factory
+
+    def both_kernels(self, call):
+        set_descent_kernel(COMPILED)
+        compiled = call()
+        set_descent_kernel(None)
+        return compiled, call()
+
+    def test_verdict_tuples_equal(self, name):
+        seen = set()
+        for seed in range(120):
+            problem = self.problem(name, seed)
+            if problem is None:
+                continue
+            rng, grid, table, source, goal, t = problem
+            cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+            finisher = (lambda cell, tick: None) if seed % 2 else None
+            trigger = rng.randint(1, 6)
+
+            def factory(goal):
+                return finisher, trigger
+
+            compiled, python = self.both_kernels(
+                lambda: cache.kernel_leg(table, t, source, goal, factory))
+            assert normalised(compiled) == normalised(python)
+            seen.add((compiled[0], finisher is not None))
+        # all four verdicts, with and without a finisher in force
+        # (the head verdict only exists with one)
+        assert seen >= {(0, False), (1, False), (3, False),
+                        (0, True), (1, True), (2, True), (3, True)}
+
+    def test_chain_legs_equal(self, name):
+        outcomes = set()
+        for seed in range(120):
+            problem = self.problem(name, seed)
+            if problem is None:
+                continue
+            rng, grid, table, source, goal, t = problem
+            heuristics = HeuristicFieldCache(grid)
+            cache = FreeFlowPathCache(grid, heuristics)
+            chain = FallbackChain(
+                grid=grid, reservation=table, heuristics=heuristics,
+                config=PlannerConfig(free_flow_rescue=bool(seed % 3)),
+                full_search=None,
+                finisher_factory=self.finisher_factory(rng, cache),
+                free_flow=cache)
+            compiled, python = self.both_kernels(
+                lambda: chain._free_flow_leg(t, source, goal))
+            native = name != "generic"
+            assert compiled[2] == ("compiled" if native else "python")
+            assert python[2] == "python"
+            assert compiled[:2] == python[:2]  # (LegPlan | None, outcome)
+            outcomes.add(compiled[1])
+        assert outcomes == {"hit", "miss", "audit_reject", "rescue"}
+
+    def test_mutations_and_tier0_retain_nothing(self, name):
+        # Steady state of a service run: reserve a window of legs, audit
+        # descents through them, purge the window — repeated, the heap
+        # must come back to where one warm cycle left it.
+        set_search_kernel("compiled")
+        grid = Grid(24, 24)
+        table = LEG_TABLES[name](grid)
+        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        lanes = [[(x, y) for y in range(24)] for x in range(2, 22, 3)]
+
+        def cycle(base):
+            for offset, lane in enumerate(lanes):
+                table.reserve_path(Path.from_cells(lane, base + offset))
+                table.reserve_path(Path.from_cells(lane[::-1], base + offset),
+                                   base + offset + 9)
+            verdicts = {cache.kernel_leg(table, base + 2, (0, y), (23, y),
+                                         lambda goal: (None, 0))[0]
+                        for y in range(24)}
+            table.purge_before(base + 40)
+            return verdicts
+
+        assert cycle(0) == {1, 3}  # warm: capsule, fields, memo, buckets
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for round_no in range(1, 30):
+                cycle(40 * round_no)
+            gc.collect()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.live_counts() == table.recount()
+        assert peak - before > 16 << 10  # the cycles did allocate
+        assert after - before < 8 << 10
 
 
 @needs_compiled
@@ -335,11 +495,17 @@ class TestFusedLegManhattanRegime:
         assert {1, 3} <= verdicts
 
     def test_kernel_declines_without_module(self):
+        """No module: the same entry answers through the python pair."""
         set_descent_kernel(None)
         grid = Grid(8, 8)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        assert cache.kernel_leg(SpatiotemporalGraph(grid), 0, (0, 0),
-                                (7, 7), lambda goal: (None, 0)) is None
+        verdict, payload, j, finisher, trigger = cache.kernel_leg(
+            SpatiotemporalGraph(grid), 0, (0, 0), (7, 7),
+            lambda goal: (None, 0))
+        assert cache.descent_kernel == "python"
+        assert verdict == 1
+        assert payload == Path.from_cells(
+            cache.descent((0, 0), (7, 7)), 0).steps
 
 
 # -- the shared field arena --------------------------------------------------

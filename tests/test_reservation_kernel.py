@@ -1,11 +1,12 @@
 """Native reservation-mutation kernel: equivalence and accounting.
 
-The compiled reserve / unreserve / purge / audit entry points must be
-drop-ins for the pure-python mutation loops on every production table —
-same container contents bit for bit, same incremental counters, same
-audit answers — and the incremental occupancy counters every structure
-now maintains must never drift from a walk-from-scratch recount.  The
-equivalence half builds the
+The compiled ``reserve_path`` / ``purge_before`` entry points — the two
+mutating operations of a table; the third, conflict search, is probes —
+must be drop-ins for the pure-python mutation loops on every production
+table: same container contents bit for bit, same returned deltas (so the
+same incremental counters), and the incremental occupancy counters every
+structure maintains must never drift from a walk-from-scratch recount.
+The equivalence half builds the
 extension on the fly (skipping where no compiler is available); the
 counter-drift property and the planner accounting tests run under
 whichever kernel is selected, so the pure-python CI job exercises them
@@ -25,8 +26,7 @@ from repro.pathfinding.cdt import (ConflictDetectionTable,
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
-from repro.pathfinding.reservation import (ReservationTable,
-                                           mutation_kernel_name,
+from repro.pathfinding.reservation import (mutation_kernel_name,
                                            set_mutation_kernel)
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
@@ -84,24 +84,17 @@ def random_walk(rng, max_len=14, t_max=48, min_len=1, t_min=0):
 def random_ops(seed, n=60):
     """A concrete op tape: replayable against any table, any kernel.
 
-    Mixes full and windowed reserves, unreserves of previously reserved
-    paths (with their original horizon), and purges — the full mutation
-    surface of the compiled entry points.
+    Full and windowed reserves and purges — the whole mutation surface
+    of a table, in roughly the 3:1 mix a planner wake generates.
     """
     rng = random.Random(seed)
     ops = []
-    live = []
     for _ in range(n):
-        roll = rng.random()
-        if roll < 0.55 or not live:
+        if rng.random() < 0.75:
             path = random_walk(rng)
             horizon = (None if rng.random() < 0.6
                        else path.start_time + rng.randrange(1, 8))
             ops.append(("reserve", path, horizon))
-            live.append((path, horizon))
-        elif roll < 0.8:
-            path, horizon = live.pop(rng.randrange(len(live)))
-            ops.append(("unreserve", path, horizon))
         else:
             ops.append(("purge", rng.randrange(40)))
     return ops
@@ -114,11 +107,6 @@ def apply_ops(table, ops):
                 table.reserve_path(op[1])
             else:
                 table.reserve_path(op[1], op[2])
-        elif op[0] == "unreserve":
-            if op[2] is None:
-                table.unreserve_path(op[1])
-            else:
-                table.unreserve_path(op[1], op[2])
         else:
             table.purge_before(op[1])
 
@@ -136,14 +124,6 @@ class TestMutationKernelSelection:
             assert mutation_kernel_name() == "compiled"
         set_search_kernel("python")
         assert mutation_kernel_name() == "python"
-
-    def test_base_table_has_no_unreserve(self):
-        class Minimal(SpatiotemporalGraph):
-            pass
-
-        with pytest.raises(NotImplementedError):
-            ReservationTable.unreserve_path(
-                Minimal(Grid(4, 4)), Path.from_cells([(0, 0), (1, 0)], 0))
 
 
 @needs_compiled
@@ -170,44 +150,19 @@ class TestMutationBitIdentity:
             assert (compiled_table.memory_bytes()
                     == python_table.memory_bytes())
             assert compiled_table.recount() == python_table.recount()
+            # The deltas the kernel returned kept the counters exact.
+            assert compiled_table.live_counts() == compiled_table.recount()
 
     def test_audits_agree(self, name):
+        # Containers built by either kernel answer the reference walk
+        # alike (``audit_path`` itself is kernel-independent).
         compiled_table, python_table = self.twins(name, 1234)
         rng = random.Random(99)
         probes = [random_walk(rng) for _ in range(40)]
-        set_mutation_kernel(COMPILED)
         compiled_answers = [compiled_table.audit_path(p) for p in probes]
-        set_mutation_kernel(None)
         python_answers = [python_table.audit_path(p) for p in probes]
         assert compiled_answers == python_answers
         assert not all(compiled_answers)  # some probe actually conflicted
-
-    def test_unreserve_restores_prior_state(self, name):
-        # Set-backed tables restore their exact recount; the dense-layer
-        # family zeroes the bytes but keeps the materialised layers (so
-        # only the occupancy answers are required to roll back there).
-        rng = random.Random(7)
-        base = [random_walk(rng) for _ in range(5)]
-        extra = random_walk(rng)
-        exact_rollback = name in ("cdt", "sharded-cdt")
-        for kernel in (COMPILED, None):
-            set_mutation_kernel(kernel)
-            table = TABLES[name]()
-            for path in base:
-                table.reserve_path(path)
-            before = table.recount()
-            free_before = [table.is_free(t, (x, y))
-                           for (t, x, y) in extra.steps]
-            table.reserve_path(extra, extra.start_time + 4)
-            table.unreserve_path(extra, extra.start_time + 4)
-            after = table.recount()
-            if exact_rollback:
-                assert after == before
-            else:
-                assert after["edges"] == before["edges"]
-                assert after["edge_ticks"] == before["edge_ticks"]
-            assert free_before == [table.is_free(t, (x, y))
-                                   for (t, x, y) in extra.steps]
 
     def test_purge_counters_stay_exact(self, name):
         compiled_table, python_table = self.twins(name, 42, n=40)
@@ -237,8 +192,8 @@ def move_oracle(table, path):
     pytest.param("compiled", marks=needs_compiled), "python"])
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_long_audits_match_move_oracle(name, kernel):
-    """17-120-step audits, at low and >= 2**28 ticks, before and after an
-    unreserve (both of which used to switch the CDTs' audit plane)."""
+    """17-120-step audits, at low and >= 2**28 ticks, over tables built
+    by either mutation kernel."""
     set_mutation_kernel(COMPILED if kernel == "compiled" else None)
     rng = random.Random(5)
     table = TABLES[name]()
@@ -251,15 +206,12 @@ def test_long_audits_match_move_oracle(name, kernel):
         # The dense graph materialises every layer between its floor and
         # a reserved tick, so the high phase starts from a raised floor.
         table.purge_before(base)
-        reserved = [long_walk(base) for _ in range(6)]
-        for path in reserved:
-            table.reserve_path(path)
+        for _ in range(6):
+            table.reserve_path(long_walk(base))
         probes = [long_walk(base) for _ in range(60)]
-        for _ in range(2):
-            answers = [table.audit_path(path) for path in probes]
-            assert answers == [move_oracle(table, path) for path in probes]
-            assert True in answers and False in answers
-            table.unreserve_path(reserved.pop())
+        answers = [table.audit_path(path) for path in probes]
+        assert answers == [move_oracle(table, path) for path in probes]
+        assert True in answers and False in answers
 
 
 def _free_flow_ops(cache, rng, cells):
@@ -280,7 +232,7 @@ def test_property_incremental_matches_recount(seed):
     """Counters never drift from a from-scratch recount, any kernel.
 
     Exercises every production table through randomized full reserves,
-    windowed commits, purges and unreserves, plus the free-flow memo
+    windowed commits and purges, plus the free-flow memo
     through its grow/invalidate/clear cycle — under whichever mutation
     kernel the session selected (the pure-python CI job runs this with
     the extension never built).

@@ -149,49 +149,3 @@ class TestMemoryShape:
             reserve(graph, cells, t0=t0)
             reserve(cdt, cells, t0=t0)
         assert cdt.memory_bytes() < graph.memory_bytes()
-
-
-class TestUnreserve:
-    def test_unreserved_vertices_report_free(self, table):
-        path = reserve(table, [(1, 1), (2, 1), (2, 2)], t0=5)
-        table.unreserve_path(path)
-        assert table.is_free(5, (1, 1))
-        assert table.is_free(6, (2, 1))
-        assert table.is_free(7, (2, 2))
-
-    def test_unreserved_edges_report_free(self, table):
-        path = reserve(table, [(1, 1), (2, 1)], t0=0)
-        table.unreserve_path(path)
-        assert table.edge_free(0, (2, 1), (1, 1))
-        assert table.move_allowed(0, (2, 1), (1, 1))
-
-    def test_unreserve_honours_horizon(self, table):
-        path = Path.from_cells([(1, 1), (2, 1), (2, 2), (3, 2)], 0)
-        table.reserve_path(path, 1)
-        table.unreserve_path(path, 1)
-        assert table.is_free(0, (1, 1))
-        assert table.is_free(1, (2, 1))
-        # Steps past the horizon were never stored, and stay free.
-        assert table.is_free(2, (2, 2))
-
-    def test_unreserve_leaves_other_paths_alone(self, table):
-        keep = reserve(table, [(5, 5), (6, 5)], t0=3)
-        drop = reserve(table, [(1, 1), (2, 1)], t0=3)
-        table.unreserve_path(drop)
-        assert not table.is_free(3, (5, 5))
-        assert not table.is_free(4, (6, 5))
-        assert table.is_free(3, (1, 1))
-        assert table.audit_path(keep) is False
-
-    def test_unreserve_below_floor_is_ignored(self, table):
-        path = reserve(table, [(1, 1), (2, 1)], t0=10)
-        table.purge_before(20)
-        before = table.live_counts()
-        table.unreserve_path(path)
-        assert table.live_counts() == before
-
-    def test_unreserve_bumps_mutation_stamp(self, table):
-        path = reserve(table, [(1, 1), (2, 1)], t0=0)
-        stamp = table.mutation_stamp
-        table.unreserve_path(path)
-        assert table.mutation_stamp == stamp + 1
