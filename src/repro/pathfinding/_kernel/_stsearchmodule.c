@@ -60,25 +60,24 @@ enum {
 };
 
 /* ------------------------------------------------------------------ */
-/* Prepared grid: flattened adjacency + cached per-cell key objects.   */
+/* Prepared grid: CSR adjacency + cached per-cell key objects, filled  */
+/* here from the grid's blocked mask (mask[x * H + y] != 0 is a wall). */
+/* Rows list passable neighbours in the order Grid.neighbours yields   */
+/* them, (x+1, x-1, y+1, y-1); a blocked cell's row is empty.          */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     Py_ssize_t n_cells;
     int64_t height;
-    Py_ssize_t *adj_off;   /* n_cells + 1 offsets into adj_nci/adj_nkey */
+    Py_ssize_t *adj_off;   /* n_cells + 1 offsets into adj_nci */
     int32_t *adj_nci;
-    int64_t *adj_nkey;
     int64_t *cell_keys;
     PyObject **key_objs;   /* owned PyLong per cell's packed key */
 } GridData;
 
 static void
-grid_capsule_destroy(PyObject *capsule)
+grid_data_free(GridData *gd)
 {
-    GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
-    if (gd == NULL)
-        return;
     if (gd->key_objs != NULL) {
         for (Py_ssize_t i = 0; i < gd->n_cells; i++)
             Py_XDECREF(gd->key_objs[i]);
@@ -86,103 +85,78 @@ grid_capsule_destroy(PyObject *capsule)
     }
     PyMem_Free(gd->adj_off);
     PyMem_Free(gd->adj_nci);
-    PyMem_Free(gd->adj_nkey);
     PyMem_Free(gd->cell_keys);
     PyMem_Free(gd);
+}
+
+static void
+grid_capsule_destroy(PyObject *capsule)
+{
+    GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
+    if (gd != NULL)
+        grid_data_free(gd);
 }
 
 static PyObject *
 stsearch_prepare_grid(PyObject *self, PyObject *args)
 {
-    long long height;
-    PyObject *adjacency, *cell_keys;
-    if (!PyArg_ParseTuple(args, "LOO", &height, &adjacency, &cell_keys))
+    (void)self;
+    long long width, height;
+    Py_buffer mask;
+    if (!PyArg_ParseTuple(args, "LLy*:prepare_grid", &width, &height, &mask))
         return NULL;
-
-    PyObject *adj_fast = PySequence_Fast(adjacency, "adjacency not a sequence");
-    if (adj_fast == NULL)
-        return NULL;
-    PyObject *keys_fast = PySequence_Fast(cell_keys, "cell_keys not a sequence");
-    if (keys_fast == NULL) {
-        Py_DECREF(adj_fast);
-        return NULL;
+    /* Both coordinates must fit the 16-bit halves of a packed key, which
+     * also keeps a flat index inside int32. */
+    if (width <= 0 || height <= 0
+            || width > CELL_KEY_MASK + 1 || height > CELL_KEY_MASK + 1
+            || width * height > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "grid dimensions out of range");
+        goto fail;
     }
-
-    Py_ssize_t n_cells = PySequence_Fast_GET_SIZE(keys_fast);
-    if (PySequence_Fast_GET_SIZE(adj_fast) != n_cells) {
+    Py_ssize_t n_cells = (Py_ssize_t)(width * height);
+    if (mask.len != n_cells) {
         PyErr_SetString(PyExc_ValueError,
-                        "adjacency and cell_keys length mismatch");
-        goto parse_fail;
+                        "blocked mask must hold width * height bytes");
+        goto fail;
     }
+    const unsigned char *wall = mask.buf;
 
     GridData *gd = PyMem_Calloc(1, sizeof(GridData));
     if (gd == NULL) {
         PyErr_NoMemory();
-        goto parse_fail;
+        goto fail;
     }
     gd->n_cells = n_cells;
     gd->height = (int64_t)height;
-
-    Py_ssize_t total = 0;
-    for (Py_ssize_t i = 0; i < n_cells; i++) {
-        Py_ssize_t row_len = PySequence_Size(
-            PySequence_Fast_GET_ITEM(adj_fast, i));
-        if (row_len < 0)
-            goto gd_fail;
-        total += row_len;
-    }
-
     gd->adj_off = PyMem_Malloc((n_cells + 1) * sizeof(Py_ssize_t));
-    gd->adj_nci = PyMem_Malloc((total ? total : 1) * sizeof(int32_t));
-    gd->adj_nkey = PyMem_Malloc((total ? total : 1) * sizeof(int64_t));
-    gd->cell_keys = PyMem_Malloc((n_cells ? n_cells : 1) * sizeof(int64_t));
-    gd->key_objs = PyMem_Calloc((n_cells ? n_cells : 1), sizeof(PyObject *));
-    if (gd->adj_off == NULL || gd->adj_nci == NULL || gd->adj_nkey == NULL
+    gd->adj_nci = PyMem_Malloc(4 * n_cells * sizeof(int32_t));
+    gd->cell_keys = PyMem_Malloc(n_cells * sizeof(int64_t));
+    gd->key_objs = PyMem_Calloc(n_cells, sizeof(PyObject *));
+    if (gd->adj_off == NULL || gd->adj_nci == NULL
             || gd->cell_keys == NULL || gd->key_objs == NULL) {
         PyErr_NoMemory();
         goto gd_fail;
     }
 
-    Py_ssize_t at = 0;
-    for (Py_ssize_t i = 0; i < n_cells; i++) {
-        gd->adj_off[i] = at;
-        PyObject *key_obj = PySequence_Fast_GET_ITEM(keys_fast, i);
-        int64_t key = (int64_t)PyLong_AsLongLong(key_obj);
-        if (key == -1 && PyErr_Occurred())
-            goto gd_fail;
-        gd->cell_keys[i] = key;
-        Py_INCREF(key_obj);
-        gd->key_objs[i] = key_obj;
-
-        PyObject *row = PySequence_Fast(
-            PySequence_Fast_GET_ITEM(adj_fast, i), "adjacency row");
-        if (row == NULL)
-            goto gd_fail;
-        Py_ssize_t row_len = PySequence_Fast_GET_SIZE(row);
-        for (Py_ssize_t j = 0; j < row_len; j++) {
-            PyObject *pair = PySequence_Fast_GET_ITEM(row, j);
-            PyObject *pair_fast = PySequence_Fast(pair, "adjacency pair");
-            if (pair_fast == NULL || PySequence_Fast_GET_SIZE(pair_fast) != 2) {
-                Py_XDECREF(pair_fast);
-                Py_DECREF(row);
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_ValueError, "bad adjacency pair");
+    Py_ssize_t at = 0, ci = 0;
+    for (long long x = 0; x < width; x++) {
+        for (long long y = 0; y < height; y++, ci++) {
+            gd->adj_off[ci] = at;
+            gd->cell_keys[ci] = (int64_t)((x << CELL_KEY_SHIFT) | y);
+            gd->key_objs[ci] = PyLong_FromLongLong(gd->cell_keys[ci]);
+            if (gd->key_objs[ci] == NULL)
                 goto gd_fail;
-            }
-            long long nci = PyLong_AsLongLong(
-                PySequence_Fast_GET_ITEM(pair_fast, 0));
-            long long nkey = PyLong_AsLongLong(
-                PySequence_Fast_GET_ITEM(pair_fast, 1));
-            Py_DECREF(pair_fast);
-            if (PyErr_Occurred()) {
-                Py_DECREF(row);
-                goto gd_fail;
-            }
-            gd->adj_nci[at] = (int32_t)nci;
-            gd->adj_nkey[at] = (int64_t)nkey;
-            at++;
+            if (wall[ci])
+                continue;
+            if (x + 1 < width && !wall[ci + height])
+                gd->adj_nci[at++] = (int32_t)(ci + height);
+            if (x > 0 && !wall[ci - height])
+                gd->adj_nci[at++] = (int32_t)(ci - height);
+            if (y + 1 < height && !wall[ci + 1])
+                gd->adj_nci[at++] = (int32_t)(ci + 1);
+            if (y > 0 && !wall[ci - 1])
+                gd->adj_nci[at++] = (int32_t)(ci - 1);
         }
-        Py_DECREF(row);
     }
     gd->adj_off[n_cells] = at;
 
@@ -190,23 +164,13 @@ stsearch_prepare_grid(PyObject *self, PyObject *args)
                                       grid_capsule_destroy);
     if (capsule == NULL)
         goto gd_fail;
-    Py_DECREF(adj_fast);
-    Py_DECREF(keys_fast);
+    PyBuffer_Release(&mask);
     return capsule;
 
 gd_fail:
-    if (gd->key_objs != NULL)
-        for (Py_ssize_t i = 0; i < n_cells; i++)
-            Py_XDECREF(gd->key_objs[i]);
-    PyMem_Free(gd->adj_off);
-    PyMem_Free(gd->adj_nci);
-    PyMem_Free(gd->adj_nkey);
-    PyMem_Free(gd->cell_keys);
-    PyMem_Free(gd->key_objs);
-    PyMem_Free(gd);
-parse_fail:
-    Py_DECREF(adj_fast);
-    Py_DECREF(keys_fast);
+    grid_data_free(gd);
+fail:
+    PyBuffer_Release(&mask);
     return NULL;
 }
 
@@ -2016,8 +1980,8 @@ fail:
 
 static PyMethodDef stsearch_methods[] = {
     {"prepare_grid", stsearch_prepare_grid, METH_VARARGS,
-     "prepare_grid(height, adjacency, cell_keys) -> capsule\n"
-     "Flatten a grid's adjacency table into native arrays."},
+     "prepare_grid(width, height, blocked_mask) -> capsule\n"
+     "Build a grid's adjacency arrays from its blocked-cell mask."},
     {"run", stsearch_run, METH_VARARGS,
      "run(grid_capsule, probe_mode, probe_a, probe_b, tile_bits,\n"
      "    h_mode, h_arg, source_ci, goal_ci, start_time, probe_limit,\n"

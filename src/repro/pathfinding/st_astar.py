@@ -10,7 +10,7 @@ structure and the cache-aided finisher differ between them.
 The core runs entirely on **packed integers**: a state is ``t · (W·H) + x ·
 H + y`` (one machine int instead of a nested ``((x, y), t)`` tuple), so
 queue entries, g-scores and parents are plain-int keyed, successor
-generation is one indexed read of the grid's precomputed adjacency table,
+generation is one indexed read of the grid's memoised adjacency rows,
 conflict probes go through the reservation structure's packed-key fast
 path, and h-values are flat-list lookups.  Stale queue entries are skipped
 by g-dominance, which replaces the seed's closed set and its redundant

@@ -24,10 +24,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, milp, LinearConstraint, Bounds
 
+from ..config import PlannerConfig
 from ..types import Tick, manhattan
 from ..warehouse.entities import Rack, Robot
+from ..warehouse.state import WarehouseState
 from .base import Planner, SelectionEntry
 
 
@@ -40,8 +41,19 @@ class IlpPlanner(Planner):
     #: cross-check (tests only; the default path is always Hungarian).
     MILP_CROSSCHECK_LIMIT = 64
 
+    def __init__(self, state: WarehouseState,
+                 config: Optional[PlannerConfig] = None) -> None:
+        super().__init__(state, config)
+        # Only this planner calls the solver, so it is loaded here and not
+        # with the package — and not in the first ``_select``, where a
+        # timed run would pay for it (as a restored checkpoint, which
+        # skips ``__init__``, does).
+        import scipy.optimize  # noqa: F401
+
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
+        from scipy.optimize import linear_sum_assignment
+
         cost = self._cost_matrix(racks, robots)
         row_ind, col_ind = linear_sum_assignment(cost)
         entries = [SelectionEntry(rack=racks[c], robot=robots[r])
@@ -83,6 +95,8 @@ class IlpPlanner(Planner):
         :data:`MILP_CROSSCHECK_LIMIT`; used by tests to witness that the
         Hungarian fast path is the true ILP optimum.
         """
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         n_a, n_r = len(robots), len(racks)
         if n_a * n_r > self.MILP_CROSSCHECK_LIMIT:
             return None

@@ -5,6 +5,11 @@ The paper partitions the warehouse into unit cells the size of a robot
 single source of truth for which cells exist and which are blocked
 (structural obstacles such as walls or pillars — racks themselves are *not*
 obstacles because robots travel beneath them in rack-to-picker systems).
+
+Everything derived from that triple costs bytes per cell, not objects per
+cell: the packed keys are one ``array('q')``, the native kernel builds its
+adjacency arrays itself from a blocked mask, and the python-side adjacency
+rows exist only for the cells a python loop has actually read.
 """
 
 from __future__ import annotations
@@ -39,6 +44,38 @@ def set_field_kernel(module) -> None:
 def field_kernel_name() -> str:
     """Which field-flood implementation is active."""
     return "compiled" if _FIELD_MODULE is not None else "python"
+
+
+class _AdjacencyRows(dict):
+    """``rows[ci] → ((neighbour_ci, neighbour_key), …)``, built on touch.
+
+    A python loop indexes this exactly as it would a precomputed table;
+    a row is derived the first time it is read and memoised, so hits are
+    plain ``dict`` lookups and a floor only ever holds the rows some
+    python loop visited — none at all under the compiled kernel, which
+    reads the capsule's own arrays.  It keeps the grid's defining triple
+    rather than the grid, so the two never form a reference cycle.
+    """
+
+    __slots__ = ("_width", "_height", "_blocked")
+
+    def __init__(self, width: int, height: int, blocked: Set[Cell]) -> None:
+        self._width = width
+        self._height = height
+        self._blocked = blocked
+
+    def __missing__(self, ci: int) -> Tuple[Tuple[int, int], ...]:
+        width, height, blocked = self._width, self._height, self._blocked
+        if not 0 <= ci < width * height:
+            raise IndexError(f"cell index {ci} out of range")
+        x, y = divmod(ci, height)
+        # Same order as Grid.neighbours: +x, -x, +y, -y.
+        row = self[ci] = () if (x, y) in blocked else tuple(
+            (nx * height + ny, (nx << CELL_KEY_SHIFT) | ny)
+            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            if 0 <= nx < width and 0 <= ny < height
+            and (nx, ny) not in blocked)
+        return row
 
 
 class Grid:
@@ -79,32 +116,27 @@ class Grid:
         self._components: Optional[array] = None
 
     def _build_packed_tables(self) -> None:
-        """Precompute the packed-integer views the search core runs on.
+        """Set up the packed-integer views the search core runs on.
 
         ``adjacency[ci]`` holds, for the cell with flat index ``ci = x·H +
         y``, one ``(neighbour_ci, neighbour_key)`` pair per passable
         cardinal neighbour *in the same order* :meth:`neighbours` yields
         them, so the packed search expands successors identically to the
-        tuple-based one.  ``cell_keys[ci]`` is the grid-independent bit
-        packing ``x << 16 | y`` the reservation structures key on.
-        Blocked cells get an empty adjacency row and are never the target
-        of anyone else's row, so the search can index blindly.
+        tuple-based one.  Rows are derived on first read and memoised
+        (:class:`_AdjacencyRows`), so building a floor creates no per-cell
+        python object.  ``cell_keys[ci]`` is the grid-independent bit
+        packing ``x << 16 | y`` the reservation structures key on, held
+        as one ``array('q')``.  Blocked cells get an empty adjacency row
+        and are never the target of anyone else's row, so the search can
+        index blindly.
         """
         height = self.height
-        blocked = self._blocked
-        adjacency: List[Tuple[Tuple[int, int], ...]] = []
-        cell_keys: List[int] = []
+        self.adjacency = _AdjacencyRows(self.width, height, self._blocked)
+        cell_keys = array("q")
         for x in range(self.width):
-            for y in range(height):
-                cell_keys.append((x << CELL_KEY_SHIFT) | y)
-                if (x, y) in blocked:
-                    adjacency.append(())
-                    continue
-                adjacency.append(tuple(
-                    (nx * height + ny, (nx << CELL_KEY_SHIFT) | ny)
-                    for nx, ny in self.neighbours((x, y))))
-        self.adjacency: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(adjacency)
-        self.cell_keys: List[int] = cell_keys
+            column = x << CELL_KEY_SHIFT
+            cell_keys.extend(range(column, column + height))
+        self.cell_keys = cell_keys
 
     # -- basic queries ----------------------------------------------------
 
@@ -145,7 +177,9 @@ class Grid:
     def kernel_capsule(self, module):
         """The native kernel's prepared-grid capsule, built lazily.
 
-        Flattening the adjacency table is O(HW) and the grid is
+        The kernel fills its own adjacency arrays from the blocked mask
+        (one byte per cell, indexed like :meth:`cell_index`), in the row
+        order :meth:`neighbours` yields.  That is O(HW) and the grid is
         immutable, so the capsule is built once and shared by every
         compiled entry point (search, field flood, tier-0 leg).  The
         slot is dropped on pickling (:meth:`__reduce__`) and rebuilt on
@@ -153,8 +187,11 @@ class Grid:
         """
         capsule = self._kernel_capsule
         if capsule is None:
-            capsule = module.prepare_grid(
-                self.height, self.adjacency, self.cell_keys)
+            height = self.height
+            mask = bytearray(self.width * height)
+            for x, y in self._blocked:
+                mask[x * height + y] = 1
+            capsule = module.prepare_grid(self.width, height, mask)
             self._kernel_capsule = capsule
         return capsule
 
@@ -223,9 +260,9 @@ class Grid:
             module.bfs_fill(self.kernel_capsule(module), src, dist,
                             unreached)
             return dist
-        # Flood over the precomputed adjacency table with flat
-        # distances; an order of magnitude faster than tuple BFS, which
-        # matters because every heuristic field starts with one of these.
+        # Flood over the adjacency rows with flat distances; an order of
+        # magnitude faster than tuple BFS, which matters because every
+        # heuristic field starts with one of these.
         adjacency = self.adjacency
         dist = array("i", (unreached,)) * n_cells
         dist[src] = 0

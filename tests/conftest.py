@@ -23,6 +23,7 @@ def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
 from repro.config import PlannerConfig, QLearningConfig, SimulationConfig
+from repro.types import pack_cell
 from repro.warehouse.grid import Grid
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
@@ -85,3 +86,13 @@ def drip_items(rack_ids, start: int = 0, spacing: int = 1,
     schedule = [(start + i * spacing, rack_id)
                 for i, rack_id in enumerate(rack_ids)]
     return deterministic_arrivals(schedule, processing_time=processing)
+
+
+def assert_rows_match_neighbours(grid: Grid) -> None:
+    """The adjacency contract: row ``ci`` is ``neighbours(cell)``, packed."""
+    for ci in range(grid.n_cells):
+        cell = grid.index_cell(ci)
+        assert grid.cell_keys[ci] == pack_cell(cell)
+        expected = () if not grid.passable(cell) else tuple(
+            (grid.cell_index(n), pack_cell(n)) for n in grid.neighbours(cell))
+        assert grid.adjacency[ci] == expected

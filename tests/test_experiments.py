@@ -103,8 +103,10 @@ class TestFig11:
     def test_eatp_selection_cheaper_than_atp(self):
         # The STC gap is a scaling effect (flip requesting replaces the
         # global rack sort), so it needs a world big enough for the sort
-        # to cost something — SCALE is too small, 0.6 shows it.
-        data = run_fig11(scale=0.6, dataset="Syn-B")
+        # to cost something — SCALE is too small, and at 0.6 the two sit
+        # within timer noise (EATP ÷ ATP 0.62–1.10 over twenty runs); the
+        # dataset's own size shows it (0.45–0.55).
+        data = run_fig11(scale=1.0, dataset="Syn-B")
         final = {s.planner: s.stc_seconds[-1] for s in data["Syn-B"]
                  if s.stc_seconds}
         assert final["EATP"] < final["ATP"]

@@ -1,7 +1,11 @@
-"""Native tier-0 plane: field flood, fused descent+audit, field arena.
+"""Native tier-0 plane: prepared grid, field flood, fused descent+audit,
+field arena.
 
-Three compiled surfaces, each of which must be a bit-identical drop-in
-for its python body:
+The prepared-grid capsule every compiled entry point reads is built by
+the kernel itself from the grid's blocked mask; it must reject malformed
+input, leak nothing, and leave the grid's python adjacency rows unbuilt.
+Then three compiled surfaces, each of which must be a bit-identical
+drop-in for its python body:
 
 * ``bfs_fill`` — the heuristic-field flood over the prepared adjacency
   capsule must equal the python deque flood value for value on any grid,
@@ -44,7 +48,8 @@ from repro.pathfinding.pipeline import FallbackChain
 from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
-from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
+from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
+                                        search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import (Grid, field_kernel_name, set_field_kernel)
 
 COMPILED = build_and_load()
@@ -75,6 +80,85 @@ def random_grid(rng: random.Random, max_side: int = 14) -> Grid:
 
 def passable_cells(grid: Grid):
     return list(grid.cells())
+
+
+# -- the prepared grid --------------------------------------------------------
+
+
+def walled_grid() -> Grid:
+    """64x40 with a wall at x=32 pierced by two doorways."""
+    return Grid(64, 40, blocked=[(32, y) for y in range(40)
+                                 if y not in (7, 30)])
+
+
+@needs_compiled
+class TestPreparedGrid:
+    @pytest.mark.parametrize("args", [
+        (4, 3, bytes(11)), (4, 3, bytes(13)), (4, 3, b""),
+        (0, 3, b""), (4, 0, b""), (-4, 3, bytes(12)), (4, -3, bytes(12)),
+        (-4, -3, bytes(12)), (1 << 17, 1, bytes(1 << 17)),
+    ])
+    def test_rejects_bad_shapes(self, args):
+        with pytest.raises(ValueError):
+            COMPILED.prepare_grid(*args)
+
+    @pytest.mark.parametrize("args", [
+        (4, 3, "0" * 12), (4, 3, [0] * 12), (4, 3, None), (4, 3),
+        ("4", 3, bytes(12)), (4, 3.5, bytes(12)),
+    ])
+    def test_rejects_bad_types(self, args):
+        with pytest.raises(TypeError):
+            COMPILED.prepare_grid(*args)
+
+    def test_compiled_entry_points_build_no_python_row(self):
+        set_search_kernel("compiled")
+        grid = walled_grid()
+        table = ConflictDetectionTable()
+        table.reserve_path(Path.from_cells([(32, 7)] * 20, start_time=0))
+        stats = SearchStats()
+        assert search(grid, table, SearchRequest((0, 7), (63, 7), 0),
+                      stats=stats).ok
+        assert stats.kernel == "compiled"
+        assert grid.distance_flat((0, 0))[grid.cell_index((63, 39))] > 0
+        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        assert cache.kernel_leg(table, 0, (0, 30), (63, 30),
+                                lambda goal: (None, 0))[0] == 1
+        assert not grid.adjacency
+
+    def test_capsules_retain_nothing(self):
+        grid = walled_grid()
+        assert grid.kernel_capsule(COMPILED) is not None  # warm
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for __ in range(300):
+                twin = Grid(grid.width, grid.height, grid.blocked_cells)
+                twin.kernel_capsule(COMPILED)
+            del twin
+            gc.collect()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before > 64 << 10  # a capsule is real memory
+        assert after - before < 8 << 10
+
+    def test_unpickled_grid_rebuilds_an_equal_capsule(self):
+        set_search_kernel("compiled")
+        grid = walled_grid()
+        twin = pickle.loads(pickle.dumps(grid))
+        assert twin == grid and twin is not grid
+        assert twin.kernel_capsule(COMPILED) is not grid.kernel_capsule(
+            COMPILED)
+        for source in [(0, 0), (31, 39), (33, 7), (63, 20)]:
+            assert twin.distance_flat(source) == grid.distance_flat(source)
+        request = SearchRequest((0, 20), (63, 20), 0)
+        ours, theirs = SearchStats(), SearchStats()
+        assert (search(twin, ConflictDetectionTable(), request,
+                       stats=theirs).path.steps
+                == search(grid, ConflictDetectionTable(), request,
+                          stats=ours).path.steps)
+        assert theirs.expansions == ours.expansions
 
 
 # -- the field flood ---------------------------------------------------------
@@ -119,6 +203,7 @@ class TestBfsFillEquivalence:
         got = grid.distance_flat(source, unreached=effective)
         assert got == expected
         assert got.typecode == expected.typecode == "i"
+        assert not grid.adjacency  # the native flood reads the capsule
 
     def test_bfs_distances_keeps_historical_shape(self):
         grid = Grid(9, 7, blocked=[(4, 3)])

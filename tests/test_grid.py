@@ -1,11 +1,17 @@
 """Unit tests for the warehouse grid."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from repro.errors import InvalidLocationError
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
+from tests.conftest import assert_rows_match_neighbours
 
 
 class TestConstruction:
@@ -101,3 +107,38 @@ class TestEquality:
 
     def test_hashable(self):
         assert len({Grid(4, 4), Grid(4, 4)}) == 1
+
+
+class TestPackedTables:
+    def test_paper_floor_build_creates_no_per_cell_object(self):
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            grid = Grid(541, 302)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grid.cell_keys.typecode == "q"
+        assert len(grid.cell_keys) == grid.n_cells
+        assert not grid.adjacency          # no row until a python loop reads
+        assert retained < 4 << 20          # the eager tables took 92 MB
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=hyp.integers(1, 9), height=hyp.integers(1, 9),
+           data=hyp.data())
+    def test_rows_match_neighbours_on_random_masks(self, width, height, data):
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        blocked = data.draw(hyp.sets(hyp.sampled_from(cells)))
+        grid = Grid(width, height, blocked=blocked)
+        assert_rows_match_neighbours(grid)
+        for cell in blocked:
+            assert grid.adjacency[grid.cell_index(cell)] == ()
+
+    def test_rows_are_memoised_and_bounded(self, blocked_grid):
+        row = blocked_grid.adjacency[0]
+        assert blocked_grid.adjacency[0] is row
+        assert list(blocked_grid.adjacency) == [0]
+        for ci in (-1, blocked_grid.n_cells):
+            with pytest.raises(IndexError):
+                blocked_grid.adjacency[ci]

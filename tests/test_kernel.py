@@ -39,6 +39,7 @@ from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
+from tests.conftest import assert_rows_match_neighbours
 
 COMPILED = build_and_load()
 
@@ -419,10 +420,11 @@ def test_search_retains_nothing(kernel):
     table = ConflictDetectionTable()
     request = SearchRequest((0, 20), (63, 20), 0)
     set_search_kernel(kernel)
-    # Warm what legitimately outlives a search: the grid's adjacency
-    # capsule and its memoised Manhattan field.
-    assert search(grid, table, request).ok
     table.reserve_path(Path.from_cells([(32, 20)] * 150, start_time=0))
+    # Warm what legitimately outlives a search by running the same deep
+    # one first: the grid's capsule, its memoised Manhattan field and,
+    # under the python kernel, the adjacency rows the search reads.
+    assert search(grid, table, request).ok
 
     tracemalloc.start()
     try:
@@ -484,10 +486,14 @@ def test_property_compiled_matches_python(seed):
         return search(grid, table, request, stats=stats), stats
 
     try:
-        py, py_stats = run("python")
         comp, c_stats = run("compiled")
+        # The compiled core reads the capsule: no python row exists yet,
+        # and the rows the python core then builds are the contract's.
+        assert not grid.adjacency
+        py, py_stats = run("python")
     finally:
         set_search_kernel("auto")
+    assert_rows_match_neighbours(grid)
     assert comp.status == py.status
     if py.path is None:
         assert comp.path is None

@@ -4,6 +4,9 @@ Planner tests drive ``plan`` directly on hand-built worlds so the
 selection decisions are fully deterministic and observable.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import PlannerConfig, QLearningConfig
@@ -96,6 +99,23 @@ class TestLefPlanner:
 
 
 class TestIlpPlanner:
+    def test_solver_is_imported_at_construction_not_with_the_package(self):
+        # Four of the five planners never call the solver; only building
+        # an ILP planner may load it (a fresh interpreter, because this
+        # process imported scipy long ago).
+        probe = (
+            "import sys\n"
+            "from repro.planners import PLANNERS\n"
+            "from repro.workloads.datasets import make_mini\n"
+            "state, __ = make_mini(n_items=2).build()\n"
+            "PLANNERS['NTP'](state).close()\n"
+            "assert 'scipy' not in sys.modules, 'package import loads scipy'\n"
+            "PLANNERS['ILP'](state).close()\n"
+            "assert 'scipy.optimize' in sys.modules, 'ILP left scipy out'\n")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_assigns_min_of_robots_and_racks(self):
         state = make_two_picker_state(n_robots=2)
         give_items(state, 0)
