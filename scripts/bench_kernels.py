@@ -26,7 +26,7 @@ end-to-end Table III timing) that fails the build when the packed search
 core's speedup over the in-process seed implementation falls below
 ``SMOKE_MIN_SEARCH_SPEEDUP``, when the event engine's replay speedup or
 events/s floor regresses, when any of the five planners fails to
-drain the 200-robot fleet-ladder rung through the windowed planning
+drain the 200-robot fleet-ladder rung through the planning
 pipeline (the PR-4 completion gate, written to ``BENCH_PR4.json``), or
 when the tier-0 fast path's live planning-seconds speedup over the PR-4
 chain drops below ``SMOKE_MIN_FASTPATH_SPEEDUP`` on the Fleet-100/200
@@ -372,7 +372,7 @@ def _bench_engine_rung(spec, planner_name="NTP"):
     speedup, not diluted by the spatiotemporal search the two stacks share
     byte-for-byte.
 
-    Recordings that needed the windowed pipeline's fallback tiers are
+    Recordings that needed the planning pipeline's wait tier are
     rejected (:class:`_RecordingUnusable`): partial legs and horizon
     replans postdate the frozen per-tick engine, which cannot execute
     them — and the kernel exists to compare the two engines on identical
@@ -390,7 +390,7 @@ def _bench_engine_rung(spec, planner_name="NTP"):
     live_result = Simulation(state, recorder, items).run()
     live_wall = time.perf_counter() - started
 
-    fallback_legs = (recorder.stats.legs_windowed + recorder.stats.legs_wait)
+    fallback_legs = recorder.stats.legs_wait
     if fallback_legs:
         raise _RecordingUnusable(
             f"{planner_name} planned {fallback_legs} fallback leg(s) on "
@@ -452,7 +452,7 @@ def bench_engine(scale=1.0, fleets=ENGINE_FLEETS,
 
     Each rung records with the first planner in ``planners`` whose live
     run stays entirely on the full-search tier — a run that needed the
-    windowed pipeline's fallback legs (NTP's greedy dispatch boxes robots
+    planning pipeline's wait legs (NTP's greedy dispatch boxes robots
     in on some mid-congestion rungs) produces partial legs the frozen
     per-tick engine cannot replay, so the rung falls back to the next
     planner and says so in its payload.
@@ -504,7 +504,7 @@ def _ladder_cell(spec, planner_name):
         "selection_s": stats.selection_seconds,
         "planning_s": stats.planning_seconds,
         "legs": {"planned": stats.legs_planned, "full": stats.legs_full,
-                 "windowed": stats.legs_windowed, "wait": stats.legs_wait},
+                 "wait": stats.legs_wait},
         "horizon_replans": stats.horizon_replans,
         "search_expansions": stats.search_expansions,
     })
@@ -518,7 +518,7 @@ def bench_fleet_ladder(scale=1.0, fleets=LADDER_FLEETS,
     Runs each (rung × planner) cell *live* — planner and search included,
     unlike the replay-isolated engine kernel — and records per-cell
     selection/planning seconds plus the fallback-tier histogram of the
-    windowed planning pipeline.  Before PR 4 this sweep was impossible:
+    planning pipeline.  Before PR 4 this sweep was impossible:
     NTP died on Fleet-50 and EATP on Fleet-200 with
     ``PathNotFoundError``, and LEF/ILP were excluded outright.
     """
@@ -725,8 +725,7 @@ def _big_ladder_cell(spec, planner_name):
         "planning_s": stats.planning_seconds,
         "legs": {"planned": stats.legs_planned,
                  "free_flow": stats.legs_free_flow,
-                 "full": stats.legs_full, "windowed": stats.legs_windowed,
-                 "wait": stats.legs_wait},
+                 "full": stats.legs_full, "wait": stats.legs_wait},
         "rescued_legs": stats.rescued_legs,
         "fastpath_audit_rejects": stats.fastpath_audit_rejects,
         "search_expansions": stats.search_expansions,
@@ -1430,15 +1429,12 @@ def report_ladder(ladder, out_path):
             failed.append(cell)
             print(f"ladder   : {label} FAILED — {cell['error']}")
             continue
-        legs = cell["legs"]
-        fallbacks = legs["windowed"] + legs["wait"]
         print(f"ladder   : {label} makespan={cell['makespan_ticks']:>6,} "
               f"wall={cell['wall_s']:6.2f}s "
               f"select={cell['selection_s']:6.2f}s "
               f"plan={cell['planning_s']:6.2f}s "
-              f"fallback legs={fallbacks} "
-              f"(windowed {legs['windowed']}, wait {legs['wait']}, "
-              f"replans {cell['horizon_replans']})")
+              f"wait legs={cell['legs']['wait']} "
+              f"(replans {cell['horizon_replans']})")
     print(f"wrote {out_path}")
     return failed
 
@@ -1513,7 +1509,7 @@ def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
     speedup over the in-process frozen per-tick engine on a reduced-scale 200-robot fleet-ladder rung (plus
     an absolute ``events_per_s`` backstop), the PR-4 full-fleet-ladder
     completion gate — all five planners must drain the 200-robot rung
-    with no ``PathNotFoundError`` escaping the windowed pipeline — and
+    with no ``PathNotFoundError`` escaping the planning pipeline — and
     the PR-5 fast-path gate: live planning seconds on the Fleet-100/200
     rungs must improve by ``SMOKE_MIN_FASTPATH_SPEEDUP`` over the PR-4
     chain run in-process with tier 0 disabled, with bit-identical

@@ -124,12 +124,6 @@ class PlannerConfig:
     max_search_expansions:
         Safety valve for a single spatiotemporal A* run; prevents an
         accidentally unreachable goal from hanging an experiment.
-    search_horizon:
-        ``W`` of the windowed fallback tier: how many ticks of
-        conflict-aware lookahead the windowed search plans (and the
-        reservation structure commits) before the simulator replans at
-        the horizon.  Only reached when the full search exhausts — the
-        windowed tier changes nothing on runs the full search handles.
     free_flow:
         Whether the tier-0 free-flow fast path (greedy descent on the
         exact heuristic field plus a bulk reservation audit, see
@@ -156,9 +150,12 @@ class PlannerConfig:
         Total-wait cap of the rescue walk across the whole leg (the
         dense-traffic livelock guard of ``follow_with_waits``).
     fallback_wait_ticks:
-        Replan backoff of the wait-in-place tier: how many ticks a boxed
-        robot holds position before the pipeline retries, when no
-        earlier free tick of its cell suggests a better moment.
+        Replan backoff of the wait-in-place tier, the chain's answer to
+        a full search that failed: the longest a robot holds position
+        before the search is retried.  A robot whose own cell stays free
+        holds it (committed) for the free run up to this many ticks; a
+        boxed robot sits tight (uncommitted) until the first tick within
+        this many at which its cell is free again.
     reservation_horizon:
         How many ticks into the past the reservation structure keeps before
         its periodic purge (the CDT "update" operation, Sec. VI-B).
@@ -185,7 +182,6 @@ class PlannerConfig:
     knn_k: int = 8
     cache_threshold: int = 12
     max_search_expansions: int = 200_000
-    search_horizon: int = 64
     free_flow: bool = True
     free_flow_rescue: Optional[bool] = None
     rescue_wait_per_step: int = 16
@@ -203,8 +199,6 @@ class PlannerConfig:
                  f"cache_threshold must be >= 0, got {self.cache_threshold}")
         _require(self.max_search_expansions > 0,
                  f"max_search_expansions must be > 0, got {self.max_search_expansions}")
-        _require(self.search_horizon >= 1,
-                 f"search_horizon must be >= 1, got {self.search_horizon}")
         _require(self.rescue_wait_per_step >= 1,
                  f"rescue_wait_per_step must be >= 1, "
                  f"got {self.rescue_wait_per_step}")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..planners import PLANNERS
-from ..sim.metrics import FASTPATH_KEYS
+from ..sim.metrics import FALLBACK_KEYS, FASTPATH_KEYS
 from ..workloads.datasets import SCENARIO_FAMILIES, scenario_family
 from .harness import DEFAULT_PLANNERS, plan_cells, run_matrix
 from .reporting import format_table
@@ -99,13 +99,13 @@ def render_slowest_cells(payloads: Dict[str, dict], top: int = 5) -> str:
 
 
 def render_fallback_summary(payloads: Dict[str, dict]) -> str:
-    """Aggregate fallback-tier counts — the windowed pipeline's pulse.
+    """Aggregate fallback-tier counts — the planning pipeline's pulse.
 
     Shows at a glance whether (and how often) any cell of the sweep left
     the full-search tier; all-zero means the run was byte-identical to
     the pre-pipeline planner behaviour.
     """
-    totals = {"windowed_legs": 0, "wait_legs": 0, "horizon_replans": 0}
+    totals = dict.fromkeys(FALLBACK_KEYS, 0)
     cells_with = 0
     for payload in payloads.values():
         fallback = payload["result"]["metrics"].get("fallback", {})
@@ -116,9 +116,9 @@ def render_fallback_summary(payloads: Dict[str, dict]) -> str:
     if not cells_with:
         return ("fallback tiers: none (every leg completed at the "
                 "free-flow or full tier)")
-    return (f"fallback tiers: {totals['windowed_legs']} windowed legs, "
-            f"{totals['wait_legs']} wait legs, "
-            f"{totals['horizon_replans']} horizon replans "
+    return (f"fallback tiers: {totals['wait_legs']} wait legs "
+            f"({totals['budget_exhausted']} after an exhausted search "
+            f"budget), {totals['horizon_replans']} horizon replans "
             f"across {cells_with} cell(s)")
 
 

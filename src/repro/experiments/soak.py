@@ -230,7 +230,7 @@ def run_soak(spec: SoakSpec,
              verify_restore: bool = True) -> Dict[str, Any]:
     """Run one soak end to end; returns the report payload.
 
-    The report carries the windowed series, the flatness verdict, the
+    The report carries the per-window series, the flatness verdict, the
     drained run's headline metrics, and — when ``verify_restore`` is on —
     the restore-equivalence proof: a checkpoint taken mid-soak is
     reloaded, driven through the *same* loop to completion, and its

@@ -11,7 +11,7 @@ from .heuristics import (HeuristicField, HeuristicFieldCache,
 from .paths import Path
 from .pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT, FASTPATH_MISS,
                        FASTPATH_OFF, TIER_FREE_FLOW, TIER_FULL, TIER_WAIT,
-                       TIER_WINDOWED, TIERS, FallbackChain, LegPlan)
+                       TIERS, FallbackChain, LegPlan)
 from .reservation import ReservationTable
 from .spatiotemporal_graph import SpatiotemporalGraph
 from .st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE, SEARCH_EXHAUSTED,
@@ -45,7 +45,6 @@ __all__ = [
     "TIER_FREE_FLOW",
     "TIER_FULL",
     "TIER_WAIT",
-    "TIER_WINDOWED",
     "find_conflicts",
     "find_path",
     "search",

@@ -382,7 +382,6 @@ typedef struct {
     PyObject *vertex_obj;  /* borrowed from args */
     PyObject *edge_obj;    /* borrowed from args */
     /* per-expansion context */
-    int guarded;
     PyObject *occupied;    /* borrowed: mode 1 vertex set for t1 */
     const char *layer1;    /* mode 2 dense layer bytes for t1 */
     PyObject *layer_tiles; /* borrowed: mode 4 tile dict for t1 */
@@ -402,9 +401,8 @@ tile_of_key(int64_t key, int bits)
 
 /* Fetch the per-tick context for one expansion.  Returns -1 on error. */
 static int
-probe_setup(Probe *p, int64_t t1, int guarded)
+probe_setup(Probe *p, int64_t t1)
 {
-    p->guarded = guarded;
     p->occupied = NULL;
     p->layer1 = NULL;
     p->layer_tiles = NULL;
@@ -413,8 +411,6 @@ probe_setup(Probe *p, int64_t t1, int guarded)
     p->t0_obj = NULL;
     if (p->mode == PROBE_TILED_DENSE)
         p->memo_tile_id = -1;  /* memo is per time layer */
-    if (!guarded)
-        return 0;
     p->t1_obj = PyLong_FromLongLong((long long)t1);
     if (p->t1_obj == NULL)
         return -1;
@@ -470,7 +466,7 @@ probe_teardown(Probe *p)
 }
 
 /* Whether arriving on cell ``ci`` at t1 hits a vertex reservation.
- * Returns 1 blocked, 0 free, -1 error.  Callers skip when unguarded. */
+ * Returns 1 blocked, 0 free, -1 error. */
 static int
 probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
 {
@@ -706,15 +702,15 @@ stsearch_run(PyObject *self, PyObject *args)
     PyObject *capsule, *probe_a, *probe_b, *h_arg, *finisher;
     int probe_mode, tile_bits, h_mode, deep;
     Py_ssize_t source_ci, goal_ci;
-    long long start_time, probe_limit, max_expansions;
+    long long start_time, max_expansions;
     long long finisher_trigger;
     long long init_expansions, init_peak_open;
 
     if (!PyArg_ParseTuple(
-            args, "OiOOiiOnnLLLOLiLL",
+            args, "OiOOiiOnnLLOLiLL",
             &capsule, &probe_mode, &probe_a, &probe_b, &tile_bits,
             &h_mode, &h_arg, &source_ci, &goal_ci,
-            &start_time, &probe_limit, &max_expansions,
+            &start_time, &max_expansions,
             &finisher, &finisher_trigger, &deep,
             &init_expansions, &init_peak_open))
         return NULL;
@@ -922,14 +918,13 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t g_next = g + 1;
         int64_t t1 = start_time + t_rel + 1;
         int64_t nxt_base = rel - ci + s.n_cells;
-        int guarded = t1 <= probe_limit;
         int64_t base_f = g_next - s.h0;
 
-        if (probe_setup(&probe, t1, guarded) < 0)
+        if (probe_setup(&probe, t1) < 0)
             goto fail;
 
         /* Wait in place (the fifth action) — vertex check only. */
-        int blocked = guarded ? probe_vertex(&probe, gd, ci) : 0;
+        int blocked = probe_vertex(&probe, gd, ci);
         if (blocked < 0)
             goto expand_fail;
         if (!blocked) {
@@ -948,18 +943,16 @@ stsearch_run(PyObject *self, PyObject *args)
         /* The four moves, in adjacency order. */
         for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1]; a++) {
             Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a];
-            if (guarded) {
-                blocked = probe_vertex(&probe, gd, nci);
-                if (blocked < 0)
-                    goto expand_fail;
-                if (blocked)
-                    continue;
-                blocked = probe_edge(&probe, gd, ci, nci);
-                if (blocked < 0)
-                    goto expand_fail;
-                if (blocked)
-                    continue;
-            }
+            blocked = probe_vertex(&probe, gd, nci);
+            if (blocked < 0)
+                goto expand_fail;
+            if (blocked)
+                continue;
+            blocked = probe_edge(&probe, gd, ci, nci);
+            if (blocked < 0)
+                goto expand_fail;
+            if (blocked)
+                continue;
             int64_t nh = heuristic_at(&s, nci, &herr);
             if (herr)
                 goto expand_fail;
@@ -1164,18 +1157,16 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
     (void)self;
     int mode, tile_bits;
     PyObject *vertex_obj, *edge_obj, *steps_obj;
-    long long height_ll, block_cells_ll, horizon_ll, vfloor_ll, efloor_ll,
-        high_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLLOLLLL:reserve_path",
+    long long height_ll, block_cells_ll, vfloor_ll, efloor_ll, high_ll;
+    if (!PyArg_ParseTuple(args, "iOOiLLOLLL:reserve_path",
                           &mode, &vertex_obj, &edge_obj, &tile_bits,
                           &height_ll, &block_cells_ll, &steps_obj,
-                          &horizon_ll, &vfloor_ll, &efloor_ll, &high_ll))
+                          &vfloor_ll, &efloor_ll, &high_ll))
         return NULL;
     if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
         return NULL;
     int64_t height = (int64_t)height_ll;
     Py_ssize_t block_cells = (Py_ssize_t)block_cells_ll;
-    int64_t horizon = (int64_t)horizon_ll;  /* < 0 means None */
     int64_t vfloor = (int64_t)vfloor_ll;
     int64_t efloor = (int64_t)efloor_ll;
     int64_t high = (int64_t)high_ll;
@@ -1195,8 +1186,6 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
     /* -- vertex pass (mirrors each table's reserve_path body) -------- */
     for (Py_ssize_t i = 0; i < sa.n; i++) {
         int64_t t = sa.t[i];
-        if (horizon >= 0 && t > horizon)
-            break;  /* timestamps are consecutive; the rest is later */
         if (t < vfloor)
             continue;
         int64_t x = sa.x[i], y = sa.y[i];
@@ -1370,8 +1359,6 @@ step_fail:
     /* -- edge pass (mirrors _EdgeMixin._reserve_edges) --------------- */
     for (Py_ssize_t i = 0; i + 1 < sa.n; i++) {
         int64_t t0 = sa.t[i];
-        if (horizon >= 0 && t0 >= horizon)
-            break;  /* timestamps are consecutive; the rest is later */
         int64_t x0 = sa.x[i], y0 = sa.y[i];
         int64_t x1 = sa.x[i + 1], y1 = sa.y[i + 1];
         if (t0 < efloor || (x0 == x1 && y0 == y1))
@@ -1984,16 +1971,16 @@ static PyMethodDef stsearch_methods[] = {
      "Build a grid's adjacency arrays from its blocked-cell mask."},
     {"run", stsearch_run, METH_VARARGS,
      "run(grid_capsule, probe_mode, probe_a, probe_b, tile_bits,\n"
-     "    h_mode, h_arg, source_ci, goal_ci, start_time, probe_limit,\n"
-     "    max_expansions, finisher, finisher_trigger, deep,\n"
-     "    init_expansions, init_peak_open)\n"
+     "    h_mode, h_arg, source_ci, goal_ci, start_time, max_expansions,\n"
+     "    finisher, finisher_trigger, deep, init_expansions,\n"
+     "    init_peak_open)\n"
      " -> (status, steps, finisher_tail, expansions, generated, peak_open)"},
     {"reserve_path", stsearch_reserve_path, METH_VARARGS,
      "reserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
-     "    block_cells, steps, horizon, vfloor, efloor, high)\n"
+     "    block_cells, steps, vfloor, efloor, high)\n"
      " -> (v_added, vbuckets_added, tiles_added, e_added, new_high)\n"
      "Insert a path's vertices and edges, bit-identical to the python\n"
-     "reserve_path of the mode's table; horizon < 0 means unbounded."},
+     "reserve_path of the mode's table."},
     {"purge_before", stsearch_purge_before, METH_VARARGS,
      "purge_before(mode, vertex_obj, edge_obj, tile_bits, t, vfloor,\n"
      "    efloor)\n"

@@ -34,7 +34,7 @@ One addition on top of the paper's structure, behaviour-neutral:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from . import reservation as _rsv
@@ -77,16 +77,14 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
         # Mode 1: {tick: set(packed key)} vertices, {tick: set(edge)} swaps.
         return 1, self._buckets, self._edge_buckets, 0
 
-    def reserve_path(self, path: Path,
-                     horizon: Optional[Tick] = None) -> None:
+    def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
             added, _, _, e_added, _ = kernel.reserve_path(
                 1, self._buckets, self._edge_buckets, 0, 0, 0, path.steps,
-                -1 if horizon is None else horizon, self._floor,
-                self._edge_floor, 0)
+                self._floor, self._edge_floor, 0)
             self._n_entries += added
             self._n_edges += e_added
             return
@@ -94,8 +92,6 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
         buckets = self._buckets
         floor = self._floor
         for (t, x, y) in path.steps:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
             if t >= floor:
                 key = (x << CELL_KEY_SHIFT) | y
                 bucket = buckets.get(t)
@@ -104,7 +100,7 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
                 if key not in bucket:
                     bucket.add(key)
                     self._n_entries += 1
-        self._reserve_edges(path, horizon)
+        self._reserve_edges(path)
 
     def purge_before(self, t: Tick) -> None:
         """The periodic *update* operation: delete all passed timestamps."""
@@ -242,16 +238,14 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
         # Mode 3: {tile: {tick: set(packed key)}} vertices, shared swaps.
         return 3, self._tiles, self._edge_buckets, self._tile_bits
 
-    def reserve_path(self, path: Path,
-                     horizon: Optional[Tick] = None) -> None:
+    def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
             added, buckets_added, _, e_added, _ = kernel.reserve_path(
                 3, self._tiles, self._edge_buckets, self._tile_bits, 0, 0,
-                path.steps, -1 if horizon is None else horizon,
-                self._floor, self._edge_floor, 0)
+                path.steps, self._floor, self._edge_floor, 0)
             self._n_entries += added
             self._n_tick_buckets += buckets_added
             self._n_edges += e_added
@@ -263,8 +257,6 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
         last_tile_id = -1
         tile: Dict[Tick, Set[int]] = {}
         for (t, x, y) in path.steps:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
             if t < floor:
                 continue
             key = (x << CELL_KEY_SHIFT) | y
@@ -281,7 +273,7 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
             if key not in bucket:
                 bucket.add(key)
                 self._n_entries += 1
-        self._reserve_edges(path, horizon)
+        self._reserve_edges(path)
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1

@@ -129,22 +129,6 @@ class Path:
             cells.extend([self.goal] * (t_to - max(end, t_from - 1)))
         return cells
 
-    def truncate_at(self, t: Tick) -> "Path":
-        """The prefix of this path through tick ``t`` inclusive.
-
-        The windowed planning pipeline commits and executes only the
-        conflict-checked prefix of a search result; everything after
-        ``t`` is dropped and replanned when the robot gets there.  A
-        ``t`` at or past ``end_time`` returns the path unchanged.
-        """
-        if t >= self.end_time:
-            return self
-        if t < self.start_time:
-            raise ConflictError(
-                f"cannot truncate path starting at {self.start_time} "
-                f"to tick {t}")
-        return _trusted(self.steps[:t - self.start_time + 1])
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -171,8 +155,8 @@ class Path:
 def _trusted(steps: Tuple[TimedCell, ...]) -> Path:
     """A :class:`Path` over steps already validated, skipping the walk.
 
-    A slice of a valid path is valid, and so is a join whose seam was
-    checked; re-walking every step there made leg assembly quadratic.
+    A join whose seam was checked is valid; re-walking every step there
+    made leg assembly quadratic.
     """
     path = object.__new__(Path)
     object.__setattr__(path, "steps", steps)

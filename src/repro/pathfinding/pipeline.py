@@ -1,4 +1,4 @@
-"""The windowed-horizon leg-planning pipeline: a recoverable fallback chain.
+"""The leg-planning pipeline: search, then wait — never an exception.
 
 Every planner's path-finding step used to be one unbounded spatiotemporal
 A* call that could *throw* mid-run — on the paper-scale fleet ladder a
@@ -6,28 +6,30 @@ robot dispatched from a cell that other robots' committed paths sweep
 through is boxed in (its own cell is reserved at ``t + 1`` and every
 neighbouring move is a vertex or swap conflict), the open set dies, and
 the whole experiment fell over with ``PathNotFoundError``.  This module
-turns the single call into a chain of bounded, recoverable tiers:
+makes the call recoverable.  The paper's path finder is one thing —
+ST-A* against a reservation structure (Sec. V-C), with EATP's cache
+finisher hooked into it (Sec. VI-B) — and so is the chain:
 
 1. **Full ST-A*** — the classic conflict-aware search to the goal,
-   unchanged (and bit-identical to the seed) whenever it succeeds, which
-   on uncongested floors is always.
-2. **Windowed ST-A*** — conflict-aware only up to a rolling horizon of
-   ``W = config.search_horizon`` ticks, conflict-oblivious (guided by the
-   exact cached heuristic field) beyond it.  Only the conflict-checked
-   prefix is committed to the reservation structure (a *windowed commit*,
-   see :meth:`~repro.pathfinding.reservation.ReservationTable.reserve_path`)
-   and executed; the simulator replans when the robot reaches the horizon.
-3. **Reservation-aware wait in place** — when even the window is
-   unreachable (the robot is boxed in), hold position: wait out the free
-   run of the current cell (committed), or — when traffic is planned
-   straight through the cell — sit tight uncommitted until the first tick
-   the cell is probe-free, exactly as an *idle* robot (which is never
-   reserved) already does, then let the replan try again.
+   bit-identical to the seed whenever it succeeds, which on uncongested
+   floors is always.
+2. **Reservation-aware wait in place** — when the search fails on a goal
+   the floor can reach (the robot is boxed in, or the expansion budget
+   ran out), hold position: wait out the free run of the current cell
+   (committed), or — when traffic is planned straight through the cell —
+   sit tight uncommitted until the first tick the cell is probe-free,
+   exactly as an *idle* robot (which is never reserved) already does.
+   The leg is *partial*; the simulator asks for the continuation when
+   the wait ends, and the search tries again against the traffic of
+   that later tick.
 
 Exhaustion therefore becomes a :class:`LegPlan` that says which tier
-answered, never an exception escaping a run.  Tier-1 results are
-byte-identical to the pre-pipeline behaviour, so runs that never needed a
-fallback (the golden traces, the engine-equivalence suites) are unchanged.
+answered, never an exception escaping a run, and a leg whose search
+stopped on its budget is counted (``PlannerStats.budget_exhausted_legs``)
+with the failed search's :class:`~repro.pathfinding.st_astar.SearchStats`
+riding on the wait leg.  Full-tier results are byte-identical to the
+pre-pipeline behaviour, so runs that never needed the wait (the golden
+traces, the engine-equivalence suites) are unchanged.
 
 **Tier 0 — the free-flow fast path** — runs ahead of the whole chain:
 extract the leg's free-flow shortest path by greedy descent on the cached
@@ -72,14 +74,16 @@ from .free_flow import FreeFlowPathCache
 from .heuristics import HeuristicFieldCache
 from .paths import Path
 from .reservation import ReservationTable
-from .st_astar import SearchRequest, SearchStats, search
+# ``search`` is a re-export, not a use: the frozen ``bench/trace.py``
+# shims ``pipeline.__dict__["search"]`` and dies with ``KeyError`` without
+# the name.  It goes when ``bench/`` is next opened (ROADMAP item 1 (f)).
+from .st_astar import SearchStats, search  # noqa: F401
 
 #: Fallback-chain tiers, in attempt order.
 TIER_FREE_FLOW = "free_flow"
 TIER_FULL = "full"
-TIER_WINDOWED = "windowed"
 TIER_WAIT = "wait"
-TIERS = (TIER_FREE_FLOW, TIER_FULL, TIER_WINDOWED, TIER_WAIT)
+TIERS = (TIER_FREE_FLOW, TIER_FULL, TIER_WAIT)
 
 #: Per-leg fast-path outcomes (tier 0's own accounting).
 FASTPATH_HIT = "hit"                    #: tier 0 served the leg
@@ -96,27 +100,21 @@ class LegPlan:
     Attributes
     ----------
     path:
-        The timed path the mission executes.  ``complete`` tells whether
-        it reaches the requested goal; a partial path (windowed prefix or
-        a wait) ends early and the simulator replans from its last step
-        (the *horizon replan*).
+        The timed path the mission executes.  It reaches the requested
+        goal unless the tier is :data:`TIER_WAIT`: a wait is a *partial*
+        leg that ends where it started, and the simulator asks for the
+        continuation from its last step (the *horizon replan*).
     tier:
         Which chain tier produced the plan (:data:`TIER_FREE_FLOW`,
-        :data:`TIER_FULL`, :data:`TIER_WINDOWED` or :data:`TIER_WAIT`).
-    complete:
-        Whether ``path`` ends on the requested goal.
+        :data:`TIER_FULL` or :data:`TIER_WAIT`).
     commit_path:
-        What to insert into the reservation structure.  For a windowed
-        plan this is the full search result, committed only up to
-        ``commit_until`` — reserving through the structure's windowed
-        commit keeps the two representations (executed prefix, reserved
-        prefix) provably in lockstep.
-    commit_until:
-        Absolute windowed-commit bound for ``commit_path`` (``None``
-        commits the whole path).
+        What to insert into the reservation structure: ``path`` itself,
+        except for a boxed wait, which holds a cell other robots' plans
+        already cross and commits its start step only.
     search_stats:
-        Stats of the chain's *fallback* searches (tier 1 absorbs its own
-        on success), for the caller to fold into its counters.
+        Stats the caller folds into its counters: the failed full
+        search's on a wait leg (tier 1 absorbs its own on success), the
+        synthetic finisher record on a tier-0 leg.
     fastpath:
         What tier 0 did for this leg (:data:`FASTPATH_HIT`,
         :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
@@ -131,16 +129,15 @@ class LegPlan:
 
     path: Path
     tier: str
-    complete: bool
     commit_path: Path
-    commit_until: Optional[Tick] = None
     search_stats: Tuple[SearchStats, ...] = ()
     fastpath: str = FASTPATH_OFF
     descent_kernel: str = ""
 
 
 class FallbackChain:
-    """The three-tier leg planner shared by every planner subclass.
+    """The leg planner shared by every planner subclass: tier 0, then
+    the full search, then a wait.
 
     Parameters
     ----------
@@ -155,7 +152,8 @@ class FallbackChain:
         the frozen-seed benchmark patches all hook it.
     finisher_factory:
         ``goal -> (finisher, trigger)`` supplying the cache-aided
-        finisher for the windowed tier (EATP); ``(None, 0)`` disables.
+        finisher tier 0 hands its audited head to (EATP); ``(None, 0)``
+        disables.
     free_flow:
         The tier-0 descent cache.  Built fresh over ``grid`` and
         ``heuristics`` when not supplied (the planner base passes its
@@ -202,16 +200,13 @@ class FallbackChain:
             return leg
         try:
             path = self.full_search(t, source, goal)
-            return LegPlan(path=path, tier=TIER_FULL, complete=True,
-                           commit_path=path, fastpath=fastpath,
-                           descent_kernel=dkernel)
+            return LegPlan(path=path, tier=TIER_FULL, commit_path=path,
+                           fastpath=fastpath, descent_kernel=dkernel)
         except PathNotFoundError as error:
             if self.heuristics.distance(source, goal) > self.grid.n_cells:
                 raise  # unreachable regardless of reservations: fail fast
-            collected = (error.stats,) if error.stats is not None else ()
-        leg, collected = self._windowed_leg(t, source, goal, collected)
-        if leg is None:
-            leg = self._wait_leg(t, source, goal, collected)
+            failed = (error.stats,) if error.stats is not None else ()
+        leg = self._wait_leg(t, source, failed)
         leg.fastpath = fastpath
         leg.descent_kernel = dkernel
         return leg
@@ -279,9 +274,8 @@ class FallbackChain:
                 cache_finished=True, budget=config.max_search_expansions),)
         else:
             path = Path(tuple(payload))
-        leg = LegPlan(path=path, tier=TIER_FREE_FLOW, complete=True,
-                      commit_path=path, search_stats=search_stats,
-                      fastpath=FASTPATH_HIT)
+        leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
+                      search_stats=search_stats, fastpath=FASTPATH_HIT)
         return leg, FASTPATH_HIT, kernel
 
     # -- tier 0.5: wait-following rescue of a conflicted descent ---------------
@@ -313,46 +307,18 @@ class FallbackChain:
         if steps is None:
             return None
         path = Path(tuple(steps))
-        return LegPlan(path=path, tier=TIER_FREE_FLOW, complete=True,
-                       commit_path=path, fastpath=FASTPATH_RESCUE)
+        return LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
+                       fastpath=FASTPATH_RESCUE)
 
-    # -- tier 2: windowed ST-A* -------------------------------------------------
+    # -- tier 2: reservation-aware wait in place ------------------------------
 
-    def _windowed_leg(self, t: Tick, source: Cell, goal: Cell,
-                      collected: Tuple[SearchStats, ...]):
-        window = self.config.search_horizon
-        finisher, trigger = self.finisher_factory(goal)
-        stats = SearchStats()
-        request = SearchRequest(
-            source=source, goal=goal, start_time=t, horizon=window,
-            max_expansions=self.config.max_search_expansions,
-            finisher=finisher, finisher_trigger=trigger)
-        outcome = search(self.grid, self.reservation, request,
-                         heuristic=self.heuristics.field(goal), stats=stats)
-        collected = collected + (stats,)
-        if not outcome.ok:
-            # Boxed in even within the window (or the bounded search blew
-            # its budget): the wait tier takes over, stats ride along.
-            return None, collected
-        boundary = t + window
-        prefix = outcome.path.truncate_at(boundary)
-        leg = LegPlan(path=prefix, tier=TIER_WINDOWED,
-                      complete=prefix.goal == goal
-                      and prefix.end_time == outcome.path.end_time,
-                      commit_path=outcome.path, commit_until=boundary,
-                      search_stats=collected)
-        return leg, collected
-
-    # -- tier 3: reservation-aware wait in place ------------------------------
-
-    def _wait_leg(self, t: Tick, source: Cell, goal: Cell,
-                  collected: Tuple[SearchStats, ...]) -> LegPlan:
+    def _wait_leg(self, t: Tick, source: Cell,
+                  failed: Tuple[SearchStats, ...]) -> LegPlan:
         free_run = self._free_run(source, t)
         if free_run > 0:
             # Hold the cell for its conflict-free run (bounded by the
             # replan backoff) and commit the wait like any other path.
-            duration = free_run
-            commit_until = None
+            path = commit_path = Path.waiting(source, t, free_run)
         else:
             # Boxed: committed traffic is planned straight through this
             # cell.  That overlap is a pre-existing modelling hole —
@@ -365,12 +331,10 @@ class FallbackChain:
             # overlap *visible* to path audits (`find_conflicts`), which
             # is deliberate: an idle robot hides the same co-occupancy
             # only because it records no path at all.
-            duration = self._first_free_wait(source, t)
-            commit_until = t
-        path = Path.waiting(source, t, duration)
-        return LegPlan(path=path, tier=TIER_WAIT, complete=False,
-                       commit_path=path, commit_until=commit_until,
-                       search_stats=collected)
+            path = Path.waiting(source, t, self._first_free_wait(source, t))
+            commit_path = Path.waiting(source, t, 0)
+        return LegPlan(path=path, tier=TIER_WAIT, commit_path=commit_path,
+                       search_stats=failed)
 
     def _free_run(self, source: Cell, t: Tick) -> int:
         """Ticks the robot can legally hold ``source`` starting at t+1."""
@@ -382,9 +346,11 @@ class FallbackChain:
         return run
 
     def _first_free_wait(self, source: Cell, t: Tick) -> int:
-        """Wait duration until ``source`` is first probe-free again."""
+        """Ticks until ``source`` is first probe-free again, at most the
+        replan backoff."""
         is_free = self.reservation.is_free
-        for delta in range(1, self.config.search_horizon + 1):
+        cap = self.config.fallback_wait_ticks
+        for delta in range(1, cap):
             if is_free(t + delta, source):
                 return delta
-        return self.config.fallback_wait_ticks
+        return cap

@@ -29,7 +29,7 @@ direct integer set probes so the hot loop never builds a tuple.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from .paths import Path
@@ -134,16 +134,8 @@ class ReservationTable(abc.ABC):
         """Whether moving ``source``→``target`` during tick ``t`` avoids a swap."""
 
     @abc.abstractmethod
-    def reserve_path(self, path: Path, horizon: Optional[Tick] = None) -> None:
-        """Insert the vertices and edges of ``path`` into the table.
-
-        ``horizon`` is the windowed-commit bound (an *absolute* tick):
-        vertices after it and edges arriving after it are not inserted.
-        The planning pipeline commits only the conflict-checked prefix of
-        a windowed search result this way; the uncommitted tail is
-        replanned — and re-committed — when the robot reaches the horizon.
-        ``None`` commits the whole path (the classic full-search case).
-        """
+    def reserve_path(self, path: Path) -> None:
+        """Insert the vertices and edges of ``path`` into the table."""
 
     @abc.abstractmethod
     def purge_before(self, t: Tick) -> None:
@@ -343,17 +335,11 @@ class _EdgeMixin:
         return bucket is None or (
             (target_key << 32) | source_key) not in bucket
 
-    def _reserve_edges(self, path: Path,
-                       horizon: Optional[Tick] = None) -> None:
+    def _reserve_edges(self, path: Path) -> None:
         steps = path.steps
         buckets = self._edge_buckets
         floor = self._edge_floor
-        # Windowed commit: an edge departing at t0 arrives at t0 + 1, so
-        # only edges with t0 < horizon sit inside the committed window.
-        ceiling = horizon if horizon is not None else None
         for (t0, x0, y0), (__, x1, y1) in zip(steps, steps[1:]):
-            if ceiling is not None and t0 >= ceiling:
-                break  # timestamps are consecutive; the rest is later
             if t0 >= floor and (x0 != x1 or y0 != y1):
                 key = ((((x0 << CELL_KEY_SHIFT) | y0) << 32)
                        | ((x1 << CELL_KEY_SHIFT) | y1))

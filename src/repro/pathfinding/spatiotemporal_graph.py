@@ -96,8 +96,7 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
         # Mode 2: {tick: bytearray[cell index]} layers, shared swaps.
         return 2, self._layers, self._edge_buckets, 0
 
-    def reserve_path(self, path: Path,
-                     horizon: Optional[Tick] = None) -> None:
+    def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
@@ -105,8 +104,7 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
             high = self._high if self._layers else self._floor - 1
             res = kernel.reserve_path(
                 2, self._layers, self._edge_buckets, 0, self._grid.height,
-                self._grid.n_cells, path.steps,
-                -1 if horizon is None else horizon, self._floor,
+                self._grid.n_cells, path.steps, self._floor,
                 self._edge_floor, high)
             if self._layers:
                 self._high = res[4]
@@ -118,14 +116,12 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
         layers = self._layers
         get = layers.get
         for (t, x, y) in path:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
             if t >= floor:
                 layer = get(t)
                 if layer is None:
                     layer = self._layer(t)
                 layer[x * height + y] = 1
-        self._reserve_edges(path, horizon)
+        self._reserve_edges(path)
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1
@@ -254,16 +250,14 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
         # Mode 4: {tick: {tile: bytearray[tile slot]}} layers, shared swaps.
         return 4, self._layers, self._edge_buckets, self._tile_bits
 
-    def reserve_path(self, path: Path,
-                     horizon: Optional[Tick] = None) -> None:
+    def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
         kernel = _rsv._MUTATION_MODULE
         if kernel is not None:
             self.mutation_kernel = "compiled"
             res = kernel.reserve_path(
                 4, self._layers, self._edge_buckets, self._tile_bits, 0,
-                self._tile_cells, path.steps,
-                -1 if horizon is None else horizon, self._floor,
+                self._tile_cells, path.steps, self._floor,
                 self._edge_floor, 0)
             self._n_tile_layers += res[2]
             self._n_edges += res[3]
@@ -275,8 +269,6 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
         last = None
         tile: Optional[bytearray] = None
         for (t, x, y) in path:
-            if horizon is not None and t > horizon:
-                break  # consecutive timestamps: everything after is later
             if t < floor:
                 continue
             tile_id = tile_of_cell(x, y, bits)
@@ -290,7 +282,7 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
                     self._n_tile_layers += 1
                 last = (t, tile_id)
             tile[self._tile_slot(x, y)] = 1
-        self._reserve_edges(path, horizon)
+        self._reserve_edges(path)
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1

@@ -36,22 +36,11 @@ Two calling conventions coexist:
   uses: a :class:`SearchRequest` in, a :class:`SearchOutcome` out.  A
   search that exhausts its budget or its open set *returns* an outcome
   carrying the failure status and the full :class:`SearchStats` — it
-  never raises — so callers can fall back (windowed search, wait in
-  place) instead of dying mid-run.
+  never raises — so callers can fall back (wait in place) instead of
+  dying mid-run.
 * :func:`find_path` is the historical raising wrapper (same signature as
   the seed): failure raises :class:`~repro.errors.PathNotFoundError`
   with the search stats attached.
-
-**Windowed mode** (``horizon=W``): conflict probes are applied only to
-moves that arrive within ``W`` ticks of the start — beyond the window the
-search sees an empty reservation table and, guided by the exact cached
-heuristic field, marches conflict-obliviously to the goal.  This bounds
-the conflict-aware state space to ``W`` time layers (the WHCA* idea) while
-keeping the search *bit-identical* to the full search whenever no
-reservation is probed — on an empty table the two modes run the same
-instructions.  The caller is responsible for only *committing* (reserving
-and executing) the conflict-checked prefix and replanning at the horizon;
-see :mod:`repro.pathfinding.pipeline`.
 """
 
 from __future__ import annotations
@@ -71,10 +60,6 @@ from .free_flow import set_descent_kernel
 from .heuristics import Heuristic, HeuristicField, _LazyManhattanFlat
 from .paths import Path
 from .reservation import ReservationTable, set_mutation_kernel
-
-#: Sentinel "probe everything" horizon — any tick comparison loses to it.
-_NO_HORIZON = 1 << 62
-
 
 @dataclass
 class SearchStats:
@@ -111,6 +96,15 @@ class SearchStats:
     budget: int = 0
     kernel: str = ""
 
+    @property
+    def budget_exhausted(self) -> bool:
+        """Whether the search stopped on its budget (:data:`SEARCH_BUDGET`).
+
+        The pop that breaks the budget is counted, so only such a search
+        reports more expansions than its budget.
+        """
+        return self.expansions > self.budget > 0
+
 
 #: Outcome statuses of one spatiotemporal search.
 SEARCH_COMPLETE = "complete"      #: goal reached; path attached
@@ -128,11 +122,6 @@ class SearchRequest:
         Spatial endpoints.
     start_time:
         Tick at which the robot sits on ``source``.
-    horizon:
-        ``None`` runs the classic full search.  An integer ``W`` enables
-        windowed mode: conflict probes apply only to moves arriving at or
-        before ``start_time + W``; beyond that the search is
-        conflict-oblivious and the caller must replan at the horizon.
     max_expansions:
         Abort threshold; exceeding it yields a :data:`SEARCH_BUDGET`
         outcome rather than livelocking.
@@ -144,17 +133,9 @@ class SearchRequest:
     source: Cell
     goal: Cell
     start_time: Tick
-    horizon: Optional[int] = None
     max_expansions: int = 200_000
     finisher: Optional[Callable] = None
     finisher_trigger: int = 0
-
-    @property
-    def probe_limit(self) -> Tick:
-        """Last tick at which arrivals are conflict-probed."""
-        if self.horizon is None:
-            return _NO_HORIZON
-        return self.start_time + self.horizon
 
 
 @dataclass
@@ -169,9 +150,7 @@ class SearchOutcome:
         :data:`SEARCH_COMPLETE`, :data:`SEARCH_BUDGET` or
         :data:`SEARCH_EXHAUSTED`.
     path:
-        The timed path (only for :data:`SEARCH_COMPLETE`).  In windowed
-        mode its tail beyond ``request.probe_limit`` is conflict-oblivious
-        and must not be committed without replanning.
+        The timed path (only for :data:`SEARCH_COMPLETE`).
     stats:
         The search's counters, present on every outcome — failures keep
         their diagnostics.
@@ -261,8 +240,7 @@ def search(grid: Grid, reservation: ReservationTable,
 
     Never raises for exhaustion: a failed search returns an outcome whose
     ``status`` names the failure and whose ``stats`` carry the counters.
-    See the module docstring for the windowed-mode contract; both kernels
-    produce bit-identical expansions, paths and statistics.
+    Both kernels produce bit-identical expansions, paths and statistics.
     """
     source, goal = request.source, request.goal
     start_time = request.start_time
@@ -336,7 +314,7 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
     status, steps, tail, expansions, generated, peak_open = _COMPILED.run(
         grid.kernel_capsule(_COMPILED), mode, probe_a, probe_b, tile_bits,
         h_mode, h_arg, source[0] * height + source[1],
-        goal[0] * height + goal[1], request.start_time, request.probe_limit,
+        goal[0] * height + goal[1], request.start_time,
         request.max_expansions, request.finisher, request.finisher_trigger,
         1 if deep else 0, stats.expansions, stats.peak_open)
 
@@ -387,7 +365,6 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     max_expansions = request.max_expansions
     finisher = request.finisher
     finisher_trigger = request.finisher_trigger
-    probe_limit = request.probe_limit
 
     vertex_free = reservation.is_free_packed
     edge_free = reservation.edge_free_packed
@@ -445,18 +422,15 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
             t1 = t + 1
             next_base = t1 * n_cells
             source_key = cell_keys[ci]
-            guarded = t1 <= probe_limit
 
             # Successor generation, wait first then the adjacency row —
             # the same order as the seed.  Two probe styles: when the
             # reservation structure is tick-bucketed (CDT), fetch this
             # tick's vertex/edge sets once and test membership with bare
             # ``in``; otherwise go through the packed probe methods.
-            # Past the windowed-mode probe limit both styles degrade to
-            # "everything free" without touching the reservation.
             if buckets is not None:
-                occupied = vertex_buckets.get(t1) if guarded else None
-                swaps = edge_buckets.get(t) if guarded else None
+                occupied = vertex_buckets.get(t1)
+                swaps = edge_buckets.get(t)
                 if occupied is None or source_key not in occupied:
                     nxt_state = next_base + ci
                     best = g_score.get(nxt_state)
@@ -486,7 +460,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                         tie += 1
             else:
                 # Wait in place (the fifth action) — vertex check only.
-                if not guarded or vertex_free(t1, source_key):
+                if vertex_free(t1, source_key):
                     nxt_state = next_base + ci
                     best = g_score.get(nxt_state)
                     if best is None or g_next < best:
@@ -499,9 +473,8 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                         tie += 1
 
                 for nci, nkey in adjacency[ci]:
-                    if (not guarded
-                            or (vertex_free(t1, nkey)
-                                and edge_free(t, source_key, nkey))):
+                    if (vertex_free(t1, nkey)
+                            and edge_free(t, source_key, nkey)):
                         nxt_state = next_base + nci
                         best = g_score.get(nxt_state)
                         if best is None or g_next < best:
@@ -525,12 +498,11 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
               max_expansions: int = 200_000,
               finisher=None,
               finisher_trigger: int = 0,
-              stats: Optional[SearchStats] = None,
-              horizon: Optional[int] = None) -> Path:
+              stats: Optional[SearchStats] = None) -> Path:
     """Find a conflict-free timed path from ``source`` (at ``start_time``).
 
     The historical raising convention over :func:`search` (the seed's
-    signature, plus the optional ``horizon``).
+    signature).
 
     Parameters
     ----------
@@ -560,15 +532,12 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
         The L threshold of Sec. VI-B (``0`` disables the finisher).
     stats:
         Optional mutable counters filled during the search.
-    horizon:
-        Optional windowed-mode horizon ``W`` (see :func:`search`).
 
     Returns
     -------
     Path
         Timed path starting at ``(start_time, *source)`` and ending on
-        ``goal``; conflict-free w.r.t. ``reservation`` wherever probes
-        were in force (everywhere, unless ``horizon`` was given).
+        ``goal``; conflict-free w.r.t. ``reservation``.
 
     Raises
     ------
@@ -577,8 +546,7 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
         stats ride along on the exception.
     """
     request = SearchRequest(source=source, goal=goal, start_time=start_time,
-                            horizon=horizon, max_expansions=max_expansions,
-                            finisher=finisher,
+                            max_expansions=max_expansions, finisher=finisher,
                             finisher_trigger=finisher_trigger)
     outcome = search(grid, reservation, request, heuristic=heuristic,
                      stats=stats)

@@ -29,8 +29,7 @@ from ..pathfinding.heuristics import HeuristicFieldCache, attach_field_arena
 from ..pathfinding.paths import Path
 from ..pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_MISS,
                                     FASTPATH_RESCUE, TIER_FREE_FLOW,
-                                    TIER_FULL, TIER_WINDOWED, FallbackChain,
-                                    LegPlan)
+                                    TIER_FULL, FallbackChain, LegPlan)
 from ..pathfinding.reservation import ReservationTable
 from ..pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                 SpatiotemporalGraph)
@@ -45,12 +44,12 @@ from .scheme import Assignment, PlanningScheme
 class PlannerStats:
     """Accumulated efficiency counters (the paper's STC / PTC inputs).
 
-    The ``legs_*`` quartet is the tier histogram of the planning
+    The ``legs_*`` trio is the tier histogram of the planning
     pipeline: every planned leg lands in exactly one bucket
-    (``legs_free_flow + legs_full + legs_windowed + legs_wait ==
-    legs_planned``), and ``horizon_replans`` counts the continuation legs
-    the simulator requested when a partial (windowed or wait) leg ran
-    out.  The fast-path trio is tier 0's own accounting:
+    (``legs_free_flow + legs_full + legs_wait == legs_planned``), and
+    ``horizon_replans`` counts the continuation legs the simulator
+    requested when a partial (wait) leg ran out.  The fast-path trio is
+    tier 0's own accounting:
     ``legs_free_flow`` are the hits, ``fastpath_audit_rejects`` counts
     candidates a reservation conflict sent to the full search, and
     ``fastpath_misses`` counts legs where no auditable candidate existed
@@ -66,11 +65,13 @@ class PlannerStats:
     legs_planned: int = 0
     legs_free_flow: int = 0
     legs_full: int = 0
-    legs_windowed: int = 0
     legs_wait: int = 0
     fastpath_misses: int = 0
     fastpath_audit_rejects: int = 0
     horizon_replans: int = 0
+    #: Legs whose full search stopped on ``max_search_expansions`` — the
+    #: recorded degraded result; counted inside ``legs_wait``.
+    budget_exhausted_legs: int = 0
     search_expansions: int = 0
     search_peak_open: int = 0
     cache_finished_legs: int = 0
@@ -155,7 +156,7 @@ class Planner(abc.ABC):
         #: invalidated in lockstep with the field cache).
         self.free_flow = FreeFlowPathCache(self.grid, self.heuristics)
         self.stats = PlannerStats()
-        #: The windowed-horizon fallback chain every leg routes through.
+        #: The fallback chain every leg routes through.
         self.pipeline = self._build_pipeline()
 
     def _build_pipeline(self) -> FallbackChain:
@@ -307,7 +308,7 @@ class Planner(abc.ABC):
 
         Reserved against — and inserted into — the planner's reservation
         structure like any pickup leg; counted in PTC.  The returned path
-        may be *partial* (a windowed prefix or a wait-in-place, see
+        may be *partial* (a wait-in-place, see
         :mod:`repro.pathfinding.pipeline`): it then ends short of
         ``goal`` and the simulator must call :meth:`continue_leg` from
         its last step when the robot gets there.
@@ -319,8 +320,7 @@ class Planner(abc.ABC):
 
         Identical to :meth:`plan_leg` except that it is counted as a
         horizon replan in the planner stats — the simulator calls it when
-        a windowed prefix or a wait-out ends with the robot short of the
-        leg's target.
+        a wait-out ends with the robot short of the leg's target.
         """
         self.stats.horizon_replans += 1
         return self._plan_leg_timed(t, source, goal)
@@ -444,13 +444,7 @@ class Planner(abc.ABC):
         """Reserve a leg plan and fold it into the planner counters."""
         for search_stats in leg.search_stats:
             self._absorb_search_stats(search_stats)
-        if leg.commit_until is None:
-            # The classic full-path commit — positional call, so the
-            # frozen seed reservation structures (which predate windowed
-            # commits) stay drop-in compatible for the benchmarks.
-            self.reservation.reserve_path(leg.commit_path)
-        else:
-            self.reservation.reserve_path(leg.commit_path, leg.commit_until)
+        self.reservation.reserve_path(leg.commit_path)
         kernel = getattr(self.reservation, "mutation_kernel", "")
         if kernel == "compiled":
             self.stats.reserves_compiled += 1
@@ -464,8 +458,6 @@ class Planner(abc.ABC):
             self.stats.legs_free_flow += 1
         elif leg.tier == TIER_FULL:
             self.stats.legs_full += 1
-        elif leg.tier == TIER_WINDOWED:
-            self.stats.legs_windowed += 1
         else:
             self.stats.legs_wait += 1
         if leg.fastpath == FASTPATH_MISS:
@@ -505,8 +497,8 @@ class Planner(abc.ABC):
         """``(finisher, trigger)`` for searches toward ``goal``.
 
         The base planners run without the Sec. VI-B cache; EATP overrides
-        this to supply its wait-following finisher, which both the tier-1
-        full search and the windowed fallback then use.
+        this to supply its wait-following finisher, which both tier 0
+        and the tier-1 full search then use.
         """
         return None, 0
 
@@ -516,6 +508,8 @@ class Planner(abc.ABC):
                                           search_stats.peak_open)
         if search_stats.cache_finished:
             self.stats.cache_finished_legs += 1
+        if search_stats.budget_exhausted:
+            self.stats.budget_exhausted_legs += 1
         if search_stats.kernel == "compiled":
             self.stats.searches_compiled += 1
         elif search_stats.kernel == "python":

@@ -150,9 +150,9 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     def _make_finisher(self, goal: Cell):
         """The Sec. VI-B cache-aided finisher, for every search tier.
 
-        Hooked through the base extension point so the tier-0 fast path,
-        the tier-1 full search *and* the windowed fallback all finish
-        through the cache; the wait-following tail is total-wait-capped
+        Hooked through the base extension point so the tier-0 fast path
+        and the tier-1 full search both finish through the cache; the
+        wait-following tail is total-wait-capped
         (see :func:`~repro.pathfinding.cache.follow_with_waits`) so it
         cannot livelock against the dense Fleet-200 reservation traffic.
         Memoised per goal: goals are a bounded set (rack homes +

@@ -150,8 +150,8 @@ class LegacySimulation:
         picker = self.state.pickers[rack.picker_id]
 
         # Fail-fast guard (the one post-freeze addition besides the
-        # ``advance`` adaptation): the windowed planning pipeline can
-        # emit *partial* legs ending short of the stage target, which
+        # ``advance`` adaptation): the planning pipeline's wait tier
+        # emits *partial* legs ending short of the stage target, which
         # only the event-driven engine knows how to continue.  Before
         # the pipeline this situation raised ``PathNotFoundError`` in
         # the planner; silently transitioning the stage here would

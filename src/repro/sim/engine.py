@@ -36,10 +36,10 @@ alone, for which it is exact; while a leg is under way the truth is
 tick-by-tick trail expand a leg with
 :meth:`~repro.pathfinding.paths.Path.cells_between`.
 
-Since the windowed planning pipeline (PR 4) a leg may be *partial*: a
-windowed search commits only ``W`` ticks of conflict-checked path, and a
-boxed-in robot plans a wait-in-place.  The completion trigger of such a
-leg is a **horizon-replan event**: instead of a stage transition, the
+Since the planning pipeline (PR 4) a leg may be *partial*: a robot
+whose search failed (boxed in, or out of expansion budget) plans a
+wait-in-place.  The completion trigger of such a leg is a
+**horizon-replan event**: instead of a stage transition, the
 engine asks the planner (``continue_leg``) for the continuation from the
 robot's current cell and re-enters the new leg's trigger into the
 calendar — the mission stays in its stage throughout.  Runs in which
@@ -474,11 +474,11 @@ class Simulation:
             target = self._stage_target(mission)
             if mission.path.goal != target:
                 # Horizon-replan event: the finished leg was partial — a
-                # windowed prefix whose commit ran out, or a wait-out of a
-                # boxed-in cell (see repro.pathfinding.pipeline).  The
-                # mission stays in its stage; the planner supplies the
-                # continuation from where the robot stands and the new
-                # leg's completion trigger re-enters the calendar.
+                # wait-out after a failed search (see
+                # repro.pathfinding.pipeline).  The mission stays in its
+                # stage; the planner supplies the continuation from where
+                # the robot stands and the new leg's completion trigger
+                # re-enters the calendar.
                 continuation = self.planner.continue_leg(
                     now, mission.path.goal, target)
                 self._record_path(mission.robot_id, continuation)
@@ -654,7 +654,7 @@ class Simulation:
             peak_memory_bytes=self._recorder.peak_memory,
             checkpoints=list(self._recorder.samples),
             fallback={
-                "windowed_legs": self.planner.stats.legs_windowed,
+                "budget_exhausted": self.planner.stats.budget_exhausted_legs,
                 "wait_legs": self.planner.stats.legs_wait,
                 "horizon_replans": self.planner.stats.horizon_replans,
             },

@@ -20,7 +20,7 @@ from ..types import Tick
 #: missing dict (results produced by the frozen legacy engine, or stored
 #: before PR 4) normalises to all-zero, which is also what any run that
 #: never needed a fallback reports.
-FALLBACK_KEYS = ("windowed_legs", "wait_legs", "horizon_replans")
+FALLBACK_KEYS = ("budget_exhausted", "wait_legs", "horizon_replans")
 
 #: Keys of the tier-0 fast-path accounting attached to run metrics
 #: (free-flow legs served without searching, candidates a reservation
@@ -52,9 +52,10 @@ class CheckpointSample:
 class RunMetrics:
     """Final metrics of one simulation run plus the checkpoint series.
 
-    ``fallback`` is the windowed-pipeline tier accounting
-    (:data:`FALLBACK_KEYS`): how many legs fell back to the windowed
-    search or to wait-in-place, and how many horizon replans the engine
+    ``fallback`` is the pipeline's fallback accounting
+    (:data:`FALLBACK_KEYS`): how many legs fell back to wait-in-place,
+    how many of those because the full search ran out of expansion
+    budget (the degraded legs), and how many horizon replans the engine
     issued for the resulting partial legs.  All-zero on any run the full
     search handled end to end.
 

@@ -95,8 +95,8 @@ class Mission:
     def resume(self, t: Tick, path: Path) -> None:
         """Continue the *current* moving stage on a fresh leg.
 
-        The horizon-replan case: the previous leg was partial (a windowed
-        prefix or a wait-in-place) and ended short of the stage's target,
+        The horizon-replan case: the previous leg was partial (a
+        wait-in-place) and ended short of the stage's target,
         so the planner supplied a continuation from where the robot
         stands.  The stage — and ``stage_entered_at``, which feeds the
         Fig. 13 stage-duration accounting — is deliberately unchanged:

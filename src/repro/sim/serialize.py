@@ -39,7 +39,7 @@ def metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
         "peak_memory_bytes": metrics.peak_memory_bytes,
         # Normalised (every key present, absent dict reads all-zero) so
         # payloads from the frozen legacy engine — which predates the
-        # windowed pipeline and never sets the counters — compare equal
+        # fallback chain and never sets the counters — compare equal
         # to an event-engine run that needed no fallbacks.
         "fallback": metrics.fallback_view(),
         # Tier-0 fast-path counters, same normalisation contract; both

@@ -265,7 +265,6 @@ class TestWaitFollowingRescue:
         leg = chain.plan_leg(0, (0, 5), (6, 5))
         assert leg.tier == TIER_FREE_FLOW
         assert leg.fastpath == FASTPATH_RESCUE
-        assert leg.complete
         assert leg.path.source == (0, 5)
         assert leg.path.goal == (6, 5)
         assert len(leg.path) > 7  # at least one inserted wait

@@ -240,9 +240,12 @@ class TestCommittedFixtures:
     #: the same event that regenerates ``tests/golden/``.  Re-pinned in
     #: PR 18 for the view's schema alone (``metrics.batch`` gone,
     #: ``rescued_legs`` under ``metrics.fastpath``; putting the old block
-    #: back reproduces be35beca…); the file itself is PR 16's, untouched.
+    #: back reproduces be35beca…) and again in PR 21 (``fallback``'s
+    #: ``windowed_legs`` key became ``budget_exhausted``, both 0 here;
+    #: putting the old key back reproduces eaaac75d…); the file itself is
+    #: PR 16's, untouched.
     V2_DRAINED_DIGEST = (
-        "eaaac75dadaae2336b753cf2fc7dc2cc442c842ece30fbb8bc066d7ac19b3f65")
+        "9f291450fabd2282a5e5b8d823e49f67b95cf1c9bf1016f010487ee2c43573c3")
 
     def test_v2_fixture_loads_and_drains_to_the_pinned_result(self):
         path = FIXTURES / "checkpoint-v2-eatp.ckpt"

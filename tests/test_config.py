@@ -46,6 +46,11 @@ class TestPlannerConfig:
         with pytest.raises(ConfigurationError):
             PlannerConfig(**{field: value})
 
+    def test_retired_knob_is_not_accepted(self):
+        # The windowed tier's horizon went with the tier (PR 21).
+        with pytest.raises(TypeError):
+            PlannerConfig(search_horizon=8)
+
     def test_with_returns_modified_copy(self):
         cfg = PlannerConfig()
         other = cfg.with_(knn_k=3)

@@ -518,8 +518,8 @@ class TestOneTierZeroContract:
         def cycle(base):
             for offset, lane in enumerate(lanes):
                 table.reserve_path(Path.from_cells(lane, base + offset))
-                table.reserve_path(Path.from_cells(lane[::-1], base + offset),
-                                   base + offset + 9)
+                table.reserve_path(
+                    Path.from_cells(lane[:-11:-1], base + offset))
             verdicts = {cache.kernel_leg(table, base + 2, (0, y), (23, y),
                                          lambda goal: (None, 0))[0]
                         for y in range(24)}

@@ -397,7 +397,7 @@ class TestChainTierZero:
         chain = make_chain(grid, cdt)
         leg = chain.plan_leg(0, (0, 0), (9, 7))
         assert leg.tier == TIER_FREE_FLOW and leg.fastpath == FASTPATH_HIT
-        assert leg.complete and leg.commit_until is None
+        assert leg.commit_path is leg.path
         assert leg.path.duration == 16  # Manhattan-optimal
 
     def test_finisher_hit_matches_search(self):
@@ -474,7 +474,7 @@ class TestCountersAndSerialization:
         Simulation(state, planner, items).run()
         stats = planner.stats
         assert stats.legs_planned == (stats.legs_free_flow + stats.legs_full
-                                      + stats.legs_windowed + stats.legs_wait)
+                                      + stats.legs_wait)
         assert stats.legs_free_flow > 0
         # Tier-0 legs run no search: total expansions stay below what
         # the leg count alone would force through the full tier.

@@ -3,8 +3,8 @@
 The compiled expansion loop must be a drop-in for the pure-python core:
 same :class:`SearchOutcome` (status, path steps), same
 :class:`SearchStats` counters, same expansion order — across every
-reservation structure, deep wait chains, windowed horizons, the
-cache-aided finisher, and the paper-scale deep-tie ordering.  Neither
+reservation structure, deep wait chains, the cache-aided finisher, and
+the paper-scale deep-tie ordering.  Neither
 kernel may keep search state between calls.  The extension is built on
 the fly here; where no compiler is available the compiled half skips and
 the selection/fallback tests still run.
@@ -232,12 +232,11 @@ class TestKernelBitIdentity:
             assert_bit_identical(grid, make_table,
                                  SearchRequest(source, goal, 0))
 
-    @pytest.mark.parametrize("horizon", [0, 3, 11, None])
-    def test_windowed_mode_matches(self, horizon):
+    def test_late_start_matches(self):
         grid = Grid(18, 13)
         assert_bit_identical(
             grid, ConflictDetectionTable,
-            SearchRequest((0, 0), (17, 12), 5, horizon=horizon))
+            SearchRequest((0, 0), (17, 12), 5))
 
     def test_budget_outcome_matches(self):
         grid = Grid(18, 13)
@@ -462,10 +461,9 @@ def _random_problem(seed):
             moves = list(grid.neighbours(cells[-1])) + [cells[-1]]
             cells.append(moves[rng.randrange(len(moves))])
         paths.append(Path.from_cells(cells, start_time=rng.randrange(20)))
-    horizon = rng.choice([None, None, rng.randrange(0, 25)])
     budget = rng.choice([200_000, 200_000, rng.randrange(5, 400)])
     request = SearchRequest(source, goal, rng.randrange(8),
-                            horizon=horizon, max_expansions=budget)
+                            max_expansions=budget)
     table_factory = rng.choice(sorted(TABLES))
     return grid, paths, request, table_factory
 

@@ -104,7 +104,7 @@ class TestCellPlanning:
         assert len(cells) == 4 * 5 - 2
 
     def test_fleet_ladder_runs_all_five_planners(self):
-        # PR 4 unlocked the small rungs: the windowed pipeline keeps
+        # PR 4 unlocked the small rungs: the planning pipeline keeps
         # every planner recoverable at the 200-robot rung, and LEF/ILP
         # drain the scaled-down floor in seconds.  The PR-6 large rungs
         # (500-3000 robots, paper-true 541x302 floor) carry the

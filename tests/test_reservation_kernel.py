@@ -84,17 +84,14 @@ def random_walk(rng, max_len=14, t_max=48, min_len=1, t_min=0):
 def random_ops(seed, n=60):
     """A concrete op tape: replayable against any table, any kernel.
 
-    Full and windowed reserves and purges — the whole mutation surface
-    of a table, in roughly the 3:1 mix a planner wake generates.
+    Reserves and purges — the whole mutation surface of a table, in
+    roughly the 3:1 mix a planner wake generates.
     """
     rng = random.Random(seed)
     ops = []
     for _ in range(n):
         if rng.random() < 0.75:
-            path = random_walk(rng)
-            horizon = (None if rng.random() < 0.6
-                       else path.start_time + rng.randrange(1, 8))
-            ops.append(("reserve", path, horizon))
+            ops.append(("reserve", random_walk(rng)))
         else:
             ops.append(("purge", rng.randrange(40)))
     return ops
@@ -103,10 +100,7 @@ def random_ops(seed, n=60):
 def apply_ops(table, ops):
     for op in ops:
         if op[0] == "reserve":
-            if op[2] is None:
-                table.reserve_path(op[1])
-            else:
-                table.reserve_path(op[1], op[2])
+            table.reserve_path(op[1])
         else:
             table.purge_before(op[1])
 
@@ -231,8 +225,8 @@ def _free_flow_ops(cache, rng, cells):
 def test_property_incremental_matches_recount(seed):
     """Counters never drift from a from-scratch recount, any kernel.
 
-    Exercises every production table through randomized full reserves,
-    windowed commits and purges, plus the free-flow memo
+    Exercises every production table through randomized reserves and
+    purges, plus the free-flow memo
     through its grow/invalidate/clear cycle — under whichever mutation
     kernel the session selected (the pure-python CI job runs this with
     the extension never built).

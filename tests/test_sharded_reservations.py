@@ -5,8 +5,8 @@ into fixed spatial tiles) are pure performance reshapes behind the
 ``ReservationTable`` interface — every probe, audit, reserve and purge
 must answer exactly what the global structure answers.  These tests pin
 that equivalence on randomized cross-tile traffic, including the nasty
-cases: swap conflicts whose two cells straddle a tile edge, windowed
-commits, and purges interleaved with audits.
+cases: swap conflicts whose two cells straddle a tile edge, and purges
+interleaved with audits.
 """
 
 import random
@@ -86,11 +86,8 @@ class TestRandomizedEquivalence:
                                                  len(cells) - 1)), (
                 f"audit_chain diverged on round {round_no}")
             if verdicts[0]:
-                # Windowed commits exercise the horizon semantics too.
-                horizon = (t0 + rng.randrange(1, 40)
-                           if rng.random() < 0.3 else None)
-                table_global.reserve_path(path, horizon)
-                table_sharded.reserve_path(path, horizon)
+                table_global.reserve_path(path)
+                table_sharded.reserve_path(path)
                 reserved.append(path)
             if round_no % 7 == 6:
                 cut = rng.randrange(0, 40)
