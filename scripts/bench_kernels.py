@@ -992,7 +992,7 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
     through the fused native entry point, per production table.  Every
     pair is distinct, so the python memo never hits: both sides pay the
     full descent+audit, which is exactly the work the fusion collapses
-    into one call.  Outcome equivalence (verdict + payload) rides along
+    into one call.  Outcome equivalence (verdict + leg) rides along
     as a correctness check on the timed tape itself.
 
     Cyclic GC is paused around the timed passes: the loaded tables
@@ -1043,26 +1043,25 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
                 if chain is None:
                     python_outcomes.append((0, None))
                 elif table.audit_chain(0, chain, len(chain.cells) - 1):
-                    python_outcomes.append((1, chain.cells))
+                    python_outcomes.append((1, list(chain.cells)))
                 else:
-                    python_outcomes.append((3, chain.cells))
+                    python_outcomes.append((3, None))
             python_s = time.perf_counter() - started
 
             set_descent_kernel(build_and_load())
             fused_outcomes = []
             started = time.perf_counter()
             for source, goal in legs:
-                verdict, payload, __, __, __ = cache.kernel_leg(
+                verdict, path, __, __ = cache.kernel_leg(
                     table, 0, source, goal, lambda goal: (None, 0))
-                fused_outcomes.append((verdict, payload))
+                fused_outcomes.append((verdict, path))
             fused_s = time.perf_counter() - started
 
-            # Verdict-1 payloads differ by representation (timed steps
-            # vs cells); compare verdicts there and cells elsewhere.
+            # A served leg comes back as a packed Path; a reject and an
+            # unreachable goal carry nothing.
             identical = all(
-                pv == fv and (pv == 1 or tuple(p_pay or ())
-                              == tuple(f_pay or ()))
-                for (pv, p_pay), (fv, f_pay)
+                pv == fv and cells == (path and path.spatial_cells())
+                for (pv, cells), (fv, path)
                 in zip(python_outcomes, fused_outcomes))
             tables[name] = {
                 "python_s": python_s,

@@ -8,6 +8,14 @@ test/bench harnesses, or CI) via
 :func:`repro.pathfinding._kernel.build.build_extension`, so importing the
 library on a machine without a toolchain stays side-effect free and the
 pure-python core remains the always-working fallback.
+
+The six entry points — ``prepare_grid``, ``run``, ``reserve_path``,
+``purge_before``, ``bfs_fill``, ``tier0_leg`` — carry their signatures
+as docstrings (``help(_stsearch.run)``).  A leg crosses the boundary as
+``keys``: one ``array('q')`` of packed cell keys (``x << 16 | y``), one
+per consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps
+as it came; ``run`` and ``tier0_leg`` return it, ``reserve_path`` takes
+``(start_time, keys)``, and each checks it against the path rule.
 """
 
 from __future__ import annotations

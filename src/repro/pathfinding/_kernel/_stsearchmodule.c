@@ -56,8 +56,60 @@ enum {
     ST_COMPLETE = 0,
     ST_BUDGET = 1,
     ST_EXHAUSTED = 2,
-    ST_FINISHER = 4,   /* finisher produced the tail; head steps attached */
+    ST_FINISHER = 4,   /* finisher produced the tail; head keys attached */
 };
+
+/* ------------------------------------------------------------------ */
+/* Packed legs.  A leg crosses the boundary as one buffer of int64     */
+/* cell keys, one per consecutive tick (paths.Path.keys): run and      */
+/* tier0_leg hand out an array('q'), reserve_path takes any contiguous */
+/* int64 buffer.  keys_check is the one statement of the path rule on  */
+/* this side — the rule Path(steps) applies to tuples — and every      */
+/* buffer passes it on its way in or out.                              */
+/* ------------------------------------------------------------------ */
+
+static PyObject *array_type;  /* array.array, held for the module's life */
+
+/* At least one step, every key a cell (both halves within 16 bits),
+ * consecutive keys a wait or a unit cardinal move. */
+static int
+keys_check(const int64_t *keys, Py_ssize_t n)
+{
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a path must contain at least one step");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (keys[i] < 0 || keys[i] >> (2 * CELL_KEY_SHIFT) != 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "step %zd is not a packed cell key", i);
+            return -1;
+        }
+        if (i == 0)
+            continue;
+        int64_t dx = (keys[i] >> CELL_KEY_SHIFT)
+            - (keys[i - 1] >> CELL_KEY_SHIFT);
+        int64_t dy = (keys[i] & CELL_KEY_MASK)
+            - (keys[i - 1] & CELL_KEY_MASK);
+        if ((dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy) > 1) {
+            PyErr_Format(PyExc_ValueError,
+                         "illegal jump at step %zd in one tick", i);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* The checked hand-off of a kernel-made leg: a new array('q'). */
+static PyObject *
+keys_export(const int64_t *keys, Py_ssize_t n)
+{
+    if (keys_check(keys, n) < 0)
+        return NULL;
+    return PyObject_CallFunction(array_type, "sy#", "q", (const char *)keys,
+                                 n * (Py_ssize_t)sizeof(int64_t));
+}
 
 /* ------------------------------------------------------------------ */
 /* Prepared grid: CSR adjacency + cached per-cell key objects, filled  */
@@ -384,6 +436,7 @@ typedef struct {
     /* per-expansion context */
     PyObject *occupied;    /* borrowed: mode 1 vertex set for t1 */
     const char *layer1;    /* mode 2 dense layer bytes for t1 */
+    Py_ssize_t layer1_len;
     PyObject *layer_tiles; /* borrowed: mode 4 tile dict for t1 */
     PyObject *swaps;       /* borrowed: modes 1-4 edge set for t1 - 1 */
     PyObject *t1_obj;      /* owned */
@@ -397,6 +450,18 @@ tile_of_key(int64_t key, int bits)
 {
     return ((key >> (CELL_KEY_SHIFT + bits)) << CELL_KEY_SHIFT)
         | ((key & CELL_KEY_MASK) >> bits);
+}
+
+static void
+probe_init(Probe *p, int mode, int tile_bits, PyObject *vertex_obj,
+           PyObject *edge_obj)
+{
+    memset(p, 0, sizeof(Probe));
+    p->mode = mode;
+    p->tile_bits = tile_bits;
+    p->vertex_obj = vertex_obj;
+    p->edge_obj = edge_obj;
+    p->memo_tile_id = -1;
 }
 
 /* Fetch the per-tick context for one expansion.  Returns -1 on error. */
@@ -437,6 +502,7 @@ probe_setup(Probe *p, int64_t t1)
                 return -1;
             }
             p->layer1 = PyByteArray_AS_STRING(layer);
+            p->layer1_len = PyByteArray_GET_SIZE(layer);
         }
         break;
     }
@@ -487,7 +553,14 @@ probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
             return 0;
         return PySet_Contains(p->occupied, gd->key_objs[ci]);
     case PROBE_DENSE:
-        return p->layer1 != NULL && p->layer1[ci] != 0;
+        if (p->layer1 == NULL)
+            return 0;
+        if (ci >= p->layer1_len) {
+            PyErr_SetString(PyExc_IndexError,
+                            "cell index outside dense layer");
+            return -1;
+        }
+        return p->layer1[ci] != 0;
     case PROBE_TILED_SET: {
         int64_t tile_id = tile_of_key(gd->cell_keys[ci], p->tile_bits);
         PyObject *tile;
@@ -541,6 +614,10 @@ probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
         int64_t mask = ((int64_t)1 << p->tile_bits) - 1;
         Py_ssize_t slot = (Py_ssize_t)(((x & mask) << p->tile_bits)
                                        | (y & mask));
+        if (slot >= PyByteArray_GET_SIZE(tile)) {
+            PyErr_SetString(PyExc_IndexError, "slot outside tile block");
+            return -1;
+        }
         return PyByteArray_AS_STRING(tile)[slot] != 0;
     }
     }
@@ -667,33 +744,22 @@ relax(Search *s, int64_t nrel, int64_t g_next, int64_t rel,
     return 1;
 }
 
+/* The leg ending at ``rel`` as keys: a state's layer is its depth, so
+ * the parent chain fills the buffer back to front. */
 static PyObject *
-reconstruct(const Search *s, int64_t rel, int64_t start_time)
+reconstruct(const Search *s, int64_t rel)
 {
-    PyObject *steps = PyList_New(0);
-    if (steps == NULL)
-        return NULL;
-    while (rel >= 0) {
-        int64_t t_rel = rel / s->n_cells;
-        int64_t ci = rel % s->n_cells;
-        int64_t x = ci / s->height;
-        int64_t y = ci % s->height;
-        PyObject *step = Py_BuildValue("(LLL)",
-                                       (long long)(start_time + t_rel),
-                                       (long long)x, (long long)y);
-        if (step == NULL || PyList_Append(steps, step) < 0) {
-            Py_XDECREF(step);
-            Py_DECREF(steps);
-            return NULL;
-        }
-        Py_DECREF(step);
+    Py_ssize_t n = (Py_ssize_t)(rel / s->n_cells) + 1;
+    int64_t *keys = PyMem_Malloc((size_t)n * sizeof(int64_t));
+    if (keys == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        keys[i] = s->gd->cell_keys[rel % s->n_cells];
         rel = s->hm.parent[hmap_slot(&s->hm, rel)];
     }
-    if (PyList_Reverse(steps) < 0) {
-        Py_DECREF(steps);
-        return NULL;
-    }
-    return steps;
+    PyObject *out = keys_export(keys, n);
+    PyMem_Free(keys);
+    return out;
 }
 
 static PyObject *
@@ -779,12 +845,7 @@ stsearch_run(PyObject *self, PyObject *args)
     }
 
     Probe probe;
-    memset(&probe, 0, sizeof(Probe));
-    probe.mode = probe_mode;
-    probe.tile_bits = tile_bits;
-    probe.vertex_obj = probe_a;
-    probe.edge_obj = probe_b;
-    probe.memo_tile_id = -1;
+    probe_init(&probe, probe_mode, tile_bits, probe_a, probe_b);
 
     int herr = 0;
     s.h0 = heuristic_at(&s, source_ci, &herr);
@@ -813,7 +874,7 @@ stsearch_run(PyObject *self, PyObject *args)
 
     int status = ST_EXHAUSTED;
     int64_t result_rel = -1;
-    PyObject *steps = NULL;       /* owned on success */
+    PyObject *keys = NULL;        /* owned on success */
     PyObject *finisher_tail = NULL;
 
     while (open_size > 0) {
@@ -972,20 +1033,20 @@ stsearch_run(PyObject *self, PyObject *args)
 
 done:
     if (result_rel >= 0) {
-        steps = reconstruct(&s, result_rel, start_time);
-        if (steps == NULL)
+        keys = reconstruct(&s, result_rel);
+        if (keys == NULL)
             goto fail;
     }
     {
         PyObject *out = Py_BuildValue(
             "iOOLLL", status,
-            steps ? steps : Py_None,
+            keys ? keys : Py_None,
             finisher_tail ? finisher_tail : Py_None,
             (long long)expansions, (long long)generated,
             (long long)peak_open);
-        Py_XDECREF(steps);
+        Py_XDECREF(keys);
         Py_XDECREF(finisher_tail);
-        steps = NULL;
+        keys = NULL;
         finisher_tail = NULL;
         search_free(&s);
         if (have_hview)
@@ -996,7 +1057,7 @@ done:
 expand_fail:
     probe_teardown(&probe);
 fail:
-    Py_XDECREF(steps);
+    Py_XDECREF(keys);
     Py_XDECREF(finisher_tail);
     search_free(&s);
     if (have_hview)
@@ -1019,72 +1080,6 @@ fail:
 /* bearing: the equivalence suite pins the final container contents    */
 /* and every returned delta.                                           */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-    Py_ssize_t n;
-    int64_t *t;
-    int64_t *x;
-    int64_t *y;
-} StepArray;
-
-static void
-steps_free(StepArray *sa)
-{
-    PyMem_Free(sa->t);
-    sa->t = sa->x = sa->y = NULL;
-    sa->n = 0;
-}
-
-/* Load ``path.steps`` — a sequence of (t, x, y) int triples — into flat
- * arrays so the mutation loops never touch the tuple objects again. */
-static int
-steps_load(PyObject *steps_obj, StepArray *sa)
-{
-    sa->t = sa->x = sa->y = NULL;
-    sa->n = 0;
-    PyObject *fast = PySequence_Fast(steps_obj, "steps is not a sequence");
-    if (fast == NULL)
-        return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    if (n > 0) {
-        int64_t *buf = PyMem_Malloc(3 * (size_t)n * sizeof(int64_t));
-        if (buf == NULL) {
-            Py_DECREF(fast);
-            PyErr_NoMemory();
-            return -1;
-        }
-        sa->t = buf;
-        sa->x = buf + n;
-        sa->y = buf + 2 * n;
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        for (Py_ssize_t i = 0; i < n; i++) {
-            PyObject *step = PySequence_Fast(items[i],
-                                             "step is not a sequence");
-            if (step == NULL)
-                goto fail;
-            if (PySequence_Fast_GET_SIZE(step) != 3) {
-                Py_DECREF(step);
-                PyErr_SetString(PyExc_ValueError,
-                                "step is not a (t, x, y) triple");
-                goto fail;
-            }
-            PyObject **fields = PySequence_Fast_ITEMS(step);
-            sa->t[i] = (int64_t)PyLong_AsLongLong(fields[0]);
-            sa->x[i] = (int64_t)PyLong_AsLongLong(fields[1]);
-            sa->y[i] = (int64_t)PyLong_AsLongLong(fields[2]);
-            Py_DECREF(step);
-            if (PyErr_Occurred())
-                goto fail;
-        }
-    }
-    Py_DECREF(fast);
-    sa->n = n;
-    return 0;
-fail:
-    Py_DECREF(fast);
-    steps_free(sa);
-    return -1;
-}
 
 /* dict[t] -> set, created on demand.  Adds ``key_obj``; *fresh reports a
  * genuinely new member, *created a newly materialised bucket. */
@@ -1137,10 +1132,15 @@ dense_layer_new(PyObject *dict, PyObject *t_obj, Py_ssize_t n)
 }
 
 static int
-mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj)
+mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj,
+               int tile_bits)
 {
     if (mode < PROBE_CDT || mode > PROBE_TILED_DENSE) {
         PyErr_SetString(PyExc_ValueError, "unknown mutation mode");
+        return -1;
+    }
+    if (tile_bits < 0 || tile_bits > CELL_KEY_SHIFT) {
+        PyErr_SetString(PyExc_ValueError, "tile_bits out of range");
         return -1;
     }
     if (!PyDict_Check(vertex_obj) || !PyDict_Check(edge_obj)) {
@@ -1156,40 +1156,75 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
 {
     (void)self;
     int mode, tile_bits;
-    PyObject *vertex_obj, *edge_obj, *steps_obj;
-    long long height_ll, block_cells_ll, vfloor_ll, efloor_ll, high_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLLOLLL:reserve_path",
+    PyObject *vertex_obj, *edge_obj, *keys_obj;
+    long long height_ll, block_cells_ll, start_ll, vfloor_ll, efloor_ll;
+    long long high_ll;
+    if (!PyArg_ParseTuple(args, "iOOiLLLOLLL:reserve_path",
                           &mode, &vertex_obj, &edge_obj, &tile_bits,
-                          &height_ll, &block_cells_ll, &steps_obj,
+                          &height_ll, &block_cells_ll, &start_ll, &keys_obj,
                           &vfloor_ll, &efloor_ll, &high_ll))
         return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
+    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
         return NULL;
     int64_t height = (int64_t)height_ll;
     Py_ssize_t block_cells = (Py_ssize_t)block_cells_ll;
+    int64_t start = (int64_t)start_ll;
     int64_t vfloor = (int64_t)vfloor_ll;
     int64_t efloor = (int64_t)efloor_ll;
     int64_t high = (int64_t)high_ll;
+    int64_t mask = ((int64_t)1 << tile_bits) - 1;
 
-    StepArray sa;
-    if (steps_load(steps_obj, &sa) < 0)
+    /* Everything the caller can get wrong is refused here, before the
+     * first container is touched. */
+    Py_buffer view;
+    if (PyObject_GetBuffer(keys_obj, &view, PyBUF_RECORDS_RO) < 0)
         return NULL;
+    if (view.ndim != 1 || view.itemsize != (Py_ssize_t)sizeof(int64_t)
+            || view.format == NULL
+            || (strcmp(view.format, "q") && strcmp(view.format, "l"))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "keys must be a one-dimensional int64 buffer");
+        goto fail;
+    }
+    if (!PyBuffer_IsContiguous(&view, 'C')) {
+        PyErr_SetString(PyExc_ValueError, "keys buffer is not contiguous");
+        goto fail;
+    }
+    const int64_t *keys = view.buf;
+    Py_ssize_t n = view.shape[0];
+    if (keys_check(keys, n) < 0)
+        goto fail;
+    if (mode == PROBE_TILED_DENSE
+            && ((int64_t)1 << (2 * tile_bits)) > (int64_t)block_cells) {
+        PyErr_SetString(PyExc_IndexError, "slot outside tile block");
+        goto fail;
+    }
+    if (mode == PROBE_DENSE) {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int64_t ci = (keys[i] >> CELL_KEY_SHIFT) * height
+                + (keys[i] & CELL_KEY_MASK);
+            if (ci < 0 || ci >= (int64_t)block_cells) {
+                PyErr_SetString(PyExc_IndexError,
+                                "cell index outside dense layer");
+                goto fail;
+            }
+        }
+    }
 
     int64_t v_added = 0, vbuckets_added = 0, tiles_added = 0, e_added = 0;
 
-    int64_t mask = ((int64_t)1 << tile_bits) - 1;
     int64_t memo_tile_id = -1;
     int64_t memo_t = -1;
     int memo_valid = 0;
     PyObject *memo_tile = NULL;  /* borrowed */
 
     /* -- vertex pass (mirrors each table's reserve_path body) -------- */
-    for (Py_ssize_t i = 0; i < sa.n; i++) {
-        int64_t t = sa.t[i];
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t t = start + i;
         if (t < vfloor)
             continue;
-        int64_t x = sa.x[i], y = sa.y[i];
-        int64_t key = (x << CELL_KEY_SHIFT) | y;
+        int64_t key = keys[i];
+        int64_t x = key >> CELL_KEY_SHIFT, y = key & CELL_KEY_MASK;
         PyObject *t_obj = PyLong_FromLongLong((long long)t);
         if (t_obj == NULL)
             goto fail;
@@ -1357,14 +1392,11 @@ step_fail:
     }
 
     /* -- edge pass (mirrors _EdgeMixin._reserve_edges) --------------- */
-    for (Py_ssize_t i = 0; i + 1 < sa.n; i++) {
-        int64_t t0 = sa.t[i];
-        int64_t x0 = sa.x[i], y0 = sa.y[i];
-        int64_t x1 = sa.x[i + 1], y1 = sa.y[i + 1];
-        if (t0 < efloor || (x0 == x1 && y0 == y1))
+    for (Py_ssize_t i = 0; i + 1 < n; i++) {
+        int64_t t0 = start + i;
+        int64_t key0 = keys[i], key1 = keys[i + 1];
+        if (t0 < efloor || key0 == key1)
             continue;
-        int64_t key0 = (x0 << CELL_KEY_SHIFT) | y0;
-        int64_t key1 = (x1 << CELL_KEY_SHIFT) | y1;
         PyObject *t_obj = PyLong_FromLongLong((long long)t0);
         if (t_obj == NULL)
             goto fail;
@@ -1383,13 +1415,13 @@ step_fail:
             goto fail;
         e_added += fresh;
     }
-    steps_free(&sa);
+    PyBuffer_Release(&view);
     return Py_BuildValue(
         "LLLLL",
         (long long)v_added, (long long)vbuckets_added,
         (long long)tiles_added, (long long)e_added, (long long)high);
 fail:
-    steps_free(&sa);
+    PyBuffer_Release(&view);
     return NULL;
 }
 
@@ -1494,8 +1526,7 @@ stsearch_purge_before(PyObject *self, PyObject *args)
                           &mode, &vertex_obj, &edge_obj, &tile_bits,
                           &t_ll, &vfloor_ll, &efloor_ll))
         return NULL;
-    (void)tile_bits;
-    if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
+    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
         return NULL;
     int64_t t = (int64_t)t_ll;
     int64_t vfloor = (int64_t)vfloor_ll;
@@ -1577,9 +1608,10 @@ stsearch_purge_before(PyObject *self, PyObject *args)
 /* backing store of an eager HeuristicField (and, shared, of the       */
 /* multiprocessing field arena).  tier0_leg fuses the free-flow greedy */
 /* descent (free_flow._walk, both regimes) with the bulk reservation   */
-/* audit (audit_chain semantics), answering a conflict-free leg in one */
-/* call.  Bit-identity with the python bodies is pinned by the         */
-/* equivalence suites.                                                 */
+/* audit (audit_chain semantics) and, on a hit, the wait-following     */
+/* rescue (cache.follow_with_waits) over the same probes, answering a  */
+/* served leg in one call.  Bit-identity with the python bodies is     */
+/* pinned by the equivalence suites.                                   */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -1646,25 +1678,57 @@ stsearch_bfs_fill(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Build [(x, y), ...] for tier0_leg's cells payloads. */
-static PyObject *
-tier0_cells_list(const GridData *gd, const int32_t *indices, int64_t k)
+/* Whether a robot on ``from`` at t1 - 1 may be on ``to`` at t1 (the
+ * table's move_allowed; ``from == to`` is a wait).  ``p`` is set up for
+ * t1.  Returns 1 blocked, 0 free, -1 error. */
+static int
+probe_move(Probe *p, const GridData *gd, Py_ssize_t from, Py_ssize_t to)
 {
-    PyObject *cells = PyList_New((Py_ssize_t)(k + 1));
-    if (cells == NULL)
-        return NULL;
-    for (int64_t i = 0; i <= k; i++) {
-        int64_t ci = (int64_t)indices[i];
-        PyObject *cell = Py_BuildValue("(LL)",
-                                       (long long)(ci / gd->height),
-                                       (long long)(ci % gd->height));
-        if (cell == NULL) {
-            Py_DECREF(cells);
-            return NULL;
+    int blocked = probe_vertex(p, gd, to);
+    if (blocked == 0 && from != to)
+        blocked = probe_edge(p, gd, from, to);
+    return blocked;
+}
+
+/* cache.follow_with_waits over the descent ``indices[0..k]``: walk it
+ * from ``start_t``, waiting in place wherever the next move is reserved.
+ * Writes the timed keys to ``out`` (room for k + 1 + total_cap) and
+ * returns their count, 0 when the walk declines (a cap is hit, or the
+ * robot cannot hold its cell), -1 on error. */
+static Py_ssize_t
+rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
+            int64_t start_t, int64_t per_step_cap, int64_t total_cap,
+            int64_t *out)
+{
+    int64_t t = start_t, total = 0;
+    Py_ssize_t cur = (Py_ssize_t)indices[0], n = 0;
+    out[n++] = gd->cell_keys[cur];
+    for (int64_t i = 1; i <= k; i++) {
+        Py_ssize_t nxt = (Py_ssize_t)indices[i];
+        for (int64_t waited = 0; ; waited++, total++) {
+            if (probe_setup(p, t + 1) < 0) {
+                probe_teardown(p);
+                return -1;
+            }
+            int blocked = probe_move(p, gd, cur, nxt);
+            int stuck = 1;  /* a cap is hit, or the cell cannot be held */
+            if (blocked > 0 && waited < per_step_cap && total < total_cap)
+                stuck = probe_vertex(p, gd, cur);
+            probe_teardown(p);
+            if (blocked < 0 || stuck < 0)
+                return -1;
+            if (!blocked)
+                break;
+            if (stuck)
+                return 0;
+            t++;
+            out[n++] = gd->cell_keys[cur];
         }
-        PyList_SET_ITEM(cells, (Py_ssize_t)i, cell);
+        t++;
+        out[n++] = gd->cell_keys[nxt];
+        cur = nxt;
     }
-    return cells;
+    return n;
 }
 
 static PyObject *
@@ -1674,20 +1738,32 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     int mode, tile_bits, h_mode;
     PyObject *capsule, *vertex_obj, *edge_obj, *h_arg;
     Py_ssize_t source_ci, goal_ci;
-    long long start_t_ll, trigger_ll;
-    if (!PyArg_ParseTuple(args, "OiOOiiOnnLL:tier0_leg",
+    long long start_t_ll, trigger_ll, per_step_ll, total_ll;
+    if (!PyArg_ParseTuple(args, "OiOOiiOnnLLLL:tier0_leg",
                           &capsule, &mode, &vertex_obj, &edge_obj,
                           &tile_bits, &h_mode, &h_arg, &source_ci,
-                          &goal_ci, &start_t_ll, &trigger_ll))
+                          &goal_ci, &start_t_ll, &trigger_ll,
+                          &per_step_ll, &total_ll))
         return NULL;
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
     if (gd == NULL)
         return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj) < 0)
+    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
         return NULL;
     if (source_ci < 0 || source_ci >= gd->n_cells
             || goal_ci < 0 || goal_ci >= gd->n_cells) {
         PyErr_SetString(PyExc_IndexError, "cell outside grid");
+        return NULL;
+    }
+    /* Both caps zero is "rescue off"; otherwise each is a tick count
+     * (PlannerConfig keeps them >= 1; its defaults are 16 and 96), and
+     * the total sizes the output buffer. */
+    if (per_step_ll < 0 || total_ll < 0
+            || per_step_ll > 65535 || total_ll > 65535
+            || (per_step_ll == 0) != (total_ll == 0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rescue caps must be both 0 (off) or both in "
+                        "[1, 65535]");
         return NULL;
     }
     int64_t start_t = (int64_t)start_t_ll;
@@ -1717,6 +1793,7 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     /* -- descent extraction (mirrors free_flow._walk) ----------------- */
     int64_t k;
     int32_t *indices = NULL;
+    int64_t *keys = NULL;
     if (h_mode == 1) {
         /* closed form on the lazy Manhattan field: all of x, then all
          * of y (see _walk_manhattan — unobstructed floors only) */
@@ -1743,7 +1820,7 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
         if (h > (int64_t)gd->n_cells) {
             /* the field's unreachable marker */
             PyBuffer_Release(&hview);
-            return Py_BuildValue("(iOL)", 0, Py_None, 0LL);
+            return Py_BuildValue("(iO)", 0, Py_None);
         }
         k = h;
         indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
@@ -1769,7 +1846,7 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
                  * defensive None */
                 PyMem_Free(indices);
                 PyBuffer_Release(&hview);
-                return Py_BuildValue("(iOL)", 0, Py_None, 0LL);
+                return Py_BuildValue("(iO)", 0, Py_None);
             }
             ci = next;
             indices[i] = (int32_t)ci;
@@ -1779,177 +1856,60 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     /* -- bulk audit (audit_chain semantics: vertex at arrival tick,
      *    reversed swap probe at departure tick, first hit wins) ------- */
     int use_fin = trigger > 0 && k > 0;
-    int64_t j = 0;
+    int64_t head = k;   /* moves to audit: all, or up to the trigger cell */
     if (use_fin)
-        j = k > trigger ? k - trigger : 0;
-    int64_t limit = use_fin ? j : k;
-    int64_t mask = ((int64_t)1 << tile_bits) - 1;
+        head = k > trigger ? k - trigger : 0;
+    Probe probe;
+    probe_init(&probe, mode, tile_bits, vertex_obj, edge_obj);
     int blocked = 0;
-    int64_t memo_tile_id = -1;
-    int memo_valid = 0;
-    PyObject *memo_tile = NULL;  /* borrowed; audits never mutate */
-
-    for (int64_t i = 1; i <= limit && !blocked; i++) {
-        Py_ssize_t ci = (Py_ssize_t)indices[i];
-        int64_t key1 = gd->cell_keys[ci];
-        PyObject *t1_obj = PyLong_FromLongLong((long long)(start_t + i));
-        if (t1_obj == NULL)
+    for (int64_t i = 1; i <= head && !blocked; i++) {
+        /* a descent never waits, so every step is a move */
+        if (probe_setup(&probe, start_t + i) == 0)
+            blocked = probe_move(&probe, gd, (Py_ssize_t)indices[i - 1],
+                                 (Py_ssize_t)indices[i]);
+        else
+            blocked = -1;
+        probe_teardown(&probe);
+        if (blocked < 0)
             goto fail;
-        switch (mode) {
-        case PROBE_CDT:
-        case PROBE_TILED_SET: {
-            PyObject *target = vertex_obj;
-            if (mode == PROBE_TILED_SET) {
-                int64_t tile_id = tile_of_key(key1, tile_bits);
-                if (!memo_valid || tile_id != memo_tile_id) {
-                    PyObject *tid =
-                        PyLong_FromLongLong((long long)tile_id);
-                    if (tid == NULL)
-                        goto lstep_fail;
-                    memo_tile = PyDict_GetItemWithError(vertex_obj, tid);
-                    Py_DECREF(tid);
-                    if (memo_tile == NULL && PyErr_Occurred())
-                        goto lstep_fail;
-                    memo_tile_id = tile_id;
-                    memo_valid = 1;
-                }
-                target = memo_tile;
-                if (target == NULL)
-                    break;  /* tile never materialised: vertex is free */
-            }
-            PyObject *bucket = PyDict_GetItemWithError(target, t1_obj);
-            if (bucket == NULL) {
-                if (PyErr_Occurred())
-                    goto lstep_fail;
-                break;
-            }
-            int hit = PySet_Contains(bucket, gd->key_objs[ci]);
-            if (hit < 0)
-                goto lstep_fail;
-            blocked = hit;
-            break;
-        }
-        case PROBE_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t1_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto lstep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(layer)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "dense layer is not a bytearray");
-                goto lstep_fail;
-            }
-            if (ci >= PyByteArray_GET_SIZE(layer)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "cell index outside dense layer");
-                goto lstep_fail;
-            }
-            blocked = PyByteArray_AS_STRING(layer)[ci] != 0;
-            break;
-        }
-        case PROBE_TILED_DENSE: {
-            PyObject *layer = PyDict_GetItemWithError(vertex_obj, t1_obj);
-            if (layer == NULL) {
-                if (PyErr_Occurred())
-                    goto lstep_fail;
-                break;
-            }
-            PyObject *tid = PyLong_FromLongLong(
-                (long long)tile_of_key(key1, tile_bits));
-            if (tid == NULL)
-                goto lstep_fail;
-            PyObject *tile = PyDict_GetItemWithError(layer, tid);
-            Py_DECREF(tid);
-            if (tile == NULL) {
-                if (PyErr_Occurred())
-                    goto lstep_fail;
-                break;
-            }
-            if (!PyByteArray_Check(tile)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "tile block is not a bytearray");
-                goto lstep_fail;
-            }
-            int64_t x1 = key1 >> CELL_KEY_SHIFT;
-            int64_t y1 = key1 & CELL_KEY_MASK;
-            Py_ssize_t slot =
-                (Py_ssize_t)(((x1 & mask) << tile_bits) | (y1 & mask));
-            if (slot < 0 || slot >= PyByteArray_GET_SIZE(tile)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "slot outside tile block");
-                goto lstep_fail;
-            }
-            blocked = PyByteArray_AS_STRING(tile)[slot] != 0;
-            break;
-        }
-        }
-        if (!blocked) {
-            /* a descent never waits, so every step is a move */
-            PyObject *t0_obj = PyLong_FromLongLong(
-                (long long)(start_t + i - 1));
-            if (t0_obj == NULL)
-                goto lstep_fail;
-            PyObject *swaps = PyDict_GetItemWithError(edge_obj, t0_obj);
-            Py_DECREF(t0_obj);
-            if (swaps == NULL) {
-                if (PyErr_Occurred())
-                    goto lstep_fail;
-            } else {
-                int64_t key0 = gd->cell_keys[indices[i - 1]];
-                PyObject *probe = PyLong_FromLongLong(
-                    (long long)((key1 << 32) | key0));
-                if (probe == NULL)
-                    goto lstep_fail;
-                int hit = PySet_Contains(swaps, probe);
-                Py_DECREF(probe);
-                if (hit < 0)
-                    goto lstep_fail;
-                blocked = hit;
-            }
-        }
-        Py_DECREF(t1_obj);
-        continue;
-lstep_fail:
-        Py_DECREF(t1_obj);
-        goto fail;
     }
 
     /* -- verdict + payload -------------------------------------------- */
     {
-        PyObject *payload = NULL;
-        PyObject *out = NULL;
-        if (blocked) {
-            /* audit reject: the rescue tier wants the full cell chain */
-            payload = tier0_cells_list(gd, indices, k);
-            if (payload == NULL)
-                goto fail;
-            out = Py_BuildValue("(iNL)", 3, payload, 0LL);
-        } else if (use_fin) {
-            /* head prefix audited clean; python invokes the finisher */
-            payload = tier0_cells_list(gd, indices, k);
-            if (payload == NULL)
-                goto fail;
-            out = Py_BuildValue("(iNL)", 2, payload, (long long)j);
-        } else {
-            /* conflict-free: emit the timed steps Path.from_cells would */
-            payload = PyList_New((Py_ssize_t)(k + 1));
-            if (payload == NULL)
-                goto fail;
-            for (int64_t i = 0; i <= k; i++) {
-                int64_t ci = (int64_t)indices[i];
-                PyObject *step = Py_BuildValue(
-                    "(LLL)", (long long)(start_t + i),
-                    (long long)(ci / height), (long long)(ci % height));
-                if (step == NULL) {
-                    Py_DECREF(payload);
-                    goto fail;
-                }
-                PyList_SET_ITEM(payload, (Py_ssize_t)i, step);
-            }
-            out = Py_BuildValue("(iNL)", 1, payload, 0LL);
+        int verdict;
+        Py_ssize_t n = 0;
+        keys = PyMem_Malloc((size_t)(k + 1 + total_ll) * sizeof(int64_t));
+        if (keys == NULL) {
+            PyErr_NoMemory();
+            goto fail;
         }
+        if (!blocked) {
+            /* 1: the whole descent is the leg.  2: the head audited
+             * clean; python calls the finisher at its last cell. */
+            verdict = use_fin ? 2 : 1;
+            for (n = 0; n <= head; n++)
+                keys[n] = gd->cell_keys[indices[n]];
+        } else {
+            /* 4: the rescue walked it with waits.  3: reject (rescue
+             * off or declined) — nothing to carry, tier 1 decides. */
+            if (total_ll > 0) {
+                n = rescue_walk(&probe, gd, indices, k, start_t,
+                                (int64_t)per_step_ll, (int64_t)total_ll,
+                                keys);
+                if (n < 0)
+                    goto fail;
+            }
+            verdict = n > 0 ? 4 : 3;
+        }
+        PyObject *out = NULL;
+        if (n == 0) {
+            out = Py_BuildValue("(iO)", verdict, Py_None);
+        } else {
+            PyObject *payload = keys_export(keys, n);
+            if (payload != NULL)
+                out = Py_BuildValue("(iN)", verdict, payload);
+        }
+        PyMem_Free(keys);
         PyMem_Free(indices);
         if (have_hview)
             PyBuffer_Release(&hview);
@@ -1957,6 +1917,7 @@ lstep_fail:
     }
 
 fail:
+    PyMem_Free(keys);
     PyMem_Free(indices);
     if (have_hview)
         PyBuffer_Release(&hview);
@@ -1974,13 +1935,19 @@ static PyMethodDef stsearch_methods[] = {
      "    h_mode, h_arg, source_ci, goal_ci, start_time, max_expansions,\n"
      "    finisher, finisher_trigger, deep, init_expansions,\n"
      "    init_peak_open)\n"
-     " -> (status, steps, finisher_tail, expansions, generated, peak_open)"},
+     " -> (status, keys, finisher_tail, expansions, generated, peak_open)\n"
+     "``keys`` is the found leg (the head, when a finisher supplied the\n"
+     "tail) as an array('q') of packed cell keys, one per tick from\n"
+     "start_time; None when the search failed."},
     {"reserve_path", stsearch_reserve_path, METH_VARARGS,
      "reserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
-     "    block_cells, steps, vfloor, efloor, high)\n"
+     "    block_cells, start_time, keys, vfloor, efloor, high)\n"
      " -> (v_added, vbuckets_added, tiles_added, e_added, new_high)\n"
      "Insert a path's vertices and edges, bit-identical to the python\n"
-     "reserve_path of the mode's table."},
+     "reserve_path of the mode's table.  ``keys`` is any contiguous\n"
+     "one-dimensional int64 buffer of packed cell keys; a buffer that\n"
+     "breaks the path rule or leaves the layer raises before anything\n"
+     "is inserted."},
     {"purge_before", stsearch_purge_before, METH_VARARGS,
      "purge_before(mode, vertex_obj, edge_obj, tile_bits, t, vfloor,\n"
      "    efloor)\n"
@@ -1993,12 +1960,15 @@ static PyMethodDef stsearch_methods[] = {
      "``unreached`` sentinel (must not collide with a real distance)."},
     {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
      "tier0_leg(grid_capsule, mode, vertex_obj, edge_obj, tile_bits,\n"
-     "    h_mode, h_arg, source_ci, goal_ci, start_t, trigger)\n"
-     " -> (verdict, payload, j)\n"
-     "Fused free-flow descent + bulk reservation audit.  Verdicts:\n"
-     "0 unreachable (payload None); 1 conflict-free (payload the timed\n"
-     "steps); 2 head prefix j audited clean for a finisher (payload the\n"
-     "cell chain); 3 audit reject (payload the cell chain for rescue)."},
+     "    h_mode, h_arg, source_ci, goal_ci, start_t, trigger,\n"
+     "    rescue_wait_per_step, rescue_total_wait)\n"
+     " -> (verdict, keys)\n"
+     "Fused free-flow descent + bulk reservation audit + wait-following\n"
+     "rescue (both caps 0 = off).  Verdicts: 0 unreachable; 1 conflict-\n"
+     "free (keys: the leg); 2 head audited clean for a finisher (keys:\n"
+     "the head, ending on the trigger cell); 3 audit reject; 4 rescued\n"
+     "(keys: the leg with its waits).  ``keys`` is an array('q') of\n"
+     "packed cell keys, one per tick from start_t, None for 0 and 3."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2017,6 +1987,15 @@ PyInit__stsearch(void)
     PyObject *mod = PyModule_Create(&stsearch_module);
     if (mod == NULL)
         return NULL;
+    PyObject *array_mod = PyImport_ImportModule("array");
+    if (array_mod != NULL) {
+        Py_XSETREF(array_type, PyObject_GetAttrString(array_mod, "array"));
+        Py_DECREF(array_mod);
+    }
+    if (array_mod == NULL || array_type == NULL) {
+        Py_DECREF(mod);
+        return NULL;
+    }
     if (PyModule_AddStringConstant(mod, "SOURCE_SHA256",
                                    STSEARCH_SOURCE_SHA256) < 0) {
         Py_DECREF(mod);

@@ -83,8 +83,9 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
         if kernel is not None:
             self.mutation_kernel = "compiled"
             added, _, _, e_added, _ = kernel.reserve_path(
-                1, self._buckets, self._edge_buckets, 0, 0, 0, path.steps,
-                self._floor, self._edge_floor, 0)
+                1, self._buckets, self._edge_buckets, 0, 0, 0,
+                path.start_time, path.keys, self._floor, self._edge_floor,
+                0)
             self._n_entries += added
             self._n_edges += e_added
             return
@@ -245,7 +246,8 @@ class ShardedConflictDetectionTable(_EdgeMixin, ReservationTable):
             self.mutation_kernel = "compiled"
             added, buckets_added, _, e_added, _ = kernel.reserve_path(
                 3, self._tiles, self._edge_buckets, self._tile_bits, 0, 0,
-                path.steps, self._floor, self._edge_floor, 0)
+                path.start_time, path.keys, self._floor, self._edge_floor,
+                0)
             self._n_entries += added
             self._n_tick_buckets += buckets_added
             self._n_edges += e_added

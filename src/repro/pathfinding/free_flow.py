@@ -30,9 +30,11 @@ in O(d), bulk-audit it against the reservation structures, and on any
 hit fall through to the unchanged tier-1 search.  Behaviour is provably
 identical either way; only the cycle count changes.  Extraction and
 audit are one call, :meth:`FreeFlowPathCache.kernel_leg`, which answers
-the same verdict tuple from the native ``tier0_leg`` (walk and audit
-fused in C) or from the memoised chain and
-:meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain`.
+the same verdict tuple from the native ``tier0_leg`` (walk, audit and
+wait-following rescue fused in C, the leg handed back as one packed
+buffer) or from the memoised chain,
+:meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain` and
+:func:`~repro.pathfinding.cache.follow_with_waits`.
 
 :class:`FreeFlowPathCache` memoises the descents per ``(source, goal)``
 pair — goals (rack homes, picker stations) recur thousands of times per
@@ -53,7 +55,9 @@ from typing import Dict, Optional, Tuple
 
 from ..types import Cell
 from ..warehouse.grid import Grid
+from .cache import follow_with_waits
 from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
+from .paths import Path, packed_path
 from .reservation import PackedChain
 
 #: Distinguishes "memoised as unreachable" from "not memoised".
@@ -156,28 +160,34 @@ class FreeFlowPathCache:
         return None if chain is None else chain.cells
 
     def kernel_leg(self, reservation, t: int, source: Cell, goal: Cell,
-                   finisher_factory):
-        """The one tier-0 entry: greedy descent + bulk reservation audit.
+                   finisher_factory, rescue_caps=(0, 0)):
+        """The one tier-0 entry: greedy descent, bulk reservation audit
+        and — on a hit, when ``rescue_caps`` allows — the wait-following
+        rescue.
 
-        Returns ``(verdict, payload, j, finisher, trigger)`` from either
+        Returns ``(verdict, path, finisher, trigger)`` from either
         kernel, for the chain's single verdict interpreter
         (:meth:`FallbackChain._free_flow_leg
         <repro.pathfinding.pipeline.FallbackChain._free_flow_leg>`):
 
-        * 0 — ``goal`` unreachable; payload ``None``, and the finisher
-          factory was never consulted;
-        * 1 — the whole descent audited clean; payload the timed
-          ``(t, x, y)`` steps;
-        * 2 — a finisher is in force and the head prefix of ``j`` moves
-          audited clean; payload the cell chain, for the caller to
-          invoke ``finisher(payload[j], t + j)``;
-        * 3 — the audit hit a reservation; payload the cell chain, for
-          the rescue tier.
+        * 0 — ``goal`` unreachable; no path, and the finisher factory was
+          never consulted;
+        * 1 — the whole descent audited clean; ``path`` is the leg;
+        * 2 — a finisher is in force and the head of the descent audited
+          clean; ``path`` is that head, for the caller to invoke
+          ``finisher(path.goal, path.end_time)``;
+        * 3 — the audit hit a reservation and the rescue is off or
+          declined; no path;
+        * 4 — the audit hit a reservation and the rescue walked the
+          descent with waits; ``path`` is the rescued leg.
 
         ``finisher, trigger`` are what ``finisher_factory(goal)``
-        answered.  Payloads are sequences (lists from the compiled
-        kernel, tuples from the python pair) of equal contents;
-        :attr:`descent_kernel` records which of the two served the call.
+        answered; ``rescue_caps`` is ``(wait per step, total wait)``
+        for :func:`~repro.pathfinding.cache.follow_with_waits`, ``(0, 0)``
+        turning the rescue off.  Paths are equal from either kernel —
+        the compiled one wraps the kernel's key buffer as it came,
+        the python pair packs its cells; :attr:`descent_kernel` records
+        which of the two served the call.
 
         The compiled ``tier0_leg`` serves the library's own tables
         (probe modes 1-4) over the two field representations it knows
@@ -185,7 +195,7 @@ class FreeFlowPathCache:
         ``packed()`` memo keeps the per-call cost flat).  Anything else
         — no module, a generic mode-0 table, a foreign field — takes
         the memoised chain through ``audit_chain`` in the same order:
-        reachability, finisher factory, head audit.  EATP's
+        reachability, finisher factory, head audit, rescue.  EATP's
         shortest-path cache depends on that order — consulting the
         factory or the finisher where the full search would not mutates
         the cache (and its memory metric) as no tier-0-off run would.
@@ -193,12 +203,12 @@ class FreeFlowPathCache:
         module = _DESCENT_MODULE
         if module is None:
             return self._python_leg(reservation, t, source, goal,
-                                    finisher_factory)
+                                    finisher_factory, rescue_caps)
         mode, vertex_obj, edge_obj, tile_bits = \
             reservation.kernel_probe_spec()
         if mode == 0:  # generic callables
             return self._python_leg(reservation, t, source, goal,
-                                    finisher_factory)
+                                    finisher_factory, rescue_caps)
         self.descent_kernel = "compiled"
         grid = self._grid
         height = grid.height
@@ -210,36 +220,41 @@ class FreeFlowPathCache:
             # Same order as the python pair: an unreachable leg answers
             # before the finisher factory is ever consulted.
             if flat[sci] > grid.n_cells:
-                return 0, None, 0, None, 0
+                return 0, None, None, 0
             h_mode, h_arg = 2, flat
         else:  # foreign field representation
             return self._python_leg(reservation, t, source, goal,
-                                    finisher_factory)
+                                    finisher_factory, rescue_caps)
         finisher, trigger = finisher_factory(goal)
-        verdict, payload, j = module.tier0_leg(
+        verdict, keys = module.tier0_leg(
             grid.kernel_capsule(module), mode, vertex_obj, edge_obj,
             tile_bits, h_mode, h_arg, sci, goal[0] * height + goal[1], t,
-            trigger if finisher is not None else 0)
-        return verdict, payload, j, finisher, trigger
+            trigger if finisher is not None else 0, *rescue_caps)
+        path = None if keys is None else packed_path(t, keys)
+        return verdict, path, finisher, trigger
 
     def _python_leg(self, reservation, t: int, source: Cell, goal: Cell,
-                    finisher_factory):
-        """:meth:`kernel_leg` over the memoised chain and ``audit_chain``."""
+                    finisher_factory, rescue_caps):
+        """:meth:`kernel_leg` over the memoised chain, ``audit_chain``
+        and ``follow_with_waits``."""
         self.descent_kernel = "python"
         chain = self.packed(source, goal)
         if chain is None:
-            return 0, None, 0, None, 0
+            return 0, None, None, 0
         cells = chain.cells
         finisher, trigger = finisher_factory(goal)
         k = len(cells) - 1
         if finisher is not None and trigger > 0 and k > 0:
             j = k - trigger if k > trigger else 0
             if reservation.audit_chain(t, chain, j):
-                return 2, cells, j, finisher, trigger
+                return 2, Path.from_cells(cells[:j + 1], t), finisher, trigger
         elif reservation.audit_chain(t, chain, k):
-            steps = tuple((t + i, x, y) for i, (x, y) in enumerate(cells))
-            return 1, steps, 0, finisher, trigger
-        return 3, cells, 0, finisher, trigger
+            return 1, Path.from_cells(cells, t), finisher, trigger
+        if rescue_caps[0]:
+            steps = follow_with_waits(reservation, cells, t, *rescue_caps)
+            if steps is not None:
+                return 4, Path(steps), finisher, trigger
+        return 3, None, finisher, trigger
 
     def _walk(self, source: Cell, goal: Cell) -> Optional[PackedChain]:
         flat = self._heuristics.field(goal).flat

@@ -53,11 +53,19 @@ hit-rate counters.
 the full search *at paper scale only*: a descent whose audit hits a
 reservation is walked again with waits inserted wherever the next move
 conflicts (:func:`~repro.pathfinding.cache.follow_with_waits`, the
-Sec. VI-B policy applied from the start cell).  O(path + waits) versus
-the full search's O(distance²) plateau; the rescued path may differ
-from the search optimum, so below :data:`~repro.config.
-PAPER_SCALE_MIN_CELLS` the rescue stays off and rejects fall into the
-byte-identical tier-1 search as before.
+Sec. VI-B policy applied from the start cell).  O(path + waits) where
+the full search the reject would otherwise fall into explores an
+O(distance²) f-optimal plateau — on the paper-true 541×302 floor
+hundreds of thousands of probes per leg, the cost wall behind the
+paper's "too slow to execute" exclusion.  The rescued path is
+conflict-free but need not match the search optimum, so below
+:data:`~repro.config.PAPER_SCALE_MIN_CELLS` (and without an explicit
+``free_flow_rescue=True``) the rescue stays off and rejects fall into
+the byte-identical tier-1 search as before; it also declines when the
+walk exceeds the configured wait caps or cannot even hold position —
+congestion bad enough that the search tiers should decide.  It runs
+inside the tier-0 call, where the probes are (the native ``tier0_leg``
+under the compiled kernel), and comes back as one more verdict.
 """
 
 from __future__ import annotations
@@ -69,7 +77,6 @@ from ..config import PAPER_SCALE_MIN_CELLS
 from ..errors import PathNotFoundError
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid
-from .cache import follow_with_waits
 from .free_flow import FreeFlowPathCache
 from .heuristics import HeuristicFieldCache
 from .paths import Path
@@ -122,9 +129,11 @@ class LegPlan:
         the planner's fast-path hit-rate counters.
     descent_kernel:
         Which tier-0 implementation attempted the leg (``"compiled"``
-        for the fused native call, ``"python"`` for the descent + audit
-        pair, ``""`` when tier 0 was off) — the input of the planner's
-        ``descents_compiled`` / ``descents_python`` counters.
+        for the fused native call, ``"python"`` for the descent, audit
+        and rescue bodies, ``""`` when tier 0 was off) — the input of
+        the planner's ``descents_compiled`` / ``descents_python``
+        counters.  Either answers every tier-0 verdict, the rescued leg
+        included.
     """
 
     path: Path
@@ -183,6 +192,11 @@ class FallbackChain:
             config.free_flow_rescue
             if config.free_flow_rescue is not None
             else grid.n_cells >= PAPER_SCALE_MIN_CELLS)
+        #: ``(wait per step, total wait)`` handed to tier 0; zeros switch
+        #: the rescue off.
+        self.rescue_caps = (
+            (config.rescue_wait_per_step, config.rescue_total_wait)
+            if self.rescue_enabled else (0, 0))
 
     def plan_leg(self, t: Tick, source: Cell, goal: Cell) -> LegPlan:
         """Plan one leg through the chain.
@@ -223,8 +237,8 @@ class FallbackChain:
         verdict tuple :meth:`FreeFlowPathCache.kernel_leg
         <repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg>`
         answers from either kernel: 1 is a served leg, 2 hands the
-        audited head to the finisher, 3 tries the rescue then rejects,
-        0 is a miss.
+        audited head to the finisher, 4 is a leg the rescue served, 3 a
+        reject the rescue was off for or declined, 0 is a miss.
 
         Emits a plan only when the result is *provably* byte-identical to
         what tier 1 would return (see :mod:`repro.pathfinding.free_flow`):
@@ -247,68 +261,32 @@ class FallbackChain:
                 and config.max_search_expansions >= self.grid.n_cells):
             return None, FASTPATH_OFF, ""
         free_flow = self.free_flow
-        verdict, payload, j, finisher, __ = free_flow.kernel_leg(
-            self.reservation, t, source, goal, self.finisher_factory)
+        verdict, path, finisher, __ = free_flow.kernel_leg(
+            self.reservation, t, source, goal, self.finisher_factory,
+            self.rescue_caps)
         kernel = free_flow.descent_kernel
         if verdict == 0:
             # unreachable: tier 1 fails fast
             return None, FASTPATH_MISS, kernel
         if verdict == 3:
-            rescued = self._rescue_leg(t, payload)
-            if rescued is not None:
-                return rescued, FASTPATH_RESCUE, kernel
             return None, FASTPATH_AUDIT_REJECT, kernel
+        fastpath = FASTPATH_RESCUE if verdict == 4 else FASTPATH_HIT
         search_stats: Tuple[SearchStats, ...] = ()
         if verdict == 2:
             # Only a head that audited clean reaches the finisher (see
             # ``kernel_leg`` on why the order matters to EATP's cache).
-            tail = finisher(payload[j], t + j)
+            tail = finisher(path.goal, path.end_time)
             if tail is None:
                 # The full search would keep expanding past the first
                 # trigger and may finish through a *later* finisher call
                 # off the descent chain — not reproducible in O(d).
                 return None, FASTPATH_MISS, kernel
-            path = Path.from_cells(payload[:j + 1], t).concat(
-                Path(tuple(tail)))
+            path = path.concat(Path(tail))
             search_stats = (SearchStats(
                 cache_finished=True, budget=config.max_search_expansions),)
-        else:
-            path = Path(tuple(payload))
         leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
-                      search_stats=search_stats, fastpath=FASTPATH_HIT)
-        return leg, FASTPATH_HIT, kernel
-
-    # -- tier 0.5: wait-following rescue of a conflicted descent ---------------
-
-    def _rescue_leg(self, t: Tick, cells: Tuple[Cell, ...]):
-        """Wait-follow a conflicted descent chain; a LegPlan or None.
-
-        The Sec. VI-B finisher policy applied from the start cell: walk
-        the descent's cells, waiting in place wherever the next move is
-        reserved.  O(path + waits) where the full search the reject
-        would otherwise fall into explores an O(distance²) f-optimal
-        plateau — on the paper-true 541×302 floor that plateau is
-        hundreds of thousands of probes per leg, which is exactly the
-        cost wall behind the paper's "too slow to execute" exclusion.
-
-        The rescued path is conflict-free but need not match the full
-        search's optimum, so the rescue runs only above the paper-scale
-        gate (or under an explicit ``free_flow_rescue=True``); below the
-        gate a reject still drops into the byte-identical tier-1 search.
-        Declines (``None``) when the walk exceeds the configured wait
-        caps or cannot even hold position — congestion bad enough that
-        the search tiers should decide.
-        """
-        if not self.rescue_enabled:
-            return None
-        steps = follow_with_waits(self.reservation, cells, t,
-                                  self.config.rescue_wait_per_step,
-                                  self.config.rescue_total_wait)
-        if steps is None:
-            return None
-        path = Path(tuple(steps))
-        return LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
-                       fastpath=FASTPATH_RESCUE)
+                      search_stats=search_stats, fastpath=fastpath)
+        return leg, fastpath, kernel
 
     # -- tier 2: reservation-aware wait in place ------------------------------
 

@@ -104,8 +104,8 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
             high = self._high if self._layers else self._floor - 1
             res = kernel.reserve_path(
                 2, self._layers, self._edge_buckets, 0, self._grid.height,
-                self._grid.n_cells, path.steps, self._floor,
-                self._edge_floor, high)
+                self._grid.n_cells, path.start_time, path.keys,
+                self._floor, self._edge_floor, high)
             if self._layers:
                 self._high = res[4]
             self._n_edges += res[3]
@@ -257,7 +257,7 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
             self.mutation_kernel = "compiled"
             res = kernel.reserve_path(
                 4, self._layers, self._edge_buckets, self._tile_bits, 0,
-                self._tile_cells, path.steps, self._floor,
+                self._tile_cells, path.start_time, path.keys, self._floor,
                 self._edge_floor, 0)
             self._n_tile_layers += res[2]
             self._n_edges += res[3]

@@ -58,7 +58,7 @@ from ..warehouse.grid import Grid, set_field_kernel
 from ._kernel import load_compiled as _load_compiled
 from .free_flow import set_descent_kernel
 from .heuristics import Heuristic, HeuristicField, _LazyManhattanFlat
-from .paths import Path
+from .paths import Path, packed_path
 from .reservation import ReservationTable, set_mutation_kernel
 
 @dataclass
@@ -303,7 +303,8 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
     ``deep`` selects the open-set order exactly as in
     :func:`_search_heap`.  The kernel returns raw counters; this wrapper
     folds them into ``stats`` the way the python core's ``finally`` block
-    does.
+    does, and wraps the leg's key buffer — checked by the kernel against
+    the path rule before it is returned — without unpacking it.
     """
     source, goal = request.source, request.goal
     height = grid.height
@@ -311,7 +312,7 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
     mode, probe_a, probe_b, tile_bits = reservation.kernel_probe_spec()
     stats.kernel = "compiled"
 
-    status, steps, tail, expansions, generated, peak_open = _COMPILED.run(
+    status, keys, tail, expansions, generated, peak_open = _COMPILED.run(
         grid.kernel_capsule(_COMPILED), mode, probe_a, probe_b, tile_bits,
         h_mode, h_arg, source[0] * height + source[1],
         goal[0] * height + goal[1], request.start_time,
@@ -322,13 +323,13 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
     stats.generated += generated
     stats.peak_open = peak_open
     if status == 0:
-        return SearchOutcome(request, SEARCH_COMPLETE, Path(tuple(steps)),
-                             stats)
+        return SearchOutcome(request, SEARCH_COMPLETE,
+                             packed_path(request.start_time, keys), stats)
     if status == 4:
         stats.cache_finished = True
-        head = Path(tuple(steps))
+        head = packed_path(request.start_time, keys)
         return SearchOutcome(request, SEARCH_COMPLETE,
-                             head.concat(Path(tuple(tail))), stats)
+                             head.concat(Path(tail)), stats)
     if status == 1:
         return SearchOutcome(request, SEARCH_BUDGET, None, stats)
     return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
@@ -414,8 +415,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                         head = _reconstruct(parent, state, n_cells, height,
                                             start_time)
                         return SearchOutcome(request, SEARCH_COMPLETE,
-                                             head.concat(Path(tuple(tail))),
-                                             stats)
+                                             head.concat(Path(tail)), stats)
 
             g_next = g + 1
             depth = -g_next if deep else 0
@@ -607,4 +607,4 @@ def _reconstruct(parent: Dict[int, int], state: int, n_cells: int,
         state = parent.get(state)
     steps.reverse()
     assert steps[0][0] == start_time
-    return Path(tuple(steps))
+    return Path(steps)

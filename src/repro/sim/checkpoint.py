@@ -18,7 +18,11 @@ The payload is a versioned envelope of three sections after the magic:
    entities, reservations, planner and RNG, plus the caller's ``extra``.
    Pickle (not JSON) because the point is to resurrect live heaps, shared
    :class:`~repro.sim.missions.Mission` references and RNG state, none of
-   which have a faithful JSON form;
+   which have a faithful JSON form.  An in-flight leg pickles as its
+   start tick and packed key buffer (four bytes a step); the envelope is
+   still version 2, because this section is still a pickle and
+   :class:`~repro.pathfinding.paths.Path` loads the ``{"steps": ...}``
+   form older version-2 files hold;
 3. the **ledger** of completed missions, as the raw int64 columns of
    :class:`~repro.sim.ledger.MissionLedger` — history is data, copied,
    never walked.

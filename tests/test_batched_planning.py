@@ -288,9 +288,16 @@ class TestWaitFollowingRescue:
     def test_rescue_defaults_off_below_the_gate(self):
         grid = Grid(12, 10)
         assert grid.n_cells < PAPER_SCALE_MIN_CELLS
-        chain = self.make_chain(SpatiotemporalGraph(grid), PlannerConfig())
+        reservation = SpatiotemporalGraph(grid)
+        reservation.reserve_path(
+            Path.from_cells([(3, 5)] * 4 + [(3, 4)], start_time=0))
+        chain = self.make_chain(reservation, PlannerConfig())
         assert chain.rescue_enabled is False
-        assert chain._rescue_leg(0, ((0, 5), (1, 5))) is None
+        assert chain.rescue_caps == (0, 0)
+        # The descent the forced rescue serves above is a plain reject.
+        leg = chain.plan_leg(0, (0, 5), (6, 5))
+        assert leg.fastpath == FASTPATH_AUDIT_REJECT
+        assert leg.tier == TIER_FULL
 
 
 class TestDeepTieOrdering:

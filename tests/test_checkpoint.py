@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CheckpointError, SimulationError
+from repro.pathfinding.paths import Path as PathfindingPath
 from repro.planners import PLANNERS
 from repro.sim.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                   dump_checkpoint, load_checkpoint,
@@ -57,6 +58,36 @@ class TestRoundTrip:
         assert len(sim.ledger) > 0  # there is history to carry
         assert restored.ledger.to_bytes() == sim.ledger.to_bytes()
         assert drained_view(restored) == expected
+
+    def test_in_flight_legs_travel_packed(self, monkeypatch):
+        """A mid-run dump carries each in-flight leg as its key buffer:
+        restored equal, drained bit-identically, and smaller than the
+        same run dumped with legs as ``(t, x, y)`` tuples — the form
+        ``Path`` pickled to before it was packed, which still loads."""
+        expected = drained_view(build_sim()[0])
+        sim, _ = build_sim()
+        sim.run_until(60)
+        legs = [mission.path for mission in sim._active.values()
+                if mission.path is not None]
+        assert legs and sum(map(len, legs)) > 20
+        blob = dump_checkpoint(sim)
+        restored, _ = load_checkpoint_bytes(blob)
+        back = [mission.path for mission in restored._active.values()
+                if mission.path is not None]
+        assert back == legs
+        assert [leg.keys.typecode for leg in back] == ["q"] * len(legs)
+        assert [leg.steps for leg in back] == [leg.steps for leg in legs]
+        assert drained_view(restored) == expected
+
+        monkeypatch.setattr(PathfindingPath, "__getstate__",
+                            lambda self: {"steps": self.steps})
+        as_tuples = dump_checkpoint(sim)
+        monkeypatch.undo()
+        assert len(blob) < len(as_tuples)
+        old, _ = load_checkpoint_bytes(as_tuples)
+        assert [mission.path for mission in old._active.values()
+                if mission.path is not None] == legs
+        assert drained_view(old) == expected
 
     def test_knn_table_is_rebuilt_not_stored(self):
         """EATP's KNN table is a function of the rack homes: the restored

@@ -46,8 +46,8 @@ class TestInterGridConflict:
 
     def test_follow_is_not_swap(self):
         # b follows a one step behind: no swap, no overlap.
-        a = P([(0, 0), (1, 0), (2, 0)])
-        b = P([(-1, 0), (0, 0), (1, 0)])
+        a = P([(1, 0), (2, 0), (3, 0)])
+        b = P([(0, 0), (1, 0), (2, 0)])
         assert is_conflict_free([a, b])
 
     def test_swap_at_later_time(self):

@@ -13,7 +13,7 @@ drop-in for its python body:
 * ``tier0_leg`` — the fused greedy-descent + bulk-audit entry point must
   agree with the python ``packed()``/``audit_chain`` pair on every
   production reservation table, every verdict class (unreachable, clean,
-  finisher head, audit reject), and on both field regimes (eager int32
+  finisher head, audit reject, rescued), and on both field regimes (eager int32
   buffers and the paper-scale lazy Manhattan closed form) — and
   ``FreeFlowPathCache.kernel_leg``, the one tier-0 entry, must answer the
   same verdict tuple from either kernel, so the chain's single
@@ -29,6 +29,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +37,7 @@ from hypothesis import strategies as hyp
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding.cache import follow_with_waits
 from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
 from repro.pathfinding.free_flow import (FreeFlowPathCache,
@@ -51,6 +53,7 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import (Grid, field_kernel_name, set_field_kernel)
+from tests.conftest import assert_retains_nothing
 
 COMPILED = build_and_load()
 
@@ -224,6 +227,16 @@ class TestBfsFillEquivalence:
         with pytest.raises(ValueError):
             grid.distance_flat((0, 0), unreached=3)
 
+    def test_flood_retains_nothing(self):
+        grid = walled_grid()
+        capsule = grid.kernel_capsule(COMPILED)
+        buffer = array("i", bytes(4 * grid.n_cells))
+        source = grid.cell_index((5, 5))
+        assert_retains_nothing(
+            lambda: COMPILED.bfs_fill(capsule, source, buffer, -1),
+            watched=(capsule, buffer), calls=2_000)
+        assert buffer == grid.distance_flat((5, 5), unreached=-1)
+
     def test_unreachable_cells_keep_sentinel(self):
         # A walled-off right half must carry the sentinel in both planes.
         grid_a = Grid(7, 3, blocked=[(3, y) for y in range(3)])
@@ -331,19 +344,20 @@ class TestFusedLegEquivalence:
             fused = cache.kernel_leg(table, t, source, goal,
                                      lambda goal: (None, 0))
             assert fused is not None
-            verdict, payload, j, finisher, trigger = fused
+            verdict, path, finisher, trigger = fused
             verdicts.add(verdict)
             chain = cache.packed(source, goal)
             if chain is None:
-                assert verdict == 0 and payload is None
+                assert verdict == 0 and path is None
                 continue
             limit = len(chain.cells) - 1
             if table.audit_chain(t, chain, limit):
                 assert verdict == 1
-                assert tuple(payload) == Path.from_cells(chain.cells, t).steps
+                assert path == Path.from_cells(chain.cells, t)
+                assert path.steps == Path.from_cells(chain.cells, t).steps
             else:
                 assert verdict == 3
-                assert tuple(payload) == chain.cells
+                assert path is None
         # The random tape must exercise clean and rejected descents.
         assert {1, 3} <= verdicts
 
@@ -366,18 +380,18 @@ class TestFusedLegEquivalence:
             finisher = lambda cell, tick: None
             fused = cache.kernel_leg(table, t, source, goal,
                                      lambda goal: (finisher, trigger))
-            verdict, payload, j, got_finisher, got_trigger = fused
-            assert got_trigger == trigger
+            verdict, path, got_finisher, got_trigger = fused
             chain = cache.packed(source, goal)
             if chain is None:
                 assert verdict == 0
                 continue
+            assert got_trigger == trigger
             k = len(chain.cells) - 1
             head = k - trigger if k > trigger else 0
             if verdict == 2:
                 assert got_finisher is finisher
-                assert j == head
-                assert tuple(payload) == chain.cells
+                # the audited head, ending on the trigger cell
+                assert path == Path.from_cells(chain.cells[:head + 1], t)
                 assert table.audit_chain(t, chain, head)
                 seen_heads += 1
             elif verdict == 3:
@@ -409,14 +423,7 @@ class TestFusedLegEquivalence:
             native = cache.kernel_leg(real, 0, (0, 0), goal,
                                       lambda goal: (None, 0))
             assert cache.descent_kernel == "compiled"
-            assert normalised(declined) == normalised(native)
-
-
-def normalised(fused):
-    """A ``kernel_leg`` tuple with its payload sequence as a tuple."""
-    verdict, payload, j, finisher, trigger = fused
-    return (verdict, None if payload is None else tuple(payload), j,
-            finisher, trigger)
+            assert declined == native
 
 
 @needs_compiled
@@ -468,18 +475,25 @@ class TestOneTierZeroContract:
             cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
             finisher = (lambda cell, tick: None) if seed % 2 else None
             trigger = rng.randint(1, 6)
+            caps = (rng.randint(1, 4), rng.randint(1, 8)) if seed % 3 else (
+                0, 0)
 
             def factory(goal):
                 return finisher, trigger
 
             compiled, python = self.both_kernels(
-                lambda: cache.kernel_leg(table, t, source, goal, factory))
-            assert normalised(compiled) == normalised(python)
+                lambda: cache.kernel_leg(table, t, source, goal, factory,
+                                         caps))
+            assert compiled == python
+            if compiled[1] is not None:  # equal paths, tuples included
+                assert compiled[1].steps == python[1].steps
+                assert hash(compiled[1]) == hash(python[1])
             seen.add((compiled[0], finisher is not None))
-        # all four verdicts, with and without a finisher in force
+        # all five verdicts, with and without a finisher in force
         # (the head verdict only exists with one)
-        assert seen >= {(0, False), (1, False), (3, False),
-                        (0, True), (1, True), (2, True), (3, True)}
+        assert seen >= {(0, False), (1, False), (3, False), (4, False),
+                        (0, True), (1, True), (2, True), (3, True),
+                        (4, True)}
 
     def test_chain_legs_equal(self, name):
         outcomes = set()
@@ -542,6 +556,160 @@ class TestOneTierZeroContract:
         assert after - before < 8 << 10
 
 
+def reference_walk(table, cells, t, per_step, total):
+    """``follow_with_waits`` restated so that a decline says why."""
+    steps = [(t,) + cells[0]]
+    current, total_waited = cells[0], 0
+    for nxt in cells[1:]:
+        waited = 0
+        while not table.move_allowed(t, current, nxt):
+            if waited >= per_step:
+                return "per-step cap", None
+            if total_waited >= total:
+                return "total cap", None
+            if not table.is_free(t + 1, current):
+                return "cannot hold", None
+            t, waited, total_waited = t + 1, waited + 1, total_waited + 1
+            steps.append((t,) + current)
+        t += 1
+        steps.append((t,) + nxt)
+        current = nxt
+    return "served", steps
+
+
+def camp(table, cell, until):
+    """Hold ``cell`` over ticks ``[0, until]``."""
+    table.reserve_path(Path.waiting(cell, 0, until))
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(TABLES))
+class TestNativeRescue:
+    """The rescue inside ``tier0_leg`` == ``follow_with_waits``."""
+
+    def conflicted(self, name, seed):
+        """A drawn descent whose audit hits traffic, or ``None``."""
+        rng = random.Random(17_000 + seed)
+        grid = random_grid(rng)
+        cells = passable_cells(grid)
+        if len(cells) < 2:
+            return None
+        table = TABLES[name](grid)
+        for __ in range(3):
+            random_traffic(rng, grid, table)
+        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        source, goal = rng.sample(cells, 2)
+        t = rng.randint(0, 5)
+        chain = cache.packed(source, goal)
+        if chain is None or table.audit_chain(t, chain, len(chain) - 1):
+            return None
+        return table, cache, chain, source, goal, t
+
+    def check(self, problem, caps):
+        table, cache, chain, source, goal, t = problem
+        expected = follow_with_waits(table, chain.cells, t, *caps)
+        reason, steps = reference_walk(table, chain.cells, t, *caps)
+        assert steps == expected
+        set_descent_kernel(COMPILED)
+        verdict, path, __, __ = cache.kernel_leg(
+            table, t, source, goal, lambda goal: (None, 0), caps)
+        assert cache.descent_kernel == "compiled"
+        if expected is None:
+            assert (verdict, path) == (3, None)
+        else:
+            assert verdict == 4
+            assert path.steps == tuple(expected)
+            assert path == Path(expected)
+            assert table.audit_path(path)
+        return reason
+
+    def test_drawn_chains_every_outcome(self, name):
+        reasons = set()
+        for seed in range(400):
+            problem = self.conflicted(name, seed)
+            if problem is not None:
+                rng = random.Random(seed)
+                reasons.add(self.check(
+                    problem, (rng.randint(1, 3), rng.randint(1, 4))))
+        assert reasons == {"served", "per-step cap", "total cap",
+                           "cannot hold"}
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=hyp.integers(0, 10**6), per_step=hyp.integers(1, 5),
+           total=hyp.integers(1, 9))
+    def test_drawn_chains_and_caps(self, name, seed, per_step, total):
+        problem = self.conflicted(name, seed)
+        if problem is not None:
+            self.check(problem, (per_step, total))
+
+    def boundary_problem(self, name, camps):
+        grid = Grid(WIDTH, HEIGHT)
+        table = TABLES[name](grid)
+        for cell, until in camps:
+            camp(table, cell, until)
+        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        source, goal = (0, 5), (8, 5)
+        return table, cache, cache.packed(source, goal), source, goal, 0
+
+    def test_per_step_cap_boundary(self, name):
+        # (3, 5) frees at tick 8; the robot stands before it from tick 2:
+        # five waits at one step.
+        problem = self.boundary_problem(name, [((3, 5), 7)])
+        assert self.check(problem, (5, 5)) == "served"
+        assert self.check(problem, (4, 5)) == "per-step cap"
+        assert self.check(problem, (5, 4)) == "total cap"
+
+    def test_total_cap_boundary(self, name):
+        # two camps, 5 + 3 waits: inside every per-step cap, the sum
+        # decides.
+        problem = self.boundary_problem(
+            name, [((3, 5), 7), ((6, 5), 13)])
+        assert self.check(problem, (5, 8)) == "served"
+        assert self.check(problem, (5, 7)) == "total cap"
+        assert self.check(problem, (4, 8)) == "per-step cap"
+
+    def test_cannot_hold_position(self, name):
+        # traffic sweeps through the cell the robot would wait on
+        problem = self.boundary_problem(name, [((3, 5), 7)])
+        problem[0].reserve_path(
+            Path.from_cells([(2, 3), (2, 4), (2, 5), (2, 6)], 1))
+        assert self.check(problem, (16, 96)) == "cannot hold"
+
+    @pytest.mark.parametrize("caps", [
+        (-1, 4), (4, -1), (0, 4), (4, 0), (1 << 16, 4), (4, 1 << 40)])
+    def test_bad_caps_raise(self, name, caps):
+        problem = self.boundary_problem(name, [((3, 5), 7)])
+        table, cache, __, source, goal, t = problem
+        set_descent_kernel(COMPILED)
+        with pytest.raises(ValueError):
+            cache.kernel_leg(table, t, source, goal,
+                             lambda goal: (None, 0), caps)
+
+    @pytest.mark.parametrize("verdict, goal, until, trigger, caps", [
+        (0, (11, 9), 7, 0, (0, 0)),      # walled off
+        (1, (8, 2), 7, 0, (0, 0)),       # clean
+        (2, (8, 2), 7, 2, (0, 0)),       # head for a finisher
+        (3, (8, 5), 7, 0, (0, 0)),       # reject, rescue off
+        (3, (8, 5), 40, 0, (4, 4)),      # reject, rescue declined
+        (4, (8, 5), 7, 0, (16, 96)),     # rescued
+    ])
+    def test_every_verdict_retains_nothing(self, name, verdict, goal, until,
+                                           trigger, caps):
+        grid = Grid(WIDTH, HEIGHT, blocked=[(10, 9), (11, 8), (10, 8)])
+        table = TABLES[name](grid)
+        camp(table, (3, 5), until)
+        capsule = grid.kernel_capsule(COMPILED)
+        flat = HeuristicFieldCache(grid).field(goal).flat
+        spec = table.kernel_probe_spec()
+        args = (capsule,) + spec + (2, flat, grid.cell_index((0, goal[1])),
+                                    grid.cell_index(goal), 0, trigger) + caps
+        got, keys = COMPILED.tier0_leg(*args)
+        assert got == verdict and (keys is None) == (verdict in (0, 3))
+        assert_retains_nothing(lambda: COMPILED.tier0_leg(*args),
+                               watched=(capsule, flat) + spec[1:3])
+
+
 @needs_compiled
 class TestFusedLegManhattanRegime:
     """Paper-scale lazy Manhattan fields take the closed-form descent."""
@@ -568,15 +736,15 @@ class TestFusedLegManhattanRegime:
             fused = cache.kernel_leg(table, t, source, goal,
                                      lambda goal: (None, 0))
             assert fused is not None
-            verdict, payload, j, finisher, trigger = fused
+            verdict, path, finisher, trigger = fused
             verdicts.add(verdict)
             chain = cache.packed(source, goal)
             if table.audit_chain(t, chain, len(chain.cells) - 1):
                 assert verdict == 1
-                assert tuple(payload) == Path.from_cells(chain.cells, t).steps
+                assert path == Path.from_cells(chain.cells, t)
             else:
                 assert verdict == 3
-                assert tuple(payload) == chain.cells
+                assert path is None
         assert {1, 3} <= verdicts
 
     def test_kernel_declines_without_module(self):
@@ -584,13 +752,12 @@ class TestFusedLegManhattanRegime:
         set_descent_kernel(None)
         grid = Grid(8, 8)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        verdict, payload, j, finisher, trigger = cache.kernel_leg(
+        verdict, path, finisher, trigger = cache.kernel_leg(
             SpatiotemporalGraph(grid), 0, (0, 0), (7, 7),
             lambda goal: (None, 0))
         assert cache.descent_kernel == "python"
         assert verdict == 1
-        assert payload == Path.from_cells(
-            cache.descent((0, 0), (7, 7)), 0).steps
+        assert path == Path.from_cells(cache.descent((0, 0), (7, 7)), 0)
 
 
 # -- the shared field arena --------------------------------------------------

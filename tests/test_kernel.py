@@ -16,6 +16,7 @@ import hashlib
 import random
 import subprocess
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,7 +40,8 @@ from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import assert_rows_match_neighbours
+from tests.conftest import (assert_retains_nothing,
+                            assert_rows_match_neighbours)
 
 COMPILED = build_and_load()
 
@@ -438,6 +440,65 @@ def test_search_retains_nothing(kernel):
         tracemalloc.stop()
     assert peak - before > 1 << 20   # the deep search did need real memory
     assert after - before < 64 << 10
+
+
+@needs_compiled
+class TestRunHandsBackOneBuffer:
+    """``run`` returns the leg as one checked ``array('q')`` of keys."""
+
+    def problem(self, width=18, finisher=None, trigger=0, budget=200_000):
+        grid = Grid(width, 12)
+        table = ConflictDetectionTable()
+        crossing_traffic(table, width)
+        goal = (width - 1, 9)
+        args = (grid.kernel_capsule(COMPILED),) + table.kernel_probe_spec() + (
+            1, goal, grid.cell_index((0, 2)), grid.cell_index(goal), 3,
+            budget, finisher, trigger, 0, 0, 0)
+        return grid, table, goal, args
+
+    def test_kernel_made_path_equals_the_tuple_made_one(self):
+        grid, table, goal, args = self.problem()
+        status, keys = COMPILED.run(*args)[:2]
+        assert status == 0
+        assert type(keys) is array and keys.typecode == "q"
+        set_search_kernel("compiled")
+        made = search(grid, table, SearchRequest((0, 2), goal, 3)).path
+        assert made.keys == keys and made.start_time == 3
+        set_search_kernel("python")
+        walked = search(grid, table, SearchRequest((0, 2), goal, 3)).path
+        assert made == walked and hash(made) == hash(walked)
+        assert made.steps == walked.steps
+        assert made == Path(walked.steps)
+        assert table.audit_path(made)
+
+    def test_a_400_step_leg_is_eight_bytes_a_step(self):
+        grid = Grid(402, 3)
+        set_search_kernel("compiled")
+        request = SearchRequest((0, 1), (400, 1), 0)
+        assert search(grid, ConflictDetectionTable(), request).ok  # warm
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path = search(grid, ConflictDetectionTable(), request).path
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 401
+        assert held / len(path) < 10  # ~150 as tuples
+
+    @pytest.mark.parametrize("status, finisher, trigger, budget", [
+        (0, None, 0, 200_000),                           # complete
+        (1, None, 0, 5),                                 # budget
+        (4, lambda cell, t: [(t,) + cell], 4, 200_000),  # finisher tail
+        (0, lambda cell, t: None, 4, 200_000),           # finisher declines
+    ])
+    def test_every_status_retains_nothing(self, status, finisher, trigger,
+                                          budget):
+        args = self.problem(6, finisher, trigger, budget)[3]
+        assert COMPILED.run(*args)[0] == status
+        watched = (args[0], args[2], args[3]) + (
+            () if finisher is None else (finisher,))
+        assert_retains_nothing(lambda: COMPILED.run(*args), watched)
 
 
 # -- randomized property ----------------------------------------------------

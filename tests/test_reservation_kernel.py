@@ -13,7 +13,10 @@ whichever kernel is selected, so the pure-python CI job exercises them
 with the extension never built.
 """
 
+import copy
 import random
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +28,7 @@ from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
-from repro.pathfinding.paths import Path
+from repro.pathfinding.paths import Path, packed_path
 from repro.pathfinding.reservation import (mutation_kernel_name,
                                            set_mutation_kernel)
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
@@ -35,6 +38,7 @@ from repro.planners import PLANNERS
 from repro.sim.engine import Simulation
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
+from tests.conftest import assert_retains_nothing
 
 COMPILED = build_and_load()
 
@@ -169,6 +173,103 @@ class TestMutationBitIdentity:
             assert compiled_table.recount() == python_table.recount()
             assert (compiled_table.live_counts()
                     == compiled_table.recount())
+
+
+def keys_of(cells):
+    return array("q", Path.from_cells(cells, 0).keys)
+
+
+#: A lawful lane on the 12x10 floor, and the hand-offs that are not:
+#: ``(buffer, exception)`` — every one refused before the table changes.
+LANE = [(x, 4) for x in range(2, 9)]
+BAD_BUFFERS = {
+    "int32 items": (array("i", range(7)), TypeError),
+    "bytes": (bytes(56), TypeError),
+    "doubles": (array("d", [0.0] * 7), TypeError),
+    "a list": ([1, 2, 3], TypeError),
+    "two-dimensional": (memoryview(bytes(64)).cast("q", (4, 2)), TypeError),
+    "strided view": (memoryview(keys_of(LANE + LANE[::-1]))[::2], ValueError),
+    "empty": (array("q"), ValueError),
+    "jump": (keys_of(LANE[:3]) + keys_of(LANE[5:]), ValueError),
+    "diagonal": (array("q", [(2 << 16) | 4, (3 << 16) | 5]), ValueError),
+    "column wrap": (array("q", [65_535, 65_536]), ValueError),
+    "negative key": (array("q", [-1]), ValueError),
+    "beyond 32 bits": (array("q", [1 << 32]), ValueError),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(TABLES))
+class TestReservePathTakesOnlyLawfulBuffers:
+    """``reserve_path`` applies the kernel's path rule to whatever it is
+    handed, and refuses before mutating anything."""
+
+    def loaded(self, name):
+        set_mutation_kernel(COMPILED)
+        table = TABLES[name]()
+        apply_ops(table, random_ops(7, 20))  # purge floors stay below 40
+        return table, copy.deepcopy(containers(table)), table.live_counts()
+
+    @pytest.mark.parametrize("case", sorted(BAD_BUFFERS))
+    def test_bad_buffer_raises_and_leaves_the_table(self, name, case):
+        buffer, error = BAD_BUFFERS[case]
+        table, before, counts = self.loaded(name)
+        with pytest.raises(error):
+            table.reserve_path(SimpleNamespace(start_time=50, keys=buffer))
+        assert containers(table) == before
+        assert table.live_counts() == counts == table.recount()
+
+    def test_lawful_views_of_other_exporters_are_taken(self, name):
+        # the rule is on the buffer, not on its type
+        table, __, __ = self.loaded(name)
+        twin, __, __ = self.loaded(name)
+        table.reserve_path(Path.from_cells(LANE, 50))
+        view = memoryview(keys_of(LANE).tobytes()).cast("q")
+        twin.reserve_path(SimpleNamespace(start_time=50, keys=view))
+        assert containers(twin) == containers(table)
+        assert twin.live_counts() == table.live_counts() == table.recount()
+
+    def test_cell_outside_the_layer_inserts_nothing(self, name):
+        # Two lawful steps, then off the 12x10 floor: only the dense
+        # graph has a layer to fall off (IndexError, as in python); the
+        # sparse tables take any cell a key can name.
+        table, before, counts = self.loaded(name)
+        walk = Path.from_cells([(10, 9), (11, 9), (12, 9)], 50)
+        if name == "stgraph":
+            with pytest.raises(IndexError):
+                table.reserve_path(walk)
+            assert containers(table) == before
+            assert table.live_counts() == counts
+        else:
+            table.reserve_path(walk)
+            assert not table.is_free(52, (12, 9))
+        assert table.live_counts() == table.recount()
+
+    def test_tile_block_smaller_than_a_tile_is_refused(self, name):
+        vertices, edges = {}, {}
+        with pytest.raises(IndexError):
+            COMPILED.reserve_path(4, vertices, edges, 2, 0, 15, 0,
+                                  keys_of(LANE), 0, 0, 0)
+        with pytest.raises(ValueError):
+            COMPILED.reserve_path(4, vertices, edges, 40, 0, 16, 0,
+                                  keys_of(LANE), 0, 0, 0)
+        assert vertices == edges == {}
+
+    def test_inserting_buffers_retains_nothing(self, name):
+        # Reserve the same lanes over and over (idempotent after the
+        # first pass): 10 000 calls leave the heap and every reference
+        # count where a warm pass left them.
+        table, __, __ = self.loaded(name)
+        lanes = [packed_path(50 + i, keys_of([(x, i) for x in range(12)]))
+                 for i in range(10)]
+        keys = [lane.keys for lane in lanes]
+
+        def reserve_all():
+            for lane in lanes:
+                table.reserve_path(lane)
+
+        assert_retains_nothing(reserve_all, watched=keys, calls=1_000)
+        assert table.live_counts() == table.recount()
 
 
 #: Ticks from here up overflowed the retired numpy audit index's packing.
