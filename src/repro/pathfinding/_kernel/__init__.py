@@ -16,6 +16,12 @@ as docstrings (``help(_stsearch.run)``).  A leg crosses the boundary as
 per consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps
 as it came; ``run`` and ``tier0_leg`` return it, ``reserve_path`` takes
 ``(start_time, keys)``, and each checks it against the path rule.
+
+Inside ``run`` a seen state is one ``{key, parent}`` record; its cost is
+its time layer, read off the key.  What the kernel borrows from a table
+— a tick's containers for one expansion, the last tile it probed for
+longer — it drops when a finisher returns (python may have purged or
+reserved), and nothing it allocates outlives the call.
 """
 
 from __future__ import annotations

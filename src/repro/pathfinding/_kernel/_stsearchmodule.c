@@ -11,11 +11,17 @@
  * path, and every SearchStats counter.  The FIFO bucket order reproduces
  * the heap's (f, tie) order; the deep-tie order (f, -g, tie) is realised
  * as per-f sub-buckets indexed by h = f - g, consumed smallest-h (i.e.
- * deepest-g) first, FIFO within a sub-bucket.  The stale-entry test
- * ``g_best + h != f_bucket`` is g-dominance restated (a superseding
- * push strictly lowered g, hence f).  Everything a search allocates is
+ * deepest-g) first, FIFO within a sub-bucket.  A state is pushed once
+ * (its g is its layer), so nothing in a bucket is ever stale; a field
+ * that is not consistent would push behind the cursor and is refused
+ * with AssertionError where it shows.  Everything a search allocates is
  * freed before run() returns, so a search started from inside a
  * finisher is just another call.
+ *
+ * A swap on the move a -> b departing t needs a partner arriving on a at
+ * t + 1 (ReservationTable's contract), so the edge set is asked only
+ * where that vertex is taken: run() by its own wait probe, probe_move()
+ * — the tier-0 audit and the rescue — by one more vertex probe.
  *
  * Reservation probes run natively for the library's own structures
  * (probe modes 1-4 below) and through the generic packed-probe callables
@@ -355,13 +361,19 @@ fbarray_free(FBArray *fa)
 }
 
 /* ------------------------------------------------------------------ */
-/* Open-addressing int64 -> (g, parent) map: the search's state store. */
+/* Open-addressing map of the states a search has seen: one record per */
+/* state, its key and the state it was first reached from.  A state is */
+/* layer * n_cells + cell and every action costs one tick, so a        */
+/* state's g is its layer and is read off the key, never stored.       */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    int64_t *keys;     /* -1 == empty (rel states are non-negative) */
-    int64_t *g;
-    int64_t *parent;
+    int64_t key;       /* -1 == empty (rel states are non-negative) */
+    int64_t parent;
+} HEntry;
+
+typedef struct {
+    HEntry *e;
     Py_ssize_t cap, mask, used;
 } HMap;
 
@@ -371,27 +383,18 @@ hmap_init(HMap *m, Py_ssize_t cap)
     m->cap = cap;
     m->mask = cap - 1;
     m->used = 0;
-    m->keys = PyMem_Malloc(cap * sizeof(int64_t));
-    m->g = PyMem_Malloc(cap * sizeof(int64_t));
-    m->parent = PyMem_Malloc(cap * sizeof(int64_t));
-    if (m->keys == NULL || m->g == NULL || m->parent == NULL) {
-        PyMem_Free(m->keys);
-        PyMem_Free(m->g);
-        PyMem_Free(m->parent);
-        m->keys = m->g = m->parent = NULL;
+    m->e = PyMem_Malloc(cap * sizeof(HEntry));
+    if (m->e == NULL)
         return -1;
-    }
-    memset(m->keys, 0xFF, cap * sizeof(int64_t));  /* all -1 */
+    memset(m->e, 0xFF, cap * sizeof(HEntry));  /* every key -1 */
     return 0;
 }
 
 static void
 hmap_free(HMap *m)
 {
-    PyMem_Free(m->keys);
-    PyMem_Free(m->g);
-    PyMem_Free(m->parent);
-    m->keys = m->g = m->parent = NULL;
+    PyMem_Free(m->e);
+    m->e = NULL;
 }
 
 static inline Py_ssize_t
@@ -399,7 +402,7 @@ hmap_slot(const HMap *m, int64_t key)
 {
     uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
     Py_ssize_t i = (Py_ssize_t)((h ^ (h >> 29)) & (uint64_t)m->mask);
-    while (m->keys[i] != -1 && m->keys[i] != key)
+    while (m->e[i].key != -1 && m->e[i].key != key)
         i = (i + 1) & m->mask;
     return i;
 }
@@ -411,12 +414,8 @@ hmap_grow(HMap *m)
     if (hmap_init(&bigger, m->cap * 2) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < m->cap; i++) {
-        if (m->keys[i] == -1)
-            continue;
-        Py_ssize_t slot = hmap_slot(&bigger, m->keys[i]);
-        bigger.keys[slot] = m->keys[i];
-        bigger.g[slot] = m->g[i];
-        bigger.parent[slot] = m->parent[i];
+        if (m->e[i].key != -1)
+            bigger.e[hmap_slot(&bigger, m->e[i].key)] = m->e[i];
     }
     bigger.used = m->used;
     hmap_free(m);
@@ -434,13 +433,14 @@ typedef struct {
     PyObject *vertex_obj;  /* borrowed from args */
     PyObject *edge_obj;    /* borrowed from args */
     /* per-expansion context */
+    int64_t t1;            /* the arrival tick probe_setup was given */
     PyObject *occupied;    /* borrowed: mode 1 vertex set for t1 */
     const char *layer1;    /* mode 2 dense layer bytes for t1 */
     Py_ssize_t layer1_len;
     PyObject *layer_tiles; /* borrowed: mode 4 tile dict for t1 */
     PyObject *swaps;       /* borrowed: modes 1-4 edge set for t1 - 1 */
     PyObject *t1_obj;      /* owned */
-    PyObject *t0_obj;      /* owned */
+    PyObject *t0_obj;      /* owned; made by the tick's first probe_edge */
     int64_t memo_tile_id;  /* modes 3/4 last-tile memo */
     PyObject *memo_tile;   /* borrowed */
 } Probe;
@@ -464,27 +464,24 @@ probe_init(Probe *p, int mode, int tile_bits, PyObject *vertex_obj,
     p->memo_tile_id = -1;
 }
 
-/* Fetch the per-tick context for one expansion.  Returns -1 on error. */
+/* Fetch the per-tick context for one expansion.  The swap set of the
+ * departure tick is left to the first probe_edge: a tick whose wait is
+ * granted never asks for it.  Returns -1 on error. */
 static int
 probe_setup(Probe *p, int64_t t1)
 {
+    p->t1 = t1;
     p->occupied = NULL;
     p->layer1 = NULL;
     p->layer_tiles = NULL;
     p->swaps = NULL;
-    p->t1_obj = NULL;
     p->t0_obj = NULL;
     if (p->mode == PROBE_TILED_DENSE)
         p->memo_tile_id = -1;  /* memo is per time layer */
     p->t1_obj = PyLong_FromLongLong((long long)t1);
     if (p->t1_obj == NULL)
         return -1;
-    p->t0_obj = PyLong_FromLongLong((long long)(t1 - 1));
-    if (p->t0_obj == NULL)
-        return -1;
     switch (p->mode) {
-    case PROBE_CALLABLE:
-        return 0;
     case PROBE_CDT:
         p->occupied = PyDict_GetItemWithError(p->vertex_obj, p->t1_obj);
         if (p->occupied == NULL && PyErr_Occurred())
@@ -506,17 +503,14 @@ probe_setup(Probe *p, int64_t t1)
         }
         break;
     }
-    case PROBE_TILED_SET:
-        break;  /* tiles probed per cell */
     case PROBE_TILED_DENSE:
         p->layer_tiles = PyDict_GetItemWithError(p->vertex_obj, p->t1_obj);
         if (p->layer_tiles == NULL && PyErr_Occurred())
             return -1;
         break;
+    default:
+        break;  /* callables take the tick; mode 3 tiles go per cell */
     }
-    p->swaps = PyDict_GetItemWithError(p->edge_obj, p->t0_obj);
-    if (p->swaps == NULL && PyErr_Occurred())
-        return -1;
     return 0;
 }
 
@@ -625,11 +619,23 @@ probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
     return -1;
 }
 
-/* Whether the move sci -> nci departing at t1 - 1 hits a swap.
- * Returns 1 blocked, 0 free, -1 error. */
+/* Whether the move sci -> nci departing at t1 - 1 hits a swap.  Worth
+ * asking only where ``sci`` is taken at t1 (the table's contract: a
+ * stored edge has its arrival vertex stored), which is how every caller
+ * gates it.  Returns 1 blocked, 0 free, -1 error. */
 static int
 probe_edge(Probe *p, const GridData *gd, Py_ssize_t sci, Py_ssize_t nci)
 {
+    if (p->t0_obj == NULL) {
+        p->t0_obj = PyLong_FromLongLong((long long)(p->t1 - 1));
+        if (p->t0_obj == NULL)
+            return -1;
+        if (p->mode != PROBE_CALLABLE) {
+            p->swaps = PyDict_GetItemWithError(p->edge_obj, p->t0_obj);
+            if (p->swaps == NULL && PyErr_Occurred())
+                return -1;
+        }
+    }
     if (p->mode == PROBE_CALLABLE) {
         PyObject *res = PyObject_CallFunctionObjArgs(
             p->edge_obj, p->t0_obj, gd->key_objs[sci], gd->key_objs[nci],
@@ -653,6 +659,23 @@ probe_edge(Probe *p, const GridData *gd, Py_ssize_t sci, Py_ssize_t nci)
     return hit;
 }
 
+/* Whether a robot on ``from`` at t1 - 1 may be on ``to`` at t1 (the
+ * table's move_allowed; ``from == to`` is a wait).  A swap needs the
+ * partner to arrive on ``from`` at t1, so the edge is asked about only
+ * where that vertex is taken.  ``p`` is set up for t1.  Returns 1
+ * blocked, 0 free, -1 error. */
+static int
+probe_move(Probe *p, const GridData *gd, Py_ssize_t from, Py_ssize_t to)
+{
+    int blocked = probe_vertex(p, gd, to);
+    if (blocked == 0 && from != to) {
+        blocked = probe_vertex(p, gd, from);
+        if (blocked > 0)
+            blocked = probe_edge(p, gd, from, to);
+    }
+    return blocked;
+}
+
 /* ------------------------------------------------------------------ */
 /* The search itself.                                                  */
 /* ------------------------------------------------------------------ */
@@ -668,7 +691,7 @@ typedef struct {
     int64_t gx, gy;        /* h_mode 1 goal coordinates */
     /* per-call state: nothing outlives run() */
     int deep;              /* deep-tie sub-bucket order vs FIFO */
-    HMap hm;               /* rel state -> (g, parent) */
+    HMap hm;               /* rel state -> parent */
     BArray fifo;           /* FIFO open set */
     FBArray deepq;         /* deep-tie open set */
     int64_t hi_f;
@@ -693,35 +716,34 @@ heuristic_at(const Search *s, Py_ssize_t ci, int *err)
         int64_t dy = y > s->gy ? y - s->gy : s->gy - y;
         return dx + dy;
     }
-    if (s->h_mode == 2)
-        return (int64_t)s->hbuf[ci];
-    PyObject *item = PyList_GET_ITEM(s->hlist, ci);
-    int64_t h = (int64_t)PyLong_AsLongLong(item);
-    if (h == -1 && PyErr_Occurred()) {
+    int64_t h = s->h_mode == 2 ? (int64_t)s->hbuf[ci]
+        : (int64_t)PyLong_AsLongLong(PyList_GET_ITEM(s->hlist, ci));
+    if (h < 0) {
+        /* h indexes the buckets: a negative one must never get there */
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_AssertionError,
+                            "negative h: heuristic field is not consistent");
         *err = 1;
         return 0;
     }
     return h;
 }
 
-/* Record/improve a successor and push it at f-offset ``nf``.
- * ``h`` is the successor's heuristic (deep mode sub-bucket index).
- * Returns 1 pushed, 0 dominated, -1 error. */
+/* Record a successor the search has not seen and push it at f-offset
+ * ``nf``; a state is reached at one cost only (its layer), so the first
+ * push stands.  ``h`` is the successor's heuristic (deep mode sub-bucket
+ * index).  Returns 1 pushed, 0 seen before, -1 out of memory. */
 static inline int
-relax(Search *s, int64_t nrel, int64_t g_next, int64_t rel,
-      int64_t nf, int64_t h)
+relax(Search *s, int64_t nrel, int64_t rel, int64_t nf, int64_t h)
 {
     if ((s->hm.used + 1) * 3 > s->hm.cap * 2 && hmap_grow(&s->hm) < 0)
         return -1;
-    Py_ssize_t slot = hmap_slot(&s->hm, nrel);
-    if (s->hm.keys[slot] == -1) {
-        s->hm.keys[slot] = nrel;
-        s->hm.used++;
-    } else if (g_next >= s->hm.g[slot]) {
+    HEntry *entry = &s->hm.e[hmap_slot(&s->hm, nrel)];
+    if (entry->key != -1)
         return 0;
-    }
-    s->hm.g[slot] = g_next;
-    s->hm.parent[slot] = rel;
+    entry->key = nrel;
+    entry->parent = rel;
+    s->hm.used++;
     if (s->deep) {
         if (fbarray_ensure(&s->deepq, (Py_ssize_t)nf) < 0)
             return -1;
@@ -755,7 +777,7 @@ reconstruct(const Search *s, int64_t rel)
         return PyErr_NoMemory();
     for (Py_ssize_t i = n - 1; i >= 0; i--) {
         keys[i] = s->gd->cell_keys[rel % s->n_cells];
-        rel = s->hm.parent[hmap_slot(&s->hm, rel)];
+        rel = s->hm.e[hmap_slot(&s->hm, rel)].parent;
     }
     PyObject *out = keys_export(keys, n);
     PyMem_Free(keys);
@@ -857,7 +879,7 @@ stsearch_run(PyObject *self, PyObject *args)
 
     /* State store and open set, seeded with the source. */
     if (hmap_init(&s.hm, 4096) < 0
-            || relax(&s, source_ci, 0, -1, 0, s.h0) < 0) {
+            || relax(&s, source_ci, -1, 0, s.h0) < 0) {
         search_free(&s);
         if (have_hview)
             PyBuffer_Release(&hview);
@@ -876,6 +898,7 @@ stsearch_run(PyObject *self, PyObject *args)
     int64_t result_rel = -1;
     PyObject *keys = NULL;        /* owned on success */
     PyObject *finisher_tail = NULL;
+    PyObject *out = NULL;
 
     while (open_size > 0) {
         if (((++loop_ticker) & 0x3FFF) == 0 && PyErr_CheckSignals() < 0)
@@ -934,9 +957,13 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t h_ci = heuristic_at(&s, ci, &herr);
         if (herr)
             goto fail;
-        int64_t g = s.hm.g[hmap_slot(&s.hm, rel)];
-        if (g + h_ci != f_abs)
-            continue;  /* dominated by a later, cheaper push */
+        if (t_rel + h_ci != f_abs) {
+            /* g is the layer and a state is pushed once, at g + h */
+            PyErr_SetString(PyExc_AssertionError,
+                            "popped state is not at its f: heuristic "
+                            "field is not consistent");
+            goto fail;
+        }
         expansions++;
         if (expansions > max_expansions) {
             status = ST_BUDGET;
@@ -967,6 +994,9 @@ stsearch_run(PyObject *self, PyObject *args)
             Py_DECREF(t_obj);
             if (tail == NULL)
                 goto fail;
+            /* python ran: it may have purged the memoised tile, and a
+             * deleted dict's address goes to the next allocation */
+            probe.memo_tile_id = -1;
             if (tail != Py_None) {
                 status = ST_FINISHER;
                 result_rel = rel;
@@ -976,24 +1006,24 @@ stsearch_run(PyObject *self, PyObject *args)
             Py_DECREF(tail);
         }
 
-        int64_t g_next = g + 1;
         int64_t t1 = start_time + t_rel + 1;
         int64_t nxt_base = rel - ci + s.n_cells;
-        int64_t base_f = g_next - s.h0;
+        int64_t base_f = t_rel + 1 - s.h0;
 
         if (probe_setup(&probe, t1) < 0)
             goto fail;
 
-        /* Wait in place (the fifth action) — vertex check only. */
-        int blocked = probe_vertex(&probe, gd, ci);
-        if (blocked < 0)
-            goto expand_fail;
-        if (!blocked) {
-            int pushed = relax(&s, nxt_base + ci, g_next, rel,
-                               base_f + h_ci, h_ci);
+        /* Wait in place (the fifth action) — vertex check only.  A
+         * refusal means someone arrives here at t1, the one case in
+         * which a move out of this cell can be a swap. */
+        int held = probe_vertex(&probe, gd, ci);
+        if (held < 0)
+            goto fail;
+        if (!held) {
+            int pushed = relax(&s, nxt_base + ci, rel, base_f + h_ci, h_ci);
             if (pushed < 0) {
                 PyErr_NoMemory();
-                goto expand_fail;
+                goto fail;
             }
             if (pushed) {
                 generated++;
@@ -1004,24 +1034,27 @@ stsearch_run(PyObject *self, PyObject *args)
         /* The four moves, in adjacency order. */
         for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1]; a++) {
             Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a];
-            blocked = probe_vertex(&probe, gd, nci);
+            int blocked = probe_vertex(&probe, gd, nci);
+            if (blocked == 0 && held)
+                blocked = probe_edge(&probe, gd, ci, nci);
             if (blocked < 0)
-                goto expand_fail;
-            if (blocked)
-                continue;
-            blocked = probe_edge(&probe, gd, ci, nci);
-            if (blocked < 0)
-                goto expand_fail;
+                goto fail;
             if (blocked)
                 continue;
             int64_t nh = heuristic_at(&s, nci, &herr);
             if (herr)
-                goto expand_fail;
-            int pushed = relax(&s, nxt_base + nci, g_next, rel,
-                               base_f + nh, nh);
+                goto fail;
+            if (nh + 1 < h_ci) {
+                /* f would fall behind the bucket cursor */
+                PyErr_SetString(PyExc_AssertionError,
+                                "h drops by more than a step: heuristic "
+                                "field is not consistent");
+                goto fail;
+            }
+            int pushed = relax(&s, nxt_base + nci, rel, base_f + nh, nh);
             if (pushed < 0) {
                 PyErr_NoMemory();
-                goto expand_fail;
+                goto fail;
             }
             if (pushed) {
                 generated++;
@@ -1032,37 +1065,23 @@ stsearch_run(PyObject *self, PyObject *args)
     }
 
 done:
-    if (result_rel >= 0) {
+    if (result_rel >= 0)
         keys = reconstruct(&s, result_rel);
-        if (keys == NULL)
-            goto fail;
-    }
-    {
-        PyObject *out = Py_BuildValue(
+    if (result_rel < 0 || keys != NULL)
+        out = Py_BuildValue(
             "iOOLLL", status,
             keys ? keys : Py_None,
             finisher_tail ? finisher_tail : Py_None,
             (long long)expansions, (long long)generated,
             (long long)peak_open);
-        Py_XDECREF(keys);
-        Py_XDECREF(finisher_tail);
-        keys = NULL;
-        finisher_tail = NULL;
-        search_free(&s);
-        if (have_hview)
-            PyBuffer_Release(&hview);
-        return out;
-    }
-
-expand_fail:
-    probe_teardown(&probe);
 fail:
+    probe_teardown(&probe);
     Py_XDECREF(keys);
     Py_XDECREF(finisher_tail);
     search_free(&s);
     if (have_hview)
         PyBuffer_Release(&hview);
-    return NULL;
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1676,18 +1695,6 @@ stsearch_bfs_fill(PyObject *self, PyObject *args)
     PyMem_Free(queue);
     PyBuffer_Release(&view);
     Py_RETURN_NONE;
-}
-
-/* Whether a robot on ``from`` at t1 - 1 may be on ``to`` at t1 (the
- * table's move_allowed; ``from == to`` is a wait).  ``p`` is set up for
- * t1.  Returns 1 blocked, 0 free, -1 error. */
-static int
-probe_move(Probe *p, const GridData *gd, Py_ssize_t from, Py_ssize_t to)
-{
-    int blocked = probe_vertex(p, gd, to);
-    if (blocked == 0 && from != to)
-        blocked = probe_edge(p, gd, from, to);
-    return blocked;
 }
 
 /* cache.follow_with_waits over the descent ``indices[0..k]``: walk it

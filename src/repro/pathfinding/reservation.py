@@ -19,6 +19,21 @@ Semantics: ``is_free(t, cell)`` guards single-grid conflicts;
 ``edge_free(t, a, b)`` guards inter-grid (swap) conflicts for a move that
 departs ``a`` at ``t`` and arrives at ``b`` at ``t + 1``.
 
+**A swap needs an arrival.**  The move ``a -> b`` departing ``t`` is a
+swap only if a partner goes ``b -> a`` over the same tick, and that
+partner is on ``a`` at ``t + 1``.  So every table upholds::
+
+    edge_free(t, a, b) is False  only if  is_free(t + 1, a) is False
+
+Insertion stores an edge together with its arrival vertex, the purge
+keeps the vertex and edge floors equal, and a step below the floor stores
+neither half.  Every walk a plan runs relies on it and asks about a swap
+only where the departure cell is taken at the arrival tick: both search
+cores (the expansion's own wait probe is that question),
+:meth:`ReservationTable.audit_chain`, :meth:`ReservationTable.move_allowed`
+and the native tier-0 audit and rescue.  :meth:`ReservationTable.audit_path`
+does not — it probes every edge, which makes it their reference.
+
 Both probe families exist in two signatures.  The tuple methods are the
 readable public API; the ``*_packed`` methods take grid-independent packed
 cell keys (``x << 16 | y``, see :func:`repro.types.pack_cell`) and are what
@@ -131,7 +146,8 @@ class ReservationTable(abc.ABC):
 
     @abc.abstractmethod
     def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
-        """Whether moving ``source``→``target`` during tick ``t`` avoids a swap."""
+        """Whether moving ``source``→``target`` during tick ``t`` avoids a
+        swap; false only if ``is_free(t + 1, source)`` is (module docstring)."""
 
     @abc.abstractmethod
     def reserve_path(self, path: Path) -> None:
@@ -245,9 +261,10 @@ class ReservationTable(abc.ABC):
         ``t + i`` and the traversed edge at its departure tick ``t + i - 1``
         — but takes the chain's precomputed packed keys instead of building
         a timed :class:`~repro.pathfinding.paths.Path` first, so a
-        rejected candidate costs no allocation at all.  Requires every
-        chain step to be a move (descent chains always are); a wait step
-        would probe a spurious self-edge.
+        rejected candidate costs no allocation at all, and asks about the
+        edge only where the departure cell is taken at the arrival tick
+        (a swap needs an arrival).  Requires every chain step to be a
+        move (descent chains always are).
 
         Tick-bucketed implementations answer through
         :meth:`packed_buckets`; others go through the packed probes.
@@ -260,17 +277,22 @@ class ReservationTable(abc.ABC):
             for i in range(1, limit + 1):
                 if not vertex_free(t + i, keys[i]):
                     return False
-                if not edge_free(t + i - 1, keys[i - 1], keys[i]):
+                if (not vertex_free(t + i, keys[i - 1])
+                        and not edge_free(t + i - 1, keys[i - 1], keys[i])):
                     return False
             return True
         vertex_buckets, edge_buckets = buckets
         for i in range(1, limit + 1):
             occupied = vertex_buckets.get(t + i)
-            if occupied is not None and keys[i] in occupied:
+            if occupied is None:
+                continue
+            if keys[i] in occupied:
                 return False
-            swaps = edge_buckets.get(t + i - 1)
-            if swaps is not None and ((keys[i] << 32) | keys[i - 1]) in swaps:
-                return False
+            if keys[i - 1] in occupied:
+                swaps = edge_buckets.get(t + i - 1)
+                if (swaps is not None
+                        and ((keys[i] << 32) | keys[i - 1]) in swaps):
+                    return False
         return True
 
     # -- shared convenience ----------------------------------------------
@@ -280,11 +302,12 @@ class ReservationTable(abc.ABC):
 
         Combines the single-grid check on the arrival vertex with the
         inter-grid check on the traversed edge; a wait (``source ==
-        target``) only needs the vertex check.
+        target``) only needs the vertex check, and so does a move out of
+        a cell nobody arrives on (a swap needs an arrival).
         """
         if not self.is_free(t + 1, target):
             return False
-        if source == target:
+        if source == target or self.is_free(t + 1, source):
             return True
         return self.edge_free(t, source, target)
 

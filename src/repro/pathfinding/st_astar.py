@@ -9,17 +9,17 @@ structure and the cache-aided finisher differ between them.
 
 The core runs entirely on **packed integers**: a state is ``t · (W·H) + x ·
 H + y`` (one machine int instead of a nested ``((x, y), t)`` tuple), so
-queue entries, g-scores and parents are plain-int keyed, successor
-generation is one indexed read of the grid's memoised adjacency rows,
-conflict probes go through the reservation structure's packed-key fast
-path, and h-values are flat-list lookups.  Stale queue entries are skipped
-by g-dominance, which replaces the seed's closed set and its redundant
-re-check at generation time.  For any *consistent* heuristic — Manhattan
-and the exact BFS fields both are — expansion order, tie breaking and the
+queue entries and parents are plain-int keyed, successor generation is
+one indexed read of the grid's memoised adjacency rows, conflict probes go
+through the reservation structure's packed-key fast path, and h-values are
+flat-list lookups.  A state's cost is its time layer, so it enters the
+queue once and the parent map is the seen-set — no g-score table, no
+closed set, no stale entries.  Expansion order, tie breaking and the
 search statistics are bit-identical to the tuple-based seed implementation
-(kept in ``_legacy.py`` as the equivalence reference).  An inconsistent
-custom heuristic may re-expand states the seed's closed set would have
-frozen; the seed's answer there was arbitrary, not better.
+(kept in ``_legacy.py`` as the equivalence reference) under any heuristic
+the python core takes; the native kernel's bucket queue additionally
+needs a *consistent* one and raises ``AssertionError`` where a field is
+not.
 
 The open set is ordered by ``(f, depth, tie)``; :func:`_search_heap`
 states the rule and is its python implementation — the fallback kernel
@@ -338,13 +338,19 @@ def _search_compiled(grid: Grid, reservation: ReservationTable,
 def _search_heap(grid: Grid, reservation: ReservationTable,
                  request: SearchRequest, hfield, deep: bool,
                  stats: SearchStats) -> SearchOutcome:
-    """The python core: ``heapq`` open set, dict-backed g-scores/parents.
+    """The python core: ``heapq`` open set, one ``parent`` dict.
 
     Answers every search when the python kernel is active, searches under
     arbitrary (possibly lazy, possibly inconsistent) heuristics on either
     kernel, and is what the cross-kernel suites hold the native kernel to.
 
-    **Tie rule.**  Heap entries are ``(f, depth, tie, g, state)`` with
+    **State record.**  A state is ``t * n_cells + cell`` and every action
+    costs one tick, so its ``g`` is its layer, ``t - start_time``: it is
+    reached at one cost only and pushed once, under any heuristic, and
+    ``parent`` — state to the state it was first reached from — doubles
+    as the seen-set (the native kernel's ``{key, parent}`` records).
+
+    **Tie rule.**  Heap entries are ``(f, depth, tie, state)`` with
     ``tie`` the push counter.  Below the paper-scale gate ``depth`` is
     pinned to 0, so equal-f entries pop FIFO — the seed's order exactly.
     With ``deep`` set (floors at or above the paper-scale gate)
@@ -379,9 +385,8 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     goal_ci = goal[0] * height + goal[1]
     start_state = start_time * n_cells + source_ci
 
-    open_heap = [(hfield[source_ci], 0, 0, 0, start_state)]
+    open_heap = [(hfield[source_ci], 0, 0, start_state)]
     tie = 1
-    g_score: Dict[int, int] = {start_state: 0}
     parent: Dict[int, int] = {}
 
     expansions = stats.expansions
@@ -392,9 +397,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
         while open_heap:
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
-            __, __, __, g, state = pop(open_heap)
-            if g > g_score[state]:
-                continue  # dominated by a later, cheaper push
+            __, __, __, state = pop(open_heap)
             expansions += 1
             if expansions > max_expansions:
                 return SearchOutcome(request, SEARCH_BUDGET, None, stats)
@@ -417,31 +420,32 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                         return SearchOutcome(request, SEARCH_COMPLETE,
                                              head.concat(Path(tail)), stats)
 
-            g_next = g + 1
-            depth = -g_next if deep else 0
             t1 = t + 1
+            g_next = t1 - start_time
+            depth = -g_next if deep else 0
             next_base = t1 * n_cells
             source_key = cell_keys[ci]
 
             # Successor generation, wait first then the adjacency row —
-            # the same order as the seed.  Two probe styles: when the
-            # reservation structure is tick-bucketed (CDT), fetch this
-            # tick's vertex/edge sets once and test membership with bare
-            # ``in``; otherwise go through the packed probe methods.
+            # the same order as the seed.  A move out of this cell is a
+            # swap only if a partner arrives here at t1 (the table's
+            # contract): edges are probed only where the wait was
+            # refused.  Two probe styles: when the reservation structure
+            # is tick-bucketed (CDT), fetch this tick's vertex/edge sets
+            # once and test membership with bare ``in``; otherwise go
+            # through the packed probe methods.
             if buckets is not None:
                 occupied = vertex_buckets.get(t1)
-                swaps = edge_buckets.get(t)
-                if occupied is None or source_key not in occupied:
-                    nxt_state = next_base + ci
-                    best = g_score.get(nxt_state)
-                    if best is None or g_next < best:
-                        g_score[nxt_state] = g_next
-                        parent[nxt_state] = state
-                        generated += 1
-                        push(open_heap,
-                             (g_next + hfield[ci], depth, tie, g_next,
-                              nxt_state))
-                        tie += 1
+                swaps = None
+                nxt_state = next_base + ci
+                if occupied is not None and source_key in occupied:
+                    swaps = edge_buckets.get(t)
+                elif nxt_state not in parent:
+                    parent[nxt_state] = state
+                    generated += 1
+                    push(open_heap,
+                         (g_next + hfield[ci], depth, tie, nxt_state))
+                    tie += 1
                 for nci, nkey in adjacency[ci]:
                     if occupied is not None and nkey in occupied:
                         continue
@@ -449,40 +453,33 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                             and ((nkey << 32) | source_key) in swaps):
                         continue
                     nxt_state = next_base + nci
-                    best = g_score.get(nxt_state)
-                    if best is None or g_next < best:
-                        g_score[nxt_state] = g_next
+                    if nxt_state not in parent:
                         parent[nxt_state] = state
                         generated += 1
                         push(open_heap,
-                             (g_next + hfield[nci], depth, tie, g_next,
-                              nxt_state))
+                             (g_next + hfield[nci], depth, tie, nxt_state))
                         tie += 1
             else:
                 # Wait in place (the fifth action) — vertex check only.
-                if vertex_free(t1, source_key):
-                    nxt_state = next_base + ci
-                    best = g_score.get(nxt_state)
-                    if best is None or g_next < best:
-                        g_score[nxt_state] = g_next
-                        parent[nxt_state] = state
-                        generated += 1
-                        push(open_heap,
-                             (g_next + hfield[ci], depth, tie, g_next,
-                              nxt_state))
-                        tie += 1
+                held = not vertex_free(t1, source_key)
+                nxt_state = next_base + ci
+                if not held and nxt_state not in parent:
+                    parent[nxt_state] = state
+                    generated += 1
+                    push(open_heap,
+                         (g_next + hfield[ci], depth, tie, nxt_state))
+                    tie += 1
 
                 for nci, nkey in adjacency[ci]:
                     if (vertex_free(t1, nkey)
-                            and edge_free(t, source_key, nkey)):
+                            and (not held
+                                 or edge_free(t, source_key, nkey))):
                         nxt_state = next_base + nci
-                        best = g_score.get(nxt_state)
-                        if best is None or g_next < best:
-                            g_score[nxt_state] = g_next
+                        if nxt_state not in parent:
                             parent[nxt_state] = state
                             generated += 1
                             push(open_heap,
-                                 (g_next + hfield[nci], depth, tie, g_next,
+                                 (g_next + hfield[nci], depth, tie,
                                   nxt_state))
                             tie += 1
         return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)

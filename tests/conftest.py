@@ -27,6 +27,7 @@ def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
 from repro.config import PlannerConfig, QLearningConfig, SimulationConfig
+from repro.pathfinding.paths import Path
 from repro.types import pack_cell
 from repro.warehouse.grid import Grid
 from repro.warehouse.layout import build_layout
@@ -120,3 +121,63 @@ def assert_retains_nothing(call, watched=(), calls=10_000) -> None:
         tracemalloc.stop()
     assert after - before < 4 << 10
     assert [sys.getrefcount(obj) for obj in watched] == counts
+
+
+def assert_edges_have_arrivals(table) -> None:
+    """The contract swap gating rests on: a stored edge ``a -> b``
+    departing ``t`` has its arrival vertex ``(t + 1, b)`` stored, so a
+    move out of a cell nobody arrives on is never a swap."""
+    for t, bucket in table._edge_buckets.items():
+        for key in bucket:
+            assert not table.is_free_packed(t + 1, key & 0xFFFFFFFF), (
+                f"edge {key >> 32:#x} -> {key & 0xFFFFFFFF:#x} departing {t} "
+                "has no arrival vertex")
+
+
+#: Legs on the open 7x3 floor whose moves leave a cell someone arrives on
+#: — where the swap probe is asked at all.  ``traffic`` is reserved
+#: *after* ``purge_before(floor)``; ``tier0`` is the verdict of the row's
+#: free-flow descent with the rescue off and on.
+SWAP_CASES = {
+    # partner walks the row the other way: (2,1)->(3,1) departing 2 swaps
+    "head-on": dict(
+        traffic=[([(5, 1), (4, 1), (3, 1), (2, 1), (1, 1), (0, 1)], 0)],
+        source=(0, 1), start=0, floor=0, at=(2, (2, 1), (3, 1)),
+        swap=True, tier0=(3, 3)),
+    # partner steps onto (2,1) at 3 from the side: wait refused, no swap
+    "third-cell": dict(
+        traffic=[([(2, 0), (2, 0), (2, 0), (2, 1), (2, 2)], 0)],
+        source=(0, 1), start=0, floor=0, at=(2, (2, 1), (3, 1)),
+        swap=False, tier0=(1, 1)),
+    # partner follows one cell behind: every wait refused, never a swap
+    "follower": dict(
+        traffic=[([(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)], 0)],
+        source=(1, 1), start=0, floor=0, at=(0, (1, 1), (2, 1)),
+        swap=False, tier0=(1, 1)),
+    # head-on again, the edge on the purge floor and its arrival vertex
+    # one tick above; the leg straddles the floor when it is reserved
+    "after-floor": dict(
+        traffic=[([(6, 1), (5, 1), (4, 1), (3, 1), (2, 1), (1, 1)], 4)],
+        source=(2, 1), start=7, floor=7, at=(7, (2, 1), (3, 1)),
+        swap=True, tier0=(3, 3)),
+    # held up one tick by a camper, then out of a cell being stepped onto
+    "queue-then-cross": dict(
+        traffic=[([(1, 1)], 1), ([(2, 0), (2, 0), (2, 1), (2, 2)], 2)],
+        source=(0, 1), start=0, floor=0, at=(3, (2, 1), (3, 1)),
+        swap=False, tier0=(3, 4)),
+}
+SWAP_GOAL = (6, 1)
+
+
+def load_swap_case(case, table):
+    """Apply a :data:`SWAP_CASES` row to ``table`` and check it sets up
+    what it says: the departure cell taken at the arrival tick, the
+    arrival cell free, the swap present or not."""
+    table.purge_before(case["floor"])
+    for cells, start in case["traffic"]:
+        table.reserve_path(Path.from_cells(cells, start_time=start))
+    t, a, b = case["at"]
+    assert not table.is_free(t + 1, a) and table.is_free(t + 1, b)
+    assert table.edge_free(t, a, b) != case["swap"]
+    assert table.move_allowed(t, a, b) != case["swap"]
+    return table

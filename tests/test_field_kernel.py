@@ -53,7 +53,8 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import (Grid, field_kernel_name, set_field_kernel)
-from tests.conftest import assert_retains_nothing
+from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
+                            load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -554,6 +555,39 @@ class TestOneTierZeroContract:
         assert table.live_counts() == table.recount()
         assert peak - before > 16 << 10  # the cycles did allocate
         assert after - before < 8 << 10
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+@pytest.mark.parametrize("case_name", sorted(SWAP_CASES))
+@pytest.mark.parametrize("name", sorted(LEG_TABLES))
+def test_gated_audits_on_the_swap_cases(name, case_name, kernel):
+    """Tier 0 and the rescue ask about a swap only where the departure
+    cell is taken at the arrival tick; ``audit_path`` asks at every move.
+    On legs whose moves leave such cells all of them agree."""
+    case = SWAP_CASES[case_name]
+    grid = Grid(7, 3)
+    table = load_swap_case(case, LEG_TABLES[name](grid))
+    cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+    chain = cache.packed(case["source"], SWAP_GOAL)
+    descent = Path.from_cells(chain.cells, case["start"])
+    clean = table.audit_path(descent)
+    assert table.audit_chain(case["start"], chain, len(chain) - 1) == clean
+    set_descent_kernel(COMPILED if kernel == "compiled" else None)
+    for caps, verdict in zip(((0, 0), (4, 8)), case["tier0"]):
+        got, path, __, __ = cache.kernel_leg(
+            table, case["start"], case["source"], SWAP_GOAL,
+            lambda goal: (None, 0), caps)
+        assert got == verdict and (verdict == 1) == clean
+        if verdict == 1:
+            assert path == descent
+        elif verdict == 4:
+            assert path.steps == tuple(follow_with_waits(
+                table, chain.cells, case["start"], *caps))
+            assert path.duration == descent.duration + 1
+            assert table.audit_path(path)
+        else:
+            assert path is None
 
 
 def reference_walk(table, cells, t, per_step, total):

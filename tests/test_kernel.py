@@ -28,6 +28,8 @@ from repro.experiments.harness import run_planner
 from repro.pathfinding import _kernel, st_astar
 from repro.pathfinding._kernel import build, build_and_load
 from repro.pathfinding._kernel.build import build_allowed
+from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
+                                       legacy_find_path)
 from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
@@ -40,8 +42,8 @@ from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import (assert_retains_nothing,
-                            assert_rows_match_neighbours)
+from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
+                            assert_rows_match_neighbours, load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -412,6 +414,77 @@ def test_search_from_inside_a_finisher(kernel):
     assert_same_search(outer, outer_stats, ref_outer, ref_outer_stats)
 
 
+def mutating_search(kernel, make_table, mutate, on_call=3):
+    """Search the 24x6 floor under a finisher that declines every call
+    and, on its ``on_call``-th, runs ``mutate(table)``."""
+    set_search_kernel(kernel)
+    grid = Grid(24, 6)
+    table = make_table(grid)
+    table.reserve_path(Path.from_cells([(3, 2)], start_time=0))
+    calls = []
+
+    def finisher(cell, t):
+        calls.append((cell, t))
+        if len(calls) == on_call:
+            mutate(table)
+        return None
+
+    stats = SearchStats()
+    outcome = search(grid, table,
+                     SearchRequest((0, 2), (20, 2), 0, finisher=finisher,
+                                   finisher_trigger=30), stats=stats)
+    return outcome, stats, calls
+
+
+@needs_compiled
+@pytest.mark.parametrize("table_name", sorted(TABLES))
+def test_finisher_that_purges_and_reserves(table_name):
+    # The purge deletes the one live tile of the sharded CDT and the dict
+    # allocated next takes its address: a kernel still holding the tile
+    # it probed before the call reads the newcomer, finds (5, 2) free and
+    # plans straight through the camp.  Whatever the probe borrowed from
+    # the table has to go when python has run.
+    recycled = []
+
+    def mutate(table):
+        table.purge_before(1)
+        recycled.append({})
+        table.reserve_path(Path.from_cells([(5, 2)] * 60, start_time=2))
+
+    py, py_stats, py_calls = mutating_search("python", TABLES[table_name],
+                                             mutate)
+    comp, c_stats, c_calls = mutating_search("compiled", TABLES[table_name],
+                                             mutate)
+    assert py.ok and (5, 5, 2) not in py.path.steps
+    assert py_stats.expansions > 21  # the straight line, had it been free
+    assert c_calls == py_calls
+    assert_same_search(comp, c_stats, py, py_stats)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("table_name", sorted(TABLES))
+def test_search_and_reserve_from_inside_a_finisher(kernel, table_name):
+    # The finisher plans a second robot across the outer search's row on
+    # the same table and reserves the leg: the outer search goes on
+    # against the table as it now is, under either kernel alike.
+    inner = []
+
+    def mutate(table):
+        found = search(Grid(24, 6), table, SearchRequest((8, 0), (8, 5), 4))
+        inner.append(found.path.steps)
+        table.reserve_path(found.path)
+        table.reserve_path(Path.from_cells([(12, 2)] * 30, start_time=6))
+
+    ref, ref_stats, ref_calls = mutating_search("python", TABLES[table_name],
+                                                mutate, on_call=2)
+    out, stats, calls = mutating_search(kernel, TABLES[table_name], mutate,
+                                        on_call=2)
+    assert len(inner) == 2 and inner[0] == inner[1]
+    assert calls == ref_calls
+    assert_same_search(out, stats, ref, ref_stats)
+    assert all(step[1:] != (12, 2) or step[0] < 6 for step in out.path.steps)
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_search_retains_nothing(kernel):
     # Out-waiting a doorway camped for 150 ticks on the 64x40 floor
@@ -446,9 +519,10 @@ def test_search_retains_nothing(kernel):
 class TestRunHandsBackOneBuffer:
     """``run`` returns the leg as one checked ``array('q')`` of keys."""
 
-    def problem(self, width=18, finisher=None, trigger=0, budget=200_000):
+    def problem(self, width=18, finisher=None, trigger=0, budget=200_000,
+                table_name="cdt"):
         grid = Grid(width, 12)
-        table = ConflictDetectionTable()
+        table = TABLES[table_name](grid)
         crossing_traffic(table, width)
         goal = (width - 1, 9)
         args = (grid.kernel_capsule(COMPILED),) + table.kernel_probe_spec() + (
@@ -492,13 +566,85 @@ class TestRunHandsBackOneBuffer:
         (4, lambda cell, t: [(t,) + cell], 4, 200_000),  # finisher tail
         (0, lambda cell, t: None, 4, 200_000),           # finisher declines
     ])
+    @pytest.mark.parametrize("table_name", sorted(TABLES))
     def test_every_status_retains_nothing(self, status, finisher, trigger,
-                                          budget):
-        args = self.problem(6, finisher, trigger, budget)[3]
+                                          budget, table_name):
+        # every probe mode: a tick's PyLongs (the second made only where
+        # an edge is asked about) go back however the call ends
+        args = self.problem(6, finisher, trigger, budget, table_name)[3]
         assert COMPILED.run(*args)[0] == status
         watched = (args[0], args[2], args[3]) + (
             () if finisher is None else (finisher,))
-        assert_retains_nothing(lambda: COMPILED.run(*args), watched)
+        assert_retains_nothing(lambda: COMPILED.run(*args), watched,
+                               calls=2_000)
+
+
+# -- swaps are asked about only where the wait was refused ------------------
+
+
+def swap_case_search(kernel, table_name, case):
+    set_search_kernel(kernel)
+    grid = Grid(7, 3)
+    table = load_swap_case(case, TABLES[table_name](grid))
+    stats = SearchStats()
+    outcome = search(grid, table,
+                     SearchRequest(case["source"], SWAP_GOAL, case["start"]),
+                     stats=stats)
+    return outcome, stats
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case_name", sorted(SWAP_CASES))
+@pytest.mark.parametrize("table_name", sorted(TABLES))
+def test_gated_swap_probes_match_the_ungated_seed(table_name, case_name,
+                                                  kernel):
+    # The oracle asks about every swap: the seed's search over the seed's
+    # table, whose move_allowed probes the edge whatever the vertices say.
+    case = SWAP_CASES[case_name]
+    old_table = load_swap_case(case, LegacyConflictDetectionTable())
+    ref_stats = SearchStats()
+    ref = legacy_find_path(Grid(7, 3), old_table, case["source"], SWAP_GOAL,
+                           case["start"], stats=ref_stats)
+    out, stats = swap_case_search(kernel, table_name, case)
+    assert out.path.steps == ref.steps
+    assert stats.expansions == ref_stats.expansions
+    assert stats.generated == ref_stats.generated
+    assert stats.peak_open == ref_stats.peak_open
+    t, a, b = case["at"]
+    swapped = (t,) + a in out.path.steps and (t + 1,) + b in out.path.steps
+    assert not (case["swap"] and swapped)
+    if kernel == "compiled":
+        py, py_stats = swap_case_search("python", table_name, case)
+        assert_same_search(out, stats, py, py_stats)
+
+
+@needs_compiled
+class TestInconsistentFieldNeverPlans:
+    """The bucket queue needs h to fall by at most one a step; a field
+    that breaks that is refused where it shows, never searched on."""
+
+    def run(self, field, deep):
+        grid = Grid(9, 1)
+        return COMPILED.run(
+            grid.kernel_capsule(COMPILED),
+            *ConflictDetectionTable().kernel_probe_spec(),
+            0, field, 0, 8, 0, 200_000, None, 0, deep, 0, 0)
+
+    @pytest.mark.parametrize("deep", [0, 1])
+    def test_consistent_list_field_is_served(self, deep):
+        status, keys = self.run(list(range(8, -1, -1)), deep)[:2]
+        assert status == 0 and len(keys) == 9
+
+    @pytest.mark.parametrize("deep", [0, 1])
+    @pytest.mark.parametrize("field", [
+        [8, 7, 6, 2, 4, 3, 2, 1, 0],    # a cliff behind the bucket cursor
+        [8, 0, 6, 5, 4, 3, 2, 1, 0],    # f below the source's: index < 0
+        [8, 7, -1, 5, 4, 3, 2, 1, 0],   # negative h
+        [-3, 7, 6, 5, 4, 3, 2, 1, 0],   # negative at the source
+    ])
+    def test_inconsistent_field_raises(self, field, deep):
+        with pytest.raises(AssertionError, match="not consistent"):
+            self.run(field, deep)
 
 
 # -- randomized property ----------------------------------------------------

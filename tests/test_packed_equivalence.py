@@ -104,6 +104,39 @@ class TestSearchEquivalence:
                             heuristic=cache.field((13, 10)))
         assert default.steps == fielded.steps
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_inconsistent_callable_heuristic_matches_seed(self, kernel, seed):
+        # A state is (layer, cell) and every action costs one tick, so its
+        # g is its layer and its first push is its only one — also under
+        # a heuristic that zeroes cells at random (admissible, nowhere
+        # near consistent), the case only the python core takes.  No
+        # g-score table is needed to agree with the seed's closed set.
+        rng = random.Random(seed)
+        grid = OPEN_GRID if seed % 2 else WALLED_GRID
+        paths = random_paths(grid, rng, n=12)
+        new_table, old_table = both_tables(grid)
+        for path in paths:
+            new_table.reserve_path(path)
+            old_table.reserve_path(path)
+        source, goal = ENDPOINTS[seed % len(ENDPOINTS)]
+        holes = {(x, y) for x in range(grid.width) for y in range(grid.height)
+                 if rng.random() < 0.4}
+
+        def ragged(cell):
+            return 0 if cell in holes else (abs(cell[0] - goal[0])
+                                            + abs(cell[1] - goal[1]))
+
+        new_stats, old_stats = SearchStats(), SearchStats()
+        ours = find_path(grid, new_table, source, goal, 3, heuristic=ragged,
+                         stats=new_stats)
+        seed_path = legacy_find_path(grid, old_table, source, goal, 3,
+                                     heuristic=ragged, stats=old_stats)
+        assert new_stats.kernel == "python"
+        assert ours.steps == seed_path.steps
+        assert new_stats.expansions == old_stats.expansions
+        assert new_stats.generated == old_stats.generated
+        assert new_stats.peak_open == old_stats.peak_open
+
 
 def random_paths(grid, rng, n=25):
     """Conflict-oblivious random walks to stress reservation bookkeeping."""

@@ -38,7 +38,7 @@ from repro.planners import PLANNERS
 from repro.sim.engine import Simulation
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import assert_retains_nothing
+from tests.conftest import assert_edges_have_arrivals, assert_retains_nothing
 
 COMPILED = build_and_load()
 
@@ -307,6 +307,58 @@ def test_long_audits_match_move_oracle(name, kernel):
         answers = [table.audit_path(path) for path in probes]
         assert answers == [move_oracle(table, path) for path in probes]
         assert True in answers and False in answers
+
+
+@hyp.composite
+def drawn_walk(draw):
+    """A leg on the 12x10 floor: waits where a move is drawn as (0, 0) or
+    runs into the edge, 4-cell tiles crossed all the time."""
+    x, y = draw(hyp.integers(0, WIDTH - 1)), draw(hyp.integers(0, HEIGHT - 1))
+    cells = [(x, y)]
+    for dx, dy in draw(hyp.lists(hyp.sampled_from(
+            [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]), max_size=14)):
+        x = min(max(x + dx, 0), WIDTH - 1)
+        y = min(max(y + dy, 0), HEIGHT - 1)
+        cells.append((x, y))
+    return Path.from_cells(cells, start_time=draw(hyp.integers(0, 40)))
+
+
+#: reserve a drawn leg, purge to a drawn floor (which may not move it),
+#: or reserve an earlier leg again — now perhaps across the floor.
+drawn_ops = hyp.lists(
+    hyp.one_of(drawn_walk(), hyp.integers(0, 45),
+               hyp.tuples(hyp.just("again"), hyp.integers(0, 24))),
+    min_size=1, max_size=25)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=drawn_ops)
+def test_property_stored_edges_have_arrivals(name, kernel, ops):
+    """What swap gating rests on, after every mutation: an edge in the
+    table has its arrival vertex in the table, and a step below the purge
+    floor leaves neither half."""
+    set_mutation_kernel(COMPILED if kernel == "compiled" else None)
+    table = TABLES[name]()
+    floor, legs = 0, []
+    for op in ops:
+        if isinstance(op, int):
+            table.purge_before(op)
+            floor = max(floor, op)
+        elif isinstance(op, tuple) and not legs:
+            continue
+        else:
+            leg = legs[op[1] % len(legs)] if isinstance(op, tuple) else op
+            legs.append(leg)
+            table.reserve_path(leg)
+            assert all(table.is_free_packed(t, key) for t, key in
+                       zip(range(leg.start_time, floor), leg.keys))
+        assert_edges_have_arrivals(table)
+        assert all(t >= floor for t in table._edge_buckets)
+    assert table.live_counts() == table.recount()
 
 
 def _free_flow_ops(cache, rng, cells):
