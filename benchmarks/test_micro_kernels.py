@@ -152,19 +152,25 @@ def test_open_set_bucket_queue(benchmark):
 
 
 def test_free_flow_descent_extract(benchmark):
-    """Tier-0 path extraction (fresh walk, no memo): the O(d) piece."""
+    """Tier-0 path extraction (the python walk): the O(d) piece."""
     cache = FreeFlowPathCache(GRID, HeuristicFieldCache(GRID))
-    cache.descent((0, 0), (60, 35))  # warm the heuristic field
+    cache.packed((0, 0), (60, 35))  # warm the heuristic field
 
-    benchmark(cache._walk, (0, 0), (60, 35))
+    benchmark(cache.packed, (0, 0), (60, 35))
 
 
-def test_free_flow_descent_memoised(benchmark):
-    """Tier-0 extraction at steady state: one dict hit per leg."""
+def test_free_flow_kernel_leg(benchmark):
+    """One whole tier-0 leg under the active kernel: descent + audit."""
     cache = FreeFlowPathCache(GRID, HeuristicFieldCache(GRID))
-    cache.descent((0, 0), (60, 35))
+    table = ConflictDetectionTable()
+    crossing_traffic(table)
 
-    benchmark(cache.descent, (0, 0), (60, 35))
+    def no_finisher(goal):
+        return None, 0
+
+    cache.kernel_leg(table, 0, (0, 0), (60, 35), no_finisher)  # warm
+
+    benchmark(cache.kernel_leg, table, 0, (0, 0), (60, 35), no_finisher)
 
 
 def test_heuristic_field_build(benchmark):

@@ -989,11 +989,11 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
     Runs the same cold leg tape — ``n_legs`` distinct (source, goal)
     pairs on the 64x40 floor under crossing traffic — through the
     python tier-0 body (greedy ``packed()`` walk + ``audit_chain``) and
-    through the fused native entry point, per production table.  Every
-    pair is distinct, so the python memo never hits: both sides pay the
-    full descent+audit, which is exactly the work the fusion collapses
-    into one call.  Outcome equivalence (verdict + leg) rides along
-    as a correctness check on the timed tape itself.
+    through the fused native entry point, per production table.  Both
+    sides pay the full descent+audit on every leg, which is exactly the
+    work the fusion collapses into one call.  Outcome equivalence
+    (verdict + leg) rides along as a correctness check on the timed tape
+    itself.
 
     Cyclic GC is paused around the timed passes: the loaded tables
     hold enough containers that a single gen-2 collection landing
@@ -1039,7 +1039,7 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
             python_outcomes = []
             started = time.perf_counter()
             for source, goal in legs:
-                chain = cache._walk(source, goal)
+                chain = cache.packed(source, goal)
                 if chain is None:
                     python_outcomes.append((0, None))
                 elif table.audit_chain(0, chain, len(chain.cells) - 1):
@@ -1162,122 +1162,13 @@ def bench_tier0_ladder(scale=1.0, fleets=TIER0_LADDER_FLEETS,
     }
 
 
-def _private_dirty_kb():
-    """This process's private-dirty footprint (KB), via smaps_rollup.
-
-    Private pages are the quantity arena sharing eliminates: a worker
-    flooding its own fields dirties ~650 KB per paper-floor goal, while
-    an arena attacher maps the same physical pages every sibling maps
-    (they show up as shared, not private).  Plain ``ru_maxrss`` cannot
-    see the difference — resident shared pages count there too.
-    """
-    try:
-        with open("/proc/self/smaps_rollup") as fh:
-            for line in fh:
-                if line.startswith("Private_Dirty:"):
-                    return int(line.split()[1])
-    except OSError:
-        return None
-    return None
-
-
-def _arena_sharing_worker(mode, handle, grid_reduce, goals, queue):
-    """One matrix-style worker: materialise every field, report memory."""
-    from repro.pathfinding.heuristics import (HeuristicFieldCache,
-                                              attach_field_arena)
-
-    cls, args = grid_reduce
-    grid = cls(*args)
-    heuristics = HeuristicFieldCache(grid)
-    if mode == "arena":
-        heuristics.attach_arena(attach_field_arena(handle))
-    before = _private_dirty_kb()
-    total = 0
-    for goal in goals:
-        field = heuristics.field(goal)
-        # Touch every page the way a planner's searches would.
-        total += field.flat[0] + field.flat[len(field.flat) - 1]
-    after = _private_dirty_kb()
-    queue.put({"mode": mode, "checksum": total,
-               "private_dirty_delta_kb": (None if before is None
-                                          else after - before),
-               "field_nbytes": sum(
-                   field.nbytes for field in heuristics._fields.values())})
-
-
-def bench_field_arena_sharing(n_goals=12, workers=3, seed=20221012):
-    """The PR-10 arena micro: worker RSS with shared vs duplicated fields.
-
-    Spawns ``workers`` matrix-style worker processes twice over the same
-    ``n_goals`` eager paper-floor fields — once attaching the shared
-    :class:`FieldArena` (what ``run_matrix --workers N`` now ships via
-    initargs) and once flooding locally (the pre-arena behaviour) — and
-    records each worker's private-dirty delta.  Shared fields live in
-    one shared-memory block mapped by every worker, so the arena
-    workers' private growth must stay far below the local flooders'.
-    """
-    import multiprocessing
-
-    from repro.pathfinding.heuristics import FieldArena
-
-    grid = _obstructed_paper_floor()
-    rng = random.Random(seed)
-    goals = rng.sample(list(grid.cells()), n_goals)
-    arena = FieldArena.build(grid, goals)
-    context = multiprocessing.get_context("spawn")
-    results = {"arena": [], "local": []}
-    try:
-        for mode in ("arena", "local"):
-            queue = context.Queue()
-            procs = [context.Process(
-                target=_arena_sharing_worker,
-                args=(mode, arena.handle(), grid.__reduce__(), goals, queue))
-                for __ in range(workers)]
-            for proc in procs:
-                proc.start()
-            for __ in procs:
-                # A bounded wait so one crashed worker fails the micro
-                # loudly instead of deadlocking the whole bench run.
-                results[mode].append(queue.get(timeout=300))
-            for proc in procs:
-                proc.join(timeout=60)
-    finally:
-        arena.close()
-    checksums = {entry["checksum"] for entries in results.values()
-                 for entry in entries}
-    payload = {
-        "workload": f"{workers} spawned workers x {n_goals} eager fields "
-                    "on the obstructed 541x302 paper floor, shared arena "
-                    "vs per-worker floods",
-        "arena_block_bytes": 4 * grid.n_cells * n_goals,
-        "checksums_identical": len(checksums) == 1,
-        "per_worker_field_nbytes": {
-            mode: [entry["field_nbytes"] for entry in entries]
-            for mode, entries in results.items()},
-    }
-    deltas = {mode: [entry["private_dirty_delta_kb"] for entry in entries]
-              for mode, entries in results.items()}
-    payload["private_dirty_delta_kb"] = deltas
-    if all(delta is not None
-           for mode_deltas in deltas.values() for delta in mode_deltas):
-        arena_peak = max(deltas["arena"])
-        local_peak = max(deltas["local"])
-        payload["duplication_ratio"] = (local_peak
-                                        / max(arena_peak, 1))
-        payload["fields_shared"] = (arena_peak
-                                    < 0.5 * (4 * grid.n_cells * n_goals
-                                             / 1024))
-    return payload
-
-
 def report_fields(fields, out_path):
     """Write the PR-10 report and print one line per section.
 
     Returns the failing items — a field-flood speedup under
     ``SMOKE_MIN_FIELD_SPEEDUP``, a fused-descent table under
     ``SMOKE_MIN_TIER0_SPEEDUP`` or with diverging outcomes, a ladder
-    cell whose makespan moved, or arena workers whose private memory
-    shows duplicated fields — so the smoke gate can fail the build.
+    cell whose makespan moved — so the smoke gate can fail the build.
     """
     report = {
         "python": platform.python_version(),
@@ -1325,20 +1216,6 @@ def report_fields(fields, out_path):
               f"identical={cell['makespans_bit_identical']}")
         if not cell["makespans_bit_identical"]:
             failed.append(cell)
-    arena = fields.get("field_arena")
-    if arena is not None:
-        ratio = arena.get("duplication_ratio")
-        print(f"fields   : arena sharing — private-dirty deltas "
-              f"{arena['private_dirty_delta_kb']} KB "
-              f"(block {arena['arena_block_bytes'] / 1e6:.1f} MB, "
-              f"ratio {ratio if ratio is None else f'{ratio:.1f}x'}) "
-              f"shared={arena.get('fields_shared')} "
-              f"checksums={arena['checksums_identical']}")
-        if (not arena["checksums_identical"]
-                or arena.get("fields_shared") is False):
-            failed.append({"section": "field_arena",
-                           "shared": arena.get("fields_shared"),
-                           "checksums": arena["checksums_identical"]})
     print(f"wrote {out_path}")
     return failed
 
@@ -1542,8 +1419,8 @@ def run_smoke(engine_out="BENCH_PR3.json", ladder_out="BENCH_PR4.json",
     # over the python deque flood, the fused tier-0 entry point the 2x
     # floor over the python descent+audit pair, and the live Fleet-200
     # contrast must improve planning seconds with bit-identical
-    # makespans.  The paper-floor ladder pin and the arena RSS micro
-    # are the full run's (or --fields-only's) job.
+    # makespans.  The paper-floor ladder pin is the full run's (or
+    # --fields-only's) job.
     fields = {"field_kernels": bench_field_kernels(n_goals=8),
               "tier0_fused": bench_tier0_fused(n_legs=300),
               "tier0_ladder": bench_tier0_ladder(scale=0.35, fleets=(200,)),
@@ -1652,9 +1529,8 @@ def main(argv=None):
                         help="run only the PR-10 micros (native field "
                              "flood vs python, fused tier-0 descent+audit "
                              "vs the python pair, the live fleet-ladder "
-                             "contrast, the paper-floor ladder pinned to "
-                             "BENCH_PR9.json, and the shared-arena worker "
-                             "RSS micro) and write BENCH_PR10.json")
+                             "contrast and the paper-floor ladder pinned "
+                             "to BENCH_PR9.json) and write BENCH_PR10.json")
     parser.add_argument("--reservations-only", action="store_true",
                         help="run only the compiled paper-floor ladder "
                              "pinned to the BENCH_PR8.json makespans and "
@@ -1718,8 +1594,7 @@ def main(argv=None):
                   "tier0_fused": bench_tier0_fused(),
                   "tier0_ladder": bench_tier0_ladder(),
                   "pr10_ladder": bench_pr9_ladder(fleets=(500,),
-                                                  baseline="BENCH_PR9.json"),
-                  "field_arena": bench_field_arena_sharing()}
+                                                  baseline="BENCH_PR9.json")}
         failed = report_fields(fields, args.fields_out)
         for cell in fields["pr10_ladder"].get("cells", []):
             pinned = cell.get("makespan_matches_pr8")

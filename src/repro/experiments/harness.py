@@ -22,13 +22,11 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence)
 
-from ..config import PAPER_SCALE_MIN_CELLS, PlannerConfig, SimulationConfig
+from ..config import PlannerConfig, SimulationConfig
 from ..errors import ConfigurationError
-from ..pathfinding.heuristics import (FieldArena, FieldArenaHandle,
-                                      attach_field_arena)
 from ..planners import PLANNERS
 from ..sim.engine import Simulation, SimulationResult
 from ..sim.serialize import result_to_dict
@@ -61,26 +59,14 @@ class ComparisonResult:
 
 def run_planner(scenario: ScenarioSpec, planner_name: str,
                 planner_config: Optional[PlannerConfig] = None,
-                sim_config: Optional[SimulationConfig] = None,
-                arena_handle: Optional[FieldArenaHandle] = None
+                sim_config: Optional[SimulationConfig] = None
                 ) -> SimulationResult:
-    """Run one planner over a fresh build of ``scenario``.
-
-    ``arena_handle``, when given, names a shared-memory block of
-    prebuilt heuristic fields (see :func:`run_matrix`); the planner
-    reads goal fields from it instead of re-flooding them, with
-    bit-identical values.  A stale handle is silently ignored.
-    """
+    """Run one planner over a fresh build of ``scenario``."""
     if planner_name not in PLANNERS:
         raise KeyError(f"unknown planner {planner_name!r}; "
                        f"choose from {sorted(PLANNERS)}")
     state, items = scenario.build()
     planner = PLANNERS[planner_name](state, planner_config)
-    if arena_handle is not None:
-        try:
-            planner.attach_field_arena(attach_field_arena(arena_handle))
-        except (FileNotFoundError, OSError):
-            pass
     return Simulation(state, planner, items, sim_config).run()
 
 
@@ -131,12 +117,6 @@ class MatrixCell:
     sim_config: Optional[SimulationConfig] = None
     #: Optional explicit id override (sweeps label their own cells).
     label: str = ""
-    #: Shared heuristic-field arena for this cell's grid, attached by
-    #: :func:`run_matrix` on the pool path.  Excluded from ``cell_id``
-    #: (the digest hashes only the config pair) because attached fields
-    #: are bit-identical to locally flooded ones — a transport detail,
-    #: not a knob.
-    arena_handle: Optional[FieldArenaHandle] = None
 
     @property
     def cell_id(self) -> str:
@@ -192,8 +172,7 @@ def execute_cell(cell: MatrixCell) -> Dict[str, Any]:
     """
     started = time.perf_counter()
     result = run_planner(cell.scenario, cell.planner,
-                         cell.planner_config, cell.sim_config,
-                         arena_handle=cell.arena_handle)
+                         cell.planner_config, cell.sim_config)
     return {
         "cell_id": cell.cell_id,
         "scenario": cell.scenario.name,
@@ -271,64 +250,17 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
             notify(cell.cell_id, "start")
             finish(cell, execute_cell(cell))
     else:
-        pending, arenas = _share_field_arenas(pending)
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending))) as pool:
-                futures = {}
-                for cell in pending:
-                    notify(cell.cell_id, "queued")
-                    futures[pool.submit(execute_cell, cell)] = cell
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining,
-                                           return_when=FIRST_COMPLETED)
-                    for future in done:
-                        finish(futures[future], future.result())
-        finally:
-            for arena in arenas:
-                arena.close()
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(pending))) as pool:
+            futures = {}
+            for cell in pending:
+                notify(cell.cell_id, "queued")
+                futures[pool.submit(execute_cell, cell)] = cell
+            remaining = set(futures)
+            while remaining:
+                done, remaining = wait(remaining,
+                                       return_when=FIRST_COMPLETED)
+                for future in done:
+                    finish(futures[future], future.result())
 
     return {cell_id: payloads[cell_id] for cell_id in ids}
-
-
-def _share_field_arenas(pending: Sequence[MatrixCell]
-                        ) -> "tuple[List[MatrixCell], List[FieldArena]]":
-    """Build one shared heuristic-field arena per distinct pending grid.
-
-    Workers running cells on the same floor would each re-flood the same
-    per-goal BFS fields and hold private copies (the dominant share of a
-    small cell's setup and RSS).  Instead the parent floods each distinct
-    grid's goal fields — rack homes and picker stations, the only goals
-    planners route to — once into shared memory, and tags every cell with
-    its grid's handle; workers attach read-only.  Paper-scale
-    unobstructed floors use zero-footprint lazy Manhattan fields, so
-    those grids are skipped.  Returns the (possibly re-tagged) cells and
-    the owned arenas the caller must close after the pool drains; any
-    failure to build simply leaves cells untagged (workers flood locally,
-    bit-identically).
-    """
-    arenas: List[FieldArena] = []
-    handles: Dict[Any, Optional[FieldArenaHandle]] = {}
-    tagged: List[MatrixCell] = []
-    for cell in pending:
-        layout = cell.scenario.layout()
-        grid = layout.grid
-        key = grid
-        if key not in handles:
-            handle = None
-            if (grid.n_cells < PAPER_SCALE_MIN_CELLS
-                    or grid.blocked_cells):
-                try:
-                    arena = FieldArena.build(
-                        grid, tuple(layout.rack_homes)
-                        + tuple(layout.picker_locations))
-                    arenas.append(arena)
-                    handle = arena.handle()
-                except (OSError, ValueError):
-                    handle = None
-            handles[key] = handle
-        handle = handles[key]
-        tagged.append(cell if handle is None
-                      else replace(cell, arena_handle=handle))
-    return tagged, arenas

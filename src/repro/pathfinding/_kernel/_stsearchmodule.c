@@ -685,10 +685,9 @@ typedef struct {
     const GridData *gd;
     int64_t height;
     Py_ssize_t n_cells;
-    PyObject *hlist;       /* h_mode 0: list field (borrowed) */
     const int32_t *hbuf;   /* h_mode 2: int32 buffer field (borrowed) */
-    int h_mode;            /* 0 list, 1 native Manhattan, 2 int32 buffer */
-    int64_t gx, gy;        /* h_mode 1 goal coordinates */
+    int h_mode;            /* 1 native Manhattan, 2 int32 buffer */
+    long long gx, gy;      /* h_mode 1 goal coordinates */
     /* per-call state: nothing outlives run() */
     int deep;              /* deep-tie sub-bucket order vs FIFO */
     HMap hm;               /* rel state -> parent */
@@ -716,17 +715,43 @@ heuristic_at(const Search *s, Py_ssize_t ci, int *err)
         int64_t dy = y > s->gy ? y - s->gy : s->gy - y;
         return dx + dy;
     }
-    int64_t h = s->h_mode == 2 ? (int64_t)s->hbuf[ci]
-        : (int64_t)PyLong_AsLongLong(PyList_GET_ITEM(s->hlist, ci));
+    int64_t h = (int64_t)s->hbuf[ci];
     if (h < 0) {
         /* h indexes the buckets: a negative one must never get there */
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_AssertionError,
-                            "negative h: heuristic field is not consistent");
+        PyErr_SetString(PyExc_AssertionError,
+                        "negative h: heuristic field is not consistent");
         *err = 1;
         return 0;
     }
     return h;
+}
+
+/* The h-field of run and tier0_leg: mode 1 (native Manhattan) holds
+ * nothing; mode 2 reads ``h_arg`` under reserve_path's buffer rule, as
+ * n_cells contiguous int32 values in one dimension.  Returns 0 for mode
+ * 1, 1 with ``view`` held for mode 2, -1 with an exception set. */
+static int
+h_field_open(int h_mode, PyObject *h_arg, Py_ssize_t n_cells,
+             Py_buffer *view)
+{
+    if (h_mode == 1)
+        return 0;
+    if (h_mode != 2) {
+        PyErr_SetString(PyExc_ValueError, "h_mode must be 1 or 2");
+        return -1;
+    }
+    if (PyObject_GetBuffer(h_arg, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != (Py_ssize_t)sizeof(int32_t)
+            || view->format == NULL || strcmp(view->format, "i")
+            || view->shape[0] != n_cells
+            || !PyBuffer_IsContiguous(view, 'C')) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError, "h field must be a contiguous "
+                        "one-dimensional buffer of n_cells int32 values");
+        return -1;
+    }
+    return 1;
 }
 
 /* Record a successor the search has not seen and push it at f-offset
@@ -838,33 +863,13 @@ stsearch_run(PyObject *self, PyObject *args)
     s.deep = deep;
 
     Py_buffer hview;
-    int have_hview = 0;
-    if (h_mode == 1) {
-        long long gx, gy;
-        if (!PyArg_ParseTuple(h_arg, "LL", &gx, &gy))
-            return NULL;
-        s.gx = (int64_t)gx;
-        s.gy = (int64_t)gy;
-    } else if (h_mode == 2) {
-        if (PyObject_GetBuffer(h_arg, &hview, PyBUF_SIMPLE) < 0)
-            return NULL;
-        if (hview.len != (Py_ssize_t)(s.n_cells * sizeof(int32_t))) {
-            PyBuffer_Release(&hview);
-            PyErr_SetString(PyExc_TypeError,
-                            "h buffer must hold n_cells int32 values");
-            return NULL;
-        }
+    int have_hview = h_field_open(h_mode, h_arg, s.n_cells, &hview);
+    if (have_hview < 0)
+        return NULL;
+    if (have_hview)
         s.hbuf = (const int32_t *)hview.buf;
-        have_hview = 1;
-    } else {
-        if (!PyList_Check(h_arg)
-                || PyList_GET_SIZE(h_arg) != s.n_cells) {
-            PyErr_SetString(PyExc_TypeError,
-                            "h field must be a list of n_cells ints");
-            return NULL;
-        }
-        s.hlist = h_arg;
-    }
+    else if (!PyArg_ParseTuple(h_arg, "LL", &s.gx, &s.gy))
+        return NULL;
 
     Probe probe;
     probe_init(&probe, probe_mode, tile_bits, probe_a, probe_b);
@@ -1624,13 +1629,12 @@ stsearch_purge_before(PyObject *self, PyObject *args)
 /*                                                                     */
 /* bfs_fill floods true shortest-path distances over the prepared      */
 /* adjacency table straight into a caller-owned int32 buffer — the     */
-/* backing store of an eager HeuristicField (and, shared, of the       */
-/* multiprocessing field arena).  tier0_leg fuses the free-flow greedy */
-/* descent (free_flow._walk, both regimes) with the bulk reservation   */
-/* audit (audit_chain semantics) and, on a hit, the wait-following     */
-/* rescue (cache.follow_with_waits) over the same probes, answering a  */
-/* served leg in one call.  Bit-identity with the python bodies is     */
-/* pinned by the equivalence suites.                                   */
+/* backing store of an eager HeuristicField.  tier0_leg fuses the      */
+/* free-flow greedy descent (FreeFlowPathCache.packed, on either field */
+/* kind) with the bulk reservation audit (audit_chain semantics) and,  */
+/* on a hit, the wait-following rescue (cache.follow_with_waits) over  */
+/* the same probes, answering a served leg in one call.  Bit-identity  */
+/* with the python bodies is pinned by the equivalence suites.         */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -1778,32 +1782,18 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     int64_t height = gd->height;
 
     Py_buffer hview;
-    const int32_t *hbuf = NULL;
-    int have_hview = 0;
-    if (h_mode == 2) {
-        if (PyObject_GetBuffer(h_arg, &hview, PyBUF_SIMPLE) < 0)
-            return NULL;
-        if (hview.len != (Py_ssize_t)(gd->n_cells * sizeof(int32_t))) {
-            PyBuffer_Release(&hview);
-            PyErr_SetString(PyExc_TypeError,
-                            "h buffer must hold n_cells int32 values");
-            return NULL;
-        }
-        hbuf = (const int32_t *)hview.buf;
-        have_hview = 1;
-    } else if (h_mode != 1) {
-        PyErr_SetString(PyExc_ValueError,
-                        "tier0_leg h_mode must be 1 or 2");
+    int have_hview = h_field_open(h_mode, h_arg, gd->n_cells, &hview);
+    if (have_hview < 0)
         return NULL;
-    }
+    const int32_t *hbuf = have_hview ? (const int32_t *)hview.buf : NULL;
 
-    /* -- descent extraction (mirrors free_flow._walk) ----------------- */
+    /* -- descent extraction (the walk of FreeFlowPathCache.packed) ---- */
     int64_t k;
     int32_t *indices = NULL;
     int64_t *keys = NULL;
-    if (h_mode == 1) {
-        /* closed form on the lazy Manhattan field: all of x, then all
-         * of y (see _walk_manhattan — unobstructed floors only) */
+    if (!have_hview) {
+        /* that walk on the lazy Manhattan field (unobstructed floors):
+         * rows list +x, -x, +y, -y, so all of x, then all of y */
         int64_t sx = (int64_t)source_ci / height;
         int64_t sy = (int64_t)source_ci % height;
         int64_t gx = (int64_t)goal_ci / height;
@@ -1849,7 +1839,7 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
                 }
             }
             if (next < 0) {
-                /* exact fields always descend; mirror _walk_generic's
+                /* exact fields always descend; mirror packed()'s
                  * defensive None */
                 PyMem_Free(indices);
                 PyBuffer_Release(&hview);
@@ -1943,6 +1933,8 @@ static PyMethodDef stsearch_methods[] = {
      "    finisher, finisher_trigger, deep, init_expansions,\n"
      "    init_peak_open)\n"
      " -> (status, keys, finisher_tail, expansions, generated, peak_open)\n"
+     "h_mode 1 is native Manhattan (h_arg: the goal's (x, y)), 2 a\n"
+     "one-dimensional int32 buffer of n_cells values.\n"
      "``keys`` is the found leg (the head, when a finisher supplied the\n"
      "tail) as an array('q') of packed cell keys, one per tick from\n"
      "start_time; None when the search failed."},
@@ -1971,11 +1963,12 @@ static PyMethodDef stsearch_methods[] = {
      "    rescue_wait_per_step, rescue_total_wait)\n"
      " -> (verdict, keys)\n"
      "Fused free-flow descent + bulk reservation audit + wait-following\n"
-     "rescue (both caps 0 = off).  Verdicts: 0 unreachable; 1 conflict-\n"
-     "free (keys: the leg); 2 head audited clean for a finisher (keys:\n"
-     "the head, ending on the trigger cell); 3 audit reject; 4 rescued\n"
-     "(keys: the leg with its waits).  ``keys`` is an array('q') of\n"
-     "packed cell keys, one per tick from start_t, None for 0 and 3."},
+     "rescue (both caps 0 = off; h_mode as for run, h_arg unused by 1).\n"
+     "Verdicts: 0 unreachable; 1 conflict-free (keys: the leg); 2 head\n"
+     "audited clean for a finisher (keys: the head, ending on the trigger\n"
+     "cell); 3 audit reject; 4 rescued (keys: the leg with its waits).\n"
+     "``keys`` is an array('q') of packed cell keys, one per tick from\n"
+     "start_t, None for 0 and 3."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -58,8 +58,8 @@ class ShortestPathCache:
 
         ``heuristics`` is the owning planner's
         :class:`~repro.pathfinding.heuristics.HeuristicFieldCache`.  A
-        miss whose goal already has an eager (int32-buffer) field —
-        memoised or arena-backed; :meth:`peek` never floods one — reads
+        miss whose goal already has a memoised eager (int32-buffer)
+        field — :meth:`peek` never floods one — reads
         ``flat[source]`` instead of running the spatial A* flood that
         :func:`~repro.pathfinding.astar.shortest_path` performs before
         concluding "disconnected".  Reachable pairs still take the
@@ -69,8 +69,8 @@ class ShortestPathCache:
         self._fields = heuristics
 
     def __getstate__(self):
-        # The field cache holds invalidation closures (unpicklable) and
-        # is rebuilt by the owning planner on restore, which re-attaches.
+        # The field cache is the owning planner's: it is rebuilt from the
+        # grid on restore rather than shipped, and the planner re-attaches.
         state = self.__dict__.copy()
         state["_fields"] = None
         return state
@@ -82,7 +82,7 @@ class ShortestPathCache:
         if field is None:
             return False
         flat = field.flat
-        if not isinstance(flat, (array.array, memoryview)):
+        if not isinstance(flat, array.array):
             # Lazy Manhattan flats carry no reachability information.
             return False
         return flat[source[0] * self._grid.height

@@ -32,26 +32,23 @@ identical either way; only the cycle count changes.  Extraction and
 audit are one call, :meth:`FreeFlowPathCache.kernel_leg`, which answers
 the same verdict tuple from the native ``tier0_leg`` (walk, audit and
 wait-following rescue fused in C, the leg handed back as one packed
-buffer) or from the memoised chain,
+buffer) or from :meth:`~FreeFlowPathCache.packed`,
 :meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain` and
 :func:`~repro.pathfinding.cache.follow_with_waits`.
 
-:class:`FreeFlowPathCache` memoises the descents per ``(source, goal)``
-pair — goals (rack homes, picker stations) recur thousands of times per
-run and sources concentrate on the same cells, so steady-state extraction
-is one dict hit.  Descents depend only on the immutable grid and the
-goal, never on reservations, so the cache needs no traffic-driven
-invalidation; the explicit :meth:`~FreeFlowPathCache.invalidate` /
-:meth:`~FreeFlowPathCache.clear` hooks exist for callers that rebuild
-heuristic caches (the owning
-:class:`~repro.pathfinding.heuristics.HeuristicFieldCache` calls
-``clear`` when its own field cache resets).
+:meth:`~FreeFlowPathCache.packed` is the specification: the generic
+greedy walk, run fresh on every call over whichever field the goal has.
+The native walk is pinned against it on both field kinds — on the lazy
+Manhattan field it takes the closed form "all of x, then all of y", the
+answer the generic walk gives there.  Nothing is memoised: a descent
+depends only on the immutable grid and the goal's field, and the
+planner's field cache already holds the expensive part.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..types import Cell
 from ..warehouse.grid import Grid
@@ -59,9 +56,6 @@ from .cache import follow_with_waits
 from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
 from .paths import Path, packed_path
 from .reservation import PackedChain
-
-#: Distinguishes "memoised as unreachable" from "not memoised".
-_MISSING = object()
 
 #: The loaded ``_stsearch`` module when the fused tier-0 kernel is
 #: active, else ``None`` (python descent + audit pair).  Set by
@@ -85,7 +79,7 @@ def descent_kernel_name() -> str:
 
 
 class FreeFlowPathCache:
-    """Memoised free-flow (reservation-oblivious) shortest cell chains.
+    """Free-flow (reservation-oblivious) shortest cell chains for tier 0.
 
     Parameters
     ----------
@@ -97,12 +91,6 @@ class FreeFlowPathCache:
         reads (and, for a fresh goal, builds) the goal's field through it.
     """
 
-    #: Cap on memoised (source, goal) chains before the cache resets;
-    #: sources and goals are bounded sets in practice (rack homes,
-    #: pickers, horizon-replan cells), so this only guards pathological
-    #: callers sweeping pairs across the whole floor.
-    _ENTRY_CAP = 4096
-
     #: Which kernel served the *last* :meth:`kernel_leg` call
     #: (``"compiled"``/``"python"``; ``""`` before the first) — the
     #: tier-0 counterpart of ``ReservationTable.mutation_kernel``, read
@@ -112,52 +100,41 @@ class FreeFlowPathCache:
     def __init__(self, grid: Grid, heuristics: HeuristicFieldCache) -> None:
         self._grid = grid
         self._heuristics = heuristics
-        self._chains: Dict[Tuple[Cell, Cell], Optional[PackedChain]] = {}
-        #: Total cells across memoised chains, tracked incrementally so
-        #: ``memory_bytes`` — sampled per checkpoint — never walks the
-        #: memo.  ``recount`` is the walk-from-scratch verification twin.
-        self._chain_cells = 0
-        #: Memo bookkeeping (distinct from the planner-level fast-path
-        #: hit/miss counters, which classify *legs*): how many descent
-        #: requests were answered from the memo vs. walked fresh.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        heuristics.add_invalidation_listener(self.clear)
 
     def packed(self, source: Cell, goal: Cell) -> Optional[PackedChain]:
-        """The greedy-descent chain ``source → goal``, memoised and packed.
+        """The greedy-descent chain ``source → goal``, packed.
 
-        The :class:`~repro.pathfinding.reservation.PackedChain` carries
-        the cell tuple plus the precomputed packed keys ``audit_chain``
-        probes with; ``None`` when ``goal`` is spatially unreachable
-        from ``source``.
-        """
-        key = (source, goal)
-        chain = self._chains.get(key, _MISSING)
-        if chain is not _MISSING:
-            self.memo_hits += 1
-            return chain
-        self.memo_misses += 1
-        if len(self._chains) >= self._ENTRY_CAP:
-            self._chains.clear()
-            self._chain_cells = 0
-        chain = self._walk(source, goal)
-        self._chains[key] = chain
-        if chain is not None:
-            self._chain_cells += len(chain)
-        return chain
-
-    def descent(self, source: Cell,
-                goal: Cell) -> Optional[Tuple[Cell, ...]]:
-        """The greedy-descent cell chain ``source → goal``, memoised.
-
-        Returns the cell sequence (including both endpoints) of the
-        shortest path the full ST-A\\* would return on an empty
-        reservation table, or ``None`` when ``goal`` is spatially
+        At every cell the walk takes the *first* neighbour in adjacency
+        order whose field value is one lower, so the chain is the path
+        the full ST-A\\* returns on an empty reservation table.  The
+        :class:`~repro.pathfinding.reservation.PackedChain` carries the
+        cell tuple (both endpoints included) plus the packed keys
+        ``audit_chain`` probes with; ``None`` when ``goal`` is spatially
         unreachable from ``source``.
         """
-        chain = self.packed(source, goal)
-        return None if chain is None else chain.cells
+        grid = self._grid
+        height = grid.height
+        flat = self._heuristics.field(goal).flat
+        ci = source[0] * height + source[1]
+        h = flat[ci]
+        if h > grid.n_cells:
+            return None  # the field's unreachable marker
+        adjacency = grid.adjacency
+        cell_keys = grid.cell_keys
+        cells = [source]
+        keys = [cell_keys[ci]]
+        append = cells.append
+        while h:
+            h -= 1
+            for nci, nkey in adjacency[ci]:
+                if flat[nci] == h:
+                    ci = nci
+                    keys.append(nkey)
+                    break
+            else:  # pragma: no cover — exact fields always descend
+                return None
+            append(divmod(ci, height))
+        return PackedChain(tuple(cells), keys)
 
     def kernel_leg(self, reservation, t: int, source: Cell, goal: Cell,
                    finisher_factory, rescue_caps=(0, 0)):
@@ -190,15 +167,14 @@ class FreeFlowPathCache:
         which of the two served the call.
 
         The compiled ``tier0_leg`` serves the library's own tables
-        (probe modes 1-4) over the two field representations it knows
-        and walks the descent itself (cheap in C, and skipping the
-        ``packed()`` memo keeps the per-call cost flat).  Anything else
-        — no module, a generic mode-0 table, a foreign field — takes
-        the memoised chain through ``audit_chain`` in the same order:
-        reachability, finisher factory, head audit, rescue.  EATP's
-        shortest-path cache depends on that order — consulting the
-        factory or the finisher where the full search would not mutates
-        the cache (and its memory metric) as no tier-0-off run would.
+        (probe modes 1-4) over the two field kinds and walks the descent
+        itself.  Anything else — no module, a generic mode-0 table, a
+        foreign field — takes :meth:`packed` through ``audit_chain`` in
+        the same order: reachability, finisher factory, head audit,
+        rescue.  EATP's shortest-path cache depends on that order —
+        consulting the factory or the finisher where the full search
+        would not mutates the cache (and its memory metric) as no
+        tier-0-off run would.
         """
         module = _DESCENT_MODULE
         if module is None:
@@ -216,7 +192,7 @@ class FreeFlowPathCache:
         sci = source[0] * height + source[1]
         if isinstance(flat, _LazyManhattanFlat):
             h_mode, h_arg = 1, None
-        elif isinstance(flat, (array, memoryview)):
+        elif isinstance(flat, array):
             # Same order as the python pair: an unreachable leg answers
             # before the finisher factory is ever consulted.
             if flat[sci] > grid.n_cells:
@@ -235,8 +211,8 @@ class FreeFlowPathCache:
 
     def _python_leg(self, reservation, t: int, source: Cell, goal: Cell,
                     finisher_factory, rescue_caps):
-        """:meth:`kernel_leg` over the memoised chain, ``audit_chain``
-        and ``follow_with_waits``."""
+        """:meth:`kernel_leg` over :meth:`packed`, ``audit_chain`` and
+        ``follow_with_waits``."""
         self.descent_kernel = "python"
         chain = self.packed(source, goal)
         if chain is None:
@@ -255,102 +231,3 @@ class FreeFlowPathCache:
             if steps is not None:
                 return 4, Path(steps), finisher, trigger
         return 3, None, finisher, trigger
-
-    def _walk(self, source: Cell, goal: Cell) -> Optional[PackedChain]:
-        flat = self._heuristics.field(goal).flat
-        if isinstance(flat, _LazyManhattanFlat):
-            # Paper-scale unobstructed floors carry the lazy Manhattan
-            # field; the descent on it has a closed form (below) that
-            # skips ~3 python ``flat[nci]`` probes per step — the
-            # dominant cost of a fresh walk at fleet scale.
-            return self._walk_manhattan(source, goal)
-        return self._walk_generic(source, goal, flat)
-
-    def _walk_manhattan(self, source: Cell,
-                        goal: Cell) -> Optional[PackedChain]:
-        """Closed form of :meth:`_walk_generic` on a Manhattan field.
-
-        The generic walk takes, at every cell, the *first* neighbour in
-        adjacency order whose field value descends.  Adjacency rows list
-        ``+x, -x, +y, -y`` (bounds-filtered, order preserved), and on an
-        unobstructed floor a Manhattan-descending move is always in
-        bounds — so the first descending neighbour is the ``x`` move
-        toward the goal while one exists, then the ``y`` move: the whole
-        chain is "all of x, then all of y".  Bit-identity with the
-        generic loop on the same field is pinned by the tier-0 suite.
-        """
-        height = self._grid.height
-        cell_keys = self._grid.cell_keys
-        sx, sy = source
-        gx, gy = goal
-        cells = [(x, sy) for x in range(sx, gx, 1 if gx > sx else -1)]
-        cells += [(gx, y) for y in range(sy, gy, 1 if gy > sy else -1)]
-        cells.append(goal)
-        return PackedChain(tuple(cells),
-                           [cell_keys[x * height + y] for x, y in cells])
-
-    def _walk_generic(self, source: Cell, goal: Cell,
-                      flat) -> Optional[PackedChain]:
-        grid = self._grid
-        height = grid.height
-        ci = source[0] * height + source[1]
-        h = flat[ci]
-        if h > grid.n_cells:
-            return None  # the field's unreachable marker
-        adjacency = grid.adjacency
-        cell_keys = grid.cell_keys
-        cells = [source]
-        keys = [cell_keys[ci]]
-        append = cells.append
-        while h:
-            h -= 1
-            for nci, nkey in adjacency[ci]:
-                if flat[nci] == h:
-                    ci = nci
-                    keys.append(nkey)
-                    break
-            else:  # pragma: no cover — exact fields always descend
-                return None
-            append(divmod(ci, height))
-        return PackedChain(tuple(cells), keys)
-
-    # -- invalidation hooks -------------------------------------------------
-
-    def invalidate(self, goal: Cell) -> None:
-        """Drop every memoised chain toward ``goal``."""
-        for key in [key for key in self._chains if key[1] == goal]:
-            chain = self._chains.pop(key)
-            if chain is not None:
-                self._chain_cells -= len(chain)
-
-    def clear(self) -> None:
-        """Drop every memoised chain (field-cache reset hook)."""
-        self._chains.clear()
-        self._chain_cells = 0
-
-    # -- introspection ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def memory_bytes(self) -> int:
-        """Approximate footprint (observability; deliberately excluded
-        from the Fig. 12 MC metric like the heuristic-field cache — it is
-        a cross-cutting acceleration, not one of the paper's per-planner
-        structures).  O(1): chain cells are counted as chains are
-        memoised and dropped."""
-        return 64 + 100 * len(self._chains) + 16 * self._chain_cells
-
-    def live_counts(self) -> Dict[str, int]:
-        """Occupancy counters, mirroring the reservation structures."""
-        return {"chains": len(self._chains),
-                "chain_cells": self._chain_cells,
-                "memory_bytes": self.memory_bytes()}
-
-    def recount(self) -> Dict[str, int]:
-        """Recompute :meth:`live_counts` by walking the memo (debug)."""
-        cells = sum(len(chain) for chain in self._chains.values()
-                    if chain is not None)
-        return {"chains": len(self._chains),
-                "chain_cells": cells,
-                "memory_bytes": 64 + 100 * len(self._chains) + 16 * cells}

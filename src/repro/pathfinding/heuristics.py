@@ -7,24 +7,27 @@ standard MAPF trick that stays admissible and is reusable across the many
 searches that share a goal (every delivery to the same picker, for
 instance).
 
-Two representations coexist.  The closure-based heuristics
-(:func:`manhattan_heuristic`, :func:`true_distance_heuristic`) satisfy the
-callable :data:`Heuristic` protocol.  :class:`HeuristicField` additionally
-exposes the distances as a flat list indexed by cell index (``x·H + y``),
-which is what the packed-integer spatiotemporal A* core consumes — one
-list index per h-lookup instead of a closure call.  On open floors the
-field equals Manhattan everywhere (so searches are bit-identical to the
-paper's h-value); on obstructed floors it is *tighter* while staying
-admissible and consistent.
+Searches read one of two field kinds, both indexed by cell index
+(``x·H + y``) and both with a native encoding in the compiled kernel:
+
+* :class:`_LazyManhattanFlat` — the paper's h-value, two subtractions per
+  lookup and nothing stored.  :func:`~repro.pathfinding.st_astar.search`
+  builds one when called without a heuristic, and :class:`HeuristicField`
+  holds one on unobstructed paper-scale floors, where the BFS distance
+  equals Manhattan everywhere.
+* the eager ``array('i')`` BFS field of :class:`HeuristicField`, flooded
+  by :meth:`~repro.warehouse.grid.Grid.distance_flat` on every other
+  floor — exact, so *tighter* than Manhattan on obstructed floors while
+  staying admissible and consistent.
+
+The closure-based heuristics (:func:`manhattan_heuristic`,
+:func:`true_distance_heuristic`) satisfy the callable :data:`Heuristic`
+protocol and are searched by the python core only.
 """
 
 from __future__ import annotations
 
-import atexit
-import weakref
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..config import PAPER_SCALE_MIN_CELLS
 from ..types import Cell, manhattan
@@ -64,7 +67,7 @@ class _LazyManhattanFlat:
 
     On a grid with no blocked cells the exact BFS distance *is* the
     Manhattan distance for every cell (the 4-connected rectangle has no
-    detours), so the eager O(HW) list a :class:`HeuristicField` normally
+    detours), so the eager O(HW) buffer a :class:`HeuristicField` normally
     builds — ~0.1 s and megabytes per goal on the paper-true 541×302
     floor, times thousands of distinct rack/picker goals — can be
     replaced by two subtractions at lookup time.  Values are identical
@@ -101,7 +104,7 @@ class HeuristicField:
     :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells, ``flat`` is a
     :class:`_LazyManhattanFlat` — value-identical (BFS distance equals
     Manhattan when nothing blocks), zero build cost and zero footprint.
-    Small floors keep the eager list: the lookup is a hair faster and
+    Other floors keep the eager buffer: the lookup is a hair faster and
     every historical benchmark/golden ran on it.
     """
 
@@ -117,181 +120,14 @@ class HeuristicField:
         # One typed int32 buffer per eager field (unreachable cells get
         # the n_cells + 1 infinity).  Indexing yields plain ints exactly
         # like the historical boxed-int list, while the buffer protocol
-        # feeds the compiled search / tier-0 kernels zero-copy and ships
-        # through the shared field arena without re-flooding.
+        # feeds the compiled search / tier-0 kernels zero-copy.
         self.flat = grid.distance_flat(goal, unreached=grid.n_cells + 1)
         #: Reported footprint: the actual 4 B/cell buffer plus header
         #: (the previous estimate charged 8 B/pointer list skeleton).
         self.nbytes = 64 + 4 * len(self.flat)
 
-    @classmethod
-    def from_flat(cls, goal: Cell, height: int, flat,
-                  nbytes: int = 64) -> "HeuristicField":
-        """Wrap an existing flat buffer (arena-backed fields).
-
-        Shared-memory fields charge only the 64 B skeleton: the backing
-        bytes live once in the arena, not per attached cache.
-        """
-        field = object.__new__(cls)
-        field.goal = goal
-        field._height = height
-        field.flat = flat
-        field.nbytes = nbytes
-        return field
-
     def __call__(self, cell: Cell) -> int:
         return self.flat[cell[0] * self._height + cell[1]]
-
-
-@dataclass(frozen=True)
-class FieldArenaHandle:
-    """Picklable pointer to a live :class:`FieldArena`.
-
-    Worker initargs and checkpoints ship this instead of the fields
-    themselves; :func:`attach_field_arena` turns it back into zero-copy
-    views in the receiving process.
-    """
-
-    name: str
-    height: int
-    n_cells: int
-    slots: Tuple[Tuple[Cell, int], ...]
-
-
-class FieldArena:
-    """Read-only shared-memory store of eager heuristic-field buffers.
-
-    One :mod:`multiprocessing.shared_memory` block holds the int32
-    distance buffer of every exported goal back to back, so matrix
-    worker pools *inherit* fields by attaching instead of paying a
-    full-floor BFS flood per goal per process — the fields are
-    physically shared pages, not per-worker copies.  The arena is
-    immutable after build; attached :class:`HeuristicField` views are
-    value-identical to locally flooded ones by construction (same
-    deterministic BFS, same sentinel).
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, height: int,
-                 n_cells: int, slots: Dict[Cell, int],
-                 owner: bool) -> None:
-        self._shm = shm
-        self._height = height
-        self._n_cells = n_cells
-        self._slots = slots
-        self._owner = owner
-        #: Every memoryview handed out over the block.  ``close()``
-        #: releases them so the mapping can actually drop — without
-        #: this, ``SharedMemory``'s finaliser hits ``BufferError:
-        #: cannot close exported pointers exist`` at interpreter
-        #: shutdown in every process still holding a field view.
-        self._views: List[memoryview] = []
-
-    @classmethod
-    def build(cls, grid: Grid, goals: Iterable[Cell]) -> "FieldArena":
-        """Flood every distinct passable goal into one shared block."""
-        distinct: List[Cell] = []
-        seen = set()
-        for goal in goals:
-            if goal not in seen and grid.passable(goal):
-                seen.add(goal)
-                distinct.append(goal)
-        n_cells = grid.n_cells
-        size = max(4 * n_cells * len(distinct), 1)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        slots: Dict[Cell, int] = {}
-        infinity = n_cells + 1
-        for i, goal in enumerate(distinct):
-            view = memoryview(shm.buf)[4 * n_cells * i:
-                                       4 * n_cells * (i + 1)]
-            cast = view.cast("i")
-            cast[:] = grid.distance_flat(goal, unreached=infinity)
-            cast.release()
-            view.release()
-            slots[goal] = i
-        return cls(shm, grid.height, n_cells, slots, owner=True)
-
-    def handle(self) -> FieldArenaHandle:
-        """The picklable attachment token for this arena."""
-        return FieldArenaHandle(self._shm.name, self._height,
-                                self._n_cells,
-                                tuple(self._slots.items()))
-
-    def goals(self) -> Tuple[Cell, ...]:
-        return tuple(self._slots)
-
-    def field(self, goal: Cell) -> Optional[HeuristicField]:
-        """A zero-copy :class:`HeuristicField` view, or ``None``."""
-        slot = self._slots.get(goal)
-        if slot is None:
-            return None
-        n = self._n_cells
-        flat = memoryview(self._shm.buf)[4 * n * slot:
-                                         4 * n * (slot + 1)].cast("i")
-        self._views.append(flat)
-        return HeuristicField.from_flat(goal, self._height, flat)
-
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def close(self) -> None:
-        """Release the handed-out views and the shared block.
-
-        The owner additionally unlinks; it should close only after
-        every worker that attached has exited.  Attachers get this
-        registered as an :mod:`atexit` hook by
-        :func:`attach_field_arena`, so their mappings drop cleanly
-        before interpreter teardown; fields served from the arena stop
-        being readable afterwards, which only ever happens at process
-        exit.  Idempotent.
-        """
-        for view in self._views:
-            try:
-                view.release()
-            except BufferError:  # pragma: no cover - still sub-exported
-                pass
-        self._views.clear()
-        try:
-            if self._owner:
-                try:
-                    self._shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - gone
-                    pass
-            self._shm.close()
-        except BufferError:  # pragma: no cover - foreign view alive
-            pass
-
-
-def attach_field_arena(handle: FieldArenaHandle) -> FieldArena:
-    """Open an existing arena from its handle (worker side).
-
-    Raises ``FileNotFoundError`` when the block no longer exists (e.g.
-    a checkpoint restored after the owning run closed it); callers
-    treat that as "no arena" and fall back to local floods.
-    """
-    try:
-        # 3.13+ spells "attachment, not ownership" directly; without it
-        # the attach would enrol the block with the resource tracker,
-        # which unlinks it when *this* process exits — yanking it from
-        # under the owner and every sibling (bpo-38119).
-        shm = shared_memory.SharedMemory(name=handle.name, track=False)
-    except TypeError:  # pragma: no cover - depends on interpreter
-        # Pre-3.13: suppress the tracker registration for the duration
-        # of the attach (the documented workaround for the same bug).
-        from multiprocessing import resource_tracker
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            shm = shared_memory.SharedMemory(name=handle.name)
-        finally:
-            resource_tracker.register = original
-    arena = FieldArena(shm, handle.height, handle.n_cells,
-                       dict(handle.slots), owner=False)
-    # Orderly mapping teardown at process exit (see FieldArena.close).
-    atexit.register(arena.close)
-    return arena
 
 
 class HeuristicFieldCache:
@@ -313,41 +149,6 @@ class HeuristicFieldCache:
     def __init__(self, grid: Grid) -> None:
         self._grid = grid
         self._fields: Dict[Cell, HeuristicField] = {}
-        self._invalidation_listeners: List[weakref.ref] = []
-        self._arena: Optional[FieldArena] = None
-
-    def attach_arena(self, arena: Optional[FieldArena]) -> None:
-        """Serve arena goals as zero-copy views instead of re-flooding.
-
-        Misses for goals outside the arena still flood locally, so an
-        arena is purely an accelerator — behaviour is identical with or
-        without one (the views are value-identical by construction).
-        """
-        self._arena = arena
-
-    def add_invalidation_listener(self, listener: Callable[[], None]) -> None:
-        """Register a hook fired whenever the field cache resets.
-
-        Derived caches (the tier-0
-        :class:`~repro.pathfinding.free_flow.FreeFlowPathCache`) key work
-        off these fields; the hook lets them drop their entries in
-        lockstep with the cap-driven reset.  Rebuilt fields are
-        bit-identical (the BFS is deterministic over the immutable grid),
-        so the hook is bookkeeping hygiene, not a correctness need.
-        Bound-method listeners are held weakly — registering must not
-        extend a derived cache's lifetime, and dead listeners are pruned
-        at fire time — so a caller that builds chains repeatedly over one
-        long-lived field cache leaks nothing.  Plain callables (lambdas,
-        partials) are held strongly: their only reference is often the
-        argument itself, and a silently-dead hook would be worse than the
-        retention.
-        """
-        if hasattr(listener, "__self__"):
-            ref = weakref.WeakMethod(listener)
-        else:
-            def ref(listener=listener):  # strong holder, same call shape
-                return listener
-        self._invalidation_listeners.append(ref)
 
     def field(self, goal: Cell) -> HeuristicField:
         """Return (building if needed) the exact field toward ``goal``."""
@@ -355,31 +156,16 @@ class HeuristicFieldCache:
         if field is None:
             if len(self._fields) >= self._FIELD_CAP:
                 self._fields.clear()
-                live = []
-                for ref in self._invalidation_listeners:
-                    listener = ref()
-                    if listener is not None:
-                        listener()
-                        live.append(ref)
-                self._invalidation_listeners = live
-            if self._arena is not None:
-                field = self._arena.field(goal)
-            if field is None:
-                field = HeuristicField(self._grid, goal)
-            self._fields[goal] = field
+            field = self._fields[goal] = HeuristicField(self._grid, goal)
         return field
 
     def peek(self, goal: Cell) -> Optional[HeuristicField]:
-        """The field toward ``goal`` if already materialised, else None.
+        """The field toward ``goal`` if already memoised, else None.
 
-        Consults the memo and the attached arena without flooding —
-        the O(1) reachability oracle the shortest-path cache uses to
-        fail disconnected pairs fast.
+        Never floods — the O(1) reachability oracle the shortest-path
+        cache uses to fail disconnected pairs fast.
         """
-        field = self._fields.get(goal)
-        if field is None and self._arena is not None:
-            field = self._arena.field(goal)
-        return field
+        return self._fields.get(goal)
 
     def distance(self, source: Cell, goal: Cell) -> int:
         """True shortest-path distance (≥ grid size if unreachable)."""

@@ -12,7 +12,7 @@ H + y`` (one machine int instead of a nested ``((x, y), t)`` tuple), so
 queue entries and parents are plain-int keyed, successor generation is
 one indexed read of the grid's memoised adjacency rows, conflict probes go
 through the reservation structure's packed-key fast path, and h-values are
-flat-list lookups.  A state's cost is its time layer, so it enters the
+indexed field lookups.  A state's cost is its time layer, so it enters the
 queue once and the parent map is the seen-set — no g-score table, no
 closed set, no stale entries.  Expansion order, tie breaking and the
 search statistics are bit-identical to the tuple-based seed implementation
@@ -272,25 +272,19 @@ def _kernel_h_spec(heuristic: Optional[Heuristic], hfield):
 
     Only the library's own fields go native — the default Manhattan field
     and :class:`~repro.pathfinding.heuristics.HeuristicField` are
-    consistent by construction, which the kernel's bucket queue relies on
-    and does not check; a caller-supplied ``flat`` promises nothing.
-    Mode 0 indexes a plain list field; mode 1 computes Manhattan distance
-    natively from the goal coordinates (the lazy paper-scale field, whose
-    ``__getitem__`` the hot loop must not call back into); mode 2 reads
-    an int32 buffer (the eager BFS fields' ``array('i')`` flats and the
-    shared arena's memoryviews) through the buffer protocol, zero-copy.
-    Anything else — the ``_LazyField`` adapter over arbitrary callables —
-    stays on the pure-python core.
+    consistent by construction, which the kernel's bucket queue relies on;
+    a caller-supplied ``flat`` promises nothing.  Mode 1 computes
+    Manhattan distance natively from the goal coordinates (the lazy
+    field, whose ``__getitem__`` the hot loop must not call back into);
+    mode 2 reads the eager BFS fields' ``array('i')`` through the buffer
+    protocol, zero-copy.  Anything else — the ``_LazyField`` adapter over
+    arbitrary callables — stays on the pure-python core.
     """
     if heuristic is not None and not isinstance(heuristic, HeuristicField):
         return None
-    if type(hfield) is list:
-        return 0, hfield
     if isinstance(hfield, _LazyManhattanFlat):
         return 1, (hfield._gx, hfield._gy)
     if isinstance(hfield, array) and hfield.typecode == "i":
-        return 2, hfield
-    if isinstance(hfield, memoryview) and hfield.format == "i":
         return 2, hfield
     return None
 
@@ -556,7 +550,7 @@ def _heuristic_field(grid: Grid, goal: Cell,
                      heuristic: Optional[Heuristic]) -> Sequence[int]:
     """Resolve ``heuristic`` into an h-field indexed by cell index."""
     if heuristic is None:
-        return grid.manhattan_field(goal)
+        return _LazyManhattanFlat(goal, grid.height, grid.n_cells)
     flat = getattr(heuristic, "flat", None)
     if flat is not None:
         field_height = getattr(heuristic, "_height", None)

@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional
 from ..config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from ..errors import PlanningError
 from ..pathfinding.free_flow import FreeFlowPathCache
-from ..pathfinding.heuristics import HeuristicFieldCache, attach_field_arena
+from ..pathfinding.heuristics import HeuristicFieldCache
 from ..pathfinding.paths import Path
 from ..pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_MISS,
                                     FASTPATH_RESCUE, TIER_FREE_FLOW,
@@ -127,11 +127,6 @@ class Planner(abc.ABC):
     #: commit (the only operation that grows the structures).
     _peak_memory: int = 0
 
-    #: Handle of the shared heuristic-field arena this planner reads
-    #: from, or ``None`` (fields flood locally).  Class-level default so
-    #: checkpoints pickled before the arena existed restore cleanly.
-    _arena_handle = None
-
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
         self.state = state
@@ -152,8 +147,7 @@ class Planner(abc.ABC):
         #: Exact per-goal heuristic fields, shared by every leg to the
         #: same picker / rack home (one BFS per distinct goal, ever).
         self.heuristics = HeuristicFieldCache(self.grid)
-        #: Tier-0 free-flow descent cache (memoised per (source, goal);
-        #: invalidated in lockstep with the field cache).
+        #: Tier-0 free-flow descents over those fields.
         self.free_flow = FreeFlowPathCache(self.grid, self.heuristics)
         self.stats = PlannerStats()
         #: The fallback chain every leg routes through.
@@ -185,9 +179,9 @@ class Planner(abc.ABC):
 
     #: Attributes dropped from checkpoint payloads and rebuilt on restore.
     #: The pipeline captures closures over ``self``; the heuristic-field
-    #: and free-flow caches hold closure/weakref invalidation listeners
-    #: and are pure functions of the immutable grid (rebuilt entries are
-    #: bit-identical, and neither is charged to the MC metric).
+    #: cache and the tier-0 descents over it are pure functions of the
+    #: immutable grid (rebuilt fields are bit-identical, a field is up to
+    #: 4 bytes a cell, and neither is charged to the MC metric).
     #: Everything that carries *state* — the reservation structure, the
     #: RNG, the learner, EATP's shortest-path cache (which IS charged to
     #: MC) — is pickled as-is.
@@ -203,29 +197,7 @@ class Planner(abc.ABC):
         self.__dict__.update(state)
         self.heuristics = HeuristicFieldCache(self.grid)
         self.free_flow = FreeFlowPathCache(self.grid, self.heuristics)
-        handle = self.__dict__.get("_arena_handle")
-        if handle is not None:
-            # Best effort: the arena outlives checkpoints taken in the
-            # same process (service-mode restore), but a checkpoint
-            # restored after the owner unlinked — or on another host —
-            # rebuilds fields from the grid instead, bit-identically.
-            try:
-                self.heuristics.attach_arena(attach_field_arena(handle))
-            except (FileNotFoundError, OSError):
-                self._arena_handle = None
         self.pipeline = self._build_pipeline()
-
-    def attach_field_arena(self, arena) -> None:
-        """Read heuristic fields from a shared :class:`FieldArena`.
-
-        The harness calls this right after construction so matrix
-        workers reuse the parent-built int32 distance fields over shared
-        memory instead of re-flooding them per process.
-        Fields for goals outside the arena still flood locally; every
-        answer is bit-identical either way.
-        """
-        self._arena_handle = arena.handle()
-        self.heuristics.attach_arena(arena)
 
     # -- extension points ------------------------------------------------------
 

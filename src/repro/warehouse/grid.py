@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -91,11 +91,7 @@ class Grid:
     """
 
     __slots__ = ("width", "height", "_blocked", "adjacency", "cell_keys",
-                 "_manhattan_fields", "_kernel_capsule", "_components")
-
-    #: Cap on memoised Manhattan fields before the cache resets; bounds the
-    #: worst case (every cell used as a goal) to ~cap·H·W ints.
-    _MANHATTAN_FIELD_CAP = 1024
+                 "_kernel_capsule", "_components")
 
     def __init__(self, width: int, height: int,
                  blocked: Optional[Iterable[Cell]] = None) -> None:
@@ -109,7 +105,6 @@ class Grid:
             if not self.in_bounds(cell):
                 raise InvalidLocationError(f"blocked cell {cell} is out of bounds")
         self._build_packed_tables()
-        self._manhattan_fields: Dict[Cell, List[int]] = {}
         #: Lazily-built native prepared-grid capsule (per loaded module).
         self._kernel_capsule = None
         #: Lazily-built connected-component labels (``connected()``).
@@ -195,26 +190,6 @@ class Grid:
             self._kernel_capsule = capsule
         return capsule
 
-    def manhattan_field(self, goal: Cell) -> List[int]:
-        """Flat Manhattan-distance-to-``goal`` field, indexed by cell index.
-
-        Memoised per goal so repeated searches toward the same cell pay
-        the O(HW) build once; the cache resets past
-        ``_MANHATTAN_FIELD_CAP`` distinct goals to bound its footprint.
-        """
-        field = self._manhattan_fields.get(goal)
-        if field is None:
-            if len(self._manhattan_fields) >= self._MANHATTAN_FIELD_CAP:
-                self._manhattan_fields.clear()
-            gx, gy = goal
-            height = self.height
-            field = []
-            for x in range(self.width):
-                dx = abs(x - gx)
-                field.extend(dx + abs(y - gy) for y in range(height))
-            self._manhattan_fields[goal] = field
-        return field
-
     def neighbours(self, cell: Cell) -> Iterator[Cell]:
         """Yield passable cardinal neighbours of ``cell``."""
         x, y = cell
@@ -243,8 +218,7 @@ class Grid:
         collide with a real distance (a distance is at most
         ``n_cells - 1``, so ``-1`` and ``n_cells + 1`` are both safe).
         The int32 buffer is the zero-copy backing store the compiled
-        search / tier-0 kernels index directly, and what the shared
-        field arena ships between worker processes.  The native flood
+        search / tier-0 kernels index directly.  The native flood
         (``bfs_fill``) and the python flood below visit cells in the
         same FIFO order and are bit-identical.
         """
@@ -337,7 +311,7 @@ class Grid:
         """Pickle as the constructor call, not slot state.
 
         The lazy kernel capsule is a PyCapsule (unpicklable) and the
-        memoised fields/labels are cheap to rebuild, so worker initargs
+        memoised labels are cheap to rebuild, so worker initargs
         and checkpoints ship only the defining triple; everything
         derived is reconstructed deterministically on first use.
         """

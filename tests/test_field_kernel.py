@@ -1,10 +1,9 @@
-"""Native tier-0 plane: prepared grid, field flood, fused descent+audit,
-field arena.
+"""Native tier-0 plane: prepared grid, field flood, fused descent+audit.
 
 The prepared-grid capsule every compiled entry point reads is built by
 the kernel itself from the grid's blocked mask; it must reject malformed
 input, leak nothing, and leave the grid's python adjacency rows unbuilt.
-Then three compiled surfaces, each of which must be a bit-identical
+Then two compiled surfaces, each of which must be a bit-identical
 drop-in for its python body:
 
 * ``bfs_fill`` — the heuristic-field flood over the prepared adjacency
@@ -17,10 +16,9 @@ drop-in for its python body:
   buffers and the paper-scale lazy Manhattan closed form) — and
   ``FreeFlowPathCache.kernel_leg``, the one tier-0 entry, must answer the
   same verdict tuple from either kernel, so the chain's single
-  interpreter builds the same leg;
-* the shared :class:`FieldArena` — fields served from shared memory must
-  equal locally flooded ones, attach across pickled handles, and degrade
-  cleanly when the owning block is gone.
+  interpreter builds the same leg.
+
+The per-planner field cache they read closes the module.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from repro.pathfinding.cdt import (ConflictDetectionTable,
 from repro.pathfinding.free_flow import (FreeFlowPathCache,
                                          descent_kernel_name,
                                          set_descent_kernel)
-from repro.pathfinding.heuristics import (FieldArena, HeuristicFieldCache,
-                                          attach_field_arena)
+from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import FallbackChain
 from repro.pathfinding.reservation import ReservationTable
@@ -456,7 +453,8 @@ class TestOneTierZeroContract:
             def finisher(cell, tick):
                 if tick % 2:
                     return None
-                return Path.from_cells(cache.descent(cell, goal), tick).steps
+                return Path.from_cells(cache.packed(cell, goal).cells,
+                                       tick).steps
             return finisher, trigger
         return factory
 
@@ -541,7 +539,7 @@ class TestOneTierZeroContract:
             table.purge_before(base + 40)
             return verdicts
 
-        assert cycle(0) == {1, 3}  # warm: capsule, fields, memo, buckets
+        assert cycle(0) == {1, 3}  # warm: capsule, fields, buckets
         tracemalloc.start()
         try:
             gc.collect()
@@ -791,80 +789,35 @@ class TestFusedLegManhattanRegime:
             lambda goal: (None, 0))
         assert cache.descent_kernel == "python"
         assert verdict == 1
-        assert path == Path.from_cells(cache.descent((0, 0), (7, 7)), 0)
+        assert path == Path.from_cells(cache.packed((0, 0), (7, 7)).cells, 0)
 
 
-# -- the shared field arena --------------------------------------------------
+# -- the per-planner field cache ---------------------------------------------
 
 
-class TestFieldArena:
-    def test_fields_equal_local_floods(self):
-        grid = Grid(11, 9, blocked=[(5, 4), (2, 2)])
-        goals = [(0, 0), (10, 8), (5, 3), (2, 2)]  # one blocked goal
-        arena = FieldArena.build(grid, goals)
-        try:
-            assert set(arena.goals()) == {(0, 0), (10, 8), (5, 3)}
-            infinity = grid.n_cells + 1
-            for goal in arena.goals():
-                served = arena.field(goal)
-                expected = grid.distance_flat(goal, unreached=infinity)
-                assert list(served.flat) == list(expected)
-                assert served.nbytes == 64  # views own no buffer
-            assert arena.field((9, 9)) is None
-            assert arena.nbytes() == 4 * grid.n_cells * 3
-        finally:
-            arena.close()
-
-    def test_attach_roundtrip_and_cache_integration(self):
-        grid = Grid(9, 7)
-        goals = [(0, 0), (8, 6)]
-        arena = FieldArena.build(grid, goals)
-        try:
-            handle = pickle.loads(pickle.dumps(arena.handle()))
-            reader = attach_field_arena(handle)
-            cache = HeuristicFieldCache(grid)
-            cache.attach_arena(reader)
-            for goal in goals:
-                served = cache.field(goal)
-                expected = HeuristicFieldCache(grid).field(goal)
-                assert list(served.flat) == list(expected.flat)
-                assert cache.field(goal) is served  # memoised view
-            # peek answers memo/arena goals without flooding new ones.
-            assert cache.peek((0, 0)) is not None
-            assert cache.peek((4, 4)) is None
-            # Goals outside the arena still flood locally.
-            local = cache.field((4, 4))
-            assert list(local.flat) == list(
-                HeuristicFieldCache(grid).field((4, 4)).flat)
-        finally:
-            arena.close()
-
-    def test_attach_after_unlink_raises(self):
-        grid = Grid(5, 5)
-        arena = FieldArena.build(grid, [(0, 0)])
-        handle = arena.handle()
-        arena.close()
-        with pytest.raises(FileNotFoundError):
-            attach_field_arena(handle)
-
-    def test_close_is_idempotent(self):
-        arena = FieldArena.build(Grid(4, 4), [(0, 0)])
-        arena.field((0, 0))
-        arena.close()
-        arena.close()
-
-    def test_soak_flatness_nbytes_consistency(self):
-        # Satellite to the nbytes fix: the cache ledger must equal the
-        # sum of the fields' own nbytes, eager and arena-backed alike.
+class TestHeuristicFieldCache:
+    def test_peek_never_floods(self):
         grid = Grid(9, 7, blocked=[(4, 3)])
-        arena = FieldArena.build(grid, [(0, 0)])
-        try:
-            cache = HeuristicFieldCache(grid)
-            cache.attach_arena(attach_field_arena(arena.handle()))
-            cache.field((0, 0))   # arena view: 64 header bytes
-            cache.field((8, 6))   # local flood: 64 + 4 B/cell
-            total = sum(field.nbytes for field in cache._fields.values())
-            assert cache.memory_bytes() == total
-            assert total == 64 + (64 + 4 * grid.n_cells)
-        finally:
-            arena.close()
+        cache = HeuristicFieldCache(grid)
+        assert cache.peek((0, 0)) is None and len(cache) == 0
+        field = cache.field((0, 0))
+        assert cache.peek((0, 0)) is field  # a memo hit
+        assert cache.peek((8, 6)) is None and len(cache) == 1
+
+    def test_cap_resets_the_memo(self):
+        grid = Grid(9, 7)
+        cache = HeuristicFieldCache(grid)
+        cache._FIELD_CAP = 2
+        first = cache.field((0, 0))
+        cache.field((1, 1))
+        cache.field((2, 2))  # over the cap: the memo starts again
+        assert len(cache) == 1 and cache.peek((0, 0)) is None
+        # a rebuilt field is value-identical (the flood is deterministic)
+        assert cache.field((0, 0)).flat == first.flat
+
+    def test_memory_bytes_sums_field_nbytes(self):
+        grid = Grid(9, 7, blocked=[(4, 3)])
+        cache = HeuristicFieldCache(grid)
+        cache.field((0, 0))
+        cache.field((8, 6))
+        assert cache.memory_bytes() == 2 * (64 + 4 * grid.n_cells)

@@ -20,12 +20,14 @@ import random
 
 import pytest
 
-from repro.config import PlannerConfig, SimulationConfig
+from repro.config import (PAPER_SCALE_MIN_CELLS, PlannerConfig,
+                          SimulationConfig)
 from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
-from repro.pathfinding.heuristics import HeuristicFieldCache
-from repro.pathfinding.paths import Path
+from repro.pathfinding.heuristics import (HeuristicFieldCache,
+                                          _LazyManhattanFlat)
+from repro.pathfinding.paths import Path, packed_path
 from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT,
                                         FASTPATH_MISS, FASTPATH_OFF,
                                         TIER_FREE_FLOW, TIER_FULL,
@@ -116,7 +118,7 @@ class TestDescentMatchesSearch:
         rng = random.Random(7)
         for __ in range(25):
             source, goal = rng.choice(cells), rng.choice(cells)
-            chain = cache.descent(source, goal)
+            chain = cache.packed(source, goal).cells
             searched = find_path(grid, ConflictDetectionTable(), source,
                                  goal, 0,
                                  heuristic=cache._heuristics.field(goal))
@@ -132,7 +134,7 @@ class TestDescentMatchesSearch:
             cells = list(grid.cells())
             for __ in range(15):
                 source, goal = rng.choice(cells), rng.choice(cells)
-                chain = cache.descent(source, goal)
+                chain = cache.packed(source, goal).cells
                 searched = find_path(grid, ConflictDetectionTable(), source,
                                      goal, 3,  # non-zero start time too
                                      heuristic=cache._heuristics.field(goal))
@@ -146,133 +148,76 @@ class TestDescentMatchesSearch:
         # descent must match that default call too.
         grid = GRIDS["open"]
         cache = make_cache(grid)
-        chain = cache.descent((0, 0), (8, 6))
+        chain = cache.packed((0, 0), (8, 6)).cells
         searched = find_path(grid, ConflictDetectionTable(), (0, 0),
                              (8, 6), 0)
         assert chain == tuple(searched.spatial_cells())
 
     def test_unreachable_returns_none(self):
         grid = Grid(8, 3, blocked=[(4, y) for y in range(3)])
-        assert make_cache(grid).descent((0, 0), (7, 0)) is None
+        assert make_cache(grid).packed((0, 0), (7, 0)) is None
 
     def test_source_equals_goal(self):
-        assert make_cache(GRIDS["open"]).descent((3, 3), (3, 3)) == ((3, 3),)
+        chain = make_cache(GRIDS["open"]).packed((3, 3), (3, 3))
+        assert chain.cells == ((3, 3),)
 
 
 class TestManhattanClosedForm:
-    """The closed-form descent equals the generic loop, every field.
+    """The native closed-form descent equals the generic walk.
 
-    Paper-scale unobstructed floors carry the lazy Manhattan field and
-    `_walk` answers with `_walk_manhattan` — all-of-x-then-all-of-y by
-    construction.  The generic descent loop run on the *same* lazy field
-    must produce the identical chain in both representations tier 0
-    consumes (cells, packed keys), or tier-0 behaviour would silently
-    depend on floor size.
+    On the lazy Manhattan field of an unobstructed floor at or above the
+    paper-scale gate, ``tier0_leg`` (h_mode 1) walks "all of x, then all
+    of y" without reading a field.  ``packed()`` — the generic walk, the
+    specification — run on the same lazy field must produce the identical
+    chain in both representations tier 0 consumes (cells, packed keys),
+    or tier-0 behaviour would silently depend on the kernel.
     """
 
-    def test_paper_floor_random_pairs(self):
-        from repro.pathfinding.heuristics import _LazyManhattanFlat
-
-        grid = Grid(541, 302)
+    def assert_closed_form_matches(self, width, height):
+        grid = Grid(width, height)
         cache = make_cache(grid)
+        capsule = grid.kernel_capsule(_COMPILED)
+        spec = ConflictDetectionTable().kernel_probe_spec()
         rng = random.Random(20220808)
-        pairs = [((rng.randrange(541), rng.randrange(302)),
-                  (rng.randrange(541), rng.randrange(302)))
+        pairs = [((rng.randrange(width), rng.randrange(height)),
+                  (rng.randrange(width), rng.randrange(height)))
                  for __ in range(40)]
-        # Degenerate axes: same cell, same column, same row, reversed.
-        pairs += [((7, 9), (7, 9)), ((7, 9), (7, 200)), ((7, 9), (400, 9)),
-                  ((400, 200), (7, 9))]
+        # Degenerate axes: same cell, same column, same row, reversed,
+        # corner to corner.
+        far = (width - 1, height - 1)
+        pairs += [((7, 9), (7, 9)), ((7, 9), (7, height - 2)),
+                  ((7, 9), (width - 3, 9)), (far, (7, 9)), ((0, 0), far),
+                  ((width - 1, 0), (0, height - 1))]
         for source, goal in pairs:
-            flat = cache._heuristics.field(goal).flat
-            assert isinstance(flat, _LazyManhattanFlat)
-            fast = cache._walk_manhattan(source, goal)
-            slow = cache._walk_generic(source, goal, flat)
-            assert fast.cells == slow.cells, (source, goal)
-            assert fast.keys == slow.keys, (source, goal)
+            assert isinstance(cache._heuristics.field(goal).flat,
+                              _LazyManhattanFlat)
+            chain = cache.packed(source, goal)
+            verdict, keys = _COMPILED.tier0_leg(
+                capsule, *spec, 1, None, grid.cell_index(source),
+                grid.cell_index(goal), 0, 0, 0, 0)
+            assert verdict == 1, (source, goal)
+            assert list(keys) == list(chain.keys), (source, goal)
+            assert (tuple(packed_path(0, keys).spatial_cells())
+                    == chain.cells), (source, goal)
 
-    def test_dispatch_selects_closed_form_on_paper_floor(self):
-        grid = Grid(541, 302)
-        cache = make_cache(grid)
-        chain = cache.packed((3, 5), (10, 2))
-        assert chain.cells == cache._walk_manhattan((3, 5), (10, 2)).cells
+    @pytest.mark.skipif(_COMPILED is None, reason="native kernel unavailable")
+    def test_paper_floor_random_pairs(self):
+        self.assert_closed_form_matches(541, 302)
+
+    @pytest.mark.skipif(_COMPILED is None, reason="native kernel unavailable")
+    def test_gate_floor_random_pairs(self):
+        grid = Grid(128, 128)
+        assert grid.n_cells == PAPER_SCALE_MIN_CELLS
+        self.assert_closed_form_matches(128, 128)
 
     def test_small_floors_keep_the_generic_walk(self):
         # Sub-paper floors build eager fields; the descent there still
         # matches the search (TestDescentMatchesSearch) — here we only
         # pin that the closed form is not involved.
-        from repro.pathfinding.heuristics import _LazyManhattanFlat
-
         grid = GRIDS["open"]
         cache = make_cache(grid)
         assert not isinstance(cache._heuristics.field((5, 5)).flat,
                               _LazyManhattanFlat)
-
-
-class TestFreeFlowCache:
-    def test_memoises_per_pair(self):
-        cache = make_cache(GRIDS["open"])
-        first = cache.descent((0, 0), (8, 6))
-        second = cache.descent((0, 0), (8, 6))
-        assert first is second
-        assert cache.memo_hits == 1 and cache.memo_misses == 1
-        assert len(cache) == 1
-
-    def test_unreachable_memoised(self):
-        grid = Grid(8, 3, blocked=[(4, y) for y in range(3)])
-        cache = make_cache(grid)
-        assert cache.descent((0, 0), (7, 0)) is None
-        assert cache.descent((0, 0), (7, 0)) is None
-        assert cache.memo_hits == 1  # the None was memoised, not re-walked
-
-    def test_invalidate_goal(self):
-        cache = make_cache(GRIDS["open"])
-        cache.descent((0, 0), (8, 6))
-        cache.descent((1, 0), (8, 6))
-        cache.descent((0, 0), (5, 5))
-        cache.invalidate((8, 6))
-        assert len(cache) == 1  # only the (0,0)->(5,5) chain survives
-
-    def test_clear(self):
-        cache = make_cache(GRIDS["open"])
-        cache.descent((0, 0), (8, 6))
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_field_cache_reset_clears_descents(self):
-        grid = GRIDS["open"]
-        heuristics = HeuristicFieldCache(grid)
-        cache = FreeFlowPathCache(grid, heuristics)
-        cache.descent((0, 0), (8, 6))
-        assert len(cache) == 1
-        # Force the field cache over its cap: the registered hook must
-        # drop the descents in lockstep.
-        heuristics._FIELD_CAP = 1
-        heuristics.field((5, 5))
-        heuristics.field((6, 6))
-        assert len(cache) == 0
-
-    def test_dead_listeners_pruned(self):
-        # A derived cache's lifetime must not be extended by the field
-        # cache it observes: listeners are weak, and a reset prunes the
-        # dead ones.
-        grid = GRIDS["open"]
-        heuristics = HeuristicFieldCache(grid)
-        cache = FreeFlowPathCache(grid, heuristics)
-        assert len(heuristics._invalidation_listeners) == 1
-        del cache
-        heuristics._FIELD_CAP = 1
-        heuristics.field((5, 5))
-        heuristics.field((6, 6))  # triggers the reset → prune
-        assert heuristics._invalidation_listeners == []
-
-    def test_entry_cap_resets(self):
-        cache = make_cache(GRIDS["open"])
-        cache._ENTRY_CAP = 3
-        cells = list(GRIDS["open"].cells())
-        for goal in cells[:5]:
-            cache.descent((0, 0), goal)
-        assert len(cache) <= 3
-        assert cache.memory_bytes() > 0
 
 
 class TestAuditPath:

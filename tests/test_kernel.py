@@ -33,7 +33,7 @@ from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
 from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import (ConflictDetectionTable,
                                    ShardedConflictDetectionTable)
-from repro.pathfinding.heuristics import HeuristicFieldCache
+from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
@@ -496,8 +496,8 @@ def test_search_retains_nothing(kernel):
     set_search_kernel(kernel)
     table.reserve_path(Path.from_cells([(32, 20)] * 150, start_time=0))
     # Warm what legitimately outlives a search by running the same deep
-    # one first: the grid's capsule, its memoised Manhattan field and,
-    # under the python kernel, the adjacency rows the search reads.
+    # one first: the grid's capsule and, under the python kernel, the
+    # adjacency rows the search reads.
     assert search(grid, table, request).ok
 
     tracemalloc.start()
@@ -628,7 +628,7 @@ class TestInconsistentFieldNeverPlans:
         return COMPILED.run(
             grid.kernel_capsule(COMPILED),
             *ConflictDetectionTable().kernel_probe_spec(),
-            0, field, 0, 8, 0, 200_000, None, 0, deep, 0, 0)
+            2, array("i", field), 0, 8, 0, 200_000, None, 0, deep, 0, 0)
 
     @pytest.mark.parametrize("deep", [0, 1])
     def test_consistent_list_field_is_served(self, deep):
@@ -645,6 +645,55 @@ class TestInconsistentFieldNeverPlans:
     def test_inconsistent_field_raises(self, field, deep):
         with pytest.raises(AssertionError, match="not consistent"):
             self.run(field, deep)
+
+
+#: The descending field of ``Grid(9, 1)`` toward its last cell, as the
+#: buffers ``run`` and ``tier0_leg`` must refuse: the right values under
+#: another item type, no item type at all, or the right items laid out
+#: in two dimensions or with a stride.
+_LINE = list(range(8, -1, -1))
+BAD_H_BUFFERS = {
+    "float32": array("f", _LINE),
+    "uint32": array("I", _LINE),
+    "bytes": array("i", _LINE).tobytes(),
+    "two-dimensional": memoryview(array("i", _LINE)).cast("B").cast(
+        "i", (3, 3)),
+    "strided": memoryview(array("i", [h for h in _LINE for __ in "ab"]))[::2],
+}
+
+
+@needs_compiled
+class TestHFieldBuffer:
+    """``run`` and ``tier0_leg`` read an h-field one way: h_mode 1 or 2,
+    and for 2 a contiguous one-dimensional buffer of n_cells int32."""
+
+    def call(self, entry, h_mode, h_arg):
+        grid = Grid(9, 1)
+        head = (grid.kernel_capsule(COMPILED),) + (
+            ConflictDetectionTable().kernel_probe_spec())
+        if entry == "run":
+            return COMPILED.run(*head, h_mode, h_arg, 0, 8, 0, 200_000, None,
+                                0, 0, 0, 0)[:2]
+        return COMPILED.tier0_leg(*head, h_mode, h_arg, 0, 8, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    def test_both_modes_serve_the_reachable_goal(self, entry):
+        by_buffer = self.call(entry, 2, array("i", _LINE))
+        by_manhattan = self.call(entry, 1, (8, 0))
+        assert by_buffer[0] == by_manhattan[0] == (0 if entry == "run" else 1)
+        assert by_buffer[1] == by_manhattan[1] and len(by_buffer[1]) == 9
+
+    @pytest.mark.parametrize("name", sorted(BAD_H_BUFFERS))
+    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    def test_foreign_buffer_is_refused(self, entry, name):
+        with pytest.raises(TypeError, match="int32"):
+            self.call(entry, 2, BAD_H_BUFFERS[name])
+
+    @pytest.mark.parametrize("h_mode", [0, 3, -1])
+    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    def test_unknown_mode_is_refused(self, entry, h_mode):
+        with pytest.raises(ValueError, match="h_mode"):
+            self.call(entry, h_mode, array("i", _LINE))
 
 
 # -- randomized property ----------------------------------------------------
@@ -672,7 +721,10 @@ def _random_problem(seed):
     request = SearchRequest(source, goal, rng.randrange(8),
                             max_expansions=budget)
     table_factory = rng.choice(sorted(TABLES))
-    return grid, paths, request, table_factory
+    # Both field kinds the kernel reads: the default Manhattan field and
+    # the exact BFS field, on obstructed floors alike.
+    heuristic = rng.choice([None, HeuristicField(grid, goal)])
+    return grid, paths, request, table_factory, heuristic
 
 
 @needs_compiled
@@ -680,7 +732,7 @@ def _random_problem(seed):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=hyp.integers(min_value=0, max_value=10 ** 9))
 def test_property_compiled_matches_python(seed):
-    grid, paths, request, table_factory = _random_problem(seed)
+    grid, paths, request, table_factory, heuristic = _random_problem(seed)
 
     def run(kernel):
         set_search_kernel(kernel)
@@ -688,7 +740,8 @@ def test_property_compiled_matches_python(seed):
         for path in paths:
             table.reserve_path(path)
         stats = SearchStats()
-        return search(grid, table, request, stats=stats), stats
+        return search(grid, table, request, heuristic=heuristic,
+                      stats=stats), stats
 
     try:
         comp, c_stats = run("compiled")
