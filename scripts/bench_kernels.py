@@ -70,8 +70,7 @@ from repro.pathfinding._kernel import build_and_load  # noqa: E402
 from repro.pathfinding._legacy import (LegacyConflictDetectionTable,  # noqa: E402
                                        legacy_find_path,
                                        seed_planner_patches)
-from repro.pathfinding.cdt import (ConflictDetectionTable,  # noqa: E402
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable  # noqa: E402
 from repro.pathfinding.spatiotemporal_graph import (  # noqa: E402
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchStats, find_path,  # noqa: E402
@@ -122,7 +121,7 @@ SMOKE_MIN_FASTPATH_SPEEDUP = 1.5
 
 #: Rungs of the paper-scale big-ladder kernel (PR 6): the 541×302
 #: paper-true floor at the fleet sizes the paper excluded as "too slow
-#: to execute".  Region-sharded reservations and the wait-following
+#: to execute".  The tiled ST graph and the wait-following
 #: rescue are auto-on here (the floor is far above
 #: ``PAPER_SCALE_MIN_CELLS``).
 BIG_LADDER_FLEETS = (500, 1000, 3000)
@@ -160,11 +159,10 @@ KERNEL_LADDER_FLEETS = (500, 1000, 3000)
 #: several-fold headroom for slow shared runners.
 SMOKE_BIG_RUNG_CEILING_S = 150.0
 
-#: The four production reservation structures the mutation kernel
-#: accelerates (modes 1-4 of ``kernel_probe_spec``).
+#: The three production reservation structures the mutation kernel
+#: accelerates (modes 1, 2 and 4 of ``kernel_probe_spec``).
 RESERVATION_TABLE_MAKERS = (
     ("cdt", lambda grid: ConflictDetectionTable()),
-    ("sharded_cdt", lambda grid: ShardedConflictDetectionTable()),
     ("stgraph", lambda grid: SpatiotemporalGraph(grid)),
     ("sharded_stgraph", lambda grid: ShardedSpatiotemporalGraph()),
 )
@@ -708,8 +706,7 @@ def _big_ladder_cell(spec, planner_name):
     planner = PLANNERS[planner_name](state)
     cell = {"scenario": spec.name, "planner": planner_name,
             "n_robots": spec.n_robots,
-            "floor": f"{spec.width}x{spec.height}",
-            "sharded_reservations": planner.sharded_reservations}
+            "floor": f"{spec.width}x{spec.height}"}
     started = time.perf_counter()
     try:
         result = Simulation(state, planner, items).run()
@@ -750,8 +747,8 @@ def bench_big_ladder(fleets=BIG_LADDER_FLEETS, planners=BIG_LADDER_PLANNERS):
 
     Every cell runs live at scale 1 on the paper's Real-Large floor
     dimensions — the regime the paper excluded as "too slow to execute"
-    — with the paper-scale machinery auto-on: region-sharded reservation
-    structures, the wait-following descent rescue, and deep-tie full
+    — with the paper-scale machinery auto-on: the tiled ST graph, the
+    wait-following descent rescue, and deep-tie full
     search.  Records
     per-rung planning/selection seconds, the tier histogram, the PR-6
     counters and both memory gauges (the planner-structure metric and
@@ -1009,7 +1006,7 @@ def bench_tier0_fused(n_legs=400, seed=20221011):
     compiled_available = build_and_load() is not None
     workload = (f"{n_legs} cold descent+audit legs on 64x40 with crossing "
                 "traffic, python packed()+audit_chain vs fused tier0_leg, "
-                "all four production tables")
+                "all three production tables")
     if not compiled_available:
         return {"workload": workload, "compiled_available": False,
                 "tables": {}}

@@ -43,15 +43,14 @@ def search_kernel_choice() -> str:
     return choice
 
 
-#: Floor size (in cells) past which the "paper-scale" machinery switches on
-#: automatically when the corresponding knob is left at ``None``:
-#: region-sharded reservation structures and the wait-following rescue (the
-#: deep-tie search order and the lazy Manhattan fields read the same size,
-#: without a knob).  Every historical scenario (the scaled-down Table II
-#: floors, the small fleet rungs, the golden-trace mini floor) sits far
-#: below this threshold, so the auto rule leaves their behaviour — and their
-#: goldens — byte-identical; the paper-true 541×302 floor (163 382 cells)
-#: lands far above it.
+#: Floor size (in cells) past which the "paper-scale" machinery switches on:
+#: the tiled ST graph, and the wait-following rescue when its knob is left
+#: at ``None`` (the deep-tie search order and the lazy Manhattan fields read
+#: the same size, without a knob).  Every historical scenario (the
+#: scaled-down Table II floors, the small fleet rungs, the golden-trace mini
+#: floor) sits far below this threshold, so the auto rule leaves their
+#: behaviour — and their goldens — byte-identical; the paper-true 541×302
+#: floor (163 382 cells) lands far above it.
 PAPER_SCALE_MIN_CELLS = 16_384
 
 
@@ -159,19 +158,6 @@ class PlannerConfig:
     reservation_horizon:
         How many ticks into the past the reservation structure keeps before
         its periodic purge (the CDT "update" operation, Sec. VI-B).
-    reservation_sharding:
-        Whether the planner's reservation structure is the region-sharded
-        variant (tick buckets / graph layers partitioned into fixed-size
-        spatial tiles, see :mod:`repro.pathfinding.cdt` and
-        :mod:`repro.pathfinding.spatiotemporal_graph`).  ``None`` (the
-        default) auto-enables sharding on floors of at least
-        :data:`PAPER_SCALE_MIN_CELLS` cells and keeps the paper-faithful
-        global structures below it; sharded and global tables are pinned
-        bit-identical by the equivalence suites, so the knob is a pure
-        performance control.
-    shard_tile_bits:
-        log2 of the tile edge length used by the sharded reservation
-        structures (5 → 32×32-cell tiles).
     qlearning:
         Nested learner configuration, used by ATP and EATP only.
     seed:
@@ -188,8 +174,6 @@ class PlannerConfig:
     rescue_total_wait: int = 96
     fallback_wait_ticks: int = 8
     reservation_horizon: int = 64
-    reservation_sharding: Optional[bool] = None
-    shard_tile_bits: int = 5
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7
 
@@ -210,9 +194,6 @@ class PlannerConfig:
                  f"got {self.fallback_wait_ticks}")
         _require(self.reservation_horizon > 0,
                  f"reservation_horizon must be > 0, got {self.reservation_horizon}")
-        _require(2 <= self.shard_tile_bits <= 10,
-                 f"shard_tile_bits must be in [2, 10], "
-                 f"got {self.shard_tile_bits}")
 
     def with_(self, **changes) -> "PlannerConfig":
         """Return a copy with ``changes`` applied (ablation convenience)."""

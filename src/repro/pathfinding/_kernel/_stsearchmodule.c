@@ -24,9 +24,9 @@
  * — the tier-0 audit and the rescue — by one more vertex probe.
  *
  * Reservation probes run natively for the library's own structures
- * (probe modes 1-4 below) and through the generic packed-probe callables
- * otherwise (mode 0), so third-party ReservationTable subclasses keep
- * working unmodified.
+ * (probe modes 1, 2 and 4 below) and through the generic packed-probe
+ * callables otherwise (mode 0), so third-party ReservationTable
+ * subclasses keep working unmodified.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,7 +53,7 @@ enum {
     PROBE_CALLABLE = 0,     /* (is_free_packed, edge_free_packed)        */
     PROBE_CDT = 1,          /* ({t: set(key)}, {t: set(edge)})           */
     PROBE_DENSE = 2,        /* ({t: bytearray[ci]}, {t: set(edge)})      */
-    PROBE_TILED_SET = 3,    /* ({tile: {t: set(key)}}, {t: set(edge)})   */
+    /* 3 was a tiled CDT layout; the number is not reused. */
     PROBE_TILED_DENSE = 4,  /* ({t: {tile: bytearray}}, {t: set(edge)})  */
 };
 
@@ -438,10 +438,10 @@ typedef struct {
     const char *layer1;    /* mode 2 dense layer bytes for t1 */
     Py_ssize_t layer1_len;
     PyObject *layer_tiles; /* borrowed: mode 4 tile dict for t1 */
-    PyObject *swaps;       /* borrowed: modes 1-4 edge set for t1 - 1 */
+    PyObject *swaps;       /* borrowed: modes 1, 2, 4 edge set for t1 - 1 */
     PyObject *t1_obj;      /* owned */
     PyObject *t0_obj;      /* owned; made by the tick's first probe_edge */
-    int64_t memo_tile_id;  /* modes 3/4 last-tile memo */
+    int64_t memo_tile_id;  /* mode 4 last-tile memo */
     PyObject *memo_tile;   /* borrowed */
 } Probe;
 
@@ -476,8 +476,7 @@ probe_setup(Probe *p, int64_t t1)
     p->layer_tiles = NULL;
     p->swaps = NULL;
     p->t0_obj = NULL;
-    if (p->mode == PROBE_TILED_DENSE)
-        p->memo_tile_id = -1;  /* memo is per time layer */
+    p->memo_tile_id = -1;  /* memo is per time layer */
     p->t1_obj = PyLong_FromLongLong((long long)t1);
     if (p->t1_obj == NULL)
         return -1;
@@ -509,7 +508,7 @@ probe_setup(Probe *p, int64_t t1)
             return -1;
         break;
     default:
-        break;  /* callables take the tick; mode 3 tiles go per cell */
+        break;  /* callables take the tick */
     }
     return 0;
 }
@@ -555,29 +554,6 @@ probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
             return -1;
         }
         return p->layer1[ci] != 0;
-    case PROBE_TILED_SET: {
-        int64_t tile_id = tile_of_key(gd->cell_keys[ci], p->tile_bits);
-        PyObject *tile;
-        if (tile_id == p->memo_tile_id) {
-            tile = p->memo_tile;
-        } else {
-            PyObject *tid = PyLong_FromLongLong((long long)tile_id);
-            if (tid == NULL)
-                return -1;
-            tile = PyDict_GetItemWithError(p->vertex_obj, tid);
-            Py_DECREF(tid);
-            if (tile == NULL && PyErr_Occurred())
-                return -1;
-            p->memo_tile_id = tile_id;
-            p->memo_tile = tile;
-        }
-        if (tile == NULL)
-            return 0;
-        PyObject *bucket = PyDict_GetItemWithError(tile, p->t1_obj);
-        if (bucket == NULL)
-            return PyErr_Occurred() ? -1 : 0;
-        return PySet_Contains(bucket, gd->key_objs[ci]);
-    }
     case PROBE_TILED_DENSE: {
         if (p->layer_tiles == NULL)
             return 0;
@@ -842,7 +818,6 @@ stsearch_run(PyObject *self, PyObject *args)
         break;
     case PROBE_CDT:
     case PROBE_DENSE:
-    case PROBE_TILED_SET:
     case PROBE_TILED_DENSE:
         if (!PyDict_Check(probe_a) || !PyDict_Check(probe_b)) {
             PyErr_SetString(PyExc_TypeError, "probe dicts expected");
@@ -1155,11 +1130,14 @@ dense_layer_new(PyObject *dict, PyObject *t_obj, Py_ssize_t n)
     return layer;  /* borrowed: the dict holds it */
 }
 
+/* The container modes reserve_path, purge_before and tier0_leg serve:
+ * exactly 1, 2 and 4 (mode 0 has no containers to mutate or walk). */
 static int
 mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj,
                int tile_bits)
 {
-    if (mode < PROBE_CDT || mode > PROBE_TILED_DENSE) {
+    if (mode != PROBE_CDT && mode != PROBE_DENSE
+            && mode != PROBE_TILED_DENSE) {
         PyErr_SetString(PyExc_ValueError, "unknown mutation mode");
         return -1;
     }
@@ -1239,7 +1217,6 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
 
     int64_t memo_tile_id = -1;
     int64_t memo_t = -1;
-    int memo_valid = 0;
     PyObject *memo_tile = NULL;  /* borrowed */
 
     /* -- vertex pass (mirrors each table's reserve_path body) -------- */
@@ -1254,43 +1231,11 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
             goto fail;
         int fresh = 0, created = 0;
         switch (mode) {
-        case PROBE_CDT:
-        case PROBE_TILED_SET: {
-            PyObject *target = vertex_obj;
-            if (mode == PROBE_TILED_SET) {
-                int64_t tile_id = tile_of_key(key, tile_bits);
-                if (!memo_valid || tile_id != memo_tile_id) {
-                    PyObject *tid =
-                        PyLong_FromLongLong((long long)tile_id);
-                    if (tid == NULL)
-                        goto step_fail;
-                    memo_tile = PyDict_GetItemWithError(vertex_obj, tid);
-                    if (memo_tile == NULL) {
-                        if (PyErr_Occurred()) {
-                            Py_DECREF(tid);
-                            goto step_fail;
-                        }
-                        memo_tile = PyDict_New();
-                        if (memo_tile == NULL
-                            || PyDict_SetItem(vertex_obj, tid,
-                                              memo_tile) < 0) {
-                            Py_XDECREF(memo_tile);
-                            Py_DECREF(tid);
-                            goto step_fail;
-                        }
-                        Py_DECREF(memo_tile);  /* borrowed via dict */
-                        tiles_added++;
-                    }
-                    Py_DECREF(tid);
-                    memo_tile_id = tile_id;
-                    memo_valid = 1;
-                }
-                target = memo_tile;
-            }
+        case PROBE_CDT: {
             PyObject *key_obj = PyLong_FromLongLong((long long)key);
             if (key_obj == NULL)
                 goto step_fail;
-            int rc = set_bucket_add(target, t_obj, key_obj,
+            int rc = set_bucket_add(vertex_obj, t_obj, key_obj,
                                     &fresh, &created);
             Py_DECREF(key_obj);
             if (rc < 0)
@@ -1356,7 +1301,8 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
         }
         case PROBE_TILED_DENSE: {
             int64_t tile_id = tile_of_key(key, tile_bits);
-            if (!memo_valid || t != memo_t || tile_id != memo_tile_id) {
+            if (memo_tile == NULL || t != memo_t
+                    || tile_id != memo_tile_id) {
                 PyObject *layer =
                     PyDict_GetItemWithError(vertex_obj, t_obj);
                 if (layer == NULL) {
@@ -1390,7 +1336,6 @@ stsearch_reserve_path(PyObject *self, PyObject *args)
                 Py_DECREF(tid);
                 memo_t = t;
                 memo_tile_id = tile_id;
-                memo_valid = 1;
             }
             if (!PyByteArray_Check(memo_tile)) {
                 PyErr_SetString(PyExc_TypeError,
@@ -1571,43 +1516,6 @@ stsearch_purge_before(PyObject *self, PyObject *args)
                                 &v_removed, &vbuckets_removed) < 0)
                 return NULL;
             break;
-        case PROBE_TILED_SET: {
-            /* Tiles may empty and be deleted: snapshot their ids first. */
-            PyObject *tids = PyDict_Keys(vertex_obj);
-            if (tids == NULL)
-                return NULL;
-            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(tids); i++) {
-                PyObject *tid = PyList_GET_ITEM(tids, i);
-                PyObject *tile = PyDict_GetItemWithError(vertex_obj, tid);
-                if (tile == NULL) {
-                    if (PyErr_Occurred()) {
-                        Py_DECREF(tids);
-                        return NULL;
-                    }
-                    continue;
-                }
-                if (!PyDict_Check(tile)) {
-                    PyErr_SetString(PyExc_TypeError,
-                                    "tile is not a dict");
-                    Py_DECREF(tids);
-                    return NULL;
-                }
-                if (purge_tick_dict(tile, vfloor, t, PURGE_COUNT_SET,
-                                    &v_removed, &vbuckets_removed) < 0) {
-                    Py_DECREF(tids);
-                    return NULL;
-                }
-                if (PyDict_GET_SIZE(tile) == 0) {
-                    if (PyDict_DelItem(vertex_obj, tid) < 0) {
-                        Py_DECREF(tids);
-                        return NULL;
-                    }
-                    tiles_removed++;
-                }
-            }
-            Py_DECREF(tids);
-            break;
-        }
         case PROBE_TILED_DENSE:
             if (purge_tick_dict(vertex_obj, vfloor, t, PURGE_COUNT_DICT,
                                 &tiles_removed, &vbuckets_removed) < 0)

@@ -167,14 +167,14 @@ class FreeFlowPathCache:
         which of the two served the call.
 
         The compiled ``tier0_leg`` serves the library's own tables
-        (probe modes 1-4) over the two field kinds and walks the descent
-        itself.  Anything else — no module, a generic mode-0 table, a
-        foreign field — takes :meth:`packed` through ``audit_chain`` in
-        the same order: reachability, finisher factory, head audit,
-        rescue.  EATP's shortest-path cache depends on that order —
-        consulting the factory or the finisher where the full search
-        would not mutates the cache (and its memory metric) as no
-        tier-0-off run would.
+        (probe modes 1, 2 and 4) over the two field kinds and walks the
+        descent itself.  Anything else — no module, a generic mode-0
+        table, a foreign field — takes :meth:`packed` through
+        ``audit_chain`` in the same order: reachability, finisher
+        factory, head audit, rescue.  EATP's shortest-path cache depends
+        on that order — consulting the factory or the finisher where the
+        full search would not mutates the cache (and its memory metric)
+        as no tier-0-off run would.
         """
         module = _DESCENT_MODULE
         if module is None:

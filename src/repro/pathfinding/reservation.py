@@ -76,41 +76,23 @@ def mutation_kernel_name() -> str:
     return "compiled" if _MUTATION_MODULE is not None else "python"
 
 
-# -- spatial tiles (region sharding) ----------------------------------------
-
-def tile_of_cell(x: int, y: int, bits: int) -> int:
-    """Tile id of cell ``(x, y)`` for ``2**bits``-cell-square tiles.
-
-    Tile ids reuse the cell-key packing (tile-x in the high half-word) so
-    a tile id is one small int and the mapping is a pair of shifts.
-    """
-    return ((x >> bits) << CELL_KEY_SHIFT) | (y >> bits)
-
-
-def tile_of_key(key: int, bits: int) -> int:
-    """Tile id of a packed cell key (``x << 16 | y``); see
-    :func:`tile_of_cell`."""
-    return ((key >> (CELL_KEY_SHIFT + bits)) << CELL_KEY_SHIFT) | (
-        (key & CELL_KEY_MASK) >> bits)
-
-
 # -- packed descent chains ---------------------------------------------------
 
 class PackedChain:
     """A free-flow descent chain in both representations tier 0 uses.
 
-    Built once when the chain is memoised (see
-    :class:`~repro.pathfinding.free_flow.FreeFlowPathCache`), then audited
-    thousands of times at different start ticks.  Every consecutive pair
-    of chain cells is a *move* (greedy descents strictly descend the exact
-    h-field, so they never wait), which is what lets the audit enumerate
-    arrivals and traversals by plain index arithmetic.
+    Walked fresh for each leg by
+    :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.packed` and
+    audited by :meth:`ReservationTable.audit_chain`.  Every consecutive
+    pair of chain cells is a *move* (greedy descents strictly descend the
+    exact h-field, so they never wait), which is what lets the audit
+    enumerate arrivals and traversals by plain index arithmetic.
 
     Attributes
     ----------
     cells:
-        The cell tuple, including both endpoints (the legacy
-        ``descent()`` payload).
+        The cell tuple, including both endpoints (what a leg is built
+        from).
     keys:
         Packed cell keys (``x << 16 | y``) per chain cell.
     """
@@ -220,9 +202,10 @@ class ReservationTable(abc.ABC):
         callables — so any subclass works with the compiled kernel
         unmodified (each probe calls back into Python, which still beats
         the interpreted expansion loop).  The library's own structures
-        override it with their native container layouts (modes 1-4) so
-        the hot loop probes C containers directly.  The probe answers are
-        bit-identical across modes; the equivalence suite pins that.
+        override it with their native container layouts (modes 1, 2 and
+        4) so the hot loop probes C containers directly.  The probe
+        answers are bit-identical across modes; the equivalence suite
+        pins that.
         """
         return 0, self.is_free_packed, self.edge_free_packed, 0
 
@@ -359,13 +342,13 @@ class _EdgeMixin:
             (target_key << 32) | source_key) not in bucket
 
     def _reserve_edges(self, path: Path) -> None:
-        steps = path.steps
+        keys = path.keys
         buckets = self._edge_buckets
         floor = self._edge_floor
-        for (t0, x0, y0), (__, x1, y1) in zip(steps, steps[1:]):
-            if t0 >= floor and (x0 != x1 or y0 != y1):
-                key = ((((x0 << CELL_KEY_SHIFT) | y0) << 32)
-                       | ((x1 << CELL_KEY_SHIFT) | y1))
+        for t0, (key0, key1) in enumerate(zip(keys, keys[1:]),
+                                          path.start_time):
+            if t0 >= floor and key0 != key1:
+                key = (key0 << 32) | key1
                 bucket = buckets.get(t0)
                 if bucket is None:
                     bucket = buckets[t0] = set()

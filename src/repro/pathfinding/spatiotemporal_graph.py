@@ -21,7 +21,16 @@ from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from ..warehouse.grid import Grid
 from . import reservation as _rsv
 from .paths import Path
-from .reservation import ReservationTable, _EdgeMixin, tile_of_cell
+from .reservation import ReservationTable, _EdgeMixin
+
+
+def tile_of_cell(x: int, y: int, bits: int) -> int:
+    """Tile id of cell ``(x, y)`` for ``2**bits``-cell-square tiles.
+
+    Tile ids reuse the cell-key packing (tile-x in the high half-word) so
+    a tile id is one small int and the mapping is a pair of shifts.
+    """
+    return ((x >> bits) << CELL_KEY_SHIFT) | (y >> bits)
 
 
 class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
@@ -115,12 +124,13 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
         floor = self._floor
         layers = self._layers
         get = layers.get
-        for (t, x, y) in path:
+        for t, key in enumerate(path.keys, path.start_time):
             if t >= floor:
                 layer = get(t)
                 if layer is None:
                     layer = self._layer(t)
-                layer[x * height + y] = 1
+                layer[(key >> CELL_KEY_SHIFT) * height
+                      + (key & CELL_KEY_MASK)] = 1
         self._reserve_edges(path)
 
     def purge_before(self, t: Tick) -> None:
@@ -192,10 +202,11 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
     Tile blocks are indexed ``((x & mask) << bits) | (y & mask)``; no
     grid reference is needed (tiling is pure coordinate arithmetic),
     which also keeps a checkpoint of the table proportional to live
-    reservations, not floor size.  Directed edges stay in the shared tick-keyed edge buckets for
-    the same reason as the sharded CDT.  Byte counts are tracked
-    incrementally so ``memory_bytes`` — charged per simulation event —
-    is O(1).
+    reservations, not floor size.  Directed edges stay in the shared
+    tick-keyed edge buckets: every edge operation is already O(1) per
+    probe and O(ticks) per purge, so tiling them would add a tile lookup
+    per move for nothing.  Byte counts are tracked incrementally so
+    ``memory_bytes`` — charged per simulation event — is O(1).
     """
 
     def __init__(self, tile_bits: int = 5) -> None:
@@ -268,9 +279,11 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
         floor = self._floor
         last = None
         tile: Optional[bytearray] = None
-        for (t, x, y) in path:
+        for t, key in enumerate(path.keys, path.start_time):
             if t < floor:
                 continue
+            x = key >> CELL_KEY_SHIFT
+            y = key & CELL_KEY_MASK
             tile_id = tile_of_cell(x, y, bits)
             if (t, tile_id) != last:
                 layer = layers.get(t)

@@ -132,17 +132,11 @@ class Planner(abc.ABC):
         self.state = state
         self.config = config if config is not None else PlannerConfig()
         self.grid = state.grid
-        #: Paper-scale auto-gate: on floors of at least
-        #: :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells the
-        #: reservation structure defaults to its region-sharded form;
-        #: every historical scenario sits far below, so their runs stay
-        #: byte-identical.  The explicit config knob overrides in either
-        #: direction.
+        #: Paper-scale gate: on floors of at least
+        #: :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells the ST graph
+        #: is the tiled form; every historical scenario sits far below,
+        #: so their runs stay byte-identical.
         self.paper_scale: bool = self.grid.n_cells >= PAPER_SCALE_MIN_CELLS
-        self.sharded_reservations: bool = (
-            self.config.reservation_sharding
-            if self.config.reservation_sharding is not None
-            else self.paper_scale)
         self.reservation: ReservationTable = self._make_reservation()
         #: Exact per-goal heuristic fields, shared by every leg to the
         #: same picker / rack home (one BFS per distinct goal, ever).
@@ -204,14 +198,13 @@ class Planner(abc.ABC):
     def _make_reservation(self) -> ReservationTable:
         """Reservation structure; ATP and the baselines use the ST graph.
 
-        With sharding resolved on (explicitly, or by the paper-scale
-        auto-gate) the region-sharded variant replaces the global one —
+        At paper scale the tiled variant replaces the global one —
         probe-for-probe identical answers (the equivalence suite pins it),
         but only the tiles a leg actually crosses are materialised, which
         is what lets the dense-layer family survive the 541×302 floor.
         """
-        if self.sharded_reservations:
-            return ShardedSpatiotemporalGraph(self.config.shard_tile_bits)
+        if self.paper_scale:
+            return ShardedSpatiotemporalGraph()
         return SpatiotemporalGraph(self.grid)
 
     @abc.abstractmethod

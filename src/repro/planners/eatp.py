@@ -25,8 +25,7 @@ from typing import List, Optional, Set
 
 from ..config import PlannerConfig
 from ..pathfinding.cache import ShortestPathCache, make_wait_finisher
-from ..pathfinding.cdt import (ConflictDetectionTable,
-                               ShardedConflictDetectionTable)
+from ..pathfinding.cdt import ConflictDetectionTable
 from ..pathfinding.reservation import ReservationTable
 from ..rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from ..types import Cell, Tick
@@ -84,10 +83,8 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     # -- reservation: the CDT replaces the spatiotemporal graph ---------------
 
     def _make_reservation(self) -> ReservationTable:
-        if self.sharded_reservations:
-            return ShardedConflictDetectionTable(self.config.shard_tile_bits)
-        # The argless call keeps the legacy-table swap of the equivalence
-        # suite working.
+        # One table at every floor size.  The argless call keeps the
+        # legacy-table swap of the equivalence suite working.
         return ConflictDetectionTable()
 
     # -- Alg. 3 selection: flip requesting --------------------------------------

@@ -136,8 +136,8 @@ def make_real_large_paper(scale: float = 1.0) -> ScenarioSpec:
 
     This is the regime Table II lists and Sec. VII excludes as "too slow
     to execute" for the baseline planners — the whole reason the
-    scalability machinery (region-sharded reservations, the
-    wait-following rescue, the paper-scale auto-gate in
+    scalability machinery (the tiled ST graph, the wait-following
+    rescue, the paper-scale gate in
     :class:`~repro.planners.base.Planner`) exists.  At ``scale=1.0`` the
     floor is exactly the paper's 541 × 302 with a 3 000-robot fleet;
     rack, picker and item counts are *documented scale-downs* (4 000

@@ -9,7 +9,7 @@ counters and reservation footprint), and that whatever a congested wake
 commits is conflict-free when replayed onto a fresh table.
 
 What the :data:`~repro.config.PAPER_SCALE_MIN_CELLS` gate still decides —
-reservation sharding, the rescue, the deep-tie search order — is pinned
+the tiled ST graph, the rescue, the deep-tie search order — is pinned
 here too.  (The file keeps its PR-6 name so the surviving test ids stay
 stable.)
 """
@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
-from repro.pathfinding.cdt import ShardedConflictDetectionTable
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT,
@@ -191,44 +191,39 @@ class TestBatchConflictReplan:
 
 
 class TestPaperScaleAutoGate:
+    """The reservation layout follows the floor size alone: the ST graph
+    is tiled at paper scale, the CDT is the one global table at every
+    size."""
+
     def test_small_floor_defaults_off(self):
         state, __ = make_mini(seed=3, n_items=10).build()
         planner = PLANNERS["NTP"](state)
         assert planner.paper_scale is False
-        assert planner.sharded_reservations is False
-        assert isinstance(planner.reservation, SpatiotemporalGraph)
+        assert type(planner.reservation) is SpatiotemporalGraph
+        state, __ = make_mini(seed=3, n_items=10).build()
+        eatp = PLANNERS["EATP"](state)
+        assert type(eatp.reservation) is ConflictDetectionTable
 
     def test_paper_floor_defaults_on(self):
         # 128x128 sits exactly on the gate (16,384 cells >= the floor).
         assert 128 * 128 == PAPER_SCALE_MIN_CELLS
-        state = WarehouseState(grid=Grid(128, 128), racks=[],
-                               pickers=[], robots=[])
-        planner = PLANNERS["NTP"](state)
-        assert planner.paper_scale is True
-        assert planner.sharded_reservations is True
-        assert isinstance(planner.reservation, ShardedSpatiotemporalGraph)
+        for name in ("NTP", "ATP"):
+            state = WarehouseState(grid=Grid(128, 128), racks=[],
+                                   pickers=[], robots=[])
+            planner = PLANNERS[name](state)
+            assert planner.paper_scale is True
+            assert isinstance(planner.reservation,
+                              ShardedSpatiotemporalGraph)
 
-    def test_explicit_knobs_override_the_gate(self):
-        big = WarehouseState(grid=Grid(128, 128), racks=[],
-                             pickers=[], robots=[])
-        forced_off = PLANNERS["NTP"](big, PlannerConfig(
-            reservation_sharding=False))
-        assert forced_off.sharded_reservations is False
-        assert isinstance(forced_off.reservation, SpatiotemporalGraph)
-
-        small, __ = make_mini(seed=3, n_items=10).build()
-        forced_on = PLANNERS["ATP"](small,
-                                    PlannerConfig(reservation_sharding=True))
-        assert forced_on.sharded_reservations is True
-
-    def test_eatp_sharded_cdt_at_paper_scale(self):
+    def test_eatp_global_cdt_at_paper_scale(self):
         # EATP's KNN index needs at least one rack to index.
         state = WarehouseState(grid=Grid(128, 128),
                                racks=[Rack(rack_id=0, home=(4, 4),
                                            picker_id=0)],
                                pickers=[], robots=[])
         planner = PLANNERS["EATP"](state)
-        assert isinstance(planner.reservation, ShardedConflictDetectionTable)
+        assert planner.paper_scale is True
+        assert type(planner.reservation) is ConflictDetectionTable
 
 
 class TestWaitFollowingRescue:

@@ -183,6 +183,22 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="body"):
             load_checkpoint_bytes(forged)
 
+    def test_body_holding_a_tiled_cdt_rejected(self):
+        # What an older build's paper-scale EATP checkpoint holds: a tiled
+        # CDT under a name this build still resolves.  Refused at load,
+        # not restored into a table that fails at its first probe.
+        from repro.pathfinding.cdt import ConflictDetectionTable
+        table = ConflictDetectionTable()
+        table.__dict__ = {"_tiles": {}, "_tile_bits": 5, "_floor": 0}
+        body = pickle.dumps((table, None), protocol=2)
+        assert body.count(b"\nConflictDetectionTable\n") == 1
+        forged = CHECKPOINT_MAGIC + pickle.dumps(
+            {"version": CHECKPOINT_VERSION}, protocol=4) + body.replace(
+            b"\nConflictDetectionTable\n",
+            b"\nShardedConflictDetectionTable\n")
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint_bytes(forged)
+
     def test_non_simulation_body_rejected(self):
         forged = CHECKPOINT_MAGIC + pickle.dumps(
             {"version": CHECKPOINT_VERSION}, protocol=4) + pickle.dumps(

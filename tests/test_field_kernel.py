@@ -36,8 +36,7 @@ from hypothesis import strategies as hyp
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cache import follow_with_waits
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import (FreeFlowPathCache,
                                          descent_kernel_name,
                                          set_descent_kernel)
@@ -286,9 +285,11 @@ WIDTH, HEIGHT = 12, 10
 
 TABLES = {
     "cdt": lambda grid: ConflictDetectionTable(),
-    "sharded-cdt": lambda grid: ShardedConflictDetectionTable(tile_bits=2),
     "stgraph": lambda grid: SpatiotemporalGraph(grid),
     "sharded-stgraph": lambda grid: ShardedSpatiotemporalGraph(tile_bits=2),
+    # One-cell tiles: every step of a chain lands in a new tile block.
+    "cell-tiled-stgraph":
+        lambda grid: ShardedSpatiotemporalGraph(tile_bits=0),
 }
 
 
@@ -299,7 +300,7 @@ class GenericTable(ConflictDetectionTable):
     packed_buckets = ReservationTable.packed_buckets
 
 
-#: Every table ``kernel_leg`` can meet: the four native layouts plus one
+#: Every table ``kernel_leg`` can meet: the three native layouts plus one
 #: the compiled kernel declines (so the python pair serves it).
 LEG_TABLES = dict(TABLES, generic=lambda grid: GenericTable())
 

@@ -31,8 +31,7 @@ from repro.pathfinding._kernel.build import build_allowed
 from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
                                        legacy_find_path)
 from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.reservation import ReservationTable
@@ -71,9 +70,11 @@ class GenericProbeCDT(ConflictDetectionTable):
 
 TABLES = {
     "cdt": lambda grid: ConflictDetectionTable(),
-    "sharded_cdt": lambda grid: ShardedConflictDetectionTable(3),
     "stgraph": lambda grid: SpatiotemporalGraph(grid),
     "sharded_stgraph": lambda grid: ShardedSpatiotemporalGraph(3),
+    # One-cell tiles: every move changes tile, so the kernel's tile memo
+    # is refetched on every probe and every reserved step.
+    "cell_tiled_stgraph": lambda grid: ShardedSpatiotemporalGraph(0),
     "generic": lambda grid: GenericProbeCDT(),
 }
 
@@ -439,11 +440,12 @@ def mutating_search(kernel, make_table, mutate, on_call=3):
 @needs_compiled
 @pytest.mark.parametrize("table_name", sorted(TABLES))
 def test_finisher_that_purges_and_reserves(table_name):
-    # The purge deletes the one live tile of the sharded CDT and the dict
-    # allocated next takes its address: a kernel still holding the tile
-    # it probed before the call reads the newcomer, finds (5, 2) free and
-    # plans straight through the camp.  Whatever the probe borrowed from
-    # the table has to go when python has run.
+    # The purge frees containers the probe may have borrowed before the
+    # call, and the dict allocated next can take a freed one's address: a
+    # kernel still holding what it probed before the call reads the
+    # newcomer, finds (5, 2) free and plans straight through the camp.
+    # Whatever the probe borrowed from the table has to go when python
+    # has run.
     recycled = []
 
     def mutate(table):

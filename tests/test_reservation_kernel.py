@@ -24,8 +24,7 @@ from hypothesis import strategies as hyp
 
 from repro.config import PlannerConfig
 from repro.pathfinding._kernel import build_and_load
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.paths import Path, packed_path
 from repro.pathfinding.reservation import (mutation_kernel_name,
                                            set_mutation_kernel)
@@ -58,9 +57,10 @@ WIDTH, HEIGHT = 12, 10
 
 TABLES = {
     "cdt": lambda: ConflictDetectionTable(),
-    "sharded-cdt": lambda: ShardedConflictDetectionTable(tile_bits=2),
     "stgraph": lambda: SpatiotemporalGraph(Grid(WIDTH, HEIGHT)),
     "sharded-stgraph": lambda: ShardedSpatiotemporalGraph(tile_bits=2),
+    # One-cell tiles: each reserved step opens or revisits its own block.
+    "cell-tiled-stgraph": lambda: ShardedSpatiotemporalGraph(tile_bits=0),
 }
 
 
@@ -268,6 +268,43 @@ class TestReservePathTakesOnlyLawfulBuffers:
 
         assert_retains_nothing(reserve_all, watched=keys, calls=1_000)
         assert table.live_counts() == table.recount()
+
+
+def test_tables_keep_their_probe_modes():
+    # The numbers are the kernel's interface: a retired one is not reused.
+    assert sorted({TABLES[name]().kernel_probe_spec()[0]
+                   for name in TABLES}) == [1, 2, 4]
+
+
+@needs_compiled
+@pytest.mark.parametrize("mode", [3, 5, -1])
+@pytest.mark.parametrize("entry", ["run", "tier0_leg", "reserve_path",
+                                   "purge_before"])
+def test_unserved_probe_mode_is_refused(entry, mode):
+    """Mode 3 (a retired tiled-CDT layout) and numbers never assigned
+    raise ``ValueError`` at every entry point — never a count, never a
+    probe of containers laid out for another mode."""
+    grid = Grid(WIDTH, HEIGHT)
+    capsule = grid.kernel_capsule(COMPILED)
+    source, goal = grid.cell_index(LANE[0]), grid.cell_index(LANE[-1])
+    vertices = {0: {5: {LANE[0][0] << 16 | LANE[0][1]}}}  # mode 3's shape
+    edges = {}
+    before = copy.deepcopy(vertices)
+    calls = {
+        "run": lambda: COMPILED.run(
+            capsule, mode, vertices, edges, 2, 1, LANE[-1], source, goal,
+            0, 200_000, None, 0, 0, 0, 0),
+        "tier0_leg": lambda: COMPILED.tier0_leg(
+            capsule, mode, vertices, edges, 2, 1, None, source, goal, 0, 0,
+            0, 0),
+        "reserve_path": lambda: COMPILED.reserve_path(
+            mode, vertices, edges, 2, 0, 0, 0, keys_of(LANE), 0, 0, 0),
+        "purge_before": lambda: COMPILED.purge_before(
+            mode, vertices, edges, 2, 40, 0, 0),
+    }
+    with pytest.raises(ValueError, match="unknown .*mode"):
+        calls[entry]()
+    assert vertices == before and edges == {}
 
 
 #: Ticks from here up overflowed the retired numpy audit index's packing.

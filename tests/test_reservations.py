@@ -7,24 +7,25 @@ both via parametrisation.
 
 import pytest
 
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.warehouse.grid import Grid
 
 
-@pytest.fixture(params=["stgraph", "cdt", "sharded-stgraph", "sharded-cdt"])
+@pytest.fixture(params=["stgraph", "cdt", "sharded-stgraph",
+                        "cell-tiled-stgraph"])
 def table(request):
-    # ``tile_bits=2`` puts the sharded variants' 4×4 tiles well inside
-    # the 12×10 test grid, so these cases cross tile boundaries too.
+    # ``tile_bits=2`` puts the tiled graph's 4×4 tiles well inside the
+    # 12×10 test grid, so these cases cross tile boundaries too;
+    # ``tile_bits=0`` makes every cell its own tile.
     if request.param == "stgraph":
         return SpatiotemporalGraph(Grid(12, 10))
     if request.param == "sharded-stgraph":
         return ShardedSpatiotemporalGraph(tile_bits=2)
-    if request.param == "sharded-cdt":
-        return ShardedConflictDetectionTable(tile_bits=2)
+    if request.param == "cell-tiled-stgraph":
+        return ShardedSpatiotemporalGraph(tile_bits=0)
     return ConflictDetectionTable()
 
 

@@ -21,8 +21,7 @@ from repro.config import PlannerConfig, SimulationConfig
 from repro.errors import ConfigurationError, PathNotFoundError
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cache import follow_with_waits
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import find_conflicts
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
@@ -187,10 +186,10 @@ class TestFallbackChain:
 
     @pytest.mark.parametrize("make_table", [
         lambda grid: ConflictDetectionTable(),
-        lambda grid: ShardedConflictDetectionTable(2),
         lambda grid: SpatiotemporalGraph(grid),
         lambda grid: ShardedSpatiotemporalGraph(2),
-    ], ids=["cdt", "sharded-cdt", "stgraph", "sharded-stgraph"])
+        lambda grid: ShardedSpatiotemporalGraph(0),
+    ], ids=["cdt", "stgraph", "sharded-stgraph", "cell-tiled-stgraph"])
     def test_boxed_wait_reserves_one_vertex_no_edge(self, make_table, kernel):
         grid = corridor(5)
         table = make_table(grid)

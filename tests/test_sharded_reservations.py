@@ -1,36 +1,34 @@
-"""Property suite: sharded reservation structures == their global twins.
+"""Property suite: the tiled ST graph == the global ST graph.
 
-The region-sharded variants (tick buckets / graph layers partitioned
-into fixed spatial tiles) are pure performance reshapes behind the
-``ReservationTable`` interface — every probe, audit, reserve and purge
-must answer exactly what the global structure answers.  These tests pin
-that equivalence on randomized cross-tile traffic, including the nasty
-cases: swap conflicts whose two cells straddle a tile edge, and purges
-interleaved with audits.
+The tiled variant (graph layers partitioned into fixed spatial tiles) is
+a pure performance reshape behind the ``ReservationTable`` interface —
+every probe, audit, reserve and purge must answer exactly what the
+global structure answers.  These tests pin that equivalence on
+randomized cross-tile traffic, including the nasty cases: swap conflicts
+whose two cells straddle a tile edge, and purges interleaved with audits.
 """
 
 import random
 
 import pytest
 
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
 from repro.pathfinding.paths import Path
 from repro.pathfinding.reservation import CELL_KEY_SHIFT, PackedChain
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.warehouse.grid import Grid
 
-#: Grid spanning a 3×3 block of the sharded variants' default 32×32
-#: tiles, so random staircases routinely cross tile boundaries.
+#: Grid spanning a 3×3 block of the tiled graph's default 32×32 tiles,
+#: so random staircases routinely cross tile boundaries.
 WIDTH, HEIGHT = 96, 96
 
 #: (global factory, sharded factory) pairs under test.
 PAIRS = {
     "stgraph": (lambda: SpatiotemporalGraph(Grid(WIDTH, HEIGHT)),
                 lambda: ShardedSpatiotemporalGraph()),
-    "cdt": (lambda: ConflictDetectionTable(),
-            lambda: ShardedConflictDetectionTable()),
+    # One-cell tiles: every move of every staircase crosses a tile edge.
+    "stgraph-cell-tiles": (lambda: SpatiotemporalGraph(Grid(WIDTH, HEIGHT)),
+                           lambda: ShardedSpatiotemporalGraph(tile_bits=0)),
 }
 
 
@@ -160,45 +158,35 @@ class TestTileEdgeSwaps:
 
 
 class TestEndToEndSharding:
-    """Forcing sharding on a sub-gate run must not change behaviour."""
+    """Tiling the ST graph on a sub-gate run must not change behaviour."""
 
-    def test_run_identical_modulo_memory(self):
-        from repro.config import PlannerConfig
+    def test_run_identical_modulo_memory(self, monkeypatch):
         from repro.experiments.harness import run_planner
+        from repro.planners import PLANNERS
         from repro.sim.serialize import deterministic_view, result_to_dict
         from repro.workloads.datasets import make_mini
 
         spec = make_mini(seed=11, n_items=40)
-        # One planner per table family: ST-graph pair, then CDT pair.
-        for planner_name in ("NTP", "EATP"):
-            views = {}
-            for sharding in (False, True):
-                config = PlannerConfig(reservation_sharding=sharding)
-                result = run_planner(spec, planner_name,
-                                     planner_config=config)
-                view = deterministic_view(result_to_dict(result))
-                # The structures differ in footprint by design; everything
-                # else — makespan, missions, traces, tier counters — is
-                # pinned identical.
-                view["metrics"].pop("peak_memory_bytes", None)
-                view["metrics"].pop("final_memory_bytes", None)
-                for checkpoint in view["metrics"].get("checkpoints", []):
-                    checkpoint.pop("memory_bytes", None)
-                views[sharding] = view
-            assert views[False] == views[True], planner_name
+        tiled = []
 
-    def test_eatp_unsharded_at_paper_scale_is_the_plain_cdt(self):
-        from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
-        from repro.planners import PLANNERS
-        from repro.warehouse.entities import Rack
-        from repro.warehouse.state import WarehouseState
+        def make_tiled(planner):
+            tiled.append(ShardedSpatiotemporalGraph())
+            return tiled[-1]
 
-        # EATP's KNN index needs at least one rack to index.
-        state = WarehouseState(
-            grid=Grid(128, 128), pickers=[], robots=[],
-            racks=[Rack(rack_id=0, home=(4, 4), picker_id=0)])
-        assert state.grid.n_cells >= PAPER_SCALE_MIN_CELLS
-        planner = PLANNERS["EATP"](
-            state, PlannerConfig(reservation_sharding=False))
-        assert planner.paper_scale and not planner.sharded_reservations
-        assert type(planner.reservation) is ConflictDetectionTable
+        views = {}
+        for sharded in (False, True):
+            if sharded:
+                monkeypatch.setattr(PLANNERS["NTP"], "_make_reservation",
+                                    make_tiled)
+            result = run_planner(spec, "NTP")
+            view = deterministic_view(result_to_dict(result))
+            # The structures differ in footprint by design; everything
+            # else — makespan, missions, traces, tier counters — is
+            # pinned identical.
+            view["metrics"].pop("peak_memory_bytes", None)
+            view["metrics"].pop("final_memory_bytes", None)
+            for checkpoint in view["metrics"].get("checkpoints", []):
+                checkpoint.pop("memory_bytes", None)
+            views[sharded] = view
+        assert len(tiled) == 1
+        assert views[False] == views[True]

@@ -8,8 +8,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.soak import (SoakSpec, _feed_through, build_soak,
                                     run_soak, soak_ok, smoke_spec)
 from repro.pathfinding.cache import ShortestPathCache
-from repro.pathfinding.cdt import (ConflictDetectionTable,
-                                   ShardedConflictDetectionTable)
+from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.paths import Path
 from repro.sim.checkpoint import dump_checkpoint, load_checkpoint_bytes
 from repro.pathfinding.spatiotemporal_graph import (
@@ -33,9 +32,9 @@ class TestLiveCounts:
 
     @pytest.mark.parametrize("factory", [
         lambda: ConflictDetectionTable(),
-        lambda: ShardedConflictDetectionTable(),
         lambda: SpatiotemporalGraph(Grid(8, 8)),
         lambda: ShardedSpatiotemporalGraph(),
+        lambda: ShardedSpatiotemporalGraph(tile_bits=0),
     ])
     def test_counts_track_reservations_and_memory(self, factory):
         empty = factory().live_counts()
