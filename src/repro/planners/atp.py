@@ -21,7 +21,8 @@ branches; WAIT pays the per-tick deferral cost −|τ_r| (see
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 from ..config import PlannerConfig
 from ..rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
@@ -83,16 +84,11 @@ class AdaptiveTaskPlanner(Planner):
         "Urgent" is the agent's :meth:`~repro.rl.qlearning.QLearningAgent.
         priority` — the racks whose expected finish time grows fastest if
         deferred are examined (and thus, under REQUEST, dispatched) first.
+        Only the racks the loop reaches are observed.
         """
-        observations: Dict[int, RackObservation] = {
-            rack.rack_id: self.observe(rack) for rack in racks}
-        ordered = sorted(
-            racks,
-            key=lambda rack: (self.agent.priority(observations[rack.rack_id]),
-                              rack.rack_id))
         entries: List[SelectionEntry] = []
-        for rack in ordered:
-            observation = observations[rack.rack_id]
+        for rack in sorted(racks, key=self._priority_key()):
+            observation = self.observe(rack)
             action = self.agent.choose_action(observation)
             if action == ACTION_REQUEST:
                 entries.append(SelectionEntry(rack=rack))
@@ -102,6 +98,34 @@ class AdaptiveTaskPlanner(Planner):
             else:
                 self.agent.update(observation, ACTION_WAIT)
         return entries
+
+    def _priority_key(self) -> Callable[[Rack], Tuple[float, int]]:
+        """``rack -> (agent.priority(observe(rack)), rack_id)``, fused.
+
+        The same float operations in the same order as
+        :meth:`~repro.rl.qlearning.QLearningAgent.utilities`, without
+        building the observation; ``best_value`` is memoised per state,
+        valid while the table is not written (one sort).
+        """
+        cfg = self.agent.config
+        width, gamma, weight = (cfg.state_bin_width, cfg.discount,
+                                cfg.deferral_weight)
+        pickers, distance = self.state.pickers, self._rack_distance
+        value = lru_cache(maxsize=None)(self.agent.table.best_value)
+
+        def key(rack: Rack) -> Tuple[float, int]:
+            picker = pickers[rack.picker_id]
+            s0 = picker.accumulated_processing // width
+            s1 = rack.accumulated_processing // width
+            delta = rack.pending_processing_time // width
+            u_wait = (-weight * float(len(rack.pending_items))
+                      + gamma * value((s0, s1)))
+            u_request = (-float(max(picker.finish_time_estimate,
+                                    distance[rack.rack_id]))
+                         + gamma * value((s0 + delta, s1 + delta)))
+            return u_wait - u_request, rack.rack_id
+
+        return key
 
     # -- memory ------------------------------------------------------------------
 

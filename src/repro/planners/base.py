@@ -20,6 +20,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional
 
 from ..config import PAPER_SCALE_MIN_CELLS, PlannerConfig
@@ -175,11 +176,12 @@ class Planner(abc.ABC):
     #: The pipeline captures closures over ``self``; the heuristic-field
     #: cache and the tier-0 descents over it are pure functions of the
     #: immutable grid (rebuilt fields are bit-identical, a field is up to
-    #: 4 bytes a cell, and neither is charged to the MC metric).
+    #: 4 bytes a cell, and neither is charged to the MC metric), and the
+    #: per-rack distances are a pure function of the fixed layout.
     #: Everything that carries *state* — the reservation structure, the
     #: RNG, the learner, EATP's shortest-path cache (which IS charged to
     #: MC) — is pickled as-is.
-    _UNPICKLED = ("pipeline", "heuristics", "free_flow")
+    _UNPICKLED = ("pipeline", "heuristics", "free_flow", "_rack_distance")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -192,6 +194,10 @@ class Planner(abc.ABC):
         self.heuristics = HeuristicFieldCache(self.grid)
         self.free_flow = FreeFlowPathCache(self.grid, self.heuristics)
         self.pipeline = self._build_pipeline()
+        # A dropped cached property is rebuilt on first use.
+        for name in self._UNPICKLED:
+            if isinstance(getattr(type(self), name, None), cached_property):
+                self.__dict__.pop(name, None)
 
     # -- extension points ------------------------------------------------------
 
@@ -490,8 +496,15 @@ class Planner(abc.ABC):
         Manhattan, which equals the true grid distance on the open
         layouts this library generates (no structural obstacles).
         """
-        picker = self.state.pickers[rack.picker_id]
-        return manhattan(rack.home, picker.location)
+        return self._rack_distance[rack.rack_id]
+
+    @cached_property
+    def _rack_distance(self) -> List[int]:
+        """:meth:`transport_distance` by rack id (racks and pickers never
+        move), built on first use."""
+        pickers = self.state.pickers
+        return [manhattan(rack.home, pickers[rack.picker_id].location)
+                for rack in self.state.racks]
 
     @contextmanager
     def _timed_selection(self):

@@ -21,12 +21,13 @@ is value-preserving by construction.  (A generic-MILP path via
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
 from ..config import PlannerConfig
-from ..types import Tick, manhattan
+from ..types import Tick
 from ..warehouse.entities import Rack, Robot
 from ..warehouse.state import WarehouseState
 from .base import Planner, SelectionEntry
@@ -50,6 +51,16 @@ class IlpPlanner(Planner):
         # skips ``__init__``, does).
         import scipy.optimize  # noqa: F401
 
+    _UNPICKLED = Planner._UNPICKLED + ("_rack_table",)
+
+    @cached_property
+    def _rack_table(self) -> np.ndarray:
+        """Per rack id: home x, home y, d(l_r, l_p), picker id."""
+        return np.array(
+            [(*rack.home, distance, rack.picker_id) for rack, distance
+             in zip(self.state.racks, self._rack_distance)],
+            dtype=np.int64).reshape(-1, 4)
+
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
         from scipy.optimize import linear_sum_assignment
@@ -69,21 +80,19 @@ class IlpPlanner(Planner):
         d(l_p, l_r).  Distances are Manhattan (exact on the open layouts,
         cheap everywhere) — the ILP needs a matrix, not a search.
         """
-        cost = np.zeros((len(robots), len(racks)), dtype=np.float64)
-        delivery = {}
-        for j, rack in enumerate(racks):
-            picker = self.state.pickers[rack.picker_id]
-            d_rp = manhattan(rack.home, picker.location)
-            delivery[j] = (d_rp, picker.finish_time_estimate,
-                           rack.pending_processing_time)
-        for i, robot in enumerate(robots):
-            for j, rack in enumerate(racks):
-                d_rp, f_p, batch = delivery[j]
-                d_ar = manhattan(robot.location, rack.home)
-                transport = d_ar + d_rp
-                queuing = max(f_p - transport, 0)
-                cost[i, j] = transport + queuing + batch + d_rp
-        return cost
+        ids = np.fromiter((rack.rack_id for rack in racks), np.int64,
+                          len(racks))
+        x, y, d_rp, picker_of = self._rack_table[ids].T
+        finish = np.fromiter((picker.finish_time_estimate
+                              for picker in self.state.pickers), np.int64)
+        batch = np.fromiter((rack.pending_processing_time for rack in racks),
+                            np.int64, len(racks))
+        here = np.array([robot.location for robot in robots],
+                        dtype=np.int64).reshape(-1, 2)
+        transport = (np.abs(here[:, :1] - x) + np.abs(here[:, 1:] - y)
+                     + d_rp)
+        queuing = np.maximum(finish[picker_of] - transport, 0)
+        return (transport + queuing + batch + d_rp).astype(np.float64)
 
     # -- MILP cross-check (exactness witness for tests) -------------------------
 

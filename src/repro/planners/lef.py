@@ -8,6 +8,7 @@ earliest" — global FIFO over item arrival times.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List
 
 from ..types import Tick
@@ -24,6 +25,5 @@ class LeastExpirationFirstPlanner(Planner):
                 robots: List[Robot]) -> List[SelectionEntry]:
         budget = len(robots)
         # Every selectable rack has pending items, so oldest_arrival is set.
-        ordered = sorted(racks,
-                         key=lambda rack: (rack.oldest_arrival, rack.rack_id))
+        ordered = sorted(racks, key=attrgetter("oldest_arrival", "rack_id"))
         return [SelectionEntry(rack=rack) for rack in ordered[:budget]]

@@ -13,7 +13,10 @@ reports every write of the fields its indices are derived from
 (``Rack.phase`` / ``Rack.pending_items``, ``Robot.state``) through a
 ``__setattr__`` hook, so plain attribute assignment — by either engine or
 by a test — keeps ``idle_robots()`` / ``selectable_racks()`` current.  The
-one write the hook cannot see is an in-place ``pending_items.append``; use
+same hook keeps a rack's two batch facts (``pending_processing_time``,
+``oldest_arrival``) equal to its ``pending_items``.  The one write the hook
+cannot see is an in-place ``pending_items.append``: it leaves the index
+*and* both facts stale; use
 :meth:`~repro.warehouse.state.WarehouseState.deliver_item` for that.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from collections import deque
 
@@ -58,6 +61,12 @@ class Item:
             raise ValueError(f"item {self.item_id}: arrival must be >= 0")
 
 
+def batch_facts(items: List[Item]) -> Tuple[int, Optional[Tick]]:
+    """``(Σ processing time, oldest arrival)`` of ``items``, by a rescan."""
+    return (sum(item.processing_time for item in items),
+            min((item.arrival for item in items), default=None))
+
+
 class RackPhase(enum.Enum):
     """Where a rack currently is in its fulfilment cycle."""
 
@@ -72,6 +81,10 @@ class Rack:
     The rack's *home* location is fixed; racks always return to it after
     processing.  ``pending_items`` is the live τ_r — items that have emerged
     but are not yet part of a dispatched batch.
+
+    ``pending_processing_time`` (Σ_{i∈τ_r} i) and ``oldest_arrival`` (LEF's
+    key; None when τ_r is empty) are plain attributes, kept by the write
+    hook and by ``WarehouseState.deliver_item`` in O(1).
     """
 
     rack_id: int
@@ -89,14 +102,29 @@ class Rack:
 
     def __setattr__(self, name: str, value: object) -> None:
         object.__setattr__(self, name, value)
+        if name == "pending_items":
+            self._recount()
         if ((name == "phase" or name == "pending_items")
                 and self._world is not None):
             self._world._rack_changed(self)
 
-    @property
-    def pending_processing_time(self) -> int:
-        """Σ_{i∈τ_r} i — total processing time of the items awaiting dispatch."""
-        return sum(item.processing_time for item in self.pending_items)
+    def __setstate__(self, state: dict) -> None:
+        # Attribute by attribute (see _recount); checkpoints written before
+        # the facts were kept carry none.
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._recount()
+
+    def _recount(self) -> None:
+        """Derive both batch facts from ``pending_items`` by a rescan."""
+        items = self.pending_items
+        # Empty is the common write (construction, take_batch): no rescan.
+        total, oldest = batch_facts(items) if items else (0, None)
+        # Not through ``self.__dict__``: touching it turns the instance's
+        # inline attribute values into a real dict, and every later
+        # ``rack.<attr>`` read takes the slow path.
+        object.__setattr__(self, "pending_processing_time", total)
+        object.__setattr__(self, "oldest_arrival", oldest)
 
     @property
     def has_pending(self) -> bool:
@@ -107,13 +135,6 @@ class Rack:
     def selectable(self) -> bool:
         """Home (STORED) with a pending item: a planner may pick it now."""
         return self.phase is RackPhase.STORED and bool(self.pending_items)
-
-    @property
-    def oldest_arrival(self) -> Optional[Tick]:
-        """Arrival tick of the oldest pending item (LEF's selection key)."""
-        if not self.pending_items:
-            return None
-        return min(item.arrival for item in self.pending_items)
 
     def take_batch(self) -> List[Item]:
         """Remove and return the current pending items as a dispatch batch.

@@ -19,7 +19,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..types import Cell
-from .entities import Item, Picker, Rack, RackPhase, Robot, RobotState
+from .entities import (Item, Picker, Rack, RackPhase, Robot, RobotState,
+                       batch_facts)
 from .grid import Grid
 from .layout import WarehouseLayout
 
@@ -178,6 +179,10 @@ class WarehouseState:
         """Register a newly arrived item on its rack (online arrival)."""
         rack = self.racks[item.rack_id]
         rack.pending_items.append(item)
+        rack.pending_processing_time += item.processing_time
+        oldest = rack.oldest_arrival
+        rack.oldest_arrival = (item.arrival if oldest is None
+                               else min(oldest, item.arrival))
         self._rack_changed(rack)
 
     def check_invariants(self) -> None:
@@ -188,8 +193,10 @@ class WarehouseState:
         - a rack IN_TRANSIT is referenced by exactly one busy robot;
         - picker queues only contain IN_TRANSIT racks;
         - the incremental idle / selectable indices equal a from-scratch
-          rescan (same objects, ascending id) — a writer that bypassed
-          the entity hooks fails here instead of silently diverging.
+          rescan (same objects, ascending id), and every rack's batch
+          facts equal a rescan of its ``pending_items`` — a writer that
+          bypassed the entity hooks fails here instead of silently
+          diverging.
         """
         for name, key, index, rescan in (
                 ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
@@ -200,6 +207,13 @@ class WarehouseState:
                 raise SimulationError(
                     f"stale {name} index: ids {sorted(stale)} differ from "
                     f"a rescan (or the order does)")
+        for rack in self.racks:
+            if ((rack.pending_processing_time, rack.oldest_arrival)
+                    != batch_facts(rack.pending_items)):
+                raise SimulationError(
+                    f"stale batch facts on rack {rack.rack_id}: "
+                    f"pending_processing_time / oldest_arrival differ "
+                    f"from a rescan of its pending_items")
         carrier_of: Dict[int, int] = {}
         for robot in self.robots:
             if robot.state is RobotState.IDLE:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.warehouse.entities import (Item, Picker, Rack, RackPhase, Robot,
                                       RobotState)
+from repro.warehouse.grid import Grid
+from repro.warehouse.state import WarehouseState
 
 
 class TestItem:
@@ -54,11 +56,18 @@ class TestRack:
         assert not rack.has_pending
 
     def test_items_after_take_batch_form_next_batch(self):
+        # Through the hooked writer: an in-place append would leave the
+        # rack's kept batch facts stale.
         rack = self.make_rack()
+        world = WarehouseState(grid=Grid(5, 5), racks=[rack],
+                               pickers=[Picker(0, (0, 4)),
+                                        Picker(1, (4, 4))], robots=[])
         rack.pending_items = [Item(0, 0, 0, 7)]
         rack.take_batch()
-        rack.pending_items.append(Item(1, 0, 5, 9))
+        world.deliver_item(Item(1, 0, 5, 9))
         assert rack.pending_processing_time == 9
+        assert rack.oldest_arrival == 5
+        world.check_invariants()
 
 
 class TestPicker:

@@ -1,0 +1,235 @@
+"""Rescan twins of the rewritten selectors.
+
+Every planner's selection reads maintained or static per-rack facts — the
+batch sum and oldest arrival kept on the rack, d(l_r, l_p) computed once,
+ATP's fused ranking key, ILP's numpy cost matrix.  Each test here holds
+the straightforward form in the test file (``_scan_*``: observe
+everything, loop over every pair, one sort of the concatenated groups)
+and demands the production selector agree with it exactly: same keys,
+same order, same matrix, same entries, same learner afterwards.  The last
+test pins every planner's full run on one Table II scenario.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+from typing import Dict, List
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.experiments.harness import run_planner
+from repro.planners import PLANNERS, most_slack_first
+from repro.planners.atp import AdaptiveTaskPlanner
+from repro.planners.base import SelectionEntry
+from repro.planners.ilp import IlpPlanner
+from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
+from repro.sim.serialize import deterministic_view, result_to_dict
+from repro.types import manhattan
+from repro.warehouse.entities import Item, Rack
+from repro.warehouse.layout import build_layout
+from repro.warehouse.state import WarehouseState
+from repro.workloads.datasets import make_syn_a
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+N_RACKS, N_PICKERS, WIDTH, HEIGHT = 12, 3, 24, 16
+
+
+def draw_world(data, n_robots: int = 4) -> WarehouseState:
+    """A small floor with random picker load, rack history and batches."""
+    state = WarehouseState.from_layout(
+        build_layout(WIDTH, HEIGHT, n_racks=N_RACKS, n_pickers=N_PICKERS),
+        n_robots)
+    small = st.integers(0, 400)
+    for picker in state.pickers:
+        picker.accumulated_processing = data.draw(small)
+        # Few distinct values, so f_p ties between pickers happen.
+        picker.remaining_current = data.draw(st.sampled_from([0, 5, 40]))
+        picker.queued_processing = data.draw(st.sampled_from([0, 60, 200]))
+    item_id = 0
+    for rack in state.racks:
+        rack.accumulated_processing = data.draw(small)
+        for __ in range(data.draw(st.integers(0, 4))):
+            state.deliver_item(Item(item_id, rack.rack_id,
+                                    data.draw(st.integers(0, 50)),
+                                    data.draw(st.integers(1, 90))))
+            item_id += 1
+    for robot in state.robots:
+        robot.location = (data.draw(st.integers(0, WIDTH - 1)),
+                          data.draw(st.integers(0, HEIGHT - 1)))
+    state.check_invariants()
+    return state
+
+
+def _scan_observe(state: WarehouseState, rack: Rack) -> RackObservation:
+    """Sec. V-A's observation, every field rescanned from the entities."""
+    picker = state.pickers[rack.picker_id]
+    return RackObservation(
+        picker_accumulated=picker.accumulated_processing,
+        rack_accumulated=rack.accumulated_processing,
+        picker_finish_time=picker.remaining_current + picker.queued_processing,
+        distance_to_picker=manhattan(rack.home, picker.location),
+        batch_processing_time=sum(item.processing_time
+                                  for item in rack.pending_items),
+        n_pending=len(rack.pending_items))
+
+
+def _scan_select_learned(planner: AdaptiveTaskPlanner, racks: List[Rack],
+                         budget: int) -> List[SelectionEntry]:
+    """Alg. 2 lines 11–19 with every selectable rack observed up front."""
+    agent = planner.agent
+    observations: Dict[int, RackObservation] = {
+        rack.rack_id: _scan_observe(planner.state, rack) for rack in racks}
+    ordered = sorted(racks, key=lambda rack: (
+        agent.priority(observations[rack.rack_id]), rack.rack_id))
+    entries: List[SelectionEntry] = []
+    for rack in ordered:
+        observation = observations[rack.rack_id]
+        if agent.choose_action(observation) == ACTION_REQUEST:
+            entries.append(SelectionEntry(rack=rack))
+            agent.update(observation, ACTION_REQUEST)
+            if len(entries) == budget:
+                break
+        else:
+            agent.update(observation, ACTION_WAIT)
+    return entries
+
+
+def _scan_cost_matrix(state: WarehouseState, racks: List[Rack],
+                      robots) -> np.ndarray:
+    """The ILP cost matrix, one python evaluation of Eq. 2 per pair."""
+    cost = np.zeros((len(robots), len(racks)), dtype=np.float64)
+    for i, robot in enumerate(robots):
+        for j, rack in enumerate(racks):
+            picker = state.pickers[rack.picker_id]
+            d_rp = manhattan(rack.home, picker.location)
+            f_p = picker.remaining_current + picker.queued_processing
+            batch = sum(item.processing_time for item in rack.pending_items)
+            transport = manhattan(robot.location, rack.home) + d_rp
+            cost[i, j] = (transport + max(f_p - transport, 0) + batch
+                          + d_rp)
+    return cost
+
+
+def _scan_most_slack_first(racks: List[Rack], budget: int,
+                           finish_time) -> List[SelectionEntry]:
+    """Group by picker, pickers by (f_p, id), racks by id, concatenate."""
+    by_picker: Dict[int, List[Rack]] = {}
+    for rack in racks:
+        by_picker.setdefault(rack.picker_id, []).append(rack)
+    ordered = [rack
+               for pid in sorted(by_picker,
+                                 key=lambda pid: (finish_time(pid), pid))
+               for rack in sorted(by_picker[pid], key=lambda r: r.rack_id)]
+    return [SelectionEntry(rack=rack) for rack in ordered[:max(budget, 0)]]
+
+
+def seed_table(planner: AdaptiveTaskPlanner, data) -> None:
+    """Random Q-values over the buckets the drawn worlds reach; a small
+    value set, so equal priorities (ties broken by rack id) occur."""
+    value = st.sampled_from([-300.0, -120.5, -40.0, -7.25, 0.0])
+    for key in data.draw(st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)),
+            max_size=30)):
+        for action in (ACTION_WAIT, ACTION_REQUEST):
+            planner.agent.table.set(key, action, data.draw(value))
+
+
+def ids(entries) -> List[int]:
+    return [getattr(entry, "rack", entry).rack_id for entry in entries]
+
+
+class TestAtpFusedKey:
+    @SETTINGS
+    @given(st.data())
+    def test_key_is_priority_of_the_observation(self, data):
+        state = draw_world(data)
+        planner = AdaptiveTaskPlanner(state)
+        seed_table(planner, data)
+        racks = state.selectable_racks()
+        key = planner._priority_key()
+        agent = planner.agent
+        expected = [(agent.priority(_scan_observe(state, rack)), rack.rack_id)
+                    for rack in racks]
+        assert [key(rack) for rack in racks] == expected
+        assert ids(sorted(racks, key=key)) == ids(sorted(
+            racks, key=lambda rack: (agent.priority(
+                _scan_observe(state, rack)), rack.rack_id)))
+
+    @SETTINGS
+    @given(st.data())
+    def test_learned_selection_matches_the_observe_everything_twin(self,
+                                                                   data):
+        planner = AdaptiveTaskPlanner(draw_world(data))
+        seed_table(planner, data)
+        twin = copy.deepcopy(planner)
+        budget = data.draw(st.integers(1, N_RACKS + 1))
+        got = planner._select_learned(planner.state.selectable_racks(),
+                                      budget)
+        want = _scan_select_learned(twin, twin.state.selectable_racks(),
+                                    budget)
+        assert ids(got) == ids(want)
+        assert dict(planner.agent.table) == dict(twin.agent.table)
+        assert planner.agent._rng.getstate() == twin.agent._rng.getstate()
+
+
+class TestIlpCostMatrix:
+    @SETTINGS
+    @given(st.data())
+    def test_numpy_matrix_equals_the_double_loop(self, data):
+        state = draw_world(data, n_robots=data.draw(st.integers(1, 6)))
+        planner = IlpPlanner(state)
+        # Any order and subset of racks: columns follow the caller's list.
+        racks = data.draw(st.permutations(state.racks))[
+            :data.draw(st.integers(1, N_RACKS))]
+        robots = state.idle_robots()
+        cost = planner._cost_matrix(racks, robots)
+        assert cost.dtype == np.float64
+        assert np.array_equal(cost, _scan_cost_matrix(state, racks, robots))
+
+
+class TestMostSlackFirst:
+    @SETTINGS
+    @given(picker_of=st.lists(st.integers(0, 4), max_size=14),
+           finish=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+           budget=st.integers(0, 17))
+    def test_equals_group_and_sort(self, picker_of, finish, budget):
+        racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
+                 for i, pid in enumerate(picker_of)]
+        got = most_slack_first(racks, budget, finish.__getitem__)
+        assert ids(got) == ids(
+            _scan_most_slack_first(racks, budget, finish.__getitem__))
+
+    @pytest.mark.parametrize("budget", [0, 3, 99])
+    def test_edges_budget_and_tied_finish_times(self, budget):
+        # Pickers 2 and 0 tie on f_p; the picker id breaks it.
+        racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
+                 for i, pid in enumerate([2, 1, 0, 2, 0, 1])]
+        finish = {0: 7, 1: 9, 2: 7}.__getitem__
+        got = most_slack_first(racks, budget, finish)
+        assert ids(got) == [2, 4, 0, 3, 1, 5][:budget]
+        assert ids(got) == ids(_scan_most_slack_first(racks, budget, finish))
+
+
+#: sha256 of each planner's deterministic view on Syn-A (scale 1): the
+#: runs before the selectors were rewritten, unchanged by it.
+SYN_A_DIGESTS = {
+    "ATP": "5e8e96f2024071fece9edde5d5ff2fe326c4b9975f458237261d9d2dd7bfd15a",
+    "EATP": "2f320330259226cdc366b0cd81d22b7baf30245ef8b45e12effa2dddd110c8b7",
+    "ILP": "cfabf76b173653ade11053f1513749ee194fdb9ecdbae012acd62ffa23aaeca0",
+    "LEF": "71f50ad532f5d41f152a09266c8200b141e2c219fa8a260e558e78ade74157af",
+    "NTP": "13eeaebcf87ceda3c94b9bd857687131d2294e3a762e699a45d5b3c27ca69990",
+}
+
+
+@pytest.mark.parametrize("planner", sorted(PLANNERS))
+def test_table2_run_keeps_its_digest(planner):
+    view = deterministic_view(result_to_dict(run_planner(make_syn_a(),
+                                                         planner)))
+    blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
+    assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            == SYN_A_DIGESTS[planner])

@@ -131,7 +131,14 @@ class TestInvariants:
 
     def test_stale_index_fails(self, small_state):
         # An in-place append is the one write the entity hooks cannot
-        # see; the rescan twin must catch what it leaves behind.
+        # see; the rescan twin must catch what it leaves behind.  On a
+        # rack that is already selectable it leaves the index right and
+        # only the rack's kept batch facts stale.
+        small_state.deliver_item(Item(0, 0, 4, 10))
+        small_state.check_invariants()
+        small_state.racks[0].pending_items.append(Item(1, 0, 1, 10))
+        with pytest.raises(SimulationError, match="batch facts on rack 0"):
+            small_state.check_invariants()
         small_state.racks[2].pending_items.append(Item(0, 2, 0, 10))
         with pytest.raises(SimulationError, match="stale selectable-rack"):
             small_state.check_invariants()
@@ -154,8 +161,11 @@ class IndexMachine(RuleBasedStateMachine):
         self.next_item = 0
 
     def _item(self, rack_id):
+        # Arrivals out of order and mixed processing times, so the kept
+        # oldest arrival and batch sum are really exercised.
         self.next_item += 1
-        return Item(self.next_item, rack_id, 0, 5)
+        return Item(self.next_item, rack_id, -self.next_item % 7,
+                    1 + self.next_item % 4)
 
     @rule(rack_id=rack_ids)
     def deliver(self, rack_id):
@@ -207,6 +217,15 @@ class IndexMachine(RuleBasedStateMachine):
         assert (list(map(id, selectable))
                 == list(map(id, expected_selectable)))
         assert self.state.dispatchable() == bool(idle and selectable)
+
+    @invariant()
+    def batch_facts_equal_rescan(self):
+        for rack in self.state.racks:
+            items = rack.pending_items
+            assert rack.pending_processing_time == sum(
+                item.processing_time for item in items)
+            assert rack.oldest_arrival == (
+                min(item.arrival for item in items) if items else None)
 
 
 TestIndexMachine = IndexMachine.TestCase
