@@ -24,6 +24,7 @@ from pathlib import Path as FsPath
 _REPO = FsPath(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO / "src"))
 
+from repro.errors import ReproError  # noqa: E402
 from repro.pathfinding._kernel import load_compiled  # noqa: E402
 from repro.pathfinding._kernel.build import (build_allowed,  # noqa: E402
                                              build_extension,
@@ -44,7 +45,11 @@ def main(argv=None):
         print("builds are disabled (REPRO_KERNEL_BUILD=0)")
         return 1 if args.check else 0
 
-    built = build_extension(force=args.force, quiet=False)
+    try:
+        built = build_extension(force=args.force, quiet=False)
+    except ReproError as error:
+        print(error)
+        built = None
     if built is None:
         print("native kernel build failed; the pure-python core remains "
               "the fallback")

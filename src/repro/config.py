@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .errors import ConfigurationError
 
@@ -43,14 +42,14 @@ def search_kernel_choice() -> str:
     return choice
 
 
-#: Floor size (in cells) past which the "paper-scale" machinery switches on:
-#: the tiled ST graph, and the wait-following rescue when its knob is left
-#: at ``None`` (the deep-tie search order and the lazy Manhattan fields read
-#: the same size, without a knob).  Every historical scenario (the
-#: scaled-down Table II floors, the small fleet rungs, the golden-trace mini
-#: floor) sits far below this threshold, so the auto rule leaves their
-#: behaviour — and their goldens — byte-identical; the paper-true 541×302
-#: floor (163 382 cells) lands far above it.
+#: Floor size (in cells) past which the "paper-scale" machinery switches on.
+#: It is compared once, into ``Grid.paper_scale``, which decides the tiled
+#: ST graph, the wait-following rescue, the deep-tie search order and the
+#: lazy Manhattan fields.  Every historical scenario (the scaled-down
+#: Table II floors, the small fleet rungs, the golden-trace mini floor)
+#: sits far below this threshold, so their behaviour — and their goldens —
+#: stays byte-identical; the paper-true 541×302 floor (163 382 cells) lands
+#: far above it.
 PAPER_SCALE_MIN_CELLS = 16_384
 
 
@@ -130,31 +129,6 @@ class PlannerConfig:
         search.  Provably behaviour-neutral — a fast-path leg is
         byte-identical to what the full search would have returned — so
         disabling it is purely a benchmarking/ablation control.
-    free_flow_rescue:
-        Whether a free-flow descent whose audit hits a reservation is
-        *rescued* by wait-following — walk the same descent cells,
-        waiting in place wherever the next move conflicts (the Sec. VI-B
-        finisher policy applied from the start cell) — before falling
-        into the full search.  O(path + waits) instead of the full
-        search's O(distance²) plateau, which is what makes congested
-        wakes on the paper-true floor tractable; the rescued path can
-        differ from the search's optimum, so ``None`` (the default)
-        enables the rescue only on floors of at least
-        :data:`PAPER_SCALE_MIN_CELLS` cells, keeping every historical
-        scenario byte-identical.
-    rescue_wait_per_step:
-        Per-step wait cap of the rescue walk: a single blocked move may
-        wait at most this many ticks before the rescue declines.
-    rescue_total_wait:
-        Total-wait cap of the rescue walk across the whole leg (the
-        dense-traffic livelock guard of ``follow_with_waits``).
-    fallback_wait_ticks:
-        Replan backoff of the wait-in-place tier, the chain's answer to
-        a full search that failed: the longest a robot holds position
-        before the search is retried.  A robot whose own cell stays free
-        holds it (committed) for the free run up to this many ticks; a
-        boxed robot sits tight (uncommitted) until the first tick within
-        this many at which its cell is free again.
     reservation_horizon:
         How many ticks into the past the reservation structure keeps before
         its periodic purge (the CDT "update" operation, Sec. VI-B).
@@ -169,10 +143,6 @@ class PlannerConfig:
     cache_threshold: int = 12
     max_search_expansions: int = 200_000
     free_flow: bool = True
-    free_flow_rescue: Optional[bool] = None
-    rescue_wait_per_step: int = 16
-    rescue_total_wait: int = 96
-    fallback_wait_ticks: int = 8
     reservation_horizon: int = 64
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7
@@ -183,15 +153,6 @@ class PlannerConfig:
                  f"cache_threshold must be >= 0, got {self.cache_threshold}")
         _require(self.max_search_expansions > 0,
                  f"max_search_expansions must be > 0, got {self.max_search_expansions}")
-        _require(self.rescue_wait_per_step >= 1,
-                 f"rescue_wait_per_step must be >= 1, "
-                 f"got {self.rescue_wait_per_step}")
-        _require(self.rescue_total_wait >= 1,
-                 f"rescue_total_wait must be >= 1, "
-                 f"got {self.rescue_total_wait}")
-        _require(self.fallback_wait_ticks >= 1,
-                 f"fallback_wait_ticks must be >= 1, "
-                 f"got {self.fallback_wait_ticks}")
         _require(self.reservation_horizon > 0,
                  f"reservation_horizon must be > 0, got {self.reservation_horizon}")
 

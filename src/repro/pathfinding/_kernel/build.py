@@ -37,6 +37,8 @@ import sysconfig
 import tempfile
 from typing import List, Optional
 
+from ...errors import ConfigurationError
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_stsearchmodule.c")
 
@@ -91,7 +93,9 @@ def build_extension(force: bool = False, quiet: bool = True) -> Optional[str]:
     ``None`` means the kernel is unavailable: builds are forbidden by
     ``REPRO_KERNEL_BUILD=0``, no compiler is present, or compilation
     failed.  Callers treat that as "run pure python" — building is always
-    best-effort, never an error.
+    best-effort, never an error.  With ``quiet=False`` a failed compile or
+    a missing compiler raises :class:`~repro.errors.ConfigurationError`
+    naming the compiler command and what it wrote to stderr.
     """
     target = extension_path()
     stale = is_stale()
@@ -101,25 +105,24 @@ def build_extension(force: bool = False, quiet: bool = True) -> Optional[str]:
         return None if stale else target
     fd, temp_out = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
+    cmd = None
     try:
         cmd = _compiler_command(temp_out)
         if cmd is None:
             return None
         result = subprocess.run(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        if result.returncode != 0:
-            if not quiet:
-                raise RuntimeError(
-                    "kernel build failed:\n" + result.stderr.decode(
-                        "utf-8", "replace"))
-            return None
-        os.replace(temp_out, target)
-        temp_out = None
-        return target
-    except (OSError, subprocess.SubprocessError):
-        if not quiet:
-            raise
-        return None
+        if result.returncode == 0:
+            os.replace(temp_out, target)
+            temp_out = None
+            return target
+        detail = result.stderr.decode("utf-8", "replace")
+    except (OSError, subprocess.SubprocessError) as error:
+        detail = str(error)
     finally:
         if temp_out is not None and os.path.exists(temp_out):
             os.unlink(temp_out)
+    if quiet:
+        return None
+    raise ConfigurationError(
+        f"native kernel build failed: {shlex.join(cmd or [])}\n{detail}")

@@ -201,10 +201,10 @@ def seed_planner_patches():
     planner layer to the seed configuration end-to-end: the tuple-based
     search core, per-leg ``manhattan_heuristic`` closures (no field
     cache), the pre-bucketing reservation structures, and no tier-0
-    free-flow fast path (the chain's class switch is flipped off, so the
-    patched ``_find_leg`` really runs the seed search for every leg —
-    the legacy reservation structures also predate the packed probes
-    the tier-0 audit needs).  Used by the end-to-end
+    free-flow fast path (the chain's tier 0 answers "off" for every leg,
+    so the patched ``_find_leg`` really runs the seed search for every
+    leg — the legacy reservation structures also predate the packed
+    probes the tier-0 audit needs).  Used by the end-to-end
     equivalence test and ``scripts/bench_kernels.py``.
     """
     from ..planners import base as base_mod
@@ -244,7 +244,8 @@ def seed_planner_patches():
          _seed_eatp_find_leg),
         (base_mod, "SpatiotemporalGraph", LegacySpatiotemporalGraph),
         (eatp_mod, "ConflictDetectionTable", LegacyConflictDetectionTable),
-        (pipeline_mod.FallbackChain, "free_flow_enabled", False),
+        (pipeline_mod.FallbackChain, "_free_flow_leg",
+         lambda self, t, source, goal: (None, pipeline_mod.FASTPATH_OFF, "")),
     ]
 
 

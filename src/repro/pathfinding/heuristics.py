@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..config import PAPER_SCALE_MIN_CELLS
 from ..types import Cell, manhattan
 from ..warehouse.grid import Grid
 
@@ -100,9 +99,8 @@ class HeuristicField:
     also plain callables, so they slot anywhere a :data:`Heuristic` is
     accepted.
 
-    On *unobstructed* floors of at least
-    :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells, ``flat`` is a
-    :class:`_LazyManhattanFlat` — value-identical (BFS distance equals
+    On *unobstructed* :attr:`~repro.warehouse.grid.Grid.paper_scale`
+    floors, ``flat`` is a :class:`_LazyManhattanFlat` — value-identical (BFS distance equals
     Manhattan when nothing blocks), zero build cost and zero footprint.
     Other floors keep the eager buffer: the lookup is a hair faster and
     every historical benchmark/golden ran on it.
@@ -113,7 +111,7 @@ class HeuristicField:
     def __init__(self, grid: Grid, goal: Cell) -> None:
         self.goal = goal
         self._height = grid.height
-        if grid.n_cells >= PAPER_SCALE_MIN_CELLS and not grid.blocked_cells:
+        if grid.paper_scale and not grid.blocked_cells:
             self.flat = _LazyManhattanFlat(goal, grid.height, grid.n_cells)
             self.nbytes = 64
             return

@@ -58,14 +58,14 @@ the full search the reject would otherwise fall into explores an
 O(distance²) f-optimal plateau — on the paper-true 541×302 floor
 hundreds of thousands of probes per leg, the cost wall behind the
 paper's "too slow to execute" exclusion.  The rescued path is
-conflict-free but need not match the search optimum, so below
-:data:`~repro.config.PAPER_SCALE_MIN_CELLS` (and without an explicit
-``free_flow_rescue=True``) the rescue stays off and rejects fall into
-the byte-identical tier-1 search as before; it also declines when the
-walk exceeds the configured wait caps or cannot even hold position —
-congestion bad enough that the search tiers should decide.  It runs
-inside the tier-0 call, where the probes are (the native ``tier0_leg``
-under the compiled kernel), and comes back as one more verdict.
+conflict-free but need not match the search optimum, so off a
+:attr:`~repro.warehouse.grid.Grid.paper_scale` floor the rescue stays
+off and rejects fall into the byte-identical tier-1 search as before; it
+also declines when the walk exceeds :data:`RESCUE_CAPS` or cannot even
+hold position — congestion bad enough that the search tiers should
+decide.  It runs inside the tier-0 call, where the probes are (the
+native ``tier0_leg`` under the compiled kernel), and comes back as one
+more verdict.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from ..config import PAPER_SCALE_MIN_CELLS
 from ..errors import PathNotFoundError
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid
@@ -83,8 +82,20 @@ from .paths import Path
 from .reservation import ReservationTable
 # ``search`` is a re-export, not a use: the frozen ``bench/trace.py``
 # shims ``pipeline.__dict__["search"]`` and dies with ``KeyError`` without
-# the name.  It goes when ``bench/`` is next opened (ROADMAP item 1 (f)).
+# the name.  It goes when ``bench/`` is next opened (ROADMAP item 2 (f)).
 from .st_astar import SearchStats, search  # noqa: F401
+
+#: ``(wait per step, total wait)`` caps of the wait-following rescue on
+#: paper-scale floors: one blocked move may wait at most 16 ticks, the
+#: whole leg at most 96 (the livelock guard of ``follow_with_waits``).
+RESCUE_CAPS = (16, 96)
+
+#: Replan backoff of the wait tier: the longest a robot whose search
+#: failed holds position before the search is retried.  A robot whose own
+#: cell stays free holds it (committed) for its free run up to this many
+#: ticks; a boxed robot sits tight (uncommitted) until the first tick
+#: within this many at which its cell is free again.
+FALLBACK_WAIT_TICKS = 8
 
 #: Fallback-chain tiers, in attempt order.
 TIER_FREE_FLOW = "free_flow"
@@ -169,12 +180,6 @@ class FallbackChain:
         own so the cache is introspectable per planner).
     """
 
-    #: Process-wide tier-0 kill switch.  The frozen-seed benchmark
-    #: patches (:func:`repro.pathfinding._legacy.seed_planner_patches`)
-    #: flip it off so a patched ``_find_leg`` really runs the seed search
-    #: for every leg; per-run control goes through ``config.free_flow``.
-    free_flow_enabled = True
-
     def __init__(self, grid: Grid, reservation: ReservationTable,
                  heuristics: HeuristicFieldCache, config,
                  full_search: Callable[[Tick, Cell, Cell], Path],
@@ -188,15 +193,9 @@ class FallbackChain:
         self.finisher_factory = finisher_factory
         self.free_flow = (free_flow if free_flow is not None
                           else FreeFlowPathCache(grid, heuristics))
-        self.rescue_enabled = (
-            config.free_flow_rescue
-            if config.free_flow_rescue is not None
-            else grid.n_cells >= PAPER_SCALE_MIN_CELLS)
         #: ``(wait per step, total wait)`` handed to tier 0; zeros switch
         #: the rescue off.
-        self.rescue_caps = (
-            (config.rescue_wait_per_step, config.rescue_total_wait)
-            if self.rescue_enabled else (0, 0))
+        self.rescue_caps = RESCUE_CAPS if grid.paper_scale else (0, 0)
 
     def plan_leg(self, t: Tick, source: Cell, goal: Cell) -> LegPlan:
         """Plan one leg through the chain.
@@ -257,7 +256,7 @@ class FallbackChain:
           ``n_cells``); tiny test budgets disable tier 0 outright.
         """
         config = self.config
-        if not (self.free_flow_enabled and config.free_flow
+        if not (config.free_flow
                 and config.max_search_expansions >= self.grid.n_cells):
             return None, FASTPATH_OFF, ""
         free_flow = self.free_flow
@@ -316,10 +315,9 @@ class FallbackChain:
 
     def _free_run(self, source: Cell, t: Tick) -> int:
         """Ticks the robot can legally hold ``source`` starting at t+1."""
-        cap = self.config.fallback_wait_ticks
         is_free = self.reservation.is_free
         run = 0
-        while run < cap and is_free(t + run + 1, source):
+        while run < FALLBACK_WAIT_TICKS and is_free(t + run + 1, source):
             run += 1
         return run
 
@@ -327,8 +325,7 @@ class FallbackChain:
         """Ticks until ``source`` is first probe-free again, at most the
         replan backoff."""
         is_free = self.reservation.is_free
-        cap = self.config.fallback_wait_ticks
-        for delta in range(1, cap):
+        for delta in range(1, FALLBACK_WAIT_TICKS):
             if is_free(t + delta, source):
                 return delta
-        return cap
+        return FALLBACK_WAIT_TICKS

@@ -50,8 +50,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..config import (PAPER_SCALE_MIN_CELLS, SEARCH_KERNEL_CHOICES,
-                      search_kernel_choice)
+from ..config import SEARCH_KERNEL_CHOICES, search_kernel_choice
 from ..errors import ConfigurationError, PathNotFoundError
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid, set_field_kernel
@@ -257,7 +256,7 @@ def search(grid: Grid, reservation: ReservationTable,
                              stats)
 
     hfield = _heuristic_field(grid, goal, heuristic)
-    deep = grid.n_cells >= PAPER_SCALE_MIN_CELLS
+    deep = grid.paper_scale
     h_spec = (_kernel_h_spec(heuristic, hfield) if _KERNEL == "compiled"
               else None)
     if h_spec is not None:

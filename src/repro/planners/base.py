@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional
 
-from ..config import PAPER_SCALE_MIN_CELLS, PlannerConfig
+from ..config import PlannerConfig
 from ..errors import PlanningError
 from ..pathfinding.free_flow import FreeFlowPathCache
 from ..pathfinding.heuristics import HeuristicFieldCache
@@ -133,11 +133,6 @@ class Planner(abc.ABC):
         self.state = state
         self.config = config if config is not None else PlannerConfig()
         self.grid = state.grid
-        #: Paper-scale gate: on floors of at least
-        #: :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells the ST graph
-        #: is the tiled form; every historical scenario sits far below,
-        #: so their runs stay byte-identical.
-        self.paper_scale: bool = self.grid.n_cells >= PAPER_SCALE_MIN_CELLS
         self.reservation: ReservationTable = self._make_reservation()
         #: Exact per-goal heuristic fields, shared by every leg to the
         #: same picker / rack home (one BFS per distinct goal, ever).
@@ -204,12 +199,13 @@ class Planner(abc.ABC):
     def _make_reservation(self) -> ReservationTable:
         """Reservation structure; ATP and the baselines use the ST graph.
 
-        At paper scale the tiled variant replaces the global one —
-        probe-for-probe identical answers (the equivalence suite pins it),
-        but only the tiles a leg actually crosses are materialised, which
-        is what lets the dense-layer family survive the 541×302 floor.
+        On a :attr:`~repro.warehouse.grid.Grid.paper_scale` floor the
+        tiled variant replaces the global one — probe-for-probe identical
+        answers (the equivalence suite pins it), but only the tiles a leg
+        actually crosses are materialised, which is what lets the
+        dense-layer family survive the 541×302 floor.
         """
-        if self.paper_scale:
+        if self.grid.paper_scale:
             return ShardedSpatiotemporalGraph()
         return SpatiotemporalGraph(self.grid)
 

@@ -2,7 +2,7 @@
 
 from .mdp import (ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackObservation,
                   RackState, bucketize, reward, transition)
-from .policy import EpsilonGreedyPolicy, GreedyPolicy
+from .policy import EpsilonGreedyPolicy
 from .qlearning import LearnerStats, QLearningAgent
 from .qtable import QTable
 
@@ -11,7 +11,6 @@ __all__ = [
     "ACTION_REQUEST",
     "ACTION_WAIT",
     "EpsilonGreedyPolicy",
-    "GreedyPolicy",
     "LearnerStats",
     "QLearningAgent",
     "QTable",

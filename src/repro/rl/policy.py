@@ -15,17 +15,6 @@ from .mdp import ACTIONS, RackState
 from .qtable import QTable
 
 
-class GreedyPolicy:
-    """Pure exploitation: argmax_α q(s, α).  Used after training freezes."""
-
-    def __init__(self, table: QTable) -> None:
-        self._table = table
-
-    def action(self, state: RackState) -> int:
-        """The current best action for ``state``."""
-        return self._table.best_action(state)
-
-
 class EpsilonGreedyPolicy:
     """The paper's ε-greedy policy over the binary action space.
 

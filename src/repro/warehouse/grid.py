@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
+from ..config import PAPER_SCALE_MIN_CELLS
 from ..errors import InvalidLocationError
 from ..types import CELL_KEY_SHIFT, Cell, manhattan
 
@@ -88,10 +89,15 @@ class Grid:
         ``0 <= y < height``.
     blocked:
         Cells robots may never occupy (walls, pillars).  Iterable of cells.
+
+    ``paper_scale`` is the one regime switch: true on floors of at least
+    :data:`~repro.config.PAPER_SCALE_MIN_CELLS` cells, where the planners
+    tile the ST graph, the search orders ties deep, an unobstructed floor
+    reads lazy Manhattan fields and the pipeline's rescue is on.
     """
 
     __slots__ = ("width", "height", "_blocked", "adjacency", "cell_keys",
-                 "_kernel_capsule", "_components")
+                 "_kernel_capsule", "_components", "paper_scale")
 
     def __init__(self, width: int, height: int,
                  blocked: Optional[Iterable[Cell]] = None) -> None:
@@ -100,6 +106,7 @@ class Grid:
                 f"grid dimensions must be positive, got {width}x{height}")
         self.width = width
         self.height = height
+        self.paper_scale = width * height >= PAPER_SCALE_MIN_CELLS
         self._blocked: Set[Cell] = set(blocked) if blocked else set()
         for cell in self._blocked:
             if not self.in_bounds(cell):

@@ -8,8 +8,8 @@ resolved legs *is* that many ``plan_leg`` calls in the same order (paths,
 counters and reservation footprint), and that whatever a congested wake
 commits is conflict-free when replayed onto a fresh table.
 
-What the :data:`~repro.config.PAPER_SCALE_MIN_CELLS` gate still decides —
-the tiled ST graph, the rescue, the deep-tie search order — is pinned
+What the one ``Grid.paper_scale`` gate decides — the tiled ST graph, the
+rescue, the deep-tie search order, the lazy Manhattan fields — is pinned
 here too.  (The file keeps its PR-6 name so the surviving test ids stay
 stable.)
 """
@@ -17,17 +17,20 @@ stable.)
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding.cdt import ConflictDetectionTable
-from repro.pathfinding.heuristics import HeuristicFieldCache
+from repro.pathfinding.heuristics import (HeuristicFieldCache,
+                                          _LazyManhattanFlat)
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT,
-                                        FASTPATH_RESCUE, TIER_FREE_FLOW,
-                                        TIER_FULL, FallbackChain)
+                                        FASTPATH_RESCUE, RESCUE_CAPS,
+                                        TIER_FREE_FLOW, TIER_FULL,
+                                        FallbackChain)
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.pathfinding.st_astar import find_path
@@ -133,7 +136,7 @@ class TestWakeIsTheSequentialLoop:
         scheme, planner = assert_wake_is_the_sequential_loop(
             self.at_gate(planner_name))
         assert len(scheme) == 10
-        assert planner.paper_scale
+        assert planner.grid.paper_scale
         # The wake was congested: most legs lost tier 0 and searched.
         assert planner.stats.legs_full >= 5
 
@@ -155,7 +158,7 @@ class TestWakeIsTheSequentialLoop:
 
         scheme, planner = assert_wake_is_the_sequential_loop(make_planner)
         assert len(scheme) >= 8
-        assert not planner.paper_scale
+        assert not planner.grid.paper_scale
 
 
 class TestBatchConflictReplan:
@@ -198,7 +201,7 @@ class TestPaperScaleAutoGate:
     def test_small_floor_defaults_off(self):
         state, __ = make_mini(seed=3, n_items=10).build()
         planner = PLANNERS["NTP"](state)
-        assert planner.paper_scale is False
+        assert planner.grid.paper_scale is False
         assert type(planner.reservation) is SpatiotemporalGraph
         state, __ = make_mini(seed=3, n_items=10).build()
         eatp = PLANNERS["EATP"](state)
@@ -211,7 +214,7 @@ class TestPaperScaleAutoGate:
             state = WarehouseState(grid=Grid(128, 128), racks=[],
                                    pickers=[], robots=[])
             planner = PLANNERS[name](state)
-            assert planner.paper_scale is True
+            assert planner.grid.paper_scale is True
             assert isinstance(planner.reservation,
                               ShardedSpatiotemporalGraph)
 
@@ -222,8 +225,42 @@ class TestPaperScaleAutoGate:
                                            picker_id=0)],
                                pickers=[], robots=[])
         planner = PLANNERS["EATP"](state)
-        assert planner.paper_scale is True
+        assert planner.grid.paper_scale is True
         assert type(planner.reservation) is ConflictDetectionTable
+
+    @pytest.mark.parametrize("height", [128, 127])
+    def test_one_gate_four_decisions(self, monkeypatch, height):
+        """At 128x128 (exactly the gate) every paper-scale decision is
+        on, one row short every one is off: they read one flag."""
+        from repro.pathfinding import st_astar
+        on = 128 * height >= PAPER_SCALE_MIN_CELLS
+        assert on is (height == 128)
+        grid = Grid(128, height)
+        assert grid.paper_scale is on
+        planner = PLANNERS["NTP"](WarehouseState(grid=grid, racks=[],
+                                                 pickers=[], robots=[]))
+        assert type(planner.reservation) is (
+            ShardedSpatiotemporalGraph if on else SpatiotemporalGraph)
+        assert planner.pipeline.rescue_caps == (RESCUE_CAPS if on
+                                                else (0, 0))
+        flat = planner.heuristics.field((90, 90)).flat
+        assert isinstance(flat, _LazyManhattanFlat) is on
+        deep = []
+        for name in ("_search_heap", "_search_compiled"):
+            core = getattr(st_astar, name)
+            monkeypatch.setattr(
+                st_astar, name,
+                lambda *args, core=core: deep.append(args[4]) or core(*args))
+        find_path(grid, planner.reservation, (0, 0), (90, 90), 0)
+        assert deep == [on]
+
+    def test_obstructed_gate_floor_keeps_the_eager_field(self):
+        grid = Grid(128, 128, blocked=[(64, 64)])
+        assert grid.paper_scale
+        flat = HeuristicFieldCache(grid).field((64, 65)).flat
+        assert isinstance(flat, array)
+        # The detour round the pillar, where Manhattan would say 2.
+        assert flat[grid.cell_index((64, 63))] == 4
 
 
 class TestWaitFollowingRescue:
@@ -254,9 +291,9 @@ class TestWaitFollowingRescue:
         # monotone descent from (0, 5) to (6, 5).
         blocker = Path.from_cells([(3, 5)] * 4 + [(3, 4)], start_time=0)
         reservation.reserve_path(blocker)
-        config = PlannerConfig(free_flow_rescue=True)
-        chain = self.make_chain(reservation, config,
+        chain = self.make_chain(reservation, PlannerConfig(),
                                 full_search=self.never_search)
+        chain.rescue_caps = RESCUE_CAPS  # the paper-scale caps, forced
         leg = chain.plan_leg(0, (0, 5), (6, 5))
         assert leg.tier == TIER_FREE_FLOW
         assert leg.fastpath == FASTPATH_RESCUE
@@ -271,9 +308,8 @@ class TestWaitFollowingRescue:
         # The blocker sits far longer than the rescue's wait budget.
         blocker = Path.from_cells([(3, 5)] * 40, start_time=0)
         reservation.reserve_path(blocker)
-        config = PlannerConfig(free_flow_rescue=True,
-                               rescue_wait_per_step=2, rescue_total_wait=2)
-        chain = self.make_chain(reservation, config)
+        chain = self.make_chain(reservation, PlannerConfig())
+        chain.rescue_caps = (2, 2)
         leg = chain.plan_leg(0, (0, 5), (6, 5))
         # Rescue gave up; the leg fell into the unchanged tier-1 search.
         assert leg.fastpath == FASTPATH_AUDIT_REJECT
@@ -282,12 +318,11 @@ class TestWaitFollowingRescue:
 
     def test_rescue_defaults_off_below_the_gate(self):
         grid = Grid(12, 10)
-        assert grid.n_cells < PAPER_SCALE_MIN_CELLS
+        assert not grid.paper_scale
         reservation = SpatiotemporalGraph(grid)
         reservation.reserve_path(
             Path.from_cells([(3, 5)] * 4 + [(3, 4)], start_time=0))
         chain = self.make_chain(reservation, PlannerConfig())
-        assert chain.rescue_enabled is False
         assert chain.rescue_caps == (0, 0)
         # The descent the forced rescue serves above is a plain reject.
         leg = chain.plan_leg(0, (0, 5), (6, 5))
@@ -296,10 +331,8 @@ class TestWaitFollowingRescue:
 
 
 class TestDeepTieOrdering:
-    def test_paper_scale_tie_break_preserves_optimality(self, monkeypatch):
+    def test_paper_scale_tie_break_preserves_optimality(self):
         """The deep-tie heap order changes expansion order, not cost."""
-        from repro.pathfinding import st_astar
-
         def reserved_table(grid):
             table = SpatiotemporalGraph(grid)
             for cells, t0 in [([(4, y) for y in range(8)], 0),
@@ -310,7 +343,7 @@ class TestDeepTieOrdering:
 
         grid = Grid(12, 10)
         baseline = find_path(grid, reserved_table(grid), (0, 0), (10, 8), 0)
-        monkeypatch.setattr(st_astar, "PAPER_SCALE_MIN_CELLS", 1)
+        grid.paper_scale = True  # the deep order on a small floor
         deep = find_path(grid, reserved_table(grid), (0, 0), (10, 8), 0)
         # Both reach the goal at the same (optimal) time; the route may
         # legitimately differ.

@@ -42,7 +42,7 @@ from repro.pathfinding.free_flow import (FreeFlowPathCache,
                                          set_descent_kernel)
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
-from repro.pathfinding.pipeline import FallbackChain
+from repro.pathfinding.pipeline import RESCUE_CAPS, FallbackChain
 from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
@@ -506,10 +506,11 @@ class TestOneTierZeroContract:
             cache = FreeFlowPathCache(grid, heuristics)
             chain = FallbackChain(
                 grid=grid, reservation=table, heuristics=heuristics,
-                config=PlannerConfig(free_flow_rescue=bool(seed % 3)),
-                full_search=None,
+                config=PlannerConfig(), full_search=None,
                 finisher_factory=self.finisher_factory(rng, cache),
                 free_flow=cache)
+            if seed % 3:
+                chain.rescue_caps = RESCUE_CAPS
             compiled, python = self.both_kernels(
                 lambda: chain._free_flow_leg(t, source, goal))
             native = name != "generic"

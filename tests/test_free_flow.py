@@ -33,6 +33,7 @@ from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT,
                                         TIER_FREE_FLOW, TIER_FULL,
                                         FallbackChain)
 from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding._legacy import seed_planner_patches
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.pathfinding.st_astar import (SearchStats, find_path,
                                         search_kernel_name,
@@ -329,12 +330,22 @@ class TestChainTierZero:
         assert leg.fastpath == FASTPATH_OFF
         assert leg.tier == TIER_FULL
 
-    def test_class_kill_switch(self, monkeypatch):
-        monkeypatch.setattr(FallbackChain, "free_flow_enabled", False)
-        leg = make_chain(Grid(12, 10), ConflictDetectionTable()).plan_leg(
-            0, (0, 0), (9, 7))
-        assert leg.fastpath == FASTPATH_OFF
-        assert leg.tier == TIER_FULL
+    def test_seed_patches_turn_tier_zero_off(self, monkeypatch):
+        # The seed-equivalence suite compares against a run whose every
+        # leg really searches: under the seed patches no leg enters tier 0.
+        for target, name, replacement in seed_planner_patches():
+            monkeypatch.setattr(target, name, replacement)
+        legs = []
+        plan_leg = FallbackChain.plan_leg
+        monkeypatch.setattr(
+            FallbackChain, "plan_leg",
+            lambda chain, *args: legs.append(plan_leg(chain, *args))
+            or legs[-1])
+        from repro.experiments.harness import run_planner
+        run_planner(make_mini(seed=3, n_items=12), "NTP")
+        assert legs
+        assert {(leg.fastpath, leg.tier, leg.descent_kernel)
+                for leg in legs} == {(FASTPATH_OFF, TIER_FULL, "")}
 
     def test_hit_commits_full_path(self):
         grid = Grid(12, 10)

@@ -13,8 +13,11 @@ the selection/fallback tests still run.
 import dataclasses
 import gc
 import hashlib
+import importlib.util
+import os
 import random
 import subprocess
+import sys
 import tracemalloc
 from array import array
 
@@ -197,6 +200,41 @@ class TestKernelSelection:
         assert build.source_stamp().encode() in foreign_binary.read_bytes()
         assert not build.is_stale()
 
+    @pytest.mark.parametrize("command, detail", [
+        ([sys.executable, "-c", "import sys; sys.exit('cc: boom')"],
+         "cc: boom"),
+        (["/nonexistent/bin/cc", "-O2"], "No such file or directory"),
+    ], ids=["compile-fails", "no-compiler"])
+    def test_failed_build_is_a_typed_error(self, monkeypatch, capsys,
+                                           command, detail):
+        monkeypatch.setenv("REPRO_KERNEL_BUILD", "1")
+        monkeypatch.setattr(build, "_compiler_command",
+                            lambda output: list(command))
+        kernel_dir = os.path.dirname(build.extension_path())
+
+        def snapshot():
+            artefact = build.extension_path()
+            stat = os.stat(artefact) if os.path.exists(artefact) else None
+            return (sorted(os.listdir(kernel_dir)),
+                    stat and (stat.st_size, stat.st_mtime_ns))
+
+        before = snapshot()
+        with pytest.raises(ConfigurationError) as excinfo:
+            build.build_extension(force=True, quiet=False)
+        assert command[0] in str(excinfo.value)
+        assert detail in str(excinfo.value)
+        assert build.build_extension(force=True) is None
+        # The CLI reports the failure and exits 0, or 1 under --check.
+        spec = importlib.util.spec_from_file_location(
+            "build_kernel", os.path.join(os.path.dirname(__file__), "..",
+                                         "scripts", "build_kernel.py"))
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--force"]) == 0
+        assert detail in capsys.readouterr().out
+        assert script.main(["--force", "--check"]) == 1
+        assert snapshot() == before
+
     @needs_compiled
     def test_explicit_choices_select_the_named_core(self):
         assert set_search_kernel("compiled") == "compiled"
@@ -344,7 +382,7 @@ class TestKernelBitIdentity:
         # 129 * 128 = 16512 cells >= PAPER_SCALE_MIN_CELLS: the open set
         # switches to the paper-scale (f, -g, tie) ordering.
         grid = Grid(129, 128)
-        assert grid.n_cells >= st_astar.PAPER_SCALE_MIN_CELLS
+        assert grid.paper_scale
 
         def big_traffic():
             table = ConflictDetectionTable()

@@ -7,7 +7,7 @@ import pytest
 from repro.config import QLearningConfig
 from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
                           request_cost, wait_cost)
-from repro.rl.policy import EpsilonGreedyPolicy, GreedyPolicy
+from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
 
@@ -113,11 +113,6 @@ class TestBernoulliDelta:
 
 
 class TestPolicies:
-    def test_greedy_policy_follows_table(self):
-        table = QTable()
-        table.set((0, 0), ACTION_WAIT, 5.0)
-        assert GreedyPolicy(table).action((0, 0)) == ACTION_WAIT
-
     def test_epsilon_greedy_validates_epsilon(self):
         with pytest.raises(ValueError):
             EpsilonGreedyPolicy(QTable(), epsilon=1.5)

@@ -24,6 +24,7 @@ from repro.pathfinding.cache import follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import find_conflicts
 from repro.pathfinding.heuristics import HeuristicFieldCache
+from repro.pathfinding import pipeline
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import (TIER_FREE_FLOW, TIER_FULL, TIER_WAIT,
                                         FallbackChain)
@@ -173,14 +174,15 @@ class TestFallbackChain:
         (failed,) = leg.search_stats
         assert failed.expansions == 1 and not failed.budget_exhausted
 
-    def test_boxed_wait_is_capped_by_fallback_wait_ticks(self):
+    def test_boxed_wait_is_capped_by_fallback_wait_ticks(self, monkeypatch):
         grid = corridor(5)
         cdt = ConflictDetectionTable()
         for cell in [(1, 0), (2, 0), (3, 0)]:
             blockade(cdt, cell, until=40)
         for cap in (1, 3, 8):
-            config = PlannerConfig(fallback_wait_ticks=cap)
-            leg = make_chain(grid, cdt, config).plan_leg(0, (2, 0), (4, 0))
+            monkeypatch.setattr(pipeline, "FALLBACK_WAIT_TICKS", cap)
+            leg = make_chain(grid, cdt, PlannerConfig()).plan_leg(
+                0, (2, 0), (4, 0))
             assert leg.tier == TIER_WAIT
             assert leg.path.duration == cap  # the cell is free only at 41
 
@@ -221,8 +223,8 @@ class TestFallbackChain:
             blockade(cdt, (3, 0), until=100)
             if crossed_at is not None:
                 cdt.reserve_path(Path.waiting((2, 0), crossed_at, 0))
-            config = PlannerConfig(max_search_expansions=3,
-                                   fallback_wait_ticks=8)
+            assert pipeline.FALLBACK_WAIT_TICKS == 8
+            config = PlannerConfig(max_search_expansions=3)
             chain = make_chain(grid, cdt, config)
             leg = chain.plan_leg(0, (2, 0), (4, 0))
             assert leg.tier == TIER_WAIT
@@ -299,11 +301,11 @@ class FirstAttemptFailsNTP(NaiveTaskPlanner):
 
 
 class TestHorizonReplanEngine:
-    def test_partial_legs_drain_through_horizon_replans(self):
+    def test_partial_legs_drain_through_horizon_replans(self, monkeypatch):
         scenario = make_mini(n_items=30)
         state, items = scenario.build()
-        planner = FirstAttemptFailsNTP(
-            state, PlannerConfig(fallback_wait_ticks=2, free_flow=False))
+        monkeypatch.setattr(pipeline, "FALLBACK_WAIT_TICKS", 2)
+        planner = FirstAttemptFailsNTP(state, PlannerConfig(free_flow=False))
         config = SimulationConfig(collect_paths=True)
         result = Simulation(state, planner, items, config).run()
 
