@@ -4,14 +4,11 @@ Every paper table/figure has one benchmark module that (a) regenerates the
 artefact — printing the same rows/series the paper reports — and (b)
 asserts the qualitative *shape* the paper claims.  Regenerators run once
 (``pedantic`` single round): they are end-to-end experiments, not
-micro-kernels.  The ``micro_*`` modules contain proper repeated-timing
-micro-benchmarks of the hot kernels.
+micro-kernels.  Wall-clock performance is measured by ``bench/run.py``.
 
 ``BENCH_SCALE`` trades fidelity for wall-clock; 0.35 keeps the whole
 harness to a few minutes while preserving every qualitative shape.
 """
-
-from repro.pathfinding.paths import Path
 
 BENCH_SCALE = 0.35
 
@@ -25,25 +22,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
 
-
-# -- shared micro-kernel workloads -----------------------------------------
-#
-# Defined once so the pytest micro-kernels and scripts/bench_kernels.py
-# (which records the same scenarios head-to-head against the frozen seed)
-# cannot drift apart.
-
-def crossing_traffic(table, n=12):
-    """The spatiotemporal-search workload: crossing lane reservations."""
-    for i in range(n):
-        cells = [(x, 3 + 2 * i % 30) for x in range(0, 50)]
-        table.reserve_path(Path.from_cells(cells, start_time=i * 3))
-
-
-def dense_traffic(table, grid, n_paths=400, horizon=800):
-    """The purge workload: many live reservations over a long horizon."""
-    for i in range(n_paths):
-        row = 1 + i % (grid.height - 2)
-        x0 = (7 * i) % (grid.width - 30)
-        cells = [(x, row) for x in range(x0, x0 + 30)]
-        table.reserve_path(
-            Path.from_cells(cells, start_time=(13 * i) % horizon))

@@ -25,8 +25,8 @@ def test_fig11_stc_ptc(benchmark):
     # plain ST-A*, while EATP's residual cost (the cache walk in the
     # finisher tail) stays in python — so under the compiled core the
     # PTC contrast measures kernel coverage, not the paper's Sec. VI-B
-    # design.  The compiled-vs-python contrast itself is benchmarked in
-    # scripts/bench_kernels.py.
+    # design.  Compiled-vs-python identity is pinned by the cross-kernel
+    # equivalence suites under tests/.
     previous = st_astar.search_kernel_name()
     st_astar.set_search_kernel("python")
     try:

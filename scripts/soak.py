@@ -9,9 +9,8 @@ Run from the repo root (no PYTHONPATH needed)::
     python scripts/soak.py --planner EATP --duration 20000 --out soak.json
     python scripts/soak.py --smoke
 
-See ``python scripts/soak.py --help`` for every knob, and
-``scripts/bench_kernels.py --soak-only`` for the benchmarked
-``BENCH_PR7.json`` variant.
+See ``python scripts/soak.py --help`` for every knob; the timed
+service-mode workload is ``bench/run.py --workload service-eatp``.
 """
 
 import sys

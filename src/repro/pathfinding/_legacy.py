@@ -2,16 +2,10 @@
 
 These are verbatim copies of the tuple-based spatiotemporal A* and the
 pre-bucketing reservation structures as they stood before the
-packed-integer rewrite.  They exist for two purposes only:
-
-* **Equivalence testing** — ``tests/test_packed_equivalence.py`` asserts
-  the packed core returns paths of identical length (bit-identical steps
-  on open floors) and that both reservation structures answer every probe
-  the same way.
-* **Same-run benchmarking** — ``scripts/bench_kernels.py`` measures the
-  packed core and the bucketed purge against these references in one
-  process, so BENCH_PR1.json records a speedup that is not an artefact of
-  machine drift between runs.
+packed-integer rewrite.  They exist for equivalence testing only:
+``tests/test_packed_equivalence.py`` asserts the packed core returns paths
+of identical length (bit-identical steps on open floors) and that both
+reservation structures answer every probe the same way.
 
 Do not use them anywhere else, and do not "fix" them: their value is
 staying exactly what the seed shipped.
@@ -205,7 +199,8 @@ def seed_planner_patches():
     so the patched ``_find_leg`` really runs the seed search for every
     leg — the legacy reservation structures also predate the packed
     probes the tier-0 audit needs).  Used by the end-to-end
-    equivalence test and ``scripts/bench_kernels.py``.
+    equivalence tests in ``tests/test_packed_equivalence.py`` and
+    ``tests/test_free_flow.py``.
     """
     from ..planners import base as base_mod
     from ..planners import eatp as eatp_mod

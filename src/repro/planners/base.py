@@ -302,10 +302,10 @@ class Planner(abc.ABC):
         The simulator's wake contract: :meth:`plan` is invoked only at
         ticks where an idle robot and a selectable rack coexist (at every
         other tick it would return an empty scheme without touching the
-        learner, the RNG, or the stats), and the per-tick ``end_of_tick``
-        housekeeping hook is folded into this span-aware call — the
-        event-driven engine jumps over quiet spans and hands the whole
-        span to the planner at once.
+        learner, the RNG, or the stats), and per-tick housekeeping is
+        folded into this span-aware call — the event-driven engine jumps
+        over quiet spans and hands the whole span to the planner at once
+        (a single tick is ``advance(t, t)``).
 
         The base implementation performs the periodic reservation purge
         (the CDT "update" operation / the ST-graph layer eviction the
@@ -331,10 +331,6 @@ class Planner(abc.ABC):
                 self.stats.purges_compiled += 1
             elif kernel == "python":
                 self.stats.purges_python += 1
-
-    def end_of_tick(self, t: Tick) -> None:
-        """Single-tick :meth:`advance` (kept for external callers)."""
-        self.advance(t, t)
 
     def memory_bytes(self) -> int:
         """Total live structure footprint — the Fig. 12 MC sample.

@@ -3,11 +3,10 @@
 This is the engine exactly as it shipped before the event-driven refactor:
 an unconditional per-tick loop that touches every robot, picker, and the
 planner every tick.  It is kept — like ``pathfinding/_legacy.py`` for the
-search core — as the behavioural reference the equivalence suite and the
-``bench_engine`` kernel compare against.  The only adaptation is the
-planner housekeeping call, which now goes through the span-aware
-``advance(t, t)`` hook (``end_of_tick`` delegates to it, so the semantics
-per tick are identical).
+search core — as the behavioural reference the equivalence suite compares
+against.  The only adaptation is the planner housekeeping call, which now
+goes through the span-aware ``advance(t, t)`` hook with one-tick spans,
+so the semantics per tick are identical.
 
 Do not extend this module; new behaviour goes into
 :mod:`repro.sim.engine`.

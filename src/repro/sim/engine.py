@@ -634,9 +634,7 @@ class Simulation:
         # Fold the planner's commit-time high-water mark into the
         # recorder's peak: with per-event sampling gone, the recorder has
         # only seen the opening footprint and the checkpoint boundaries.
-        # Planners without the hook (replays) contribute 0 — a no-op.
-        self._recorder.note_memory(
-            getattr(self.planner, "peak_memory_bytes", 0))
+        self._recorder.note_memory(self.planner.peak_memory_bytes)
         # The same denominator rule the checkpoints use (elapsed ticks at
         # sample time, here the full run), so the final PPR/RWR and a
         # checkpoint landing on the final accounted tick agree exactly.

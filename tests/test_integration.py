@@ -9,12 +9,13 @@ evaluation rests on.
 import pytest
 
 from repro.config import PlannerConfig, QLearningConfig, SimulationConfig
+from repro.errors import PathNotFoundError
 from repro.pathfinding.conflicts import find_conflicts
 from repro.planners import PLANNERS
 from repro.sim.engine import Simulation
 from repro.sim.missions import MissionStage
 from repro.warehouse.entities import RackPhase, RobotState
-from repro.workloads.datasets import make_mini
+from repro.workloads.datasets import fleet_ladder, make_mini
 
 ALL_PLANNERS = sorted(PLANNERS)
 
@@ -52,6 +53,24 @@ class TestEveryPlannerDrains:
         __, result = run_mini(name)
         item_ids = [item.item_id for m in result.missions for item in m.batch]
         assert sorted(item_ids) == list(range(60))
+
+
+class TestEveryPlannerDrainsFleet200:
+    """The 200-robot fleet-ladder rung at scale 0.35 (38x24, 70 robots):
+    the most congested small-floor rung, which every planner must drain
+    through the planning pipeline."""
+
+    SPEC = fleet_ladder(0.35, fleets=(200,), large_fleets=())[0]
+
+    @pytest.mark.parametrize("name", ALL_PLANNERS)
+    def test_drains_with_invariants(self, name):
+        state, items = self.SPEC.build()
+        try:
+            result = Simulation(state, PLANNERS[name](state), items).run()
+        except PathNotFoundError as error:
+            pytest.fail(f"{name} let PathNotFoundError escape: {error}")
+        assert result.metrics.items_processed == len(items)
+        state.check_invariants()
 
 
 class TestConflictFreedom:

@@ -282,12 +282,12 @@ class TestPlannerBookkeeping:
         horizon = planner.config.reservation_horizon
         cadence = planner.PURGE_CADENCE
         t = ((horizon + 100) // cadence + 1) * cadence
-        planner.end_of_tick(t)
+        planner.advance(t, t)
         assert planner.reservation.is_free(0, state.racks[5].home)
 
     def test_advance_span_purges_like_the_tick_loop(self):
         """One span-aware advance() call must leave the reservation in
-        the exact state the per-tick end_of_tick sweep produced."""
+        the exact state the one-tick advance(t, t) sweep produced."""
         def loaded_planner():
             state = make_two_picker_state(n_robots=1)
             give_items(state, 5)
@@ -298,7 +298,7 @@ class TestPlannerBookkeeping:
         horizon_end = 400
         ticked = loaded_planner()
         for t in range(horizon_end + 1):
-            ticked.end_of_tick(t)
+            ticked.advance(t, t)
         spanned = loaded_planner()
         spanned.advance(0, horizon_end)
         assert (spanned.reservation.memory_bytes()

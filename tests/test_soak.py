@@ -153,6 +153,7 @@ class TestRunSoak:
         assert not soak_ok(report)
 
     def test_smoke_spec_passes_its_own_gates(self):
-        # The CI-sized run must be green by construction, otherwise the
-        # bench_kernels smoke gate is flaky on arrival.
+        # The CI-sized run must be green by construction: this is the
+        # tier-1 gate that soak memory stays flat and a restore is
+        # bit-identical.
         assert soak_ok(run_soak(smoke_spec()))
