@@ -8,12 +8,12 @@ A*-on-spatiotemporal-graph planner.
 
 from _bench_common import SHAPE_SCALE, run_once
 
-from repro.config import PlannerConfig
 from repro.experiments.fig11 import render_fig11, run_fig11
 from repro.pathfinding import st_astar
+from repro.pathfinding._legacy import tier0_off_patch
 
 
-def test_fig11_stc_ptc(benchmark):
+def test_fig11_stc_ptc(benchmark, monkeypatch):
     # The shape claims compare the paper's *per-planner* efficiency
     # designs (flip requesting, cache-aided CDT search).  The tier-0
     # free-flow fast path is a cross-cutting accelerator that collapses
@@ -27,11 +27,11 @@ def test_fig11_stc_ptc(benchmark):
     # PTC contrast measures kernel coverage, not the paper's Sec. VI-B
     # design.  Compiled-vs-python identity is pinned by the cross-kernel
     # equivalence suites under tests/.
+    monkeypatch.setattr(*tier0_off_patch())
     previous = st_astar.search_kernel_name()
     st_astar.set_search_kernel("python")
     try:
-        data = run_once(benchmark, run_fig11, scale=SHAPE_SCALE,
-                        planner_config=PlannerConfig(free_flow=False))
+        data = run_once(benchmark, run_fig11, scale=SHAPE_SCALE)
     finally:
         st_astar.set_search_kernel(
             "compiled" if previous == "compiled" else "python")

@@ -122,13 +122,6 @@ class PlannerConfig:
     max_search_expansions:
         Safety valve for a single spatiotemporal A* run; prevents an
         accidentally unreachable goal from hanging an experiment.
-    free_flow:
-        Whether the tier-0 free-flow fast path (greedy descent on the
-        exact heuristic field plus a bulk reservation audit, see
-        :mod:`repro.pathfinding.free_flow`) runs ahead of the full
-        search.  Provably behaviour-neutral — a fast-path leg is
-        byte-identical to what the full search would have returned — so
-        disabling it is purely a benchmarking/ablation control.
     reservation_horizon:
         How many ticks into the past the reservation structure keeps before
         its periodic purge (the CDT "update" operation, Sec. VI-B).
@@ -142,7 +135,6 @@ class PlannerConfig:
     knn_k: int = 8
     cache_threshold: int = 12
     max_search_expansions: int = 200_000
-    free_flow: bool = True
     reservation_horizon: int = 64
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7

@@ -9,6 +9,16 @@ test/bench harnesses, or CI) via
 library on a machine without a toolchain stays side-effect free and the
 pure-python core remains the always-working fallback.
 
+Whether native code serves is decided once: :data:`active` holds the
+loaded module, or ``None``, and only
+:func:`repro.pathfinding.st_astar.set_search_kernel` sets it (from
+``REPRO_KERNEL`` at import).  Every plane reads it at call time — the
+search, the three tables' ``reserve_path`` / ``purge_before``, the field
+flood and tier 0 — and one rule serves them all: the switch is on, the
+table is one of the library's three (its ``kernel_probe_spec`` names a
+probe mode) and the field is a library one.  Anything else takes the
+python body, which answers bit-identically.
+
 The six entry points — ``prepare_grid``, ``run``, ``reserve_path``,
 ``purge_before``, ``bfs_fill``, ``tier0_leg`` — carry their signatures
 as docstrings (``help(_stsearch.run)``).  A leg crosses the boundary as
@@ -35,6 +45,10 @@ from .build import build_extension, is_stale
 #: probed and absent, module = probed and loaded.
 _probed = False
 _module = None
+
+#: The module every compiled plane calls, or ``None`` for the python
+#: bodies (see the module docstring).
+active = None
 
 
 def load_compiled(refresh: bool = False):

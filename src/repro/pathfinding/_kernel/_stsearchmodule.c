@@ -23,10 +23,9 @@
  * where that vertex is taken: run() by its own wait probe, probe_move()
  * — the tier-0 audit and the rescue — by one more vertex probe.
  *
- * Reservation probes run natively for the library's own structures
- * (probe modes 1, 2 and 4 below) and through the generic packed-probe
- * callables otherwise (mode 0), so third-party ReservationTable
- * subclasses keep working unmodified.
+ * Reservation probes read the library's three table layouts (probe
+ * modes 1, 2 and 4 below) and nothing else: a table without a mode is
+ * served by the python bodies, never called back from here.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -50,10 +49,9 @@
 
 /* Probe modes, mirrored from ReservationTable.kernel_probe_spec(). */
 enum {
-    PROBE_CALLABLE = 0,     /* (is_free_packed, edge_free_packed)        */
+    /* 0 was generic probe callables, 3 a tiled CDT; neither is reused. */
     PROBE_CDT = 1,          /* ({t: set(key)}, {t: set(edge)})           */
     PROBE_DENSE = 2,        /* ({t: bytearray[ci]}, {t: set(edge)})      */
-    /* 3 was a tiled CDT layout; the number is not reused. */
     PROBE_TILED_DENSE = 4,  /* ({t: {tile: bytearray}}, {t: set(edge)})  */
 };
 
@@ -464,6 +462,30 @@ probe_init(Probe *p, int mode, int tile_bits, PyObject *vertex_obj,
     p->memo_tile_id = -1;
 }
 
+/* The probe modes every entry point serves: exactly 1, 2 and 4, over
+ * dict containers.  A mode outside them raises ValueError before any
+ * container is read or written. */
+static int
+mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj,
+               int tile_bits)
+{
+    if (mode != PROBE_CDT && mode != PROBE_DENSE
+            && mode != PROBE_TILED_DENSE) {
+        PyErr_SetString(PyExc_ValueError, "unknown probe mode");
+        return -1;
+    }
+    if (tile_bits < 0 || tile_bits > CELL_KEY_SHIFT) {
+        PyErr_SetString(PyExc_ValueError, "tile_bits out of range");
+        return -1;
+    }
+    if (!PyDict_Check(vertex_obj) || !PyDict_Check(edge_obj)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "vertex/edge containers must be dicts");
+        return -1;
+    }
+    return 0;
+}
+
 /* Fetch the per-tick context for one expansion.  The swap set of the
  * departure tick is left to the first probe_edge: a tick whose wait is
  * granted never asks for it.  Returns -1 on error. */
@@ -507,8 +529,6 @@ probe_setup(Probe *p, int64_t t1)
         if (p->layer_tiles == NULL && PyErr_Occurred())
             return -1;
         break;
-    default:
-        break;  /* callables take the tick */
     }
     return 0;
 }
@@ -530,17 +550,6 @@ static int
 probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
 {
     switch (p->mode) {
-    case PROBE_CALLABLE: {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            p->vertex_obj, p->t1_obj, gd->key_objs[ci], NULL);
-        if (res == NULL)
-            return -1;
-        int truthy = PyObject_IsTrue(res);
-        Py_DECREF(res);
-        if (truthy < 0)
-            return -1;
-        return !truthy;
-    }
     case PROBE_CDT:
         if (p->occupied == NULL)
             return 0;
@@ -606,23 +615,9 @@ probe_edge(Probe *p, const GridData *gd, Py_ssize_t sci, Py_ssize_t nci)
         p->t0_obj = PyLong_FromLongLong((long long)(p->t1 - 1));
         if (p->t0_obj == NULL)
             return -1;
-        if (p->mode != PROBE_CALLABLE) {
-            p->swaps = PyDict_GetItemWithError(p->edge_obj, p->t0_obj);
-            if (p->swaps == NULL && PyErr_Occurred())
-                return -1;
-        }
-    }
-    if (p->mode == PROBE_CALLABLE) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            p->edge_obj, p->t0_obj, gd->key_objs[sci], gd->key_objs[nci],
-            NULL);
-        if (res == NULL)
+        p->swaps = PyDict_GetItemWithError(p->edge_obj, p->t0_obj);
+        if (p->swaps == NULL && PyErr_Occurred())
             return -1;
-        int truthy = PyObject_IsTrue(res);
-        Py_DECREF(res);
-        if (truthy < 0)
-            return -1;
-        return !truthy;
     }
     if (p->swaps == NULL)
         return 0;
@@ -809,25 +804,8 @@ stsearch_run(PyObject *self, PyObject *args)
         return NULL;
 
     /* Validate the probe spec shape up front, then trust it in the loop. */
-    switch (probe_mode) {
-    case PROBE_CALLABLE:
-        if (!PyCallable_Check(probe_a) || !PyCallable_Check(probe_b)) {
-            PyErr_SetString(PyExc_TypeError, "probe callables expected");
-            return NULL;
-        }
-        break;
-    case PROBE_CDT:
-    case PROBE_DENSE:
-    case PROBE_TILED_DENSE:
-        if (!PyDict_Check(probe_a) || !PyDict_Check(probe_b)) {
-            PyErr_SetString(PyExc_TypeError, "probe dicts expected");
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_ValueError, "unknown probe mode");
+    if (mut_check_args(probe_mode, probe_a, probe_b, tile_bits) < 0)
         return NULL;
-    }
 
     Search s;
     memset(&s, 0, sizeof(Search));
@@ -1128,29 +1106,6 @@ dense_layer_new(PyObject *dict, PyObject *t_obj, Py_ssize_t n)
     }
     Py_DECREF(layer);
     return layer;  /* borrowed: the dict holds it */
-}
-
-/* The container modes reserve_path, purge_before and tier0_leg serve:
- * exactly 1, 2 and 4 (mode 0 has no containers to mutate or walk). */
-static int
-mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj,
-               int tile_bits)
-{
-    if (mode != PROBE_CDT && mode != PROBE_DENSE
-            && mode != PROBE_TILED_DENSE) {
-        PyErr_SetString(PyExc_ValueError, "unknown mutation mode");
-        return -1;
-    }
-    if (tile_bits < 0 || tile_bits > CELL_KEY_SHIFT) {
-        PyErr_SetString(PyExc_ValueError, "tile_bits out of range");
-        return -1;
-    }
-    if (!PyDict_Check(vertex_obj) || !PyDict_Check(edge_obj)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "vertex/edge containers must be dicts");
-        return -1;
-    }
-    return 0;
 }
 
 static PyObject *

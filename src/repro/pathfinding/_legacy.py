@@ -195,12 +195,11 @@ def seed_planner_patches():
     planner layer to the seed configuration end-to-end: the tuple-based
     search core, per-leg ``manhattan_heuristic`` closures (no field
     cache), the pre-bucketing reservation structures, and no tier-0
-    free-flow fast path (the chain's tier 0 answers "off" for every leg,
-    so the patched ``_find_leg`` really runs the seed search for every
-    leg — the legacy reservation structures also predate the packed
-    probes the tier-0 audit needs).  Used by the end-to-end
-    equivalence tests in ``tests/test_packed_equivalence.py`` and
-    ``tests/test_free_flow.py``.
+    free-flow fast path (:func:`tier0_off_patch`, so the patched
+    ``_find_leg`` really runs the seed search for every leg — the legacy
+    reservation structures also predate the packed probes the tier-0
+    audit needs).  Used by the end-to-end equivalence tests in
+    ``tests/test_packed_equivalence.py`` and ``tests/test_free_flow.py``.
     """
     from ..planners import base as base_mod
     from ..planners import eatp as eatp_mod
@@ -239,9 +238,19 @@ def seed_planner_patches():
          _seed_eatp_find_leg),
         (base_mod, "SpatiotemporalGraph", LegacySpatiotemporalGraph),
         (eatp_mod, "ConflictDetectionTable", LegacyConflictDetectionTable),
-        (pipeline_mod.FallbackChain, "_free_flow_leg",
-         lambda self, t, source, goal: (None, pipeline_mod.FASTPATH_OFF, "")),
+        tier0_off_patch(),
     ]
+
+
+def tier0_off_patch():
+    """``(target, attribute, replacement)`` that turns tier 0 off: the
+    chain answers "off" for every leg, which then goes to the full
+    search.  Tier 0 is behaviour-neutral, so this is a test and
+    ablation control, not a setting."""
+    from . import pipeline as pipeline_mod
+
+    return (pipeline_mod.FallbackChain, "_free_flow_leg",
+            lambda self, t, source, goal: (None, pipeline_mod.FASTPATH_OFF))
 
 
 class LegacySpatiotemporalGraph(_LegacyEdgeMixin):

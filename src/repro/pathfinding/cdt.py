@@ -16,8 +16,8 @@ core probes with, so the search's hot loop never materialises a tuple.
 Supports the three operations of Sec. VI-B and nothing else: conflict
 *search* (``is_free`` / ``edge_free``), *insertion* (``reserve_path``) and
 the periodic *update* that deletes passed timestamps (``purge_before``).
-Insertion and update run in the compiled mutation kernel when it is
-loaded, with the python bodies below as the bit-identical fallback; the
+Insertion and update run in the native kernel when the one kernel switch
+is on, with the python bodies below as the bit-identical fallback; the
 bulk audits are the base class's, defined once over the probes.
 
 One layout serves every floor size.  Splitting the tick buckets into
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from ..types import CELL_KEY_SHIFT, Cell, Tick
-from . import reservation as _rsv
+from . import _kernel
 from .paths import Path
 from .reservation import ReservationTable, _EdgeMixin, _stale_ticks
 
@@ -81,9 +81,8 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
 
     def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             added, _, _, e_added, _ = kernel.reserve_path(
                 1, self._buckets, self._edge_buckets, 0, 0, 0,
                 path.start_time, path.keys, self._floor, self._edge_floor,
@@ -91,7 +90,6 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
             self._n_entries += added
             self._n_edges += e_added
             return
-        self.mutation_kernel = "python"
         buckets = self._buckets
         floor = self._floor
         for t, key in enumerate(path.keys, path.start_time):
@@ -107,9 +105,8 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
     def purge_before(self, t: Tick) -> None:
         """The periodic *update* operation: delete all passed timestamps."""
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             removed, _, _, e_removed = kernel.purge_before(
                 1, self._buckets, self._edge_buckets, 0, t, self._floor,
                 self._edge_floor)
@@ -120,7 +117,6 @@ class ConflictDetectionTable(_EdgeMixin, ReservationTable):
                 self._n_edges -= e_removed
                 self._edge_floor = t
             return
-        self.mutation_kernel = "python"
         if t > self._floor:
             buckets = self._buckets
             for tick in _stale_ticks(buckets, self._floor, t):

@@ -52,31 +52,11 @@ from typing import Optional
 
 from ..types import Cell
 from ..warehouse.grid import Grid
+from . import _kernel
 from .cache import follow_with_waits
 from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
 from .paths import Path, packed_path
 from .reservation import PackedChain
-
-#: The loaded ``_stsearch`` module when the fused tier-0 kernel is
-#: active, else ``None`` (python descent + audit pair).  Set by
-#: :func:`repro.pathfinding.st_astar.set_search_kernel`.
-_DESCENT_MODULE = None
-
-
-def set_descent_kernel(module) -> None:
-    """Select the fused tier-0 kernel (``None`` = python pair).
-
-    ``module`` is the loaded ``_stsearch`` extension (``tier0_leg``:
-    greedy descent + bulk audit in one call).
-    """
-    global _DESCENT_MODULE
-    _DESCENT_MODULE = module
-
-
-def descent_kernel_name() -> str:
-    """Which tier-0 implementation is active."""
-    return "compiled" if _DESCENT_MODULE is not None else "python"
-
 
 class FreeFlowPathCache:
     """Free-flow (reservation-oblivious) shortest cell chains for tier 0.
@@ -90,12 +70,6 @@ class FreeFlowPathCache:
         The owning planner's exact per-goal field cache; every descent
         reads (and, for a fresh goal, builds) the goal's field through it.
     """
-
-    #: Which kernel served the *last* :meth:`kernel_leg` call
-    #: (``"compiled"``/``"python"``; ``""`` before the first) — the
-    #: tier-0 counterpart of ``ReservationTable.mutation_kernel``, read
-    #: by the chain for ``LegPlan.descent_kernel``.
-    descent_kernel: str = ""
 
     def __init__(self, grid: Grid, heuristics: HeuristicFieldCache) -> None:
         self._grid = grid
@@ -163,29 +137,24 @@ class FreeFlowPathCache:
         for :func:`~repro.pathfinding.cache.follow_with_waits`, ``(0, 0)``
         turning the rescue off.  Paths are equal from either kernel —
         the compiled one wraps the kernel's key buffer as it came,
-        the python pair packs its cells; :attr:`descent_kernel` records
-        which of the two served the call.
+        the python pair packs its cells.
 
         The compiled ``tier0_leg`` serves the library's own tables
         (probe modes 1, 2 and 4) over the two field kinds and walks the
-        descent itself.  Anything else — no module, a generic mode-0
-        table, a foreign field — takes :meth:`packed` through
-        ``audit_chain`` in the same order: reachability, finisher
-        factory, head audit, rescue.  EATP's shortest-path cache depends
-        on that order — consulting the factory or the finisher where the
-        full search would not mutates the cache (and its memory metric)
-        as no tier-0-off run would.
+        descent itself.  Anything else — the switch off, a table whose
+        ``kernel_probe_spec`` is ``None``, a foreign field — takes
+        :meth:`packed` through ``audit_chain`` in the same order:
+        reachability, finisher factory, head audit, rescue.  EATP's
+        shortest-path cache depends on that order — consulting the
+        factory or the finisher where the full search would not mutates
+        the cache (and its memory metric) as no tier-0-off run would.
         """
-        module = _DESCENT_MODULE
-        if module is None:
+        module = _kernel.active
+        probe_spec = (None if module is None
+                      else reservation.kernel_probe_spec())
+        if probe_spec is None:
             return self._python_leg(reservation, t, source, goal,
                                     finisher_factory, rescue_caps)
-        mode, vertex_obj, edge_obj, tile_bits = \
-            reservation.kernel_probe_spec()
-        if mode == 0:  # generic callables
-            return self._python_leg(reservation, t, source, goal,
-                                    finisher_factory, rescue_caps)
-        self.descent_kernel = "compiled"
         grid = self._grid
         height = grid.height
         flat = self._heuristics.field(goal).flat
@@ -203,8 +172,8 @@ class FreeFlowPathCache:
                                     finisher_factory, rescue_caps)
         finisher, trigger = finisher_factory(goal)
         verdict, keys = module.tier0_leg(
-            grid.kernel_capsule(module), mode, vertex_obj, edge_obj,
-            tile_bits, h_mode, h_arg, sci, goal[0] * height + goal[1], t,
+            grid.kernel_capsule(module), *probe_spec, h_mode, h_arg, sci,
+            goal[0] * height + goal[1], t,
             trigger if finisher is not None else 0, *rescue_caps)
         path = None if keys is None else packed_path(t, keys)
         return verdict, path, finisher, trigger
@@ -213,7 +182,6 @@ class FreeFlowPathCache:
                     finisher_factory, rescue_caps):
         """:meth:`kernel_leg` over :meth:`packed`, ``audit_chain`` and
         ``follow_with_waits``."""
-        self.descent_kernel = "python"
         chain = self.packed(source, goal)
         if chain is None:
             return 0, None, None, 0

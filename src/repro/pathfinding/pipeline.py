@@ -138,13 +138,6 @@ class LegPlan:
         :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
         :data:`FASTPATH_RESCUE` or :data:`FASTPATH_OFF`) — the input of
         the planner's fast-path hit-rate counters.
-    descent_kernel:
-        Which tier-0 implementation attempted the leg (``"compiled"``
-        for the fused native call, ``"python"`` for the descent, audit
-        and rescue bodies, ``""`` when tier 0 was off) — the input of
-        the planner's ``descents_compiled`` / ``descents_python``
-        counters.  Either answers every tier-0 verdict, the rescued leg
-        included.
     """
 
     path: Path
@@ -152,7 +145,6 @@ class LegPlan:
     commit_path: Path
     search_stats: Tuple[SearchStats, ...] = ()
     fastpath: str = FASTPATH_OFF
-    descent_kernel: str = ""
 
 
 class FallbackChain:
@@ -207,21 +199,19 @@ class FallbackChain:
         until the simulator's ``max_ticks`` guard would bury the real
         error.
         """
-        leg, fastpath, dkernel = self._free_flow_leg(t, source, goal)
+        leg, fastpath = self._free_flow_leg(t, source, goal)
         if leg is not None:
-            leg.descent_kernel = dkernel
             return leg
         try:
             path = self.full_search(t, source, goal)
             return LegPlan(path=path, tier=TIER_FULL, commit_path=path,
-                           fastpath=fastpath, descent_kernel=dkernel)
+                           fastpath=fastpath)
         except PathNotFoundError as error:
             if self.heuristics.distance(source, goal) > self.grid.n_cells:
                 raise  # unreachable regardless of reservations: fail fast
             failed = (error.stats,) if error.stats is not None else ()
         leg = self._wait_leg(t, source, failed)
         leg.fastpath = fastpath
-        leg.descent_kernel = dkernel
         return leg
 
     # -- tier 0: free-flow fast path -------------------------------------------
@@ -229,11 +219,8 @@ class FallbackChain:
     def _free_flow_leg(self, t: Tick, source: Cell, goal: Cell):
         """Try to serve the leg without searching.
 
-        Returns ``(leg | None, outcome, kernel)`` where ``kernel`` is
-        ``"compiled"`` when the fused native tier-0 call attempted the
-        leg, ``"python"`` for the descent + audit pair, ``""`` when
-        tier 0 was off.  This is the one interpreter of the tier-0
-        verdict tuple :meth:`FreeFlowPathCache.kernel_leg
+        Returns ``(leg | None, outcome)``.  This is the one interpreter
+        of the tier-0 verdict tuple :meth:`FreeFlowPathCache.kernel_leg
         <repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg>`
         answers from either kernel: 1 is a served leg, 2 hands the
         audited head to the finisher, 4 is a leg the rescue served, 3 a
@@ -256,19 +243,16 @@ class FallbackChain:
           ``n_cells``); tiny test budgets disable tier 0 outright.
         """
         config = self.config
-        if not (config.free_flow
-                and config.max_search_expansions >= self.grid.n_cells):
-            return None, FASTPATH_OFF, ""
-        free_flow = self.free_flow
-        verdict, path, finisher, __ = free_flow.kernel_leg(
+        if config.max_search_expansions < self.grid.n_cells:
+            return None, FASTPATH_OFF
+        verdict, path, finisher, __ = self.free_flow.kernel_leg(
             self.reservation, t, source, goal, self.finisher_factory,
             self.rescue_caps)
-        kernel = free_flow.descent_kernel
         if verdict == 0:
             # unreachable: tier 1 fails fast
-            return None, FASTPATH_MISS, kernel
+            return None, FASTPATH_MISS
         if verdict == 3:
-            return None, FASTPATH_AUDIT_REJECT, kernel
+            return None, FASTPATH_AUDIT_REJECT
         fastpath = FASTPATH_RESCUE if verdict == 4 else FASTPATH_HIT
         search_stats: Tuple[SearchStats, ...] = ()
         if verdict == 2:
@@ -279,13 +263,13 @@ class FallbackChain:
                 # The full search would keep expanding past the first
                 # trigger and may finish through a *later* finisher call
                 # off the descent chain — not reproducible in O(d).
-                return None, FASTPATH_MISS, kernel
+                return None, FASTPATH_MISS
             path = path.concat(Path(tail))
             search_stats = (SearchStats(
                 cache_finished=True, budget=config.max_search_expansions),)
         leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
                       search_stats=search_stats, fastpath=fastpath)
-        return leg, fastpath, kernel
+        return leg, fastpath
 
     # -- tier 2: reservation-aware wait in place ------------------------------
 

@@ -9,10 +9,11 @@ the other is the A4 ablation (:mod:`repro.experiments.ablations`).
 A table is the paper's three operations (Sec. VI-B) plus accounting:
 conflict *search* (``is_free`` / ``edge_free``), *insertion*
 (``reserve_path``) and the periodic *update* (``purge_before``); the
-production tables dispatch the last two to the compiled mutation kernel
-when it is loaded.  The bulk audits are defined once, here, over the
-probes: :meth:`ReservationTable.audit_path` is the reference walk the
-tests compare against, :meth:`ReservationTable.audit_chain` is the
+production tables dispatch the last two to the native kernel when the
+one kernel switch (``repro.pathfinding._kernel.active``) is on.  The
+bulk audits are defined once, here, over the probes:
+:meth:`ReservationTable.audit_path` is the reference walk the tests
+compare against, :meth:`ReservationTable.audit_chain` is the
 python tier-0 audit (the native ``tier0_leg`` audits inside the kernel).
 
 Semantics: ``is_free(t, cell)`` guards single-grid conflicts;
@@ -50,32 +51,6 @@ from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from .paths import Path
 
 
-# -- native mutation kernel selection ----------------------------------------
-
-#: The compiled module whose mutation entry points the production tables
-#: call, or ``None`` for the pure-python bodies.  Installed by
-#: :func:`set_mutation_kernel` (wired from ``st_astar.set_search_kernel``
-#: so one ``REPRO_KERNEL`` switch governs both kernels); tables read it
-#: per call rather than capturing it, which keeps them picklable and lets
-#: a runtime switch take effect immediately.
-_MUTATION_MODULE = None
-
-
-def set_mutation_kernel(module) -> None:
-    """Install (or clear) the compiled mutation kernel.
-
-    ``module`` is the loaded ``_stsearch`` extension or ``None`` (the
-    pure-python bodies).
-    """
-    global _MUTATION_MODULE
-    _MUTATION_MODULE = module
-
-
-def mutation_kernel_name() -> str:
-    """``"compiled"`` or ``"python"``: which mutation bodies run now."""
-    return "compiled" if _MUTATION_MODULE is not None else "python"
-
-
 # -- packed descent chains ---------------------------------------------------
 
 class PackedChain:
@@ -109,11 +84,6 @@ class PackedChain:
 
 class ReservationTable(abc.ABC):
     """Abstract conflict bookkeeping for already-planned paths."""
-
-    #: Which kernel ran the *last* mutation (``"compiled"``/``"python"``),
-    #: or ``""`` for structures that never report.  Read by the planner's
-    #: per-op kernel tags in ``PlannerStats``.
-    mutation_kernel: str = ""
 
     #: Monotonic mutation counter, bumped by every reserve/purge
     #: on the production tables; ``None`` on structures that do not
@@ -194,20 +164,16 @@ class ReservationTable(abc.ABC):
         return None
 
     def kernel_probe_spec(self):
-        """How the native search kernel should probe this structure.
+        """How the native kernel probes this structure, or ``None``.
 
-        Returns ``(mode, vertex_obj, edge_obj, tile_bits)`` matching the
-        probe modes of ``_kernel/_stsearchmodule.c``.  This base
-        implementation answers mode 0 — the generic packed-probe
-        callables — so any subclass works with the compiled kernel
-        unmodified (each probe calls back into Python, which still beats
-        the interpreted expansion loop).  The library's own structures
-        override it with their native container layouts (modes 1, 2 and
-        4) so the hot loop probes C containers directly.  The probe
-        answers are bit-identical across modes; the equivalence suite
-        pins that.
+        The library's three tables answer ``(mode, vertex_obj, edge_obj,
+        tile_bits)`` with their container layouts (probe modes 1, 2 and 4
+        of ``_kernel/_stsearchmodule.c``), which the search and tier 0
+        probe, and their own ``reserve_path`` / ``purge_before`` mutate,
+        in C.  Any other table answers ``None`` and is served by the
+        python bodies under either kernel switch.
         """
-        return 0, self.is_free_packed, self.edge_free_packed, 0
+        return None
 
     def audit_path(self, path: Path) -> bool:
         """Whether every arrival and move of ``path`` is conflict-free.

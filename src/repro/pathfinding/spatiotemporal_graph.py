@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from ..warehouse.grid import Grid
-from . import reservation as _rsv
+from . import _kernel
 from .paths import Path
 from .reservation import ReservationTable, _EdgeMixin
 
@@ -107,9 +107,8 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
 
     def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             high = self._high if self._layers else self._floor - 1
             res = kernel.reserve_path(
                 2, self._layers, self._edge_buckets, 0, self._grid.height,
@@ -119,7 +118,6 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 self._high = res[4]
             self._n_edges += res[3]
             return
-        self.mutation_kernel = "python"
         height = self._grid.height
         floor = self._floor
         layers = self._layers
@@ -135,9 +133,8 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             res = kernel.purge_before(
                 2, self._layers, self._edge_buckets, 0, t, self._floor,
                 self._edge_floor)
@@ -146,7 +143,6 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 self._n_edges -= res[3]
                 self._edge_floor = t
             return
-        self.mutation_kernel = "python"
         self._floor = max(self._floor, t)
         for stale in [step for step in self._layers if step < t]:
             del self._layers[stale]
@@ -263,9 +259,8 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
 
     def reserve_path(self, path: Path) -> None:
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             res = kernel.reserve_path(
                 4, self._layers, self._edge_buckets, self._tile_bits, 0,
                 self._tile_cells, path.start_time, path.keys, self._floor,
@@ -273,7 +268,6 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
             self._n_tile_layers += res[2]
             self._n_edges += res[3]
             return
-        self.mutation_kernel = "python"
         layers = self._layers
         bits = self._tile_bits
         floor = self._floor
@@ -299,9 +293,8 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
 
     def purge_before(self, t: Tick) -> None:
         self.mutation_stamp += 1
-        kernel = _rsv._MUTATION_MODULE
+        kernel = _kernel.active
         if kernel is not None:
-            self.mutation_kernel = "compiled"
             res = kernel.purge_before(
                 4, self._layers, self._edge_buckets, self._tile_bits, t,
                 self._floor, self._edge_floor)
@@ -311,7 +304,6 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
                 self._n_edges -= res[3]
                 self._edge_floor = t
             return
-        self.mutation_kernel = "python"
         self._floor = max(self._floor, t)
         layers = self._layers
         for stale in [step for step in layers if step < t]:
@@ -341,11 +333,6 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
     def n_layers(self) -> int:
         """Number of timesteps holding at least one materialised tile."""
         return len(self._layers)
-
-    @property
-    def n_tile_layers(self) -> int:
-        """Number of materialised (timestep, tile) blocks."""
-        return self._n_tile_layers
 
     def live_counts(self):
         counts = {"layers": len(self._layers),

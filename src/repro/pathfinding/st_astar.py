@@ -26,9 +26,10 @@ states the rule and is its python implementation — the fallback kernel
 and the oracle of the cross-kernel suites.  The native kernel
 (``_kernel/_stsearchmodule.c``, reached through :func:`_search_compiled`)
 realises the same order as a bucket queue over a per-call hash map and
-answers every search under one of the library's own heuristic fields;
-a caller-supplied heuristic (a callable, a custom ``flat``) stays on the
-python core.  Neither keeps any state once a search has returned.
+answers every search on one of the library's tables under one of its
+heuristic fields; a caller-supplied heuristic (a callable, a custom
+``flat``) or table stays on the python core.  Neither keeps any state
+once a search has returned.
 
 Two calling conventions coexist:
 
@@ -53,12 +54,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..config import SEARCH_KERNEL_CHOICES, search_kernel_choice
 from ..errors import ConfigurationError, PathNotFoundError
 from ..types import Cell, Tick
-from ..warehouse.grid import Grid, set_field_kernel
+from ..warehouse.grid import Grid
+from . import _kernel
 from ._kernel import load_compiled as _load_compiled
-from .free_flow import set_descent_kernel
 from .heuristics import Heuristic, HeuristicField, _LazyManhattanFlat
 from .paths import Path, packed_path
-from .reservation import ReservationTable, set_mutation_kernel
+from .reservation import ReservationTable
 
 @dataclass
 class SearchStats:
@@ -79,13 +80,6 @@ class SearchStats:
     budget:
         The expansion budget that was in force (diagnostic; set by the
         packed core, left 0 by the frozen seed core).
-    kernel:
-        Which expansion loop answered this search: ``"compiled"`` (the
-        native C kernel), ``"python"`` (the pure-python cores), or ``""``
-        when no search loop ran at all (synthetic stats such as the
-        tier-0 free-flow fast path's).  The two kernels are bit-identical
-        in every other field; this one exists so planner stats and benches
-        can report which core actually executed.
     """
 
     expansions: int = 0
@@ -93,7 +87,6 @@ class SearchStats:
     cache_finished: bool = False
     peak_open: int = 0
     budget: int = 0
-    kernel: str = ""
 
     @property
     def budget_exhausted(self) -> bool:
@@ -174,57 +167,37 @@ class SearchOutcome:
 
 # -- kernel selection ---------------------------------------------------------
 
-#: The compiled ``_stsearch`` module when loaded, else ``None``.
-_COMPILED = None
-
-#: The active kernel name: ``"compiled"`` or ``"python"``.
-_KERNEL = "python"
-
-
 def set_search_kernel(choice: str) -> str:
-    """Select the search kernel; returns the resolved kernel name.
+    """Select the kernel of every compiled plane; returns its name.
 
     ``choice`` follows the ``REPRO_KERNEL`` contract (see
     :func:`repro.config.search_kernel_choice`): ``auto`` probes for the
     compiled extension and falls back to pure python silently;
     ``compiled`` raises :class:`~repro.errors.ConfigurationError` when the
     extension is absent (an explicit demand must not degrade silently);
-    ``python`` forces the pure-python cores.  Tests and benches call this
-    directly to pin a kernel; normal runs inherit the environment default
-    resolved at import.
+    ``python`` forces the pure-python bodies.  The answer goes to
+    :data:`repro.pathfinding._kernel.active`, the one place every plane
+    reads it.  Tests and benches call this directly to pin a kernel;
+    normal runs inherit the environment default resolved at import.
     """
-    global _COMPILED, _KERNEL
     if choice not in SEARCH_KERNEL_CHOICES:
         raise ConfigurationError(
             f"search kernel must be one of {SEARCH_KERNEL_CHOICES}, "
             f"got {choice!r}")
-    if choice != "python" and _COMPILED is None:
-        _COMPILED = _load_compiled(refresh=True)
-    if choice == "compiled" and _COMPILED is None:
+    module = None if choice == "python" else _load_compiled(refresh=True)
+    if choice == "compiled" and module is None:
         raise ConfigurationError(
             "REPRO_KERNEL=compiled but the native kernel is not built; "
             "run scripts/build_kernel.py (or python setup.py build_ext "
             "--inplace in src/repro/pathfinding/_kernel) or use "
             "REPRO_KERNEL=auto|python")
-    _KERNEL = ("compiled"
-               if choice == "compiled"
-               or (choice == "auto" and _COMPILED is not None)
-               else "python")
-    # One REPRO_KERNEL switch governs every compiled plane: the
-    # reservation tables' mutation bodies, the heuristic-field flood and
-    # the fused tier-0 descent all follow the search-kernel selection.
-    # load_compiled() never returns a binary built from another source
-    # than the one on disk, so every plane may call what it is given.
-    active = _COMPILED if _KERNEL == "compiled" else None
-    set_mutation_kernel(active)
-    set_field_kernel(active)
-    set_descent_kernel(active)
-    return _KERNEL
+    _kernel.active = module
+    return search_kernel_name()
 
 
 def search_kernel_name() -> str:
-    """The kernel currently answering searches (``compiled``/``python``)."""
-    return _KERNEL
+    """The selected kernel: ``"compiled"`` or ``"python"``."""
+    return "python" if _kernel.active is None else "compiled"
 
 
 #: Import-probe at module load, honouring the environment override.
@@ -250,19 +223,19 @@ def search(grid: Grid, reservation: ReservationTable,
     stats.budget = request.max_expansions
 
     if source == goal:
-        # No expansion loop runs, so no kernel tag (stats.kernel == "").
         return SearchOutcome(request, SEARCH_COMPLETE,
                              Path(((start_time, source[0], source[1]),)),
                              stats)
 
     hfield = _heuristic_field(grid, goal, heuristic)
     deep = grid.paper_scale
-    h_spec = (_kernel_h_spec(heuristic, hfield) if _KERNEL == "compiled"
-              else None)
-    if h_spec is not None:
-        return _search_compiled(grid, reservation, request, h_spec, deep,
-                                stats)
-    stats.kernel = "python"
+    if _kernel.active is not None:
+        probe_spec = reservation.kernel_probe_spec()
+        h_spec = (_kernel_h_spec(heuristic, hfield)
+                  if probe_spec is not None else None)
+        if h_spec is not None:
+            return _search_compiled(grid, probe_spec, request, h_spec, deep,
+                                    stats)
     return _search_heap(grid, reservation, request, hfield, deep, stats)
 
 
@@ -288,25 +261,26 @@ def _kernel_h_spec(heuristic: Optional[Heuristic], hfield):
     return None
 
 
-def _search_compiled(grid: Grid, reservation: ReservationTable,
-                     request: SearchRequest, h_spec, deep: bool,
+def _search_compiled(grid: Grid, probe_spec, request: SearchRequest,
+                     h_spec, deep: bool,
                      stats: SearchStats) -> SearchOutcome:
     """Hand one search to the native kernel.
 
-    ``deep`` selects the open-set order exactly as in
-    :func:`_search_heap`.  The kernel returns raw counters; this wrapper
-    folds them into ``stats`` the way the python core's ``finally`` block
-    does, and wraps the leg's key buffer — checked by the kernel against
-    the path rule before it is returned — without unpacking it.
+    ``probe_spec`` is the table's ``kernel_probe_spec()``; ``deep``
+    selects the open-set order exactly as in :func:`_search_heap`.  The
+    kernel returns raw counters; this wrapper folds them into ``stats``
+    the way the python core's ``finally`` block does, and wraps the leg's
+    key buffer — checked by the kernel against the path rule before it
+    is returned — without unpacking it.
     """
+    module = _kernel.active
     source, goal = request.source, request.goal
     height = grid.height
     h_mode, h_arg = h_spec
-    mode, probe_a, probe_b, tile_bits = reservation.kernel_probe_spec()
-    stats.kernel = "compiled"
+    mode, probe_a, probe_b, tile_bits = probe_spec
 
-    status, keys, tail, expansions, generated, peak_open = _COMPILED.run(
-        grid.kernel_capsule(_COMPILED), mode, probe_a, probe_b, tile_bits,
+    status, keys, tail, expansions, generated, peak_open = module.run(
+        grid.kernel_capsule(module), mode, probe_a, probe_b, tile_bits,
         h_mode, h_arg, source[0] * height + source[1],
         goal[0] * height + goal[1], request.start_time,
         request.max_expansions, request.finisher, request.finisher_trigger,
@@ -333,9 +307,10 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                  stats: SearchStats) -> SearchOutcome:
     """The python core: ``heapq`` open set, one ``parent`` dict.
 
-    Answers every search when the python kernel is active, searches under
-    arbitrary (possibly lazy, possibly inconsistent) heuristics on either
-    kernel, and is what the cross-kernel suites hold the native kernel to.
+    Answers every search the native kernel does not serve (the python
+    switch, a table outside the library, a caller-supplied heuristic —
+    possibly lazy, possibly inconsistent) and is what the cross-kernel
+    suites hold the native kernel to.
 
     **State record.**  A state is ``t * n_cells + cell`` and every action
     costs one tick, so its ``g`` is its layer, ``t - start_time``: it is

@@ -25,12 +25,14 @@ from typing import Iterable, List, Optional
 
 from ..config import PlannerConfig
 from ..errors import PlanningError
+from ..pathfinding import _kernel
 from ..pathfinding.free_flow import FreeFlowPathCache
 from ..pathfinding.heuristics import HeuristicFieldCache
 from ..pathfinding.paths import Path
 from ..pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_MISS,
-                                    FASTPATH_RESCUE, TIER_FREE_FLOW,
-                                    TIER_FULL, FallbackChain, LegPlan)
+                                    FASTPATH_OFF, FASTPATH_RESCUE,
+                                    TIER_FREE_FLOW, TIER_FULL, FallbackChain,
+                                    LegPlan)
 from ..pathfinding.reservation import ReservationTable
 from ..pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                 SpatiotemporalGraph)
@@ -56,7 +58,10 @@ class PlannerStats:
     ``fastpath_misses`` counts legs where no auditable candidate existed
     (unreachable goal, a declining cache finisher).  Tier-0 legs run no
     search, so ``search_expansions`` / ``search_peak_open`` only
-    accumulate over the legs that actually searched.
+    accumulate over the legs that actually searched.  Which kernel
+    served is one run-wide answer,
+    :func:`~repro.pathfinding.st_astar.search_kernel_name`, so no counter
+    repeats it per operation.
     """
 
     selection_seconds: float = 0.0
@@ -80,21 +85,10 @@ class PlannerStats:
     #: rescue (tier 0.5) instead of the full search; counted inside
     #: ``legs_free_flow`` in the tier histogram.
     rescued_legs: int = 0
-    #: Which expansion loop answered the searches that actually ran (the
-    #: two are bit-identical; see ``SearchStats.kernel``).  Tier-0 legs
-    #: run no search and count in neither.
-    searches_compiled: int = 0
-    searches_python: int = 0
-    #: Which reservation-mutation loop served the commits and purges (the
-    #: two are bit-identical; see ``ReservationTable.mutation_kernel``).
-    #: Legacy tables that predate the mutation kernel report neither.
-    reserves_compiled: int = 0
-    reserves_python: int = 0
-    purges_compiled: int = 0
-    purges_python: int = 0
-    #: Which tier-0 plane extracted-and-audited the free-flow descents
-    #: (the two are bit-identical; see ``LegPlan.descent_kernel``).  Legs
-    #: that never entered tier 0 (``free_flow`` off) count in neither.
+    #: Legs tier 0 attempted (fast path not ``off``), under the kernel
+    #: switch of the time.  Only ``bench/``'s ``pipeline.tier0_hit_ratio``
+    #: reads them, as their sum; they leave with ROADMAP 2 (f), like
+    #: :meth:`Planner.close`.
     descents_compiled: int = 0
     descents_python: int = 0
 
@@ -326,11 +320,6 @@ class Planner(abc.ABC):
         floor = last_cadence - self.config.reservation_horizon
         if floor > 0:
             self.reservation.purge_before(floor)
-            kernel = getattr(self.reservation, "mutation_kernel", "")
-            if kernel == "compiled":
-                self.stats.purges_compiled += 1
-            elif kernel == "python":
-                self.stats.purges_python += 1
 
     def memory_bytes(self) -> int:
         """Total live structure footprint — the Fig. 12 MC sample.
@@ -408,11 +397,6 @@ class Planner(abc.ABC):
         for search_stats in leg.search_stats:
             self._absorb_search_stats(search_stats)
         self.reservation.reserve_path(leg.commit_path)
-        kernel = getattr(self.reservation, "mutation_kernel", "")
-        if kernel == "compiled":
-            self.stats.reserves_compiled += 1
-        elif kernel == "python":
-            self.stats.reserves_python += 1
         memory = self.memory_bytes()
         if memory > self._peak_memory:
             self._peak_memory = memory
@@ -429,11 +413,11 @@ class Planner(abc.ABC):
             self.stats.fastpath_audit_rejects += 1
         elif leg.fastpath == FASTPATH_RESCUE:
             self.stats.rescued_legs += 1
-        dkernel = getattr(leg, "descent_kernel", "")
-        if dkernel == "compiled":
-            self.stats.descents_compiled += 1
-        elif dkernel == "python":
-            self.stats.descents_python += 1
+        if leg.fastpath != FASTPATH_OFF:
+            if _kernel.active is None:
+                self.stats.descents_python += 1
+            else:
+                self.stats.descents_compiled += 1
 
     def _find_leg(self, t: Tick, source: Cell, goal: Cell) -> Path:
         """Tier-1 single-leg search (the chain's full ST-A*).
@@ -473,10 +457,6 @@ class Planner(abc.ABC):
             self.stats.cache_finished_legs += 1
         if search_stats.budget_exhausted:
             self.stats.budget_exhausted_legs += 1
-        if search_stats.kernel == "compiled":
-            self.stats.searches_compiled += 1
-        elif search_stats.kernel == "python":
-            self.stats.searches_python += 1
 
     def picker_finish_time(self, picker_id: int) -> int:
         """f_p of Eq. 3 for one picker."""

@@ -347,7 +347,8 @@ class Simulation:
 
     @property
     def events_processed(self) -> int:
-        """Active ticks executed so far (the bench_engine events/s base)."""
+        """Active ticks executed so far (the base of ``bench/``'s
+        ``engine.events_per_s``)."""
         return self._events_processed
 
     def _next_active_tick(self, t: Tick) -> Tick:

@@ -87,11 +87,6 @@ class RunMetrics:
         """``fastpath`` with every key present (missing keys read 0)."""
         return {key: self.fastpath.get(key, 0) for key in FASTPATH_KEYS}
 
-    @property
-    def total_planner_seconds(self) -> float:
-        """STC + PTC — the paper's total execution time comparison."""
-        return self.selection_seconds + self.planning_seconds
-
 
 def _checkpoint_grid(total_items: int, n_checkpoints: int) -> List[int]:
     """Evenly spaced item-count thresholds ending exactly at the total.

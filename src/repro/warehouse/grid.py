@@ -24,28 +24,6 @@ from ..config import PAPER_SCALE_MIN_CELLS
 from ..errors import InvalidLocationError
 from ..types import CELL_KEY_SHIFT, Cell, manhattan
 
-#: The loaded ``_stsearch`` module when the field kernel is active,
-#: else ``None`` (python flood).  Set by
-#: :func:`repro.pathfinding.st_astar.set_search_kernel` so one switch
-#: governs every compiled plane.
-_FIELD_MODULE = None
-
-
-def set_field_kernel(module) -> None:
-    """Select the native heuristic-field flood (``None`` = python).
-
-    ``module`` is the loaded ``_stsearch`` extension; whether a binary
-    may be called at all is decided once, by the source stamp
-    :func:`repro.pathfinding._kernel.load_compiled` checks.
-    """
-    global _FIELD_MODULE
-    _FIELD_MODULE = module
-
-
-def field_kernel_name() -> str:
-    """Which field-flood implementation is active."""
-    return "compiled" if _FIELD_MODULE is not None else "python"
-
 
 class _AdjacencyRows(dict):
     """``rows[ci] → ((neighbour_ci, neighbour_key), …)``, built on touch.
@@ -235,7 +213,10 @@ class Grid:
             raise ValueError(
                 f"unreached sentinel {unreached} collides with a distance")
         src = source[0] * self.height + source[1]
-        module = _FIELD_MODULE
+        # The one kernel switch; imported here because the pathfinding
+        # package imports this module.
+        from ..pathfinding import _kernel
+        module = _kernel.active
         if module is not None:
             dist = array("i", bytes(4 * n_cells))
             module.bfs_fill(self.kernel_capsule(module), src, dist,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -121,6 +123,32 @@ def assert_retains_nothing(call, watched=(), calls=10_000) -> None:
         tracemalloc.stop()
     assert after - before < 4 << 10
     assert [sys.getrefcount(obj) for obj in watched] == counts
+
+
+@contextmanager
+def count_kernel_calls(module, names):
+    """Count the calls each native entry point in ``names`` takes inside
+    the block.  The spy sits on the loaded module itself, so it sees
+    every plane that calls it, however the plane holds the module.  With
+    no module loaded nothing native is reachable and every count stays
+    zero."""
+    calls = Counter()
+    entries = ({} if module is None
+               else {name: getattr(module, name) for name in names})
+
+    def spy(name, entry):
+        def counted(*args):
+            calls[name] += 1
+            return entry(*args)
+        return counted
+
+    for name, entry in entries.items():
+        setattr(module, name, spy(name, entry))
+    try:
+        yield calls
+    finally:
+        for name, entry in entries.items():
+            setattr(module, name, entry)
 
 
 def assert_edges_have_arrivals(table) -> None:

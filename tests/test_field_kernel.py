@@ -37,9 +37,7 @@ from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cache import follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
-from repro.pathfinding.free_flow import (FreeFlowPathCache,
-                                         descent_kernel_name,
-                                         set_descent_kernel)
+from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import RESCUE_CAPS, FallbackChain
@@ -48,9 +46,9 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
-from repro.warehouse.grid import (Grid, field_kernel_name, set_field_kernel)
+from repro.warehouse.grid import Grid
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
-                            load_swap_case)
+                            count_kernel_calls, load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -61,8 +59,8 @@ needs_compiled = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _restore_kernel():
-    # set_search_kernel rewires the field and descent kernels too, so
-    # restoring the search selection restores everything a test switched.
+    # One switch serves every plane: restoring it restores everything a
+    # test switched.
     previous = search_kernel_name()
     yield
     set_search_kernel(previous)
@@ -115,10 +113,7 @@ class TestPreparedGrid:
         grid = walled_grid()
         table = ConflictDetectionTable()
         table.reserve_path(Path.from_cells([(32, 7)] * 20, start_time=0))
-        stats = SearchStats()
-        assert search(grid, table, SearchRequest((0, 7), (63, 7), 0),
-                      stats=stats).ok
-        assert stats.kernel == "compiled"
+        assert search(grid, table, SearchRequest((0, 7), (63, 7), 0)).ok
         assert grid.distance_flat((0, 0))[grid.cell_index((63, 39))] > 0
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
         assert cache.kernel_leg(table, 0, (0, 30), (63, 30),
@@ -164,20 +159,34 @@ class TestPreparedGrid:
 # -- the field flood ---------------------------------------------------------
 
 
+#: The kernels a test can select here (the extension may be absent).
+KERNELS = ("python",) if COMPILED is None else ("python", "compiled")
+
+
 class TestFieldKernelSelection:
     def test_search_selection_drives_field_kernel(self):
-        if COMPILED is not None:
-            set_search_kernel("compiled")
-            assert field_kernel_name() == "compiled"
-        set_search_kernel("python")
-        assert field_kernel_name() == "python"
+        grid = Grid(9, 7, blocked=[(4, 3)])
+        floods = {}
+        for kernel in KERNELS:
+            set_search_kernel(kernel)
+            with count_kernel_calls(COMPILED, ["bfs_fill"]) as calls:
+                floods[kernel] = grid.distance_flat((0, 0))
+            assert calls["bfs_fill"] == (kernel == "compiled")
+        assert floods.get("compiled", floods["python"]) == floods["python"]
 
     def test_search_selection_drives_descent_kernel(self):
-        if COMPILED is not None:
-            set_search_kernel("compiled")
-            assert descent_kernel_name() == "compiled"
-        set_search_kernel("python")
-        assert descent_kernel_name() == "python"
+        grid = Grid(8, 8)
+        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        table = ConflictDetectionTable()
+        legs = {}
+        for kernel in KERNELS:
+            set_search_kernel(kernel)
+            with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+                legs[kernel] = cache.kernel_leg(table, 0, (0, 0), (7, 7),
+                                                lambda goal: (None, 0))
+            assert calls["tier0_leg"] == (kernel == "compiled")
+        assert legs["python"][0] == 1  # a hit on the open floor
+        assert legs.get("compiled", legs["python"]) == legs["python"]
 
 
 @needs_compiled
@@ -194,12 +203,11 @@ class TestBfsFillEquivalence:
             return
         source = rng.choice(cells)
         effective = sentinel if sentinel != 10**6 else grid.n_cells + 1
-        set_field_kernel(None)
+        set_search_kernel("python")
         expected = Grid(grid.width, grid.height,
                         grid.blocked_cells).distance_flat(
                             source, unreached=effective)
-        set_field_kernel(COMPILED)
-        assert field_kernel_name() == "compiled"
+        set_search_kernel("compiled")
         got = grid.distance_flat(source, unreached=effective)
         assert got == expected
         assert got.typecode == expected.typecode == "i"
@@ -207,7 +215,7 @@ class TestBfsFillEquivalence:
 
     def test_bfs_distances_keeps_historical_shape(self):
         grid = Grid(9, 7, blocked=[(4, 3)])
-        set_field_kernel(COMPILED)
+        set_search_kernel("compiled")
         dist = grid.bfs_distances((0, 0))
         assert dist.shape == (9, 7)
         assert dist[0, 0] == 0
@@ -220,7 +228,7 @@ class TestBfsFillEquivalence:
     @pytest.mark.parametrize("kernel", ["python", "compiled"])
     def test_sentinel_collision_rejected(self, kernel):
         grid = Grid(5, 5)
-        set_field_kernel(COMPILED if kernel == "compiled" else None)
+        set_search_kernel(kernel)
         with pytest.raises(ValueError):
             grid.distance_flat((0, 0), unreached=3)
 
@@ -238,9 +246,9 @@ class TestBfsFillEquivalence:
         # A walled-off right half must carry the sentinel in both planes.
         grid_a = Grid(7, 3, blocked=[(3, y) for y in range(3)])
         grid_b = Grid(7, 3, blocked=[(3, y) for y in range(3)])
-        set_field_kernel(COMPILED)
+        set_search_kernel("compiled")
         compiled = grid_a.distance_flat((0, 0), unreached=-1)
-        set_field_kernel(None)
+        set_search_kernel("python")
         python = grid_b.distance_flat((0, 0), unreached=-1)
         assert compiled == python
         assert compiled[6 * 3 + 0] == -1
@@ -294,7 +302,7 @@ TABLES = {
 
 
 class GenericTable(ConflictDetectionTable):
-    """A third-party-style table: the base (mode-0) probe spec only."""
+    """A third-party-style table: the base probe spec (``None``)."""
 
     kernel_probe_spec = ReservationTable.kernel_probe_spec
     packed_buckets = ReservationTable.packed_buckets
@@ -327,7 +335,7 @@ class TestFusedLegEquivalence:
     """``tier0_leg`` == the python ``packed()`` + ``audit_chain`` pair."""
 
     def test_matches_python_pair(self, name):
-        set_descent_kernel(COMPILED)
+        set_search_kernel("compiled")
         verdicts = set()
         for seed in range(80):
             rng = random.Random(5_000 + seed)
@@ -362,7 +370,7 @@ class TestFusedLegEquivalence:
 
     def test_finisher_head_verdict(self, name):
         """With a live finisher only the head prefix is audited."""
-        set_descent_kernel(COMPILED)
+        set_search_kernel("compiled")
         seen_heads = 0
         for seed in range(40):
             rng = random.Random(9_000 + seed)
@@ -400,28 +408,26 @@ class TestFusedLegEquivalence:
         assert seen_heads > 0
 
     def test_declines_generic_probe_spec(self, name):
-        """A mode-0 spec never reaches ``tier0_leg``: the python pair
-        answers, with the verdict the native layout would get."""
-        set_descent_kernel(COMPILED)
+        """A table without a probe spec never reaches ``tier0_leg``: the
+        python pair answers, with the verdict the native layout gets."""
+        set_search_kernel("compiled")
         grid = Grid(WIDTH, HEIGHT)
         real = TABLES[name](grid)
         real.reserve_path(Path.waiting((3, 0), 0, 9))
 
         class GenericProbe:
             audit_chain = real.audit_chain
-
-            def kernel_probe_spec(self):
-                spec = real.kernel_probe_spec()
-                return (0,) + tuple(spec[1:])
+            kernel_probe_spec = ReservationTable.kernel_probe_spec
 
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
         for goal in ((5, 0), (0, 5)):  # through the camped cell, and not
-            declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal,
-                                        lambda goal: (None, 0))
-            assert cache.descent_kernel == "python"
-            native = cache.kernel_leg(real, 0, (0, 0), goal,
-                                      lambda goal: (None, 0))
-            assert cache.descent_kernel == "compiled"
+            with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+                declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal,
+                                            lambda goal: (None, 0))
+                assert calls["tier0_leg"] == 0
+                native = cache.kernel_leg(real, 0, (0, 0), goal,
+                                          lambda goal: (None, 0))
+                assert calls["tier0_leg"] == 1
             assert declined == native
 
 
@@ -459,10 +465,14 @@ class TestOneTierZeroContract:
             return finisher, trigger
         return factory
 
-    def both_kernels(self, call):
-        set_descent_kernel(COMPILED)
-        compiled = call()
-        set_descent_kernel(None)
+    def both_kernels(self, name, call):
+        """``call()`` under each switch; under the compiled one the
+        generic table never reaches ``tier0_leg``."""
+        set_search_kernel("compiled")
+        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+            compiled = call()
+        assert calls["tier0_leg"] <= (name != "generic")
+        set_search_kernel("python")
         return compiled, call()
 
     def test_verdict_tuples_equal(self, name):
@@ -482,8 +492,8 @@ class TestOneTierZeroContract:
                 return finisher, trigger
 
             compiled, python = self.both_kernels(
-                lambda: cache.kernel_leg(table, t, source, goal, factory,
-                                         caps))
+                name, lambda: cache.kernel_leg(table, t, source, goal,
+                                               factory, caps))
             assert compiled == python
             if compiled[1] is not None:  # equal paths, tuples included
                 assert compiled[1].steps == python[1].steps
@@ -512,11 +522,8 @@ class TestOneTierZeroContract:
             if seed % 3:
                 chain.rescue_caps = RESCUE_CAPS
             compiled, python = self.both_kernels(
-                lambda: chain._free_flow_leg(t, source, goal))
-            native = name != "generic"
-            assert compiled[2] == ("compiled" if native else "python")
-            assert python[2] == "python"
-            assert compiled[:2] == python[:2]  # (LegPlan | None, outcome)
+                name, lambda: chain._free_flow_leg(t, source, goal))
+            assert compiled == python  # (LegPlan | None, outcome)
             outcomes.add(compiled[1])
         assert outcomes == {"hit", "miss", "audit_reject", "rescue"}
 
@@ -573,7 +580,7 @@ def test_gated_audits_on_the_swap_cases(name, case_name, kernel):
     descent = Path.from_cells(chain.cells, case["start"])
     clean = table.audit_path(descent)
     assert table.audit_chain(case["start"], chain, len(chain) - 1) == clean
-    set_descent_kernel(COMPILED if kernel == "compiled" else None)
+    set_search_kernel(kernel)
     for caps, verdict in zip(((0, 0), (4, 8)), case["tier0"]):
         got, path, __, __ = cache.kernel_leg(
             table, case["start"], case["source"], SWAP_GOAL,
@@ -644,10 +651,11 @@ class TestNativeRescue:
         expected = follow_with_waits(table, chain.cells, t, *caps)
         reason, steps = reference_walk(table, chain.cells, t, *caps)
         assert steps == expected
-        set_descent_kernel(COMPILED)
-        verdict, path, __, __ = cache.kernel_leg(
-            table, t, source, goal, lambda goal: (None, 0), caps)
-        assert cache.descent_kernel == "compiled"
+        set_search_kernel("compiled")
+        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+            verdict, path, __, __ = cache.kernel_leg(
+                table, t, source, goal, lambda goal: (None, 0), caps)
+        assert calls["tier0_leg"] == 1
         if expected is None:
             assert (verdict, path) == (3, None)
         else:
@@ -715,7 +723,7 @@ class TestNativeRescue:
     def test_bad_caps_raise(self, name, caps):
         problem = self.boundary_problem(name, [((3, 5), 7)])
         table, cache, __, source, goal, t = problem
-        set_descent_kernel(COMPILED)
+        set_search_kernel("compiled")
         with pytest.raises(ValueError):
             cache.kernel_leg(table, t, source, goal,
                              lambda goal: (None, 0), caps)
@@ -749,7 +757,7 @@ class TestFusedLegManhattanRegime:
     """Paper-scale lazy Manhattan fields take the closed-form descent."""
 
     def test_matches_python_pair(self):
-        set_descent_kernel(COMPILED)
+        set_search_kernel("compiled")
         side = int(PAPER_SCALE_MIN_CELLS ** 0.5) + 1
         grid = Grid(side, side)  # unobstructed => lazy Manhattan fields
         assert grid.n_cells >= PAPER_SCALE_MIN_CELLS
@@ -782,14 +790,16 @@ class TestFusedLegManhattanRegime:
         assert {1, 3} <= verdicts
 
     def test_kernel_declines_without_module(self):
-        """No module: the same entry answers through the python pair."""
-        set_descent_kernel(None)
+        """The python switch: the same entry answers through the python
+        pair."""
+        set_search_kernel("python")
         grid = Grid(8, 8)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        verdict, path, finisher, trigger = cache.kernel_leg(
-            SpatiotemporalGraph(grid), 0, (0, 0), (7, 7),
-            lambda goal: (None, 0))
-        assert cache.descent_kernel == "python"
+        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+            verdict, path, finisher, trigger = cache.kernel_leg(
+                SpatiotemporalGraph(grid), 0, (0, 0), (7, 7),
+                lambda goal: (None, 0))
+        assert calls["tier0_leg"] == 0
         assert verdict == 1
         assert path == Path.from_cells(cache.packed((0, 0), (7, 7)).cells, 0)
 

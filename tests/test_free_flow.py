@@ -33,7 +33,7 @@ from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT,
                                         TIER_FREE_FLOW, TIER_FULL,
                                         FallbackChain)
 from repro.pathfinding._kernel import build_and_load
-from repro.pathfinding._legacy import seed_planner_patches
+from repro.pathfinding._legacy import seed_planner_patches, tier0_off_patch
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.pathfinding.st_astar import (SearchStats, find_path,
                                         search_kernel_name,
@@ -304,7 +304,7 @@ class TestAuditPath:
 
 
 class TestChainTierZero:
-    def test_audit_reject_falls_through_identically(self):
+    def test_audit_reject_falls_through_identically(self, monkeypatch):
         # Corridor blockade from the pipeline suite: tier 0 must reject
         # and the full tier must answer with the byte-identical path a
         # tier-0-disabled chain produces.
@@ -314,9 +314,8 @@ class TestChainTierZero:
         cdt_fast, cdt_slow = ConflictDetectionTable(), ConflictDetectionTable()
         load(cdt_fast), load(cdt_slow)
         fast = make_chain(grid, cdt_fast).plan_leg(0, (0, 0), (29, 0))
-        slow = make_chain(grid, cdt_slow,
-                          PlannerConfig(free_flow=False)).plan_leg(
-                              0, (0, 0), (29, 0))
+        monkeypatch.setattr(*tier0_off_patch())
+        slow = make_chain(grid, cdt_slow).plan_leg(0, (0, 0), (29, 0))
         assert fast.fastpath == FASTPATH_AUDIT_REJECT
         assert fast.tier == TIER_FULL
         assert slow.fastpath == FASTPATH_OFF
@@ -344,8 +343,8 @@ class TestChainTierZero:
         from repro.experiments.harness import run_planner
         run_planner(make_mini(seed=3, n_items=12), "NTP")
         assert legs
-        assert {(leg.fastpath, leg.tier, leg.descent_kernel)
-                for leg in legs} == {(FASTPATH_OFF, TIER_FULL, "")}
+        assert {(leg.fastpath, leg.tier)
+                for leg in legs} == {(FASTPATH_OFF, TIER_FULL)}
 
     def test_hit_commits_full_path(self):
         grid = Grid(12, 10)
@@ -401,12 +400,12 @@ class TestEndToEndEquivalence:
     """Whole runs are bit-identical with the fast path on and off."""
 
     @pytest.mark.parametrize("planner", ["NTP", "EATP"])
-    def test_deterministic_view_identical(self, planner):
+    def test_deterministic_view_identical(self, planner, monkeypatch):
         from repro.experiments.harness import run_planner
         scenario = make_mini(n_items=40)
         fast = run_planner(scenario, planner)
-        slow = run_planner(scenario, planner,
-                           planner_config=PlannerConfig(free_flow=False))
+        monkeypatch.setattr(*tier0_off_patch())
+        slow = run_planner(scenario, planner)
         fast_view = deterministic_view(result_to_dict(fast))
         slow_view = deterministic_view(result_to_dict(slow))
         # The runs must agree on everything except the fast-path

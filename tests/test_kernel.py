@@ -42,10 +42,12 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
+from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
-                            assert_rows_match_neighbours, load_swap_case)
+                            assert_rows_match_neighbours, count_kernel_calls,
+                            load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -62,11 +64,8 @@ def _restore_kernel():
 
 
 class GenericProbeCDT(ConflictDetectionTable):
-    """A table that only exposes the generic packed-probe callables.
-
-    Forces the kernel's mode-0 path — the coverage guarantee for any
-    out-of-tree :class:`ReservationTable` subclass.
-    """
+    """A table outside the library: the base probe spec (``None``), so
+    the python core answers it under either kernel switch."""
 
     kernel_probe_spec = ReservationTable.kernel_probe_spec
 
@@ -80,6 +79,9 @@ TABLES = {
     "cell_tiled_stgraph": lambda grid: ShardedSpatiotemporalGraph(0),
     "generic": lambda grid: GenericProbeCDT(),
 }
+
+#: The tables the native kernel probes (every one but the generic).
+NATIVE_TABLES = sorted(name for name in TABLES if name != "generic")
 
 
 def crossing_traffic(table, width=18, n=10):
@@ -112,11 +114,15 @@ def assert_same_search(out, stats, ref_out, ref_stats):
 
 
 def assert_bit_identical(grid, make_table, request, heuristic=None):
+    """Equal searches under both switches; the compiled one reaches
+    ``run`` exactly when the table has a probe spec (the python core
+    answers the generic table)."""
     py_out, py_stats = run_on("python", grid, make_table, request, heuristic)
-    c_out, c_stats = run_on("compiled", grid, make_table, request, heuristic)
+    with count_kernel_calls(COMPILED, ["run"]) as calls:
+        c_out, c_stats = run_on("compiled", grid, make_table, request,
+                                heuristic)
     assert_same_search(c_out, c_stats, py_out, py_stats)
-    assert py_stats.kernel == "python"
-    assert c_stats.kernel == "compiled"
+    assert calls["run"] == (make_table().kernel_probe_spec() is not None)
     return py_out
 
 
@@ -145,20 +151,17 @@ class TestKernelSelection:
     def test_compiled_without_extension_is_an_error(self, monkeypatch):
         monkeypatch.setattr(st_astar, "_load_compiled",
                             lambda refresh=False: None)
-        monkeypatch.setattr(st_astar, "_COMPILED", None)
         with pytest.raises(ConfigurationError):
             set_search_kernel("compiled")
 
     def test_auto_without_extension_falls_back_silently(self, monkeypatch):
         monkeypatch.setattr(st_astar, "_load_compiled",
                             lambda refresh=False: None)
-        monkeypatch.setattr(st_astar, "_COMPILED", None)
         assert set_search_kernel("auto") == "python"
-        stats = SearchStats()
+        assert _kernel.active is None
         outcome = search(Grid(8, 8), ConflictDetectionTable(),
-                         SearchRequest((0, 0), (7, 7), 0), stats=stats)
+                         SearchRequest((0, 0), (7, 7), 0))
         assert outcome.path is not None
-        assert stats.kernel == "python"
 
     def test_build_forbidden_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BUILD", "0")
@@ -174,7 +177,6 @@ class TestKernelSelection:
         monkeypatch.setattr(build, "extension_path", lambda: str(artefact))
         monkeypatch.setattr(_kernel, "_module", None)
         monkeypatch.setattr(_kernel, "_probed", False)
-        monkeypatch.setattr(st_astar, "_COMPILED", None)
         return artefact
 
     def test_foreign_binary_is_not_loaded_where_builds_are_off(
@@ -239,25 +241,21 @@ class TestKernelSelection:
     def test_explicit_choices_select_the_named_core(self):
         assert set_search_kernel("compiled") == "compiled"
         assert search_kernel_name() == "compiled"
+        assert _kernel.active is COMPILED
         assert set_search_kernel("python") == "python"
         assert search_kernel_name() == "python"
+        assert _kernel.active is None
 
-    @needs_compiled
-    def test_stats_report_which_core_ran(self):
-        grid = Grid(12, 12)
-        for kernel in ("python", "compiled"):
-            set_search_kernel(kernel)
-            stats = SearchStats()
-            search(grid, ConflictDetectionTable(),
-                   SearchRequest((0, 0), (11, 11), 0), stats=stats)
-            assert stats.kernel == kernel
-
-    def test_trivial_search_has_no_kernel_tag(self):
+    def test_trivial_search_runs_no_core(self, monkeypatch):
         # source == goal short-circuits before either core runs.
-        stats = SearchStats()
-        search(Grid(6, 6), ConflictDetectionTable(),
-               SearchRequest((2, 2), (2, 2), 0), stats=stats)
-        assert stats.kernel == ""
+        def no_core(*args):
+            raise AssertionError("a core ran")
+
+        monkeypatch.setattr(st_astar, "_search_heap", no_core)
+        monkeypatch.setattr(st_astar, "_search_compiled", no_core)
+        outcome = search(Grid(6, 6), ConflictDetectionTable(),
+                         SearchRequest((2, 2), (2, 2), 0))
+        assert outcome.path.steps == ((0, 2, 2),)
 
 
 # -- bit-identity across probe modes and regimes ---------------------------
@@ -342,12 +340,12 @@ class TestKernelBitIdentity:
         # selection must decline and fall through to the python core.
         set_search_kernel("compiled")
         grid = Grid(12, 12)
-        stats = SearchStats()
-        outcome = search(grid, ConflictDetectionTable(),
-                         SearchRequest((0, 0), (11, 11), 0),
-                         heuristic=lambda cell: 0, stats=stats)
+        with count_kernel_calls(COMPILED, ["run"]) as calls:
+            outcome = search(grid, ConflictDetectionTable(),
+                             SearchRequest((0, 0), (11, 11), 0),
+                             heuristic=lambda cell: 0)
         assert outcome.path is not None
-        assert stats.kernel == "python"
+        assert calls["run"] == 0
 
     def test_cache_finisher_matches(self):
         grid = Grid(18, 13)
@@ -447,9 +445,7 @@ def test_search_from_inside_a_finisher(kernel):
                    stats=outer_stats)
     assert nested
     for inner, inner_stats in nested:
-        assert inner_stats.kernel == kernel
         assert_same_search(inner, inner_stats, ref_inner, ref_inner_stats)
-    assert outer_stats.kernel == kernel
     assert_same_search(outer, outer_stats, ref_outer, ref_outer_stats)
 
 
@@ -606,7 +602,7 @@ class TestRunHandsBackOneBuffer:
         (4, lambda cell, t: [(t,) + cell], 4, 200_000),  # finisher tail
         (0, lambda cell, t: None, 4, 200_000),           # finisher declines
     ])
-    @pytest.mark.parametrize("table_name", sorted(TABLES))
+    @pytest.mark.parametrize("table_name", NATIVE_TABLES)
     def test_every_status_retains_nothing(self, status, finisher, trigger,
                                           budget, table_name):
         # every probe mode: a tick's PyLongs (the second made only where
@@ -785,9 +781,10 @@ def test_property_compiled_matches_python(seed):
 
     try:
         comp, c_stats = run("compiled")
-        # The compiled core reads the capsule: no python row exists yet,
-        # and the rows the python core then builds are the contract's.
-        assert not grid.adjacency
+        # The compiled core reads the capsule: no python row exists yet
+        # (the python core answers the generic table), and the rows the
+        # python core then builds are the contract's.
+        assert not grid.adjacency or table_factory == "generic"
         py, py_stats = run("python")
     finally:
         set_search_kernel("auto")
@@ -805,28 +802,49 @@ def test_property_compiled_matches_python(seed):
 # -- planner integration ----------------------------------------------------
 
 
+#: The native entry points a planning run calls (``prepare_grid`` aside).
+RUN_ENTRY_POINTS = ("run", "reserve_path", "purge_before", "bfs_fill",
+                    "tier0_leg")
+
+
 @needs_compiled
 def test_planner_stats_count_kernel_usage():
-    from repro.config import PlannerConfig
+    """``descents_compiled / descents_python`` (what the bench's tier-0
+    hit ratio sums) count every tier-0 leg under the core the switch
+    selects, and the two runs agree."""
     from repro.planners import PLANNERS
     from repro.sim.engine import Simulation
 
-    scenario = make_mini(n_items=12)
-    makespans = {}
-    counters = {}
+    counters, makespans = {}, {}
     for kernel in ("compiled", "python"):
         set_search_kernel(kernel)
-        state, items = scenario.build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(free_flow=False))
+        state, items = make_mini(n_items=12).build()
+        planner = PLANNERS["NTP"](state)
         try:
-            result = Simulation(state, planner, items).run()
-            makespans[kernel] = result.metrics.makespan
-            counters[kernel] = (planner.stats.searches_compiled,
-                                planner.stats.searches_python)
+            makespans[kernel] = Simulation(state, planner,
+                                           items).run().metrics.makespan
         finally:
             planner.close()
+        counters[kernel] = (planner.stats.descents_compiled,
+                            planner.stats.descents_python)
     assert counters["compiled"][0] > 0
     assert counters["compiled"][1] == 0
-    assert counters["python"][1] > 0
-    assert counters["python"][0] == 0
+    assert counters["python"] == (0, counters["compiled"][0])
     assert makespans["compiled"] == makespans["python"]
+
+
+@needs_compiled
+@pytest.mark.parametrize("planner", ["NTP", "EATP"])
+def test_one_switch_routes_every_plane(planner):
+    """Under the compiled switch a mini run reaches every native entry
+    point a run uses — search, insertion, update, field flood, tier 0 —
+    under the python switch none, and the two runs are equal."""
+    reached, views = {}, {}
+    for kernel in ("compiled", "python"):
+        set_search_kernel(kernel)
+        with count_kernel_calls(COMPILED, RUN_ENTRY_POINTS) as calls:
+            result = run_planner(make_mini(n_items=40), planner)
+        reached[kernel] = {name for name in RUN_ENTRY_POINTS if calls[name]}
+        views[kernel] = deterministic_view(result_to_dict(result))
+    assert reached == {"compiled": set(RUN_ENTRY_POINTS), "python": set()}
+    assert views["compiled"] == views["python"]

@@ -10,7 +10,8 @@ The equivalence half builds the
 extension on the fly (skipping where no compiler is available); the
 counter-drift property and the planner accounting tests run under
 whichever kernel is selected, so the pure-python CI job exercises them
-with the extension never built.
+with the extension never built.  Which kernel a run reaches is pinned
+once, for every plane, by ``test_kernel::test_one_switch_routes_every_plane``.
 """
 
 import copy
@@ -22,12 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 
-from repro.config import PlannerConfig
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.paths import Path, packed_path
-from repro.pathfinding.reservation import (mutation_kernel_name,
-                                           set_mutation_kernel)
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
@@ -35,7 +33,8 @@ from repro.planners import PLANNERS
 from repro.sim.engine import Simulation
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import assert_edges_have_arrivals, assert_retains_nothing
+from tests.conftest import (assert_edges_have_arrivals, assert_retains_nothing,
+                            count_kernel_calls)
 
 COMPILED = build_and_load()
 
@@ -46,8 +45,8 @@ needs_compiled = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _restore_kernel():
-    # set_search_kernel rewires the mutation kernel too, so restoring the
-    # search selection restores everything a test switched.
+    # One switch serves every plane: restoring it restores everything a
+    # test switched.
     previous = search_kernel_name()
     yield
     set_search_kernel(previous)
@@ -113,13 +112,27 @@ def containers(table):
     return vertices, edges
 
 
+#: The kernels a test can select here (the extension may be absent).
+KERNELS = ("python",) if COMPILED is None else ("python", "compiled")
+
+
 class TestMutationKernelSelection:
     def test_search_selection_drives_mutations(self):
-        if COMPILED is not None:
-            set_search_kernel("compiled")
-            assert mutation_kernel_name() == "compiled"
-        set_search_kernel("python")
-        assert mutation_kernel_name() == "python"
+        # Tables read the one switch at call time: a table built under
+        # the python switch mutates natively once the compiled one is
+        # selected, and its counters stay exact across the change.
+        for name, make_table in sorted(TABLES.items()):
+            set_search_kernel("python")
+            table = make_table()
+            for seed, kernel in enumerate(KERNELS):
+                set_search_kernel(kernel)
+                with count_kernel_calls(
+                        COMPILED, ["reserve_path", "purge_before"]) as calls:
+                    apply_ops(table, random_ops(seed, 20) + [("purge", 45)])
+                native = kernel == "compiled"
+                assert bool(calls["reserve_path"]) == native, (name, kernel)
+                assert bool(calls["purge_before"]) == native, (name, kernel)
+            assert table.live_counts() == table.recount(), name
 
 
 @needs_compiled
@@ -129,10 +142,10 @@ class TestMutationBitIdentity:
 
     def twins(self, name, seed, n=60):
         ops = random_ops(seed, n)
-        set_mutation_kernel(COMPILED)
+        set_search_kernel("compiled")
         compiled_table = TABLES[name]()
         apply_ops(compiled_table, ops)
-        set_mutation_kernel(None)
+        set_search_kernel("python")
         python_table = TABLES[name]()
         apply_ops(python_table, ops)
         return compiled_table, python_table
@@ -163,9 +176,9 @@ class TestMutationBitIdentity:
     def test_purge_counters_stay_exact(self, name):
         compiled_table, python_table = self.twins(name, 42, n=40)
         for t in (10, 25, 60):
-            set_mutation_kernel(COMPILED)
+            set_search_kernel("compiled")
             compiled_table.purge_before(t)
-            set_mutation_kernel(None)
+            set_search_kernel("python")
             python_table.purge_before(t)
             assert containers(compiled_table) == containers(python_table)
             assert compiled_table.recount() == python_table.recount()
@@ -203,7 +216,7 @@ class TestReservePathTakesOnlyLawfulBuffers:
     handed, and refuses before mutating anything."""
 
     def loaded(self, name):
-        set_mutation_kernel(COMPILED)
+        set_search_kernel("compiled")
         table = TABLES[name]()
         apply_ops(table, random_ops(7, 20))  # purge floors stay below 40
         return table, copy.deepcopy(containers(table)), table.live_counts()
@@ -277,13 +290,14 @@ def test_tables_keep_their_probe_modes():
 
 
 @needs_compiled
-@pytest.mark.parametrize("mode", [3, 5, -1])
+@pytest.mark.parametrize("mode", [0, 3, 5, -1])
 @pytest.mark.parametrize("entry", ["run", "tier0_leg", "reserve_path",
                                    "purge_before"])
 def test_unserved_probe_mode_is_refused(entry, mode):
-    """Mode 3 (a retired tiled-CDT layout) and numbers never assigned
-    raise ``ValueError`` at every entry point — never a count, never a
-    probe of containers laid out for another mode."""
+    """Modes 0 (retired generic callables) and 3 (a retired tiled-CDT
+    layout) and numbers never assigned raise ``ValueError`` at every
+    entry point — never a count, never a callback, never a probe of
+    containers laid out for another mode."""
     grid = Grid(WIDTH, HEIGHT)
     capsule = grid.kernel_capsule(COMPILED)
     source, goal = grid.cell_index(LANE[0]), grid.cell_index(LANE[-1])
@@ -324,7 +338,7 @@ def move_oracle(table, path):
 def test_long_audits_match_move_oracle(name, kernel):
     """17-120-step audits, at low and >= 2**28 ticks, over tables built
     by either mutation kernel."""
-    set_mutation_kernel(COMPILED if kernel == "compiled" else None)
+    set_search_kernel(kernel)
     rng = random.Random(5)
     table = TABLES[name]()
 
@@ -376,7 +390,7 @@ def test_property_stored_edges_have_arrivals(name, kernel, ops):
     """What swap gating rests on, after every mutation: an edge in the
     table has its arrival vertex in the table, and a step below the purge
     floor leaves neither half."""
-    set_mutation_kernel(COMPILED if kernel == "compiled" else None)
+    set_search_kernel(kernel)
     table = TABLES[name]()
     floor, legs = 0, []
     for op in ops:
@@ -417,46 +431,40 @@ def test_property_incremental_matches_recount(seed):
 
 
 class TestPlannerAccounting:
-    def run_mini(self, kernel):
-        set_search_kernel(kernel)
-        scenario = make_mini(n_items=12)
-        state, items = scenario.build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(free_flow=False))
-        try:
-            result = Simulation(state, planner, items).run()
-        finally:
-            planner.close()
-        return result, planner
+    @needs_compiled
+    def test_both_kernels_account_alike(self):
+        # The modelled memory a run reports does not depend on which
+        # core mutated its table.
+        results = {}
+        for kernel in ("python", "compiled"):
+            set_search_kernel(kernel)
+            state, items = make_mini(n_items=12).build()
+            planner = PLANNERS["NTP"](state)
+            try:
+                results[kernel] = Simulation(state, planner, items).run()
+            finally:
+                planner.close()
+        python = results["python"].metrics
+        compiled = results["compiled"].metrics
+        assert compiled.makespan == python.makespan
+        assert compiled.peak_memory_bytes == python.peak_memory_bytes
+        assert ([s.memory_bytes for s in compiled.checkpoints]
+                == [s.memory_bytes for s in python.checkpoints])
 
-    def test_mutation_kernel_tags(self):
-        result_py, planner_py = self.run_mini("python")
-        stats = planner_py.stats
-        assert stats.reserves_python > 0 and stats.reserves_compiled == 0
-        if COMPILED is None:
-            return
-        result_c, planner_c = self.run_mini("compiled")
-        stats = planner_c.stats
-        assert stats.reserves_compiled > 0 and stats.reserves_python == 0
-        assert (result_c.metrics.makespan == result_py.metrics.makespan)
-        assert (result_c.metrics.peak_memory_bytes
-                == result_py.metrics.peak_memory_bytes)
-        assert ([s.memory_bytes for s in result_c.metrics.checkpoints]
-                == [s.memory_bytes for s in result_py.metrics.checkpoints])
-
-    def test_purge_kernel_tags(self):
+    def test_purges_keep_counters_exact(self):
         set_search_kernel("python")
         scenario = make_mini(n_items=24)
         state, items = scenario.build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(free_flow=False))
+        planner = PLANNERS["NTP"](state)
         try:
             Simulation(state, planner, items).run()
         finally:
             planner.close()
-        stats = planner.stats
-        assert stats.purges_compiled == 0
-        # A run long enough to cross the purge cadence tags its purges.
-        if stats.purges_python:
-            assert planner.reservation.mutation_kernel == "python"
+        # The run crosses the purge cadence; the purged table's
+        # incremental counters still equal a recount.
+        table = planner.reservation
+        assert table._floor > 0
+        assert table.live_counts() == table.recount()
 
     def test_memory_cache_tracks_mutations(self):
         set_search_kernel("python")

@@ -20,6 +20,7 @@ import pytest
 from repro.config import PlannerConfig, SimulationConfig
 from repro.errors import ConfigurationError, PathNotFoundError
 from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding._legacy import tier0_off_patch
 from repro.pathfinding.cache import follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import find_conflicts
@@ -143,15 +144,15 @@ class TestFallbackChain:
         assert leg.commit_path is leg.path
         assert leg.path.goal == (9, 7)
 
-    def test_tier_full_on_open_floor(self):
+    def test_tier_full_on_open_floor(self, monkeypatch):
         # With tier 0 off, the same leg lands on the classic full tier
         # with the byte-identical path.
         grid = Grid(12, 10)
-        cdt = ConflictDetectionTable()
-        config = PlannerConfig(free_flow=False)
-        leg = make_chain(grid, cdt, config).plan_leg(0, (0, 0), (9, 7))
         fast = make_chain(grid, ConflictDetectionTable(),
                           PlannerConfig()).plan_leg(0, (0, 0), (9, 7))
+        monkeypatch.setattr(*tier0_off_patch())
+        leg = make_chain(grid, ConflictDetectionTable(),
+                         PlannerConfig()).plan_leg(0, (0, 0), (9, 7))
         assert leg.tier == TIER_FULL
         assert leg.commit_path is leg.path
         assert leg.path.goal == (9, 7)
@@ -208,7 +209,6 @@ class TestFallbackChain:
         assert leg.tier == TIER_WAIT
         assert leg.path.steps == Path.waiting((2, 0), 0, 7).steps
         table.reserve_path(leg.commit_path)  # what the planner commits
-        assert table.mutation_kernel == kernel
         assert held() - before == {(0, 2)}
         assert table.recount()["edges"] == edges
 
@@ -280,8 +280,8 @@ class FirstAttemptFailsNTP(NaiveTaskPlanner):
     """NTP whose full tier fails on the first attempt of each leg.
 
     Every leg therefore starts with a wait leg and reaches its target
-    through ``continue_leg``.  Callers must pass a config with
-    ``free_flow=False``: the tier-0 fast path would otherwise serve the
+    through ``continue_leg``.  Callers must turn tier 0 off
+    (``tier0_off_patch``): the fast path would otherwise serve the
     uncongested legs before the sabotaged full tier is ever consulted.
     """
 
@@ -305,7 +305,8 @@ class TestHorizonReplanEngine:
         scenario = make_mini(n_items=30)
         state, items = scenario.build()
         monkeypatch.setattr(pipeline, "FALLBACK_WAIT_TICKS", 2)
-        planner = FirstAttemptFailsNTP(state, PlannerConfig(free_flow=False))
+        monkeypatch.setattr(*tier0_off_patch())
+        planner = FirstAttemptFailsNTP(state, PlannerConfig())
         config = SimulationConfig(collect_paths=True)
         result = Simulation(state, planner, items, config).run()
 
@@ -343,7 +344,7 @@ class TestHorizonReplanEngine:
         # degraded leg, which the run reports as ``budget_exhausted``.
         state, __ = make_mini(n_items=1).build()
         planner = NaiveTaskPlanner(
-            state, PlannerConfig(max_search_expansions=3, free_flow=False))
+            state, PlannerConfig(max_search_expansions=3))
         source = state.robots[0].location
         goal = max((rack.home for rack in state.racks),
                    key=lambda home: abs(home[0] - source[0])
@@ -356,7 +357,7 @@ class TestHorizonReplanEngine:
 
 
 class TestLegacyEngineGuard:
-    def test_frozen_engine_rejects_partial_legs(self):
+    def test_frozen_engine_rejects_partial_legs(self, monkeypatch):
         # The frozen per-tick engine predates horizon replans; handing
         # it a planner that emits partial legs must fail loudly, not
         # silently teleport robots through stage transitions.
@@ -364,7 +365,8 @@ class TestLegacyEngineGuard:
         from repro.sim._legacy_engine import LegacySimulation
         scenario = make_mini(n_items=20)
         state, items = scenario.build()
-        planner = FirstAttemptFailsNTP(state, PlannerConfig(free_flow=False))
+        monkeypatch.setattr(*tier0_off_patch())
+        planner = FirstAttemptFailsNTP(state, PlannerConfig())
         with pytest.raises(SimulationError, match="partial"):
             LegacySimulation(state, planner, items).run()
 
