@@ -109,9 +109,11 @@ class PlannerConfig:
     knn_k:
         K — how many closest racks each robot probes under flip requesting
         (EATP, Sec. VI-A).  The paper leaves K unstated on its 5 000+ rack
-        floors; on the scaled-down layouts K = 8 keeps the probe
-        neighbourhood dense enough that EATP stays within ~1% of ATP's
-        makespan (the paper's reported trade-off).
+        floors.  K = 8 does not reach the paper's trade-off (EATP within
+        ~1% of ATP's makespan): over four arrival seeds at scale 2 the
+        median EATP ÷ ATP makespan reads 1.028 to 1.119 across the four
+        Table II datasets, and a larger K closes the gap.  Choosing K per
+        floor is ROADMAP item 2 (a).
     cache_threshold:
         L — Manhattan-distance threshold below which the cache-aided
         finisher takes over from spatiotemporal A* (EATP, Sec. VI-B).

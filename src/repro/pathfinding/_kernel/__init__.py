@@ -13,25 +13,32 @@ Whether native code serves is decided once: :data:`active` holds the
 loaded module, or ``None``, and only
 :func:`repro.pathfinding.st_astar.set_search_kernel` sets it (from
 ``REPRO_KERNEL`` at import).  Every plane reads it at call time — the
-search, the three tables' ``reserve_path`` / ``purge_before``, the field
-flood and tier 0 — and one rule serves them all: the switch is on, the
-table is one of the library's three (its ``kernel_probe_spec`` names a
-probe mode) and the field is a library one.  Anything else takes the
-python body, which answers bit-identically.
+search, the three tables' operations, the field flood and tier 0 — and
+one rule serves them all: the switch is on, the table is one of the
+library's three (its ``kernel_probe_spec`` answers its store) and the
+field is a library one.  Anything else takes the python body, which
+answers bit-identically.
 
-The six entry points — ``prepare_grid``, ``run``, ``reserve_path``,
-``purge_before``, ``bfs_fill``, ``tier0_leg`` — carry their signatures
-as docstrings (``help(_stsearch.run)``).  A leg crosses the boundary as
-``keys``: one ``array('q')`` of packed cell keys (``x << 16 | y``), one
-per consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps
-as it came; ``run`` and ``tier0_leg`` return it, ``reserve_path`` takes
-``(start_time, keys)``, and each checks it against the path rule.
+The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
+``tier0_leg`` and the reservation store's ``store_new``,
+``store_reserve``, ``store_purge``, ``store_probe``, ``store_counts``,
+``store_export`` — carry their signatures as docstrings
+(``help(_stsearch.run)``).  A leg crosses the boundary as ``keys``: one
+``array('q')`` of packed cell keys (``x << 16 | y``), one per
+consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps as
+it came; ``run`` and ``tier0_leg`` return it, ``store_reserve`` takes
+``(store, start_time, keys)``, and each checks it against the path rule.
+
+The store is one capsule per table, owned by the kernel: per-tick blocks
+of open-addressed int64 keys in a ring indexed by ``tick - floor``, each
+key a vertex with the edges that arrive on it as bits, allocated through
+``PyMem_*``.  It holds its table weakly; a store whose table is gone, or
+any other object in a store slot, is refused.
 
 Inside ``run`` a seen state is one ``{key, parent}`` record; its cost is
-its time layer, read off the key.  What the kernel borrows from a table
-— a tick's containers for one expansion, the last tile it probed for
-longer — it drops when a finisher returns (python may have purged or
-reserved), and nothing it allocates outlives the call.
+its time layer, read off the key.  The tick blocks it probes are fetched
+again after a finisher returns (python may have purged or reserved), and
+nothing it allocates outlives the call.
 """
 
 from __future__ import annotations

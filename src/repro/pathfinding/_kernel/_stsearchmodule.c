@@ -23,9 +23,9 @@
  * where that vertex is taken: run() by its own wait probe, probe_move()
  * — the tier-0 audit and the rescue — by one more vertex probe.
  *
- * Reservation probes read the library's three table layouts (probe
- * modes 1, 2 and 4 below) and nothing else: a table without a mode is
- * served by the python bodies, never called back from here.
+ * Reservations live in one layout, the store below, which every library
+ * table holds under the compiled switch: the kernel owns it, mutates it
+ * and probes it without a python object per key.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -47,14 +47,6 @@
 #define CELL_KEY_SHIFT 16
 #define CELL_KEY_MASK 0xFFFF
 
-/* Probe modes, mirrored from ReservationTable.kernel_probe_spec(). */
-enum {
-    /* 0 was generic probe callables, 3 a tiled CDT; neither is reused. */
-    PROBE_CDT = 1,          /* ({t: set(key)}, {t: set(edge)})           */
-    PROBE_DENSE = 2,        /* ({t: bytearray[ci]}, {t: set(edge)})      */
-    PROBE_TILED_DENSE = 4,  /* ({t: {tile: bytearray}}, {t: set(edge)})  */
-};
-
 /* run() statuses, mapped to SearchOutcome by the python wrapper. */
 enum {
     ST_COMPLETE = 0,
@@ -66,10 +58,10 @@ enum {
 /* ------------------------------------------------------------------ */
 /* Packed legs.  A leg crosses the boundary as one buffer of int64     */
 /* cell keys, one per consecutive tick (paths.Path.keys): run and      */
-/* tier0_leg hand out an array('q'), reserve_path takes any contiguous */
-/* int64 buffer.  keys_check is the one statement of the path rule on  */
-/* this side — the rule Path(steps) applies to tuples — and every      */
-/* buffer passes it on its way in or out.                              */
+/* tier0_leg hand out an array('q'), store_reserve takes any           */
+/* contiguous int64 buffer.  keys_check is the one statement of the    */
+/* path rule on this side — the rule Path(steps) applies to tuples —   */
+/* and every buffer passes it on its way in or out.                    */
 /* ------------------------------------------------------------------ */
 
 static PyObject *array_type;  /* array.array, held for the module's life */
@@ -116,7 +108,7 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* Prepared grid: CSR adjacency + cached per-cell key objects, filled  */
+/* Prepared grid: CSR adjacency + per-cell packed keys, filled         */
 /* here from the grid's blocked mask (mask[x * H + y] != 0 is a wall). */
 /* Rows list passable neighbours in the order Grid.neighbours yields   */
 /* them, (x+1, x-1, y+1, y-1); a blocked cell's row is empty.          */
@@ -128,17 +120,11 @@ typedef struct {
     Py_ssize_t *adj_off;   /* n_cells + 1 offsets into adj_nci */
     int32_t *adj_nci;
     int64_t *cell_keys;
-    PyObject **key_objs;   /* owned PyLong per cell's packed key */
 } GridData;
 
 static void
 grid_data_free(GridData *gd)
 {
-    if (gd->key_objs != NULL) {
-        for (Py_ssize_t i = 0; i < gd->n_cells; i++)
-            Py_XDECREF(gd->key_objs[i]);
-        PyMem_Free(gd->key_objs);
-    }
     PyMem_Free(gd->adj_off);
     PyMem_Free(gd->adj_nci);
     PyMem_Free(gd->cell_keys);
@@ -187,9 +173,8 @@ stsearch_prepare_grid(PyObject *self, PyObject *args)
     gd->adj_off = PyMem_Malloc((n_cells + 1) * sizeof(Py_ssize_t));
     gd->adj_nci = PyMem_Malloc(4 * n_cells * sizeof(int32_t));
     gd->cell_keys = PyMem_Malloc(n_cells * sizeof(int64_t));
-    gd->key_objs = PyMem_Calloc(n_cells, sizeof(PyObject *));
     if (gd->adj_off == NULL || gd->adj_nci == NULL
-            || gd->cell_keys == NULL || gd->key_objs == NULL) {
+            || gd->cell_keys == NULL) {
         PyErr_NoMemory();
         goto gd_fail;
     }
@@ -199,9 +184,6 @@ stsearch_prepare_grid(PyObject *self, PyObject *args)
         for (long long y = 0; y < height; y++, ci++) {
             gd->adj_off[ci] = at;
             gd->cell_keys[ci] = (int64_t)((x << CELL_KEY_SHIFT) | y);
-            gd->key_objs[ci] = PyLong_FromLongLong(gd->cell_keys[ci]);
-            if (gd->key_objs[ci] == NULL)
-                goto gd_fail;
             if (wall[ci])
                 continue;
             if (x + 1 < width && !wall[ci + height])
@@ -422,229 +404,296 @@ hmap_grow(HMap *m)
 }
 
 /* ------------------------------------------------------------------ */
-/* Reservation probes.                                                 */
+/* The reservation store.                                              */
+/*                                                                     */
+/* One layout serves the three library tables (paper Sec. VI-B: the    */
+/* CDT, the dense ST graph and the tiled ST graph differ only in what  */
+/* they count).  Per-tick blocks of open-addressed keys hold the       */
+/* vertices (x << 16 | y) reserved at t.  A stored move always arrives */
+/* on a stored vertex one tick later (ReservationTable's contract), so */
+/* the edges departing t - 1 are kept on the entries they arrive on:   */
+/* four bits above the key, one per neighbour the move came from.  The */
+/* blocks sit in a ring indexed by tick - floor; the purge advances    */
+/* the floor, empties whole blocks and hands their key arrays back, so */
+/* the store holds what is live.  The counts every accounting rule     */
+/* reads are kept as keys come and go: live vertex ticks, entries,     */
+/* edge ticks and edges, the highest vertex tick (the dense graph's    */
+/* layers span [floor, high]) and, under a tiled rule, the distinct    */
+/* (tick, tile) pairs, one small tile set a block.  Every allocation   */
+/* goes through PyMem_*, so tracemalloc sees the store as it sees any  */
+/* python object.                                                      */
 /* ------------------------------------------------------------------ */
 
+#define STORE_CAPSULE_NAME "repro.pathfinding._kernel.store"
+/* Entries are a key below 2**32 and at most four bits above it. */
+#define KEY_EMPTY UINT64_MAX
+#define KEY_BITS 0xFFFFFFFFULL
+/* The widest tick span one ring addresses (56 bytes a tick). */
+#define RING_MAX_SPAN ((int64_t)1 << 24)
+
+/* The neighbour an arrival bit names, as (dx, dy) from the entry. */
+static const int64_t ARRIVAL_DX[4] = {1, -1, 0, 0};
+static const int64_t ARRIVAL_DY[4] = {0, 0, 1, -1};
+
 typedef struct {
-    int mode;
-    int tile_bits;
-    PyObject *vertex_obj;  /* borrowed from args */
-    PyObject *edge_obj;    /* borrowed from args */
-    /* per-expansion context */
-    int64_t t1;            /* the arrival tick probe_setup was given */
-    PyObject *occupied;    /* borrowed: mode 1 vertex set for t1 */
-    const char *layer1;    /* mode 2 dense layer bytes for t1 */
-    Py_ssize_t layer1_len;
-    PyObject *layer_tiles; /* borrowed: mode 4 tile dict for t1 */
-    PyObject *swaps;       /* borrowed: modes 1, 2, 4 edge set for t1 - 1 */
-    PyObject *t1_obj;      /* owned */
-    PyObject *t0_obj;      /* owned; made by the tick's first probe_edge */
-    int64_t memo_tile_id;  /* mode 4 last-tile memo */
-    PyObject *memo_tile;   /* borrowed */
+    uint64_t *slot;
+    Py_ssize_t cap, used;     /* cap 0 or a power of two, used <= cap / 2 */
+} KeySet;
+
+typedef struct {
+    KeySet v, tiles;          /* vertices at t (and arrivals), tiles at t */
+    int64_t arrivals;         /* edges departing t - 1 */
+} Block;
+
+typedef struct {
+    PyObject *owner;          /* weak reference to the table, or NULL */
+    int tile_bits;            /* < 0: no tile tally */
+    int64_t height, n_cells;  /* n_cells 0: no layer to stay inside */
+    int64_t floor, high;
+    Block *ring;              /* tick t at ring[t & (cap - 1)] */
+    int64_t cap;
+    int64_t vticks, entries, eticks, edges, tile_pairs;
+} Store;
+
+static inline uint64_t *
+keyset_find(const KeySet *ks, uint64_t key)
+{
+    uint64_t h = key * 0x9E3779B97F4A7C15ULL;
+    size_t mask = (size_t)ks->cap - 1;
+    size_t i = (size_t)(h ^ (h >> 29)) & mask;
+    while (ks->slot[i] != KEY_EMPTY && (ks->slot[i] & KEY_BITS) != key)
+        i = (i + 1) & mask;
+    return &ks->slot[i];
+}
+
+/* The entry of ``key``, or NULL. */
+static inline const uint64_t *
+keyset_get(const KeySet *ks, uint64_t key)
+{
+    if (ks->used == 0)
+        return NULL;
+    const uint64_t *at = keyset_find(ks, key);
+    return *at == KEY_EMPTY ? NULL : at;
+}
+
+/* The entry of ``key``, made if absent (``*fresh`` says so); NULL with
+ * MemoryError set when out of memory. */
+static uint64_t *
+keyset_add(KeySet *ks, uint64_t key, int *fresh)
+{
+    if ((ks->used + 1) * 2 > ks->cap) {
+        KeySet big = {NULL, ks->cap ? ks->cap * 2 : 8, ks->used};
+        big.slot = PyMem_Malloc((size_t)big.cap * sizeof(uint64_t));
+        if (big.slot == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        memset(big.slot, 0xFF, (size_t)big.cap * sizeof(uint64_t));
+        for (Py_ssize_t i = 0; i < ks->cap; i++)
+            if (ks->slot[i] != KEY_EMPTY)
+                *keyset_find(&big, ks->slot[i] & KEY_BITS) = ks->slot[i];
+        PyMem_Free(ks->slot);
+        *ks = big;
+    }
+    uint64_t *at = keyset_find(ks, key);
+    *fresh = *at == KEY_EMPTY;
+    if (*fresh) {
+        *at = key;
+        ks->used++;
+    }
+    return at;
+}
+
+static void
+keyset_release(KeySet *ks)
+{
+    PyMem_Free(ks->slot);
+    ks->slot = NULL;
+    ks->cap = ks->used = 0;
+}
+
+/* Entries and arrival bits, counted from scratch (store_counts' walk). */
+static void
+keyset_walk(const KeySet *ks, int64_t *entries, int64_t *bits)
+{
+    for (Py_ssize_t i = 0; i < ks->cap; i++) {
+        if (ks->slot[i] == KEY_EMPTY)
+            continue;
+        (*entries)++;
+        for (uint64_t b = ks->slot[i] >> 32; b != 0; b >>= 1)
+            *bits += (int64_t)(b & 1);
+    }
+}
+
+/* The arrival bit of the unit move ``from -> to``; 0 for anything else
+ * (a wait, a jump). */
+static inline uint64_t
+arrival_bit(uint64_t from, uint64_t to)
+{
+    int64_t dx = (int64_t)(from >> CELL_KEY_SHIFT)
+        - (int64_t)(to >> CELL_KEY_SHIFT);
+    int64_t dy = (int64_t)(from & CELL_KEY_MASK)
+        - (int64_t)(to & CELL_KEY_MASK);
+    for (int k = 0; k < 4; k++)
+        if (dx == ARRIVAL_DX[k] && dy == ARRIVAL_DY[k])
+            return (uint64_t)1 << (32 + k);
+    return 0;
+}
+
+static inline Block *
+store_block(const Store *st, int64_t t)
+{
+    if (t < st->floor || t - st->floor >= st->cap)
+        return NULL;
+    return &st->ring[(uint64_t)t & (uint64_t)(st->cap - 1)];
+}
+
+/* Reserve ``key`` at t >= floor, and the edge departing t - 1 whose
+ * ``arrival`` bit is given (0 for none), widening the ring on demand. */
+static int
+store_add(Store *st, int64_t t, uint64_t key, uint64_t arrival)
+{
+    if (t - st->floor >= st->cap) {
+        int64_t span = t - st->floor + 1, cap = st->cap ? st->cap : 64;
+        if (span > RING_MAX_SPAN) {
+            PyErr_SetString(PyExc_MemoryError,
+                            "reservations span too many ticks");
+            return -1;
+        }
+        while (cap < span)
+            cap *= 2;
+        Block *ring = PyMem_Calloc((size_t)cap, sizeof(Block));
+        if (ring == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (int64_t tick = st->floor; tick - st->floor < st->cap; tick++)
+            ring[(uint64_t)tick & (uint64_t)(cap - 1)] =
+                st->ring[(uint64_t)tick & (uint64_t)(st->cap - 1)];
+        PyMem_Free(st->ring);
+        st->ring = ring;
+        st->cap = cap;
+    }
+    Block *b = &st->ring[(uint64_t)t & (uint64_t)(st->cap - 1)];
+    int fresh;
+    uint64_t *at = keyset_add(&b->v, key, &fresh);
+    if (at == NULL)
+        return -1;
+    if (arrival & ~*at) {
+        *at |= arrival;
+        st->eticks += b->arrivals == 0;
+        b->arrivals++;
+        st->edges++;
+    }
+    if (!fresh)
+        return 0;
+    st->vticks += b->v.used == 1;
+    st->entries++;
+    if (t > st->high)
+        st->high = t;
+    if (st->tile_bits >= 0) {
+        uint64_t tile = ((key >> (CELL_KEY_SHIFT + st->tile_bits))
+                         << CELL_KEY_SHIFT)
+            | ((key & CELL_KEY_MASK) >> st->tile_bits);
+        if (keyset_add(&b->tiles, tile, &fresh) == NULL)
+            return -1;
+        st->tile_pairs += fresh;
+    }
+    return 0;
+}
+
+/* Whether a vertex key lies inside the dense graph's layer (a cell
+ * index x * height + y below n_cells, y below height); every key does
+ * under the sparse rules. */
+static int
+store_key_fits(const Store *st, uint64_t key)
+{
+    uint64_t y = key & CELL_KEY_MASK;
+    return st->n_cells == 0 || (y < (uint64_t)st->height
+        && (key >> CELL_KEY_SHIFT) * (uint64_t)st->height + y
+           < (uint64_t)st->n_cells);
+}
+
+static void
+store_free(Store *st)
+{
+    for (int64_t i = 0; i < st->cap; i++) {
+        keyset_release(&st->ring[i].v);
+        keyset_release(&st->ring[i].tiles);
+    }
+    PyMem_Free(st->ring);
+    Py_XDECREF(st->owner);
+    PyMem_Free(st);
+}
+
+static void
+store_capsule_destroy(PyObject *capsule)
+{
+    Store *st = PyCapsule_GetPointer(capsule, STORE_CAPSULE_NAME);
+    if (st != NULL)
+        store_free(st);
+}
+
+/* The store behind ``obj``: TypeError for anything but a store capsule,
+ * ValueError once the table that made it is gone. */
+static Store *
+store_get(PyObject *obj)
+{
+    if (!PyCapsule_IsValid(obj, STORE_CAPSULE_NAME)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "expected a reservation store capsule");
+        return NULL;
+    }
+    Store *st = PyCapsule_GetPointer(obj, STORE_CAPSULE_NAME);
+    if (st->owner != NULL && PyWeakref_GetObject(st->owner) == Py_None) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the table of this reservation store is gone");
+        return NULL;
+    }
+    return st;
+}
+
+/* Per-expansion view of the store: the arrival tick's block. */
+typedef struct {
+    const Store *st;
+    const Block *b1;
 } Probe;
 
-static inline int64_t
-tile_of_key(int64_t key, int bits)
+/* Whether arriving on cell ``ci`` at the probe's tick hits a vertex
+ * reservation. */
+static inline int
+probe_vertex(const Probe *p, const GridData *gd, Py_ssize_t ci)
 {
-    return ((key >> (CELL_KEY_SHIFT + bits)) << CELL_KEY_SHIFT)
-        | ((key & CELL_KEY_MASK) >> bits);
+    return p->b1 != NULL
+        && keyset_get(&p->b1->v, (uint64_t)gd->cell_keys[ci]) != NULL;
 }
 
-static void
-probe_init(Probe *p, int mode, int tile_bits, PyObject *vertex_obj,
-           PyObject *edge_obj)
+/* Whether the move sci -> nci, arriving at the probe's tick, hits a
+ * swap: the move nci -> sci over the same tick, which arrives on sci.
+ * Worth asking only where ``sci`` is taken (the table's contract),
+ * which is how every caller gates it. */
+static inline int
+probe_edge(const Probe *p, const GridData *gd, Py_ssize_t sci,
+           Py_ssize_t nci)
 {
-    memset(p, 0, sizeof(Probe));
-    p->mode = mode;
-    p->tile_bits = tile_bits;
-    p->vertex_obj = vertex_obj;
-    p->edge_obj = edge_obj;
-    p->memo_tile_id = -1;
+    const uint64_t *at = p->b1 == NULL ? NULL
+        : keyset_get(&p->b1->v, (uint64_t)gd->cell_keys[sci]);
+    return at != NULL && (*at & arrival_bit((uint64_t)gd->cell_keys[nci],
+                                            (uint64_t)gd->cell_keys[sci]));
 }
 
-/* The probe modes every entry point serves: exactly 1, 2 and 4, over
- * dict containers.  A mode outside them raises ValueError before any
- * container is read or written. */
+/* Whether a robot on ``from`` a tick before the probe's may be on ``to``
+ * at it (the table's move_allowed; ``from == to`` is a wait).  A swap
+ * needs the partner to arrive on ``from``, so the edge is asked about
+ * only where that vertex is taken. */
 static int
-mut_check_args(int mode, PyObject *vertex_obj, PyObject *edge_obj,
-               int tile_bits)
+probe_move(const Probe *p, const GridData *gd, Py_ssize_t from,
+           Py_ssize_t to)
 {
-    if (mode != PROBE_CDT && mode != PROBE_DENSE
-            && mode != PROBE_TILED_DENSE) {
-        PyErr_SetString(PyExc_ValueError, "unknown probe mode");
-        return -1;
-    }
-    if (tile_bits < 0 || tile_bits > CELL_KEY_SHIFT) {
-        PyErr_SetString(PyExc_ValueError, "tile_bits out of range");
-        return -1;
-    }
-    if (!PyDict_Check(vertex_obj) || !PyDict_Check(edge_obj)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "vertex/edge containers must be dicts");
-        return -1;
-    }
-    return 0;
-}
-
-/* Fetch the per-tick context for one expansion.  The swap set of the
- * departure tick is left to the first probe_edge: a tick whose wait is
- * granted never asks for it.  Returns -1 on error. */
-static int
-probe_setup(Probe *p, int64_t t1)
-{
-    p->t1 = t1;
-    p->occupied = NULL;
-    p->layer1 = NULL;
-    p->layer_tiles = NULL;
-    p->swaps = NULL;
-    p->t0_obj = NULL;
-    p->memo_tile_id = -1;  /* memo is per time layer */
-    p->t1_obj = PyLong_FromLongLong((long long)t1);
-    if (p->t1_obj == NULL)
-        return -1;
-    switch (p->mode) {
-    case PROBE_CDT:
-        p->occupied = PyDict_GetItemWithError(p->vertex_obj, p->t1_obj);
-        if (p->occupied == NULL && PyErr_Occurred())
-            return -1;
-        break;
-    case PROBE_DENSE: {
-        PyObject *layer = PyDict_GetItemWithError(p->vertex_obj, p->t1_obj);
-        if (layer == NULL) {
-            if (PyErr_Occurred())
-                return -1;
-        } else {
-            if (!PyByteArray_Check(layer)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "dense layer is not a bytearray");
-                return -1;
-            }
-            p->layer1 = PyByteArray_AS_STRING(layer);
-            p->layer1_len = PyByteArray_GET_SIZE(layer);
-        }
-        break;
-    }
-    case PROBE_TILED_DENSE:
-        p->layer_tiles = PyDict_GetItemWithError(p->vertex_obj, p->t1_obj);
-        if (p->layer_tiles == NULL && PyErr_Occurred())
-            return -1;
-        break;
-    }
-    return 0;
-}
-
-static void
-probe_teardown(Probe *p)
-{
-    Py_CLEAR(p->t1_obj);
-    Py_CLEAR(p->t0_obj);
-    p->occupied = NULL;
-    p->layer1 = NULL;
-    p->layer_tiles = NULL;
-    p->swaps = NULL;
-}
-
-/* Whether arriving on cell ``ci`` at t1 hits a vertex reservation.
- * Returns 1 blocked, 0 free, -1 error. */
-static int
-probe_vertex(Probe *p, const GridData *gd, Py_ssize_t ci)
-{
-    switch (p->mode) {
-    case PROBE_CDT:
-        if (p->occupied == NULL)
-            return 0;
-        return PySet_Contains(p->occupied, gd->key_objs[ci]);
-    case PROBE_DENSE:
-        if (p->layer1 == NULL)
-            return 0;
-        if (ci >= p->layer1_len) {
-            PyErr_SetString(PyExc_IndexError,
-                            "cell index outside dense layer");
-            return -1;
-        }
-        return p->layer1[ci] != 0;
-    case PROBE_TILED_DENSE: {
-        if (p->layer_tiles == NULL)
-            return 0;
-        int64_t key = gd->cell_keys[ci];
-        int64_t tile_id = tile_of_key(key, p->tile_bits);
-        PyObject *tile;
-        if (tile_id == p->memo_tile_id) {
-            tile = p->memo_tile;
-        } else {
-            PyObject *tid = PyLong_FromLongLong((long long)tile_id);
-            if (tid == NULL)
-                return -1;
-            tile = PyDict_GetItemWithError(p->layer_tiles, tid);
-            Py_DECREF(tid);
-            if (tile == NULL && PyErr_Occurred())
-                return -1;
-            p->memo_tile_id = tile_id;
-            p->memo_tile = tile;
-        }
-        if (tile == NULL)
-            return 0;
-        if (!PyByteArray_Check(tile)) {
-            PyErr_SetString(PyExc_TypeError, "tile block is not a bytearray");
-            return -1;
-        }
-        int64_t x = key >> CELL_KEY_SHIFT;
-        int64_t y = key & CELL_KEY_MASK;
-        int64_t mask = ((int64_t)1 << p->tile_bits) - 1;
-        Py_ssize_t slot = (Py_ssize_t)(((x & mask) << p->tile_bits)
-                                       | (y & mask));
-        if (slot >= PyByteArray_GET_SIZE(tile)) {
-            PyErr_SetString(PyExc_IndexError, "slot outside tile block");
-            return -1;
-        }
-        return PyByteArray_AS_STRING(tile)[slot] != 0;
-    }
-    }
-    PyErr_SetString(PyExc_SystemError, "unknown probe mode");
-    return -1;
-}
-
-/* Whether the move sci -> nci departing at t1 - 1 hits a swap.  Worth
- * asking only where ``sci`` is taken at t1 (the table's contract: a
- * stored edge has its arrival vertex stored), which is how every caller
- * gates it.  Returns 1 blocked, 0 free, -1 error. */
-static int
-probe_edge(Probe *p, const GridData *gd, Py_ssize_t sci, Py_ssize_t nci)
-{
-    if (p->t0_obj == NULL) {
-        p->t0_obj = PyLong_FromLongLong((long long)(p->t1 - 1));
-        if (p->t0_obj == NULL)
-            return -1;
-        p->swaps = PyDict_GetItemWithError(p->edge_obj, p->t0_obj);
-        if (p->swaps == NULL && PyErr_Occurred())
-            return -1;
-    }
-    if (p->swaps == NULL)
-        return 0;
-    int64_t combined = (gd->cell_keys[nci] << 32) | gd->cell_keys[sci];
-    PyObject *probe = PyLong_FromLongLong((long long)combined);
-    if (probe == NULL)
-        return -1;
-    int hit = PySet_Contains(p->swaps, probe);
-    Py_DECREF(probe);
-    return hit;
-}
-
-/* Whether a robot on ``from`` at t1 - 1 may be on ``to`` at t1 (the
- * table's move_allowed; ``from == to`` is a wait).  A swap needs the
- * partner to arrive on ``from`` at t1, so the edge is asked about only
- * where that vertex is taken.  ``p`` is set up for t1.  Returns 1
- * blocked, 0 free, -1 error. */
-static int
-probe_move(Probe *p, const GridData *gd, Py_ssize_t from, Py_ssize_t to)
-{
-    int blocked = probe_vertex(p, gd, to);
-    if (blocked == 0 && from != to) {
-        blocked = probe_vertex(p, gd, from);
-        if (blocked > 0)
-            blocked = probe_edge(p, gd, from, to);
-    }
-    return blocked;
+    if (probe_vertex(p, gd, to))
+        return 1;
+    return from != to && probe_vertex(p, gd, from)
+        && probe_edge(p, gd, from, to);
 }
 
 /* ------------------------------------------------------------------ */
@@ -698,7 +747,7 @@ heuristic_at(const Search *s, Py_ssize_t ci, int *err)
 }
 
 /* The h-field of run and tier0_leg: mode 1 (native Manhattan) holds
- * nothing; mode 2 reads ``h_arg`` under reserve_path's buffer rule, as
+ * nothing; mode 2 reads ``h_arg`` under store_reserve's buffer rule, as
  * n_cells contiguous int32 values in one dimension.  Returns 0 for mode
  * 1, 1 with ``view`` held for mode 2, -1 with an exception set. */
 static int
@@ -783,17 +832,16 @@ reconstruct(const Search *s, int64_t rel)
 static PyObject *
 stsearch_run(PyObject *self, PyObject *args)
 {
-    PyObject *capsule, *probe_a, *probe_b, *h_arg, *finisher;
-    int probe_mode, tile_bits, h_mode, deep;
+    PyObject *capsule, *store_obj, *h_arg, *finisher;
+    int h_mode, deep;
     Py_ssize_t source_ci, goal_ci;
     long long start_time, max_expansions;
     long long finisher_trigger;
     long long init_expansions, init_peak_open;
 
     if (!PyArg_ParseTuple(
-            args, "OiOOiiOnnLLOLiLL",
-            &capsule, &probe_mode, &probe_a, &probe_b, &tile_bits,
-            &h_mode, &h_arg, &source_ci, &goal_ci,
+            args, "OOiOnnLLOLiLL:run",
+            &capsule, &store_obj, &h_mode, &h_arg, &source_ci, &goal_ci,
             &start_time, &max_expansions,
             &finisher, &finisher_trigger, &deep,
             &init_expansions, &init_peak_open))
@@ -802,9 +850,8 @@ stsearch_run(PyObject *self, PyObject *args)
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
     if (gd == NULL)
         return NULL;
-
-    /* Validate the probe spec shape up front, then trust it in the loop. */
-    if (mut_check_args(probe_mode, probe_a, probe_b, tile_bits) < 0)
+    Probe probe = {store_get(store_obj), NULL};
+    if (probe.st == NULL)
         return NULL;
 
     Search s;
@@ -823,9 +870,6 @@ stsearch_run(PyObject *self, PyObject *args)
         s.hbuf = (const int32_t *)hview.buf;
     else if (!PyArg_ParseTuple(h_arg, "LL", &s.gx, &s.gy))
         return NULL;
-
-    Probe probe;
-    probe_init(&probe, probe_mode, tile_bits, probe_a, probe_b);
 
     int herr = 0;
     s.h0 = heuristic_at(&s, source_ci, &herr);
@@ -952,9 +996,6 @@ stsearch_run(PyObject *self, PyObject *args)
             Py_DECREF(t_obj);
             if (tail == NULL)
                 goto fail;
-            /* python ran: it may have purged the memoised tile, and a
-             * deleted dict's address goes to the next allocation */
-            probe.memo_tile_id = -1;
             if (tail != Py_None) {
                 status = ST_FINISHER;
                 result_rel = rel;
@@ -968,15 +1009,13 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t nxt_base = rel - ci + s.n_cells;
         int64_t base_f = t_rel + 1 - s.h0;
 
-        if (probe_setup(&probe, t1) < 0)
-            goto fail;
+        /* python may have run (a finisher): blocks are fetched anew */
+        probe.b1 = store_block(probe.st, t1);
 
         /* Wait in place (the fifth action) — vertex check only.  A
          * refusal means someone arrives here at t1, the one case in
          * which a move out of this cell can be a swap. */
         int held = probe_vertex(&probe, gd, ci);
-        if (held < 0)
-            goto fail;
         if (!held) {
             int pushed = relax(&s, nxt_base + ci, rel, base_f + h_ci, h_ci);
             if (pushed < 0) {
@@ -992,12 +1031,8 @@ stsearch_run(PyObject *self, PyObject *args)
         /* The four moves, in adjacency order. */
         for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1]; a++) {
             Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a];
-            int blocked = probe_vertex(&probe, gd, nci);
-            if (blocked == 0 && held)
-                blocked = probe_edge(&probe, gd, ci, nci);
-            if (blocked < 0)
-                goto fail;
-            if (blocked)
+            if (probe_vertex(&probe, gd, nci)
+                    || (held && probe_edge(&probe, gd, ci, nci)))
                 continue;
             int64_t nh = heuristic_at(&s, nci, &herr);
             if (herr)
@@ -1019,7 +1054,6 @@ stsearch_run(PyObject *self, PyObject *args)
                 open_size++;
             }
         }
-        probe_teardown(&probe);
     }
 
 done:
@@ -1033,7 +1067,6 @@ done:
             (long long)expansions, (long long)generated,
             (long long)peak_open);
 fail:
-    probe_teardown(&probe);
     Py_XDECREF(keys);
     Py_XDECREF(finisher_tail);
     search_free(&s);
@@ -1043,448 +1076,327 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* Reservation mutation kernel.                                        */
-/*                                                                     */
-/* Compiled twins of the two mutating operations of a reservation      */
-/* table (paper Sec. VI-B): insertion (reserve_path) and the periodic  */
-/* update (purge_before), as bodied in python in cdt.py and            */
-/* spatiotemporal_graph.py.  The third operation, conflict search, is  */
-/* the probe_* family above; the only bulk audit a run executes lives  */
-/* in tier0_leg below.  The same probe-mode numbering as the search    */
-/* kernel selects the container layout; the python wrappers keep their */
-/* incremental counters by folding in the delta tuples these entry     */
-/* points return.  Bit-identity with the python bodies is load-        */
-/* bearing: the equivalence suite pins the final container contents    */
-/* and every returned delta.                                           */
+/* Store entry points: the paper's insertion (store_reserve) and       */
+/* periodic update (store_purge), the probe python asks one key at a   */
+/* time (store_probe), the counts every accounting rule reads          */
+/* (store_counts) and the python layout in and out (store_new's state, */
+/* store_export).  Conflict search proper is run and tier0_leg.  Each  */
+/* refuses bad arguments before it changes anything.                   */
 /* ------------------------------------------------------------------ */
 
-/* dict[t] -> set, created on demand.  Adds ``key_obj``; *fresh reports a
- * genuinely new member, *created a newly materialised bucket. */
+/* Load store_export's ``(floor, edge_floor, high, {t: vertex keys},
+ * {t: edge keys})`` into an empty store.  The python layouts keep both
+ * floors equal and every edge's arrival vertex stored; a state that
+ * does not is refused. */
 static int
-set_bucket_add(PyObject *dict, PyObject *t_obj, PyObject *key_obj,
-               int *fresh, int *created)
+store_load(Store *st, PyObject *state)
 {
-    *fresh = 0;
-    *created = 0;
-    PyObject *bucket = PyDict_GetItemWithError(dict, t_obj);
-    if (bucket == NULL) {
-        if (PyErr_Occurred())
-            return -1;
-        bucket = PySet_New(NULL);
-        if (bucket == NULL)
-            return -1;
-        if (PyDict_SetItem(dict, t_obj, bucket) < 0) {
-            Py_DECREF(bucket);
-            return -1;
+    long long floor, edge_floor, high;
+    PyObject *dicts[2];
+    if (!PyTuple_Check(state)) {
+        PyErr_SetString(PyExc_TypeError, "store state must be a tuple");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(state, "LLLO!O!:store_new", &floor, &edge_floor,
+                          &high, &PyDict_Type, &dicts[0], &PyDict_Type,
+                          &dicts[1]))
+        return -1;
+    if (floor != edge_floor) {
+        PyErr_SetString(PyExc_ValueError,
+                        "store state with two different floors");
+        return -1;
+    }
+    st->floor = floor;
+    st->high = high;
+    for (int edge = 0; edge < 2; edge++) {
+        PyObject *tick, *keys, *item;
+        Py_ssize_t pos = 0;
+        while (PyDict_Next(dicts[edge], &pos, &tick, &keys)) {
+            long long t = PyLong_AsLongLong(tick);
+            PyObject *it = t == -1 && PyErr_Occurred()
+                ? NULL : PyObject_GetIter(keys);
+            if (it == NULL)
+                return -1;
+            int rc = 0;
+            while (rc == 0 && (item = PyIter_Next(it)) != NULL) {
+                uint64_t key = PyLong_AsUnsignedLongLong(item);
+                Py_DECREF(item);
+                uint64_t to = key & KEY_BITS;
+                uint64_t bit = edge ? arrival_bit(key >> 32, to) : 0;
+                const Block *b = store_block(st, t + edge);
+                if (PyErr_Occurred() || (edge ? bit == 0
+                        : key > KEY_BITS || !store_key_fits(st, key))) {
+                    PyErr_Clear();
+                    PyErr_Format(PyExc_ValueError,
+                                 "not a packed %s key at tick %lld",
+                                 edge ? "edge" : "cell", t);
+                    rc = -1;
+                } else if (t < floor) {
+                    continue;
+                } else if (edge && (b == NULL
+                                    || keyset_get(&b->v, to) == NULL)) {
+                    PyErr_Format(PyExc_ValueError, "an edge departing "
+                                 "%lld without its arrival vertex", t);
+                    rc = -1;
+                } else {
+                    rc = store_add(st, t + edge, to, bit);
+                }
+            }
+            Py_DECREF(it);
+            if (rc < 0 || PyErr_Occurred())
+                return -1;
         }
-        Py_DECREF(bucket);  /* the dict keeps it alive */
-        *created = 1;
     }
-    if (!PySet_Check(bucket)) {
-        PyErr_SetString(PyExc_TypeError, "tick bucket is not a set");
-        return -1;
-    }
-    Py_ssize_t before = PySet_GET_SIZE(bucket);
-    if (PySet_Add(bucket, key_obj) < 0)
-        return -1;
-    *fresh = PySet_GET_SIZE(bucket) != before;
     return 0;
 }
 
-/* Materialise a zeroed dense layer (bytearray of ``n`` cells) at
- * dict[t].  Returns a borrowed reference, NULL on error. */
 static PyObject *
-dense_layer_new(PyObject *dict, PyObject *t_obj, Py_ssize_t n)
+stsearch_store_new(PyObject *self, PyObject *args)
 {
-    PyObject *layer = PyByteArray_FromStringAndSize(NULL, n);
-    if (layer == NULL)
+    (void)self;
+    PyObject *owner, *state = Py_None;
+    int tile_bits;
+    long long height, n_cells;
+    if (!PyArg_ParseTuple(args, "OiLL|O:store_new", &owner, &tile_bits,
+                          &height, &n_cells, &state))
         return NULL;
-    memset(PyByteArray_AS_STRING(layer), 0, (size_t)n);
-    if (PyDict_SetItem(dict, t_obj, layer) < 0) {
-        Py_DECREF(layer);
+    if (tile_bits > CELL_KEY_SHIFT || height < 0 || n_cells < 0
+            || (height == 0) != (n_cells == 0)) {
+        PyErr_SetString(PyExc_ValueError, "store rule out of range");
         return NULL;
     }
-    Py_DECREF(layer);
-    return layer;  /* borrowed: the dict holds it */
+    Store *st = PyMem_Calloc(1, sizeof(Store));
+    if (st == NULL)
+        return PyErr_NoMemory();
+    st->tile_bits = tile_bits < 0 ? -1 : tile_bits;
+    st->height = height;
+    st->n_cells = n_cells;
+    if (owner != Py_None
+            && (st->owner = PyWeakref_NewRef(owner, NULL)) == NULL) {
+        store_free(st);
+        return NULL;
+    }
+    PyObject *capsule = PyCapsule_New(st, STORE_CAPSULE_NAME,
+                                      store_capsule_destroy);
+    if (capsule == NULL) {
+        store_free(st);
+        return NULL;
+    }
+    if (state != Py_None && store_load(st, state) < 0)
+        Py_CLEAR(capsule);
+    return capsule;
 }
 
 static PyObject *
-stsearch_reserve_path(PyObject *self, PyObject *args)
+stsearch_store_reserve(PyObject *self, PyObject *args)
 {
     (void)self;
-    int mode, tile_bits;
-    PyObject *vertex_obj, *edge_obj, *keys_obj;
-    long long height_ll, block_cells_ll, start_ll, vfloor_ll, efloor_ll;
-    long long high_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLLLOLLL:reserve_path",
-                          &mode, &vertex_obj, &edge_obj, &tile_bits,
-                          &height_ll, &block_cells_ll, &start_ll, &keys_obj,
-                          &vfloor_ll, &efloor_ll, &high_ll))
+    PyObject *store_obj, *keys_obj;
+    long long start;
+    if (!PyArg_ParseTuple(args, "OLO:store_reserve", &store_obj, &start,
+                          &keys_obj))
         return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
-        return NULL;
-    int64_t height = (int64_t)height_ll;
-    Py_ssize_t block_cells = (Py_ssize_t)block_cells_ll;
-    int64_t start = (int64_t)start_ll;
-    int64_t vfloor = (int64_t)vfloor_ll;
-    int64_t efloor = (int64_t)efloor_ll;
-    int64_t high = (int64_t)high_ll;
-    int64_t mask = ((int64_t)1 << tile_bits) - 1;
-
-    /* Everything the caller can get wrong is refused here, before the
-     * first container is touched. */
+    Store *st = store_get(store_obj);
     Py_buffer view;
-    if (PyObject_GetBuffer(keys_obj, &view, PyBUF_RECORDS_RO) < 0)
+    if (st == NULL
+            || PyObject_GetBuffer(keys_obj, &view, PyBUF_RECORDS_RO) < 0)
         return NULL;
+    int rc = -1;
+    const int64_t *keys = view.buf;
+    Py_ssize_t n = view.ndim == 1 ? view.shape[0] : 0;
     if (view.ndim != 1 || view.itemsize != (Py_ssize_t)sizeof(int64_t)
             || view.format == NULL
             || (strcmp(view.format, "q") && strcmp(view.format, "l"))) {
         PyErr_SetString(PyExc_TypeError,
                         "keys must be a one-dimensional int64 buffer");
-        goto fail;
+        goto done;
     }
     if (!PyBuffer_IsContiguous(&view, 'C')) {
         PyErr_SetString(PyExc_ValueError, "keys buffer is not contiguous");
-        goto fail;
+        goto done;
     }
-    const int64_t *keys = view.buf;
-    Py_ssize_t n = view.shape[0];
     if (keys_check(keys, n) < 0)
-        goto fail;
-    if (mode == PROBE_TILED_DENSE
-            && ((int64_t)1 << (2 * tile_bits)) > (int64_t)block_cells) {
-        PyErr_SetString(PyExc_IndexError, "slot outside tile block");
-        goto fail;
-    }
-    if (mode == PROBE_DENSE) {
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int64_t ci = (keys[i] >> CELL_KEY_SHIFT) * height
-                + (keys[i] & CELL_KEY_MASK);
-            if (ci < 0 || ci >= (int64_t)block_cells) {
-                PyErr_SetString(PyExc_IndexError,
-                                "cell index outside dense layer");
-                goto fail;
-            }
-        }
-    }
-
-    int64_t v_added = 0, vbuckets_added = 0, tiles_added = 0, e_added = 0;
-
-    int64_t memo_tile_id = -1;
-    int64_t memo_t = -1;
-    PyObject *memo_tile = NULL;  /* borrowed */
-
-    /* -- vertex pass (mirrors each table's reserve_path body) -------- */
+        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        int64_t t = start + i;
-        if (t < vfloor)
-            continue;
-        int64_t key = keys[i];
-        int64_t x = key >> CELL_KEY_SHIFT, y = key & CELL_KEY_MASK;
-        PyObject *t_obj = PyLong_FromLongLong((long long)t);
-        if (t_obj == NULL)
-            goto fail;
-        int fresh = 0, created = 0;
-        switch (mode) {
-        case PROBE_CDT: {
-            PyObject *key_obj = PyLong_FromLongLong((long long)key);
-            if (key_obj == NULL)
-                goto step_fail;
-            int rc = set_bucket_add(vertex_obj, t_obj, key_obj,
-                                    &fresh, &created);
-            Py_DECREF(key_obj);
-            if (rc < 0)
-                goto step_fail;
-            vbuckets_added += created;
-            v_added += fresh;
-            break;
+        if (!store_key_fits(st, (uint64_t)keys[i])) {
+            PyErr_SetString(PyExc_IndexError,
+                            "cell index outside dense layer");
+            goto done;
         }
-        case PROBE_DENSE: {
-            PyObject *layer;
-            if (t > high) {
-                /* densify the gap, exactly like _layer() */
-                for (int64_t step = high + 1; step < t; step++) {
-                    if (step < vfloor)
-                        continue;
-                    PyObject *s_obj =
-                        PyLong_FromLongLong((long long)step);
-                    if (s_obj == NULL)
-                        goto step_fail;
-                    PyObject *have =
-                        PyDict_GetItemWithError(vertex_obj, s_obj);
-                    if (have == NULL) {
-                        if (PyErr_Occurred()
-                            || dense_layer_new(vertex_obj, s_obj,
-                                               block_cells) == NULL) {
-                            Py_DECREF(s_obj);
-                            goto step_fail;
-                        }
-                        vbuckets_added++;
-                    }
-                    Py_DECREF(s_obj);
-                }
-                layer = dense_layer_new(vertex_obj, t_obj, block_cells);
-                if (layer == NULL)
-                    goto step_fail;
-                vbuckets_added++;
-                high = t;
-            } else {
-                layer = PyDict_GetItemWithError(vertex_obj, t_obj);
-                if (layer == NULL) {
-                    if (PyErr_Occurred())
-                        goto step_fail;
-                    layer = dense_layer_new(vertex_obj, t_obj,
-                                            block_cells);
-                    if (layer == NULL)
-                        goto step_fail;
-                    vbuckets_added++;
-                }
-            }
-            if (!PyByteArray_Check(layer)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "dense layer is not a bytearray");
-                goto step_fail;
-            }
-            Py_ssize_t ci = (Py_ssize_t)(x * height + y);
-            if (ci < 0 || ci >= PyByteArray_GET_SIZE(layer)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "cell index outside dense layer");
-                goto step_fail;
-            }
-            PyByteArray_AS_STRING(layer)[ci] = 1;
-            break;
-        }
-        case PROBE_TILED_DENSE: {
-            int64_t tile_id = tile_of_key(key, tile_bits);
-            if (memo_tile == NULL || t != memo_t
-                    || tile_id != memo_tile_id) {
-                PyObject *layer =
-                    PyDict_GetItemWithError(vertex_obj, t_obj);
-                if (layer == NULL) {
-                    if (PyErr_Occurred())
-                        goto step_fail;
-                    layer = PyDict_New();
-                    if (layer == NULL
-                        || PyDict_SetItem(vertex_obj, t_obj,
-                                          layer) < 0) {
-                        Py_XDECREF(layer);
-                        goto step_fail;
-                    }
-                    Py_DECREF(layer);  /* borrowed via dict */
-                }
-                PyObject *tid = PyLong_FromLongLong((long long)tile_id);
-                if (tid == NULL)
-                    goto step_fail;
-                memo_tile = PyDict_GetItemWithError(layer, tid);
-                if (memo_tile == NULL) {
-                    if (PyErr_Occurred()) {
-                        Py_DECREF(tid);
-                        goto step_fail;
-                    }
-                    memo_tile = dense_layer_new(layer, tid, block_cells);
-                    if (memo_tile == NULL) {
-                        Py_DECREF(tid);
-                        goto step_fail;
-                    }
-                    tiles_added++;
-                }
-                Py_DECREF(tid);
-                memo_t = t;
-                memo_tile_id = tile_id;
-            }
-            if (!PyByteArray_Check(memo_tile)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "tile block is not a bytearray");
-                goto step_fail;
-            }
-            Py_ssize_t slot =
-                (Py_ssize_t)(((x & mask) << tile_bits) | (y & mask));
-            if (slot < 0 || slot >= PyByteArray_GET_SIZE(memo_tile)) {
-                PyErr_SetString(PyExc_IndexError,
-                                "slot outside tile block");
-                goto step_fail;
-            }
-            PyByteArray_AS_STRING(memo_tile)[slot] = 1;
-            break;
-        }
-        }
-        Py_DECREF(t_obj);
-        continue;
-step_fail:
-        Py_DECREF(t_obj);
-        goto fail;
     }
-
-    /* -- edge pass (mirrors _EdgeMixin._reserve_edges) --------------- */
-    for (Py_ssize_t i = 0; i + 1 < n; i++) {
-        int64_t t0 = start + i;
-        int64_t key0 = keys[i], key1 = keys[i + 1];
-        if (t0 < efloor || key0 == key1)
-            continue;
-        PyObject *t_obj = PyLong_FromLongLong((long long)t0);
-        if (t_obj == NULL)
-            goto fail;
-        PyObject *key_obj =
-            PyLong_FromLongLong((long long)((key0 << 32) | key1));
-        if (key_obj == NULL) {
-            Py_DECREF(t_obj);
-            goto fail;
-        }
-        int fresh, created;
-        int rc = set_bucket_add(edge_obj, t_obj, key_obj,
-                                &fresh, &created);
-        Py_DECREF(key_obj);
-        Py_DECREF(t_obj);
-        if (rc < 0)
-            goto fail;
-        e_added += fresh;
+    /* the move into step i departs at t - 1: stored from the floor up */
+    rc = 0;
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
+        int64_t t = (int64_t)start + i;
+        if (t >= st->floor)
+            rc = store_add(st, t, (uint64_t)keys[i],
+                           i > 0 && t > st->floor
+                           ? arrival_bit((uint64_t)keys[i - 1],
+                                         (uint64_t)keys[i]) : 0);
     }
+done:
     PyBuffer_Release(&view);
-    return Py_BuildValue(
-        "LLLLL",
-        (long long)v_added, (long long)vbuckets_added,
-        (long long)tiles_added, (long long)e_added, (long long)high);
-fail:
-    PyBuffer_Release(&view);
-    return NULL;
-}
-
-/* How purge_tick_dict tallies each removed bucket's contents. */
-typedef enum {
-    PURGE_COUNT_SET = 0,     /* value is a set: count its members */
-    PURGE_COUNT_BUCKET = 1,  /* count one per removed tick */
-    PURGE_COUNT_DICT = 2,    /* value is a dict: count its members */
-} PurgeCount;
-
-/* Remove every tick < t from a {tick: container} dict.  ``floor`` is
- * the caller's known lower bound on live ticks; mirrors _stale_ticks()
- * in choosing a range walk or a key scan.  Adds the removed-content
- * tally to *items and the removed-bucket count to *buckets. */
-static int
-purge_tick_dict(PyObject *dict, int64_t floor, int64_t t, PurgeCount kind,
-                int64_t *items, int64_t *buckets)
-{
-    PyObject *stale = NULL;
-    if (t - floor <= (int64_t)PyDict_GET_SIZE(dict)) {
-        for (int64_t tick = floor; tick < t; tick++) {
-            PyObject *t_obj = PyLong_FromLongLong((long long)tick);
-            if (t_obj == NULL)
-                return -1;
-            PyObject *value = PyDict_GetItemWithError(dict, t_obj);
-            if (value == NULL) {
-                Py_DECREF(t_obj);
-                if (PyErr_Occurred())
-                    return -1;
-                continue;
-            }
-            switch (kind) {
-            case PURGE_COUNT_SET:
-                *items += PySet_Check(value) ? PySet_GET_SIZE(value) : 0;
-                break;
-            case PURGE_COUNT_BUCKET:
-                *items += 1;
-                break;
-            case PURGE_COUNT_DICT:
-                *items += PyDict_Check(value) ? PyDict_GET_SIZE(value) : 0;
-                break;
-            }
-            (*buckets)++;
-            int rc = PyDict_DelItem(dict, t_obj);
-            Py_DECREF(t_obj);
-            if (rc < 0)
-                return -1;
-        }
-        return 0;
-    }
-    /* Key scan: collect stale ticks first, never mutate mid-iteration. */
-    stale = PyList_New(0);
-    if (stale == NULL)
-        return -1;
-    PyObject *key, *value;
-    Py_ssize_t pos = 0;
-    while (PyDict_Next(dict, &pos, &key, &value)) {
-        int64_t tick = (int64_t)PyLong_AsLongLong(key);
-        if (tick == -1 && PyErr_Occurred())
-            goto fail;
-        if (tick < t && PyList_Append(stale, key) < 0)
-            goto fail;
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(stale); i++) {
-        PyObject *t_obj = PyList_GET_ITEM(stale, i);
-        PyObject *v = PyDict_GetItemWithError(dict, t_obj);
-        if (v == NULL) {
-            if (PyErr_Occurred())
-                goto fail;
-            continue;
-        }
-        switch (kind) {
-        case PURGE_COUNT_SET:
-            *items += PySet_Check(v) ? PySet_GET_SIZE(v) : 0;
-            break;
-        case PURGE_COUNT_BUCKET:
-            *items += 1;
-            break;
-        case PURGE_COUNT_DICT:
-            *items += PyDict_Check(v) ? PyDict_GET_SIZE(v) : 0;
-            break;
-        }
-        (*buckets)++;
-        if (PyDict_DelItem(dict, t_obj) < 0)
-            goto fail;
-    }
-    Py_DECREF(stale);
-    return 0;
-fail:
-    Py_XDECREF(stale);
-    return -1;
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
-stsearch_purge_before(PyObject *self, PyObject *args)
+stsearch_store_purge(PyObject *self, PyObject *args)
 {
     (void)self;
-    int mode, tile_bits;
-    PyObject *vertex_obj, *edge_obj;
-    long long t_ll, vfloor_ll, efloor_ll;
-    if (!PyArg_ParseTuple(args, "iOOiLLL:purge_before",
-                          &mode, &vertex_obj, &edge_obj, &tile_bits,
-                          &t_ll, &vfloor_ll, &efloor_ll))
+    PyObject *store_obj;
+    long long t;
+    if (!PyArg_ParseTuple(args, "OL:store_purge", &store_obj, &t))
         return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
+    Store *st = store_get(store_obj);
+    if (st == NULL)
         return NULL;
-    int64_t t = (int64_t)t_ll;
-    int64_t vfloor = (int64_t)vfloor_ll;
-    int64_t efloor = (int64_t)efloor_ll;
+    if (t <= st->floor)
+        Py_RETURN_NONE;
+    for (int64_t tick = st->floor; tick < t && tick - st->floor < st->cap;
+            tick++) {
+        Block *b = &st->ring[(uint64_t)tick & (uint64_t)(st->cap - 1)];
+        st->vticks -= b->v.used > 0;
+        st->entries -= b->v.used;
+        st->eticks -= b->arrivals > 0;
+        st->edges -= b->arrivals;
+        st->tile_pairs -= b->tiles.used;
+        keyset_release(&b->v);
+        keyset_release(&b->tiles);
+        b->arrivals = 0;
+    }
+    st->floor = t;
+    /* the edges departing t - 1 go too: they arrive on the new floor */
+    Block *b = store_block(st, t);
+    if (b != NULL && b->arrivals > 0) {
+        for (Py_ssize_t i = 0; i < b->v.cap; i++)
+            if (b->v.slot[i] != KEY_EMPTY)
+                b->v.slot[i] &= KEY_BITS;
+        st->eticks--;
+        st->edges -= b->arrivals;
+        b->arrivals = 0;
+    }
+    Py_RETURN_NONE;
+}
 
-    int64_t v_removed = 0, vbuckets_removed = 0, tiles_removed = 0;
-    int64_t e_removed = 0, e_buckets = 0;
+static PyObject *
+stsearch_store_probe(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *store_obj;
+    long long t, key, target = -1;
+    if (!PyArg_ParseTuple(args, "OLL|L:store_probe", &store_obj, &t, &key,
+                          &target))
+        return NULL;
+    Store *st = store_get(store_obj);
+    if (st == NULL)
+        return NULL;
+    /* the reversed move target -> key departing t arrives on key at t + 1 */
+    const Block *b = store_block(st, target < 0 ? t : t + 1);
+    const uint64_t *at = b == NULL ? NULL : keyset_get(&b->v, (uint64_t)key);
+    return PyBool_FromLong(at != NULL && (target < 0 || (
+        *at & arrival_bit((uint64_t)target, (uint64_t)key))));
+}
 
-    if (t > vfloor) {
-        switch (mode) {
-        case PROBE_CDT:
-            if (purge_tick_dict(vertex_obj, vfloor, t, PURGE_COUNT_SET,
-                                &v_removed, &vbuckets_removed) < 0)
-                return NULL;
-            break;
-        case PROBE_DENSE:
-            if (purge_tick_dict(vertex_obj, vfloor, t, PURGE_COUNT_BUCKET,
-                                &v_removed, &vbuckets_removed) < 0)
-                return NULL;
-            break;
-        case PROBE_TILED_DENSE:
-            if (purge_tick_dict(vertex_obj, vfloor, t, PURGE_COUNT_DICT,
-                                &tiles_removed, &vbuckets_removed) < 0)
-                return NULL;
-            break;
+static PyObject *
+stsearch_store_counts(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *store_obj;
+    int walk = 0;
+    if (!PyArg_ParseTuple(args, "O|p:store_counts", &store_obj, &walk))
+        return NULL;
+    Store *st = store_get(store_obj);
+    if (st == NULL)
+        return NULL;
+    int64_t vticks = st->vticks, entries = st->entries, eticks = st->eticks;
+    int64_t edges = st->edges, tiles = st->tile_pairs;
+    if (walk) {
+        vticks = entries = eticks = edges = tiles = 0;
+        for (int64_t i = 0; i < st->cap; i++) {
+            int64_t v = 0, e = 0;
+            keyset_walk(&st->ring[i].v, &v, &e);
+            keyset_walk(&st->ring[i].tiles, &tiles, &e);
+            vticks += v > 0;
+            entries += v;
+            eticks += e > 0;
+            edges += e;
         }
     }
-    if (t > efloor
-        && purge_tick_dict(edge_obj, efloor, t, PURGE_COUNT_SET,
-                           &e_removed, &e_buckets) < 0)
+    /* ticks: live vertex ticks, or the dense layers over [floor, high];
+     * units: entries, layers, or (tick, tile) pairs */
+    int64_t ticks = st->n_cells == 0 ? vticks
+        : vticks > 0 ? st->high - st->floor + 1 : 0;
+    int64_t units = st->tile_bits >= 0 ? tiles
+        : st->n_cells > 0 ? ticks : entries;
+    return Py_BuildValue("LLLL", (long long)ticks, (long long)units,
+                         (long long)eticks, (long long)edges);
+}
+
+/* A block's keys as a python set: its vertices, or (``edges``) the
+ * moves arriving on them, as source << 32 | target. */
+static PyObject *
+block_to_set(const Block *b, int edges)
+{
+    PyObject *set = PySet_New(NULL);
+    for (Py_ssize_t i = 0; set != NULL && i < b->v.cap; i++) {
+        uint64_t entry = b->v.slot[i], to = entry & KEY_BITS;
+        for (int k = -1; entry != KEY_EMPTY && k < 4; k++) {
+            if (edges != (k >= 0)
+                    || (k >= 0 && !(entry >> (32 + k) & 1)))
+                continue;
+            uint64_t key = k < 0 ? to
+                : (uint64_t)((((int64_t)(to >> CELL_KEY_SHIFT)
+                               + ARRIVAL_DX[k]) << CELL_KEY_SHIFT)
+                             | ((int64_t)(to & CELL_KEY_MASK)
+                                + ARRIVAL_DY[k])) << 32 | to;
+            PyObject *obj = PyLong_FromUnsignedLongLong(key);
+            if (obj == NULL || PySet_Add(set, obj) < 0)
+                Py_CLEAR(set);
+            Py_XDECREF(obj);
+            if (set == NULL)
+                break;
+        }
+    }
+    return set;
+}
+
+static PyObject *
+stsearch_store_export(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *store_obj;
+    if (!PyArg_ParseTuple(args, "O:store_export", &store_obj))
         return NULL;
-    return Py_BuildValue("LLLL",
-                         (long long)v_removed, (long long)vbuckets_removed,
-                         (long long)tiles_removed, (long long)e_removed);
+    Store *st = store_get(store_obj);
+    if (st == NULL)
+        return NULL;
+    PyObject *dicts[2] = {PyDict_New(), PyDict_New()};
+    for (int64_t t = st->floor; t - st->floor < st->cap; t++) {
+        const Block *b = store_block(st, t);
+        for (int edges = 0; edges < 2; edges++) {
+            if (dicts[edges] == NULL
+                    || (edges ? b->arrivals : b->v.used) == 0)
+                continue;
+            /* edges are keyed by their departure tick */
+            PyObject *tick = PyLong_FromLongLong((long long)(t - edges));
+            PyObject *keys = block_to_set(b, edges);
+            if (tick == NULL || keys == NULL
+                    || PyDict_SetItem(dicts[edges], tick, keys) < 0)
+                Py_CLEAR(dicts[edges]);
+            Py_XDECREF(tick);
+            Py_XDECREF(keys);
+        }
+    }
+    if (dicts[0] == NULL || dicts[1] == NULL) {
+        Py_XDECREF(dicts[0]);
+        Py_XDECREF(dicts[1]);
+        return NULL;
+    }
+    return Py_BuildValue("(LLLNN)", (long long)st->floor,
+                         (long long)st->floor, (long long)st->high,
+                         dicts[0], dicts[1]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1568,7 +1480,7 @@ stsearch_bfs_fill(PyObject *self, PyObject *args)
  * from ``start_t``, waiting in place wherever the next move is reserved.
  * Writes the timed keys to ``out`` (room for k + 1 + total_cap) and
  * returns their count, 0 when the walk declines (a cap is hit, or the
- * robot cannot hold its cell), -1 on error. */
+ * robot cannot hold its cell). */
 static Py_ssize_t
 rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
             int64_t start_t, int64_t per_step_cap, int64_t total_cap,
@@ -1580,20 +1492,12 @@ rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
     for (int64_t i = 1; i <= k; i++) {
         Py_ssize_t nxt = (Py_ssize_t)indices[i];
         for (int64_t waited = 0; ; waited++, total++) {
-            if (probe_setup(p, t + 1) < 0) {
-                probe_teardown(p);
-                return -1;
-            }
-            int blocked = probe_move(p, gd, cur, nxt);
-            int stuck = 1;  /* a cap is hit, or the cell cannot be held */
-            if (blocked > 0 && waited < per_step_cap && total < total_cap)
-                stuck = probe_vertex(p, gd, cur);
-            probe_teardown(p);
-            if (blocked < 0 || stuck < 0)
-                return -1;
-            if (!blocked)
+            p->b1 = store_block(p->st, t + 1);
+            if (!probe_move(p, gd, cur, nxt))
                 break;
-            if (stuck)
+            /* a cap is hit, or the cell cannot be held */
+            if (waited >= per_step_cap || total >= total_cap
+                    || probe_vertex(p, gd, cur))
                 return 0;
             t++;
             out[n++] = gd->cell_keys[cur];
@@ -1609,20 +1513,20 @@ static PyObject *
 stsearch_tier0_leg(PyObject *self, PyObject *args)
 {
     (void)self;
-    int mode, tile_bits, h_mode;
-    PyObject *capsule, *vertex_obj, *edge_obj, *h_arg;
+    int h_mode;
+    PyObject *capsule, *store_obj, *h_arg;
     Py_ssize_t source_ci, goal_ci;
     long long start_t_ll, trigger_ll, per_step_ll, total_ll;
-    if (!PyArg_ParseTuple(args, "OiOOiiOnnLLLL:tier0_leg",
-                          &capsule, &mode, &vertex_obj, &edge_obj,
-                          &tile_bits, &h_mode, &h_arg, &source_ci,
+    if (!PyArg_ParseTuple(args, "OOiOnnLLLL:tier0_leg",
+                          &capsule, &store_obj, &h_mode, &h_arg, &source_ci,
                           &goal_ci, &start_t_ll, &trigger_ll,
                           &per_step_ll, &total_ll))
         return NULL;
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
     if (gd == NULL)
         return NULL;
-    if (mut_check_args(mode, vertex_obj, edge_obj, tile_bits) < 0)
+    Probe probe = {store_get(store_obj), NULL};
+    if (probe.st == NULL)
         return NULL;
     if (source_ci < 0 || source_ci >= gd->n_cells
             || goal_ci < 0 || goal_ci >= gd->n_cells) {
@@ -1719,19 +1623,12 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     int64_t head = k;   /* moves to audit: all, or up to the trigger cell */
     if (use_fin)
         head = k > trigger ? k - trigger : 0;
-    Probe probe;
-    probe_init(&probe, mode, tile_bits, vertex_obj, edge_obj);
     int blocked = 0;
     for (int64_t i = 1; i <= head && !blocked; i++) {
         /* a descent never waits, so every step is a move */
-        if (probe_setup(&probe, start_t + i) == 0)
-            blocked = probe_move(&probe, gd, (Py_ssize_t)indices[i - 1],
-                                 (Py_ssize_t)indices[i]);
-        else
-            blocked = -1;
-        probe_teardown(&probe);
-        if (blocked < 0)
-            goto fail;
+        probe.b1 = store_block(probe.st, start_t + i);
+        blocked = probe_move(&probe, gd, (Py_ssize_t)indices[i - 1],
+                             (Py_ssize_t)indices[i]);
     }
 
     /* -- verdict + payload -------------------------------------------- */
@@ -1752,13 +1649,10 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
         } else {
             /* 4: the rescue walked it with waits.  3: reject (rescue
              * off or declined) — nothing to carry, tier 1 decides. */
-            if (total_ll > 0) {
+            if (total_ll > 0)
                 n = rescue_walk(&probe, gd, indices, k, start_t,
                                 (int64_t)per_step_ll, (int64_t)total_ll,
                                 keys);
-                if (n < 0)
-                    goto fail;
-            }
             verdict = n > 0 ? 4 : 3;
         }
         PyObject *out = NULL;
@@ -1791,39 +1685,50 @@ static PyMethodDef stsearch_methods[] = {
      "prepare_grid(width, height, blocked_mask) -> capsule\n"
      "Build a grid's adjacency arrays from its blocked-cell mask."},
     {"run", stsearch_run, METH_VARARGS,
-     "run(grid_capsule, probe_mode, probe_a, probe_b, tile_bits,\n"
-     "    h_mode, h_arg, source_ci, goal_ci, start_time, max_expansions,\n"
-     "    finisher, finisher_trigger, deep, init_expansions,\n"
-     "    init_peak_open)\n"
+     "run(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
+     "    start_time, max_expansions, finisher, finisher_trigger, deep,\n"
+     "    init_expansions, init_peak_open)\n"
      " -> (status, keys, finisher_tail, expansions, generated, peak_open)\n"
      "h_mode 1 is native Manhattan (h_arg: the goal's (x, y)), 2 a\n"
      "one-dimensional int32 buffer of n_cells values.\n"
      "``keys`` is the found leg (the head, when a finisher supplied the\n"
      "tail) as an array('q') of packed cell keys, one per tick from\n"
      "start_time; None when the search failed."},
-    {"reserve_path", stsearch_reserve_path, METH_VARARGS,
-     "reserve_path(mode, vertex_obj, edge_obj, tile_bits, height,\n"
-     "    block_cells, start_time, keys, vfloor, efloor, high)\n"
-     " -> (v_added, vbuckets_added, tiles_added, e_added, new_high)\n"
-     "Insert a path's vertices and edges, bit-identical to the python\n"
-     "reserve_path of the mode's table.  ``keys`` is any contiguous\n"
-     "one-dimensional int64 buffer of packed cell keys; a buffer that\n"
-     "breaks the path rule or leaves the layer raises before anything\n"
-     "is inserted."},
-    {"purge_before", stsearch_purge_before, METH_VARARGS,
-     "purge_before(mode, vertex_obj, edge_obj, tile_bits, t, vfloor,\n"
-     "    efloor)\n"
-     " -> (v_removed, vbuckets_removed, tiles_removed, e_removed)\n"
+    {"store_new", stsearch_store_new, METH_VARARGS,
+     "store_new(owner, tile_bits, height, n_cells, state=None) -> store\n"
+     "A reservation store for ``owner`` (held weakly; None for none).\n"
+     "tile_bits >= 0 tallies (tick, tile) pairs; n_cells > 0 bounds the\n"
+     "vertex keys to a height x (n_cells / height) layer.  ``state`` is\n"
+     "what store_export returned, loaded under the reserve rules."},
+    {"store_reserve", stsearch_store_reserve, METH_VARARGS,
+     "store_reserve(store, start_time, keys) -> None\n"
+     "Insert a path's vertices at or above the floor and its moves at or\n"
+     "above the edge floor.  ``keys`` is any contiguous one-dimensional\n"
+     "int64 buffer of packed cell keys; a buffer that breaks the path\n"
+     "rule or leaves the layer raises before anything is inserted."},
+    {"store_purge", stsearch_store_purge, METH_VARARGS,
+     "store_purge(store, t) -> None\n"
      "Drop all reservations strictly before t (the periodic update)."},
+    {"store_probe", stsearch_store_probe, METH_VARARGS,
+     "store_probe(store, t, key[, target]) -> bool\n"
+     "Whether the vertex key is reserved at t or, given ``target``, the\n"
+     "reversed move target -> key departing t is (a swap)."},
+    {"store_counts", stsearch_store_counts, METH_VARARGS,
+     "store_counts(store, walk=False) -> (ticks, units, edge_ticks, edges)\n"
+     "ticks: live vertex ticks, or the dense layers over [floor, high];\n"
+     "units: entries, layers, or (tick, tile) pairs.  ``walk`` counts\n"
+     "the blocks from scratch instead of reading the kept counts."},
+    {"store_export", stsearch_store_export, METH_VARARGS,
+     "store_export(store)\n"
+     " -> (floor, edge_floor, high, {t: set(keys)}, {t: set(edges)})"},
     {"bfs_fill", stsearch_bfs_fill, METH_VARARGS,
      "bfs_fill(grid_capsule, source_ci, buffer, unreached) -> None\n"
      "Flood true shortest-path distances from source_ci into a writable\n"
      "int32 buffer of n_cells entries; unvisited cells keep the\n"
      "``unreached`` sentinel (must not collide with a real distance)."},
     {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
-     "tier0_leg(grid_capsule, mode, vertex_obj, edge_obj, tile_bits,\n"
-     "    h_mode, h_arg, source_ci, goal_ci, start_t, trigger,\n"
-     "    rescue_wait_per_step, rescue_total_wait)\n"
+     "tier0_leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
+     "    start_t, trigger, rescue_wait_per_step, rescue_total_wait)\n"
      " -> (verdict, keys)\n"
      "Fused free-flow descent + bulk reservation audit + wait-following\n"
      "rescue (both caps 0 = off; h_mode as for run, h_arg unused by 1).\n"

@@ -140,7 +140,7 @@ class FreeFlowPathCache:
         the python pair packs its cells.
 
         The compiled ``tier0_leg`` serves the library's own tables
-        (probe modes 1, 2 and 4) over the two field kinds and walks the
+        (their native store) over the two field kinds and walks the
         descent itself.  Anything else — the switch off, a table whose
         ``kernel_probe_spec`` is ``None``, a foreign field — takes
         :meth:`packed` through ``audit_chain`` in the same order:
@@ -150,9 +150,8 @@ class FreeFlowPathCache:
         the cache (and its memory metric) as no tier-0-off run would.
         """
         module = _kernel.active
-        probe_spec = (None if module is None
-                      else reservation.kernel_probe_spec())
-        if probe_spec is None:
+        store = None if module is None else reservation.kernel_probe_spec()
+        if store is None:
             return self._python_leg(reservation, t, source, goal,
                                     finisher_factory, rescue_caps)
         grid = self._grid
@@ -172,7 +171,7 @@ class FreeFlowPathCache:
                                     finisher_factory, rescue_caps)
         finisher, trigger = finisher_factory(goal)
         verdict, keys = module.tier0_leg(
-            grid.kernel_capsule(module), *probe_spec, h_mode, h_arg, sci,
+            grid.kernel_capsule(module), store, h_mode, h_arg, sci,
             goal[0] * height + goal[1], t,
             trigger if finisher is not None else 0, *rescue_caps)
         path = None if keys is None else packed_path(t, keys)

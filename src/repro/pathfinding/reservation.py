@@ -8,10 +8,13 @@ the other is the A4 ablation (:mod:`repro.experiments.ablations`).
 
 A table is the paper's three operations (Sec. VI-B) plus accounting:
 conflict *search* (``is_free`` / ``edge_free``), *insertion*
-(``reserve_path``) and the periodic *update* (``purge_before``); the
-production tables dispatch the last two to the native kernel when the
-one kernel switch (``repro.pathfinding._kernel.active``) is on.  The
-bulk audits are defined once, here, over the probes:
+(``reserve_path``) and the periodic *update* (``purge_before``).  The
+three production tables share one layout per kernel switch
+(:class:`_StoreBacked`): the native store when the one switch
+(``repro.pathfinding._kernel.active``) is on, their python containers —
+the specification — when it is off; they differ only in their
+accounting rule.  The bulk audits are defined once, here, over the
+probes:
 :meth:`ReservationTable.audit_path` is the reference walk the tests
 compare against, :meth:`ReservationTable.audit_chain` is the
 python tier-0 audit (the native ``tier0_leg`` audits inside the kernel).
@@ -48,6 +51,7 @@ import abc
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
+from . import _kernel
 from .paths import Path
 
 
@@ -155,23 +159,21 @@ class ReservationTable(abc.ABC):
         """Expose tick-bucketed reservation sets for the search fast path.
 
         Implementations whose bookkeeping is literally ``{tick: set of
-        packed keys}`` (the CDT) return ``(vertex_buckets, edge_buckets)``
-        so the packed A* core can fetch each tick's sets once per
-        expansion and probe with bare ``in`` operators.  Structures with a
-        different layout return ``None`` and are probed through the
-        ``*_packed`` methods instead.
+        packed keys}`` (the CDT's python layout) return ``(vertex_buckets,
+        edge_buckets)`` so the packed A* core can fetch each tick's sets
+        once per expansion and probe with bare ``in`` operators.  Other
+        layouts — the native store included — return ``None`` and are
+        probed through the ``*_packed`` methods instead.
         """
         return None
 
     def kernel_probe_spec(self):
-        """How the native kernel probes this structure, or ``None``.
+        """The native store the kernel probes for this table, or ``None``.
 
-        The library's three tables answer ``(mode, vertex_obj, edge_obj,
-        tile_bits)`` with their container layouts (probe modes 1, 2 and 4
-        of ``_kernel/_stsearchmodule.c``), which the search and tier 0
-        probe, and their own ``reserve_path`` / ``purge_before`` mutate,
-        in C.  Any other table answers ``None`` and is served by the
-        python bodies under either kernel switch.
+        The library's three tables answer their store capsule under the
+        compiled switch; ``run`` and ``tier0_leg`` probe it in C.  Under
+        the python switch, and for any other table, the answer is
+        ``None`` and the python bodies serve.
         """
         return None
 
@@ -275,39 +277,117 @@ def _stale_ticks(buckets: Dict[Tick, Set[int]], floor: Tick, t: Tick):
     return [tick for tick in buckets if tick < t]
 
 
-class _EdgeMixin:
-    """Shared directed-edge bookkeeping for both implementations.
+def _edges_memory(edge_ticks: int, edges: int) -> int:
+    """Modelled footprint of the swap buckets: ~100 B per entry of a set
+    of small ints (measured, matching the seed's tuple-set estimate) plus
+    the per-tick bucket headers the tick-keyed layout adds."""
+    return 64 + 100 * edges + 64 * edge_ticks
 
-    Traversed timed edges live in per-tick buckets of packed 64-bit keys
-    (``source_key << 32 | target_key``); a swap is the presence of the
-    reversed key in the departure tick's bucket.  Bucketing by tick makes
-    the periodic purge O(ticks purged) — each passed tick is one dict pop —
-    where the seed's flat edge set was rebuilt wholesale, O(live edges),
-    on every purge.
+
+class _StoreBacked:
+    """One layout per kernel switch, shared by the three library tables.
+
+    Under the compiled switch a table's reservations live in the native
+    store (``_store``, a capsule of ``_kernel/_stsearchmodule.c``), which
+    inserts, purges, probes and counts them without a python object per
+    key.  Under the python switch they live in the table's own
+    containers, the specification: its per-tick vertex layout and, shared
+    here, traversed timed edges in per-tick buckets of packed 64-bit keys
+    (``source_key << 32 | target_key``) — a swap is the reversed key in
+    the departure tick's bucket.  :meth:`_sync` converts (the store's
+    export ⇄ its state argument) whenever the switch and the layout a
+    table holds disagree, so every operation reads the switch at call
+    time, and a pickle always carries the python layout.
 
     Edges below the purge floor are never stored: probes at purged times
     answer "free" anyway (the corresponding vertices are gone), and
     refusing them keeps every live bucket at or above the floor, which is
     what lets the purge walk ``range(old_floor, new_floor)``.
+
+    A class supplies its store rule, its vertex layout (``_vertex_*``) and
+    its accounting rule, :meth:`_account` over the ``(ticks, units,
+    edge_ticks, edges)`` counts either layout answers.
     """
 
-    def __init__(self) -> None:
-        self._edge_buckets: Dict[Tick, Set[int]] = {}
-        self._n_edges = 0
-        self._edge_floor: Tick = 0
+    _store = None
 
-    def _edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
-        return self._edge_free_packed(
+    def __init__(self) -> None:
+        self.mutation_stamp = 0
+        self.__dict__.update(self._python_layout(0, 0, 0, {}, {}))
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        store = state.pop("_store", None)
+        if store is not None:
+            state.update(self._python_layout(
+                *_kernel.load_compiled().store_export(store)))
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._sync()
+
+    def _sync(self):
+        """The native module when the table is store-backed, else ``None``,
+        after converting the layout the table holds to the switch's."""
+        kernel = _kernel.active
+        if (kernel is None) != (self._store is None):
+            if kernel is None:
+                self.__dict__.update(self._python_layout(
+                    *_kernel.load_compiled().store_export(self._store)))
+                del self._store
+            else:
+                high, vertices = self._vertex_export()
+                self._store = kernel.store_new(
+                    self, *self._store_rule(), (
+                        self._floor, self._edge_floor, high, vertices,
+                        self._edge_buckets))
+                for name in self._python_layout(0, 0, 0, {}, {}):
+                    delattr(self, name)
+        return kernel
+
+    def _python_layout(self, floor, edge_floor, high, vertices, edges):
+        layout = self._vertex_layout(floor, high, vertices)
+        layout.update(_edge_buckets=edges, _edge_floor=edge_floor,
+                      _n_edges=sum(map(len, edges.values())))
+        return layout
+
+    # -- the three operations -----------------------------------------------
+
+    def is_free(self, t: Tick, cell: Cell) -> bool:
+        return self.is_free_packed(t, (cell[0] << CELL_KEY_SHIFT) | cell[1])
+
+    def is_free_packed(self, t: Tick, key: int) -> bool:
+        kernel = self._sync()
+        if kernel is not None:
+            return not kernel.store_probe(self._store, t, key)
+        return self._vertex_free(t, key)
+
+    def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
+        return self.edge_free_packed(
             t, (source[0] << CELL_KEY_SHIFT) | source[1],
             (target[0] << CELL_KEY_SHIFT) | target[1])
 
-    def _edge_free_packed(self, t: Tick, source_key: int,
-                          target_key: int) -> bool:
+    def edge_free_packed(self, t: Tick, source_key: int,
+                         target_key: int) -> bool:
+        kernel = self._sync()
+        if kernel is not None:
+            return not kernel.store_probe(self._store, t, source_key,
+                                          target_key)
         bucket = self._edge_buckets.get(t)
         return bucket is None or (
             (target_key << 32) | source_key) not in bucket
 
-    def _reserve_edges(self, path: Path) -> None:
+    def kernel_probe_spec(self):
+        return self._store if self._sync() is not None else None
+
+    def reserve_path(self, path: Path) -> None:
+        self.mutation_stamp += 1
+        kernel = self._sync()
+        if kernel is not None:
+            kernel.store_reserve(self._store, path.start_time, path.keys)
+            return
+        self._reserve_vertices(path)
         keys = path.keys
         buckets = self._edge_buckets
         floor = self._edge_floor
@@ -322,29 +402,39 @@ class _EdgeMixin:
                     bucket.add(key)
                     self._n_edges += 1
 
-    def _recount_edge_state(self) -> Dict[str, int]:
-        """Edge counters recomputed from the buckets (debug twin)."""
-        return {"edges": sum(len(bucket)
-                             for bucket in self._edge_buckets.values()),
-                "edge_ticks": len(self._edge_buckets)}
-
-    def _purge_edges(self, t: Tick) -> None:
-        if t <= self._edge_floor:
+    def purge_before(self, t: Tick) -> None:
+        """The periodic *update* operation: delete all passed timestamps."""
+        self.mutation_stamp += 1
+        kernel = self._sync()
+        if kernel is not None:
+            kernel.store_purge(self._store, t)
             return
-        buckets = self._edge_buckets
-        for tick in _stale_ticks(buckets, self._edge_floor, t):
-            bucket = buckets.pop(tick, None)
-            if bucket is not None:
-                self._n_edges -= len(bucket)
-        self._edge_floor = t
+        self._purge_vertices(t)
+        if t > self._edge_floor:
+            buckets = self._edge_buckets
+            for tick in _stale_ticks(buckets, self._edge_floor, t):
+                bucket = buckets.pop(tick, None)
+                if bucket is not None:
+                    self._n_edges -= len(bucket)
+            self._edge_floor = t
 
-    def _edges_memory(self) -> int:
-        # Rough per-entry cost of a set of small ints (~100 B measured,
-        # matching the seed's tuple-set estimate) plus the per-tick bucket
-        # headers the tick-keyed layout adds.
-        return 64 + 100 * self._n_edges + 64 * len(self._edge_buckets)
+    # -- accounting -----------------------------------------------------------
 
-    def _edge_live_counts(self) -> Dict[str, int]:
-        """Edge-side occupancy for :meth:`ReservationTable.live_counts`."""
-        return {"edges": self._n_edges,
-                "edge_ticks": len(self._edge_buckets)}
+    def _counts(self, walk: bool = False):
+        kernel = self._sync()
+        if kernel is not None:
+            return kernel.store_counts(self._store, walk)
+        edges = self._edge_buckets
+        return self._vertex_counts(walk) + (
+            len(edges),
+            sum(map(len, edges.values())) if walk else self._n_edges)
+
+    def memory_bytes(self) -> int:
+        return self._account(self._counts())["memory_bytes"]
+
+    def live_counts(self):
+        return self._account(self._counts())
+
+    def recount(self):
+        """Count the layout from scratch, ignoring the kept counters."""
+        return self._account(self._counts(True))

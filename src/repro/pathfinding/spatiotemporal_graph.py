@@ -11,17 +11,23 @@ dense occupancy layer (one byte per cell, a ``bytearray`` indexed by cell
 index ``x·H + y``) for **every** timestep between the purge floor and the
 latest reserved step, exactly as a literal time-expanded graph does.  The
 CDT (``cdt.py``) keeps only the occupied entries and is the paper's fix.
+
+That is the python layout, the specification.  Under the compiled switch
+both graphs hold the native store instead — the CDT's per-tick keys —
+and keep only their accounting rule: the store counts the layers the
+dense rule spans (``[floor, high]``) and the (tick, tile) pairs the tiled
+one materialises, so ``memory_bytes`` charges exactly what the python
+layout holds while no layer is ever allocated.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
+from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Tick
 from ..warehouse.grid import Grid
-from . import _kernel
 from .paths import Path
-from .reservation import ReservationTable, _EdgeMixin
+from .reservation import ReservationTable, _StoreBacked, _edges_memory
 
 
 def tile_of_cell(x: int, y: int, bits: int) -> int:
@@ -33,7 +39,7 @@ def tile_of_cell(x: int, y: int, bits: int) -> int:
     return ((x >> bits) << CELL_KEY_SHIFT) | (y >> bits)
 
 
-class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
+class SpatiotemporalGraph(_StoreBacked, ReservationTable):
     """Dense time-expanded reservation layers (the memory-heavy baseline).
 
     Parameters
@@ -43,19 +49,38 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
     """
 
     def __init__(self, grid: Grid) -> None:
-        _EdgeMixin.__init__(self)
         self._grid = grid
-        #: t -> dense one-byte-per-cell occupancy layer (cell-indexed).
-        self._layers: Dict[Tick, bytearray] = {}
-        self._floor: Tick = 0
-        #: Highest materialised layer tick; only meaningful while
-        #: ``_layers`` is non-empty.  The layers are always dense over
-        #: ``[_floor, _high]`` (``_layer`` densifies every gap and the
-        #: purge only trims from below), so tracking the top incrementally
-        #: replaces the ``max()`` scan that dominated reserve-loop
-        #: self-time at paper scale.
-        self._high: Tick = 0
-        self.mutation_stamp = 0
+        super().__init__()
+
+    # -- the python layout: t -> dense one-byte-per-cell layer ----------------
+    #
+    # ``_layers`` is dense over ``[_floor, _high]`` (``_layer`` densifies
+    # every gap and the purge only trims from below), so the top is tracked
+    # incrementally; ``_high`` is meaningful only while ``_layers`` is
+    # non-empty.  The store keeps the same ``high`` and counts the layers
+    # this rule implies.
+
+    def _store_rule(self):
+        return -1, self._grid.height, self._grid.n_cells
+
+    def _vertex_layout(self, floor, high, vertices):
+        height = self._grid.height
+        layers = {}
+        if vertices:
+            layers = {step: bytearray(self._grid.n_cells)
+                      for step in range(floor, high + 1)}
+        for t, keys in vertices.items():
+            for key in keys:
+                layers[t][(key >> CELL_KEY_SHIFT) * height
+                          + (key & CELL_KEY_MASK)] = 1
+        return {"_layers": layers, "_floor": floor, "_high": high}
+
+    def _vertex_export(self):
+        height = self._grid.height
+        return self._high, {
+            t: [((ci // height) << CELL_KEY_SHIFT) | ci % height
+                for ci, taken in enumerate(layer) if taken]
+            for t, layer in self._layers.items()}
 
     def _layer(self, t: Tick) -> bytearray:
         """Materialise (densely!) the layer for timestep ``t``.
@@ -77,51 +102,17 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
             layer = self._layers[t]
         return layer
 
-    # -- ReservationTable ----------------------------------------------------
-
-    def is_free(self, t: Tick, cell: Cell) -> bool:
-        if t < self._floor:
-            return True
+    def _vertex_free(self, t: Tick, key: int) -> bool:
+        # Layers below the floor are evicted, so a miss means free.
         layer = self._layers.get(t)
-        if layer is None:
-            return True
-        return not layer[cell[0] * self._grid.height + cell[1]]
+        return layer is None or not layer[
+            (key >> CELL_KEY_SHIFT) * self._grid.height
+            + (key & CELL_KEY_MASK)]
 
-    def is_free_packed(self, t: Tick, key: int) -> bool:
-        # Layers below the floor are evicted, so a miss means free either
-        # way — no separate floor check needed on the fast path.
-        layer = self._layers.get(t)
-        if layer is None:
-            return True
-        return not layer[(key >> CELL_KEY_SHIFT) * self._grid.height
-                         + (key & CELL_KEY_MASK)]
-
-    def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
-        return self._edge_free(t, source, target)
-
-    edge_free_packed = _EdgeMixin._edge_free_packed
-
-    def kernel_probe_spec(self):
-        # Mode 2: {tick: bytearray[cell index]} layers, shared swaps.
-        return 2, self._layers, self._edge_buckets, 0
-
-    def reserve_path(self, path: Path) -> None:
-        self.mutation_stamp += 1
-        kernel = _kernel.active
-        if kernel is not None:
-            high = self._high if self._layers else self._floor - 1
-            res = kernel.reserve_path(
-                2, self._layers, self._edge_buckets, 0, self._grid.height,
-                self._grid.n_cells, path.start_time, path.keys,
-                self._floor, self._edge_floor, high)
-            if self._layers:
-                self._high = res[4]
-            self._n_edges += res[3]
-            return
+    def _reserve_vertices(self, path: Path) -> None:
         height = self._grid.height
         floor = self._floor
-        layers = self._layers
-        get = layers.get
+        get = self._layers.get
         for t, key in enumerate(path.keys, path.start_time):
             if t >= floor:
                 layer = get(t)
@@ -129,56 +120,32 @@ class SpatiotemporalGraph(_EdgeMixin, ReservationTable):
                     layer = self._layer(t)
                 layer[(key >> CELL_KEY_SHIFT) * height
                       + (key & CELL_KEY_MASK)] = 1
-        self._reserve_edges(path)
 
-    def purge_before(self, t: Tick) -> None:
-        self.mutation_stamp += 1
-        kernel = _kernel.active
-        if kernel is not None:
-            res = kernel.purge_before(
-                2, self._layers, self._edge_buckets, 0, t, self._floor,
-                self._edge_floor)
-            self._floor = max(self._floor, t)
-            if t > self._edge_floor:
-                self._n_edges -= res[3]
-                self._edge_floor = t
-            return
+    def _purge_vertices(self, t: Tick) -> None:
         self._floor = max(self._floor, t)
         for stale in [step for step in self._layers if step < t]:
             del self._layers[stale]
-        self._purge_edges(t)
 
-    def memory_bytes(self) -> int:
+    def _vertex_counts(self, walk: bool):
+        return len(self._layers), len(self._layers)
+
+    def _account(self, counts) -> Dict[str, int]:
         # One byte per cell per layer — identical accounting to the seed's
-        # uint8 ndarray layers.  Every layer is exactly ``n_cells`` long,
-        # so the per-layer sum collapses to one O(1) multiply.
-        return (len(self._layers) * self._grid.n_cells
-                + self._edges_memory())
-
-    def recount(self):
-        """Walk the layers and recompute the footprint from scratch."""
-        counts = {"layers": len(self._layers)}
-        counts.update(self._recount_edge_state())
-        counts["memory_bytes"] = (
-            sum(len(layer) for layer in self._layers.values())
-            + 64 + 100 * counts["edges"] + 64 * counts["edge_ticks"])
-        return counts
+        # uint8 ndarray layers, whichever layout holds the reservations.
+        layers, __, edge_ticks, edges = counts
+        return {"layers": layers, "edges": edges, "edge_ticks": edge_ticks,
+                "memory_bytes": (layers * self._grid.n_cells
+                                 + _edges_memory(edge_ticks, edges))}
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def n_layers(self) -> int:
         """Number of materialised time layers (each a full grid copy)."""
-        return len(self._layers)
-
-    def live_counts(self):
-        counts = {"layers": len(self._layers)}
-        counts.update(self._edge_live_counts())
-        counts["memory_bytes"] = self.memory_bytes()
-        return counts
+        return self.live_counts()["layers"]
 
 
-class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
+class ShardedSpatiotemporalGraph(_StoreBacked, ReservationTable):
     """The ST graph with each time layer partitioned into spatial tiles.
 
     ``_layers[t][tile]`` is a dense one-byte-per-cell occupancy block for
@@ -199,22 +166,16 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
     grid reference is needed (tiling is pure coordinate arithmetic),
     which also keeps a checkpoint of the table proportional to live
     reservations, not floor size.  Directed edges stay in the shared
-    tick-keyed edge buckets: every edge operation is already O(1) per
-    probe and O(ticks) per purge, so tiling them would add a tile lookup
-    per move for nothing.  Byte counts are tracked incrementally so
-    ``memory_bytes`` — charged per simulation event — is O(1).
+    tick-keyed edge buckets.  Under the compiled switch the store tallies
+    the distinct (tick, tile) pairs, so ``memory_bytes`` charges the
+    blocks this layout would hold.
     """
 
     def __init__(self, tile_bits: int = 5) -> None:
-        _EdgeMixin.__init__(self)
         self._tile_bits = tile_bits
         self._tile_mask = (1 << tile_bits) - 1
         self._tile_cells = 1 << (2 * tile_bits)
-        #: t -> (tile id -> dense per-tile occupancy block).
-        self._layers: Dict[Tick, Dict[int, bytearray]] = {}
-        self._floor: Tick = 0
-        self._n_tile_layers = 0
-        self.mutation_stamp = 0
+        super().__init__()
 
     @property
     def tile_bits(self) -> int:
@@ -225,49 +186,45 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
         mask = self._tile_mask
         return ((x & mask) << self._tile_bits) | (y & mask)
 
-    # -- ReservationTable ----------------------------------------------------
+    # -- the python layout: t -> (tile id -> dense per-tile block) ------------
 
-    def is_free(self, t: Tick, cell: Cell) -> bool:
-        layer = self._layers.get(t)
-        if layer is None:
-            return True
-        x, y = cell
-        tile = layer.get(tile_of_cell(x, y, self._tile_bits))
-        if tile is None:
-            return True
-        return not tile[self._tile_slot(x, y)]
+    def _store_rule(self):
+        return self._tile_bits, 0, 0
 
-    def is_free_packed(self, t: Tick, key: int) -> bool:
+    def _vertex_layout(self, floor, high, vertices):
+        layers = {}
+        for t, keys in vertices.items():
+            layer = layers[t] = {}
+            for key in keys:
+                x, y = key >> CELL_KEY_SHIFT, key & CELL_KEY_MASK
+                tile_id = tile_of_cell(x, y, self._tile_bits)
+                tile = layer.get(tile_id)
+                if tile is None:
+                    tile = layer[tile_id] = bytearray(self._tile_cells)
+                tile[self._tile_slot(x, y)] = 1
+        return {"_layers": layers, "_floor": floor,
+                "_n_tile_layers": sum(map(len, layers.values()))}
+
+    def _vertex_export(self):
+        bits, mask = self._tile_bits, self._tile_mask
+        return 0, {
+            t: [((tile >> CELL_KEY_SHIFT << bits | slot >> bits)
+                 << CELL_KEY_SHIFT)
+                | (tile & CELL_KEY_MASK) << bits | slot & mask
+                for tile, block in layer.items()
+                for slot, taken in enumerate(block) if taken]
+            for t, layer in self._layers.items()}
+
+    def _vertex_free(self, t: Tick, key: int) -> bool:
         layer = self._layers.get(t)
         if layer is None:
             return True
         x = key >> CELL_KEY_SHIFT
         y = key & CELL_KEY_MASK
         tile = layer.get(tile_of_cell(x, y, self._tile_bits))
-        if tile is None:
-            return True
-        return not tile[self._tile_slot(x, y)]
+        return tile is None or not tile[self._tile_slot(x, y)]
 
-    def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
-        return self._edge_free(t, source, target)
-
-    edge_free_packed = _EdgeMixin._edge_free_packed
-
-    def kernel_probe_spec(self):
-        # Mode 4: {tick: {tile: bytearray[tile slot]}} layers, shared swaps.
-        return 4, self._layers, self._edge_buckets, self._tile_bits
-
-    def reserve_path(self, path: Path) -> None:
-        self.mutation_stamp += 1
-        kernel = _kernel.active
-        if kernel is not None:
-            res = kernel.reserve_path(
-                4, self._layers, self._edge_buckets, self._tile_bits, 0,
-                self._tile_cells, path.start_time, path.keys, self._floor,
-                self._edge_floor, 0)
-            self._n_tile_layers += res[2]
-            self._n_edges += res[3]
-            return
+    def _reserve_vertices(self, path: Path) -> None:
         layers = self._layers
         bits = self._tile_bits
         floor = self._floor
@@ -289,54 +246,31 @@ class ShardedSpatiotemporalGraph(_EdgeMixin, ReservationTable):
                     self._n_tile_layers += 1
                 last = (t, tile_id)
             tile[self._tile_slot(x, y)] = 1
-        self._reserve_edges(path)
 
-    def purge_before(self, t: Tick) -> None:
-        self.mutation_stamp += 1
-        kernel = _kernel.active
-        if kernel is not None:
-            res = kernel.purge_before(
-                4, self._layers, self._edge_buckets, self._tile_bits, t,
-                self._floor, self._edge_floor)
-            self._floor = max(self._floor, t)
-            self._n_tile_layers -= res[2]
-            if t > self._edge_floor:
-                self._n_edges -= res[3]
-                self._edge_floor = t
-            return
+    def _purge_vertices(self, t: Tick) -> None:
         self._floor = max(self._floor, t)
         layers = self._layers
         for stale in [step for step in layers if step < t]:
             self._n_tile_layers -= len(layers[stale])
             del layers[stale]
-        self._purge_edges(t)
 
-    def memory_bytes(self) -> int:
+    def _vertex_counts(self, walk: bool):
+        layers = self._layers
+        return len(layers), (sum(map(len, layers.values())) if walk
+                             else self._n_tile_layers)
+
+    def _account(self, counts) -> Dict[str, int]:
         # One byte per *materialised tile* cell — the same accounting
         # unit as the global table, restricted to the blocks that exist.
-        return self._n_tile_layers * self._tile_cells + self._edges_memory()
-
-    def recount(self):
-        """Walk the layers and recompute the incremental counters."""
-        counts = {"layers": len(self._layers),
-                  "tile_layers": sum(len(layer)
-                                     for layer in self._layers.values())}
-        counts.update(self._recount_edge_state())
-        counts["memory_bytes"] = (
-            counts["tile_layers"] * self._tile_cells
-            + 64 + 100 * counts["edges"] + 64 * counts["edge_ticks"])
-        return counts
+        layers, tiles, edge_ticks, edges = counts
+        return {"layers": layers, "tile_layers": tiles, "edges": edges,
+                "edge_ticks": edge_ticks,
+                "memory_bytes": (tiles * self._tile_cells
+                                 + _edges_memory(edge_ticks, edges))}
 
     # -- introspection -------------------------------------------------------
 
     @property
     def n_layers(self) -> int:
         """Number of timesteps holding at least one materialised tile."""
-        return len(self._layers)
-
-    def live_counts(self):
-        counts = {"layers": len(self._layers),
-                  "tile_layers": self._n_tile_layers}
-        counts.update(self._edge_live_counts())
-        counts["memory_bytes"] = self.memory_bytes()
-        return counts
+        return self.live_counts()["layers"]

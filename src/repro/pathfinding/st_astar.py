@@ -230,11 +230,11 @@ def search(grid: Grid, reservation: ReservationTable,
     hfield = _heuristic_field(grid, goal, heuristic)
     deep = grid.paper_scale
     if _kernel.active is not None:
-        probe_spec = reservation.kernel_probe_spec()
+        store = reservation.kernel_probe_spec()
         h_spec = (_kernel_h_spec(heuristic, hfield)
-                  if probe_spec is not None else None)
+                  if store is not None else None)
         if h_spec is not None:
-            return _search_compiled(grid, probe_spec, request, h_spec, deep,
+            return _search_compiled(grid, store, request, h_spec, deep,
                                     stats)
     return _search_heap(grid, reservation, request, hfield, deep, stats)
 
@@ -261,12 +261,12 @@ def _kernel_h_spec(heuristic: Optional[Heuristic], hfield):
     return None
 
 
-def _search_compiled(grid: Grid, probe_spec, request: SearchRequest,
+def _search_compiled(grid: Grid, store, request: SearchRequest,
                      h_spec, deep: bool,
                      stats: SearchStats) -> SearchOutcome:
     """Hand one search to the native kernel.
 
-    ``probe_spec`` is the table's ``kernel_probe_spec()``; ``deep``
+    ``store`` is the table's ``kernel_probe_spec()``; ``deep``
     selects the open-set order exactly as in :func:`_search_heap`.  The
     kernel returns raw counters; this wrapper folds them into ``stats``
     the way the python core's ``finally`` block does, and wraps the leg's
@@ -277,11 +277,10 @@ def _search_compiled(grid: Grid, probe_spec, request: SearchRequest,
     source, goal = request.source, request.goal
     height = grid.height
     h_mode, h_arg = h_spec
-    mode, probe_a, probe_b, tile_bits = probe_spec
 
     status, keys, tail, expansions, generated, peak_open = module.run(
-        grid.kernel_capsule(module), mode, probe_a, probe_b, tile_bits,
-        h_mode, h_arg, source[0] * height + source[1],
+        grid.kernel_capsule(module), store, h_mode, h_arg,
+        source[0] * height + source[1],
         goal[0] * height + goal[1], request.start_time,
         request.max_expansions, request.finisher, request.finisher_trigger,
         1 if deep else 0, stats.expansions, stats.peak_open)

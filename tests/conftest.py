@@ -154,8 +154,9 @@ def count_kernel_calls(module, names):
 def assert_edges_have_arrivals(table) -> None:
     """The contract swap gating rests on: a stored edge ``a -> b``
     departing ``t`` has its arrival vertex ``(t + 1, b)`` stored, so a
-    move out of a cell nobody arrives on is never a swap."""
-    for t, bucket in table._edge_buckets.items():
+    move out of a cell nobody arrives on is never a swap.  The edges are
+    read from the table's python layout, exported if it holds a store."""
+    for t, bucket in table.__getstate__()["_edge_buckets"].items():
         for key in bucket:
             assert not table.is_free_packed(t + 1, key & 0xFFFFFFFF), (
                 f"edge {key >> 32:#x} -> {key & 0xFFFFFFFF:#x} departing {t} "

@@ -17,19 +17,35 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CheckpointError, SimulationError
+from repro.experiments.soak import SoakSpec, _service_loop, build_soak
+from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.paths import Path as PathfindingPath
+from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
 from repro.planners import PLANNERS
 from repro.sim.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                   dump_checkpoint, load_checkpoint,
                                   load_checkpoint_bytes,
                                   read_checkpoint_header, save_checkpoint)
 from repro.sim.engine import Simulation
+from repro.sim.metrics import SteadyStateTracker
 from repro.sim.missions import Mission
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.warehouse.entities import Item
 from repro.workloads.datasets import make_mini
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+COMPILED = build_and_load()
+
+#: The kernels a test can select here (the extension may be absent).
+KERNELS = ("python",) if COMPILED is None else ("python", "compiled")
+
+
+@pytest.fixture(autouse=True)
+def _restore_kernel():
+    previous = search_kernel_name()
+    yield
+    set_search_kernel(previous)
 
 
 def build_sim(planner_name="EATP", n_items=40):
@@ -313,12 +329,47 @@ class TestCommittedFixtures:
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 == self.V2_DRAINED_DIGEST)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_v2_fixture_drains_to_the_pin_under_either_switch(self, kernel):
+        # The file holds the python layout of the reservation table; under
+        # the compiled switch it is loaded into the native store.
+        set_search_kernel(kernel)
+        sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
+        blob = json.dumps(drained_view(sim), sort_keys=True,
+                          separators=(",", ":"))
+        assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
+                == self.V2_DRAINED_DIGEST)
+
     def test_v1_fixture_is_refused_naming_both_versions(self):
         path = FIXTURES / "checkpoint-v1-eatp.ckpt"
         assert read_checkpoint_header(path)["version"] == 1
         with pytest.raises(CheckpointError,
                            match=r"version 1 .* reads version 2"):
             load_checkpoint(path)
+
+
+@pytest.mark.skipif(COMPILED is None, reason="native kernel unavailable")
+class TestCheckpointsCrossTheKernelSwitch:
+    """A checkpoint carries every table's python layout, whichever layout
+    the table held: an EATP soak paused under one kernel switch resumes
+    under the other and drains to the uninterrupted run's view."""
+
+    @pytest.mark.parametrize("dump, resume", [("compiled", "python"),
+                                              ("python", "compiled")])
+    def test_soak_resumes_under_the_other_switch(self, dump, resume):
+        spec = SoakSpec(duration=2_400, window_ticks=300, warmup_windows=1,
+                        checkpoint_every=0)
+        set_search_kernel(dump)
+        sim, stream, harness = build_soak(spec)
+        blob = _service_loop(sim, stream,
+                             SteadyStateTracker(spec.window_ticks), harness,
+                             spec, capture_restore_blob=True)
+        expected = drained_view(sim)
+        set_search_kernel(resume)
+        restored, extra = load_checkpoint_bytes(blob)
+        _service_loop(restored, extra["stream"], extra["tracker"],
+                      extra["harness"], spec)
+        assert drained_view(restored) == expected
 
 
 class _CountingPickler(pickle.Pickler):

@@ -738,18 +738,19 @@ class TestNativeRescue:
     ])
     def test_every_verdict_retains_nothing(self, name, verdict, goal, until,
                                            trigger, caps):
+        set_search_kernel("compiled")
         grid = Grid(WIDTH, HEIGHT, blocked=[(10, 9), (11, 8), (10, 8)])
         table = TABLES[name](grid)
         camp(table, (3, 5), until)
         capsule = grid.kernel_capsule(COMPILED)
         flat = HeuristicFieldCache(grid).field(goal).flat
-        spec = table.kernel_probe_spec()
-        args = (capsule,) + spec + (2, flat, grid.cell_index((0, goal[1])),
-                                    grid.cell_index(goal), 0, trigger) + caps
+        store = table.kernel_probe_spec()
+        args = (capsule, store, 2, flat, grid.cell_index((0, goal[1])),
+                grid.cell_index(goal), 0, trigger) + caps
         got, keys = COMPILED.tier0_leg(*args)
         assert got == verdict and (keys is None) == (verdict in (0, 3))
         assert_retains_nothing(lambda: COMPILED.tier0_leg(*args),
-                               watched=(capsule, flat) + spec[1:3])
+                               watched=(capsule, flat, store))
 
 
 @needs_compiled

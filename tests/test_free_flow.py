@@ -178,7 +178,7 @@ class TestManhattanClosedForm:
         grid = Grid(width, height)
         cache = make_cache(grid)
         capsule = grid.kernel_capsule(_COMPILED)
-        spec = ConflictDetectionTable().kernel_probe_spec()
+        store = _COMPILED.store_new(None, -1, 0, 0)
         rng = random.Random(20220808)
         pairs = [((rng.randrange(width), rng.randrange(height)),
                   (rng.randrange(width), rng.randrange(height)))
@@ -194,7 +194,7 @@ class TestManhattanClosedForm:
                               _LazyManhattanFlat)
             chain = cache.packed(source, goal)
             verdict, keys = _COMPILED.tier0_leg(
-                capsule, *spec, 1, None, grid.cell_index(source),
+                capsule, store, 1, None, grid.cell_index(source),
                 grid.cell_index(goal), 0, 0, 0, 0)
             assert verdict == 1, (source, goal)
             assert list(keys) == list(chain.keys), (source, goal)

@@ -557,13 +557,14 @@ class TestRunHandsBackOneBuffer:
 
     def problem(self, width=18, finisher=None, trigger=0, budget=200_000,
                 table_name="cdt"):
+        set_search_kernel("compiled")
         grid = Grid(width, 12)
         table = TABLES[table_name](grid)
         crossing_traffic(table, width)
         goal = (width - 1, 9)
-        args = (grid.kernel_capsule(COMPILED),) + table.kernel_probe_spec() + (
-            1, goal, grid.cell_index((0, 2)), grid.cell_index(goal), 3,
-            budget, finisher, trigger, 0, 0, 0)
+        args = (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(),
+                1, goal, grid.cell_index((0, 2)), grid.cell_index(goal), 3,
+                budget, finisher, trigger, 0, 0, 0)
         return grid, table, goal, args
 
     def test_kernel_made_path_equals_the_tuple_made_one(self):
@@ -605,11 +606,12 @@ class TestRunHandsBackOneBuffer:
     @pytest.mark.parametrize("table_name", NATIVE_TABLES)
     def test_every_status_retains_nothing(self, status, finisher, trigger,
                                           budget, table_name):
-        # every probe mode: a tick's PyLongs (the second made only where
-        # an edge is asked about) go back however the call ends
-        args = self.problem(6, finisher, trigger, budget, table_name)[3]
+        # every table's store: whatever the search allocates goes back
+        # however the call ends
+        __, table, __, args = self.problem(6, finisher, trigger, budget,
+                                           table_name)
         assert COMPILED.run(*args)[0] == status
-        watched = (args[0], args[2], args[3]) + (
+        watched = (args[0], args[1]) + (
             () if finisher is None else (finisher,))
         assert_retains_nothing(lambda: COMPILED.run(*args), watched,
                                calls=2_000)
@@ -662,8 +664,7 @@ class TestInconsistentFieldNeverPlans:
     def run(self, field, deep):
         grid = Grid(9, 1)
         return COMPILED.run(
-            grid.kernel_capsule(COMPILED),
-            *ConflictDetectionTable().kernel_probe_spec(),
+            grid.kernel_capsule(COMPILED), COMPILED.store_new(None, -1, 0, 0),
             2, array("i", field), 0, 8, 0, 200_000, None, 0, deep, 0, 0)
 
     @pytest.mark.parametrize("deep", [0, 1])
@@ -705,8 +706,8 @@ class TestHFieldBuffer:
 
     def call(self, entry, h_mode, h_arg):
         grid = Grid(9, 1)
-        head = (grid.kernel_capsule(COMPILED),) + (
-            ConflictDetectionTable().kernel_probe_spec())
+        head = (grid.kernel_capsule(COMPILED),
+                COMPILED.store_new(None, -1, 0, 0))
         if entry == "run":
             return COMPILED.run(*head, h_mode, h_arg, 0, 8, 0, 200_000, None,
                                 0, 0, 0, 0)[:2]
@@ -803,7 +804,7 @@ def test_property_compiled_matches_python(seed):
 
 
 #: The native entry points a planning run calls (``prepare_grid`` aside).
-RUN_ENTRY_POINTS = ("run", "reserve_path", "purge_before", "bfs_fill",
+RUN_ENTRY_POINTS = ("run", "store_reserve", "store_purge", "bfs_fill",
                     "tier0_leg")
 
 

@@ -1,12 +1,13 @@
-"""Native reservation-mutation kernel: equivalence and accounting.
+"""Native reservation store: equivalence and accounting.
 
-The compiled ``reserve_path`` / ``purge_before`` entry points — the two
-mutating operations of a table; the third, conflict search, is probes —
-must be drop-ins for the pure-python mutation loops on every production
-table: same container contents bit for bit, same returned deltas (so the
-same incremental counters), and the incremental occupancy counters every
-structure maintains must never drift from a walk-from-scratch recount.
-The equivalence half builds the
+Under the compiled switch every production table keeps its reservations
+in the kernel's store (``store_reserve`` / ``store_purge`` are the two
+mutating operations; the third, conflict search, is probes), and the
+store must be a drop-in for the pure-python layouts: the same contents
+bit for bit once exported back to the python layout (what a pickle
+carries), the same counts under each table's accounting rule, and the
+kept counts of either layout must never drift from a walk-from-scratch
+recount.  The equivalence half builds the
 extension on the fly (skipping where no compiler is available); the
 counter-drift property and the planner accounting tests run under
 whichever kernel is selected, so the pure-python CI job exercises them
@@ -17,7 +18,6 @@ once, for every plane, by ``test_kernel::test_one_switch_routes_every_plane``.
 import copy
 import random
 from array import array
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,9 +107,10 @@ def apply_ops(table, ops):
 
 
 def containers(table):
-    """The raw vertex/edge containers (compare by deep value equality)."""
-    _, vertices, edges, _ = table.kernel_probe_spec()
-    return vertices, edges
+    """The vertex/edge containers of the table's python layout — exported
+    from the store when the table holds one (compare by deep value)."""
+    state = table.__getstate__()
+    return state.get("_buckets", state.get("_layers")), state["_edge_buckets"]
 
 
 #: The kernels a test can select here (the extension may be absent).
@@ -127,11 +128,11 @@ class TestMutationKernelSelection:
             for seed, kernel in enumerate(KERNELS):
                 set_search_kernel(kernel)
                 with count_kernel_calls(
-                        COMPILED, ["reserve_path", "purge_before"]) as calls:
+                        COMPILED, ["store_reserve", "store_purge"]) as calls:
                     apply_ops(table, random_ops(seed, 20) + [("purge", 45)])
                 native = kernel == "compiled"
-                assert bool(calls["reserve_path"]) == native, (name, kernel)
-                assert bool(calls["purge_before"]) == native, (name, kernel)
+                assert bool(calls["store_reserve"]) == native, (name, kernel)
+                assert bool(calls["store_purge"]) == native, (name, kernel)
             assert table.live_counts() == table.recount(), name
 
 
@@ -159,8 +160,36 @@ class TestMutationBitIdentity:
             assert (compiled_table.memory_bytes()
                     == python_table.memory_bytes())
             assert compiled_table.recount() == python_table.recount()
-            # The deltas the kernel returned kept the counters exact.
+            # The counts the store kept equal a walk of its blocks.
             assert compiled_table.live_counts() == compiled_table.recount()
+
+    def test_purges_past_the_window_wrap_and_empty_the_ring(self, name):
+        # A live window sliding forward wraps ticks round the ring; purges
+        # that jump past every live tick empty it, and a reservation far
+        # above a fresh floor widens it.  After every op the store exports
+        # what the python layout holds and counts what it counts.
+        rng = random.Random(11)
+        ops = []
+        for k in range(14):
+            ops += [("reserve", random_walk(rng, t_max=20, t_min=30 * k))
+                    for __ in range(3)] + [("purge", 30 * k + 10)]
+        ops += [("purge", 2_000), ("reserve", random_walk(rng, t_min=2_000)),
+                ("purge", 2_005), ("reserve", random_walk(rng, t_min=2_500)),
+                ("purge", 9_000), ("purge", 9_000),
+                ("reserve", random_walk(rng, t_min=8_990))]
+        tables = {}
+        for kernel in KERNELS:
+            set_search_kernel(kernel)
+            tables[kernel] = TABLES[name]()
+        for op in ops:
+            for kernel, table in tables.items():
+                set_search_kernel(kernel)
+                apply_ops(table, [op])
+            compiled, python = tables["compiled"], tables["python"]
+            assert containers(compiled) == containers(python), op
+            assert compiled.live_counts() == python.live_counts(), op
+            assert compiled.recount() == compiled.live_counts(), op
+        assert compiled.live_counts()["edges"] > 0
 
     def test_audits_agree(self, name):
         # Containers built by either kernel answer the reference walk
@@ -212,7 +241,7 @@ BAD_BUFFERS = {
 @needs_compiled
 @pytest.mark.parametrize("name", sorted(TABLES))
 class TestReservePathTakesOnlyLawfulBuffers:
-    """``reserve_path`` applies the kernel's path rule to whatever it is
+    """``store_reserve`` applies the kernel's path rule to whatever it is
     handed, and refuses before mutating anything."""
 
     def loaded(self, name):
@@ -226,7 +255,7 @@ class TestReservePathTakesOnlyLawfulBuffers:
         buffer, error = BAD_BUFFERS[case]
         table, before, counts = self.loaded(name)
         with pytest.raises(error):
-            table.reserve_path(SimpleNamespace(start_time=50, keys=buffer))
+            COMPILED.store_reserve(table.kernel_probe_spec(), 50, buffer)
         assert containers(table) == before
         assert table.live_counts() == counts == table.recount()
 
@@ -236,7 +265,7 @@ class TestReservePathTakesOnlyLawfulBuffers:
         twin, __, __ = self.loaded(name)
         table.reserve_path(Path.from_cells(LANE, 50))
         view = memoryview(keys_of(LANE).tobytes()).cast("q")
-        twin.reserve_path(SimpleNamespace(start_time=50, keys=view))
+        COMPILED.store_reserve(twin.kernel_probe_spec(), 50, view)
         assert containers(twin) == containers(table)
         assert twin.live_counts() == table.live_counts() == table.recount()
 
@@ -256,15 +285,12 @@ class TestReservePathTakesOnlyLawfulBuffers:
             assert not table.is_free(52, (12, 9))
         assert table.live_counts() == table.recount()
 
-    def test_tile_block_smaller_than_a_tile_is_refused(self, name):
-        vertices, edges = {}, {}
-        with pytest.raises(IndexError):
-            COMPILED.reserve_path(4, vertices, edges, 2, 0, 15, 0,
-                                  keys_of(LANE), 0, 0, 0)
-        with pytest.raises(ValueError):
-            COMPILED.reserve_path(4, vertices, edges, 40, 0, 16, 0,
-                                  keys_of(LANE), 0, 0, 0)
-        assert vertices == edges == {}
+    def test_store_rule_out_of_range_is_refused(self, name):
+        # tiles wider than a key's half-word, a layer with no cells, cells
+        # with no layer height
+        for rule in ((17, 0, 0), (-1, 10, 0), (-1, 0, 120), (-1, -10, -1)):
+            with pytest.raises(ValueError):
+                COMPILED.store_new(None, *rule)
 
     def test_inserting_buffers_retains_nothing(self, name):
         # Reserve the same lanes over and over (idempotent after the
@@ -283,42 +309,19 @@ class TestReservePathTakesOnlyLawfulBuffers:
         assert table.live_counts() == table.recount()
 
 
-def test_tables_keep_their_probe_modes():
-    # The numbers are the kernel's interface: a retired one is not reused.
-    assert sorted({TABLES[name]().kernel_probe_spec()[0]
-                   for name in TABLES}) == [1, 2, 4]
-
-
-@needs_compiled
-@pytest.mark.parametrize("mode", [0, 3, 5, -1])
-@pytest.mark.parametrize("entry", ["run", "tier0_leg", "reserve_path",
-                                   "purge_before"])
-def test_unserved_probe_mode_is_refused(entry, mode):
-    """Modes 0 (retired generic callables) and 3 (a retired tiled-CDT
-    layout) and numbers never assigned raise ``ValueError`` at every
-    entry point — never a count, never a callback, never a probe of
-    containers laid out for another mode."""
-    grid = Grid(WIDTH, HEIGHT)
-    capsule = grid.kernel_capsule(COMPILED)
-    source, goal = grid.cell_index(LANE[0]), grid.cell_index(LANE[-1])
-    vertices = {0: {5: {LANE[0][0] << 16 | LANE[0][1]}}}  # mode 3's shape
-    edges = {}
-    before = copy.deepcopy(vertices)
-    calls = {
-        "run": lambda: COMPILED.run(
-            capsule, mode, vertices, edges, 2, 1, LANE[-1], source, goal,
-            0, 200_000, None, 0, 0, 0, 0),
-        "tier0_leg": lambda: COMPILED.tier0_leg(
-            capsule, mode, vertices, edges, 2, 1, None, source, goal, 0, 0,
-            0, 0),
-        "reserve_path": lambda: COMPILED.reserve_path(
-            mode, vertices, edges, 2, 0, 0, 0, keys_of(LANE), 0, 0, 0),
-        "purge_before": lambda: COMPILED.purge_before(
-            mode, vertices, edges, 2, 40, 0, 0),
-    }
-    with pytest.raises(ValueError, match="unknown .*mode"):
-        calls[entry]()
-    assert vertices == before and edges == {}
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+def test_tables_hand_the_kernel_their_store(kernel):
+    # One native layout: every table answers its store capsule under the
+    # compiled switch and nothing under the python one.
+    set_search_kernel(kernel)
+    tables = [make_table() for make_table in TABLES.values()]
+    specs = [table.kernel_probe_spec() for table in tables]
+    if kernel == "python":
+        assert specs == [None] * len(TABLES)
+    else:
+        assert {type(spec).__name__ for spec in specs} == {"PyCapsule"}
+        assert len({id(spec) for spec in specs}) == len(TABLES)
 
 
 #: Ticks from here up overflowed the retired numpy audit index's packing.
@@ -406,7 +409,7 @@ def test_property_stored_edges_have_arrivals(name, kernel, ops):
             assert all(table.is_free_packed(t, key) for t, key in
                        zip(range(leg.start_time, floor), leg.keys))
         assert_edges_have_arrivals(table)
-        assert all(t >= floor for t in table._edge_buckets)
+        assert all(t >= floor for t in table.__getstate__()["_edge_buckets"])
     assert table.live_counts() == table.recount()
 
 
