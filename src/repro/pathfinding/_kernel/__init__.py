@@ -35,10 +35,12 @@ key a vertex with the edges that arrive on it as bits, allocated through
 ``PyMem_*``.  It holds its table weakly; a store whose table is gone, or
 any other object in a store slot, is refused.
 
-Inside ``run`` a seen state is one ``{key, parent}`` record; its cost is
-its time layer, read off the key.  The tick blocks it probes are fetched
-again after a finisher returns (python may have purged or reserved), and
-nothing it allocates outlives the call.
+Inside ``run`` a seen state is one ``{key, parent, next}`` record; its
+cost is its time layer, read off the key.  The records, the seen-map and
+the open lists are a workspace the grid's capsule keeps up to a 1 MB
+arena (a warm ``run`` allocates only its leg; a nested one borrows a
+second workspace).  Tick blocks are fetched again after a finisher
+returns.
 """
 
 from __future__ import annotations

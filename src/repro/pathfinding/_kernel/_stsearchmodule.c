@@ -1,8 +1,8 @@
 /* _stsearch — native expansion loop for repro.pathfinding.st_astar.
  *
  * Implements the packed-integer spatiotemporal A* core (bucket queue
- * over a per-call hash map of touched states, per-tick reservation
- * probes) in C, with results bit-identical to st_astar._search_heap:
+ * over an arena of seen-state records, per-tick reservation probes) in
+ * C, with results bit-identical to st_astar._search_heap:
  *
  *   - FIFO order  == _search_heap, deep=False  (floors below the gate)
  *   - deep order  == _search_heap, deep=True   (paper-scale floors)
@@ -14,9 +14,11 @@
  * deepest-g) first, FIFO within a sub-bucket.  A state is pushed once
  * (its g is its layer), so nothing in a bucket is ever stale; a field
  * that is not consistent would push behind the cursor and is refused
- * with AssertionError where it shows.  Everything a search allocates is
- * freed before run() returns, so a search started from inside a
- * finisher is just another call.
+ * with AssertionError where it shows.  The records, the seen-map and
+ * the buckets live in a workspace the grid keeps between calls (freed
+ * with the grid; a search that outgrew WS_KEEP_RECORDS frees its own),
+ * so a warm run() allocates only the leg it returns; a search started
+ * from inside a finisher borrows another workspace.
  *
  * A swap on the move a -> b departing t needs a partner arriving on a at
  * t + 1 (ReservationTable's contract), so the edge set is asked only
@@ -108,6 +110,172 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 }
 
 /* ------------------------------------------------------------------ */
+/* The search workspace.  A state the search has seen is one record,   */
+/* appended in push order: its key (layer << 32 | flat cell index;     */
+/* every action costs one tick, so a state's g is its layer, read off  */
+/* the key, never stored), the record it was first reached from and    */
+/* the next record of its open list.  The open set is intrusive FIFO   */
+/* lists threaded through ``next``: one per f offset (FIFO order) or   */
+/* one per (f offset, h) (deep-tie order).  The seen-map holds record  */
+/* indices, open-addressed.  A workspace belongs to its grid and       */
+/* outlives the call: run() resets lengths, not memory, and            */
+/* re-initialises entries as it extends them, so a warm search         */
+/* allocates nothing (up to the arena the grid keeps).  A search       */
+/* started from inside a finisher takes another of the grid's.         */
+/* ------------------------------------------------------------------ */
+
+#define LAYER_SHIFT 32
+#define SEEN_START 4096   /* the seen-map's logical size at every call */
+/* The largest record arena a grid keeps between calls (1 MB): the rare
+ * deep search frees its workspace rather than pin it on the grid. */
+#define WS_KEEP_RECORDS ((Py_ssize_t)1 << 16)
+
+typedef struct {
+    int64_t key;          /* layer << LAYER_SHIFT | cell index, >= 0 */
+    int32_t parent;       /* record index; -1 for the source */
+    int32_t next;         /* next record of its open list; -1 ends it */
+} Rec;
+
+typedef struct {
+    int32_t head, tail;   /* head -1: nothing unread */
+} Fifo;
+
+typedef struct {          /* one f offset's lists by h (deep-tie order) */
+    Fifo *by_h;
+    Py_ssize_t h_len, h_cap;  /* h_cap and by_h survive the reset */
+    int64_t lo_h;         /* smallest h with possibly-unread entries */
+    int64_t live;         /* unread entries across all h */
+} Level;
+
+typedef struct Workspace {
+    struct Workspace *spare;  /* the grid's next idle workspace */
+    Rec *rec;
+    Py_ssize_t n_rec, rec_cap;
+    int32_t *seen;            /* record index per slot, -1 empty */
+    Py_ssize_t seen_size, seen_cap;   /* logical (a power of two), held */
+    int seen_shift;           /* 64 - log2(seen_size) */
+    Fifo *fifo;
+    Py_ssize_t fifo_len, fifo_cap;
+    Level *deepq;
+    Py_ssize_t deep_len, deep_cap;
+} Workspace;
+
+/* Make ``*buf`` hold at least ``need`` items of ``size`` bytes, doubling;
+ * new items are zeroed if ``zero`` (untouched pages stay unmapped
+ * otherwise).  -1 with MemoryError set when out of memory. */
+static int
+ws_reserve(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size,
+           int zero)
+{
+    if (need <= *cap)
+        return 0;
+    Py_ssize_t ncap = *cap ? *cap : 16;
+    while (ncap < need)
+        ncap *= 2;
+    char *nb = (size_t)ncap > PY_SSIZE_T_MAX / size ? NULL
+        : PyMem_Realloc(*buf, (size_t)ncap * size);
+    if (nb == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (zero)
+        memset(nb + (size_t)*cap * size, 0, (size_t)(ncap - *cap) * size);
+    *buf = nb;
+    *cap = ncap;
+    return 0;
+}
+
+static void
+ws_free(Workspace *ws)
+{
+    for (Py_ssize_t i = 0; i < ws->deep_cap; i++)
+        PyMem_Free(ws->deepq[i].by_h);
+    PyMem_Free(ws->deepq);
+    PyMem_Free(ws->fifo);
+    PyMem_Free(ws->seen);
+    PyMem_Free(ws->rec);
+    PyMem_Free(ws);
+}
+
+static inline Py_ssize_t
+seen_slot(const Workspace *ws, int64_t key)
+{
+    Py_ssize_t mask = ws->seen_size - 1;
+    Py_ssize_t i = (Py_ssize_t)(((uint64_t)key * 0x9E3779B97F4A7C15ULL)
+                                >> ws->seen_shift);
+    int32_t r;
+    while ((r = ws->seen[i]) >= 0 && ws->rec[r].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+/* Empty the seen-map at logical ``size`` and file every record again. */
+static int
+seen_reset(Workspace *ws, Py_ssize_t size)
+{
+    if (ws_reserve((void **)&ws->seen, &ws->seen_cap, size,
+                   sizeof(int32_t), 0) < 0)
+        return -1;
+    ws->seen_size = size;
+    for (ws->seen_shift = 64; size > 1; size >>= 1)
+        ws->seen_shift--;
+    memset(ws->seen, 0xFF, (size_t)ws->seen_size * sizeof(int32_t));
+    for (Py_ssize_t r = 0; r < ws->n_rec; r++)
+        ws->seen[seen_slot(ws, ws->rec[r].key)] = (int32_t)r;
+    return 0;
+}
+
+/* Append record ``r`` to ``list``. */
+static inline void
+fifo_push(Rec *rec, Fifo *list, int32_t r)
+{
+    if (list->head < 0)
+        list->head = r;
+    else
+        rec[list->tail].next = r;
+    list->tail = r;
+}
+
+/* Extend ``*len`` empty lists to cover index ``at``. */
+static int
+fifo_extend(Fifo **lists, Py_ssize_t *len, Py_ssize_t *cap, Py_ssize_t at)
+{
+    if (at < *len)
+        return 0;
+    if (ws_reserve((void **)lists, cap, at + 1, sizeof(Fifo), 0) < 0)
+        return -1;
+    memset(*lists + *len, 0xFF, (size_t)(at + 1 - *len) * sizeof(Fifo));
+    *len = at + 1;
+    return 0;
+}
+
+/* The open list a state at f offset ``f`` and heuristic ``h`` joins. */
+static Fifo *
+open_list(Workspace *ws, int deep, Py_ssize_t f, Py_ssize_t h)
+{
+    if (!deep)
+        return fifo_extend(&ws->fifo, &ws->fifo_len, &ws->fifo_cap, f) < 0
+            ? NULL : &ws->fifo[f];
+    if (f >= ws->deep_len) {
+        if (ws_reserve((void **)&ws->deepq, &ws->deep_cap, f + 1,
+                       sizeof(Level), 1) < 0)
+            return NULL;
+        for (; ws->deep_len <= f; ws->deep_len++) {
+            Level *lv = &ws->deepq[ws->deep_len];
+            lv->h_len = lv->live = 0;
+            lv->lo_h = INT64_MAX;
+        }
+    }
+    Level *lv = &ws->deepq[f];
+    if (fifo_extend(&lv->by_h, &lv->h_len, &lv->h_cap, h) < 0)
+        return NULL;
+    lv->live++;
+    if (h < lv->lo_h)
+        lv->lo_h = h;
+    return &lv->by_h[h];
+}
+
+/* ------------------------------------------------------------------ */
 /* Prepared grid: CSR adjacency + per-cell packed keys, filled         */
 /* here from the grid's blocked mask (mask[x * H + y] != 0 is a wall). */
 /* Rows list passable neighbours in the order Grid.neighbours yields   */
@@ -120,11 +288,17 @@ typedef struct {
     Py_ssize_t *adj_off;   /* n_cells + 1 offsets into adj_nci */
     int32_t *adj_nci;
     int64_t *cell_keys;
+    Workspace *idle;       /* the workspaces no search holds */
 } GridData;
 
 static void
 grid_data_free(GridData *gd)
 {
+    while (gd->idle != NULL) {
+        Workspace *ws = gd->idle;
+        gd->idle = ws->spare;
+        ws_free(ws);
+    }
     PyMem_Free(gd->adj_off);
     PyMem_Free(gd->adj_nci);
     PyMem_Free(gd->cell_keys);
@@ -210,197 +384,6 @@ gd_fail:
 fail:
     PyBuffer_Release(&mask);
     return NULL;
-}
-
-/* ------------------------------------------------------------------ */
-/* Open-set containers.                                                */
-/* ------------------------------------------------------------------ */
-
-typedef struct {           /* one FIFO list of packed rel-states */
-    int64_t *items;
-    Py_ssize_t len, cap, pos;
-} Bucket;
-
-typedef struct {           /* per-f bucket array (FIFO / seed order) */
-    Bucket *b;
-    Py_ssize_t len, cap;
-} BArray;
-
-typedef struct {           /* per-f sub-buckets by h (deep-tie order) */
-    Bucket *by_h;
-    Py_ssize_t h_len, h_cap;
-    int64_t lo_h;          /* smallest h with possibly-unread entries */
-    int64_t live;          /* unread entries across all sub-buckets */
-} FBucket;
-
-typedef struct {
-    FBucket *b;
-    Py_ssize_t len, cap;
-} FBArray;
-
-static int
-bucket_push(Bucket *bk, int64_t value)
-{
-    if (bk->len == bk->cap) {
-        Py_ssize_t ncap = bk->cap ? bk->cap * 2 : 8;
-        int64_t *ni = PyMem_Realloc(bk->items, ncap * sizeof(int64_t));
-        if (ni == NULL)
-            return -1;
-        bk->items = ni;
-        bk->cap = ncap;
-    }
-    bk->items[bk->len++] = value;
-    return 0;
-}
-
-static int
-barray_ensure(BArray *ba, Py_ssize_t f)
-{
-    if (f < ba->len)
-        return 0;
-    if (f >= ba->cap) {
-        Py_ssize_t ncap = ba->cap ? ba->cap : 16;
-        while (ncap <= f)
-            ncap *= 2;
-        Bucket *nb = PyMem_Realloc(ba->b, ncap * sizeof(Bucket));
-        if (nb == NULL)
-            return -1;
-        ba->b = nb;
-        ba->cap = ncap;
-    }
-    memset(ba->b + ba->len, 0, (f + 1 - ba->len) * sizeof(Bucket));
-    ba->len = f + 1;
-    return 0;
-}
-
-static void
-barray_free_items(BArray *ba)
-{
-    for (Py_ssize_t i = 0; i < ba->len; i++)
-        PyMem_Free(ba->b[i].items);
-    PyMem_Free(ba->b);
-    ba->b = NULL;
-    ba->len = ba->cap = 0;
-}
-
-static int
-fbarray_ensure(FBArray *fa, Py_ssize_t f)
-{
-    if (f < fa->len)
-        return 0;
-    if (f >= fa->cap) {
-        Py_ssize_t ncap = fa->cap ? fa->cap : 16;
-        while (ncap <= f)
-            ncap *= 2;
-        FBucket *nb = PyMem_Realloc(fa->b, ncap * sizeof(FBucket));
-        if (nb == NULL)
-            return -1;
-        fa->b = nb;
-        fa->cap = ncap;
-    }
-    for (Py_ssize_t i = fa->len; i <= f; i++) {
-        memset(&fa->b[i], 0, sizeof(FBucket));
-        fa->b[i].lo_h = INT64_MAX;
-    }
-    fa->len = f + 1;
-    return 0;
-}
-
-static int
-fbucket_ensure_h(FBucket *fb, Py_ssize_t h)
-{
-    if (h < fb->h_len)
-        return 0;
-    if (h >= fb->h_cap) {
-        Py_ssize_t ncap = fb->h_cap ? fb->h_cap : 8;
-        while (ncap <= h)
-            ncap *= 2;
-        Bucket *nb = PyMem_Realloc(fb->by_h, ncap * sizeof(Bucket));
-        if (nb == NULL)
-            return -1;
-        fb->by_h = nb;
-        fb->h_cap = ncap;
-    }
-    memset(fb->by_h + fb->h_len, 0, (h + 1 - fb->h_len) * sizeof(Bucket));
-    fb->h_len = h + 1;
-    return 0;
-}
-
-static void
-fbarray_free(FBArray *fa)
-{
-    for (Py_ssize_t i = 0; i < fa->len; i++) {
-        FBucket *fb = &fa->b[i];
-        for (Py_ssize_t h = 0; h < fb->h_len; h++)
-            PyMem_Free(fb->by_h[h].items);
-        PyMem_Free(fb->by_h);
-    }
-    PyMem_Free(fa->b);
-    fa->b = NULL;
-    fa->len = fa->cap = 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* Open-addressing map of the states a search has seen: one record per */
-/* state, its key and the state it was first reached from.  A state is */
-/* layer * n_cells + cell and every action costs one tick, so a        */
-/* state's g is its layer and is read off the key, never stored.       */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    int64_t key;       /* -1 == empty (rel states are non-negative) */
-    int64_t parent;
-} HEntry;
-
-typedef struct {
-    HEntry *e;
-    Py_ssize_t cap, mask, used;
-} HMap;
-
-static int
-hmap_init(HMap *m, Py_ssize_t cap)
-{
-    m->cap = cap;
-    m->mask = cap - 1;
-    m->used = 0;
-    m->e = PyMem_Malloc(cap * sizeof(HEntry));
-    if (m->e == NULL)
-        return -1;
-    memset(m->e, 0xFF, cap * sizeof(HEntry));  /* every key -1 */
-    return 0;
-}
-
-static void
-hmap_free(HMap *m)
-{
-    PyMem_Free(m->e);
-    m->e = NULL;
-}
-
-static inline Py_ssize_t
-hmap_slot(const HMap *m, int64_t key)
-{
-    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
-    Py_ssize_t i = (Py_ssize_t)((h ^ (h >> 29)) & (uint64_t)m->mask);
-    while (m->e[i].key != -1 && m->e[i].key != key)
-        i = (i + 1) & m->mask;
-    return i;
-}
-
-static int
-hmap_grow(HMap *m)
-{
-    HMap bigger;
-    if (hmap_init(&bigger, m->cap * 2) < 0)
-        return -1;
-    for (Py_ssize_t i = 0; i < m->cap; i++) {
-        if (m->e[i].key != -1)
-            bigger.e[hmap_slot(&bigger, m->e[i].key)] = m->e[i];
-    }
-    bigger.used = m->used;
-    hmap_free(m);
-    *m = bigger;
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -708,22 +691,12 @@ typedef struct {
     const int32_t *hbuf;   /* h_mode 2: int32 buffer field (borrowed) */
     int h_mode;            /* 1 native Manhattan, 2 int32 buffer */
     long long gx, gy;      /* h_mode 1 goal coordinates */
-    /* per-call state: nothing outlives run() */
-    int deep;              /* deep-tie sub-bucket order vs FIFO */
-    HMap hm;               /* rel state -> parent */
-    BArray fifo;           /* FIFO open set */
-    FBArray deepq;         /* deep-tie open set */
+    /* per-call state, in the borrowed workspace */
+    int deep;              /* deep-tie per-(f, h) lists vs FIFO per f */
+    Workspace *ws;
     int64_t hi_f;
     int64_t h0;
 } Search;
-
-static void
-search_free(Search *s)
-{
-    hmap_free(&s->hm);
-    fbarray_free(&s->deepq);
-    barray_free_items(&s->fifo);
-}
 
 static inline int64_t
 heuristic_at(const Search *s, Py_ssize_t ci, int *err)
@@ -774,58 +747,66 @@ h_field_open(int h_mode, PyObject *h_arg, Py_ssize_t n_cells,
     return 1;
 }
 
-/* Record a successor the search has not seen and push it at f-offset
- * ``nf``; a state is reached at one cost only (its layer), so the first
- * push stands.  ``h`` is the successor's heuristic (deep mode sub-bucket
- * index).  Returns 1 pushed, 0 seen before, -1 out of memory. */
+/* Record a successor the search has not seen, reached from record
+ * ``parent``, and push it at f-offset ``nf``; a state is reached at one
+ * cost only (its layer), so the first push stands.  ``h`` is the
+ * successor's heuristic (deep mode list index).  Returns 1 pushed, 0
+ * seen before, -1 with MemoryError set. */
 static inline int
-relax(Search *s, int64_t nrel, int64_t rel, int64_t nf, int64_t h)
+relax(Search *s, int64_t nrel, int32_t parent, int64_t nf, int64_t h)
 {
-    if ((s->hm.used + 1) * 3 > s->hm.cap * 2 && hmap_grow(&s->hm) < 0)
+    Workspace *ws = s->ws;
+    if ((ws->n_rec + 1) * 3 > ws->seen_size * 2
+            && seen_reset(ws, ws->seen_size * 2) < 0)
         return -1;
-    HEntry *entry = &s->hm.e[hmap_slot(&s->hm, nrel)];
-    if (entry->key != -1)
+    Py_ssize_t slot = seen_slot(ws, nrel);
+    if (ws->seen[slot] >= 0)
         return 0;
-    entry->key = nrel;
-    entry->parent = rel;
-    s->hm.used++;
-    if (s->deep) {
-        if (fbarray_ensure(&s->deepq, (Py_ssize_t)nf) < 0)
-            return -1;
-        FBucket *fb = &s->deepq.b[nf];
-        if (fbucket_ensure_h(fb, (Py_ssize_t)h) < 0)
-            return -1;
-        if (bucket_push(&fb->by_h[h], nrel) < 0)
-            return -1;
-        fb->live++;
-        if (h < fb->lo_h)
-            fb->lo_h = h;
-    } else {
-        if (barray_ensure(&s->fifo, (Py_ssize_t)nf) < 0)
-            return -1;
-        if (bucket_push(&s->fifo.b[nf], nrel) < 0)
-            return -1;
+    if (ws->n_rec == INT32_MAX) {
+        PyErr_SetString(PyExc_MemoryError,
+                        "a search holds at most INT32_MAX states");
+        return -1;
     }
+    if (ws_reserve((void **)&ws->rec, &ws->rec_cap, ws->n_rec + 1,
+                   sizeof(Rec), 0) < 0)
+        return -1;
+    Fifo *list = open_list(ws, s->deep, (Py_ssize_t)nf, (Py_ssize_t)h);
+    if (list == NULL)
+        return -1;
+    int32_t r = (int32_t)ws->n_rec++;
+    ws->rec[r] = (Rec){nrel, parent, -1};
+    ws->seen[slot] = r;
+    fifo_push(ws->rec, list, r);
     if (nf > s->hi_f)
         s->hi_f = nf;
     return 1;
 }
 
-/* The leg ending at ``rel`` as keys: a state's layer is its depth, so
- * the parent chain fills the buffer back to front. */
+/* The leg ending at record ``r``, checked, as a new array('q') the
+ * parent chain fills back to front (a state's layer is its depth): the
+ * leg is the one buffer the search allocates. */
 static PyObject *
-reconstruct(const Search *s, int64_t rel)
+reconstruct(const Search *s, int32_t r)
 {
-    Py_ssize_t n = (Py_ssize_t)(rel / s->n_cells) + 1;
-    int64_t *keys = PyMem_Malloc((size_t)n * sizeof(int64_t));
-    if (keys == NULL)
-        return PyErr_NoMemory();
-    for (Py_ssize_t i = n - 1; i >= 0; i--) {
-        keys[i] = s->gd->cell_keys[rel % s->n_cells];
-        rel = s->hm.e[hmap_slot(&s->hm, rel)].parent;
+    const Rec *rec = s->ws->rec;
+    Py_ssize_t n = (Py_ssize_t)(rec[r].key >> LAYER_SHIFT) + 1;
+    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
+    PyObject *out = zero == NULL ? NULL : PySequence_Repeat(zero, n);
+    Py_XDECREF(zero);
+    Py_buffer view;
+    if (out == NULL || PyObject_GetBuffer(out, &view, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(out);
+        return NULL;
     }
-    PyObject *out = keys_export(keys, n);
-    PyMem_Free(keys);
+    int64_t *keys = view.buf;
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        keys[i] = s->gd->cell_keys[rec[r].key & INT32_MAX];
+        r = rec[r].parent;
+    }
+    int bad = keys_check(keys, n);
+    PyBuffer_Release(&view);
+    if (bad < 0)
+        Py_CLEAR(out);
     return out;
 }
 
@@ -879,16 +860,29 @@ stsearch_run(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    /* State store and open set, seeded with the source. */
-    if (hmap_init(&s.hm, 4096) < 0
-            || relax(&s, source_ci, -1, 0, s.h0) < 0) {
-        search_free(&s);
+    /* The grid's idle workspace, or a new one, seeded with the source;
+     * every exit from here on hands it back (or frees it, if it grew
+     * past what the grid keeps). */
+    int status = ST_EXHAUSTED;
+    int32_t result = -1;          /* the record the leg ends on */
+    PyObject *keys = NULL;        /* owned on success */
+    PyObject *finisher_tail = NULL;
+    PyObject *out = NULL;
+    Workspace *ws = gd->idle;
+    if (ws != NULL)
+        gd->idle = ws->spare;
+    else if ((ws = PyMem_Calloc(1, sizeof(Workspace))) == NULL) {
         if (have_hview)
             PyBuffer_Release(&hview);
         return PyErr_NoMemory();
     }
+    s.ws = ws;
+    ws->n_rec = ws->fifo_len = ws->deep_len = 0;
+    if (seen_reset(ws, SEEN_START) < 0
+            || relax(&s, source_ci, -1, 0, s.h0) < 0)
+        goto fail;
 
-    int64_t f_off = 0;           /* bucket cursor (f - h0) */
+    int64_t f_off = 0;           /* list cursor (f - h0) */
     int64_t f_abs = s.h0;        /* absolute f at the cursor */
     int64_t open_size = 1;
     int64_t expansions = (int64_t)init_expansions;
@@ -896,66 +890,50 @@ stsearch_run(PyObject *self, PyObject *args)
     int64_t peak_open = (int64_t)init_peak_open;
     int64_t loop_ticker = 0;
 
-    int status = ST_EXHAUSTED;
-    int64_t result_rel = -1;
-    PyObject *keys = NULL;        /* owned on success */
-    PyObject *finisher_tail = NULL;
-    PyObject *out = NULL;
-
     while (open_size > 0) {
         if (((++loop_ticker) & 0x3FFF) == 0 && PyErr_CheckSignals() < 0)
             goto fail;
 
         /* -- pop ------------------------------------------------------ */
-        int64_t rel;
+        Fifo *list = NULL;
+        Level *lv = NULL;
         if (s.deep) {
-            while (f_off < s.deepq.len && s.deepq.b[f_off].live == 0) {
+            while (f_off < ws->deep_len && ws->deepq[f_off].live == 0) {
                 f_off++;
                 f_abs++;
             }
-            if (f_off > s.hi_f || f_off >= s.deepq.len) {
-                PyErr_SetString(PyExc_AssertionError,
-                                "bucket queue underflow: heuristic field "
-                                "is not consistent");
-                goto fail;
+            if (f_off <= s.hi_f && f_off < ws->deep_len) {
+                lv = &ws->deepq[f_off];
+                while (lv->lo_h < lv->h_len && lv->by_h[lv->lo_h].head < 0)
+                    lv->lo_h++;
+                if (lv->lo_h < lv->h_len)
+                    list = &lv->by_h[lv->lo_h];
             }
-            FBucket *fb = &s.deepq.b[f_off];
-            while (fb->lo_h < fb->h_len
-                    && fb->by_h[fb->lo_h].pos >= fb->by_h[fb->lo_h].len)
-                fb->lo_h++;
-            if (fb->lo_h >= fb->h_len) {
-                PyErr_SetString(PyExc_AssertionError,
-                                "bucket queue underflow: heuristic field "
-                                "is not consistent");
-                goto fail;
-            }
-            Bucket *hb = &fb->by_h[fb->lo_h];
-            if (open_size > peak_open)
-                peak_open = open_size;
-            rel = hb->items[hb->pos++];
-            fb->live--;
         } else {
-            BArray *ba = &s.fifo;
-            while (f_off < ba->len
-                    && ba->b[f_off].pos >= ba->b[f_off].len) {
+            while (f_off < ws->fifo_len && ws->fifo[f_off].head < 0) {
                 f_off++;
                 f_abs++;
             }
-            if (f_off > s.hi_f || f_off >= ba->len) {
-                PyErr_SetString(PyExc_AssertionError,
-                                "bucket queue underflow: heuristic field "
-                                "is not consistent");
-                goto fail;
-            }
-            Bucket *bk = &ba->b[f_off];
-            if (open_size > peak_open)
-                peak_open = open_size;
-            rel = bk->items[bk->pos++];
+            if (f_off <= s.hi_f && f_off < ws->fifo_len)
+                list = &ws->fifo[f_off];
         }
+        if (list == NULL) {
+            PyErr_SetString(PyExc_AssertionError,
+                            "bucket queue underflow: heuristic field "
+                            "is not consistent");
+            goto fail;
+        }
+        if (open_size > peak_open)
+            peak_open = open_size;
+        int32_t cur = list->head;
+        list->head = ws->rec[cur].next;
+        if (lv != NULL)
+            lv->live--;
         open_size--;
+        int64_t rel = ws->rec[cur].key;
 
-        int64_t t_rel = rel / s.n_cells;
-        Py_ssize_t ci = (Py_ssize_t)(rel % s.n_cells);
+        int64_t t_rel = rel >> LAYER_SHIFT;
+        Py_ssize_t ci = (Py_ssize_t)(rel & INT32_MAX);
         int64_t h_ci = heuristic_at(&s, ci, &herr);
         if (herr)
             goto fail;
@@ -974,7 +952,7 @@ stsearch_run(PyObject *self, PyObject *args)
 
         if (ci == (Py_ssize_t)goal_ci) {
             status = ST_COMPLETE;
-            result_rel = rel;
+            result = cur;
             goto done;
         }
 
@@ -998,7 +976,7 @@ stsearch_run(PyObject *self, PyObject *args)
                 goto fail;
             if (tail != Py_None) {
                 status = ST_FINISHER;
-                result_rel = rel;
+                result = cur;
                 finisher_tail = tail;
                 goto done;
             }
@@ -1006,7 +984,7 @@ stsearch_run(PyObject *self, PyObject *args)
         }
 
         int64_t t1 = start_time + t_rel + 1;
-        int64_t nxt_base = rel - ci + s.n_cells;
+        int64_t nxt_base = (t_rel + 1) << LAYER_SHIFT;
         int64_t base_f = t_rel + 1 - s.h0;
 
         /* python may have run (a finisher): blocks are fetched anew */
@@ -1017,11 +995,9 @@ stsearch_run(PyObject *self, PyObject *args)
          * which a move out of this cell can be a swap. */
         int held = probe_vertex(&probe, gd, ci);
         if (!held) {
-            int pushed = relax(&s, nxt_base + ci, rel, base_f + h_ci, h_ci);
-            if (pushed < 0) {
-                PyErr_NoMemory();
+            int pushed = relax(&s, nxt_base + ci, cur, base_f + h_ci, h_ci);
+            if (pushed < 0)
                 goto fail;
-            }
             if (pushed) {
                 generated++;
                 open_size++;
@@ -1044,11 +1020,9 @@ stsearch_run(PyObject *self, PyObject *args)
                                 "field is not consistent");
                 goto fail;
             }
-            int pushed = relax(&s, nxt_base + nci, rel, base_f + nh, nh);
-            if (pushed < 0) {
-                PyErr_NoMemory();
+            int pushed = relax(&s, nxt_base + nci, cur, base_f + nh, nh);
+            if (pushed < 0)
                 goto fail;
-            }
             if (pushed) {
                 generated++;
                 open_size++;
@@ -1057,9 +1031,9 @@ stsearch_run(PyObject *self, PyObject *args)
     }
 
 done:
-    if (result_rel >= 0)
-        keys = reconstruct(&s, result_rel);
-    if (result_rel < 0 || keys != NULL)
+    if (result >= 0)
+        keys = reconstruct(&s, result);
+    if (result < 0 || keys != NULL)
         out = Py_BuildValue(
             "iOOLLL", status,
             keys ? keys : Py_None,
@@ -1069,7 +1043,12 @@ done:
 fail:
     Py_XDECREF(keys);
     Py_XDECREF(finisher_tail);
-    search_free(&s);
+    if (ws->rec_cap > WS_KEEP_RECORDS) {
+        ws_free(ws);
+    } else {
+        ws->spare = gd->idle;
+        gd->idle = ws;
+    }
     if (have_hview)
         PyBuffer_Release(&hview);
     return out;

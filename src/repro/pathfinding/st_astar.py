@@ -25,11 +25,11 @@ The open set is ordered by ``(f, depth, tie)``; :func:`_search_heap`
 states the rule and is its python implementation — the fallback kernel
 and the oracle of the cross-kernel suites.  The native kernel
 (``_kernel/_stsearchmodule.c``, reached through :func:`_search_compiled`)
-realises the same order as a bucket queue over a per-call hash map and
-answers every search on one of the library's tables under one of its
-heuristic fields; a caller-supplied heuristic (a callable, a custom
-``flat``) or table stays on the python core.  Neither keeps any state
-once a search has returned.
+realises the same order as a bucket queue over a workspace its grid
+keeps and answers every search on one of the library's tables under one
+of its heuristic fields; a caller-supplied heuristic (a callable, a custom
+``flat``) or table stays on the python core.  No search state outlives
+a call; the native kernel reuses only its grid's workspace memory.
 
 Two calling conventions coexist:
 

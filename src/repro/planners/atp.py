@@ -71,7 +71,8 @@ class AdaptiveTaskPlanner(Planner):
     def _select_greedy(self, racks: List[Rack],
                        budget: int) -> List[SelectionEntry]:
         """Alg. 2 lines 6–9: greedy choice, q updated from each selection."""
-        entries = most_slack_first(racks, budget, self.picker_finish_time)
+        entries = most_slack_first(racks[0]._world.selectable_by_picker(),
+                                   budget, self.picker_finish_time)
         for entry in entries:
             self.agent.update(self.observe(entry.rack), ACTION_REQUEST,
                               greedy=True)

@@ -6,6 +6,7 @@ pickup time, plan for racks whose picker is *most slack* (smallest finish
 time f_p, Eq. 3), since a slack picker implies less queuing.  Every
 selectable rack is dispatched as soon as a robot is free — no batching —
 which is exactly the greedy behaviour the Sec. III-B bad case punishes.
+A wake walks the world's kept per-picker index of selectable racks.
 """
 
 from __future__ import annotations
@@ -25,4 +26,6 @@ class NaiveTaskPlanner(Planner):
 
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
-        return most_slack_first(racks, len(robots), self.picker_finish_time)
+        # The per-picker index of the world ``racks`` (never empty) came from.
+        return most_slack_first(racks[0]._world.selectable_by_picker(),
+                                len(robots), self.picker_finish_time)

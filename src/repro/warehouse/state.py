@@ -5,9 +5,9 @@ the cheap indexes planners query every timestamp: racks per picker, idle
 robots, racks with pending items.  It is the ``R``, ``P``, ``A`` triple of
 the TPRW problem statement plus the grid they live on.
 
-The idle-robot and selectable-rack sets are kept incrementally — the write
-hooks of :mod:`~repro.warehouse.entities` re-file the one entity that
-changed — so a planner wake costs what changed, not a rescan of the world.
+The idle-robot and selectable-rack sets (whole and per picker) are kept
+incrementally — the entity write hooks re-file the one entity that changed
+— so a planner wake costs what changed, not a rescan of the world.
 """
 
 from __future__ import annotations
@@ -52,20 +52,21 @@ class WarehouseState:
     pickers: List[Picker]
     robots: List[Robot]
     _racks_by_picker: Dict[int, List[int]] = field(default_factory=dict, repr=False)
-    #: The idle robots / selectable racks, ascending by id — derived data,
-    #: kept current by :meth:`_robot_changed` / :meth:`_rack_changed`.
+    #: The idle robots / selectable racks (also per picker), ascending by id
+    #: — derived data, kept by :meth:`_robot_changed` / :meth:`_rack_changed`.
     _idle: List[Robot] = field(default_factory=list, repr=False, compare=False)
     _selectable: List[Rack] = field(default_factory=list, repr=False,
                                     compare=False)
+    _selectable_by_picker: Dict[int, List[Rack]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rebuild_indexes()
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if "_idle" not in state:
-            # Pickled before the incremental indices existed: the
-            # entities carry no back-reference yet either.
+        if not {"_idle", "_selectable_by_picker"} <= state.keys():
+            # Pickled before (some of) the incremental indices existed.
             self._rebuild_indexes()
 
     # -- construction -------------------------------------------------------
@@ -121,6 +122,7 @@ class WarehouseState:
             robot._world = self
         self._idle = self._scan_idle()
         self._selectable = self._scan_selectable()
+        self._selectable_by_picker = self._scan_selectable_by_picker()
 
     def _scan_idle(self) -> List[Robot]:
         return [robot for robot in self.robots if robot.is_idle]
@@ -128,13 +130,21 @@ class WarehouseState:
     def _scan_selectable(self) -> List[Rack]:
         return [rack for rack in self.racks if rack.selectable]
 
+    def _scan_selectable_by_picker(self) -> Dict[int, List[Rack]]:
+        return {pid: [self.racks[rid] for rid in rids
+                      if self.racks[rid].selectable]
+                for pid, rids in self._racks_by_picker.items()}
+
     def _robot_changed(self, robot: Robot) -> None:
         """Re-file ``robot`` after a write of its ``state``."""
         _file(self._idle, robot, _ROBOT_ID, robot.is_idle)
 
     def _rack_changed(self, rack: Rack) -> None:
         """Re-file ``rack`` after a write of its ``phase`` / ``pending_items``."""
-        _file(self._selectable, rack, _RACK_ID, rack.selectable)
+        wanted = rack.selectable
+        _file(self._selectable, rack, _RACK_ID, wanted)
+        _file(self._selectable_by_picker[rack.picker_id], rack, _RACK_ID,
+              wanted)
 
     # -- planner-facing queries ---------------------------------------------
 
@@ -145,6 +155,11 @@ class WarehouseState:
     def selectable_racks(self) -> List[Rack]:
         """Racks that are home (STORED) and carry at least one pending item."""
         return list(self._selectable)
+
+    def selectable_by_picker(self) -> Dict[int, List[Rack]]:
+        """Each picker's selectable racks, ascending by id (empty lists
+        for pickers without work).  The live index: read, never mutate."""
+        return self._selectable_by_picker
 
     def dispatchable(self) -> bool:
         """Whether an idle robot and a selectable rack coexist (O(1))."""
@@ -160,14 +175,8 @@ class WarehouseState:
 
     def pickers_with_work(self) -> List[Picker]:
         """Pickers that have at least one selectable rack (Alg. 1 line 4)."""
-        out = []
-        for picker in self.pickers:
-            for rid in self._racks_by_picker[picker.picker_id]:
-                rack = self.racks[rid]
-                if rack.phase is RackPhase.STORED and rack.has_pending:
-                    out.append(picker)
-                    break
-        return out
+        return [picker for picker in self.pickers
+                if self._selectable_by_picker.get(picker.picker_id)]
 
     def total_pending_items(self) -> int:
         """Number of items that emerged but are not yet part of a batch."""
@@ -192,16 +201,20 @@ class WarehouseState:
         - a robot in a carrying state references an existing rack;
         - a rack IN_TRANSIT is referenced by exactly one busy robot;
         - picker queues only contain IN_TRANSIT racks;
-        - the incremental idle / selectable indices equal a from-scratch
-          rescan (same objects, ascending id), and every rack's batch
-          facts equal a rescan of its ``pending_items`` — a writer that
+        - the incremental idle / selectable (whole and per picker) indices
+          equal a from-scratch rescan (same objects, ascending id), and
+          every rack's batch facts equal a rescan of its ``pending_items`` — a writer that
           bypassed the entity hooks fails here instead of silently
           diverging.
         """
         for name, key, index, rescan in (
                 ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
                 ("selectable-rack", _RACK_ID, self._selectable,
-                 self._scan_selectable())):
+                 self._scan_selectable()),
+                *((f"picker {pid} selectable-rack", _RACK_ID,
+                   self._selectable_by_picker.get(pid, []), rescan)
+                  for pid, rescan in
+                  self._scan_selectable_by_picker().items())):
             if list(map(id, index)) != list(map(id, rescan)):
                 stale = set(map(key, index)) ^ set(map(key, rescan))
                 raise SimulationError(

@@ -523,32 +523,159 @@ def test_search_and_reserve_from_inside_a_finisher(kernel, table_name):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_search_retains_nothing(kernel):
-    # Out-waiting a doorway camped for 150 ticks on the 64x40 floor
-    # touches ~150 time layers; once the outcome is dropped, the memory
-    # must be back where it was before the call.
-    grid = Grid(64, 40, blocked=[(32, y) for y in range(40) if y != 20])
-    table = ConflictDetectionTable()
-    request = SearchRequest((0, 20), (63, 20), 0)
+    # Out-waiting a doorway camped for 150 ticks on the 64x40 floor: from
+    # t=0 a search touches ~150 time layers, from t=100 about 50.  The
+    # first search on a grid builds what the grid keeps for the next one
+    # (under the python kernel, the adjacency rows it reads; the native
+    # workspace, unless the search outgrew what a grid keeps); a warm
+    # search leaves memory where it was, and dropping the grid gives
+    # back what it kept.
     set_search_kernel(kernel)
-    table.reserve_path(Path.from_cells([(32, 20)] * 150, start_time=0))
-    # Warm what legitimately outlives a search by running the same deep
-    # one first: the grid's capsule and, under the python kernel, the
-    # adjacency rows the search reads.
-    assert search(grid, table, request).ok
+    compiled = kernel == "compiled"
+    deep = SearchRequest((0, 20), (63, 20), 0)
+    late = SearchRequest((0, 20), (63, 20), 100)
+
+    def traced():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()
     try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        outcome = search(grid, table, request)
-        assert outcome.ok and outcome.path.duration > 150
-        del outcome
-        gc.collect()
-        after, peak = tracemalloc.get_traced_memory()
+        start = traced()
+        grid = Grid(64, 40, blocked=[(32, y) for y in range(40) if y != 20])
+        table = ConflictDetectionTable()
+        table.reserve_path(Path.from_cells([(32, 20)] * 150, start_time=0))
+        cold = traced()
+        tracemalloc.reset_peak()
+        assert search(grid, table, deep).path.duration > 150
+        # the deep search did need real memory, and the grid keeps none
+        # of it but the prepared floor
+        assert tracemalloc.get_traced_memory()[1] - cold > 1 << 20
+        before = traced()
+        assert not compiled or before - cold < 256 << 10
+        assert search(grid, table, deep).ok
+        assert traced() - before < 64 << 10
+        assert search(grid, table, late).ok
+        kept = traced()
+        # a smaller search's workspace stays with the grid
+        assert not compiled or kept - before > 128 << 10
+        assert search(grid, table, late).ok
+        assert traced() - kept < 64 << 10
+        del grid, table
+        assert traced() - start < 64 << 10
     finally:
         tracemalloc.stop()
-    assert peak - before > 1 << 20   # the deep search did need real memory
-    assert after - before < 64 << 10
+
+
+@needs_compiled
+@pytest.mark.parametrize("deep", [0, 1])
+def test_nested_run_equals_the_run_alone(deep):
+    # The finisher runs a second search on the same grid and store while
+    # the outer one holds the grid's workspace: the nested run borrows
+    # another, and each answers as it does alone.
+    grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
+                                 if y not in (3, 10)])
+    table = ConflictDetectionTable()
+    crossing_traffic(table, grid.width)
+
+    def args(source, goal, start, finisher=None):
+        return (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(), 1,
+                goal, grid.cell_index(source), grid.cell_index(goal), start,
+                200_000, finisher, 6, deep, 0, 0)
+
+    inner = args((17, 0), (0, 12), 4)
+    alone, outer_alone = COMPILED.run(*inner), COMPILED.run(
+        *args((0, 0), (17, 12), 0))
+    nested = []
+
+    def finisher(cell, t):
+        nested.append(COMPILED.run(*inner))
+        return None
+
+    assert COMPILED.run(*args((0, 0), (17, 12), 0, finisher)) == outer_alone
+    assert nested and all(answer == alone for answer in nested)
+
+
+def _boxed_run_args(grid, table, source, h_mode=1, h_arg=(9, 9),
+                    budget=200_000, finisher=None, deep=0):
+    """``run``'s arguments on the boxed 10x10 floor, goal (9, 9)."""
+    return (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(), h_mode,
+            h_arg, grid.cell_index(source), grid.cell_index((9, 9)), 0,
+            budget, finisher, 4, deep, 0, 0)
+
+
+#: Manhattan to (9, 9) on the 10x10 floor (cell x * 10 + y) with a cliff
+#: at (3, 2): not consistent.
+_CLIFF = array("i", (0 if (x, y) == (3, 2) else 18 - x - y
+                     for x in range(10) for y in range(10)))
+
+
+def _raise(exc):
+    raise exc
+
+
+#: One call per way ``run`` ends, on the boxed floor.
+EXITS = {
+    "complete": (dict(source=(2, 2)), 0),
+    "budget": (dict(source=(2, 2), budget=5), 1),
+    "exhausted": (dict(source=(0, 0)), 2),
+    "finisher": (dict(source=(2, 2), finisher=lambda cell, t: [(t,) + cell]),
+                 4),
+    "finisher error": (dict(source=(2, 2), finisher=lambda cell, t: _raise(
+        RuntimeError("finisher failed"))), RuntimeError),
+    "interrupt": (dict(source=(2, 2), finisher=lambda cell, t: _raise(
+        KeyboardInterrupt())), KeyboardInterrupt),
+    "inconsistent field": (dict(source=(2, 2), h_mode=2, h_arg=_CLIFF),
+                           AssertionError),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("deep", [0, 1])
+@pytest.mark.parametrize("exit_name", sorted(EXITS))
+def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
+    # A deep search fills the workspace, the call under test ends its
+    # way (warm, it holds on to nothing: the workspace went back to the
+    # grid), and the next searches of either order answer as they do on
+    # a fresh grid.
+    def floor():
+        grid = Grid(10, 10, blocked=[(0, 1), (1, 0), (1, 1)])
+        table = ConflictDetectionTable()
+        table.reserve_path(Path.from_cells([(0, 0)] * 40, start_time=1))
+        crossing_traffic(table, 10, n=4)
+        return grid, table
+
+    probes = [dict(source=(2, 2), deep=d) for d in (1, 0)] + [
+        dict(source=(9, 0), deep=d) for d in (0, 1)]
+    grid, table = floor()
+    assert COMPILED.run(*_boxed_run_args(grid, table, (2, 2),
+                                         deep=1 - deep))[0] == 0
+    kwargs, ends = EXITS[exit_name]
+    call = _boxed_run_args(grid, table, deep=deep, **kwargs)
+
+    def end():
+        if isinstance(ends, int):
+            assert COMPILED.run(*call)[0] == ends
+        else:
+            with pytest.raises(ends):
+                COMPILED.run(*call)
+
+    end()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        end()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4 << 10
+    got = [COMPILED.run(*_boxed_run_args(grid, table, **probe))
+           for probe in probes]
+    fresh_grid, fresh_table = floor()
+    assert got == [COMPILED.run(*_boxed_run_args(fresh_grid, fresh_table,
+                                                 **probe))
+                   for probe in probes]
 
 
 @needs_compiled
@@ -596,6 +723,21 @@ class TestRunHandsBackOneBuffer:
             tracemalloc.stop()
         assert len(path) == 401
         assert held / len(path) < 10  # ~150 as tuples
+
+    def test_a_warm_run_allocates_only_its_leg(self):
+        # The grid's workspace is warm: the records, the seen-map and the
+        # open lists are reused, and the leg is built in place.
+        __, table, __, args = self.problem()
+        COMPILED.run(*args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = COMPILED.run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[0] == 0
+        assert peak - before < sys.getsizeof(result[1]) + 1024
 
     @pytest.mark.parametrize("status, finisher, trigger, budget", [
         (0, None, 0, 200_000),                           # complete

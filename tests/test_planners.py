@@ -69,7 +69,7 @@ class TestMostSlackFirst:
         give_items(state, 0)
         give_items(state, 1, start=10)
         finish = {0: 50, 1: 5}
-        entries = most_slack_first(state.selectable_racks(), 2,
+        entries = most_slack_first(state.selectable_by_picker(), 2,
                                    lambda pid: finish[pid])
         assert entries[0].rack.picker_id == 1
 
@@ -77,7 +77,8 @@ class TestMostSlackFirst:
         state = make_two_picker_state()
         for rack_id in range(4):
             give_items(state, rack_id, start=rack_id * 10)
-        entries = most_slack_first(state.selectable_racks(), 2, lambda pid: 0)
+        entries = most_slack_first(state.selectable_by_picker(), 2,
+                                   lambda pid: 0)
         assert len(entries) == 2
 
 

@@ -6,8 +6,10 @@ ATP's fused ranking key, ILP's numpy cost matrix.  Each test here holds
 the straightforward form in the test file (``_scan_*``: observe
 everything, loop over every pair, one sort of the concatenated groups)
 and demands the production selector agree with it exactly: same keys,
-same order, same matrix, same entries, same learner afterwards.  The last
-test pins every planner's full run on one Table II scenario.
+same order, same matrix, same entries, same learner afterwards.  The
+greedy walk reads the world's per-picker index, so its twin is fed the
+flat selectable list after random deliveries, dispatches and returns.
+The last test pins every planner's full run on one Table II scenario.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.planners.ilp import IlpPlanner
 from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.types import manhattan
-from repro.warehouse.entities import Item, Rack
+from repro.warehouse.entities import Item, Rack, RackPhase, RobotState
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
 from repro.workloads.datasets import make_syn_a
@@ -128,6 +130,15 @@ def _scan_most_slack_first(racks: List[Rack], budget: int,
     return [SelectionEntry(rack=rack) for rack in ordered[:max(budget, 0)]]
 
 
+def by_picker(racks: List[Rack]) -> Dict[int, List[Rack]]:
+    """``selectable_by_picker``'s shape: racks by id under their picker,
+    pickers 0-4 present with or without racks."""
+    index: Dict[int, List[Rack]] = {pid: [] for pid in range(5)}
+    for rack in sorted(racks, key=lambda r: r.rack_id):
+        index[rack.picker_id].append(rack)
+    return index
+
+
 def seed_table(planner: AdaptiveTaskPlanner, data) -> None:
     """Random Q-values over the buckets the drawn worlds reach; a small
     value set, so equal priorities (ties broken by rack id) occur."""
@@ -200,7 +211,7 @@ class TestMostSlackFirst:
     def test_equals_group_and_sort(self, picker_of, finish, budget):
         racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
                  for i, pid in enumerate(picker_of)]
-        got = most_slack_first(racks, budget, finish.__getitem__)
+        got = most_slack_first(by_picker(racks), budget, finish.__getitem__)
         assert ids(got) == ids(
             _scan_most_slack_first(racks, budget, finish.__getitem__))
 
@@ -210,9 +221,47 @@ class TestMostSlackFirst:
         racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
                  for i, pid in enumerate([2, 1, 0, 2, 0, 1])]
         finish = {0: 7, 1: 9, 2: 7}.__getitem__
-        got = most_slack_first(racks, budget, finish)
+        got = most_slack_first(by_picker(racks), budget, finish)
         assert ids(got) == [2, 4, 0, 3, 1, 5][:budget]
         assert ids(got) == ids(_scan_most_slack_first(racks, budget, finish))
+
+    @SETTINGS
+    @given(st.data())
+    def test_kept_index_equals_the_flat_rescan(self, data):
+        # Deliveries, dispatches (an idle robot takes the batch and the
+        # rack) and returns in any order: the index the walk reads stays
+        # the grouping of the flat selectable list.
+        state = draw_world(data)
+        carrier = {}
+        item_id = 1_000
+        for op, rack_id in data.draw(st.lists(st.tuples(
+                st.sampled_from(["deliver", "dispatch", "return"]),
+                st.integers(0, N_RACKS - 1)), max_size=40)):
+            rack = state.racks[rack_id]
+            if op == "deliver":
+                state.deliver_item(Item(item_id, rack_id, 0,
+                                        data.draw(st.integers(1, 90))))
+                item_id += 1
+            elif op == "dispatch" and rack.selectable and state.idle_robots():
+                robot = carrier[rack_id] = state.idle_robots()[0]
+                robot.rack_id = rack_id
+                robot.state = RobotState.TO_RACK
+                rack.take_batch()
+                rack.phase = RackPhase.IN_TRANSIT
+            elif op == "return" and rack_id in carrier:
+                rack.phase = RackPhase.STORED
+                robot = carrier.pop(rack_id)
+                robot.rack_id = None
+                robot.state = RobotState.IDLE
+            state.check_invariants()
+            budget = data.draw(st.integers(0, N_RACKS + 1))
+            finish = data.draw(st.lists(st.integers(0, 3),
+                                        min_size=N_PICKERS,
+                                        max_size=N_PICKERS)).__getitem__
+            assert ids(most_slack_first(state.selectable_by_picker(),
+                                        budget, finish)) == ids(
+                _scan_most_slack_first(state.selectable_racks(), budget,
+                                       finish))
 
 
 #: sha256 of each planner's deterministic view on Syn-A (scale 1): the
