@@ -1,7 +1,6 @@
-"""Conflict-free path finding: A*, spatiotemporal A*, reservations, cache."""
+"""Conflict-free path finding: spatiotemporal A*, reservations, cache."""
 
-from .astar import shortest_distance, shortest_path
-from .cache import ShortestPathCache, follow_with_waits, make_wait_finisher
+from .cache import ShortestPathCache, follow_with_waits
 from .cdt import ConflictDetectionTable
 from .conflicts import (Conflict, ConflictKind, find_conflicts,
                         is_conflict_free, paths_conflict)
@@ -50,10 +49,7 @@ __all__ = [
     "search",
     "follow_with_waits",
     "is_conflict_free",
-    "make_wait_finisher",
     "manhattan_heuristic",
     "paths_conflict",
-    "shortest_distance",
-    "shortest_path",
     "true_distance_heuristic",
 ]

@@ -1387,8 +1387,10 @@ stsearch_store_export(PyObject *self, PyObject *args)
 /* free-flow greedy descent (FreeFlowPathCache.packed, on either field */
 /* kind) with the bulk reservation audit (audit_chain semantics) and,  */
 /* on a hit, the wait-following rescue (cache.follow_with_waits) over  */
-/* the same probes, answering a served leg in one call.  Bit-identity  */
-/* with the python bodies is pinned by the equivalence suites.         */
+/* the same probes, answering a served leg in one call.  EATP's        */
+/* finisher is the same call with trigger 0, made from python while a  */
+/* run waits on it.  Bit-identity with the python bodies is pinned by  */
+/* the equivalence suites.                                             */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -1513,8 +1515,8 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
         return NULL;
     }
     /* Both caps zero is "rescue off"; otherwise each is a tick count
-     * (PlannerConfig keeps them >= 1; its defaults are 16 and 96), and
-     * the total sizes the output buffer. */
+     * (the rescue's pipeline.RESCUE_CAPS are 16 and 96, EATP's finisher
+     * walks with 64 and 64), and the total sizes the output buffer. */
     if (per_step_ll < 0 || total_ll < 0
             || per_step_ll > 65535 || total_ll > 65535
             || (per_step_ll == 0) != (total_ll == 0)) {

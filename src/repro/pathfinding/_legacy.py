@@ -198,13 +198,18 @@ def seed_planner_patches():
     free-flow fast path (:func:`tier0_off_patch`, so the patched
     ``_find_leg`` really runs the seed search for every leg — the legacy
     reservation structures also predate the packed probes the tier-0
-    audit needs).  Used by the end-to-end equivalence tests in
+    audit needs).  The one non-seed piece is EATP's finisher, which walks
+    the goal field's descent
+    (:meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.packed`)
+    through :func:`~repro.pathfinding.cache.follow_with_waits` and
+    records the pair in the cache, as the library's finisher does — the
+    legacy tables have no store for the native walk.  Used by the
+    end-to-end equivalence tests in
     ``tests/test_packed_equivalence.py`` and ``tests/test_free_flow.py``.
     """
     from ..planners import base as base_mod
     from ..planners import eatp as eatp_mod
-    from . import pipeline as pipeline_mod
-    from .cache import make_wait_finisher
+    from .cache import follow_with_waits
 
     def _seed_find_leg(self, t, source, goal):
         search_stats = SearchStats()
@@ -221,7 +226,10 @@ def seed_planner_patches():
         finisher = None
         trigger = 0
         if self.cache.threshold > 0:
-            finisher = make_wait_finisher(self.cache, goal, self.reservation)
+            def finisher(cell, t):
+                cells = self.free_flow.packed(cell, goal).cells
+                self.cache.record(cell, goal, len(cells))
+                return follow_with_waits(self.reservation, cells, t)
             trigger = self.cache.threshold
         path = legacy_find_path(
             self.grid, self.reservation, source, goal, t,

@@ -1,151 +1,80 @@
 """Cache-aided path finding (paper Sec. VI-B).
 
-Two pieces:
+* :class:`ShortestPathCache` — the accounting of the paper's cache of
+  conflict-oblivious shortest paths to goals within distance ``L``.  The
+  paths need no store: the goal's exact field, which the search reads
+  anyway, descends along one (:mod:`repro.pathfinding.free_flow`).  The
+  cache keeps which ``(source, goal)`` pairs were asked for and their
+  lengths, so its hits, misses and Fig. 12 footprint are those of the
+  paper's memo filled on first use.
 
-* :class:`ShortestPathCache` — memoised conflict-*oblivious* shortest paths
-  for goals within Manhattan distance ``L``.  The paper initialises "all
-  shortest paths with length ≤ L"; materialising every pair eagerly would
-  dwarf the structures the CDT saves, so we memoise on first use, which is
-  behaviourally identical (every hit after the first is O(path length)) and
-  is reported in the memory metric like any other structure.
-
-* :func:`make_wait_finisher` — the policy that turns a cached spatial path
-  into a conflict-free tail: follow the cached cells, *waiting in place*
-  whenever the next step would conflict, until the robot reaches the goal
-  (Sec. VI-B: "let the robot wait till there is no conflict to move next
-  steps along the shortest path").
+* :func:`follow_with_waits` — follow a spatial path, *waiting in place*
+  whenever the next step would conflict (Sec. VI-B: "let the robot wait
+  till there is no conflict to move next steps along the shortest
+  path").  EATP's finisher and the paper-scale rescue walk the descent
+  this way; the native ``tier0_leg`` carries the same walk.
 """
 
 from __future__ import annotations
 
-import array
-
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import PathNotFoundError
-from ..types import Cell, Tick, manhattan
-from ..warehouse.grid import Grid
-from .astar import shortest_path
+from ..types import Cell, Tick
 from .reservation import ReservationTable
 
 
 class ShortestPathCache:
-    """Memoised spatial shortest paths for nearby (≤ L) goal cells.
+    """Accounting for the shortest paths to nearby (≤ L) goal cells.
 
-    Paths are stored packed — two ``int16`` per cell in a ``bytes``
-    blob — so a cached path costs ~4 bytes per cell instead of a Python
-    tuple per cell.  Decoding on lookup is a single ``array`` scan,
-    negligible next to the A* search the cache replaces.
+    Keeps ``(source, goal) → cells on the path`` (the distance plus one)
+    and charges a path 4 bytes a cell — what two ``int16`` a cell would
+    hold — plus 150 bytes an entry.
     """
 
-    #: Class-level default so checkpoints pickled before the field
-    #: oracle existed restore cleanly (the planner re-attaches).
-    _fields = None
-
-    def __init__(self, grid: Grid, threshold: int) -> None:
+    def __init__(self, threshold: int) -> None:
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
-        self._grid = grid
         self.threshold = threshold
-        self._paths: Dict[Tuple[Cell, Cell], bytes] = {}
-        self._blob_bytes = 0
+        self._paths: Dict[Tuple[Cell, Cell], int] = {}
+        self._cells = 0
         self.hits = 0
         self.misses = 0
-        self._fields = None
 
-    def attach_fields(self, heuristics) -> None:
-        """Let cached BFS fields answer unreachability in O(1).
+    def __setstate__(self, state) -> None:
+        # Checkpoints written while the cache held packed path blobs
+        # (4 bytes a cell) carry the grid, a field-cache slot and the
+        # byte total; the pairs and the counts are what survives.
+        state.pop("_grid", None)
+        state.pop("_fields", None)
+        if "_blob_bytes" in state:
+            state["_cells"] = state.pop("_blob_bytes") // 4
+            state["_paths"] = {pair: len(blob) // 4
+                               for pair, blob in state["_paths"].items()}
+        self.__dict__.update(state)
 
-        ``heuristics`` is the owning planner's
-        :class:`~repro.pathfinding.heuristics.HeuristicFieldCache`.  A
-        miss whose goal already has a memoised eager (int32-buffer)
-        field — :meth:`peek` never floods one — reads
-        ``flat[source]`` instead of running the spatial A* flood that
-        :func:`~repro.pathfinding.astar.shortest_path` performs before
-        concluding "disconnected".  Reachable pairs still take the
-        identical search, so cached paths are bit-identical with or
-        without the oracle.
-        """
-        self._fields = heuristics
-
-    def __getstate__(self):
-        # The field cache is the owning planner's: it is rebuilt from the
-        # grid on restore rather than shipped, and the planner re-attaches.
-        state = self.__dict__.copy()
-        state["_fields"] = None
-        return state
-
-    def _known_unreachable(self, source: Cell, goal: Cell) -> bool:
-        if self._fields is None:
-            return False
-        field = self._fields.peek(goal)
-        if field is None:
-            return False
-        flat = field.flat
-        if not isinstance(flat, array.array):
-            # Lazy Manhattan flats carry no reachability information.
-            return False
-        return flat[source[0] * self._grid.height
-                    + source[1]] > self._grid.n_cells
-
-    @staticmethod
-    def _pack(cells) -> bytes:
-        flat = array.array("h")
-        for x, y in cells:
-            flat.append(x)
-            flat.append(y)
-        return flat.tobytes()
-
-    @staticmethod
-    def _unpack(blob: bytes) -> Tuple[Cell, ...]:
-        flat = array.array("h")
-        flat.frombytes(blob)
-        return tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-
-    def lookup(self, source: Cell, goal: Cell) -> Optional[Tuple[Cell, ...]]:
-        """Cached shortest cell sequence, or None if beyond the threshold."""
-        if manhattan(source, goal) > self.threshold:
-            return None
+    def record(self, source: Cell, goal: Cell, cells: int) -> None:
+        """Count a request for the ``cells``-cell path ``source → goal``."""
         key = (source, goal)
-        cached = self._paths.get(key)
-        if cached is not None:
+        if key in self._paths:
             self.hits += 1
-            return self._unpack(cached)
+            return
         self.misses += 1
-        if self._known_unreachable(source, goal):
-            # The goal's exact BFS field already proves disconnection;
-            # skip the A* flood that would rediscover it the hard way.
-            raise PathNotFoundError(source, goal, "disconnected grid")
-        cells = tuple(shortest_path(self._grid, source, goal))
-        blob = self._pack(cells)
-        self._paths[key] = blob
-        self._blob_bytes += len(blob)
-        return cells
+        self._paths[key] = cells
+        self._cells += cells
 
     def __len__(self) -> int:
         return len(self._paths)
 
     def memory_bytes(self) -> int:
-        """Approximate footprint (for the MC metric).
-
-        Blob bytes are tracked incrementally at insertion, so the value —
-        identical to summing the stored blobs — is O(1) per call; the
-        simulation engine charges it on every processed event.
-        """
-        return 64 + 150 * len(self._paths) + self._blob_bytes
+        """Approximate footprint (for the MC metric); O(1), because the
+        simulation engine charges it on every processed event."""
+        return 64 + 150 * len(self._paths) + 4 * self._cells
 
     def live_counts(self) -> Dict[str, int]:
         """Live-state counters for the soak harness's flatness series."""
         return {"entries": len(self._paths),
-                "blob_bytes": self._blob_bytes,
+                "blob_bytes": 4 * self._cells,
                 "memory_bytes": self.memory_bytes()}
-
-    def recount(self) -> Dict[str, int]:
-        """Recompute :meth:`live_counts` by walking the blobs (debug)."""
-        blob_bytes = sum(len(blob) for blob in self._paths.values())
-        return {"entries": len(self._paths),
-                "blob_bytes": blob_bytes,
-                "memory_bytes": 64 + 150 * len(self._paths) + blob_bytes}
 
 
 def follow_with_waits(reservation: ReservationTable, cells: Tuple[Cell, ...],
@@ -163,12 +92,12 @@ def follow_with_waits(reservation: ReservationTable, cells: Tuple[Cell, ...],
     reserved.  The caller then falls back to plain spatiotemporal A*.
 
     The total-wait cap is the dense-traffic livelock guard: on a congested
-    floor every step of the cached path can individually stay under the
+    floor every step of the path can individually stay under the
     per-step cap while the tail as a whole degenerates into hundreds of
     ticks of waiting — a "path" that parks the robot on a contested cell
     for ages, invites further conflicts, and starves the very search the
     cache was meant to shortcut.  Past the cap the tail is not a shortcut
-    any more, so the finisher declines and the search (or its fallback
+    any more, so the walk declines and the search (or its fallback
     chain) decides.
     """
     if max_total_wait is None:
@@ -193,25 +122,3 @@ def follow_with_waits(reservation: ReservationTable, cells: Tuple[Cell, ...],
         steps.append((t, nxt[0], nxt[1]))
         current = nxt
     return steps
-
-
-def make_wait_finisher(cache: ShortestPathCache, goal: Cell,
-                       reservation: ReservationTable,
-                       max_wait_per_step: int = 64,
-                       max_total_wait: Optional[int] = None):
-    """Build the Sec. VI-B finisher hook for one spatiotemporal search.
-
-    The returned callable matches the ``finisher(cell, t)`` contract of
-    :func:`~repro.pathfinding.st_astar.find_path`: once A* pops a node
-    within the cache threshold of ``goal``, extract the cached shortest
-    path and derive the conflict-free tail by waiting where needed.
-    """
-
-    def finisher(cell: Cell, t: Tick):
-        cells = cache.lookup(cell, goal)
-        if cells is None:
-            return None
-        return follow_with_waits(reservation, cells, t, max_wait_per_step,
-                                 max_total_wait)
-
-    return finisher

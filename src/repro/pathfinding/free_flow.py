@@ -34,7 +34,10 @@ the same verdict tuple from the native ``tier0_leg`` (walk, audit and
 wait-following rescue fused in C, the leg handed back as one packed
 buffer) or from :meth:`~FreeFlowPathCache.packed`,
 :meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain` and
-:func:`~repro.pathfinding.cache.follow_with_waits`.
+:func:`~repro.pathfinding.cache.follow_with_waits`.  The same dispatch,
+with no finisher and the walk's caps, is EATP's Sec. VI-B finisher
+(:meth:`FreeFlowPathCache.walk`): the descent from the cell where the
+search hands over, walked with waits wherever the next move is reserved.
 
 :meth:`~FreeFlowPathCache.packed` is the specification: the generic
 greedy walk, run fresh on every call over whichever field the goal has.
@@ -86,9 +89,12 @@ class FreeFlowPathCache:
         ``audit_chain`` probes with; ``None`` when ``goal`` is spatially
         unreachable from ``source``.
         """
+        return self._descent(self._heuristics.field(goal).flat, source)
+
+    def _descent(self, flat, source: Cell) -> Optional[PackedChain]:
+        """:meth:`packed` down the field buffer ``flat``."""
         grid = self._grid
         height = grid.height
-        flat = self._heuristics.field(goal).flat
         ci = source[0] * height + source[1]
         h = flat[ci]
         if h > grid.n_cells:
@@ -149,14 +155,31 @@ class FreeFlowPathCache:
         factory or the finisher where the full search would not mutates
         the cache (and its memory metric) as no tier-0-off run would.
         """
+        return self._leg(reservation, self._heuristics.field(goal).flat, t,
+                         source, goal, finisher_factory, rescue_caps)
+
+    def walk(self, reservation, flat, t: int, source: Cell, goal: Cell,
+             caps) -> Optional[Path]:
+        """EATP's finisher walk: the descent ``source → goal`` down
+        ``flat``, from tick ``t``, waiting where the next move is
+        reserved (:meth:`kernel_leg`'s dispatch with no finisher and
+        ``caps`` as the rescue's); ``None`` when it declines.  Its own
+        name, because ``bench/trace.py`` times :meth:`kernel_leg` and
+        :meth:`packed` as tier 0 and this runs inside a search.
+        """
+        return self._leg(reservation, flat, t, source, goal, _no_finisher,
+                         caps)[1]
+
+    def _leg(self, reservation, flat, t: int, source: Cell, goal: Cell,
+             finisher_factory, rescue_caps):
+        """:meth:`kernel_leg` down the goal's field buffer ``flat``."""
         module = _kernel.active
         store = None if module is None else reservation.kernel_probe_spec()
         if store is None:
-            return self._python_leg(reservation, t, source, goal,
+            return self._python_leg(reservation, flat, t, source, goal,
                                     finisher_factory, rescue_caps)
         grid = self._grid
         height = grid.height
-        flat = self._heuristics.field(goal).flat
         sci = source[0] * height + source[1]
         if isinstance(flat, _LazyManhattanFlat):
             h_mode, h_arg = 1, None
@@ -167,7 +190,7 @@ class FreeFlowPathCache:
                 return 0, None, None, 0
             h_mode, h_arg = 2, flat
         else:  # foreign field representation
-            return self._python_leg(reservation, t, source, goal,
+            return self._python_leg(reservation, flat, t, source, goal,
                                     finisher_factory, rescue_caps)
         finisher, trigger = finisher_factory(goal)
         verdict, keys = module.tier0_leg(
@@ -177,11 +200,10 @@ class FreeFlowPathCache:
         path = None if keys is None else packed_path(t, keys)
         return verdict, path, finisher, trigger
 
-    def _python_leg(self, reservation, t: int, source: Cell, goal: Cell,
-                    finisher_factory, rescue_caps):
-        """:meth:`kernel_leg` over :meth:`packed`, ``audit_chain`` and
-        ``follow_with_waits``."""
-        chain = self.packed(source, goal)
+    def _python_leg(self, reservation, flat, t: int, source: Cell,
+                    goal: Cell, finisher_factory, rescue_caps):
+        """:meth:`_leg` wherever the native kernel does not serve."""
+        chain = self._descent(flat, source)
         if chain is None:
             return 0, None, None, 0
         cells = chain.cells
@@ -198,3 +220,8 @@ class FreeFlowPathCache:
             if steps is not None:
                 return 4, Path(steps), finisher, trigger
         return 3, None, finisher, trigger
+
+
+def _no_finisher(goal: Cell):
+    """The finisher factory of a walk that is itself the finisher."""
+    return None, 0

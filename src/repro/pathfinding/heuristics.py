@@ -160,8 +160,8 @@ class HeuristicFieldCache:
     def peek(self, goal: Cell) -> Optional[HeuristicField]:
         """The field toward ``goal`` if already memoised, else None.
 
-        Never floods — the O(1) reachability oracle the shortest-path
-        cache uses to fail disconnected pairs fast.
+        Never floods — what EATP's finisher reads: the search calling it
+        fetched the goal's field first.
         """
         return self._fields.get(goal)
 

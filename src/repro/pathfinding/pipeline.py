@@ -53,7 +53,9 @@ hit-rate counters.
 the full search *at paper scale only*: a descent whose audit hits a
 reservation is walked again with waits inserted wherever the next move
 conflicts (:func:`~repro.pathfinding.cache.follow_with_waits`, the
-Sec. VI-B policy applied from the start cell).  O(path + waits) where
+Sec. VI-B policy applied from the start cell — the walk EATP's finisher
+takes from the cell where the search hands over, there with caps of 64
+and 64).  O(path + waits) where
 the full search the reject would otherwise fall into explores an
 O(distance²) f-optimal plateau — on the paper-true 541×302 floor
 hundreds of thousands of probes per leg, the cost wall behind the
@@ -82,7 +84,7 @@ from .paths import Path
 from .reservation import ReservationTable
 # ``search`` is a re-export, not a use: the frozen ``bench/trace.py``
 # shims ``pipeline.__dict__["search"]`` and dies with ``KeyError`` without
-# the name.  It goes when ``bench/`` is next opened (ROADMAP item 2 (f)).
+# the name.  It goes when ``bench/`` is next opened (ROADMAP item 3 (e)).
 from .st_astar import SearchStats, search  # noqa: F401
 
 #: ``(wait per step, total wait)`` caps of the wait-following rescue on
@@ -264,7 +266,7 @@ class FallbackChain:
                 # trigger and may finish through a *later* finisher call
                 # off the descent chain — not reproducible in O(d).
                 return None, FASTPATH_MISS
-            path = path.concat(Path(tail))
+            path = path.concat(tail)
             search_stats = (SearchStats(
                 cache_finished=True, budget=config.max_search_expansions),)
         leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,

@@ -295,7 +295,7 @@ def _search_compiled(grid: Grid, store, request: SearchRequest,
         stats.cache_finished = True
         head = packed_path(request.start_time, keys)
         return SearchOutcome(request, SEARCH_COMPLETE,
-                             head.concat(Path(tail)), stats)
+                             head.concat(tail), stats)
     if status == 1:
         return SearchOutcome(request, SEARCH_BUDGET, None, stats)
     return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
@@ -385,7 +385,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                         head = _reconstruct(parent, state, n_cells, height,
                                             start_time)
                         return SearchOutcome(request, SEARCH_COMPLETE,
-                                             head.concat(Path(tail)), stats)
+                                             head.concat(tail), stats)
 
             t1 = t + 1
             g_next = t1 - start_time
@@ -490,8 +490,9 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
     finisher:
         Optional cache-aided finisher (Sec. VI-B): called as
         ``finisher(cell, t)`` once the popped node's h-value is
-        ``<= finisher_trigger``; if it returns timed steps, the search
-        short-circuits and appends them.
+        ``<= finisher_trigger``; if it returns a :class:`Path` from
+        ``(t, cell)`` to the goal, the search short-circuits and appends
+        it.
     finisher_trigger:
         The L threshold of Sec. VI-B (``0`` disables the finisher).
     stats:

@@ -11,9 +11,9 @@ ATP plus the three efficiency designs:
   the sparse per-cell timestamp table instead of the dense time-expanded
   graph — same answers, O(HW) space.
 * **Cache-aided path finding (Sec. VI-B).**  Once a spatiotemporal A* node
-  pops within Manhattan distance L of the goal, the cached conflict-
-  oblivious shortest path is followed with waits inserted until each next
-  step is conflict-free.
+  pops within distance L of the goal, a conflict-oblivious shortest path
+  — the descent of the goal's field — is followed with waits inserted
+  until each next step is conflict-free.
 
 These trade a sliver of solution quality (the paper measures < 1% makespan
 loss vs. ATP) for the large STC/PTC/MC wins of Figs. 11–12.
@@ -24,8 +24,9 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..config import PlannerConfig
-from ..pathfinding.cache import ShortestPathCache, make_wait_finisher
+from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.cdt import ConflictDetectionTable
+from ..pathfinding.paths import Path
 from ..pathfinding.reservation import ReservationTable
 from ..rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from ..types import Cell, Tick
@@ -45,12 +46,7 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
                  config: Optional[PlannerConfig] = None) -> None:
         super().__init__(state, config)
         self.knn = self._build_knn()
-        self.cache = ShortestPathCache(self.grid, self.config.cache_threshold)
-        self.cache.attach_fields(self.heuristics)
-        #: Memoised (finisher, trigger) per goal — the closure reads the
-        #: cache and reservation only at call time, so one per distinct
-        #: goal serves every tier of every leg (no per-leg allocation).
-        self._finishers = {}
+        self.cache = ShortestPathCache(self.config.cache_threshold)
 
     def _build_knn(self) -> StaticRackKNN:
         """The K-nearest-racks table: a pure function of the rack homes."""
@@ -61,24 +57,15 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
 
     # -- checkpointing ----------------------------------------------------------
 
-    #: The finisher memo holds closures, so it cannot cross a pickle
-    #: boundary; entries are rebuilt lazily on first use and read the
-    #: (pickled) cache and reservation only at call time, so a restored
-    #: planner behaves identically.  ``self.cache`` itself — which *is*
-    #: charged to the MC metric — is plain data and pickles as-is.  The
-    #: KNN table is charged to MC too, but rack homes never move, so it
-    #: is rebuilt (same table, same ``memory_bytes()``) rather than stored.
-    _UNPICKLED = AdaptiveTaskPlanner._UNPICKLED + ("_finishers", "knn")
+    #: ``self.cache`` — which *is* charged to the MC metric — is plain
+    #: data and pickles as-is.  The KNN table is charged to MC too, but
+    #: rack homes never move, so it is rebuilt (same table, same
+    #: ``memory_bytes()``) rather than stored.
+    _UNPICKLED = AdaptiveTaskPlanner._UNPICKLED + ("knn",)
 
     def __setstate__(self, state) -> None:
         super().__setstate__(state)
-        self._finishers = {}
         self.knn = self._build_knn()
-        # The restored cache lost its field oracle (dropped at pickle
-        # time with the rest of the unpicklable closures); re-point it at
-        # the freshly rebuilt heuristic cache.
-        if getattr(self, "cache", None) is not None:
-            self.cache.attach_fields(self.heuristics)
 
     # -- reservation: the CDT replaces the spatiotemporal graph ---------------
 
@@ -147,25 +134,25 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     def _make_finisher(self, goal: Cell):
         """The Sec. VI-B cache-aided finisher, for every search tier.
 
-        Hooked through the base extension point so the tier-0 fast path
-        and the tier-1 full search both finish through the cache; the
-        wait-following tail is total-wait-capped
-        (see :func:`~repro.pathfinding.cache.follow_with_waits`) so it
-        cannot livelock against the dense Fleet-200 reservation traffic.
-        Memoised per goal: goals are a bounded set (rack homes +
-        pickers) and the closure captures only the long-lived cache and
-        reservation structure, so a leg never allocates one.
+        At ``(cell, t)`` with ``0 < h(cell) <= L`` it records the pair
+        ``(cell, goal)`` in the cache and walks the goal field's descent
+        from ``cell``, waiting where the next move is reserved — at most
+        64 ticks a step and 64 in all, the livelock guard of
+        :func:`~repro.pathfinding.cache.follow_with_waits`.
         """
-        if self.cache.threshold <= 0:
+        cache = self.cache
+        if cache.threshold <= 0:
             return None, 0
-        entry = self._finishers.get(goal)
-        if entry is None:
-            if len(self._finishers) >= 1024:  # same hygiene cap as the
-                self._finishers.clear()       # field/descent caches
-            entry = (make_wait_finisher(self.cache, goal, self.reservation),
-                     self.cache.threshold)
-            self._finishers[goal] = entry
-        return entry
+        heuristics, walk = self.heuristics, self.free_flow.walk
+        reservation, height = self.reservation, self.grid.height
+
+        def finisher(cell: Cell, t: Tick) -> Optional[Path]:
+            # The search calling this has fetched the goal's field.
+            flat = heuristics.peek(goal).flat
+            cache.record(cell, goal, flat[cell[0] * height + cell[1]] + 1)
+            return walk(reservation, flat, t, cell, goal, (64, 64))
+
+        return finisher, cache.threshold
 
     # -- memory ---------------------------------------------------------------------
 

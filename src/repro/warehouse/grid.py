@@ -242,8 +242,8 @@ class Grid:
         """True shortest-path distances from ``source`` to every cell.
 
         Returns a ``(width, height)`` int32 array with ``-1`` marking
-        unreachable cells.  Used to build exact heuristics and the
-        shortest-path cache; O(HW) per call.  The flood itself lives in
+        unreachable cells.  Used to build exact heuristics; O(HW) per
+        call.  The flood itself lives in
         :meth:`distance_flat` (kernel-accelerated when available); this
         wrapper keeps the historical ndarray shape and sentinel.
         """

@@ -87,6 +87,27 @@ def make_two_picker_state(n_racks: int = 6, n_robots: int = 2) -> WarehouseState
     return WarehouseState.from_layout(layout, n_robots=n_robots)
 
 
+def eatp_finisher(grid: Grid, table, goal, threshold: int):
+    """EATP's Sec. VI-B finisher toward ``goal`` over ``table``, without a
+    planner around it: ``(finisher, cache)``.  ``_make_finisher`` reads
+    only the planner attributes set here, and the goal's field is
+    fetched first, as a search toward ``goal`` does."""
+    from types import SimpleNamespace
+
+    from repro.pathfinding.cache import ShortestPathCache
+    from repro.pathfinding.free_flow import FreeFlowPathCache
+    from repro.pathfinding.heuristics import HeuristicFieldCache
+    from repro.planners import EfficientAdaptiveTaskPlanner
+
+    heuristics = HeuristicFieldCache(grid)
+    heuristics.field(goal)
+    host = SimpleNamespace(
+        cache=ShortestPathCache(threshold), grid=grid, reservation=table,
+        heuristics=heuristics, free_flow=FreeFlowPathCache(grid, heuristics))
+    finisher, __ = EfficientAdaptiveTaskPlanner._make_finisher(host, goal)
+    return finisher, host.cache
+
+
 def drip_items(rack_ids, start: int = 0, spacing: int = 1,
                processing: int = 5):
     """Items arriving one per ``spacing`` ticks across ``rack_ids``."""

@@ -1,14 +1,35 @@
-"""Unit tests for the shortest-path cache and wait-based finisher."""
+"""Unit tests for the shortest-path cache, the wait-following walk and
+EATP's finisher, which records a pair in the cache and walks the goal
+field's descent with waits (the native ``tier0_leg`` under the compiled
+switch)."""
 
 import pytest
 
-from repro.pathfinding.cache import (ShortestPathCache, follow_with_waits,
-                                     make_wait_finisher)
+from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import is_conflict_free
 from repro.pathfinding.paths import Path
-from repro.types import manhattan
+from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
+from repro.planners import EfficientAdaptiveTaskPlanner
+from repro.sim.engine import Simulation
 from repro.warehouse.grid import Grid
+from repro.workloads.datasets import make_syn_a, obstructed_floor
+from tests.conftest import eatp_finisher
+
+COMPILED = build_and_load()
+
+KERNELS = ["python", pytest.param(
+    "compiled", marks=pytest.mark.skipif(
+        COMPILED is None, reason="native kernel unavailable"))]
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request):
+    previous = search_kernel_name()
+    set_search_kernel(request.param)
+    yield request.param
+    set_search_kernel(previous)
 
 
 @pytest.fixture
@@ -17,42 +38,42 @@ def grid():
 
 
 class TestShortestPathCache:
-    def test_rejects_negative_threshold(self, grid):
+    def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            ShortestPathCache(grid, -1)
+            ShortestPathCache(-1)
 
-    def test_beyond_threshold_returns_none(self, grid):
-        cache = ShortestPathCache(grid, threshold=3)
-        assert cache.lookup((0, 0), (9, 9)) is None
-        assert cache.misses == 0
+    def test_counts_new_and_repeat_pairs(self):
+        cache = ShortestPathCache(threshold=10)
+        cache.record((0, 0), (3, 2), 6)
+        cache.record((0, 0), (3, 2), 6)
+        cache.record((1, 0), (3, 2), 5)
+        assert (cache.misses, cache.hits, len(cache)) == (2, 1, 2)
 
-    def test_lookup_returns_shortest(self, grid):
-        cache = ShortestPathCache(grid, threshold=10)
-        cells = cache.lookup((0, 0), (3, 2))
-        assert cells[0] == (0, 0)
-        assert cells[-1] == (3, 2)
-        assert len(cells) - 1 == manhattan((0, 0), (3, 2))
+    def test_memory_charges_entries_and_cells(self):
+        cache = ShortestPathCache(threshold=10)
+        assert cache.memory_bytes() == 64
+        cache.record((0, 0), (5, 5), 11)
+        cache.record((0, 0), (5, 5), 11)  # a hit costs nothing
+        cache.record((2, 0), (5, 5), 9)
+        assert cache.live_counts() == {
+            "entries": 2, "blob_bytes": 4 * 20,
+            "memory_bytes": 64 + 150 * 2 + 4 * 20}
 
-    def test_hit_counting(self, grid):
-        cache = ShortestPathCache(grid, threshold=10)
-        first = cache.lookup((0, 0), (3, 2))
-        second = cache.lookup((0, 0), (3, 2))
-        assert first == second
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert len(cache) == 1
-
-    def test_roundtrip_packing(self, grid):
-        cache = ShortestPathCache(grid, threshold=12)
-        original = cache.lookup((1, 1), (7, 5))
-        decoded = cache.lookup((1, 1), (7, 5))
-        assert original == decoded
-
-    def test_memory_counts_blobs(self, grid):
-        cache = ShortestPathCache(grid, threshold=10)
-        empty = cache.memory_bytes()
-        cache.lookup((0, 0), (5, 5))
-        assert cache.memory_bytes() > empty
+    def test_blob_era_state_restores(self):
+        # What a checkpoint written while the cache held packed paths
+        # (two int16 a cell) unpickles into.
+        cache = ShortestPathCache.__new__(ShortestPathCache)
+        cache.__setstate__({
+            "_grid": Grid(8, 8), "_fields": None, "threshold": 6,
+            "_paths": {((0, 0), (3, 3)): bytes(28), ((1, 0), (3, 3)): bytes(24)},
+            "_blob_bytes": 52, "hits": 4, "misses": 2})
+        assert vars(cache) == {
+            "threshold": 6, "_paths": {((0, 0), (3, 3)): 7,
+                                       ((1, 0), (3, 3)): 6},
+            "_cells": 13, "hits": 4, "misses": 2}
+        cache.record((1, 0), (3, 3), 6)
+        assert cache.hits == 5
+        assert cache.memory_bytes() == 64 + 150 * 2 + 52
 
 
 class TestFollowWithWaits:
@@ -87,17 +108,88 @@ class TestFollowWithWaits:
         assert steps is None
 
 
-class TestMakeWaitFinisher:
-    def test_finisher_integrates_with_cache(self, grid):
-        cdt = ConflictDetectionTable()
-        cache = ShortestPathCache(grid, threshold=8)
-        finisher = make_wait_finisher(cache, (4, 0), cdt)
-        steps = finisher((0, 0), 10)
-        assert steps[0] == (10, 0, 0)
-        assert steps[-1][1:] == (4, 0)
+class TestFinisher:
+    """EATP's finisher: a ``Path`` from ``(t, cell)`` onto the goal, or
+    ``None``; the pair is recorded either way."""
 
-    def test_finisher_none_beyond_threshold(self, grid):
-        cdt = ConflictDetectionTable()
-        cache = ShortestPathCache(grid, threshold=2)
-        finisher = make_wait_finisher(cache, (9, 9), cdt)
+    def test_path_starts_at_the_cell_and_ends_on_the_goal(self, grid,
+                                                          kernel):
+        finisher, cache = eatp_finisher(grid, ConflictDetectionTable(),
+                                        (4, 0), 8)
+        path = finisher((0, 0), 10)
+        assert isinstance(path, Path)
+        assert path.steps == Path.from_cells(
+            [(x, 0) for x in range(5)], 10).steps
+        assert cache.live_counts()["blob_bytes"] == 4 * 5
+        assert finisher((0, 0), 30).steps[0] == (30, 0, 0)
+        assert (cache.misses, cache.hits) == (1, 1)
+
+    def test_waits_out_a_reserved_move(self, grid, kernel):
+        table = ConflictDetectionTable()
+        camp = Path.waiting((2, 0), 0, 6)
+        table.reserve_path(camp)
+        finisher, __ = eatp_finisher(grid, table, (4, 0), 8)
+        path = finisher((0, 0), 0)
+        assert path.source == (0, 0) and path.goal == (4, 0)
+        assert path.duration == 4 + 5  # holds (1, 0) until (2, 0) frees
+        assert is_conflict_free([path, camp])
+        assert table.audit_path(path)
+
+    def test_declines_past_the_per_step_cap(self, grid, kernel):
+        # The robot reaches (1, 0) at tick 1 and waits there until (2, 0)
+        # frees: 64 waits are served, 65 are not.
+        for until, served in ((65, True), (66, False)):
+            table = ConflictDetectionTable()
+            table.reserve_path(Path.waiting((2, 0), 0, until))
+            finisher, cache = eatp_finisher(grid, table, (4, 0), 8)
+            path = finisher((0, 0), 0)
+            assert (path is not None) == served
+            assert cache.misses == 1  # a declined pair is recorded too
+            if served:
+                assert path.duration == 4 + 64
+
+    def test_declines_past_the_total_cap(self, grid, kernel):
+        # 40 waits before (2, 0), then 27 before (3, 0): each under 64,
+        # together over.  Starting later, 11 + 27 waits are served.
+        table = ConflictDetectionTable()
+        table.reserve_path(Path.waiting((2, 0), 0, 41))
+        table.reserve_path(Path.waiting((3, 0), 0, 69))
+        finisher, __ = eatp_finisher(grid, table, (4, 0), 8)
         assert finisher((0, 0), 0) is None
+        assert finisher((1, 0), 30).duration == 3 + 11 + 27
+
+    def test_declines_where_the_held_cell_is_taken(self, grid, kernel):
+        table = ConflictDetectionTable()
+        table.reserve_path(Path.waiting((2, 0), 0, 5))
+        # traffic sweeps through the cell the robot would wait on
+        table.reserve_path(Path.from_cells([(1, 2), (1, 1), (1, 0)], 0))
+        finisher, cache = eatp_finisher(grid, table, (4, 0), 8)
+        assert finisher((1, 0), 0) is None
+        assert cache.misses == 1
+
+
+def drain(spec):
+    state, items = spec.build()
+    planner = EfficientAdaptiveTaskPlanner(state)
+    Simulation(state, planner, items).run()
+    return planner
+
+
+class TestRecordedAccounting:
+    """The cache's numbers on two EATP drains, frozen from the build whose
+    finisher filled packed spatial A* paths — the descent must account
+    for exactly what that cache held, under either kernel."""
+
+    @pytest.mark.parametrize("spec, live, hits, peak", [
+        (make_syn_a(0.5), {"entries": 134, "blob_bytes": 3876,
+                           "memory_bytes": 24040}, 201, 92788),
+        (obstructed_floor(0.5)[0], {"entries": 135, "blob_bytes": 3928,
+                                    "memory_bytes": 24242}, 200, 92990),
+    ], ids=["Syn-A", "Pillars-8"])
+    def test_drain(self, kernel, spec, live, hits, peak):
+        planner = drain(spec)
+        assert planner.cache.live_counts() == live
+        assert planner.cache.hits == hits
+        assert planner.cache.misses == live["entries"]
+        assert planner.peak_memory_bytes == peak
+        assert planner.stats.cache_finished_legs == 333

@@ -332,13 +332,22 @@ class TestCommittedFixtures:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_v2_fixture_drains_to_the_pin_under_either_switch(self, kernel):
         # The file holds the python layout of the reservation table; under
-        # the compiled switch it is loaded into the native store.
+        # the compiled switch it is loaded into the native store.  Its
+        # path cache holds packed path blobs, which load as cell counts:
+        # the cache reads as it did and goes on counting the same pairs.
         set_search_kernel(kernel)
         sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
+        cache = sim.planner.cache
+        assert cache.live_counts() == {"entries": 14, "blob_bytes": 448,
+                                       "memory_bytes": 2612}
+        assert (cache.hits, cache.misses) == (3, 14)
         blob = json.dumps(drained_view(sim), sort_keys=True,
                           separators=(",", ":"))
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 == self.V2_DRAINED_DIGEST)
+        assert cache.live_counts() == {"entries": 37, "blob_bytes": 1228,
+                                       "memory_bytes": 6842}
+        assert (cache.hits, cache.misses) == (16, 37)
 
     def test_v2_fixture_rebuilds_the_per_picker_index(self):
         # Written before the state kept each picker's selectable racks:

@@ -461,7 +461,7 @@ class TestOneTierZeroContract:
                 if tick % 2:
                     return None
                 return Path.from_cells(cache.packed(cell, goal).cells,
-                                       tick).steps
+                                       tick)
             return finisher, trigger
         return factory
 
@@ -618,6 +618,14 @@ def reference_walk(table, cells, t, per_step, total):
     return "served", steps
 
 
+#: The floors EATP's finisher walk is drawn on: open, and pillared.
+FINISHER_FLOORS = {
+    "open": Grid(WIDTH, HEIGHT),
+    "pillars": Grid(WIDTH, HEIGHT, blocked=[(x, y) for x in (2, 5, 8)
+                                            for y in (2, 5, 8)]),
+}
+
+
 def camp(table, cell, until):
     """Hold ``cell`` over ticks ``[0, until]``."""
     table.reserve_path(Path.waiting(cell, 0, until))
@@ -684,6 +692,45 @@ class TestNativeRescue:
         problem = self.conflicted(name, seed)
         if problem is not None:
             self.check(problem, (per_step, total))
+
+    @pytest.mark.parametrize("floor", sorted(FINISHER_FLOORS))
+    def test_finisher_walks_from_mid_descent(self, name, floor):
+        """EATP's finisher walk: caps (64, 64), from a cell in the middle
+        of a descent, through its own entry under either switch."""
+        grid = FINISHER_FLOORS[floor]
+        cells = passable_cells(grid)
+        reasons = set()
+        for seed in range(60):
+            rng = random.Random(23_000 + seed)
+            table = TABLES[name](grid)
+            for __ in range(3):
+                random_traffic(rng, grid, table)
+            cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+            source, goal = rng.sample(cells, 2)
+            descent = cache.packed(source, goal).cells
+            if len(descent) < 3:
+                continue
+            start = descent[rng.randrange(1, len(descent) - 1)]
+            chain = cache.packed(start, goal)
+            # one long camp on the walk puts the caps in play
+            camp(table, rng.choice(chain.cells[1:]), rng.randint(0, 90))
+            t = rng.randint(0, 5)
+            expected = follow_with_waits(table, chain.cells, t, 64, 64)
+            if not table.audit_chain(t, chain, len(chain) - 1):
+                reasons.add(self.check(
+                    (table, cache, chain, start, goal, t), (64, 64)))
+            flat = cache._heuristics.field(goal).flat
+            for kernel in ("compiled", "python"):
+                set_search_kernel(kernel)
+                with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+                    walked = cache.walk(table, flat, t, start, goal,
+                                        (64, 64))
+                assert calls["tier0_leg"] == (kernel == "compiled")
+                if expected is None:
+                    assert walked is None
+                else:
+                    assert walked.steps == tuple(expected)
+        assert {"served", "per-step cap", "cannot hold"} <= reasons
 
     def boundary_problem(self, name, camps):
         grid = Grid(WIDTH, HEIGHT)

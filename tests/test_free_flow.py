@@ -22,7 +22,6 @@ import pytest
 
 from repro.config import (PAPER_SCALE_MIN_CELLS, PlannerConfig,
                           SimulationConfig)
-from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import (HeuristicFieldCache,
@@ -43,6 +42,7 @@ from repro.sim.serialize import (deterministic_view, metrics_from_dict,
                                  metrics_to_dict, result_to_dict)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
+from tests.conftest import eatp_finisher
 
 # The shared obstructed fixtures of the heuristic-field suite — imported,
 # not copied, so a fixture fix there keeps pinning the descent identity
@@ -360,11 +360,10 @@ class TestChainTierZero:
         # (cell, tick) the full search would first trigger it, and the
         # emitted head+tail equals the search result byte for byte.
         grid = Grid(14, 11)
-        cache = ShortestPathCache(grid, threshold=5)
 
         def factory_for(reservation):
             def factory(goal):
-                return (make_wait_finisher(cache, goal, reservation), 5)
+                return eatp_finisher(grid, reservation, goal, 5)[0], 5
             return factory
 
         cdt_fast = ConflictDetectionTable()
@@ -379,7 +378,7 @@ class TestChainTierZero:
         reference = find_path(
             grid, cdt_ref, (0, 0), (13, 10), 0,
             heuristic=HeuristicFieldCache(grid).field((13, 10)),
-            finisher=make_wait_finisher(cache, (13, 10), cdt_ref),
+            finisher=eatp_finisher(grid, cdt_ref, (13, 10), 5)[0],
             finisher_trigger=5, stats=stats)
         assert stats.cache_finished
         assert leg.path.steps == reference.steps

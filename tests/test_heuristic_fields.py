@@ -9,9 +9,10 @@ bookkeeping the planners rely on.
 
 import pytest
 
-from repro.pathfinding.astar import shortest_distance
 from repro.pathfinding.cdt import ConflictDetectionTable
-from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
+from repro.pathfinding.heuristics import (HeuristicField, HeuristicFieldCache,
+                                          manhattan_heuristic,
+                                          true_distance_heuristic)
 from repro.pathfinding.st_astar import find_path
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
@@ -45,7 +46,7 @@ class TestFieldProperties:
             h = field(cell)
             if h > grid.n_cells:
                 continue  # unreachable marker
-            assert h == shortest_distance(grid, cell, goal)
+            assert h == grid.bfs_distances(cell)[goal]
 
     def test_dominates_manhattan(self, grid):
         """Exact fields are at least as tight as the paper's h-value."""
@@ -101,8 +102,8 @@ class TestFieldCache:
         cache = HeuristicFieldCache(grid)
         cells = passable_cells(grid)
         source, goal = cells[0], cells[-1]
-        assert cache.distance(source, goal) == shortest_distance(
-            grid, source, goal)
+        assert cache.distance(source, goal) == grid.bfs_distances(
+            source)[goal]
 
     def test_memory_reported(self, grid):
         cache = HeuristicFieldCache(grid)
@@ -112,3 +113,45 @@ class TestFieldCache:
         # charge the bytes the buffer actually holds.
         assert cache.memory_bytes() == 64 + 4 * grid.n_cells
         assert field.nbytes == 64 + 4 * len(field.flat)
+
+
+class TestHeuristics:
+    def test_manhattan_heuristic(self):
+        h = manhattan_heuristic((5, 5))
+        assert h((5, 5)) == 0
+        assert h((0, 0)) == 10
+
+    def test_true_distance_admissible_and_exact(self, blocked_grid):
+        h = true_distance_heuristic(blocked_grid, (6, 0))
+        assert h((6, 0)) == 0
+        assert h((4, 0)) == blocked_grid.bfs_distances((4, 0))[6, 0]
+
+    def test_true_distance_unreachable_is_big(self):
+        grid = Grid(5, 3, blocked=[(2, y) for y in range(3)])
+        h = true_distance_heuristic(grid, (4, 0))
+        assert h((0, 0)) > grid.n_cells
+
+    def test_cache_reuses_tables(self, small_grid):
+        cache = HeuristicFieldCache(small_grid)
+        cache.field((5, 5))
+        cache.field((5, 5))
+        assert len(cache) == 1
+        cache.field((1, 1))
+        assert len(cache) == 2
+
+    def test_cache_distance(self, blocked_grid):
+        cache = HeuristicFieldCache(blocked_grid)
+        assert cache.distance((4, 0), (6, 0)) == blocked_grid.bfs_distances(
+            (4, 0))[6, 0]
+
+    def test_cache_distance_matches_bfs(self, blocked_grid):
+        bfs = blocked_grid.bfs_distances((0, 0))
+        cache = HeuristicFieldCache(blocked_grid)
+        for goal in [(9, 7), (6, 0), (5, 6)]:
+            assert cache.distance((0, 0), goal) == bfs[goal]
+
+    def test_cache_memory_grows(self, small_grid):
+        cache = HeuristicFieldCache(small_grid)
+        empty = cache.memory_bytes()
+        cache.field((5, 5))
+        assert cache.memory_bytes() > empty

@@ -33,7 +33,6 @@ from repro.pathfinding._kernel import build, build_and_load
 from repro.pathfinding._kernel.build import build_allowed
 from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
                                        legacy_find_path)
-from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
 from repro.pathfinding.paths import Path
@@ -47,7 +46,7 @@ from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
                             assert_rows_match_neighbours, count_kernel_calls,
-                            load_swap_case)
+                            eatp_finisher, load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -350,31 +349,27 @@ class TestKernelBitIdentity:
     def test_cache_finisher_matches(self):
         grid = Grid(18, 13)
         goal = (17, 12)
-        cache = ShortestPathCache(grid, threshold=6)
-
-        def make_table():
-            table = ConflictDetectionTable()
-            return table
 
         def run(kernel):
             set_search_kernel(kernel)
             table = ConflictDetectionTable()
             crossing_traffic(table, grid.width)
-            finisher = make_wait_finisher(cache, goal, table)
+            finisher, cache = eatp_finisher(grid, table, goal, 6)
             stats = SearchStats()
             outcome = search(grid, table,
                              SearchRequest((0, 0), goal, 0,
                                            finisher=finisher,
                                            finisher_trigger=6),
                              stats=stats)
-            return outcome, stats
+            return outcome, stats, cache.live_counts()
 
-        py, py_stats = run("python")
-        comp, c_stats = run("compiled")
+        py, py_stats, py_cache = run("python")
+        comp, c_stats, c_cache = run("compiled")
         assert comp.status == py.status == st_astar.SEARCH_COMPLETE
         assert comp.path.steps == py.path.steps
         assert py_stats.cache_finished and c_stats.cache_finished
         assert c_stats.expansions == py_stats.expansions
+        assert c_cache == py_cache
 
     def test_deep_tie_paper_scale_matches(self):
         # 129 * 128 = 16512 cells >= PAPER_SCALE_MIN_CELLS: the open set

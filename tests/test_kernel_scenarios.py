@@ -1,8 +1,7 @@
 """The hot kernels on fixed scenarios, each checked against a plain reference.
 
-One test per kernel the planners spend their time in: spatial A*,
-spatiotemporal A* against both reservation structures, the cache-aided
-finisher, the heuristic field, the tier-0 descent and whole tier-0 leg,
+One test per kernel the planners spend their time in: spatiotemporal
+A* against both reservation structures, the cache-aided finisher, the heuristic field, the tier-0 descent and whole tier-0 leg,
 reservation probes and purges, the K-nearest-racks probe and the two
 selection strategies.  The workloads are two fixed reservation patterns
 on a 64×40 floor: crossing lanes (robots sweeping right along every
@@ -20,8 +19,6 @@ from __future__ import annotations
 import heapq
 
 from repro.config import PlannerConfig
-from repro.pathfinding.astar import shortest_path
-from repro.pathfinding.cache import ShortestPathCache, make_wait_finisher
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
@@ -35,6 +32,7 @@ from repro.warehouse.grid import Grid
 from repro.warehouse.knn import StaticRackKNN
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
+from tests.conftest import eatp_finisher
 
 GRID = Grid(64, 40)
 SOURCE, GOAL = (0, 0), (60, 35)
@@ -100,13 +98,6 @@ def assert_valid_leg(path, table, source=SOURCE, goal=GOAL, start=0):
 
 # -- search ------------------------------------------------------------------
 
-def test_spatial_astar():
-    cells = shortest_path(GRID, (0, 0), (63, 39))
-    assert cells[0] == (0, 0) and cells[-1] == (63, 39)
-    assert len(cells) == manhattan((0, 0), (63, 39)) + 1
-    assert all(manhattan(a, b) == 1 for a, b in zip(cells, cells[1:]))
-
-
 def test_st_astar_on_cdt():
     paths = crossing_paths()
     table = reserved(ConflictDetectionTable(), paths)
@@ -130,11 +121,12 @@ def test_st_astar_on_stgraph():
 
 def test_st_astar_with_cache_finisher():
     table = reserved(ConflictDetectionTable(), crossing_paths())
-    cache = ShortestPathCache(GRID, threshold=12)
-    finisher = make_wait_finisher(cache, GOAL, table)
+    finisher, cache = eatp_finisher(GRID, table, GOAL, 12)
     path = find_path(GRID, table, SOURCE, GOAL, 0,
+                     heuristic=HeuristicFieldCache(GRID).field(GOAL),
                      finisher=finisher, finisher_trigger=12)
     assert_valid_leg(path, table)
+    assert cache.misses >= 1
 
 
 def test_st_astar_with_heuristic_field():
@@ -253,7 +245,8 @@ def test_free_flow_kernel_leg():
     else:
         assert (verdict, path) == (3, None)
     # Both kernels answer the same leg.
-    assert cache._python_leg(table, 0, SOURCE, GOAL, no_finisher,
+    flat = HeuristicFieldCache(GRID).field(GOAL).flat
+    assert cache._python_leg(table, flat, 0, SOURCE, GOAL, no_finisher,
                              (0, 0))[:2] == (verdict, path)
 
 

@@ -54,8 +54,8 @@ class TestLiveCounts:
         assert counts["memory_bytes"] == table.memory_bytes()
 
     def test_cache_counts(self):
-        cache = ShortestPathCache(Grid(8, 8), threshold=6)
-        cache.lookup((0, 0), (3, 3))
+        cache = ShortestPathCache(threshold=6)
+        cache.record((0, 0), (3, 3), 7)
         counts = cache.live_counts()
         assert counts["entries"] == 1
         assert counts["blob_bytes"] > 0

@@ -129,7 +129,7 @@ class TestFinisherHook:
             while x < 6:
                 x += 1
                 steps.append((steps[-1][0] + 1, x, 0))
-            return steps
+            return Path(steps)
 
         stats = SearchStats()
         path = find_path(grid, cdt, (0, 0), (6, 0), start_time=0,
