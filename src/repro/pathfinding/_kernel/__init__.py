@@ -17,10 +17,12 @@ search, the three tables' operations, the field flood and tier 0 — and
 one rule serves them all: the switch is on, the table is one of the
 library's three (its ``kernel_probe_spec`` answers its store) and the
 field is a library one.  Anything else takes the python body, which
-answers bit-identically.
+answers bit-identically.  EATP's K-nearest-racks table
+(:class:`repro.warehouse.knn.StaticRackKNN`) is built by ``knn_fill``
+under the same switch.
 
 The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
-``tier0_leg`` and the reservation store's ``store_new``,
+``tier0_leg``, ``knn_fill`` and the reservation store's ``store_new``,
 ``store_reserve``, ``store_purge``, ``store_probe``, ``store_counts``,
 ``store_export`` — carry their signatures as docstrings
 (``help(_stsearch.run)``).  A leg crosses the boundary as ``keys``: one

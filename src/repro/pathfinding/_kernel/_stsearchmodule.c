@@ -1457,6 +1457,121 @@ stsearch_bfs_fill(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* knn_fill: StaticRackKNN's table, each cell's K racks of least      */
+/* (Manhattan distance, id).  A rack in a cell's top K is in that of   */
+/* the neighbour one step nearer its home, so each level's accepted    */
+/* labels are offered one step outward along one canonical path per    */
+/* (cell, rack), x steps then y on the home column.  Seeded in id      */
+/* order, every level keeps it, and a cell takes its first K offers.   */
+
+typedef struct { int32_t ci, rack; } KnnLabel;
+
+static PyObject *
+stsearch_knn_fill(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *homes_obj, *out_obj;
+    Py_ssize_t width, height;
+    if (!PyArg_ParseTuple(args, "OnnO:knn_fill", &homes_obj, &width,
+                          &height, &out_obj))
+        return NULL;
+    Py_buffer hv, ov;
+    if (PyObject_GetBuffer(homes_obj, &hv, PyBUF_RECORDS_RO) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS_RO) < 0) {
+        PyBuffer_Release(&hv);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    int32_t *count = NULL;
+    KnnLabel *level[2] = {NULL, NULL};   /* the last level, the next */
+    Py_ssize_t len[2] = {0, 0}, cap[2] = {0, 0}, nb = 0;
+    Py_ssize_t n = hv.ndim == 2 ? hv.shape[0] : 0;
+    int wide = ov.itemsize == 4;
+    if (hv.ndim != 2 || hv.shape[1] != 2 || hv.itemsize != 8
+            || hv.format == NULL
+            || (strcmp(hv.format, "q") && strcmp(hv.format, "l"))
+            || ov.format == NULL
+            || !((ov.itemsize == 2 && !strcmp(ov.format, "h"))
+                 || (wide && (!strcmp(ov.format, "i")
+                              || (sizeof(long) == 4
+                                  && !strcmp(ov.format, "l")))))) {
+        PyErr_SetString(PyExc_TypeError, "homes must be an (n, 2) int64 "
+                        "buffer and out an int16 or int32 one");
+        goto done;
+    }
+    Py_ssize_t k = ov.ndim == 3 ? ov.shape[2] : 0;
+    if (ov.ndim != 3 || ov.shape[0] != width || ov.shape[1] != height
+            || width < 1 || height < 1 || width * height > INT32_MAX
+            || !PyBuffer_IsContiguous(&hv, 'C') || ov.readonly
+            || !PyBuffer_IsContiguous(&ov, 'C')) {
+        PyErr_SetString(PyExc_ValueError, "homes and a writable out "
+                        "must be C-contiguous, out (width, height, K)");
+        goto done;
+    }
+    if (k < 1 || k > n || n > (wide ? INT32_MAX : 32768)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "K must be in [1, n] and every id fit out's dtype");
+        goto done;
+    }
+    const int64_t *homes = hv.buf;
+    for (Py_ssize_t r = 0; r < n; r++)
+        if ((uint64_t)homes[2 * r] >= (uint64_t)width
+                || (uint64_t)homes[2 * r + 1] >= (uint64_t)height) {
+            PyErr_SetString(PyExc_IndexError, "rack home outside the floor");
+            goto done;
+        }
+    count = PyMem_Calloc((size_t)(width * height), sizeof(int32_t));
+    if (count == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* a cell with room takes the rack, to pass on at the next level */
+#define KNN_OFFER(cell, r) do {                                         \
+        Py_ssize_t c_ = (cell);                                         \
+        if (count[c_] < k) {                                            \
+            Py_ssize_t at_ = c_ * k + count[c_]++;                      \
+            if (wide) ((int32_t *)ov.buf)[at_] = (r);                   \
+            else ((int16_t *)ov.buf)[at_] = (int16_t)(r);               \
+            level[nb][len[nb]++] = (KnnLabel){(int32_t)c_, (r)};        \
+        }                                                               \
+    } while (0)
+    if (ws_reserve((void **)&level[0], &cap[0], n, sizeof(KnnLabel), 0) < 0)
+        goto done;
+    for (int32_t r = 0; r < n; r++)
+        KNN_OFFER(homes[2 * r] * height + homes[2 * r + 1], r);
+    for (Py_ssize_t last = 0; len[last]; last ^= 1) {
+        nb = last ^ 1;
+        len[nb] = 0;
+        for (Py_ssize_t i = 0; i < len[last]; i++) {
+            if (ws_reserve((void **)&level[nb], &cap[nb], len[nb] + 4,
+                           sizeof(KnnLabel), 0) < 0)
+                goto done;
+            KnnLabel l = level[last][i];
+            Py_ssize_t ci = l.ci, x = ci / height, y = ci % height;
+            int32_t r = l.rack;
+            int64_t hx = homes[2 * r], hy = homes[2 * r + 1];
+            if (x >= hx && x + 1 < width)
+                KNN_OFFER(ci + height, r);
+            if (x <= hx && x > 0)
+                KNN_OFFER(ci - height, r);
+            if (x == hx && y >= hy && y + 1 < height)
+                KNN_OFFER(ci + 1, r);
+            if (x == hx && y <= hy && y > 0)
+                KNN_OFFER(ci - 1, r);
+        }
+    }
+#undef KNN_OFFER
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(count);
+    PyMem_Free(level[0]);
+    PyMem_Free(level[1]);
+    PyBuffer_Release(&ov);
+    PyBuffer_Release(&hv);
+    return result;
+}
+
 /* cache.follow_with_waits over the descent ``indices[0..k]``: walk it
  * from ``start_t``, waiting in place wherever the next move is reserved.
  * Writes the timed keys to ``out`` (room for k + 1 + total_cap) and
@@ -1707,6 +1822,11 @@ static PyMethodDef stsearch_methods[] = {
      "Flood true shortest-path distances from source_ci into a writable\n"
      "int32 buffer of n_cells entries; unvisited cells keep the\n"
      "``unreached`` sentinel (must not collide with a real distance)."},
+    {"knn_fill", stsearch_knn_fill, METH_VARARGS,
+     "knn_fill(homes, width, height, out) -> None\n"
+     "Write each cell's K racks of least (Manhattan distance, id) from the\n"
+     "(n, 2) int64 ``homes`` into the writable C-contiguous (width,\n"
+     "height, K) int16/int32 ``out``; 1 <= K <= n, every home on the floor."},
     {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
      "tier0_leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
      "    start_t, trigger, rescue_wait_per_step, rescue_total_wait)\n"

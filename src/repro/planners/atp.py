@@ -21,12 +21,11 @@ branches; WAIT pays the per-tick deferral cost −|τ_r| (see
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..config import PlannerConfig
-from ..rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
-from ..rl.qlearning import QLearningAgent
+from ..rl.mdp import ACTION_REQUEST
+from ..rl.qlearning import Facts, QLearningAgent
 from ..types import Tick
 from ..warehouse.entities import Rack, Robot
 from ..warehouse.state import WarehouseState
@@ -47,17 +46,16 @@ class AdaptiveTaskPlanner(Planner):
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, rack: Rack) -> RackObservation:
-        """Build the Sec. V-A observation for one rack, right now."""
+    def facts(self, rack: Rack) -> Facts:
+        """The learner's facts of the rack's Sec. V-A observation."""
         picker = self.state.pickers[rack.picker_id]
-        return RackObservation(
-            picker_accumulated=picker.accumulated_processing,
-            rack_accumulated=rack.accumulated_processing,
-            picker_finish_time=picker.finish_time_estimate,
-            distance_to_picker=self.transport_distance(rack),
-            batch_processing_time=rack.pending_processing_time,
-            n_pending=len(rack.pending_items),
-        )
+        width = self.agent.config.state_bin_width
+        return (picker.accumulated_processing // width,
+                rack.accumulated_processing // width,
+                rack.pending_processing_time // width,
+                len(rack.pending_items),
+                max(picker.finish_time_estimate,
+                    self._rack_distance[rack.rack_id]))
 
     # -- Alg. 2 selection ------------------------------------------------------
 
@@ -74,8 +72,7 @@ class AdaptiveTaskPlanner(Planner):
         entries = most_slack_first(racks[0]._world.selectable_by_picker(),
                                    budget, self.picker_finish_time)
         for entry in entries:
-            self.agent.update(self.observe(entry.rack), ACTION_REQUEST,
-                              greedy=True)
+            self.agent.learn(*self.facts(entry.rack), ACTION_REQUEST, True)
         return entries
 
     def _select_learned(self, racks: List[Rack],
@@ -85,48 +82,36 @@ class AdaptiveTaskPlanner(Planner):
         "Urgent" is the agent's :meth:`~repro.rl.qlearning.QLearningAgent.
         priority` — the racks whose expected finish time grows fastest if
         deferred are examined (and thus, under REQUEST, dispatched) first.
-        Only the racks the loop reaches are observed.
         """
         entries: List[SelectionEntry] = []
-        for rack in sorted(racks, key=self._priority_key()):
-            observation = self.observe(rack)
-            action = self.agent.choose_action(observation)
-            if action == ACTION_REQUEST:
+        for __, __, rack, rack_facts in self._ranked(racks):
+            if self._requests(rack_facts):
                 entries.append(SelectionEntry(rack=rack))
-                self.agent.update(observation, ACTION_REQUEST)
                 if len(entries) == budget:
                     break
-            else:
-                self.agent.update(observation, ACTION_WAIT)
         return entries
 
-    def _priority_key(self) -> Callable[[Rack], Tuple[float, int]]:
-        """``rack -> (agent.priority(observe(rack)), rack_id)``, fused.
+    def _ranked(self, racks: Iterable[Rack]) -> List[tuple]:
+        """``(priority, rack_id, rack, facts)`` per rack, most urgent first.
 
-        The same float operations in the same order as
-        :meth:`~repro.rl.qlearning.QLearningAgent.utilities`, without
-        building the observation; ``best_value`` is memoised per state,
-        valid while the table is not written (one sort).
+        Every key is taken before the caller's first update, so one table
+        serves the whole sort; the facts ride along for the examination.
         """
-        cfg = self.agent.config
-        width, gamma, weight = (cfg.state_bin_width, cfg.discount,
-                                cfg.deferral_weight)
-        pickers, distance = self.state.pickers, self._rack_distance
-        value = lru_cache(maxsize=None)(self.agent.table.best_value)
+        agent, facts = self.agent, self.facts
+        keyed = []
+        for rack in racks:
+            rack_facts = facts(rack)
+            u_wait, u_request = agent.lookahead(*rack_facts)
+            keyed.append((u_wait - u_request, rack.rack_id, rack, rack_facts))
+        keyed.sort()
+        return keyed
 
-        def key(rack: Rack) -> Tuple[float, int]:
-            picker = pickers[rack.picker_id]
-            s0 = picker.accumulated_processing // width
-            s1 = rack.accumulated_processing // width
-            delta = rack.pending_processing_time // width
-            u_wait = (-weight * float(len(rack.pending_items))
-                      + gamma * value((s0, s1)))
-            u_request = (-float(max(picker.finish_time_estimate,
-                                    distance[rack.rack_id]))
-                         + gamma * value((s0 + delta, s1 + delta)))
-            return u_wait - u_request, rack.rack_id
-
-        return key
+    def _requests(self, rack_facts: Facts) -> bool:
+        """Alg. 2 lines 13–18 for one rack: act ε-greedily, learn from the
+        action, and say whether it was REQUEST."""
+        action = self.agent.decide(*rack_facts)
+        self.agent.learn(*rack_facts, action)
+        return action == ACTION_REQUEST
 
     # -- memory ------------------------------------------------------------------
 

@@ -28,9 +28,8 @@ from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.cdt import ConflictDetectionTable
 from ..pathfinding.paths import Path
 from ..pathfinding.reservation import ReservationTable
-from ..rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from ..types import Cell, Tick
-from ..warehouse.entities import Rack, RackPhase, Robot
+from ..warehouse.entities import Rack, Robot
 from ..warehouse.knn import StaticRackKNN
 from ..warehouse.state import WarehouseState
 from .atp import AdaptiveTaskPlanner
@@ -106,27 +105,19 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         # still O(|A|·K + |A| log |A|), preserving the Sec. VI-A bound.
         per_robot = []
         for robot in robots:
-            candidates = [all_racks[rack_id]
-                          for rack_id in self.knn.nearest(robot.location)
-                          if all_racks[rack_id].selectable]
-            observed = [(self.observe(rack), rack) for rack in candidates]
-            observed.sort(key=lambda pair: (self.agent.priority(pair[0]),
-                                            pair[1].rack_id))
-            best = (self.agent.priority(observed[0][0])
-                    if observed else float("inf"))
-            per_robot.append((best, robot.robot_id, robot, observed))
+            keyed = self._ranked([
+                rack for rack in map(all_racks.__getitem__,
+                                     self.knn.nearest(robot.location))
+                if rack.selectable])
+            best = keyed[0][0] if keyed else float("inf")
+            per_robot.append((best, robot.robot_id, robot, keyed))
         per_robot.sort(key=lambda entry: entry[:2])
-        for __, __, robot, observed in per_robot:
-            for observation, rack in observed:
-                if rack.rack_id in claimed:
-                    continue
-                action = self.agent.choose_action(observation)
-                if action == ACTION_REQUEST:
+        for __, __, robot, keyed in per_robot:
+            for __, rack_id, rack, rack_facts in keyed:
+                if rack_id not in claimed and self._requests(rack_facts):
                     entries.append(SelectionEntry(rack=rack, robot=robot))
-                    self.agent.update(observation, ACTION_REQUEST)
-                    claimed.add(rack.rack_id)
+                    claimed.add(rack_id)
                     break  # Alg. 3 line 13: one rack per robot.
-                self.agent.update(observation, ACTION_WAIT)
         return entries
 
     # -- Alg. 3 path finding: CDT + cache-aided A* --------------------------------

@@ -16,14 +16,15 @@ update rule, the ε-greedy head, and the bookkeeping they share.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..config import QLearningConfig
-from .mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation, RackState,
-                  bucketize, request_cost, transition, wait_cost)
-from .policy import EpsilonGreedyPolicy
+from .mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation, bucketize
 from .qtable import QTable
+
+#: ``(s0, s1, δ, |τ_r|, max{f_p, d})`` (:meth:`QLearningAgent.facts`).
+Facts = Tuple[int, int, int, int, int]
 
 
 @dataclass
@@ -43,6 +44,10 @@ class QLearningAgent:
     rack-agnostic, so experience from any rack generalises to all racks in
     the same regime — this is what makes the table converge within a single
     run, mirroring the paper's online training.
+
+    The lookahead, ε-greedy head and Eq. 5 update take a rack's
+    :meth:`facts`; the selectors read them straight off the racks, and
+    the methods taking a :class:`RackObservation` wrap them.
     """
 
     def __init__(self, config: Optional[QLearningConfig] = None,
@@ -50,15 +55,20 @@ class QLearningAgent:
         self.config = config if config is not None else QLearningConfig()
         self._rng = rng if rng is not None else random.Random(11)
         self.table = QTable()
-        self.policy = EpsilonGreedyPolicy(self.table, self.config.epsilon,
-                                          self._rng)
         self.stats = LearnerStats()
 
     # -- observation plumbing ---------------------------------------------
 
-    def state_of(self, observation: RackObservation) -> RackState:
-        """Bucket a raw observation into the tabular state."""
-        return bucketize(observation, self.config.state_bin_width)
+    def facts(self, observation: RackObservation) -> Facts:
+        """``(s0, s1, δ, |τ_r|, max{f_p, d})``: the bucketed state, the
+        bucketed batch time a REQUEST advances it by, the waiting and
+        the request cost inputs."""
+        width = self.config.state_bin_width
+        return (*bucketize(observation, width),
+                observation.batch_processing_time // width,
+                observation.n_pending,
+                max(observation.picker_finish_time,
+                    observation.distance_to_picker))
 
     def use_approximation(self) -> bool:
         """Sample the Bernoulli(δ) coin of Alg. 2 line 5.
@@ -68,15 +78,19 @@ class QLearningAgent:
         """
         return self._rng.random() < self.config.delta
 
-    def utilities(self, observation: RackObservation) -> "tuple[float, float]":
+    # -- the core -----------------------------------------------------------
+
+    def lookahead(self, s0: int, s1: int, delta: int, n_pending: int,
+                  overhead: int) -> Tuple[float, float]:
         """One-step lookahead utilities ``(u_wait, u_request)``.
 
         ``u(α) = c(s, α) + γ · max_α' q(s', α')`` — the immediate cost is
-        computed from the live observation, the continuation value from
+        computed from the live facts (:func:`~repro.rl.mdp.wait_cost`,
+        :func:`~repro.rl.mdp.request_cost`), the continuation value from
         the learned table.  The lookahead is what lets selection react to
         the *current* picker status: the paper's bucketed ⟨ap, ar⟩ state
         cannot encode f_p, but the immediate term can (a reproduction
-        refinement; see :func:`repro.rl.mdp.wait_cost`).
+        refinement).
 
         With γ below 1 the induced decision boundary is approximately
         "request once |τ_r| ≳ (1 − γ)·max{f_p, d}": small batches
@@ -84,24 +98,58 @@ class QLearningAgent:
         picker queue grows — the adaptive behaviour of the paper's
         Fig. 13 case study.
         """
-        cfg = self.config
-        state = self.state_of(observation)
-        u_wait = (wait_cost(observation, cfg.deferral_weight)
-                  + cfg.discount * self.table.best_value(state))
-        next_state = transition(state, ACTION_REQUEST,
-                                observation.batch_processing_time,
-                                cfg.state_bin_width)
-        u_request = (request_cost(observation)
-                     + cfg.discount * self.table.best_value(next_state))
-        return u_wait, u_request
+        cfg, value = self.config, self.table.best_value
+        return (-cfg.deferral_weight * float(n_pending)
+                + cfg.discount * value((s0, s1)),
+                -float(overhead)
+                + cfg.discount * value((s0 + delta, s1 + delta)))
 
-    def choose_action(self, observation: RackObservation) -> int:
+    def decide(self, s0: int, s1: int, delta: int, n_pending: int,
+               overhead: int) -> int:
         """ε-greedy over the lookahead utilities (ties favour REQUEST)."""
         if self._rng.random() < self.config.epsilon:
             self.stats.explored_actions += 1
             return self._rng.choice((ACTION_WAIT, ACTION_REQUEST))
-        u_wait, u_request = self.utilities(observation)
+        u_wait, u_request = self.lookahead(s0, s1, delta, n_pending,
+                                           overhead)
         return ACTION_REQUEST if u_request >= u_wait else ACTION_WAIT
+
+    def learn(self, s0: int, s1: int, delta: int, n_pending: int,
+              overhead: int, action: int, greedy: bool = False) -> float:
+        """One Eq. 5 update of ``((s0, s1), action)``; the TD error.
+
+        WAIT keeps s' = s and pays the deferral cost, REQUEST pays the
+        overhead and advances both counters by ``delta``; ``greedy``
+        marks the approximation branch (bookkeeping only).
+        """
+        cfg, table = self.config, self.table
+        state = (s0, s1)
+        if action == ACTION_REQUEST:
+            c = -float(overhead)
+            target = c + cfg.discount * table.best_value((s0 + delta,
+                                                          s1 + delta))
+        else:
+            c = -cfg.deferral_weight * float(n_pending)
+            target = c + cfg.discount * table.best_value(state)
+        old = table.get(state, action)
+        td_error = target - old
+        table.set(state, action, old + cfg.learning_rate * td_error)
+
+        self.stats.updates += 1
+        self.stats.cumulative_reward += c
+        if greedy:
+            self.stats.greedy_updates += 1
+        return td_error
+
+    # -- the core over an observation -------------------------------------
+
+    def utilities(self, observation: RackObservation) -> Tuple[float, float]:
+        """:meth:`lookahead` of the observation's facts."""
+        return self.lookahead(*self.facts(observation))
+
+    def choose_action(self, observation: RackObservation) -> int:
+        """:meth:`decide` on the observation's facts."""
+        return self.decide(*self.facts(observation))
 
     def priority(self, observation: RackObservation) -> float:
         """Examination order for Alg. 2 line 12 (lower = examined first).
@@ -114,51 +162,10 @@ class QLearningAgent:
         u_wait, u_request = self.utilities(observation)
         return u_wait - u_request
 
-    # -- the Eq. 5 update ----------------------------------------------------
-
     def update(self, observation: RackObservation, action: int,
                greedy: bool = False) -> float:
-        """Apply one Eq. 5 update for ``(state(observation), action)``.
-
-        Parameters
-        ----------
-        observation:
-            The rack's pre-decision observation (defines s, the reward
-            inputs, and the batch size driving the transition).
-        action:
-            The action taken (ACTION_WAIT keeps s' = s and pays the
-            per-tick deferral cost; ACTION_REQUEST pays Eq. 4 and
-            advances the counters).
-        greedy:
-            Whether this update came from the approximation branch
-            (bookkeeping only).
-
-        Returns
-        -------
-        float
-            The TD error, handy for convergence diagnostics.
-        """
-        cfg = self.config
-        state = self.state_of(observation)
-        if action == ACTION_REQUEST:
-            c = request_cost(observation)
-        else:
-            # Waiting delays every pending item (see
-            # :func:`~repro.rl.mdp.wait_cost`).
-            c = wait_cost(observation, cfg.deferral_weight)
-        next_state = transition(state, action,
-                                observation.batch_processing_time,
-                                cfg.state_bin_width)
-        target = c + cfg.discount * self.table.best_value(next_state)
-        old = self.table.get(state, action)
-        td_error = target - old
-        self.table.set(state, action, old + cfg.learning_rate * td_error)
-
-        self.stats.updates += 1
-        self.stats.cumulative_reward += c
-        if greedy:
-            self.stats.greedy_updates += 1
-        return td_error
+        """:meth:`learn` from the observation's facts; the TD error."""
+        return self.learn(*self.facts(observation), action, greedy)
 
     def memory_bytes(self) -> int:
         """Learner footprint (Q-table) for the MC metric."""

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .mdp import ACTIONS, RackState
+from .mdp import ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackState
 
 
 class QTable:
@@ -14,23 +14,46 @@ class QTable:
     *optimistic* for this problem (all true values are negative because
     rewards are negated delays), which nudges early exploration toward
     untried actions — helpful before the bootstrap has seeded the table.
+
+    One row ``[q_wait, q_request, mask]`` per state makes ``best_value``
+    one dict hit; bit α of the mask marks (state, α) as written, which
+    is what ``len``, iteration and the MC charge count.
     """
 
     def __init__(self, initial_value: float = 0.0) -> None:
-        self._values: Dict[Tuple[RackState, int], float] = {}
+        self._rows: Dict[RackState, List] = {}
+        self._entries = 0
         self.initial_value = initial_value
+
+    def __setstate__(self, state: dict) -> None:
+        # Tables pickled before rows kept one value per (state, α).
+        pairs = state.pop("_values", {})
+        self.__dict__.update({"_rows": {}, "_entries": 0, **state})
+        for (key, action), value in pairs.items():
+            self.set(key, action, value)
 
     def get(self, state: RackState, action: int) -> float:
         """Current estimate of q(state, action)."""
-        return self._values.get((state, action), self.initial_value)
+        row = self._rows.get(state)
+        return self.initial_value if row is None else row[action]
 
     def set(self, state: RackState, action: int, value: float) -> None:
         """Overwrite q(state, action)."""
-        self._values[(state, action)] = value
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = [self.initial_value,
+                                       self.initial_value, 0]
+        row[action] = value
+        if not row[2] >> action & 1:
+            row[2] |= 1 << action
+            self._entries += 1
 
     def best_value(self, state: RackState) -> float:
         """max_α q(state, α) — the bootstrap target of Eq. 5."""
-        return max(self.get(state, action) for action in ACTIONS)
+        row = self._rows.get(state)
+        if row is None:
+            return self.initial_value
+        return row[1] if row[1] > row[0] else row[0]
 
     def best_action(self, state: RackState) -> int:
         """argmax_α q(state, α), ties broken toward ACTION_REQUEST.
@@ -39,19 +62,18 @@ class QTable:
         state; preferring "request" keeps a cold-start system live instead
         of deadlocking every rack on "wait".
         """
-        values = [(self.get(state, action), action) for action in ACTIONS]
-        best_value, best = values[0]
-        for value, action in values[1:]:
-            if value > best_value or (value == best_value and action > best):
-                best_value, best = value, action
-        return best
+        q_wait = self.get(state, ACTION_WAIT)
+        q_request = self.get(state, ACTION_REQUEST)
+        return ACTION_REQUEST if q_request >= q_wait else ACTION_WAIT
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._entries
 
     def __iter__(self) -> Iterator[Tuple[Tuple[RackState, int], float]]:
-        return iter(self._values.items())
+        return (((state, action), row[action])
+                for state, row in self._rows.items()
+                for action in ACTIONS if row[2] >> action & 1)
 
     def memory_bytes(self) -> int:
         """Approximate table footprint (for the MC metric)."""
-        return 64 + 150 * len(self._values)
+        return 64 + 150 * self._entries

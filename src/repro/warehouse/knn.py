@@ -9,16 +9,68 @@ O(|R| log |R|) selection into an O(|A|·K) one.
 The index answers by *home* cell.  A rack that is currently in transit is
 simply skipped by the caller; its slot is not re-used, matching the paper's
 "static and easy to maintain" description.
+
+The kernel switch picks the table's builder: the native ``knn_fill``, or
+:func:`_tile_fill`, the numpy body the tests compare it against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..types import Cell, manhattan
+from ..types import Cell
+
+#: Side, in cells, of the square tiles :func:`_tile_fill` walks.  Smaller
+#: tiles shortlist fewer racks each but multiply the per-tile numpy
+#: overhead; build time is flat over 8–12 on the 541×302 paper floor and
+#: lowest at 8 on the small ones.
+TILE = 8
+
+
+def _tile_fill(homes: np.ndarray, width: int, height: int,
+               out: np.ndarray) -> None:
+    """``knn_fill`` in numpy: every cell's K racks of least (distance, id).
+
+    The selection per cell is the first K of the *stable* ascending
+    argsort of its rack distances — equivalently the K smallest of the
+    composite key ``dist · n_racks + rack_id`` (ids are distinct, so the
+    key is unique, breaks distance ties by id exactly as the stable sort
+    does, and gives the id back as ``key % n_racks``).
+
+    Only racks near a tile can enter its cells' top K.  Let ``c`` be the
+    tile's centre cell, ``rad`` the largest distance from ``c`` to a cell
+    of the tile and ``D`` the distance from ``c`` to its K-th nearest
+    rack.  K racks lie within ``D`` of ``c``, hence within ``D + rad`` of
+    any tile cell ``p``; so every rack of ``p``'s top K is within
+    ``D + rad`` of ``p`` and ``D + 2·rad`` of ``c``.  The bound is
+    inclusive, so ties survive it: the build is exact at
+    O(neighbourhood), not O(n_racks), per cell.
+    """
+    n_racks, k = len(homes), out.shape[2]
+    home_x, home_y = homes[:, 0], homes[:, 1]
+    all_x = np.arange(width, dtype=np.int64)[:, None]
+    all_y = np.arange(height, dtype=np.int64)[:, None]
+    kth = k - 1
+    for x0 in range(0, width, TILE):
+        x1 = min(x0 + TILE, width)
+        cx = (x0 + x1) // 2          # x1 - 1 is no farther than x0
+        from_cx = np.abs(home_x - cx)
+        for y0 in range(0, height, TILE):
+            y1 = min(y0 + TILE, height)
+            cy = (y0 + y1) // 2
+            from_c = from_cx + np.abs(home_y - cy)          # (R,)
+            reach = (np.partition(from_c, kth)[kth]
+                     + 2 * ((cx - x0) + (cy - y0)))
+            near = np.flatnonzero(from_c <= reach)          # (C,) ids
+            dx = np.abs(all_x[x0:x1] - home_x[near])        # (w, C)
+            dy = np.abs(all_y[y0:y1] - home_y[near])        # (h, C)
+            key = (dx[:, None, :] + dy[None, :, :]) * n_racks + near
+            best = np.partition(key, kth, axis=2)[:, :, :k]
+            best.sort(axis=2)
+            out[x0:x1, y0:y1] = best % n_racks
 
 
 class StaticRackKNN:
@@ -27,7 +79,7 @@ class StaticRackKNN:
     Parameters
     ----------
     rack_homes:
-        Home cell per rack (index = rack id).
+        Home cell per rack (index = rack id), each on the grid.
     width, height:
         Grid dimensions the index covers.
     k:
@@ -38,15 +90,9 @@ class StaticRackKNN:
     Distances are Manhattan, matching the unobstructed default layouts; on
     grids with blocked cells the true distance can exceed Manhattan, but the
     index is only used to *shortlist* candidates, so admissibility is not
-    required.  Memory is O(H·W·K) int32, comfortably below the
-    spatiotemporal structures it helps avoid.
+    required.  Memory is O(H·W·K): int16 ids below 2¹⁵ racks, int32 from
+    there — comfortably below the spatiotemporal structures it helps avoid.
     """
-
-    #: Side, in cells, of the square tiles the build walks.  Smaller tiles
-    #: shortlist fewer racks each but multiply the per-tile numpy
-    #: overhead; build time is flat over 8–12 on the 541×302 paper floor
-    #: and lowest at 8 on the small ones.
-    _TILE = 8
 
     def __init__(self, rack_homes: Sequence[Cell], width: int, height: int,
                  k: int) -> None:
@@ -58,65 +104,24 @@ class StaticRackKNN:
         self.width = width
         self.height = height
         self._homes = np.array(rack_homes, dtype=np.int64)  # (n_racks, 2)
-
-        # The selection per cell is the first K of the *stable* ascending
-        # argsort of its rack distances — equivalently the K smallest of
-        # the composite key ``dist · n_racks + rack_id`` (ids are distinct,
-        # so the key is unique, breaks distance ties by id exactly as the
-        # stable sort does, and gives the id back as ``key % n_racks``).
-        #
-        # Only racks near a tile can enter its cells' top K.  Let ``c`` be
-        # the tile's centre cell, ``rad`` the largest distance from ``c``
-        # to a cell of the tile and ``D`` the distance from ``c`` to its
-        # K-th nearest rack.  K racks lie within ``D`` of ``c``, hence
-        # within ``D + rad`` of any tile cell ``p``; so every rack of
-        # ``p``'s top K is within ``D + rad`` of ``p`` and ``D + 2·rad``
-        # of ``c``.  The bound is inclusive, so ties survive it: the
-        # build is exact at O(neighbourhood), not O(n_racks), per cell.
-        n_racks = len(rack_homes)
-        dtype = np.int16 if n_racks < 2 ** 15 else np.int32
+        if not ((self._homes >= 0).all() and (self._homes[:, 0] < width).all()
+                and (self._homes[:, 1] < height).all()):
+            raise ConfigurationError("every rack home must lie on the grid")
+        dtype = np.int16 if len(rack_homes) < 2 ** 15 else np.int32
         self._nearest = np.empty((width, height, self.k), dtype=dtype)
-        home_x, home_y = self._homes[:, 0], self._homes[:, 1]
-        all_x = np.arange(width, dtype=np.int64)[:, None]
-        all_y = np.arange(height, dtype=np.int64)[:, None]
-        tile, kth = self._TILE, self.k - 1
-        for x0 in range(0, width, tile):
-            x1 = min(x0 + tile, width)
-            cx = (x0 + x1) // 2          # x1 - 1 is no farther than x0
-            from_cx = np.abs(home_x - cx)
-            for y0 in range(0, height, tile):
-                y1 = min(y0 + tile, height)
-                cy = (y0 + y1) // 2
-                from_c = from_cx + np.abs(home_y - cy)          # (R,)
-                reach = (np.partition(from_c, kth)[kth]
-                         + 2 * ((cx - x0) + (cy - y0)))
-                near = np.flatnonzero(from_c <= reach)          # (C,) ids
-                dx = np.abs(all_x[x0:x1] - home_x[near])        # (w, C)
-                dy = np.abs(all_y[y0:y1] - home_y[near])        # (h, C)
-                key = (dx[:, None, :] + dy[None, :, :]) * n_racks + near
-                best = np.partition(key, kth, axis=2)[:, :, :self.k]
-                best.sort(axis=2)
-                self._nearest[x0:x1, y0:y1] = best % n_racks
+        # The one kernel switch; imported here because the pathfinding
+        # package imports the warehouse.
+        from ..pathfinding import _kernel
+        kernel = _kernel.active
+        fill = _tile_fill if kernel is None else kernel.knn_fill
+        fill(self._homes, width, height, self._nearest)
 
     def nearest(self, cell: Cell) -> List[int]:
         """Rack ids of the K racks closest to ``cell``, nearest first."""
         x, y = cell
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise ConfigurationError(f"cell {cell} outside indexed area")
-        return [int(r) for r in self._nearest[x, y]]
-
-    def nearest_where(self, cell: Cell,
-                      predicate: Callable[[int], bool]) -> Optional[int]:
-        """First of the K closest racks satisfying ``predicate``, or None.
-
-        This is the flip-requesting probe: EATP calls it with
-        "rack is selectable and not yet claimed this timestamp".
-        """
-        x, y = cell
-        for rack_id in self._nearest[x, y]:
-            if predicate(int(rack_id)):
-                return int(rack_id)
-        return None
+        return self._nearest[x, y].tolist()
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the index (for the MC metric)."""

@@ -206,13 +206,14 @@ class TestAtpPlanner:
         planner.plan(0)
         assert planner.agent.stats.updates > 0
 
-    def test_observation_reflects_rack(self):
+    def test_facts_reflect_rack(self):
         state = make_two_picker_state()
         give_items(state, 0, n=3, processing=7)
-        planner = AdaptiveTaskPlanner(state, self.config())
-        observation = planner.observe(state.racks[0])
-        assert observation.n_pending == 3
-        assert observation.batch_processing_time == 21
+        planner = AdaptiveTaskPlanner(state, PlannerConfig(
+            qlearning=QLearningConfig(state_bin_width=1)))
+        __, __, delta, n_pending, __ = planner.facts(state.racks[0])
+        assert n_pending == 3
+        assert delta == 21
 
 
 class TestEatpPlanner:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import QLearningConfig
 from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
-                          request_cost, wait_cost)
+                          bucketize, request_cost, wait_cost)
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
@@ -31,7 +31,7 @@ class TestUpdate:
         # target = c + γ·max q(s') = request_cost + 0, old = 0.
         expected_target = request_cost(observation)
         assert td == pytest.approx(expected_target)
-        state = a.state_of(observation)
+        state = bucketize(observation, a.config.state_bin_width)
         assert a.table.get(state, ACTION_REQUEST) == pytest.approx(
             a.config.learning_rate * expected_target)
 
@@ -39,7 +39,7 @@ class TestUpdate:
         a = agent()
         observation = obs(n=4)
         a.update(observation, ACTION_WAIT)
-        state = a.state_of(observation)
+        state = bucketize(observation, a.config.state_bin_width)
         expected = a.config.learning_rate * wait_cost(
             observation, a.config.deferral_weight)
         assert a.table.get(state, ACTION_WAIT) == pytest.approx(expected)
@@ -54,7 +54,7 @@ class TestUpdate:
     def test_repeated_updates_converge_to_target(self):
         a = agent(learning_rate=0.5)
         observation = obs(fp=0, d=20, n=1)
-        state = a.state_of(observation)
+        state = bucketize(observation, a.config.state_bin_width)
         for _ in range(200):
             a.update(observation, ACTION_WAIT)
         # Fixed point of q = c_wait + γ·max(q, q_req): with q_req ~ 0

@@ -1,5 +1,7 @@
 """Unit tests for the tabular action-value function."""
 
+import pickle
+
 from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from repro.rl.qtable import QTable
 
@@ -59,3 +61,55 @@ class TestBest:
         empty = table.memory_bytes()
         table.set((0, 0), ACTION_WAIT, 1.0)
         assert table.memory_bytes() > empty
+
+
+class TestRows:
+    """One row per state holds both actions; only the (state, action)
+    entries actually written count for ``len``, iteration and MC."""
+
+    def test_wait_only_writes(self):
+        table = QTable()
+        table.set((0, 0), ACTION_WAIT, -1.0)
+        table.set((0, 0), ACTION_WAIT, -2.0)   # a rewrite is no new entry
+        table.set((3, 1), ACTION_WAIT, -4.0)
+        assert len(table) == 2
+        assert dict(table) == {((0, 0), ACTION_WAIT): -2.0,
+                               ((3, 1), ACTION_WAIT): -4.0}
+        assert table.memory_bytes() == 64 + 150 * 2
+        assert table.get((0, 0), ACTION_REQUEST) == table.initial_value
+        assert table.best_value((0, 0)) == table.initial_value
+
+    def test_request_only_writes(self):
+        table = QTable(initial_value=-9.0)
+        table.set((2, 2), ACTION_REQUEST, -3.5)
+        assert len(table) == 1
+        assert list(table) == [(((2, 2), ACTION_REQUEST), -3.5)]
+        assert table.memory_bytes() == 64 + 150
+        assert table.get((2, 2), ACTION_WAIT) == -9.0
+        assert table.best_value((2, 2)) == -3.5
+        assert table.best_action((2, 2)) == ACTION_REQUEST
+
+    def test_both_actions_of_a_state(self):
+        table = QTable()
+        table.set((1, 1), ACTION_REQUEST, -5.0)
+        table.set((1, 1), ACTION_WAIT, -6.0)
+        assert len(table) == 2
+        assert dict(table) == {((1, 1), ACTION_REQUEST): -5.0,
+                               ((1, 1), ACTION_WAIT): -6.0}
+        assert table.best_value((1, 1)) == -5.0
+
+    def test_pair_keyed_pickle_loads_as_rows(self):
+        # The layout older checkpoints carry: one dict value per
+        # (state, action) pair.
+        old = QTable.__new__(QTable)
+        old.__dict__.update(initial_value=0.0, _values={
+            ((0, 0), ACTION_WAIT): -1.0, ((0, 0), ACTION_REQUEST): -2.0,
+            ((4, 2), ACTION_REQUEST): -7.0})
+        table = pickle.loads(pickle.dumps(old))
+        assert dict(table) == old.__dict__["_values"]
+        assert len(table) == 3
+        assert table.memory_bytes() == 64 + 150 * 3
+        assert table.best_value((0, 0)) == -1.0
+        assert table.get((4, 2), ACTION_WAIT) == 0.0
+        again = pickle.loads(pickle.dumps(table))
+        assert dict(again) == dict(table) and len(again) == 3

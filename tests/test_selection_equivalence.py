@@ -2,7 +2,8 @@
 
 Every planner's selection reads maintained or static per-rack facts — the
 batch sum and oldest arrival kept on the rack, d(l_r, l_p) computed once,
-ATP's fused ranking key, ILP's numpy cost matrix.  Each test here holds
+the learner core over a rack's facts (ATP's ranking, EATP's flip, the
+greedy updates), ILP's numpy cost matrix.  Each test here holds
 the straightforward form in the test file (``_scan_*``: observe
 everything, loop over every pair, one sort of the concatenated groups)
 and demands the production selector agree with it exactly: same keys,
@@ -23,10 +24,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import PlannerConfig, QLearningConfig
 from repro.experiments.harness import run_planner
 from repro.planners import PLANNERS, most_slack_first
 from repro.planners.atp import AdaptiveTaskPlanner
 from repro.planners.base import SelectionEntry
+from repro.planners.eatp import EfficientAdaptiveTaskPlanner
 from repro.planners.ilp import IlpPlanner
 from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
 from repro.sim.serialize import deterministic_view, result_to_dict
@@ -101,6 +104,40 @@ def _scan_select_learned(planner: AdaptiveTaskPlanner, racks: List[Rack],
     return entries
 
 
+def _scan_select_flipped(planner: EfficientAdaptiveTaskPlanner,
+                         robots) -> List[SelectionEntry]:
+    """Alg. 3 lines 10–13 with every candidate observed: each robot's K
+    nearest homes by (distance, id), its selectable racks ordered by
+    ``agent.priority``, robots by their best priority, then ε-greedy."""
+    agent, state = planner.agent, planner.state
+    per_robot = []
+    for robot in robots:
+        nearest = sorted(state.racks, key=lambda rack: (
+            manhattan(robot.location, rack.home), rack.rack_id))
+        observed = [(_scan_observe(state, rack), rack)
+                    for rack in nearest[:planner.config.knn_k]
+                    if rack.selectable]
+        observed.sort(key=lambda pair: (agent.priority(pair[0]),
+                                        pair[1].rack_id))
+        best = (agent.priority(observed[0][0]) if observed
+                else float("inf"))
+        per_robot.append((best, robot.robot_id, robot, observed))
+    per_robot.sort(key=lambda entry: entry[:2])
+    claimed = set()
+    entries: List[SelectionEntry] = []
+    for __, __, robot, observed in per_robot:
+        for observation, rack in observed:
+            if rack.rack_id in claimed:
+                continue
+            action = agent.choose_action(observation)
+            agent.update(observation, action)
+            if action == ACTION_REQUEST:
+                entries.append(SelectionEntry(rack=rack, robot=robot))
+                claimed.add(rack.rack_id)
+                break
+    return entries
+
+
 def _scan_cost_matrix(state: WarehouseState, racks: List[Rack],
                       robots) -> np.ndarray:
     """The ILP cost matrix, one python evaluation of Eq. 2 per pair."""
@@ -154,22 +191,21 @@ def ids(entries) -> List[int]:
     return [getattr(entry, "rack", entry).rack_id for entry in entries]
 
 
-class TestAtpFusedKey:
+class TestAtpRanking:
     @SETTINGS
     @given(st.data())
-    def test_key_is_priority_of_the_observation(self, data):
+    def test_ranking_is_priority_of_the_observation(self, data):
         state = draw_world(data)
         planner = AdaptiveTaskPlanner(state)
         seed_table(planner, data)
         racks = state.selectable_racks()
-        key = planner._priority_key()
         agent = planner.agent
-        expected = [(agent.priority(_scan_observe(state, rack)), rack.rack_id)
-                    for rack in racks]
-        assert [key(rack) for rack in racks] == expected
-        assert ids(sorted(racks, key=key)) == ids(sorted(
-            racks, key=lambda rack: (agent.priority(
-                _scan_observe(state, rack)), rack.rack_id)))
+        for rack in racks:
+            assert planner.facts(rack) == agent.facts(
+                _scan_observe(state, rack))
+        expected = sorted((agent.priority(_scan_observe(state, rack)),
+                           rack.rack_id) for rack in racks)
+        assert [key[:2] for key in planner._ranked(racks)] == expected
 
     @SETTINGS
     @given(st.data())
@@ -185,6 +221,47 @@ class TestAtpFusedKey:
                                     budget)
         assert ids(got) == ids(want)
         assert dict(planner.agent.table) == dict(twin.agent.table)
+        assert planner.agent._rng.getstate() == twin.agent._rng.getstate()
+
+    @SETTINGS
+    @given(st.data())
+    def test_greedy_updates_match_the_observation_updates(self, data):
+        planner = AdaptiveTaskPlanner(draw_world(data))
+        seed_table(planner, data)
+        twin = copy.deepcopy(planner)
+        racks = planner.state.selectable_racks()
+        if not racks:  # the planner never selects from an empty list
+            return
+        budget = data.draw(st.integers(1, N_RACKS + 1))
+        got = planner._select_greedy(racks, budget)
+        for entry in got:
+            twin.agent.update(_scan_observe(twin.state, entry.rack),
+                              ACTION_REQUEST, greedy=True)
+        assert dict(planner.agent.table) == dict(twin.agent.table)
+        assert vars(planner.agent.stats) == vars(twin.agent.stats)
+
+
+class TestEatpFlip:
+    @SETTINGS
+    @given(st.data())
+    def test_flip_matches_the_observe_everything_twin(self, data):
+        state = draw_world(data, n_robots=data.draw(st.integers(1, 6)))
+        config = PlannerConfig(
+            knn_k=data.draw(st.integers(1, N_RACKS + 2)),
+            qlearning=QLearningConfig(
+                epsilon=data.draw(st.sampled_from([0.0, 0.1, 0.5]))))
+        planner = EfficientAdaptiveTaskPlanner(state, config)
+        seed_table(planner, data)
+        twin = copy.deepcopy(planner)
+        robots = planner.state.idle_robots()
+        got = planner._select_flipped(planner.state.selectable_racks(),
+                                      robots)
+        want = _scan_select_flipped(twin, twin.state.idle_robots())
+        assert ids(got) == ids(want)
+        assert ([entry.robot.robot_id for entry in got]
+                == [entry.robot.robot_id for entry in want])
+        assert dict(planner.agent.table) == dict(twin.agent.table)
+        assert vars(planner.agent.stats) == vars(twin.agent.stats)
         assert planner.agent._rng.getstate() == twin.agent._rng.getstate()
 
 
