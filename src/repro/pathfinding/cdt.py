@@ -17,10 +17,11 @@ Supports the three operations of Sec. VI-B and nothing else: conflict
 *search* (``is_free`` / ``edge_free``), *insertion* (``reserve_path``) and
 the periodic *update* that deletes passed timestamps (``purge_before``).
 Under the compiled switch all three run on the native store, which keeps
-the same per-tick keys in C-owned blocks (``reservation._StoreBacked``);
-the python layout below is the specification and the python kernel's
-layout, and the bulk audits are the base class's, defined once over the
-probes.
+the same per-tick keys in C-owned blocks; under the python switch they run
+on the buckets themselves, the specification.  Both layouts, the three
+operations and the bulk audits are the base classes'
+(``reservation._StoreBacked``, ``ReservationTable``), shared with the ST
+graphs: this table supplies only its store rule and its accounting rule.
 
 One layout serves every floor size.  Splitting the tick buckets into
 spatial tiles costs a container per (tile, tick) where this table has one
@@ -33,69 +34,14 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from ..types import Tick
-from .paths import Path
-from .reservation import (ReservationTable, _StoreBacked, _edges_memory,
-                          _stale_ticks)
+from .reservation import ReservationTable, _StoreBacked, _edges_memory
 
 
 class ConflictDetectionTable(_StoreBacked, ReservationTable):
     """Sparse tick-bucketed packed reservations (the compact structure)."""
 
-    def __setstate__(self, state) -> None:
-        # A checkpoint from a build with the tiled CDT names that table by
-        # the alias at the bottom of this module: refuse it at load time,
-        # not at its first probe.
-        if "_buckets" not in state:
-            raise TypeError("a tiled CDT's state; this build has none")
-        super().__setstate__(state)
-
-    def packed_buckets(self):
-        if self._sync() is not None:
-            return None
-        return self._buckets, self._edge_buckets
-
-    # -- the python layout: t -> set of packed cell keys reserved at t --------
-
     def _store_rule(self):
         return -1, 0, 0
-
-    def _vertex_layout(self, floor, high, vertices):
-        return {"_buckets": vertices, "_floor": floor,
-                "_n_entries": sum(map(len, vertices.values()))}
-
-    def _vertex_export(self):
-        return 0, self._buckets
-
-    def _vertex_free(self, t: Tick, key: int) -> bool:
-        bucket = self._buckets.get(t)
-        return bucket is None or key not in bucket
-
-    def _reserve_vertices(self, path: Path) -> None:
-        buckets = self._buckets
-        floor = self._floor
-        for t, key in enumerate(path.keys, path.start_time):
-            if t >= floor:
-                bucket = buckets.get(t)
-                if bucket is None:
-                    bucket = buckets[t] = set()
-                if key not in bucket:
-                    bucket.add(key)
-                    self._n_entries += 1
-
-    def _purge_vertices(self, t: Tick) -> None:
-        if t > self._floor:
-            buckets = self._buckets
-            for tick in _stale_ticks(buckets, self._floor, t):
-                bucket = buckets.pop(tick, None)
-                if bucket is not None:
-                    self._n_entries -= len(bucket)
-            self._floor = t
-
-    def _vertex_counts(self, walk: bool):
-        buckets = self._buckets
-        return len(buckets), (sum(map(len, buckets.values())) if walk
-                              else self._n_entries)
 
     def _account(self, counts) -> Dict[str, int]:
         # ~32 B per packed key in a set of small ints plus ~100 B per tick
@@ -131,5 +77,7 @@ class ConflictDetectionTable(_StoreBacked, ReservationTable):
 
 # A second name, not a second table: the frozen ``bench/trace.py`` imports
 # it to shim the methods, which are this class's.  It goes when ``bench/``
-# is next opened (ROADMAP item 2 (f)).
+# is next opened (ROADMAP item 3 (e)).  A checkpoint from a build with the
+# tiled CDT names that table by it and is refused at load
+# (``_StoreBacked.__setstate__``).
 ShardedConflictDetectionTable = ConflictDetectionTable

@@ -11,10 +11,10 @@ conflict *search* (``is_free`` / ``edge_free``), *insertion*
 (``reserve_path``) and the periodic *update* (``purge_before``).  The
 three production tables share one layout per kernel switch
 (:class:`_StoreBacked`): the native store when the one switch
-(``repro.pathfinding._kernel.active``) is on, their python containers —
-the specification — when it is off; they differ only in their
-accounting rule.  The bulk audits are defined once, here, over the
-probes:
+(``repro.pathfinding._kernel.active``) is on, the per-tick buckets it
+exports — the specification — when it is off; they differ only in their
+store and accounting rules.  The bulk audits are defined once, here,
+over the probes:
 :meth:`ReservationTable.audit_path` is the reference walk the tests
 compare against, :meth:`ReservationTable.audit_chain` is the
 python tier-0 audit (the native ``tier0_leg`` audits inside the kernel).
@@ -159,11 +159,11 @@ class ReservationTable(abc.ABC):
         """Expose tick-bucketed reservation sets for the search fast path.
 
         Implementations whose bookkeeping is literally ``{tick: set of
-        packed keys}`` (the CDT's python layout) return ``(vertex_buckets,
-        edge_buckets)`` so the packed A* core can fetch each tick's sets
-        once per expansion and probe with bare ``in`` operators.  Other
-        layouts — the native store included — return ``None`` and are
-        probed through the ``*_packed`` methods instead.
+        packed keys}`` (the library tables' python layout) return
+        ``(vertex_buckets, edge_buckets)`` so the packed A* core can fetch
+        each tick's sets once per expansion and probe with bare ``in``
+        operators.  Other layouts — the native store included — return
+        ``None`` and are probed through the ``*_packed`` methods instead.
         """
         return None
 
@@ -284,29 +284,43 @@ def _edges_memory(edge_ticks: int, edges: int) -> int:
     return 64 + 100 * edges + 64 * edge_ticks
 
 
+def _tile_of(key: int, bits: int) -> int:
+    """Tile id of packed cell ``key`` for ``2**bits``-cell-square tiles,
+    packed like a cell key (tile-x in the high half-word)."""
+    return ((key >> (CELL_KEY_SHIFT + bits)) << CELL_KEY_SHIFT) | (
+        (key & CELL_KEY_MASK) >> bits)
+
+
 class _StoreBacked:
     """One layout per kernel switch, shared by the three library tables.
 
     Under the compiled switch a table's reservations live in the native
     store (``_store``, a capsule of ``_kernel/_stsearchmodule.c``), which
     inserts, purges, probes and counts them without a python object per
-    key.  Under the python switch they live in the table's own
-    containers, the specification: its per-tick vertex layout and, shared
-    here, traversed timed edges in per-tick buckets of packed 64-bit keys
-    (``source_key << 32 | target_key``) — a swap is the reversed key in
-    the departure tick's bucket.  :meth:`_sync` converts (the store's
-    export ⇄ its state argument) whenever the switch and the layout a
-    table holds disagree, so every operation reads the switch at call
-    time, and a pickle always carries the python layout.
+    key.  Under the python switch they live in the layout the store
+    exports, the specification: per-tick buckets of packed cell keys
+    (``_buckets``, ``{t: set of x << 16 | y}``) and per-tick buckets of
+    traversed timed edges as packed 64-bit keys (``_edge_buckets``,
+    ``source_key << 32 | target_key`` keyed by departure tick) — a swap
+    is the reversed key in the departure tick's bucket.  Under a tiled
+    rule the layout also keeps each tick's set of tile ids (``_tiles``).
+    :meth:`_sync` converts (the store's export ⇄ its state argument)
+    whenever the switch and the layout a table holds disagree, so every
+    operation reads the switch at call time, and a pickle always carries
+    the python layout.
 
     Edges below the purge floor are never stored: probes at purged times
     answer "free" anyway (the corresponding vertices are gone), and
     refusing them keeps every live bucket at or above the floor, which is
     what lets the purge walk ``range(old_floor, new_floor)``.
 
-    A class supplies its store rule, its vertex layout (``_vertex_*``) and
-    its accounting rule, :meth:`_account` over the ``(ticks, units,
-    edge_ticks, edges)`` counts either layout answers.
+    A class supplies only its store rule, :meth:`_store_rule` (``(tile
+    bits or -1, layer height, layer cells)``, what ``store_new`` takes),
+    and its accounting rule, :meth:`_account` over the ``(ticks, units,
+    edge_ticks, edges)`` counts either layout answers.  The python counts
+    follow ``store_counts`` rule for rule: ``ticks`` is the live ticks, or
+    under a dense rule the layers ``[floor, max tick]``; ``units`` is the
+    entries, the layers, or the distinct (tick, tile) pairs.
     """
 
     _store = None
@@ -324,6 +338,12 @@ class _StoreBacked:
         return state
 
     def __setstate__(self, state) -> None:
+        # A checkpoint from a build with another python layout (the ST
+        # graphs' dense or tiled ``_layers``, the tiled CDT the alias in
+        # ``cdt.py`` names): refuse it at load time, not at its first probe.
+        if "_buckets" not in state:
+            raise TypeError(f"a {type(self).__name__} state without "
+                            f"per-tick buckets; this build has no such layout")
         self.__dict__.update(state)
         self._sync()
 
@@ -337,20 +357,32 @@ class _StoreBacked:
                     *_kernel.load_compiled().store_export(self._store)))
                 del self._store
             else:
-                high, vertices = self._vertex_export()
                 self._store = kernel.store_new(
                     self, *self._store_rule(), (
-                        self._floor, self._edge_floor, high, vertices,
-                        self._edge_buckets))
+                        self._floor, self._edge_floor,
+                        max(self._buckets, default=self._floor),
+                        self._buckets, self._edge_buckets))
                 for name in self._python_layout(0, 0, 0, {}, {}):
                     delattr(self, name)
         return kernel
 
     def _python_layout(self, floor, edge_floor, high, vertices, edges):
-        layout = self._vertex_layout(floor, high, vertices)
-        layout.update(_edge_buckets=edges, _edge_floor=edge_floor,
-                      _n_edges=sum(map(len, edges.values())))
+        """The python layout of ``store_export``'s answer (``high`` is
+        what the buckets imply, so it is not kept)."""
+        layout = {"_buckets": vertices, "_floor": floor,
+                  "_n_entries": sum(map(len, vertices.values())),
+                  "_edge_buckets": edges, "_edge_floor": edge_floor,
+                  "_n_edges": sum(map(len, edges.values()))}
+        bits = self._store_rule()[0]
+        if bits >= 0:
+            layout["_tiles"] = {t: {_tile_of(key, bits) for key in keys}
+                                for t, keys in vertices.items()}
         return layout
+
+    def packed_buckets(self):
+        if self._sync() is not None:
+            return None
+        return self._buckets, self._edge_buckets
 
     # -- the three operations -----------------------------------------------
 
@@ -361,7 +393,8 @@ class _StoreBacked:
         kernel = self._sync()
         if kernel is not None:
             return not kernel.store_probe(self._store, t, key)
-        return self._vertex_free(t, key)
+        bucket = self._buckets.get(t)
+        return bucket is None or key not in bucket
 
     def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
         return self.edge_free_packed(
@@ -387,20 +420,37 @@ class _StoreBacked:
         if kernel is not None:
             kernel.store_reserve(self._store, path.start_time, path.keys)
             return
-        self._reserve_vertices(path)
         keys = path.keys
-        buckets = self._edge_buckets
-        floor = self._edge_floor
-        for t0, (key0, key1) in enumerate(zip(keys, keys[1:]),
-                                          path.start_time):
-            if t0 >= floor and key0 != key1:
-                key = (key0 << 32) | key1
-                bucket = buckets.get(t0)
+        bits, height, n_cells = self._store_rule()
+        if n_cells and not all(
+                (key & CELL_KEY_MASK) < height and (key >> CELL_KEY_SHIFT)
+                * height + (key & CELL_KEY_MASK) < n_cells for key in keys):
+            raise IndexError("cell index outside dense layer")
+        buckets, edge_buckets = self._buckets, self._edge_buckets
+        floor = self._floor
+        previous = keys[0]
+        for t, key in enumerate(keys, path.start_time):
+            if t >= floor:
+                bucket = buckets.get(t)
                 if bucket is None:
-                    bucket = buckets[t0] = set()
+                    bucket = buckets[t] = set()
                 if key not in bucket:
                     bucket.add(key)
-                    self._n_edges += 1
+                    self._n_entries += 1
+                    if bits >= 0:
+                        self._tiles.setdefault(t, set()).add(
+                            _tile_of(key, bits))
+                # the move into ``key`` departs t - 1: stored from the
+                # floor up, with its arrival vertex
+                if t > floor and previous != key:
+                    edge = (previous << 32) | key
+                    bucket = edge_buckets.get(t - 1)
+                    if bucket is None:
+                        bucket = edge_buckets[t - 1] = set()
+                    if edge not in bucket:
+                        bucket.add(edge)
+                        self._n_edges += 1
+            previous = key
 
     def purge_before(self, t: Tick) -> None:
         """The periodic *update* operation: delete all passed timestamps."""
@@ -409,14 +459,18 @@ class _StoreBacked:
         if kernel is not None:
             kernel.store_purge(self._store, t)
             return
-        self._purge_vertices(t)
-        if t > self._edge_floor:
-            buckets = self._edge_buckets
-            for tick in _stale_ticks(buckets, self._edge_floor, t):
+        if t > self._floor:
+            # An edge departs a tick its source vertex holds, so the
+            # vertex buckets name every stale edge bucket too.
+            buckets = self._buckets
+            tiles = self._tiles if self._store_rule()[0] >= 0 else {}
+            for tick in _stale_ticks(buckets, self._floor, t):
                 bucket = buckets.pop(tick, None)
                 if bucket is not None:
-                    self._n_edges -= len(bucket)
-            self._edge_floor = t
+                    self._n_entries -= len(bucket)
+                    self._n_edges -= len(self._edge_buckets.pop(tick, ()))
+                    tiles.pop(tick, None)
+            self._floor = self._edge_floor = t
 
     # -- accounting -----------------------------------------------------------
 
@@ -424,9 +478,16 @@ class _StoreBacked:
         kernel = self._sync()
         if kernel is not None:
             return kernel.store_counts(self._store, walk)
-        edges = self._edge_buckets
-        return self._vertex_counts(walk) + (
-            len(edges),
+        bits, __, n_cells = self._store_rule()
+        buckets, edges = self._buckets, self._edge_buckets
+        ticks = len(buckets)
+        if n_cells and buckets:
+            ticks = max(buckets) - self._floor + 1
+        units = (sum(map(len, self._tiles.values())) if bits >= 0
+                 else ticks if n_cells
+                 else sum(map(len, buckets.values())) if walk
+                 else self._n_entries)
+        return ticks, units, len(edges), (
             sum(map(len, edges.values())) if walk else self._n_edges)
 
     def memory_bytes(self) -> int:

@@ -398,9 +398,10 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
             # swap only if a partner arrives here at t1 (the table's
             # contract): edges are probed only where the wait was
             # refused.  Two probe styles: when the reservation structure
-            # is tick-bucketed (CDT), fetch this tick's vertex/edge sets
-            # once and test membership with bare ``in``; otherwise go
-            # through the packed probe methods.
+            # is tick-bucketed (every library table under the python
+            # switch), fetch this tick's vertex/edge sets once and test
+            # membership with bare ``in``; otherwise go through the
+            # packed probe methods.
             if buckets is not None:
                 occupied = vertex_buckets.get(t1)
                 swaps = None

@@ -196,8 +196,8 @@ class Planner(abc.ABC):
         On a :attr:`~repro.warehouse.grid.Grid.paper_scale` floor the
         tiled variant replaces the global one — probe-for-probe identical
         answers (the equivalence suite pins it), but only the tiles a leg
-        actually crosses are materialised, which is what lets the
-        dense-layer family survive the 541×302 floor.
+        actually crosses are charged, which is what keeps the dense-layer
+        family's modelled memory sane on the 541×302 floor.
         """
         if self.grid.paper_scale:
             return ShardedSpatiotemporalGraph()

@@ -31,6 +31,7 @@ from repro.sim.metrics import SteadyStateTracker
 from repro.sim.missions import Mission
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.warehouse.entities import Item
+from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -213,6 +214,31 @@ class TestEnvelope:
             b"\nConflictDetectionTable\n",
             b"\nShardedConflictDetectionTable\n")
         with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint_bytes(forged)
+
+    @pytest.mark.parametrize("name, layout", [
+        ("SpatiotemporalGraph", {
+            "_grid": Grid(4, 4), "_layers": {4: bytearray(16)}, "_floor": 0,
+            "_high": 4}),
+        ("ShardedSpatiotemporalGraph", {
+            "_tile_bits": 5, "_tile_mask": 31, "_tile_cells": 1024,
+            "_layers": {4: {0: bytearray(1024)}}, "_floor": 0,
+            "_n_tile_layers": 1}),
+    ])
+    def test_body_holding_an_st_graph_layer_layout_rejected(self, name,
+                                                            layout):
+        # What an older build's NTP checkpoint holds: an ST graph whose
+        # python layout was dense layers or tile blocks.  Refused at load,
+        # not restored into a table that fails at its first probe.
+        from repro.pathfinding import spatiotemporal_graph
+        table = getattr(spatiotemporal_graph, name).__new__(
+            getattr(spatiotemporal_graph, name))
+        table.__dict__ = dict(layout, mutation_stamp=3, _edge_buckets={},
+                              _edge_floor=0, _n_edges=0)
+        forged = CHECKPOINT_MAGIC + pickle.dumps(
+            {"version": CHECKPOINT_VERSION}, protocol=4) + pickle.dumps(
+            (table, None), protocol=2)
+        with pytest.raises(CheckpointError, match="unreadable.*buckets"):
             load_checkpoint_bytes(forged)
 
     def test_non_simulation_body_rejected(self):

@@ -568,6 +568,7 @@ def test_nested_run_equals_the_run_alone(deep):
     # The finisher runs a second search on the same grid and store while
     # the outer one holds the grid's workspace: the nested run borrows
     # another, and each answers as it does alone.
+    set_search_kernel("compiled")  # the table hands ``run`` its store
     grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
                                  if y not in (3, 10)])
     table = ConflictDetectionTable()
@@ -642,6 +643,7 @@ def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
 
     probes = [dict(source=(2, 2), deep=d) for d in (1, 0)] + [
         dict(source=(9, 0), deep=d) for d in (0, 1)]
+    set_search_kernel("compiled")  # the tables hand ``run`` their stores
     grid, table = floor()
     assert COMPILED.run(*_boxed_run_args(grid, table, (2, 2),
                                          deep=1 - deep))[0] == 0
@@ -906,6 +908,9 @@ def _random_problem(seed):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=hyp.integers(min_value=0, max_value=10 ** 9))
 def test_property_compiled_matches_python(seed):
+    # The problem is built under the compiled switch, so the grid holds no
+    # python adjacency rows before the compiled search runs.
+    set_search_kernel("compiled")
     grid, paths, request, table_factory, heuristic = _random_problem(seed)
 
     def run(kernel):

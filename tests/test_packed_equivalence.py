@@ -179,14 +179,26 @@ class TestReservationEquivalence:
             old.purge_before(floor)
             self.probe_everywhere(new, old, OPEN_GRID)
 
-    def test_cdt_introspection_matches(self, make_new, make_old):
+    def test_introspection_matches(self, kernel, make_new, make_old):
         new, old = make_new(), make_old()
-        if not isinstance(new, ConflictDetectionTable):
-            pytest.skip("introspection counters are CDT-only")
         rng = random.Random(11)
         for path in random_paths(OPEN_GRID, rng, n=12):
             new.reserve_path(path)
             old.reserve_path(path)
+        if not isinstance(new, ConflictDetectionTable):
+            # The dense layers the seed allocates are what the graph's
+            # accounting rule counts, also across purges and reserves
+            # that start below the floor.
+            assert new.n_layers == old.n_layers > 0
+            for floor in (5, 17, 17, 40, 10 ** 6):
+                new.purge_before(floor)
+                old.purge_before(floor)
+                assert new.n_layers == old.n_layers, floor
+                for path in random_paths(OPEN_GRID, rng, n=3):
+                    new.reserve_path(path)
+                    old.reserve_path(path)
+                assert new.n_layers == old.n_layers, floor
+            return
         assert new.n_reservations == old.n_reservations
         assert new.n_cells_touched == old.n_cells_touched
         assert new.n_ticks_live > 0

@@ -110,7 +110,14 @@ def containers(table):
     """The vertex/edge containers of the table's python layout — exported
     from the store when the table holds one (compare by deep value)."""
     state = table.__getstate__()
-    return state.get("_buckets", state.get("_layers")), state["_edge_buckets"]
+    return state["_buckets"], state["_edge_buckets"]
+
+
+def counts_under(kernel, table):
+    """``live_counts``, ``recount`` and ``memory_bytes`` as the layout of
+    ``kernel``'s switch answers them (the table converts to it first)."""
+    set_search_kernel(kernel)
+    return table.live_counts(), table.recount(), table.memory_bytes()
 
 
 #: The kernels a test can select here (the extension may be absent).
@@ -155,13 +162,14 @@ class TestMutationBitIdentity:
         for seed in range(6):
             compiled_table, python_table = self.twins(name, seed)
             assert containers(compiled_table) == containers(python_table)
-            assert (compiled_table.live_counts()
-                    == python_table.live_counts())
-            assert (compiled_table.memory_bytes()
-                    == python_table.memory_bytes())
-            assert compiled_table.recount() == python_table.recount()
-            # The counts the store kept equal a walk of its blocks.
-            assert compiled_table.live_counts() == compiled_table.recount()
+            # Each layout counts under its own switch: the store's kept
+            # counts equal a walk of its blocks, and both equal the python
+            # layout's.
+            counts, recounted, footprint = counts_under("compiled",
+                                                        compiled_table)
+            assert counts == recounted
+            assert (counts, recounted, footprint) == counts_under(
+                "python", python_table)
 
     def test_purges_past_the_window_wrap_and_empty_the_ring(self, name):
         # A live window sliding forward wraps ticks round the ring; purges
@@ -187,9 +195,10 @@ class TestMutationBitIdentity:
                 apply_ops(table, [op])
             compiled, python = tables["compiled"], tables["python"]
             assert containers(compiled) == containers(python), op
-            assert compiled.live_counts() == python.live_counts(), op
-            assert compiled.recount() == compiled.live_counts(), op
-        assert compiled.live_counts()["edges"] > 0
+            counts = counts_under("compiled", compiled)
+            assert counts[0] == counts[1], op
+            assert counts == counts_under("python", python), op
+        assert counts[0]["edges"] > 0
 
     def test_audits_agree(self, name):
         # Containers built by either kernel answer the reference walk
@@ -210,9 +219,9 @@ class TestMutationBitIdentity:
             set_search_kernel("python")
             python_table.purge_before(t)
             assert containers(compiled_table) == containers(python_table)
-            assert compiled_table.recount() == python_table.recount()
-            assert (compiled_table.live_counts()
-                    == compiled_table.recount())
+            counts = counts_under("compiled", compiled_table)
+            assert counts[0] == counts[1]
+            assert counts == counts_under("python", python_table)
 
 
 def keys_of(cells):
@@ -411,6 +420,61 @@ def test_property_stored_edges_have_arrivals(name, kernel, ops):
         assert_edges_have_arrivals(table)
         assert all(t >= floor for t in table.__getstate__()["_edge_buckets"])
     assert table.live_counts() == table.recount()
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hyp.integers(min_value=0, max_value=10 ** 9))
+def test_property_counts_match_live_reservations(name, kernel, seed):
+    """Each accounting rule counts the live reservations as the layout it
+    models would hold them, checked after every op against a replay of
+    the tape: the CDT its (tick, cell) entries and their ticks, the dense
+    graph every layer from the floor to the latest live tick, the tiled
+    graph the distinct (tick, tile) pairs and their ticks."""
+    set_search_kernel(kernel)
+    table = TABLES[name]()
+    floor, live = 0, set()
+    for op, arg in random_ops(seed, n=40):
+        if op == "purge":
+            table.purge_before(arg)
+            floor = max(floor, arg)
+            live = {(t, cell) for t, cell in live if t >= floor}
+        else:
+            table.reserve_path(arg)
+            live |= {(t, (x, y)) for t, x, y in arg.steps if t >= floor}
+        counts = table.live_counts()
+        ticks = {t for t, __ in live}
+        if name == "cdt":
+            assert (counts["reservations"], counts["ticks_live"]) == (
+                len(live), len(ticks))
+        elif name == "stgraph":
+            assert counts["layers"] == (max(ticks) - floor + 1 if live
+                                        else 0)
+        else:
+            bits = table.tile_bits
+            assert counts["tile_layers"] == len(
+                {(t, x >> bits, y >> bits) for t, (x, y) in live})
+            assert counts["layers"] == len(ticks)
+    assert table.live_counts() == table.recount()
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+def test_dense_graph_refuses_a_cell_off_the_floor(kernel):
+    # The dense graph's layer has no place for a cell off its 12x10
+    # floor: either layout refuses the leg before inserting any of it.
+    set_search_kernel(kernel)
+    table = TABLES["stgraph"]()
+    table.reserve_path(Path.from_cells(LANE, 3))
+    before, counts = copy.deepcopy(containers(table)), table.live_counts()
+    for cells in ([(10, 9), (11, 9), (12, 9)], [(4, 8), (4, 9), (4, 10)]):
+        with pytest.raises(IndexError):
+            table.reserve_path(Path.from_cells(cells, 5))
+        assert containers(table) == before
+        assert table.live_counts() == counts == table.recount()
 
 
 @settings(max_examples=60, deadline=None,
