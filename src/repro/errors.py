@@ -84,3 +84,13 @@ class CheckpointError(ReproError):
     conditions a service-mode operator can hit with a stale file, so they
     are reported as a catchable error rather than an assertion.
     """
+
+
+class WorkerLostError(ReproError):
+    """A matrix worker died; ``unrun`` names the cells left without a
+    result (every finished one was saved: a rerun resumes)."""
+
+    def __init__(self, unrun) -> None:
+        self.unrun = tuple(unrun)
+        super().__init__("a matrix worker died; unrun: "
+                         + ", ".join(self.unrun))

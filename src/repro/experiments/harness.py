@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence)
 
 from ..config import PlannerConfig, SimulationConfig
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, WorkerLostError
 from ..planners import PLANNERS
 from ..sim.engine import Simulation, SimulationResult
 from ..sim.serialize import result_to_dict
@@ -201,7 +202,8 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
         Optional on-disk store.  Cells whose file already exists are
         *not* re-run — their stored payload is returned — and every
         freshly finished cell is written the moment it completes, so an
-        interrupted matrix resumes where it died.
+        interrupted matrix resumes where it died (a dead worker ends in
+        :class:`~repro.errors.WorkerLostError`, after the saves).
     progress:
         Optional callback ``(cell_id, status)`` with status ``"cached"``
         (resumed from the store), ``"queued"`` (submitted to the pool),
@@ -257,10 +259,17 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
                 notify(cell.cell_id, "queued")
                 futures[pool.submit(execute_cell, cell)] = cell
             remaining = set(futures)
+            lost = set()
             while remaining:
                 done, remaining = wait(remaining,
                                        return_when=FIRST_COMPLETED)
                 for future in done:
-                    finish(futures[future], future.result())
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        lost.add(futures[future].cell_id)
+                    else:
+                        finish(futures[future], future.result())
+        if lost:
+            raise WorkerLostError(
+                cell.cell_id for cell in pending if cell.cell_id in lost)
 
     return {cell_id: payloads[cell_id] for cell_id in ids}

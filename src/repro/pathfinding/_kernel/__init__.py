@@ -40,9 +40,12 @@ any other object in a store slot, is refused.
 Inside ``run`` a seen state is one ``{key, parent, next}`` record; its
 cost is its time layer, read off the key.  The records, the seen-map and
 the open lists are a workspace the grid's capsule keeps up to a 1 MB
-arena (a warm ``run`` allocates only its leg; a nested one borrows a
-second workspace).  Tick blocks are fetched again after a finisher
-returns.
+arena (a warm ``run`` allocates only its leg; one a python signal
+handler starts while another waits borrows a second workspace).
+
+The kernel calls no python code: EATP's finisher is its trigger L, and
+``run`` and ``tier0_leg`` walk it themselves (the rescue's descent and
+wait walk), returning the whole leg and the cells the walks started from.
 """
 
 from __future__ import annotations

@@ -17,8 +17,12 @@
  * with AssertionError where it shows.  The records, the seen-map and
  * the buckets live in a workspace the grid keeps between calls (freed
  * with the grid; a search that outgrew WS_KEEP_RECORDS frees its own),
- * so a warm run() allocates only the leg it returns; a search started
- * from inside a finisher borrows another workspace.
+ * so a warm run() allocates only the leg it returns; a search a python
+ * signal handler starts while run() waits borrows another workspace.
+ *
+ * EATP's cache-aided finisher (Sec. VI-B) is data, not a callback: run()
+ * and tier0_leg() take its trigger L and walk the goal field's descent
+ * with waits themselves, handing back the cells each walk started from.
  *
  * A swap on the move a -> b departing t needs a partner arriving on a at
  * t + 1 (ReservationTable's contract), so the edge set is asked only
@@ -54,7 +58,7 @@ enum {
     ST_COMPLETE = 0,
     ST_BUDGET = 1,
     ST_EXHAUSTED = 2,
-    ST_FINISHER = 4,   /* finisher produced the tail; head keys attached */
+    ST_FINISHER = 4,   /* the finisher walked the tail; keys: whole leg */
 };
 
 /* ------------------------------------------------------------------ */
@@ -120,8 +124,8 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 /* indices, open-addressed.  A workspace belongs to its grid and       */
 /* outlives the call: run() resets lengths, not memory, and            */
 /* re-initialises entries as it extends them, so a warm search         */
-/* allocates nothing (up to the arena the grid keeps).  A search       */
-/* started from inside a finisher takes another of the grid's.         */
+/* allocates nothing (up to the arena the grid keeps).  A search a     */
+/* signal handler starts inside run() takes another of the grid's.     */
 /* ------------------------------------------------------------------ */
 
 #define LAYER_SHIFT 32
@@ -782,14 +786,17 @@ relax(Search *s, int64_t nrel, int32_t parent, int64_t nf, int64_t h)
     return 1;
 }
 
-/* The leg ending at record ``r``, checked, as a new array('q') the
- * parent chain fills back to front (a state's layer is its depth): the
- * leg is the one buffer the search allocates. */
+/* The leg ending at record ``r`` and going on by the ``n_tail`` keys of
+ * ``tail``, checked, as a new array('q') the parent chain fills back to
+ * front (a state's layer is its depth): the leg is the one buffer the
+ * search allocates. */
 static PyObject *
-reconstruct(const Search *s, int32_t r)
+reconstruct(const Search *s, int32_t r, const int64_t *tail,
+            Py_ssize_t n_tail)
 {
     const Rec *rec = s->ws->rec;
-    Py_ssize_t n = (Py_ssize_t)(rec[r].key >> LAYER_SHIFT) + 1;
+    Py_ssize_t head = (Py_ssize_t)(rec[r].key >> LAYER_SHIFT) + 1;
+    Py_ssize_t n = head + n_tail;
     PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
     PyObject *out = zero == NULL ? NULL : PySequence_Repeat(zero, n);
     Py_XDECREF(zero);
@@ -799,10 +806,12 @@ reconstruct(const Search *s, int32_t r)
         return NULL;
     }
     int64_t *keys = view.buf;
-    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+    for (Py_ssize_t i = head - 1; i >= 0; i--) {
         keys[i] = s->gd->cell_keys[rec[r].key & INT32_MAX];
         r = rec[r].parent;
     }
+    if (n_tail > 0)
+        memcpy(keys + head, tail, (size_t)n_tail * sizeof(int64_t));
     int bad = keys_check(keys, n);
     PyBuffer_Release(&view);
     if (bad < 0)
@@ -810,21 +819,94 @@ reconstruct(const Search *s, int32_t r)
     return out;
 }
 
+/* The descent of free_flow.descent from ``idx[0]``, whose value is
+ * ``h``, down ``s``'s field of either kind: the first neighbour in
+ * adjacency order one lower (on the Manhattan field, a step nearer the
+ * goal on its axis), into ``idx[1..h]``.  -1 where the field does not
+ * descend. */
+static int
+descent(const Search *s, int32_t *idx, int64_t h)
+{
+    const GridData *gd = s->gd;
+    Py_ssize_t n = gd->n_cells, step = (Py_ssize_t)s->height;
+    int64_t x = idx[0] / step, y = idx[0] % step;
+    /* On an open floor (every edge there) that is all of x, then all of
+     * y, found without reading a row. */
+    int open = s->h_mode == 1
+        && gd->adj_off[n] == 4 * n - 2 * (n / step) - 2 * step;
+    for (int64_t i = 1; i <= h; i++) {
+        Py_ssize_t ci = idx[i - 1], d = 0;
+        if (open) {
+            d = x != s->gx ? (x < s->gx ? step : -step) : y < s->gy ? 1 : -1;
+        } else {
+            Py_ssize_t a = gd->adj_off[ci];
+            for (; a < gd->adj_off[ci + 1]; a++) {
+                d = gd->adj_nci[a] - ci;
+                if (s->h_mode == 2 ? s->hbuf[ci + d] == h - i
+                        : d == step ? x < s->gx : d == -step ? x > s->gx
+                        : d == 1 ? y < s->gy : y > s->gy)
+                    break;
+            }
+            if (a == gd->adj_off[ci + 1])
+                return -1;
+        }
+        idx[i] = (int32_t)(ci + d);
+        x += d == step ? 1 : d == -step ? -1 : 0;
+        y += d == step || d == -step ? 0 : d;
+    }
+    return 0;
+}
+
+/* cache.follow_with_waits over the descent ``indices[0..k]``: walk it
+ * from ``start_t``, waiting in place wherever the next move is reserved.
+ * Writes the timed keys to ``out`` (room for k + 1 + total_cap) and
+ * returns their count, 0 when the walk declines (a cap is hit, or the
+ * robot cannot hold its cell). */
+static Py_ssize_t
+rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
+            int64_t start_t, int64_t per_step_cap, int64_t total_cap,
+            int64_t *out)
+{
+    int64_t t = start_t, total = 0;
+    Py_ssize_t cur = (Py_ssize_t)indices[0], n = 0;
+    out[n++] = gd->cell_keys[cur];
+    for (int64_t i = 1; i <= k; i++) {
+        Py_ssize_t nxt = (Py_ssize_t)indices[i];
+        for (int64_t waited = 0; ; waited++, total++) {
+            p->b1 = store_block(p->st, t + 1);
+            if (!probe_move(p, gd, cur, nxt))
+                break;
+            /* a cap is hit, or the cell cannot be held */
+            if (waited >= per_step_cap || total >= total_cap
+                    || probe_vertex(p, gd, cur))
+                return 0;
+            t++;
+            out[n++] = gd->cell_keys[cur];
+        }
+        t++;
+        out[n++] = gd->cell_keys[nxt];
+        cur = nxt;
+    }
+    return n;
+}
+
+/* EATP's finisher walks its descent with waits at cache.follow_with_waits'
+ * default caps: 64 ticks a step, 64 in all. */
+#define FINISH_WAIT 64
+
 static PyObject *
 stsearch_run(PyObject *self, PyObject *args)
 {
-    PyObject *capsule, *store_obj, *h_arg, *finisher;
+    PyObject *capsule, *store_obj, *h_arg;
     int h_mode, deep;
     Py_ssize_t source_ci, goal_ci;
-    long long start_time, max_expansions;
-    long long finisher_trigger;
+    long long start_time, max_expansions, trigger;
     long long init_expansions, init_peak_open;
 
     if (!PyArg_ParseTuple(
-            args, "OOiOnnLLOLiLL:run",
+            args, "OOiOnnLLLiLL:run",
             &capsule, &store_obj, &h_mode, &h_arg, &source_ci, &goal_ci,
-            &start_time, &max_expansions,
-            &finisher, &finisher_trigger, &deep,
+            &start_time, &max_expansions, &trigger, &deep,
             &init_expansions, &init_peak_open))
         return NULL;
 
@@ -866,7 +948,6 @@ stsearch_run(PyObject *self, PyObject *args)
     int status = ST_EXHAUSTED;
     int32_t result = -1;          /* the record the leg ends on */
     PyObject *keys = NULL;        /* owned on success */
-    PyObject *finisher_tail = NULL;
     PyObject *out = NULL;
     Workspace *ws = gd->idle;
     if (ws != NULL)
@@ -876,8 +957,25 @@ stsearch_run(PyObject *self, PyObject *args)
             PyBuffer_Release(&hview);
         return PyErr_NoMemory();
     }
+    /* The finisher's: the cells its walks started from, and room for a
+     * descent (h <= trigger, never past n_cells) and its walk. */
+    PyObject *tried = PyList_New(0);
+    int64_t cap = trigger < s.n_cells ? trigger : s.n_cells;
+    int32_t *walk_idx = NULL;
+    int64_t *walk = NULL;
+    Py_ssize_t n_walk = 0;
+    if (cap > 0) {
+        walk_idx = PyMem_Malloc((size_t)(cap + 1) * sizeof(int32_t));
+        walk = PyMem_Malloc((size_t)(cap + 1 + FINISH_WAIT)
+                            * sizeof(int64_t));
+    }
     s.ws = ws;
     ws->n_rec = ws->fifo_len = ws->deep_len = 0;
+    if (tried == NULL || (cap > 0 && (walk_idx == NULL || walk == NULL))) {
+        if (tried != NULL)
+            PyErr_NoMemory();
+        goto fail;
+    }
     if (seen_reset(ws, SEEN_START) < 0
             || relax(&s, source_ci, -1, 0, s.h0) < 0)
         goto fail;
@@ -956,38 +1054,29 @@ stsearch_run(PyObject *self, PyObject *args)
             goto done;
         }
 
-        if (finisher != Py_None && h_ci > 0 && h_ci <= finisher_trigger) {
-            PyObject *cell = Py_BuildValue("(LL)",
-                                           (long long)(ci / s.height),
-                                           (long long)(ci % s.height));
-            if (cell == NULL)
+        if (h_ci > 0 && h_ci <= trigger) {
+            /* EATP's finisher: from here, the descent walked with waits */
+            PyObject *cell = PyLong_FromSsize_t(ci);
+            int bad = cell == NULL || PyList_Append(tried, cell) < 0;
+            Py_XDECREF(cell);
+            if (bad)
                 goto fail;
-            PyObject *t_obj = PyLong_FromLongLong(
-                (long long)(start_time + t_rel));
-            if (t_obj == NULL) {
-                Py_DECREF(cell);
-                goto fail;
-            }
-            PyObject *tail = PyObject_CallFunctionObjArgs(
-                finisher, cell, t_obj, NULL);
-            Py_DECREF(cell);
-            Py_DECREF(t_obj);
-            if (tail == NULL)
-                goto fail;
-            if (tail != Py_None) {
+            walk_idx[0] = (int32_t)ci;
+            if (h_ci <= s.n_cells && descent(&s, walk_idx, h_ci) == 0
+                    && (n_walk = rescue_walk(&probe, gd, walk_idx, h_ci,
+                                             start_time + t_rel, FINISH_WAIT,
+                                             FINISH_WAIT, walk)) > 0) {
                 status = ST_FINISHER;
                 result = cur;
-                finisher_tail = tail;
                 goto done;
             }
-            Py_DECREF(tail);
         }
 
         int64_t t1 = start_time + t_rel + 1;
         int64_t nxt_base = (t_rel + 1) << LAYER_SHIFT;
         int64_t base_f = t_rel + 1 - s.h0;
 
-        /* python may have run (a finisher): blocks are fetched anew */
+        /* this pop's arrival tick (a signal handler may have reserved) */
         probe.b1 = store_block(probe.st, t1);
 
         /* Wait in place (the fifth action) — vertex check only.  A
@@ -1031,18 +1120,21 @@ stsearch_run(PyObject *self, PyObject *args)
     }
 
 done:
+    /* the walk's first key is the head's last */
     if (result >= 0)
-        keys = reconstruct(&s, result);
+        keys = status == ST_FINISHER
+            ? reconstruct(&s, result, walk + 1, n_walk - 1)
+            : reconstruct(&s, result, NULL, 0);
     if (result < 0 || keys != NULL)
         out = Py_BuildValue(
-            "iOOLLL", status,
-            keys ? keys : Py_None,
-            finisher_tail ? finisher_tail : Py_None,
+            "iOOLLL", status, keys ? keys : Py_None, tried,
             (long long)expansions, (long long)generated,
             (long long)peak_open);
 fail:
     Py_XDECREF(keys);
-    Py_XDECREF(finisher_tail);
+    Py_XDECREF(tried);
+    PyMem_Free(walk_idx);
+    PyMem_Free(walk);
     if (ws->rec_cap > WS_KEEP_RECORDS) {
         ws_free(ws);
     } else {
@@ -1387,10 +1479,9 @@ stsearch_store_export(PyObject *self, PyObject *args)
 /* free-flow greedy descent (FreeFlowPathCache.packed, on either field */
 /* kind) with the bulk reservation audit (audit_chain semantics) and,  */
 /* on a hit, the wait-following rescue (cache.follow_with_waits) over  */
-/* the same probes, answering a served leg in one call.  EATP's        */
-/* finisher is the same call with trigger 0, made from python while a  */
-/* run waits on it.  Bit-identity with the python bodies is pinned by  */
-/* the equivalence suites.                                             */
+/* the same probes, answering a served leg in one call; with a trigger */
+/* EATP's finisher walks on from the head.  Bit-identity with the      */
+/* python bodies is pinned by the equivalence suites.                  */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -1572,39 +1663,6 @@ done:
     return result;
 }
 
-/* cache.follow_with_waits over the descent ``indices[0..k]``: walk it
- * from ``start_t``, waiting in place wherever the next move is reserved.
- * Writes the timed keys to ``out`` (room for k + 1 + total_cap) and
- * returns their count, 0 when the walk declines (a cap is hit, or the
- * robot cannot hold its cell). */
-static Py_ssize_t
-rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
-            int64_t start_t, int64_t per_step_cap, int64_t total_cap,
-            int64_t *out)
-{
-    int64_t t = start_t, total = 0;
-    Py_ssize_t cur = (Py_ssize_t)indices[0], n = 0;
-    out[n++] = gd->cell_keys[cur];
-    for (int64_t i = 1; i <= k; i++) {
-        Py_ssize_t nxt = (Py_ssize_t)indices[i];
-        for (int64_t waited = 0; ; waited++, total++) {
-            p->b1 = store_block(p->st, t + 1);
-            if (!probe_move(p, gd, cur, nxt))
-                break;
-            /* a cap is hit, or the cell cannot be held */
-            if (waited >= per_step_cap || total >= total_cap
-                    || probe_vertex(p, gd, cur))
-                return 0;
-            t++;
-            out[n++] = gd->cell_keys[cur];
-        }
-        t++;
-        out[n++] = gd->cell_keys[nxt];
-        cur = nxt;
-    }
-    return n;
-}
-
 static PyObject *
 stsearch_tier0_leg(PyObject *self, PyObject *args)
 {
@@ -1630,8 +1688,8 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
         return NULL;
     }
     /* Both caps zero is "rescue off"; otherwise each is a tick count
-     * (the rescue's pipeline.RESCUE_CAPS are 16 and 96, EATP's finisher
-     * walks with 64 and 64), and the total sizes the output buffer. */
+     * (pipeline.RESCUE_CAPS are 16 and 96), and the total sizes the
+     * output buffer. */
     if (per_step_ll < 0 || total_ll < 0
             || per_step_ll > 65535 || total_ll > 65535
             || (per_step_ll == 0) != (total_ll == 0)) {
@@ -1642,76 +1700,37 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     }
     int64_t start_t = (int64_t)start_t_ll;
     int64_t trigger = (int64_t)trigger_ll;
-    int64_t height = gd->height;
 
     Py_buffer hview;
     int have_hview = h_field_open(h_mode, h_arg, gd->n_cells, &hview);
     if (have_hview < 0)
         return NULL;
-    const int32_t *hbuf = have_hview ? (const int32_t *)hview.buf : NULL;
-
-    /* -- descent extraction (the walk of FreeFlowPathCache.packed) ---- */
-    int64_t k;
+    Search s = {.gd = gd, .height = gd->height, .n_cells = gd->n_cells,
+                .hbuf = have_hview ? (const int32_t *)hview.buf : NULL,
+                .h_mode = h_mode, .gx = goal_ci / gd->height,
+                .gy = goal_ci % gd->height};
+    PyObject *out = NULL;
+    int verdict = 0;              /* 0: no descent (the goal unreachable) */
+    Py_ssize_t n = 0, tried = -1;
+    int herr = 0;
+    int64_t k = heuristic_at(&s, source_ci, &herr);
     int32_t *indices = NULL;
     int64_t *keys = NULL;
-    if (!have_hview) {
-        /* that walk on the lazy Manhattan field (unobstructed floors):
-         * rows list +x, -x, +y, -y, so all of x, then all of y */
-        int64_t sx = (int64_t)source_ci / height;
-        int64_t sy = (int64_t)source_ci % height;
-        int64_t gx = (int64_t)goal_ci / height;
-        int64_t gy = (int64_t)goal_ci % height;
-        int64_t dx = sx > gx ? sx - gx : gx - sx;
-        int64_t dy = sy > gy ? sy - gy : gy - sy;
-        k = dx + dy;
-        indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
-        if (indices == NULL)
-            return PyErr_NoMemory();
-        Py_ssize_t at = 0;
-        int64_t xstep = gx >= sx ? 1 : -1;
-        for (int64_t x = sx; x != gx; x += xstep)
-            indices[at++] = (int32_t)(x * height + sy);
-        int64_t ystep = gy >= sy ? 1 : -1;
-        for (int64_t y = sy; y != gy; y += ystep)
-            indices[at++] = (int32_t)(gx * height + y);
-        indices[at++] = (int32_t)goal_ci;
-    } else {
-        int64_t h = (int64_t)hbuf[source_ci];
-        if (h > (int64_t)gd->n_cells) {
-            /* the field's unreachable marker */
-            PyBuffer_Release(&hview);
-            return Py_BuildValue("(iO)", 0, Py_None);
-        }
-        k = h;
-        indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
-        if (indices == NULL) {
-            PyBuffer_Release(&hview);
-            return PyErr_NoMemory();
-        }
-        indices[0] = (int32_t)source_ci;
-        Py_ssize_t ci = source_ci;
-        for (int64_t i = 1; i <= k; i++) {
-            h -= 1;
-            Py_ssize_t next = -1;
-            for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1];
-                    a++) {
-                Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a];
-                if ((int64_t)hbuf[nci] == h) {
-                    next = nci;
-                    break;
-                }
-            }
-            if (next < 0) {
-                /* exact fields always descend; mirror packed()'s
-                 * defensive None */
-                PyMem_Free(indices);
-                PyBuffer_Release(&hview);
-                return Py_BuildValue("(iO)", 0, Py_None);
-            }
-            ci = next;
-            indices[i] = (int32_t)ci;
-        }
+    if (herr)
+        goto fail;
+    if (k > (int64_t)gd->n_cells)   /* the field's unreachable marker */
+        goto answer;
+    indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
+    keys = PyMem_Malloc((size_t)(k + 1 + (total_ll > FINISH_WAIT
+                                          ? total_ll : FINISH_WAIT))
+                        * sizeof(int64_t));
+    if (indices == NULL || keys == NULL) {
+        PyErr_NoMemory();
+        goto fail;
     }
+    indices[0] = (int32_t)source_ci;
+    if (descent(&s, indices, k) < 0)
+        goto answer;
 
     /* -- bulk audit (audit_chain semantics: vertex at arrival tick,
      *    reversed swap probe at departure tick, first hit wins) ------- */
@@ -1728,50 +1747,45 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     }
 
     /* -- verdict + payload -------------------------------------------- */
-    {
-        int verdict;
-        Py_ssize_t n = 0;
-        keys = PyMem_Malloc((size_t)(k + 1 + total_ll) * sizeof(int64_t));
-        if (keys == NULL) {
-            PyErr_NoMemory();
-            goto fail;
+    if (!blocked) {
+        /* 1: the whole descent is the leg.  2: the head audited clean
+         * and EATP's finisher walks on from its last cell (no keys where
+         * the walk declines). */
+        for (n = 0; n <= head; n++)
+            keys[n] = gd->cell_keys[indices[n]];
+        verdict = use_fin ? 2 : 1;
+        if (use_fin) {
+            tried = indices[head];
+            n = rescue_walk(&probe, gd, indices + head, k - head,
+                            start_t + head, FINISH_WAIT, FINISH_WAIT,
+                            keys + head);
+            n = n > 0 ? head + n : 0;
         }
-        if (!blocked) {
-            /* 1: the whole descent is the leg.  2: the head audited
-             * clean; python calls the finisher at its last cell. */
-            verdict = use_fin ? 2 : 1;
-            for (n = 0; n <= head; n++)
-                keys[n] = gd->cell_keys[indices[n]];
-        } else {
-            /* 4: the rescue walked it with waits.  3: reject (rescue
-             * off or declined) — nothing to carry, tier 1 decides. */
-            if (total_ll > 0)
-                n = rescue_walk(&probe, gd, indices, k, start_t,
-                                (int64_t)per_step_ll, (int64_t)total_ll,
-                                keys);
-            verdict = n > 0 ? 4 : 3;
-        }
-        PyObject *out = NULL;
-        if (n == 0) {
-            out = Py_BuildValue("(iO)", verdict, Py_None);
-        } else {
-            PyObject *payload = keys_export(keys, n);
-            if (payload != NULL)
-                out = Py_BuildValue("(iN)", verdict, payload);
-        }
-        PyMem_Free(keys);
-        PyMem_Free(indices);
-        if (have_hview)
-            PyBuffer_Release(&hview);
-        return out;
+    } else {
+        /* 4: the rescue walked it with waits.  3: reject (rescue off or
+         * declined) — nothing to carry, tier 1 decides. */
+        if (total_ll > 0)
+            n = rescue_walk(&probe, gd, indices, k, start_t,
+                            (int64_t)per_step_ll, (int64_t)total_ll, keys);
+        verdict = n > 0 ? 4 : 3;
     }
 
+answer:
+    if (n == 0) {
+        out = Py_BuildValue(tried < 0 ? "(iO[])" : "(iO[n])", verdict,
+                            Py_None, tried);
+    } else {
+        PyObject *payload = keys_export(keys, n);
+        if (payload != NULL)
+            out = Py_BuildValue(tried < 0 ? "(iN[])" : "(iN[n])", verdict,
+                                payload, tried);
+    }
 fail:
     PyMem_Free(keys);
     PyMem_Free(indices);
     if (have_hview)
         PyBuffer_Release(&hview);
-    return NULL;
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1782,13 +1796,16 @@ static PyMethodDef stsearch_methods[] = {
      "Build a grid's adjacency arrays from its blocked-cell mask."},
     {"run", stsearch_run, METH_VARARGS,
      "run(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
-     "    start_time, max_expansions, finisher, finisher_trigger, deep,\n"
+     "    start_time, max_expansions, trigger, deep,\n"
      "    init_expansions, init_peak_open)\n"
-     " -> (status, keys, finisher_tail, expansions, generated, peak_open)\n"
+     " -> (status, keys, tried, expansions, generated, peak_open)\n"
      "h_mode 1 is native Manhattan (h_arg: the goal's (x, y)), 2 a\n"
-     "one-dimensional int32 buffer of n_cells values.\n"
-     "``keys`` is the found leg (the head, when a finisher supplied the\n"
-     "tail) as an array('q') of packed cell keys, one per tick from\n"
+     "one-dimensional int32 buffer of n_cells values.  At each pop with\n"
+     "0 < h <= trigger EATP's finisher walks the field's descent with\n"
+     "waits (64 a step, 64 in all); ``tried`` lists the cell indices it\n"
+     "started from, in order.  Status 0 found the goal, 4 finished by a\n"
+     "walk, 1 spent the budget, 2 emptied the open set.  ``keys`` is the\n"
+     "whole leg as an array('q') of packed cell keys, one per tick from\n"
      "start_time; None when the search failed."},
     {"store_new", stsearch_store_new, METH_VARARGS,
      "store_new(owner, tile_bits, height, n_cells, state=None) -> store\n"
@@ -1830,14 +1847,16 @@ static PyMethodDef stsearch_methods[] = {
     {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
      "tier0_leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
      "    start_t, trigger, rescue_wait_per_step, rescue_total_wait)\n"
-     " -> (verdict, keys)\n"
+     " -> (verdict, keys, tried)\n"
      "Fused free-flow descent + bulk reservation audit + wait-following\n"
      "rescue (both caps 0 = off; h_mode as for run, h_arg unused by 1).\n"
-     "Verdicts: 0 unreachable; 1 conflict-free (keys: the leg); 2 head\n"
-     "audited clean for a finisher (keys: the head, ending on the trigger\n"
-     "cell); 3 audit reject; 4 rescued (keys: the leg with its waits).\n"
-     "``keys`` is an array('q') of packed cell keys, one per tick from\n"
-     "start_t, None for 0 and 3."},
+     "Verdicts: 0 unreachable; 1 conflict-free (keys: the leg); 2 the\n"
+     "head up to h = trigger audited clean and EATP's finisher walked on\n"
+     "from its last cell as in run (keys: the whole leg, None where the\n"
+     "walk declined; tried: that cell's index); 3 audit reject; 4 rescued\n"
+     "(keys: the leg with its waits).  ``keys`` is an array('q') of\n"
+     "packed cell keys, one per tick from start_t; ``tried`` is empty\n"
+     "but for verdict 2."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,8 +11,9 @@
 * :func:`follow_with_waits` — follow a spatial path, *waiting in place*
   whenever the next step would conflict (Sec. VI-B: "let the robot wait
   till there is no conflict to move next steps along the shortest
-  path").  EATP's finisher and the paper-scale rescue walk the descent
-  this way; the native ``tier0_leg`` carries the same walk.
+  path").  EATP's finisher (at the default caps) and the paper-scale
+  rescue walk the descent this way; the native ``run`` and ``tier0_leg``
+  carry the same walk.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class ShortestPathCache:
         self.misses += 1
         self._paths[key] = cells
         self._cells += cells
+
+    def record_starts(self, goal: Cell, field, starts) -> None:
+        """:meth:`record` each finisher walk from ``starts`` to ``goal``."""
+        for cell in starts:
+            self.record(cell, goal, field(cell) + 1)
 
     def __len__(self) -> int:
         return len(self._paths)

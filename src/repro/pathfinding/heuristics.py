@@ -27,7 +27,7 @@ protocol and are searched by the python core only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..types import Cell, manhattan
 from ..warehouse.grid import Grid
@@ -156,14 +156,6 @@ class HeuristicFieldCache:
                 self._fields.clear()
             field = self._fields[goal] = HeuristicField(self._grid, goal)
         return field
-
-    def peek(self, goal: Cell) -> Optional[HeuristicField]:
-        """The field toward ``goal`` if already memoised, else None.
-
-        Never floods — what EATP's finisher reads: the search calling it
-        fetched the goal's field first.
-        """
-        return self._fields.get(goal)
 
     def distance(self, source: Cell, goal: Cell) -> int:
         """True shortest-path distance (≥ grid size if unreachable)."""

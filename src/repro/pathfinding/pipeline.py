@@ -38,9 +38,10 @@ search — see :mod:`repro.pathfinding.free_flow`), bulk-audit it against
 the reservation structures (both in one call,
 :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`, whose
 verdict tuple :meth:`FallbackChain._free_flow_leg` alone interprets), and
-serve the leg without searching when the audit finds no conflict.  Any
+serve the leg without searching when the audit finds no conflict (with
+EATP's cache, walking the finisher from where the search would).  Any
 hit — or any case tier 0 cannot prove byte-identical (tiny expansion
-budgets, a declining cache finisher) — drops straight into the unchanged
+budgets, a declining finisher walk) — drops straight into the unchanged
 tier-1 search, so the chain's observable behaviour is *provably*
 unchanged: a fast-path leg is the byte-identical path tier 1 would have
 produced, and every other leg still goes through tier 1.  Each planned
@@ -78,6 +79,7 @@ from typing import Callable, Optional, Tuple
 from ..errors import PathNotFoundError
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid
+from .cache import ShortestPathCache
 from .free_flow import FreeFlowPathCache
 from .heuristics import HeuristicFieldCache
 from .paths import Path
@@ -134,7 +136,7 @@ class LegPlan:
     search_stats:
         Stats the caller folds into its counters: the failed full
         search's on a wait leg (tier 1 absorbs its own on success), the
-        synthetic finisher record on a tier-0 leg.
+        synthetic finisher record on a tier-0 leg the finisher walked.
     fastpath:
         What tier 0 did for this leg (:data:`FASTPATH_HIT`,
         :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
@@ -162,29 +164,28 @@ class FallbackChain:
         Tier 1 as a callable ``(t, source, goal) -> Path`` raising
         :class:`~repro.errors.PathNotFoundError` on exhaustion.  Passed
         as a callable (not inlined) because it is the planner's historic
-        ``_find_leg`` extension point — EATP's cache-aided variant and
-        the frozen-seed benchmark patches all hook it.
-    finisher_factory:
-        ``goal -> (finisher, trigger)`` supplying the cache-aided
-        finisher tier 0 hands its audited head to (EATP); ``(None, 0)``
-        disables.
+        ``_find_leg`` extension point — the frozen-seed patches (EATP's
+        with its own python finisher) and tests hook it.
     free_flow:
         The tier-0 descent cache.  Built fresh over ``grid`` and
         ``heuristics`` when not supplied (the planner base passes its
         own so the cache is introspectable per planner).
+    cache:
+        EATP's Sec. VI-B cache, or ``None``: tier 0's finisher trigger
+        L, and where its walks are recorded (tier 1 records its own).
     """
 
     def __init__(self, grid: Grid, reservation: ReservationTable,
                  heuristics: HeuristicFieldCache, config,
                  full_search: Callable[[Tick, Cell, Cell], Path],
-                 finisher_factory: Callable[[Cell], tuple],
-                 free_flow: Optional[FreeFlowPathCache] = None) -> None:
+                 free_flow: Optional[FreeFlowPathCache] = None,
+                 cache: Optional[ShortestPathCache] = None) -> None:
         self.grid = grid
         self.reservation = reservation
         self.heuristics = heuristics
         self.config = config
         self.full_search = full_search
-        self.finisher_factory = finisher_factory
+        self.cache = cache
         self.free_flow = (free_flow if free_flow is not None
                           else FreeFlowPathCache(grid, heuristics))
         #: ``(wait per step, total wait)`` handed to tier 0; zeros switch
@@ -224,9 +225,10 @@ class FallbackChain:
         Returns ``(leg | None, outcome)``.  This is the one interpreter
         of the tier-0 verdict tuple :meth:`FreeFlowPathCache.kernel_leg
         <repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg>`
-        answers from either kernel: 1 is a served leg, 2 hands the
-        audited head to the finisher, 4 is a leg the rescue served, 3 a
-        reject the rescue was off for or declined, 0 is a miss.
+        answers from either kernel: 1 is a served leg, 2 a leg the
+        finisher walked (a miss where the walk declined; recorded
+        either way), 4 is a leg the rescue served, 3 a reject the rescue
+        was off for or declined, 0 is a miss.
 
         Emits a plan only when the result is *provably* byte-identical to
         what tier 1 would return (see :mod:`repro.pathfinding.free_flow`):
@@ -234,12 +236,12 @@ class FallbackChain:
         * the greedy descent exists and its audit finds no conflict — on
           a conflict-free descent the full search's FIFO plateau
           exploration reconstructs exactly this chain;
-        * with a cache finisher in force (EATP), the finisher is invoked
-          at the same ``(cell, tick)`` the full search would first
+        * with a cache finisher in force (EATP), the finisher walks from
+          the same ``(cell, tick)`` the full search would first
           trigger it — the first expanded node whose h-value enters the
           trigger band is the descent cell ``h == trigger`` (or the
           source when the whole leg is inside the band) — and only a
-          returned tail with a conflict-free head is emitted;
+          walked tail behind a conflict-free head is emitted;
         * the expansion budget provably cannot interrupt the full search
           before the goal pops (it is at least the plateau-size bound
           ``n_cells``); tiny test budgets disable tier 0 outright.
@@ -247,26 +249,21 @@ class FallbackChain:
         config = self.config
         if config.max_search_expansions < self.grid.n_cells:
             return None, FASTPATH_OFF
-        verdict, path, finisher, __ = self.free_flow.kernel_leg(
-            self.reservation, t, source, goal, self.finisher_factory,
-            self.rescue_caps)
-        if verdict == 0:
-            # unreachable: tier 1 fails fast
-            return None, FASTPATH_MISS
+        cache = self.cache
+        verdict, path, starts = self.free_flow.kernel_leg(
+            self.reservation, t, source, goal,
+            0 if cache is None else cache.threshold, self.rescue_caps)
+        if starts:
+            cache.record_starts(goal, self.heuristics.field(goal), starts)
         if verdict == 3:
             return None, FASTPATH_AUDIT_REJECT
+        if path is None:
+            # 0: tier 1 fails fast.  2, declined: the full search would
+            # go on and may finish through a later walk off the descent.
+            return None, FASTPATH_MISS
         fastpath = FASTPATH_RESCUE if verdict == 4 else FASTPATH_HIT
         search_stats: Tuple[SearchStats, ...] = ()
         if verdict == 2:
-            # Only a head that audited clean reaches the finisher (see
-            # ``kernel_leg`` on why the order matters to EATP's cache).
-            tail = finisher(path.goal, path.end_time)
-            if tail is None:
-                # The full search would keep expanding past the first
-                # trigger and may finish through a *later* finisher call
-                # off the descent chain — not reproducible in O(d).
-                return None, FASTPATH_MISS
-            path = path.concat(tail)
             search_stats = (SearchStats(
                 cache_finished=True, budget=config.max_search_expansions),)
         leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,

@@ -61,7 +61,7 @@ class PackedChain:
     """A free-flow descent chain in both representations tier 0 uses.
 
     Walked fresh for each leg by
-    :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.packed` and
+    :func:`~repro.pathfinding.free_flow.descent` and
     audited by :meth:`ReservationTable.audit_chain`.  Every consecutive
     pair of chain cells is a *move* (greedy descents strictly descend the
     exact h-field, so they never wait), which is what lets the audit

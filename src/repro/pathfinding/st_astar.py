@@ -49,7 +49,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..config import SEARCH_KERNEL_CHOICES, search_kernel_choice
 from ..errors import ConfigurationError, PathNotFoundError
@@ -57,6 +57,8 @@ from ..types import Cell, Tick
 from ..warehouse.grid import Grid
 from . import _kernel
 from ._kernel import load_compiled as _load_compiled
+from .cache import follow_with_waits
+from .free_flow import descent
 from .heuristics import Heuristic, HeuristicField, _LazyManhattanFlat
 from .paths import Path, packed_path
 from .reservation import ReservationTable
@@ -72,7 +74,7 @@ class SearchStats:
     generated:
         Nodes pushed onto the open set.
     cache_finished:
-        True when the cache-aided finisher produced the tail of the path
+        True when the cache-aided finisher walked the tail of the path
         (EATP only); lets the L-ablation report the cache hit rate.
     peak_open:
         Largest size reached by the open set, the quantity the paper says
@@ -106,7 +108,7 @@ SEARCH_EXHAUSTED = "exhausted"    #: open set died (start is boxed in)
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """One bounded path-finding problem, as plain data plus hooks.
+    """One bounded path-finding problem, as plain data.
 
     Attributes
     ----------
@@ -117,16 +119,15 @@ class SearchRequest:
     max_expansions:
         Abort threshold; exceeding it yields a :data:`SEARCH_BUDGET`
         outcome rather than livelocking.
-    finisher, finisher_trigger:
-        The cache-aided finisher hook (Sec. VI-B), as in
-        :func:`find_path`; ``finisher_trigger=0`` disables it.
+    finisher_trigger:
+        The L of the cache-aided finisher (Sec. VI-B), as in
+        :func:`find_path`; ``0`` disables it.
     """
 
     source: Cell
     goal: Cell
     start_time: Tick
     max_expansions: int = 200_000
-    finisher: Optional[Callable] = None
     finisher_trigger: int = 0
 
 
@@ -146,12 +147,16 @@ class SearchOutcome:
     stats:
         The search's counters, present on every outcome — failures keep
         their diagnostics.
+    finisher_starts:
+        The cells the finisher's walks started from, in pop order; all
+        but a finishing last one (``stats.cache_finished``) declined.
     """
 
     request: SearchRequest
     status: str
     path: Optional[Path]
     stats: SearchStats
+    finisher_starts: Sequence[Cell] = ()
 
     @property
     def ok(self) -> bool:
@@ -278,27 +283,25 @@ def _search_compiled(grid: Grid, store, request: SearchRequest,
     height = grid.height
     h_mode, h_arg = h_spec
 
-    status, keys, tail, expansions, generated, peak_open = module.run(
+    status, keys, tried, expansions, generated, peak_open = module.run(
         grid.kernel_capsule(module), store, h_mode, h_arg,
         source[0] * height + source[1],
         goal[0] * height + goal[1], request.start_time,
-        request.max_expansions, request.finisher, request.finisher_trigger,
+        request.max_expansions, request.finisher_trigger,
         1 if deep else 0, stats.expansions, stats.peak_open)
 
     stats.expansions = expansions
     stats.generated += generated
     stats.peak_open = peak_open
-    if status == 0:
-        return SearchOutcome(request, SEARCH_COMPLETE,
-                             packed_path(request.start_time, keys), stats)
+    starts = [divmod(ci, height) for ci in tried] if tried else ()
+    if keys is None:
+        return SearchOutcome(
+            request, SEARCH_BUDGET if status == 1 else SEARCH_EXHAUSTED,
+            None, stats, starts)
     if status == 4:
         stats.cache_finished = True
-        head = packed_path(request.start_time, keys)
-        return SearchOutcome(request, SEARCH_COMPLETE,
-                             head.concat(tail), stats)
-    if status == 1:
-        return SearchOutcome(request, SEARCH_BUDGET, None, stats)
-    return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
+    return SearchOutcome(request, SEARCH_COMPLETE,
+                         packed_path(request.start_time, keys), stats, starts)
 
 
 def _search_heap(grid: Grid, reservation: ReservationTable,
@@ -337,8 +340,8 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     adjacency = grid.adjacency
     cell_keys = grid.cell_keys
     max_expansions = request.max_expansions
-    finisher = request.finisher
     finisher_trigger = request.finisher_trigger
+    starts: List[Cell] = []
 
     vertex_free = reservation.is_free_packed
     edge_free = reservation.edge_free_packed
@@ -367,25 +370,27 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
             __, __, __, state = pop(open_heap)
             expansions += 1
             if expansions > max_expansions:
-                return SearchOutcome(request, SEARCH_BUDGET, None, stats)
+                return SearchOutcome(request, SEARCH_BUDGET, None, stats,
+                                     starts)
             t, ci = divmod(state, n_cells)
 
             if ci == goal_ci:
                 return SearchOutcome(
                     request, SEARCH_COMPLETE,
                     _reconstruct(parent, state, n_cells, height, start_time),
-                    stats)
+                    stats, starts)
 
-            if finisher is not None:
-                h = hfield[ci]
-                if 0 < h <= finisher_trigger:
-                    tail = finisher(divmod(ci, height), t)
-                    if tail is not None:
-                        stats.cache_finished = True
-                        head = _reconstruct(parent, state, n_cells, height,
-                                            start_time)
-                        return SearchOutcome(request, SEARCH_COMPLETE,
-                                             head.concat(tail), stats)
+            if finisher_trigger and 0 < hfield[ci] <= finisher_trigger:
+                # The finisher: from here, the descent walked with waits.
+                starts.append(divmod(ci, height))
+                chain = descent(grid, hfield, starts[-1])
+                tail = chain and follow_with_waits(reservation, chain.cells, t)
+                if tail is not None:
+                    stats.cache_finished = True
+                    return SearchOutcome(
+                        request, SEARCH_COMPLETE,
+                        _reconstruct(parent, state, n_cells, height,
+                                     start_time, tail), stats, starts)
 
             t1 = t + 1
             g_next = t1 - start_time
@@ -450,7 +455,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                                  (g_next + hfield[nci], depth, tie,
                                   nxt_state))
                             tie += 1
-        return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats)
+        return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats, starts)
     finally:
         stats.expansions = expansions
         stats.generated += generated
@@ -461,7 +466,6 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
               goal: Cell, start_time: Tick,
               heuristic: Optional[Heuristic] = None,
               max_expansions: int = 200_000,
-              finisher=None,
               finisher_trigger: int = 0,
               stats: Optional[SearchStats] = None) -> Path:
     """Find a conflict-free timed path from ``source`` (at ``start_time``).
@@ -488,14 +492,11 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
     max_expansions:
         Abort threshold; exceeded means livelock, reported as
         :class:`~repro.errors.PathNotFoundError`.
-    finisher:
-        Optional cache-aided finisher (Sec. VI-B): called as
-        ``finisher(cell, t)`` once the popped node's h-value is
-        ``<= finisher_trigger``; if it returns a :class:`Path` from
-        ``(t, cell)`` to the goal, the search short-circuits and appends
-        it.
     finisher_trigger:
-        The L threshold of Sec. VI-B (``0`` disables the finisher).
+        The L threshold of Sec. VI-B (``0`` disables the finisher): the
+        first walk down the heuristic from a popped node with
+        ``0 < h <= L`` that arrives (waiting out conflicts, at
+        ``follow_with_waits``' default caps) ends the search.
     stats:
         Optional mutable counters filled during the search.
 
@@ -512,7 +513,7 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
         stats ride along on the exception.
     """
     request = SearchRequest(source=source, goal=goal, start_time=start_time,
-                            max_expansions=max_expansions, finisher=finisher,
+                            max_expansions=max_expansions,
                             finisher_trigger=finisher_trigger)
     outcome = search(grid, reservation, request, heuristic=heuristic,
                      stats=stats)
@@ -564,7 +565,7 @@ class _LazyField:
 
 
 def _reconstruct(parent: Dict[int, int], state: int, n_cells: int,
-                 height: int, start_time: Tick) -> Path:
+                 height: int, start_time: Tick, tail=()) -> Path:
     steps: List = []
     while state is not None:
         t, ci = divmod(state, n_cells)
@@ -573,4 +574,5 @@ def _reconstruct(parent: Dict[int, int], state: int, n_cells: int,
         state = parent.get(state)
     steps.reverse()
     assert steps[0][0] == start_time
+    steps.extend(tail[1:])  # a finisher's walk, from ``state`` on
     return Path(steps)

@@ -25,7 +25,8 @@ from typing import Iterable, List, Optional
 
 from ..config import PlannerConfig
 from ..errors import PlanningError
-from ..pathfinding import _kernel
+from ..pathfinding import _kernel, st_astar
+from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.free_flow import FreeFlowPathCache
 from ..pathfinding.heuristics import HeuristicFieldCache
 from ..pathfinding.paths import Path
@@ -36,7 +37,7 @@ from ..pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_MISS,
 from ..pathfinding.reservation import ReservationTable
 from ..pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                 SpatiotemporalGraph)
-from ..pathfinding.st_astar import SearchStats, find_path
+from ..pathfinding.st_astar import SearchRequest, SearchStats
 from ..types import Cell, Tick, manhattan
 from ..warehouse.entities import Rack, Robot
 from ..warehouse.state import WarehouseState
@@ -56,7 +57,7 @@ class PlannerStats:
     ``legs_free_flow`` are the hits, ``fastpath_audit_rejects`` counts
     candidates a reservation conflict sent to the full search, and
     ``fastpath_misses`` counts legs where no auditable candidate existed
-    (unreachable goal, a declining cache finisher).  Tier-0 legs run no
+    (unreachable goal, a declining finisher walk).  Tier-0 legs run no
     search, so ``search_expansions`` / ``search_peak_open`` only
     accumulate over the legs that actually searched.  Which kernel
     served is one run-wide answer,
@@ -112,6 +113,10 @@ class Planner(abc.ABC):
     #: Human-readable name used by experiment reports (override).
     name: str = "planner"
 
+    #: EATP's Sec. VI-B cache: its threshold triggers the finisher in
+    #: both search tiers, which record their walks in it.
+    cache: Optional[ShortestPathCache] = None
+
     #: Reservation-footprint cache (see :meth:`memory_bytes`): the last
     #: aggregate and the table ``mutation_stamp`` it was computed at.
     #: Class-level defaults so checkpoints pickled before the cache
@@ -156,8 +161,7 @@ class Planner(abc.ABC):
             grid=self.grid, reservation=self.reservation,
             heuristics=self.heuristics, config=self.config,
             full_search=lambda t, source, goal: me._find_leg(t, source, goal),
-            finisher_factory=lambda goal: me._make_finisher(goal),
-            free_flow=self.free_flow)
+            free_flow=self.free_flow, cache=self.cache)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -425,29 +429,22 @@ class Planner(abc.ABC):
         Uses the cached exact heuristic field, which equals the paper's
         Manhattan h-value (Sec. V-C) on the open rack-to-picker layouts
         and stays admissible (tighter) on obstructed floors — with no
-        per-leg closure allocation.  The finisher hook comes from
-        :meth:`_make_finisher` (EATP's cache-aided tail; disabled in the
-        base).  Raises :class:`~repro.errors.PathNotFoundError` (stats
-        attached) on exhaustion; the fallback chain recovers.
+        per-leg closure allocation, and the finisher of :attr:`cache`,
+        which records the walks in it, failed searches' too.  Raises
+        :class:`~repro.errors.PathNotFoundError` (stats attached) on
+        exhaustion; the fallback chain recovers.
         """
         search_stats = SearchStats()
-        finisher, trigger = self._make_finisher(goal)
-        path = find_path(self.grid, self.reservation, source, goal, t,
-                         heuristic=self.heuristics.field(goal),
-                         max_expansions=self.config.max_search_expansions,
-                         finisher=finisher, finisher_trigger=trigger,
-                         stats=search_stats)
+        field, cache = self.heuristics.field(goal), self.cache
+        outcome = st_astar.search(self.grid, self.reservation, SearchRequest(
+            source, goal, t, self.config.max_search_expansions,
+            0 if cache is None else cache.threshold), field, search_stats)
+        if outcome.finisher_starts:
+            cache.record_starts(goal, field, outcome.finisher_starts)
+        if not outcome.ok:
+            raise outcome.error()
         self._absorb_search_stats(search_stats)
-        return path
-
-    def _make_finisher(self, goal: Cell):
-        """``(finisher, trigger)`` for searches toward ``goal``.
-
-        The base planners run without the Sec. VI-B cache; EATP overrides
-        this to supply its wait-following finisher, which both tier 0
-        and the tier-1 full search then use.
-        """
-        return None, 0
+        return outcome.path
 
     def _absorb_search_stats(self, search_stats: SearchStats) -> None:
         self.stats.search_expansions += search_stats.expansions

@@ -13,7 +13,8 @@ ATP plus the three efficiency designs:
 * **Cache-aided path finding (Sec. VI-B).**  Once a spatiotemporal A* node
   pops within distance L of the goal, a conflict-oblivious shortest path
   — the descent of the goal's field — is followed with waits inserted
-  until each next step is conflict-free.
+  until each next step is conflict-free; the search tiers walk it and
+  record the pairs in the planner's cache, whose threshold is L.
 
 These trade a sliver of solution quality (the paper measures < 1% makespan
 loss vs. ATP) for the large STC/PTC/MC wins of Figs. 11–12.
@@ -26,9 +27,8 @@ from typing import List, Optional, Set
 from ..config import PlannerConfig
 from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.cdt import ConflictDetectionTable
-from ..pathfinding.paths import Path
 from ..pathfinding.reservation import ReservationTable
-from ..types import Cell, Tick
+from ..types import Tick
 from ..warehouse.entities import Rack, Robot
 from ..warehouse.knn import StaticRackKNN
 from ..warehouse.state import WarehouseState
@@ -43,9 +43,11 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
 
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
+        config = config if config is not None else PlannerConfig()
+        # Set first: the fallback chain the base builds takes it.
+        self.cache = ShortestPathCache(config.cache_threshold)
         super().__init__(state, config)
         self.knn = self._build_knn()
-        self.cache = ShortestPathCache(self.config.cache_threshold)
 
     def _build_knn(self) -> StaticRackKNN:
         """The K-nearest-racks table: a pure function of the rack homes."""
@@ -119,31 +121,6 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
                     claimed.add(rack_id)
                     break  # Alg. 3 line 13: one rack per robot.
         return entries
-
-    # -- Alg. 3 path finding: CDT + cache-aided A* --------------------------------
-
-    def _make_finisher(self, goal: Cell):
-        """The Sec. VI-B cache-aided finisher, for every search tier.
-
-        At ``(cell, t)`` with ``0 < h(cell) <= L`` it records the pair
-        ``(cell, goal)`` in the cache and walks the goal field's descent
-        from ``cell``, waiting where the next move is reserved — at most
-        64 ticks a step and 64 in all, the livelock guard of
-        :func:`~repro.pathfinding.cache.follow_with_waits`.
-        """
-        cache = self.cache
-        if cache.threshold <= 0:
-            return None, 0
-        heuristics, walk = self.heuristics, self.free_flow.walk
-        reservation, height = self.reservation, self.grid.height
-
-        def finisher(cell: Cell, t: Tick) -> Optional[Path]:
-            # The search calling this has fetched the goal's field.
-            flat = heuristics.peek(goal).flat
-            cache.record(cell, goal, flat[cell[0] * height + cell[1]] + 1)
-            return walk(reservation, flat, t, cell, goal, (64, 64))
-
-        return finisher, cache.threshold
 
     # -- memory ---------------------------------------------------------------------
 

@@ -89,23 +89,28 @@ def make_two_picker_state(n_racks: int = 6, n_robots: int = 2) -> WarehouseState
 
 def eatp_finisher(grid: Grid, table, goal, threshold: int):
     """EATP's Sec. VI-B finisher toward ``goal`` over ``table``, without a
-    planner around it: ``(finisher, cache)``.  ``_make_finisher`` reads
-    only the planner attributes set here, and the goal's field is
-    fetched first, as a search toward ``goal`` does."""
-    from types import SimpleNamespace
-
+    planner around it: ``(finisher, cache)``.  ``finisher(cell, t)`` is
+    the walk from a cell inside the trigger band, through tier 0's entry
+    (whose head is then the cell itself), recorded in ``cache`` as the
+    chain records it: the walked ``Path`` onto the goal, or ``None``."""
     from repro.pathfinding.cache import ShortestPathCache
     from repro.pathfinding.free_flow import FreeFlowPathCache
     from repro.pathfinding.heuristics import HeuristicFieldCache
-    from repro.planners import EfficientAdaptiveTaskPlanner
 
     heuristics = HeuristicFieldCache(grid)
-    heuristics.field(goal)
-    host = SimpleNamespace(
-        cache=ShortestPathCache(threshold), grid=grid, reservation=table,
-        heuristics=heuristics, free_flow=FreeFlowPathCache(grid, heuristics))
-    finisher, __ = EfficientAdaptiveTaskPlanner._make_finisher(host, goal)
-    return finisher, host.cache
+    free_flow = FreeFlowPathCache(grid, heuristics)
+    cache = ShortestPathCache(threshold)
+
+    def finisher(cell, t):
+        field = heuristics.field(goal)
+        assert 0 < field(cell) <= threshold
+        verdict, path, starts = free_flow.kernel_leg(table, t, cell, goal,
+                                                     threshold)
+        assert verdict == 2 and starts == (cell,)
+        cache.record_starts(goal, field, starts)
+        return path
+
+    return finisher, cache
 
 
 def drip_items(rack_ids, start: int = 0, spacing: int = 1,

@@ -278,8 +278,7 @@ class TestWaitFollowingRescue:
 
         return FallbackChain(grid=grid, reservation=reservation,
                              heuristics=heuristics, config=config,
-                             full_search=full_search or default_full,
-                             finisher_factory=lambda goal: (None, 0))
+                             full_search=full_search or default_full)
 
     def never_search(self, t, source, goal):
         raise AssertionError("the rescue should have served this leg")

@@ -1,7 +1,9 @@
 """Unit tests for the shortest-path cache, the wait-following walk and
-EATP's finisher, which records a pair in the cache and walks the goal
-field's descent with waits (the native ``tier0_leg`` under the compiled
-switch)."""
+EATP's finisher, which walks the goal field's descent with waits (in
+the native ``run`` and ``tier0_leg`` under the compiled switch) and
+whose starts the caller records in the cache after each call."""
+
+import hashlib
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import is_conflict_free
+from repro.pathfinding._legacy import seed_planner_patches, tier0_off_patch
 from repro.pathfinding.paths import Path
 from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
 from repro.planners import EfficientAdaptiveTaskPlanner
@@ -193,3 +196,43 @@ class TestRecordedAccounting:
         assert planner.cache.misses == live["entries"]
         assert planner.peak_memory_bytes == peak
         assert planner.stats.cache_finished_legs == 333
+
+
+def drain_pairs(spec, patches=()):
+    """An EATP drain of ``spec`` under ``patches``: its cache's pairs in
+    the order they were first asked for, and its hits."""
+    with pytest.MonkeyPatch.context() as patch:
+        for target, name, replacement in patches:
+            patch.setattr(target, name, replacement)
+        planner = drain(spec)
+    return list(planner.cache._paths.items()), planner.cache.hits
+
+
+class TestPairOrder:
+    """The order in which pairs enter the cache, not just its totals: the
+    walks' starts are recorded after each search or tier-0 call, and
+    must land exactly where the finisher used to record them mid-search
+    (a dropped or reordered record shows here)."""
+
+    @pytest.mark.skipif(COMPILED is None, reason="native kernel unavailable")
+    def test_compiled_switch_equals_python_switch(self):
+        drains = {}
+        for name in ("compiled", "python"):
+            previous = search_kernel_name()
+            set_search_kernel(name)
+            try:
+                drains[name] = drain_pairs(make_syn_a(0.5))
+            finally:
+                set_search_kernel(previous)
+        pairs, hits = drains["python"]
+        assert (len(pairs), hits) == (134, 201)
+        # the order the in-search finisher callback recorded them in
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == (
+            "3913fb76cd592b3c")
+        assert drains["compiled"] == drains["python"]
+
+    def test_library_equals_the_seed_with_tier0_off(self, kernel):
+        library = drain_pairs(make_syn_a(0.5), [tier0_off_patch()])
+        seed = drain_pairs(make_syn_a(0.5), seed_planner_patches())
+        assert (len(library[0]), library[1]) == (134, 200)
+        assert library == seed

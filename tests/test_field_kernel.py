@@ -10,10 +10,11 @@ drop-in for its python body:
   capsule must equal the python deque flood value for value on any grid,
   any source, any sentinel (and reject colliding sentinels the same way);
 * ``tier0_leg`` — the fused greedy-descent + bulk-audit entry point must
-  agree with the python ``packed()``/``audit_chain`` pair on every
-  production reservation table, every verdict class (unreachable, clean,
-  finisher head, audit reject, rescued), and on both field regimes (eager int32
-  buffers and the paper-scale lazy Manhattan closed form) — and
+  agree with the python ``packed()``/``audit_chain``/``follow_with_waits``
+  trio on every production reservation table, every verdict class
+  (unreachable, clean, finisher walk, audit reject, rescued), and on both
+  field regimes (eager int32 buffers and the paper-scale lazy Manhattan
+  field) — and
   ``FreeFlowPathCache.kernel_leg``, the one tier-0 entry, must answer the
   same verdict tuple from either kernel, so the chain's single
   interpreter builds the same leg.
@@ -35,7 +36,7 @@ from hypothesis import strategies as hyp
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
-from repro.pathfinding.cache import follow_with_waits
+from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
@@ -116,8 +117,7 @@ class TestPreparedGrid:
         assert search(grid, table, SearchRequest((0, 7), (63, 7), 0)).ok
         assert grid.distance_flat((0, 0))[grid.cell_index((63, 39))] > 0
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        assert cache.kernel_leg(table, 0, (0, 30), (63, 30),
-                                lambda goal: (None, 0))[0] == 1
+        assert cache.kernel_leg(table, 0, (0, 30), (63, 30))[0] == 1
         assert not grid.adjacency
 
     def test_capsules_retain_nothing(self):
@@ -182,8 +182,7 @@ class TestFieldKernelSelection:
         for kernel in KERNELS:
             set_search_kernel(kernel)
             with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                legs[kernel] = cache.kernel_leg(table, 0, (0, 0), (7, 7),
-                                                lambda goal: (None, 0))
+                legs[kernel] = cache.kernel_leg(table, 0, (0, 0), (7, 7))
             assert calls["tier0_leg"] == (kernel == "compiled")
         assert legs["python"][0] == 1  # a hit on the open floor
         assert legs.get("compiled", legs["python"]) == legs["python"]
@@ -348,10 +347,10 @@ class TestFusedLegEquivalence:
             cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
             source, goal = rng.sample(cells, 2)
             t = rng.randint(0, 5)
-            fused = cache.kernel_leg(table, t, source, goal,
-                                     lambda goal: (None, 0))
+            fused = cache.kernel_leg(table, t, source, goal)
             assert fused is not None
-            verdict, path, finisher, trigger = fused
+            verdict, path, starts = fused
+            assert starts == ()
             verdicts.add(verdict)
             chain = cache.packed(source, goal)
             if chain is None:
@@ -369,7 +368,9 @@ class TestFusedLegEquivalence:
         assert {1, 3} <= verdicts
 
     def test_finisher_head_verdict(self, name):
-        """With a live finisher only the head prefix is audited."""
+        """With a trigger only the head prefix is audited, and the
+        finisher walks on from its last cell as ``follow_with_waits``
+        does (caps 64 and 64)."""
         set_search_kernel("compiled")
         seen_heads = 0
         for seed in range(40):
@@ -384,22 +385,28 @@ class TestFusedLegEquivalence:
             source, goal = rng.sample(cells, 2)
             t = rng.randint(0, 3)
             trigger = rng.randint(1, 6)
-            finisher = lambda cell, tick: None
-            fused = cache.kernel_leg(table, t, source, goal,
-                                     lambda goal: (finisher, trigger))
-            verdict, path, got_finisher, got_trigger = fused
+            verdict, path, starts = cache.kernel_leg(table, t, source, goal,
+                                                     trigger)
             chain = cache.packed(source, goal)
             if chain is None:
                 assert verdict == 0
                 continue
-            assert got_trigger == trigger
             k = len(chain.cells) - 1
             head = k - trigger if k > trigger else 0
             if verdict == 2:
-                assert got_finisher is finisher
-                # the audited head, ending on the trigger cell
-                assert path == Path.from_cells(chain.cells[:head + 1], t)
+                # the audited head, ending on the trigger cell, where
+                # the walk starts
+                assert starts == (chain.cells[head],)
                 assert table.audit_chain(t, chain, head)
+                tail = follow_with_waits(table, chain.cells[head:],
+                                         t + head)
+                if tail is None:
+                    assert path is None
+                else:
+                    assert path.steps == tuple(
+                        (t + i,) + cell
+                        for i, cell in enumerate(chain.cells[:head])
+                    ) + tuple(tail)
                 seen_heads += 1
             elif verdict == 3:
                 assert not table.audit_chain(t, chain, head)
@@ -422,11 +429,9 @@ class TestFusedLegEquivalence:
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
         for goal in ((5, 0), (0, 5)):  # through the camped cell, and not
             with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal,
-                                            lambda goal: (None, 0))
+                declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal)
                 assert calls["tier0_leg"] == 0
-                native = cache.kernel_leg(real, 0, (0, 0), goal,
-                                          lambda goal: (None, 0))
+                native = cache.kernel_leg(real, 0, (0, 0), goal)
                 assert calls["tier0_leg"] == 1
             assert declined == native
 
@@ -449,21 +454,11 @@ class TestOneTierZeroContract:
             goal = source  # k == 0: served even with a finisher in force
         return rng, grid, table, source, goal, rng.randint(0, 5)
 
-    def finisher_factory(self, rng, cache):
-        """No finisher, or one that declines on odd ticks and otherwise
-        finishes along the descent (wait-free, so only valid as data)."""
+    def shortest_path_cache(self, rng):
+        """No finisher, or EATP's cache with a drawn trigger."""
         if rng.random() < 0.4:
-            return lambda goal: (None, 0)
-        trigger = rng.randint(1, 6)
-
-        def factory(goal):
-            def finisher(cell, tick):
-                if tick % 2:
-                    return None
-                return Path.from_cells(cache.packed(cell, goal).cells,
-                                       tick)
-            return finisher, trigger
-        return factory
+            return None
+        return ShortestPathCache(rng.randint(1, 6))
 
     def both_kernels(self, name, call):
         """``call()`` under each switch; under the compiled one the
@@ -483,22 +478,17 @@ class TestOneTierZeroContract:
                 continue
             rng, grid, table, source, goal, t = problem
             cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-            finisher = (lambda cell, tick: None) if seed % 2 else None
-            trigger = rng.randint(1, 6)
+            trigger = rng.randint(1, 6) if seed % 2 else 0
             caps = (rng.randint(1, 4), rng.randint(1, 8)) if seed % 3 else (
                 0, 0)
-
-            def factory(goal):
-                return finisher, trigger
-
             compiled, python = self.both_kernels(
                 name, lambda: cache.kernel_leg(table, t, source, goal,
-                                               factory, caps))
+                                               trigger, caps))
             assert compiled == python
             if compiled[1] is not None:  # equal paths, tuples included
                 assert compiled[1].steps == python[1].steps
                 assert hash(compiled[1]) == hash(python[1])
-            seen.add((compiled[0], finisher is not None))
+            seen.add((compiled[0], trigger > 0))
         # all five verdicts, with and without a finisher in force
         # (the head verdict only exists with one)
         assert seen >= {(0, False), (1, False), (3, False), (4, False),
@@ -513,18 +503,25 @@ class TestOneTierZeroContract:
                 continue
             rng, grid, table, source, goal, t = problem
             heuristics = HeuristicFieldCache(grid)
-            cache = FreeFlowPathCache(grid, heuristics)
             chain = FallbackChain(
                 grid=grid, reservation=table, heuristics=heuristics,
                 config=PlannerConfig(), full_search=None,
-                finisher_factory=self.finisher_factory(rng, cache),
-                free_flow=cache)
+                free_flow=FreeFlowPathCache(grid, heuristics))
             if seed % 3:
                 chain.rescue_caps = RESCUE_CAPS
-            compiled, python = self.both_kernels(
-                name, lambda: chain._free_flow_leg(t, source, goal))
-            assert compiled == python  # (LegPlan | None, outcome)
-            outcomes.add(compiled[1])
+            threshold = rng.randint(1, 6) if rng.random() < 0.6 else None
+
+            def leg():
+                # a fresh cache a call: what each kernel recorded
+                chain.cache = (None if threshold is None
+                               else ShortestPathCache(threshold))
+                return (chain._free_flow_leg(t, source, goal),
+                        None if chain.cache is None
+                        else list(chain.cache._paths.items()))
+
+            compiled, python = self.both_kernels(name, leg)
+            assert compiled == python  # ((LegPlan | None, outcome), pairs)
+            outcomes.add(compiled[0][1])
         assert outcomes == {"hit", "miss", "audit_reject", "rescue"}
 
     def test_mutations_and_tier0_retain_nothing(self, name):
@@ -542,8 +539,7 @@ class TestOneTierZeroContract:
                 table.reserve_path(Path.from_cells(lane, base + offset))
                 table.reserve_path(
                     Path.from_cells(lane[:-11:-1], base + offset))
-            verdicts = {cache.kernel_leg(table, base + 2, (0, y), (23, y),
-                                         lambda goal: (None, 0))[0]
+            verdicts = {cache.kernel_leg(table, base + 2, (0, y), (23, y))[0]
                         for y in range(24)}
             table.purge_before(base + 40)
             return verdicts
@@ -582,9 +578,8 @@ def test_gated_audits_on_the_swap_cases(name, case_name, kernel):
     assert table.audit_chain(case["start"], chain, len(chain) - 1) == clean
     set_search_kernel(kernel)
     for caps, verdict in zip(((0, 0), (4, 8)), case["tier0"]):
-        got, path, __, __ = cache.kernel_leg(
-            table, case["start"], case["source"], SWAP_GOAL,
-            lambda goal: (None, 0), caps)
+        got, path, __ = cache.kernel_leg(
+            table, case["start"], case["source"], SWAP_GOAL, 0, caps)
         assert got == verdict and (verdict == 1) == clean
         if verdict == 1:
             assert path == descent
@@ -661,8 +656,8 @@ class TestNativeRescue:
         assert steps == expected
         set_search_kernel("compiled")
         with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-            verdict, path, __, __ = cache.kernel_leg(
-                table, t, source, goal, lambda goal: (None, 0), caps)
+            verdict, path, __ = cache.kernel_leg(table, t, source, goal, 0,
+                                                 caps)
         assert calls["tier0_leg"] == 1
         if expected is None:
             assert (verdict, path) == (3, None)
@@ -696,7 +691,7 @@ class TestNativeRescue:
     @pytest.mark.parametrize("floor", sorted(FINISHER_FLOORS))
     def test_finisher_walks_from_mid_descent(self, name, floor):
         """EATP's finisher walk: caps (64, 64), from a cell in the middle
-        of a descent, through its own entry under either switch."""
+        of a descent, through tier 0's entry under either switch."""
         grid = FINISHER_FLOORS[floor]
         cells = passable_cells(grid)
         reasons = set()
@@ -719,13 +714,14 @@ class TestNativeRescue:
             if not table.audit_chain(t, chain, len(chain) - 1):
                 reasons.add(self.check(
                     (table, cache, chain, start, goal, t), (64, 64)))
-            flat = cache._heuristics.field(goal).flat
             for kernel in ("compiled", "python"):
                 set_search_kernel(kernel)
+                # a trigger at the start's own h: the head is the start
                 with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                    walked = cache.walk(table, flat, t, start, goal,
-                                        (64, 64))
+                    verdict, walked, starts = cache.kernel_leg(
+                        table, t, start, goal, len(chain.cells) - 1)
                 assert calls["tier0_leg"] == (kernel == "compiled")
+                assert verdict == 2 and starts == (start,)
                 if expected is None:
                     assert walked is None
                 else:
@@ -772,19 +768,19 @@ class TestNativeRescue:
         table, cache, __, source, goal, t = problem
         set_search_kernel("compiled")
         with pytest.raises(ValueError):
-            cache.kernel_leg(table, t, source, goal,
-                             lambda goal: (None, 0), caps)
+            cache.kernel_leg(table, t, source, goal, 0, caps)
 
-    @pytest.mark.parametrize("verdict, goal, until, trigger, caps", [
-        (0, (11, 9), 7, 0, (0, 0)),      # walled off
-        (1, (8, 2), 7, 0, (0, 0)),       # clean
-        (2, (8, 2), 7, 2, (0, 0)),       # head for a finisher
-        (3, (8, 5), 7, 0, (0, 0)),       # reject, rescue off
-        (3, (8, 5), 40, 0, (4, 4)),      # reject, rescue declined
-        (4, (8, 5), 7, 0, (16, 96)),     # rescued
+    @pytest.mark.parametrize("verdict, goal, until, trigger, caps, leg", [
+        (0, (11, 9), 7, 0, (0, 0), False),    # walled off
+        (1, (8, 2), 7, 0, (0, 0), True),      # clean
+        (2, (3, 5), 7, 2, (0, 0), True),      # the finisher walked on
+        (2, (3, 5), 90, 2, (0, 0), False),    # its walk declined
+        (3, (8, 5), 7, 0, (0, 0), False),     # reject, rescue off
+        (3, (8, 5), 40, 0, (4, 4), False),    # reject, rescue declined
+        (4, (8, 5), 7, 0, (16, 96), True),    # rescued
     ])
     def test_every_verdict_retains_nothing(self, name, verdict, goal, until,
-                                           trigger, caps):
+                                           trigger, caps, leg):
         set_search_kernel("compiled")
         grid = Grid(WIDTH, HEIGHT, blocked=[(10, 9), (11, 8), (10, 8)])
         table = TABLES[name](grid)
@@ -794,15 +790,17 @@ class TestNativeRescue:
         store = table.kernel_probe_spec()
         args = (capsule, store, 2, flat, grid.cell_index((0, goal[1])),
                 grid.cell_index(goal), 0, trigger) + caps
-        got, keys = COMPILED.tier0_leg(*args)
-        assert got == verdict and (keys is None) == (verdict in (0, 3))
+        got, keys, tried = COMPILED.tier0_leg(*args)
+        assert got == verdict and (keys is not None) == leg
+        assert bool(tried) == (verdict == 2)
         assert_retains_nothing(lambda: COMPILED.tier0_leg(*args),
                                watched=(capsule, flat, store))
 
 
 @needs_compiled
 class TestFusedLegManhattanRegime:
-    """Paper-scale lazy Manhattan fields take the closed-form descent."""
+    """Paper-scale lazy Manhattan fields take the native Manhattan
+    descent."""
 
     def test_matches_python_pair(self):
         set_search_kernel("compiled")
@@ -823,10 +821,9 @@ class TestFusedLegManhattanRegime:
             if source == goal:
                 continue
             t = rng.randint(0, 4)
-            fused = cache.kernel_leg(table, t, source, goal,
-                                     lambda goal: (None, 0))
+            fused = cache.kernel_leg(table, t, source, goal)
             assert fused is not None
-            verdict, path, finisher, trigger = fused
+            verdict, path, __ = fused
             verdicts.add(verdict)
             chain = cache.packed(source, goal)
             if table.audit_chain(t, chain, len(chain.cells) - 1):
@@ -844,9 +841,8 @@ class TestFusedLegManhattanRegime:
         grid = Grid(8, 8)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
         with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-            verdict, path, finisher, trigger = cache.kernel_leg(
-                SpatiotemporalGraph(grid), 0, (0, 0), (7, 7),
-                lambda goal: (None, 0))
+            verdict, path, __ = cache.kernel_leg(
+                SpatiotemporalGraph(grid), 0, (0, 0), (7, 7))
         assert calls["tier0_leg"] == 0
         assert verdict == 1
         assert path == Path.from_cells(cache.packed((0, 0), (7, 7)).cells, 0)
@@ -856,14 +852,6 @@ class TestFusedLegManhattanRegime:
 
 
 class TestHeuristicFieldCache:
-    def test_peek_never_floods(self):
-        grid = Grid(9, 7, blocked=[(4, 3)])
-        cache = HeuristicFieldCache(grid)
-        assert cache.peek((0, 0)) is None and len(cache) == 0
-        field = cache.field((0, 0))
-        assert cache.peek((0, 0)) is field  # a memo hit
-        assert cache.peek((8, 6)) is None and len(cache) == 1
-
     def test_cap_resets_the_memo(self):
         grid = Grid(9, 7)
         cache = HeuristicFieldCache(grid)
@@ -871,7 +859,7 @@ class TestHeuristicFieldCache:
         first = cache.field((0, 0))
         cache.field((1, 1))
         cache.field((2, 2))  # over the cap: the memo starts again
-        assert len(cache) == 1 and cache.peek((0, 0)) is None
+        assert len(cache) == 1 and (0, 0) not in cache._fields
         # a rebuilt field is value-identical (the flood is deterministic)
         assert cache.field((0, 0)).flat == first.flat
 

@@ -34,7 +34,9 @@ from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT,
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding._legacy import seed_planner_patches, tier0_off_patch
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import (SearchStats, find_path,
+from repro.pathfinding.cache import ShortestPathCache
+from repro.pathfinding.st_astar import (SearchRequest, SearchStats,
+                                        find_path, search,
                                         search_kernel_name,
                                         set_search_kernel)
 from repro.planners import PLANNERS
@@ -42,7 +44,6 @@ from repro.sim.serialize import (deterministic_view, metrics_from_dict,
                                  metrics_to_dict, result_to_dict)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import eatp_finisher
 
 # The shared obstructed fixtures of the heuristic-field suite — imported,
 # not copied, so a fixture fix there keeps pinning the descent identity
@@ -90,22 +91,26 @@ def make_cache(grid: Grid) -> FreeFlowPathCache:
 
 
 def make_chain(grid: Grid, reservation, config=None,
-               finisher_factory=None) -> FallbackChain:
+               cache=None) -> FallbackChain:
+    """A chain whose full search runs ``cache``'s finisher, as a
+    planner's does, and records the walks' starts in it."""
     heuristics = HeuristicFieldCache(grid)
     config = config if config is not None else PlannerConfig()
-    finisher_factory = finisher_factory or (lambda goal: (None, 0))
 
     def full(t, source, goal):
-        finisher, trigger = finisher_factory(goal)
-        return find_path(grid, reservation, source, goal, t,
-                         heuristic=heuristics.field(goal),
-                         max_expansions=config.max_search_expansions,
-                         finisher=finisher, finisher_trigger=trigger)
+        field = heuristics.field(goal)
+        outcome = search(grid, reservation, SearchRequest(
+            source, goal, t, config.max_search_expansions,
+            0 if cache is None else cache.threshold), heuristic=field)
+        if cache is not None:
+            cache.record_starts(goal, field, outcome.finisher_starts)
+        if not outcome.ok:
+            raise outcome.error()
+        return outcome.path
 
     return FallbackChain(grid=grid, reservation=reservation,
                          heuristics=heuristics, config=config,
-                         full_search=full,
-                         finisher_factory=finisher_factory)
+                         full_search=full, cache=cache)
 
 
 class TestDescentMatchesSearch:
@@ -163,15 +168,17 @@ class TestDescentMatchesSearch:
         assert chain.cells == ((3, 3),)
 
 
-class TestManhattanClosedForm:
-    """The native closed-form descent equals the generic walk.
+class TestManhattanDescent:
+    """The native descent on the lazy Manhattan field equals the generic
+    walk.
 
-    On the lazy Manhattan field of an unobstructed floor at or above the
-    paper-scale gate, ``tier0_leg`` (h_mode 1) walks "all of x, then all
-    of y" without reading a field.  ``packed()`` — the generic walk, the
-    specification — run on the same lazy field must produce the identical
-    chain in both representations tier 0 consumes (cells, packed keys),
-    or tier-0 behaviour would silently depend on the kernel.
+    On an unobstructed floor at or above the paper-scale gate,
+    ``tier0_leg`` (h_mode 1) computes Manhattan values instead of reading
+    a field, and its descent goes "all of x, then all of y".
+    ``packed()`` — the generic walk, the specification — run on the same
+    lazy field must produce the identical chain in both representations
+    tier 0 consumes (cells, packed keys), or tier-0 behaviour would
+    silently depend on the kernel.
     """
 
     def assert_closed_form_matches(self, width, height):
@@ -193,7 +200,7 @@ class TestManhattanClosedForm:
             assert isinstance(cache._heuristics.field(goal).flat,
                               _LazyManhattanFlat)
             chain = cache.packed(source, goal)
-            verdict, keys = _COMPILED.tier0_leg(
+            verdict, keys, __ = _COMPILED.tier0_leg(
                 capsule, store, 1, None, grid.cell_index(source),
                 grid.cell_index(goal), 0, 0, 0, 0)
             assert verdict == 1, (source, goal)
@@ -214,7 +221,7 @@ class TestManhattanClosedForm:
     def test_small_floors_keep_the_generic_walk(self):
         # Sub-paper floors build eager fields; the descent there still
         # matches the search (TestDescentMatchesSearch) — here we only
-        # pin that the closed form is not involved.
+        # pin that the Manhattan field is not involved.
         grid = GRIDS["open"]
         cache = make_cache(grid)
         assert not isinstance(cache._heuristics.field((5, 5)).flat,
@@ -356,43 +363,42 @@ class TestChainTierZero:
         assert leg.path.duration == 16  # Manhattan-optimal
 
     def test_finisher_hit_matches_search(self):
-        # EATP's tier-0 path: the finisher is consulted at the exact
-        # (cell, tick) the full search would first trigger it, and the
-        # emitted head+tail equals the search result byte for byte.
+        # EATP's tier-0 path: the finisher walks from the exact
+        # (cell, tick) the full search would first trigger it, the
+        # emitted head+tail equals the search result byte for byte, and
+        # the cache records the same pair.
         grid = Grid(14, 11)
-
-        def factory_for(reservation):
-            def factory(goal):
-                return eatp_finisher(grid, reservation, goal, 5)[0], 5
-            return factory
-
-        cdt_fast = ConflictDetectionTable()
-        chain = make_chain(grid, cdt_fast,
-                           finisher_factory=factory_for(cdt_fast))
+        cache = ShortestPathCache(5)
+        chain = make_chain(grid, ConflictDetectionTable(), cache=cache)
         leg = chain.plan_leg(0, (0, 0), (13, 10))
         assert leg.tier == TIER_FREE_FLOW
         assert leg.search_stats and leg.search_stats[0].cache_finished
 
-        cdt_ref = ConflictDetectionTable()
         stats = SearchStats()
-        reference = find_path(
-            grid, cdt_ref, (0, 0), (13, 10), 0,
+        reference = search(
+            grid, ConflictDetectionTable(),
+            SearchRequest((0, 0), (13, 10), 0, finisher_trigger=5),
             heuristic=HeuristicFieldCache(grid).field((13, 10)),
-            finisher=eatp_finisher(grid, cdt_ref, (13, 10), 5)[0],
-            finisher_trigger=5, stats=stats)
+            stats=stats)
         assert stats.cache_finished
-        assert leg.path.steps == reference.steps
+        assert leg.path.steps == reference.path.steps
+        assert list(cache._paths) == [
+            (cell, (13, 10)) for cell in reference.finisher_starts]
 
     def test_declining_finisher_is_a_miss(self):
-        # A finisher that returns None sends the leg to the full search
-        # (whose own finisher calls decide), never to a raw descent.
+        # A walk that declines sends the leg to the full search (whose
+        # own walks decide), never to a raw descent; its start is
+        # recorded first all the same.
         grid = Grid(12, 10)
-        chain = make_chain(grid, ConflictDetectionTable(),
-                           finisher_factory=lambda goal: (
-                               lambda cell, t: None, 5))
-        leg = chain.plan_leg(0, (0, 0), (9, 7))
+        table = ConflictDetectionTable()
+        # past the walk's 64-tick cap, on the descent's last column
+        table.reserve_path(Path.waiting((9, 5), 0, 200))
+        cache = ShortestPathCache(5)
+        leg = make_chain(grid, table, cache=cache).plan_leg(
+            0, (0, 0), (9, 7))
         assert leg.fastpath == FASTPATH_MISS
         assert leg.tier == TIER_FULL
+        assert next(iter(cache._paths)) == ((9, 2), (9, 7))
 
 
 class TestEndToEndEquivalence:

@@ -10,12 +10,16 @@ the fly here; where no compiler is available the compiled half skips and
 the selection/fallback tests still run.
 """
 
+import ctypes
 import dataclasses
 import gc
 import hashlib
 import importlib.util
+import itertools
+import operator
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -35,7 +39,7 @@ from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
                                        legacy_find_path)
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
-from repro.pathfinding.paths import Path
+from repro.pathfinding.paths import Path, packed_path
 from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
@@ -46,7 +50,7 @@ from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
                             assert_rows_match_neighbours, count_kernel_calls,
-                            eatp_finisher, load_swap_case)
+                            load_swap_case)
 
 COMPILED = build_and_load()
 
@@ -102,6 +106,7 @@ def run_on(kernel, grid, make_table, request, heuristic=None):
 
 def assert_same_search(out, stats, ref_out, ref_stats):
     assert out.status == ref_out.status
+    assert list(out.finisher_starts) == list(ref_out.finisher_starts)
     if ref_out.path is None:
         assert out.path is None
     else:
@@ -349,27 +354,11 @@ class TestKernelBitIdentity:
     def test_cache_finisher_matches(self):
         grid = Grid(18, 13)
         goal = (17, 12)
-
-        def run(kernel):
-            set_search_kernel(kernel)
-            table = ConflictDetectionTable()
-            crossing_traffic(table, grid.width)
-            finisher, cache = eatp_finisher(grid, table, goal, 6)
-            stats = SearchStats()
-            outcome = search(grid, table,
-                             SearchRequest((0, 0), goal, 0,
-                                           finisher=finisher,
-                                           finisher_trigger=6),
-                             stats=stats)
-            return outcome, stats, cache.live_counts()
-
-        py, py_stats, py_cache = run("python")
-        comp, c_stats, c_cache = run("compiled")
-        assert comp.status == py.status == st_astar.SEARCH_COMPLETE
-        assert comp.path.steps == py.path.steps
-        assert py_stats.cache_finished and c_stats.cache_finished
-        assert c_stats.expansions == py_stats.expansions
-        assert c_cache == py_cache
+        request = SearchRequest((0, 0), goal, 0, finisher_trigger=6)
+        py = assert_bit_identical(grid, lambda: ConflictDetectionTable(),
+                                  request)
+        assert py.status == st_astar.SEARCH_COMPLETE
+        assert py.finisher_starts
 
     def test_deep_tie_paper_scale_matches(self):
         # 129 * 128 = 16512 cells >= PAPER_SCALE_MIN_CELLS: the open set
@@ -405,115 +394,6 @@ class TestKernelBitIdentity:
 
 
 KERNELS = ["python", pytest.param("compiled", marks=needs_compiled)]
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_search_from_inside_a_finisher(kernel):
-    # The finisher fires mid-expansion of the outer search and starts a
-    # search of its own on the same grid and table.  Nesting must change
-    # neither: both equal the python core's un-nested answers.
-    grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
-                                 if y not in (3, 10)])
-    table = ConflictDetectionTable()
-    crossing_traffic(table, grid.width)
-    outer_request = SearchRequest((0, 0), (17, 12), 0)
-    inner_request = SearchRequest((17, 0), (0, 12), 4)
-
-    set_search_kernel("python")
-    ref_outer_stats, ref_inner_stats = SearchStats(), SearchStats()
-    ref_outer = search(grid, table, outer_request, stats=ref_outer_stats)
-    ref_inner = search(grid, table, inner_request, stats=ref_inner_stats)
-
-    nested = []
-
-    def searching_finisher(cell, t):
-        stats = SearchStats()
-        nested.append((search(grid, table, inner_request, stats=stats), stats))
-        return None  # decline: the outer search carries on to the goal
-
-    set_search_kernel(kernel)
-    outer_stats = SearchStats()
-    outer = search(grid, table,
-                   dataclasses.replace(outer_request,
-                                       finisher=searching_finisher,
-                                       finisher_trigger=6),
-                   stats=outer_stats)
-    assert nested
-    for inner, inner_stats in nested:
-        assert_same_search(inner, inner_stats, ref_inner, ref_inner_stats)
-    assert_same_search(outer, outer_stats, ref_outer, ref_outer_stats)
-
-
-def mutating_search(kernel, make_table, mutate, on_call=3):
-    """Search the 24x6 floor under a finisher that declines every call
-    and, on its ``on_call``-th, runs ``mutate(table)``."""
-    set_search_kernel(kernel)
-    grid = Grid(24, 6)
-    table = make_table(grid)
-    table.reserve_path(Path.from_cells([(3, 2)], start_time=0))
-    calls = []
-
-    def finisher(cell, t):
-        calls.append((cell, t))
-        if len(calls) == on_call:
-            mutate(table)
-        return None
-
-    stats = SearchStats()
-    outcome = search(grid, table,
-                     SearchRequest((0, 2), (20, 2), 0, finisher=finisher,
-                                   finisher_trigger=30), stats=stats)
-    return outcome, stats, calls
-
-
-@needs_compiled
-@pytest.mark.parametrize("table_name", sorted(TABLES))
-def test_finisher_that_purges_and_reserves(table_name):
-    # The purge frees containers the probe may have borrowed before the
-    # call, and the dict allocated next can take a freed one's address: a
-    # kernel still holding what it probed before the call reads the
-    # newcomer, finds (5, 2) free and plans straight through the camp.
-    # Whatever the probe borrowed from the table has to go when python
-    # has run.
-    recycled = []
-
-    def mutate(table):
-        table.purge_before(1)
-        recycled.append({})
-        table.reserve_path(Path.from_cells([(5, 2)] * 60, start_time=2))
-
-    py, py_stats, py_calls = mutating_search("python", TABLES[table_name],
-                                             mutate)
-    comp, c_stats, c_calls = mutating_search("compiled", TABLES[table_name],
-                                             mutate)
-    assert py.ok and (5, 5, 2) not in py.path.steps
-    assert py_stats.expansions > 21  # the straight line, had it been free
-    assert c_calls == py_calls
-    assert_same_search(comp, c_stats, py, py_stats)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("table_name", sorted(TABLES))
-def test_search_and_reserve_from_inside_a_finisher(kernel, table_name):
-    # The finisher plans a second robot across the outer search's row on
-    # the same table and reserves the leg: the outer search goes on
-    # against the table as it now is, under either kernel alike.
-    inner = []
-
-    def mutate(table):
-        found = search(Grid(24, 6), table, SearchRequest((8, 0), (8, 5), 4))
-        inner.append(found.path.steps)
-        table.reserve_path(found.path)
-        table.reserve_path(Path.from_cells([(12, 2)] * 30, start_time=6))
-
-    ref, ref_stats, ref_calls = mutating_search("python", TABLES[table_name],
-                                                mutate, on_call=2)
-    out, stats, calls = mutating_search(kernel, TABLES[table_name], mutate,
-                                        on_call=2)
-    assert len(inner) == 2 and inner[0] == inner[1]
-    assert calls == ref_calls
-    assert_same_search(out, stats, ref, ref_stats)
-    assert all(step[1:] != (12, 2) or step[0] < 6 for step in out.path.steps)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -563,41 +443,55 @@ def test_search_retains_nothing(kernel):
 
 
 @needs_compiled
+@pytest.mark.skipif(not hasattr(signal, "SIGUSR1"), reason="no SIGUSR1")
 @pytest.mark.parametrize("deep", [0, 1])
 def test_nested_run_equals_the_run_alone(deep):
-    # The finisher runs a second search on the same grid and store while
-    # the outer one holds the grid's workspace: the nested run borrows
-    # another, and each answers as it does alone.
+    # A python signal handler is the one python that runs inside ``run``
+    # (at its periodic signal check, every 16384 pops).  Here it runs a
+    # second search on the same grid and store while the outer one holds
+    # the grid's workspace — the nested run borrows another and answers
+    # as it does alone — then reserves the doorway's next 30 ticks, which
+    # the outer search, going on, waits out.
     set_search_kernel("compiled")  # the table hands ``run`` its store
-    grid = Grid(18, 13, blocked=[(9, y) for y in range(13)
-                                 if y not in (3, 10)])
+    grid = Grid(40, 20, blocked=[(20, y) for y in range(20) if y != 10])
     table = ConflictDetectionTable()
-    crossing_traffic(table, grid.width)
+    table.reserve_path(Path.from_cells([(20, 10)] * 120, start_time=0))
 
-    def args(source, goal, start, finisher=None):
+    def args(source, goal, start):
         return (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(), 1,
                 goal, grid.cell_index(source), grid.cell_index(goal), start,
-                200_000, finisher, 6, deep, 0, 0)
+                200_000, 0, deep, 0, 0)
 
-    inner = args((17, 0), (0, 12), 4)
-    alone, outer_alone = COMPILED.run(*inner), COMPILED.run(
-        *args((0, 0), (17, 12), 0))
+    outer, inner = args((0, 10), (39, 10), 0), args((39, 0), (0, 19), 4)
+    alone, outer_alone = COMPILED.run(*inner), COMPILED.run(*outer)
+    assert outer_alone[3] > 1 << 14  # the outer run checks for signals
     nested = []
 
-    def finisher(cell, t):
+    def handler(signum, frame):
         nested.append(COMPILED.run(*inner))
-        return None
+        table.reserve_path(Path.from_cells([(20, 10)] * 30, start_time=120))
 
-    assert COMPILED.run(*args((0, 0), (17, 12), 0, finisher)) == outer_alone
-    assert nested and all(answer == alone for answer in nested)
+    raise_signal = getattr(ctypes.CDLL(None), "raise")
+    raise_signal.argtypes, raise_signal.restype = (ctypes.c_int,), ctypes.c_int
+    previous = signal.signal(signal.SIGUSR1, handler)
+    try:
+        # The signal is raised from C and ``run`` called from C, so no
+        # python runs in between: the handler waits for ``run``'s check.
+        __, got = itertools.starmap(operator.call, [
+            (raise_signal, int(signal.SIGUSR1)), (COMPILED.run, *outer)])
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    assert nested == [alone]
+    assert len(got[1]) == len(outer_alone[1]) + 30
+    assert table.audit_path(packed_path(0, got[1]))
 
 
 def _boxed_run_args(grid, table, source, h_mode=1, h_arg=(9, 9),
-                    budget=200_000, finisher=None, deep=0):
+                    budget=200_000, trigger=0, deep=0):
     """``run``'s arguments on the boxed 10x10 floor, goal (9, 9)."""
     return (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(), h_mode,
             h_arg, grid.cell_index(source), grid.cell_index((9, 9)), 0,
-            budget, finisher, 4, deep, 0, 0)
+            budget, trigger, deep, 0, 0)
 
 
 #: Manhattan to (9, 9) on the 10x10 floor (cell x * 10 + y) with a cliff
@@ -606,8 +500,13 @@ _CLIFF = array("i", (0 if (x, y) == (3, 2) else 18 - x - y
                      for x in range(10) for y in range(10)))
 
 
-def _raise(exc):
-    raise exc
+def _no_descent(width, height, goal):
+    """Manhattan to ``goal`` but 1 on the goal itself: consistent enough
+    to search, with no cell one lower than the goal's neighbours, so
+    every finisher walk declines and the search finds the goal itself."""
+    gx, gy = goal
+    return array("i", (max(abs(x - gx) + abs(y - gy), 1)
+                       for x in range(width) for y in range(height)))
 
 
 #: One call per way ``run`` ends, on the boxed floor.
@@ -615,12 +514,9 @@ EXITS = {
     "complete": (dict(source=(2, 2)), 0),
     "budget": (dict(source=(2, 2), budget=5), 1),
     "exhausted": (dict(source=(0, 0)), 2),
-    "finisher": (dict(source=(2, 2), finisher=lambda cell, t: [(t,) + cell]),
-                 4),
-    "finisher error": (dict(source=(2, 2), finisher=lambda cell, t: _raise(
-        RuntimeError("finisher failed"))), RuntimeError),
-    "interrupt": (dict(source=(2, 2), finisher=lambda cell, t: _raise(
-        KeyboardInterrupt())), KeyboardInterrupt),
+    "finisher": (dict(source=(2, 2), trigger=4), 4),
+    "declined walk": (dict(source=(2, 2), trigger=4, h_mode=2,
+                           h_arg=_no_descent(10, 10, (9, 9))), 0),
     "inconsistent field": (dict(source=(2, 2), h_mode=2, h_arg=_CLIFF),
                            AssertionError),
 }
@@ -679,16 +575,18 @@ def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
 class TestRunHandsBackOneBuffer:
     """``run`` returns the leg as one checked ``array('q')`` of keys."""
 
-    def problem(self, width=18, finisher=None, trigger=0, budget=200_000,
-                table_name="cdt"):
+    def problem(self, width=18, trigger=0, budget=200_000,
+                table_name="cdt", walks=True):
         set_search_kernel("compiled")
         grid = Grid(width, 12)
         table = TABLES[table_name](grid)
         crossing_traffic(table, width)
         goal = (width - 1, 9)
+        h_mode, h_arg = (1, goal) if walks else (
+            2, _no_descent(width, 12, goal))
         args = (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(),
-                1, goal, grid.cell_index((0, 2)), grid.cell_index(goal), 3,
-                budget, finisher, trigger, 0, 0, 0)
+                h_mode, h_arg, grid.cell_index((0, 2)),
+                grid.cell_index(goal), 3, budget, trigger, 0, 0, 0)
         return grid, table, goal, args
 
     def test_kernel_made_path_equals_the_tuple_made_one(self):
@@ -736,24 +634,23 @@ class TestRunHandsBackOneBuffer:
         assert result[0] == 0
         assert peak - before < sys.getsizeof(result[1]) + 1024
 
-    @pytest.mark.parametrize("status, finisher, trigger, budget", [
-        (0, None, 0, 200_000),                           # complete
-        (1, None, 0, 5),                                 # budget
-        (4, lambda cell, t: [(t,) + cell], 4, 200_000),  # finisher tail
-        (0, lambda cell, t: None, 4, 200_000),           # finisher declines
+    @pytest.mark.parametrize("status, trigger, budget, walks", [
+        (0, 0, 200_000, True),   # complete
+        (1, 0, 5, True),         # budget
+        (4, 4, 200_000, True),   # the finisher walked the tail
+        (0, 4, 200_000, False),  # every walk declined
     ])
     @pytest.mark.parametrize("table_name", NATIVE_TABLES)
-    def test_every_status_retains_nothing(self, status, finisher, trigger,
-                                          budget, table_name):
+    def test_every_status_retains_nothing(self, status, trigger, budget,
+                                          walks, table_name):
         # every table's store: whatever the search allocates goes back
         # however the call ends
-        __, table, __, args = self.problem(6, finisher, trigger, budget,
-                                           table_name)
-        assert COMPILED.run(*args)[0] == status
-        watched = (args[0], args[1]) + (
-            () if finisher is None else (finisher,))
-        assert_retains_nothing(lambda: COMPILED.run(*args), watched,
-                               calls=2_000)
+        __, table, __, args = self.problem(6, trigger, budget, table_name,
+                                           walks)
+        status_got, __, tried = COMPILED.run(*args)[:3]
+        assert status_got == status and bool(tried) == bool(trigger)
+        assert_retains_nothing(lambda: COMPILED.run(*args),
+                               (args[0], args[1], args[3]), calls=2_000)
 
 
 # -- swaps are asked about only where the wait was refused ------------------
@@ -804,7 +701,7 @@ class TestInconsistentFieldNeverPlans:
         grid = Grid(9, 1)
         return COMPILED.run(
             grid.kernel_capsule(COMPILED), COMPILED.store_new(None, -1, 0, 0),
-            2, array("i", field), 0, 8, 0, 200_000, None, 0, deep, 0, 0)
+            2, array("i", field), 0, 8, 0, 200_000, 0, deep, 0, 0)
 
     @pytest.mark.parametrize("deep", [0, 1])
     def test_consistent_list_field_is_served(self, deep):
@@ -848,8 +745,8 @@ class TestHFieldBuffer:
         head = (grid.kernel_capsule(COMPILED),
                 COMPILED.store_new(None, -1, 0, 0))
         if entry == "run":
-            return COMPILED.run(*head, h_mode, h_arg, 0, 8, 0, 200_000, None,
-                                0, 0, 0, 0)[:2]
+            return COMPILED.run(*head, h_mode, h_arg, 0, 8, 0, 200_000, 0,
+                                0, 0, 0)[:2]
         return COMPILED.tier0_leg(*head, h_mode, h_arg, 0, 8, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
@@ -940,6 +837,45 @@ def test_property_compiled_matches_python(seed):
     assert c_stats.expansions == py_stats.expansions
     assert c_stats.generated == py_stats.generated
     assert c_stats.peak_open == py_stats.peak_open
+
+
+@needs_compiled
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=hyp.integers(min_value=0, max_value=10 ** 9),
+       trigger=hyp.integers(min_value=1, max_value=12))
+def test_property_finisher_walks_match(seed, trigger):
+    # EATP's finisher inside the search: ``run`` walks the descent itself
+    # and ``_search_heap`` through ``follow_with_waits``; over random
+    # floors, traffic, both field kinds and each of the three tables
+    # the kernel serves, the path, the counters and the cells the walks
+    # started from, in order, are the same.
+    grid, paths, request, table_name, heuristic = _random_problem(seed)
+    if table_name == "generic":
+        table_name = "cdt"
+    request = dataclasses.replace(request, finisher_trigger=trigger)
+
+    def run(kernel):
+        set_search_kernel(kernel)
+        table = TABLES[table_name](grid)
+        for path in paths:
+            table.reserve_path(path)
+        stats = SearchStats()
+        with count_kernel_calls(COMPILED, ["run"]) as calls:
+            outcome = search(grid, table, request, heuristic=heuristic,
+                             stats=stats)
+        assert calls["run"] == (kernel == "compiled")
+        return outcome, stats
+
+    try:
+        comp, c_stats = run("compiled")
+        py, py_stats = run("python")
+    finally:
+        set_search_kernel("auto")
+    assert_same_search(comp, c_stats, py, py_stats)
+    field = st_astar._heuristic_field(grid, request.goal, heuristic)
+    assert all(0 < field[grid.cell_index(cell)] <= trigger
+               for cell in py.finisher_starts)
 
 
 # -- planner integration ----------------------------------------------------

@@ -19,12 +19,13 @@ from __future__ import annotations
 import heapq
 
 from repro.config import PlannerConfig
+from repro.pathfinding.cache import ShortestPathCache
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import find_path
+from repro.pathfinding.st_astar import SearchRequest, find_path, search
 from repro.planners import EfficientAdaptiveTaskPlanner, NaiveTaskPlanner
 from repro.types import manhattan
 from repro.warehouse.entities import Item
@@ -32,7 +33,6 @@ from repro.warehouse.grid import Grid
 from repro.warehouse.knn import StaticRackKNN
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
-from tests.conftest import eatp_finisher
 
 GRID = Grid(64, 40)
 SOURCE, GOAL = (0, 0), (60, 35)
@@ -121,11 +121,14 @@ def test_st_astar_on_stgraph():
 
 def test_st_astar_with_cache_finisher():
     table = reserved(ConflictDetectionTable(), crossing_paths())
-    finisher, cache = eatp_finisher(GRID, table, GOAL, 12)
-    path = find_path(GRID, table, SOURCE, GOAL, 0,
-                     heuristic=HeuristicFieldCache(GRID).field(GOAL),
-                     finisher=finisher, finisher_trigger=12)
-    assert_valid_leg(path, table)
+    field = HeuristicFieldCache(GRID).field(GOAL)
+    outcome = search(GRID, table, SearchRequest(SOURCE, GOAL, 0,
+                                                finisher_trigger=12),
+                     heuristic=field)
+    assert_valid_leg(outcome.path, table)
+    assert all(0 < field(cell) <= 12 for cell in outcome.finisher_starts)
+    cache = ShortestPathCache(12)
+    cache.record_starts(GOAL, field, outcome.finisher_starts)
     assert cache.misses >= 1
 
 
@@ -230,12 +233,8 @@ def test_free_flow_kernel_leg():
     table = reserved(ConflictDetectionTable(), crossing_paths())
     cache = FreeFlowPathCache(GRID, HeuristicFieldCache(GRID))
 
-    def no_finisher(goal):
-        return None, 0
-
-    verdict, path, finisher, _ = cache.kernel_leg(table, 0, SOURCE, GOAL,
-                                                  no_finisher)
-    assert finisher is None
+    verdict, path, starts = cache.kernel_leg(table, 0, SOURCE, GOAL)
+    assert starts == ()
     chain = cache.packed(SOURCE, GOAL)
     clean = table.audit_path(Path.from_cells(chain.cells, 0))
     assert table.audit_chain(0, chain, len(chain) - 1) == clean
@@ -246,8 +245,8 @@ def test_free_flow_kernel_leg():
         assert (verdict, path) == (3, None)
     # Both kernels answer the same leg.
     flat = HeuristicFieldCache(GRID).field(GOAL).flat
-    assert cache._python_leg(table, flat, 0, SOURCE, GOAL, no_finisher,
-                             (0, 0))[:2] == (verdict, path)
+    assert cache._python_leg(table, flat, 0, SOURCE, GOAL, 0,
+                             (0, 0)) == (verdict, path, starts)
 
 
 def test_heuristic_field_build():

@@ -10,11 +10,12 @@ cell.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.config import PlannerConfig, SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerLostError
 from repro.experiments.harness import (DEFAULT_PLANNERS, SLOW_PLANNERS,
                                        MatrixCell, execute_cell, plan_cells,
                                        run_comparison, run_matrix)
@@ -211,6 +212,40 @@ class TestMatrixExecution:
         store.save(cells[0].cell_id, legacy)
         payloads = run_matrix(cells, store=store)
         assert payloads[cells[0].cell_id] == legacy
+
+
+class DiesInWorker(MatrixCell):
+    """A cell whose worker process exits while unpickling it."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+class TestLostWorker:
+    def test_a_dead_worker_is_a_typed_error_and_the_store_resumes(
+            self, tmp_path):
+        good = mini_cells(("NTP", "EATP"), n_items=12)
+        ids = {cell.cell_id for cell in good} | {"doomed"}
+        store = ResultStore(tmp_path / "m")
+        with pytest.raises(WorkerLostError) as caught:
+            run_matrix([DiesInWorker(good[0].scenario, "ATP",
+                                     label="doomed")] + good,
+                       workers=2, store=store)
+        unrun = caught.value.unrun
+        assert "doomed" in unrun and "doomed" in str(caught.value)
+        # every cell either finished and was saved, or is named
+        saved = {store.load(path.stem)["cell_id"]
+                 for path in store.cell_files()}
+        assert saved | set(unrun) == ids and not saved & set(unrun)
+        events = []
+        rerun = run_matrix(
+            [MatrixCell(good[0].scenario, "ATP", label="doomed")] + good,
+            workers=2, store=store,
+            progress=lambda cell_id, status: events.append(
+                (cell_id, status)))
+        assert set(rerun) == ids
+        assert sorted(c for c, s in events if s == "done") == sorted(unrun)
+        assert {c for c, s in events if s == "cached"} == saved
 
 
 @pytest.mark.slow

@@ -98,8 +98,8 @@ def entry_calls(store):
         "store_counts": lambda: COMPILED.store_counts(store),
         "store_export": lambda: COMPILED.store_export(store),
         "run": lambda: COMPILED.run(
-            capsule, store, 1, LANE[-1], source, goal, 0, 200_000, None, 0,
-            0, 0, 0),
+            capsule, store, 1, LANE[-1], source, goal, 0, 200_000, 0, 0, 0,
+            0),
         "tier0_leg": lambda: COMPILED.tier0_leg(
             capsule, store, 1, None, source, goal, 0, 0, 0, 0),
     }

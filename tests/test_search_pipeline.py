@@ -81,8 +81,7 @@ def make_chain(grid: Grid, reservation, config: PlannerConfig,
 
     return FallbackChain(grid=grid, reservation=reservation,
                          heuristics=heuristics, config=config,
-                         full_search=full,
-                         finisher_factory=lambda goal: (None, 0))
+                         full_search=full)
 
 
 class TestSearchOutcomes:

@@ -6,7 +6,8 @@ from repro.errors import PathNotFoundError
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import is_conflict_free
 from repro.pathfinding.paths import Path
-from repro.pathfinding.st_astar import SearchStats, find_path
+from repro.pathfinding.st_astar import (SearchRequest, SearchStats,
+                                        find_path, search)
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
 
@@ -118,39 +119,42 @@ class TestDeepWaitChain:
 
 
 class TestFinisherHook:
-    def test_finisher_short_circuits(self, grid, cdt):
-        calls = []
+    """The cache-aided finisher is a trigger, not a callable: the search
+    walks the field's descent with waits from every pop inside the band
+    and reports where each walk started."""
 
-        def finisher(cell, t):
-            calls.append((cell, t))
-            # Walk straight along x toward (6, 0).
-            steps = [(t, cell[0], cell[1])]
-            x = cell[0]
-            while x < 6:
-                x += 1
-                steps.append((steps[-1][0] + 1, x, 0))
-            return Path(steps)
-
+    def run(self, grid, cdt, trigger, goal=(6, 0)):
         stats = SearchStats()
-        path = find_path(grid, cdt, (0, 0), (6, 0), start_time=0,
-                         finisher=finisher, finisher_trigger=3, stats=stats)
+        outcome = search(grid, cdt, SearchRequest((0, 0), goal, 0,
+                                                  finisher_trigger=trigger),
+                         stats=stats)
+        return outcome, stats
+
+    def test_finisher_short_circuits(self, grid, cdt):
+        outcome, stats = self.run(grid, cdt, 3)
         assert stats.cache_finished
-        assert calls, "finisher should have been invoked"
-        assert path.goal == (6, 0)
-        assert path.duration == 6  # still optimal here
+        # the first pop inside the band walks, and arrives
+        assert list(outcome.finisher_starts) == [(3, 0)]
+        assert outcome.path.goal == (6, 0)
+        assert outcome.path.duration == 6  # still optimal here
+        assert find_path(grid, cdt, (0, 0), (6, 0), 0,
+                         finisher_trigger=3) == outcome.path
 
     def test_finisher_returning_none_continues(self, grid, cdt):
-        stats = SearchStats()
-        path = find_path(grid, cdt, (0, 0), (6, 0), start_time=0,
-                         finisher=lambda cell, t: None, finisher_trigger=3,
-                         stats=stats)
-        assert not stats.cache_finished
-        assert path.goal == (6, 0)
+        # (5, 0) is camped past the walk's 64-tick cap: the walk from
+        # (3, 0) declines and the search carries on round the camp,
+        # until a later walk from inside the band arrives.
+        camp = Path.waiting((5, 0), 0, 200)
+        cdt.reserve_path(camp)
+        outcome, stats = self.run(grid, cdt, 3)
+        assert outcome.finisher_starts[0] == (3, 0)
+        assert len(outcome.finisher_starts) > 1
+        assert stats.cache_finished
+        assert outcome.path.goal == (6, 0)
+        assert is_conflict_free([outcome.path, camp])
 
     def test_trigger_zero_disables(self, grid, cdt):
-        def exploding(cell, t):  # pragma: no cover - must never run
-            raise AssertionError("finisher must not fire with trigger 0")
-
-        path = find_path(grid, cdt, (0, 0), (6, 0), start_time=0,
-                         finisher=exploding, finisher_trigger=0)
-        assert path.goal == (6, 0)
+        outcome, stats = self.run(grid, cdt, 0)
+        assert not stats.cache_finished
+        assert not outcome.finisher_starts
+        assert outcome.path.goal == (6, 0)
