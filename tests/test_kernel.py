@@ -442,8 +442,36 @@ def test_search_retains_nothing(kernel):
         tracemalloc.stop()
 
 
+needs_sigusr1 = pytest.mark.skipif(not hasattr(signal, "SIGUSR1"),
+                                   reason="no SIGUSR1")
+
+
+def run_under_signal(handler, args):
+    """``COMPILED.run(*args)`` with ``handler`` on SIGUSR1 and the signal
+    pending: the signal is raised from C and ``run`` called from C, so no
+    python runs in between and the handler waits for ``run``'s periodic
+    signal check (every 16384 pops).  A handler that only gets to run
+    once ``run`` has returned fails the call."""
+    raise_signal = getattr(ctypes.CDLL(None), "raise")
+    raise_signal.argtypes, raise_signal.restype = (ctypes.c_int,), ctypes.c_int
+    returned = []
+
+    def inside_run(signum, frame):
+        assert not returned, "the handler ran after run returned"
+        handler(signum, frame)
+
+    previous = signal.signal(signal.SIGUSR1, inside_run)
+    try:
+        __, got, __ = itertools.starmap(operator.call, [
+            (raise_signal, int(signal.SIGUSR1)), (COMPILED.run, *args),
+            (returned.append, True)])
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    return got
+
+
 @needs_compiled
-@pytest.mark.skipif(not hasattr(signal, "SIGUSR1"), reason="no SIGUSR1")
+@needs_sigusr1
 @pytest.mark.parametrize("deep", [0, 1])
 def test_nested_run_equals_the_run_alone(deep):
     # A python signal handler is the one python that runs inside ``run``
@@ -471,19 +499,46 @@ def test_nested_run_equals_the_run_alone(deep):
         nested.append(COMPILED.run(*inner))
         table.reserve_path(Path.from_cells([(20, 10)] * 30, start_time=120))
 
-    raise_signal = getattr(ctypes.CDLL(None), "raise")
-    raise_signal.argtypes, raise_signal.restype = (ctypes.c_int,), ctypes.c_int
-    previous = signal.signal(signal.SIGUSR1, handler)
-    try:
-        # The signal is raised from C and ``run`` called from C, so no
-        # python runs in between: the handler waits for ``run``'s check.
-        __, got = itertools.starmap(operator.call, [
-            (raise_signal, int(signal.SIGUSR1)), (COMPILED.run, *outer)])
-    finally:
-        signal.signal(signal.SIGUSR1, previous)
+    got = run_under_signal(handler, outer)
     assert nested == [alone]
     assert len(got[1]) == len(outer_alone[1]) + 30
     assert table.audit_path(packed_path(0, got[1]))
+
+
+@needs_compiled
+@needs_sigusr1
+@pytest.mark.parametrize("deep", [0, 1])
+@pytest.mark.parametrize("table_name", NATIVE_TABLES)
+def test_handler_that_purges_and_reserves(table_name, deep):
+    # A signal handler inside ``run`` purges the store (its key arrays go
+    # back and python reuses the memory), reserves far enough ahead to
+    # widen the store's tick ring (the ring is reallocated), and camps
+    # the doorway 30 ticks more: whatever ``run`` read from the store
+    # before the check has to go, and the outer search goes on against
+    # the store as it now is, under every table alike.
+    set_search_kernel("compiled")  # the tables hand ``run`` their stores
+    grid = Grid(40, 20, blocked=[(20, y) for y in range(20) if y != 10])
+    table = TABLES[table_name](grid)
+    table.reserve_path(Path.from_cells([(20, 10)] * 120, start_time=0))
+    table.reserve_path(Path.from_cells([(30, 0)], start_time=0))
+    args = (grid.kernel_capsule(COMPILED), table.kernel_probe_spec(), 1,
+            (39, 10), grid.cell_index((0, 10)), grid.cell_index((39, 10)), 0,
+            200_000, 0, deep, 0, 0)
+    alone = COMPILED.run(*args)
+    assert alone[3] > 1 << 14  # the run checks for signals
+    recycled = []
+
+    def handler(signum, frame):
+        table.purge_before(1)
+        recycled.extend(bytearray(64) for __ in range(256))
+        table.reserve_path(Path.from_cells([(39, 19)], start_time=1 << 12))
+        table.reserve_path(Path.from_cells([(20, 10)] * 30, start_time=120))
+
+    got = run_under_signal(handler, args)
+    assert recycled and got[0] == alone[0] == 0
+    assert len(got[1]) == len(alone[1]) + 30
+    assert table.audit_path(packed_path(0, got[1]))
+    assert table.recount() == table.live_counts()
 
 
 def _boxed_run_args(grid, table, source, h_mode=1, h_arg=(9, 9),
@@ -519,6 +574,12 @@ EXITS = {
                            h_arg=_no_descent(10, 10, (9, 9))), 0),
     "inconsistent field": (dict(source=(2, 2), h_mode=2, h_arg=_CLIFF),
                            AssertionError),
+    # A signal handler raising at ``run``'s periodic check: the call
+    # waits out a goal camped for 400 ticks, past 16384 pops.
+    "interrupt": (dict(source=(2, 2), raises=KeyboardInterrupt),
+                  KeyboardInterrupt),
+    "handler error": (dict(source=(2, 2), raises=RuntimeError),
+                      RuntimeError),
 }
 
 
@@ -544,14 +605,28 @@ def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
     assert COMPILED.run(*_boxed_run_args(grid, table, (2, 2),
                                          deep=1 - deep))[0] == 0
     kwargs, ends = EXITS[exit_name]
-    call = _boxed_run_args(grid, table, deep=deep, **kwargs)
+    kwargs = dict(kwargs)
+    raises = kwargs.pop("raises", None)
+    call_table = table
+    if raises is not None:
+        if not hasattr(signal, "SIGUSR1"):
+            pytest.skip("no SIGUSR1")
+        call_table = ConflictDetectionTable()
+        call_table.reserve_path(Path.from_cells([(9, 9)] * 400, start_time=0))
+    call = _boxed_run_args(grid, call_table, deep=deep, **kwargs)
+
+    def handler(signum, frame):
+        raise raises()
 
     def end():
         if isinstance(ends, int):
             assert COMPILED.run(*call)[0] == ends
         else:
             with pytest.raises(ends):
-                COMPILED.run(*call)
+                if raises is None:
+                    COMPILED.run(*call)
+                else:
+                    run_under_signal(handler, call)
 
     end()
     tracemalloc.start()
