@@ -6,7 +6,7 @@ from .conflicts import (Conflict, ConflictKind, find_conflicts,
                         is_conflict_free, paths_conflict)
 from .free_flow import FreeFlowPathCache
 from .heuristics import (HeuristicField, HeuristicFieldCache,
-                         manhattan_heuristic, true_distance_heuristic)
+                         manhattan_heuristic)
 from .paths import Path
 from .pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT, FASTPATH_MISS,
                        FASTPATH_OFF, TIER_FREE_FLOW, TIER_FULL, TIER_WAIT,
@@ -51,5 +51,4 @@ __all__ = [
     "is_conflict_free",
     "manhattan_heuristic",
     "paths_conflict",
-    "true_distance_heuristic",
 ]

@@ -13,13 +13,12 @@ Whether native code serves is decided once: :data:`active` holds the
 loaded module, or ``None``, and only
 :func:`repro.pathfinding.st_astar.set_search_kernel` sets it (from
 ``REPRO_KERNEL`` at import).  Every plane reads it at call time — the
-search, the three tables' operations, the field flood and tier 0 — and
-one rule serves them all: the switch is on, the table is one of the
-library's three (its ``kernel_probe_spec`` answers its store) and the
-field is a library one.  Anything else takes the python body, which
-answers bit-identically.  EATP's K-nearest-racks table
-(:class:`repro.warehouse.knn.StaticRackKNN`) is built by ``knn_fill``
-under the same switch.
+search, the reservation table's operations, the field flood and tier 0
+— and one rule serves them all: with the switch on native code serves,
+with it off the python body does, bit-identically.  The search and tier
+0 take only the library's table and fields, so nothing declines.
+EATP's K-nearest-racks table (:class:`repro.warehouse.knn.StaticRackKNN`)
+is built by ``knn_fill`` under the same switch.
 
 The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
 ``tier0_leg``, ``knn_fill`` and the reservation store's ``store_new``,

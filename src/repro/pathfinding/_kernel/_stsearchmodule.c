@@ -916,6 +916,11 @@ stsearch_run(PyObject *self, PyObject *args)
     Probe probe = {store_get(store_obj), NULL};
     if (probe.st == NULL)
         return NULL;
+    if (source_ci < 0 || source_ci >= gd->n_cells
+            || goal_ci < 0 || goal_ci >= gd->n_cells) {
+        PyErr_SetString(PyExc_IndexError, "cell outside grid");
+        return NULL;
+    }
 
     Search s;
     memset(&s, 0, sizeof(Search));

@@ -19,9 +19,9 @@ the periodic *update* that deletes passed timestamps (``purge_before``).
 Under the compiled switch all three run on the native store, which keeps
 the same per-tick keys in C-owned blocks; under the python switch they run
 on the buckets themselves, the specification.  Both layouts, the three
-operations and the bulk audits are the base classes'
-(``reservation._StoreBacked``, ``ReservationTable``), shared with the ST
-graphs: this table supplies only its store rule and its accounting rule.
+operations and the audits belong to
+:class:`~repro.pathfinding.reservation.ReservationTable`, shared with the
+ST graphs: this class sets only its rule.
 
 One layout serves every floor size.  Splitting the tick buckets into
 spatial tiles costs a container per (tile, tick) where this table has one
@@ -32,52 +32,26 @@ layers are whole-floor copies, is tiled.
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-from .reservation import ReservationTable, _StoreBacked, _edges_memory
+from .reservation import ReservationTable
 
 
-class ConflictDetectionTable(_StoreBacked, ReservationTable):
-    """Sparse tick-bucketed packed reservations (the compact structure)."""
+class ConflictDetectionTable(ReservationTable):
+    """Sparse tick-bucketed packed reservations (the compact structure).
 
-    def _store_rule(self):
-        return -1, 0, 0
+    Charges ~32 B per packed key in a set of small ints plus ~100 B per
+    tick bucket (dict slot + set header) — measured Python container
+    costs, consistent across runs and with the seed's estimate; the store
+    keeps the same counts, so both layouts charge alike.
+    """
 
-    def _account(self, counts) -> Dict[str, int]:
-        # ~32 B per packed key in a set of small ints plus ~100 B per tick
-        # bucket (dict slot + set header) — measured Python container
-        # costs, consistent across runs and with the seed's estimate; the
-        # store keeps the same counts, so both layouts charge alike.
-        ticks, entries, edge_ticks, edges = counts
-        return {"reservations": entries, "ticks_live": ticks,
-                "edges": edges, "edge_ticks": edge_ticks,
-                "memory_bytes": (64 + 100 * ticks + 32 * entries
-                                 + _edges_memory(edge_ticks, edges))}
-
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def n_reservations(self) -> int:
-        """Total number of live (cell, time) reservations."""
-        return self.live_counts()["reservations"]
-
-    @property
-    def n_cells_touched(self) -> int:
-        """Number of cells with at least one live reservation."""
-        touched: Set[int] = set()
-        for bucket in self.__getstate__()["_buckets"].values():
-            touched |= bucket
-        return len(touched)
-
-    @property
-    def n_ticks_live(self) -> int:
-        """Number of ticks holding at least one reservation."""
-        return self.live_counts()["ticks_live"]
+    def __init__(self) -> None:
+        super().__init__(tick_bytes=100, unit_bytes=32, base_bytes=64,
+                         count_names=(("reservations", 1), ("ticks_live", 0)))
 
 
 # A second name, not a second table: the frozen ``bench/trace.py`` imports
 # it to shim the methods, which are this class's.  It goes when ``bench/``
 # is next opened (ROADMAP item 3 (e)).  A checkpoint from a build with the
 # tiled CDT names that table by it and is refused at load
-# (``_StoreBacked.__setstate__``).
+# (``ReservationTable.__setstate__``).
 ShardedConflictDetectionTable = ConflictDetectionTable

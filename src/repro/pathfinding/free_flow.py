@@ -30,12 +30,13 @@ in O(d), bulk-audit it against the reservation structures, and on any
 hit fall through to the unchanged tier-1 search.  Behaviour is provably
 identical either way; only the cycle count changes.  Extraction and
 audit are one call, :meth:`FreeFlowPathCache.kernel_leg`, which answers
-the same verdict tuple from the native ``tier0_leg`` (walk, audit and
-wait-following rescue fused in C, the leg handed back as one packed
-buffer) or from :func:`descent`,
+the same verdict tuple from the native ``tier0_leg`` under the compiled
+switch (walk, audit and wait-following rescue fused in C, the leg handed
+back as one packed buffer) and from :func:`descent`,
 :meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain` and
-:func:`~repro.pathfinding.cache.follow_with_waits`; with EATP's trigger
-it also walks the Sec. VI-B finisher where the full search would.
+:func:`~repro.pathfinding.cache.follow_with_waits` under the python one;
+with EATP's trigger it also walks the Sec. VI-B finisher where the full
+search would.  Like the search it takes only the library's tables.
 
 :func:`descent` is the specification, run fresh on every call over
 whichever field the goal has (the search's finisher walks it too); the
@@ -45,7 +46,6 @@ Nothing is memoised: the planner's field cache holds the expensive part.
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional
 
 from ..types import Cell
@@ -54,7 +54,7 @@ from . import _kernel
 from .cache import follow_with_waits
 from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
 from .paths import Path, packed_path
-from .reservation import PackedChain
+from .reservation import PackedChain, require_table
 
 
 def descent(grid: Grid, flat, source: Cell) -> Optional[PackedChain]:
@@ -133,24 +133,23 @@ class FreeFlowPathCache:
 
         ``rescue_caps`` is ``(wait per step, total wait)`` for
         :func:`~repro.pathfinding.cache.follow_with_waits`, ``(0, 0)``
-        turning the rescue off.  The compiled ``tier0_leg`` serves the
-        library's tables over their two field kinds; anything else (the
-        switch off, a table whose ``kernel_probe_spec`` is ``None``, a
-        foreign field) takes the python trio in the same order, to an
-        equal answer.
+        turning the rescue off.  Under the compiled switch ``tier0_leg``
+        answers, over either field kind; under the python switch the
+        python trio does, in the same order, to an equal answer.  A table
+        that is not the library's is refused (``TypeError``).
         """
+        require_table(reservation)
         flat = self._heuristics.field(goal).flat
-        module = _kernel.active
-        store = None if module is None else reservation.kernel_probe_spec()
-        h_mode = (1 if isinstance(flat, _LazyManhattanFlat)
-                  else 2 if isinstance(flat, array) else None)
-        if store is None or h_mode is None:
+        store = reservation.kernel_probe_spec()
+        if store is None:
             return self._python_leg(reservation, flat, t, source, goal,
                                     trigger, rescue_caps)
+        module = _kernel.active
         grid = self._grid
         height = grid.height
         verdict, keys, tried = module.tier0_leg(
-            grid.kernel_capsule(module), store, h_mode, flat,
+            grid.kernel_capsule(module), store,
+            1 if isinstance(flat, _LazyManhattanFlat) else 2, flat,
             source[0] * height + source[1], goal[0] * height + goal[1], t,
             trigger, *rescue_caps)
         return (verdict, None if keys is None else packed_path(t, keys),
@@ -158,7 +157,7 @@ class FreeFlowPathCache:
 
     def _python_leg(self, reservation, flat, t: int, source: Cell,
                     goal: Cell, trigger: int, rescue_caps):
-        """:meth:`kernel_leg` wherever the native kernel does not serve."""
+        """:meth:`kernel_leg` under the python switch."""
         chain = descent(self._grid, flat, source)
         if chain is None:
             return 0, None, ()

@@ -2,10 +2,9 @@
 
 The paper uses the Manhattan distance h-value (Sec. V-C).  On layouts with
 blocked cells Manhattan can underestimate badly, so we also provide an
-exact "true distance" heuristic backed by one BFS from the goal — a
-standard MAPF trick that stays admissible and is reusable across the many
-searches that share a goal (every delivery to the same picker, for
-instance).
+exact "true distance" field backed by one BFS from the goal — a standard
+MAPF trick that stays admissible and is reusable across the many searches
+that share a goal (every delivery to the same picker, for instance).
 
 Searches read one of two field kinds, both indexed by cell index
 (``x·H + y``) and both with a native encoding in the compiled kernel:
@@ -20,9 +19,10 @@ Searches read one of two field kinds, both indexed by cell index
   floor — exact, so *tighter* than Manhattan on obstructed floors while
   staying admissible and consistent.
 
-The closure-based heuristics (:func:`manhattan_heuristic`,
-:func:`true_distance_heuristic`) satisfy the callable :data:`Heuristic`
-protocol and are searched by the python core only.
+A search takes a :class:`HeuristicField` or nothing (Manhattan); both
+are consistent, which the native kernel's bucket queue needs.  The
+callable :func:`manhattan_heuristic` serves the frozen seed core in
+``_legacy.py``, which takes any :data:`Heuristic`.
 """
 
 from __future__ import annotations
@@ -41,22 +41,6 @@ def manhattan_heuristic(goal: Cell) -> Heuristic:
 
     def h(cell: Cell) -> int:
         return manhattan(cell, goal)
-
-    return h
-
-
-def true_distance_heuristic(grid: Grid, goal: Cell) -> Heuristic:
-    """Exact shortest-path distance to ``goal`` via one reverse BFS.
-
-    Unreachable cells get an effectively infinite value so A* abandons
-    them immediately instead of expanding toward a dead end.
-    """
-    dist = grid.bfs_distances(goal)
-    infinity = grid.n_cells + 1
-
-    def h(cell: Cell) -> int:
-        d = int(dist[cell])
-        return d if d >= 0 else infinity
 
     return h
 

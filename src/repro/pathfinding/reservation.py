@@ -1,23 +1,28 @@
-"""The reservation interface shared by both conflict structures.
+"""The reservation table: one class behind both conflict structures.
 
 The spatiotemporal A* search (Sec. V-C) and the cache-aided finisher
-(Sec. VI-B) are written against this small abstract interface; the
-*spatiotemporal graph* (memory-heavy, Sec. V-C) and the *conflict detection
-table* (compact, Sec. VI-B) are its two implementations.  Swapping one for
-the other is the A4 ablation (:mod:`repro.experiments.ablations`).
+(Sec. VI-B) probe one concrete class, :class:`ReservationTable`.  The
+*spatiotemporal graph* (memory-heavy, Sec. V-C) and the *conflict
+detection table* (compact, Sec. VI-B) answer the same three operations
+over the same reservations and differ only in what they cost in memory
+(Fig. 12), so here they differ only in their rule, which is data: the
+named constructors (:class:`~repro.pathfinding.cdt.ConflictDetectionTable`,
+:class:`~repro.pathfinding.spatiotemporal_graph.SpatiotemporalGraph`,
+:class:`~repro.pathfinding.spatiotemporal_graph.ShardedSpatiotemporalGraph`)
+set nothing else.  Swapping one for another is the A4 ablation
+(:mod:`repro.experiments.ablations`).
 
 A table is the paper's three operations (Sec. VI-B) plus accounting:
 conflict *search* (``is_free`` / ``edge_free``), *insertion*
-(``reserve_path``) and the periodic *update* (``purge_before``).  The
-three production tables share one layout per kernel switch
-(:class:`_StoreBacked`): the native store when the one switch
+(``reserve_path``) and the periodic *update* (``purge_before``), over one
+layout per kernel switch: the native store when the one switch
 (``repro.pathfinding._kernel.active``) is on, the per-tick buckets it
-exports — the specification — when it is off; they differ only in their
-store and accounting rules.  The bulk audits are defined once, here,
-over the probes:
-:meth:`ReservationTable.audit_path` is the reference walk the tests
-compare against, :meth:`ReservationTable.audit_chain` is the
-python tier-0 audit (the native ``tier0_leg`` audits inside the kernel).
+exports — the specification — when it is off.  The search, tier 0 and
+the rescue take only this class (``TypeError`` otherwise).  The bulk
+audits are defined once, here: :meth:`ReservationTable.audit_path` is
+the reference walk the tests compare against,
+:meth:`ReservationTable.audit_chain` is the python tier-0 audit over the
+buckets (the native ``tier0_leg`` audits inside the kernel).
 
 Semantics: ``is_free(t, cell)`` guards single-grid conflicts;
 ``edge_free(t, a, b)`` guards inter-grid (swap) conflicts for a move that
@@ -38,18 +43,15 @@ cores (the expansion's own wait probe is that question),
 and the native tier-0 audit and rescue.  :meth:`ReservationTable.audit_path`
 does not — it probes every edge, which makes it their reference.
 
-Both probe families exist in two signatures.  The tuple methods are the
-readable public API; the ``*_packed`` methods take grid-independent packed
-cell keys (``x << 16 | y``, see :func:`repro.types.pack_cell`) and are what
-the packed-integer search core calls — implementations override them with
-direct integer set probes so the hot loop never builds a tuple.
+The probes also take packed cell keys (``x << 16 | y``, see
+:func:`repro.types.pack_cell`): ``is_free_packed`` / ``edge_free_packed``.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
+from ..errors import ConfigurationError
 from ..types import CELL_KEY_MASK, CELL_KEY_SHIFT, Cell, Tick
 from . import _kernel
 from .paths import Path
@@ -86,183 +88,6 @@ class PackedChain:
         return len(self.keys)
 
 
-class ReservationTable(abc.ABC):
-    """Abstract conflict bookkeeping for already-planned paths."""
-
-    #: Monotonic mutation counter, bumped by every reserve/purge
-    #: on the production tables; ``None`` on structures that do not
-    #: track it.  The planner keys its cached ``memory_bytes`` aggregate
-    #: on this stamp, so the class default keeps legacy tables (and old
-    #: pickles) on the always-recompute path.
-    mutation_stamp = None
-
-    @abc.abstractmethod
-    def is_free(self, t: Tick, cell: Cell) -> bool:
-        """Whether no path holds ``cell`` at time ``t``."""
-
-    @abc.abstractmethod
-    def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
-        """Whether moving ``source``→``target`` during tick ``t`` avoids a
-        swap; false only if ``is_free(t + 1, source)`` is (module docstring)."""
-
-    @abc.abstractmethod
-    def reserve_path(self, path: Path) -> None:
-        """Insert the vertices and edges of ``path`` into the table."""
-
-    @abc.abstractmethod
-    def purge_before(self, t: Tick) -> None:
-        """Drop all reservations strictly before ``t`` (the periodic update)."""
-
-    @abc.abstractmethod
-    def memory_bytes(self) -> int:
-        """Approximate structure footprint, for the MC metric."""
-
-    def recount(self) -> Dict[str, int]:
-        """Recompute ``live_counts`` from scratch, ignoring counters.
-
-        The debug/verification twin of :meth:`live_counts`: walks the
-        underlying containers and tallies them directly, so the property
-        suite (and a suspicious operator) can assert the incremental
-        counters never drift.  Structures without incremental counters
-        simply answer :meth:`live_counts`.
-        """
-        return self.live_counts()
-
-    def live_counts(self) -> Dict[str, int]:
-        """Occupancy counters for service-mode telemetry.
-
-        The soak harness samples these at every window boundary to prove
-        the memory-flatness claim: under the periodic purge, live entries
-        and buckets must track the reservation *window*, not the run
-        length.  Implementations extend the dict with their native units
-        (entries, tick buckets, dense layers, tiles); the shared footprint
-        estimate is always present so heterogeneous structures plot on
-        one axis.
-        """
-        return {"memory_bytes": self.memory_bytes()}
-
-    # -- packed fast path --------------------------------------------------
-
-    def is_free_packed(self, t: Tick, key: int) -> bool:
-        """Packed-key :meth:`is_free`; override with a direct int probe."""
-        return self.is_free(t, (key >> CELL_KEY_SHIFT, key & CELL_KEY_MASK))
-
-    def edge_free_packed(self, t: Tick, source_key: int,
-                         target_key: int) -> bool:
-        """Packed-key :meth:`edge_free`; override with a direct int probe."""
-        return self.edge_free(
-            t,
-            (source_key >> CELL_KEY_SHIFT, source_key & CELL_KEY_MASK),
-            (target_key >> CELL_KEY_SHIFT, target_key & CELL_KEY_MASK))
-
-    def packed_buckets(self):
-        """Expose tick-bucketed reservation sets for the search fast path.
-
-        Implementations whose bookkeeping is literally ``{tick: set of
-        packed keys}`` (the library tables' python layout) return
-        ``(vertex_buckets, edge_buckets)`` so the packed A* core can fetch
-        each tick's sets once per expansion and probe with bare ``in``
-        operators.  Other layouts — the native store included — return
-        ``None`` and are probed through the ``*_packed`` methods instead.
-        """
-        return None
-
-    def kernel_probe_spec(self):
-        """The native store the kernel probes for this table, or ``None``.
-
-        The library's three tables answer their store capsule under the
-        compiled switch; ``run`` and ``tier0_leg`` probe it in C.  Under
-        the python switch, and for any other table, the answer is
-        ``None`` and the python bodies serve.
-        """
-        return None
-
-    def audit_path(self, path: Path) -> bool:
-        """Whether every arrival and move of ``path`` is conflict-free.
-
-        The probe-by-probe reference walk over :meth:`is_free` /
-        :meth:`edge_free` — the one definition of "this path audits
-        clean" every table shares, and what the tier-0 equivalence tests
-        compare against.  No planning run calls it: the audit that does
-        run is tier 0's (:meth:`audit_chain` under the python kernel,
-        inside the native ``tier0_leg`` under the compiled one).  Probes
-        exactly what the search core would for the same moves: each
-        arrival vertex at its arrival tick and each traversed edge at its
-        departure tick; the source vertex at the start tick is the
-        robot's own position and is not probed.
-        """
-        steps = path.steps
-        previous = steps[0]
-        for step in steps[1:]:
-            t0, x0, y0 = previous
-            t1, x1, y1 = step
-            if not self.is_free(t1, (x1, y1)):
-                return False
-            if ((x0 != x1 or y0 != y1)
-                    and not self.edge_free(t0, (x0, y0), (x1, y1))):
-                return False
-            previous = step
-        return True
-
-    def audit_chain(self, t: Tick, chain: "PackedChain", limit: int) -> bool:
-        """Audit the first ``limit`` moves of a packed descent chain.
-
-        Equivalent to :meth:`audit_path` on ``Path.from_cells(
-        chain.cells[:limit + 1], t)`` — arrival ``i`` is probed at tick
-        ``t + i`` and the traversed edge at its departure tick ``t + i - 1``
-        — but takes the chain's precomputed packed keys instead of building
-        a timed :class:`~repro.pathfinding.paths.Path` first, so a
-        rejected candidate costs no allocation at all, and asks about the
-        edge only where the departure cell is taken at the arrival tick
-        (a swap needs an arrival).  Requires every chain step to be a
-        move (descent chains always are).
-
-        Tick-bucketed implementations answer through
-        :meth:`packed_buckets`; others go through the packed probes.
-        """
-        keys = chain.keys
-        buckets = self.packed_buckets()
-        if buckets is None:
-            vertex_free = self.is_free_packed
-            edge_free = self.edge_free_packed
-            for i in range(1, limit + 1):
-                if not vertex_free(t + i, keys[i]):
-                    return False
-                if (not vertex_free(t + i, keys[i - 1])
-                        and not edge_free(t + i - 1, keys[i - 1], keys[i])):
-                    return False
-            return True
-        vertex_buckets, edge_buckets = buckets
-        for i in range(1, limit + 1):
-            occupied = vertex_buckets.get(t + i)
-            if occupied is None:
-                continue
-            if keys[i] in occupied:
-                return False
-            if keys[i - 1] in occupied:
-                swaps = edge_buckets.get(t + i - 1)
-                if (swaps is not None
-                        and ((keys[i] << 32) | keys[i - 1]) in swaps):
-                    return False
-        return True
-
-    # -- shared convenience ----------------------------------------------
-
-    def move_allowed(self, t: Tick, source: Cell, target: Cell) -> bool:
-        """Whether a robot at ``source`` may be at ``target`` at ``t + 1``.
-
-        Combines the single-grid check on the arrival vertex with the
-        inter-grid check on the traversed edge; a wait (``source ==
-        target``) only needs the vertex check, and so does a move out of
-        a cell nobody arrives on (a swap needs an arrival).
-        """
-        if not self.is_free(t + 1, target):
-            return False
-        if source == target or self.is_free(t + 1, source):
-            return True
-        return self.edge_free(t, source, target)
-
-
 def _stale_ticks(buckets: Dict[Tick, Set[int]], floor: Tick, t: Tick):
     """Ticks in ``[floor, t)`` that may hold a bucket, cheapest way first.
 
@@ -277,13 +102,6 @@ def _stale_ticks(buckets: Dict[Tick, Set[int]], floor: Tick, t: Tick):
     return [tick for tick in buckets if tick < t]
 
 
-def _edges_memory(edge_ticks: int, edges: int) -> int:
-    """Modelled footprint of the swap buckets: ~100 B per entry of a set
-    of small ints (measured, matching the seed's tuple-set estimate) plus
-    the per-tick bucket headers the tick-keyed layout adds."""
-    return 64 + 100 * edges + 64 * edge_ticks
-
-
 def _tile_of(key: int, bits: int) -> int:
     """Tile id of packed cell ``key`` for ``2**bits``-cell-square tiles,
     packed like a cell key (tile-x in the high half-word)."""
@@ -291,11 +109,11 @@ def _tile_of(key: int, bits: int) -> int:
         (key & CELL_KEY_MASK) >> bits)
 
 
-class _StoreBacked:
-    """One layout per kernel switch, shared by the three library tables.
+class ReservationTable:
+    """Conflict bookkeeping for already-planned paths, under one rule.
 
-    Under the compiled switch a table's reservations live in the native
-    store (``_store``, a capsule of ``_kernel/_stsearchmodule.c``), which
+    Under the compiled switch the reservations live in the native store
+    (``_store``, a capsule of ``_kernel/_stsearchmodule.c``), which
     inserts, purges, probes and counts them without a python object per
     key.  Under the python switch they live in the layout the store
     exports, the specification: per-tick buckets of packed cell keys
@@ -314,19 +132,41 @@ class _StoreBacked:
     refusing them keeps every live bucket at or above the floor, which is
     what lets the purge walk ``range(old_floor, new_floor)``.
 
-    A class supplies only its store rule, :meth:`_store_rule` (``(tile
-    bits or -1, layer height, layer cells)``, what ``store_new`` takes),
-    and its accounting rule, :meth:`_account` over the ``(ticks, units,
-    edge_ticks, edges)`` counts either layout answers.  The python counts
-    follow ``store_counts`` rule for rule: ``ticks`` is the live ticks, or
-    under a dense rule the layers ``[floor, max tick]``; ``units`` is the
-    entries, the layers, or the distinct (tick, tile) pairs.
+    Both layouts answer the same four counts, ``(ticks, units,
+    edge_ticks, edges)``: ``ticks`` is the live ticks, or under a dense
+    rule the layers ``[floor, max tick]``; ``units`` is the entries, the
+    layers, or the distinct (tick, tile) pairs.  The rule turns them into
+    the Fig. 12 footprint and the :meth:`live_counts` names.
+
+    Parameters
+    ----------
+    tile_bits, layer_height, layer_cells:
+        The store rule, what ``store_new`` takes: tiles ``2**tile_bits``
+        cells a side (``-1``: untiled), and the dense layer's height and
+        cell count (``0``: none; a dense layer refuses a cell off it).
+    tick_bytes, unit_bytes, base_bytes:
+        Bytes charged per tick, per unit and once.  Every rule also
+        charges the swap buckets: ~100 B per entry of a set of small
+        ints (measured, matching the seed's tuple-set estimate) plus the
+        per-tick bucket headers the tick-keyed layout adds.
+    count_names:
+        ``(name, 0 for ticks or 1 for units)`` pairs: the counts
+        :meth:`live_counts` reports beside the edges and the footprint.
     """
 
     _store = None
 
-    def __init__(self) -> None:
-        self.mutation_stamp = 0
+    def __init__(self, tile_bits: int = -1, layer_height: int = 0,
+                 layer_cells: int = 0, tick_bytes: int = 0,
+                 unit_bytes: int = 0, base_bytes: int = 0,
+                 count_names: Tuple[Tuple[str, int], ...] = ()) -> None:
+        self._tile_bits = tile_bits
+        self._layer_height = layer_height
+        self._layer_cells = layer_cells
+        self._tick_bytes = tick_bytes
+        self._unit_bytes = unit_bytes
+        self._base_bytes = base_bytes
+        self._count_names = count_names
         self.__dict__.update(self._python_layout(0, 0, 0, {}, {}))
 
     def __getstate__(self):
@@ -344,6 +184,14 @@ class _StoreBacked:
         if "_buckets" not in state:
             raise TypeError(f"a {type(self).__name__} state without "
                             f"per-tick buckets; this build has no such layout")
+        if "_count_names" not in state:
+            # Pickled when each table was its own class: the class's
+            # constructor, over the argument the state kept, sets the
+            # rule, and of the rest only the layout is kept.
+            type(self).__init__(self, *[state[name] for name in (
+                "_grid", "_tile_bits") if name in state])
+            state = {name: value for name, value in state.items()
+                     if name in self.__dict__}
         self.__dict__.update(state)
         self._sync()
 
@@ -358,7 +206,8 @@ class _StoreBacked:
                 del self._store
             else:
                 self._store = kernel.store_new(
-                    self, *self._store_rule(), (
+                    self, self._tile_bits, self._layer_height,
+                    self._layer_cells, (
                         self._floor, self._edge_floor,
                         max(self._buckets, default=self._floor),
                         self._buckets, self._edge_buckets))
@@ -373,20 +222,31 @@ class _StoreBacked:
                   "_n_entries": sum(map(len, vertices.values())),
                   "_edge_buckets": edges, "_edge_floor": edge_floor,
                   "_n_edges": sum(map(len, edges.values()))}
-        bits = self._store_rule()[0]
+        bits = self._tile_bits
         if bits >= 0:
             layout["_tiles"] = {t: {_tile_of(key, bits) for key in keys}
                                 for t, keys in vertices.items()}
         return layout
 
+    def kernel_probe_spec(self):
+        """The native store the kernel probes, or ``None`` under the
+        python switch."""
+        return self._store if self._sync() is not None else None
+
     def packed_buckets(self):
+        """``(vertex buckets, edge buckets)`` of the python layout, which
+        the python walkers read; under the compiled switch the kernel
+        walks the store instead, and this refuses."""
         if self._sync() is not None:
-            return None
+            raise ConfigurationError(
+                "the python walkers read the python layout; under the "
+                "compiled switch the kernel walks the store")
         return self._buckets, self._edge_buckets
 
     # -- the three operations -----------------------------------------------
 
     def is_free(self, t: Tick, cell: Cell) -> bool:
+        """Whether no path holds ``cell`` at time ``t``."""
         return self.is_free_packed(t, (cell[0] << CELL_KEY_SHIFT) | cell[1])
 
     def is_free_packed(self, t: Tick, key: int) -> bool:
@@ -397,6 +257,9 @@ class _StoreBacked:
         return bucket is None or key not in bucket
 
     def edge_free(self, t: Tick, source: Cell, target: Cell) -> bool:
+        """Whether moving ``source``→``target`` during tick ``t`` avoids a
+        swap; false only if ``is_free(t + 1, source)`` is (module
+        docstring)."""
         return self.edge_free_packed(
             t, (source[0] << CELL_KEY_SHIFT) | source[1],
             (target[0] << CELL_KEY_SHIFT) | target[1])
@@ -411,17 +274,15 @@ class _StoreBacked:
         return bucket is None or (
             (target_key << 32) | source_key) not in bucket
 
-    def kernel_probe_spec(self):
-        return self._store if self._sync() is not None else None
-
     def reserve_path(self, path: Path) -> None:
-        self.mutation_stamp += 1
+        """Insert the vertices and edges of ``path`` into the table."""
         kernel = self._sync()
         if kernel is not None:
             kernel.store_reserve(self._store, path.start_time, path.keys)
             return
         keys = path.keys
-        bits, height, n_cells = self._store_rule()
+        bits, height, n_cells = (self._tile_bits, self._layer_height,
+                                 self._layer_cells)
         if n_cells and not all(
                 (key & CELL_KEY_MASK) < height and (key >> CELL_KEY_SHIFT)
                 * height + (key & CELL_KEY_MASK) < n_cells for key in keys):
@@ -454,7 +315,6 @@ class _StoreBacked:
 
     def purge_before(self, t: Tick) -> None:
         """The periodic *update* operation: delete all passed timestamps."""
-        self.mutation_stamp += 1
         kernel = self._sync()
         if kernel is not None:
             kernel.store_purge(self._store, t)
@@ -463,7 +323,7 @@ class _StoreBacked:
             # An edge departs a tick its source vertex holds, so the
             # vertex buckets name every stale edge bucket too.
             buckets = self._buckets
-            tiles = self._tiles if self._store_rule()[0] >= 0 else {}
+            tiles = self._tiles if self._tile_bits >= 0 else {}
             for tick in _stale_ticks(buckets, self._floor, t):
                 bucket = buckets.pop(tick, None)
                 if bucket is not None:
@@ -472,30 +332,131 @@ class _StoreBacked:
                     tiles.pop(tick, None)
             self._floor = self._edge_floor = t
 
+    # -- audits ---------------------------------------------------------------
+
+    def audit_path(self, path: Path) -> bool:
+        """Whether every arrival and move of ``path`` is conflict-free.
+
+        The probe-by-probe reference walk over :meth:`is_free` /
+        :meth:`edge_free` — the one definition of "this path audits
+        clean", and what the tier-0 equivalence tests compare against.
+        No planning run calls it: the audit that does run is tier 0's
+        (:meth:`audit_chain` under the python switch, inside the native
+        ``tier0_leg`` under the compiled one).  Probes exactly what the
+        search core would for the same moves: each arrival vertex at its
+        arrival tick and each traversed edge at its departure tick; the
+        source vertex at the start tick is the robot's own position and
+        is not probed.
+        """
+        steps = path.steps
+        previous = steps[0]
+        for step in steps[1:]:
+            t0, x0, y0 = previous
+            t1, x1, y1 = step
+            if not self.is_free(t1, (x1, y1)):
+                return False
+            if ((x0 != x1 or y0 != y1)
+                    and not self.edge_free(t0, (x0, y0), (x1, y1))):
+                return False
+            previous = step
+        return True
+
+    def audit_chain(self, t: Tick, chain: PackedChain, limit: int) -> bool:
+        """Audit the first ``limit`` moves of a packed descent chain.
+
+        Equivalent to :meth:`audit_path` on ``Path.from_cells(
+        chain.cells[:limit + 1], t)`` — arrival ``i`` is probed at tick
+        ``t + i`` and the traversed edge at its departure tick ``t + i - 1``
+        — but reads the buckets with the chain's precomputed packed keys
+        instead of building a timed :class:`~repro.pathfinding.paths.Path`
+        first, so a rejected candidate costs no allocation at all, and
+        asks about the edge only where the departure cell is taken at the
+        arrival tick (a swap needs an arrival).  Requires every chain step
+        to be a move (descent chains always are) and the python switch
+        (:meth:`packed_buckets`).
+        """
+        keys = chain.keys
+        vertex_buckets, edge_buckets = self.packed_buckets()
+        for i in range(1, limit + 1):
+            occupied = vertex_buckets.get(t + i)
+            if occupied is None:
+                continue
+            if keys[i] in occupied:
+                return False
+            if keys[i - 1] in occupied:
+                swaps = edge_buckets.get(t + i - 1)
+                if (swaps is not None
+                        and ((keys[i] << 32) | keys[i - 1]) in swaps):
+                    return False
+        return True
+
+    def move_allowed(self, t: Tick, source: Cell, target: Cell) -> bool:
+        """Whether a robot at ``source`` may be at ``target`` at ``t + 1``.
+
+        Combines the single-grid check on the arrival vertex with the
+        inter-grid check on the traversed edge; a wait (``source ==
+        target``) only needs the vertex check, and so does a move out of
+        a cell nobody arrives on (a swap needs an arrival).
+        """
+        if not self.is_free(t + 1, target):
+            return False
+        if source == target or self.is_free(t + 1, source):
+            return True
+        return self.edge_free(t, source, target)
+
     # -- accounting -----------------------------------------------------------
 
     def _counts(self, walk: bool = False):
         kernel = self._sync()
         if kernel is not None:
             return kernel.store_counts(self._store, walk)
-        bits, __, n_cells = self._store_rule()
         buckets, edges = self._buckets, self._edge_buckets
         ticks = len(buckets)
-        if n_cells and buckets:
+        if self._layer_cells and buckets:
             ticks = max(buckets) - self._floor + 1
-        units = (sum(map(len, self._tiles.values())) if bits >= 0
-                 else ticks if n_cells
+        units = (sum(map(len, self._tiles.values())) if self._tile_bits >= 0
+                 else ticks if self._layer_cells
                  else sum(map(len, buckets.values())) if walk
                  else self._n_entries)
         return ticks, units, len(edges), (
             sum(map(len, edges.values())) if walk else self._n_edges)
 
+    def _footprint(self, ticks, units, edge_ticks, edges) -> int:
+        return (self._base_bytes + self._tick_bytes * ticks
+                + self._unit_bytes * units + 64 + 100 * edges
+                + 64 * edge_ticks)
+
     def memory_bytes(self) -> int:
-        return self._account(self._counts())["memory_bytes"]
+        """Modelled footprint of the layout the rule charges — the Fig. 12
+        MC metric."""
+        return self._footprint(*self._counts())
 
-    def live_counts(self):
-        return self._account(self._counts())
+    def live_counts(self) -> Dict[str, int]:
+        """Occupancy counters for service-mode telemetry.
 
-    def recount(self):
-        """Count the layout from scratch, ignoring the kept counters."""
-        return self._account(self._counts(True))
+        The soak harness samples these at every window boundary to prove
+        the memory-flatness claim: under the periodic purge, live entries
+        and buckets must track the reservation *window*, not the run
+        length.  The rule's named counts come first, then the edges and
+        the footprint, so every rule plots on one axis.
+        """
+        return self._named(self._counts())
+
+    def recount(self) -> Dict[str, int]:
+        """:meth:`live_counts` counted from scratch, ignoring the kept
+        counters, so tests can assert they never drift."""
+        return self._named(self._counts(True))
+
+    def _named(self, counts) -> Dict[str, int]:
+        named = {name: counts[index] for name, index in self._count_names}
+        named.update(edges=counts[3], edge_ticks=counts[2],
+                     memory_bytes=self._footprint(*counts))
+        return named
+
+
+def require_table(reservation) -> None:
+    """Refuse, with ``TypeError``, a table that is not the library's: the
+    search, tier 0 and the rescue read its store or its buckets."""
+    if not isinstance(reservation, ReservationTable):
+        raise TypeError(f"{type(reservation).__name__} is not one of the "
+                        "library's reservation tables (ReservationTable)")

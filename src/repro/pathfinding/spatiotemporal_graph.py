@@ -9,9 +9,10 @@ keeps only the occupied entries and is the paper's fix.
 
 Both structures answer the same three operations over the same
 reservations, so here the dense layer is an accounting rule, not a
-python materialisation: the graphs keep the CDT's per-tick keys
-(``reservation._StoreBacked`` — the native store under the compiled
-switch, per-tick buckets under the python one) and charge what a literal
+python materialisation: both graphs are rules of
+:class:`~repro.pathfinding.reservation.ReservationTable`, keeping the
+CDT's per-tick keys (the native store under the compiled switch,
+per-tick buckets under the python one) and charging what a literal
 time-expanded graph holds.  The dense graph counts one byte per cell of
 *every* layer between the purge floor and the latest reserved step,
 exactly as if each were allocated; the tiled graph counts the
@@ -22,18 +23,17 @@ would cost, and no layer is ever allocated.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..warehouse.grid import Grid
-from .reservation import ReservationTable, _StoreBacked, _edges_memory
+from .reservation import ReservationTable
 
 
-class SpatiotemporalGraph(_StoreBacked, ReservationTable):
+class SpatiotemporalGraph(ReservationTable):
     """Dense time-expanded reservation layers (the memory-heavy baseline).
 
     Charges a full one-byte-per-cell layer for every timestep in
-    ``[floor, latest reserved step]``, occupied or not, and refuses a
-    cell outside the floor (``IndexError``: it has no place in a layer).
+    ``[floor, latest reserved step]``, occupied or not — identical
+    accounting to the seed's uint8 ndarray layers — and refuses a cell
+    outside the floor (``IndexError``: it has no place in a layer).
 
     Parameters
     ----------
@@ -42,29 +42,12 @@ class SpatiotemporalGraph(_StoreBacked, ReservationTable):
     """
 
     def __init__(self, grid: Grid) -> None:
-        self._grid = grid
-        super().__init__()
-
-    def _store_rule(self):
-        return -1, self._grid.height, self._grid.n_cells
-
-    def _account(self, counts) -> Dict[str, int]:
-        # One byte per cell per layer — identical accounting to the seed's
-        # uint8 ndarray layers, whichever layout holds the reservations.
-        layers, __, edge_ticks, edges = counts
-        return {"layers": layers, "edges": edges, "edge_ticks": edge_ticks,
-                "memory_bytes": (layers * self._grid.n_cells
-                                 + _edges_memory(edge_ticks, edges))}
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def n_layers(self) -> int:
-        """Number of time layers charged (each a full grid copy)."""
-        return self.live_counts()["layers"]
+        super().__init__(layer_height=grid.height, layer_cells=grid.n_cells,
+                         tick_bytes=grid.n_cells,
+                         count_names=(("layers", 0),))
 
 
-class ShardedSpatiotemporalGraph(_StoreBacked, ReservationTable):
+class ShardedSpatiotemporalGraph(ReservationTable):
     """The ST graph with each time layer partitioned into spatial tiles.
 
     Charges a dense one-byte-per-cell block for each ``2**tile_bits``-
@@ -86,30 +69,5 @@ class ShardedSpatiotemporalGraph(_StoreBacked, ReservationTable):
     """
 
     def __init__(self, tile_bits: int = 5) -> None:
-        self._tile_bits = tile_bits
-        self._tile_cells = 1 << (2 * tile_bits)
-        super().__init__()
-
-    @property
-    def tile_bits(self) -> int:
-        """log2 of the tile edge length."""
-        return self._tile_bits
-
-    def _store_rule(self):
-        return self._tile_bits, 0, 0
-
-    def _account(self, counts) -> Dict[str, int]:
-        # One byte per *materialised tile* cell — the same accounting
-        # unit as the global table, restricted to the blocks that exist.
-        layers, tiles, edge_ticks, edges = counts
-        return {"layers": layers, "tile_layers": tiles, "edges": edges,
-                "edge_ticks": edge_ticks,
-                "memory_bytes": (tiles * self._tile_cells
-                                 + _edges_memory(edge_ticks, edges))}
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def n_layers(self) -> int:
-        """Number of timesteps holding at least one tile block."""
-        return self.live_counts()["layers"]
+        super().__init__(tile_bits=tile_bits, unit_bytes=1 << (2 * tile_bits),
+                         count_names=(("layers", 0), ("tile_layers", 1)))

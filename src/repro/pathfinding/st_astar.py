@@ -10,26 +10,28 @@ structure and the cache-aided finisher differ between them.
 The core runs entirely on **packed integers**: a state is ``t · (W·H) + x ·
 H + y`` (one machine int instead of a nested ``((x, y), t)`` tuple), so
 queue entries and parents are plain-int keyed, successor generation is
-one indexed read of the grid's memoised adjacency rows, conflict probes go
-through the reservation structure's packed-key fast path, and h-values are
-indexed field lookups.  A state's cost is its time layer, so it enters the
-queue once and the parent map is the seen-set — no g-score table, no
-closed set, no stale entries.  Expansion order, tie breaking and the
-search statistics are bit-identical to the tuple-based seed implementation
-(kept in ``_legacy.py`` as the equivalence reference) under any heuristic
-the python core takes; the native kernel's bucket queue additionally
-needs a *consistent* one and raises ``AssertionError`` where a field is
-not.
+one indexed read of the grid's memoised adjacency rows, conflict probes are
+set lookups of packed cell keys in the table's per-tick buckets, and
+h-values are indexed field lookups.  A state's cost is its time layer, so
+it enters the queue once and the parent map is the seen-set — no g-score
+table, no closed set, no stale entries.  Expansion order, tie breaking
+and the search statistics are bit-identical to the tuple-based seed
+implementation (kept in ``_legacy.py`` as the equivalence reference).
 
 The open set is ordered by ``(f, depth, tie)``; :func:`_search_heap`
-states the rule and is its python implementation — the fallback kernel
-and the oracle of the cross-kernel suites.  The native kernel
+states the rule and is its python implementation — the python switch's
+core and the oracle of the cross-kernel suites.  The native kernel
 (``_kernel/_stsearchmodule.c``, reached through :func:`_search_compiled`)
 realises the same order as a bucket queue over a workspace its grid
-keeps and answers every search on one of the library's tables under one
-of its heuristic fields; a caller-supplied heuristic (a callable, a custom
-``flat``) or table stays on the python core.  No search state outlives
-a call; the native kernel reuses only its grid's workspace memory.
+keeps.  Both take the same inputs: one of the library's tables
+(:class:`~repro.pathfinding.reservation.ReservationTable`) and the
+default Manhattan field or a
+:class:`~repro.pathfinding.heuristics.HeuristicField`, both consistent,
+which the bucket queue needs; anything else is refused with
+``TypeError``.  So under the compiled switch every search runs native,
+and under the python switch every one reads the table's buckets.  No
+search state outlives a call; the native kernel reuses only its grid's
+workspace memory.
 
 Two calling conventions coexist:
 
@@ -47,7 +49,6 @@ Two calling conventions coexist:
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -59,9 +60,9 @@ from . import _kernel
 from ._kernel import load_compiled as _load_compiled
 from .cache import follow_with_waits
 from .free_flow import descent
-from .heuristics import Heuristic, HeuristicField, _LazyManhattanFlat
+from .heuristics import HeuristicField, _LazyManhattanFlat
 from .paths import Path, packed_path
-from .reservation import ReservationTable
+from .reservation import ReservationTable, require_table
 
 @dataclass
 class SearchStats:
@@ -211,18 +212,24 @@ set_search_kernel(search_kernel_choice())
 
 def search(grid: Grid, reservation: ReservationTable,
            request: SearchRequest,
-           heuristic: Optional[Heuristic] = None,
+           heuristic: Optional[HeuristicField] = None,
            stats: Optional[SearchStats] = None) -> SearchOutcome:
     """Run one spatiotemporal search to a :class:`SearchOutcome`.
 
     Never raises for exhaustion: a failed search returns an outcome whose
     ``status`` names the failure and whose ``stats`` carry the counters.
     Both kernels produce bit-identical expansions, paths and statistics.
+    A ``reservation`` that is not a library table, or a ``heuristic``
+    that is neither ``None`` (Manhattan) nor a
+    :class:`~repro.pathfinding.heuristics.HeuristicField` of this grid,
+    is refused (``TypeError`` / ``ValueError``).
     """
+    require_table(reservation)
     source, goal = request.source, request.goal
     start_time = request.start_time
     grid.require_passable(source)
     grid.require_passable(goal)
+    hfield = _heuristic_field(grid, goal, heuristic)
     if stats is None:
         stats = SearchStats()
     stats.budget = request.max_expansions
@@ -232,56 +239,35 @@ def search(grid: Grid, reservation: ReservationTable,
                              Path(((start_time, source[0], source[1]),)),
                              stats)
 
-    hfield = _heuristic_field(grid, goal, heuristic)
     deep = grid.paper_scale
-    if _kernel.active is not None:
-        store = reservation.kernel_probe_spec()
-        h_spec = (_kernel_h_spec(heuristic, hfield)
-                  if store is not None else None)
-        if h_spec is not None:
-            return _search_compiled(grid, store, request, h_spec, deep,
-                                    stats)
+    store = reservation.kernel_probe_spec()
+    if store is not None:
+        return _search_compiled(grid, store, request, hfield, deep, stats)
     return _search_heap(grid, reservation, request, hfield, deep, stats)
 
 
-def _kernel_h_spec(heuristic: Optional[Heuristic], hfield):
-    """Native heuristic encoding, or ``None`` when the kernel declines.
-
-    Only the library's own fields go native — the default Manhattan field
-    and :class:`~repro.pathfinding.heuristics.HeuristicField` are
-    consistent by construction, which the kernel's bucket queue relies on;
-    a caller-supplied ``flat`` promises nothing.  Mode 1 computes
-    Manhattan distance natively from the goal coordinates (the lazy
-    field, whose ``__getitem__`` the hot loop must not call back into);
-    mode 2 reads the eager BFS fields' ``array('i')`` through the buffer
-    protocol, zero-copy.  Anything else — the ``_LazyField`` adapter over
-    arbitrary callables — stays on the pure-python core.
-    """
-    if heuristic is not None and not isinstance(heuristic, HeuristicField):
-        return None
-    if isinstance(hfield, _LazyManhattanFlat):
-        return 1, (hfield._gx, hfield._gy)
-    if isinstance(hfield, array) and hfield.typecode == "i":
-        return 2, hfield
-    return None
-
-
-def _search_compiled(grid: Grid, store, request: SearchRequest,
-                     h_spec, deep: bool,
-                     stats: SearchStats) -> SearchOutcome:
+def _search_compiled(grid: Grid, store, request: SearchRequest, hfield,
+                     deep: bool, stats: SearchStats) -> SearchOutcome:
     """Hand one search to the native kernel.
 
-    ``store`` is the table's ``kernel_probe_spec()``; ``deep``
-    selects the open-set order exactly as in :func:`_search_heap`.  The
-    kernel returns raw counters; this wrapper folds them into ``stats``
-    the way the python core's ``finally`` block does, and wraps the leg's
-    key buffer — checked by the kernel against the path rule before it
-    is returned — without unpacking it.
+    ``store`` is the table's ``kernel_probe_spec()``; ``deep`` selects
+    the open-set order exactly as in :func:`_search_heap`.  Mode 1
+    computes Manhattan distance natively from the goal coordinates (the
+    lazy field, whose ``__getitem__`` the hot loop must not call back
+    into); mode 2 reads the eager BFS fields' ``array('i')`` through the
+    buffer protocol, zero-copy.  The kernel returns raw counters; this
+    wrapper folds them into ``stats`` the way the python core's
+    ``finally`` block does, and wraps the leg's key buffer — checked by
+    the kernel against the path rule before it is returned — without
+    unpacking it.
     """
     module = _kernel.active
     source, goal = request.source, request.goal
     height = grid.height
-    h_mode, h_arg = h_spec
+    if isinstance(hfield, _LazyManhattanFlat):
+        h_mode, h_arg = 1, (hfield._gx, hfield._gy)
+    else:
+        h_mode, h_arg = 2, hfield
 
     status, keys, tried, expansions, generated, peak_open = module.run(
         grid.kernel_capsule(module), store, h_mode, h_arg,
@@ -309,16 +295,15 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                  stats: SearchStats) -> SearchOutcome:
     """The python core: ``heapq`` open set, one ``parent`` dict.
 
-    Answers every search the native kernel does not serve (the python
-    switch, a table outside the library, a caller-supplied heuristic —
-    possibly lazy, possibly inconsistent) and is what the cross-kernel
-    suites hold the native kernel to.
+    Answers every search under the python switch, reading the table's
+    per-tick buckets, and is what the cross-kernel suites hold the native
+    kernel to.
 
     **State record.**  A state is ``t * n_cells + cell`` and every action
     costs one tick, so its ``g`` is its layer, ``t - start_time``: it is
-    reached at one cost only and pushed once, under any heuristic, and
-    ``parent`` — state to the state it was first reached from — doubles
-    as the seen-set (the native kernel's ``{key, parent}`` records).
+    reached at one cost only and pushed once, and ``parent`` — state to
+    the state it was first reached from — doubles as the seen-set (the
+    native kernel's ``{key, parent}`` records).
 
     **Tie rule.**  Heap entries are ``(f, depth, tie, state)`` with
     ``tie`` the push counter.  Below the paper-scale gate ``depth`` is
@@ -343,11 +328,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     finisher_trigger = request.finisher_trigger
     starts: List[Cell] = []
 
-    vertex_free = reservation.is_free_packed
-    edge_free = reservation.edge_free_packed
-    buckets = reservation.packed_buckets()
-    if buckets is not None:
-        vertex_buckets, edge_buckets = buckets
+    vertex_buckets, edge_buckets = reservation.packed_buckets()
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -399,62 +380,32 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
             source_key = cell_keys[ci]
 
             # Successor generation, wait first then the adjacency row —
-            # the same order as the seed.  A move out of this cell is a
-            # swap only if a partner arrives here at t1 (the table's
-            # contract): edges are probed only where the wait was
-            # refused.  Two probe styles: when the reservation structure
-            # is tick-bucketed (every library table under the python
-            # switch), fetch this tick's vertex/edge sets once and test
-            # membership with bare ``in``; otherwise go through the
-            # packed probe methods.
-            if buckets is not None:
-                occupied = vertex_buckets.get(t1)
-                swaps = None
-                nxt_state = next_base + ci
-                if occupied is not None and source_key in occupied:
-                    swaps = edge_buckets.get(t)
-                elif nxt_state not in parent:
+            # the same order as the seed, reading this tick's vertex and
+            # edge buckets once.  A move out of this cell is a swap only
+            # if a partner arrives here at t1 (the table's contract):
+            # edges are looked up only where the wait was refused.
+            occupied = vertex_buckets.get(t1)
+            swaps = None
+            nxt_state = next_base + ci
+            if occupied is not None and source_key in occupied:
+                swaps = edge_buckets.get(t)
+            elif nxt_state not in parent:
+                parent[nxt_state] = state
+                generated += 1
+                push(open_heap, (g_next + hfield[ci], depth, tie, nxt_state))
+                tie += 1
+            for nci, nkey in adjacency[ci]:
+                if occupied is not None and nkey in occupied:
+                    continue
+                if swaps is not None and ((nkey << 32) | source_key) in swaps:
+                    continue
+                nxt_state = next_base + nci
+                if nxt_state not in parent:
                     parent[nxt_state] = state
                     generated += 1
                     push(open_heap,
-                         (g_next + hfield[ci], depth, tie, nxt_state))
+                         (g_next + hfield[nci], depth, tie, nxt_state))
                     tie += 1
-                for nci, nkey in adjacency[ci]:
-                    if occupied is not None and nkey in occupied:
-                        continue
-                    if (swaps is not None
-                            and ((nkey << 32) | source_key) in swaps):
-                        continue
-                    nxt_state = next_base + nci
-                    if nxt_state not in parent:
-                        parent[nxt_state] = state
-                        generated += 1
-                        push(open_heap,
-                             (g_next + hfield[nci], depth, tie, nxt_state))
-                        tie += 1
-            else:
-                # Wait in place (the fifth action) — vertex check only.
-                held = not vertex_free(t1, source_key)
-                nxt_state = next_base + ci
-                if not held and nxt_state not in parent:
-                    parent[nxt_state] = state
-                    generated += 1
-                    push(open_heap,
-                         (g_next + hfield[ci], depth, tie, nxt_state))
-                    tie += 1
-
-                for nci, nkey in adjacency[ci]:
-                    if (vertex_free(t1, nkey)
-                            and (not held
-                                 or edge_free(t, source_key, nkey))):
-                        nxt_state = next_base + nci
-                        if nxt_state not in parent:
-                            parent[nxt_state] = state
-                            generated += 1
-                            push(open_heap,
-                                 (g_next + hfield[nci], depth, tie,
-                                  nxt_state))
-                            tie += 1
         return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats, starts)
     finally:
         stats.expansions = expansions
@@ -464,7 +415,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
 
 def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
               goal: Cell, start_time: Tick,
-              heuristic: Optional[Heuristic] = None,
+              heuristic: Optional[HeuristicField] = None,
               max_expansions: int = 200_000,
               finisher_trigger: int = 0,
               stats: Optional[SearchStats] = None) -> Path:
@@ -484,11 +435,8 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
     start_time:
         Tick at which the robot sits on ``source``.
     heuristic:
-        Admissible remaining-distance bound (default: Manhattan).  A
-        :class:`~repro.pathfinding.heuristics.HeuristicField` (or any
-        object with a ``flat`` list of length W·H) is consumed directly;
-        a plain callable is evaluated lazily — once per cell the search
-        touches, memoised for the duration of the call.
+        The goal's :class:`~repro.pathfinding.heuristics.HeuristicField`
+        (exact on obstructed floors), or ``None`` for Manhattan.
     max_expansions:
         Abort threshold; exceeded means livelock, reported as
         :class:`~repro.errors.PathNotFoundError`.
@@ -523,45 +471,20 @@ def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
 
 
 def _heuristic_field(grid: Grid, goal: Cell,
-                     heuristic: Optional[Heuristic]) -> Sequence[int]:
+                     heuristic: Optional[HeuristicField]):
     """Resolve ``heuristic`` into an h-field indexed by cell index."""
     if heuristic is None:
         return _LazyManhattanFlat(goal, grid.height, grid.n_cells)
-    flat = getattr(heuristic, "flat", None)
-    if flat is not None:
-        field_height = getattr(heuristic, "_height", None)
-        if (len(flat) != grid.n_cells
-                or (field_height is not None
-                    and field_height != grid.height)):
-            raise ValueError(
-                "heuristic field was built for a different grid "
-                f"({len(flat)} cells, height {field_height}) than the one "
-                f"being searched ({grid.n_cells} cells, height {grid.height})")
-        return flat
-    return _LazyField(heuristic, grid.height)
-
-
-class _LazyField:
-    """Index adapter over a plain callable heuristic, memoised per cell.
-
-    Keeps the seed's lazy evaluation for arbitrary callables — h is
-    computed only for cells the search actually touches, once each —
-    while presenting the ``field[ci]`` interface the core indexes.
-    """
-
-    __slots__ = ("_heuristic", "_height", "_memo")
-
-    def __init__(self, heuristic: Heuristic, height: int) -> None:
-        self._heuristic = heuristic
-        self._height = height
-        self._memo: Dict[int, int] = {}
-
-    def __getitem__(self, ci: int) -> int:
-        h = self._memo.get(ci)
-        if h is None:
-            h = self._heuristic(divmod(ci, self._height))
-            self._memo[ci] = h
-        return h
+    if not isinstance(heuristic, HeuristicField):
+        raise TypeError("a search takes a HeuristicField or None (Manhattan), "
+                        f"not {type(heuristic).__name__}")
+    if heuristic._height != grid.height or len(heuristic.flat) != grid.n_cells:
+        raise ValueError(
+            "heuristic field was built for a different grid "
+            f"({len(heuristic.flat)} cells, height {heuristic._height}) than "
+            f"the one being searched ({grid.n_cells} cells, height "
+            f"{grid.height})")
+    return heuristic.flat
 
 
 def _reconstruct(parent: Dict[int, int], state: int, n_cells: int,

@@ -117,12 +117,6 @@ class Planner(abc.ABC):
     #: both search tiers, which record their walks in it.
     cache: Optional[ShortestPathCache] = None
 
-    #: Reservation-footprint cache (see :meth:`memory_bytes`): the last
-    #: aggregate and the table ``mutation_stamp`` it was computed at.
-    #: Class-level defaults so checkpoints pickled before the cache
-    #: existed restore cleanly; ``None`` never matches a live stamp.
-    _memory_stamp = None
-    _memory_cache: int = 0
     #: High-water mark of :meth:`memory_bytes`, maintained at every leg
     #: commit (the only operation that grows the structures).
     _peak_memory: int = 0
@@ -261,8 +255,8 @@ class Planner(abc.ABC):
         # End-of-wake high-water update: a selection can grow subclass
         # structures (ATP's Q-table) even when it commits no leg, so the
         # commit-time peak tracking alone would miss it.  O(1): the
-        # reservation aggregate is stamp-cached and the extras hooks are
-        # all constant-time.
+        # table's bytes are arithmetic over its four store counts and the
+        # extras hooks are all constant-time.
         memory = self.memory_bytes()
         if memory > self._peak_memory:
             self._peak_memory = memory
@@ -326,27 +320,10 @@ class Planner(abc.ABC):
             self.reservation.purge_before(floor)
 
     def memory_bytes(self) -> int:
-        """Total live structure footprint — the Fig. 12 MC sample.
-
-        The reservation aggregate is cached against the table's
-        ``mutation_stamp`` (bumped by every reserve / purge),
-        so repeated samples between mutations cost one integer compare.
-        Only the reservation term is cached: the subclass extras are all
-        O(1) *and* can mutate outside the stamp's visibility (ATP's
-        learner updates during selection), so they are re-read fresh.
-        Legacy tables without a stamp (``mutation_stamp is None``) are
-        never cached.
-        """
-        stamp = getattr(self.reservation, "mutation_stamp", None)
-        if stamp is None:
-            reserved = self.reservation.memory_bytes()
-        elif stamp == self._memory_stamp:
-            reserved = self._memory_cache
-        else:
-            reserved = self.reservation.memory_bytes()
-            self._memory_cache = reserved
-            self._memory_stamp = stamp
-        return reserved + self._extra_memory_bytes()
+        """Total live structure footprint — the Fig. 12 MC sample: the
+        table's modelled bytes (arithmetic over its four store counts)
+        plus the subclass extras, each O(1)."""
+        return self.reservation.memory_bytes() + self._extra_memory_bytes()
 
     @property
     def peak_memory_bytes(self) -> int:

@@ -177,6 +177,23 @@ def count_kernel_calls(module, names):
             setattr(module, name, entry)
 
 
+def python_audit(table, t, chain, limit) -> bool:
+    """``table.audit_chain(t, chain, limit)`` under the python switch.
+
+    The python tier-0 audit reads the table's buckets, which only the
+    python switch's layout holds; the table converts on the way in and
+    back out, and the caller's switch is restored.
+    """
+    from repro.pathfinding.st_astar import (search_kernel_name,
+                                            set_search_kernel)
+    previous = search_kernel_name()
+    set_search_kernel("python")
+    try:
+        return table.audit_chain(t, chain, limit)
+    finally:
+        set_search_kernel(previous)
+
+
 def assert_edges_have_arrivals(table) -> None:
     """The contract swap gating rests on: a stored edge ``a -> b``
     departing ``t`` has its arrival vertex ``(t + 1, b)`` stored, so a

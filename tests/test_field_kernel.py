@@ -36,20 +36,20 @@ from hypothesis import strategies as hyp
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.pathfinding._kernel import build_and_load
+from repro.pathfinding._legacy import LegacyConflictDetectionTable
 from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.pipeline import RESCUE_CAPS, FallbackChain
-from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import Grid
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
-                            count_kernel_calls, load_swap_case)
+                            count_kernel_calls, load_swap_case, python_audit)
 
 COMPILED = build_and_load()
 
@@ -300,18 +300,6 @@ TABLES = {
 }
 
 
-class GenericTable(ConflictDetectionTable):
-    """A third-party-style table: the base probe spec (``None``)."""
-
-    kernel_probe_spec = ReservationTable.kernel_probe_spec
-    packed_buckets = ReservationTable.packed_buckets
-
-
-#: Every table ``kernel_leg`` can meet: the three native layouts plus one
-#: the compiled kernel declines (so the python pair serves it).
-LEG_TABLES = dict(TABLES, generic=lambda grid: GenericTable())
-
-
 def random_traffic(rng: random.Random, grid: Grid, table) -> None:
     cells = passable_cells(grid)
     for __ in range(rng.randint(0, 8)):
@@ -357,7 +345,7 @@ class TestFusedLegEquivalence:
                 assert verdict == 0 and path is None
                 continue
             limit = len(chain.cells) - 1
-            if table.audit_chain(t, chain, limit):
+            if python_audit(table, t, chain, limit):
                 assert verdict == 1
                 assert path == Path.from_cells(chain.cells, t)
                 assert path.steps == Path.from_cells(chain.cells, t).steps
@@ -397,7 +385,7 @@ class TestFusedLegEquivalence:
                 # the audited head, ending on the trigger cell, where
                 # the walk starts
                 assert starts == (chain.cells[head],)
-                assert table.audit_chain(t, chain, head)
+                assert python_audit(table, t, chain, head)
                 tail = follow_with_waits(table, chain.cells[head:],
                                          t + head)
                 if tail is None:
@@ -409,35 +397,32 @@ class TestFusedLegEquivalence:
                     ) + tuple(tail)
                 seen_heads += 1
             elif verdict == 3:
-                assert not table.audit_chain(t, chain, head)
+                assert not python_audit(table, t, chain, head)
             else:
                 assert verdict == 1  # k == 0: nothing for the finisher
         assert seen_heads > 0
 
-    def test_declines_generic_probe_spec(self, name):
-        """A table without a probe spec never reaches ``tier0_leg``: the
-        python pair answers, with the verdict the native layout gets."""
-        set_search_kernel("compiled")
-        grid = Grid(WIDTH, HEIGHT)
-        real = TABLES[name](grid)
-        real.reserve_path(Path.waiting((3, 0), 0, 9))
 
-        class GenericProbe:
-            audit_chain = real.audit_chain
-            kernel_probe_spec = ReservationTable.kernel_probe_spec
-
-        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        for goal in ((5, 0), (0, 5)):  # through the camped cell, and not
-            with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                declined = cache.kernel_leg(GenericProbe(), 0, (0, 0), goal)
-                assert calls["tier0_leg"] == 0
-                native = cache.kernel_leg(real, 0, (0, 0), goal)
-                assert calls["tier0_leg"] == 1
-            assert declined == native
+@pytest.mark.parametrize("kernel", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+def test_kernel_leg_refuses_a_foreign_table(kernel):
+    """A table that is not the library's gets a typed error under either
+    switch; nothing falls back to the python trio and nothing reaches
+    ``tier0_leg``."""
+    set_search_kernel(kernel)
+    grid = Grid(WIDTH, HEIGHT)
+    cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+    foreign = LegacyConflictDetectionTable()
+    foreign.reserve_path(Path.waiting((3, 0), 0, 9))
+    with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+        for goal in ((5, 0), (0, 5)):
+            with pytest.raises(TypeError, match="LegacyConflictDetection"):
+                cache.kernel_leg(foreign, 0, (0, 0), goal)
+    assert calls["tier0_leg"] == 0
 
 
 @needs_compiled
-@pytest.mark.parametrize("name", sorted(LEG_TABLES))
+@pytest.mark.parametrize("name", sorted(TABLES))
 class TestOneTierZeroContract:
     """``kernel_leg`` answers one verdict tuple from either kernel."""
 
@@ -447,7 +432,7 @@ class TestOneTierZeroContract:
         cells = passable_cells(grid)
         if len(cells) < 2:
             return None
-        table = LEG_TABLES[name](grid)
+        table = TABLES[name](grid)
         random_traffic(rng, grid, table)
         source, goal = rng.sample(cells, 2)
         if rng.random() < 0.1:
@@ -461,12 +446,12 @@ class TestOneTierZeroContract:
         return ShortestPathCache(rng.randint(1, 6))
 
     def both_kernels(self, name, call):
-        """``call()`` under each switch; under the compiled one the
-        generic table never reaches ``tier0_leg``."""
+        """``call()`` under each switch; under the compiled one
+        ``tier0_leg`` answers."""
         set_search_kernel("compiled")
         with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
             compiled = call()
-        assert calls["tier0_leg"] <= (name != "generic")
+        assert calls["tier0_leg"] <= 1
         set_search_kernel("python")
         return compiled, call()
 
@@ -530,7 +515,7 @@ class TestOneTierZeroContract:
         # must come back to where one warm cycle left it.
         set_search_kernel("compiled")
         grid = Grid(24, 24)
-        table = LEG_TABLES[name](grid)
+        table = TABLES[name](grid)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
         lanes = [[(x, y) for y in range(24)] for x in range(2, 22, 3)]
 
@@ -563,19 +548,19 @@ class TestOneTierZeroContract:
 @pytest.mark.parametrize("kernel", [
     pytest.param("compiled", marks=needs_compiled), "python"])
 @pytest.mark.parametrize("case_name", sorted(SWAP_CASES))
-@pytest.mark.parametrize("name", sorted(LEG_TABLES))
+@pytest.mark.parametrize("name", sorted(TABLES))
 def test_gated_audits_on_the_swap_cases(name, case_name, kernel):
     """Tier 0 and the rescue ask about a swap only where the departure
     cell is taken at the arrival tick; ``audit_path`` asks at every move.
     On legs whose moves leave such cells all of them agree."""
     case = SWAP_CASES[case_name]
     grid = Grid(7, 3)
-    table = load_swap_case(case, LEG_TABLES[name](grid))
+    table = load_swap_case(case, TABLES[name](grid))
     cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
     chain = cache.packed(case["source"], SWAP_GOAL)
     descent = Path.from_cells(chain.cells, case["start"])
     clean = table.audit_path(descent)
-    assert table.audit_chain(case["start"], chain, len(chain) - 1) == clean
+    assert python_audit(table, case["start"], chain, len(chain) - 1) == clean
     set_search_kernel(kernel)
     for caps, verdict in zip(((0, 0), (4, 8)), case["tier0"]):
         got, path, __ = cache.kernel_leg(
@@ -645,7 +630,7 @@ class TestNativeRescue:
         source, goal = rng.sample(cells, 2)
         t = rng.randint(0, 5)
         chain = cache.packed(source, goal)
-        if chain is None or table.audit_chain(t, chain, len(chain) - 1):
+        if chain is None or python_audit(table, t, chain, len(chain) - 1):
             return None
         return table, cache, chain, source, goal, t
 
@@ -711,7 +696,7 @@ class TestNativeRescue:
             camp(table, rng.choice(chain.cells[1:]), rng.randint(0, 90))
             t = rng.randint(0, 5)
             expected = follow_with_waits(table, chain.cells, t, 64, 64)
-            if not table.audit_chain(t, chain, len(chain) - 1):
+            if not python_audit(table, t, chain, len(chain) - 1):
                 reasons.add(self.check(
                     (table, cache, chain, start, goal, t), (64, 64)))
             for kernel in ("compiled", "python"):
@@ -826,7 +811,7 @@ class TestFusedLegManhattanRegime:
             verdict, path, __ = fused
             verdicts.add(verdict)
             chain = cache.packed(source, goal)
-            if table.audit_chain(t, chain, len(chain.cells) - 1):
+            if python_audit(table, t, chain, len(chain.cells) - 1):
                 assert verdict == 1
                 assert path == Path.from_cells(chain.cells, t)
             else:

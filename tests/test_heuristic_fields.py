@@ -11,8 +11,7 @@ import pytest
 
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import (HeuristicField, HeuristicFieldCache,
-                                          manhattan_heuristic,
-                                          true_distance_heuristic)
+                                          manhattan_heuristic)
 from repro.pathfinding.st_astar import find_path
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
@@ -120,16 +119,6 @@ class TestHeuristics:
         h = manhattan_heuristic((5, 5))
         assert h((5, 5)) == 0
         assert h((0, 0)) == 10
-
-    def test_true_distance_admissible_and_exact(self, blocked_grid):
-        h = true_distance_heuristic(blocked_grid, (6, 0))
-        assert h((6, 0)) == 0
-        assert h((4, 0)) == blocked_grid.bfs_distances((4, 0))[6, 0]
-
-    def test_true_distance_unreachable_is_big(self):
-        grid = Grid(5, 3, blocked=[(2, y) for y in range(3)])
-        h = true_distance_heuristic(grid, (4, 0))
-        assert h((0, 0)) > grid.n_cells
 
     def test_cache_reuses_tables(self, small_grid):
         cache = HeuristicFieldCache(small_grid)

@@ -40,7 +40,6 @@ from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import HeuristicField, HeuristicFieldCache
 from repro.pathfinding.paths import Path, packed_path
-from repro.pathfinding.reservation import ReservationTable
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
@@ -66,11 +65,7 @@ def _restore_kernel():
     set_search_kernel(previous)
 
 
-class GenericProbeCDT(ConflictDetectionTable):
-    """A table outside the library: the base probe spec (``None``), so
-    the python core answers it under either kernel switch."""
-
-    kernel_probe_spec = ReservationTable.kernel_probe_spec
+KERNELS = ["python", pytest.param("compiled", marks=needs_compiled)]
 
 
 TABLES = {
@@ -80,11 +75,7 @@ TABLES = {
     # One-cell tiles: every move changes tile, so the kernel's tile memo
     # is refetched on every probe and every reserved step.
     "cell_tiled_stgraph": lambda grid: ShardedSpatiotemporalGraph(0),
-    "generic": lambda grid: GenericProbeCDT(),
 }
-
-#: The tables the native kernel probes (every one but the generic).
-NATIVE_TABLES = sorted(name for name in TABLES if name != "generic")
 
 
 def crossing_traffic(table, width=18, n=10):
@@ -119,14 +110,13 @@ def assert_same_search(out, stats, ref_out, ref_stats):
 
 def assert_bit_identical(grid, make_table, request, heuristic=None):
     """Equal searches under both switches; the compiled one reaches
-    ``run`` exactly when the table has a probe spec (the python core
-    answers the generic table)."""
+    ``run`` once."""
     py_out, py_stats = run_on("python", grid, make_table, request, heuristic)
     with count_kernel_calls(COMPILED, ["run"]) as calls:
         c_out, c_stats = run_on("compiled", grid, make_table, request,
                                 heuristic)
     assert_same_search(c_out, c_stats, py_out, py_stats)
-    assert calls["run"] == (make_table().kernel_probe_spec() is not None)
+    assert calls["run"] == 1
     return py_out
 
 
@@ -262,6 +252,39 @@ class TestKernelSelection:
         assert outcome.path.steps == ((0, 2, 2),)
 
 
+# -- refused inputs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestSearchRefuses:
+    """Only the library's tables and fields reach either core."""
+
+    def test_callable_heuristic(self, kernel):
+        # A raw callable promises no consistency, which the bucket queue
+        # needs: a typed error under either switch, and no python core
+        # answers it instead.
+        set_search_kernel(kernel)
+        grid = Grid(12, 12)
+        with count_kernel_calls(COMPILED, ["run"]) as calls:
+            with pytest.raises(TypeError, match="HeuristicField"):
+                search(grid, ConflictDetectionTable(),
+                       SearchRequest((0, 0), (11, 11), 0),
+                       heuristic=lambda cell: 0)
+        assert calls["run"] == 0
+
+    def test_foreign_table(self, kernel):
+        # A table that is not the library's: a typed error under either
+        # switch, and no core searches it.
+        set_search_kernel(kernel)
+        table = LegacyConflictDetectionTable()
+        crossing_traffic(table, 12)
+        with count_kernel_calls(COMPILED, ["run"]) as calls:
+            with pytest.raises(TypeError, match="LegacyConflictDetection"):
+                search(Grid(12, 12), table,
+                       SearchRequest((0, 0), (11, 11), 0))
+        assert calls["run"] == 0
+
+
 # -- bit-identity across probe modes and regimes ---------------------------
 
 
@@ -339,18 +362,6 @@ class TestKernelBitIdentity:
                              SearchRequest((0, 0), (17, 12), 0),
                              heuristic=cache.field((17, 12)))
 
-    def test_arbitrary_callable_heuristic_stays_python(self):
-        # A raw callable is outside the kernel's contract: the compiled
-        # selection must decline and fall through to the python core.
-        set_search_kernel("compiled")
-        grid = Grid(12, 12)
-        with count_kernel_calls(COMPILED, ["run"]) as calls:
-            outcome = search(grid, ConflictDetectionTable(),
-                             SearchRequest((0, 0), (11, 11), 0),
-                             heuristic=lambda cell: 0)
-        assert outcome.path is not None
-        assert calls["run"] == 0
-
     def test_cache_finisher_matches(self):
         grid = Grid(18, 13)
         goal = (17, 12)
@@ -391,9 +402,6 @@ class TestKernelBitIdentity:
 
 
 # -- a search owns nothing outside its own call -----------------------------
-
-
-KERNELS = ["python", pytest.param("compiled", marks=needs_compiled)]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -508,7 +516,7 @@ def test_nested_run_equals_the_run_alone(deep):
 @needs_compiled
 @needs_sigusr1
 @pytest.mark.parametrize("deep", [0, 1])
-@pytest.mark.parametrize("table_name", NATIVE_TABLES)
+@pytest.mark.parametrize("table_name", sorted(TABLES))
 def test_handler_that_purges_and_reserves(table_name, deep):
     # A signal handler inside ``run`` purges the store (its key arrays go
     # back and python reuses the memory), reserves far enough ahead to
@@ -647,6 +655,27 @@ def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
 
 
 @needs_compiled
+@pytest.mark.parametrize("h_mode", [1, 2])
+@pytest.mark.parametrize("bad", [-1, 100], ids=["negative", "n_cells"])
+@pytest.mark.parametrize("end", ["source", "goal"])
+@pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+def test_entry_points_refuse_a_cell_off_the_grid(entry, end, bad, h_mode):
+    # A source or goal index off the 10x10 floor is refused before it
+    # indexes a field or the workspace, under either field kind: ``run``
+    # read past the field with a bad source and spent its whole budget
+    # on a bad goal.
+    grid = Grid(10, 10)
+    field = HeuristicField(grid, (9, 9)).flat
+    cells = {"source": grid.cell_index((2, 2)), "goal": 99, end: bad}
+    head = (grid.kernel_capsule(COMPILED), COMPILED.store_new(None, -1, 0, 0),
+            h_mode, (9, 9) if h_mode == 1 and entry == "run" else field,
+            cells["source"], cells["goal"], 0)
+    tail = (200_000, 0, 0, 0, 0) if entry == "run" else (0, 0, 0)
+    with pytest.raises(IndexError, match="cell outside grid"):
+        getattr(COMPILED, entry)(*head, *tail)
+
+
+@needs_compiled
 class TestRunHandsBackOneBuffer:
     """``run`` returns the leg as one checked ``array('q')`` of keys."""
 
@@ -715,7 +744,7 @@ class TestRunHandsBackOneBuffer:
         (4, 4, 200_000, True),   # the finisher walked the tail
         (0, 4, 200_000, False),  # every walk declined
     ])
-    @pytest.mark.parametrize("table_name", NATIVE_TABLES)
+    @pytest.mark.parametrize("table_name", sorted(TABLES))
     def test_every_status_retains_nothing(self, status, trigger, budget,
                                           walks, table_name):
         # every table's store: whatever the search allocates goes back
@@ -896,10 +925,9 @@ def test_property_compiled_matches_python(seed):
 
     try:
         comp, c_stats = run("compiled")
-        # The compiled core reads the capsule: no python row exists yet
-        # (the python core answers the generic table), and the rows the
-        # python core then builds are the contract's.
-        assert not grid.adjacency or table_factory == "generic"
+        # The compiled core reads the capsule: no python row exists yet,
+        # and the rows the python core then builds are the contract's.
+        assert not grid.adjacency
         py, py_stats = run("python")
     finally:
         set_search_kernel("auto")
@@ -926,8 +954,6 @@ def test_property_finisher_walks_match(seed, trigger):
     # the kernel serves, the path, the counters and the cells the walks
     # started from, in order, are the same.
     grid, paths, request, table_name, heuristic = _random_problem(seed)
-    if table_name == "generic":
-        table_name = "cdt"
     request = dataclasses.replace(request, finisher_trigger=trigger)
 
     def run(kernel):

@@ -25,7 +25,8 @@ from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import SearchRequest, find_path, search
+from repro.pathfinding.st_astar import (SearchRequest, find_path, search,
+                                        search_kernel_name, set_search_kernel)
 from repro.planners import EfficientAdaptiveTaskPlanner, NaiveTaskPlanner
 from repro.types import manhattan
 from repro.warehouse.entities import Item
@@ -33,6 +34,7 @@ from repro.warehouse.grid import Grid
 from repro.warehouse.knn import StaticRackKNN
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
+from tests.conftest import python_audit
 
 GRID = Grid(64, 40)
 SOURCE, GOAL = (0, 0), (60, 35)
@@ -237,16 +239,20 @@ def test_free_flow_kernel_leg():
     assert starts == ()
     chain = cache.packed(SOURCE, GOAL)
     clean = table.audit_path(Path.from_cells(chain.cells, 0))
-    assert table.audit_chain(0, chain, len(chain) - 1) == clean
+    assert python_audit(table, 0, chain, len(chain) - 1) == clean
     if clean:
         assert verdict == 1
         assert path.spatial_cells() == list(chain.cells)
     else:
         assert (verdict, path) == (3, None)
-    # Both kernels answer the same leg.
-    flat = HeuristicFieldCache(GRID).field(GOAL).flat
-    assert cache._python_leg(table, flat, 0, SOURCE, GOAL, 0,
-                             (0, 0)) == (verdict, path, starts)
+    # Both switches answer the same leg.
+    previous = search_kernel_name()
+    set_search_kernel("python")
+    try:
+        assert cache.kernel_leg(table, 0, SOURCE, GOAL) == (verdict, path,
+                                                            starts)
+    finally:
+        set_search_kernel(previous)
 
 
 def test_heuristic_field_build():
@@ -269,8 +275,9 @@ def test_cdt_purge():
     table.purge_before(400)
     vertices, _ = occupancy(paths)
     live = {(t, cell) for t, cell in vertices if t >= 400}
-    assert table.n_reservations == len(live)
-    assert table.n_ticks_live == len({t for t, _ in live})
+    counts = table.live_counts()
+    assert counts["reservations"] == len(live)
+    assert counts["ticks_live"] == len({t for t, _ in live})
     assert table.recount() == table.live_counts()
     assert all(not table.is_free(t, cell) for t, cell in live)
     assert all(table.is_free(t, cell) for t, cell in vertices if t < 400)
@@ -282,7 +289,7 @@ def test_stgraph_purge():
     table.purge_before(150)
     vertices, _ = occupancy(paths)
     live = {(t, cell) for t, cell in vertices if t >= 150}
-    assert table.n_layers == len({t for t, _ in live})
+    assert table.live_counts()["layers"] == len({t for t, _ in live})
     assert table.recount() == table.live_counts()
     assert all(not table.is_free(t, cell) for t, cell in live)
 

@@ -4,8 +4,10 @@ The packed rewrite is a pure mechanical-sympathy change: same expansion
 order, same tie breaking, same answers.  These tests pin that down against
 the verbatim seed implementations kept in ``repro.pathfinding._legacy`` —
 on open floors the paths must be bit-identical (Manhattan equals the exact
-field there), and on obstructed floors the lengths must match (the exact
-field reorders expansions but cannot change optimal cost).
+field there), on obstructed floors the lengths must match (the exact
+field reorders expansions but cannot change optimal cost), and handed the
+same exact field as its callable the seed's core must expand exactly as
+the search does.
 """
 
 import random
@@ -105,12 +107,12 @@ class TestSearchEquivalence:
         assert default.steps == fielded.steps
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_inconsistent_callable_heuristic_matches_seed(self, kernel, seed):
-        # A state is (layer, cell) and every action costs one tick, so its
-        # g is its layer and its first push is its only one — also under
-        # a heuristic that zeroes cells at random (admissible, nowhere
-        # near consistent), the case only the python core takes.  No
-        # g-score table is needed to agree with the seed's closed set.
+    def test_exact_field_matches_seed(self, kernel, seed):
+        # Over random traffic on open and walled floors, the search with
+        # the goal's exact field equals the seed's core handed the same
+        # field as its callable heuristic: path, expansions, generated
+        # and peak open — the expansion order itself, not just the
+        # duration the obstructed-floor test checks.
         rng = random.Random(seed)
         grid = OPEN_GRID if seed % 2 else WALLED_GRID
         paths = random_paths(grid, rng, n=12)
@@ -119,18 +121,13 @@ class TestSearchEquivalence:
             new_table.reserve_path(path)
             old_table.reserve_path(path)
         source, goal = ENDPOINTS[seed % len(ENDPOINTS)]
-        holes = {(x, y) for x in range(grid.width) for y in range(grid.height)
-                 if rng.random() < 0.4}
-
-        def ragged(cell):
-            return 0 if cell in holes else (abs(cell[0] - goal[0])
-                                            + abs(cell[1] - goal[1]))
+        field = HeuristicFieldCache(grid).field(goal)
 
         new_stats, old_stats = SearchStats(), SearchStats()
-        ours = find_path(grid, new_table, source, goal, 3, heuristic=ragged,
+        ours = find_path(grid, new_table, source, goal, 3, heuristic=field,
                          stats=new_stats)
         seed_path = legacy_find_path(grid, old_table, source, goal, 3,
-                                     heuristic=ragged, stats=old_stats)
+                                     heuristic=field, stats=old_stats)
         assert ours.steps == seed_path.steps
         assert new_stats.expansions == old_stats.expansions
         assert new_stats.generated == old_stats.generated
@@ -189,25 +186,31 @@ class TestReservationEquivalence:
             # The dense layers the seed allocates are what the graph's
             # accounting rule counts, also across purges and reserves
             # that start below the floor.
-            assert new.n_layers == old.n_layers > 0
+            assert new.live_counts()["layers"] == old.n_layers > 0
             for floor in (5, 17, 17, 40, 10 ** 6):
                 new.purge_before(floor)
                 old.purge_before(floor)
-                assert new.n_layers == old.n_layers, floor
+                assert new.live_counts()["layers"] == old.n_layers, floor
                 for path in random_paths(OPEN_GRID, rng, n=3):
                     new.reserve_path(path)
                     old.reserve_path(path)
-                assert new.n_layers == old.n_layers, floor
+                assert new.live_counts()["layers"] == old.n_layers, floor
             return
-        assert new.n_reservations == old.n_reservations
-        assert new.n_cells_touched == old.n_cells_touched
-        assert new.n_ticks_live > 0
+        assert new.live_counts()["reservations"] == old.n_reservations
+        assert cells_touched(new) == old.n_cells_touched
+        assert new.live_counts()["ticks_live"] > 0
         new.purge_before(20)
         old.purge_before(20)
-        assert new.n_reservations == old.n_reservations
-        assert new.n_cells_touched == old.n_cells_touched
+        assert new.live_counts()["reservations"] == old.n_reservations
+        assert cells_touched(new) == old.n_cells_touched
         new.purge_before(10 ** 6)
-        assert new.n_ticks_live == 0
+        assert new.live_counts()["ticks_live"] == 0
+
+
+def cells_touched(table):
+    """Cells with at least one live reservation, read off the python
+    layout the table's pickle carries."""
+    return len(set().union(*table.__getstate__()["_buckets"].values()))
 
 
 class TestEndToEndEquivalence:

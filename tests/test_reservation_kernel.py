@@ -15,7 +15,9 @@ with the extension never built.  Which kernel a run reaches is pinned
 once, for every plane, by ``test_kernel::test_one_switch_routes_every_plane``.
 """
 
+import base64
 import copy
+import pickle
 import random
 from array import array
 
@@ -23,9 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 
+from repro.errors import ConfigurationError
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.paths import Path, packed_path
+from repro.pathfinding.reservation import PackedChain
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
@@ -333,6 +337,23 @@ def test_tables_hand_the_kernel_their_store(kernel):
         assert len({id(spec) for spec in specs}) == len(TABLES)
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_python_walkers_refuse_the_store(name):
+    # The python core and ``audit_chain`` read the buckets, which only
+    # the python switch's layout holds: under the compiled switch they
+    # refuse with a typed error, and under the python one they read them.
+    table = TABLES[name]()
+    table.reserve_path(Path.from_cells(LANE, 3))
+    chain = PackedChain(tuple(LANE), [(x << 16) | y for x, y in LANE])
+    if COMPILED is not None:
+        set_search_kernel("compiled")
+        with pytest.raises(ConfigurationError, match="python layout"):
+            table.audit_chain(3, chain, len(LANE) - 1)
+    set_search_kernel("python")
+    assert not table.audit_chain(3, chain, len(LANE) - 1)
+    assert table.audit_chain(3 + len(LANE), chain, len(LANE) - 1)
+
+
 #: Ticks from here up overflowed the retired numpy audit index's packing.
 HIGH_TICK = 1 << 28
 
@@ -454,7 +475,7 @@ def test_property_counts_match_live_reservations(name, kernel, seed):
             assert counts["layers"] == (max(ticks) - floor + 1 if live
                                         else 0)
         else:
-            bits = table.tile_bits
+            bits = 2 if name == "sharded-stgraph" else 0
             assert counts["tile_layers"] == len(
                 {(t, x >> bits, y >> bits) for t, (x, y) in live})
             assert counts["layers"] == len(ticks)
@@ -533,7 +554,7 @@ class TestPlannerAccounting:
         assert table._floor > 0
         assert table.live_counts() == table.recount()
 
-    def test_memory_cache_tracks_mutations(self):
+    def test_memory_bytes_tracks_mutations(self):
         set_search_kernel("python")
         scenario = make_mini(n_items=8)
         state, items = scenario.build()
@@ -542,8 +563,8 @@ class TestPlannerAccounting:
             Simulation(state, planner, items).run()
         finally:
             planner.close()
-        # The cached aggregate must equal a fresh recompute, and keep
-        # tracking after further mutations.
+        # The planner's sample is the table's bytes plus the extras, and
+        # keeps tracking after further mutations.
         assert planner.memory_bytes() == (
             planner.reservation.memory_bytes()
             + planner._extra_memory_bytes())
@@ -566,3 +587,146 @@ class TestPlannerAccounting:
         assert result.metrics.peak_memory_bytes == planner.peak_memory_bytes
         assert planner.peak_memory_bytes >= max(
             s.memory_bytes for s in result.metrics.checkpoints)
+
+
+# -- each rule's accounting, frozen ----------------------------------------
+
+#: One fixed reserve-and-purge tape: ``(op, start tick or purge floor,
+#: cells)``.  It waits, crosses tiles of every size tested, reserves
+#: below a floor and purges twice.
+RULE_TAPE = (
+    ("reserve", 2, ((0, 0), (1, 0), (2, 0), (2, 1), (2, 1), (3, 1))),
+    ("reserve", 0, ((9, 9), (9, 8), (8, 8), (8, 7), (7, 7), (7, 6), (6, 6))),
+    ("reserve", 6, ((5, 5), (5, 5), (5, 5), (5, 4), (4, 4))),
+    ("reserve", 12, ((11, 0), (10, 0), (9, 0), (8, 0))),
+    ("purge", 4, None),
+    ("reserve", 8, ((3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (9, 1))),
+    ("reserve", 2, ((0, 9), (1, 9), (1, 8), (2, 8), (3, 8))),
+    ("purge", 9, None),
+)
+
+#: Tape positions after which the counts are read.
+RULE_SNAPSHOTS = (3, 4, 7)
+
+RULE_TABLES = {
+    "cdt": lambda: ConflictDetectionTable(),
+    "stgraph": lambda: SpatiotemporalGraph(Grid(WIDTH, HEIGHT)),
+    "tiled-0": lambda: ShardedSpatiotemporalGraph(tile_bits=0),
+    "tiled-3": lambda: ShardedSpatiotemporalGraph(tile_bits=3),
+}
+
+#: ``live_counts()`` at each snapshot, recorded before the three table
+#: classes were folded into one rule-as-data class.
+RECORDED_RULE_COUNTS = {
+    "cdt": [
+        {"reservations": 22, "ticks_live": 15, "edges": 15,
+         "edge_ticks": 12, "memory_bytes": 4600},
+        {"reservations": 16, "ticks_live": 11, "edges": 9,
+         "edge_ticks": 8, "memory_bytes": 3152},
+        {"reservations": 12, "ticks_live": 7, "edges": 9,
+         "edge_ticks": 6, "memory_bytes": 2496}],
+    "stgraph": [
+        {"layers": 16, "edges": 15, "edge_ticks": 12, "memory_bytes": 4252},
+        {"layers": 12, "edges": 9, "edge_ticks": 8, "memory_bytes": 2916},
+        {"layers": 7, "edges": 9, "edge_ticks": 6, "memory_bytes": 2188}],
+    "tiled-0": [
+        {"layers": 15, "tile_layers": 22, "edges": 15, "edge_ticks": 12,
+         "memory_bytes": 2354},
+        {"layers": 11, "tile_layers": 16, "edges": 9, "edge_ticks": 8,
+         "memory_bytes": 1492},
+        {"layers": 7, "tile_layers": 12, "edges": 9, "edge_ticks": 6,
+         "memory_bytes": 1360}],
+    "tiled-3": [
+        {"layers": 15, "tile_layers": 17, "edges": 15, "edge_ticks": 12,
+         "memory_bytes": 3420},
+        {"layers": 11, "tile_layers": 11, "edges": 9, "edge_ticks": 8,
+         "memory_bytes": 2180},
+        {"layers": 7, "tile_layers": 8, "edges": 9, "edge_ticks": 6,
+         "memory_bytes": 1860}],
+}
+
+#: A ``SpatiotemporalGraph(Grid(12, 10))`` and a
+#: ``ShardedSpatiotemporalGraph(3)`` holding the tape up to its first
+#: purge, pickled (protocol 4, python switch) by the build with one class
+#: per table.
+PICKLED_BEFORE_THE_FOLD = {
+    "stgraph": (
+        "gASV+wEAAAAAAACMJnJlcHJvLnBhdGhmaW5kaW5nLnNwYXRpb3RlbXBvcmFsX2dyYXBo"
+        "lIwTU3BhdGlvdGVtcG9yYWxHcmFwaJSTlCmBlH2UKIwFX2dyaWSUjBRyZXByby53YXJl"
+        "aG91c2UuZ3JpZJSMBEdyaWSUk5RLDEsKKYeUUpSMDm11dGF0aW9uX3N0YW1wlEsFjAhf"
+        "YnVja2V0c5R9lChLBI+UKEoAAAIASgcABwCQSwWPlChKAQACAEoGAAcAkEsGj5QoSgEA"
+        "AgBKBQAFAEoGAAYAkEsHj5QoSgEAAwBKBQAFAJBLCI+UKEoFAAUAkEsJj5QoSgQABQCQ"
+        "SwqPlChKBAAEAJBLDI+UKEoAAAsAkEsNj5QoSgAACgCQSw6PlChKAAAJAJBLD4+UKEoA"
+        "AAgAkHWMBl9mbG9vcpRLBIwKX25fZW50cmllc5RLEIwNX2VkZ2VfYnVja2V0c5R9lChL"
+        "BI+UKIoHAQACAAAAAooHBgAHAAcAB5BLBo+UKIoHAQADAAEAApBLBY+UKIoHBgAGAAYA"
+        "B5BLCI+UKIoHBAAFAAUABZBLCY+UKIoHBAAEAAQABZBLDI+UKIoHAAAKAAAAC5BLDY+U"
+        "KIoHAAAJAAAACpBLDo+UKIoHAAAIAAAACZB1jAtfZWRnZV9mbG9vcpRLBIwIX25fZWRn"
+        "ZXOUSwl1Yi4="),
+    "tiled-3": (
+        "gASVYQIAAAAAAACMJnJlcHJvLnBhdGhmaW5kaW5nLnNwYXRpb3RlbXBvcmFsX2dyYXBo"
+        "lIwaU2hhcmRlZFNwYXRpb3RlbXBvcmFsR3JhcGiUk5QpgZR9lCiMCl90aWxlX2JpdHOU"
+        "SwOMC190aWxlX2NlbGxzlEtAjA5tdXRhdGlvbl9zdGFtcJRLBYwIX2J1Y2tldHOUfZQo"
+        "SwSPlChKAAACAEoHAAcAkEsFj5QoSgEAAgBKBgAHAJBLBo+UKEoBAAIASgUABQBKBgAG"
+        "AJBLB4+UKEoBAAMASgUABQCQSwiPlChKBQAFAJBLCY+UKEoEAAUAkEsKj5QoSgQABACQ"
+        "SwyPlChKAAALAJBLDY+UKEoAAAoAkEsOj5QoSgAACQCQSw+PlChKAAAIAJB1jAZfZmxv"
+        "b3KUSwSMCl9uX2VudHJpZXOUSxCMDV9lZGdlX2J1Y2tldHOUfZQoSwSPlCiKBwEAAgAA"
+        "AAKKBwYABwAHAAeQSwaPlCiKBwEAAwABAAKQSwWPlCiKBwYABgAGAAeQSwiPlCiKBwQA"
+        "BQAFAAWQSwmPlCiKBwQABAAEAAWQSwyPlCiKBwAACgAAAAuQSw2PlCiKBwAACQAAAAqQ"
+        "Sw6PlCiKBwAACAAAAAmQdYwLX2VkZ2VfZmxvb3KUSwSMCF9uX2VkZ2VzlEsJjAZfdGls"
+        "ZXOUfZQoSwSPlChLAJBLBY+UKEsAkEsGj5QoSwCQSwePlChLAJBLCI+UKEsAkEsJj5Qo"
+        "SwCQSwqPlChLAJBLDI+UKEoAAAEAkEsNj5QoSgAAAQCQSw6PlChKAAABAJBLD4+UKEoA"
+        "AAEAkHV1Yi4="),
+}
+
+
+def play_rule_tape(table, ops):
+    """Apply ``ops`` (a slice of :data:`RULE_TAPE`) to ``table``."""
+    for op, arg, cells in ops:
+        if op == "reserve":
+            table.reserve_path(Path.from_cells(list(cells), arg))
+        else:
+            table.purge_before(arg)
+
+
+def all_probes(table):
+    """Every vertex and move probe over the tape's ticks and floor."""
+    cells = [(x, y) for x in range(WIDTH) for y in range(HEIGHT)]
+    return ([table.is_free(t, cell) for t in range(22) for cell in cells],
+            [table.move_allowed(t, cell, (cell[0] + 1, cell[1]))
+             for t in range(21) for cell in cells])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestRecordedRuleAccounting:
+    """Each rule's counts on one fixed tape, frozen from the build with
+    one class per table: the fold into one class must charge alike."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_TABLES))
+    def test_tape(self, kernel, name):
+        set_search_kernel(kernel)
+        table = RULE_TABLES[name]()
+        seen = []
+        for i, op in enumerate(RULE_TAPE):
+            play_rule_tape(table, [op])
+            if i in RULE_SNAPSHOTS:
+                counts = table.live_counts()
+                assert table.recount() == counts
+                assert table.memory_bytes() == counts["memory_bytes"]
+                seen.append(counts)
+        assert seen == RECORDED_RULE_COUNTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PICKLED_BEFORE_THE_FOLD))
+    def test_pickle_from_before_the_fold_loads(self, kernel, name):
+        # The older build's pickle restores into this build's class with
+        # its rule: equal probes and counts, then and after more traffic.
+        set_search_kernel(kernel)
+        table = pickle.loads(base64.b64decode(PICKLED_BEFORE_THE_FOLD[name]))
+        twin = RULE_TABLES[name]()
+        play_rule_tape(twin, RULE_TAPE[:5])
+        assert all_probes(table) == all_probes(twin)
+        assert table.live_counts() == RECORDED_RULE_COUNTS[name][1]
+        play_rule_tape(table, RULE_TAPE[5:])
+        play_rule_tape(twin, RULE_TAPE[5:])
+        assert all_probes(table) == all_probes(twin)
+        assert table.live_counts() == RECORDED_RULE_COUNTS[name][2]
+        assert table.recount() == RECORDED_RULE_COUNTS[name][2]

@@ -133,13 +133,14 @@ class TestMemoryShape:
         graph = SpatiotemporalGraph(grid)
         reserve(graph, [(0, 0), (1, 0)], t0=50)
         # A literal time-expanded graph has every layer up to t=51.
-        assert graph.n_layers >= 51
+        assert graph.live_counts()["layers"] >= 51
 
     def test_cdt_stores_only_occupied(self):
         cdt = ConflictDetectionTable()
         reserve(cdt, [(0, 0), (1, 0)], t0=50)
-        assert cdt.n_reservations == 2
-        assert cdt.n_cells_touched == 2
+        assert cdt.live_counts()["reservations"] == 2
+        assert len(set().union(
+            *cdt.__getstate__()["_buckets"].values())) == 2  # cells
 
     def test_cdt_smaller_than_stgraph_at_scale(self):
         grid = Grid(60, 40)

@@ -1,9 +1,9 @@
 """Property suite: the tiled ST graph == the global ST graph.
 
 The tiled variant (graph layers partitioned into fixed spatial tiles) is
-a pure performance reshape behind the ``ReservationTable`` interface —
-every probe, audit, reserve and purge must answer exactly what the
-global structure answers.  These tests pin that equivalence on
+another accounting rule of the one ``ReservationTable`` class — every
+probe, audit, reserve and purge must answer exactly what the global
+structure answers.  These tests pin that equivalence on
 randomized cross-tile traffic, including the nasty cases: swap conflicts
 whose two cells straddle a tile edge, and purges interleaved with audits.
 """
@@ -17,6 +17,7 @@ from repro.pathfinding.reservation import CELL_KEY_SHIFT, PackedChain
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
 from repro.warehouse.grid import Grid
+from tests.conftest import python_audit
 
 #: Grid spanning a 3×3 block of the tiled graph's default 32×32 tiles,
 #: so random staircases routinely cross tile boundaries.
@@ -79,9 +80,9 @@ class TestRandomizedEquivalence:
             # The packed chain audit is the reference walk on a chain.
             probe = chain_of(cells)
             assert (verdicts[0]
-                    == table_global.audit_chain(t0, probe, len(cells) - 1)
-                    == table_sharded.audit_chain(t0, probe,
-                                                 len(cells) - 1)), (
+                    == python_audit(table_global, t0, probe, len(cells) - 1)
+                    == python_audit(table_sharded, t0, probe,
+                                    len(cells) - 1)), (
                 f"audit_chain diverged on round {round_no}")
             if verdicts[0]:
                 table_global.reserve_path(path)
