@@ -72,8 +72,7 @@ class ShortestPathCache:
         return len(self._paths)
 
     def memory_bytes(self) -> int:
-        """Approximate footprint (for the MC metric); O(1), because the
-        simulation engine charges it on every processed event."""
+        """Approximate footprint (for the MC metric); O(1)."""
         return 64 + 150 * len(self._paths) + 4 * self._cells
 
     def live_counts(self) -> Dict[str, int]:

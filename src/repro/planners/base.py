@@ -117,8 +117,9 @@ class Planner(abc.ABC):
     #: both search tiers, which record their walks in it.
     cache: Optional[ShortestPathCache] = None
 
-    #: High-water mark of :meth:`memory_bytes`, maintained at every leg
-    #: commit (the only operation that grows the structures).
+    #: High-water mark of :meth:`memory_bytes` read just before each
+    #: purge in :meth:`advance` (the only operation that shrinks the
+    #: structures).
     _peak_memory: int = 0
 
     def __init__(self, state: WarehouseState,
@@ -212,17 +213,12 @@ class Planner(abc.ABC):
 
     # -- the public planning API -----------------------------------------------
 
-    def plan(self, t: Tick, state: Optional[WarehouseState] = None) -> PlanningScheme:
-        """Emit ``U_t``: selection step then path-finding step.
-
-        ``state`` defaults to the planner's bound state; passing it
-        explicitly exists for tests that drive a planner standalone.
-        """
-        world = state if state is not None else self.state
+    def plan(self, t: Tick) -> PlanningScheme:
+        """Emit ``U_t``: selection step then path-finding step."""
         scheme = PlanningScheme(timestamp=t)
 
-        robots = world.idle_robots()
-        racks = world.selectable_racks()
+        robots = self.state.idle_robots()
+        racks = self.state.selectable_racks()
         if not robots or not racks:
             return scheme
 
@@ -252,14 +248,6 @@ class Planner(abc.ABC):
                                                  rack.home)))
         self.stats.schemes_emitted += 1
         self.stats.assignments_emitted += len(scheme)
-        # End-of-wake high-water update: a selection can grow subclass
-        # structures (ATP's Q-table) even when it commits no leg, so the
-        # commit-time peak tracking alone would miss it.  O(1): the
-        # table's bytes are arithmetic over its four store counts and the
-        # extras hooks are all constant-time.
-        memory = self.memory_bytes()
-        if memory > self._peak_memory:
-            self._peak_memory = memory
         return scheme
 
     def plan_leg(self, t: Tick, source: Cell, goal: Cell) -> Path:
@@ -317,6 +305,7 @@ class Planner(abc.ABC):
             return
         floor = last_cadence - self.config.reservation_horizon
         if floor > 0:
+            self._peak_memory = max(self._peak_memory, self.memory_bytes())
             self.reservation.purge_before(floor)
 
     def memory_bytes(self) -> int:
@@ -327,13 +316,15 @@ class Planner(abc.ABC):
 
     @property
     def peak_memory_bytes(self) -> int:
-        """High-water mark of :meth:`memory_bytes` across all commits.
+        """High-water mark of :meth:`memory_bytes` across every commit
+        and wake so far.
 
-        Maintained inside :meth:`_commit_leg`; the engine folds it into
-        the run's recorded peak so checkpoint-boundary memory sampling
-        (instead of per-event) cannot under-report the maximum.
+        Only a purge shrinks a charged structure; between purges reserves,
+        Q-table rows and cache pairs only add and the KNN index is static.
+        So the peak is the largest value read just before a purge, or the
+        current value.  The engine folds it into the run's recorded peak.
         """
-        return self._peak_memory
+        return max(self._peak_memory, self.memory_bytes())
 
     def _extra_memory_bytes(self) -> int:
         """Subclass hook for additional structures (cache, Q-table, KNN).
@@ -378,9 +369,6 @@ class Planner(abc.ABC):
         for search_stats in leg.search_stats:
             self._absorb_search_stats(search_stats)
         self.reservation.reserve_path(leg.commit_path)
-        memory = self.memory_bytes()
-        if memory > self._peak_memory:
-            self._peak_memory = memory
         self.stats.legs_planned += 1
         if leg.tier == TIER_FREE_FLOW:
             self.stats.legs_free_flow += 1

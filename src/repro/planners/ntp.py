@@ -26,6 +26,5 @@ class NaiveTaskPlanner(Planner):
 
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
-        # The per-picker index of the world ``racks`` (never empty) came from.
-        return most_slack_first(racks[0]._world.selectable_by_picker(),
+        return most_slack_first(self.state.selectable_by_picker(),
                                 len(robots), self.picker_finish_time)

@@ -110,16 +110,13 @@ class LegacySimulation:
             if rack.phase is not RackPhase.STORED or not rack.has_pending:
                 raise SimulationError(
                     f"planner selected unavailable rack {rack.rack_id}")
-            batch = rack.take_batch()
+            batch = self.state.dispatch(robot, rack)
             if self.config.collect_paths:
                 self._paths.append(assignment.pickup_path)
                 self._path_owners.append(robot.robot_id)
             mission = Mission(robot_id=robot.robot_id, rack_id=rack.rack_id,
                               batch=batch, path=assignment.pickup_path,
                               dispatched_at=t, stage_entered_at=t)
-            rack.phase = RackPhase.IN_TRANSIT
-            robot.state = RobotState.TO_RACK
-            robot.rack_id = rack.rack_id
             self._active[robot.robot_id] = mission
             self._mission_of_rack[rack.rack_id] = mission
             self._batch_time_of[rack.rack_id] = mission.batch_processing_time
@@ -182,11 +179,7 @@ class LegacySimulation:
                          self._batch_time_of[rack.rack_id])
         elif mission.stage is MissionStage.RETURNING:
             mission.enter(MissionStage.DONE, now)
-            robot.state = RobotState.IDLE
-            robot.rack_id = None
-            robot.location = rack.home
-            rack.phase = RackPhase.STORED
-            rack.last_return = now
+            self.state.return_home(robot, rack, now)
             self._last_return = max(self._last_return, now)
             del self._active[mission.robot_id]
             del self._mission_of_rack[mission.rack_id]

@@ -406,14 +406,11 @@ class Simulation:
             if rack.phase is not RackPhase.STORED or not rack.has_pending:
                 raise SimulationError(
                     f"planner selected unavailable rack {rack.rack_id}")
-            batch = rack.take_batch()
+            batch = self.state.dispatch(robot, rack)
             self._record_path(robot.robot_id, assignment.pickup_path)
             mission = Mission(robot_id=robot.robot_id, rack_id=rack.rack_id,
                               batch=batch, path=assignment.pickup_path,
                               dispatched_at=t, stage_entered_at=t)
-            rack.phase = RackPhase.IN_TRANSIT
-            robot.state = RobotState.TO_RACK
-            robot.rack_id = rack.rack_id
             self._active[robot.robot_id] = mission
             self._mission_of_rack[rack.rack_id] = mission
             self._batch_time_of[rack.rack_id] = mission.batch_processing_time
@@ -508,11 +505,7 @@ class Simulation:
             heappush(self._picker_events, (tick, picker.picker_id))
         elif mission.stage is MissionStage.RETURNING:
             mission.enter(MissionStage.DONE, now)
-            robot.state = RobotState.IDLE
-            robot.rack_id = None
-            robot.location = rack.home
-            rack.phase = RackPhase.STORED
-            rack.last_return = now
+            self.state.return_home(robot, rack, now)
             self._last_return = max(self._last_return, now)
             self._n_transporting -= 1
             robot.busy_ticks += (now - 1) - self._busy_since.pop(robot.robot_id)
@@ -574,26 +567,13 @@ class Simulation:
 
     # -- stage 5: accounting ------------------------------------------------------------
 
-    #: Whether :meth:`_account` has sampled the opening footprint (class
-    #: default so checkpoints pickled before the attribute existed
-    #: restore cleanly — they re-sample a live value, which is a no-op
-    #: for the peak).
-    _accounted = False
-
     def _account(self, t: Tick) -> None:
-        # Memory is no longer sampled at every event: the planner tracks
-        # its own high-water mark at each leg commit and wake (the only
-        # operations that grow the structures), and `_result` folds that
-        # peak into the recorder.  The per-event sample here reduces to
-        # one opening-footprint reading — the only value a commit-driven
-        # peak cannot see on a run that never commits a leg — plus the
-        # checkpoint-boundary sample the Fig. 12 series is built from,
-        # which reads the exact end-of-event value the per-event sampling
-        # recorded (memory only changes at commits and purges, and both
-        # precede this hook within the event).
-        if not self._accounted:
-            self._recorder.note_memory(self.planner.memory_bytes())
-            self._accounted = True
+        # Memory is sampled here only at checkpoint boundaries, for the
+        # Fig. 12 series: the planner keeps its own high-water mark (see
+        # ``Planner.peak_memory_bytes``), which `_result` folds into the
+        # recorder.  The boundary sample reads the exact end-of-event
+        # value, since the event's commits and the span's purge run
+        # before and after this hook respectively.
         if self._recorder.would_checkpoint():
             self._flush_busy_counters(t)
             elapsed = t + 1
@@ -632,9 +612,8 @@ class Simulation:
             raise SimulationError(
                 f"drained run ended at tick {final_tick} but the last rack "
                 f"returned at {makespan} — elapsed-time accounting bug")
-        # Fold the planner's commit-time high-water mark into the
-        # recorder's peak: with per-event sampling gone, the recorder has
-        # only seen the opening footprint and the checkpoint boundaries.
+        # Fold the planner's high-water mark into the recorder's peak,
+        # which has seen only the checkpoint boundaries.
         self._recorder.note_memory(self.planner.peak_memory_bytes)
         # The same denominator rule the checkpoints use (elapsed ticks at
         # sample time, here the full run), so the final PPR/RWR and a

@@ -167,11 +167,11 @@ class MetricsRecorder:
         """Fold one memory sample into the running peak.
 
         Peak tracking is decoupled from checkpoint emission: the
-        event-driven engine feeds one opening-footprint sample, the
-        checkpoint-boundary values, and — at result assembly — the
-        planner's own commit-time high-water mark
-        (``Planner.peak_memory_bytes``), which is where the per-event
-        memory sweep of earlier engine generations moved.
+        event-driven engine feeds the checkpoint-boundary values and — at
+        result assembly — the planner's own high-water mark
+        (``Planner.peak_memory_bytes``, read before every purge), which is
+        where the per-event memory sweep of earlier engine generations
+        moved.
         """
         if memory_bytes > self.peak_memory:
             self.peak_memory = memory_bytes

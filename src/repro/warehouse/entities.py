@@ -8,16 +8,17 @@ Identity conventions: every entity carries a small integer id unique within
 its kind.  Planners key their bookkeeping on those ids, never on object
 identity, so states can be snapshotted and compared in tests.
 
-A rack or robot owned by a :class:`~repro.warehouse.state.WarehouseState`
-reports every write of the fields its indices are derived from
-(``Rack.phase`` / ``Rack.pending_items``, ``Robot.state``) through a
-``__setattr__`` hook, so plain attribute assignment — by either engine or
-by a test — keeps ``idle_robots()`` / ``selectable_racks()`` current.  The
-same hook keeps a rack's two batch facts (``pending_processing_time``,
-``oldest_arrival``) equal to its ``pending_items``.  The one write the hook
-cannot see is an in-place ``pending_items.append``: it leaves the index
-*and* both facts stale; use
-:meth:`~repro.warehouse.state.WarehouseState.deliver_item` for that.
+The entities know nothing of the indexes derived from them.  Only three
+events change whether a robot is idle or a rack selectable — an item
+arrives, a robot is dispatched for a rack, a robot sets a rack down at
+home — and :class:`~repro.warehouse.state.WarehouseState` performs each
+one (``deliver_item``, ``dispatch``, ``return_home``), re-filing what it
+changed.  A plain write of ``Rack.phase`` / ``Rack.pending_items`` or
+``Robot.state`` outside those transitions leaves the indexes stale, and
+``WarehouseState.check_invariants`` reports it.  A rack's two batch facts
+(``pending_processing_time``, ``oldest_arrival``) are derived at
+construction and restore, reset by ``take_batch`` and advanced by
+``deliver_item``.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ class Rack:
     but are not yet part of a dispatched batch.
 
     ``pending_processing_time`` (Σ_{i∈τ_r} i) and ``oldest_arrival`` (LEF's
-    key; None when τ_r is empty) are plain attributes, kept by the write
-    hook and by ``WarehouseState.deliver_item`` in O(1).
+    key; None when τ_r is empty) are plain attributes, derived from
+    ``pending_items`` at construction and kept by :meth:`take_batch` and
+    ``WarehouseState.deliver_item`` in O(1).
     """
 
     rack_id: int
@@ -96,35 +98,23 @@ class Rack:
     accumulated_processing: int = 0
     #: Tick at which the rack last returned home (f_r bookkeeping).
     last_return: Tick = 0
-    #: The ``WarehouseState`` indexing this rack (None when free-standing);
-    #: unannotated, so not a dataclass field.
-    _world = None
 
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name == "pending_items":
-            self._recount()
-        if ((name == "phase" or name == "pending_items")
-                and self._world is not None):
-            self._world._rack_changed(self)
+    def __post_init__(self) -> None:
+        self._recount()
 
     def __setstate__(self, state: dict) -> None:
-        # Attribute by attribute (see _recount); checkpoints written before
-        # the facts were kept carry none.
+        # Attribute by attribute: filling ``self.__dict__`` turns the
+        # instance's inline attribute values into a real dict, and every
+        # later ``rack.<attr>`` read takes the slow path.  Checkpoints
+        # written before the batch facts were kept carry none.
         for name, value in state.items():
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
         self._recount()
 
     def _recount(self) -> None:
         """Derive both batch facts from ``pending_items`` by a rescan."""
-        items = self.pending_items
-        # Empty is the common write (construction, take_batch): no rescan.
-        total, oldest = batch_facts(items) if items else (0, None)
-        # Not through ``self.__dict__``: touching it turns the instance's
-        # inline attribute values into a real dict, and every later
-        # ``rack.<attr>`` read takes the slow path.
-        object.__setattr__(self, "pending_processing_time", total)
-        object.__setattr__(self, "oldest_arrival", oldest)
+        self.pending_processing_time, self.oldest_arrival = batch_facts(
+            self.pending_items)
 
     @property
     def has_pending(self) -> bool:
@@ -144,6 +134,7 @@ class Rack:
         batching boundary the adaptive policy plays with (Sec. III-B).
         """
         batch, self.pending_items = self.pending_items, []
+        self.pending_processing_time, self.oldest_arrival = 0, None
         return batch
 
 
@@ -213,14 +204,6 @@ class Robot:
     rack_id: Optional[int] = None
     #: Total ticks spent in any busy state (for RWR).
     busy_ticks: int = 0
-    #: The ``WarehouseState`` indexing this robot (None when free-standing);
-    #: unannotated, so not a dataclass field.
-    _world = None
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name == "state" and self._world is not None:
-            self._world._robot_changed(self)
 
     @property
     def is_idle(self) -> bool:

@@ -6,8 +6,13 @@ robots, racks with pending items.  It is the ``R``, ``P``, ``A`` triple of
 the TPRW problem statement plus the grid they live on.
 
 The idle-robot and selectable-rack sets (whole and per picker) are kept
-incrementally — the entity write hooks re-file the one entity that changed
-— so a planner wake costs what changed, not a rescan of the world.
+incrementally.  Only three events change them — an item arrives
+(:meth:`~WarehouseState.deliver_item`), a robot is dispatched for a rack
+(:meth:`~WarehouseState.dispatch`), a robot sets a rack down at home
+(:meth:`~WarehouseState.return_home`) — and each re-files the entities it
+changed, so a planner wake costs what changed, not a rescan of the world.
+Every other write the simulator makes (a robot's later mission stages,
+counters, locations) leaves idleness and selectability as they were.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import SimulationError
-from ..types import Cell
+from ..types import Tick
 from .entities import (Item, Picker, Rack, RackPhase, Robot, RobotState,
                        batch_facts)
 from .grid import Grid
@@ -53,7 +58,7 @@ class WarehouseState:
     robots: List[Robot]
     _racks_by_picker: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     #: The idle robots / selectable racks (also per picker), ascending by id
-    #: — derived data, kept by :meth:`_robot_changed` / :meth:`_rack_changed`.
+    #: — derived data, kept by the three transitions.
     _idle: List[Robot] = field(default_factory=list, repr=False, compare=False)
     _selectable: List[Rack] = field(default_factory=list, repr=False,
                                     compare=False)
@@ -117,9 +122,6 @@ class WarehouseState:
         for rack in self.racks:
             self._racks_by_picker.setdefault(rack.picker_id, []).append(
                 rack.rack_id)
-            rack._world = self
-        for robot in self.robots:
-            robot._world = self
         self._idle = self._scan_idle()
         self._selectable = self._scan_selectable()
         self._selectable_by_picker = self._scan_selectable_by_picker()
@@ -135,12 +137,8 @@ class WarehouseState:
                       if self.racks[rid].selectable]
                 for pid, rids in self._racks_by_picker.items()}
 
-    def _robot_changed(self, robot: Robot) -> None:
-        """Re-file ``robot`` after a write of its ``state``."""
-        _file(self._idle, robot, _ROBOT_ID, robot.is_idle)
-
     def _rack_changed(self, rack: Rack) -> None:
-        """Re-file ``rack`` after a write of its ``phase`` / ``pending_items``."""
+        """Re-file ``rack`` after its ``phase`` / ``pending_items`` changed."""
         wanted = rack.selectable
         _file(self._selectable, rack, _RACK_ID, wanted)
         _file(self._selectable_by_picker[rack.picker_id], rack, _RACK_ID,
@@ -182,7 +180,7 @@ class WarehouseState:
         """Number of items that emerged but are not yet part of a batch."""
         return sum(len(rack.pending_items) for rack in self.racks)
 
-    # -- mutation helpers used by the simulator ------------------------------
+    # -- the transitions that change the indexes ------------------------------
 
     def deliver_item(self, item: Item) -> None:
         """Register a newly arrived item on its rack (online arrival)."""
@@ -194,6 +192,26 @@ class WarehouseState:
                                else min(oldest, item.arrival))
         self._rack_changed(rack)
 
+    def dispatch(self, robot: Robot, rack: Rack) -> List[Item]:
+        """Send ``robot`` for ``rack``; return the batch it takes along."""
+        batch = rack.take_batch()
+        rack.phase = RackPhase.IN_TRANSIT
+        robot.state = RobotState.TO_RACK
+        robot.rack_id = rack.rack_id
+        self._rack_changed(rack)
+        _file(self._idle, robot, _ROBOT_ID, False)
+        return batch
+
+    def return_home(self, robot: Robot, rack: Rack, t: Tick) -> None:
+        """``robot`` sets ``rack`` down at its home at ``t`` and goes idle."""
+        robot.state = RobotState.IDLE
+        robot.rack_id = None
+        robot.location = rack.home
+        rack.phase = RackPhase.STORED
+        rack.last_return = t
+        self._rack_changed(rack)
+        _file(self._idle, robot, _ROBOT_ID, True)
+
     def check_invariants(self) -> None:
         """Validate cross-entity invariants; raise on violation.
 
@@ -203,30 +221,10 @@ class WarehouseState:
         - picker queues only contain IN_TRANSIT racks;
         - the incremental idle / selectable (whole and per picker) indices
           equal a from-scratch rescan (same objects, ascending id), and
-          every rack's batch facts equal a rescan of its ``pending_items`` — a writer that
-          bypassed the entity hooks fails here instead of silently
-          diverging.
+          every rack's batch facts equal a rescan of its ``pending_items`` —
+          a writer that bypassed the three transitions fails here instead
+          of silently diverging.
         """
-        for name, key, index, rescan in (
-                ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
-                ("selectable-rack", _RACK_ID, self._selectable,
-                 self._scan_selectable()),
-                *((f"picker {pid} selectable-rack", _RACK_ID,
-                   self._selectable_by_picker.get(pid, []), rescan)
-                  for pid, rescan in
-                  self._scan_selectable_by_picker().items())):
-            if list(map(id, index)) != list(map(id, rescan)):
-                stale = set(map(key, index)) ^ set(map(key, rescan))
-                raise SimulationError(
-                    f"stale {name} index: ids {sorted(stale)} differ from "
-                    f"a rescan (or the order does)")
-        for rack in self.racks:
-            if ((rack.pending_processing_time, rack.oldest_arrival)
-                    != batch_facts(rack.pending_items)):
-                raise SimulationError(
-                    f"stale batch facts on rack {rack.rack_id}: "
-                    f"pending_processing_time / oldest_arrival differ "
-                    f"from a rescan of its pending_items")
         carrier_of: Dict[int, int] = {}
         for robot in self.robots:
             if robot.state is RobotState.IDLE:
@@ -257,3 +255,23 @@ class WarehouseState:
                     raise SimulationError(
                         f"queued rack {rid} at picker {picker.picker_id} "
                         f"is not IN_TRANSIT")
+        for name, key, index, rescan in (
+                ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
+                ("selectable-rack", _RACK_ID, self._selectable,
+                 self._scan_selectable()),
+                *((f"picker {pid} selectable-rack", _RACK_ID,
+                   self._selectable_by_picker.get(pid, []), rescan)
+                  for pid, rescan in
+                  self._scan_selectable_by_picker().items())):
+            if list(map(id, index)) != list(map(id, rescan)):
+                stale = set(map(key, index)) ^ set(map(key, rescan))
+                raise SimulationError(
+                    f"stale {name} index: ids {sorted(stale)} differ from "
+                    f"a rescan (or the order does)")
+        for rack in self.racks:
+            if ((rack.pending_processing_time, rack.oldest_arrival)
+                    != batch_facts(rack.pending_items)):
+                raise SimulationError(
+                    f"stale batch facts on rack {rack.rack_id}: "
+                    f"pending_processing_time / oldest_arrival differ "
+                    f"from a rescan of its pending_items")

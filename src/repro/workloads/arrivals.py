@@ -57,18 +57,8 @@ def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
         raise ConfigurationError("n_racks must be >= 1")
     if rate <= 0:
         raise ConfigurationError("rate must be positive")
-    rng = random.Random(seed)
-    items: List[Item] = []
-    t = 0.0
-    for item_id in range(n_items):
-        t += rng.expovariate(rate)
-        items.append(Item(
-            item_id=item_id,
-            rack_id=rng.randrange(n_racks),
-            arrival=int(t),
-            processing_time=uniform_processing_time(
-                rng, processing_low, processing_high)))
-    return items
+    return PoissonStream(n_racks, rate, seed, processing_low,
+                         processing_high).take(n_items)
 
 
 def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
@@ -205,9 +195,8 @@ class ItemStream:
 class PoissonStream(ItemStream):
     """Unbounded homogeneous Poisson stream (the open-ended ``poisson``).
 
-    Same per-item draw sequence as :func:`poisson_arrivals` — gap, rack,
-    processing time — so the first ``n`` items of the stream equal the
-    batch generator's output for the same seed.
+    Draws gap, rack, processing time per item; :func:`poisson_arrivals`
+    is the first ``n`` items of this stream for the same seed.
     """
 
     def __init__(self, n_racks: int, rate: float, seed: int,

@@ -38,31 +38,38 @@ class TestRack:
         assert rack.pending_processing_time == 0
         assert rack.oldest_arrival is None
 
+    def make_world(self, rack):
+        return WarehouseState(grid=Grid(5, 5), racks=[rack],
+                              pickers=[Picker(0, (0, 4)), Picker(1, (4, 4))],
+                              robots=[])
+
     def test_pending_processing_time_sums_items(self):
-        rack = self.make_rack()
-        rack.pending_items = [Item(0, 0, 0, 7), Item(1, 0, 2, 9)]
+        rack = Rack(rack_id=0, home=(2, 3), picker_id=1,
+                    pending_items=[Item(0, 0, 0, 7), Item(1, 0, 2, 9)])
         assert rack.pending_processing_time == 16
+        assert rack.oldest_arrival == 0
 
     def test_oldest_arrival(self):
         rack = self.make_rack()
-        rack.pending_items = [Item(0, 0, 8, 7), Item(1, 0, 2, 9)]
+        world = self.make_world(rack)
+        world.deliver_item(Item(0, 0, 8, 7))
+        world.deliver_item(Item(1, 0, 2, 9))
         assert rack.oldest_arrival == 2
+        assert rack.pending_processing_time == 16
 
     def test_take_batch_empties_pending(self):
-        rack = self.make_rack()
-        rack.pending_items = [Item(0, 0, 0, 7)]
+        rack = Rack(rack_id=0, home=(2, 3), picker_id=1,
+                    pending_items=[Item(0, 0, 0, 7)])
         batch = rack.take_batch()
         assert len(batch) == 1
         assert not rack.has_pending
+        assert rack.pending_processing_time == 0
+        assert rack.oldest_arrival is None
 
     def test_items_after_take_batch_form_next_batch(self):
-        # Through the hooked writer: an in-place append would leave the
-        # rack's kept batch facts stale.
         rack = self.make_rack()
-        world = WarehouseState(grid=Grid(5, 5), racks=[rack],
-                               pickers=[Picker(0, (0, 4)),
-                                        Picker(1, (4, 4))], robots=[])
-        rack.pending_items = [Item(0, 0, 0, 7)]
+        world = self.make_world(rack)
+        world.deliver_item(Item(0, 0, 0, 7))
         rack.take_batch()
         world.deliver_item(Item(1, 0, 5, 9))
         assert rack.pending_processing_time == 9

@@ -68,10 +68,9 @@ class TestSchemeContract:
     def test_empty_when_no_robots(self, name):
         state = loaded_state()
         planner = PLANNERS[name](state)
-        from repro.warehouse.entities import RobotState
         for robot in state.robots:
-            robot.state = RobotState.TO_RACK
-            robot.rack_id = robot.robot_id  # keep invariants satisfiable
+            state.dispatch(robot, state.racks[robot.robot_id])
+        assert state.selectable_racks()
         assert len(planner.plan(0)) == 0
 
     @pytest.mark.parametrize("name", ALL_PLANNERS)
@@ -84,12 +83,10 @@ class TestSchemeContract:
         state = loaded_state(n_robots=2)
         planner = PLANNERS[name](state)
         first = planner.plan(0)
-        # Mark dispatched robots/racks busy, then plan again next tick.
-        from repro.warehouse.entities import RackPhase, RobotState
+        # Dispatch the assigned robots/racks, then plan again next tick.
         for assignment in first:
-            state.robots[assignment.robot_id].state = RobotState.TO_RACK
-            state.robots[assignment.robot_id].rack_id = assignment.rack_id
-            state.racks[assignment.rack_id].phase = RackPhase.IN_TRANSIT
+            state.dispatch(state.robots[assignment.robot_id],
+                           state.racks[assignment.rack_id])
         second = planner.plan(1)
         paths = ([a.pickup_path for a in first]
                  + [a.pickup_path for a in second])

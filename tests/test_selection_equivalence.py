@@ -34,7 +34,7 @@ from repro.planners.ilp import IlpPlanner
 from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.types import manhattan
-from repro.warehouse.entities import Item, Rack, RackPhase, RobotState
+from repro.warehouse.entities import Item, Rack
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
 from repro.workloads.datasets import make_syn_a
@@ -321,15 +321,9 @@ class TestMostSlackFirst:
                 item_id += 1
             elif op == "dispatch" and rack.selectable and state.idle_robots():
                 robot = carrier[rack_id] = state.idle_robots()[0]
-                robot.rack_id = rack_id
-                robot.state = RobotState.TO_RACK
-                rack.take_batch()
-                rack.phase = RackPhase.IN_TRANSIT
+                state.dispatch(robot, rack)
             elif op == "return" and rack_id in carrier:
-                rack.phase = RackPhase.STORED
-                robot = carrier.pop(rack_id)
-                robot.rack_id = None
-                robot.state = RobotState.IDLE
+                state.return_home(carrier.pop(rack_id), rack, 0)
             state.check_invariants()
             budget = data.draw(st.integers(0, N_RACKS + 1))
             finish = data.draw(st.lists(st.integers(0, 3),

@@ -66,7 +66,8 @@ class TestQueries:
 
     def test_in_transit_rack_not_selectable(self, small_state):
         small_state.deliver_item(Item(0, 3, 0, 10))
-        small_state.racks[3].phase = RackPhase.IN_TRANSIT
+        small_state.dispatch(small_state.robots[0], small_state.racks[3])
+        assert small_state.racks[3].phase is RackPhase.IN_TRANSIT
         assert small_state.selectable_racks() == []
 
     def test_racks_of_picker(self, small_state):
@@ -97,31 +98,31 @@ class TestInvariants:
 
     def test_idle_robot_with_rack_fails(self, small_state):
         small_state.robots[0].rack_id = 2
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="still references"):
             small_state.check_invariants()
 
     def test_busy_robot_without_rack_fails(self, small_state):
         small_state.robots[0].state = RobotState.TO_RACK
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="no rack assigned"):
             small_state.check_invariants()
 
     def test_rack_in_transit_unowned_fails(self, small_state):
         small_state.racks[0].phase = RackPhase.IN_TRANSIT
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="IN_TRANSIT but unowned"):
             small_state.check_invariants()
 
     def test_two_robots_one_rack_fails(self, small_state):
-        for robot in small_state.robots:
-            robot.state = RobotState.TO_RACK
-            robot.rack_id = 0
-        small_state.racks[0].phase = RackPhase.IN_TRANSIT
-        with pytest.raises(SimulationError):
+        small_state.dispatch(small_state.robots[0], small_state.racks[0])
+        small_state.robots[1].state = RobotState.TO_RACK
+        small_state.robots[1].rack_id = 0
+        with pytest.raises(SimulationError, match="carried by robots"):
             small_state.check_invariants()
 
     def test_consistent_mission_passes(self, small_state):
-        small_state.robots[0].state = RobotState.TO_RACK
-        small_state.robots[0].rack_id = 0
-        small_state.racks[0].phase = RackPhase.IN_TRANSIT
+        small_state.dispatch(small_state.robots[0], small_state.racks[0])
+        small_state.check_invariants()
+        small_state.return_home(small_state.robots[0], small_state.racks[0],
+                                5)
         small_state.check_invariants()
 
     def test_queued_stored_rack_fails(self, small_state):
@@ -130,10 +131,10 @@ class TestInvariants:
             small_state.check_invariants()
 
     def test_stale_index_fails(self, small_state):
-        # An in-place append is the one write the entity hooks cannot
-        # see; the rescan twin must catch what it leaves behind.  On a
-        # rack that is already selectable it leaves the index right and
-        # only the rack's kept batch facts stale.
+        # A write outside the three transitions leaves the derived state
+        # stale; the rescan twin must catch it.  An append on a rack that
+        # is already selectable leaves the index right and only the
+        # rack's kept batch facts stale.
         small_state.deliver_item(Item(0, 0, 4, 10))
         small_state.check_invariants()
         small_state.racks[0].pending_items.append(Item(1, 0, 1, 10))
@@ -148,10 +149,10 @@ class TestInvariants:
 
 
 class IndexMachine(RuleBasedStateMachine):
-    """Random writers of every kind; the indices must track each step."""
+    """Random sequences of the three transitions; the indices must track
+    each step."""
 
     N_RACKS, N_ROBOTS = 8, 4
-    rack_ids = st.integers(0, N_RACKS - 1)
     robot_ids = st.integers(0, N_ROBOTS - 1)
 
     def __init__(self):
@@ -167,7 +168,7 @@ class IndexMachine(RuleBasedStateMachine):
         return Item(self.next_item, rack_id, -self.next_item % 7,
                     1 + self.next_item % 4)
 
-    @rule(rack_id=rack_ids)
+    @rule(rack_id=st.integers(0, N_RACKS - 1))
     def deliver(self, rack_id):
         self.state.deliver_item(self._item(rack_id))
 
@@ -178,32 +179,20 @@ class IndexMachine(RuleBasedStateMachine):
         if not robots or not racks:
             return
         robot, rack = robots[pick % len(robots)], racks[pick % len(racks)]
-        assert rack.take_batch()
-        rack.phase = RackPhase.IN_TRANSIT
-        robot.state = RobotState.TO_RACK
-        robot.rack_id = rack.rack_id
+        assert self.state.dispatch(robot, rack)
+        assert (robot.state, robot.rack_id) == (RobotState.TO_RACK,
+                                                rack.rack_id)
+        assert rack.phase is RackPhase.IN_TRANSIT
 
     @rule(robot_id=robot_ids)
     def return_home(self, robot_id):
         robot = self.state.robots[robot_id]
         if robot.rack_id is None:
             return
-        self.state.racks[robot.rack_id].phase = RackPhase.STORED
-        robot.state = RobotState.IDLE
-        robot.rack_id = None
-
-    @rule(robot_id=robot_ids, value=st.sampled_from(list(RobotState)))
-    def write_robot_state(self, robot_id, value):
-        self.state.robots[robot_id].state = value
-
-    @rule(rack_id=rack_ids, value=st.sampled_from(list(RackPhase)))
-    def write_rack_phase(self, rack_id, value):
-        self.state.racks[rack_id].phase = value
-
-    @rule(rack_id=rack_ids, n=st.integers(0, 2))
-    def write_pending(self, rack_id, n):
-        self.state.racks[rack_id].pending_items = [
-            self._item(rack_id) for _ in range(n)]
+        rack = self.state.racks[robot.rack_id]
+        self.state.return_home(robot, rack, self.next_item)
+        assert robot.location == rack.home
+        assert rack.last_return == self.next_item
 
     @invariant()
     def indices_equal_rescan(self):
@@ -217,6 +206,7 @@ class IndexMachine(RuleBasedStateMachine):
         assert (list(map(id, selectable))
                 == list(map(id, expected_selectable)))
         assert self.state.dispatchable() == bool(idle and selectable)
+        self.state.check_invariants()
 
     @invariant()
     def batch_facts_equal_rescan(self):
