@@ -8,11 +8,13 @@ fractions throughout.
 
 from _bench_common import BENCH_SCALE, run_once
 
-from repro.experiments.fig10 import render_fig10, run_fig10
+from repro.experiments.table2 import (checkpoint_series, render_fig10,
+                                      run_table2)
 
 
 def test_fig10_ppr_rwr(benchmark):
-    data = run_once(benchmark, run_fig10, scale=BENCH_SCALE)
+    data = checkpoint_series(run_once(benchmark, run_table2,
+                                      scale=BENCH_SCALE))
     print()
     print(render_fig10(data))
 

@@ -8,8 +8,9 @@ A*-on-spatiotemporal-graph planner.
 
 from _bench_common import SHAPE_SCALE, run_once
 
-from repro.experiments.fig11 import render_fig11, run_fig11
 from repro.experiments.harness import run_planner
+from repro.experiments.table2 import (checkpoint_series, render_fig11,
+                                      run_table2)
 from repro.pathfinding import st_astar
 from repro.pathfinding._legacy import tier0_off_patch
 from repro.workloads.datasets import all_datasets
@@ -54,7 +55,8 @@ def test_fig11_stc_ptc(benchmark, monkeypatch):
     st_astar.set_search_kernel("python")
     costs = {}
     try:
-        data = run_once(benchmark, run_fig11, scale=SHAPE_SCALE)
+        data = checkpoint_series(run_once(benchmark, run_table2,
+                                          scale=SHAPE_SCALE))
         for dataset, series in data.items():
             for s in series:
                 if s.planner in ("ATP", "EATP") and s.stc_seconds:

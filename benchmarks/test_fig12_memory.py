@@ -7,11 +7,13 @@ dense time-expanded reservation graph.
 
 from _bench_common import SHAPE_SCALE, run_once
 
-from repro.experiments.fig12 import render_fig12, run_fig12
+from repro.experiments.table2 import (checkpoint_series, render_fig12,
+                                      run_table2)
 
 
 def test_fig12_memory(benchmark):
-    data = run_once(benchmark, run_fig12, scale=SHAPE_SCALE)
+    data = checkpoint_series(run_once(benchmark, run_table2,
+                                      scale=SHAPE_SCALE))
     print()
     print(render_fig12(data))
 

@@ -9,13 +9,14 @@ on the large bursty workloads.
 
 from _bench_common import BENCH_SCALE, run_once
 
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments import table2
 
 
 def test_table3_makespan(benchmark):
-    table = run_once(benchmark, run_table3, scale=BENCH_SCALE)
+    table = table2.makespans(run_once(benchmark, table2.run_table2,
+                                      scale=BENCH_SCALE))
     print()
-    print(render_table3(table))
+    print(table2.render_table3(table))
 
     for dataset, makespans in table.items():
         ours = min(makespans["ATP"], makespans["EATP"])

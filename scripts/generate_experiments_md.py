@@ -1,9 +1,10 @@
 """Regenerate EXPERIMENTS.md from full-scale runs of every experiment.
 
-Runs each dataset × planner once at scale 1.0 (the repo's default scale,
-itself a documented geometric scale-down of the paper's Table II), plus
-the Fig. 13 case study, the Sec. III-B bad case, and the A1–A4 ablations,
-and writes the paper-vs-measured record.
+Runs the ``table2`` matrix — each Table II dataset × planner, once — at
+scale 1.0 (the repo's default scale, itself a documented geometric
+scale-down of the paper's Table II) and reads the Table III and Fig. 10–12
+sections off it; plus the Fig. 13 case study, the Sec. III-B bad case, and
+the A1–A4 ablations.  Writes the paper-vs-measured record.
 
 Usage::
 
@@ -19,10 +20,8 @@ from repro.experiments.ablations import (sweep_cache_threshold, sweep_delta,
                                          sweep_knn, sweep_reservation)
 from repro.experiments.badcase import run_bad_case
 from repro.experiments.fig13 import run_fig13
-from repro.experiments.harness import SLOW_PLANNERS, run_comparison
-from repro.workloads.datasets import all_datasets
-
-PLANNERS = ("NTP", "LEF", "ILP", "ATP", "EATP")
+from repro.experiments.harness import DEFAULT_PLANNERS as PLANNERS
+from repro.experiments.table2 import run_table2
 
 PAPER_TABLE3 = {
     "Syn-A": {"NTP": 95_713, "LEF": 68_736, "ILP": 72_423,
@@ -42,11 +41,11 @@ def fmt(value, width=9):
 def main() -> None:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
     started = time.time()
-    results = {}
-    for name, scenario in all_datasets(1.0).items():
-        skip = SLOW_PLANNERS if name == "Real-Large" else ()
-        results[name] = run_comparison(scenario, PLANNERS, skip=skip).results
-        print(f"[{time.time() - started:6.0f}s] {name} done", flush=True)
+    results = {}  # {dataset: {planner: run metrics}}
+    for payload in run_table2(scale=1.0).values():
+        results.setdefault(payload["scenario"], {})[payload["planner"]] = (
+            payload["result"]["metrics"])
+    print(f"[{time.time() - started:6.0f}s] table2 done", flush=True)
 
     fig13 = run_fig13(scale=1.0, window=300)
     print(f"[{time.time() - started:6.0f}s] fig13 done", flush=True)
@@ -90,13 +89,13 @@ def main() -> None:
         row = []
         for d in results:
             res = results[d].get(p)
-            row.append(fmt(res.metrics.makespan, 0) if res else "-")
+            row.append(fmt(res["makespan"], 0) if res else "-")
         w(f"| {p} | " + " | ".join(row) + " |")
     w("")
     gains = []
     for d in results:
-        ntp = results[d]["NTP"].metrics.makespan
-        best = min(results[d][p].metrics.makespan for p in ("ATP", "EATP"))
+        ntp = results[d]["NTP"]["makespan"]
+        best = min(results[d][p]["makespan"] for p in ("ATP", "EATP"))
         gains.append(f"{d} {100 * (ntp - best) / ntp:.1f}%")
     w(f"Shape check: ATP/EATP lowest on every dataset (paper: up to "
       f"37.1% vs baselines). Measured gains vs NTP: {', '.join(gains)}. "
@@ -116,7 +115,7 @@ def main() -> None:
             if res is None:
                 cells.append("-")
             else:
-                cells.append(f"{res.metrics.ppr:.3f} / {res.metrics.rwr:.3f}")
+                cells.append(f"{res['ppr']:.3f} / {res['rwr']:.3f}")
         w(f"| {p} | " + " | ".join(cells) + " |")
     w("")
     w("Shape check (paper: ATP/EATP highest PPR and RWR, 4.6–59.1% over "
@@ -136,15 +135,14 @@ def main() -> None:
             if res is None:
                 cells.append("-")
             else:
-                m = res.metrics
-                cells.append(f"{m.selection_seconds:.3f} / "
-                             f"{m.planning_seconds:.2f}")
+                cells.append(f"{res['selection_seconds']:.3f} / "
+                             f"{res['planning_seconds']:.2f}")
         w(f"| {p} | " + " | ".join(cells) + " |")
     w("")
-    atp_stc = sum(results[d]["ATP"].metrics.selection_seconds for d in results)
-    eatp_stc = sum(results[d]["EATP"].metrics.selection_seconds for d in results)
-    atp_ptc = sum(results[d]["ATP"].metrics.planning_seconds for d in results)
-    eatp_ptc = sum(results[d]["EATP"].metrics.planning_seconds for d in results)
+    atp_stc = sum(results[d]["ATP"]["selection_seconds"] for d in results)
+    eatp_stc = sum(results[d]["EATP"]["selection_seconds"] for d in results)
+    atp_ptc = sum(results[d]["ATP"]["planning_seconds"] for d in results)
+    eatp_ptc = sum(results[d]["EATP"]["planning_seconds"] for d in results)
     w(f"Shape check (paper: flip requesting cuts STC by 153.8–280.9%; "
       f"CDT+cache cut PTC by up to 75.5%): measured EATP spends "
       f"{100 * (atp_stc - eatp_stc) / atp_stc:.0f}% less selection time "
@@ -162,14 +160,14 @@ def main() -> None:
         cells = []
         for d in results:
             res = results[d].get(p)
-            cells.append(f"{res.metrics.peak_memory_bytes // 1024:,}"
+            cells.append(f"{res['peak_memory_bytes'] // 1024:,}"
                          if res else "-")
         w(f"| {p} | " + " | ".join(cells) + " |")
     w("")
     reductions = []
     for d in results:
-        atp = results[d]["ATP"].metrics.peak_memory_bytes
-        eatp = results[d]["EATP"].metrics.peak_memory_bytes
+        atp = results[d]["ATP"]["peak_memory_bytes"]
+        eatp = results[d]["EATP"]["peak_memory_bytes"]
         reductions.append(f"{d} {100 * (atp - eatp) / atp:.0f}%")
     w(f"Shape check (paper: CDT cuts MC by 16.4/68.4/89.2/58.1% on the "
       f"four datasets; all A*-graph planners cluster together): measured "

@@ -5,25 +5,28 @@ evaluation can be driven without writing Python:
 
     python -m repro table3 --scale 0.5 --workers 4
     python -m repro fig10 --dataset Syn-A
+    python -m repro matrix --family table2 --workers 4 --results-dir results
+    python -m repro fig11 --results-dir results
     python -m repro fig13
     python -m repro badcase --k 10
     python -m repro ablations --which a4
     python -m repro matrix --family fleet-ladder --workers 4 --results-dir results
     python -m repro soak --planner EATP --duration 20000
+
+``table3`` and ``fig10``–``fig12`` render the ``table2`` matrix: with
+``--results-dir`` they read the cells ``matrix --family table2`` stored
+there and run only the missing ones.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import partial
 
-from .experiments import (ablations, badcase, fig10, fig11, fig12, fig13,
-                          matrix, soak, table3)
+from .experiments import ablations, badcase, fig13, matrix, soak, table2
 
 _COMMANDS = {
-    "table3": table3.main,
-    "fig10": fig10.main,
-    "fig11": fig11.main,
-    "fig12": fig12.main,
+    **{name: partial(table2.main, name) for name in table2.RENDERERS},
     "fig13": fig13.main,
     "badcase": badcase.main,
     "ablations": ablations.main,

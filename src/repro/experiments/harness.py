@@ -4,8 +4,7 @@ Every table/figure regenerator in this package goes through the same
 entry points, so all experiments share one world-building path and a
 planner never sees a world another planner has touched:
 
-* :func:`run_planner` / :func:`run_comparison` — one in-process run, the
-  unit tests' workhorse;
+* :func:`run_planner` — one in-process run, the unit tests' workhorse;
 * :func:`run_matrix` — a grid of :class:`MatrixCell` s fanned out over a
   ``ProcessPoolExecutor``, each finished cell streamed into a JSON
   :class:`~repro.experiments.store.ResultStore` and skipped on re-runs.
@@ -23,8 +22,8 @@ import hashlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..config import PlannerConfig, SimulationConfig
 from ..errors import ConfigurationError, WorkerLostError
@@ -42,22 +41,6 @@ DEFAULT_PLANNERS = ("NTP", "LEF", "ILP", "ATP", "EATP")
 SLOW_PLANNERS = ("LEF", "ILP")
 
 
-@dataclass
-class ComparisonResult:
-    """Results of one scenario across several planners."""
-
-    scenario_name: str
-    results: Dict[str, SimulationResult] = field(default_factory=dict)
-
-    def makespans(self) -> Dict[str, int]:
-        """Planner name → makespan."""
-        return {name: res.metrics.makespan for name, res in self.results.items()}
-
-    def best_planner(self) -> str:
-        """The planner with the smallest makespan."""
-        return min(self.results, key=lambda n: self.results[n].metrics.makespan)
-
-
 def run_planner(scenario: ScenarioSpec, planner_name: str,
                 planner_config: Optional[PlannerConfig] = None,
                 sim_config: Optional[SimulationConfig] = None
@@ -69,32 +52,6 @@ def run_planner(scenario: ScenarioSpec, planner_name: str,
     state, items = scenario.build()
     planner = PLANNERS[planner_name](state, planner_config)
     return Simulation(state, planner, items, sim_config).run()
-
-
-def run_comparison(scenario: ScenarioSpec,
-                   planners: Sequence[str] = DEFAULT_PLANNERS,
-                   planner_config: Optional[PlannerConfig] = None,
-                   sim_config: Optional[SimulationConfig] = None,
-                   skip: Iterable[str] = ()) -> ComparisonResult:
-    """Run several planners over identical copies of ``scenario``.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``skip`` (or an empty ``planners``) leaves nothing to run — an
-        empty comparison would silently satisfy any downstream check.
-    """
-    skipped = set(skip)
-    to_run = [name for name in planners if name not in skipped]
-    if not to_run:
-        raise ConfigurationError(
-            f"comparison on {scenario.name} has no planners to run "
-            f"(planners={list(planners)}, skip={sorted(skipped)})")
-    comparison = ComparisonResult(scenario_name=scenario.name)
-    for name in to_run:
-        comparison.results[name] = run_planner(scenario, name,
-                                               planner_config, sim_config)
-    return comparison
 
 
 # -- the parallel matrix -----------------------------------------------------
@@ -138,11 +95,10 @@ def plan_cells(scenarios: Iterable[ScenarioSpec],
                planners: Sequence[str] = DEFAULT_PLANNERS,
                planner_config: Optional[PlannerConfig] = None,
                sim_config: Optional[SimulationConfig] = None,
-               skip_slow_on: Iterable[str] = ("Real-Large",),
-               slow_planners: Sequence[str] = SLOW_PLANNERS) -> List[MatrixCell]:
+               skip_slow_on: Iterable[str] = ("Real-Large",)) -> List[MatrixCell]:
     """Cross scenarios with planners into cells, honouring the slow-skips.
 
-    A scenario excludes ``slow_planners`` when its name is listed in
+    A scenario excludes :data:`SLOW_PLANNERS` when its name is listed in
     ``skip_slow_on`` *or* it carries
     :data:`~repro.workloads.scenario.TAG_SKIP_SLOW_PLANNERS` (families
     that rebuild the Real-Large floor under other names, like the fleet
@@ -154,7 +110,7 @@ def plan_cells(scenarios: Iterable[ScenarioSpec],
         skip_slow = (scenario.name in slow_scenarios
                      or TAG_SKIP_SLOW_PLANNERS in scenario.tags)
         for planner in planners:
-            if skip_slow and planner in slow_planners:
+            if skip_slow and planner in SLOW_PLANNERS:
                 continue
             cells.append(MatrixCell(scenario=scenario, planner=planner,
                                     planner_config=planner_config,

@@ -9,8 +9,9 @@ subclass is exactly its selection (and, for EATP, its path-finding
 optimisations).
 
 Timing contract: selection work must run inside ``self._timed_selection()``
-and path searches inside ``self._timed_planning()``; the simulator reads the
-accumulated totals for the Fig. 11 experiments.
+and every leg is planned through ``self._plan_leg_timed()``, which times its
+path searches; the simulator reads the accumulated totals for the Fig. 11
+experiments.
 """
 
 from __future__ import annotations

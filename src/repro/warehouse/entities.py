@@ -24,7 +24,7 @@ construction and restore, reset by ``take_batch`` and advanced by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, List, Optional, Tuple
 
 from collections import deque
@@ -60,6 +60,13 @@ class Item:
                 f"got {self.processing_time}")
         if self.arrival < 0:
             raise ValueError(f"item {self.item_id}: arrival must be >= 0")
+
+
+def _restore_fields(entity, state: dict) -> None:
+    """Set ``entity``'s dataclass fields from a pickled ``state``, in
+    declaration order, skipping every other key."""
+    for f in fields(entity):
+        setattr(entity, f.name, state[f.name])
 
 
 def batch_facts(items: List[Item]) -> Tuple[int, Optional[Tick]]:
@@ -103,12 +110,12 @@ class Rack:
         self._recount()
 
     def __setstate__(self, state: dict) -> None:
-        # Attribute by attribute: filling ``self.__dict__`` turns the
-        # instance's inline attribute values into a real dict, and every
-        # later ``rack.<attr>`` read takes the slow path.  Checkpoints
-        # written before the batch facts were kept carry none.
-        for name, value in state.items():
-            setattr(self, name, value)
+        # Field by field: filling ``self.__dict__`` turns the instance's
+        # inline attribute values into a real dict, and every later
+        # ``rack.<attr>`` read takes the slow path.  Only the fields come
+        # back; the batch facts are derived again, and whatever else an
+        # older checkpoint pickled (a retired back-reference) stays out.
+        _restore_fields(self, state)
         self._recount()
 
     def _recount(self) -> None:
@@ -204,6 +211,10 @@ class Robot:
     rack_id: Optional[int] = None
     #: Total ticks spent in any busy state (for RWR).
     busy_ticks: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # As Rack's: the fields only, set one by one.
+        _restore_fields(self, state)
 
     @property
     def is_idle(self) -> bool:

@@ -383,6 +383,20 @@ class TestCommittedFixtures:
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 == self.V2_DRAINED_DIGEST)
 
+    def test_v2_fixture_entities_restore_their_fields_only(self):
+        # Written when racks and robots pointed back at their world: the
+        # pickled back-reference is left behind on restore, and so stays
+        # out of every later checkpoint of the restored run.
+        sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
+        for __ in range(2):
+            entities = sim.state.racks + sim.state.robots
+            assert len(entities) == 12 + 3
+            for entity in entities:
+                assert set(vars(entity)) <= (
+                    {f.name for f in dataclasses.fields(entity)}
+                    | {"pending_processing_time", "oldest_arrival"})
+            sim, __ = load_checkpoint_bytes(dump_checkpoint(sim))
+
     def test_v1_fixture_state_rebuilds_every_index(self):
         # The envelope refuses version 1 (below), but its state still
         # unpickles — header and body in one pickle stream, as that build

@@ -1,8 +1,11 @@
 """Tests for the ``python -m repro`` dispatcher."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import harness
 
 
 class TestDispatcher:
@@ -37,3 +40,37 @@ class TestDispatcher:
         assert main(argv) == 0
         second = capsys.readouterr()
         assert "[cached] Mini--NTP" in second.err
+
+
+@pytest.fixture(scope="module")
+def table2_store(tmp_path_factory):
+    """A results dir holding the ``table2`` matrix at scale 0.3."""
+    root = str(tmp_path_factory.mktemp("results"))
+    assert main(["matrix", "--family", "table2", "--scale", "0.3",
+                 "--results-dir", root]) == 0
+    return root
+
+
+class TestTable2Store:
+    """Table III and Figs. 10-12 render the cells ``matrix --family
+    table2`` stored, running none, and print what a fresh run prints."""
+
+    @pytest.mark.parametrize("command", ["table3", "fig10", "fig11",
+                                         "fig12"])
+    def test_renders_from_the_matrix_store(self, command, table2_store,
+                                           capsys, monkeypatch):
+        def run_again(cell):
+            raise AssertionError(f"{cell.cell_id} was simulated again")
+
+        argv = [command, "--scale", "0.3"]
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "execute_cell", run_again)
+            assert main(argv + ["--results-dir", table2_store]) == 0
+        stored = capsys.readouterr().out
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        if command == "fig11":
+            # Its seconds are each run's own wall clock.
+            stored, fresh = (re.sub(r"\d+\.\d+", "#", out)
+                             for out in (stored, fresh))
+        assert stored == fresh

@@ -7,18 +7,18 @@ which direction the bottleneck migrates.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.ablations import (sweep_cache_threshold, sweep_delta,
                                          sweep_knn, sweep_reservation)
 from repro.experiments.badcase import build_bad_case, run_bad_case
-from repro.experiments.fig10 import render_fig10, run_fig10
-from repro.experiments.fig11 import render_fig11, run_fig11
-from repro.experiments.fig12 import render_fig12, run_fig12
 from repro.experiments.fig13 import render_fig13, run_fig13
-from repro.experiments.harness import (ComparisonResult, run_comparison,
-                                       run_planner)
+from repro.experiments.harness import run_planner
 from repro.experiments.reporting import (format_series, format_table,
                                          percent_improvement)
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments import table2
+from repro.experiments.table2 import (checkpoint_series, render_fig10,
+                                      render_fig11, render_fig12,
+                                      render_table3, run_table2)
 from repro.workloads.datasets import make_mini
 
 SCALE = 0.18  # keeps each dataset run to a couple of seconds
@@ -46,23 +46,15 @@ class TestHarness:
         with pytest.raises(KeyError):
             run_planner(make_mini(n_items=10), "NOPE")
 
-    def test_run_comparison_skips(self):
-        comparison = run_comparison(make_mini(n_items=30),
-                                    planners=("NTP", "LEF"), skip=("LEF",))
-        assert list(comparison.results) == ["NTP"]
-
-    def test_comparison_accessors(self):
-        comparison = run_comparison(make_mini(n_items=30),
-                                    planners=("NTP", "ATP"))
-        makespans = comparison.makespans()
-        assert set(makespans) == {"NTP", "ATP"}
-        assert comparison.best_planner() in makespans
+    def test_run_table2_unknown_dataset(self):
+        with pytest.raises(ConfigurationError, match="Syn-C"):
+            run_table2(dataset="Syn-C")
 
 
 @pytest.mark.slow
 class TestTable3:
     def test_shapes(self):
-        table = run_table3(scale=SCALE)
+        table = table2.makespans(run_table2(scale=SCALE))
         assert set(table) == {"Syn-A", "Syn-B", "Real-Norm", "Real-Large"}
         # Paper fidelity: LEF and ILP are absent on Real-Large.
         assert "LEF" not in table["Real-Large"]
@@ -79,7 +71,7 @@ class TestTable3:
 @pytest.mark.slow
 class TestFig10:
     def test_series_shapes(self):
-        data = run_fig10(scale=SCALE, dataset="Syn-A")
+        data = checkpoint_series(run_table2(scale=SCALE, dataset="Syn-A"))
         series = data["Syn-A"]
         assert {s.planner for s in series} == {"NTP", "LEF", "ILP", "ATP",
                                                "EATP"}
@@ -93,7 +85,7 @@ class TestFig10:
 @pytest.mark.slow
 class TestFig11:
     def test_cumulative_and_monotone(self):
-        data = run_fig11(scale=SCALE, dataset="Syn-A")
+        data = checkpoint_series(run_table2(scale=SCALE, dataset="Syn-A"))
         for s in data["Syn-A"]:
             assert s.stc_seconds == sorted(s.stc_seconds)
             assert s.ptc_seconds == sorted(s.ptc_seconds)
@@ -106,7 +98,7 @@ class TestFig11:
         # to cost something — SCALE is too small, and at 0.6 the two sit
         # within timer noise (EATP ÷ ATP 0.62–1.10 over twenty runs); the
         # dataset's own size shows it (0.45–0.55).
-        data = run_fig11(scale=1.0, dataset="Syn-B")
+        data = checkpoint_series(run_table2(scale=1.0, dataset="Syn-B"))
         final = {s.planner: s.stc_seconds[-1] for s in data["Syn-B"]
                  if s.stc_seconds}
         assert final["EATP"] < final["ATP"]
@@ -118,7 +110,8 @@ class TestFig12:
         # Like the paper's Fig. 12, the CDT-vs-graph gap grows with the
         # floor: at tiny scale EATP's fixed KNN/cache overheads mask it,
         # so this shape check runs at 0.6 scale.
-        data = run_fig12(scale=0.6, dataset="Real-Norm")
+        data = checkpoint_series(run_table2(scale=0.6,
+                                               dataset="Real-Norm"))
         peaks = {s.planner: s.peak_kib for s in data["Real-Norm"]}
         assert peaks["EATP"] < peaks["ATP"]
         assert "MC" in render_fig12(data)

@@ -18,7 +18,7 @@ from repro.config import PlannerConfig, SimulationConfig
 from repro.errors import ConfigurationError, WorkerLostError
 from repro.experiments.harness import (DEFAULT_PLANNERS, SLOW_PLANNERS,
                                        MatrixCell, execute_cell, plan_cells,
-                                       run_comparison, run_matrix)
+                                       run_matrix)
 from repro.experiments.matrix import render_matrix_summary
 from repro.experiments.store import (ResultStore, assert_unique_filenames,
                                      cell_filename)
@@ -78,22 +78,6 @@ class TestResultStore:
             assert_unique_filenames(["a b", "a_b"])
         with pytest.raises(ConfigurationError, match="collide"):
             assert_unique_filenames(["a", "b", "a"])
-
-
-class TestRunComparison:
-    def test_all_planners_skipped_raises(self):
-        with pytest.raises(ConfigurationError):
-            run_comparison(make_mini(n_items=20), planners=("NTP", "LEF"),
-                           skip=("NTP", "LEF"))
-
-    def test_empty_planner_list_raises(self):
-        with pytest.raises(ConfigurationError):
-            run_comparison(make_mini(n_items=20), planners=())
-
-    def test_partial_skip_still_runs(self):
-        comparison = run_comparison(make_mini(n_items=30),
-                                    planners=("NTP", "LEF"), skip=("LEF",))
-        assert list(comparison.results) == ["NTP"]
 
 
 class TestCellPlanning:
