@@ -143,11 +143,13 @@ def main() -> None:
     eatp_stc = sum(results[d]["EATP"]["selection_seconds"] for d in results)
     atp_ptc = sum(results[d]["ATP"]["planning_seconds"] for d in results)
     eatp_ptc = sum(results[d]["EATP"]["planning_seconds"] for d in results)
-    w(f"Shape check (paper: flip requesting cuts STC by 153.8–280.9%; "
-      f"CDT+cache cut PTC by up to 75.5%): measured EATP spends "
-      f"{100 * (atp_stc - eatp_stc) / atp_stc:.0f}% less selection time "
-      f"and {100 * (atp_ptc - eatp_ptc) / atp_ptc:.0f}% less planning "
-      f"time than ATP summed over the four datasets.")
+    w(f"Wall-clock reading (paper: flip requesting cuts STC by "
+      f"153.8–280.9%; CDT+cache cut PTC by up to 75.5%): summed over the "
+      f"four datasets, EATP ÷ ATP = {eatp_stc / atp_stc:.2f}× for STC and "
+      f"EATP ÷ ATP = {eatp_ptc / atp_ptc:.2f}× for PTC.  These are "
+      f"wall-clock totals of about 0.1 s a planner, whose ratio moves "
+      f"between runs; no claim is judged on them until the payload counts "
+      f"each planner's work (ROADMAP item 12).")
     w("")
 
     # ---- Fig 12 ----

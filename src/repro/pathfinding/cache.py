@@ -41,18 +41,6 @@ class ShortestPathCache:
         self.hits = 0
         self.misses = 0
 
-    def __setstate__(self, state) -> None:
-        # Checkpoints written while the cache held packed path blobs
-        # (4 bytes a cell) carry the grid, a field-cache slot and the
-        # byte total; the pairs and the counts are what survives.
-        state.pop("_grid", None)
-        state.pop("_fields", None)
-        if "_blob_bytes" in state:
-            state["_cells"] = state.pop("_blob_bytes") // 4
-            state["_paths"] = {pair: len(blob) // 4
-                               for pair, blob in state["_paths"].items()}
-        self.__dict__.update(state)
-
     def record(self, source: Cell, goal: Cell, cells: int) -> None:
         """Count a request for the ``cells``-cell path ``source → goal``."""
         key = (source, goal)

@@ -187,12 +187,6 @@ class Path:
         return self.start_time, array("I", self.keys).tobytes()
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, dict):
-            # The pre-packing pickled form, ``{"steps": ...}``: what the
-            # committed version-2 checkpoint fixtures hold.
-            loaded = Path(state["steps"])
-            _init(self, loaded.start_time, loaded.keys)
-            return
         start_time, blob = state
         narrow = array("I")
         narrow.frombytes(blob)

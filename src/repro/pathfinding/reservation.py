@@ -184,16 +184,7 @@ class ReservationTable:
         if "_buckets" not in state:
             raise TypeError(f"a {type(self).__name__} state without "
                             f"per-tick buckets; this build has no such layout")
-        if "_count_names" not in state:
-            # Pickled when each table was its own class: the class's
-            # constructor, over the argument the state kept, sets the
-            # rule, and of the rest only the layout is kept.
-            type(self).__init__(self, *[state[name] for name in (
-                "_grid", "_tile_bits") if name in state])
-            state = {name: value for name, value in state.items()
-                     if name in self.__dict__}
         self.__dict__.update(state)
-        self._sync()
 
     def _sync(self):
         """The native module when the table is store-backed, else ``None``,

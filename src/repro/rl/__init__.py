@@ -1,8 +1,7 @@
-"""Reinforcement-learning rack selection: MDP, Q-table, Q-learning, policies."""
+"""Reinforcement-learning rack selection: MDP, Q-table, ε-greedy Q-learning."""
 
 from .mdp import (ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackObservation,
                   RackState, bucketize, reward, transition)
-from .policy import EpsilonGreedyPolicy
 from .qlearning import LearnerStats, QLearningAgent
 from .qtable import QTable
 
@@ -10,7 +9,6 @@ __all__ = [
     "ACTIONS",
     "ACTION_REQUEST",
     "ACTION_WAIT",
-    "EpsilonGreedyPolicy",
     "LearnerStats",
     "QLearningAgent",
     "QTable",

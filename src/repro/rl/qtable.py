@@ -25,13 +25,6 @@ class QTable:
         self._entries = 0
         self.initial_value = initial_value
 
-    def __setstate__(self, state: dict) -> None:
-        # Tables pickled before rows kept one value per (state, α).
-        pairs = state.pop("_values", {})
-        self.__dict__.update({"_rows": {}, "_entries": 0, **state})
-        for (key, action), value in pairs.items():
-            self.set(key, action, value)
-
     def get(self, state: RackState, action: int) -> float:
         """Current estimate of q(state, action)."""
         row = self._rows.get(state)

@@ -19,10 +19,7 @@ The payload is a versioned envelope of three sections after the magic:
    Pickle (not JSON) because the point is to resurrect live heaps, shared
    :class:`~repro.sim.missions.Mission` references and RNG state, none of
    which have a faithful JSON form.  An in-flight leg pickles as its
-   start tick and packed key buffer (four bytes a step); the envelope is
-   still version 2, because this section is still a pickle and
-   :class:`~repro.pathfinding.paths.Path` loads the ``{"steps": ...}``
-   form older version-2 files hold;
+   start tick and packed key buffer (four bytes a step);
 3. the **ledger** of completed missions, as the raw int64 columns of
    :class:`~repro.sim.ledger.MissionLedger` — history is data, copied,
    never walked.
@@ -32,6 +29,10 @@ time does not grow with the length of the run.  What the live graph
 leaves out lives with its owners: ``Simulation.__getstate__`` (the
 ledger) and ``Planner.__getstate__`` (:mod:`repro.planners.base`,
 structures rebuilt rather than stored).
+
+The envelope version is the only compatibility rule: a change to the
+pickled layout bumps :data:`CHECKPOINT_VERSION`, and files of any other
+version are refused at the header, never converted.
 
 Only trust checkpoints you produced: section 2 is a pickle, with
 pickle's usual code-execution caveat for hostile files.
@@ -54,10 +55,9 @@ from .ledger import MissionLedger
 CHECKPOINT_MAGIC = b"repro-checkpoint"
 
 #: Bump on any change to the envelope layout or to the pickled object
-#: graph that an older reader could misinterpret; restore refuses other
-#: versions outright rather than guessing.  Version 1 (one pickle that
-#: carried every completed mission as an object) is not migrated.
-CHECKPOINT_VERSION = 2
+#: graph; restore refuses every other version and converts no older
+#: layout.
+CHECKPOINT_VERSION = 3
 
 #: Pickle protocol pinned explicitly so checkpoints written on newer
 #: interpreters stay readable on the oldest supported one.

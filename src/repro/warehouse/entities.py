@@ -64,7 +64,7 @@ class Item:
 
 def _restore_fields(entity, state: dict) -> None:
     """Set ``entity``'s dataclass fields from a pickled ``state``, in
-    declaration order, skipping every other key."""
+    declaration order, skipping the derived keys beside them."""
     for f in fields(entity):
         setattr(entity, f.name, state[f.name])
 
@@ -110,11 +110,9 @@ class Rack:
         self._recount()
 
     def __setstate__(self, state: dict) -> None:
-        # Field by field: filling ``self.__dict__`` turns the instance's
-        # inline attribute values into a real dict, and every later
-        # ``rack.<attr>`` read takes the slow path.  Only the fields come
-        # back; the batch facts are derived again, and whatever else an
-        # older checkpoint pickled (a retired back-reference) stays out.
+        # Field by field: filling ``self.__dict__`` would turn the inline
+        # attribute values into a real dict and slow every later read.
+        # The batch facts are derived again from the fields.
         _restore_fields(self, state)
         self._recount()
 

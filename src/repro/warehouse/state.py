@@ -68,12 +68,6 @@ class WarehouseState:
     def __post_init__(self) -> None:
         self._rebuild_indexes()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if not {"_idle", "_selectable_by_picker"} <= state.keys():
-            # Pickled before (some of) the incremental indices existed.
-            self._rebuild_indexes()
-
     # -- construction -------------------------------------------------------
 
     @classmethod

@@ -4,6 +4,7 @@ the native ``run`` and ``tier0_leg`` under the compiled switch) and
 whose starts the caller records in the cache after each call."""
 
 import hashlib
+import pickle
 
 import pytest
 
@@ -62,22 +63,21 @@ class TestShortestPathCache:
             "entries": 2, "blob_bytes": 4 * 20,
             "memory_bytes": 64 + 150 * 2 + 4 * 20}
 
-    def test_blob_era_state_restores(self):
-        # What a checkpoint written while the cache held packed paths
-        # (two int16 a cell) unpickles into.
-        cache = ShortestPathCache.__new__(ShortestPathCache)
-        cache.__setstate__({
-            "_grid": Grid(8, 8), "_fields": None, "threshold": 6,
-            "_paths": {((0, 0), (3, 3)): bytes(28), ((1, 0), (3, 3)): bytes(24)},
-            "_blob_bytes": 52, "hits": 4, "misses": 2})
-        assert vars(cache) == {
+    def test_pickle_round_trip_keeps_pairs_and_counts(self):
+        # A checkpoint carries the pairs, their lengths and the counters
+        # as they are, and the restored cache goes on counting them.
+        cache = ShortestPathCache(threshold=6)
+        cache.record((0, 0), (3, 3), 7)
+        cache.record((1, 0), (3, 3), 6)
+        cache.record((1, 0), (3, 3), 6)
+        again = pickle.loads(pickle.dumps(cache, protocol=4))
+        assert vars(again) == vars(cache) == {
             "threshold": 6, "_paths": {((0, 0), (3, 3)): 7,
                                        ((1, 0), (3, 3)): 6},
-            "_cells": 13, "hits": 4, "misses": 2}
-        cache.record((1, 0), (3, 3), 6)
-        assert cache.hits == 5
-        assert cache.memory_bytes() == 64 + 150 * 2 + 52
-
+            "_cells": 13, "hits": 1, "misses": 2}
+        again.record((1, 0), (3, 3), 6)
+        assert again.hits == 2
+        assert again.memory_bytes() == 64 + 150 * 2 + 52
 
 class TestFollowWithWaits:
     def test_no_conflicts_no_waits(self):

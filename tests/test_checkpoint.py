@@ -80,7 +80,7 @@ class TestRoundTrip:
         """A mid-run dump carries each in-flight leg as its key buffer:
         restored equal, drained bit-identically, and smaller than the
         same run dumped with legs as ``(t, x, y)`` tuples — the form
-        ``Path`` pickled to before it was packed, which still loads."""
+        ``Path`` pickled to before it was packed."""
         expected = drained_view(build_sim()[0])
         sim, _ = build_sim()
         sim.run_until(60)
@@ -101,10 +101,6 @@ class TestRoundTrip:
         as_tuples = dump_checkpoint(sim)
         monkeypatch.undo()
         assert len(blob) < len(as_tuples)
-        old, _ = load_checkpoint_bytes(as_tuples)
-        assert [mission.path for mission in old._active.values()
-                if mission.path is not None] == legs
-        assert drained_view(old) == expected
 
     def test_knn_table_is_rebuilt_not_stored(self):
         """EATP's KNN table is a function of the rack homes: the restored
@@ -128,19 +124,20 @@ class TestRoundTrip:
         dump_checkpoint(sim)  # serialising must not perturb the run
         assert drained_view(sim) == expected
 
-    def test_state_pickled_without_the_indices_restores(self):
-        """A checkpoint from before ``WarehouseState`` kept its idle /
-        selectable indices loads: the indices are rebuilt and the run
-        continues bit-identically."""
+    def test_state_indices_travel_in_the_pickle(self):
+        """``WarehouseState``'s idle / selectable indices are pickled, not
+        rebuilt on load: a mid-run restore holds the very lists a rebuild
+        from the entities derives, and the run continues bit-identically."""
         expected = drained_view(build_sim()[0])
         sim, _ = build_sim()
         sim.run_until(60)
-        old, _ = load_checkpoint_bytes(dump_checkpoint(sim))
-        for name in ("_idle", "_selectable"):
-            del old.state.__dict__[name]
-        restored, _ = load_checkpoint_bytes(dump_checkpoint(old))
+        restored, _ = load_checkpoint_bytes(dump_checkpoint(sim))
         state = restored.state
         assert state.idle_robots() != state.robots  # genuinely mid-run
+        names = ("_idle", "_selectable", "_selectable_by_picker")
+        loaded = {name: getattr(state, name) for name in names}
+        state._rebuild_indexes()
+        assert loaded == {name: getattr(state, name) for name in names}
         state.check_invariants()
         assert drained_view(restored) == expected
 
@@ -302,8 +299,10 @@ class TestEnvelope:
 
 
 class TestCommittedFixtures:
-    """One real file per envelope version: it loads and drains to a pinned
-    result, or it is refused with a ``CheckpointError`` — never a crash.
+    """One real file per envelope version: the current version loads and
+    drains to a pinned result, and every older one is refused with a
+    ``CheckpointError`` naming both versions — never a crash, and never
+    converted.
 
     Each was written by the build whose version it carries with::
 
@@ -318,76 +317,67 @@ class TestCommittedFixtures:
         save_checkpoint(sim, f'tests/fixtures/checkpoint-v{CHECKPOINT_VERSION}-eatp.ckpt')"
 
     A new envelope version adds a file; the older files stay and move to
-    whichever side of the rule the new build puts them on.
+    whichever side of the rule the new build puts them on.  Version 3
+    made the envelope the only rule, so versions 1 and 2 are refused:
+    no class converts the layouts they hold.
     """
 
     #: sha256 of the drained run's deterministic view (compact JSON,
     #: sorted keys).  Changes only with an intentional behaviour change —
-    #: the same event that regenerates ``tests/golden/``.  Re-pinned in
-    #: PR 18 for the view's schema alone (``metrics.batch`` gone,
-    #: ``rescued_legs`` under ``metrics.fastpath``; putting the old block
-    #: back reproduces be35beca…) and again in PR 21 (``fallback``'s
-    #: ``windowed_legs`` key became ``budget_exhausted``, both 0 here;
-    #: putting the old key back reproduces eaaac75d…); the file itself is
-    #: PR 16's, untouched.
-    V2_DRAINED_DIGEST = (
+    #: the same event that regenerates ``tests/golden/``.  The version-3
+    #: file is the paused run the version-2 file held, and drains to the
+    #: digest pinned on that file.
+    DRAINED_DIGEST = (
         "9f291450fabd2282a5e5b8d823e49f67b95cf1c9bf1016f010487ee2c43573c3")
 
-    def test_v2_fixture_loads_and_drains_to_the_pinned_result(self):
-        path = FIXTURES / "checkpoint-v2-eatp.ckpt"
-        header = read_checkpoint_header(path)
-        assert (header["version"], header["tick"]) == (2, 60)
-        sim, extra = load_checkpoint(path)
-        assert extra is None
-        assert len(sim.ledger) == header["missions_completed"] == 3
-        # Written when wakes could batch: the planner and its config
-        # still carry those attributes, and nothing reads them.
-        assert set(vars(sim.planner.config)) \
-            > {f.name for f in dataclasses.fields(sim.planner.config)}
-        view = drained_view(sim)
-        # The file is this build's own run, paused: same result as never
-        # having stopped, and that result is the pinned one.
-        assert view == drained_view(build_sim("EATP")[0])
+    CURRENT = FIXTURES / "checkpoint-v3-eatp.ckpt"
+
+    def assert_pinned(self, view):
         blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
-                == self.V2_DRAINED_DIGEST)
+                == self.DRAINED_DIGEST)
+
+    def test_v3_fixture_loads_and_drains_to_the_pinned_result(self):
+        header = read_checkpoint_header(self.CURRENT)
+        assert (header["version"], header["tick"]) == (3, 60)
+        sim, extra = load_checkpoint(self.CURRENT)
+        assert extra is None
+        assert len(sim.ledger) == header["missions_completed"] == 3
+        # The body is exactly this build's graph: no attribute that a
+        # retired feature left behind.
+        assert set(vars(sim.planner.config)) \
+            == {f.name for f in dataclasses.fields(sim.planner.config)}
+        assert set(vars(sim.planner)) == set(vars(build_sim()[0].planner))
+        # The state's indices, the per-picker one too, travel in the file.
+        assert sum(map(len, sim.state.selectable_by_picker().values())) > 0
+        sim.state.check_invariants()
+        # The file is this build's own run, paused: same result as never
+        # having stopped, and that result is the pinned one.
+        view = drained_view(sim)
+        assert view == drained_view(build_sim("EATP")[0])
+        self.assert_pinned(view)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_v2_fixture_drains_to_the_pin_under_either_switch(self, kernel):
+    def test_v3_fixture_drains_to_the_pin_under_either_switch(self, kernel):
         # The file holds the python layout of the reservation table; under
-        # the compiled switch it is loaded into the native store.  Its
-        # path cache holds packed path blobs, which load as cell counts:
-        # the cache reads as it did and goes on counting the same pairs.
+        # the compiled switch it is loaded into the native store.  The
+        # path cache holds its pairs and lengths, and goes on counting
+        # the same pairs.
         set_search_kernel(kernel)
-        sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
+        sim, __ = load_checkpoint(self.CURRENT)
         cache = sim.planner.cache
         assert cache.live_counts() == {"entries": 14, "blob_bytes": 448,
                                        "memory_bytes": 2612}
         assert (cache.hits, cache.misses) == (3, 14)
-        blob = json.dumps(drained_view(sim), sort_keys=True,
-                          separators=(",", ":"))
-        assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
-                == self.V2_DRAINED_DIGEST)
+        self.assert_pinned(drained_view(sim))
         assert cache.live_counts() == {"entries": 37, "blob_bytes": 1228,
                                        "memory_bytes": 6842}
         assert (cache.hits, cache.misses) == (16, 37)
 
-    def test_v2_fixture_rebuilds_the_per_picker_index(self):
-        # Written before the state kept each picker's selectable racks:
-        # the restored state derives them, and the run drains to the pin.
-        sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
-        assert sum(map(len, sim.state.selectable_by_picker().values())) > 0
-        sim.state.check_invariants()
-        blob = json.dumps(drained_view(sim), sort_keys=True,
-                          separators=(",", ":"))
-        assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
-                == self.V2_DRAINED_DIGEST)
-
-    def test_v2_fixture_entities_restore_their_fields_only(self):
-        # Written when racks and robots pointed back at their world: the
-        # pickled back-reference is left behind on restore, and so stays
-        # out of every later checkpoint of the restored run.
-        sim, __ = load_checkpoint(FIXTURES / "checkpoint-v2-eatp.ckpt")
+    def test_v3_fixture_entities_hold_their_fields_only(self):
+        # Racks and robots restore their dataclass fields (plus a rack's
+        # two derived batch facts), and so does every later checkpoint.
+        sim, __ = load_checkpoint(self.CURRENT)
         for __ in range(2):
             entities = sim.state.racks + sim.state.robots
             assert len(entities) == 12 + 3
@@ -397,23 +387,12 @@ class TestCommittedFixtures:
                     | {"pending_processing_time", "oldest_arrival"})
             sim, __ = load_checkpoint_bytes(dump_checkpoint(sim))
 
-    def test_v1_fixture_state_rebuilds_every_index(self):
-        # The envelope refuses version 1 (below), but its state still
-        # unpickles — header and body in one pickle stream, as that build
-        # wrote them — with every derived index rebuilt from the entities.
-        with (FIXTURES / "checkpoint-v1-eatp.ckpt").open("rb") as fh:
-            fh.seek(len(CHECKPOINT_MAGIC))
-            stream = pickle.Unpickler(fh)
-            assert stream.load()["version"] == 1
-            state = stream.load()[0].state
-        assert sum(map(len, state.selectable_by_picker().values())) > 0
-        state.check_invariants()
-
-    def test_v1_fixture_is_refused_naming_both_versions(self):
-        path = FIXTURES / "checkpoint-v1-eatp.ckpt"
-        assert read_checkpoint_header(path)["version"] == 1
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_fixture_is_refused_naming_both_versions(self, version):
+        path = FIXTURES / f"checkpoint-v{version}-eatp.ckpt"
+        assert read_checkpoint_header(path)["version"] == version
         with pytest.raises(CheckpointError,
-                           match=r"version 1 .* reads version 2"):
+                           match=rf"version {version} .* reads version 3"):
             load_checkpoint(path)
 
 

@@ -189,6 +189,19 @@ class TestMatrixExecution:
         with pytest.raises(ConfigurationError, match="written by"):
             run_matrix(cells, store=store)
 
+    def test_resume_refuses_a_cell_whose_spec_changed(self, tmp_path):
+        # Same cell id, another scenario under it: serving the stored
+        # payload would report seed 1's makespan (502) for seed 2 (528).
+        store = ResultStore(tmp_path)
+        run_matrix(plan_cells([make_mini(seed=1)], ("NTP",)), store=store)
+        stale = plan_cells([make_mini(seed=2)], ("NTP",))
+        with pytest.raises(ConfigurationError,
+                           match=r"'Mini--NTP'.*'items' differs"):
+            run_matrix(stale, store=store)
+        store.delete(stale[0].cell_id)
+        fresh = run_matrix(stale, store=store)[stale[0].cell_id]
+        assert fresh["result"]["metrics"]["makespan"] == 528
+
     def test_resume_tolerates_legacy_payload_without_cell_id(self, tmp_path):
         cells = mini_cells(planners=("NTP",))
         store = ResultStore(tmp_path)

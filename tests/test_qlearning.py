@@ -7,9 +7,7 @@ import pytest
 from repro.config import QLearningConfig
 from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
                           bucketize, request_cost, wait_cost)
-from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qlearning import QLearningAgent
-from repro.rl.qtable import QTable
 
 
 def obs(ap=0, ar=0, fp=0, d=10, batch=30, n=1):
@@ -64,6 +62,12 @@ class TestUpdate:
         assert value < 0
         assert value > -10 * a.config.deferral_weight / (1 - a.config.discount)
 
+    def test_memory_reporting(self):
+        a = agent()
+        before = a.memory_bytes()
+        a.update(obs(), ACTION_REQUEST)
+        assert a.memory_bytes() > before
+
 
 class TestUtilitiesAndPolicy:
     def test_loaded_near_rack_requests(self):
@@ -83,6 +87,23 @@ class TestUtilitiesAndPolicy:
     def test_deep_backlog_eventually_requests(self):
         a = agent()
         assert a.choose_action(obs(fp=500, d=20, n=60)) == ACTION_REQUEST
+
+    def test_epsilon_zero_decide_is_greedy(self):
+        # ``decide`` is the paper's ε-greedy policy: at ε = 0 it always
+        # takes the lookahead's better action and never explores.
+        a = agent(epsilon=0.0)
+        facts = a.facts(obs(fp=0, d=50, n=1))
+        u_wait, u_request = a.lookahead(*facts)
+        greedy = ACTION_REQUEST if u_request >= u_wait else ACTION_WAIT
+        assert all(a.decide(*facts) == greedy for _ in range(20))
+        assert a.stats.explored_actions == 0
+
+    def test_epsilon_is_the_exploration_rate(self):
+        a = agent(epsilon=0.5)
+        facts = a.facts(obs(fp=0, d=50, n=1))
+        for _ in range(400):
+            a.decide(*facts)
+        assert 150 < a.stats.explored_actions < 250
 
     def test_epsilon_one_explores(self):
         a = agent(epsilon=1.0)
@@ -111,20 +132,3 @@ class TestBernoulliDelta:
         draws = [a.use_approximation() for _ in range(500)]
         assert 150 < sum(draws) < 350
 
-
-class TestPolicies:
-    def test_epsilon_greedy_validates_epsilon(self):
-        with pytest.raises(ValueError):
-            EpsilonGreedyPolicy(QTable(), epsilon=1.5)
-
-    def test_epsilon_zero_is_greedy(self):
-        table = QTable()
-        table.set((0, 0), ACTION_WAIT, 5.0)
-        policy = EpsilonGreedyPolicy(table, 0.0, random.Random(0))
-        assert all(policy.action((0, 0)) == ACTION_WAIT for _ in range(20))
-
-    def test_memory_reporting(self):
-        a = agent()
-        before = a.memory_bytes()
-        a.update(obs(), ACTION_REQUEST)
-        assert a.memory_bytes() > before

@@ -98,18 +98,17 @@ class TestRows:
                                ((1, 1), ACTION_WAIT): -6.0}
         assert table.best_value((1, 1)) == -5.0
 
-    def test_pair_keyed_pickle_loads_as_rows(self):
-        # The layout older checkpoints carry: one dict value per
-        # (state, action) pair.
-        old = QTable.__new__(QTable)
-        old.__dict__.update(initial_value=0.0, _values={
-            ((0, 0), ACTION_WAIT): -1.0, ((0, 0), ACTION_REQUEST): -2.0,
-            ((4, 2), ACTION_REQUEST): -7.0})
-        table = pickle.loads(pickle.dumps(old))
-        assert dict(table) == old.__dict__["_values"]
-        assert len(table) == 3
-        assert table.memory_bytes() == 64 + 150 * 3
-        assert table.best_value((0, 0)) == -1.0
-        assert table.get((4, 2), ACTION_WAIT) == 0.0
-        again = pickle.loads(pickle.dumps(table))
+    def test_pickle_round_trip_keeps_rows_and_counts(self):
+        # A checkpoint carries the rows as they are: values, written
+        # masks and the entry count come back, and writing goes on.
+        table = QTable(initial_value=-0.5)
+        table.set((0, 0), ACTION_WAIT, -1.0)
+        table.set((0, 0), ACTION_REQUEST, -2.0)
+        table.set((4, 2), ACTION_REQUEST, -7.0)
+        again = pickle.loads(pickle.dumps(table, protocol=4))
         assert dict(again) == dict(table) and len(again) == 3
+        assert again.memory_bytes() == table.memory_bytes() == 64 + 150 * 3
+        assert again.best_value((0, 0)) == -1.0
+        assert again.get((4, 2), ACTION_WAIT) == -0.5
+        again.set((4, 2), ACTION_WAIT, -3.0)
+        assert len(again) == 4 and len(table) == 3

@@ -15,7 +15,6 @@ with the extension never built.  Which kernel a run reaches is pinned
 once, for every plane, by ``test_kernel::test_one_switch_routes_every_plane``.
 """
 
-import base64
 import copy
 import pickle
 import random
@@ -645,40 +644,6 @@ RECORDED_RULE_COUNTS = {
          "memory_bytes": 1860}],
 }
 
-#: A ``SpatiotemporalGraph(Grid(12, 10))`` and a
-#: ``ShardedSpatiotemporalGraph(3)`` holding the tape up to its first
-#: purge, pickled (protocol 4, python switch) by the build with one class
-#: per table.
-PICKLED_BEFORE_THE_FOLD = {
-    "stgraph": (
-        "gASV+wEAAAAAAACMJnJlcHJvLnBhdGhmaW5kaW5nLnNwYXRpb3RlbXBvcmFsX2dyYXBo"
-        "lIwTU3BhdGlvdGVtcG9yYWxHcmFwaJSTlCmBlH2UKIwFX2dyaWSUjBRyZXByby53YXJl"
-        "aG91c2UuZ3JpZJSMBEdyaWSUk5RLDEsKKYeUUpSMDm11dGF0aW9uX3N0YW1wlEsFjAhf"
-        "YnVja2V0c5R9lChLBI+UKEoAAAIASgcABwCQSwWPlChKAQACAEoGAAcAkEsGj5QoSgEA"
-        "AgBKBQAFAEoGAAYAkEsHj5QoSgEAAwBKBQAFAJBLCI+UKEoFAAUAkEsJj5QoSgQABQCQ"
-        "SwqPlChKBAAEAJBLDI+UKEoAAAsAkEsNj5QoSgAACgCQSw6PlChKAAAJAJBLD4+UKEoA"
-        "AAgAkHWMBl9mbG9vcpRLBIwKX25fZW50cmllc5RLEIwNX2VkZ2VfYnVja2V0c5R9lChL"
-        "BI+UKIoHAQACAAAAAooHBgAHAAcAB5BLBo+UKIoHAQADAAEAApBLBY+UKIoHBgAGAAYA"
-        "B5BLCI+UKIoHBAAFAAUABZBLCY+UKIoHBAAEAAQABZBLDI+UKIoHAAAKAAAAC5BLDY+U"
-        "KIoHAAAJAAAACpBLDo+UKIoHAAAIAAAACZB1jAtfZWRnZV9mbG9vcpRLBIwIX25fZWRn"
-        "ZXOUSwl1Yi4="),
-    "tiled-3": (
-        "gASVYQIAAAAAAACMJnJlcHJvLnBhdGhmaW5kaW5nLnNwYXRpb3RlbXBvcmFsX2dyYXBo"
-        "lIwaU2hhcmRlZFNwYXRpb3RlbXBvcmFsR3JhcGiUk5QpgZR9lCiMCl90aWxlX2JpdHOU"
-        "SwOMC190aWxlX2NlbGxzlEtAjA5tdXRhdGlvbl9zdGFtcJRLBYwIX2J1Y2tldHOUfZQo"
-        "SwSPlChKAAACAEoHAAcAkEsFj5QoSgEAAgBKBgAHAJBLBo+UKEoBAAIASgUABQBKBgAG"
-        "AJBLB4+UKEoBAAMASgUABQCQSwiPlChKBQAFAJBLCY+UKEoEAAUAkEsKj5QoSgQABACQ"
-        "SwyPlChKAAALAJBLDY+UKEoAAAoAkEsOj5QoSgAACQCQSw+PlChKAAAIAJB1jAZfZmxv"
-        "b3KUSwSMCl9uX2VudHJpZXOUSxCMDV9lZGdlX2J1Y2tldHOUfZQoSwSPlCiKBwEAAgAA"
-        "AAKKBwYABwAHAAeQSwaPlCiKBwEAAwABAAKQSwWPlCiKBwYABgAGAAeQSwiPlCiKBwQA"
-        "BQAFAAWQSwmPlCiKBwQABAAEAAWQSwyPlCiKBwAACgAAAAuQSw2PlCiKBwAACQAAAAqQ"
-        "Sw6PlCiKBwAACAAAAAmQdYwLX2VkZ2VfZmxvb3KUSwSMCF9uX2VkZ2VzlEsJjAZfdGls"
-        "ZXOUfZQoSwSPlChLAJBLBY+UKEsAkEsGj5QoSwCQSwePlChLAJBLCI+UKEsAkEsJj5Qo"
-        "SwCQSwqPlChLAJBLDI+UKEoAAAEAkEsNj5QoSgAAAQCQSw6PlChKAAABAJBLD4+UKEoA"
-        "AAEAkHV1Yi4="),
-}
-
-
 def play_rule_tape(table, ops):
     """Apply ``ops`` (a slice of :data:`RULE_TAPE`) to ``table``."""
     for op, arg, cells in ops:
@@ -715,18 +680,20 @@ class TestRecordedRuleAccounting:
                 seen.append(counts)
         assert seen == RECORDED_RULE_COUNTS[name]
 
-    @pytest.mark.parametrize("name", sorted(PICKLED_BEFORE_THE_FOLD))
-    def test_pickle_from_before_the_fold_loads(self, kernel, name):
-        # The older build's pickle restores into this build's class with
-        # its rule: equal probes and counts, then and after more traffic.
+    @pytest.mark.parametrize("name", sorted(RULE_TABLES))
+    def test_pickle_mid_tape_keeps_the_rule(self, kernel, name):
+        # A checkpoint carries the table's rule beside its python layout:
+        # the restored table probes and charges as the one that never
+        # stopped, then and after more traffic.
         set_search_kernel(kernel)
-        table = pickle.loads(base64.b64decode(PICKLED_BEFORE_THE_FOLD[name]))
-        twin = RULE_TABLES[name]()
+        table, twin = RULE_TABLES[name](), RULE_TABLES[name]()
+        play_rule_tape(table, RULE_TAPE[:5])
         play_rule_tape(twin, RULE_TAPE[:5])
+        table = pickle.loads(pickle.dumps(table, protocol=4))
         assert all_probes(table) == all_probes(twin)
-        assert table.live_counts() == RECORDED_RULE_COUNTS[name][1]
+        assert table.live_counts() == twin.live_counts()
         play_rule_tape(table, RULE_TAPE[5:])
         play_rule_tape(twin, RULE_TAPE[5:])
         assert all_probes(table) == all_probes(twin)
-        assert table.live_counts() == RECORDED_RULE_COUNTS[name][2]
-        assert table.recount() == RECORDED_RULE_COUNTS[name][2]
+        assert table.live_counts() == RECORDED_RULE_COUNTS[name][-1]
+        assert table.recount() == RECORDED_RULE_COUNTS[name][-1]
