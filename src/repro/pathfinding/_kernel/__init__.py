@@ -18,12 +18,15 @@ search, the reservation table's operations, the field flood and tier 0
 with it off the python body does, bit-identically.  The search and tier
 0 take only the library's table and fields, so nothing declines.
 EATP's K-nearest-racks table (:class:`repro.warehouse.knn.StaticRackKNN`)
-is built by ``knn_fill`` under the same switch.
+is built by ``knn_fill`` under the same switch, and the ILP baseline's
+assignment (:class:`repro.planners.ilp.IlpPlanner`) is solved by
+``lsap``, which returns ``scipy.optimize.linear_sum_assignment``'s answer
+tie for tie (SciPy serves the python switch).
 
 The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
-``tier0_leg``, ``knn_fill`` and the reservation store's ``store_new``,
-``store_reserve``, ``store_purge``, ``store_probe``, ``store_counts``,
-``store_export`` — carry their signatures as docstrings
+``tier0_leg``, ``knn_fill``, ``lsap`` and the reservation store's
+``store_new``, ``store_reserve``, ``store_purge``, ``store_probe``,
+``store_counts``, ``store_export`` — carry their signatures as docstrings
 (``help(_stsearch.run)``).  A leg crosses the boundary as ``keys``: one
 ``array('q')`` of packed cell keys (``x << 16 | y``), one per
 consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps as

@@ -36,6 +36,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1668,6 +1669,189 @@ done:
     return result;
 }
 
+/* lsap: the ILP baseline's assignment problem, solved as scipy's      */
+/* rectangular_lsap (Crouse's shortest augmenting path) solves it, so  */
+/* every tie — integer-valued costs tie constantly — resolves as       */
+/* linear_sum_assignment resolves it.  The rules that pick among ties: */
+/* the remaining columns are listed in reverse order; a column's path  */
+/* cost changes only when strictly lower; the scan takes the last      */
+/* unassigned column among the minima, or the first minimum when none  */
+/* is unassigned; the dual update skips the current row; and a tall    */
+/* matrix is solved transposed and reported by ascending row.          */
+
+/* One shortest augmenting path from free row i: the sink column, or -1
+ * when no remaining column is in reach (an infeasible matrix). */
+static Py_ssize_t
+lsap_augment(Py_ssize_t nr, Py_ssize_t nc, const double *cost,
+             const double *u, const double *v, Py_ssize_t *path,
+             const Py_ssize_t *row4col, double *spc, Py_ssize_t i,
+             char *sr, char *sc, Py_ssize_t *remaining, double *p_min)
+{
+    double min_val = 0;
+    Py_ssize_t n_rem = nc, sink = -1;
+    for (Py_ssize_t it = 0; it < nc; it++) {
+        remaining[it] = nc - it - 1;
+        spc[it] = INFINITY;
+        sc[it] = 0;
+    }
+    memset(sr, 0, (size_t)nr);
+    while (sink == -1) {
+        Py_ssize_t index = -1;
+        double lowest = INFINITY;
+        sr[i] = 1;
+        for (Py_ssize_t it = 0; it < n_rem; it++) {
+            Py_ssize_t j = remaining[it];
+            double r = min_val + cost[i * nc + j] - u[i] - v[j];
+            if (r < spc[j]) {
+                path[j] = i;
+                spc[j] = r;
+            }
+            if (spc[j] < lowest || (spc[j] == lowest && row4col[j] == -1)) {
+                lowest = spc[j];
+                index = it;
+            }
+        }
+        min_val = lowest;
+        if (min_val == INFINITY)
+            return -1;
+        Py_ssize_t j = remaining[index];
+        if (row4col[j] == -1)
+            sink = j;
+        else
+            i = row4col[j];
+        sc[j] = 1;
+        remaining[index] = remaining[--n_rem];
+    }
+    *p_min = min_val;
+    return sink;
+}
+
+static PyObject *
+stsearch_lsap(PyObject *self, PyObject *arg)
+{
+    (void)self;
+    Py_buffer view;
+    if (PyObject_GetBuffer(arg, &view, PyBUF_RECORDS_RO) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    char *block = NULL;
+    if (view.ndim != 2) {
+        PyErr_Format(PyExc_ValueError,
+                     "expected a matrix (2-D array), got a %d array",
+                     view.ndim);
+        goto done;
+    }
+    if (view.itemsize != 8 || view.format == NULL
+            || strcmp(view.format, "d")) {
+        PyErr_SetString(PyExc_TypeError, "cost must be a float64 buffer");
+        goto done;
+    }
+    if (!PyBuffer_IsContiguous(&view, 'C')) {
+        PyErr_SetString(PyExc_ValueError, "cost must be C-contiguous");
+        goto done;
+    }
+    Py_ssize_t n_rows = view.shape[0], n_cols = view.shape[1];
+    Py_ssize_t n = n_rows * n_cols;
+    const double *cost = view.buf;
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (isnan(cost[k]) || cost[k] == -INFINITY) {
+            PyErr_SetString(PyExc_ValueError,
+                            "matrix contains invalid numeric entries");
+            goto done;
+        }
+    int transpose = n_cols < n_rows;
+    Py_ssize_t nr = transpose ? n_cols : n_rows;
+    Py_ssize_t nc = transpose ? n_rows : n_cols;
+    /* u, v, spc and the transposed copy; path, row4col, remaining,
+     * col4row and the output pairs; the row and column marks. */
+    Py_ssize_t n_doubles = nr + 2 * nc + (transpose ? n : 0);
+    Py_ssize_t n_indices = 3 * nc + 3 * nr;
+    block = PyMem_Malloc((size_t)(n_doubles * (Py_ssize_t)sizeof(double)
+                                  + n_indices * (Py_ssize_t)sizeof(int64_t)
+                                  + nr + nc));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *u = (double *)block, *v = u + nr, *spc = v + nc;
+    if (transpose) {
+        double *temp = spc + nc;
+        for (Py_ssize_t i = 0; i < n_rows; i++)
+            for (Py_ssize_t j = 0; j < n_cols; j++)
+                temp[j * n_rows + i] = cost[i * n_cols + j];
+        cost = temp;
+    }
+    Py_ssize_t *path = (Py_ssize_t *)(u + n_doubles);
+    Py_ssize_t *row4col = path + nc, *remaining = row4col + nc;
+    Py_ssize_t *col4row = remaining + nc;
+    int64_t *rows_out = (int64_t *)(col4row + nr), *cols_out = rows_out + nr;
+    char *sr = (char *)(cols_out + nr), *sc = sr + nr;
+    for (Py_ssize_t i = 0; i < nr; i++) {
+        u[i] = 0;
+        col4row[i] = -1;
+    }
+    for (Py_ssize_t j = 0; j < nc; j++) {
+        v[j] = 0;
+        path[j] = -1;
+        row4col[j] = -1;
+    }
+    for (Py_ssize_t cur = 0; cur < nr; cur++) {
+        double min_val;
+        Py_ssize_t sink = lsap_augment(nr, nc, cost, u, v, path, row4col,
+                                       spc, cur, sr, sc, remaining, &min_val);
+        if (sink < 0) {
+            PyErr_SetString(PyExc_ValueError, "cost matrix is infeasible");
+            goto done;
+        }
+        u[cur] += min_val;
+        for (Py_ssize_t i = 0; i < nr; i++)
+            if (sr[i] && i != cur)
+                u[i] += min_val - spc[col4row[i]];
+        for (Py_ssize_t j = 0; j < nc; j++)
+            if (sc[j])
+                v[j] -= min_val - spc[j];
+        for (Py_ssize_t j = sink;;) {
+            Py_ssize_t i = path[j], next = col4row[i];
+            row4col[j] = i;
+            col4row[i] = j;
+            j = next;
+            if (i == cur)
+                break;
+        }
+    }
+    if (transpose) {
+        /* col4row maps each original column to a distinct original row:
+         * list the pairs by row (path, spent, becomes the inverse). */
+        for (Py_ssize_t r = 0; r < nc; r++)
+            path[r] = -1;
+        for (Py_ssize_t c = 0; c < nr; c++)
+            path[col4row[c]] = c;
+        Py_ssize_t m = 0;
+        for (Py_ssize_t r = 0; r < nc; r++)
+            if (path[r] >= 0) {
+                rows_out[m] = r;
+                cols_out[m++] = path[r];
+            }
+    }
+    else {
+        for (Py_ssize_t i = 0; i < nr; i++) {
+            rows_out[i] = i;
+            cols_out[i] = col4row[i];
+        }
+    }
+    Py_ssize_t bytes = nr * (Py_ssize_t)sizeof(int64_t);
+    result = Py_BuildValue(
+        "(NN)",
+        PyObject_CallFunction(array_type, "sy#", "q", (const char *)rows_out,
+                              bytes),
+        PyObject_CallFunction(array_type, "sy#", "q", (const char *)cols_out,
+                              bytes));
+done:
+    PyMem_Free(block);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyObject *
 stsearch_tier0_leg(PyObject *self, PyObject *args)
 {
@@ -1849,6 +2033,11 @@ static PyMethodDef stsearch_methods[] = {
      "Write each cell's K racks of least (Manhattan distance, id) from the\n"
      "(n, 2) int64 ``homes`` into the writable C-contiguous (width,\n"
      "height, K) int16/int32 ``out``; 1 <= K <= n, every home on the floor."},
+    {"lsap", stsearch_lsap, METH_O,
+     "lsap(cost) -> (row_ind, col_ind)\n"
+     "The minimum-cost assignment of the C-contiguous 2-D float64 ``cost``,\n"
+     "equal to scipy.optimize.linear_sum_assignment(cost) tie for tie, as\n"
+     "two array('q'); ValueError for NaN or -inf or an infeasible matrix."},
     {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
      "tier0_leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
      "    start_t, trigger, rescue_wait_per_step, rescue_total_wait)\n"

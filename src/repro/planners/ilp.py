@@ -12,24 +12,25 @@ with ``cost(a, r)`` the end-to-end delay estimate of dispatching robot
 processing + return, mirroring Eq. 2.
 
 The constraint matrix of an assignment problem is totally unimodular, so
-its LP relaxation is integral: the Hungarian solution *is* the ILP optimum.
-We therefore solve with ``scipy.optimize.linear_sum_assignment``, which is
-exact and orders of magnitude faster than a generic MILP — the substitution
-is value-preserving by construction.  (A generic-MILP path via
-``scipy.optimize.milp`` is kept for cross-checking small instances.)
+its LP relaxation is integral: the shortest-augmenting-path solution *is*
+the ILP optimum, found exactly and orders of magnitude faster than by a
+generic MILP.  The kernel switch picks the solver: the native ``lsap``,
+or ``scipy.optimize.linear_sum_assignment``, imported at its first use.
+``lsap`` is SciPy's algorithm rule for rule and returns the same
+assignment tie for tie, so a compiled run never loads SciPy and both
+switches dispatch alike.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..config import PlannerConfig
+from ..pathfinding import _kernel
 from ..types import Tick
 from ..warehouse.entities import Rack, Robot
-from ..warehouse.state import WarehouseState
 from .base import Planner, SelectionEntry
 
 
@@ -37,19 +38,6 @@ class IlpPlanner(Planner):
     """Per-timestamp optimal robot–rack assignment (extended [12])."""
 
     name = "ILP"
-
-    #: Instances at or below this robot×rack size may use the generic MILP
-    #: cross-check (tests only; the default path is always Hungarian).
-    MILP_CROSSCHECK_LIMIT = 64
-
-    def __init__(self, state: WarehouseState,
-                 config: Optional[PlannerConfig] = None) -> None:
-        super().__init__(state, config)
-        # Only this planner calls the solver, so it is loaded here and not
-        # with the package — and not in the first ``_select``, where a
-        # timed run would pay for it (as a restored checkpoint, which
-        # skips ``__init__``, does).
-        import scipy.optimize  # noqa: F401
 
     _UNPICKLED = Planner._UNPICKLED + ("_rack_table",)
 
@@ -63,10 +51,12 @@ class IlpPlanner(Planner):
 
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
-        from scipy.optimize import linear_sum_assignment
-
         cost = self._cost_matrix(racks, robots)
-        row_ind, col_ind = linear_sum_assignment(cost)
+        if _kernel.active is None:
+            from scipy.optimize import linear_sum_assignment as solve
+        else:
+            solve = _kernel.active.lsap
+        row_ind, col_ind = solve(cost)
         entries = [SelectionEntry(rack=racks[c], robot=robots[r])
                    for r, c in zip(row_ind, col_ind)]
         return entries
@@ -93,51 +83,3 @@ class IlpPlanner(Planner):
                      + d_rp)
         queuing = np.maximum(finish[picker_of] - transport, 0)
         return (transport + queuing + batch + d_rp).astype(np.float64)
-
-    # -- MILP cross-check (exactness witness for tests) -------------------------
-
-    def solve_milp(self, racks: List[Rack],
-                   robots: List[Robot]) -> Optional[List[SelectionEntry]]:
-        """Solve the same assignment with a generic MILP.
-
-        Returns ``None`` when the instance exceeds
-        :data:`MILP_CROSSCHECK_LIMIT`; used by tests to witness that the
-        Hungarian fast path is the true ILP optimum.
-        """
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        n_a, n_r = len(robots), len(racks)
-        if n_a * n_r > self.MILP_CROSSCHECK_LIMIT:
-            return None
-        cost = self._cost_matrix(racks, robots).reshape(-1)
-        n_vars = n_a * n_r
-
-        rows = []
-        for i in range(n_a):  # each robot at most one rack
-            row = np.zeros(n_vars)
-            row[i * n_r:(i + 1) * n_r] = 1
-            rows.append(row)
-        for j in range(n_r):  # each rack at most one robot
-            row = np.zeros(n_vars)
-            row[j::n_r] = 1
-            rows.append(row)
-        # Maximise the number of assignments, then minimise cost: enforce
-        # exactly min(n_a, n_r) assignments, like linear_sum_assignment.
-        total = np.ones(n_vars)
-        k = min(n_a, n_r)
-
-        constraints = [
-            LinearConstraint(np.array(rows), -np.inf, 1),
-            LinearConstraint(total[None, :], k, k),
-        ]
-        result = milp(c=cost, constraints=constraints,
-                      integrality=np.ones(n_vars),
-                      bounds=Bounds(0, 1))
-        if not result.success:
-            return None
-        chosen = np.flatnonzero(np.round(result.x) == 1)
-        entries = []
-        for flat in chosen:
-            i, j = divmod(int(flat), n_r)
-            entries.append(SelectionEntry(rack=racks[j], robot=robots[i]))
-        return entries

@@ -7,23 +7,72 @@ selection decisions are fully deterministic and observable.
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.config import PlannerConfig, QLearningConfig
+from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.planners import (AdaptiveTaskPlanner, EfficientAdaptiveTaskPlanner,
                             IlpPlanner, LeastExpirationFirstPlanner,
-                            NaiveTaskPlanner, most_slack_first)
+                            NaiveTaskPlanner, SelectionEntry,
+                            most_slack_first)
 from repro.warehouse.entities import Item
 
 from tests.conftest import drip_items, make_two_picker_state
+
+
+COMPILED = build_and_load()
 
 
 def give_items(state, rack_id, n=1, processing=5, start=0):
     for i in range(n):
         state.deliver_item(Item(item_id=start + i, rack_id=rack_id,
                                 arrival=0, processing_time=processing))
+
+
+#: Instances above this robot x rack size are not cross-checked.
+MILP_CROSSCHECK_LIMIT = 64
+
+
+def solve_milp(planner, racks, robots, limit=MILP_CROSSCHECK_LIMIT):
+    """The planner's assignment solved by a generic MILP, or ``None``.
+
+    The witness that the assignment solver finds the true ILP optimum:
+    the same cost matrix, each robot at most one rack, each rack at most
+    one robot, and exactly min(robots, racks) pairs, as the assignment
+    solver makes.  ``None`` above ``limit`` variables or when the MILP
+    fails.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n_a, n_r = len(robots), len(racks)
+    if n_a * n_r > limit:
+        return None
+    cost = planner._cost_matrix(racks, robots).reshape(-1)
+    n_vars = n_a * n_r
+    rows = []
+    for i in range(n_a):  # each robot at most one rack
+        row = np.zeros(n_vars)
+        row[i * n_r:(i + 1) * n_r] = 1
+        rows.append(row)
+    for j in range(n_r):  # each rack at most one robot
+        row = np.zeros(n_vars)
+        row[j::n_r] = 1
+        rows.append(row)
+    constraints = [
+        LinearConstraint(np.array(rows), -np.inf, 1),
+        LinearConstraint(np.ones((1, n_vars)), min(n_a, n_r),
+                         min(n_a, n_r)),
+    ]
+    result = milp(c=cost, constraints=constraints,
+                  integrality=np.ones(n_vars), bounds=Bounds(0, 1))
+    if not result.success:
+        return None
+    return [SelectionEntry(rack=racks[j], robot=robots[i])
+            for i, j in (divmod(int(flat), n_r)
+                         for flat in np.flatnonzero(np.round(result.x) == 1))]
 
 
 class TestNaiveTaskPlanner:
@@ -100,19 +149,25 @@ class TestLefPlanner:
 
 
 class TestIlpPlanner:
-    def test_solver_is_imported_at_construction_not_with_the_package(self):
-        # Four of the five planners never call the solver; only building
-        # an ILP planner may load it (a fresh interpreter, because this
-        # process imported scipy long ago).
+    @pytest.mark.skipif(COMPILED is None, reason="native kernel unavailable")
+    def test_a_compiled_ilp_drain_never_loads_scipy(self):
+        # SciPy is the python switch's solver and the test oracle; under
+        # the compiled switch the kernel's lsap solves every wake, so
+        # neither the package nor a whole ILP run may load it (a fresh
+        # interpreter, because this process imported scipy long ago).
         probe = (
             "import sys\n"
+            "from repro.pathfinding.st_astar import set_search_kernel\n"
             "from repro.planners import PLANNERS\n"
+            "from repro.sim.engine import Simulation\n"
             "from repro.workloads.datasets import make_mini\n"
-            "state, __ = make_mini(n_items=2).build()\n"
-            "PLANNERS['NTP'](state).close()\n"
+            "set_search_kernel('compiled')\n"
             "assert 'scipy' not in sys.modules, 'package import loads scipy'\n"
-            "PLANNERS['ILP'](state).close()\n"
-            "assert 'scipy.optimize' in sys.modules, 'ILP left scipy out'\n")
+            "state, items = make_mini(n_items=20).build()\n"
+            "planner = PLANNERS['ILP'](state)\n"
+            "result = Simulation(state, planner, items).run()\n"
+            "assert len(result.ledger) > 0 and planner.stats.assignments_emitted\n"
+            "assert 'scipy' not in sys.modules, 'the ILP drain loads scipy'\n")
         done = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -143,7 +198,7 @@ class TestIlpPlanner:
         racks = state.selectable_racks()
         robots = state.idle_robots()
         fast = planner._select(0, racks, robots)
-        exact = planner.solve_milp(racks, robots)
+        exact = solve_milp(planner, racks, robots)
         assert exact is not None
         cost = planner._cost_matrix(racks, robots)
 
@@ -158,10 +213,9 @@ class TestIlpPlanner:
     def test_milp_respects_size_limit(self):
         state = make_two_picker_state(n_robots=2)
         planner = IlpPlanner(state)
-        planner.MILP_CROSSCHECK_LIMIT = 0
         give_items(state, 0)
-        assert planner.solve_milp(state.selectable_racks(),
-                                  state.idle_robots()) is None
+        assert solve_milp(planner, state.selectable_racks(),
+                          state.idle_robots(), limit=0) is None
 
 
 class TestAtpPlanner:
