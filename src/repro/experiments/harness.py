@@ -221,9 +221,13 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
             futures = {}
             for cell in pending:
                 notify(cell.cell_id, "queued")
-                futures[pool.submit(execute_cell, cell)] = cell
+                try:
+                    futures[pool.submit(execute_cell, cell)] = cell
+                except BrokenProcessPool:
+                    break   # a worker died early: the rest never run
+            lost = ({cell.cell_id for cell in pending}
+                    - {cell.cell_id for cell in futures.values()})
             remaining = set(futures)
-            lost = set()
             while remaining:
                 done, remaining = wait(remaining,
                                        return_when=FIRST_COMPLETED)

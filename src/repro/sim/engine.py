@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SimulationConfig
@@ -73,6 +74,9 @@ from ..sim.trace import BottleneckTrace
 from ..types import Tick
 from ..warehouse.entities import Item, RackPhase, RobotState
 from ..warehouse.state import WarehouseState
+
+#: The order items are fed in: by arrival, ties by id.
+_ARRIVAL_ORDER = attrgetter("arrival", "item_id")
 
 
 class SimulationResult:
@@ -140,7 +144,7 @@ class Simulation:
         #: an arrival leaves the queue for its rack, so nothing consumed
         #: is retained here.
         self._items: Deque[Item] = deque(
-            sorted(items, key=lambda item: (item.arrival, item.item_id)))
+            sorted(items, key=_ARRIVAL_ORDER))
         #: ``(arrival, item_id)`` of the last item fed (the order floor
         #: for :meth:`extend_items`, which may find the queue empty).
         self._tail_key = (self._items[-1].arrival, self._items[-1].item_id)
@@ -285,7 +289,7 @@ class Simulation:
         """
         if not items:
             return
-        fresh = sorted(items, key=lambda item: (item.arrival, item.item_id))
+        fresh = sorted(items, key=_ARRIVAL_ORDER)
         previous = self._tail_key
         for item in fresh:
             if (item.arrival, item.item_id) <= previous:

@@ -9,14 +9,24 @@ the proprietary data.
 Every generator is a pure function of its RNG seed, so workloads are
 reproducible across planners — all five algorithms see byte-identical item
 streams in every experiment.
+
+The draw contract: each generator is one flat loop over its own
+``random.Random``'s two primitives, ``random()`` and ``getrandbits()``,
+applying CPython's own wrapper arithmetic to them — ``expovariate(r)`` is
+``-log(1.0 - random()) / r``, and ``randrange(n)`` / ``randint(a, b)``
+draw ``getrandbits(n.bit_length())`` until the result is below the range
+width ``n`` (``_randbelow_with_getrandbits``).  The streams are therefore
+the ones the library wrappers would draw, without a call tower per item;
+``tests/test_arrivals.py`` keeps the wrapper-based bodies as an oracle
+and compares the two item for item.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 import random
-from typing import Callable, List, Optional, Sequence
+from bisect import bisect_left
+from math import log
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -33,6 +43,15 @@ def uniform_processing_time(rng: random.Random,
                             high: int = PROCESSING_TIME_RANGE[1]) -> int:
     """Draw one item's processing time (inclusive uniform)."""
     return rng.randint(low, high)
+
+
+def _processing_width(rng: random.Random, low: int, high: int) -> int:
+    """Width of the inclusive processing range ``[low, high]``; an empty
+    range raises the interpreter's own ``randint`` error."""
+    width = high - low + 1
+    if width < 1:
+        rng.randint(low, high)
+    return width
 
 
 def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
@@ -99,17 +118,24 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
     surge_end = int(n_items * (1.0 - ramp_fraction))
 
     items: List[Item] = []
+    if n_items < 1:
+        return items
+    width = _processing_width(rng, processing_low, processing_high)
+    width_bits = width.bit_length()
+    uniform, getrandbits = rng.random, rng.getrandbits
+    cumulative = cumulative.tolist()
+    last_rank = n_racks - 1
+    append = items.append
     t = 0.0
     for item_id in range(n_items):
         rate = peak_rate if warm_end <= item_id < surge_end else base_rate
-        t += rng.expovariate(rate)
-        rank = int(np.searchsorted(cumulative, rng.random()))
-        items.append(Item(
-            item_id=item_id,
-            rack_id=rack_order[min(rank, n_racks - 1)],
-            arrival=int(t),
-            processing_time=uniform_processing_time(
-                rng, processing_low, processing_high)))
+        t += -log(1.0 - uniform()) / rate
+        rank = bisect_left(cumulative, uniform())
+        processing = getrandbits(width_bits)
+        while processing >= width:
+            processing = getrandbits(width_bits)
+        append(Item(item_id, rack_order[min(rank, last_rank)], int(t),
+                    processing_low + processing))
     return items
 
 
@@ -184,11 +210,12 @@ class ItemStream:
         """The next ``n`` items of the stream, in arrival order."""
         if n < 0:
             raise ConfigurationError(f"take(n) needs n >= 0, got {n}")
-        items = [self._emit(self._next_id + i) for i in range(n)]
+        items = self._draw(self._next_id, n) if n else []
         self._next_id += n
         return items
 
-    def _emit(self, item_id: int) -> Item:
+    def _draw(self, first_id: int, n: int) -> List[Item]:
+        """The next ``n >= 1`` items, ids counting from ``first_id``."""
         raise NotImplementedError
 
 
@@ -214,14 +241,27 @@ class PoissonStream(ItemStream):
         self._rng = random.Random(seed)
         self._t = 0.0
 
-    def _emit(self, item_id: int) -> Item:
-        self._t += self._rng.expovariate(self.rate)
-        return Item(item_id=item_id,
-                    rack_id=self._rng.randrange(self.n_racks),
-                    arrival=int(self._t),
-                    processing_time=uniform_processing_time(
-                        self._rng, self.processing_low,
-                        self.processing_high))
+    def _draw(self, first_id: int, n: int) -> List[Item]:
+        low = self.processing_low
+        width = _processing_width(self._rng, low, self.processing_high)
+        width_bits = width.bit_length()
+        n_racks, rate = self.n_racks, self.rate
+        rack_bits = n_racks.bit_length()
+        uniform, getrandbits = self._rng.random, self._rng.getrandbits
+        items: List[Item] = []
+        append = items.append
+        t = self._t
+        for item_id in range(first_id, first_id + n):
+            t += -log(1.0 - uniform()) / rate
+            rack = getrandbits(rack_bits)
+            while rack >= n_racks:
+                rack = getrandbits(rack_bits)
+            processing = getrandbits(width_bits)
+            while processing >= width:
+                processing = getrandbits(width_bits)
+            append(Item(item_id, rack, int(t), low + processing))
+        self._t = t
+        return items
 
 
 class CycleStream(ItemStream):
@@ -268,21 +308,29 @@ class CycleStream(ItemStream):
         self._rng.shuffle(rack_order)
         self._rack_order = rack_order
 
-    def _current_rate(self) -> float:
-        phase = self._t % self.period
-        segment = int(phase * len(self.rates) / self.period)
-        return self.rates[min(segment, len(self.rates) - 1)]
-
-    def _emit(self, item_id: int) -> Item:
-        self._t += self._rng.expovariate(self._current_rate())
-        rank = min(bisect.bisect_left(self._cumulative, self._rng.random()),
-                   self.n_racks - 1)
-        return Item(item_id=item_id,
-                    rack_id=self._rack_order[rank],
-                    arrival=int(self._t),
-                    processing_time=uniform_processing_time(
-                        self._rng, self.processing_low,
-                        self.processing_high))
+    def _draw(self, first_id: int, n: int) -> List[Item]:
+        low = self.processing_low
+        width = _processing_width(self._rng, low, self.processing_high)
+        width_bits = width.bit_length()
+        rates, period = self.rates, self.period
+        n_segments = len(rates)
+        last_segment, last_rank = n_segments - 1, self.n_racks - 1
+        cumulative, rack_order = self._cumulative, self._rack_order
+        uniform, getrandbits = self._rng.random, self._rng.getrandbits
+        items: List[Item] = []
+        append = items.append
+        t = self._t
+        for item_id in range(first_id, first_id + n):
+            segment = int(t % period * n_segments / period)
+            t += -log(1.0 - uniform()) / rates[min(segment, last_segment)]
+            rank = bisect_left(cumulative, uniform())
+            processing = getrandbits(width_bits)
+            while processing >= width:
+                processing = getrandbits(width_bits)
+            append(Item(item_id, rack_order[min(rank, last_rank)], int(t),
+                        low + processing))
+        self._t = t
+        return items
 
 
 STREAMS: dict = {

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -146,11 +147,12 @@ class ScenarioSpec:
         if not items:
             raise ConfigurationError(
                 f"scenario {self.name} produced no items")
-        max_rack = max(item.rack_id for item in items)
-        if max_rack >= self.n_racks:
-            raise ConfigurationError(
-                f"scenario {self.name}: item references rack {max_rack} "
-                f"but only {self.n_racks} racks exist")
+        rack_ids = set(map(attrgetter("rack_id"), items))
+        for rack_id in (min(rack_ids), max(rack_ids)):
+            if not 0 <= rack_id < self.n_racks:
+                raise ConfigurationError(
+                    f"scenario {self.name}: item references rack {rack_id} "
+                    f"but only racks 0..{self.n_racks - 1} exist")
         return state, items
 
     def with_(self, **changes: Any) -> "ScenarioSpec":

@@ -1,14 +1,21 @@
 """Unit tests for the arrival processes and dataset generators."""
 
+import bisect
+import copy
 import pickle
+import random
+from typing import List
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.warehouse.entities import Item
 from repro.workloads.arrivals import (PROCESSING_TIME_RANGE, CycleStream,
                                       PoissonStream, deterministic_arrivals,
                                       poisson_arrivals, register_stream,
-                                      resolve_stream, surge_arrivals)
+                                      resolve_stream, surge_arrivals,
+                                      uniform_processing_time)
 from repro.workloads.datasets import (all_datasets, make_mini,
                                       make_real_large, make_real_norm,
                                       make_syn_a, make_syn_b)
@@ -148,6 +155,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             scenario.build()
 
+    def test_rejects_item_referencing_negative_rack(self):
+        from repro.workloads.scenario import ItemStreamSpec
+        scenario = make_mini(seed=1).with_(items=ItemStreamSpec.of(
+            "deterministic", schedule=((0, -1), (3, 2))))
+        with pytest.raises(ConfigurationError, match="rack -1"):
+            scenario.build()
+
     def test_rejects_empty_workload(self):
         from repro.workloads.scenario import ItemStreamSpec, ScenarioSpec
         scenario = ScenarioSpec(
@@ -243,3 +257,197 @@ class TestStreamRegistry:
     def test_reregistration_rejected(self):
         with pytest.raises(ConfigurationError):
             register_stream("poisson", PoissonStream)
+
+
+# -- the reference bodies -----------------------------------------------------
+#
+# The generators draw straight from ``random()`` / ``getrandbits()``; these
+# are the bodies they replaced, which call the ``random.Random`` wrappers
+# (``expovariate``, ``randrange``, ``randint``) and numpy's
+# ``searchsorted`` per item.  Every stream must equal them item for item,
+# under whichever interpreter runs the suite.
+
+
+def reference_surge_arrivals(n_items: int, n_racks: int, base_rate: float,
+                             peak_rate: float, ramp_fraction: float,
+                             seed: int, zipf_s: float = 0.7,
+                             processing_low: int = PROCESSING_TIME_RANGE[0],
+                             processing_high: int = PROCESSING_TIME_RANGE[1]
+                             ) -> List[Item]:
+    if not 0.0 < ramp_fraction < 0.5:
+        raise ConfigurationError("ramp_fraction must be in (0, 0.5)")
+    if peak_rate <= base_rate:
+        raise ConfigurationError("peak_rate must exceed base_rate")
+    rng = random.Random(seed)
+
+    weights = np.array([1.0 / (k ** zipf_s) for k in range(1, n_racks + 1)])
+    weights /= weights.sum()
+    cumulative = np.cumsum(weights)
+    # Shuffle rack identities so hot racks are spread over the floor.
+    rack_order = list(range(n_racks))
+    rng.shuffle(rack_order)
+
+    warm_end = int(n_items * ramp_fraction)
+    surge_end = int(n_items * (1.0 - ramp_fraction))
+
+    items: List[Item] = []
+    t = 0.0
+    for item_id in range(n_items):
+        rate = peak_rate if warm_end <= item_id < surge_end else base_rate
+        t += rng.expovariate(rate)
+        rank = int(np.searchsorted(cumulative, rng.random()))
+        items.append(Item(
+            item_id=item_id,
+            rack_id=rack_order[min(rank, n_racks - 1)],
+            arrival=int(t),
+            processing_time=uniform_processing_time(
+                rng, processing_low, processing_high)))
+    return items
+
+
+class ReferenceEmit:
+    """Drives ``_emit`` once per item, as ``ItemStream.take`` did."""
+
+    def _draw(self, first_id, n):
+        return [self._emit(first_id + i) for i in range(n)]
+
+
+class ReferencePoissonStream(ReferenceEmit, PoissonStream):
+    def _emit(self, item_id: int) -> Item:
+        self._t += self._rng.expovariate(self.rate)
+        return Item(item_id=item_id,
+                    rack_id=self._rng.randrange(self.n_racks),
+                    arrival=int(self._t),
+                    processing_time=uniform_processing_time(
+                        self._rng, self.processing_low,
+                        self.processing_high))
+
+
+class ReferenceCycleStream(ReferenceEmit, CycleStream):
+    def _current_rate(self) -> float:
+        phase = self._t % self.period
+        segment = int(phase * len(self.rates) / self.period)
+        return self.rates[min(segment, len(self.rates) - 1)]
+
+    def _emit(self, item_id: int) -> Item:
+        self._t += self._rng.expovariate(self._current_rate())
+        rank = min(bisect.bisect_left(self._cumulative, self._rng.random()),
+                   self.n_racks - 1)
+        return Item(item_id=item_id,
+                    rack_id=self._rack_order[rank],
+                    arrival=int(self._t),
+                    processing_time=uniform_processing_time(
+                        self._rng, self.processing_low,
+                        self.processing_high))
+
+
+def outcome(draw):
+    """The item tuples ``draw()`` returns, or the type and text of what
+    it raises."""
+    try:
+        return [(item.item_id, item.rack_id, item.arrival,
+                 item.processing_time) for item in draw()]
+    except Exception as error:  # compared with the reference, not handled
+        return type(error), str(error)
+
+
+SEEDS = range(50)
+#: Processing ranges of width 1, 2**3 and 2**3 + 1, and the paper's 21.
+PROCESSING_RANGES = ((7, 7), (5, 12), (5, 13), PROCESSING_TIME_RANGE)
+#: Rack counts 1, 2**4 and 2**4 + 1.
+RACK_COUNTS = (1, 16, 17)
+RANGE_GRID = [(low, high, n_racks) for low, high in PROCESSING_RANGES
+              for n_racks in RACK_COUNTS]
+
+
+class TestStreamsMatchReferenceBodies:
+    @pytest.mark.parametrize("low, high, n_racks", RANGE_GRID)
+    def test_surge(self, low, high, n_racks):
+        for seed in SEEDS:
+            args = (80, n_racks, 0.3, 1.7, 0.25, seed, 0.7, low, high)
+            assert (outcome(lambda: surge_arrivals(*args))
+                    == outcome(lambda: reference_surge_arrivals(*args))), seed
+
+    @pytest.mark.parametrize("low, high, n_racks", RANGE_GRID)
+    def test_poisson(self, low, high, n_racks):
+        for seed in SEEDS:
+            reference = ReferencePoissonStream(n_racks, 0.6, seed, low, high)
+            assert (outcome(lambda: poisson_arrivals(80, n_racks, 0.6, seed,
+                                                     low, high))
+                    == outcome(lambda: reference.take(80))), seed
+
+    @pytest.mark.parametrize("low, high, n_racks", RANGE_GRID)
+    def test_cycle(self, low, high, n_racks):
+        for seed in SEEDS:
+            args = (n_racks, (0.1, 0.9, 0.4), 300, seed, 0.8, low, high)
+            assert (outcome(lambda: CycleStream(*args).take(80))
+                    == outcome(lambda: ReferenceCycleStream(*args).take(80))
+                    ), seed
+
+    @pytest.mark.parametrize("kind, reference_kind, args", [
+        (PoissonStream, ReferencePoissonStream, (17, 0.4)),
+        (CycleStream, ReferenceCycleStream, (17, (0.2, 1.1), 400)),
+    ])
+    def test_chunked_and_pickled_mid_run(self, kind, reference_kind, args):
+        for seed in SEEDS:
+            reference = reference_kind(*args, seed).take(372 + 100)
+            stream = kind(*args, seed)
+            chunks = [stream.take(n) for n in (1, 64, 7, 300)]
+            assert [len(chunk) for chunk in chunks] == [1, 64, 7, 300]
+            assert sum(chunks, []) == reference[:372], seed
+            clone = pickle.loads(pickle.dumps(stream))
+            assert clone.take(100) == reference[372:], seed
+            assert clone.emitted == 472
+
+    @pytest.mark.parametrize("kind, reference_kind, args", [
+        (PoissonStream, ReferencePoissonStream, (16, 0.4)),
+        (CycleStream, ReferenceCycleStream, (16, (0.2, 1.1), 400)),
+    ])
+    def test_a_reference_stream_continues_under_the_new_loop(
+            self, kind, reference_kind, args):
+        for seed in SEEDS[:10]:
+            reference = reference_kind(*args, seed)
+            reference.take(45)
+            stream = object.__new__(kind)
+            stream.__dict__.update(copy.deepcopy(reference.__dict__))
+            assert stream.take(60) == reference.take(60), seed
+
+    def test_table2_datasets_at_scale_2(self):
+        for spec in all_datasets(2.0).values():
+            params = spec.items.kwargs()
+            if spec.items.generator == "surge":
+                expected = reference_surge_arrivals(**params)
+            else:
+                n_items = params.pop("n_items")
+                expected = ReferencePoissonStream(**params).take(n_items)
+            assert spec.items.materialise() == expected, spec.name
+
+    @pytest.mark.parametrize("draw, reference", [
+        (lambda low, high: surge_arrivals(30, 9, 0.3, 1.7, 0.25, 1, 0.7,
+                                          low, high),
+         lambda low, high: reference_surge_arrivals(30, 9, 0.3, 1.7, 0.25,
+                                                    1, 0.7, low, high)),
+        (lambda low, high: poisson_arrivals(30, 9, 0.6, 1, low, high),
+         lambda low, high: ReferencePoissonStream(9, 0.6, 1, low,
+                                                  high).take(30)),
+        (lambda low, high: CycleStream(9, (0.5,), 10, 1, 0.7, low,
+                                       high).take(30),
+         lambda low, high: ReferenceCycleStream(9, (0.5,), 10, 1, 0.7, low,
+                                                high).take(30)),
+    ], ids=["surge", "poisson", "cycle"])
+    def test_an_empty_processing_range_raises_what_randint_raises(
+            self, draw, reference):
+        result = outcome(lambda: draw(20, 19))
+        assert result == outcome(lambda: reference(20, 19))
+        assert result[0] is ValueError and "empty range" in result[1]
+
+    def test_drawing_nothing_from_an_empty_range_raises_nothing(self):
+        assert surge_arrivals(0, 9, 0.3, 1.7, 0.25, 1, 0.7, 20, 19) == []
+        assert PoissonStream(9, 0.6, 1, 20, 19).take(0) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_negative_base_rate_raises_what_it_raised(self, seed):
+        args = (200, 20, -0.5, 1.0, 0.25, seed)
+        result = outcome(lambda: surge_arrivals(*args))
+        assert result == outcome(lambda: reference_surge_arrivals(*args))
+        assert result[0] is ValueError and "arrival must be >= 0" in result[1]

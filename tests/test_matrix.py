@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import PlannerConfig, SimulationConfig
 from repro.errors import ConfigurationError, WorkerLostError
+from repro.experiments import harness
 from repro.experiments.harness import (DEFAULT_PLANNERS, SLOW_PLANNERS,
                                        MatrixCell, execute_cell, plan_cells,
                                        run_matrix)
@@ -243,6 +246,44 @@ class TestLostWorker:
         assert set(rerun) == ids
         assert sorted(c for c, s in events if s == "done") == sorted(unrun)
         assert {c for c, s in events if s == "cached"} == saved
+
+
+class BreaksAtSecondSubmit:
+    """A pool stand-in: the first cell runs here, the second ``submit``
+    finds the pool broken (a worker that died before every cell was
+    queued)."""
+
+    def __init__(self, max_workers):
+        self.submits = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolBrokenAtSubmit:
+    def test_cells_left_unqueued_are_named_lost(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            BreaksAtSecondSubmit)
+        cells = mini_cells(("NTP", "ATP", "EATP"), n_items=12)
+        store = ResultStore(tmp_path / "m")
+        with pytest.raises(WorkerLostError) as caught:
+            run_matrix(cells, workers=2, store=store)
+        saved = {store.load(path.stem)["cell_id"]
+                 for path in store.cell_files()}
+        assert saved == {cells[0].cell_id}
+        assert caught.value.unrun == tuple(cell.cell_id
+                                           for cell in cells[1:])
 
 
 @pytest.mark.slow
