@@ -157,9 +157,9 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
         out over a ``ProcessPoolExecutor`` with ``n`` workers.
     store:
         Optional on-disk store.  Cells whose file already exists are
-        *not* re-run — their stored payload is returned, provided the
-        spec it records is the cell's (another spec under the same id
-        is a :class:`~repro.errors.ConfigurationError`) — and every
+        *not* re-run — their stored payload is returned, provided it
+        records the cell's id and spec (any other payload is a
+        :class:`~repro.errors.ConfigurationError`) — and every
         freshly finished cell is written the moment it completes, so an
         interrupted matrix resumes where it died (a dead worker ends in
         :class:`~repro.errors.WorkerLostError`, after the saves).
@@ -186,15 +186,20 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
     for cell in cells:
         if store is not None and store.has(cell.cell_id):
             payload = store.load(cell.cell_id)
-            # A stored payload records the cell id and the spec that made
-            # it; resuming from another's would serve the wrong results.
+            # A stored payload must record the cell id and the spec that
+            # made it; resuming from another's would serve wrong results.
             stored_id = payload.get("cell_id", cell.cell_id)
             if stored_id != cell.cell_id:
                 raise ConfigurationError(
                     f"result file for {cell.cell_id!r} was written by "
                     f"{stored_id!r}; delete it to recompute")
+            missing = sorted({"cell_id", "spec"} - payload.keys())
+            if missing:
+                raise ConfigurationError(
+                    f"result file for {cell.cell_id!r} records no "
+                    f"{missing[0]!r}; delete it to recompute")
             spec = json.loads(json.dumps(cell.scenario.spec_dict()))
-            if payload.get("spec", spec) != spec:  # a changed registry
+            if payload["spec"] != spec:  # a changed registry
                 key = next(key for key in {**payload["spec"], **spec}
                            if payload["spec"].get(key) != spec.get(key))
                 raise ConfigurationError(

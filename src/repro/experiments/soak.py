@@ -91,12 +91,18 @@ class SoakSpec:
             raise ConfigurationError(
                 f"unknown planner {self.planner!r}; "
                 f"choose from {sorted(PLANNERS)}")
+        for name, low in (("window_ticks", 1), ("feed_chunk", 1),
+                          ("warmup_windows", 0), ("checkpoint_every", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.flat_factor > 0:
+            raise ConfigurationError(
+                f"flat_factor must be > 0, got {self.flat_factor}")
         if self.duration < self.window_ticks:
             raise ConfigurationError(
                 f"duration ({self.duration}) must cover at least one "
                 f"window ({self.window_ticks} ticks)")
-        if self.feed_chunk < 1:
-            raise ConfigurationError("feed_chunk must be >= 1")
 
     def make_stream(self) -> ItemStream:
         """A fresh stream positioned at item 0."""

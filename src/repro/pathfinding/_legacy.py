@@ -24,7 +24,8 @@ from ..types import Cell, Tick
 from ..warehouse.grid import Grid
 from .heuristics import Heuristic, manhattan_heuristic
 from .paths import Path
-from .st_astar import SearchStats
+from .st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE, SEARCH_EXHAUSTED,
+                       SearchOutcome, SearchStats)
 
 
 def legacy_find_path(grid: Grid, reservation, source: Cell,
@@ -193,57 +194,47 @@ def seed_planner_patches():
 
     Applying these (``setattr`` or ``monkeypatch.setattr``) reverts the
     planner layer to the seed configuration end-to-end: the tuple-based
-    search core, per-leg ``manhattan_heuristic`` closures (no field
-    cache), the pre-bucketing reservation structures, and no tier-0
-    free-flow fast path (:func:`tier0_off_patch`, so the patched
-    ``_find_leg`` really runs the seed search for every leg — the legacy
-    reservation structures also predate the packed probes the tier-0
-    audit needs).  The one non-seed piece is EATP's finisher, which walks
-    the goal field's descent
-    (:meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.packed`)
-    through :func:`~repro.pathfinding.cache.follow_with_waits` and
-    records the pair in the cache, as the library's finisher does — the
-    legacy tables have no store for the native walk.  Used by the
-    end-to-end equivalence tests in
-    ``tests/test_packed_equivalence.py`` and ``tests/test_free_flow.py``.
+    search core with per-leg ``manhattan_heuristic`` closures as
+    ``pipeline.search``, the name the chain's tier 1 calls; the
+    pre-bucketing reservation structures; and no tier-0 fast path
+    (:func:`tier0_off_patch`: every leg runs the seed search, and the
+    legacy tables lack the packed probes the tier-0 audit needs).  The
+    one non-seed piece is EATP's finisher, which walks the goal field's
+    :func:`~repro.pathfinding.free_flow.descent` through
+    :func:`~repro.pathfinding.cache.follow_with_waits` and returns the
+    walks' starts in the outcome, which the chain records in the cache
+    as it does the library's.  Used by the end-to-end equivalence tests.
     """
     from ..planners import base as base_mod
     from ..planners import eatp as eatp_mod
+    from . import pipeline as pipeline_mod
     from .cache import follow_with_waits
+    from .free_flow import descent
 
-    def _seed_find_leg(self, t, source, goal):
-        search_stats = SearchStats()
-        path = legacy_find_path(
-            self.grid, self.reservation, source, goal, t,
-            heuristic=manhattan_heuristic(goal),
-            max_expansions=self.config.max_search_expansions,
-            stats=search_stats)
-        self._absorb_search_stats(search_stats)
-        return path
-
-    def _seed_eatp_find_leg(self, t, source, goal):
-        search_stats = SearchStats()
+    def seed_search(grid, reservation, request, heuristic):
+        """:func:`~repro.pathfinding.st_astar.search` over the seed core."""
+        stats, starts = SearchStats(budget=request.max_expansions), []
         finisher = None
-        trigger = 0
-        if self.cache.threshold > 0:
+        if request.finisher_trigger > 0:
             def finisher(cell, t):
-                cells = self.free_flow.packed(cell, goal).cells
-                self.cache.record(cell, goal, len(cells))
-                return follow_with_waits(self.reservation, cells, t)
-            trigger = self.cache.threshold
-        path = legacy_find_path(
-            self.grid, self.reservation, source, goal, t,
-            heuristic=manhattan_heuristic(goal),
-            max_expansions=self.config.max_search_expansions,
-            finisher=finisher, finisher_trigger=trigger,
-            stats=search_stats)
-        self._absorb_search_stats(search_stats)
-        return path
+                starts.append(cell)
+                return follow_with_waits(
+                    reservation, descent(grid, heuristic.flat, cell).cells, t)
+        try:
+            path = legacy_find_path(
+                grid, reservation, request.source, request.goal,
+                request.start_time,
+                heuristic=manhattan_heuristic(request.goal),
+                max_expansions=request.max_expansions, finisher=finisher,
+                finisher_trigger=request.finisher_trigger, stats=stats)
+        except PathNotFoundError:
+            status = (SEARCH_BUDGET if stats.budget_exhausted
+                      else SEARCH_EXHAUSTED)
+            return SearchOutcome(request, status, None, stats, starts)
+        return SearchOutcome(request, SEARCH_COMPLETE, path, stats, starts)
 
     return [
-        (base_mod.Planner, "_find_leg", _seed_find_leg),
-        (eatp_mod.EfficientAdaptiveTaskPlanner, "_find_leg",
-         _seed_eatp_find_leg),
+        (pipeline_mod, "search", seed_search),
         (base_mod, "SpatiotemporalGraph", LegacySpatiotemporalGraph),
         (eatp_mod, "ConflictDetectionTable", LegacyConflictDetectionTable),
         tier0_off_patch(),

@@ -12,7 +12,8 @@ finisher hooked into it (Sec. VI-B) — and so is the chain:
 
 1. **Full ST-A*** — the classic conflict-aware search to the goal,
    bit-identical to the seed whenever it succeeds, which on uncongested
-   floors is always.
+   floors is always.  The chain calls this module's ``search`` itself;
+   a failed search is an outcome, not an exception.
 2. **Reservation-aware wait in place** — when the search fails on a goal
    the floor can reach (the robot is boxed in, or the expansion budget
    ran out), hold position: wait out the free run of the current cell
@@ -24,12 +25,13 @@ finisher hooked into it (Sec. VI-B) — and so is the chain:
    that later tick.
 
 Exhaustion therefore becomes a :class:`LegPlan` that says which tier
-answered, never an exception escaping a run, and a leg whose search
-stopped on its budget is counted (``PlannerStats.budget_exhausted_legs``)
-with the failed search's :class:`~repro.pathfinding.st_astar.SearchStats`
-riding on the wait leg.  Full-tier results are byte-identical to the
-pre-pipeline behaviour, so runs that never needed the wait (the golden
-traces, the engine-equivalence suites) are unchanged.
+answered, never an exception escaping a run.  Every searched leg carries
+its search's :class:`~repro.pathfinding.st_astar.SearchStats` (a wait
+leg the failed search's), so a budget hit is counted
+(``PlannerStats.budget_exhausted_legs``).  Full-tier results are
+byte-identical to the pre-pipeline behaviour, so runs that never needed
+the wait (the golden traces, the engine-equivalence suites) are
+unchanged.
 
 **Tier 0 — the free-flow fast path** — runs ahead of the whole chain:
 extract the leg's free-flow shortest path by greedy descent on the cached
@@ -74,9 +76,8 @@ more verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..errors import PathNotFoundError
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid
 from .cache import ShortestPathCache
@@ -84,10 +85,7 @@ from .free_flow import FreeFlowPathCache
 from .heuristics import HeuristicFieldCache
 from .paths import Path
 from .reservation import ReservationTable
-# ``search`` is a re-export, not a use: the frozen ``bench/trace.py``
-# shims ``pipeline.__dict__["search"]`` and dies with ``KeyError`` without
-# the name.  It goes when ``bench/`` is next opened (ROADMAP item 3 (e)).
-from .st_astar import SearchStats, search  # noqa: F401
+from .st_astar import SearchRequest, SearchStats, search
 
 #: ``(wait per step, total wait)`` caps of the wait-following rescue on
 #: paper-scale floors: one blocked move may wait at most 16 ticks, the
@@ -134,9 +132,9 @@ class LegPlan:
         except for a boxed wait, which holds a cell other robots' plans
         already cross and commits its start step only.
     search_stats:
-        Stats the caller folds into its counters: the failed full
-        search's on a wait leg (tier 1 absorbs its own on success), the
-        synthetic finisher record on a tier-0 leg the finisher walked.
+        Stats the caller folds into its counters: the full search's on a
+        full leg, the failed full search's on a wait leg, the synthetic
+        finisher record on a tier-0 leg the finisher walked.
     fastpath:
         What tier 0 did for this leg (:data:`FASTPATH_HIT`,
         :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
@@ -160,31 +158,23 @@ class FallbackChain:
     grid, reservation, heuristics, config:
         The owning planner's world, conflict structure, per-goal exact
         heuristic-field cache and :class:`~repro.config.PlannerConfig`.
-    full_search:
-        Tier 1 as a callable ``(t, source, goal) -> Path`` raising
-        :class:`~repro.errors.PathNotFoundError` on exhaustion.  Passed
-        as a callable (not inlined) because it is the planner's historic
-        ``_find_leg`` extension point — the frozen-seed patches (EATP's
-        with its own python finisher) and tests hook it.
     free_flow:
         The tier-0 descent cache.  Built fresh over ``grid`` and
         ``heuristics`` when not supplied (the planner base passes its
         own so the cache is introspectable per planner).
     cache:
-        EATP's Sec. VI-B cache, or ``None``: tier 0's finisher trigger
-        L, and where its walks are recorded (tier 1 records its own).
+        EATP's Sec. VI-B cache, or ``None``: the finisher trigger L of
+        both search tiers, and where their walks are recorded.
     """
 
     def __init__(self, grid: Grid, reservation: ReservationTable,
                  heuristics: HeuristicFieldCache, config,
-                 full_search: Callable[[Tick, Cell, Cell], Path],
                  free_flow: Optional[FreeFlowPathCache] = None,
                  cache: Optional[ShortestPathCache] = None) -> None:
         self.grid = grid
         self.reservation = reservation
         self.heuristics = heuristics
         self.config = config
-        self.full_search = full_search
         self.cache = cache
         self.free_flow = (free_flow if free_flow is not None
                           else FreeFlowPathCache(grid, heuristics))
@@ -205,17 +195,20 @@ class FallbackChain:
         leg, fastpath = self._free_flow_leg(t, source, goal)
         if leg is not None:
             return leg
-        try:
-            path = self.full_search(t, source, goal)
-            return LegPlan(path=path, tier=TIER_FULL, commit_path=path,
-                           fastpath=fastpath)
-        except PathNotFoundError as error:
-            if self.heuristics.distance(source, goal) > self.grid.n_cells:
-                raise  # unreachable regardless of reservations: fail fast
-            failed = (error.stats,) if error.stats is not None else ()
-        leg = self._wait_leg(t, source, failed)
-        leg.fastpath = fastpath
-        return leg
+        # Tier 1, through the name the seed oracle patches.
+        field, cache = self.heuristics.field(goal), self.cache
+        outcome = search(self.grid, self.reservation, SearchRequest(
+            source, goal, t, self.config.max_search_expansions,
+            0 if cache is None else cache.threshold), field)
+        if outcome.finisher_starts:
+            cache.record_starts(goal, field, outcome.finisher_starts)
+        if outcome.ok:
+            return LegPlan(path=outcome.path, tier=TIER_FULL,
+                           commit_path=outcome.path,
+                           search_stats=(outcome.stats,), fastpath=fastpath)
+        if field(source) > self.grid.n_cells:
+            raise outcome.error()  # unreachable regardless of reservations
+        return self._wait_leg(t, source, (outcome.stats,), fastpath)
 
     # -- tier 0: free-flow fast path -------------------------------------------
 
@@ -273,7 +266,7 @@ class FallbackChain:
     # -- tier 2: reservation-aware wait in place ------------------------------
 
     def _wait_leg(self, t: Tick, source: Cell,
-                  failed: Tuple[SearchStats, ...]) -> LegPlan:
+                  failed: Tuple[SearchStats, ...], fastpath: str) -> LegPlan:
         free_run = self._free_run(source, t)
         if free_run > 0:
             # Hold the cell for its conflict-free run (bounded by the
@@ -294,7 +287,7 @@ class FallbackChain:
             path = Path.waiting(source, t, self._first_free_wait(source, t))
             commit_path = Path.waiting(source, t, 0)
         return LegPlan(path=path, tier=TIER_WAIT, commit_path=commit_path,
-                       search_stats=failed)
+                       search_stats=failed, fastpath=fastpath)
 
     def _free_run(self, source: Cell, t: Tick) -> int:
         """Ticks the robot can legally hold ``source`` starting at t+1."""

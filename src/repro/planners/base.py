@@ -4,9 +4,10 @@ Every algorithm in the paper's evaluation (NTP, LEF, ILP, ATP, EATP) shares
 the same skeleton: a *selection* step that decides which racks to fulfil
 now, and a *path-finding* step that routes robots conflict-free.  The base
 class owns everything common — the reservation structure, the heuristic
-cache, leg planning, STC/PTC accounting, memory introspection — so each
-subclass is exactly its selection (and, for EATP, its path-finding
-optimisations).
+cache, STC/PTC accounting, memory introspection, and the
+:class:`~repro.pathfinding.pipeline.FallbackChain` that plans every leg
+over them — so each subclass is exactly its selection (and, for EATP, its
+path-finding structures).
 
 Timing contract: selection work must run inside ``self._timed_selection()``
 and every leg is planned through ``self._plan_leg_timed()``, which times its
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import abc
 import time
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional
 
 from ..config import PlannerConfig
 from ..errors import PlanningError
-from ..pathfinding import _kernel, st_astar
+from ..pathfinding import _kernel
 from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.free_flow import FreeFlowPathCache
 from ..pathfinding.heuristics import HeuristicFieldCache
@@ -38,7 +38,6 @@ from ..pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_MISS,
 from ..pathfinding.reservation import ReservationTable
 from ..pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                 SpatiotemporalGraph)
-from ..pathfinding.st_astar import SearchRequest, SearchStats
 from ..types import Cell, Tick, manhattan
 from ..warehouse.entities import Rack, Robot
 from ..warehouse.state import WarehouseState
@@ -139,37 +138,25 @@ class Planner(abc.ABC):
         self.pipeline = self._build_pipeline()
 
     def _build_pipeline(self) -> FallbackChain:
-        """The fallback chain over the planner's current structures.
-
-        Tier 1 goes through ``self._find_leg`` *lazily* (a lambda, not a
-        bound method) so the historical monkeypatch points — EATP in the
-        seed-benchmark patches, tests — keep working.  Factored out of
-        ``__init__`` because the chain captures closures over ``self``
-        and therefore cannot cross a pickle boundary: checkpoint restore
-        (see :meth:`__setstate__`) rebuilds it fresh.
-        """
-        # The chain points back weakly: a strong reference would make
-        # planner ↔ pipeline a cycle, and a finished run's reservation
-        # tables and field caches would then wait for the cyclic
-        # collector instead of going when the last reference does.
-        me = weakref.proxy(self)
+        """The fallback chain over the planner's structures (not the
+        planner: no reference cycle); :meth:`__setstate__` rebuilds it
+        over the field caches it rebuilds."""
         return FallbackChain(
             grid=self.grid, reservation=self.reservation,
             heuristics=self.heuristics, config=self.config,
-            full_search=lambda t, source, goal: me._find_leg(t, source, goal),
             free_flow=self.free_flow, cache=self.cache)
 
     # -- checkpointing -----------------------------------------------------
 
     #: Attributes dropped from checkpoint payloads and rebuilt on restore.
-    #: The pipeline captures closures over ``self``; the heuristic-field
-    #: cache and the tier-0 descents over it are pure functions of the
-    #: immutable grid (rebuilt fields are bit-identical, a field is up to
-    #: 4 bytes a cell, and neither is charged to the MC metric), and the
-    #: per-rack distances are a pure function of the fixed layout.
-    #: Everything that carries *state* — the reservation structure, the
-    #: RNG, the learner, EATP's shortest-path cache (which IS charged to
-    #: MC) — is pickled as-is.
+    #: The pipeline points at the field caches restore rebuilds; those
+    #: (the heuristic fields and the tier-0 descents over them) are pure
+    #: functions of the immutable grid (rebuilt fields are bit-identical,
+    #: a field is up to 4 bytes a cell, and neither is charged to the MC
+    #: metric), and the per-rack distances are a pure function of the
+    #: fixed layout.  Everything that carries *state* — the reservation
+    #: structure, the RNG, the learner, EATP's shortest-path cache (which
+    #: IS charged to MC) — is pickled as-is.
     _UNPICKLED = ("pipeline", "heuristics", "free_flow", "_rack_distance")
 
     def __getstate__(self):
@@ -366,9 +353,15 @@ class Planner(abc.ABC):
         """
 
     def _commit_leg(self, leg: LegPlan) -> None:
-        """Reserve a leg plan and fold it into the planner counters."""
+        """Reserve a leg plan and fold it, searches included, into stats."""
         for search_stats in leg.search_stats:
-            self._absorb_search_stats(search_stats)
+            self.stats.search_expansions += search_stats.expansions
+            self.stats.search_peak_open = max(self.stats.search_peak_open,
+                                              search_stats.peak_open)
+            if search_stats.cache_finished:
+                self.stats.cache_finished_legs += 1
+            if search_stats.budget_exhausted:
+                self.stats.budget_exhausted_legs += 1
         self.reservation.reserve_path(leg.commit_path)
         self.stats.legs_planned += 1
         if leg.tier == TIER_FREE_FLOW:
@@ -388,38 +381,6 @@ class Planner(abc.ABC):
                 self.stats.descents_python += 1
             else:
                 self.stats.descents_compiled += 1
-
-    def _find_leg(self, t: Tick, source: Cell, goal: Cell) -> Path:
-        """Tier-1 single-leg search (the chain's full ST-A*).
-
-        Uses the cached exact heuristic field, which equals the paper's
-        Manhattan h-value (Sec. V-C) on the open rack-to-picker layouts
-        and stays admissible (tighter) on obstructed floors — with no
-        per-leg closure allocation, and the finisher of :attr:`cache`,
-        which records the walks in it, failed searches' too.  Raises
-        :class:`~repro.errors.PathNotFoundError` (stats attached) on
-        exhaustion; the fallback chain recovers.
-        """
-        search_stats = SearchStats()
-        field, cache = self.heuristics.field(goal), self.cache
-        outcome = st_astar.search(self.grid, self.reservation, SearchRequest(
-            source, goal, t, self.config.max_search_expansions,
-            0 if cache is None else cache.threshold), field, search_stats)
-        if outcome.finisher_starts:
-            cache.record_starts(goal, field, outcome.finisher_starts)
-        if not outcome.ok:
-            raise outcome.error()
-        self._absorb_search_stats(search_stats)
-        return outcome.path
-
-    def _absorb_search_stats(self, search_stats: SearchStats) -> None:
-        self.stats.search_expansions += search_stats.expansions
-        self.stats.search_peak_open = max(self.stats.search_peak_open,
-                                          search_stats.peak_open)
-        if search_stats.cache_finished:
-            self.stats.cache_finished_legs += 1
-        if search_stats.budget_exhausted:
-            self.stats.budget_exhausted_legs += 1
 
     def picker_finish_time(self, picker_id: int) -> int:
         """f_p of Eq. 3 for one picker."""

@@ -58,6 +58,8 @@ _SEEDS = {"Syn-A": 101, "Syn-B": 202, "Real-Norm": 303, "Real-Large": 404,
 
 
 def _scaled(value: int, scale: float, minimum: int = 1) -> int:
+    if not scale > 0:  # every maker sizes its racks first
+        raise ConfigurationError(f"scale must be > 0, got {scale}")
     return max(minimum, int(round(value * scale)))
 
 
@@ -322,4 +324,5 @@ def scenario_family(name: str, scale: float = 1.0) -> List[ScenarioSpec]:
         raise ConfigurationError(
             f"unknown scenario family {name!r}; "
             f"choose from {sorted(SCENARIO_FAMILIES)}") from None
+    _scaled(1, scale)  # refuses a scale that sizes no world, mini too
     return family(scale)

@@ -27,6 +27,7 @@ from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import (HeuristicFieldCache,
                                           _LazyManhattanFlat)
 from repro.pathfinding.paths import Path
+from repro.pathfinding import pipeline
 from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT,
                                         FASTPATH_RESCUE, RESCUE_CAPS,
                                         TIER_FREE_FLOW, TIER_FULL,
@@ -266,32 +267,25 @@ class TestPaperScaleAutoGate:
 class TestWaitFollowingRescue:
     GRID = None  # built per test; all-passable 12x10 floor
 
-    def make_chain(self, reservation, config, full_search=None):
+    def make_chain(self, reservation, config):
         grid = reservation.grid if hasattr(reservation, "grid") \
             else Grid(12, 10)
-        heuristics = HeuristicFieldCache(grid)
+        return FallbackChain(grid, reservation, HeuristicFieldCache(grid),
+                             config)
 
-        def default_full(t, source, goal):
-            return find_path(grid, reservation, source, goal, t,
-                             heuristic=heuristics.field(goal),
-                             max_expansions=config.max_search_expansions)
-
-        return FallbackChain(grid=grid, reservation=reservation,
-                             heuristics=heuristics, config=config,
-                             full_search=full_search or default_full)
-
-    def never_search(self, t, source, goal):
+    @staticmethod
+    def never_search(*args):
         raise AssertionError("the rescue should have served this leg")
 
-    def test_forced_rescue_serves_conflicted_descent(self):
+    def test_forced_rescue_serves_conflicted_descent(self, monkeypatch):
         grid = Grid(12, 10)
         reservation = SpatiotemporalGraph(grid)
         # A robot parks on (3, 5) until t=4, squarely on the only
         # monotone descent from (0, 5) to (6, 5).
         blocker = Path.from_cells([(3, 5)] * 4 + [(3, 4)], start_time=0)
         reservation.reserve_path(blocker)
-        chain = self.make_chain(reservation, PlannerConfig(),
-                                full_search=self.never_search)
+        chain = self.make_chain(reservation, PlannerConfig())
+        monkeypatch.setattr(pipeline, "search", self.never_search)
         chain.rescue_caps = RESCUE_CAPS  # the paper-scale caps, forced
         leg = chain.plan_leg(0, (0, 5), (6, 5))
         assert leg.tier == TIER_FREE_FLOW

@@ -490,7 +490,7 @@ class TestOneTierZeroContract:
             heuristics = HeuristicFieldCache(grid)
             chain = FallbackChain(
                 grid=grid, reservation=table, heuristics=heuristics,
-                config=PlannerConfig(), full_search=None,
+                config=PlannerConfig(),
                 free_flow=FreeFlowPathCache(grid, heuristics))
             if seed % 3:
                 chain.rescue_caps = RESCUE_CAPS

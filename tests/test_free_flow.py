@@ -94,23 +94,9 @@ def make_chain(grid: Grid, reservation, config=None,
                cache=None) -> FallbackChain:
     """A chain whose full search runs ``cache``'s finisher, as a
     planner's does, and records the walks' starts in it."""
-    heuristics = HeuristicFieldCache(grid)
-    config = config if config is not None else PlannerConfig()
-
-    def full(t, source, goal):
-        field = heuristics.field(goal)
-        outcome = search(grid, reservation, SearchRequest(
-            source, goal, t, config.max_search_expansions,
-            0 if cache is None else cache.threshold), heuristic=field)
-        if cache is not None:
-            cache.record_starts(goal, field, outcome.finisher_starts)
-        if not outcome.ok:
-            raise outcome.error()
-        return outcome.path
-
-    return FallbackChain(grid=grid, reservation=reservation,
-                         heuristics=heuristics, config=config,
-                         full_search=full, cache=cache)
+    return FallbackChain(grid, reservation, HeuristicFieldCache(grid),
+                         config if config is not None else PlannerConfig(),
+                         cache=cache)
 
 
 class TestDescentMatchesSearch:

@@ -205,13 +205,18 @@ class TestMatrixExecution:
         fresh = run_matrix(stale, store=store)[stale[0].cell_id]
         assert fresh["result"]["metrics"]["makespan"] == 528
 
-    def test_resume_tolerates_legacy_payload_without_cell_id(self, tmp_path):
+    @pytest.mark.parametrize("missing", ["cell_id", "spec"])
+    def test_resume_refuses_payload_without_provenance(self, tmp_path,
+                                                       missing):
+        # A pre-provenance payload cannot show it is this cell's result.
         cells = mini_cells(planners=("NTP",))
         store = ResultStore(tmp_path)
-        legacy = {"scenario": "Mini", "planner": "NTP"}  # pre-provenance
-        store.save(cells[0].cell_id, legacy)
-        payloads = run_matrix(cells, store=store)
-        assert payloads[cells[0].cell_id] == legacy
+        stored = run_matrix(cells, store=store)[cells[0].cell_id]
+        del stored[missing]
+        store.save(cells[0].cell_id, stored)
+        with pytest.raises(ConfigurationError,
+                           match=f"'Mini--NTP' records no '{missing}'"):
+            run_matrix(cells, store=store)
 
 
 class DiesInWorker(MatrixCell):

@@ -18,7 +18,11 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.datasets import (all_datasets, make_mini,
+from repro.errors import ConfigurationError
+from repro.workloads.datasets import (SCENARIO_FAMILIES, all_datasets,
+                                      make_mini, make_real_large,
+                                      make_real_large_paper, make_real_norm,
+                                      make_syn_a, make_syn_b,
                                       obstructed_floor, scenario_family)
 from repro.workloads.scenario import (ItemStreamSpec, ScenarioSpec,
                                       workload_fingerprint)
@@ -86,6 +90,20 @@ class TestProcessSafety:
                        "obstructed", "mini"):
             for spec in scenario_family(family, scale=0.2):
                 assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+class TestScale:
+    @pytest.mark.parametrize("scale", [0, -1, float("nan")])
+    def test_makers_and_families_refuse_a_scale_that_sizes_no_world(
+            self, scale):
+        # -1 used to die in math.sqrt, 0 on "rate must be positive"
+        makers = (make_syn_a, make_syn_b, make_real_norm, make_real_large,
+                  make_real_large_paper)
+        families = [lambda scale, name=name: scenario_family(name, scale)
+                    for name in SCENARIO_FAMILIES]
+        for make in makers + tuple(families):
+            with pytest.raises(ConfigurationError, match="scale"):
+                make(scale)
 
 
 class TestIsolation:

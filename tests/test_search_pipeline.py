@@ -32,8 +32,9 @@ from repro.pathfinding.pipeline import (TIER_FREE_FLOW, TIER_FULL, TIER_WAIT,
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE,
-                                        SEARCH_EXHAUSTED, SearchRequest,
-                                        SearchStats, find_path, search,
+                                        SEARCH_EXHAUSTED, SearchOutcome,
+                                        SearchRequest, SearchStats,
+                                        find_path, search,
                                         search_kernel_name,
                                         set_search_kernel)
 from repro.planners.ntp import NaiveTaskPlanner
@@ -71,17 +72,7 @@ def make_chain(grid: Grid, reservation, config: PlannerConfig,
     """A fallback chain wired exactly as the planner base wires it."""
     if heuristics is None:
         heuristics = HeuristicFieldCache(grid)
-
-    def full(t, source, goal):
-        stats = SearchStats()
-        return find_path(grid, reservation, source, goal, t,
-                         heuristic=heuristics.field(goal),
-                         max_expansions=config.max_search_expansions,
-                         stats=stats)
-
-    return FallbackChain(grid=grid, reservation=reservation,
-                         heuristics=heuristics, config=config,
-                         full_search=full)
+    return FallbackChain(grid, reservation, heuristics, config)
 
 
 class TestSearchOutcomes:
@@ -129,6 +120,53 @@ class TestSearchOutcomes:
         # The diagnostics survive into the rendered message too.
         assert "expansions=4" in str(error)
         assert "budget=3" in str(error)
+
+
+class TestTierOneIsTheChainsSearch:
+    """Tier 1 is the chain's own call of ``pipeline.search``: nothing is
+    handed in, and every searched leg is one call."""
+
+    def test_chain_plans_full_and_wait_legs_unaided(self, kernel):
+        # A blockade on the descent sends the leg past tier 0 into the
+        # full search, whose path the chain returns as is.
+        grid = Grid(12, 10)
+        table = ConflictDetectionTable()
+        blockade(table, (4, 0), until=30)
+        heuristics = HeuristicFieldCache(grid)
+        chain = FallbackChain(grid, table, heuristics, PlannerConfig())
+        leg = chain.plan_leg(0, (0, 0), (9, 0))
+        reference = search(grid, table, SearchRequest((0, 0), (9, 0), 0),
+                           heuristics.field((9, 0)))
+        assert leg.tier == TIER_FULL
+        assert leg.path.steps == reference.path.steps
+        (stats,) = leg.search_stats
+        assert stats.expansions == reference.stats.expansions
+        # A boxed robot's failed search becomes a wait leg.
+        boxed = corridor(5)
+        table = ConflictDetectionTable()
+        for cell in [(1, 0), (2, 0), (3, 0)]:
+            blockade(table, cell, until=6)
+        leg = FallbackChain(boxed, table, HeuristicFieldCache(boxed),
+                            PlannerConfig()).plan_leg(0, (2, 0), (4, 0))
+        assert leg.tier == TIER_WAIT
+        assert leg.path.steps == Path.waiting((2, 0), 0, 7).steps
+
+    def test_every_searched_leg_is_one_pipeline_search_call(
+            self, kernel, monkeypatch):
+        from repro.planners import PLANNERS
+        calls = []
+        real_search = pipeline.search
+        monkeypatch.setattr(
+            pipeline, "search",
+            lambda *args: calls.append(args[2]) or real_search(*args))
+        for name in sorted(PLANNERS):
+            calls.clear()
+            state, items = make_mini(seed=3).build()
+            planner = PLANNERS[name](state, PlannerConfig())
+            Simulation(state, planner, items).run()
+            stats = planner.stats
+            assert calls, name  # every planner searches some leg here
+            assert len(calls) == stats.legs_full + stats.legs_wait, name
 
 
 class TestFallbackChain:
@@ -275,28 +313,32 @@ class TestFinisherTotalWaitCap:
         assert follow_with_waits(cdt, cells, 0, max_wait_per_step=64) is None
 
 
-class FirstAttemptFailsNTP(NaiveTaskPlanner):
-    """NTP whose full tier fails on the first attempt of each leg.
+def fail_first_attempts(monkeypatch) -> None:
+    """Make the full tier fail on the first attempt of each leg.
 
-    Every leg therefore starts with a wait leg and reaches its target
-    through ``continue_leg``.  Callers must turn tier 0 off
-    (``tier0_off_patch``): the fast path would otherwise serve the
-    uncongested legs before the sabotaged full tier is ever consulted.
+    Wraps ``pipeline.search``, the name the chain's tier 1 calls, so
+    every leg starts with a wait leg and reaches its target through
+    ``continue_leg``.  Tier 0 goes off too (``tier0_off_patch``): the
+    fast path would otherwise serve the uncongested legs before the
+    sabotaged full tier is ever consulted.
     """
+    failed_once = set()
+    real_search = pipeline.search
 
-    def __init__(self, state, config):
-        super().__init__(state, config)
-        self._failed_once = set()
-
-    def _find_leg(self, t, source, goal):
+    def search_failing_once(grid, reservation, request, *args):
         # A wait holds the robot in place, so the continuation asks for
         # the same endpoints again.  (A leg that starts on its target is
         # left alone: a wait there already "arrives".)
-        if source != goal and (source, goal) not in self._failed_once:
-            self._failed_once.add((source, goal))
-            raise PathNotFoundError(source, goal, "forced wait tier")
-        self._failed_once.discard((source, goal))
-        return super()._find_leg(t, source, goal)
+        key = (request.source, request.goal)
+        if request.source != request.goal and key not in failed_once:
+            failed_once.add(key)
+            return SearchOutcome(request, SEARCH_EXHAUSTED, None,
+                                 SearchStats())
+        failed_once.discard(key)
+        return real_search(grid, reservation, request, *args)
+
+    monkeypatch.setattr(pipeline, "search", search_failing_once)
+    monkeypatch.setattr(*tier0_off_patch())
 
 
 class TestHorizonReplanEngine:
@@ -304,8 +346,8 @@ class TestHorizonReplanEngine:
         scenario = make_mini(n_items=30)
         state, items = scenario.build()
         monkeypatch.setattr(pipeline, "FALLBACK_WAIT_TICKS", 2)
-        monkeypatch.setattr(*tier0_off_patch())
-        planner = FirstAttemptFailsNTP(state, PlannerConfig())
+        fail_first_attempts(monkeypatch)
+        planner = NaiveTaskPlanner(state, PlannerConfig())
         config = SimulationConfig(collect_paths=True)
         result = Simulation(state, planner, items, config).run()
 
@@ -364,8 +406,8 @@ class TestLegacyEngineGuard:
         from repro.sim._legacy_engine import LegacySimulation
         scenario = make_mini(n_items=20)
         state, items = scenario.build()
-        monkeypatch.setattr(*tier0_off_patch())
-        planner = FirstAttemptFailsNTP(state, PlannerConfig())
+        fail_first_attempts(monkeypatch)
+        planner = NaiveTaskPlanner(state, PlannerConfig())
         with pytest.raises(SimulationError, match="partial"):
             LegacySimulation(state, planner, items).run()
 

@@ -71,6 +71,25 @@ class TestSoakSpec:
         with pytest.raises(ConfigurationError):
             SoakSpec(duration=10, window_ticks=100)
 
+    def test_rejects_empty_window(self):
+        with pytest.raises(ConfigurationError, match="window_ticks"):
+            SoakSpec(window_ticks=0)
+
+    def test_rejects_negative_warmup(self):
+        # -1 would slice the series to its last window alone
+        with pytest.raises(ConfigurationError, match="warmup_windows"):
+            SoakSpec(warmup_windows=-1, duration=2000, window_ticks=400)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_flat_factor(self, factor):
+        # every soak would read GROWING
+        with pytest.raises(ConfigurationError, match="flat_factor"):
+            SoakSpec(flat_factor=factor)
+
+    def test_rejects_negative_checkpoint_cadence(self):
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            SoakSpec(checkpoint_every=-1)
+
     def test_stream_factory_is_deterministic(self):
         spec = tiny_spec()
         a = spec.make_stream().take(20)
