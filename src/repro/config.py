@@ -77,7 +77,8 @@ class QLearningConfig:
         to generalise at all, so we bucket (documented deviation).
     deferral_weight:
         Exchange rate between per-item deferral cost and per-selection
-        overhead cost (see :func:`repro.rl.mdp.wait_cost`).  Defaults to
+        overhead cost (see
+        :meth:`repro.rl.qlearning.QLearningAgent.lookahead`).  Defaults to
         the decision horizon 1/(1 − γ).
     """
 

@@ -14,8 +14,7 @@ from .pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT, FASTPATH_MISS,
 from .reservation import ReservationTable
 from .spatiotemporal_graph import SpatiotemporalGraph
 from .st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE, SEARCH_EXHAUSTED,
-                       SearchOutcome, SearchRequest, SearchStats, find_path,
-                       search)
+                       SearchOutcome, SearchRequest, SearchStats, search)
 
 __all__ = [
     "Conflict",
@@ -45,7 +44,6 @@ __all__ = [
     "TIER_FULL",
     "TIER_WAIT",
     "find_conflicts",
-    "find_path",
     "search",
     "follow_with_waits",
     "is_conflict_free",

@@ -23,6 +23,11 @@ A search takes a :class:`HeuristicField` or nothing (Manhattan); both
 are consistent, which the native kernel's bucket queue needs.  The
 callable :func:`manhattan_heuristic` serves the frozen seed core in
 ``_legacy.py``, which takes any :data:`Heuristic`.
+
+A field is also the distance query: ``cache.field(goal)(source)`` is
+the true shortest-path distance (``n_cells + 1`` when unreachable), and
+:meth:`~repro.warehouse.grid.Grid.distance_flat` is the whole flood from
+one source.
 """
 
 from __future__ import annotations
@@ -140,10 +145,6 @@ class HeuristicFieldCache:
                 self._fields.clear()
             field = self._fields[goal] = HeuristicField(self._grid, goal)
         return field
-
-    def distance(self, source: Cell, goal: Cell) -> int:
-        """True shortest-path distance (≥ grid size if unreachable)."""
-        return self.field(goal)(source)
 
     def memory_bytes(self) -> int:
         """Approximate footprint of all cached fields."""

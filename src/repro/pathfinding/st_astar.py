@@ -33,17 +33,13 @@ and under the python switch every one reads the table's buckets.  No
 search state outlives a call; the native kernel reuses only its grid's
 workspace memory.
 
-Two calling conventions coexist:
-
-* :func:`search` is the bounded, recoverable API the planning pipeline
-  uses: a :class:`SearchRequest` in, a :class:`SearchOutcome` out.  A
-  search that exhausts its budget or its open set *returns* an outcome
-  carrying the failure status and the full :class:`SearchStats` — it
-  never raises — so callers can fall back (wait in place) instead of
-  dying mid-run.
-* :func:`find_path` is the historical raising wrapper (same signature as
-  the seed): failure raises :class:`~repro.errors.PathNotFoundError`
-  with the search stats attached.
+:func:`search` is the one entry: a :class:`SearchRequest` in, a
+:class:`SearchOutcome` out.  A search that exhausts its budget or its
+open set *returns* an outcome carrying the failure status and the full
+:class:`SearchStats` — it never raises — so callers can fall back (wait
+in place) instead of dying mid-run; a caller that cannot fall back
+raises :meth:`SearchOutcome.error`, a
+:class:`~repro.errors.PathNotFoundError` with the stats attached.
 """
 
 from __future__ import annotations
@@ -121,8 +117,10 @@ class SearchRequest:
         Abort threshold; exceeding it yields a :data:`SEARCH_BUDGET`
         outcome rather than livelocking.
     finisher_trigger:
-        The L of the cache-aided finisher (Sec. VI-B), as in
-        :func:`find_path`; ``0`` disables it.
+        The L of the cache-aided finisher (Sec. VI-B); ``0`` disables it.
+        The first walk down the heuristic from a popped node with
+        ``0 < h <= L`` that arrives (waiting out conflicts, at
+        ``follow_with_waits``' default caps) ends the search.
     """
 
     source: Cell
@@ -164,7 +162,8 @@ class SearchOutcome:
         return self.status == SEARCH_COMPLETE
 
     def error(self) -> PathNotFoundError:
-        """The exception the raising wrapper surfaces for this failure."""
+        """This failure as a :class:`~repro.errors.PathNotFoundError`
+        carrying the stats, for a caller that cannot fall back."""
         reason = ("search budget {} exhausted".format(self.stats.budget)
                   if self.status == SEARCH_BUDGET else "open set exhausted")
         return PathNotFoundError(self.request.source, self.request.goal,
@@ -411,63 +410,6 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
         stats.expansions = expansions
         stats.generated += generated
         stats.peak_open = peak_open
-
-
-def find_path(grid: Grid, reservation: ReservationTable, source: Cell,
-              goal: Cell, start_time: Tick,
-              heuristic: Optional[HeuristicField] = None,
-              max_expansions: int = 200_000,
-              finisher_trigger: int = 0,
-              stats: Optional[SearchStats] = None) -> Path:
-    """Find a conflict-free timed path from ``source`` (at ``start_time``).
-
-    The historical raising convention over :func:`search` (the seed's
-    signature).
-
-    Parameters
-    ----------
-    grid:
-        Spatial passability.
-    reservation:
-        Already-planned paths to avoid (single-grid + swap conflicts).
-    source, goal:
-        Spatial endpoints.
-    start_time:
-        Tick at which the robot sits on ``source``.
-    heuristic:
-        The goal's :class:`~repro.pathfinding.heuristics.HeuristicField`
-        (exact on obstructed floors), or ``None`` for Manhattan.
-    max_expansions:
-        Abort threshold; exceeded means livelock, reported as
-        :class:`~repro.errors.PathNotFoundError`.
-    finisher_trigger:
-        The L threshold of Sec. VI-B (``0`` disables the finisher): the
-        first walk down the heuristic from a popped node with
-        ``0 < h <= L`` that arrives (waiting out conflicts, at
-        ``follow_with_waits``' default caps) ends the search.
-    stats:
-        Optional mutable counters filled during the search.
-
-    Returns
-    -------
-    Path
-        Timed path starting at ``(start_time, *source)`` and ending on
-        ``goal``; conflict-free w.r.t. ``reservation``.
-
-    Raises
-    ------
-    PathNotFoundError
-        If the search budget or the open set is exhausted; the search
-        stats ride along on the exception.
-    """
-    request = SearchRequest(source=source, goal=goal, start_time=start_time,
-                            max_expansions=max_expansions,
-                            finisher_trigger=finisher_trigger)
-    outcome = search(grid, reservation, request, heuristic=heuristic,
-                     stats=stats)
-    if not outcome.ok:
-        raise outcome.error()
-    return outcome.path
 
 
 def _heuristic_field(grid: Grid, goal: Cell,

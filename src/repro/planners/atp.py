@@ -15,7 +15,8 @@ One documented refinement: the pseudocode only updates q for *selected*
 racks, yet sorts by q(s_r, wait).  For that sort key to carry signal the
 WAIT action must be updated too, so we apply the Eq. 5 update on both
 branches; WAIT pays the per-tick deferral cost −|τ_r| (see
-:func:`~repro.rl.mdp.wait_cost`) and keeps the state unchanged.
+:meth:`~repro.rl.qlearning.QLearningAgent.lookahead`) and keeps the state
+unchanged.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ class AdaptiveTaskPlanner(Planner):
                         budget: int) -> List[SelectionEntry]:
         """Alg. 2 lines 11–19: ε-greedy per rack, most urgent rack first.
 
-        "Urgent" is the agent's :meth:`~repro.rl.qlearning.QLearningAgent.
-        priority` — the racks whose expected finish time grows fastest if
-        deferred are examined (and thus, under REQUEST, dispatched) first.
+        "Urgent" is the :meth:`_ranked` order — the racks whose expected
+        finish time grows fastest if deferred are examined (and thus,
+        under REQUEST, dispatched) first.
         """
         entries: List[SelectionEntry] = []
         for __, __, rack, rack_facts in self._ranked(racks):
@@ -94,8 +95,13 @@ class AdaptiveTaskPlanner(Planner):
     def _ranked(self, racks: Iterable[Rack]) -> List[tuple]:
         """``(priority, rack_id, rack, facts)`` per rack, most urgent first.
 
-        Every key is taken before the caller's first update, so one table
-        serves the whole sort; the facts ride along for the examination.
+        The paper examines racks "with the largest expected finish time"
+        first; in utility terms those are the racks where requesting
+        beats waiting by the widest margin, so the priority is
+        ``u_wait − u_request`` of the agent's lookahead, ascending (lower
+        = examined first).  Every key is taken before the caller's first
+        update, so one table serves the whole sort; the facts ride along
+        for the examination.
         """
         agent, facts = self.agent, self.facts
         keyed = []

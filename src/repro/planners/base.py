@@ -386,18 +386,12 @@ class Planner(abc.ABC):
         """f_p of Eq. 3 for one picker."""
         return self.state.pickers[picker_id].finish_time_estimate
 
-    def transport_distance(self, rack: Rack) -> int:
-        """d(l_r, l_p): rack home to its picker station.
-
-        Manhattan, which equals the true grid distance on the open
-        layouts this library generates (no structural obstacles).
-        """
-        return self._rack_distance[rack.rack_id]
-
     @cached_property
     def _rack_distance(self) -> List[int]:
-        """:meth:`transport_distance` by rack id (racks and pickers never
-        move), built on first use."""
+        """d(l_r, l_p), rack home to its picker station, by rack id
+        (racks and pickers never move), built on first use.  Manhattan,
+        which equals the true grid distance on the open layouts this
+        library generates (no structural obstacles)."""
         pickers = self.state.pickers
         return [manhattan(rack.home, pickers[rack.picker_id].location)
                 for rack in self.state.racks]

@@ -1,7 +1,6 @@
 """Reinforcement-learning rack selection: MDP, Q-table, ε-greedy Q-learning."""
 
-from .mdp import (ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackObservation,
-                  RackState, bucketize, reward, transition)
+from .mdp import ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackState
 from .qlearning import LearnerStats, QLearningAgent
 from .qtable import QTable
 
@@ -12,9 +11,5 @@ __all__ = [
     "LearnerStats",
     "QLearningAgent",
     "QTable",
-    "RackObservation",
     "RackState",
-    "bucketize",
-    "reward",
-    "transition",
 ]

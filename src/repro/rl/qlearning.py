@@ -10,7 +10,9 @@ timestamp the planner flips a Bernoulli(δ) coin and, on success, lets the
 greedy "most slack picker first" strategy pick racks while still feeding
 the observed transitions through this same update ("approximate" mode,
 Alg. 2 lines 6–9).  The coin lives in the planner; this module is the
-update rule, the ε-greedy head, and the bookkeeping they share.
+update rule, the ε-greedy head, and the bookkeeping they share.  All of
+them take a rack's facts ``(s0, s1, δ, |τ_r|, max{f_p, d})``, which
+:meth:`~repro.planners.atp.AdaptiveTaskPlanner.facts` reads off the rack.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..config import QLearningConfig
-from .mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation, bucketize
+from .mdp import ACTION_REQUEST, ACTION_WAIT
 from .qtable import QTable
 
-#: ``(s0, s1, δ, |τ_r|, max{f_p, d})`` (:meth:`QLearningAgent.facts`).
+#: ``(s0, s1, δ, |τ_r|, max{f_p, d})``: the bucketed state, the bucketed
+#: batch time a REQUEST advances it by, the waiting and the request cost
+#: inputs (:meth:`~repro.planners.atp.AdaptiveTaskPlanner.facts`).
 Facts = Tuple[int, int, int, int, int]
 
 
@@ -46,8 +50,7 @@ class QLearningAgent:
     run, mirroring the paper's online training.
 
     The lookahead, ε-greedy head and Eq. 5 update take a rack's
-    :meth:`facts`; the selectors read them straight off the racks, and
-    the methods taking a :class:`RackObservation` wrap them.
+    :data:`Facts`, which the selectors read straight off the racks.
     """
 
     def __init__(self, config: Optional[QLearningConfig] = None,
@@ -56,19 +59,6 @@ class QLearningAgent:
         self._rng = rng if rng is not None else random.Random(11)
         self.table = QTable()
         self.stats = LearnerStats()
-
-    # -- observation plumbing ---------------------------------------------
-
-    def facts(self, observation: RackObservation) -> Facts:
-        """``(s0, s1, δ, |τ_r|, max{f_p, d})``: the bucketed state, the
-        bucketed batch time a REQUEST advances it by, the waiting and
-        the request cost inputs."""
-        width = self.config.state_bin_width
-        return (*bucketize(observation, width),
-                observation.batch_processing_time // width,
-                observation.n_pending,
-                max(observation.picker_finish_time,
-                    observation.distance_to_picker))
 
     def use_approximation(self) -> bool:
         """Sample the Bernoulli(δ) coin of Alg. 2 line 5.
@@ -85,12 +75,36 @@ class QLearningAgent:
         """One-step lookahead utilities ``(u_wait, u_request)``.
 
         ``u(α) = c(s, α) + γ · max_α' q(s', α')`` — the immediate cost is
-        computed from the live facts (:func:`~repro.rl.mdp.wait_cost`,
-        :func:`~repro.rl.mdp.request_cost`), the continuation value from
-        the learned table.  The lookahead is what lets selection react to
+        computed from the live facts, the continuation value from the
+        learned table.  The lookahead is what lets selection react to
         the *current* picker status: the paper's bucketed ⟨ap, ar⟩ state
         cannot encode f_p, but the immediate term can (a reproduction
         refinement).
+
+        REQUEST costs ``−max{f_p, d(l_r, l_p)}``, the decision-relevant
+        part of Eq. 4.  Eq. 4's batch term Σ_{i∈τ_r} i is
+        *policy-invariant in total*: every item's processing time is paid
+        exactly once whichever batch carries it, so including it in the
+        per-selection reward biases the comparison against selecting (the
+        WAIT action never pays it).  The overhead — the wait before
+        processing can start, whichever of "picker still busy" (f_p) and
+        "rack still travelling" (d) dominates — is what a selection
+        actually *adds*, so it is what the learner optimises.
+
+        WAIT costs ``−deferral_weight · |τ_r|``, a refinement beyond the
+        paper, which defines rewards only for *selections* (Eq. 4; Alg. 2
+        grounds only selections).  A tabular learner also needs WAIT
+        grounded, otherwise the discounted bootstrap makes waiting
+        dominate every (negative-valued) selection and the policy
+        starves.  Waiting delays every pending item on the rack, so the
+        cost scales with |τ_r|: cheap to defer an almost-empty rack,
+        expensive to defer a loaded one.  ``deferral_weight`` converts
+        between the two cost currencies: deferral is paid in *item-ticks
+        per tick*, the request overhead in *robot-ticks per selection*.
+        A selection decision is revisited roughly every tick over the
+        learner's ~1/(1 − γ) tick horizon, so the default weight of 10
+        (= 1/(1 − 0.9)) makes one item pending for one horizon
+        comparable to one tick of overhead.
 
         With γ below 1 the induced decision boundary is approximately
         "request once |τ_r| ≳ (1 − γ)·max{f_p, d}": small batches
@@ -140,32 +154,6 @@ class QLearningAgent:
         if greedy:
             self.stats.greedy_updates += 1
         return td_error
-
-    # -- the core over an observation -------------------------------------
-
-    def utilities(self, observation: RackObservation) -> Tuple[float, float]:
-        """:meth:`lookahead` of the observation's facts."""
-        return self.lookahead(*self.facts(observation))
-
-    def choose_action(self, observation: RackObservation) -> int:
-        """:meth:`decide` on the observation's facts."""
-        return self.decide(*self.facts(observation))
-
-    def priority(self, observation: RackObservation) -> float:
-        """Examination order for Alg. 2 line 12 (lower = examined first).
-
-        The paper examines racks "with the largest expected finish time"
-        first; in utility terms those are the racks where requesting
-        beats waiting by the widest margin, so we rank by
-        ``u_wait − u_request`` ascending (most request-favoured first).
-        """
-        u_wait, u_request = self.utilities(observation)
-        return u_wait - u_request
-
-    def update(self, observation: RackObservation, action: int,
-               greedy: bool = False) -> float:
-        """:meth:`learn` from the observation's facts; the TD error."""
-        return self.learn(*self.facts(observation), action, greedy)
 
     def memory_bytes(self) -> int:
         """Learner footprint (Q-table) for the MC metric."""

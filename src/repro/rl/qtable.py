@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from .mdp import ACTION_REQUEST, ACTION_WAIT, ACTIONS, RackState
+from .mdp import ACTIONS, RackState
 
 
 class QTable:
@@ -47,17 +47,6 @@ class QTable:
         if row is None:
             return self.initial_value
         return row[1] if row[1] > row[0] else row[0]
-
-    def best_action(self, state: RackState) -> int:
-        """argmax_α q(state, α), ties broken toward ACTION_REQUEST.
-
-        The tie-break matters only before any update has touched the
-        state; preferring "request" keeps a cold-start system live instead
-        of deadlocking every rack on "wait".
-        """
-        q_wait = self.get(state, ACTION_WAIT)
-        q_request = self.get(state, ACTION_REQUEST)
-        return ACTION_REQUEST if q_request >= q_wait else ACTION_WAIT
 
     def __len__(self) -> int:
         return self._entries

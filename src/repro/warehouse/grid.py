@@ -18,8 +18,6 @@ from array import array
 from collections import deque
 from typing import Iterable, Iterator, Optional, Set, Tuple
 
-import numpy as np
-
 from ..config import PAPER_SCALE_MIN_CELLS
 from ..errors import InvalidLocationError
 from ..types import CELL_KEY_SHIFT, Cell, manhattan
@@ -75,7 +73,7 @@ class Grid:
     """
 
     __slots__ = ("width", "height", "_blocked", "adjacency", "cell_keys",
-                 "_kernel_capsule", "_components", "paper_scale")
+                 "_kernel_capsule", "paper_scale")
 
     def __init__(self, width: int, height: int,
                  blocked: Optional[Iterable[Cell]] = None) -> None:
@@ -92,8 +90,6 @@ class Grid:
         self._build_packed_tables()
         #: Lazily-built native prepared-grid capsule (per loaded module).
         self._kernel_capsule = None
-        #: Lazily-built connected-component labels (``connected()``).
-        self._components: Optional[array] = None
 
     def _build_packed_tables(self) -> None:
         """Set up the packed-integer views the search core runs on.
@@ -238,68 +234,13 @@ class Grid:
                     frontier.append(nci)
         return dist
 
-    def bfs_distances(self, source: Cell) -> np.ndarray:
-        """True shortest-path distances from ``source`` to every cell.
-
-        Returns a ``(width, height)`` int32 array with ``-1`` marking
-        unreachable cells.  Used to build exact heuristics; O(HW) per
-        call.  The flood itself lives in
-        :meth:`distance_flat` (kernel-accelerated when available); this
-        wrapper keeps the historical ndarray shape and sentinel.
-        """
-        flat = self.distance_flat(source, unreached=-1)
-        return np.array(flat, dtype=np.int32).reshape(
-            self.width, self.height)
-
-    def _component_labels(self) -> array:
-        """Flat connected-component labels, flooded once and cached.
-
-        Passable cells in the same 4-connected component share a label;
-        blocked cells keep ``-1``.  One O(HW) flood total, against the
-        previous full BFS *per* :meth:`connected` call.
-        """
-        labels = self._components
-        if labels is None:
-            n_cells = self.width * self.height
-            labels = array("i", (-1,)) * n_cells
-            adjacency = self.adjacency
-            blocked = self._blocked
-            height = self.height
-            label = 0
-            frontier: deque = deque()
-            for ci in range(n_cells):
-                if labels[ci] >= 0 or divmod(ci, height) in blocked:
-                    continue
-                labels[ci] = label
-                frontier.append(ci)
-                while frontier:
-                    cur = frontier.popleft()
-                    for nci, __ in adjacency[cur]:
-                        if labels[nci] < 0:
-                            labels[nci] = label
-                            frontier.append(nci)
-                label += 1
-            self._components = labels
-        return labels
-
-    def connected(self, a: Cell, b: Cell) -> bool:
-        """Whether a path exists between two passable cells.
-
-        O(1) after the first call: answers come from the cached
-        connected-component labels rather than a fresh full-floor BFS.
-        """
-        if not (self.passable(a) and self.passable(b)):
-            return False
-        labels = self._component_labels()
-        return labels[self.cell_index(a)] == labels[self.cell_index(b)]
-
     # -- dunder ------------------------------------------------------------
 
     def __reduce__(self):
         """Pickle as the constructor call, not slot state.
 
         The lazy kernel capsule is a PyCapsule (unpicklable) and the
-        memoised labels are cheap to rebuild, so worker initargs
+        memoised adjacency rows are cheap to rebuild, so worker initargs
         and checkpoints ship only the defining triple; everything
         derived is reconstructed deterministically on first use.
         """

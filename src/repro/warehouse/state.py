@@ -157,19 +157,6 @@ class WarehouseState:
         """Whether an idle robot and a selectable rack coexist (O(1))."""
         return bool(self._idle and self._selectable)
 
-    def racks_of_picker(self, picker_id: int) -> List[Rack]:
-        """All racks associated with ``picker_id`` (fixed association)."""
-        return [self.racks[rid] for rid in self._racks_by_picker[picker_id]]
-
-    def picker_of_rack(self, rack_id: int) -> Picker:
-        """The picker a rack's items are destined to."""
-        return self.pickers[self.racks[rack_id].picker_id]
-
-    def pickers_with_work(self) -> List[Picker]:
-        """Pickers that have at least one selectable rack (Alg. 1 line 4)."""
-        return [picker for picker in self.pickers
-                if self._selectable_by_picker.get(picker.picker_id)]
-
     def total_pending_items(self) -> int:
         """Number of items that emerged but are not yet part of a batch."""
         return sum(len(rack.pending_items) for rack in self.racks)

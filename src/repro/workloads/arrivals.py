@@ -101,6 +101,10 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
         load on hot racks without letting a single picker's queue
         serialise the whole run.
     """
+    if n_racks < 1:
+        raise ConfigurationError("n_racks must be >= 1")
+    if base_rate <= 0:
+        raise ConfigurationError("base_rate must be positive")
     if not 0.0 < ramp_fraction < 0.5:
         raise ConfigurationError("ramp_fraction must be in (0, 0.5)")
     if peak_rate <= base_rate:

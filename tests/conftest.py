@@ -87,6 +87,24 @@ def make_two_picker_state(n_racks: int = 6, n_robots: int = 2) -> WarehouseState
     return WarehouseState.from_layout(layout, n_robots=n_robots)
 
 
+def rack_facts(ap: int = 0, ar: int = 0, batch: int = 0,
+               width: int = 60) -> tuple:
+    """ATP's facts of rack 0 of :func:`make_two_picker_state` with the
+    given accumulated times (picker, rack) and pending batch time."""
+    from repro.planners.atp import AdaptiveTaskPlanner
+    from repro.warehouse.entities import Item
+
+    state = make_two_picker_state()
+    rack = state.racks[0]
+    state.pickers[rack.picker_id].accumulated_processing = ap
+    rack.accumulated_processing = ar
+    if batch:
+        state.deliver_item(Item(0, rack.rack_id, 0, batch))
+    planner = AdaptiveTaskPlanner(state, PlannerConfig(
+        qlearning=QLearningConfig(state_bin_width=width)))
+    return planner.facts(rack)
+
+
 def eatp_finisher(grid: Grid, table, goal, threshold: int):
     """EATP's Sec. VI-B finisher toward ``goal`` over ``table``, without a
     planner around it: ``(finisher, cache)``.  ``finisher(cell, t)`` is

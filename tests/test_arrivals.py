@@ -87,6 +87,15 @@ class TestSurgeArrivals:
         with pytest.raises(ConfigurationError):
             surge_arrivals(10, 5, 1.0, 0.5, ramp_fraction=0.25, seed=1)
 
+    def test_rejects_no_racks(self):
+        with pytest.raises(ConfigurationError, match="n_racks"):
+            surge_arrivals(10, 0, 0.5, 1.0, ramp_fraction=0.25, seed=1)
+
+    def test_rejects_zero_base_rate(self):
+        # A negative rate is refused too (TestStreamsMatchReferenceBodies).
+        with pytest.raises(ConfigurationError, match="base_rate"):
+            surge_arrivals(10, 5, 0.0, 1.0, ramp_fraction=0.25, seed=1)
+
 
 class TestDeterministicArrivals:
     def test_schedule_respected(self):
@@ -446,8 +455,11 @@ class TestStreamsMatchReferenceBodies:
         assert PoissonStream(9, 0.6, 1, 20, 19).take(0) == []
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_a_negative_base_rate_raises_what_it_raised(self, seed):
+    def test_a_negative_base_rate_is_refused(self, seed):
+        # The reference body fails late, in Item's arrival check; the
+        # generator refuses the argument before it draws.
         args = (200, 20, -0.5, 1.0, 0.25, seed)
-        result = outcome(lambda: surge_arrivals(*args))
-        assert result == outcome(lambda: reference_surge_arrivals(*args))
-        assert result[0] is ValueError and "arrival must be >= 0" in result[1]
+        reference = outcome(lambda: reference_surge_arrivals(*args))
+        assert reference[0] is ValueError
+        with pytest.raises(ConfigurationError, match="base_rate"):
+            surge_arrivals(*args)

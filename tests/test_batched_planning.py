@@ -34,7 +34,7 @@ from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT,
                                         FallbackChain)
 from repro.pathfinding.spatiotemporal_graph import (
     ShardedSpatiotemporalGraph, SpatiotemporalGraph)
-from repro.pathfinding.st_astar import find_path
+from repro.pathfinding.st_astar import SEARCH_COMPLETE, SearchRequest, search
 from repro.planners import PLANNERS
 from repro.planners.base import SelectionEntry
 from repro.warehouse.entities import Item, Picker, Rack, Robot
@@ -252,7 +252,9 @@ class TestPaperScaleAutoGate:
             monkeypatch.setattr(
                 st_astar, name,
                 lambda *args, core=core: deep.append(args[4]) or core(*args))
-        find_path(grid, planner.reservation, (0, 0), (90, 90), 0)
+        outcome = search(grid, planner.reservation,
+                         SearchRequest((0, 0), (90, 90), 0))
+        assert outcome.status == SEARCH_COMPLETE
         assert deep == [on]
 
     def test_obstructed_gate_floor_keeps_the_eager_field(self):
@@ -335,9 +337,12 @@ class TestDeepTieOrdering:
             return table
 
         grid = Grid(12, 10)
-        baseline = find_path(grid, reserved_table(grid), (0, 0), (10, 8), 0)
+        request = SearchRequest((0, 0), (10, 8), 0)
+        baseline = search(grid, reserved_table(grid), request)
         grid.paper_scale = True  # the deep order on a small floor
-        deep = find_path(grid, reserved_table(grid), (0, 0), (10, 8), 0)
+        outcome = search(grid, reserved_table(grid), request)
+        assert baseline.status == outcome.status == SEARCH_COMPLETE
+        baseline, deep = baseline.path, outcome.path
         # Both reach the goal at the same (optimal) time; the route may
         # legitimately differ.
         assert deep.end_time == baseline.end_time

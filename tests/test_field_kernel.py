@@ -48,6 +48,7 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
                                         search_kernel_name, set_search_kernel)
 from repro.warehouse.grid import Grid
+from repro.warehouse.layout import _all_reachable
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
                             count_kernel_calls, load_swap_case, python_audit)
 
@@ -212,17 +213,18 @@ class TestBfsFillEquivalence:
         assert got.typecode == expected.typecode == "i"
         assert not grid.adjacency  # the native flood reads the capsule
 
-    def test_bfs_distances_keeps_historical_shape(self):
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    def test_each_flood_is_an_owned_flat_buffer(self, kernel):
         grid = Grid(9, 7, blocked=[(4, 3)])
-        set_search_kernel("compiled")
-        dist = grid.bfs_distances((0, 0))
-        assert dist.shape == (9, 7)
-        assert dist[0, 0] == 0
-        assert dist[4, 3] == -1  # blocked stays at the -1 sentinel
-        assert dist[1, 0] == 1
-        # The historical ndarray is an owned, writable copy.
-        dist[0, 0] = 99
-        assert grid.bfs_distances((0, 0))[0, 0] == 0
+        set_search_kernel(kernel)
+        dist = grid.distance_flat((0, 0))
+        assert len(dist) == grid.n_cells and dist.typecode == "i"
+        assert dist[grid.cell_index((0, 0))] == 0
+        assert dist[grid.cell_index((4, 3))] == -1  # blocked: the sentinel
+        assert dist[grid.cell_index((1, 0))] == 1
+        # Each call floods into a fresh buffer the caller may write.
+        dist[0] = 99
+        assert grid.distance_flat((0, 0))[0] == 0
 
     @pytest.mark.parametrize("kernel", ["python", "compiled"])
     def test_sentinel_collision_rejected(self, kernel):
@@ -254,16 +256,21 @@ class TestBfsFillEquivalence:
 
 
 class TestGridConnectivity:
-    """``connected`` answers from one cached component labelling."""
+    """``obstruct_layout``'s connectivity check agrees with the flood."""
 
     def test_connected_components(self):
-        grid = Grid(8, 3, blocked=[(4, y) for y in range(3)])
-        assert grid.connected((0, 0), (3, 2))
-        assert not grid.connected((0, 0), (7, 0))
-        assert not grid.connected((0, 0), (4, 0))  # blocked endpoint
-        assert not grid.connected((0, 0), (99, 0))  # out of bounds
+        grid = Grid(8, 3)
+        wall = {(4, y) for y in range(3)}
+        assert _all_reachable(grid, wall, {(0, 0), (3, 2)})
+        assert not _all_reachable(grid, wall, {(0, 0), (7, 0)})
+        # The same wall as grid obstacles splits the floor the same way.
+        walled = Grid(8, 3, blocked=wall)
+        assert _all_reachable(walled, set(), {(0, 0), (3, 2)})
+        assert not _all_reachable(walled, set(), {(0, 0), (7, 0)})
 
-    def test_matches_bfs_reachability(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_bfs_reachability(self, kernel):
+        set_search_kernel(kernel)
         rng = random.Random(20)
         for __ in range(25):
             grid = random_grid(rng)
@@ -274,15 +281,9 @@ class TestGridConnectivity:
             dist = grid.distance_flat(source, unreached=-1)
             for __ in range(8):
                 other = rng.choice(cells)
-                reachable = dist[other[0] * grid.height + other[1]] >= 0
-                assert grid.connected(source, other) == reachable
-
-    def test_labels_computed_once(self):
-        grid = Grid(6, 6)
-        grid.connected((0, 0), (5, 5))
-        labels = grid._components
-        grid.connected((1, 1), (2, 2))
-        assert grid._components is labels
+                reachable = dist[grid.cell_index(other)] >= 0
+                assert _all_reachable(grid, set(), {source, other}) == \
+                    reachable
 
 
 # -- the fused tier-0 leg ----------------------------------------------------

@@ -4,7 +4,7 @@ The fast path's correctness claim is sharp — *a conflict-free greedy
 descent on the exact heuristic field is byte-identical to what the full
 spatiotemporal search would return* — so the suite pins it three ways:
 
-* property tests that descent paths equal ``find_path`` on empty
+* property tests that descent paths equal ``search``'s on empty
   reservation tables, across the shared obstructed fixtures and
   randomized pillar grids;
 * audit-rejection tests on the corridor fixtures of the pipeline suite,
@@ -35,8 +35,8 @@ from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding._legacy import seed_planner_patches, tier0_off_patch
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.pathfinding.cache import ShortestPathCache
-from repro.pathfinding.st_astar import (SearchRequest, SearchStats,
-                                        find_path, search,
+from repro.pathfinding.st_astar import (SEARCH_COMPLETE, SearchRequest,
+                                        SearchStats, search,
                                         search_kernel_name,
                                         set_search_kernel)
 from repro.planners import PLANNERS
@@ -111,10 +111,11 @@ class TestDescentMatchesSearch:
         for __ in range(25):
             source, goal = rng.choice(cells), rng.choice(cells)
             chain = cache.packed(source, goal).cells
-            searched = find_path(grid, ConflictDetectionTable(), source,
-                                 goal, 0,
-                                 heuristic=cache._heuristics.field(goal))
-            assert chain == tuple(searched.spatial_cells()), (
+            searched = search(grid, ConflictDetectionTable(),
+                              SearchRequest(source, goal, 0),
+                              heuristic=cache._heuristics.field(goal))
+            assert searched.status == SEARCH_COMPLETE
+            assert chain == tuple(searched.path.spatial_cells()), (
                 f"descent diverged from search for {source}->{goal} "
                 f"on {name}")
 
@@ -127,10 +128,12 @@ class TestDescentMatchesSearch:
             for __ in range(15):
                 source, goal = rng.choice(cells), rng.choice(cells)
                 chain = cache.packed(source, goal).cells
-                searched = find_path(grid, ConflictDetectionTable(), source,
-                                     goal, 3,  # non-zero start time too
-                                     heuristic=cache._heuristics.field(goal))
-                assert chain == tuple(searched.spatial_cells()), (
+                searched = search(grid, ConflictDetectionTable(),
+                                  # a non-zero start time too
+                                  SearchRequest(source, goal, 3),
+                                  heuristic=cache._heuristics.field(goal))
+                assert searched.status == SEARCH_COMPLETE
+                assert chain == tuple(searched.path.spatial_cells()), (
                     f"descent diverged for {source}->{goal} on seed {seed} "
                     f"({grid!r})")
 
@@ -141,9 +144,10 @@ class TestDescentMatchesSearch:
         grid = GRIDS["open"]
         cache = make_cache(grid)
         chain = cache.packed((0, 0), (8, 6)).cells
-        searched = find_path(grid, ConflictDetectionTable(), (0, 0),
-                             (8, 6), 0)
-        assert chain == tuple(searched.spatial_cells())
+        searched = search(grid, ConflictDetectionTable(),
+                          SearchRequest((0, 0), (8, 6), 0))
+        assert searched.status == SEARCH_COMPLETE
+        assert chain == tuple(searched.path.spatial_cells())
 
     def test_unreachable_returns_none(self):
         grid = Grid(8, 3, blocked=[(4, y) for y in range(3)])

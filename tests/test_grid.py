@@ -71,31 +71,37 @@ class TestNeighbours:
 
 class TestDistances:
     def test_bfs_matches_manhattan_on_open_grid(self, small_grid):
-        dist = small_grid.bfs_distances((2, 3))
+        dist = small_grid.distance_flat((2, 3))
         for x in range(small_grid.width):
             for y in range(small_grid.height):
-                assert dist[x, y] == manhattan((2, 3), (x, y))
+                assert (dist[small_grid.cell_index((x, y))]
+                        == manhattan((2, 3), (x, y)))
 
     def test_bfs_detours_around_wall(self, blocked_grid):
-        dist = blocked_grid.bfs_distances((4, 0))
+        dist = blocked_grid.distance_flat((4, 0))
         # (6, 0) is just across the wall: must detour through the gap at y=6.
-        assert dist[6, 0] > manhattan((4, 0), (6, 0))
+        assert (dist[blocked_grid.cell_index((6, 0))]
+                > manhattan((4, 0), (6, 0)))
 
     def test_bfs_marks_unreachable(self):
         # Wall the whole column: right side unreachable from left.
         grid = Grid(5, 3, blocked=[(2, y) for y in range(3)])
-        dist = grid.bfs_distances((0, 0))
-        assert dist[4, 0] == -1
+        dist = grid.distance_flat((0, 0))
+        assert dist[grid.cell_index((4, 0))] == -1
 
     def test_connected(self, blocked_grid):
-        assert blocked_grid.connected((0, 0), (9, 7))
+        # Connectivity reads off the flood: a cell is reached or carries
+        # the sentinel, and a blocked cell is never reached.
+        dist = blocked_grid.distance_flat((0, 0))
+        assert dist[blocked_grid.cell_index((9, 7))] >= 0
         grid = Grid(5, 3, blocked=[(2, y) for y in range(3)])
-        assert not grid.connected((0, 0), (4, 0))
-        assert not grid.connected((2, 0), (0, 0))
+        dist = grid.distance_flat((0, 0))
+        assert dist[grid.cell_index((4, 0))] == -1
+        assert dist[grid.cell_index((2, 0))] == -1
 
     def test_bfs_requires_passable_source(self, blocked_grid):
         with pytest.raises(InvalidLocationError):
-            blocked_grid.bfs_distances((5, 0))
+            blocked_grid.distance_flat((5, 0))
 
 
 class TestEquality:

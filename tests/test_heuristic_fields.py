@@ -12,7 +12,7 @@ import pytest
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.heuristics import (HeuristicField, HeuristicFieldCache,
                                           manhattan_heuristic)
-from repro.pathfinding.st_astar import find_path
+from repro.pathfinding.st_astar import SearchRequest, search
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
 
@@ -45,7 +45,7 @@ class TestFieldProperties:
             h = field(cell)
             if h > grid.n_cells:
                 continue  # unreachable marker
-            assert h == grid.bfs_distances(cell)[goal]
+            assert h == grid.distance_flat(cell)[grid.cell_index(goal)]
 
     def test_dominates_manhattan(self, grid):
         """Exact fields are at least as tight as the paper's h-value."""
@@ -80,8 +80,8 @@ class TestFieldProperties:
         field = HeuristicField(Grid(9, 7), (0, 0))
         other = Grid(7, 9)
         with pytest.raises(ValueError, match="different grid"):
-            find_path(other, ConflictDetectionTable(), (0, 0), (6, 8), 0,
-                      heuristic=field)
+            search(other, ConflictDetectionTable(),
+                   SearchRequest((0, 0), (6, 8), 0), heuristic=field)
 
     def test_flat_layout_matches_callable(self, grid):
         goal = passable_cells(grid)[-1]
@@ -101,8 +101,8 @@ class TestFieldCache:
         cache = HeuristicFieldCache(grid)
         cells = passable_cells(grid)
         source, goal = cells[0], cells[-1]
-        assert cache.distance(source, goal) == grid.bfs_distances(
-            source)[goal]
+        assert (cache.field(goal)(source)
+                == grid.distance_flat(source)[grid.cell_index(goal)])
 
     def test_memory_reported(self, grid):
         cache = HeuristicFieldCache(grid)
@@ -130,14 +130,16 @@ class TestHeuristics:
 
     def test_cache_distance(self, blocked_grid):
         cache = HeuristicFieldCache(blocked_grid)
-        assert cache.distance((4, 0), (6, 0)) == blocked_grid.bfs_distances(
-            (4, 0))[6, 0]
+        assert (cache.field((6, 0))((4, 0))
+                == blocked_grid.distance_flat((4, 0))[
+                    blocked_grid.cell_index((6, 0))])
 
     def test_cache_distance_matches_bfs(self, blocked_grid):
-        bfs = blocked_grid.bfs_distances((0, 0))
+        bfs = blocked_grid.distance_flat((0, 0))
         cache = HeuristicFieldCache(blocked_grid)
         for goal in [(9, 7), (6, 0), (5, 6)]:
-            assert cache.distance((0, 0), goal) == bfs[goal]
+            assert (cache.field(goal)((0, 0))
+                    == bfs[blocked_grid.cell_index(goal)])
 
     def test_cache_memory_grows(self, small_grid):
         cache = HeuristicFieldCache(small_grid)

@@ -25,8 +25,9 @@ from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import (SearchRequest, find_path, search,
-                                        search_kernel_name, set_search_kernel)
+from repro.pathfinding.st_astar import (SEARCH_COMPLETE, SearchRequest,
+                                        search, search_kernel_name,
+                                        set_search_kernel)
 from repro.planners import EfficientAdaptiveTaskPlanner, NaiveTaskPlanner
 from repro.types import manhattan
 from repro.warehouse.entities import Item
@@ -103,7 +104,9 @@ def assert_valid_leg(path, table, source=SOURCE, goal=GOAL, start=0):
 def test_st_astar_on_cdt():
     paths = crossing_paths()
     table = reserved(ConflictDetectionTable(), paths)
-    path = find_path(GRID, table, SOURCE, GOAL, 0)
+    outcome = search(GRID, table, SearchRequest(SOURCE, GOAL, 0))
+    assert outcome.status == SEARCH_COMPLETE
+    path = outcome.path
     assert_valid_leg(path, table)
     vertices, moves = occupancy(paths)
     for (t0, x0, y0), (_, x1, y1) in zip(path.steps, path.steps[1:]):
@@ -114,11 +117,13 @@ def test_st_astar_on_cdt():
 def test_st_astar_on_stgraph():
     paths = crossing_paths()
     table = reserved(SpatiotemporalGraph(GRID), paths)
-    path = find_path(GRID, table, SOURCE, GOAL, 0)
-    assert_valid_leg(path, table)
+    outcome = search(GRID, table, SearchRequest(SOURCE, GOAL, 0))
+    assert outcome.status == SEARCH_COMPLETE
+    assert_valid_leg(outcome.path, table)
     # Probe answers are identical across structures, so is the search.
     cdt = reserved(ConflictDetectionTable(), paths)
-    assert path == find_path(GRID, cdt, SOURCE, GOAL, 0)
+    assert outcome.path == search(GRID, cdt,
+                                  SearchRequest(SOURCE, GOAL, 0)).path
 
 
 def test_st_astar_with_cache_finisher():
@@ -137,10 +142,13 @@ def test_st_astar_with_cache_finisher():
 def test_st_astar_with_heuristic_field():
     table = reserved(ConflictDetectionTable(), crossing_paths())
     field = HeuristicFieldCache(GRID).field(GOAL)
-    path = find_path(GRID, table, SOURCE, GOAL, 0, field)
-    assert_valid_leg(path, table)
+    request = SearchRequest(SOURCE, GOAL, 0)
+    outcome = search(GRID, table, request, field)
+    assert outcome.status == SEARCH_COMPLETE
+    assert_valid_leg(outcome.path, table)
     # Both heuristics are admissible, so both searches are optimal.
-    assert path.duration == find_path(GRID, table, SOURCE, GOAL, 0).duration
+    assert (outcome.path.duration
+            == search(GRID, table, request).path.duration)
 
 
 # -- open set ----------------------------------------------------------------

@@ -129,9 +129,10 @@ class TestObstructLayout:
     def test_preserves_reachability(self):
         obstruct_layout, layout = self._base()
         obstructed = obstruct_layout(layout, n_pillars=25, seed=7)
-        picker = obstructed.picker_locations[0]
+        grid = obstructed.grid
+        dist = grid.distance_flat(obstructed.picker_locations[0])
         for home in obstructed.rack_homes:
-            assert obstructed.grid.connected(picker, home)
+            assert dist[grid.cell_index(home)] >= 0
 
     def test_pillars_stay_out_of_the_picking_area(self):
         obstruct_layout, layout = self._base()

@@ -1,73 +1,116 @@
-"""Unit tests for the rack-selection MDP (Sec. V-A, Eq. 4)."""
+"""The rack-selection MDP (Sec. V-A, Eq. 4) as the learner runs it: the
+bucketed state the planner reads off a rack, the transition the lookahead
+bootstraps from, and the decision costs it pays."""
 
-from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
-                          bucketize, request_cost, reward, transition,
-                          wait_cost)
+import pytest
+
+from repro.config import QLearningConfig
+from repro.planners.atp import AdaptiveTaskPlanner
+from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
+from repro.rl.qlearning import QLearningAgent
+from repro.types import manhattan
+from tests.conftest import make_two_picker_state, rack_facts
 
 
-def obs(ap=0, ar=0, fp=0, d=10, batch=30, n=1):
-    return RackObservation(picker_accumulated=ap, rack_accumulated=ar,
-                           picker_finish_time=fp, distance_to_picker=d,
-                           batch_processing_time=batch, n_pending=n)
+def agent(weight=10.0):
+    """A fresh agent: its table is empty, so every q reads 0."""
+    return QLearningAgent(QLearningConfig(deferral_weight=weight))
 
 
 class TestBucketize:
     def test_zero_state(self):
-        assert bucketize(obs(), 60) == (0, 0)
+        assert rack_facts()[:2] == (0, 0)
 
     def test_bucket_boundaries(self):
-        assert bucketize(obs(ap=59, ar=60), 60) == (0, 1)
-        assert bucketize(obs(ap=60, ar=119), 60) == (1, 1)
+        assert rack_facts(ap=59, ar=60)[:2] == (0, 1)
+        assert rack_facts(ap=60, ar=119)[:2] == (1, 1)
 
     def test_bin_width_one_is_identity(self):
-        assert bucketize(obs(ap=17, ar=23), 1) == (17, 23)
+        assert rack_facts(ap=17, ar=23, width=1)[:2] == (17, 23)
 
 
 class TestTransition:
+    """WAIT leaves the state where it is; REQUEST advances both counters
+    by the batch's bucketed processing time δ."""
+
     def test_wait_keeps_state(self):
-        assert transition((3, 4), ACTION_WAIT, 100, 60) == (3, 4)
+        a = agent()
+        a.table.set((3, 4), ACTION_WAIT, -40.0)
+        a.table.set((3, 4), ACTION_REQUEST, -45.0)
+        u_wait = a.lookahead(3, 4, 2, 1, 10)[0]
+        assert u_wait == pytest.approx(-10 + a.config.discount * -40.0)
 
     def test_request_advances_both_counters(self):
-        assert transition((0, 0), ACTION_REQUEST, 120, 60) == (2, 2)
+        facts = rack_facts(batch=120)
+        assert facts[:3] == (0, 0, 2)
+        a = agent()
+        a.table.set((2, 2), ACTION_WAIT, -70.0)
+        a.table.set((2, 2), ACTION_REQUEST, -75.0)
+        u_request = a.lookahead(*facts)[1]
+        assert u_request == pytest.approx(-facts[4]
+                                          + a.config.discount * -70.0)
 
     def test_small_batch_may_stay_in_bucket(self):
-        assert transition((1, 1), ACTION_REQUEST, 30, 60) == (1, 1)
+        assert rack_facts(batch=30)[2] == 0
 
 
 class TestReward:
+    """Eq. 4's wait term max{f_p, d} is the planner's overhead fact; on an
+    empty table REQUEST pays exactly it (δ carries the batch term)."""
+
+    @staticmethod
+    def planner_and_rack():
+        state = make_two_picker_state()
+        return AdaptiveTaskPlanner(state), state.racks[0]
+
     def test_eq4_transport_dominated(self):
-        # max{f_p, d} with f_p=0: the wait is the delivery distance.
-        assert reward(obs(fp=0, d=25, batch=30)) == -(25 + 30)
+        # f_p = 0 at a free picker: the wait is the delivery distance.
+        planner, rack = self.planner_and_rack()
+        distance = manhattan(rack.home,
+                             planner.state.pickers[rack.picker_id].location)
+        facts = planner.facts(rack)
+        assert facts[4] == distance > 0
+        assert planner.agent.lookahead(*facts)[1] == -distance
 
     def test_eq4_queue_dominated(self):
-        assert reward(obs(fp=500, d=25, batch=30)) == -(500 + 30)
+        planner, rack = self.planner_and_rack()
+        planner.state.pickers[rack.picker_id].queued_processing = 500
+        facts = planner.facts(rack)
+        assert facts[4] == 500
+        assert planner.agent.lookahead(*facts)[1] == -500
 
     def test_reward_is_negative(self):
-        assert reward(obs()) < 0
+        planner, __ = self.planner_and_rack()
+        for rack in planner.state.racks:
+            assert planner.agent.lookahead(*planner.facts(rack))[1] < 0
 
 
 class TestDecisionCosts:
+    """On an empty table the utilities are the immediate costs:
+    ``u_wait = −deferral_weight · |τ_r|``, ``u_request = −max{f_p, d}``."""
+
     def test_request_cost_drops_batch_term(self):
-        assert request_cost(obs(fp=0, d=25, batch=999)) == -25
-        assert request_cost(obs(fp=500, d=25, batch=999)) == -500
+        # δ carries the batch; only the overhead max{f_p, d} is paid.
+        assert agent().lookahead(0, 0, 16, 1, max(0, 25))[1] == -25
+        assert agent().lookahead(0, 0, 16, 1, max(500, 25))[1] == -500
 
     def test_wait_cost_scales_with_pending(self):
-        assert wait_cost(obs(n=1), weight=10) == -10
-        assert wait_cost(obs(n=5), weight=10) == -50
+        assert agent().lookahead(0, 0, 0, 1, 10)[0] == -10
+        assert agent().lookahead(0, 0, 0, 5, 10)[0] == -50
 
     def test_wait_cost_weight(self):
-        assert wait_cost(obs(n=2), weight=1) == -2
+        assert agent(weight=1).lookahead(0, 0, 0, 2, 10)[0] == -2
 
     def test_loaded_rack_near_slack_picker_favours_request(self):
         # Decision boundary: request when |τ| ≳ max{f_p, d} / weight.
-        loaded = obs(fp=0, d=20, n=5)
-        assert request_cost(loaded) > wait_cost(loaded, weight=10)
+        u_wait, u_request = agent().lookahead(0, 0, 0, 5, max(0, 20))
+        assert u_request > u_wait
 
     def test_empty_rack_far_away_favours_wait(self):
-        nearly_empty = obs(fp=0, d=30, n=1)
-        assert wait_cost(nearly_empty, weight=10) > request_cost(nearly_empty)
+        u_wait, u_request = agent().lookahead(0, 0, 0, 1, max(0, 30))
+        assert u_wait > u_request
 
     def test_busy_picker_discourages_request(self):
-        busy = obs(fp=400, d=20, n=10)
-        idle = obs(fp=0, d=20, n=10)
-        assert request_cost(busy) < request_cost(idle)
+        busy = agent().lookahead(0, 0, 0, 10, max(400, 20))[1]
+        idle = agent().lookahead(0, 0, 0, 10, max(0, 20))[1]
+        assert busy < idle

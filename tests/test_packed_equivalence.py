@@ -26,7 +26,8 @@ from repro.pathfinding.conflicts import is_conflict_free
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import SearchStats, find_path
+from repro.pathfinding.st_astar import (SEARCH_COMPLETE, SearchRequest,
+                                        SearchStats, search)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
 
@@ -70,11 +71,12 @@ class TestSearchEquivalence:
     def test_open_grid_bit_identical(self, kernel, source, goal):
         new_table, old_table = both_tables(OPEN_GRID)
         new_stats, old_stats = SearchStats(), SearchStats()
-        ours = find_path(OPEN_GRID, new_table, source, goal, 0,
-                         stats=new_stats)
+        ours = search(OPEN_GRID, new_table, SearchRequest(source, goal, 0),
+                      stats=new_stats)
         seed = legacy_find_path(OPEN_GRID, old_table, source, goal, 0,
                                 stats=old_stats)
-        assert ours.steps == seed.steps
+        assert ours.status == SEARCH_COMPLETE
+        assert ours.path.steps == seed.steps
         assert new_stats.expansions == old_stats.expansions
         assert new_stats.generated == old_stats.generated
         assert new_stats.peak_open == old_stats.peak_open
@@ -83,28 +85,32 @@ class TestSearchEquivalence:
     def test_obstructed_grid_same_length(self, kernel, source, goal):
         new_table, old_table = both_tables(WALLED_GRID)
         cache = HeuristicFieldCache(WALLED_GRID)
-        ours = find_path(WALLED_GRID, new_table, source, goal, 0,
-                         heuristic=cache.field(goal))
+        ours = search(WALLED_GRID, new_table, SearchRequest(source, goal, 0),
+                      heuristic=cache.field(goal))
         seed = legacy_find_path(WALLED_GRID, old_table, source, goal, 0)
-        assert ours.duration == seed.duration
-        assert ours.source == source and ours.goal == goal
+        assert ours.status == SEARCH_COMPLETE
+        assert ours.path.duration == seed.duration
+        assert ours.path.source == source and ours.path.goal == goal
 
     def test_sequential_planning_stays_conflict_free(self, kernel):
         table = ConflictDetectionTable()
         paths = []
         for source, goal in ENDPOINTS:
-            path = find_path(OPEN_GRID, table, source, goal, 0)
-            table.reserve_path(path)
-            paths.append(path)
+            outcome = search(OPEN_GRID, table, SearchRequest(source, goal, 0))
+            assert outcome.status == SEARCH_COMPLETE
+            table.reserve_path(outcome.path)
+            paths.append(outcome.path)
         assert is_conflict_free(paths)
 
     def test_manhattan_default_matches_exact_field_on_open_grid(self, kernel):
         table = ConflictDetectionTable()
         cache = HeuristicFieldCache(OPEN_GRID)
-        default = find_path(OPEN_GRID, table, (0, 0), (13, 10), 0)
-        fielded = find_path(OPEN_GRID, table, (0, 0), (13, 10), 0,
-                            heuristic=cache.field((13, 10)))
-        assert default.steps == fielded.steps
+        request = SearchRequest((0, 0), (13, 10), 0)
+        default = search(OPEN_GRID, table, request)
+        fielded = search(OPEN_GRID, table, request,
+                         heuristic=cache.field((13, 10)))
+        assert default.status == fielded.status == SEARCH_COMPLETE
+        assert default.path.steps == fielded.path.steps
 
     @pytest.mark.parametrize("seed", range(25))
     def test_exact_field_matches_seed(self, kernel, seed):
@@ -124,11 +130,12 @@ class TestSearchEquivalence:
         field = HeuristicFieldCache(grid).field(goal)
 
         new_stats, old_stats = SearchStats(), SearchStats()
-        ours = find_path(grid, new_table, source, goal, 3, heuristic=field,
-                         stats=new_stats)
+        ours = search(grid, new_table, SearchRequest(source, goal, 3),
+                      heuristic=field, stats=new_stats)
         seed_path = legacy_find_path(grid, old_table, source, goal, 3,
                                      heuristic=field, stats=old_stats)
-        assert ours.steps == seed_path.steps
+        assert ours.status == SEARCH_COMPLETE
+        assert ours.path.steps == seed_path.steps
         assert new_stats.expansions == old_stats.expansions
         assert new_stats.generated == old_stats.generated
         assert new_stats.peak_open == old_stats.peak_open

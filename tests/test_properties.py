@@ -7,19 +7,20 @@ conflict-detector correctness against a naive oracle, and Q-table algebra.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import QLearningConfig
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import find_conflicts, is_conflict_free
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
-from repro.pathfinding.st_astar import find_path
-from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
-                          bucketize, request_cost, reward, transition,
-                          wait_cost)
+from repro.pathfinding.st_astar import SEARCH_COMPLETE, SearchRequest, search
+from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
+from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
+from tests.conftest import rack_facts
 
 GRID_W, GRID_H = 12, 9
 
@@ -68,13 +69,13 @@ class TestDescentProperties:
         if not grid.passable(source) or not grid.passable(goal):
             return
         chain = descent(grid, source, goal)
-        bfs = grid.bfs_distances(source)
-        if bfs[goal] < 0:
+        bfs = grid.distance_flat(source)[grid.cell_index(goal)]
+        if bfs < 0:
             assert chain is None
             return
         path = chain.cells
         assert path[0] == source and path[-1] == goal
-        assert len(path) - 1 == bfs[goal]
+        assert len(path) - 1 == bfs
         assert all(manhattan(a, b) == 1 and grid.passable(b)
                    for a, b in zip(path, path[1:]))
 
@@ -180,11 +181,11 @@ class TestStAstarProperties:
             path = Path.from_cells(random_walk(grid, s, m), rt0)
             cdt.reserve_path(path)
             reserved.append(path)
-        try:
-            ours = find_path(grid, cdt, source, goal, start_time=t0,
-                             max_expansions=20_000)
-        except Exception:
+        outcome = search(grid, cdt, SearchRequest(source, goal, t0,
+                                                  max_expansions=20_000))
+        if not outcome.ok:
             return  # saturated start cell can be legitimately unsolvable
+        ours = outcome.path
         # Our path may only clash with a reserved path at its own start
         # vertex (the robot's physical position is never vacated).
         clashes = find_conflicts(reserved + [ours])
@@ -197,49 +198,90 @@ class TestStAstarProperties:
     @settings(max_examples=40, deadline=None)
     def test_optimal_when_unconstrained(self, source, goal, t0):
         grid = Grid(GRID_W, GRID_H)
-        ours = find_path(grid, ConflictDetectionTable(), source, goal,
-                         start_time=t0)
-        assert ours.duration == manhattan(source, goal)
+        outcome = search(grid, ConflictDetectionTable(),
+                         SearchRequest(source, goal, t0))
+        assert outcome.status == SEARCH_COMPLETE
+        assert outcome.path.duration == manhattan(source, goal)
 
 
 class TestMdpProperties:
-    observations = st.builds(
-        RackObservation,
-        picker_accumulated=st.integers(0, 10_000),
-        rack_accumulated=st.integers(0, 10_000),
-        picker_finish_time=st.integers(0, 2_000),
-        distance_to_picker=st.integers(1, 200),
-        batch_processing_time=st.integers(1, 2_000),
-        n_pending=st.integers(1, 100))
+    facts = st.tuples(st.integers(0, 200), st.integers(0, 200),
+                      st.integers(0, 40), st.integers(1, 100),
+                      st.integers(0, 2_000))
 
-    @given(observation=observations, width=st.integers(1, 500))
-    @settings(max_examples=80, deadline=None)
-    def test_bucketize_monotone_and_consistent(self, observation, width):
-        state = bucketize(observation, width)
-        assert state[0] == observation.picker_accumulated // width
-        assert state[1] == observation.rack_accumulated // width
+    @given(ap=st.integers(0, 10_000), ar=st.integers(0, 10_000),
+           batch=st.integers(0, 2_000), width=st.integers(1, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_bucketize_monotone_and_consistent(self, ap, ar, batch, width):
+        assert rack_facts(ap, ar, batch, width)[:3] == (
+            ap // width, ar // width, batch // width)
+        # One more bin width of accumulated time never lowers a bucket.
+        more = rack_facts(ap + width, ar + width, batch, width)
+        assert more[0] == ap // width + 1 and more[1] == ar // width + 1
 
-    @given(observation=observations)
+    @given(state=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+           delta=st.integers(0, 40), n_pending=st.integers(1, 100),
+           f_p=st.integers(0, 2_000), d=st.integers(1, 200),
+           weight=st.floats(0.5, 50))
     @settings(max_examples=80, deadline=None)
-    def test_costs_always_negative(self, observation):
-        assert reward(observation) < 0
-        assert request_cost(observation) <= 0
-        assert wait_cost(observation) < 0
+    def test_costs_on_an_empty_table_are_the_immediate_costs(
+            self, state, delta, n_pending, f_p, d, weight):
+        agent = QLearningAgent(QLearningConfig(deferral_weight=weight))
+        u_wait, u_request = agent.lookahead(*state, delta, n_pending,
+                                            max(f_p, d))
+        assert u_wait == -weight * n_pending
+        assert u_request == -max(f_p, d)
+        assert u_wait <= 0 and u_request <= 0
 
-    @given(observation=observations, width=st.integers(1, 500))
+    @given(facts=facts, values=st.lists(
+        st.floats(-1e4, 0, allow_nan=False), min_size=4, max_size=4),
+        weight=st.floats(0.5, 50))
     @settings(max_examples=80, deadline=None)
-    def test_wait_transition_is_identity(self, observation, width):
-        state = bucketize(observation, width)
-        assert transition(state, ACTION_WAIT,
-                          observation.batch_processing_time, width) == state
+    def test_costs_always_negative(self, facts, values, weight):
+        # Every cost is <= 0, so a table the learner filled stays <= 0
+        # and no utility read from it turns positive.
+        agent = QLearningAgent(QLearningConfig(deferral_weight=weight))
+        s0, s1, delta = facts[:3]
+        for state, pair in (((s0, s1), values[:2]),
+                            ((s0 + delta, s1 + delta), values[2:])):
+            agent.table.set(state, ACTION_WAIT, pair[0])
+            agent.table.set(state, ACTION_REQUEST, pair[1])
+        u_wait, u_request = agent.lookahead(*facts)
+        assert u_wait < 0 and u_request <= 0
 
-    @given(observation=observations, width=st.integers(1, 500))
+    @staticmethod
+    def filled_agent(facts, values):
+        """An agent whose table holds ``values`` at the rack's state and
+        at the state one REQUEST advances it to: (agent, here, there)."""
+        agent = QLearningAgent()
+        s0, s1, delta = facts[:3]
+        here, there = (s0, s1), (s0 + delta, s1 + delta)
+        agent.table.set(here, ACTION_WAIT, values[0])
+        agent.table.set(here, ACTION_REQUEST, values[1])
+        agent.table.set(there, ACTION_WAIT, values[2])
+        agent.table.set(there, ACTION_REQUEST, values[3])
+        return agent, here, there
+
+    @given(facts=facts, values=st.lists(
+        st.floats(-1e4, 0, allow_nan=False), min_size=4, max_size=4))
     @settings(max_examples=80, deadline=None)
-    def test_request_transition_monotone(self, observation, width):
-        state = bucketize(observation, width)
-        nxt = transition(state, ACTION_REQUEST,
-                         observation.batch_processing_time, width)
-        assert nxt[0] >= state[0] and nxt[1] >= state[1]
+    def test_wait_transition_is_identity(self, facts, values):
+        agent, here, __ = self.filled_agent(facts, values)
+        u_wait = agent.lookahead(*facts)[0]
+        gamma, weight = agent.config.discount, agent.config.deferral_weight
+        assert u_wait == (-weight * float(facts[3])
+                          + gamma * agent.table.best_value(here))
+
+    @given(facts=facts, values=st.lists(
+        st.floats(-1e4, 0, allow_nan=False), min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_request_transition_monotone(self, facts, values):
+        # REQUEST bootstraps from both counters advanced by δ >= 0.
+        agent, __, there = self.filled_agent(facts, values)
+        u_request = agent.lookahead(*facts)[1]
+        assert u_request == (-float(facts[4])
+                             + agent.config.discount
+                             * agent.table.best_value(there))
 
 
 class TestQTableProperties:

@@ -5,15 +5,12 @@ import random
 import pytest
 
 from repro.config import QLearningConfig
-from repro.rl.mdp import (ACTION_REQUEST, ACTION_WAIT, RackObservation,
-                          bucketize, request_cost, wait_cost)
+from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from repro.rl.qlearning import QLearningAgent
 
-
-def obs(ap=0, ar=0, fp=0, d=10, batch=30, n=1):
-    return RackObservation(picker_accumulated=ap, rack_accumulated=ar,
-                           picker_finish_time=fp, distance_to_picker=d,
-                           batch_processing_time=batch, n_pending=n)
+#: Facts ``(s0, s1, δ, |τ_r|, max{f_p, d})`` of a rack in state (0, 0)
+#: whose batch stays inside its bucket: one item, overhead 20.
+ONE_ITEM = (0, 0, 0, 1, 20)
 
 
 def agent(delta=0.2, epsilon=0.0, seed=3, **kw):
@@ -24,75 +21,77 @@ def agent(delta=0.2, epsilon=0.0, seed=3, **kw):
 class TestUpdate:
     def test_eq5_single_update(self):
         a = agent()
-        observation = obs(fp=0, d=20, n=1)
-        td = a.update(observation, ACTION_REQUEST)
-        # target = c + γ·max q(s') = request_cost + 0, old = 0.
-        expected_target = request_cost(observation)
+        td = a.learn(*ONE_ITEM, ACTION_REQUEST)
+        # target = c + γ·max q(s') = −max{f_p, d} + 0, old = 0.
+        expected_target = -20
         assert td == pytest.approx(expected_target)
-        state = bucketize(observation, a.config.state_bin_width)
-        assert a.table.get(state, ACTION_REQUEST) == pytest.approx(
+        assert a.table.get((0, 0), ACTION_REQUEST) == pytest.approx(
             a.config.learning_rate * expected_target)
 
     def test_wait_update_uses_deferral_cost(self):
         a = agent()
-        observation = obs(n=4)
-        a.update(observation, ACTION_WAIT)
-        state = bucketize(observation, a.config.state_bin_width)
-        expected = a.config.learning_rate * wait_cost(
-            observation, a.config.deferral_weight)
-        assert a.table.get(state, ACTION_WAIT) == pytest.approx(expected)
+        a.learn(0, 0, 0, 4, 10, ACTION_WAIT)
+        expected = a.config.learning_rate * -a.config.deferral_weight * 4
+        assert a.table.get((0, 0), ACTION_WAIT) == pytest.approx(expected)
 
     def test_updates_counted(self):
         a = agent()
-        a.update(obs(), ACTION_REQUEST)
-        a.update(obs(), ACTION_WAIT, greedy=True)
+        a.learn(*ONE_ITEM, ACTION_REQUEST)
+        a.learn(*ONE_ITEM, ACTION_WAIT, greedy=True)
         assert a.stats.updates == 2
         assert a.stats.greedy_updates == 1
 
     def test_repeated_updates_converge_to_target(self):
         a = agent(learning_rate=0.5)
-        observation = obs(fp=0, d=20, n=1)
-        state = bucketize(observation, a.config.state_bin_width)
         for _ in range(200):
-            a.update(observation, ACTION_WAIT)
+            a.learn(*ONE_ITEM, ACTION_WAIT)
         # Fixed point of q = c_wait + γ·max(q, q_req): with q_req ~ 0
         # frozen, q_wait → c_wait / (1 − γ·…); just assert boundedness
         # and monotone ordering.
-        value = a.table.get(state, ACTION_WAIT)
+        value = a.table.get((0, 0), ACTION_WAIT)
         assert value < 0
         assert value > -10 * a.config.deferral_weight / (1 - a.config.discount)
 
     def test_memory_reporting(self):
         a = agent()
         before = a.memory_bytes()
-        a.update(obs(), ACTION_REQUEST)
+        a.learn(*ONE_ITEM, ACTION_REQUEST)
         assert a.memory_bytes() > before
 
 
 class TestUtilitiesAndPolicy:
     def test_loaded_near_rack_requests(self):
         a = agent()
-        u_wait, u_request = a.utilities(obs(fp=0, d=20, n=5))
+        u_wait, u_request = a.lookahead(0, 0, 0, 5, 20)
         assert u_request > u_wait
-        assert a.choose_action(obs(fp=0, d=20, n=5)) == ACTION_REQUEST
+        assert a.decide(0, 0, 0, 5, 20) == ACTION_REQUEST
 
     def test_single_item_far_rack_waits(self):
         a = agent()
-        assert a.choose_action(obs(fp=0, d=50, n=1)) == ACTION_WAIT
+        assert a.decide(0, 0, 0, 1, 50) == ACTION_WAIT
 
     def test_busy_picker_waits_even_when_loaded(self):
         a = agent()
-        assert a.choose_action(obs(fp=500, d=20, n=4)) == ACTION_WAIT
+        assert a.decide(0, 0, 0, 4, max(500, 20)) == ACTION_WAIT
 
     def test_deep_backlog_eventually_requests(self):
         a = agent()
-        assert a.choose_action(obs(fp=500, d=20, n=60)) == ACTION_REQUEST
+        assert a.decide(0, 0, 0, 60, max(500, 20)) == ACTION_REQUEST
+
+    def test_tie_prefers_request(self):
+        # Fresh state, equal utilities (one item at weight 10 against an
+        # overhead of 10): REQUEST, so a cold-start system dispatches
+        # instead of deadlocking every rack on WAIT.
+        a = agent()
+        u_wait, u_request = a.lookahead(5, 5, 0, 1, 10)
+        assert u_wait == u_request
+        assert a.decide(5, 5, 0, 1, 10) == ACTION_REQUEST
 
     def test_epsilon_zero_decide_is_greedy(self):
         # ``decide`` is the paper's ε-greedy policy: at ε = 0 it always
         # takes the lookahead's better action and never explores.
         a = agent(epsilon=0.0)
-        facts = a.facts(obs(fp=0, d=50, n=1))
+        facts = (0, 0, 0, 1, 50)
         u_wait, u_request = a.lookahead(*facts)
         greedy = ACTION_REQUEST if u_request >= u_wait else ACTION_WAIT
         assert all(a.decide(*facts) == greedy for _ in range(20))
@@ -100,21 +99,24 @@ class TestUtilitiesAndPolicy:
 
     def test_epsilon_is_the_exploration_rate(self):
         a = agent(epsilon=0.5)
-        facts = a.facts(obs(fp=0, d=50, n=1))
+        facts = (0, 0, 0, 1, 50)
         for _ in range(400):
             a.decide(*facts)
         assert 150 < a.stats.explored_actions < 250
 
     def test_epsilon_one_explores(self):
         a = agent(epsilon=1.0)
-        actions = {a.choose_action(obs(fp=0, d=50, n=1)) for _ in range(50)}
+        actions = {a.decide(0, 0, 0, 1, 50) for _ in range(50)}
         assert actions == {ACTION_WAIT, ACTION_REQUEST}
         assert a.stats.explored_actions > 0
 
     def test_priority_orders_by_request_margin(self):
+        # ATP examines racks by u_wait − u_request ascending.
         a = agent()
-        urgent = a.priority(obs(fp=0, d=10, n=8))
-        lazy = a.priority(obs(fp=0, d=40, n=1))
+        u_wait, u_request = a.lookahead(0, 0, 0, 8, 10)
+        urgent = u_wait - u_request
+        u_wait, u_request = a.lookahead(0, 0, 0, 1, 40)
+        lazy = u_wait - u_request
         assert urgent < lazy  # urgent racks examined first
 
 

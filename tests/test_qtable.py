@@ -44,18 +44,6 @@ class TestBest:
         table.set((0, 0), ACTION_REQUEST, -1.0)
         assert table.best_value((0, 0)) == -1.0
 
-    def test_best_action(self):
-        table = QTable()
-        table.set((0, 0), ACTION_WAIT, -3.0)
-        table.set((0, 0), ACTION_REQUEST, -1.0)
-        assert table.best_action((0, 0)) == ACTION_REQUEST
-
-    def test_tie_prefers_request(self):
-        # Fresh state: both actions at the initial value — prefer REQUEST
-        # so a cold-start system dispatches instead of deadlocking.
-        table = QTable()
-        assert table.best_action((5, 5)) == ACTION_REQUEST
-
     def test_memory_grows_with_entries(self):
         table = QTable()
         empty = table.memory_bytes()
@@ -87,7 +75,6 @@ class TestRows:
         assert table.memory_bytes() == 64 + 150
         assert table.get((2, 2), ACTION_WAIT) == -9.0
         assert table.best_value((2, 2)) == -3.5
-        assert table.best_action((2, 2)) == ACTION_REQUEST
 
     def test_both_actions_of_a_state(self):
         table = QTable()

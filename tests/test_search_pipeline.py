@@ -3,8 +3,7 @@
 Covers the chain's contract end to end:
 
 * ``search()`` returns :class:`SearchOutcome` failures instead of raising,
-  and the raising wrapper attaches the search stats to
-  :class:`PathNotFoundError`;
+  and the outcome's :class:`PathNotFoundError` carries the search stats;
 * the fallback chain answers every request with exactly one tier, with
   crafted dense-corridor fixtures exercising each tier;
 * a failed search becomes a wait leg — committed over the cell's free
@@ -34,8 +33,7 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
 from repro.pathfinding.st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE,
                                         SEARCH_EXHAUSTED, SearchOutcome,
                                         SearchRequest, SearchStats,
-                                        find_path, search,
-                                        search_kernel_name,
+                                        search, search_kernel_name,
                                         set_search_kernel)
 from repro.planners.ntp import NaiveTaskPlanner
 from repro.sim.engine import Simulation
@@ -107,13 +105,14 @@ class TestSearchOutcomes:
         assert outcome.status == SEARCH_EXHAUSTED
         assert outcome.stats.expansions == 1  # the start pops, nothing else
 
-    def test_find_path_attaches_stats_to_error(self):
+    def test_error_carries_the_stats(self):
         grid = Grid(12, 10)
-        with pytest.raises(PathNotFoundError) as excinfo:
-            find_path(grid, ConflictDetectionTable(), (0, 0), (11, 9), 0,
-                      max_expansions=3)
-        error = excinfo.value
-        assert error.stats is not None
+        outcome = search(grid, ConflictDetectionTable(),
+                         SearchRequest((0, 0), (11, 9), 0, max_expansions=3))
+        assert outcome.status == SEARCH_BUDGET
+        error = outcome.error()
+        assert isinstance(error, PathNotFoundError)
+        assert error.stats is outcome.stats
         assert error.stats.expansions == 4  # the pop that broke the budget
         assert error.stats.budget == 3
         assert error.stats.peak_open > 0

@@ -31,7 +31,8 @@ from repro.planners.atp import AdaptiveTaskPlanner
 from repro.planners.base import SelectionEntry
 from repro.planners.eatp import EfficientAdaptiveTaskPlanner
 from repro.planners.ilp import IlpPlanner
-from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT, RackObservation
+from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
+from repro.rl.qlearning import Facts
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.types import manhattan
 from repro.warehouse.entities import Item, Rack
@@ -70,37 +71,45 @@ def draw_world(data, n_robots: int = 4) -> WarehouseState:
     return state
 
 
-def _scan_observe(state: WarehouseState, rack: Rack) -> RackObservation:
-    """Sec. V-A's observation, every field rescanned from the entities."""
+def _scan_facts(state: WarehouseState, rack: Rack) -> Facts:
+    """Sec. V-A's facts ``(s0, s1, δ, |τ_r|, max{f_p, d})`` of a rack,
+    every field rescanned from the entities and bucketed at the default
+    bin width, which every planner here runs."""
+    width = QLearningConfig().state_bin_width
     picker = state.pickers[rack.picker_id]
-    return RackObservation(
-        picker_accumulated=picker.accumulated_processing,
-        rack_accumulated=rack.accumulated_processing,
-        picker_finish_time=picker.remaining_current + picker.queued_processing,
-        distance_to_picker=manhattan(rack.home, picker.location),
-        batch_processing_time=sum(item.processing_time
-                                  for item in rack.pending_items),
-        n_pending=len(rack.pending_items))
+    return (picker.accumulated_processing // width,
+            rack.accumulated_processing // width,
+            sum(item.processing_time for item in rack.pending_items) // width,
+            len(rack.pending_items),
+            max(picker.remaining_current + picker.queued_processing,
+                manhattan(rack.home, picker.location)))
+
+
+def _scan_priority(agent, facts: Facts) -> float:
+    """Alg. 2 line 12's examination key: ``u_wait − u_request``, lower
+    first (the rack where requesting beats waiting by most)."""
+    u_wait, u_request = agent.lookahead(*facts)
+    return u_wait - u_request
 
 
 def _scan_select_learned(planner: AdaptiveTaskPlanner, racks: List[Rack],
                          budget: int) -> List[SelectionEntry]:
     """Alg. 2 lines 11–19 with every selectable rack observed up front."""
     agent = planner.agent
-    observations: Dict[int, RackObservation] = {
-        rack.rack_id: _scan_observe(planner.state, rack) for rack in racks}
+    observed: Dict[int, Facts] = {
+        rack.rack_id: _scan_facts(planner.state, rack) for rack in racks}
     ordered = sorted(racks, key=lambda rack: (
-        agent.priority(observations[rack.rack_id]), rack.rack_id))
+        _scan_priority(agent, observed[rack.rack_id]), rack.rack_id))
     entries: List[SelectionEntry] = []
     for rack in ordered:
-        observation = observations[rack.rack_id]
-        if agent.choose_action(observation) == ACTION_REQUEST:
+        facts = observed[rack.rack_id]
+        if agent.decide(*facts) == ACTION_REQUEST:
             entries.append(SelectionEntry(rack=rack))
-            agent.update(observation, ACTION_REQUEST)
+            agent.learn(*facts, ACTION_REQUEST)
             if len(entries) == budget:
                 break
         else:
-            agent.update(observation, ACTION_WAIT)
+            agent.learn(*facts, ACTION_WAIT)
     return entries
 
 
@@ -108,29 +117,29 @@ def _scan_select_flipped(planner: EfficientAdaptiveTaskPlanner,
                          robots) -> List[SelectionEntry]:
     """Alg. 3 lines 10–13 with every candidate observed: each robot's K
     nearest homes by (distance, id), its selectable racks ordered by
-    ``agent.priority``, robots by their best priority, then ε-greedy."""
+    :func:`_scan_priority`, robots by their best priority, then ε-greedy."""
     agent, state = planner.agent, planner.state
     per_robot = []
     for robot in robots:
         nearest = sorted(state.racks, key=lambda rack: (
             manhattan(robot.location, rack.home), rack.rack_id))
-        observed = [(_scan_observe(state, rack), rack)
+        observed = [(_scan_facts(state, rack), rack)
                     for rack in nearest[:planner.config.knn_k]
                     if rack.selectable]
-        observed.sort(key=lambda pair: (agent.priority(pair[0]),
+        observed.sort(key=lambda pair: (_scan_priority(agent, pair[0]),
                                         pair[1].rack_id))
-        best = (agent.priority(observed[0][0]) if observed
+        best = (_scan_priority(agent, observed[0][0]) if observed
                 else float("inf"))
         per_robot.append((best, robot.robot_id, robot, observed))
     per_robot.sort(key=lambda entry: entry[:2])
     claimed = set()
     entries: List[SelectionEntry] = []
     for __, __, robot, observed in per_robot:
-        for observation, rack in observed:
+        for facts, rack in observed:
             if rack.rack_id in claimed:
                 continue
-            action = agent.choose_action(observation)
-            agent.update(observation, action)
+            action = agent.decide(*facts)
+            agent.learn(*facts, action)
             if action == ACTION_REQUEST:
                 entries.append(SelectionEntry(rack=rack, robot=robot))
                 claimed.add(rack.rack_id)
@@ -201,9 +210,8 @@ class TestAtpRanking:
         racks = state.selectable_racks()
         agent = planner.agent
         for rack in racks:
-            assert planner.facts(rack) == agent.facts(
-                _scan_observe(state, rack))
-        expected = sorted((agent.priority(_scan_observe(state, rack)),
+            assert planner.facts(rack) == _scan_facts(state, rack)
+        expected = sorted((_scan_priority(agent, _scan_facts(state, rack)),
                            rack.rack_id) for rack in racks)
         assert [key[:2] for key in planner._ranked(racks)] == expected
 
@@ -235,8 +243,8 @@ class TestAtpRanking:
         budget = data.draw(st.integers(1, N_RACKS + 1))
         got = planner._select_greedy(racks, budget)
         for entry in got:
-            twin.agent.update(_scan_observe(twin.state, entry.rack),
-                              ACTION_REQUEST, greedy=True)
+            twin.agent.learn(*_scan_facts(twin.state, entry.rack),
+                             ACTION_REQUEST, greedy=True)
         assert dict(planner.agent.table) == dict(twin.agent.table)
         assert vars(planner.agent.stats) == vars(twin.agent.stats)
 

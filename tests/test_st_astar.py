@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import PathNotFoundError
 from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.conflicts import is_conflict_free
 from repro.pathfinding.paths import Path
-from repro.pathfinding.st_astar import (SearchRequest, SearchStats,
-                                        find_path, search)
+from repro.pathfinding.st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE,
+                                        SearchRequest, SearchStats, search)
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
 
@@ -24,62 +23,72 @@ def cdt():
 
 class TestUnconstrainedSearch:
     def test_same_cell(self, grid, cdt):
-        path = find_path(grid, cdt, (3, 3), (3, 3), start_time=7)
-        assert path.steps == ((7, 3, 3),)
+        outcome = search(grid, cdt, SearchRequest((3, 3), (3, 3), 7))
+        assert outcome.status == SEARCH_COMPLETE
+        assert outcome.path.steps == ((7, 3, 3),)
 
     def test_optimal_when_empty(self, grid, cdt):
-        path = find_path(grid, cdt, (0, 0), (6, 4), start_time=0)
-        assert path.duration == manhattan((0, 0), (6, 4))
+        outcome = search(grid, cdt, SearchRequest((0, 0), (6, 4), 0))
+        assert outcome.status == SEARCH_COMPLETE
+        assert outcome.path.duration == manhattan((0, 0), (6, 4))
 
     def test_start_time_respected(self, grid, cdt):
-        path = find_path(grid, cdt, (0, 0), (3, 0), start_time=42)
-        assert path.start_time == 42
-        assert path.end_time == 45
+        outcome = search(grid, cdt, SearchRequest((0, 0), (3, 0), 42))
+        assert outcome.status == SEARCH_COMPLETE
+        assert outcome.path.start_time == 42
+        assert outcome.path.end_time == 45
 
 
 class TestConflictAvoidance:
     def test_avoids_reserved_vertex(self, grid, cdt):
         # Another robot sits on (1, 0) at t=1 — ours must wait or detour.
         cdt.reserve_path(Path.from_cells([(1, 0), (1, 0)], start_time=0))
-        ours = find_path(grid, cdt, (0, 0), (2, 0), start_time=0)
+        outcome = search(grid, cdt, SearchRequest((0, 0), (2, 0), 0))
+        assert outcome.status == SEARCH_COMPLETE
         blocked = Path.from_cells([(1, 0), (1, 0)], start_time=0)
-        assert is_conflict_free([ours, blocked])
+        assert is_conflict_free([outcome.path, blocked])
 
     def test_avoids_swap(self, grid, cdt):
         other = Path.from_cells([(2, 0), (1, 0), (0, 0)], start_time=0)
         cdt.reserve_path(other)
-        ours = find_path(grid, cdt, (0, 0), (3, 0), start_time=0)
-        assert is_conflict_free([ours, other])
+        outcome = search(grid, cdt, SearchRequest((0, 0), (3, 0), 0))
+        assert outcome.status == SEARCH_COMPLETE
+        assert is_conflict_free([outcome.path, other])
 
     def test_corridor_forces_wait(self, cdt):
         # Single-file corridor: y=0 row of a 5x1-ish grid with walls.
         grid = Grid(5, 3, blocked=[(x, 1) for x in range(1, 4)])
         other = Path.from_cells([(2, 0), (3, 0), (4, 0)], start_time=0)
         cdt.reserve_path(other)
-        ours = find_path(grid, cdt, (0, 0), (4, 0), start_time=0)
-        assert is_conflict_free([ours, other])
-        assert ours.duration >= 4
+        outcome = search(grid, cdt, SearchRequest((0, 0), (4, 0), 0))
+        assert outcome.status == SEARCH_COMPLETE
+        assert is_conflict_free([outcome.path, other])
+        assert outcome.path.duration >= 4
 
     def test_many_sequential_paths_mutually_conflict_free(self, grid, cdt):
         paths = []
         endpoints = [((0, 0), (9, 0)), ((9, 0), (0, 0)), ((0, 5), (9, 5)),
                      ((9, 5), (0, 5)), ((5, 0), (5, 9))]
         for source, goal in endpoints:
-            path = find_path(grid, cdt, source, goal, start_time=0)
-            cdt.reserve_path(path)
-            paths.append(path)
+            outcome = search(grid, cdt, SearchRequest(source, goal, 0))
+            assert outcome.status == SEARCH_COMPLETE
+            cdt.reserve_path(outcome.path)
+            paths.append(outcome.path)
         assert is_conflict_free(paths)
 
 
 class TestBudgetsAndStats:
-    def test_expansion_budget_raises(self, grid, cdt):
-        with pytest.raises(PathNotFoundError):
-            find_path(grid, cdt, (0, 0), (11, 9), start_time=0,
-                      max_expansions=3)
+    def test_expansion_budget_fails(self, grid, cdt):
+        outcome = search(grid, cdt, SearchRequest((0, 0), (11, 9), 0,
+                                                  max_expansions=3))
+        assert outcome.status == SEARCH_BUDGET
+        assert outcome.path is None
 
     def test_stats_filled(self, grid, cdt):
         stats = SearchStats()
-        find_path(grid, cdt, (0, 0), (6, 4), start_time=0, stats=stats)
+        outcome = search(grid, cdt, SearchRequest((0, 0), (6, 4), 0),
+                         stats=stats)
+        assert outcome.status == SEARCH_COMPLETE
         assert stats.expansions > 0
         assert stats.generated > 0
         assert stats.peak_open > 0
@@ -105,7 +114,10 @@ class TestDeepWaitChain:
                                                legacy_find_path)
         grid, cdt = self.make_problem()
         stats = SearchStats()
-        path = find_path(grid, cdt, (0, 0), (7, 0), 0, stats=stats)
+        outcome = search(grid, cdt, SearchRequest((0, 0), (7, 0), 0),
+                         stats=stats)
+        assert outcome.status == SEARCH_COMPLETE
+        path = outcome.path
         legacy_cdt = LegacyConflictDetectionTable()
         legacy_cdt.reserve_path(Path.waiting((4, 0), 0, 1500))
         legacy_stats = SearchStats()
@@ -137,8 +149,6 @@ class TestFinisherHook:
         assert list(outcome.finisher_starts) == [(3, 0)]
         assert outcome.path.goal == (6, 0)
         assert outcome.path.duration == 6  # still optimal here
-        assert find_path(grid, cdt, (0, 0), (6, 0), 0,
-                         finisher_trigger=3) == outcome.path
 
     def test_finisher_returning_none_continues(self, grid, cdt):
         # (5, 0) is camped past the walk's 64-tick cap: the walk from

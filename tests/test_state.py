@@ -71,19 +71,20 @@ class TestQueries:
         assert small_state.selectable_racks() == []
 
     def test_racks_of_picker(self, small_state):
-        racks = small_state.racks_of_picker(0)
-        assert all(r.picker_id == 0 for r in racks)
+        racks = [r for r in small_state.racks if r.picker_id == 0]
         assert len(racks) == 4  # 8 racks round-robin over 2 pickers
 
     def test_picker_of_rack(self, small_state):
-        assert small_state.picker_of_rack(0).picker_id == 0
-        assert small_state.picker_of_rack(1).picker_id == 1
+        assert small_state.racks[0].picker_id == 0
+        assert small_state.racks[1].picker_id == 1
 
     def test_pickers_with_work(self, small_state):
-        assert small_state.pickers_with_work() == []
+        def workers():
+            return [pid for pid, racks
+                    in small_state.selectable_by_picker().items() if racks]
+        assert workers() == []
         small_state.deliver_item(Item(0, 2, 0, 10))  # rack 2 -> picker 0
-        workers = small_state.pickers_with_work()
-        assert [p.picker_id for p in workers] == [0]
+        assert workers() == [0]
 
     def test_total_pending_items(self, small_state):
         small_state.deliver_item(Item(0, 1, 0, 10))
