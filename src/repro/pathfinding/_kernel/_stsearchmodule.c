@@ -8,17 +8,19 @@
  *   - deep order  == _search_heap, deep=True   (paper-scale floors)
  *
  * "Bit-identical" covers expansion order, tie breaking, the produced
- * path, and every SearchStats counter.  The FIFO bucket order reproduces
- * the heap's (f, tie) order; the deep-tie order (f, -g, tie) is realised
- * as per-f sub-buckets indexed by h = f - g, consumed smallest-h (i.e.
- * deepest-g) first, FIFO within a sub-bucket.  A state is pushed once
- * (its g is its layer), so nothing in a bucket is ever stale; a field
- * that is not consistent would push behind the cursor and is refused
- * with AssertionError where it shows.  The records, the seen-map and
- * the buckets live in a workspace the grid keeps between calls (freed
- * with the grid; a search that outgrew WS_KEEP_RECORDS frees its own),
- * so a warm run() allocates only the leg it returns; a search a python
- * signal handler starts while run() waits borrows another workspace.
+ * path, and every SearchStats counter.  The open set holds the cursor's
+ * f level only (a successor is made when the cursor reaches its level;
+ * see the workspace below): one FIFO list reproduces the heap's (f, tie)
+ * order, and the deep-tie order (f, -g, tie) is one list per h = f - g,
+ * consumed smallest-h (i.e. deepest-g) first, FIFO within a list.  A
+ * state is pushed once (its g is its layer), so nothing in a list is
+ * ever stale; a field that is not consistent would put a state behind
+ * the cursor and is refused with AssertionError where it shows.  The
+ * records, the seen-map and the lists live in a workspace the grid
+ * keeps between calls (freed with the grid; a search that outgrew
+ * WS_KEEP_RECORDS frees its own), so a warm run() allocates only the
+ * leg it returns; a search a python signal handler starts while run()
+ * waits borrows another workspace.
  *
  * EATP's cache-aided finisher (Sec. VI-B) is data, not a callback: run()
  * and tier0_leg() take its trigger L and walk the goal field's descent
@@ -115,24 +117,40 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* The search workspace.  A state the search has seen is one record,   */
+/* The search workspace.  A state the search has made is one record,   */
 /* appended in push order: its key (layer << 32 | flat cell index;     */
 /* every action costs one tick, so a state's g is its layer, read off  */
 /* the key, never stored), the record it was first reached from and    */
-/* the next record of its open list.  The open set is intrusive FIFO   */
-/* lists threaded through ``next``: one per f offset (FIFO order) or   */
-/* one per (f offset, h) (deep-tie order).  The seen-map holds record  */
-/* indices, open-addressed.  A workspace belongs to its grid and       */
-/* outlives the call: run() resets lengths, not memory, and            */
-/* re-initialises entries as it extends them, so a warm search         */
-/* allocates nothing (up to the arena the grid keeps).  A search a     */
-/* signal handler starts inside run() takes another of the grid's.     */
+/* the next record of its open list.                                   */
+/*                                                                     */
+/* A state is made when the cursor reaches its f level.  A pop on      */
+/* level L probes its wait and pushes only its successors on L, the    */
+/* moves toward the goal.  The others wait, as a parent and a cell, on */
+/* the list of the level they lie on: the wait on L + 1, a move that   */
+/* raises h by k on L + 1 + k, its probe put off.  When the cursor     */
+/* first reaches a level, before its first pop, its list is probed and */
+/* pushed in order: pop order, each parent's wait first and then its   */
+/* adjacency row.  A state's level is its g + h, whoever reaches it,   */
+/* and the cursor only moves up, so each level receives its states in  */
+/* the order an eager search pushes them and the same parent claims    */
+/* each one: the pops are the eager search's, and no move above the    */
+/* level a search ends on is probed or made.  So the open set is the   */
+/* cursor's level alone: intrusive FIFO lists threaded through         */
+/* ``next``, one per h (deep-tie order) or a single one (FIFO order).  */
+/* The seen-map holds record indices, open-addressed.                  */
+/*                                                                     */
+/* A workspace belongs to its grid and outlives the call: run() resets */
+/* lengths, not memory, and re-initialises entries as it extends them, */
+/* so a warm search allocates nothing (up to the arena the grid        */
+/* keeps).  A search a signal handler starts inside run() takes        */
+/* another of the grid's.                                              */
 /* ------------------------------------------------------------------ */
 
 #define LAYER_SHIFT 32
 #define SEEN_START 4096   /* the seen-map's logical size at every call */
-/* The largest record arena a grid keeps between calls (1 MB): the rare
- * deep search frees its workspace rather than pin it on the grid. */
+/* The largest record arena, and deferred-successor arena, a grid keeps
+ * between calls (1 MB each): the rare deep search frees its workspace
+ * rather than pin it on the grid. */
 #define WS_KEEP_RECORDS ((Py_ssize_t)1 << 16)
 
 typedef struct {
@@ -145,12 +163,12 @@ typedef struct {
     int32_t head, tail;   /* head -1: nothing unread */
 } Fifo;
 
-typedef struct {          /* one f offset's lists by h (deep-tie order) */
-    Fifo *by_h;
-    Py_ssize_t h_len, h_cap;  /* h_cap and by_h survive the reset */
-    int64_t lo_h;         /* smallest h with possibly-unread entries */
-    int64_t live;         /* unread entries across all h */
-} Level;
+typedef struct {          /* a successor above the cursor */
+    int32_t parent;       /* the record it would be reached from */
+    int32_t cell;         /* its cell index (the parent's: the wait), */
+                          /* ~index for a move out of a held cell */
+    int32_t next;         /* the next of its level's list; -1 ends it */
+} Later;
 
 typedef struct Workspace {
     struct Workspace *spare;  /* the grid's next idle workspace */
@@ -159,18 +177,19 @@ typedef struct Workspace {
     int32_t *seen;            /* record index per slot, -1 empty */
     Py_ssize_t seen_size, seen_cap;   /* logical (a power of two), held */
     int seen_shift;           /* 64 - log2(seen_size) */
-    Fifo *fifo;
-    Py_ssize_t fifo_len, fifo_cap;
-    Level *deepq;
-    Py_ssize_t deep_len, deep_cap;
+    Fifo *open;               /* the cursor level's lists, by h or one */
+    Py_ssize_t open_len, open_cap;
+    Py_ssize_t lo_h;          /* no list below it holds a state */
+    Later *later;
+    Py_ssize_t n_later, later_cap;
+    Fifo *levels;             /* the lists of ``later``, by f offset */
+    Py_ssize_t levels_len, levels_cap;
 } Workspace;
 
-/* Make ``*buf`` hold at least ``need`` items of ``size`` bytes, doubling;
- * new items are zeroed if ``zero`` (untouched pages stay unmapped
- * otherwise).  -1 with MemoryError set when out of memory. */
+/* Make ``*buf`` hold at least ``need`` items of ``size`` bytes, doubling.
+ * -1 with MemoryError set when out of memory. */
 static int
-ws_reserve(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size,
-           int zero)
+ws_reserve(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
 {
     if (need <= *cap)
         return 0;
@@ -183,8 +202,6 @@ ws_reserve(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size,
         PyErr_NoMemory();
         return -1;
     }
-    if (zero)
-        memset(nb + (size_t)*cap * size, 0, (size_t)(ncap - *cap) * size);
     *buf = nb;
     *cap = ncap;
     return 0;
@@ -193,10 +210,9 @@ ws_reserve(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size,
 static void
 ws_free(Workspace *ws)
 {
-    for (Py_ssize_t i = 0; i < ws->deep_cap; i++)
-        PyMem_Free(ws->deepq[i].by_h);
-    PyMem_Free(ws->deepq);
-    PyMem_Free(ws->fifo);
+    PyMem_Free(ws->levels);
+    PyMem_Free(ws->later);
+    PyMem_Free(ws->open);
     PyMem_Free(ws->seen);
     PyMem_Free(ws->rec);
     PyMem_Free(ws);
@@ -219,7 +235,7 @@ static int
 seen_reset(Workspace *ws, Py_ssize_t size)
 {
     if (ws_reserve((void **)&ws->seen, &ws->seen_cap, size,
-                   sizeof(int32_t), 0) < 0)
+                   sizeof(int32_t)) < 0)
         return -1;
     ws->seen_size = size;
     for (ws->seen_shift = 64; size > 1; size >>= 1)
@@ -230,54 +246,35 @@ seen_reset(Workspace *ws, Py_ssize_t size)
     return 0;
 }
 
-/* Append record ``r`` to ``list``. */
-static inline void
-fifo_push(Rec *rec, Fifo *list, int32_t r)
-{
-    if (list->head < 0)
-        list->head = r;
-    else
-        rec[list->tail].next = r;
-    list->tail = r;
-}
-
-/* Extend ``*len`` empty lists to cover index ``at``. */
+/* Extend ``*len`` empty lists to cover index ``at``.  -1 with
+ * MemoryError set. */
 static int
-fifo_extend(Fifo **lists, Py_ssize_t *len, Py_ssize_t *cap, Py_ssize_t at)
+lists_cover(Fifo **lists, Py_ssize_t *len, Py_ssize_t *cap, Py_ssize_t at)
 {
     if (at < *len)
         return 0;
-    if (ws_reserve((void **)lists, cap, at + 1, sizeof(Fifo), 0) < 0)
+    if (ws_reserve((void **)lists, cap, at + 1, sizeof(Fifo)) < 0)
         return -1;
     memset(*lists + *len, 0xFF, (size_t)(at + 1 - *len) * sizeof(Fifo));
     *len = at + 1;
     return 0;
 }
 
-/* The open list a state at f offset ``f`` and heuristic ``h`` joins. */
-static Fifo *
-open_list(Workspace *ws, int deep, Py_ssize_t f, Py_ssize_t h)
+/* Append record ``r`` to open list ``at``.  -1 with MemoryError set. */
+static inline int
+open_push(Workspace *ws, Py_ssize_t at, int32_t r)
 {
-    if (!deep)
-        return fifo_extend(&ws->fifo, &ws->fifo_len, &ws->fifo_cap, f) < 0
-            ? NULL : &ws->fifo[f];
-    if (f >= ws->deep_len) {
-        if (ws_reserve((void **)&ws->deepq, &ws->deep_cap, f + 1,
-                       sizeof(Level), 1) < 0)
-            return NULL;
-        for (; ws->deep_len <= f; ws->deep_len++) {
-            Level *lv = &ws->deepq[ws->deep_len];
-            lv->h_len = lv->live = 0;
-            lv->lo_h = INT64_MAX;
-        }
-    }
-    Level *lv = &ws->deepq[f];
-    if (fifo_extend(&lv->by_h, &lv->h_len, &lv->h_cap, h) < 0)
-        return NULL;
-    lv->live++;
-    if (h < lv->lo_h)
-        lv->lo_h = h;
-    return &lv->by_h[h];
+    if (lists_cover(&ws->open, &ws->open_len, &ws->open_cap, at) < 0)
+        return -1;
+    Fifo *list = &ws->open[at];
+    if (list->head < 0)
+        list->head = r;
+    else
+        ws->rec[list->tail].next = r;
+    list->tail = r;
+    if (at < ws->lo_h)
+        ws->lo_h = at;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -697,10 +694,12 @@ typedef struct {
     int h_mode;            /* 1 native Manhattan, 2 int32 buffer */
     long long gx, gy;      /* h_mode 1 goal coordinates */
     /* per-call state, in the borrowed workspace */
-    int deep;              /* deep-tie per-(f, h) lists vs FIFO per f */
+    int deep;              /* deep-tie lists by h vs one FIFO list */
     Workspace *ws;
-    int64_t hi_f;
-    int64_t h0;
+    Probe probe;
+    int64_t start_time;
+    int64_t h0;            /* the source's h: level 0 is f = h0 */
+    int64_t top;           /* the highest level with a deferred list */
 } Search;
 
 static inline int64_t
@@ -753,12 +752,12 @@ h_field_open(int h_mode, PyObject *h_arg, Py_ssize_t n_cells,
 }
 
 /* Record a successor the search has not seen, reached from record
- * ``parent``, and push it at f-offset ``nf``; a state is reached at one
- * cost only (its layer), so the first push stands.  ``h`` is the
+ * ``parent``, and push it onto the cursor's level; a state is reached
+ * at one cost only (its layer), so the first push stands.  ``h`` is the
  * successor's heuristic (deep mode list index).  Returns 1 pushed, 0
  * seen before, -1 with MemoryError set. */
 static inline int
-relax(Search *s, int64_t nrel, int32_t parent, int64_t nf, int64_t h)
+relax(Search *s, int64_t nrel, int32_t parent, int64_t h)
 {
     Workspace *ws = s->ws;
     if ((ws->n_rec + 1) * 3 > ws->seen_size * 2
@@ -773,18 +772,150 @@ relax(Search *s, int64_t nrel, int32_t parent, int64_t nf, int64_t h)
         return -1;
     }
     if (ws_reserve((void **)&ws->rec, &ws->rec_cap, ws->n_rec + 1,
-                   sizeof(Rec), 0) < 0)
+                   sizeof(Rec)) < 0)
         return -1;
-    Fifo *list = open_list(ws, s->deep, (Py_ssize_t)nf, (Py_ssize_t)h);
-    if (list == NULL)
+    int32_t r = (int32_t)ws->n_rec;
+    if (open_push(ws, s->deep ? (Py_ssize_t)h : 0, r) < 0)
         return -1;
-    int32_t r = (int32_t)ws->n_rec++;
+    ws->n_rec++;
     ws->rec[r] = (Rec){nrel, parent, -1};
     ws->seen[slot] = r;
-    fifo_push(ws->rec, list, r);
-    if (nf > s->hi_f)
-        s->hi_f = nf;
     return 1;
+}
+
+/* Append the successor of record ``parent`` on ``cell`` to the list of
+ * level ``level``; ``held``: the parent's cell is taken at the
+ * successor's tick.  -1 with MemoryError set. */
+static inline int
+defer(Search *s, int64_t level, int32_t parent, Py_ssize_t cell, int held)
+{
+    Workspace *ws = s->ws;
+    if (ws->n_later == INT32_MAX) {
+        PyErr_SetString(PyExc_MemoryError,
+                        "a search defers at most INT32_MAX successors");
+        return -1;
+    }
+    if (lists_cover(&ws->levels, &ws->levels_len, &ws->levels_cap,
+                    (Py_ssize_t)level) < 0
+            || ws_reserve((void **)&ws->later, &ws->later_cap,
+                          ws->n_later + 1, sizeof(Later)) < 0)
+        return -1;
+    if (level > s->top)
+        s->top = level;
+    int32_t r = (int32_t)ws->n_later++;
+    ws->later[r] = (Later){parent, held ? ~(int32_t)cell : (int32_t)cell,
+                           -1};
+    Fifo *list = &ws->levels[level];
+    if (list->head < 0)
+        list->head = r;
+    else
+        ws->later[list->tail].next = r;
+    list->tail = r;
+    return 0;
+}
+
+/* Push the move of record ``cur`` from ``ci`` onto ``nci`` (heuristic
+ * ``nh``) unless the store, at the probe's tick, refuses it.  ``held``
+ * says whether ``ci`` is taken then: only then can the move be a swap.
+ * Returns 1 pushed, 0 not, -1 with MemoryError set. */
+static inline int
+push_move(Search *s, int32_t cur, Py_ssize_t ci, Py_ssize_t nci,
+          int64_t nh, int held)
+{
+    if (probe_vertex(&s->probe, s->gd, nci)
+            || (held && probe_edge(&s->probe, s->gd, ci, nci)))
+        return 0;
+    int64_t t_rel = s->ws->rec[cur].key >> LAYER_SHIFT;
+    return relax(s, ((t_rel + 1) << LAYER_SHIFT) + nci, cur, nh);
+}
+
+/* The expansion of record ``cur`` (heuristic ``h``), popped on the
+ * cursor's level ``level``: push its moves toward the goal, and leave
+ * its wait and its other moves on the lists of the levels they lie on.
+ * Returns the number pushed, -1 with an exception set. */
+static int
+expand(Search *s, int32_t cur, int64_t h, int64_t level)
+{
+    Workspace *ws = s->ws;
+    const GridData *gd = s->gd;
+    int64_t key = ws->rec[cur].key;
+    Py_ssize_t ci = (Py_ssize_t)(key & INT32_MAX);
+    int64_t x = 0, y = 0;
+    if (s->h_mode == 1) {
+        x = ci / s->height;
+        y = ci % s->height;
+    }
+    int herr = 0, made = 0, pushed;
+
+    /* the arrival tick's block (a signal handler may have reserved) */
+    s->probe.b1 = store_block(s->probe.st,
+                              s->start_time + (key >> LAYER_SHIFT) + 1);
+    /* Wait in place (the fifth action) — vertex check only.  A refusal
+     * means someone arrives here at the next tick, the one case in
+     * which a move out of this cell can be a swap. */
+    int held = probe_vertex(&s->probe, gd, ci);
+    if (!held && defer(s, level + 1, cur, ci, 0) < 0)
+        return -1;
+    for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1]; a++) {
+        Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a], step = nci - ci;
+        int64_t nh = h + 1;
+        if (s->h_mode == 2)
+            nh = heuristic_at(s, nci, &herr);
+        else if (step == s->height ? x < s->gx : step == -s->height
+                 ? x > s->gx : step == 1 ? y < s->gy : y > s->gy)
+            nh = h - 1;  /* Manhattan: a step nearer on its axis */
+        if (herr)
+            return -1;
+        if (nh + 1 < h) {
+            /* f would fall behind the bucket cursor */
+            PyErr_SetString(PyExc_AssertionError,
+                            "h drops by more than a step: heuristic "
+                            "field is not consistent");
+            return -1;
+        }
+        if (nh + 1 > h) {
+            if (defer(s, level + nh + 1 - h, cur, nci, held) < 0)
+                return -1;
+        } else if ((pushed = push_move(s, cur, ci, nci, nh, held)) < 0) {
+            return -1;
+        } else {
+            made += pushed;
+        }
+    }
+    return made;
+}
+
+/* Move the cursor up to level ``level``: push, in list order, the
+ * successors on its list that the store allows (a wait was probed at
+ * its parent's pop) and the search has not made.  Returns the number
+ * pushed, -1 with an exception set. */
+static int64_t
+enter_level(Search *s, int64_t level)
+{
+    Workspace *ws = s->ws;
+    int64_t made = 0;
+    for (int32_t i = ws->levels[level].head; i >= 0; i = ws->later[i].next) {
+        const Later *e = &ws->later[i];
+        int64_t key = ws->rec[e->parent].key;
+        int64_t t_rel = key >> LAYER_SHIFT;
+        Py_ssize_t ci = (Py_ssize_t)(key & INT32_MAX);
+        /* the successor's g is t_rel + 1, its f the level's */
+        int64_t nh = level + s->h0 - t_rel - 1;
+        int pushed;
+        if (e->cell == ci) {
+            pushed = relax(s, key + ((int64_t)1 << LAYER_SHIFT), e->parent,
+                           nh);
+        } else {
+            s->probe.b1 = store_block(s->probe.st,
+                                      s->start_time + t_rel + 1);
+            pushed = push_move(s, e->parent, ci, e->cell < 0 ? ~e->cell
+                               : e->cell, nh, e->cell < 0);
+        }
+        if (pushed < 0)
+            return -1;
+        made += pushed;
+    }
+    return made;
 }
 
 /* The leg ending at record ``r`` and going on by the ``n_tail`` keys of
@@ -914,8 +1045,8 @@ stsearch_run(PyObject *self, PyObject *args)
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
     if (gd == NULL)
         return NULL;
-    Probe probe = {store_get(store_obj), NULL};
-    if (probe.st == NULL)
+    const Store *st = store_get(store_obj);
+    if (st == NULL)
         return NULL;
     if (source_ci < 0 || source_ci >= gd->n_cells
             || goal_ci < 0 || goal_ci >= gd->n_cells) {
@@ -930,6 +1061,8 @@ stsearch_run(PyObject *self, PyObject *args)
     s.n_cells = gd->n_cells;
     s.h_mode = h_mode;
     s.deep = deep;
+    s.probe.st = st;
+    s.start_time = start_time;
 
     Py_buffer hview;
     int have_hview = h_field_open(h_mode, h_arg, s.n_cells, &hview);
@@ -976,63 +1109,46 @@ stsearch_run(PyObject *self, PyObject *args)
                             * sizeof(int64_t));
     }
     s.ws = ws;
-    ws->n_rec = ws->fifo_len = ws->deep_len = 0;
+    ws->n_rec = ws->open_len = ws->n_later = ws->levels_len = 0;
+    ws->lo_h = PY_SSIZE_T_MAX;
     if (tried == NULL || (cap > 0 && (walk_idx == NULL || walk == NULL))) {
         if (tried != NULL)
             PyErr_NoMemory();
         goto fail;
     }
-    if (seen_reset(ws, SEEN_START) < 0
-            || relax(&s, source_ci, -1, 0, s.h0) < 0)
+    if (seen_reset(ws, SEEN_START) < 0 || relax(&s, source_ci, -1, s.h0) < 0)
         goto fail;
 
-    int64_t f_off = 0;           /* list cursor (f - h0) */
-    int64_t f_abs = s.h0;        /* absolute f at the cursor */
+    int64_t level = 0;           /* the cursor: f minus the source's f */
     int64_t open_size = 1;
     int64_t expansions = (int64_t)init_expansions;
     int64_t generated = 0;
     int64_t peak_open = (int64_t)init_peak_open;
     int64_t loop_ticker = 0;
 
-    while (open_size > 0) {
+    for (;;) {
         if (((++loop_ticker) & 0x3FFF) == 0 && PyErr_CheckSignals() < 0)
             goto fail;
 
-        /* -- pop ------------------------------------------------------ */
-        Fifo *list = NULL;
-        Level *lv = NULL;
-        if (s.deep) {
-            while (f_off < ws->deep_len && ws->deepq[f_off].live == 0) {
-                f_off++;
-                f_abs++;
-            }
-            if (f_off <= s.hi_f && f_off < ws->deep_len) {
-                lv = &ws->deepq[f_off];
-                while (lv->lo_h < lv->h_len && lv->by_h[lv->lo_h].head < 0)
-                    lv->lo_h++;
-                if (lv->lo_h < lv->h_len)
-                    list = &lv->by_h[lv->lo_h];
-            }
-        } else {
-            while (f_off < ws->fifo_len && ws->fifo[f_off].head < 0) {
-                f_off++;
-                f_abs++;
-            }
-            if (f_off <= s.hi_f && f_off < ws->fifo_len)
-                list = &ws->fifo[f_off];
+        /* -- the cursor's level spent: enter the next with a state ---- */
+        while (open_size == 0) {
+            if (level >= s.top)
+                goto done;       /* no state is left to make */
+            int64_t made = enter_level(&s, ++level);
+            if (made < 0)
+                goto fail;
+            generated += made;
+            open_size += made;
         }
-        if (list == NULL) {
-            PyErr_SetString(PyExc_AssertionError,
-                            "bucket queue underflow: heuristic field "
-                            "is not consistent");
-            goto fail;
-        }
+
+        /* -- pop: smallest h first (deep order), FIFO within a list --- */
         if (open_size > peak_open)
             peak_open = open_size;
+        while (ws->open[ws->lo_h].head < 0)
+            ws->lo_h++;
+        Fifo *list = &ws->open[ws->lo_h];
         int32_t cur = list->head;
         list->head = ws->rec[cur].next;
-        if (lv != NULL)
-            lv->live--;
         open_size--;
         int64_t rel = ws->rec[cur].key;
 
@@ -1041,13 +1157,6 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t h_ci = heuristic_at(&s, ci, &herr);
         if (herr)
             goto fail;
-        if (t_rel + h_ci != f_abs) {
-            /* g is the layer and a state is pushed once, at g + h */
-            PyErr_SetString(PyExc_AssertionError,
-                            "popped state is not at its f: heuristic "
-                            "field is not consistent");
-            goto fail;
-        }
         expansions++;
         if (expansions > max_expansions) {
             status = ST_BUDGET;
@@ -1069,7 +1178,7 @@ stsearch_run(PyObject *self, PyObject *args)
                 goto fail;
             walk_idx[0] = (int32_t)ci;
             if (h_ci <= s.n_cells && descent(&s, walk_idx, h_ci) == 0
-                    && (n_walk = rescue_walk(&probe, gd, walk_idx, h_ci,
+                    && (n_walk = rescue_walk(&s.probe, gd, walk_idx, h_ci,
                                              start_time + t_rel, FINISH_WAIT,
                                              FINISH_WAIT, walk)) > 0) {
                 status = ST_FINISHER;
@@ -1078,51 +1187,13 @@ stsearch_run(PyObject *self, PyObject *args)
             }
         }
 
-        int64_t t1 = start_time + t_rel + 1;
-        int64_t nxt_base = (t_rel + 1) << LAYER_SHIFT;
-        int64_t base_f = t_rel + 1 - s.h0;
-
-        /* this pop's arrival tick (a signal handler may have reserved) */
-        probe.b1 = store_block(probe.st, t1);
-
-        /* Wait in place (the fifth action) — vertex check only.  A
-         * refusal means someone arrives here at t1, the one case in
-         * which a move out of this cell can be a swap. */
-        int held = probe_vertex(&probe, gd, ci);
-        if (!held) {
-            int pushed = relax(&s, nxt_base + ci, cur, base_f + h_ci, h_ci);
-            if (pushed < 0)
-                goto fail;
-            if (pushed) {
-                generated++;
-                open_size++;
-            }
-        }
-
-        /* The four moves, in adjacency order. */
-        for (Py_ssize_t a = gd->adj_off[ci]; a < gd->adj_off[ci + 1]; a++) {
-            Py_ssize_t nci = (Py_ssize_t)gd->adj_nci[a];
-            if (probe_vertex(&probe, gd, nci)
-                    || (held && probe_edge(&probe, gd, ci, nci)))
-                continue;
-            int64_t nh = heuristic_at(&s, nci, &herr);
-            if (herr)
-                goto fail;
-            if (nh + 1 < h_ci) {
-                /* f would fall behind the bucket cursor */
-                PyErr_SetString(PyExc_AssertionError,
-                                "h drops by more than a step: heuristic "
-                                "field is not consistent");
-                goto fail;
-            }
-            int pushed = relax(&s, nxt_base + nci, cur, base_f + nh, nh);
-            if (pushed < 0)
-                goto fail;
-            if (pushed) {
-                generated++;
-                open_size++;
-            }
-        }
+        /* -- expand: the successors on this level now, the rest when
+         * the cursor reaches theirs */
+        int made = expand(&s, cur, h_ci, level);
+        if (made < 0)
+            goto fail;
+        generated += made;
+        open_size += made;
     }
 
 done:
@@ -1141,7 +1212,7 @@ fail:
     Py_XDECREF(tried);
     PyMem_Free(walk_idx);
     PyMem_Free(walk);
-    if (ws->rec_cap > WS_KEEP_RECORDS) {
+    if (ws->rec_cap > WS_KEEP_RECORDS || ws->later_cap > WS_KEEP_RECORDS) {
         ws_free(ws);
     } else {
         ws->spare = gd->idle;
@@ -1633,7 +1704,7 @@ stsearch_knn_fill(PyObject *self, PyObject *args)
             level[nb][len[nb]++] = (KnnLabel){(int32_t)c_, (r)};        \
         }                                                               \
     } while (0)
-    if (ws_reserve((void **)&level[0], &cap[0], n, sizeof(KnnLabel), 0) < 0)
+    if (ws_reserve((void **)&level[0], &cap[0], n, sizeof(KnnLabel)) < 0)
         goto done;
     for (int32_t r = 0; r < n; r++)
         KNN_OFFER(homes[2 * r] * height + homes[2 * r + 1], r);
@@ -1642,7 +1713,7 @@ stsearch_knn_fill(PyObject *self, PyObject *args)
         len[nb] = 0;
         for (Py_ssize_t i = 0; i < len[last]; i++) {
             if (ws_reserve((void **)&level[nb], &cap[nb], len[nb] + 4,
-                           sizeof(KnnLabel), 0) < 0)
+                           sizeof(KnnLabel)) < 0)
                 goto done;
             KnnLabel l = level[last][i];
             Py_ssize_t ci = l.ci, x = ci / height, y = ci % height;

@@ -14,9 +14,10 @@ one indexed read of the grid's memoised adjacency rows, conflict probes are
 set lookups of packed cell keys in the table's per-tick buckets, and
 h-values are indexed field lookups.  A state's cost is its time layer, so
 it enters the queue once and the parent map is the seen-set — no g-score
-table, no closed set, no stale entries.  Expansion order, tie breaking
-and the search statistics are bit-identical to the tuple-based seed
-implementation (kept in ``_legacy.py`` as the equivalence reference).
+table, no closed set, no stale entries.  Expansion order, tie breaking,
+paths and expansion counts are bit-identical to the tuple-based seed
+implementation (kept in ``_legacy.py`` as the equivalence reference);
+the states made and the open set's peak are at most the seed's.
 
 The open set is ordered by ``(f, depth, tie)``; :func:`_search_heap`
 states the rule and is its python implementation — the python switch's
@@ -33,6 +34,20 @@ and under the python switch every one reads the table's buckets.  No
 search state outlives a call; the native kernel reuses only its grid's
 workspace memory.
 
+Both cores make each successor when the cursor reaches its f level, not
+when its parent is expanded.  A pop on level L pushes only its
+successors on L (the moves toward the goal).  Its wait and its other
+moves go onto the list of the level they lie on, one list per level
+above the cursor.  When the cursor first reaches a level, before any of
+its states is popped, it pushes that level's list in order: pop order,
+each parent's wait first and then its adjacency row.  The order argument
+is one line: a state's level is its ``g + h``, fixed whoever reaches it,
+and the cursor only moves up, so every level receives its states in the
+order an eager expansion would push them and the same parent claims
+each one.  The pops, paths, finisher starts and expansion counts are
+the eager search's, and the states above the level a search ends on are
+never made.
+
 :func:`search` is the one entry: a :class:`SearchRequest` in, a
 :class:`SearchOutcome` out.  A search that exhausts its budget or its
 open set *returns* an outcome carrying the failure status and the full
@@ -45,8 +60,9 @@ raises :meth:`SearchOutcome.error`, a
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import DefaultDict, Dict, List, Optional, Sequence
 
 from ..config import SEARCH_KERNEL_CHOICES, search_kernel_choice
 from ..errors import ConfigurationError, PathNotFoundError
@@ -69,13 +85,16 @@ class SearchStats:
     expansions:
         Nodes popped from the open set.
     generated:
-        Nodes pushed onto the open set.
+        States the search made and pushed onto the open set.  A
+        successor is made when the cursor reaches its f level, so the
+        states above the level a search ends on are not counted.
     cache_finished:
         True when the cache-aided finisher walked the tail of the path
         (EATP only); lets the L-ablation report the cache hit rate.
     peak_open:
-        Largest size reached by the open set, the quantity the paper says
-        the cache "notably reduces".
+        Largest size the open set reached before a pop.  The open set
+        holds the cursor's f level only, so this is the widest level the
+        search popped from.
     budget:
         The expansion budget that was in force (diagnostic; set by the
         packed core, left 0 by the frozen seed core).
@@ -304,7 +323,7 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     the state it was first reached from — doubles as the seen-set (the
     native kernel's ``{key, parent}`` records).
 
-    **Tie rule.**  Heap entries are ``(f, depth, tie, state)`` with
+    **Tie rule.**  The open set is ordered by ``(f, depth, tie)`` with
     ``tie`` the push counter.  Below the paper-scale gate ``depth`` is
     pinned to 0, so equal-f entries pop FIFO — the seed's order exactly.
     With ``deep`` set (floors at or above the paper-scale gate)
@@ -316,6 +335,16 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     with the returned path still optimal (tie-breaking never affects A*
     admissibility).  The 541×302 floor puts d in the hundreds, exactly
     where the plateau is the "too slow to execute" wall.
+
+    **Level by level.**  The heap holds the cursor's f level only, as
+    ``(depth, tie, state)``: a pop pushes just its successors on its own
+    level (the moves toward the goal) and appends the others to
+    ``later``, by the level each lies on; when the heap runs dry the
+    cursor enters the next level and pushes its list in order (see the
+    module docstring for why the pops are an eager search's).  Unlike
+    the kernel, it probes a successor at its parent's pop, where a probe
+    is one set lookup; the store holds still during a search, so both
+    make the same states.
     """
     source, goal = request.source, request.goal
     start_time = request.start_time
@@ -335,19 +364,40 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
     goal_ci = goal[0] * height + goal[1]
     start_state = start_time * n_cells + source_ci
 
-    open_heap = [(hfield[source_ci], 0, 0, start_state)]
+    open_heap = [(0, 0, start_state)]
     tie = 1
     parent: Dict[int, int] = {}
+    # The successors above the cursor, by level: parent, successor,
+    # parent, successor..., in the order an eager search would push them.
+    later: DefaultDict[int, List[int]] = defaultdict(list)
+    level = 0             # the cursor: f minus the source's f
 
     expansions = stats.expansions
     generated = 0
     peak_open = stats.peak_open
 
     try:
-        while open_heap:
+        while True:
+            while not open_heap:
+                # The cursor's level is spent: enter the next, pushing
+                # the successors waiting for it.
+                if not later:
+                    return SearchOutcome(request, SEARCH_EXHAUSTED, None,
+                                         stats, starts)
+                level += 1
+                pairs = iter(later.pop(level, ()))
+                for state, nxt_state in zip(pairs, pairs):
+                    if nxt_state not in parent:
+                        parent[nxt_state] = state
+                        depth = (start_time - nxt_state // n_cells if deep
+                                 else 0)
+                        push(open_heap, (depth, tie, nxt_state))
+                        tie += 1
+                generated += len(open_heap)
+
             if len(open_heap) > peak_open:
                 peak_open = len(open_heap)
-            __, __, __, state = pop(open_heap)
+            __, __, state = pop(open_heap)
             expansions += 1
             if expansions > max_expansions:
                 return SearchOutcome(request, SEARCH_BUDGET, None, stats,
@@ -360,7 +410,8 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                     _reconstruct(parent, state, n_cells, height, start_time),
                     stats, starts)
 
-            if finisher_trigger and 0 < hfield[ci] <= finisher_trigger:
+            h = hfield[ci]
+            if finisher_trigger and 0 < h <= finisher_trigger:
                 # The finisher: from here, the descent walked with waits.
                 starts.append(divmod(ci, height))
                 chain = descent(grid, hfield, starts[-1])
@@ -373,39 +424,46 @@ def _search_heap(grid: Grid, reservation: ReservationTable,
                                      start_time, tail), stats, starts)
 
             t1 = t + 1
-            g_next = t1 - start_time
-            depth = -g_next if deep else 0
+            depth = start_time - t1 if deep else 0
             next_base = t1 * n_cells
             source_key = cell_keys[ci]
 
-            # Successor generation, wait first then the adjacency row —
-            # the same order as the seed, reading this tick's vertex and
-            # edge buckets once.  A move out of this cell is a swap only
-            # if a partner arrives here at t1 (the table's contract):
-            # edges are looked up only where the wait was refused.
+            # Successors, wait first then the adjacency row, reading this
+            # tick's vertex and edge buckets once: the moves toward the
+            # goal are pushed now, the rest wait on their level's list.
+            # A move out of this cell is a swap only if a partner arrives
+            # here at t1 (the table's contract): edges are looked up only
+            # where the wait was refused.
             occupied = vertex_buckets.get(t1)
             swaps = None
             nxt_state = next_base + ci
             if occupied is not None and source_key in occupied:
                 swaps = edge_buckets.get(t)
             elif nxt_state not in parent:
-                parent[nxt_state] = state
-                generated += 1
-                push(open_heap, (g_next + hfield[ci], depth, tie, nxt_state))
-                tie += 1
+                waiting = later[level + 1]
+                waiting.append(state)
+                waiting.append(nxt_state)
             for nci, nkey in adjacency[ci]:
                 if occupied is not None and nkey in occupied:
                     continue
                 if swaps is not None and ((nkey << 32) | source_key) in swaps:
                     continue
                 nxt_state = next_base + nci
-                if nxt_state not in parent:
+                if nxt_state in parent:
+                    continue
+                up = hfield[nci] + 1 - h
+                if up > 0:
+                    waiting = later[level + up]
+                    waiting.append(state)
+                    waiting.append(nxt_state)
+                elif up:
+                    raise AssertionError("h drops by more than a step: "
+                                         "heuristic field is not consistent")
+                else:
                     parent[nxt_state] = state
                     generated += 1
-                    push(open_heap,
-                         (g_next + hfield[nci], depth, tie, nxt_state))
+                    push(open_heap, (depth, tie, nxt_state))
                     tie += 1
-        return SearchOutcome(request, SEARCH_EXHAUSTED, None, stats, starts)
     finally:
         stats.expansions = expansions
         stats.generated += generated

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from math import log
+from math import isfinite, log
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -96,13 +96,20 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
 
     Parameters
     ----------
+    n_items:
+        Stream length; 0 gives an empty stream, a negative count is
+        refused.
     zipf_s:
-        Zipf exponent for rack popularity.  The 0.7 default concentrates
-        load on hot racks without letting a single picker's queue
-        serialise the whole run.
+        Zipf exponent for rack popularity, finite.  The 0.7 default
+        concentrates load on hot racks without letting a single picker's
+        queue serialise the whole run.
     """
+    if n_items < 0:
+        raise ConfigurationError("n_items must be >= 0")
     if n_racks < 1:
         raise ConfigurationError("n_racks must be >= 1")
+    if not isfinite(zipf_s):
+        raise ConfigurationError("zipf_s must be finite")
     if base_rate <= 0:
         raise ConfigurationError("base_rate must be positive")
     if not 0.0 < ramp_fraction < 0.5:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import heapq
 import sys
 import tracemalloc
 from collections import Counter
@@ -195,21 +196,71 @@ def count_kernel_calls(module, names):
             setattr(module, name, entry)
 
 
+@contextmanager
+def kernel_switch(choice):
+    """The switch ``choice`` selects inside the block, the caller's after
+    it.  A table converts to the switch's layout at its next call."""
+    from repro.pathfinding.st_astar import (search_kernel_name,
+                                            set_search_kernel)
+    previous = search_kernel_name()
+    set_search_kernel(choice)
+    try:
+        yield
+    finally:
+        set_search_kernel(previous)
+
+
 def python_audit(table, t, chain, limit) -> bool:
     """``table.audit_chain(t, chain, limit)`` under the python switch.
 
     The python tier-0 audit reads the table's buckets, which only the
-    python switch's layout holds; the table converts on the way in and
-    back out, and the caller's switch is restored.
+    python switch's layout holds.
     """
-    from repro.pathfinding.st_astar import (search_kernel_name,
-                                            set_search_kernel)
-    previous = search_kernel_name()
-    set_search_kernel("python")
-    try:
+    with kernel_switch("python"):
         return table.audit_chain(t, chain, limit)
+
+
+def popped_states(call, grid: Grid):
+    """``(call(), pops)``: the states every ``heapq.heappop`` inside
+    ``call`` returned, as ``(t, cell)`` in pop order — the expansion
+    sequence of the python core (packed states) or of the seed's core in
+    ``_legacy.py`` (``(cell, t)`` nodes)."""
+    real = heapq.heappop
+    pops = []
+
+    def spy(heap):
+        entry = real(heap)
+        state = entry[-1]
+        if isinstance(state, int):
+            t, ci = divmod(state, grid.n_cells)
+            pops.append((t, grid.index_cell(ci)))
+        else:
+            pops.append((state[1], state[0]))
+        return entry
+
+    heapq.heappop = spy
+    try:
+        return call(), pops
     finally:
-        set_search_kernel(previous)
+        heapq.heappop = real
+
+
+def assert_expands_as_seed(grid, table, request, heuristic, stats,
+                           seed_pops, seed_stats):
+    """The python core pops ``seed_pops``, the seed's expansion sequence,
+    and the search that made ``stats`` expanded what the python core did.
+    Both make a successor only when the cursor reaches its f level, so
+    they make and hold at most what the seed's eager core did."""
+    from repro.pathfinding.st_astar import SearchStats, search
+    py_stats = SearchStats()
+    with kernel_switch("python"):
+        __, pops = popped_states(
+            lambda: search(grid, table, request, heuristic=heuristic,
+                           stats=py_stats), grid)
+    assert pops == seed_pops
+    assert stats.expansions == py_stats.expansions == seed_stats.expansions
+    assert stats.generated == py_stats.generated <= seed_stats.generated
+    assert stats.peak_open == py_stats.peak_open <= seed_stats.peak_open
 
 
 def assert_edges_have_arrivals(table) -> None:

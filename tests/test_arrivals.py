@@ -96,6 +96,18 @@ class TestSurgeArrivals:
         with pytest.raises(ConfigurationError, match="base_rate"):
             surge_arrivals(10, 5, 0.0, 1.0, ramp_fraction=0.25, seed=1)
 
+    @pytest.mark.parametrize("zipf_s", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_rejects_non_finite_zipf_exponent(self, zipf_s):
+        # NaN weights, or all weight on one rank, would put every item on
+        # one rack.
+        with pytest.raises(ConfigurationError, match="zipf_s"):
+            surge_arrivals(200, 5, 0.5, 1.0, 0.25, 1, zipf_s=zipf_s)
+
+    def test_rejects_negative_item_count(self):
+        with pytest.raises(ConfigurationError, match="n_items"):
+            surge_arrivals(-5, 5, 0.5, 1.0, 0.25, 1)
+
 
 class TestDeterministicArrivals:
     def test_schedule_respected(self):

@@ -47,9 +47,10 @@ from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
-from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
+from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_expands_as_seed,
+                            assert_retains_nothing,
                             assert_rows_match_neighbours, count_kernel_calls,
-                            load_swap_case)
+                            load_swap_case, popped_states)
 
 COMPILED = build_and_load()
 
@@ -779,15 +780,18 @@ def test_gated_swap_probes_match_the_ungated_seed(table_name, case_name,
     # The oracle asks about every swap: the seed's search over the seed's
     # table, whose move_allowed probes the edge whatever the vertices say.
     case = SWAP_CASES[case_name]
+    grid = Grid(7, 3)
     old_table = load_swap_case(case, LegacyConflictDetectionTable())
     ref_stats = SearchStats()
-    ref = legacy_find_path(Grid(7, 3), old_table, case["source"], SWAP_GOAL,
-                           case["start"], stats=ref_stats)
+    ref, ref_pops = popped_states(
+        lambda: legacy_find_path(grid, old_table, case["source"], SWAP_GOAL,
+                                 case["start"], stats=ref_stats), grid)
     out, stats = swap_case_search(kernel, table_name, case)
     assert out.path.steps == ref.steps
-    assert stats.expansions == ref_stats.expansions
-    assert stats.generated == ref_stats.generated
-    assert stats.peak_open == ref_stats.peak_open
+    assert_expands_as_seed(
+        grid, load_swap_case(case, TABLES[table_name](grid)),
+        SearchRequest(case["source"], SWAP_GOAL, case["start"]), None, stats,
+        ref_pops, ref_stats)
     t, a, b = case["at"]
     swapped = (t,) + a in out.path.steps and (t + 1,) + b in out.path.steps
     assert not (case["swap"] and swapped)

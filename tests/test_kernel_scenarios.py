@@ -11,12 +11,17 @@ steps, the grid geometry or the rack homes says it must be.
 
 The two open-set tests pin the order argument behind the native
 kernel's bucket queue: under monotone f, per-f FIFO buckets pop exactly
-the sequence a ``heapq`` keyed by ``(f, tie)`` pops.
+the sequence a ``heapq`` keyed by ``(f, tie)`` pops.  A third pins the
+argument behind making each successor only when the cursor reaches its
+f level: on both traffic patterns, in FIFO and in deep-tie order, the
+search pops exactly the sequence an eager search pops.
 """
 
 from __future__ import annotations
 
 import heapq
+
+import pytest
 
 from repro.config import PlannerConfig
 from repro.pathfinding.cache import ShortestPathCache
@@ -24,10 +29,12 @@ from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
+from repro.pathfinding import st_astar
+from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.spatiotemporal_graph import SpatiotemporalGraph
 from repro.pathfinding.st_astar import (SEARCH_COMPLETE, SearchRequest,
-                                        search, search_kernel_name,
-                                        set_search_kernel)
+                                        SearchStats, _heuristic_field,
+                                        search)
 from repro.planners import EfficientAdaptiveTaskPlanner, NaiveTaskPlanner
 from repro.types import manhattan
 from repro.warehouse.entities import Item
@@ -35,7 +42,7 @@ from repro.warehouse.grid import Grid
 from repro.warehouse.knn import StaticRackKNN
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
-from tests.conftest import python_audit
+from tests.conftest import kernel_switch, popped_states, python_audit
 
 GRID = Grid(64, 40)
 SOURCE, GOAL = (0, 0), (60, 35)
@@ -223,6 +230,68 @@ def test_open_set_bucket_queue():
     assert _bucket_queue_pops() == _heapq_pops()
 
 
+def _eager_pops(table, request, deep):
+    """``(pops, pushes)`` of an eager search: a pop pushes every
+    successor at once, wait first and then the adjacency row, ordered
+    ``(f, depth, tie)`` as the search orders its open set."""
+    goal, start = request.goal, request.start_time
+    heap = [(manhattan(request.source, goal), 0, 0, (start, request.source))]
+    seen = {heap[0][-1]}
+    pops = []
+    while heap:
+        __, __, __, (t, cell) = heapq.heappop(heap)
+        pops.append((t, cell))
+        if cell == goal:
+            break
+        g = t + 1 - start
+        for nxt in (cell, *GRID.neighbours(cell)):
+            if (t + 1, nxt) in seen or not table.move_allowed(t, cell, nxt):
+                continue
+            seen.add((t + 1, nxt))
+            heapq.heappush(heap, (g + manhattan(nxt, goal), -g if deep else 0,
+                                  len(seen), (t + 1, nxt)))
+    return pops, len(seen) - 1
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["fifo", "deep"])
+@pytest.mark.parametrize("traffic", [crossing_paths,
+                                     lambda: dense_paths(150, 60)],
+                         ids=["crossing-lanes", "dense-traffic"])
+def test_level_by_level_successors_pop_the_eager_sequence(traffic, deep):
+    # The search makes a successor only when the cursor reaches its f
+    # level; the eager search it replaces made every successor on its
+    # parent's pop.  A state's level is fixed and the cursor only moves
+    # up, so both pop the same states in the same order, in either
+    # open-set order — and the level-by-level search makes fewer.  Head
+    # on against the lane on row 3, the search climbs levels, so the
+    # successors made on entering one decide the order.
+    source, goal = (49, 3), (0, 3)
+    request = SearchRequest(source, goal, 0)
+    field = _heuristic_field(GRID, goal, None)
+    table = reserved(ConflictDetectionTable(), traffic())
+    stats = SearchStats()
+    with kernel_switch("python"):
+        outcome, pops = popped_states(
+            lambda: st_astar._search_heap(GRID, table, request, field, deep,
+                                          stats), GRID)
+        eager, eager_pushes = _eager_pops(table, request, deep)
+    assert outcome.status == SEARCH_COMPLETE
+    assert pops == eager
+    levels = {t + manhattan(cell, goal) for t, cell in pops}
+    assert len(levels) >= 3
+    assert stats.expansions == len(eager)
+    assert stats.generated < eager_pushes
+    if build_and_load() is not None:
+        # The kernel makes and pops what the python core does.
+        kernel_stats = SearchStats()
+        with kernel_switch("compiled"):
+            native = st_astar._search_compiled(
+                GRID, table.kernel_probe_spec(), request, field, deep,
+                kernel_stats)
+        assert native.path == outcome.path
+        assert kernel_stats == stats
+
+
 # -- tier 0 ------------------------------------------------------------------
 
 def test_free_flow_descent_extract():
@@ -254,13 +323,9 @@ def test_free_flow_kernel_leg():
     else:
         assert (verdict, path) == (3, None)
     # Both switches answer the same leg.
-    previous = search_kernel_name()
-    set_search_kernel("python")
-    try:
+    with kernel_switch("python"):
         assert cache.kernel_leg(table, 0, SOURCE, GOAL) == (verdict, path,
                                                             starts)
-    finally:
-        set_search_kernel(previous)
 
 
 def test_heuristic_field_build():

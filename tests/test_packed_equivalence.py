@@ -6,8 +6,8 @@ the verbatim seed implementations kept in ``repro.pathfinding._legacy`` —
 on open floors the paths must be bit-identical (Manhattan equals the exact
 field there), on obstructed floors the lengths must match (the exact
 field reorders expansions but cannot change optimal cost), and handed the
-same exact field as its callable the seed's core must expand exactly as
-the search does.
+same exact field as its callable the seed's core must pop exactly the
+sequence the python core pops.
 """
 
 import random
@@ -30,6 +30,7 @@ from repro.pathfinding.st_astar import (SEARCH_COMPLETE, SearchRequest,
                                         SearchStats, search)
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
+from tests.conftest import assert_expands_as_seed, popped_states
 
 #: Both search cores must hold the seed equivalences: the pure-python
 #: packed rewrite AND (where a compiler is available) the native kernel.
@@ -70,16 +71,16 @@ class TestSearchEquivalence:
     @pytest.mark.parametrize("source,goal", ENDPOINTS)
     def test_open_grid_bit_identical(self, kernel, source, goal):
         new_table, old_table = both_tables(OPEN_GRID)
+        request = SearchRequest(source, goal, 0)
         new_stats, old_stats = SearchStats(), SearchStats()
-        ours = search(OPEN_GRID, new_table, SearchRequest(source, goal, 0),
-                      stats=new_stats)
-        seed = legacy_find_path(OPEN_GRID, old_table, source, goal, 0,
-                                stats=old_stats)
+        ours = search(OPEN_GRID, new_table, request, stats=new_stats)
+        seed, seed_pops = popped_states(
+            lambda: legacy_find_path(OPEN_GRID, old_table, source, goal, 0,
+                                     stats=old_stats), OPEN_GRID)
         assert ours.status == SEARCH_COMPLETE
         assert ours.path.steps == seed.steps
-        assert new_stats.expansions == old_stats.expansions
-        assert new_stats.generated == old_stats.generated
-        assert new_stats.peak_open == old_stats.peak_open
+        assert_expands_as_seed(OPEN_GRID, new_table, request, None,
+                               new_stats, seed_pops, old_stats)
 
     @pytest.mark.parametrize("source,goal", ENDPOINTS)
     def test_obstructed_grid_same_length(self, kernel, source, goal):
@@ -116,9 +117,9 @@ class TestSearchEquivalence:
     def test_exact_field_matches_seed(self, kernel, seed):
         # Over random traffic on open and walled floors, the search with
         # the goal's exact field equals the seed's core handed the same
-        # field as its callable heuristic: path, expansions, generated
-        # and peak open — the expansion order itself, not just the
-        # duration the obstructed-floor test checks.
+        # field as its callable heuristic: path, expansions and the
+        # expansion order itself, not just the duration the
+        # obstructed-floor test checks.
         rng = random.Random(seed)
         grid = OPEN_GRID if seed % 2 else WALLED_GRID
         paths = random_paths(grid, rng, n=12)
@@ -129,16 +130,18 @@ class TestSearchEquivalence:
         source, goal = ENDPOINTS[seed % len(ENDPOINTS)]
         field = HeuristicFieldCache(grid).field(goal)
 
+        request = SearchRequest(source, goal, 3)
         new_stats, old_stats = SearchStats(), SearchStats()
-        ours = search(grid, new_table, SearchRequest(source, goal, 3),
-                      heuristic=field, stats=new_stats)
-        seed_path = legacy_find_path(grid, old_table, source, goal, 3,
-                                     heuristic=field, stats=old_stats)
+        ours = search(grid, new_table, request, heuristic=field,
+                      stats=new_stats)
+        seed_path, seed_pops = popped_states(
+            lambda: legacy_find_path(grid, old_table, source, goal, 3,
+                                     heuristic=field, stats=old_stats), grid)
         assert ours.status == SEARCH_COMPLETE
         assert ours.path.steps == seed_path.steps
-        assert new_stats.expansions == old_stats.expansions
-        assert new_stats.generated == old_stats.generated
-        assert new_stats.peak_open == old_stats.peak_open
+        assert_expands_as_seed(grid, new_table, request, field, new_stats,
+                               seed_pops, old_stats)
+
 
 
 def random_paths(grid, rng, n=25):

@@ -9,6 +9,7 @@ from repro.pathfinding.st_astar import (SEARCH_BUDGET, SEARCH_COMPLETE,
                                         SearchRequest, SearchStats, search)
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
+from tests.conftest import assert_expands_as_seed, popped_states
 
 
 @pytest.fixture
@@ -113,21 +114,21 @@ class TestDeepWaitChain:
         from repro.pathfinding._legacy import (LegacyConflictDetectionTable,
                                                legacy_find_path)
         grid, cdt = self.make_problem()
+        request = SearchRequest((0, 0), (7, 0), 0)
         stats = SearchStats()
-        outcome = search(grid, cdt, SearchRequest((0, 0), (7, 0), 0),
-                         stats=stats)
+        outcome = search(grid, cdt, request, stats=stats)
         assert outcome.status == SEARCH_COMPLETE
         path = outcome.path
         legacy_cdt = LegacyConflictDetectionTable()
         legacy_cdt.reserve_path(Path.waiting((4, 0), 0, 1500))
         legacy_stats = SearchStats()
-        legacy = legacy_find_path(grid, legacy_cdt, (0, 0), (7, 0), 0,
-                                  stats=legacy_stats)
+        legacy, legacy_pops = popped_states(
+            lambda: legacy_find_path(grid, legacy_cdt, (0, 0), (7, 0), 0,
+                                     stats=legacy_stats), grid)
         assert path.steps == legacy.steps
         assert path.duration > 1500  # it really out-waited the blockade
-        assert stats.expansions == legacy_stats.expansions
-        assert stats.generated == legacy_stats.generated
-        assert stats.peak_open == legacy_stats.peak_open
+        assert_expands_as_seed(grid, cdt, request, None, stats, legacy_pops,
+                               legacy_stats)
 
 
 class TestFinisherHook:
