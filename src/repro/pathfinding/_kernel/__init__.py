@@ -18,13 +18,15 @@ search, the reservation table's operations, the field flood and tier 0
 with it off the python body does, bit-identically.  The search and tier
 0 take only the library's table and fields, so nothing declines.
 EATP's K-nearest-racks table (:class:`repro.warehouse.knn.StaticRackKNN`)
-is built by ``knn_fill`` under the same switch, and the ILP baseline's
+is built by ``knn_fill`` and its flip gathers by ``knn_select`` under
+the same switch, and the ILP baseline's
 assignment (:class:`repro.planners.ilp.IlpPlanner`) is solved by
 ``lsap``, which returns ``scipy.optimize.linear_sum_assignment``'s answer
 tie for tie (SciPy serves the python switch).
 
 The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
-``tier0_leg``, ``knn_fill``, ``lsap`` and the reservation store's
+``tier0_leg``, ``knn_fill``, ``knn_select``, ``lsap`` and the
+reservation store's
 ``store_new``, ``store_reserve``, ``store_purge``, ``store_probe``,
 ``store_counts``, ``store_export`` — carry their signatures as docstrings
 (``help(_stsearch.run)``).  A leg crosses the boundary as ``keys``: one
@@ -40,9 +42,9 @@ key a vertex with the edges that arrive on it as bits, allocated through
 any other object in a store slot, is refused.
 
 Inside ``run`` a seen state is one ``{key, parent, next}`` record; its
-cost is its time layer, read off the key.  The records, the seen-map and
-the open lists are a workspace the grid's capsule keeps up to a 1 MB
-arena (a warm ``run`` allocates only its leg; one a python signal
+cost is its time layer, read off the key.  The records, a stamp per
+cell (the seen-set of the cursor's f level) and the open lists are a
+workspace the grid's capsule keeps up to a 1 MB arena (a warm ``run`` allocates only its leg; one a python signal
 handler starts while another waits borrows a second workspace).
 
 The kernel calls no python code: EATP's finisher is its trigger L, and

@@ -16,8 +16,9 @@
  * state is pushed once (its g is its layer), so nothing in a list is
  * ever stale; a field that is not consistent would put a state behind
  * the cursor and is refused with AssertionError where it shows.  The
- * records, the seen-map and the lists live in a workspace the grid
- * keeps between calls (freed with the grid; a search that outgrew
+ * records, a stamp per cell (the seen-set: within one f level a cell
+ * names the state) and the lists live in a workspace the grid keeps
+ * between calls (freed with the grid; a search that outgrew
  * WS_KEEP_RECORDS frees its own), so a warm run() allocates only the
  * leg it returns; a search a python signal handler starts while run()
  * waits borrows another workspace.
@@ -137,7 +138,13 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 /* level a search ends on is probed or made.  So the open set is the   */
 /* cursor's level alone: intrusive FIFO lists threaded through         */
 /* ``next``, one per h (deep-tie order) or a single one (FIFO order).  */
-/* The seen-map holds record indices, open-addressed.                  */
+/*                                                                     */
+/* Every state the search makes lies on the cursor's level L, and      */
+/* there a state's layer is h0 + L - h(cell): within a level the cell  */
+/* names the state.  So the seen-set is a stamp per cell: a cell holds */
+/* the mark of the level that last made a state on it, the mark is     */
+/* bumped at the source and at each level entry, and every stamp is    */
+/* cleared when the mark wraps.                                        */
 /*                                                                     */
 /* A workspace belongs to its grid and outlives the call: run() resets */
 /* lengths, not memory, and re-initialises entries as it extends them, */
@@ -147,7 +154,6 @@ keys_export(const int64_t *keys, Py_ssize_t n)
 /* ------------------------------------------------------------------ */
 
 #define LAYER_SHIFT 32
-#define SEEN_START 4096   /* the seen-map's logical size at every call */
 /* The largest record arena, and deferred-successor arena, a grid keeps
  * between calls (1 MB each): the rare deep search frees its workspace
  * rather than pin it on the grid. */
@@ -174,9 +180,9 @@ typedef struct Workspace {
     struct Workspace *spare;  /* the grid's next idle workspace */
     Rec *rec;
     Py_ssize_t n_rec, rec_cap;
-    int32_t *seen;            /* record index per slot, -1 empty */
-    Py_ssize_t seen_size, seen_cap;   /* logical (a power of two), held */
-    int seen_shift;           /* 64 - log2(seen_size) */
+    uint32_t *stamp;          /* per cell: the mark of the level that */
+                              /* last made a state on it, 0 none */
+    uint32_t mark;            /* the cursor level's mark */
     Fifo *open;               /* the cursor level's lists, by h or one */
     Py_ssize_t open_len, open_cap;
     Py_ssize_t lo_h;          /* no list below it holds a state */
@@ -213,37 +219,19 @@ ws_free(Workspace *ws)
     PyMem_Free(ws->levels);
     PyMem_Free(ws->later);
     PyMem_Free(ws->open);
-    PyMem_Free(ws->seen);
+    PyMem_Free(ws->stamp);
     PyMem_Free(ws->rec);
     PyMem_Free(ws);
 }
 
-static inline Py_ssize_t
-seen_slot(const Workspace *ws, int64_t key)
+/* A new mark for the cursor's level: no cell holds it yet. */
+static inline void
+ws_new_mark(Workspace *ws, Py_ssize_t n_cells)
 {
-    Py_ssize_t mask = ws->seen_size - 1;
-    Py_ssize_t i = (Py_ssize_t)(((uint64_t)key * 0x9E3779B97F4A7C15ULL)
-                                >> ws->seen_shift);
-    int32_t r;
-    while ((r = ws->seen[i]) >= 0 && ws->rec[r].key != key)
-        i = (i + 1) & mask;
-    return i;
-}
-
-/* Empty the seen-map at logical ``size`` and file every record again. */
-static int
-seen_reset(Workspace *ws, Py_ssize_t size)
-{
-    if (ws_reserve((void **)&ws->seen, &ws->seen_cap, size,
-                   sizeof(int32_t)) < 0)
-        return -1;
-    ws->seen_size = size;
-    for (ws->seen_shift = 64; size > 1; size >>= 1)
-        ws->seen_shift--;
-    memset(ws->seen, 0xFF, (size_t)ws->seen_size * sizeof(int32_t));
-    for (Py_ssize_t r = 0; r < ws->n_rec; r++)
-        ws->seen[seen_slot(ws, ws->rec[r].key)] = (int32_t)r;
-    return 0;
+    if (++ws->mark == 0) {
+        memset(ws->stamp, 0, (size_t)n_cells * sizeof(uint32_t));
+        ws->mark = 1;
+    }
 }
 
 /* Extend ``*len`` empty lists to cover index ``at``.  -1 with
@@ -753,18 +741,16 @@ h_field_open(int h_mode, PyObject *h_arg, Py_ssize_t n_cells,
 
 /* Record a successor the search has not seen, reached from record
  * ``parent``, and push it onto the cursor's level; a state is reached
- * at one cost only (its layer), so the first push stands.  ``h`` is the
- * successor's heuristic (deep mode list index).  Returns 1 pushed, 0
- * seen before, -1 with MemoryError set. */
+ * at one cost only (its layer), so the first push stands.  On the
+ * cursor's level its cell names it: its stamp says whether it was made.
+ * ``h`` is the successor's heuristic (deep mode list index).  Returns 1
+ * pushed, 0 seen before, -1 with MemoryError set. */
 static inline int
 relax(Search *s, int64_t nrel, int32_t parent, int64_t h)
 {
     Workspace *ws = s->ws;
-    if ((ws->n_rec + 1) * 3 > ws->seen_size * 2
-            && seen_reset(ws, ws->seen_size * 2) < 0)
-        return -1;
-    Py_ssize_t slot = seen_slot(ws, nrel);
-    if (ws->seen[slot] >= 0)
+    uint32_t *stamp = &ws->stamp[nrel & INT32_MAX];
+    if (*stamp == ws->mark)
         return 0;
     if (ws->n_rec == INT32_MAX) {
         PyErr_SetString(PyExc_MemoryError,
@@ -779,7 +765,7 @@ relax(Search *s, int64_t nrel, int32_t parent, int64_t h)
         return -1;
     ws->n_rec++;
     ws->rec[r] = (Rec){nrel, parent, -1};
-    ws->seen[slot] = r;
+    *stamp = ws->mark;
     return 1;
 }
 
@@ -840,11 +826,8 @@ expand(Search *s, int32_t cur, int64_t h, int64_t level)
     const GridData *gd = s->gd;
     int64_t key = ws->rec[cur].key;
     Py_ssize_t ci = (Py_ssize_t)(key & INT32_MAX);
-    int64_t x = 0, y = 0;
-    if (s->h_mode == 1) {
-        x = ci / s->height;
-        y = ci % s->height;
-    }
+    int64_t x = gd->cell_keys[ci] >> CELL_KEY_SHIFT;
+    int64_t y = gd->cell_keys[ci] & CELL_KEY_MASK;
     int herr = 0, made = 0, pushed;
 
     /* the arrival tick's block (a signal handler may have reserved) */
@@ -885,15 +868,16 @@ expand(Search *s, int32_t cur, int64_t h, int64_t level)
     return made;
 }
 
-/* Move the cursor up to level ``level``: push, in list order, the
- * successors on its list that the store allows (a wait was probed at
- * its parent's pop) and the search has not made.  Returns the number
- * pushed, -1 with an exception set. */
+/* Move the cursor up to level ``level``, under a new mark: push, in
+ * list order, the successors on its list that the store allows (a wait
+ * was probed at its parent's pop) and the search has not made.  Returns
+ * the number pushed, -1 with an exception set. */
 static int64_t
 enter_level(Search *s, int64_t level)
 {
     Workspace *ws = s->ws;
     int64_t made = 0;
+    ws_new_mark(ws, s->n_cells);
     for (int32_t i = ws->levels[level].head; i >= 0; i = ws->later[i].next) {
         const Later *e = &ws->later[i];
         int64_t key = ws->rec[e->parent].key;
@@ -1089,9 +1073,12 @@ stsearch_run(PyObject *self, PyObject *args)
     PyObject *keys = NULL;        /* owned on success */
     PyObject *out = NULL;
     Workspace *ws = gd->idle;
-    if (ws != NULL)
+    if (ws != NULL) {
         gd->idle = ws->spare;
-    else if ((ws = PyMem_Calloc(1, sizeof(Workspace))) == NULL) {
+    } else if ((ws = PyMem_Calloc(1, sizeof(Workspace))) == NULL
+               || (ws->stamp = PyMem_Calloc((size_t)s.n_cells,
+                                            sizeof(uint32_t))) == NULL) {
+        PyMem_Free(ws);
         if (have_hview)
             PyBuffer_Release(&hview);
         return PyErr_NoMemory();
@@ -1116,7 +1103,8 @@ stsearch_run(PyObject *self, PyObject *args)
             PyErr_NoMemory();
         goto fail;
     }
-    if (seen_reset(ws, SEEN_START) < 0 || relax(&s, source_ci, -1, s.h0) < 0)
+    ws_new_mark(ws, s.n_cells);
+    if (relax(&s, source_ci, -1, s.h0) < 0)
         goto fail;
 
     int64_t level = 0;           /* the cursor: f minus the source's f */
@@ -1154,9 +1142,8 @@ stsearch_run(PyObject *self, PyObject *args)
 
         int64_t t_rel = rel >> LAYER_SHIFT;
         Py_ssize_t ci = (Py_ssize_t)(rel & INT32_MAX);
-        int64_t h_ci = heuristic_at(&s, ci, &herr);
-        if (herr)
-            goto fail;
+        /* on the cursor's level, g + h = h0 + level: no field read */
+        int64_t h_ci = s.h0 + level - t_rel;
         expansions++;
         if (expansions > max_expansions) {
             status = ST_BUDGET;
@@ -1634,6 +1621,17 @@ stsearch_bfs_fill(PyObject *self, PyObject *args)
 
 typedef struct { int32_t ci, rack; } KnnLabel;
 
+/* Whether ``v`` holds int16 or int32 items, a KNN table's two dtypes. */
+static int
+knn_dtype(const Py_buffer *v)
+{
+    return v->format != NULL
+        && ((v->itemsize == 2 && !strcmp(v->format, "h"))
+            || (v->itemsize == 4 && (!strcmp(v->format, "i")
+                                     || (sizeof(long) == 4
+                                         && !strcmp(v->format, "l")))));
+}
+
 static PyObject *
 stsearch_knn_fill(PyObject *self, PyObject *args)
 {
@@ -1659,11 +1657,7 @@ stsearch_knn_fill(PyObject *self, PyObject *args)
     if (hv.ndim != 2 || hv.shape[1] != 2 || hv.itemsize != 8
             || hv.format == NULL
             || (strcmp(hv.format, "q") && strcmp(hv.format, "l"))
-            || ov.format == NULL
-            || !((ov.itemsize == 2 && !strcmp(ov.format, "h"))
-                 || (wide && (!strcmp(ov.format, "i")
-                              || (sizeof(long) == 4
-                                  && !strcmp(ov.format, "l")))))) {
+            || !knn_dtype(&ov)) {
         PyErr_SetString(PyExc_TypeError, "homes must be an (n, 2) int64 "
                         "buffer and out an int16 or int32 one");
         goto done;
@@ -1737,6 +1731,105 @@ done:
     PyMem_Free(level[1]);
     PyBuffer_Release(&ov);
     PyBuffer_Release(&hv);
+    return result;
+}
+
+/* knn_select: EATP's flip gather over a knn_fill table.  For each     */
+/* cell of ``cells`` (the idle robots' (x, y), in order) whose K racks */
+/* include one with its ``mask`` byte set, the pair (position, those   */
+/* rack ids in table order); a cell with none is left out.             */
+
+static inline Py_ssize_t
+knn_id(const Py_buffer *table, int wide, Py_ssize_t at)
+{
+    return wide ? ((const int32_t *)table->buf)[at]
+        : ((const int16_t *)table->buf)[at];
+}
+
+static PyObject *
+stsearch_knn_select(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *table_obj, *cells_obj, *cells = NULL, *result = NULL;
+    Py_buffer tv, mv;
+    if (!PyArg_ParseTuple(args, "OOy*:knn_select", &table_obj, &cells_obj,
+                          &mv))
+        return NULL;
+    if (PyObject_GetBuffer(table_obj, &tv, PyBUF_RECORDS_RO) < 0) {
+        PyBuffer_Release(&mv);
+        return NULL;
+    }
+    int wide = tv.itemsize == 4;
+    if (tv.ndim != 3 || !knn_dtype(&tv)) {
+        PyErr_SetString(PyExc_TypeError, "table must be a (width, "
+                        "height, K) int16 or int32 buffer");
+        goto done;
+    }
+    if (!PyBuffer_IsContiguous(&tv, 'C')) {
+        PyErr_SetString(PyExc_ValueError, "table must be C-contiguous");
+        goto done;
+    }
+    cells = PySequence_Fast(cells_obj, "cells must be a sequence");
+    PyObject *out = cells == NULL ? NULL : PyList_New(0);
+    if (out == NULL)
+        goto done;
+    Py_ssize_t width = tv.shape[0], height = tv.shape[1], k = tv.shape[2];
+    const unsigned char *mask = mv.buf;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(cells); i++) {
+        PyObject *cell = PySequence_Fast_GET_ITEM(cells, i);
+        if (!PyTuple_Check(cell) || PyTuple_GET_SIZE(cell) != 2) {
+            PyErr_SetString(PyExc_TypeError, "a cell must be an (x, y) "
+                            "tuple");
+            goto fail;
+        }
+        Py_ssize_t x = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 0));
+        Py_ssize_t y = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 1));
+        if (PyErr_Occurred())
+            goto fail;
+        if (x < 0 || x >= width || y < 0 || y >= height) {
+            PyErr_SetString(PyExc_IndexError, "cell outside the table");
+            goto fail;
+        }
+        Py_ssize_t at = (x * height + y) * k, hits = 0;
+        for (Py_ssize_t j = 0; j < k; j++) {
+            Py_ssize_t r = knn_id(&tv, wide, at + j);
+            if (r < 0 || r >= mv.len) {
+                PyErr_SetString(PyExc_IndexError,
+                                "rack id outside the mask");
+                goto fail;
+            }
+            hits += mask[r] != 0;
+        }
+        if (hits == 0)
+            continue;
+        PyObject *ids = PyList_New(hits);
+        if (ids == NULL)
+            goto fail;
+        for (Py_ssize_t j = 0, n = 0; n < hits; j++) {
+            Py_ssize_t r = knn_id(&tv, wide, at + j);
+            if (!mask[r])
+                continue;
+            PyObject *id = PyLong_FromSsize_t(r);
+            if (id == NULL) {
+                Py_DECREF(ids);
+                goto fail;
+            }
+            PyList_SET_ITEM(ids, n++, id);
+        }
+        PyObject *pair = Py_BuildValue("(nN)", i, ids);
+        int bad = pair == NULL || PyList_Append(out, pair) < 0;
+        Py_XDECREF(pair);
+        if (bad)
+            goto fail;
+    }
+    result = out;
+    goto done;
+fail:
+    Py_DECREF(out);
+done:
+    Py_XDECREF(cells);
+    PyBuffer_Release(&tv);
+    PyBuffer_Release(&mv);
     return result;
 }
 
@@ -2104,6 +2197,13 @@ static PyMethodDef stsearch_methods[] = {
      "Write each cell's K racks of least (Manhattan distance, id) from the\n"
      "(n, 2) int64 ``homes`` into the writable C-contiguous (width,\n"
      "height, K) int16/int32 ``out``; 1 <= K <= n, every home on the floor."},
+    {"knn_select", stsearch_knn_select, METH_VARARGS,
+     "knn_select(table, cells, mask) -> [(i, [rack ids])]\n"
+     "For each (x, y) ``cells[i]`` whose K racks in the C-contiguous\n"
+     "(width, height, K) int16/int32 ``table`` include one whose byte in\n"
+     "the bytes-like ``mask`` is set, the pair (i, those ids in table\n"
+     "order); other cells are left out.  IndexError for a cell off the\n"
+     "table or a rack id past the mask."},
     {"lsap", stsearch_lsap, METH_O,
      "lsap(cost) -> (row_ind, col_ind)\n"
      "The minimum-cost assignment of the C-contiguous 2-D float64 ``cost``,\n"

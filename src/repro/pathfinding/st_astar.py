@@ -48,6 +48,15 @@ each one.  The pops, paths, finisher starts and expansion counts are
 the eager search's, and the states above the level a search ends on are
 never made.
 
+So every state a search makes lies on the cursor's level, and the
+native kernel's seen-set is a stamp per cell.  The one-line argument:
+on level L a state's layer is ``h0 + L − h(cell)``, so within a level
+the cell names the state, and no state of a level the cursor has left
+is made again.  Each cell holds the mark of the level that last made a
+state on it; the mark is bumped at the source and at each level entry,
+and every stamp is cleared when the mark wraps.  The same identity
+gives a pop its h (``h0 + L − g``) without reading the field.
+
 :func:`search` is the one entry: a :class:`SearchRequest` in, a
 :class:`SearchOutcome` out.  A search that exhausts its budget or its
 open set *returns* an outcome carrying the failure status and the full

@@ -329,10 +329,18 @@ class Planner(abc.ABC):
     # -- shared helpers -----------------------------------------------------------
 
     def _closest_robot(self, rack: Rack, robots: Iterable[Robot]) -> Robot:
-        """The idle robot nearest to the rack's home (Alg. 1 line 6)."""
-        best = min(robots,
-                   key=lambda robot: (manhattan(robot.location, rack.home),
-                                      robot.robot_id))
+        """The idle robot nearest to the rack's home (Alg. 1 line 6).
+
+        ``robots`` come in ascending id order, so the first strict
+        minimum of the Manhattan distance is the least ``(distance,
+        robot_id)``."""
+        home_x, home_y = rack.home
+        best, best_distance = None, -1
+        for robot in robots:
+            x, y = robot.location
+            distance = abs(x - home_x) + abs(y - home_y)
+            if best is None or distance < best_distance:
+                best, best_distance = robot, distance
         return best
 
     def _plan_leg_timed(self, t: Tick, source: Cell, goal: Cell) -> Path:

@@ -95,9 +95,13 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         O(|A|·K).  The first candidate the ε-greedy policy accepts is
         claimed; if it refuses all of them the robot idles this timestamp.
 
-        ``racks`` (every selectable rack) is never walked: a neighbour's
-        selectability is read off the rack itself, so the cost does not
-        grow with the backlog.
+        ``racks`` (every selectable rack) is never walked: the KNN
+        gather reads each neighbour's selectability off the world's
+        selectable-rack column and hands back only the robots that have
+        a candidate, so the cost does not grow with the backlog.  Leaving
+        the others out is exact: a robot without a candidate would rank
+        nothing, sort last, touch neither the learner nor the RNG, and
+        claim nothing.
         """
         all_racks = self.state.racks
         claimed: Set[int] = set()
@@ -106,13 +110,12 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         # a rack two robots can reach goes to the one that values it most —
         # still O(|A|·K + |A| log |A|), preserving the Sec. VI-A bound.
         per_robot = []
-        for robot in robots:
-            keyed = self._ranked([
-                rack for rack in map(all_racks.__getitem__,
-                                     self.knn.nearest(robot.location))
-                if rack.selectable])
-            best = keyed[0][0] if keyed else float("inf")
-            per_robot.append((best, robot.robot_id, robot, keyed))
+        for i, rack_ids in self.knn.select(
+                [robot.location for robot in robots],
+                self.state.selectable_column()):
+            robot = robots[i]
+            keyed = self._ranked(map(all_racks.__getitem__, rack_ids))
+            per_robot.append((keyed[0][0], robot.robot_id, robot, keyed))
         per_robot.sort(key=lambda entry: entry[:2])
         for __, __, robot, keyed in per_robot:
             for __, rack_id, rack, rack_facts in keyed:

@@ -388,13 +388,20 @@ class Simulation:
 
         Pickers fast-forward to the end of tick ``t - 1`` (their
         ``finish_time_estimate`` and accumulated-processing counters feed
-        every selector).  Robots need nothing: the idle ones, the only
-        ones a planner locates, stand where their last leg ended.
+        every selector).  Only the pickers on the calendar can need it:
+        every picker with a running batch has its completion queued in
+        ``_picker_events`` (a picker without one accrues nothing), the
+        ``synced`` check skips a picker's duplicate entries, and a span
+        touches only its own picker and that picker's current rack, so
+        the heap's order does not matter.  Robots need nothing: the idle
+        ones, the only ones a planner locates, stand where their last leg
+        ended.
         """
         synced = self._picker_synced
+        pickers = self.state.pickers
         racks = self.state.racks
-        for picker in self.state.pickers:
-            pid = picker.picker_id
+        for __, pid in self._picker_events:
+            picker = pickers[pid]
             if picker.current_rack is not None and synced[pid] < t - 1:
                 advance_picker_span(picker, racks, (t - 1) - synced[pid])
                 synced[pid] = t - 1

@@ -5,8 +5,8 @@ the cheap indexes planners query every timestamp: racks per picker, idle
 robots, racks with pending items.  It is the ``R``, ``P``, ``A`` triple of
 the TPRW problem statement plus the grid they live on.
 
-The idle-robot and selectable-rack sets (whole and per picker) are kept
-incrementally.  Only three events change them — an item arrives
+The idle-robot and selectable-rack sets (whole, per picker, and as a
+byte column by rack id) are kept incrementally.  Only three events change them — an item arrives
 (:meth:`~WarehouseState.deliver_item`), a robot is dispatched for a rack
 (:meth:`~WarehouseState.dispatch`), a robot sets a rack down at home
 (:meth:`~WarehouseState.return_home`) — and each re-files the entities it
@@ -64,6 +64,10 @@ class WarehouseState:
                                     compare=False)
     _selectable_by_picker: Dict[int, List[Rack]] = field(
         default_factory=dict, repr=False, compare=False)
+    #: One byte per rack id, 1 where the rack is selectable — the same
+    #: set as ``_selectable``, as a column a gather reads by id.
+    _selectable_column: bytearray = field(default_factory=bytearray,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rebuild_indexes()
@@ -119,12 +123,16 @@ class WarehouseState:
         self._idle = self._scan_idle()
         self._selectable = self._scan_selectable()
         self._selectable_by_picker = self._scan_selectable_by_picker()
+        self._selectable_column = self._scan_selectable_column()
 
     def _scan_idle(self) -> List[Robot]:
         return [robot for robot in self.robots if robot.is_idle]
 
     def _scan_selectable(self) -> List[Rack]:
         return [rack for rack in self.racks if rack.selectable]
+
+    def _scan_selectable_column(self) -> bytearray:
+        return bytearray(rack.selectable for rack in self.racks)
 
     def _scan_selectable_by_picker(self) -> Dict[int, List[Rack]]:
         return {pid: [self.racks[rid] for rid in rids
@@ -137,6 +145,7 @@ class WarehouseState:
         _file(self._selectable, rack, _RACK_ID, wanted)
         _file(self._selectable_by_picker[rack.picker_id], rack, _RACK_ID,
               wanted)
+        self._selectable_column[rack.rack_id] = wanted
 
     # -- planner-facing queries ---------------------------------------------
 
@@ -152,6 +161,11 @@ class WarehouseState:
         """Each picker's selectable racks, ascending by id (empty lists
         for pickers without work).  The live index: read, never mutate."""
         return self._selectable_by_picker
+
+    def selectable_column(self) -> bytearray:
+        """``column[rack_id]`` is 1 where the rack is selectable, else 0.
+        The live column: read, never mutate."""
+        return self._selectable_column
 
     def dispatchable(self) -> bool:
         """Whether an idle robot and a selectable rack coexist (O(1))."""
@@ -201,7 +215,8 @@ class WarehouseState:
         - a rack IN_TRANSIT is referenced by exactly one busy robot;
         - picker queues only contain IN_TRANSIT racks;
         - the incremental idle / selectable (whole and per picker) indices
-          equal a from-scratch rescan (same objects, ascending id), and
+          equal a from-scratch rescan (same objects, ascending id), the
+          selectable column equals a rescan byte for byte, and
           every rack's batch facts equal a rescan of its ``pending_items`` —
           a writer that bypassed the three transitions fails here instead
           of silently diverging.
@@ -249,6 +264,14 @@ class WarehouseState:
                 raise SimulationError(
                     f"stale {name} index: ids {sorted(stale)} differ from "
                     f"a rescan (or the order does)")
+        column = self._scan_selectable_column()
+        if self._selectable_column != column:
+            stale = [rack_id for rack_id, kept in
+                     enumerate(self._selectable_column)
+                     if rack_id >= len(column) or kept != column[rack_id]]
+            raise SimulationError(
+                f"stale selectable-rack column: ids {stale} differ from "
+                f"a rescan (or its length does)")
         for rack in self.racks:
             if ((rack.pending_processing_time, rack.oldest_arrival)
                     != batch_facts(rack.pending_items)):

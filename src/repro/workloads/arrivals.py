@@ -54,6 +54,12 @@ def _processing_width(rng: random.Random, low: int, high: int) -> int:
     return width
 
 
+def _is_rate(rate: float) -> bool:
+    """Whether ``rate`` can be an arrival rate: finite and positive (NaN
+    and infinities are not)."""
+    return isfinite(rate) and rate > 0
+
+
 def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
                      processing_low: int = PROCESSING_TIME_RANGE[0],
                      processing_high: int = PROCESSING_TIME_RANGE[1]) -> List[Item]:
@@ -74,8 +80,8 @@ def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
         raise ConfigurationError("n_items must be >= 1")
     if n_racks < 1:
         raise ConfigurationError("n_racks must be >= 1")
-    if rate <= 0:
-        raise ConfigurationError("rate must be positive")
+    if not _is_rate(rate):
+        raise ConfigurationError("rate must be finite and positive")
     return PoissonStream(n_racks, rate, seed, processing_low,
                          processing_high).take(n_items)
 
@@ -110,10 +116,12 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
         raise ConfigurationError("n_racks must be >= 1")
     if not isfinite(zipf_s):
         raise ConfigurationError("zipf_s must be finite")
-    if base_rate <= 0:
-        raise ConfigurationError("base_rate must be positive")
+    if not _is_rate(base_rate):
+        raise ConfigurationError("base_rate must be finite and positive")
     if not 0.0 < ramp_fraction < 0.5:
         raise ConfigurationError("ramp_fraction must be in (0, 0.5)")
+    if not _is_rate(peak_rate):
+        raise ConfigurationError("peak_rate must be finite and positive")
     if peak_rate <= base_rate:
         raise ConfigurationError("peak_rate must exceed base_rate")
     rng = random.Random(seed)
@@ -242,8 +250,8 @@ class PoissonStream(ItemStream):
                  processing_high: int = PROCESSING_TIME_RANGE[1]) -> None:
         if n_racks < 1:
             raise ConfigurationError("n_racks must be >= 1")
-        if rate <= 0:
-            raise ConfigurationError("rate must be positive")
+        if not _is_rate(rate):
+            raise ConfigurationError("rate must be finite and positive")
         super().__init__()
         self.n_racks = n_racks
         self.rate = rate
@@ -295,8 +303,9 @@ class CycleStream(ItemStream):
                  processing_high: int = PROCESSING_TIME_RANGE[1]) -> None:
         if n_racks < 1:
             raise ConfigurationError("n_racks must be >= 1")
-        if not rates or any(rate <= 0 for rate in rates):
-            raise ConfigurationError("rates must be non-empty and positive")
+        if not rates or not all(map(_is_rate, rates)):
+            raise ConfigurationError(
+                "rates must be non-empty, finite and positive")
         if period < len(rates):
             raise ConfigurationError(
                 f"period ({period}) must cover the {len(rates)} segments")

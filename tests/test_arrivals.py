@@ -266,6 +266,42 @@ class TestItemStreams:
             CycleStream(**kwargs)
 
 
+NON_FINITE = [pytest.param(float("nan"), id="nan"),
+              pytest.param(float("inf"), id="inf"),
+              pytest.param(float("-inf"), id="-inf")]
+
+
+class TestNonFiniteRates:
+    """Every arrival rate must be finite and positive: NaN used to escape
+    as a bare ValueError from the draw, and an infinite rate put every
+    item at tick 0."""
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_poisson_arrivals(self, rate):
+        with pytest.raises(ConfigurationError, match="rate"):
+            poisson_arrivals(20, 5, rate, seed=1)
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_poisson_stream(self, rate):
+        with pytest.raises(ConfigurationError, match="rate"):
+            PoissonStream(n_racks=3, rate=rate, seed=1)
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_cycle_stream(self, rate):
+        with pytest.raises(ConfigurationError, match="rates"):
+            CycleStream(n_racks=3, rates=[0.5, rate], period=10, seed=1)
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_surge_base_rate(self, rate):
+        with pytest.raises(ConfigurationError, match="base_rate"):
+            surge_arrivals(20, 5, rate, 1.0, 0.25, 1)
+
+    @pytest.mark.parametrize("rate", NON_FINITE)
+    def test_surge_peak_rate(self, rate):
+        with pytest.raises(ConfigurationError, match="peak_rate"):
+            surge_arrivals(20, 5, 0.5, rate, 0.25, 1)
+
+
 class TestStreamRegistry:
     def test_named_streams_resolve(self):
         assert resolve_stream("poisson") is PoissonStream

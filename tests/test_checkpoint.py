@@ -319,27 +319,28 @@ class TestCommittedFixtures:
     A new envelope version adds a file; the older files stay and move to
     whichever side of the rule the new build puts them on.  Version 3
     made the envelope the only rule, so versions 1 and 2 are refused:
-    no class converts the layouts they hold.
+    no class converts the layouts they hold.  Version 4 added the
+    world's selectable-rack column, so version 3 is refused too.
     """
 
     #: sha256 of the drained run's deterministic view (compact JSON,
     #: sorted keys).  Changes only with an intentional behaviour change —
     #: the same event that regenerates ``tests/golden/``.  The version-3
     #: file is the paused run the version-2 file held, and drains to the
-    #: digest pinned on that file.
+    #: digest pinned on that file; so does the version-4 file.
     DRAINED_DIGEST = (
         "9f291450fabd2282a5e5b8d823e49f67b95cf1c9bf1016f010487ee2c43573c3")
 
-    CURRENT = FIXTURES / "checkpoint-v3-eatp.ckpt"
+    CURRENT = FIXTURES / "checkpoint-v4-eatp.ckpt"
 
     def assert_pinned(self, view):
         blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 == self.DRAINED_DIGEST)
 
-    def test_v3_fixture_loads_and_drains_to_the_pinned_result(self):
+    def test_v4_fixture_loads_and_drains_to_the_pinned_result(self):
         header = read_checkpoint_header(self.CURRENT)
-        assert (header["version"], header["tick"]) == (3, 60)
+        assert (header["version"], header["tick"]) == (4, 60)
         sim, extra = load_checkpoint(self.CURRENT)
         assert extra is None
         assert len(sim.ledger) == header["missions_completed"] == 3
@@ -358,7 +359,7 @@ class TestCommittedFixtures:
         self.assert_pinned(view)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_v3_fixture_drains_to_the_pin_under_either_switch(self, kernel):
+    def test_v4_fixture_drains_to_the_pin_under_either_switch(self, kernel):
         # The file holds the python layout of the reservation table; under
         # the compiled switch it is loaded into the native store.  The
         # path cache holds its pairs and lengths, and goes on counting
@@ -374,7 +375,7 @@ class TestCommittedFixtures:
                                        "memory_bytes": 6842}
         assert (cache.hits, cache.misses) == (16, 37)
 
-    def test_v3_fixture_entities_hold_their_fields_only(self):
+    def test_v4_fixture_entities_hold_their_fields_only(self):
         # Racks and robots restore their dataclass fields (plus a rack's
         # two derived batch facts), and so does every later checkpoint.
         sim, __ = load_checkpoint(self.CURRENT)
@@ -387,12 +388,12 @@ class TestCommittedFixtures:
                     | {"pending_processing_time", "oldest_arrival"})
             sim, __ = load_checkpoint_bytes(dump_checkpoint(sim))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_fixture_is_refused_naming_both_versions(self, version):
         path = FIXTURES / f"checkpoint-v{version}-eatp.ckpt"
         assert read_checkpoint_header(path)["version"] == version
         with pytest.raises(CheckpointError,
-                           match=rf"version {version} .* reads version 3"):
+                           match=rf"version {version} .* reads version 4"):
             load_checkpoint(path)
 
 

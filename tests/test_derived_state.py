@@ -6,7 +6,9 @@ move, not by watching every write:
 * the world's idle / selectable indexes, which only the three
   transitions of :class:`~repro.warehouse.state.WarehouseState` change;
 * the planner's MC high-water mark, which is read only before a purge —
-  the one operation that shrinks a charged structure.
+  the one operation that shrinks a charged structure;
+* the engine's picker calendar, which a wake walks instead of every
+  picker: each picker with a running batch must be on it.
 
 These tests read both the expensive way (a rescan after every event, a
 memory read after every commit and wake) and require the kept values to
@@ -18,10 +20,16 @@ from __future__ import annotations
 import pytest
 
 from repro.config import PAPER_SCALE_MIN_CELLS
+from repro.pathfinding._kernel import build_and_load
 from repro.planners import PLANNERS
 from repro.sim.engine import Simulation
 from repro.workloads.datasets import make_mini
 from repro.workloads.scenario import ItemStreamSpec, ScenarioSpec
+from tests.conftest import kernel_switch
+
+KERNELS = ["python", pytest.param(
+    "compiled", marks=pytest.mark.skipif(build_and_load() is None,
+                                         reason="native kernel unavailable"))]
 
 
 def paper_scale_floor() -> ScenarioSpec:
@@ -84,3 +92,27 @@ def test_invariants_hold_after_every_event(planner_name):
         events += 1
     assert events > 0
     sim.result()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("planner_name", sorted(PLANNERS))
+def test_every_busy_picker_is_on_the_calendar_at_every_wake(planner_name,
+                                                            kernel):
+    # A wake syncs only the pickers in ``_picker_events``; a busy picker
+    # missing from it would keep stale counters into the selection.
+    with kernel_switch(kernel):
+        state, items = make_mini().build()
+        sim = Simulation(state, PLANNERS[planner_name](state), items)
+        sync, busy_at_wakes = sim._sync_world, []
+
+        def checked_sync(t):
+            on_calendar = {pid for __, pid in sim._picker_events}
+            busy = {picker.picker_id for picker in state.pickers
+                    if picker.current_rack is not None}
+            assert busy <= on_calendar, (t, busy - on_calendar)
+            busy_at_wakes.append(len(busy))
+            sync(t)
+
+        sim._sync_world = checked_sync
+        sim.run()
+    assert max(busy_at_wakes) > 0

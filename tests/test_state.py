@@ -148,6 +148,16 @@ class TestInvariants:
         with pytest.raises(SimulationError, match="stale idle-robot"):
             small_state.check_invariants()
 
+    def test_stale_selectable_column_fails(self, small_state):
+        # The column is the selectable set again, by rack id: a byte the
+        # transitions did not write is caught on its own.
+        small_state.deliver_item(Item(0, 0, 4, 10))
+        assert small_state.selectable_column()[0] == 1
+        small_state._selectable_column[3] = 1
+        with pytest.raises(SimulationError,
+                           match=r"stale selectable-rack column: ids \[3\]"):
+            small_state.check_invariants()
+
 
 class IndexMachine(RuleBasedStateMachine):
     """Random sequences of the three transitions; the indices must track
