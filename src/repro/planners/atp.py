@@ -60,18 +60,16 @@ class AdaptiveTaskPlanner(Planner):
 
     # -- Alg. 2 selection ------------------------------------------------------
 
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List[SelectionEntry]:
+    def _select(self, t: Tick, robots: List[Robot]) -> List[SelectionEntry]:
         budget = len(robots)
         if self.agent.use_approximation():
-            return self._select_greedy(racks, budget)
-        return self._select_learned(racks, budget)
+            return self._select_greedy(budget)
+        return self._select_learned(self.state.selectable_racks(), budget)
 
-    def _select_greedy(self, racks: List[Rack],
-                       budget: int) -> List[SelectionEntry]:
+    def _select_greedy(self, budget: int) -> List[SelectionEntry]:
         """Alg. 2 lines 6–9: greedy choice, q updated from each selection."""
-        entries = most_slack_first(self.state.selectable_by_picker(),
-                                   budget, self.picker_finish_time)
+        entries = most_slack_first(self.state, budget,
+                                   self.picker_finish_time)
         for entry in entries:
             self.agent.learn(*self.facts(entry.rack), ACTION_REQUEST, True)
         return entries

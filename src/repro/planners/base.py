@@ -191,12 +191,13 @@ class Planner(abc.ABC):
         return SpatiotemporalGraph(self.grid)
 
     @abc.abstractmethod
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List["SelectionEntry"]:
-        """Choose racks (optionally with robots) to fulfil at ``t``.
+    def _select(self, t: Tick, robots: List[Robot]) -> List["SelectionEntry"]:
+        """Choose selectable racks (optionally with robots) to fulfil at
+        ``t``; ``robots`` are the idle ones, ascending by id.
 
         Returns at most ``len(robots)`` entries; racks and robots must be
-        unique across entries.
+        unique across entries.  A selector reads the world's selectable
+        racks in whichever form it walks, so a wake builds only that.
         """
 
     # -- the public planning API -----------------------------------------------
@@ -205,13 +206,12 @@ class Planner(abc.ABC):
         """Emit ``U_t``: selection step then path-finding step."""
         scheme = PlanningScheme(timestamp=t)
 
-        robots = self.state.idle_robots()
-        racks = self.state.selectable_racks()
-        if not robots or not racks:
+        if not self.state.dispatchable():
             return scheme
+        robots = self.state.idle_robots()
 
         with self._timed_selection():
-            entries = self._select(t, racks, robots)
+            entries = self._select(t, robots)
 
         if len(entries) > len(robots):
             raise PlanningError(
@@ -399,7 +399,9 @@ class Planner(abc.ABC):
         """d(l_r, l_p), rack home to its picker station, by rack id
         (racks and pickers never move), built on first use.  Manhattan,
         which equals the true grid distance on the open layouts this
-        library generates (no structural obstacles)."""
+        library generates but not on every obstructed one: on
+        ``obstructed_floor``'s Pillars-48 one rack of 72 is further by
+        breadth-first search."""
         pickers = self.state.pickers
         return [manhattan(rack.home, pickers[rack.picker_id].location)
                 for rack in self.state.racks]

@@ -29,7 +29,7 @@ from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.cdt import ConflictDetectionTable
 from ..pathfinding.reservation import ReservationTable
 from ..types import Tick
-from ..warehouse.entities import Rack, Robot
+from ..warehouse.entities import Robot
 from ..warehouse.knn import StaticRackKNN
 from ..warehouse.state import WarehouseState
 from .atp import AdaptiveTaskPlanner
@@ -77,15 +77,13 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
 
     # -- Alg. 3 selection: flip requesting --------------------------------------
 
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List[SelectionEntry]:
+    def _select(self, t: Tick, robots: List[Robot]) -> List[SelectionEntry]:
         if self.agent.use_approximation():
             # Alg. 3 line 8 — identical greedy seeding to ATP.
-            return self._select_greedy(racks, len(robots))
-        return self._select_flipped(racks, robots)
+            return self._select_greedy(len(robots))
+        return self._select_flipped(robots)
 
-    def _select_flipped(self, racks: List[Rack],
-                        robots: List[Robot]) -> List[SelectionEntry]:
+    def _select_flipped(self, robots: List[Robot]) -> List[SelectionEntry]:
         """Alg. 3 lines 10–13: per-robot probe of its K closest racks.
 
         Candidates are the selectable racks among the robot's K nearest
@@ -95,13 +93,12 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         O(|A|·K).  The first candidate the ε-greedy policy accepts is
         claimed; if it refuses all of them the robot idles this timestamp.
 
-        ``racks`` (every selectable rack) is never walked: the KNN
-        gather reads each neighbour's selectability off the world's
-        selectable-rack column and hands back only the robots that have
-        a candidate, so the cost does not grow with the backlog.  Leaving
-        the others out is exact: a robot without a candidate would rank
-        nothing, sort last, touch neither the learner nor the RNG, and
-        claim nothing.
+        The selectable racks are never listed: the KNN gather reads
+        each neighbour's selectability off the world's selectable-rack
+        column and hands back only the robots that have a candidate, so
+        the cost does not grow with the backlog.  Leaving the others out
+        is exact: a robot without a candidate would rank nothing, sort
+        last, touch neither the learner nor the RNG, and claim nothing.
         """
         all_racks = self.state.racks
         claimed: Set[int] = set()

@@ -49,8 +49,8 @@ class IlpPlanner(Planner):
              in zip(self.state.racks, self._rack_distance)],
             dtype=np.int64).reshape(-1, 4)
 
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List[SelectionEntry]:
+    def _select(self, t: Tick, robots: List[Robot]) -> List[SelectionEntry]:
+        racks = self.state.selectable_racks()
         cost = self._cost_matrix(racks, robots)
         if _kernel.active is None:
             from scipy.optimize import linear_sum_assignment as solve

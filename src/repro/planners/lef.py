@@ -12,7 +12,7 @@ from operator import attrgetter
 from typing import List
 
 from ..types import Tick
-from ..warehouse.entities import Rack, Robot
+from ..warehouse.entities import Robot
 from .base import Planner, SelectionEntry
 
 
@@ -21,9 +21,8 @@ class LeastExpirationFirstPlanner(Planner):
 
     name = "LEF"
 
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List[SelectionEntry]:
-        budget = len(robots)
+    def _select(self, t: Tick, robots: List[Robot]) -> List[SelectionEntry]:
         # Every selectable rack has pending items, so oldest_arrival is set.
-        ordered = sorted(racks, key=attrgetter("oldest_arrival", "rack_id"))
-        return [SelectionEntry(rack=rack) for rack in ordered[:budget]]
+        ordered = sorted(self.state.selectable_racks(),
+                         key=attrgetter("oldest_arrival", "rack_id"))
+        return [SelectionEntry(rack=rack) for rack in ordered[:len(robots)]]

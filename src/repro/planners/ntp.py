@@ -6,7 +6,8 @@ pickup time, plan for racks whose picker is *most slack* (smallest finish
 time f_p, Eq. 3), since a slack picker implies less queuing.  Every
 selectable rack is dispatched as soon as a robot is free — no batching —
 which is exactly the greedy behaviour the Sec. III-B bad case punishes.
-A wake walks the world's kept per-picker index of selectable racks.
+A wake walks the pickers with work and reads their racks off the world's
+selectable-rack column; it never builds the whole selectable list.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from ..types import Tick
-from ..warehouse.entities import Rack, Robot
+from ..warehouse.entities import Robot
 from .base import Planner, SelectionEntry
 from .greedy import most_slack_first
 
@@ -24,7 +25,6 @@ class NaiveTaskPlanner(Planner):
 
     name = "NTP"
 
-    def _select(self, t: Tick, racks: List[Rack],
-                robots: List[Robot]) -> List[SelectionEntry]:
-        return most_slack_first(self.state.selectable_by_picker(),
-                                len(robots), self.picker_finish_time)
+    def _select(self, t: Tick, robots: List[Robot]) -> List[SelectionEntry]:
+        return most_slack_first(self.state, len(robots),
+                                self.picker_finish_time)

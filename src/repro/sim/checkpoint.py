@@ -57,7 +57,7 @@ CHECKPOINT_MAGIC = b"repro-checkpoint"
 #: Bump on any change to the envelope layout or to the pickled object
 #: graph; restore refuses every other version and converts no older
 #: layout.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Pickle protocol pinned explicitly so checkpoints written on newer
 #: interpreters stay readable on the oldest supported one.

@@ -72,7 +72,7 @@ from ..sim.queueing import (advance_picker_span, enqueue_rack,
                             ticks_until_next_picker_event)
 from ..sim.trace import BottleneckTrace
 from ..types import Tick
-from ..warehouse.entities import Item, RackPhase, RobotState
+from ..warehouse.entities import Item, RobotState
 from ..warehouse.state import WarehouseState
 
 #: The order items are fed in: by arrival, ties by id.
@@ -239,7 +239,7 @@ class Simulation:
                 f"simulation exceeded max_ticks={self.config.max_ticks} "
                 f"({self.state.total_pending_items()} items pending, "
                 f"{len(self._active)} missions active)")
-        if self._can_dispatch():
+        if self.state.dispatchable():
             self._sync_world(t)
             self._dispatch(t)
         self._run_motion_events(t)
@@ -340,15 +340,6 @@ class Simulation:
                 and self._n_pending == 0
                 and not self._active)
 
-    def _can_dispatch(self) -> bool:
-        """Whether an idle robot and a selectable rack coexist right now.
-
-        The planner-wake condition: exactly the ticks at which the frozen
-        per-tick engine's ``plan`` call did *not* take its side-effect-free
-        early return.
-        """
-        return self.state.dispatchable()
-
     @property
     def events_processed(self) -> int:
         """Active ticks executed so far (the base of ``bench/``'s
@@ -366,7 +357,7 @@ class Simulation:
             nxt = min(nxt, self._motion_events[0][0])
         if self._picker_events:
             nxt = min(nxt, self._picker_events[0][0])
-        if self._can_dispatch():
+        if self.state.dispatchable():
             nxt = t + 1
         if nxt <= t:
             raise SimulationError(
@@ -414,7 +405,7 @@ class Simulation:
             if not robot.is_idle:
                 raise SimulationError(
                     f"planner dispatched busy robot {robot.robot_id}")
-            if rack.phase is not RackPhase.STORED or not rack.has_pending:
+            if not rack.selectable:
                 raise SimulationError(
                     f"planner selected unavailable rack {rack.rack_id}")
             batch = self.state.dispatch(robot, rack)

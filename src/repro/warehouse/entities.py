@@ -5,16 +5,18 @@ records: the simulator advances their state in place every tick, and the
 planners read them through :class:`~repro.warehouse.state.WarehouseState`.
 
 Identity conventions: every entity carries a small integer id unique within
-its kind.  Planners key their bookkeeping on those ids, never on object
-identity, so states can be snapshotted and compared in tests.
+its kind, and in a :class:`~repro.warehouse.state.WarehouseState` that id
+is its list position.  Planners key their bookkeeping on those ids, never
+on object identity, so states can be snapshotted and compared in tests.
 
 The entities know nothing of the indexes derived from them.  Only three
 events change whether a robot is idle or a rack selectable — an item
 arrives, a robot is dispatched for a rack, a robot sets a rack down at
 home — and :class:`~repro.warehouse.state.WarehouseState` performs each
-one (``deliver_item``, ``dispatch``, ``return_home``), re-filing what it
-changed.  A plain write of ``Rack.phase`` / ``Rack.pending_items`` or
-``Robot.state`` outside those transitions leaves the indexes stale, and
+one (``deliver_item``, ``dispatch``, ``return_home``), writing the byte
+of each entity it changed in its idle-robot or selectable-rack column.
+A plain write of ``Rack.phase`` / ``Rack.pending_items`` or
+``Robot.state`` outside those transitions leaves a column stale, and
 ``WarehouseState.check_invariants`` reports it.  A rack's two batch facts
 (``pending_processing_time``, ``oldest_arrival``) are derived at
 construction and restore, reset by ``take_batch`` and advanced by

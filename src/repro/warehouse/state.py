@@ -5,22 +5,22 @@ the cheap indexes planners query every timestamp: racks per picker, idle
 robots, racks with pending items.  It is the ``R``, ``P``, ``A`` triple of
 the TPRW problem statement plus the grid they live on.
 
-The idle-robot and selectable-rack sets (whole, per picker, and as a
-byte column by rack id) are kept incrementally.  Only three events change them — an item arrives
-(:meth:`~WarehouseState.deliver_item`), a robot is dispatched for a rack
-(:meth:`~WarehouseState.dispatch`), a robot sets a rack down at home
-(:meth:`~WarehouseState.return_home`) — and each re-files the entities it
-changed, so a planner wake costs what changed, not a rescan of the world.
+The idle robots and the selectable racks are each kept once, as a byte
+column by id, beside a count of selectable racks per picker.  Only three
+events change them — an item arrives (:meth:`~WarehouseState.deliver_item`),
+a robot is dispatched for a rack (:meth:`~WarehouseState.dispatch`), a
+robot sets a rack down at home (:meth:`~WarehouseState.return_home`) — and
+each writes the bytes of the entities it changed.  The queries compress
+the entity lists over the columns, so every list is ascending by id.
 Every other write the simulator makes (a robot's later mission stages,
 counters, locations) leaves idleness and selectability as they were.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import compress
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..types import Tick
@@ -28,19 +28,6 @@ from .entities import (Item, Picker, Rack, RackPhase, Robot, RobotState,
                        batch_facts)
 from .grid import Grid
 from .layout import WarehouseLayout
-
-_RACK_ID = attrgetter("rack_id")
-_ROBOT_ID = attrgetter("robot_id")
-
-
-def _file(members: list, entity, key: Callable, wanted: bool) -> None:
-    """Make ``entity``'s membership of the id-sorted ``members`` ``wanted``."""
-    i = bisect_left(members, key(entity), key=key)
-    present = i < len(members) and members[i] is entity
-    if wanted and not present:
-        members.insert(i, entity)
-    elif present and not wanted:
-        del members[i]
 
 
 @dataclass
@@ -56,18 +43,17 @@ class WarehouseState:
     racks: List[Rack]
     pickers: List[Picker]
     robots: List[Robot]
-    _racks_by_picker: Dict[int, List[int]] = field(default_factory=dict, repr=False)
-    #: The idle robots / selectable racks (also per picker), ascending by id
-    #: — derived data, kept by the three transitions.
-    _idle: List[Robot] = field(default_factory=list, repr=False, compare=False)
-    _selectable: List[Rack] = field(default_factory=list, repr=False,
+    #: Each picker's rack ids, ascending, by picker id (fixed).
+    _racks_by_picker: List[List[int]] = field(default_factory=list,
+                                              repr=False)
+    #: 1 per idle robot id / selectable rack id, and the selectable racks
+    #: per picker id — derived data, written by the three transitions.
+    _idle_column: bytearray = field(default_factory=bytearray, repr=False,
                                     compare=False)
-    _selectable_by_picker: Dict[int, List[Rack]] = field(
-        default_factory=dict, repr=False, compare=False)
-    #: One byte per rack id, 1 where the rack is selectable — the same
-    #: set as ``_selectable``, as a column a gather reads by id.
     _selectable_column: bytearray = field(default_factory=bytearray,
                                           repr=False, compare=False)
+    _selectable_count: List[int] = field(default_factory=list, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         self._rebuild_indexes()
@@ -115,52 +101,64 @@ class WarehouseState:
         return cls(grid=layout.grid, racks=racks, pickers=pickers, robots=robots)
 
     def _rebuild_indexes(self) -> None:
-        """Adopt the entities and derive every index from scratch."""
-        self._racks_by_picker = {p.picker_id: [] for p in self.pickers}
+        """Adopt the entities and derive every index from scratch.  The
+        indexes are by id, so an id must be its entity's list position."""
+        for kind, entities in (("rack", self.racks), ("picker", self.pickers),
+                               ("robot", self.robots)):
+            for position, entity in enumerate(entities):
+                if getattr(entity, f"{kind}_id") != position:
+                    raise SimulationError(
+                        f"the {kind} at list position {position} has id "
+                        f"{getattr(entity, f'{kind}_id')}")
+        self._racks_by_picker = [[] for __ in self.pickers]
         for rack in self.racks:
-            self._racks_by_picker.setdefault(rack.picker_id, []).append(
-                rack.rack_id)
-        self._idle = self._scan_idle()
-        self._selectable = self._scan_selectable()
-        self._selectable_by_picker = self._scan_selectable_by_picker()
+            if not 0 <= rack.picker_id < len(self.pickers):
+                raise SimulationError(
+                    f"rack {rack.rack_id} names picker {rack.picker_id}, "
+                    f"but there are {len(self.pickers)} pickers")
+            self._racks_by_picker[rack.picker_id].append(rack.rack_id)
+        self._idle_column = self._scan_idle_column()
         self._selectable_column = self._scan_selectable_column()
+        self._selectable_count = self._scan_selectable_count()
 
-    def _scan_idle(self) -> List[Robot]:
-        return [robot for robot in self.robots if robot.is_idle]
-
-    def _scan_selectable(self) -> List[Rack]:
-        return [rack for rack in self.racks if rack.selectable]
+    def _scan_idle_column(self) -> bytearray:
+        return bytearray(robot.is_idle for robot in self.robots)
 
     def _scan_selectable_column(self) -> bytearray:
         return bytearray(rack.selectable for rack in self.racks)
 
-    def _scan_selectable_by_picker(self) -> Dict[int, List[Rack]]:
-        return {pid: [self.racks[rid] for rid in rids
-                      if self.racks[rid].selectable]
-                for pid, rids in self._racks_by_picker.items()}
+    def _scan_selectable_count(self) -> List[int]:
+        return [sum(self.racks[rid].selectable for rid in rids)
+                for rids in self._racks_by_picker]
 
     def _rack_changed(self, rack: Rack) -> None:
-        """Re-file ``rack`` after its ``phase`` / ``pending_items`` changed."""
+        """Write ``rack``'s byte after its ``phase`` / ``pending_items``
+        changed; its picker's count moves only when the byte flips."""
         wanted = rack.selectable
-        _file(self._selectable, rack, _RACK_ID, wanted)
-        _file(self._selectable_by_picker[rack.picker_id], rack, _RACK_ID,
-              wanted)
-        self._selectable_column[rack.rack_id] = wanted
+        if self._selectable_column[rack.rack_id] != wanted:
+            self._selectable_column[rack.rack_id] = wanted
+            self._selectable_count[rack.picker_id] += 1 if wanted else -1
 
     # -- planner-facing queries ---------------------------------------------
 
     def idle_robots(self) -> List[Robot]:
-        """The set A: robots able to accept a mission this timestamp."""
-        return list(self._idle)
+        """The set A: robots able to accept a mission now, by id."""
+        return list(compress(self.robots, self._idle_column))
 
     def selectable_racks(self) -> List[Rack]:
-        """Racks that are home (STORED) and carry at least one pending item."""
-        return list(self._selectable)
+        """Racks home (STORED) with a pending item, ascending by id."""
+        return list(compress(self.racks, self._selectable_column))
 
-    def selectable_by_picker(self) -> Dict[int, List[Rack]]:
-        """Each picker's selectable racks, ascending by id (empty lists
-        for pickers without work).  The live index: read, never mutate."""
-        return self._selectable_by_picker
+    def pickers_with_work(self) -> List[int]:
+        """Ids of the pickers with a selectable rack, ascending."""
+        return list(compress(range(len(self._selectable_count)),
+                             self._selectable_count))
+
+    def selectable_of_picker(self, picker_id: int) -> Iterator[Rack]:
+        """``picker_id``'s selectable racks, ascending by id, lazily."""
+        rack_ids = self._racks_by_picker[picker_id]
+        return compress(map(self.racks.__getitem__, rack_ids),
+                        map(self._selectable_column.__getitem__, rack_ids))
 
     def selectable_column(self) -> bytearray:
         """``column[rack_id]`` is 1 where the rack is selectable, else 0.
@@ -168,8 +166,12 @@ class WarehouseState:
         return self._selectable_column
 
     def dispatchable(self) -> bool:
-        """Whether an idle robot and a selectable rack coexist (O(1))."""
-        return bool(self._idle and self._selectable)
+        """Whether an idle robot and a selectable rack coexist (a
+        ``memchr`` of each column).  The simulator's planner-wake
+        condition: exactly the ticks at which the frozen per-tick
+        engine's ``plan`` call did *not* take its side-effect-free early
+        return."""
+        return 1 in self._idle_column and 1 in self._selectable_column
 
     def total_pending_items(self) -> int:
         """Number of items that emerged but are not yet part of a batch."""
@@ -194,7 +196,7 @@ class WarehouseState:
         robot.state = RobotState.TO_RACK
         robot.rack_id = rack.rack_id
         self._rack_changed(rack)
-        _file(self._idle, robot, _ROBOT_ID, False)
+        self._idle_column[robot.robot_id] = 0
         return batch
 
     def return_home(self, robot: Robot, rack: Rack, t: Tick) -> None:
@@ -205,7 +207,7 @@ class WarehouseState:
         rack.phase = RackPhase.STORED
         rack.last_return = t
         self._rack_changed(rack)
-        _file(self._idle, robot, _ROBOT_ID, True)
+        self._idle_column[robot.robot_id] = 1
 
     def check_invariants(self) -> None:
         """Validate cross-entity invariants; raise on violation.
@@ -214,10 +216,9 @@ class WarehouseState:
         - a robot in a carrying state references an existing rack;
         - a rack IN_TRANSIT is referenced by exactly one busy robot;
         - picker queues only contain IN_TRANSIT racks;
-        - the incremental idle / selectable (whole and per picker) indices
-          equal a from-scratch rescan (same objects, ascending id), the
-          selectable column equals a rescan byte for byte, and
-          every rack's batch facts equal a rescan of its ``pending_items`` —
+        - the idle-robot and selectable-rack columns equal a rescan byte
+          for byte, the per-picker counts equal a rescan, and every
+          rack's batch facts equal a rescan of its ``pending_items`` —
           a writer that bypassed the three transitions fails here instead
           of silently diverging.
         """
@@ -251,27 +252,19 @@ class WarehouseState:
                     raise SimulationError(
                         f"queued rack {rid} at picker {picker.picker_id} "
                         f"is not IN_TRANSIT")
-        for name, key, index, rescan in (
-                ("idle-robot", _ROBOT_ID, self._idle, self._scan_idle()),
-                ("selectable-rack", _RACK_ID, self._selectable,
-                 self._scan_selectable()),
-                *((f"picker {pid} selectable-rack", _RACK_ID,
-                   self._selectable_by_picker.get(pid, []), rescan)
-                  for pid, rescan in
-                  self._scan_selectable_by_picker().items())):
-            if list(map(id, index)) != list(map(id, rescan)):
-                stale = set(map(key, index)) ^ set(map(key, rescan))
+        for name, kept, rescan in (
+                ("idle-robot column", self._idle_column,
+                 self._scan_idle_column()),
+                ("selectable-rack column", self._selectable_column,
+                 self._scan_selectable_column()),
+                ("selectable-rack count", self._selectable_count,
+                 self._scan_selectable_count())):
+            if kept != rescan:
+                stale = [i for i, value in enumerate(kept)
+                         if i >= len(rescan) or value != rescan[i]]
                 raise SimulationError(
-                    f"stale {name} index: ids {sorted(stale)} differ from "
-                    f"a rescan (or the order does)")
-        column = self._scan_selectable_column()
-        if self._selectable_column != column:
-            stale = [rack_id for rack_id, kept in
-                     enumerate(self._selectable_column)
-                     if rack_id >= len(column) or kept != column[rack_id]]
-            raise SimulationError(
-                f"stale selectable-rack column: ids {stale} differ from "
-                f"a rescan (or its length does)")
+                    f"stale {name}: ids {stale} differ from a rescan (or "
+                    f"its length does)")
         for rack in self.racks:
             if ((rack.pending_processing_time, rack.oldest_arrival)
                     != batch_facts(rack.pending_items)):

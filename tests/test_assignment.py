@@ -103,7 +103,7 @@ def test_an_ilp_wake_with_more_idle_robots_than_racks(kernel):
     rows, cols = linear_sum_assignment(cost)
     expected = {(robots[r].robot_id, racks[c].rack_id)
                 for r, c in zip(rows, cols)}
-    entries = planner._select(0, racks, robots)
+    entries = planner._select(0, robots)
     assert {(e.robot.robot_id, e.rack.rack_id) for e in entries} == expected
     assert sorted(planner.plan(0).rack_ids) == [1, 4]
 

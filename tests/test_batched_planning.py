@@ -67,9 +67,9 @@ def scripted(planner_name: str):
     robot" (both ascending by id) — the pre-matched form EATP's flip
     requesting hands the base loop."""
     class Scripted(PLANNERS[planner_name]):
-        def _select(self, t, racks, robots):
-            return [SelectionEntry(rack, robot)
-                    for rack, robot in zip(racks, robots)]
+        def _select(self, t, robots):
+            return [SelectionEntry(rack, robot) for rack, robot
+                    in zip(self.state.selectable_racks(), robots)]
     return Scripted
 
 
@@ -220,11 +220,13 @@ class TestPaperScaleAutoGate:
                               ShardedSpatiotemporalGraph)
 
     def test_eatp_global_cdt_at_paper_scale(self):
-        # EATP's KNN index needs at least one rack to index.
+        # EATP's KNN index needs at least one rack to index, and the
+        # rack's picker must exist.
         state = WarehouseState(grid=Grid(128, 128),
                                racks=[Rack(rack_id=0, home=(4, 4),
                                            picker_id=0)],
-                               pickers=[], robots=[])
+                               pickers=[Picker(picker_id=0, location=(0, 0))],
+                               robots=[])
         planner = PLANNERS["EATP"](state)
         assert planner.grid.paper_scale is True
         assert type(planner.reservation) is ConflictDetectionTable

@@ -125,16 +125,17 @@ class TestRoundTrip:
         assert drained_view(sim) == expected
 
     def test_state_indices_travel_in_the_pickle(self):
-        """``WarehouseState``'s idle / selectable indices are pickled, not
-        rebuilt on load: a mid-run restore holds the very lists a rebuild
-        from the entities derives, and the run continues bit-identically."""
+        """``WarehouseState``'s idle-robot and selectable-rack columns and
+        per-picker counts are pickled, not rebuilt on load: a mid-run
+        restore holds the very bytes and counts a rebuild from the
+        entities derives, and the run continues bit-identically."""
         expected = drained_view(build_sim()[0])
         sim, _ = build_sim()
         sim.run_until(60)
         restored, _ = load_checkpoint_bytes(dump_checkpoint(sim))
         state = restored.state
         assert state.idle_robots() != state.robots  # genuinely mid-run
-        names = ("_idle", "_selectable", "_selectable_by_picker")
+        names = ("_idle_column", "_selectable_column", "_selectable_count")
         loaded = {name: getattr(state, name) for name in names}
         state._rebuild_indexes()
         assert loaded == {name: getattr(state, name) for name in names}
@@ -321,26 +322,30 @@ class TestCommittedFixtures:
     made the envelope the only rule, so versions 1 and 2 are refused:
     no class converts the layouts they hold.  Version 4 added the
     world's selectable-rack column, so version 3 is refused too.
+    Version 5 keeps each membership once (the idle-robot and
+    selectable-rack columns and the per-picker counts, where version 4
+    also held id-sorted lists), so version 4 is refused as well.
     """
 
     #: sha256 of the drained run's deterministic view (compact JSON,
     #: sorted keys).  Changes only with an intentional behaviour change —
     #: the same event that regenerates ``tests/golden/``.  The version-3
     #: file is the paused run the version-2 file held, and drains to the
-    #: digest pinned on that file; so does the version-4 file.
+    #: digest pinned on that file; so do the version-4 and version-5
+    #: files.
     DRAINED_DIGEST = (
         "9f291450fabd2282a5e5b8d823e49f67b95cf1c9bf1016f010487ee2c43573c3")
 
-    CURRENT = FIXTURES / "checkpoint-v4-eatp.ckpt"
+    CURRENT = FIXTURES / "checkpoint-v5-eatp.ckpt"
 
     def assert_pinned(self, view):
         blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
         assert (hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 == self.DRAINED_DIGEST)
 
-    def test_v4_fixture_loads_and_drains_to_the_pinned_result(self):
+    def test_v5_fixture_loads_and_drains_to_the_pinned_result(self):
         header = read_checkpoint_header(self.CURRENT)
-        assert (header["version"], header["tick"]) == (4, 60)
+        assert (header["version"], header["tick"]) == (5, 60)
         sim, extra = load_checkpoint(self.CURRENT)
         assert extra is None
         assert len(sim.ledger) == header["missions_completed"] == 3
@@ -349,8 +354,8 @@ class TestCommittedFixtures:
         assert set(vars(sim.planner.config)) \
             == {f.name for f in dataclasses.fields(sim.planner.config)}
         assert set(vars(sim.planner)) == set(vars(build_sim()[0].planner))
-        # The state's indices, the per-picker one too, travel in the file.
-        assert sum(map(len, sim.state.selectable_by_picker().values())) > 0
+        # The state's columns and per-picker counts travel in the file.
+        assert sum(sim.state._selectable_count) > 0
         sim.state.check_invariants()
         # The file is this build's own run, paused: same result as never
         # having stopped, and that result is the pinned one.
@@ -359,7 +364,7 @@ class TestCommittedFixtures:
         self.assert_pinned(view)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_v4_fixture_drains_to_the_pin_under_either_switch(self, kernel):
+    def test_v5_fixture_drains_to_the_pin_under_either_switch(self, kernel):
         # The file holds the python layout of the reservation table; under
         # the compiled switch it is loaded into the native store.  The
         # path cache holds its pairs and lengths, and goes on counting
@@ -375,7 +380,7 @@ class TestCommittedFixtures:
                                        "memory_bytes": 6842}
         assert (cache.hits, cache.misses) == (16, 37)
 
-    def test_v4_fixture_entities_hold_their_fields_only(self):
+    def test_v5_fixture_entities_hold_their_fields_only(self):
         # Racks and robots restore their dataclass fields (plus a rack's
         # two derived batch facts), and so does every later checkpoint.
         sim, __ = load_checkpoint(self.CURRENT)
@@ -388,12 +393,12 @@ class TestCommittedFixtures:
                     | {"pending_processing_time", "oldest_arrival"})
             sim, __ = load_checkpoint_bytes(dump_checkpoint(sim))
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_fixture_is_refused_naming_both_versions(self, version):
         path = FIXTURES / f"checkpoint-v{version}-eatp.ckpt"
         assert read_checkpoint_header(path)["version"] == version
         with pytest.raises(CheckpointError,
-                           match=rf"version {version} .* reads version 4"):
+                           match=rf"version {version} .* reads version 5"):
             load_checkpoint(path)
 
 

@@ -432,7 +432,7 @@ def test_selection_ntp():
     planner = NaiveTaskPlanner(state)
     racks = state.selectable_racks()
     robots = state.idle_robots()
-    entries = planner._select(0, racks, robots)
+    entries = planner._select(0, robots)
     _assert_entries_unique(entries, racks, robots)
 
 
@@ -441,7 +441,7 @@ def test_selection_eatp_flip():
     planner = EfficientAdaptiveTaskPlanner(state, PlannerConfig())
     racks = state.selectable_racks()
     robots = state.idle_robots()
-    entries = planner._select_flipped(racks, robots)
+    entries = planner._select_flipped(robots)
     _assert_entries_unique(entries, racks, robots)
     robot_ids = [entry.robot.robot_id for entry in entries]
     assert len(set(robot_ids)) == len(robot_ids)

@@ -118,16 +118,14 @@ class TestMostSlackFirst:
         give_items(state, 0)
         give_items(state, 1, start=10)
         finish = {0: 50, 1: 5}
-        entries = most_slack_first(state.selectable_by_picker(), 2,
-                                   lambda pid: finish[pid])
+        entries = most_slack_first(state, 2, lambda pid: finish[pid])
         assert entries[0].rack.picker_id == 1
 
     def test_respects_budget(self):
         state = make_two_picker_state()
         for rack_id in range(4):
             give_items(state, rack_id, start=rack_id * 10)
-        entries = most_slack_first(state.selectable_by_picker(), 2,
-                                   lambda pid: 0)
+        entries = most_slack_first(state, 2, lambda pid: 0)
         assert len(entries) == 2
 
 
@@ -197,7 +195,7 @@ class TestIlpPlanner:
         planner = IlpPlanner(state)
         racks = state.selectable_racks()
         robots = state.idle_robots()
-        fast = planner._select(0, racks, robots)
+        fast = planner._select(0, robots)
         exact = solve_milp(planner, racks, robots)
         assert exact is not None
         cost = planner._cost_matrix(racks, robots)

@@ -10,7 +10,8 @@ and demands the production selector agree with it exactly: same keys,
 same order, same matrix, same entries, same learner afterwards.  The
 greedy walk reads the world's per-picker index, so its twin is fed the
 flat selectable list after random deliveries, dispatches and returns.
-The last test pins every planner's full run on one Table II scenario.
+NTP's and EATP's wakes never list the selectable racks at all.  The last
+test pins every planner's full run on one Table II scenario.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import PlannerConfig, QLearningConfig
 from repro.experiments.harness import run_planner
+from repro.pathfinding._kernel import build_and_load
 from repro.planners import PLANNERS, most_slack_first
 from repro.planners.atp import AdaptiveTaskPlanner
 from repro.planners.base import SelectionEntry
@@ -33,14 +35,21 @@ from repro.planners.eatp import EfficientAdaptiveTaskPlanner
 from repro.planners.ilp import IlpPlanner
 from repro.rl.mdp import ACTION_REQUEST, ACTION_WAIT
 from repro.rl.qlearning import Facts
+from repro.sim.engine import Simulation
 from repro.sim.serialize import deterministic_view, result_to_dict
 from repro.types import manhattan
-from repro.warehouse.entities import Item, Rack
+from repro.warehouse.entities import Item, Picker, Rack
+from repro.warehouse.grid import Grid
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
-from repro.workloads.datasets import make_syn_a
+from repro.workloads.datasets import make_mini, make_syn_a
+from tests.conftest import kernel_switch
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+KERNELS = ["python", pytest.param(
+    "compiled", marks=pytest.mark.skipif(
+        build_and_load() is None, reason="native kernel unavailable"))]
 
 N_RACKS, N_PICKERS, WIDTH, HEIGHT = 12, 3, 24, 16
 
@@ -176,13 +185,18 @@ def _scan_most_slack_first(racks: List[Rack], budget: int,
     return [SelectionEntry(rack=rack) for rack in ordered[:max(budget, 0)]]
 
 
-def by_picker(racks: List[Rack]) -> Dict[int, List[Rack]]:
-    """``selectable_by_picker``'s shape: racks by id under their picker,
-    pickers 0-4 present with or without racks."""
-    index: Dict[int, List[Rack]] = {pid: [] for pid in range(5)}
-    for rack in sorted(racks, key=lambda r: r.rack_id):
-        index[rack.picker_id].append(rack)
-    return index
+def world_of(picker_of: List[int]) -> WarehouseState:
+    """Rack ``i`` homed at ``(0, i)`` under picker ``picker_of[i]`` with
+    one pending item (so every rack is selectable), pickers 0-4 present
+    with or without racks, and no robots."""
+    racks = [Rack(rack_id=i, home=(0, i), picker_id=pid,
+                  pending_items=[Item(i, i, 0, 1)])
+             for i, pid in enumerate(picker_of)]
+    return WarehouseState(
+        grid=Grid(4, 16), racks=racks,
+        pickers=[Picker(picker_id=pid, location=(3, pid))
+                 for pid in range(5)],
+        robots=[])
 
 
 def seed_table(planner: AdaptiveTaskPlanner, data) -> None:
@@ -237,11 +251,10 @@ class TestAtpRanking:
         planner = AdaptiveTaskPlanner(draw_world(data))
         seed_table(planner, data)
         twin = copy.deepcopy(planner)
-        racks = planner.state.selectable_racks()
-        if not racks:  # the planner never selects from an empty list
+        if not planner.state.dispatchable():  # the planner never wakes
             return
         budget = data.draw(st.integers(1, N_RACKS + 1))
-        got = planner._select_greedy(racks, budget)
+        got = planner._select_greedy(budget)
         for entry in got:
             twin.agent.learn(*_scan_facts(twin.state, entry.rack),
                              ACTION_REQUEST, greedy=True)
@@ -262,8 +275,7 @@ class TestEatpFlip:
         seed_table(planner, data)
         twin = copy.deepcopy(planner)
         robots = planner.state.idle_robots()
-        got = planner._select_flipped(planner.state.selectable_racks(),
-                                      robots)
+        got = planner._select_flipped(robots)
         want = _scan_select_flipped(twin, twin.state.idle_robots())
         assert ids(got) == ids(want)
         assert ([entry.robot.robot_id for entry in got]
@@ -294,21 +306,20 @@ class TestMostSlackFirst:
            finish=st.lists(st.integers(0, 3), min_size=5, max_size=5),
            budget=st.integers(0, 17))
     def test_equals_group_and_sort(self, picker_of, finish, budget):
-        racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
-                 for i, pid in enumerate(picker_of)]
-        got = most_slack_first(by_picker(racks), budget, finish.__getitem__)
+        state = world_of(picker_of)
+        got = most_slack_first(state, budget, finish.__getitem__)
         assert ids(got) == ids(
-            _scan_most_slack_first(racks, budget, finish.__getitem__))
+            _scan_most_slack_first(state.racks, budget, finish.__getitem__))
 
     @pytest.mark.parametrize("budget", [0, 3, 99])
     def test_edges_budget_and_tied_finish_times(self, budget):
         # Pickers 2 and 0 tie on f_p; the picker id breaks it.
-        racks = [Rack(rack_id=i, home=(0, i), picker_id=pid)
-                 for i, pid in enumerate([2, 1, 0, 2, 0, 1])]
+        state = world_of([2, 1, 0, 2, 0, 1])
         finish = {0: 7, 1: 9, 2: 7}.__getitem__
-        got = most_slack_first(by_picker(racks), budget, finish)
+        got = most_slack_first(state, budget, finish)
         assert ids(got) == [2, 4, 0, 3, 1, 5][:budget]
-        assert ids(got) == ids(_scan_most_slack_first(racks, budget, finish))
+        assert ids(got) == ids(
+            _scan_most_slack_first(state.racks, budget, finish))
 
     @SETTINGS
     @given(st.data())
@@ -337,10 +348,29 @@ class TestMostSlackFirst:
             finish = data.draw(st.lists(st.integers(0, 3),
                                         min_size=N_PICKERS,
                                         max_size=N_PICKERS)).__getitem__
-            assert ids(most_slack_first(state.selectable_by_picker(),
-                                        budget, finish)) == ids(
+            assert ids(most_slack_first(state, budget, finish)) == ids(
                 _scan_most_slack_first(state.selectable_racks(), budget,
                                        finish))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", ["NTP", "EATP"])
+def test_ntp_and_eatp_wakes_never_list_the_selectable_racks(
+        name, kernel, monkeypatch):
+    # NTP and the greedy branch walk the pickers with work, EATP's flip
+    # gathers off the rack column: a drain with the list query broken
+    # still runs to the end, through both of EATP's branches.
+    def refuse(self):
+        raise AssertionError("a wake built the selectable-rack list")
+    monkeypatch.setattr(WarehouseState, "selectable_racks", refuse)
+    state, items = make_mini(n_items=40).build()
+    planner = PLANNERS[name](state)
+    with kernel_switch(kernel):
+        result = Simulation(state, planner, items).run()
+    assert result.metrics.items_processed == len(items)
+    if name == "EATP":
+        stats = planner.agent.stats
+        assert 0 < stats.greedy_updates < stats.updates
 
 
 #: sha256 of each planner's deterministic view on Syn-A (scale 1): the

@@ -5,7 +5,9 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import SimulationError
-from repro.warehouse.entities import Item, RackPhase, RobotState
+from repro.warehouse.entities import (Item, Picker, Rack, RackPhase, Robot,
+                                      RobotState)
+from repro.warehouse.grid import Grid
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
 
@@ -54,6 +56,35 @@ class TestFromLayout:
                                        rack_to_picker=mapping)
 
 
+def direct_state(rack_id=0, picker_of_rack=0, robot_id=0, picker_id=0):
+    """One rack, one picker and one robot on an 8x8 grid, built directly
+    (not through ``from_layout``) with the given ids."""
+    return WarehouseState(
+        grid=Grid(8, 8),
+        racks=[Rack(rack_id=rack_id, home=(3, 3), picker_id=picker_of_rack)],
+        pickers=[Picker(picker_id=picker_id, location=(0, 0))],
+        robots=[Robot(robot_id=robot_id, location=(5, 5))])
+
+
+class TestDirectConstruction:
+    """The columns index racks and robots by id and the counts index
+    pickers by id, so construction refuses what it cannot index."""
+
+    def test_ids_at_their_positions_are_accepted(self):
+        direct_state().check_invariants()
+
+    @pytest.mark.parametrize("kind", ["rack", "robot", "picker"])
+    def test_an_id_that_is_not_its_list_position_is_refused(self, kind):
+        with pytest.raises(SimulationError,
+                           match=f"the {kind} at list position 0 has id 5"):
+            direct_state(**{f"{kind}_id": 5})
+
+    def test_a_rack_naming_no_picker_is_refused(self):
+        with pytest.raises(SimulationError,
+                           match="rack 0 names picker 3, but there are 1"):
+            direct_state(picker_of_rack=3)
+
+
 class TestQueries:
     def test_idle_robots_initially_all(self, small_state):
         assert len(small_state.idle_robots()) == 2
@@ -79,12 +110,15 @@ class TestQueries:
         assert small_state.racks[1].picker_id == 1
 
     def test_pickers_with_work(self, small_state):
-        def workers():
-            return [pid for pid, racks
-                    in small_state.selectable_by_picker().items() if racks]
-        assert workers() == []
+        def rescan():
+            return sorted({rack.picker_id for rack in small_state.racks
+                           if rack.selectable})
+        assert small_state.pickers_with_work() == rescan() == []
         small_state.deliver_item(Item(0, 2, 0, 10))  # rack 2 -> picker 0
-        assert workers() == [0]
+        assert small_state.pickers_with_work() == rescan() == [0]
+        assert list(small_state.selectable_of_picker(0)) == [
+            small_state.racks[2]]
+        assert list(small_state.selectable_of_picker(1)) == []
 
     def test_total_pending_items(self, small_state):
         small_state.deliver_item(Item(0, 1, 0, 10))
@@ -144,8 +178,18 @@ class TestInvariants:
         small_state.racks[2].pending_items.append(Item(0, 2, 0, 10))
         with pytest.raises(SimulationError, match="stale selectable-rack"):
             small_state.check_invariants()
-        small_state._idle.pop()
-        with pytest.raises(SimulationError, match="stale idle-robot"):
+        small_state._idle_column[1] = 0
+        with pytest.raises(SimulationError,
+                           match=r"stale idle-robot column: ids \[1\]"):
+            small_state.check_invariants()
+
+    def test_stale_selectable_count_fails(self, small_state):
+        # The per-picker counts are the rack column summed per picker: a
+        # count the transitions did not move is caught on its own.
+        small_state.deliver_item(Item(0, 0, 4, 10))
+        small_state._selectable_count[1] += 1
+        with pytest.raises(SimulationError,
+                           match=r"stale selectable-rack count: ids \[1\]"):
             small_state.check_invariants()
 
     def test_stale_selectable_column_fails(self, small_state):
@@ -218,6 +262,18 @@ class IndexMachine(RuleBasedStateMachine):
                 == list(map(id, expected_selectable)))
         assert self.state.dispatchable() == bool(idle and selectable)
         self.state.check_invariants()
+
+    @invariant()
+    def per_picker_queries_equal_rescan(self):
+        expected = {picker.picker_id: [] for picker in self.state.pickers}
+        for rack in self.state.racks:
+            if rack.phase is RackPhase.STORED and rack.pending_items:
+                expected[rack.picker_id].append(rack)
+        assert self.state.pickers_with_work() == [
+            pid for pid, racks in expected.items() if racks]
+        for pid, racks in expected.items():
+            assert (list(map(id, self.state.selectable_of_picker(pid)))
+                    == list(map(id, racks)))
 
     @invariant()
     def batch_facts_equal_rescan(self):
