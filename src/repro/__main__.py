@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from functools import partial
 
+from .errors import ReproError
 from .experiments import ablations, badcase, fig13, matrix, soak, table2
 
 _COMMANDS = {
@@ -43,7 +44,11 @@ def main(argv=None) -> int:
               f"experiments: {names}")
         return 0 if args and args[0] in ("-h", "--help") else 2
     command, rest = args[0], args[1:]
-    _COMMANDS[command](rest)
+    try:
+        _COMMANDS[command](rest)
+    except ReproError as error:  # a refused input, not a fault
+        print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -2,21 +2,94 @@
 
 All the knobs the paper exposes (Sec. VII-A defaults) live here as frozen
 dataclasses so experiments can be described declaratively and compared
-field-by-field.  Validation happens eagerly in ``__post_init__`` — a bad
-value fails at construction time, not three minutes into a simulation.
+field-by-field.  The library's numeric parameters declare their domains
+once, with :func:`declare`, and one check refuses a value outside its
+domain at construction time, not three minutes into a simulation.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass, field, replace
+from functools import wraps
+from math import inf, isfinite
+from numbers import Integral, Real
+from typing import Any, Dict, NamedTuple
 
 from .errors import ConfigurationError
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
+class Domain(NamedTuple):
+    """The values one parameter admits: integers (``kind`` int) or finite
+    reals (float) from ``low`` to ``high``, each bound closed unless
+    marked open, or else instances of ``kind``.  ``each`` asks for a
+    non-empty list or tuple of such values."""
+
+    kind: type = float
+    low: float = -inf
+    high: float = inf
+    open_low: bool = False
+    open_high: bool = False
+    each: bool = False
+
+    def admits(self, value: Any) -> bool:
+        if self.each:
+            return (isinstance(value, (list, tuple)) and len(value) > 0
+                    and all(map(self._replace(each=False).admits, value)))
+        if self.kind not in (int, float):
+            return isinstance(value, self.kind)
+        if not (isinstance(value, Integral) if self.kind is int
+                else isinstance(value, Real) and isfinite(value)):
+            return False
+        return ((self.low < value if self.open_low else self.low <= value)
+                and (value < self.high if self.open_high
+                     else value <= self.high))
+
+    def __str__(self) -> str:
+        if self.kind not in (int, float):
+            return f"a {self.kind.__name__}"
+        text = (f"{'an integer' if self.kind is int else 'a finite real'} "
+                f"in {'(' if self.open_low or self.low == -inf else '['}"
+                f"{self.low:g}, {self.high:g}"
+                f"{')' if self.open_high or self.high == inf else ']'}")
+        return f"a non-empty list, each {text}" if self.each else text
+
+
+#: Shared domains: a positive finite real, any integer (a seed).
+POSITIVE = Domain(float, 0, open_low=True)
+SEED = Domain(int)
+
+#: Every declaration, ``{owner: {parameter: Domain}}``.
+DECLARED: Dict[str, Dict[str, Domain]] = {}
+
+
+def declare(owner: str = "", /, **domains: Domain):
+    """Declare the domains of a function's parameters, or of a class's
+    constructor's.  Each call refuses an argument outside its domain (a
+    default is inside) with a :class:`ConfigurationError` naming
+    ``<owner>.<parameter>``; the owner defaults to the target's name."""
+
+    def decorate(target):
+        function = target.__init__ if isinstance(target, type) else target
+        label = owner or target.__qualname__.replace(".__init__", "")
+        bind = inspect.signature(function).bind
+        DECLARED[label] = domains
+
+        @wraps(function)
+        def checked(*args, **kwargs):
+            for name, value in bind(*args, **kwargs).arguments.items():
+                if name in domains and not domains[name].admits(value):
+                    raise ConfigurationError(f"{label}.{name} must be "
+                                             f"{domains[name]}, got {value!r}")
+            return function(*args, **kwargs)
+
+        if function is target:
+            return checked
+        target.__init__ = checked
+        return target
+
+    return decorate
 
 
 #: Valid values of the ``REPRO_KERNEL`` environment variable.
@@ -36,9 +109,9 @@ def search_kernel_choice() -> str:
     knob is a pure performance control.
     """
     choice = os.environ.get("REPRO_KERNEL", "auto").strip().lower()
-    _require(choice in SEARCH_KERNEL_CHOICES,
-             f"REPRO_KERNEL must be one of {SEARCH_KERNEL_CHOICES}, "
-             f"got {choice!r}")
+    if choice not in SEARCH_KERNEL_CHOICES:
+        raise ConfigurationError(f"REPRO_KERNEL must be one of "
+                                 f"{SEARCH_KERNEL_CHOICES}, got {choice!r}")
     return choice
 
 
@@ -53,6 +126,10 @@ def search_kernel_choice() -> str:
 PAPER_SCALE_MIN_CELLS = 16_384
 
 
+@declare(delta=Domain(float, 0, 1), epsilon=Domain(float, 0, 1),
+         learning_rate=Domain(float, 0, 1, open_low=True),
+         discount=Domain(float, 0, 1, open_high=True),
+         state_bin_width=Domain(int, 1), deferral_weight=POSITIVE)
 @dataclass(frozen=True)
 class QLearningConfig:
     """Hyper-parameters of the rack-selection learner (Sec. V, Table I).
@@ -89,18 +166,11 @@ class QLearningConfig:
     state_bin_width: int = 60
     deferral_weight: float = 10.0
 
-    def __post_init__(self) -> None:
-        _require(0.0 <= self.delta <= 1.0, f"delta must be in [0,1], got {self.delta}")
-        _require(0.0 <= self.epsilon <= 1.0, f"epsilon must be in [0,1], got {self.epsilon}")
-        _require(0.0 < self.learning_rate <= 1.0,
-                 f"learning_rate must be in (0,1], got {self.learning_rate}")
-        _require(0.0 <= self.discount < 1.0, f"discount must be in [0,1), got {self.discount}")
-        _require(self.state_bin_width >= 1,
-                 f"state_bin_width must be >= 1, got {self.state_bin_width}")
-        _require(self.deferral_weight > 0,
-                 f"deferral_weight must be positive, got {self.deferral_weight}")
 
-
+@declare(knn_k=Domain(int, 1), cache_threshold=Domain(int, 0),
+         max_search_expansions=Domain(int, 1),
+         reservation_horizon=Domain(int, 1),
+         qlearning=Domain(QLearningConfig), seed=SEED)
 @dataclass(frozen=True)
 class PlannerConfig:
     """Knobs shared by the planners (Secs. V–VI, Table I).
@@ -142,20 +212,13 @@ class PlannerConfig:
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7
 
-    def __post_init__(self) -> None:
-        _require(self.knn_k >= 1, f"knn_k must be >= 1, got {self.knn_k}")
-        _require(self.cache_threshold >= 0,
-                 f"cache_threshold must be >= 0, got {self.cache_threshold}")
-        _require(self.max_search_expansions > 0,
-                 f"max_search_expansions must be > 0, got {self.max_search_expansions}")
-        _require(self.reservation_horizon > 0,
-                 f"reservation_horizon must be > 0, got {self.reservation_horizon}")
-
     def with_(self, **changes) -> "PlannerConfig":
         """Return a copy with ``changes`` applied (ablation convenience)."""
         return replace(self, **changes)
 
 
+@declare(max_ticks=Domain(int, 1), metrics_checkpoints=Domain(int, 1),
+         record_bottleneck_trace=Domain(bool), collect_paths=Domain(bool))
 @dataclass(frozen=True)
 class SimulationConfig:
     """Controls for the validation system (Sec. VII-A).
@@ -180,8 +243,3 @@ class SimulationConfig:
     metrics_checkpoints: int = 10
     record_bottleneck_trace: bool = False
     collect_paths: bool = False
-
-    def __post_init__(self) -> None:
-        _require(self.max_ticks > 0, f"max_ticks must be > 0, got {self.max_ticks}")
-        _require(self.metrics_checkpoints >= 1,
-                 f"metrics_checkpoints must be >= 1, got {self.metrics_checkpoints}")

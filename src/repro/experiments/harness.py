@@ -26,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..config import PlannerConfig, SimulationConfig
+from ..config import Domain, PlannerConfig, SimulationConfig, declare
 from ..errors import ConfigurationError, WorkerLostError
 from ..planners import PLANNERS
 from ..sim.engine import Simulation, SimulationResult
@@ -141,6 +141,7 @@ def execute_cell(cell: MatrixCell) -> Dict[str, Any]:
     }
 
 
+@declare(workers=Domain(int, 0))
 def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
                store: Optional[ResultStore] = None,
                progress: Optional[Callable[[str, str], None]] = None
@@ -173,8 +174,6 @@ def run_matrix(cells: Sequence[MatrixCell], workers: int = 0,
     -------
     ``{cell_id: payload}`` in the order of ``cells``.
     """
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers}")
     # Deduplicate on the *filename* the store would use, so ids that
     # sanitise to the same file cannot silently overwrite each other.
     assert_unique_filenames(cell.cell_id for cell in cells)

@@ -41,7 +41,8 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import PlannerConfig, SimulationConfig
+from ..config import (POSITIVE, Domain, PlannerConfig, SimulationConfig,
+                      declare)
 from ..errors import ConfigurationError
 from ..planners import PLANNERS
 from ..sim.checkpoint import (dump_checkpoint, load_checkpoint_bytes,
@@ -54,6 +55,9 @@ from ..warehouse.state import WarehouseState
 from ..workloads.arrivals import ItemStream, resolve_stream
 
 
+@declare(duration=Domain(int, 1), window_ticks=Domain(int, 1),
+         checkpoint_every=Domain(int, 0), feed_chunk=Domain(int, 1),
+         warmup_windows=Domain(int, 0), flat_factor=POSITIVE)
 @dataclass(frozen=True)
 class SoakSpec:
     """One soak run: a floor, a planner, a stream, and a clock budget."""
@@ -91,14 +95,6 @@ class SoakSpec:
             raise ConfigurationError(
                 f"unknown planner {self.planner!r}; "
                 f"choose from {sorted(PLANNERS)}")
-        for name, low in (("window_ticks", 1), ("feed_chunk", 1),
-                          ("warmup_windows", 0), ("checkpoint_every", 0)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(
-                    f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.flat_factor > 0:
-            raise ConfigurationError(
-                f"flat_factor must be > 0, got {self.flat_factor}")
         if self.duration < self.window_ticks:
             raise ConfigurationError(
                 f"duration ({self.duration}) must cover at least one "

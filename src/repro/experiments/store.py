@@ -75,9 +75,17 @@ class ResultStore:
         return self.path(cell_id).is_file()
 
     def load(self, cell_id: str) -> Dict[str, Any]:
-        """Read one cell's payload."""
+        """Read one cell's payload, a JSON object."""
         with self.path(cell_id).open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError:  # not JSON, or not even text
+                payload = None
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"result file for {cell_id!r} holds no JSON object; "
+                f"delete it to recompute")
+        return payload
 
     def save(self, cell_id: str, payload: Dict[str, Any]) -> Path:
         """Atomically write one cell's payload; returns its path."""

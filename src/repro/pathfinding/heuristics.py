@@ -71,6 +71,10 @@ class _LazyManhattanFlat:
         self._n_cells = n_cells
 
     def __getitem__(self, ci: int) -> int:
+        if not 0 <= ci < self._n_cells:  # index like the eager buffer
+            if not -self._n_cells <= ci < 0:
+                raise IndexError("field index out of range")
+            ci += self._n_cells
         x, y = divmod(ci, self._height)
         return abs(x - self._gx) + abs(y - self._gy)
 

@@ -29,6 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..config import Domain, declare
 from ..errors import ConfigurationError
 from ..types import Cell
 
@@ -115,10 +116,9 @@ class StaticRackKNN:
     there — comfortably below the spatiotemporal structures it helps avoid.
     """
 
+    @declare(k=Domain(int, 1))
     def __init__(self, rack_homes: Sequence[Cell], width: int, height: int,
                  k: int) -> None:
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
         if not rack_homes:
             raise ConfigurationError("need at least one rack to index")
         self.k = min(k, len(rack_homes))

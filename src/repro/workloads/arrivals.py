@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from math import isfinite, log
+from math import log
 from typing import Callable, List, Sequence
 
 import numpy as np
 
+from ..config import SEED, Domain, declare
 from ..errors import ConfigurationError
 from ..warehouse.entities import Item
 
@@ -45,21 +46,22 @@ def uniform_processing_time(rng: random.Random,
     return rng.randint(low, high)
 
 
-def _processing_width(rng: random.Random, low: int, high: int) -> int:
-    """Width of the inclusive processing range ``[low, high]``; an empty
-    range raises the interpreter's own ``randint`` error."""
-    width = high - low + 1
-    if width < 1:
-        rng.randint(low, high)
-    return width
+#: Domains shared by the generators and streams.  A rate's floor keeps
+#: the longest gap a draw can make (about 37 / rate) a finite float.
+RATE = Domain(float, 1e-300)
+RACKS = Domain(int, 1)
+PROCESSING = Domain(int, 1)
 
 
-def _is_rate(rate: float) -> bool:
-    """Whether ``rate`` can be an arrival rate: finite and positive (NaN
-    and infinities are not)."""
-    return isfinite(rate) and rate > 0
+def _check_processing_range(low: int, high: int) -> None:
+    """Refuse an empty inclusive processing range ``[low, high]``."""
+    if high < low:
+        raise ConfigurationError(f"processing_high ({high}) must be >= "
+                                 f"processing_low ({low})")
 
 
+@declare(n_items=Domain(int, 1), n_racks=RACKS, rate=RATE, seed=SEED,
+         processing_low=PROCESSING, processing_high=PROCESSING)
 def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
                      processing_low: int = PROCESSING_TIME_RANGE[0],
                      processing_high: int = PROCESSING_TIME_RANGE[1]) -> List[Item]:
@@ -76,16 +78,14 @@ def poisson_arrivals(n_items: int, n_racks: int, rate: float, seed: int,
     seed:
         RNG seed; identical seeds give identical workloads.
     """
-    if n_items < 1:
-        raise ConfigurationError("n_items must be >= 1")
-    if n_racks < 1:
-        raise ConfigurationError("n_racks must be >= 1")
-    if not _is_rate(rate):
-        raise ConfigurationError("rate must be finite and positive")
     return PoissonStream(n_racks, rate, seed, processing_low,
                          processing_high).take(n_items)
 
 
+@declare(n_items=Domain(int, 0), n_racks=RACKS, base_rate=RATE,
+         peak_rate=RATE, seed=SEED, zipf_s=Domain(float),
+         ramp_fraction=Domain(float, 0, 0.5, open_low=True, open_high=True),
+         processing_low=PROCESSING, processing_high=PROCESSING)
 def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
                    peak_rate: float, ramp_fraction: float, seed: int,
                    zipf_s: float = 0.7,
@@ -110,20 +110,9 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
         concentrates load on hot racks without letting a single picker's
         queue serialise the whole run.
     """
-    if n_items < 0:
-        raise ConfigurationError("n_items must be >= 0")
-    if n_racks < 1:
-        raise ConfigurationError("n_racks must be >= 1")
-    if not isfinite(zipf_s):
-        raise ConfigurationError("zipf_s must be finite")
-    if not _is_rate(base_rate):
-        raise ConfigurationError("base_rate must be finite and positive")
-    if not 0.0 < ramp_fraction < 0.5:
-        raise ConfigurationError("ramp_fraction must be in (0, 0.5)")
-    if not _is_rate(peak_rate):
-        raise ConfigurationError("peak_rate must be finite and positive")
     if peak_rate <= base_rate:
         raise ConfigurationError("peak_rate must exceed base_rate")
+    _check_processing_range(processing_low, processing_high)
     rng = random.Random(seed)
 
     weights = np.array([1.0 / (k ** zipf_s) for k in range(1, n_racks + 1)])
@@ -137,9 +126,7 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
     surge_end = int(n_items * (1.0 - ramp_fraction))
 
     items: List[Item] = []
-    if n_items < 1:
-        return items
-    width = _processing_width(rng, processing_low, processing_high)
+    width = processing_high - processing_low + 1
     width_bits = width.bit_length()
     uniform, getrandbits = rng.random, rng.getrandbits
     cumulative = cumulative.tolist()
@@ -158,6 +145,7 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
     return items
 
 
+@declare(processing_time=PROCESSING)
 def deterministic_arrivals(schedule: Sequence[tuple],
                            processing_time: int = 20) -> List[Item]:
     """Hand-written workloads for tests: ``[(arrival, rack_id), ...]``."""
@@ -225,10 +213,9 @@ class ItemStream:
         """Items produced so far (also the next item id)."""
         return self._next_id
 
+    @declare(n=Domain(int, 0))
     def take(self, n: int) -> List[Item]:
         """The next ``n`` items of the stream, in arrival order."""
-        if n < 0:
-            raise ConfigurationError(f"take(n) needs n >= 0, got {n}")
         items = self._draw(self._next_id, n) if n else []
         self._next_id += n
         return items
@@ -245,13 +232,12 @@ class PoissonStream(ItemStream):
     is the first ``n`` items of this stream for the same seed.
     """
 
+    @declare(n_racks=RACKS, rate=RATE, seed=SEED,
+             processing_low=PROCESSING, processing_high=PROCESSING)
     def __init__(self, n_racks: int, rate: float, seed: int,
                  processing_low: int = PROCESSING_TIME_RANGE[0],
                  processing_high: int = PROCESSING_TIME_RANGE[1]) -> None:
-        if n_racks < 1:
-            raise ConfigurationError("n_racks must be >= 1")
-        if not _is_rate(rate):
-            raise ConfigurationError("rate must be finite and positive")
+        _check_processing_range(processing_low, processing_high)
         super().__init__()
         self.n_racks = n_racks
         self.rate = rate
@@ -262,7 +248,7 @@ class PoissonStream(ItemStream):
 
     def _draw(self, first_id: int, n: int) -> List[Item]:
         low = self.processing_low
-        width = _processing_width(self._rng, low, self.processing_high)
+        width = self.processing_high - low + 1
         width_bits = width.bit_length()
         n_racks, rate = self.n_racks, self.rate
         rack_bits = n_racks.bit_length()
@@ -297,15 +283,14 @@ class CycleStream(ItemStream):
     contract.  Rack popularity is Zipf like :func:`surge_arrivals`.
     """
 
+    @declare(n_racks=RACKS, rates=RATE._replace(each=True),
+             period=Domain(int, 1), seed=SEED, zipf_s=Domain(float),
+             processing_low=PROCESSING, processing_high=PROCESSING)
     def __init__(self, n_racks: int, rates: Sequence[float], period: int,
                  seed: int, zipf_s: float = 0.7,
                  processing_low: int = PROCESSING_TIME_RANGE[0],
                  processing_high: int = PROCESSING_TIME_RANGE[1]) -> None:
-        if n_racks < 1:
-            raise ConfigurationError("n_racks must be >= 1")
-        if not rates or not all(map(_is_rate, rates)):
-            raise ConfigurationError(
-                "rates must be non-empty, finite and positive")
+        _check_processing_range(processing_low, processing_high)
         if period < len(rates):
             raise ConfigurationError(
                 f"period ({period}) must cover the {len(rates)} segments")
@@ -330,7 +315,7 @@ class CycleStream(ItemStream):
 
     def _draw(self, first_id: int, n: int) -> List[Item]:
         low = self.processing_low
-        width = _processing_width(self._rng, low, self.processing_high)
+        width = self.processing_high - low + 1
         width_bits = width.bit_length()
         rates, period = self.rates, self.period
         n_segments = len(rates)

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Sequence
 
+from ..config import POSITIVE, declare
 from ..errors import ConfigurationError
 from .scenario import (TAG_SKIP_SLOW_PLANNERS, ItemStreamSpec,
                        ObstructionSpec, ScenarioSpec)
@@ -57,9 +58,8 @@ _SEEDS = {"Syn-A": 101, "Syn-B": 202, "Real-Norm": 303, "Real-Large": 404,
           "Real-Large-Paper": 808}
 
 
+@declare("datasets", scale=POSITIVE)  # every maker sizes its racks first
 def _scaled(value: int, scale: float, minimum: int = 1) -> int:
-    if not scale > 0:  # every maker sizes its racks first
-        raise ConfigurationError(f"scale must be > 0, got {scale}")
     return max(minimum, int(round(value * scale)))
 
 

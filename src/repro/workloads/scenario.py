@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..config import SEED, Domain, declare
 from ..errors import ConfigurationError
 from ..warehouse.entities import Item
 from ..warehouse.layout import WarehouseLayout, build_layout, obstruct_layout
@@ -72,6 +73,7 @@ class ItemStreamSpec:
         return resolve_generator(self.generator)(**self.kwargs())
 
 
+@declare(n_pillars=Domain(int, 1), seed=SEED)
 @dataclass(frozen=True)
 class ObstructionSpec:
     """Structural obstacles scattered over the storage area.
@@ -83,11 +85,6 @@ class ObstructionSpec:
 
     n_pillars: int
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_pillars < 1:
-            raise ConfigurationError(
-                f"n_pillars must be >= 1, got {self.n_pillars}")
 
 
 #: Tag marking scenarios whose floors the paper's slow baselines (LEF,

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 from repro.experiments import harness
 
@@ -25,6 +26,21 @@ class TestDispatcher:
         assert main(["badcase", "--k", "3"]) == 0
         out = capsys.readouterr().out
         assert "Bad case k=3" in out
+
+    def test_a_refused_input_is_one_line_and_exit_two(self, capsys):
+        assert main(["soak", "--rate", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("repro: ConfigurationError: PoissonStream."
+                                "rate must be a finite real in [1e-300, inf), "
+                                "got nan\n")
+
+    def test_other_exceptions_keep_their_traceback(self, monkeypatch):
+        def broken(argv):
+            raise KeyError("a fault, not a refused input")
+
+        monkeypatch.setitem(cli._COMMANDS, "soak", broken)
+        with pytest.raises(KeyError):
+            main(["soak"])
 
     def test_help_lists_matrix(self, capsys):
         main(["--help"])

@@ -90,6 +90,26 @@ class TestFieldProperties:
             assert field.flat[x * grid.height + y] == field((x, y))
 
 
+class TestLazyManhattanField:
+    """The unobstructed paper-scale floor's field is computed per lookup;
+    it must index like the eager buffer ``grid.distance_flat`` builds."""
+
+    def test_indexes_like_the_eager_buffer(self):
+        grid = Grid(541, 302)
+        flat = HeuristicField(grid, (3, 4)).flat
+        eager = grid.distance_flat((3, 4), unreached=grid.n_cells + 1)
+        assert type(flat) is not type(eager)  # the lazy field is served
+        n_cells = len(eager)
+        assert len(flat) == n_cells
+        for ci in (0, 1, 302, n_cells // 2, n_cells - 1, -1, -302,
+                   -n_cells):
+            assert flat[ci] == eager[ci], ci
+        for ci in (n_cells, n_cells + 7, -n_cells - 1):
+            with pytest.raises(IndexError):
+                flat[ci]
+        assert list(flat) == list(eager)
+
+
 class TestFieldCache:
     def test_field_reused_per_goal(self, grid):
         cache = HeuristicFieldCache(grid)

@@ -218,6 +218,18 @@ class TestMatrixExecution:
                            match=f"'Mini--NTP' records no '{missing}'"):
             run_matrix(cells, store=store)
 
+    @pytest.mark.parametrize("content", ['{"cell_id": ', "", "[1, 2]",
+                                         "null"])
+    def test_resume_refuses_a_damaged_file(self, tmp_path, content):
+        # Truncated or non-object JSON used to escape as a bare
+        # JSONDecodeError or AttributeError.
+        cells = mini_cells(planners=("NTP",))
+        store = ResultStore(tmp_path)
+        store.path(cells[0].cell_id).write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigurationError,
+                           match="'Mini--NTP'.*delete it to recompute"):
+            run_matrix(cells, store=store)
+
 
 class DiesInWorker(MatrixCell):
     """A cell whose worker process exits while unpickling it."""
