@@ -24,16 +24,18 @@ assignment (:class:`repro.planners.ilp.IlpPlanner`) is solved by
 ``lsap``, which returns ``scipy.optimize.linear_sum_assignment``'s answer
 tie for tie (SciPy serves the python switch).
 
-The entry points — ``prepare_grid``, ``run``, ``bfs_fill``,
-``tier0_leg``, ``knn_fill``, ``knn_select``, ``lsap`` and the
-reservation store's
+The entry points — ``prepare_grid``, ``run``, ``leg``, ``bfs_fill``,
+``knn_fill``, ``knn_select``, ``lsap`` and the reservation store's
 ``store_new``, ``store_reserve``, ``store_purge``, ``store_probe``,
 ``store_counts``, ``store_export`` — carry their signatures as docstrings
-(``help(_stsearch.run)``).  A leg crosses the boundary as ``keys``: one
+(``help(_stsearch.leg)``).  A leg crosses the boundary as ``keys``: one
 ``array('q')`` of packed cell keys (``x << 16 | y``), one per
 consecutive tick, which :class:`repro.pathfinding.paths.Path` wraps as
-it came; ``run`` and ``tier0_leg`` return it, ``store_reserve`` takes
+it came; ``run`` and ``leg`` return it, ``store_reserve`` takes
 ``(store, start_time, keys)``, and each checks it against the path rule.
+``leg`` is the one call a compiled leg makes: tier 0, ``run``'s search
+where tier 0 made no leg, then the insert of the keys it has just
+checked (see :mod:`repro.pathfinding.pipeline`).
 
 The store is one capsule per table, owned by the kernel: per-tick blocks
 of open-addressed int64 keys in a ring indexed by ``tick - floor``, each
@@ -48,8 +50,8 @@ workspace the grid's capsule keeps up to a 1 MB arena (a warm ``run`` allocates 
 handler starts while another waits borrows a second workspace).
 
 The kernel calls no python code: EATP's finisher is its trigger L, and
-``run`` and ``tier0_leg`` walk it themselves (the rescue's descent and
-wait walk), returning the whole leg and the cells the walks started from.
+``run`` and ``leg`` walk it themselves (the rescue's descent and wait
+walk), returning the whole leg and the cells the walks started from.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@
  * waits borrows another workspace.
  *
  * EATP's cache-aided finisher (Sec. VI-B) is data, not a callback: run()
- * and tier0_leg() take its trigger L and walk the goal field's descent
- * with waits themselves, handing back the cells each walk started from.
+ * and leg() take its trigger L and walk the goal field's descent with
+ * waits themselves, handing back the cells each walk started from.
+ * leg() is tier 0, then run()'s search where tier 0 made no leg, then
+ * the insert of the leg it made: one crossing per compiled leg.
  *
  * A swap on the move a -> b departing t needs a partner arriving on a at
  * t + 1 (ReservationTable's contract), so the edge set is asked only
@@ -67,8 +69,8 @@ enum {
 
 /* ------------------------------------------------------------------ */
 /* Packed legs.  A leg crosses the boundary as one buffer of int64     */
-/* cell keys, one per consecutive tick (paths.Path.keys): run and      */
-/* tier0_leg hand out an array('q'), store_reserve takes any           */
+/* cell keys, one per consecutive tick (paths.Path.keys): run and leg */
+/* hand out an array('q'), store_reserve takes any                     */
 /* contiguous int64 buffer.  keys_check is the one statement of the    */
 /* path rule on this side — the rule Path(steps) applies to tuples —   */
 /* and every buffer passes it on its way in or out.                    */
@@ -675,7 +677,7 @@ probe_move(const Probe *p, const GridData *gd, Py_ssize_t from,
 
 typedef struct {
     /* problem */
-    const GridData *gd;
+    GridData *gd;          /* not const: it lends its idle workspaces */
     int64_t height;
     Py_ssize_t n_cells;
     const int32_t *hbuf;   /* h_mode 2: int32 buffer field (borrowed) */
@@ -711,7 +713,7 @@ heuristic_at(const Search *s, Py_ssize_t ci, int *err)
     return h;
 }
 
-/* The h-field of run and tier0_leg: mode 1 (native Manhattan) holds
+/* The h-field of run and leg: mode 1 (native Manhattan) holds
  * nothing; mode 2 reads ``h_arg`` under store_reserve's buffer rule, as
  * n_cells contiguous int32 values in one dimension.  Returns 0 for mode
  * 1, 1 with ``view`` held for mode 2, -1 with an exception set. */
@@ -1010,83 +1012,71 @@ rescue_walk(Probe *p, const GridData *gd, const int32_t *indices, int64_t k,
  * default caps: 64 ticks a step, 64 in all. */
 #define FINISH_WAIT 64
 
-static PyObject *
-stsearch_run(PyObject *self, PyObject *args)
+/* What one search found: its status, the leg (a new array('q'); NULL
+ * where the search failed) and its counters. */
+typedef struct {
+    int status;
+    PyObject *keys;
+    int64_t expansions, generated, peak_open;
+} Found;
+
+/* The grid, the store and the two cells that run and leg take, checked in that order, into a fresh ``s`` (with the goal's
+ * coordinates, the Manhattan field's).  -1 with an exception set. */
+static int
+leg_open(Search *s, PyObject *capsule, PyObject *store_obj,
+         Py_ssize_t source_ci, Py_ssize_t goal_ci)
 {
-    PyObject *capsule, *store_obj, *h_arg;
-    int h_mode, deep;
-    Py_ssize_t source_ci, goal_ci;
-    long long start_time, max_expansions, trigger;
-    long long init_expansions, init_peak_open;
-
-    if (!PyArg_ParseTuple(
-            args, "OOiOnnLLLiLL:run",
-            &capsule, &store_obj, &h_mode, &h_arg, &source_ci, &goal_ci,
-            &start_time, &max_expansions, &trigger, &deep,
-            &init_expansions, &init_peak_open))
-        return NULL;
-
+    memset(s, 0, sizeof(Search));
     GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
-    if (gd == NULL)
-        return NULL;
-    const Store *st = store_get(store_obj);
-    if (st == NULL)
-        return NULL;
+    if (gd == NULL || (s->probe.st = store_get(store_obj)) == NULL)
+        return -1;
     if (source_ci < 0 || source_ci >= gd->n_cells
             || goal_ci < 0 || goal_ci >= gd->n_cells) {
         PyErr_SetString(PyExc_IndexError, "cell outside grid");
-        return NULL;
+        return -1;
     }
+    s->gd = gd;
+    s->height = gd->height;
+    s->n_cells = gd->n_cells;
+    s->gx = goal_ci / gd->height;
+    s->gy = goal_ci % gd->height;
+    return 0;
+}
 
-    Search s;
-    memset(&s, 0, sizeof(Search));
-    s.gd = gd;
-    s.height = gd->height;
-    s.n_cells = gd->n_cells;
-    s.h_mode = h_mode;
-    s.deep = deep;
-    s.probe.st = st;
-    s.start_time = start_time;
-
-    Py_buffer hview;
-    int have_hview = h_field_open(h_mode, h_arg, s.n_cells, &hview);
-    if (have_hview < 0)
-        return NULL;
-    if (have_hview)
-        s.hbuf = (const int32_t *)hview.buf;
-    else if (!PyArg_ParseTuple(h_arg, "LL", &s.gx, &s.gy))
-        return NULL;
-
+/* The search over ``s`` (set up but for its workspace) from
+ * ``source_ci`` to ``goal_ci``, appending to ``tried`` the cell index
+ * each finisher walk starts from.  ``found`` comes in with the counters
+ * to go on from.  -1 with an exception set. */
+static int
+search_leg(Search *s, Py_ssize_t source_ci, Py_ssize_t goal_ci,
+           int64_t max_expansions, int64_t trigger, PyObject *tried,
+           Found *found)
+{
+    GridData *gd = s->gd;
     int herr = 0;
-    s.h0 = heuristic_at(&s, source_ci, &herr);
-    if (herr) {
-        if (have_hview)
-            PyBuffer_Release(&hview);
-        return NULL;
-    }
+    s->h0 = heuristic_at(s, source_ci, &herr);
+    if (herr)
+        return -1;
 
     /* The grid's idle workspace, or a new one, seeded with the source;
      * every exit from here on hands it back (or frees it, if it grew
      * past what the grid keeps). */
+    int rc = -1;
     int status = ST_EXHAUSTED;
     int32_t result = -1;          /* the record the leg ends on */
-    PyObject *keys = NULL;        /* owned on success */
-    PyObject *out = NULL;
     Workspace *ws = gd->idle;
     if (ws != NULL) {
         gd->idle = ws->spare;
     } else if ((ws = PyMem_Calloc(1, sizeof(Workspace))) == NULL
-               || (ws->stamp = PyMem_Calloc((size_t)s.n_cells,
+               || (ws->stamp = PyMem_Calloc((size_t)s->n_cells,
                                             sizeof(uint32_t))) == NULL) {
         PyMem_Free(ws);
-        if (have_hview)
-            PyBuffer_Release(&hview);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        return -1;
     }
-    /* The finisher's: the cells its walks started from, and room for a
-     * descent (h <= trigger, never past n_cells) and its walk. */
-    PyObject *tried = PyList_New(0);
-    int64_t cap = trigger < s.n_cells ? trigger : s.n_cells;
+    /* The finisher's room for a descent (h <= trigger, never past
+     * n_cells) and its walk. */
+    int64_t cap = trigger < s->n_cells ? trigger : s->n_cells;
     int32_t *walk_idx = NULL;
     int64_t *walk = NULL;
     Py_ssize_t n_walk = 0;
@@ -1095,36 +1085,35 @@ stsearch_run(PyObject *self, PyObject *args)
         walk = PyMem_Malloc((size_t)(cap + 1 + FINISH_WAIT)
                             * sizeof(int64_t));
     }
-    s.ws = ws;
+    s->ws = ws;
     ws->n_rec = ws->open_len = ws->n_later = ws->levels_len = 0;
     ws->lo_h = PY_SSIZE_T_MAX;
-    if (tried == NULL || (cap > 0 && (walk_idx == NULL || walk == NULL))) {
-        if (tried != NULL)
-            PyErr_NoMemory();
-        goto fail;
+    if (cap > 0 && (walk_idx == NULL || walk == NULL)) {
+        PyErr_NoMemory();
+        goto out;
     }
-    ws_new_mark(ws, s.n_cells);
-    if (relax(&s, source_ci, -1, s.h0) < 0)
-        goto fail;
+    ws_new_mark(ws, s->n_cells);
+    if (relax(s, source_ci, -1, s->h0) < 0)
+        goto out;
 
     int64_t level = 0;           /* the cursor: f minus the source's f */
     int64_t open_size = 1;
-    int64_t expansions = (int64_t)init_expansions;
+    int64_t expansions = found->expansions;
     int64_t generated = 0;
-    int64_t peak_open = (int64_t)init_peak_open;
+    int64_t peak_open = found->peak_open;
     int64_t loop_ticker = 0;
 
     for (;;) {
         if (((++loop_ticker) & 0x3FFF) == 0 && PyErr_CheckSignals() < 0)
-            goto fail;
+            goto out;
 
         /* -- the cursor's level spent: enter the next with a state ---- */
         while (open_size == 0) {
-            if (level >= s.top)
+            if (level >= s->top)
                 goto done;       /* no state is left to make */
-            int64_t made = enter_level(&s, ++level);
+            int64_t made = enter_level(s, ++level);
             if (made < 0)
-                goto fail;
+                goto out;
             generated += made;
             open_size += made;
         }
@@ -1143,14 +1132,14 @@ stsearch_run(PyObject *self, PyObject *args)
         int64_t t_rel = rel >> LAYER_SHIFT;
         Py_ssize_t ci = (Py_ssize_t)(rel & INT32_MAX);
         /* on the cursor's level, g + h = h0 + level: no field read */
-        int64_t h_ci = s.h0 + level - t_rel;
+        int64_t h_ci = s->h0 + level - t_rel;
         expansions++;
         if (expansions > max_expansions) {
             status = ST_BUDGET;
             goto done;
         }
 
-        if (ci == (Py_ssize_t)goal_ci) {
+        if (ci == goal_ci) {
             status = ST_COMPLETE;
             result = cur;
             goto done;
@@ -1162,12 +1151,13 @@ stsearch_run(PyObject *self, PyObject *args)
             int bad = cell == NULL || PyList_Append(tried, cell) < 0;
             Py_XDECREF(cell);
             if (bad)
-                goto fail;
+                goto out;
             walk_idx[0] = (int32_t)ci;
-            if (h_ci <= s.n_cells && descent(&s, walk_idx, h_ci) == 0
-                    && (n_walk = rescue_walk(&s.probe, gd, walk_idx, h_ci,
-                                             start_time + t_rel, FINISH_WAIT,
-                                             FINISH_WAIT, walk)) > 0) {
+            if (h_ci <= s->n_cells && descent(s, walk_idx, h_ci) == 0
+                    && (n_walk = rescue_walk(&s->probe, gd, walk_idx, h_ci,
+                                             s->start_time + t_rel,
+                                             FINISH_WAIT, FINISH_WAIT,
+                                             walk)) > 0) {
                 status = ST_FINISHER;
                 result = cur;
                 goto done;
@@ -1176,27 +1166,25 @@ stsearch_run(PyObject *self, PyObject *args)
 
         /* -- expand: the successors on this level now, the rest when
          * the cursor reaches theirs */
-        int made = expand(&s, cur, h_ci, level);
+        int made = expand(s, cur, h_ci, level);
         if (made < 0)
-            goto fail;
+            goto out;
         generated += made;
         open_size += made;
     }
 
 done:
     /* the walk's first key is the head's last */
-    if (result >= 0)
-        keys = status == ST_FINISHER
-            ? reconstruct(&s, result, walk + 1, n_walk - 1)
-            : reconstruct(&s, result, NULL, 0);
-    if (result < 0 || keys != NULL)
-        out = Py_BuildValue(
-            "iOOLLL", status, keys ? keys : Py_None, tried,
-            (long long)expansions, (long long)generated,
-            (long long)peak_open);
-fail:
-    Py_XDECREF(keys);
-    Py_XDECREF(tried);
+    if (result >= 0 && (found->keys = status == ST_FINISHER
+                        ? reconstruct(s, result, walk + 1, n_walk - 1)
+                        : reconstruct(s, result, NULL, 0)) == NULL)
+        goto out;
+    found->status = status;
+    found->expansions = expansions;
+    found->generated = generated;
+    found->peak_open = peak_open;
+    rc = 0;
+out:
     PyMem_Free(walk_idx);
     PyMem_Free(walk);
     if (ws->rec_cap > WS_KEEP_RECORDS || ws->later_cap > WS_KEEP_RECORDS) {
@@ -1205,6 +1193,53 @@ fail:
         ws->spare = gd->idle;
         gd->idle = ws;
     }
+    return rc;
+}
+
+static PyObject *
+stsearch_run(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *capsule, *store_obj, *h_arg;
+    int h_mode, deep;
+    Py_ssize_t source_ci, goal_ci;
+    long long start_time, max_expansions, trigger;
+    long long init_expansions, init_peak_open;
+
+    if (!PyArg_ParseTuple(
+            args, "OOiOnnLLLiLL:run",
+            &capsule, &store_obj, &h_mode, &h_arg, &source_ci, &goal_ci,
+            &start_time, &max_expansions, &trigger, &deep,
+            &init_expansions, &init_peak_open))
+        return NULL;
+
+    Search s;
+    if (leg_open(&s, capsule, store_obj, source_ci, goal_ci) < 0)
+        return NULL;
+    s.h_mode = h_mode;
+    s.deep = deep;
+    s.start_time = start_time;
+
+    Py_buffer hview;
+    int have_hview = h_field_open(h_mode, h_arg, s.n_cells, &hview);
+    if (have_hview < 0)
+        return NULL;
+    if (have_hview)
+        s.hbuf = (const int32_t *)hview.buf;
+    else if (!PyArg_ParseTuple(h_arg, "LL", &s.gx, &s.gy))
+        return NULL;
+
+    PyObject *out = NULL;
+    PyObject *tried = PyList_New(0);
+    Found found = {ST_EXHAUSTED, NULL, init_expansions, 0, init_peak_open};
+    if (tried != NULL && search_leg(&s, source_ci, goal_ci, max_expansions,
+                                    trigger, tried, &found) == 0)
+        out = Py_BuildValue(
+            "iOOLLL", found.status, found.keys ? found.keys : Py_None,
+            tried, (long long)found.expansions,
+            (long long)found.generated, (long long)found.peak_open);
+    Py_XDECREF(found.keys);
+    Py_XDECREF(tried);
     if (have_hview)
         PyBuffer_Release(&hview);
     return out;
@@ -1215,7 +1250,7 @@ fail:
 /* periodic update (store_purge), the probe python asks one key at a   */
 /* time (store_probe), the counts every accounting rule reads          */
 /* (store_counts) and the python layout in and out (store_new's state, */
-/* store_export).  Conflict search proper is run and tier0_leg.  Each  */
+/* store_export).  Conflict search proper is run and leg.  Each        */
 /* refuses bad arguments before it changes anything.                   */
 /* ------------------------------------------------------------------ */
 
@@ -1322,6 +1357,25 @@ stsearch_store_new(PyObject *self, PyObject *args)
     return capsule;
 }
 
+/* Insert the ``n`` keys of a leg from ``start``: its vertices at or
+ * above the floor and the move into step i, which departs at t - 1,
+ * from the floor up.  The keys are the caller's to have checked.  -1
+ * with MemoryError set. */
+static int
+store_insert(Store *st, int64_t start, const int64_t *keys, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t t = start + i;
+        if (t >= st->floor
+                && store_add(st, t, (uint64_t)keys[i],
+                             i > 0 && t > st->floor
+                             ? arrival_bit((uint64_t)keys[i - 1],
+                                           (uint64_t)keys[i]) : 0) < 0)
+            return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 stsearch_store_reserve(PyObject *self, PyObject *args)
 {
@@ -1359,16 +1413,7 @@ stsearch_store_reserve(PyObject *self, PyObject *args)
             goto done;
         }
     }
-    /* the move into step i departs at t - 1: stored from the floor up */
-    rc = 0;
-    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
-        int64_t t = (int64_t)start + i;
-        if (t >= st->floor)
-            rc = store_add(st, t, (uint64_t)keys[i],
-                           i > 0 && t > st->floor
-                           ? arrival_bit((uint64_t)keys[i - 1],
-                                         (uint64_t)keys[i]) : 0);
-    }
+    rc = store_insert(st, start, keys, n);
 done:
     PyBuffer_Release(&view);
     if (rc < 0)
@@ -1539,13 +1584,14 @@ stsearch_store_export(PyObject *self, PyObject *args)
 /*                                                                     */
 /* bfs_fill floods true shortest-path distances over the prepared      */
 /* adjacency table straight into a caller-owned int32 buffer — the     */
-/* backing store of an eager HeuristicField.  tier0_leg fuses the      */
+/* backing store of an eager HeuristicField.  leg's tier 0 fuses the   */
 /* free-flow greedy descent (FreeFlowPathCache.packed, on either field */
 /* kind) with the bulk reservation audit (audit_chain semantics) and,  */
 /* on a hit, the wait-following rescue (cache.follow_with_waits) over  */
-/* the same probes, answering a served leg in one call; with a trigger */
-/* EATP's finisher walks on from the head.  Bit-identity with the      */
-/* python bodies is pinned by the equivalence suites.                  */
+/* the same probes, answering a served leg without a search; with a    */
+/* trigger EATP's finisher walks on from the head.  Bit-identity with  */
+/* the python bodies (FreeFlowPathCache.kernel_leg) is pinned by the   */
+/* equivalence suites.                                                 */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -2016,77 +2062,64 @@ done:
     return result;
 }
 
-static PyObject *
-stsearch_tier0_leg(PyObject *self, PyObject *args)
+/* Both rescue caps zero is "rescue off"; otherwise each is a tick count
+ * (pipeline.RESCUE_CAPS are 16 and 96), and the total sizes tier 0's
+ * key buffer.  -1 with ValueError set. */
+static int
+caps_check(long long per_step, long long total)
 {
-    (void)self;
-    int h_mode;
-    PyObject *capsule, *store_obj, *h_arg;
-    Py_ssize_t source_ci, goal_ci;
-    long long start_t_ll, trigger_ll, per_step_ll, total_ll;
-    if (!PyArg_ParseTuple(args, "OOiOnnLLLL:tier0_leg",
-                          &capsule, &store_obj, &h_mode, &h_arg, &source_ci,
-                          &goal_ci, &start_t_ll, &trigger_ll,
-                          &per_step_ll, &total_ll))
-        return NULL;
-    GridData *gd = PyCapsule_GetPointer(capsule, GRID_CAPSULE_NAME);
-    if (gd == NULL)
-        return NULL;
-    Probe probe = {store_get(store_obj), NULL};
-    if (probe.st == NULL)
-        return NULL;
-    if (source_ci < 0 || source_ci >= gd->n_cells
-            || goal_ci < 0 || goal_ci >= gd->n_cells) {
-        PyErr_SetString(PyExc_IndexError, "cell outside grid");
-        return NULL;
-    }
-    /* Both caps zero is "rescue off"; otherwise each is a tick count
-     * (pipeline.RESCUE_CAPS are 16 and 96), and the total sizes the
-     * output buffer. */
-    if (per_step_ll < 0 || total_ll < 0
-            || per_step_ll > 65535 || total_ll > 65535
-            || (per_step_ll == 0) != (total_ll == 0)) {
+    if (per_step < 0 || total < 0 || per_step > 65535 || total > 65535
+            || (per_step == 0) != (total == 0)) {
         PyErr_SetString(PyExc_ValueError,
                         "rescue caps must be both 0 (off) or both in "
                         "[1, 65535]");
-        return NULL;
+        return -1;
     }
-    int64_t start_t = (int64_t)start_t_ll;
-    int64_t trigger = (int64_t)trigger_ll;
+    return 0;
+}
 
-    Py_buffer hview;
-    int have_hview = h_field_open(h_mode, h_arg, gd->n_cells, &hview);
-    if (have_hview < 0)
-        return NULL;
-    Search s = {.gd = gd, .height = gd->height, .n_cells = gd->n_cells,
-                .hbuf = have_hview ? (const int32_t *)hview.buf : NULL,
-                .h_mode = h_mode, .gx = goal_ci / gd->height,
-                .gy = goal_ci % gd->height};
-    PyObject *out = NULL;
-    int verdict = 0;              /* 0: no descent (the goal unreachable) */
-    Py_ssize_t n = 0, tried = -1;
+/* Tier 0's answer: the verdict, the ``n`` keys of the leg it made (0:
+ * none), the cell index the finisher walked from (-1: none) and the
+ * buffers, which the caller frees. */
+typedef struct {
+    int verdict;
+    Py_ssize_t n, tried;
+    int32_t *indices;
+    int64_t *keys;
+} Tier0;
+
+/* Tier 0 of the leg from ``source_ci`` at ``start_t`` over ``s``'s
+ * field and store: the descent, its bulk audit (audit_chain semantics:
+ * vertex at the arrival tick, reversed swap probe at the departure
+ * tick, first hit wins), EATP's finisher from the trigger cell and, on
+ * a hit, the rescue.  -1 with an exception set. */
+static int
+tier0_walk(Search *s, Py_ssize_t source_ci, int64_t start_t,
+           int64_t trigger, int64_t per_step, int64_t total, Tier0 *z)
+{
+    const GridData *gd = s->gd;
+    Probe *probe = &s->probe;
     int herr = 0;
-    int64_t k = heuristic_at(&s, source_ci, &herr);
-    int32_t *indices = NULL;
-    int64_t *keys = NULL;
+    int64_t k = heuristic_at(s, source_ci, &herr);
+    *z = (Tier0){0, 0, -1, NULL, NULL};  /* 0: no descent */
     if (herr)
-        goto fail;
+        return -1;
     if (k > (int64_t)gd->n_cells)   /* the field's unreachable marker */
-        goto answer;
-    indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
-    keys = PyMem_Malloc((size_t)(k + 1 + (total_ll > FINISH_WAIT
-                                          ? total_ll : FINISH_WAIT))
-                        * sizeof(int64_t));
-    if (indices == NULL || keys == NULL) {
+        return 0;
+    z->indices = PyMem_Malloc((size_t)(k + 1) * sizeof(int32_t));
+    z->keys = PyMem_Malloc((size_t)(k + 1 + (total > FINISH_WAIT
+                                             ? total : FINISH_WAIT))
+                           * sizeof(int64_t));
+    if (z->indices == NULL || z->keys == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
+    int32_t *indices = z->indices;
+    int64_t *keys = z->keys;
     indices[0] = (int32_t)source_ci;
-    if (descent(&s, indices, k) < 0)
-        goto answer;
+    if (descent(s, indices, k) < 0)
+        return 0;
 
-    /* -- bulk audit (audit_chain semantics: vertex at arrival tick,
-     *    reversed swap probe at departure tick, first hit wins) ------- */
     int use_fin = trigger > 0 && k > 0;
     int64_t head = k;   /* moves to audit: all, or up to the trigger cell */
     if (use_fin)
@@ -2094,48 +2127,115 @@ stsearch_tier0_leg(PyObject *self, PyObject *args)
     int blocked = 0;
     for (int64_t i = 1; i <= head && !blocked; i++) {
         /* a descent never waits, so every step is a move */
-        probe.b1 = store_block(probe.st, start_t + i);
-        blocked = probe_move(&probe, gd, (Py_ssize_t)indices[i - 1],
+        probe->b1 = store_block(probe->st, start_t + i);
+        blocked = probe_move(probe, gd, (Py_ssize_t)indices[i - 1],
                              (Py_ssize_t)indices[i]);
     }
 
-    /* -- verdict + payload -------------------------------------------- */
+    Py_ssize_t n = 0;
     if (!blocked) {
         /* 1: the whole descent is the leg.  2: the head audited clean
          * and EATP's finisher walks on from its last cell (no keys where
          * the walk declines). */
         for (n = 0; n <= head; n++)
             keys[n] = gd->cell_keys[indices[n]];
-        verdict = use_fin ? 2 : 1;
+        z->verdict = use_fin ? 2 : 1;
         if (use_fin) {
-            tried = indices[head];
-            n = rescue_walk(&probe, gd, indices + head, k - head,
+            z->tried = indices[head];
+            n = rescue_walk(probe, gd, indices + head, k - head,
                             start_t + head, FINISH_WAIT, FINISH_WAIT,
                             keys + head);
             n = n > 0 ? head + n : 0;
         }
     } else {
         /* 4: the rescue walked it with waits.  3: reject (rescue off or
-         * declined) — nothing to carry, tier 1 decides. */
-        if (total_ll > 0)
-            n = rescue_walk(&probe, gd, indices, k, start_t,
-                            (int64_t)per_step_ll, (int64_t)total_ll, keys);
-        verdict = n > 0 ? 4 : 3;
+         * declined) — nothing to carry, the search decides. */
+        if (total > 0)
+            n = rescue_walk(probe, gd, indices, k, start_t, per_step,
+                            total, keys);
+        z->verdict = n > 0 ? 4 : 3;
     }
+    z->n = n;
+    return 0;
+}
 
-answer:
-    if (n == 0) {
-        out = Py_BuildValue(tried < 0 ? "(iO[])" : "(iO[n])", verdict,
-                            Py_None, tried);
-    } else {
-        PyObject *payload = keys_export(keys, n);
-        if (payload != NULL)
-            out = Py_BuildValue(tried < 0 ? "(iN[])" : "(iN[n])", verdict,
-                                payload, tried);
+/* The one call a compiled leg makes: tier 0 (with the rescue and EATP's
+ * finisher); on a reject, a miss or a declined walk, the search with its
+ * finisher; then the insert of the leg it made into the store.
+ * The leg's keys pass the path rule once, on their way out, and go into
+ * the store unchecked: the grid fits the store's layer, checked once up
+ * front. */
+static PyObject *
+stsearch_leg(PyObject *self, PyObject *args)
+{
+    (void)self;
+    int h_mode, deep;
+    PyObject *capsule, *store_obj, *h_arg;
+    Py_ssize_t source_ci, goal_ci;
+    long long start_t, trigger, per_step, total, max_expansions;
+    if (!PyArg_ParseTuple(args, "OOiOnnLLLLLi:leg",
+                          &capsule, &store_obj, &h_mode, &h_arg, &source_ci,
+                          &goal_ci, &start_t, &trigger, &per_step, &total,
+                          &max_expansions, &deep))
+        return NULL;
+    Search s;
+    if (leg_open(&s, capsule, store_obj, source_ci, goal_ci) < 0
+            || caps_check(per_step, total) < 0)
+        return NULL;
+    Store *st = (Store *)s.probe.st;
+    if (!store_key_fits(st, (uint64_t)s.gd->cell_keys[s.n_cells - 1])) {
+        PyErr_SetString(PyExc_IndexError, "grid outside dense layer");
+        return NULL;
     }
-fail:
-    PyMem_Free(keys);
-    PyMem_Free(indices);
+    Py_buffer hview;
+    int have_hview = h_field_open(h_mode, h_arg, s.n_cells, &hview);
+    if (have_hview < 0)
+        return NULL;
+    s.h_mode = h_mode;
+    s.hbuf = have_hview ? (const int32_t *)hview.buf : NULL;
+    s.deep = deep;
+    s.start_time = start_t;
+
+    PyObject *out = NULL, *tried = PyList_New(0), *cell = NULL;
+    Found found = {-1, NULL, 0, 0, 0};  /* status -1: no search ran */
+    Tier0 z = {0, 0, -1, NULL, NULL};
+    if (tried == NULL
+            || tier0_walk(&s, source_ci, start_t, trigger, per_step, total,
+                          &z) < 0
+            || (z.tried >= 0 && ((cell = PyLong_FromSsize_t(z.tried)) == NULL
+                                 || PyList_Append(tried, cell) < 0)))
+        goto done;
+    if (z.n > 0) {
+        if ((found.keys = keys_export(z.keys, z.n)) == NULL
+                || store_insert(st, start_t, z.keys, z.n) < 0)
+            goto done;
+    } else {
+        s.probe.b1 = NULL;
+        if (search_leg(&s, source_ci, goal_ci, max_expansions, trigger,
+                       tried, &found) < 0)
+            goto done;
+        if (found.keys != NULL) {
+            Py_buffer view;
+            if (PyObject_GetBuffer(found.keys, &view, PyBUF_SIMPLE) < 0)
+                goto done;
+            int rc = store_insert(st, start_t, view.buf,
+                                  view.len / (Py_ssize_t)sizeof(int64_t));
+            PyBuffer_Release(&view);
+            if (rc < 0)
+                goto done;
+        }
+    }
+    out = Py_BuildValue("iiOOLLL", z.verdict, found.status,
+                        found.keys ? found.keys : Py_None, tried,
+                        (long long)found.expansions,
+                        (long long)found.generated,
+                        (long long)found.peak_open);
+done:
+    Py_XDECREF(cell);
+    Py_XDECREF(found.keys);
+    Py_XDECREF(tried);
+    PyMem_Free(z.keys);
+    PyMem_Free(z.indices);
     if (have_hview)
         PyBuffer_Release(&hview);
     return out;
@@ -2209,19 +2309,23 @@ static PyMethodDef stsearch_methods[] = {
      "The minimum-cost assignment of the C-contiguous 2-D float64 ``cost``,\n"
      "equal to scipy.optimize.linear_sum_assignment(cost) tie for tie, as\n"
      "two array('q'); ValueError for NaN or -inf or an infeasible matrix."},
-    {"tier0_leg", stsearch_tier0_leg, METH_VARARGS,
-     "tier0_leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci,\n"
-     "    start_t, trigger, rescue_wait_per_step, rescue_total_wait)\n"
-     " -> (verdict, keys, tried)\n"
-     "Fused free-flow descent + bulk reservation audit + wait-following\n"
-     "rescue (both caps 0 = off; h_mode as for run, h_arg unused by 1).\n"
-     "Verdicts: 0 unreachable; 1 conflict-free (keys: the leg); 2 the\n"
-     "head up to h = trigger audited clean and EATP's finisher walked on\n"
-     "from its last cell as in run (keys: the whole leg, None where the\n"
-     "walk declined; tried: that cell's index); 3 audit reject; 4 rescued\n"
-     "(keys: the leg with its waits).  ``keys`` is an array('q') of\n"
-     "packed cell keys, one per tick from start_t; ``tried`` is empty\n"
-     "but for verdict 2."},
+    {"leg", stsearch_leg, METH_VARARGS,
+     "leg(grid_capsule, store, h_mode, h_arg, source_ci, goal_ci, start_t,\n"
+     "    trigger, rescue_wait_per_step, rescue_total_wait, max_expansions,\n"
+     "    deep) -> (verdict, status, keys, tried, expansions, generated,\n"
+     "    peak_open)\n"
+     "One leg: tier 0, the fused free-flow descent + bulk reservation\n"
+     "audit + wait-following rescue (both caps 0 = off; h_mode as for\n"
+     "run, h_arg unused by 1); where it made no leg, run's search (status\n"
+     "as run's; -1 where tier 0 made the leg and no search ran); then the\n"
+     "insert of the leg into ``store``.  Tier 0's verdicts: 0 unreachable;\n"
+     "1 conflict-free; 2 the head up to h = trigger audited clean and\n"
+     "EATP's finisher walked on from its last cell (a miss where the walk\n"
+     "declined); 3 audit reject; 4 rescued.  ``keys`` is the leg (None\n"
+     "where the search failed), ``tried`` the finisher's start cells,\n"
+     "tier 0's first, and the counters the search's (0 where none ran).\n"
+     "Bad arguments, and a grid outside the store's layer, raise before\n"
+     "anything is inserted."},
     {NULL, NULL, 0, NULL},
 };
 

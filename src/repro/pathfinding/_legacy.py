@@ -242,14 +242,15 @@ def seed_planner_patches():
 
 
 def tier0_off_patch():
-    """``(target, attribute, replacement)`` that turns tier 0 off: the
-    chain answers "off" for every leg, which then goes to the full
-    search.  Tier 0 is behaviour-neutral, so this is a test and
+    """``(target, attribute, replacement)`` that turns tier 0 off: every
+    leg takes the python chain's full search (``pipeline.search``), under
+    either switch.  Tier 0 is behaviour-neutral, so this is a test and
     ablation control, not a setting."""
     from . import pipeline as pipeline_mod
 
-    return (pipeline_mod.FallbackChain, "_free_flow_leg",
-            lambda self, t, source, goal: (None, pipeline_mod.FASTPATH_OFF))
+    return (pipeline_mod.FallbackChain, "plan_leg",
+            lambda self, t, source, goal: self._reserved(self._searched_leg(
+                t, source, goal, pipeline_mod.FASTPATH_OFF)))
 
 
 class LegacySpatiotemporalGraph(_LegacyEdgeMixin):

@@ -12,7 +12,7 @@
   whenever the next step would conflict (Sec. VI-B: "let the robot wait
   till there is no conflict to move next steps along the shortest
   path").  EATP's finisher (at the default caps) and the paper-scale
-  rescue walk the descent this way; the native ``run`` and ``tier0_leg``
+  rescue walk the descent this way; the native ``run`` and ``leg``
   carry the same walk.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..config import Domain, declare
 from ..types import Cell, Tick
 from .reservation import ReservationTable
 
@@ -32,9 +33,8 @@ class ShortestPathCache:
     hold — plus 150 bytes an entry.
     """
 
+    @declare(threshold=Domain(int, 0))
     def __init__(self, threshold: int) -> None:
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
         self.threshold = threshold
         self._paths: Dict[Tuple[Cell, Cell], int] = {}
         self._cells = 0

@@ -26,22 +26,14 @@ So::
     descent conflict-free  ⇒  full ST-A* returns exactly the descent
 
 which is what lets tier 0 answer without searching: extract the descent
-in O(d), bulk-audit it against the reservation structures, and on any
-hit fall through to the unchanged tier-1 search.  Behaviour is provably
-identical either way; only the cycle count changes.  Extraction and
-audit are one call, :meth:`FreeFlowPathCache.kernel_leg`, which answers
-the same verdict tuple from the native ``tier0_leg`` under the compiled
-switch (walk, audit and wait-following rescue fused in C, the leg handed
-back as one packed buffer) and from :func:`descent`,
-:meth:`~repro.pathfinding.reservation.ReservationTable.audit_chain` and
-:func:`~repro.pathfinding.cache.follow_with_waits` under the python one;
-with EATP's trigger it also walks the Sec. VI-B finisher where the full
-search would.  Like the search it takes only the library's tables.
-
-:func:`descent` is the specification, run fresh on every call over
-whichever field the goal has (the search's finisher walks it too); the
-native walk, one C helper over both field kinds, is pinned against it.
-Nothing is memoised: the planner's field cache holds the expensive part.
+in O(d), bulk-audit it, and on any hit fall through to the unchanged
+search; only the cycle count changes.  Under the python switch
+:meth:`FreeFlowPathCache.kernel_leg` does both, with EATP's finisher
+walk and the rescue, from :func:`descent`, ``audit_chain`` and
+``follow_with_waits``; under the compiled one the kernel's ``leg`` runs
+the same steps in C first.  :func:`descent` is the specification the
+native walk is pinned against; nothing is memoised but the planner's
+fields.
 """
 
 from __future__ import annotations
@@ -50,10 +42,9 @@ from typing import Optional
 
 from ..types import Cell
 from ..warehouse.grid import Grid
-from . import _kernel
 from .cache import follow_with_waits
-from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
-from .paths import Path, packed_path
+from .heuristics import HeuristicFieldCache
+from .paths import Path
 from .reservation import PackedChain, require_table
 
 
@@ -110,54 +101,21 @@ class FreeFlowPathCache:
 
     def kernel_leg(self, reservation, t: int, source: Cell, goal: Cell,
                    trigger: int = 0, rescue_caps=(0, 0)):
-        """The one tier-0 entry: greedy descent, bulk reservation audit,
-        EATP's finisher walk and — on a hit, when ``rescue_caps`` allows
-        — the wait-following rescue.
+        """Tier 0 of the python chain: greedy descent, bulk reservation
+        audit, EATP's finisher walk and — on a hit, when ``rescue_caps``
+        allows — the wait-following rescue.
 
-        Returns ``(verdict, path, finisher_starts)`` from either kernel,
-        for the chain's single verdict interpreter
-        (:meth:`FallbackChain._free_flow_leg
-        <repro.pathfinding.pipeline.FallbackChain._free_flow_leg>`):
-
-        * 0 — ``goal`` unreachable; no path;
-        * 1 — the whole descent audited clean; ``path`` is the leg;
-        * 2 — with ``trigger`` (EATP's L) the head up to the descent cell
-          at ``h == trigger`` (or the source) audited clean, and the
-          finisher walked on from there: ``path`` is the whole leg, or
-          ``None`` where the walk declined; ``finisher_starts`` is
-          ``(that cell,)``, empty for the other verdicts;
-        * 3 — the audit hit a reservation and the rescue is off or
-          declined; no path;
-        * 4 — the audit hit a reservation and the rescue walked the
-          descent with waits; ``path`` is the rescued leg.
-
-        ``rescue_caps`` is ``(wait per step, total wait)`` for
-        :func:`~repro.pathfinding.cache.follow_with_waits`, ``(0, 0)``
-        turning the rescue off.  Under the compiled switch ``tier0_leg``
-        answers, over either field kind; under the python switch the
-        python trio does, in the same order, to an equal answer.  A table
-        that is not the library's is refused (``TypeError``).
+        Returns ``(verdict, path, finisher_starts)`` with the verdicts of
+        :mod:`repro.pathfinding.pipeline`; ``finisher_starts`` holds the
+        walk's start for verdict 2.  ``rescue_caps`` is ``(wait per step,
+        total wait)``, ``(0, 0)`` turning the rescue off.  It reads the
+        python layout, so it serves the python switch only: under the
+        compiled one the kernel's ``leg`` runs tier 0 and this refuses
+        (``ConfigurationError``), as a foreign table is (``TypeError``).
         """
         require_table(reservation)
+        reservation.packed_buckets()
         flat = self._heuristics.field(goal).flat
-        store = reservation.kernel_probe_spec()
-        if store is None:
-            return self._python_leg(reservation, flat, t, source, goal,
-                                    trigger, rescue_caps)
-        module = _kernel.active
-        grid = self._grid
-        height = grid.height
-        verdict, keys, tried = module.tier0_leg(
-            grid.kernel_capsule(module), store,
-            1 if isinstance(flat, _LazyManhattanFlat) else 2, flat,
-            source[0] * height + source[1], goal[0] * height + goal[1], t,
-            trigger, *rescue_caps)
-        return (verdict, None if keys is None else packed_path(t, keys),
-                tuple(divmod(ci, height) for ci in tried) if tried else ())
-
-    def _python_leg(self, reservation, flat, t: int, source: Cell,
-                    goal: Cell, trigger: int, rescue_caps):
-        """:meth:`kernel_leg` under the python switch."""
         chain = descent(self._grid, flat, source)
         if chain is None:
             return 0, None, ()

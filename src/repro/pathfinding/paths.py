@@ -193,10 +193,16 @@ class Path:
         _init(self, start_time, array("q", narrow))
 
 
+#: The slots' own setters, which ``object.__setattr__`` reaches after a
+#: lookup (``Path`` itself refuses assignment).
+_SET_START, _SET_KEYS, _SET_STEPS = (
+    Path.start_time.__set__, Path.keys.__set__, Path._steps.__set__)
+
+
 def _init(path: Path, start_time: Tick, keys: array) -> None:
-    object.__setattr__(path, "start_time", start_time)
-    object.__setattr__(path, "keys", keys)
-    object.__setattr__(path, "_steps", None)
+    _SET_START(path, start_time)
+    _SET_KEYS(path, keys)
+    _SET_STEPS(path, None)
 
 
 def packed_path(start_time: Tick, keys: array) -> Path:

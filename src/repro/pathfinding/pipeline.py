@@ -1,76 +1,44 @@
-"""The leg-planning pipeline: search, then wait — never an exception.
+"""The leg-planning pipeline: tier 0, search, then wait — never an exception.
 
-Every planner's path-finding step used to be one unbounded spatiotemporal
-A* call that could *throw* mid-run — on the paper-scale fleet ladder a
-robot dispatched from a cell that other robots' committed paths sweep
-through is boxed in (its own cell is reserved at ``t + 1`` and every
-neighbouring move is a vertex or swap conflict), the open set dies, and
-the whole experiment fell over with ``PathNotFoundError``.  This module
-makes the call recoverable.  The paper's path finder is one thing —
-ST-A* against a reservation structure (Sec. V-C), with EATP's cache
-finisher hooked into it (Sec. VI-B) — and so is the chain:
+A leg is one timed path for one robot, planned against every earlier
+leg's reservation (the paper's ST-A*, Sec. V-C, with EATP's finisher,
+Sec. VI-B).  A failed search is an outcome, so the chain always answers:
 
-1. **Full ST-A*** — the classic conflict-aware search to the goal,
-   bit-identical to the seed whenever it succeeds, which on uncongested
-   floors is always.  The chain calls this module's ``search`` itself;
-   a failed search is an outcome, not an exception.
-2. **Reservation-aware wait in place** — when the search fails on a goal
-   the floor can reach (the robot is boxed in, or the expansion budget
-   ran out), hold position: wait out the free run of the current cell
-   (committed), or — when traffic is planned straight through the cell —
-   sit tight uncommitted until the first tick the cell is probe-free,
-   exactly as an *idle* robot (which is never reserved) already does.
-   The leg is *partial*; the simulator asks for the continuation when
-   the wait ends, and the search tries again against the traffic of
-   that later tick.
+0. **Free flow** — the greedy descent of the goal's exact field
+   (:mod:`repro.pathfinding.free_flow`), audited in bulk: a clean one is
+   the path the search would return, served without searching; with
+   EATP's cache the finisher walks on from where the search would
+   trigger it.  On a :attr:`~repro.warehouse.grid.Grid.paper_scale`
+   floor a rejected descent is walked again with waits (the *rescue*,
+   :func:`~repro.pathfinding.cache.follow_with_waits` at
+   :data:`RESCUE_CAPS`), sparing a search over an O(distance²) plateau.
+   A budget below ``n_cells`` turns tier 0 off.
+1. **The full search** — ST-A* to the goal, this module's ``search``.
+2. **Wait in place** — where the search fails on a reachable goal, hold
+   the cell for its free run (committed) or, boxed in, sit tight
+   uncommitted until it is free; the simulator asks for the rest.  A
+   goal no path can ever reach raises
+   :class:`~repro.errors.PathNotFoundError`.
 
-Exhaustion therefore becomes a :class:`LegPlan` that says which tier
-answered, never an exception escaping a run.  Every searched leg carries
-its search's :class:`~repro.pathfinding.st_astar.SearchStats` (a wait
-leg the failed search's), so a budget hit is counted
-(``PlannerStats.budget_exhausted_legs``).  Full-tier results are
-byte-identical to the pre-pipeline behaviour, so runs that never needed
-the wait (the golden traces, the engine-equivalence suites) are
-unchanged.
-
-**Tier 0 — the free-flow fast path** — runs ahead of the whole chain:
-extract the leg's free-flow shortest path by greedy descent on the cached
-exact heuristic field (O(path length), tie-broken exactly like the full
-search — see :mod:`repro.pathfinding.free_flow`), bulk-audit it against
-the reservation structures (both in one call,
-:meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`, whose
-verdict tuple :meth:`FallbackChain._free_flow_leg` alone interprets), and
-serve the leg without searching when the audit finds no conflict (with
-EATP's cache, walking the finisher from where the search would).  Any
-hit — or any case tier 0 cannot prove byte-identical (tiny expansion
-budgets, a declining finisher walk) — drops straight into the unchanged
-tier-1 search, so the chain's observable behaviour is *provably*
-unchanged: a fast-path leg is the byte-identical path tier 1 would have
-produced, and every other leg still goes through tier 1.  Each planned
-leg records its fast-path outcome (:data:`FASTPATH_HIT` /
-:data:`FASTPATH_MISS` / :data:`FASTPATH_AUDIT_REJECT` /
-:data:`FASTPATH_RESCUE` / :data:`FASTPATH_OFF`) for the planner's
-hit-rate counters.
-
-**Tier 0.5 — the wait-following rescue** — sits between the audit and
-the full search *at paper scale only*: a descent whose audit hits a
-reservation is walked again with waits inserted wherever the next move
-conflicts (:func:`~repro.pathfinding.cache.follow_with_waits`, the
-Sec. VI-B policy applied from the start cell — the walk EATP's finisher
-takes from the cell where the search hands over, there with caps of 64
-and 64).  O(path + waits) where
-the full search the reject would otherwise fall into explores an
-O(distance²) f-optimal plateau — on the paper-true 541×302 floor
-hundreds of thousands of probes per leg, the cost wall behind the
-paper's "too slow to execute" exclusion.  The rescued path is
-conflict-free but need not match the search optimum, so off a
-:attr:`~repro.warehouse.grid.Grid.paper_scale` floor the rescue stays
-off and rejects fall into the byte-identical tier-1 search as before; it
-also declines when the walk exceeds :data:`RESCUE_CAPS` or cannot even
-hold position — congestion bad enough that the search tiers should
-decide.  It runs inside the tier-0 call, where the probes are (the
-native ``tier0_leg`` under the compiled kernel), and comes back as one
-more verdict.
+**One call under the compiled switch.**  :meth:`FallbackChain.plan_leg`
+plans each leg and reserves it.  Under the compiled switch it hands the
+leg to the kernel's ``leg``: tier 0, the search where tier 0 made no
+leg, then the insert of the leg it made.  It answers ``(verdict,
+status, keys, tried, expansions, generated, peak_open)``.  The verdict
+is tier 0's: 0 unreachable; 1 the descent audited clean; 2 the head
+audited clean and the finisher walked on (a miss where the walk
+declined); 3 a reject the rescue was off for or declined; 4 rescued.
+The status is the search's (0 found, 4 finished by a walk, 1 out of
+budget, 2 boxed in), -1 where no search ran.  ``tried`` lists the
+finisher's start cells, tier 0's first, which the chain records in
+EATP's cache.  The wait tier and the unreachable raise stay in python.
+The python switch runs :meth:`FallbackChain._chain_leg` — tier 0
+through :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`
+(same verdicts), then ``search`` — and commits its leg with
+``reserve_path``; the one call is pinned against it, leg for leg.  Each
+leg records its tier and tier 0's outcome (``FASTPATH_*``) and carries
+its search's
+:class:`~repro.pathfinding.st_astar.SearchStats`.
 """
 
 from __future__ import annotations
@@ -80,12 +48,14 @@ from typing import Optional, Tuple
 
 from ..types import Cell, Tick
 from ..warehouse.grid import Grid
+from . import _kernel
 from .cache import ShortestPathCache
 from .free_flow import FreeFlowPathCache
-from .heuristics import HeuristicFieldCache
-from .paths import Path
+from .heuristics import HeuristicFieldCache, _LazyManhattanFlat
+from .paths import Path, packed_path
 from .reservation import ReservationTable
-from .st_astar import SearchRequest, SearchStats, search
+from .st_astar import (SEARCH_BUDGET, SEARCH_EXHAUSTED, SearchOutcome,
+                       SearchRequest, SearchStats, search)
 
 #: ``(wait per step, total wait)`` caps of the wait-following rescue on
 #: paper-scale floors: one blocked move may wait at most 16 ticks, the
@@ -115,31 +85,15 @@ FASTPATH_OFF = "off"                    #: tier 0 not attempted (disabled)
 
 @dataclass
 class LegPlan:
-    """One leg's plan: the executable path plus its commit instructions.
+    """One leg's plan: the executable path plus what was reserved.
 
-    Attributes
-    ----------
-    path:
-        The timed path the mission executes.  It reaches the requested
-        goal unless the tier is :data:`TIER_WAIT`: a wait is a *partial*
-        leg that ends where it started, and the simulator asks for the
-        continuation from its last step (the *horizon replan*).
-    tier:
-        Which chain tier produced the plan (:data:`TIER_FREE_FLOW`,
-        :data:`TIER_FULL` or :data:`TIER_WAIT`).
-    commit_path:
-        What to insert into the reservation structure: ``path`` itself,
-        except for a boxed wait, which holds a cell other robots' plans
-        already cross and commits its start step only.
-    search_stats:
-        Stats the caller folds into its counters: the full search's on a
-        full leg, the failed full search's on a wait leg, the synthetic
-        finisher record on a tier-0 leg the finisher walked.
-    fastpath:
-        What tier 0 did for this leg (:data:`FASTPATH_HIT`,
-        :data:`FASTPATH_MISS`, :data:`FASTPATH_AUDIT_REJECT`,
-        :data:`FASTPATH_RESCUE` or :data:`FASTPATH_OFF`) — the input of
-        the planner's fast-path hit-rate counters.
+    ``path`` reaches the goal unless ``tier`` is :data:`TIER_WAIT`: a
+    *partial* leg the simulator continues from its last step (a horizon
+    replan).  ``commit_path`` is what the chain reserved — ``path``, but
+    a boxed wait's start step only.  ``search_stats`` are what the
+    planner folds into its counters: the full or the failed search's, or
+    the finisher record of a tier-0 walk.  ``fastpath`` is tier 0's outcome
+    (``FASTPATH_*``), the input of the hit-rate counters.
     """
 
     path: Path
@@ -183,19 +137,64 @@ class FallbackChain:
         self.rescue_caps = RESCUE_CAPS if grid.paper_scale else (0, 0)
 
     def plan_leg(self, t: Tick, source: Cell, goal: Cell) -> LegPlan:
-        """Plan one leg through the chain.
+        """Plan one leg and reserve its :attr:`LegPlan.commit_path`: the
+        kernel's one ``leg`` call under the compiled switch, else
+        :meth:`_chain_leg`.
 
-        Always returns a plan when the goal is spatially reachable at
-        all; a goal no path can *ever* reach (disconnected floor) still
-        raises :class:`~repro.errors.PathNotFoundError` immediately —
-        waiting and replanning cannot conjure a corridor, and looping
-        until the simulator's ``max_ticks`` guard would bury the real
-        error.
+        A plan whenever the goal is spatially reachable at all; a goal no
+        path can *ever* reach raises
+        :class:`~repro.errors.PathNotFoundError` at once — waiting cannot
+        conjure a corridor, and looping to ``max_ticks`` would bury it.
         """
+        store = self.reservation.kernel_probe_spec()
+        grid, budget = self.grid, self.config.max_search_expansions
+        if store is None or budget < grid.n_cells:
+            return self._reserved(self._chain_leg(t, source, goal))
+        module, cache, height = _kernel.active, self.cache, grid.height
+        field = self.heuristics.field(goal)
+        flat = field.flat
+        trigger = 0 if cache is None else cache.threshold
+        verdict, status, keys, tried, expansions, generated, peak_open = (
+            module.leg(grid.kernel_capsule(module), store,
+                       1 if isinstance(flat, _LazyManhattanFlat) else 2,
+                       flat, source[0] * height + source[1],
+                       goal[0] * height + goal[1], t, trigger,
+                       *self.rescue_caps, budget, grid.paper_scale))
+        for ci in tried:  # record_starts by cell index, tier 0's first
+            cache.record(divmod(ci, height), goal, flat[ci] + 1)
+        if status < 0:  # tier 0 made the leg: no search ran
+            return self._tier0_plan(verdict, packed_path(t, keys))
+        fastpath = (FASTPATH_AUDIT_REJECT if verdict == 3
+                    else FASTPATH_MISS)
+        stats = SearchStats(expansions=expansions, generated=generated,
+                            cache_finished=status == 4,
+                            peak_open=peak_open, budget=budget)
+        if keys is not None:
+            path = packed_path(t, keys)
+            return LegPlan(path=path, tier=TIER_FULL, commit_path=path,
+                           search_stats=(stats,), fastpath=fastpath)
+        grid.require_passable(source)  # what ``search`` refuses first
+        grid.require_passable(goal)
+        return self._reserved(self._failed_leg(t, field, SearchOutcome(
+            SearchRequest(source, goal, t, budget, trigger),
+            SEARCH_BUDGET if status == 1 else SEARCH_EXHAUSTED, None,
+            stats), fastpath))
+
+    def _reserved(self, leg: LegPlan) -> LegPlan:
+        """``leg``, its :attr:`~LegPlan.commit_path` reserved."""
+        self.reservation.reserve_path(leg.commit_path)
+        return leg
+
+    def _chain_leg(self, t: Tick, source: Cell, goal: Cell) -> LegPlan:
+        """The chain in python, reserving nothing: tier 0, then
+        :meth:`_searched_leg`."""
         leg, fastpath = self._free_flow_leg(t, source, goal)
-        if leg is not None:
-            return leg
-        # Tier 1, through the name the seed oracle patches.
+        return leg or self._searched_leg(t, source, goal, fastpath)
+
+    def _searched_leg(self, t: Tick, source: Cell, goal: Cell,
+                      fastpath: str) -> LegPlan:
+        """Tier 1, through the name the seed oracle patches, then the
+        wait."""
         field, cache = self.heuristics.field(goal), self.cache
         outcome = search(self.grid, self.reservation, SearchRequest(
             source, goal, t, self.config.max_search_expansions,
@@ -206,41 +205,17 @@ class FallbackChain:
             return LegPlan(path=outcome.path, tier=TIER_FULL,
                            commit_path=outcome.path,
                            search_stats=(outcome.stats,), fastpath=fastpath)
-        if field(source) > self.grid.n_cells:
-            raise outcome.error()  # unreachable regardless of reservations
-        return self._wait_leg(t, source, (outcome.stats,), fastpath)
+        return self._failed_leg(t, field, outcome, fastpath)
 
     # -- tier 0: free-flow fast path -------------------------------------------
 
     def _free_flow_leg(self, t: Tick, source: Cell, goal: Cell):
-        """Try to serve the leg without searching.
-
-        Returns ``(leg | None, outcome)``.  This is the one interpreter
-        of the tier-0 verdict tuple :meth:`FreeFlowPathCache.kernel_leg
-        <repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg>`
-        answers from either kernel: 1 is a served leg, 2 a leg the
-        finisher walked (a miss where the walk declined; recorded
-        either way), 4 is a leg the rescue served, 3 a reject the rescue
-        was off for or declined, 0 is a miss.
-
-        Emits a plan only when the result is *provably* byte-identical to
-        what tier 1 would return (see :mod:`repro.pathfinding.free_flow`):
-
-        * the greedy descent exists and its audit finds no conflict — on
-          a conflict-free descent the full search's FIFO plateau
-          exploration reconstructs exactly this chain;
-        * with a cache finisher in force (EATP), the finisher walks from
-          the same ``(cell, tick)`` the full search would first
-          trigger it — the first expanded node whose h-value enters the
-          trigger band is the descent cell ``h == trigger`` (or the
-          source when the whole leg is inside the band) — and only a
-          walked tail behind a conflict-free head is emitted;
-        * the expansion budget provably cannot interrupt the full search
-          before the goal pops (it is at least the plateau-size bound
-          ``n_cells``); tiny test budgets disable tier 0 outright.
-        """
-        config = self.config
-        if config.max_search_expansions < self.grid.n_cells:
+        """Tier 0 of :meth:`_chain_leg`: ``(leg | None, outcome)`` from
+        :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`'s
+        verdict.  A leg only where it is provably what tier 1 would
+        return (:mod:`repro.pathfinding.free_flow`), under a budget that
+        cannot stop the search before the goal pops (``n_cells``)."""
+        if self.config.max_search_expansions < self.grid.n_cells:
             return None, FASTPATH_OFF
         cache = self.cache
         verdict, path, starts = self.free_flow.kernel_leg(
@@ -248,26 +223,37 @@ class FallbackChain:
             0 if cache is None else cache.threshold, self.rescue_caps)
         if starts:
             cache.record_starts(goal, self.heuristics.field(goal), starts)
-        if verdict == 3:
-            return None, FASTPATH_AUDIT_REJECT
         if path is None:
             # 0: tier 1 fails fast.  2, declined: the full search would
             # go on and may finish through a later walk off the descent.
-            return None, FASTPATH_MISS
-        fastpath = FASTPATH_RESCUE if verdict == 4 else FASTPATH_HIT
-        search_stats: Tuple[SearchStats, ...] = ()
-        if verdict == 2:
-            search_stats = (SearchStats(
-                cache_finished=True, budget=config.max_search_expansions),)
-        leg = LegPlan(path=path, tier=TIER_FREE_FLOW, commit_path=path,
-                      search_stats=search_stats, fastpath=fastpath)
-        return leg, fastpath
+            return None, (FASTPATH_AUDIT_REJECT if verdict == 3
+                          else FASTPATH_MISS)
+        leg = self._tier0_plan(verdict, path)
+        return leg, leg.fastpath
+
+    def _tier0_plan(self, verdict: int, path: Path) -> LegPlan:
+        """The plan of a leg tier 0 served with ``verdict`` 1, 2 or 4:
+        the finisher's record where it walked (positional: a leg's hot
+        path)."""
+        return LegPlan(path, TIER_FREE_FLOW, path, (SearchStats(
+            0, 0, True, 0, self.config.max_search_expansions),)
+            if verdict == 2 else (),
+            FASTPATH_RESCUE if verdict == 4 else FASTPATH_HIT)
 
     # -- tier 2: reservation-aware wait in place ------------------------------
 
-    def _wait_leg(self, t: Tick, source: Cell,
-                  failed: Tuple[SearchStats, ...], fastpath: str) -> LegPlan:
-        free_run = self._free_run(source, t)
+    def _failed_leg(self, t: Tick, field, outcome: SearchOutcome,
+                    fastpath: str) -> LegPlan:
+        """The wait after a failed search, or its error where the goal is
+        unreachable regardless of reservations."""
+        source = outcome.request.source
+        if field(source) > self.grid.n_cells:
+            raise outcome.error()
+        is_free = self.reservation.is_free
+        free_run = 0  # ticks the robot can legally hold ``source`` from t+1
+        while free_run < FALLBACK_WAIT_TICKS and is_free(t + free_run + 1,
+                                                         source):
+            free_run += 1
         if free_run > 0:
             # Hold the cell for its conflict-free run (bounded by the
             # replan backoff) and commit the wait like any other path.
@@ -284,24 +270,9 @@ class FallbackChain:
             # overlap *visible* to path audits (`find_conflicts`), which
             # is deliberate: an idle robot hides the same co-occupancy
             # only because it records no path at all.
-            path = Path.waiting(source, t, self._first_free_wait(source, t))
+            path = Path.waiting(source, t, next(
+                (delta for delta in range(1, FALLBACK_WAIT_TICKS)
+                 if is_free(t + delta, source)), FALLBACK_WAIT_TICKS))
             commit_path = Path.waiting(source, t, 0)
         return LegPlan(path=path, tier=TIER_WAIT, commit_path=commit_path,
-                       search_stats=failed, fastpath=fastpath)
-
-    def _free_run(self, source: Cell, t: Tick) -> int:
-        """Ticks the robot can legally hold ``source`` starting at t+1."""
-        is_free = self.reservation.is_free
-        run = 0
-        while run < FALLBACK_WAIT_TICKS and is_free(t + run + 1, source):
-            run += 1
-        return run
-
-    def _first_free_wait(self, source: Cell, t: Tick) -> int:
-        """Ticks until ``source`` is first probe-free again, at most the
-        replan backoff."""
-        is_free = self.reservation.is_free
-        for delta in range(1, FALLBACK_WAIT_TICKS):
-            if is_free(t + delta, source):
-                return delta
-        return FALLBACK_WAIT_TICKS
+                       search_stats=(outcome.stats,), fastpath=fastpath)

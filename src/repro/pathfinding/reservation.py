@@ -22,7 +22,7 @@ the rescue take only this class (``TypeError`` otherwise).  The bulk
 audits are defined once, here: :meth:`ReservationTable.audit_path` is
 the reference walk the tests compare against,
 :meth:`ReservationTable.audit_chain` is the python tier-0 audit over the
-buckets (the native ``tier0_leg`` audits inside the kernel).
+buckets (the native ``leg`` audits inside the kernel).
 
 Semantics: ``is_free(t, cell)`` guards single-grid conflicts;
 ``edge_free(t, a, b)`` guards inter-grid (swap) conflicts for a move that
@@ -333,7 +333,7 @@ class ReservationTable:
         clean", and what the tier-0 equivalence tests compare against.
         No planning run calls it: the audit that does run is tier 0's
         (:meth:`audit_chain` under the python switch, inside the native
-        ``tier0_leg`` under the compiled one).  Probes exactly what the
+        ``leg`` under the compiled one).  Probes exactly what the
         search core would for the same moves: each arrival vertex at its
         arrival tick and each traversed edge at its departure tick; the
         source vertex at the start tick is the robot's own position and

@@ -111,11 +111,9 @@ class AdaptiveTaskPlanner(Planner):
         return keyed
 
     def _requests(self, rack_facts: Facts) -> bool:
-        """Alg. 2 lines 13–18 for one rack: act ε-greedily, learn from the
-        action, and say whether it was REQUEST."""
-        action = self.agent.decide(*rack_facts)
-        self.agent.learn(*rack_facts, action)
-        return action == ACTION_REQUEST
+        """Alg. 2 lines 13–18 for one rack: one learner step (act
+        ε-greedily, learn from the action); whether it was REQUEST."""
+        return self.agent.step(*rack_facts) == ACTION_REQUEST
 
     # -- memory ------------------------------------------------------------------
 

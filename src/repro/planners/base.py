@@ -9,9 +9,9 @@ cache, STC/PTC accounting, memory introspection, and the
 over them — so each subclass is exactly its selection (and, for EATP, its
 path-finding structures).
 
-Timing contract: selection work must run inside ``self._timed_selection()``
-and every leg is planned through ``self._plan_leg_timed()``, which times its
-path searches; the simulator reads the accumulated totals for the Fig. 11
+Timing contract: :meth:`Planner.plan` times each selection and every leg
+is planned through ``self._plan_leg_timed()``, which times its path
+searches; the simulator reads the accumulated totals for the Fig. 11
 experiments.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import abc
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional
@@ -210,8 +209,9 @@ class Planner(abc.ABC):
             return scheme
         robots = self.state.idle_robots()
 
-        with self._timed_selection():
-            entries = self._select(t, robots)
+        started = time.perf_counter()
+        entries = self._select(t, robots)
+        self.stats.selection_seconds += time.perf_counter() - started
 
         if len(entries) > len(robots):
             raise PlanningError(
@@ -361,34 +361,36 @@ class Planner(abc.ABC):
         """
 
     def _commit_leg(self, leg: LegPlan) -> None:
-        """Reserve a leg plan and fold it, searches included, into stats."""
+        """Fold a leg plan the chain has reserved, searches included, into
+        stats."""
+        stats = self.stats
         for search_stats in leg.search_stats:
-            self.stats.search_expansions += search_stats.expansions
-            self.stats.search_peak_open = max(self.stats.search_peak_open,
-                                              search_stats.peak_open)
+            stats.search_expansions += search_stats.expansions
+            stats.search_peak_open = max(stats.search_peak_open,
+                                         search_stats.peak_open)
             if search_stats.cache_finished:
-                self.stats.cache_finished_legs += 1
+                stats.cache_finished_legs += 1
             if search_stats.budget_exhausted:
-                self.stats.budget_exhausted_legs += 1
-        self.reservation.reserve_path(leg.commit_path)
-        self.stats.legs_planned += 1
-        if leg.tier == TIER_FREE_FLOW:
-            self.stats.legs_free_flow += 1
-        elif leg.tier == TIER_FULL:
-            self.stats.legs_full += 1
+                stats.budget_exhausted_legs += 1
+        stats.legs_planned += 1
+        tier, fastpath = leg.tier, leg.fastpath
+        if tier == TIER_FREE_FLOW:
+            stats.legs_free_flow += 1
+        elif tier == TIER_FULL:
+            stats.legs_full += 1
         else:
-            self.stats.legs_wait += 1
-        if leg.fastpath == FASTPATH_MISS:
-            self.stats.fastpath_misses += 1
-        elif leg.fastpath == FASTPATH_AUDIT_REJECT:
-            self.stats.fastpath_audit_rejects += 1
-        elif leg.fastpath == FASTPATH_RESCUE:
-            self.stats.rescued_legs += 1
-        if leg.fastpath != FASTPATH_OFF:
+            stats.legs_wait += 1
+        if fastpath == FASTPATH_MISS:
+            stats.fastpath_misses += 1
+        elif fastpath == FASTPATH_AUDIT_REJECT:
+            stats.fastpath_audit_rejects += 1
+        elif fastpath == FASTPATH_RESCUE:
+            stats.rescued_legs += 1
+        if fastpath != FASTPATH_OFF:
             if _kernel.active is None:
-                self.stats.descents_python += 1
+                stats.descents_python += 1
             else:
-                self.stats.descents_compiled += 1
+                stats.descents_compiled += 1
 
     def picker_finish_time(self, picker_id: int) -> int:
         """f_p of Eq. 3 for one picker."""
@@ -405,14 +407,6 @@ class Planner(abc.ABC):
         pickers = self.state.pickers
         return [manhattan(rack.home, pickers[rack.picker_id].location)
                 for rack in self.state.racks]
-
-    @contextmanager
-    def _timed_selection(self):
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stats.selection_seconds += time.perf_counter() - started
 
 
 @dataclass

@@ -112,21 +112,41 @@ class QLearningAgent:
         picker queue grows — the adaptive behaviour of the paper's
         Fig. 13 case study.
         """
-        cfg, value = self.config, self.table.best_value
-        return (-cfg.deferral_weight * float(n_pending)
-                + cfg.discount * value((s0, s1)),
-                -float(overhead)
-                + cfg.discount * value((s0 + delta, s1 + delta)))
+        rows = self.table.rows
+        return self._utilities(rows.get((s0, s1)),
+                               rows.get((s0 + delta, s1 + delta)),
+                               n_pending, overhead)
+
+    def _utilities(self, row, ahead, n_pending: int,
+                   overhead: int) -> Tuple[float, float]:
+        """:meth:`lookahead` over rows already fetched: ``row`` is the
+        state's, ``ahead`` its REQUEST successor's, ``None`` where the
+        table has none."""
+        cfg, initial = self.config, self.table.initial_value
+        now = initial if row is None else (
+            row[1] if row[1] > row[0] else row[0])
+        then = initial if ahead is None else (
+            ahead[1] if ahead[1] > ahead[0] else ahead[0])
+        return (-cfg.deferral_weight * float(n_pending) + cfg.discount * now,
+                -float(overhead) + cfg.discount * then)
 
     def decide(self, s0: int, s1: int, delta: int, n_pending: int,
                overhead: int) -> int:
         """ε-greedy over the lookahead utilities (ties favour REQUEST)."""
-        if self._rng.random() < self.config.epsilon:
-            self.stats.explored_actions += 1
-            return self._rng.choice((ACTION_WAIT, ACTION_REQUEST))
-        u_wait, u_request = self.lookahead(s0, s1, delta, n_pending,
-                                           overhead)
-        return ACTION_REQUEST if u_request >= u_wait else ACTION_WAIT
+        return self._act(*self.lookahead(s0, s1, delta, n_pending, overhead))
+
+    def step(self, s0: int, s1: int, delta: int, n_pending: int,
+             overhead: int) -> int:
+        """:meth:`decide`, then :meth:`learn` of the action it took, over
+        one fetch of each of the two rows they read."""
+        rows, state = self.table.rows, (s0, s1)
+        row = rows.get(state)
+        u_wait, u_request = self._utilities(
+            row, rows.get((s0 + delta, s1 + delta)), n_pending, overhead)
+        action = self._act(u_wait, u_request)
+        self._update(state, row, u_wait, u_request, n_pending, overhead,
+                     action)
+        return action
 
     def learn(self, s0: int, s1: int, delta: int, n_pending: int,
               overhead: int, action: int, greedy: bool = False) -> float:
@@ -136,23 +156,36 @@ class QLearningAgent:
         overhead and advances both counters by ``delta``; ``greedy``
         marks the approximation branch (bookkeeping only).
         """
-        cfg, table = self.config, self.table
-        state = (s0, s1)
-        if action == ACTION_REQUEST:
-            c = -float(overhead)
-            target = c + cfg.discount * table.best_value((s0 + delta,
-                                                          s1 + delta))
-        else:
-            c = -cfg.deferral_weight * float(n_pending)
-            target = c + cfg.discount * table.best_value(state)
-        old = table.get(state, action)
-        td_error = target - old
-        table.set(state, action, old + cfg.learning_rate * td_error)
-
-        self.stats.updates += 1
-        self.stats.cumulative_reward += c
+        rows, state = self.table.rows, (s0, s1)
+        row = rows.get(state)
         if greedy:
             self.stats.greedy_updates += 1
+        return self._update(state, row, *self._utilities(
+            row, rows.get((s0 + delta, s1 + delta)), n_pending, overhead),
+            n_pending, overhead, action)
+
+    def _act(self, u_wait: float, u_request: float) -> int:
+        """The ε-greedy head: a coin, then a random or the greedy action."""
+        if self._rng.random() < self.config.epsilon:
+            self.stats.explored_actions += 1
+            return self._rng.choice((ACTION_WAIT, ACTION_REQUEST))
+        return ACTION_REQUEST if u_request >= u_wait else ACTION_WAIT
+
+    def _update(self, state, row, u_wait: float, u_request: float,
+                n_pending: int, overhead: int, action: int) -> float:
+        """Eq. 5 on ``state``'s ``row`` (``None`` if it has none): the
+        action's utility is its target ``c + γ · max q(s')``."""
+        cfg = self.config
+        if action == ACTION_REQUEST:
+            c, target = -float(overhead), u_request
+        else:
+            c, target = -cfg.deferral_weight * float(n_pending), u_wait
+        old = self.table.initial_value if row is None else row[action]
+        td_error = target - old
+        self.table.write(state, row, action,
+                         old + cfg.learning_rate * td_error)
+        self.stats.updates += 1
+        self.stats.cumulative_reward += c
         return td_error
 
     def memory_bytes(self) -> int:

@@ -30,9 +30,19 @@ class QTable:
         row = self._rows.get(state)
         return self.initial_value if row is None else row[action]
 
+    @property
+    def rows(self) -> Dict[RackState, List]:
+        """The rows by state, to read inline; write through :meth:`write`."""
+        return self._rows
+
     def set(self, state: RackState, action: int, value: float) -> None:
         """Overwrite q(state, action)."""
-        row = self._rows.get(state)
+        self.write(state, self._rows.get(state), action, value)
+
+    def write(self, state: RackState, row, action: int,
+              value: float) -> None:
+        """:meth:`set` over ``row``, the caller's fetch of ``state``'s row
+        (``None`` where it has none)."""
         if row is None:
             row = self._rows[state] = [self.initial_value,
                                        self.initial_value, 0]

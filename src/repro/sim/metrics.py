@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..config import Domain, declare
 from ..types import Tick
 
 #: Keys of the fallback-tier accounting attached to run metrics; a
@@ -119,11 +120,8 @@ class MetricsRecorder:
         How many evenly spaced checkpoints to record (paper: 10).
     """
 
+    @declare(total_items=Domain(int, 1), n_checkpoints=Domain(int, 1))
     def __init__(self, total_items: int, n_checkpoints: int = 10) -> None:
-        if total_items < 1:
-            raise ValueError("total_items must be >= 1")
-        if n_checkpoints < 1:
-            raise ValueError("n_checkpoints must be >= 1")
         self.total_items = total_items
         self.n_checkpoints = n_checkpoints
         self._thresholds = _checkpoint_grid(total_items, n_checkpoints)
@@ -266,10 +264,8 @@ class SteadyStateTracker:
     boundary); rates always use the *actual* span between samples.
     """
 
+    @declare(window_ticks=Domain(int, 1))
     def __init__(self, window_ticks: int) -> None:
-        if window_ticks < 1:
-            raise ValueError(
-                f"window_ticks must be >= 1, got {window_ticks}")
         self.window_ticks = window_ticks
         self.samples: List[WindowSample] = []
         self._last_tick: Tick = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from math import log
+from math import isfinite, log
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -51,6 +51,22 @@ def uniform_processing_time(rng: random.Random,
 RATE = Domain(float, 1e-300)
 RACKS = Domain(int, 1)
 PROCESSING = Domain(int, 1)
+#: An arrival tick or a rack id of a hand-written schedule.
+TICK = Domain(int, 0)
+
+
+def _zipf_weights(n_racks: int, zipf_s: float) -> List[float]:
+    """``1 / k ** zipf_s`` for ranks 1 to ``n_racks``, refusing a
+    ``zipf_s`` whose weights or their sum overflow for this many racks
+    (a rule over two parameters, so not a declared domain)."""
+    try:
+        weights = [1.0 / (k ** zipf_s) for k in range(1, n_racks + 1)]
+        if isfinite(sum(weights)):
+            return weights
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ConfigurationError(f"zipf_s {zipf_s} overflows the Zipf weights "
+                             f"of {n_racks} racks")
 
 
 def _check_processing_range(low: int, high: int) -> None:
@@ -115,7 +131,7 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
     _check_processing_range(processing_low, processing_high)
     rng = random.Random(seed)
 
-    weights = np.array([1.0 / (k ** zipf_s) for k in range(1, n_racks + 1)])
+    weights = np.array(_zipf_weights(n_racks, zipf_s))
     weights /= weights.sum()
     cumulative = np.cumsum(weights)
     # Shuffle rack identities so hot racks are spread over the floor.
@@ -148,10 +164,17 @@ def surge_arrivals(n_items: int, n_racks: int, base_rate: float,
 @declare(processing_time=PROCESSING)
 def deterministic_arrivals(schedule: Sequence[tuple],
                            processing_time: int = 20) -> List[Item]:
-    """Hand-written workloads for tests: ``[(arrival, rack_id), ...]``."""
-    return [Item(item_id=i, rack_id=rack_id, arrival=arrival,
-                 processing_time=processing_time)
-            for i, (arrival, rack_id) in enumerate(schedule)]
+    """Hand-written workloads for tests: ``[(arrival, rack_id), ...]``,
+    each a non-negative integer (:data:`TICK`)."""
+    items = []
+    for i, (arrival, rack_id) in enumerate(schedule):
+        if not (TICK.admits(arrival) and TICK.admits(rack_id)):
+            raise ConfigurationError(
+                f"deterministic_arrivals.schedule[{i}]: arrival "
+                f"{arrival!r} and rack {rack_id!r} must each be {TICK}")
+        items.append(Item(item_id=i, rack_id=rack_id, arrival=arrival,
+                          processing_time=processing_time))
+    return items
 
 
 # -- the named generator registry -------------------------------------------
@@ -302,7 +325,7 @@ class CycleStream(ItemStream):
         self.processing_high = processing_high
         self._rng = random.Random(seed)
         self._t = 0.0
-        weights = [1.0 / (k ** zipf_s) for k in range(1, n_racks + 1)]
+        weights = _zipf_weights(n_racks, zipf_s)
         total = sum(weights)
         cumulative, acc = [], 0.0
         for weight in weights:

@@ -106,10 +106,39 @@ def rack_facts(ap: int = 0, ar: int = 0, batch: int = 0,
     return planner.facts(rack)
 
 
+def tier0(free_flow, table, t, source, goal, trigger=0, rescue_caps=(0, 0)):
+    """Tier 0's ``(verdict, path, finisher_starts)`` under the active
+    switch: :meth:`~repro.pathfinding.free_flow.FreeFlowPathCache.kernel_leg`
+    under the python one; under the compiled one, tier 0's part of the
+    kernel's one ``leg`` call (its verdict, the leg where no search ran,
+    the first tried cell for verdict 2), made on a copy of ``table`` so
+    that the leg's insert leaves ``table`` as it was."""
+    import copy
+
+    from repro.pathfinding import _kernel
+    from repro.pathfinding.heuristics import _LazyManhattanFlat
+    from repro.pathfinding.paths import packed_path
+
+    module = _kernel.active
+    if module is None:
+        return free_flow.kernel_leg(table, t, source, goal, trigger,
+                                    rescue_caps)
+    grid = free_flow._grid
+    flat = free_flow._heuristics.field(goal).flat
+    twin = copy.deepcopy(table)
+    verdict, status, keys, tried = module.leg(
+        grid.kernel_capsule(module), twin.kernel_probe_spec(),
+        1 if isinstance(flat, _LazyManhattanFlat) else 2, flat,
+        grid.cell_index(source), grid.cell_index(goal), t, trigger,
+        *rescue_caps, grid.n_cells, grid.paper_scale)[:4]
+    return (verdict, packed_path(t, keys) if status < 0 else None,
+            (divmod(tried[0], grid.height),) if verdict == 2 else ())
+
+
 def eatp_finisher(grid: Grid, table, goal, threshold: int):
     """EATP's Sec. VI-B finisher toward ``goal`` over ``table``, without a
     planner around it: ``(finisher, cache)``.  ``finisher(cell, t)`` is
-    the walk from a cell inside the trigger band, through tier 0's entry
+    the walk from a cell inside the trigger band, through :func:`tier0`
     (whose head is then the cell itself), recorded in ``cache`` as the
     chain records it: the walked ``Path`` onto the goal, or ``None``."""
     from repro.pathfinding.cache import ShortestPathCache
@@ -123,8 +152,8 @@ def eatp_finisher(grid: Grid, table, goal, threshold: int):
     def finisher(cell, t):
         field = heuristics.field(goal)
         assert 0 < field(cell) <= threshold
-        verdict, path, starts = free_flow.kernel_leg(table, t, cell, goal,
-                                                     threshold)
+        verdict, path, starts = tier0(free_flow, table, t, cell, goal,
+                                      threshold)
         assert verdict == 2 and starts == (cell,)
         cache.record_starts(goal, field, starts)
         return path

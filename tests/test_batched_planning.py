@@ -16,6 +16,7 @@ stable.)
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from array import array
 from dataclasses import replace
@@ -291,13 +292,14 @@ class TestWaitFollowingRescue:
         chain = self.make_chain(reservation, PlannerConfig())
         monkeypatch.setattr(pipeline, "search", self.never_search)
         chain.rescue_caps = RESCUE_CAPS  # the paper-scale caps, forced
+        before = copy.deepcopy(reservation)  # the chain reserves the leg
         leg = chain.plan_leg(0, (0, 5), (6, 5))
         assert leg.tier == TIER_FREE_FLOW
         assert leg.fastpath == FASTPATH_RESCUE
         assert leg.path.source == (0, 5)
         assert leg.path.goal == (6, 5)
         assert len(leg.path) > 7  # at least one inserted wait
-        assert reservation.audit_path(leg.path) is True
+        assert before.audit_path(leg.path) is True
 
     def test_rescue_declines_past_wait_caps(self):
         grid = Grid(12, 10)

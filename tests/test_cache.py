@@ -1,6 +1,6 @@
 """Unit tests for the shortest-path cache, the wait-following walk and
 EATP's finisher, which walks the goal field's descent with waits (in
-the native ``run`` and ``tier0_leg`` under the compiled switch) and
+the native ``run`` and ``leg`` under the compiled switch) and
 whose starts the caller records in the cache after each call."""
 
 import hashlib
@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
 from repro.pathfinding.cdt import ConflictDetectionTable
@@ -43,7 +44,7 @@ def grid():
 
 class TestShortestPathCache:
     def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ShortestPathCache(-1)
 
     def test_counts_new_and_repeat_pairs(self):

@@ -18,6 +18,8 @@ from repro.config import (DECLARED, Domain, PlannerConfig, QLearningConfig,
 from repro.errors import ConfigurationError
 from repro.experiments.harness import run_matrix
 from repro.experiments.soak import SoakSpec
+from repro.pathfinding.cache import ShortestPathCache
+from repro.sim.metrics import MetricsRecorder, SteadyStateTracker
 from repro.warehouse.knn import StaticRackKNN
 from repro.workloads.arrivals import (RATE, CycleStream, PoissonStream,
                                       deterministic_arrivals,
@@ -62,6 +64,9 @@ CALLS = {
     "datasets": (lambda scale: (make_syn_a(scale),
                                 scenario_family("mini", scale)),
                  dict(scale=1.0)),
+    "ShortestPathCache": (ShortestPathCache, dict(threshold=0)),
+    "MetricsRecorder": (MetricsRecorder, dict(total_items=1)),
+    "SteadyStateTracker": (SteadyStateTracker, dict(window_ticks=1)),
 }
 
 
@@ -149,6 +154,10 @@ FORMER_HOLES = [
     (CALLS["ItemStream.take"][0], {}, "n", 2.5),
     (make_syn_a, {}, "scale", inf),
     (lambda scale: scenario_family("table2", scale), {}, "scale", inf),
+    (ShortestPathCache, {}, "threshold", -1),
+    (MetricsRecorder, {}, "total_items", 0),
+    (MetricsRecorder, dict(total_items=5), "n_checkpoints", 0),
+    (SteadyStateTracker, {}, "window_ticks", 0),
 ] + [
     (call, base, "processing_low", low)
     for call, base in ((poisson_arrivals, POISSON), (surge_arrivals, SURGE),
@@ -164,3 +173,25 @@ def test_a_former_hole_is_refused_naming_its_parameter(call, base, name,
                                                        value):
     with pytest.raises(ConfigurationError, match=rf"\.{name} must be"):
         call(**{**base, name: value})
+
+
+@pytest.mark.parametrize("schedule", [
+    [(nan, 1), (2.5, 0)], [(2.5, 0)], [(inf, 0)], [(-1, 0)], [(0, -1)],
+    [(3, 1.5)], [(0, 1), (4, nan)],
+], ids=repr)
+def test_a_schedule_out_of_its_domain_is_refused(schedule):
+    with pytest.raises(ConfigurationError,
+                       match=r"deterministic_arrivals\.schedule"):
+        deterministic_arrivals(schedule)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: surge_arrivals(5, 5000, 0.5, 1.0, 0.25, 1, zipf_s=100.0),
+    lambda: CycleStream(5, [1.0], 10, 1, zipf_s=-500.0).take(3),
+    lambda: CycleStream(5000, [1.0], 10, 1, zipf_s=-85.0).take(3),
+], ids=["surge-overflow", "cycle-underflow", "cycle-infinite-weight"])
+def test_a_zipf_exponent_past_the_floats_is_refused(call):
+    # A rule over n_racks and zipf_s together: each weight 1 / k ** s and
+    # their sum must be finite floats.
+    with pytest.raises(ConfigurationError, match="zipf_s"):
+        call()

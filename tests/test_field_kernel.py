@@ -9,21 +9,21 @@ drop-in for its python body:
 * ``bfs_fill`` — the heuristic-field flood over the prepared adjacency
   capsule must equal the python deque flood value for value on any grid,
   any source, any sentinel (and reject colliding sentinels the same way);
-* ``tier0_leg`` — the fused greedy-descent + bulk-audit entry point must
+* ``leg``'s tier 0 — the fused greedy-descent + bulk-audit walk must
   agree with the python ``packed()``/``audit_chain``/``follow_with_waits``
   trio on every production reservation table, every verdict class
   (unreachable, clean, finisher walk, audit reject, rescued), and on both
   field regimes (eager int32 buffers and the paper-scale lazy Manhattan
-  field) — and
-  ``FreeFlowPathCache.kernel_leg``, the one tier-0 entry, must answer the
-  same verdict tuple from either kernel, so the chain's single
-  interpreter builds the same leg.
+  field) — and answer the verdict tuple
+  ``FreeFlowPathCache.kernel_leg``, the python chain's tier 0, answers
+  under the python switch, so both switches plan the same leg.
 
 The per-planner field cache they read closes the module.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import pickle
 import random
@@ -35,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
+from repro.errors import ConfigurationError, PathNotFoundError
 from repro.pathfinding._kernel import build_and_load
 from repro.pathfinding._legacy import LegacyConflictDetectionTable
 from repro.pathfinding.cache import ShortestPathCache, follow_with_waits
@@ -42,7 +43,9 @@ from repro.pathfinding.cdt import ConflictDetectionTable
 from repro.pathfinding.free_flow import FreeFlowPathCache
 from repro.pathfinding.heuristics import HeuristicFieldCache
 from repro.pathfinding.paths import Path
-from repro.pathfinding.pipeline import RESCUE_CAPS, FallbackChain
+from repro.pathfinding.pipeline import (FASTPATH_AUDIT_REJECT, FASTPATH_HIT,
+                                        FASTPATH_MISS, RESCUE_CAPS,
+                                        FallbackChain, LegPlan)
 from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
@@ -50,7 +53,8 @@ from repro.pathfinding.st_astar import (SearchRequest, SearchStats, search,
 from repro.warehouse.grid import Grid
 from repro.warehouse.layout import _all_reachable
 from tests.conftest import (SWAP_CASES, SWAP_GOAL, assert_retains_nothing,
-                            count_kernel_calls, load_swap_case, python_audit)
+                            count_kernel_calls, load_swap_case, python_audit,
+                            tier0)
 
 COMPILED = build_and_load()
 
@@ -118,7 +122,7 @@ class TestPreparedGrid:
         assert search(grid, table, SearchRequest((0, 7), (63, 7), 0)).ok
         assert grid.distance_flat((0, 0))[grid.cell_index((63, 39))] > 0
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        assert cache.kernel_leg(table, 0, (0, 30), (63, 30))[0] == 1
+        assert tier0(cache, table, 0, (0, 30), (63, 30))[0] == 1
         assert not grid.adjacency
 
     def test_capsules_retain_nothing(self):
@@ -177,15 +181,15 @@ class TestFieldKernelSelection:
 
     def test_search_selection_drives_descent_kernel(self):
         grid = Grid(8, 8)
-        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        table = ConflictDetectionTable()
         legs = {}
         for kernel in KERNELS:
             set_search_kernel(kernel)
-            with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                legs[kernel] = cache.kernel_leg(table, 0, (0, 0), (7, 7))
-            assert calls["tier0_leg"] == (kernel == "compiled")
-        assert legs["python"][0] == 1  # a hit on the open floor
+            chain = FallbackChain(grid, ConflictDetectionTable(),
+                                  HeuristicFieldCache(grid), PlannerConfig())
+            with count_kernel_calls(COMPILED, ["leg"]) as calls:
+                legs[kernel] = chain.plan_leg(0, (0, 0), (7, 7))
+            assert calls["leg"] == (kernel == "compiled")
+        assert legs["python"].fastpath == FASTPATH_HIT  # the open floor
         assert legs.get("compiled", legs["python"]) == legs["python"]
 
 
@@ -320,7 +324,8 @@ def random_traffic(rng: random.Random, grid: Grid, table) -> None:
 @needs_compiled
 @pytest.mark.parametrize("name", sorted(TABLES))
 class TestFusedLegEquivalence:
-    """``tier0_leg`` == the python ``packed()`` + ``audit_chain`` pair."""
+    """``leg``'s tier 0 == the python ``packed()`` + ``audit_chain``
+    pair."""
 
     def test_matches_python_pair(self, name):
         set_search_kernel("compiled")
@@ -336,7 +341,7 @@ class TestFusedLegEquivalence:
             cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
             source, goal = rng.sample(cells, 2)
             t = rng.randint(0, 5)
-            fused = cache.kernel_leg(table, t, source, goal)
+            fused = tier0(cache, table, t, source, goal)
             assert fused is not None
             verdict, path, starts = fused
             assert starts == ()
@@ -374,8 +379,8 @@ class TestFusedLegEquivalence:
             source, goal = rng.sample(cells, 2)
             t = rng.randint(0, 3)
             trigger = rng.randint(1, 6)
-            verdict, path, starts = cache.kernel_leg(table, t, source, goal,
-                                                     trigger)
+            verdict, path, starts = tier0(cache, table, t, source, goal,
+                                          trigger)
             chain = cache.packed(source, goal)
             if chain is None:
                 assert verdict == 0
@@ -409,23 +414,37 @@ class TestFusedLegEquivalence:
 def test_kernel_leg_refuses_a_foreign_table(kernel):
     """A table that is not the library's gets a typed error under either
     switch; nothing falls back to the python trio and nothing reaches
-    ``tier0_leg``."""
+    ``leg``."""
     set_search_kernel(kernel)
     grid = Grid(WIDTH, HEIGHT)
     cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
     foreign = LegacyConflictDetectionTable()
     foreign.reserve_path(Path.waiting((3, 0), 0, 9))
-    with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+    with count_kernel_calls(COMPILED, ["leg"]) as calls:
         for goal in ((5, 0), (0, 5)):
             with pytest.raises(TypeError, match="LegacyConflictDetection"):
                 cache.kernel_leg(foreign, 0, (0, 0), goal)
-    assert calls["tier0_leg"] == 0
+    assert calls["leg"] == 0
+
+
+@needs_compiled
+def test_kernel_leg_serves_the_python_switch_only():
+    """The python chain's tier 0 reads the python layout: under the
+    compiled switch, where ``leg`` runs tier 0, it refuses, and the
+    kernel has no tier-0-only entry point."""
+    set_search_kernel("compiled")
+    grid = Grid(WIDTH, HEIGHT)
+    cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+    with pytest.raises(ConfigurationError, match="python layout"):
+        cache.kernel_leg(ConflictDetectionTable(), 0, (0, 0), (5, 0))
+    assert not hasattr(COMPILED, "tier0_leg")
 
 
 @needs_compiled
 @pytest.mark.parametrize("name", sorted(TABLES))
 class TestOneTierZeroContract:
-    """``kernel_leg`` answers one verdict tuple from either kernel."""
+    """Tier 0 answers one verdict tuple under either switch: ``leg``'s
+    under the compiled one, ``kernel_leg``'s under the python one."""
 
     def problem(self, name, seed):
         rng = random.Random(13_000 + seed)
@@ -447,12 +466,12 @@ class TestOneTierZeroContract:
         return ShortestPathCache(rng.randint(1, 6))
 
     def both_kernels(self, name, call):
-        """``call()`` under each switch; under the compiled one
-        ``tier0_leg`` answers."""
+        """``call()`` under each switch; under the compiled one ``leg``
+        answers."""
         set_search_kernel("compiled")
-        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+        with count_kernel_calls(COMPILED, ["leg"]) as calls:
             compiled = call()
-        assert calls["tier0_leg"] <= 1
+        assert calls["leg"] <= 1
         set_search_kernel("python")
         return compiled, call()
 
@@ -468,8 +487,8 @@ class TestOneTierZeroContract:
             caps = (rng.randint(1, 4), rng.randint(1, 8)) if seed % 3 else (
                 0, 0)
             compiled, python = self.both_kernels(
-                name, lambda: cache.kernel_leg(table, t, source, goal,
-                                               trigger, caps))
+                name, lambda: tier0(cache, table, t, source, goal, trigger,
+                                    caps))
             assert compiled == python
             if compiled[1] is not None:  # equal paths, tuples included
                 assert compiled[1].steps == python[1].steps
@@ -498,26 +517,36 @@ class TestOneTierZeroContract:
             threshold = rng.randint(1, 6) if rng.random() < 0.6 else None
 
             def leg():
-                # a fresh cache a call: what each kernel recorded
+                # a fresh cache and table a call: what each kernel
+                # planned, reserved and recorded
                 chain.cache = (None if threshold is None
                                else ShortestPathCache(threshold))
-                return (chain._free_flow_leg(t, source, goal),
+                chain.reservation = copy.deepcopy(table)
+                try:
+                    plan = chain.plan_leg(t, source, goal)
+                except PathNotFoundError as error:
+                    plan = str(error)
+                return (plan, chain.reservation.__getstate__(),
                         None if chain.cache is None
                         else list(chain.cache._paths.items()))
 
             compiled, python = self.both_kernels(name, leg)
-            assert compiled == python  # ((LegPlan | None, outcome), pairs)
-            outcomes.add(compiled[0][1])
+            assert compiled == python  # (LegPlan | error, table, pairs)
+            # an unreachable goal raises after tier 0's miss
+            outcomes.add(compiled[0].fastpath
+                         if isinstance(compiled[0], LegPlan)
+                         else FASTPATH_MISS)
         assert outcomes == {"hit", "miss", "audit_reject", "rescue"}
 
     def test_mutations_and_tier0_retain_nothing(self, name):
-        # Steady state of a service run: reserve a window of legs, audit
-        # descents through them, purge the window — repeated, the heap
-        # must come back to where one warm cycle left it.
+        # Steady state of a service run: reserve a window of legs, plan
+        # legs through them, purge the window — repeated, the heap must
+        # come back to where one warm cycle left it.
         set_search_kernel("compiled")
         grid = Grid(24, 24)
         table = TABLES[name](grid)
-        cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
+        chain = FallbackChain(grid, table, HeuristicFieldCache(grid),
+                              PlannerConfig())
         lanes = [[(x, y) for y in range(24)] for x in range(2, 22, 3)]
 
         def cycle(base):
@@ -525,12 +554,13 @@ class TestOneTierZeroContract:
                 table.reserve_path(Path.from_cells(lane, base + offset))
                 table.reserve_path(
                     Path.from_cells(lane[:-11:-1], base + offset))
-            verdicts = {cache.kernel_leg(table, base + 2, (0, y), (23, y))[0]
+            outcomes = {chain.plan_leg(base + 2, (0, y), (23, y)).fastpath
                         for y in range(24)}
             table.purge_before(base + 40)
-            return verdicts
+            return outcomes
 
-        assert cycle(0) == {1, 3}  # warm: capsule, fields, buckets
+        # warm: capsule, fields, buckets
+        assert cycle(0) == {FASTPATH_HIT, FASTPATH_AUDIT_REJECT}
         tracemalloc.start()
         try:
             gc.collect()
@@ -564,8 +594,8 @@ def test_gated_audits_on_the_swap_cases(name, case_name, kernel):
     assert python_audit(table, case["start"], chain, len(chain) - 1) == clean
     set_search_kernel(kernel)
     for caps, verdict in zip(((0, 0), (4, 8)), case["tier0"]):
-        got, path, __ = cache.kernel_leg(
-            table, case["start"], case["source"], SWAP_GOAL, 0, caps)
+        got, path, __ = tier0(
+            cache, table, case["start"], case["source"], SWAP_GOAL, 0, caps)
         assert got == verdict and (verdict == 1) == clean
         if verdict == 1:
             assert path == descent
@@ -615,7 +645,7 @@ def camp(table, cell, until):
 @needs_compiled
 @pytest.mark.parametrize("name", sorted(TABLES))
 class TestNativeRescue:
-    """The rescue inside ``tier0_leg`` == ``follow_with_waits``."""
+    """The rescue inside ``leg`` == ``follow_with_waits``."""
 
     def conflicted(self, name, seed):
         """A drawn descent whose audit hits traffic, or ``None``."""
@@ -641,10 +671,10 @@ class TestNativeRescue:
         reason, steps = reference_walk(table, chain.cells, t, *caps)
         assert steps == expected
         set_search_kernel("compiled")
-        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-            verdict, path, __ = cache.kernel_leg(table, t, source, goal, 0,
-                                                 caps)
-        assert calls["tier0_leg"] == 1
+        with count_kernel_calls(COMPILED, ["leg"]) as calls:
+            verdict, path, __ = tier0(cache, table, t, source, goal, 0,
+                                      caps)
+        assert calls["leg"] == 1
         if expected is None:
             assert (verdict, path) == (3, None)
         else:
@@ -703,10 +733,10 @@ class TestNativeRescue:
             for kernel in ("compiled", "python"):
                 set_search_kernel(kernel)
                 # a trigger at the start's own h: the head is the start
-                with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
-                    verdict, walked, starts = cache.kernel_leg(
-                        table, t, start, goal, len(chain.cells) - 1)
-                assert calls["tier0_leg"] == (kernel == "compiled")
+                with count_kernel_calls(COMPILED, ["leg"]) as calls:
+                    verdict, walked, starts = tier0(
+                        cache, table, t, start, goal, len(chain.cells) - 1)
+                assert calls["leg"] == (kernel == "compiled")
                 assert verdict == 2 and starts == (start,)
                 if expected is None:
                     assert walked is None
@@ -754,7 +784,7 @@ class TestNativeRescue:
         table, cache, __, source, goal, t = problem
         set_search_kernel("compiled")
         with pytest.raises(ValueError):
-            cache.kernel_leg(table, t, source, goal, 0, caps)
+            tier0(cache, table, t, source, goal, 0, caps)
 
     @pytest.mark.parametrize("verdict, goal, until, trigger, caps, leg", [
         (0, (11, 9), 7, 0, (0, 0), False),    # walled off
@@ -767,20 +797,32 @@ class TestNativeRescue:
     ])
     def test_every_verdict_retains_nothing(self, name, verdict, goal, until,
                                            trigger, caps, leg):
+        # a service cycle: the camp, the leg (whose insert lands in the
+        # store; a budget that spends little on the walled-off goal), the
+        # purge of both, each a window later than the last
         set_search_kernel("compiled")
         grid = Grid(WIDTH, HEIGHT, blocked=[(10, 9), (11, 8), (10, 8)])
         table = TABLES[name](grid)
-        camp(table, (3, 5), until)
         capsule = grid.kernel_capsule(COMPILED)
         flat = HeuristicFieldCache(grid).field(goal).flat
         store = table.kernel_probe_spec()
-        args = (capsule, store, 2, flat, grid.cell_index((0, goal[1])),
-                grid.cell_index(goal), 0, trigger) + caps
-        got, keys, tried = COMPILED.tier0_leg(*args)
-        assert got == verdict and (keys is not None) == leg
+        windows = iter(range(0, 1 << 40, 200))
+
+        def cycle():
+            base = next(windows)
+            COMPILED.store_reserve(store, base,
+                                   Path.waiting((3, 5), base, until).keys)
+            answer = COMPILED.leg(
+                capsule, store, 2, flat, grid.cell_index((0, goal[1])),
+                grid.cell_index(goal), base, trigger, *caps, 300, 0)
+            COMPILED.store_purge(store, base + 200)
+            return answer
+
+        got, status, keys, tried = cycle()[:4]
+        assert got == verdict and (status < 0) == leg
         assert bool(tried) == (verdict == 2)
-        assert_retains_nothing(lambda: COMPILED.tier0_leg(*args),
-                               watched=(capsule, flat, store))
+        assert keys is not None or verdict in (0, 2)
+        assert_retains_nothing(cycle, watched=(capsule, flat, store))
 
 
 @needs_compiled
@@ -807,7 +849,7 @@ class TestFusedLegManhattanRegime:
             if source == goal:
                 continue
             t = rng.randint(0, 4)
-            fused = cache.kernel_leg(table, t, source, goal)
+            fused = tier0(cache, table, t, source, goal)
             assert fused is not None
             verdict, path, __ = fused
             verdicts.add(verdict)
@@ -826,10 +868,10 @@ class TestFusedLegManhattanRegime:
         set_search_kernel("python")
         grid = Grid(8, 8)
         cache = FreeFlowPathCache(grid, HeuristicFieldCache(grid))
-        with count_kernel_calls(COMPILED, ["tier0_leg"]) as calls:
+        with count_kernel_calls(COMPILED, ["leg"]) as calls:
             verdict, path, __ = cache.kernel_leg(
                 SpatiotemporalGraph(grid), 0, (0, 0), (7, 7))
-        assert calls["tier0_leg"] == 0
+        assert calls["leg"] == 0
         assert verdict == 1
         assert path == Path.from_cells(cache.packed((0, 0), (7, 7)).cells, 0)
 

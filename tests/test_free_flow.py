@@ -163,7 +163,7 @@ class TestManhattanDescent:
     walk.
 
     On an unobstructed floor at or above the paper-scale gate,
-    ``tier0_leg`` (h_mode 1) computes Manhattan values instead of reading
+    ``leg`` (h_mode 1) computes Manhattan values instead of reading
     a field, and its descent goes "all of x, then all of y".
     ``packed()`` — the generic walk, the specification — run on the same
     lazy field must produce the identical chain in both representations
@@ -175,7 +175,6 @@ class TestManhattanDescent:
         grid = Grid(width, height)
         cache = make_cache(grid)
         capsule = grid.kernel_capsule(_COMPILED)
-        store = _COMPILED.store_new(None, -1, 0, 0)
         rng = random.Random(20220808)
         pairs = [((rng.randrange(width), rng.randrange(height)),
                   (rng.randrange(width), rng.randrange(height)))
@@ -190,10 +189,12 @@ class TestManhattanDescent:
             assert isinstance(cache._heuristics.field(goal).flat,
                               _LazyManhattanFlat)
             chain = cache.packed(source, goal)
-            verdict, keys, __ = _COMPILED.tier0_leg(
-                capsule, store, 1, None, grid.cell_index(source),
-                grid.cell_index(goal), 0, 0, 0, 0)
-            assert verdict == 1, (source, goal)
+            # an empty store a leg: each leg's insert lands in its own
+            verdict, status, keys = _COMPILED.leg(
+                capsule, _COMPILED.store_new(None, -1, 0, 0), 1, None,
+                grid.cell_index(source), grid.cell_index(goal), 0, 0, 0, 0,
+                grid.n_cells, 1)[:3]
+            assert (verdict, status) == (1, -1), (source, goal)
             assert list(keys) == list(chain.keys), (source, goal)
             assert (tuple(packed_path(0, keys).spatial_cells())
                     == chain.cells), (source, goal)

@@ -659,7 +659,7 @@ def test_every_exit_leaves_the_workspace_reusable(exit_name, deep):
 @pytest.mark.parametrize("h_mode", [1, 2])
 @pytest.mark.parametrize("bad", [-1, 100], ids=["negative", "n_cells"])
 @pytest.mark.parametrize("end", ["source", "goal"])
-@pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+@pytest.mark.parametrize("entry", ["run", "leg"])
 def test_entry_points_refuse_a_cell_off_the_grid(entry, end, bad, h_mode):
     # A source or goal index off the 10x10 floor is refused before it
     # indexes a field or the workspace, under either field kind: ``run``
@@ -671,7 +671,8 @@ def test_entry_points_refuse_a_cell_off_the_grid(entry, end, bad, h_mode):
     head = (grid.kernel_capsule(COMPILED), COMPILED.store_new(None, -1, 0, 0),
             h_mode, (9, 9) if h_mode == 1 and entry == "run" else field,
             cells["source"], cells["goal"], 0)
-    tail = (200_000, 0, 0, 0, 0) if entry == "run" else (0, 0, 0)
+    tail = (200_000, 0, 0, 0, 0) if entry == "run" else (0, 0, 0, 200_000,
+                                                         0)
     with pytest.raises(IndexError, match="cell outside grid"):
         getattr(COMPILED, entry)(*head, *tail)
 
@@ -829,7 +830,7 @@ class TestInconsistentFieldNeverPlans:
 
 
 #: The descending field of ``Grid(9, 1)`` toward its last cell, as the
-#: buffers ``run`` and ``tier0_leg`` must refuse: the right values under
+#: buffers ``run`` and ``leg`` must refuse: the right values under
 #: another item type, no item type at all, or the right items laid out
 #: in two dimensions or with a stride.
 _LINE = list(range(8, -1, -1))
@@ -845,7 +846,7 @@ BAD_H_BUFFERS = {
 
 @needs_compiled
 class TestHFieldBuffer:
-    """``run`` and ``tier0_leg`` read an h-field one way: h_mode 1 or 2,
+    """``run`` and ``leg`` read an h-field one way: h_mode 1 or 2,
     and for 2 a contiguous one-dimensional buffer of n_cells int32."""
 
     def call(self, entry, h_mode, h_arg):
@@ -855,9 +856,11 @@ class TestHFieldBuffer:
         if entry == "run":
             return COMPILED.run(*head, h_mode, h_arg, 0, 8, 0, 200_000, 0,
                                 0, 0, 0)[:2]
-        return COMPILED.tier0_leg(*head, h_mode, h_arg, 0, 8, 0, 0, 0, 0)
+        answer = COMPILED.leg(*head, h_mode, h_arg, 0, 8, 0, 0, 0, 0,
+                              200_000, 0)
+        return answer[0], answer[2]  # tier 0's verdict, the leg
 
-    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    @pytest.mark.parametrize("entry", ["run", "leg"])
     def test_both_modes_serve_the_reachable_goal(self, entry):
         by_buffer = self.call(entry, 2, array("i", _LINE))
         by_manhattan = self.call(entry, 1, (8, 0))
@@ -865,13 +868,13 @@ class TestHFieldBuffer:
         assert by_buffer[1] == by_manhattan[1] and len(by_buffer[1]) == 9
 
     @pytest.mark.parametrize("name", sorted(BAD_H_BUFFERS))
-    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    @pytest.mark.parametrize("entry", ["run", "leg"])
     def test_foreign_buffer_is_refused(self, entry, name):
         with pytest.raises(TypeError, match="int32"):
             self.call(entry, 2, BAD_H_BUFFERS[name])
 
     @pytest.mark.parametrize("h_mode", [0, 3, -1])
-    @pytest.mark.parametrize("entry", ["run", "tier0_leg"])
+    @pytest.mark.parametrize("entry", ["run", "leg"])
     def test_unknown_mode_is_refused(self, entry, h_mode):
         with pytest.raises(ValueError, match="h_mode"):
             self.call(entry, h_mode, array("i", _LINE))
@@ -986,9 +989,17 @@ def test_property_finisher_walks_match(seed, trigger):
 # -- planner integration ----------------------------------------------------
 
 
-#: The native entry points a planning run calls (``prepare_grid`` aside).
-RUN_ENTRY_POINTS = ("run", "store_reserve", "store_purge", "bfs_fill",
-                    "tier0_leg")
+#: The native entry points a planning run may call (``prepare_grid``
+#: aside): ``leg``, ``run``, ``store_reserve``, ``store_purge`` and
+#: ``bfs_fill``.
+RUN_ENTRY_POINTS = ("leg", "run", "store_reserve", "store_purge",
+                    "bfs_fill")
+
+#: The ones a compiled run reaches: one ``leg`` a leg (tier 0, the
+#: search, the insert), the purge and the field flood.  ``run`` serves
+#: only a budget below ``n_cells`` and ``store_reserve`` the wait tier's
+#: legs, which a run may not meet.
+COMPILED_RUN_ENTRY_POINTS = {"leg", "store_purge", "bfs_fill"}
 
 
 @needs_compiled
@@ -1020,9 +1031,10 @@ def test_planner_stats_count_kernel_usage():
 @needs_compiled
 @pytest.mark.parametrize("planner", ["NTP", "EATP"])
 def test_one_switch_routes_every_plane(planner):
-    """Under the compiled switch a mini run reaches every native entry
-    point a run uses — search, insertion, update, field flood, tier 0 —
-    under the python switch none, and the two runs are equal."""
+    """Under the compiled switch a mini run reaches the native entry
+    points every run uses — the leg (tier 0, search and insertion),
+    update, field flood — under the python switch none of those a run may
+    call, and the two runs are equal."""
     reached, views = {}, {}
     for kernel in ("compiled", "python"):
         set_search_kernel(kernel)
@@ -1030,5 +1042,7 @@ def test_one_switch_routes_every_plane(planner):
             result = run_planner(make_mini(n_items=40), planner)
         reached[kernel] = {name for name in RUN_ENTRY_POINTS if calls[name]}
         views[kernel] = deterministic_view(result_to_dict(result))
-    assert reached == {"compiled": set(RUN_ENTRY_POINTS), "python": set()}
+    assert reached["compiled"] >= COMPILED_RUN_ENTRY_POINTS
+    assert "run" not in reached["compiled"]  # the search runs inside leg
+    assert reached["python"] == set()
     assert views["compiled"] == views["python"]

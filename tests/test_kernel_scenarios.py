@@ -42,7 +42,7 @@ from repro.warehouse.grid import Grid
 from repro.warehouse.knn import StaticRackKNN
 from repro.warehouse.layout import build_layout
 from repro.warehouse.state import WarehouseState
-from tests.conftest import kernel_switch, popped_states, python_audit
+from tests.conftest import kernel_switch, popped_states, python_audit, tier0
 
 GRID = Grid(64, 40)
 SOURCE, GOAL = (0, 0), (60, 35)
@@ -312,7 +312,7 @@ def test_free_flow_kernel_leg():
     table = reserved(ConflictDetectionTable(), crossing_paths())
     cache = FreeFlowPathCache(GRID, HeuristicFieldCache(GRID))
 
-    verdict, path, starts = cache.kernel_leg(table, 0, SOURCE, GOAL)
+    verdict, path, starts = tier0(cache, table, 0, SOURCE, GOAL)
     assert starts == ()
     chain = cache.packed(SOURCE, GOAL)
     clean = table.audit_path(Path.from_cells(chain.cells, 0))

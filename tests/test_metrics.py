@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.metrics import (MetricsRecorder, RunMetrics,
                                SteadyStateTracker, _checkpoint_grid,
                                picker_processing_rate, robot_working_rate)
@@ -28,9 +29,9 @@ class TestRates:
 
 class TestMetricsRecorder:
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             MetricsRecorder(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             MetricsRecorder(10, n_checkpoints=0)
 
     def sample(self, recorder, tick=0):
@@ -170,7 +171,7 @@ class TestExtendTotal:
 
 class TestSteadyStateTracker:
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SteadyStateTracker(0)
 
     def test_window_rates_are_deltas_over_actual_span(self):

@@ -2,7 +2,7 @@
 
 Every native entry point that takes a store — ``store_reserve``,
 ``store_purge``, ``store_probe``, ``store_counts``, ``store_export``,
-``run`` and ``tier0_leg`` — serves nothing but a live store capsule: a
+``run`` and ``leg`` — serves nothing but a live store capsule: a
 foreign object in the slot raises ``TypeError``, a store whose table is
 gone ``ValueError``.  ``store_reserve`` and ``store_new`` refuse keys that
 break the path rule.  Each refusal comes before anything changes.  The
@@ -100,13 +100,13 @@ def entry_calls(store):
         "run": lambda: COMPILED.run(
             capsule, store, 1, LANE[-1], source, goal, 0, 200_000, 0, 0, 0,
             0),
-        "tier0_leg": lambda: COMPILED.tier0_leg(
-            capsule, store, 1, None, source, goal, 0, 0, 0, 0),
+        "leg": lambda: COMPILED.leg(
+            capsule, store, 1, None, source, goal, 0, 0, 0, 0, 200_000, 0),
     }
 
 
-ENTRIES = ["run", "store_counts", "store_export", "store_probe",
-           "store_purge", "store_reserve", "tier0_leg"]
+ENTRIES = ["leg", "run", "store_counts", "store_export", "store_probe",
+           "store_purge", "store_reserve"]
 
 
 @pytest.mark.parametrize("entry", ENTRIES)

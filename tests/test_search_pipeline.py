@@ -122,8 +122,9 @@ class TestSearchOutcomes:
 
 
 class TestTierOneIsTheChainsSearch:
-    """Tier 1 is the chain's own call of ``pipeline.search``: nothing is
-    handed in, and every searched leg is one call."""
+    """Tier 1 is the chain's own search — ``pipeline.search`` in the
+    python chain, inside the one ``leg`` call under the compiled switch:
+    nothing is handed in, and every searched leg is one search."""
 
     def test_chain_plans_full_and_wait_legs_unaided(self, kernel):
         # A blockade on the descent sends the leg past tier 0 into the
@@ -133,11 +134,13 @@ class TestTierOneIsTheChainsSearch:
         blockade(table, (4, 0), until=30)
         heuristics = HeuristicFieldCache(grid)
         chain = FallbackChain(grid, table, heuristics, PlannerConfig())
-        leg = chain.plan_leg(0, (0, 0), (9, 0))
         reference = search(grid, table, SearchRequest((0, 0), (9, 0), 0),
                            heuristics.field((9, 0)))
+        leg = chain.plan_leg(0, (0, 0), (9, 0))
         assert leg.tier == TIER_FULL
         assert leg.path.steps == reference.path.steps
+        # the chain reserved the leg it returned
+        assert not any(table.is_free(t, (x, y)) for t, x, y in leg.path.steps)
         (stats,) = leg.search_stats
         assert stats.expansions == reference.stats.expansions
         # A boxed robot's failed search becomes a wait leg.
@@ -152,12 +155,23 @@ class TestTierOneIsTheChainsSearch:
 
     def test_every_searched_leg_is_one_pipeline_search_call(
             self, kernel, monkeypatch):
+        from repro.pathfinding import _kernel
         from repro.planners import PLANNERS
         calls = []
         real_search = pipeline.search
         monkeypatch.setattr(
             pipeline, "search",
             lambda *args: calls.append(args[2]) or real_search(*args))
+        if _kernel.active is not None:
+            real_leg = _kernel.active.leg
+
+            def leg(*args):
+                answer = real_leg(*args)
+                if answer[1] >= 0:  # its search status: a search ran
+                    calls.append(args)
+                return answer
+
+            monkeypatch.setattr(_kernel.active, "leg", leg)
         for name in sorted(PLANNERS):
             calls.clear()
             state, items = make_mini(seed=3).build()
@@ -266,7 +280,7 @@ class TestFallbackChain:
             assert leg.tier == TIER_WAIT
             assert leg.path.steps == Path.waiting((2, 0), 0, hold).steps
             assert leg.commit_path is leg.path  # whole wait conflict-free
-            assert cdt.is_free(3, (2, 0))  # commit happens in the planner
+            assert not cdt.is_free(3, (2, 0))  # the chain committed it
             # The degraded leg is recorded: the failed search's stats
             # ride along and say the budget ended it.
             (failed,) = leg.search_stats
