@@ -18,14 +18,16 @@ search, the reservation table's operations, the field flood and tier 0
 with it off the python body does, bit-identically.  The search and tier
 0 take only the library's table and fields, so nothing declines.
 EATP's K-nearest-racks table (:class:`repro.warehouse.knn.StaticRackKNN`)
-is built by ``knn_fill`` and its flip gathers by ``knn_select`` under
-the same switch, and the ILP baseline's
+is built by ``knn_fill`` under the same switch; a selection wake of
+ATP or EATP — the ranked pass, EATP's flip over that table, or the
+greedy branch both share — is one ``learned_select`` call, which ranks
+the candidates and steps the learner; and the ILP baseline's
 assignment (:class:`repro.planners.ilp.IlpPlanner`) is solved by
 ``lsap``, which returns ``scipy.optimize.linear_sum_assignment``'s answer
 tie for tie (SciPy serves the python switch).
 
 The entry points — ``prepare_grid``, ``run``, ``leg``, ``bfs_fill``,
-``knn_fill``, ``knn_select``, ``lsap`` and the reservation store's
+``knn_fill``, ``learned_select``, ``lsap`` and the reservation store's
 ``store_new``, ``store_reserve``, ``store_purge``, ``store_probe``,
 ``store_counts``, ``store_export`` — carry their signatures as docstrings
 (``help(_stsearch.leg)``).  A leg crosses the boundary as ``keys``: one
@@ -49,9 +51,14 @@ cell (the seen-set of the cursor's f level) and the open lists are a
 workspace the grid's capsule keeps up to a 1 MB arena (a warm ``run`` allocates only its leg; one a python signal
 handler starts while another waits borrows a second workspace).
 
-The kernel calls no python code: EATP's finisher is its trigger L, and
+The search calls no python code: EATP's finisher is its trigger L, and
 ``run`` and ``leg`` walk it themselves (the rescue's descent and wait
 walk), returning the whole leg and the cells the walks started from.
+The one python code the kernel calls is the planner's RNG, from
+``learned_select``: its ``random`` for each step's coin and its
+``choice`` on an explored step, so the draws are python's own, in
+python's order.  The build passes ``-ffp-contract=off``, so the
+learner's floats are python's expressions, unfused.
 """
 
 from __future__ import annotations

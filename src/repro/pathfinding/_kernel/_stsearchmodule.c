@@ -1780,11 +1780,7 @@ done:
     return result;
 }
 
-/* knn_select: EATP's flip gather over a knn_fill table.  For each     */
-/* cell of ``cells`` (the idle robots' (x, y), in order) whose K racks */
-/* include one with its ``mask`` byte set, the pair (position, those   */
-/* rack ids in table order); a cell with none is left out.             */
-
+/* A KNN table entry: a rack id (knn_fill's int16 or int32). */
 static inline Py_ssize_t
 knn_id(const Py_buffer *table, int wide, Py_ssize_t at)
 {
@@ -1792,90 +1788,844 @@ knn_id(const Py_buffer *table, int wide, Py_ssize_t at)
         : ((const int16_t *)table->buf)[at];
 }
 
-static PyObject *
-stsearch_knn_select(PyObject *self, PyObject *args)
+/* learned_select: one selection wake of ATP or EATP (Alg. 2 lines    */
+/* 6-19, Alg. 3 lines 8-13), equal to the python selectors             */
+/* (AdaptiveTaskPlanner._ranked and _requests, the flip over           */
+/* StaticRackKNN's table, most_slack_first and learn) in entries, Q    */
+/* rows, LearnerStats and the RNG state.  The greedy branch walks the  */
+/* world's per-picker index, pickers with work by (f_p, id), up to the */
+/* budget and learns REQUEST for each, drawing nothing.  Otherwise     */
+/* candidates are the selectable racks (ATP) or each idle              */
+/* robot's selectable K nearest (EATP); each is keyed by lookahead's   */
+/* u_wait - u_request over the Q rows as they stand before the first   */
+/* step, and examined in (key, rack id) order, EATP's robots in (best  */
+/* key, robot id) order, skipping racks already claimed.  An examined  */
+/* rack takes QLearningAgent.step: the draw and, on an explored step,  */
+/* choose((ACTION_WAIT, ACTION_REQUEST)) are the planner's own RNG, so */
+/* these two are the kernel's only calls into python.  Every float is  */
+/* python's expression in python's order; build.py compiles with       */
+/* -ffp-contract=off so no multiply-add is fused.  Everything is       */
+/* checked and every key taken before the first draw: a refused call   */
+/* leaves the learner and the RNG as they were.                        */
+
+/* Interned attribute names and the action pair, made at import. */
+static PyObject *str_picker_id, *str_accumulated, *str_pending_time,
+    *str_pending_items, *str_remaining, *str_queued, *str_location,
+    *str_robot_id, *str_entries, *str_initial, *str_updates, *str_explored,
+    *str_greedy, *str_reward;
+static PyObject *actions_pair;   /* (ACTION_WAIT, ACTION_REQUEST) == (0, 1) */
+
+/* A candidate: its examination key, rack id and Sec. V-A facts. */
+typedef struct {
+    double key;
+    Py_ssize_t rack;
+    int64_t s0, s1, delta, n_pending, overhead;
+} SelCand;
+
+/* An EATP robot with a candidate: its best key, id, position in the
+ * robots argument and its candidates' span. */
+typedef struct {
+    double best;
+    int64_t robot_id;
+    Py_ssize_t pos, begin, end;
+} SelRobot;
+
+/* A state's row as this call found it (``row`` NULL: none), looked up
+ * in the table on the call's first ask.  While the call runs only its
+ * own steps write the rows (draw and choose are the RNG's), and a step
+ * that makes a row puts it in its slot.  The memo holds a reference to
+ * each row it has. */
+typedef struct {
+    int64_t s0, s1;
+    PyObject *row;
+    int used;
+} SelSlot;
+
+/* A picker's facts: s0, f_p (Picker.finish_time_estimate), whether
+ * read yet. */
+typedef struct {
+    int64_t s0, finish;
+    int seen;
+} SelPicker;
+
+/* Up to SEL_SMALL items of each of a wake's buffers live on the C
+ * stack; only a larger wake allocates. */
+#define SEL_SMALL 64
+
+static void *
+sel_buffer(void *small, Py_ssize_t n, size_t size)
 {
-    (void)self;
-    PyObject *table_obj, *cells_obj, *cells = NULL, *result = NULL;
-    Py_buffer tv, mv;
-    if (!PyArg_ParseTuple(args, "OOy*:knn_select", &table_obj, &cells_obj,
-                          &mv))
+    if (n <= SEL_SMALL)
+        return small;
+    void *buf = (size_t)n > PY_SSIZE_T_MAX / size ? NULL
+        : PyMem_Malloc((size_t)n * size);
+    if (buf == NULL)
+        PyErr_NoMemory();
+    return buf;
+}
+
+static void
+sel_release(void *buf, void *small)
+{
+    if (buf != small)
+        PyMem_Free(buf);
+}
+
+typedef struct {
+    PyObject *racks, *pickers, *distance, *rows, *initial_obj;
+    SelSlot *memo;
+    Py_ssize_t memo_cap, memo_used;
+    double initial, epsilon, discount, deferral, rate;
+    int64_t width;
+    SelPicker *pickers_seen;   /* a picker's facts, read once a call */
+    SelSlot *memo_small;       /* the memo's first, stack-held, slots */
+    /* the learner's counters, written back once a step has run */
+    int64_t entries, updates, explored, greedy;
+    double reward;
+} SelCtx;
+
+/* (key, id) ascending; a NaN key sorts after every number. */
+static inline int
+sel_before(double ka, int64_t ia, double kb, int64_t ib)
+{
+    if (ka < kb)
+        return 1;
+    if (ka > kb)
+        return 0;
+    if (ka != kb) {
+        int na = ka != ka, nb = kb != kb;
+        if (na != nb)
+            return nb;
+    }
+    return ia < ib;
+}
+
+static int
+sel_cand_cmp(const void *a, const void *b)
+{
+    const SelCand *x = a, *y = b;
+    return sel_before(x->key, x->rack, y->key, y->rack) ? -1
+        : sel_before(y->key, y->rack, x->key, x->rack);
+}
+
+static int
+sel_robot_cmp(const void *a, const void *b)
+{
+    const SelRobot *x = a, *y = b;
+    return sel_before(x->best, x->robot_id, y->best, y->robot_id) ? -1
+        : sel_before(y->best, y->robot_id, x->best, x->robot_id);
+}
+
+/* python's ``a // b`` for b > 0 */
+static inline int64_t
+floor_div(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+static int
+attr_i64(PyObject *obj, PyObject *name, int64_t *out)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    long long x = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *out = x;
+    return 0;
+}
+
+static int
+set_attr_i64(PyObject *obj, PyObject *name, int64_t value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    int rc = v == NULL ? -1 : PyObject_SetAttr(obj, name, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+/* The key (s0, s1) of a state's row. */
+static PyObject *
+sel_key(int64_t s0, int64_t s1)
+{
+    PyObject *x = PyLong_FromLongLong(s0), *y = PyLong_FromLongLong(s1);
+    PyObject *key = x == NULL || y == NULL ? NULL : PyTuple_Pack(2, x, y);
+    Py_XDECREF(x);
+    Py_XDECREF(y);
+    return key;
+}
+
+static inline Py_ssize_t
+sel_hash(int64_t s0, int64_t s1, Py_ssize_t mask)
+{
+    uint64_t h = (uint64_t)s0 * 0x9E3779B97F4A7C15ULL
+        ^ (uint64_t)s1 * 0xC2B2AE3D27D4EB4FULL;
+    return (Py_ssize_t)(h >> 20) & mask;
+}
+
+/* The memo slot of state (s0, s1), its row looked up in the table on
+ * the call's first ask (NULL with an exception).  A slot pointer holds
+ * until the next sel_slot call, which may move the memo. */
+static SelSlot *
+sel_slot(SelCtx *c, int64_t s0, int64_t s1)
+{
+    if (2 * (c->memo_used + 1) > c->memo_cap) {
+        Py_ssize_t cap = 2 * c->memo_cap;
+        SelSlot *memo = PyMem_Calloc((size_t)cap, sizeof(SelSlot));
+        if (memo == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        for (Py_ssize_t i = 0; i < c->memo_cap; i++) {
+            if (!c->memo[i].used)
+                continue;
+            Py_ssize_t j = sel_hash(c->memo[i].s0, c->memo[i].s1, cap - 1);
+            while (memo[j].used)
+                j = (j + 1) & (cap - 1);
+            memo[j] = c->memo[i];
+        }
+        sel_release(c->memo, c->memo_small);
+        c->memo = memo;
+        c->memo_cap = cap;
+    }
+    Py_ssize_t mask = c->memo_cap - 1, i = sel_hash(s0, s1, mask);
+    for (; c->memo[i].used; i = (i + 1) & mask)
+        if (c->memo[i].s0 == s0 && c->memo[i].s1 == s1)
+            return &c->memo[i];
+    PyObject *key = sel_key(s0, s1);
+    if (key == NULL)
         return NULL;
-    if (PyObject_GetBuffer(table_obj, &tv, PyBUF_RECORDS_RO) < 0) {
-        PyBuffer_Release(&mv);
+    PyObject *row = PyDict_GetItemWithError(c->rows, key);
+    Py_DECREF(key);
+    if (row == NULL && PyErr_Occurred())
+        return NULL;
+    if (row != NULL && (!PyList_Check(row) || PyList_GET_SIZE(row) != 3
+                        || !PyLong_Check(PyList_GET_ITEM(row, 2)))) {
+        PyErr_SetString(PyExc_TypeError, "a Q row must be a [q_wait, "
+                        "q_request, mask] list");
         return NULL;
     }
-    int wide = tv.itemsize == 4;
+    c->memo[i] = (SelSlot){s0, s1, Py_XNewRef(row), 1};
+    c->memo_used++;
+    return &c->memo[i];
+}
+
+/* row[action] as python reads it, the initial value where no row. */
+static int
+sel_q(SelCtx *c, PyObject *row, int action, double *out)
+{
+    if (row == NULL) {
+        *out = c->initial;
+        return 0;
+    }
+    double v = PyFloat_AsDouble(PyList_GET_ITEM(row, action));
+    if (v == -1.0 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+/* max_a q(row, a): ``row[1] if row[1] > row[0] else row[0]``. */
+static int
+sel_best(SelCtx *c, PyObject *row, double *out)
+{
+    double wait, request;
+    if (sel_q(c, row, 0, &wait) < 0 || sel_q(c, row, 1, &request) < 0)
+        return -1;
+    *out = request > wait ? request : wait;
+    return 0;
+}
+
+/* QLearningAgent._utilities over the candidate's two rows. */
+static int
+sel_utilities(SelCtx *c, const SelCand *k, PyObject *row, PyObject *ahead,
+              double *u_wait, double *u_request)
+{
+    double now, then;
+    if (sel_best(c, row, &now) < 0 || sel_best(c, ahead, &then) < 0)
+        return -1;
+    *u_wait = -c->deferral * (double)k->n_pending + c->discount * now;
+    *u_request = -(double)k->overhead + c->discount * then;
+    return 0;
+}
+
+/* A candidate's state slot and its REQUEST successor's row. */
+static int
+sel_rows(SelCtx *c, const SelCand *k, SelSlot **state, PyObject **ahead)
+{
+    int64_t a0, a1;
+    if (__builtin_add_overflow(k->s0, k->delta, &a0)
+            || __builtin_add_overflow(k->s1, k->delta, &a1)) {
+        PyErr_SetString(PyExc_OverflowError, "state counter overflow");
+        return -1;
+    }
+    SelSlot *slot = sel_slot(c, a0, a1);
+    if (slot == NULL)
+        return -1;
+    *ahead = slot->row;
+    *state = sel_slot(c, k->s0, k->s1);
+    return *state == NULL ? -1 : 0;
+}
+
+/* Picker ``pid``'s facts, read on the call's first ask. */
+static SelPicker *
+sel_picker(SelCtx *c, int64_t pid)
+{
+    if (pid < 0 || pid >= PyList_GET_SIZE(c->pickers)) {
+        PyErr_SetString(PyExc_ValueError, "a rack names a picker outside "
+                        "the picker list");
+        return NULL;
+    }
+    SelPicker *facts = &c->pickers_seen[pid];
+    if (!facts->seen) {
+        PyObject *picker = PyList_GET_ITEM(c->pickers, pid);
+        int64_t acc, remaining, queued;
+        if (attr_i64(picker, str_accumulated, &acc) < 0
+                || attr_i64(picker, str_remaining, &remaining) < 0
+                || attr_i64(picker, str_queued, &queued) < 0)
+            return NULL;
+        /* Picker.finish_time_estimate, f_p of Eq. 3 */
+        *facts = (SelPicker){floor_div(acc, c->width), remaining + queued,
+                             1};
+    }
+    return facts;
+}
+
+/* AdaptiveTaskPlanner.facts of rack ``r``. */
+static int
+sel_facts(SelCtx *c, Py_ssize_t r, SelCand *k)
+{
+    PyObject *rack = PyList_GET_ITEM(c->racks, r);
+    int64_t pid, acc, pending;
+    SelPicker *facts;
+    if (attr_i64(rack, str_picker_id, &pid) < 0
+            || (facts = sel_picker(c, pid)) == NULL
+            || attr_i64(rack, str_accumulated, &acc) < 0
+            || attr_i64(rack, str_pending_time, &pending) < 0)
+        return -1;
+    PyObject *items = PyObject_GetAttr(rack, str_pending_items);
+    if (items == NULL)
+        return -1;
+    Py_ssize_t n_pending = PyObject_Size(items);
+    Py_DECREF(items);
+    if (n_pending < 0)
+        return -1;
+    long long d = PyLong_AsLongLong(PyList_GET_ITEM(c->distance, r));
+    if (d == -1 && PyErr_Occurred())
+        return -1;
+    k->rack = r;
+    k->s0 = facts->s0;
+    k->s1 = floor_div(acc, c->width);
+    k->delta = floor_div(pending, c->width);
+    k->n_pending = n_pending;
+    k->overhead = facts->finish >= d ? facts->finish : d;
+    return 0;
+}
+
+/* sel_facts, then the candidate's lookahead key. */
+static int
+sel_candidate(SelCtx *c, Py_ssize_t r, SelCand *k)
+{
+    SelSlot *state;
+    PyObject *ahead;
+    double u_wait, u_request;
+    if (sel_facts(c, r, k) < 0 || sel_rows(c, k, &state, &ahead) < 0
+            || sel_utilities(c, k, state->row, ahead, &u_wait,
+                             &u_request) < 0)
+        return -1;
+    k->key = u_wait - u_request;
+    return 0;
+}
+
+/* QLearningAgent._update of ``action`` on the candidate's ``state``
+ * slot: Eq. 5 with the action's utility as its target.  ``action``, or
+ * -1 with an exception. */
+static int
+sel_update(SelCtx *c, const SelCand *k, SelSlot *state, double u_wait,
+           double u_request, int action)
+{
+    double cost, target, old;
+    if (action == 1) {
+        cost = -(double)k->overhead;
+        target = u_request;
+    }
+    else {
+        cost = -c->deferral * (double)k->n_pending;
+        target = u_wait;
+    }
+    PyObject *row = state->row;
+    if (sel_q(c, row, action, &old) < 0)
+        return -1;
+    double td_error = target - old;
+    PyObject *value = PyFloat_FromDouble(old + c->rate * td_error);
+    if (value == NULL)
+        return -1;
+    if (row == NULL) {   /* QTable.write's new row, which the memo keeps */
+        PyObject *key = sel_key(k->s0, k->s1);
+        row = key == NULL ? NULL
+            : Py_BuildValue("[OOi]", c->initial_obj, c->initial_obj, 0);
+        if (row == NULL || PyDict_SetItem(c->rows, key, row) < 0) {
+            Py_XDECREF(key);
+            Py_XDECREF(row);
+            Py_DECREF(value);
+            return -1;
+        }
+        Py_DECREF(key);
+        state->row = row;
+    }
+    PyList_SetItem(row, action, value);   /* steals value */
+    long mask = PyLong_AsLong(PyList_GET_ITEM(row, 2));
+    if (mask == -1 && PyErr_Occurred())
+        return -1;
+    if (!(mask >> action & 1)) {
+        PyObject *bits = PyLong_FromLong(mask | 1L << action);
+        if (bits == NULL)
+            return -1;
+        PyList_SetItem(row, 2, bits);
+        c->entries++;
+    }
+    c->updates++;
+    c->reward += cost;
+    return action;
+}
+
+/* QLearningAgent.step of a candidate, or with ``draw`` NULL its greedy
+ * learn of REQUEST: 1 where it took REQUEST, 0 where WAIT, -1 with an
+ * exception. */
+static int
+sel_step(SelCtx *c, const SelCand *k, PyObject *draw, PyObject *choose)
+{
+    SelSlot *state;
+    PyObject *ahead;
+    double u_wait, u_request;
+    if (sel_rows(c, k, &state, &ahead) < 0
+            || sel_utilities(c, k, state->row, ahead, &u_wait,
+                             &u_request) < 0)
+        return -1;
+    if (draw == NULL) {   /* learn(..., ACTION_REQUEST, greedy=True) */
+        c->greedy++;
+        return sel_update(c, k, state, u_wait, u_request, 1);
+    }
+    /* _act: the coin, then a random or the greedy action */
+    int action;
+    PyObject *coin = PyObject_CallNoArgs(draw);
+    double flip = coin == NULL ? -1.0 : PyFloat_AsDouble(coin);
+    Py_XDECREF(coin);
+    if (flip == -1.0 && PyErr_Occurred())
+        return -1;
+    if (flip < c->epsilon) {
+        c->explored++;
+        PyObject *pick = PyObject_CallOneArg(choose, actions_pair);
+        long a = pick == NULL ? -1 : PyLong_AsLong(pick);
+        Py_XDECREF(pick);
+        if (a == -1 && PyErr_Occurred())
+            return -1;
+        if (a != 0 && a != 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "choose must return one of the two actions");
+            return -1;
+        }
+        action = (int)a;
+    }
+    else
+        action = u_request >= u_wait ? 1 : 0;
+    return sel_update(c, k, state, u_wait, u_request, action);
+}
+
+/* A picker with work in the greedy walk's order: its f_p, its id. */
+typedef struct {
+    int64_t finish, pid;
+} SelSlack;
+
+static int
+sel_slack_cmp(const void *a, const void *b)
+{
+    const SelSlack *x = a, *y = b;
+    if (x->finish != y->finish)
+        return x->finish < y->finish ? -1 : 1;
+    return (x->pid > y->pid) - (x->pid < y->pid);
+}
+
+/* most_slack_first's walk over ``index``, the world's (rack ids by
+ * picker, selectable count by picker): the pickers with work by (f_p,
+ * id), each picker's selectable racks in its list's order, up to
+ * ``budget`` (all where it is negative), appended to ``out``. */
+static int
+sel_walk(SelCtx *c, PyObject *index, const unsigned char *selectable,
+         Py_ssize_t n_racks, Py_ssize_t budget, SelSlack *slack,
+         PyObject *out)
+{
+    PyObject *by_picker, *counts;
+    Py_ssize_t n_pickers = PyList_GET_SIZE(c->pickers), n = 0;
+    if (!PyTuple_Check(index) || PyTuple_GET_SIZE(index) != 2
+            || !PyList_Check(by_picker = PyTuple_GET_ITEM(index, 0))
+            || !PyList_Check(counts = PyTuple_GET_ITEM(index, 1))) {
+        PyErr_SetString(PyExc_TypeError, "the greedy walk's index must be "
+                        "a (rack ids by picker, counts by picker) pair of "
+                        "lists");
+        return -1;
+    }
+    if (PyList_GET_SIZE(by_picker) != n_pickers
+            || PyList_GET_SIZE(counts) != n_pickers) {
+        PyErr_SetString(PyExc_ValueError, "the greedy walk's index must "
+                        "hold one entry per picker");
+        return -1;
+    }
+    for (Py_ssize_t pid = 0; pid < n_pickers; pid++) {
+        long count = PyLong_AsLong(PyList_GET_ITEM(counts, pid));
+        if (count == -1 && PyErr_Occurred())
+            return -1;
+        if (count == 0)
+            continue;
+        SelPicker *facts = sel_picker(c, pid);
+        if (facts == NULL)
+            return -1;
+        slack[n++] = (SelSlack){facts->finish, pid};
+    }
+    qsort(slack, (size_t)n, sizeof(SelSlack), sel_slack_cmp);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *ids = PyList_GET_ITEM(by_picker, slack[i].pid);
+        if (!PyList_Check(ids)) {
+            PyErr_SetString(PyExc_TypeError, "a picker's rack ids must be "
+                            "a list");
+            return -1;
+        }
+        for (Py_ssize_t j = 0; j < PyList_GET_SIZE(ids); j++) {
+            PyObject *id = PyList_GET_ITEM(ids, j);
+            Py_ssize_t r = PyLong_AsSsize_t(id);
+            if (r == -1 && PyErr_Occurred())
+                return -1;
+            if (r < 0 || r >= n_racks) {
+                PyErr_SetString(PyExc_ValueError, "a picker names a rack "
+                                "outside the rack list");
+                return -1;
+            }
+            if (!selectable[r])
+                continue;
+            if (PyList_GET_SIZE(out) == budget)
+                return 0;
+            if (PyList_Append(out, id) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* Write the counters a step moved back to the table and the stats. */
+static int
+sel_flush(SelCtx *c, PyObject *table, PyObject *stats)
+{
+    PyObject *reward = PyFloat_FromDouble(c->reward);
+    int rc = reward == NULL
+        || set_attr_i64(table, str_entries, c->entries) < 0
+        || set_attr_i64(stats, str_updates, c->updates) < 0
+        || set_attr_i64(stats, str_explored, c->explored) < 0
+        || set_attr_i64(stats, str_greedy, c->greedy) < 0
+        || PyObject_SetAttr(stats, str_reward, reward) < 0;
+    Py_XDECREF(reward);
+    return rc ? -1 : 0;
+}
+
+/* An open-addressed set of claimed rack ids (EATP); -1 is empty. */
+static int
+claimed_add(Py_ssize_t *set, Py_ssize_t mask, Py_ssize_t r, int insert)
+{
+    Py_ssize_t i = (Py_ssize_t)(((uint64_t)r * 0x9E3779B97F4A7C15ULL) >> 7)
+        & mask;
+    for (; set[i] != -1; i = (i + 1) & mask)
+        if (set[i] == r)
+            return 1;
+    if (insert)
+        set[i] = r;
+    return 0;
+}
+
+static PyObject *
+stsearch_learned_select(PyObject *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 13) {
+        PyErr_Format(PyExc_TypeError, "learned_select takes 13 arguments "
+                     "(%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *racks = args[0], *pickers = args[1], *distance = args[2],
+        *index = args[4], *robots_obj = args[5], *params = args[7],
+        *rows = args[8], *table = args[9], *stats = args[10],
+        *draw = args[11], *choose = args[12];
+    if (!PyList_Check(racks) || !PyList_Check(pickers)
+            || !PyList_Check(distance) || !PyTuple_Check(params)
+            || !PyDict_Check(rows)) {
+        PyErr_SetString(PyExc_TypeError, "racks, pickers and distance must "
+                        "be lists, params a tuple and rows a dict");
+        return NULL;
+    }
+    int greedy = draw == Py_None && choose == Py_None;
+    if (!greedy && (!PyCallable_Check(draw) || !PyCallable_Check(choose))) {
+        PyErr_SetString(PyExc_TypeError, "draw and choose must both be "
+                        "callable, or both None");
+        return NULL;
+    }
+    Py_ssize_t budget = PyLong_AsSsize_t(args[6]);
+    if (budget == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer column;
+    if (PyObject_GetBuffer(args[3], &column, PyBUF_SIMPLE) < 0)
+        return NULL;
+    SelPicker pickers_small[SEL_SMALL];
+    SelSlot memo_small[SEL_SMALL];
+    SelCand cands_small[SEL_SMALL];
+    SelRobot served_small[SEL_SMALL];
+    SelSlack slack_small[SEL_SMALL];
+    Py_ssize_t claimed_small[2 * SEL_SMALL];
+    SelCtx c = {.racks = racks, .pickers = pickers, .distance = distance,
+                .rows = rows, .memo = memo_small, .memo_cap = SEL_SMALL,
+                .memo_small = memo_small, .pickers_seen = pickers_small};
+    memset(memo_small, 0, sizeof(memo_small));
+    Py_buffer tv = {0};
+    int have_table = 0;
+    PyObject *robots = NULL, *result = NULL, *out = NULL;
+    SelCand *cands = cands_small;
+    SelRobot *served = served_small;
+    SelSlack *slack = slack_small;
+    Py_ssize_t n_cands = 0, n_served = 0, *claimed = claimed_small;
+    Py_ssize_t n_racks = PyList_GET_SIZE(racks);
+    Py_ssize_t n_pickers = PyList_GET_SIZE(pickers);
+    const unsigned char *selectable = column.buf;
+    long long width;
+    if (!PyArg_ParseTuple(params, "Ldddd;params must be (bin width, "
+                          "epsilon, discount, deferral weight, learning "
+                          "rate)", &width, &c.epsilon, &c.discount,
+                          &c.deferral, &c.rate))
+        goto done;
+    c.width = width;
+    if (c.width < 1) {
+        PyErr_SetString(PyExc_ValueError, "the bin width must be positive");
+        goto done;
+    }
+    if (column.len != n_racks || PyList_GET_SIZE(distance) != n_racks) {
+        PyErr_SetString(PyExc_ValueError, "the selectable column and the "
+                        "distances must hold one entry per rack");
+        goto done;
+    }
+    c.initial_obj = PyObject_GetAttr(table, str_initial);
+    if (c.initial_obj == NULL)
+        goto done;
+    c.initial = PyFloat_AsDouble(c.initial_obj);
+    double reward = -1.0;
+    PyObject *reward_obj = NULL;
+    if ((c.initial == -1.0 && PyErr_Occurred())
+            || attr_i64(table, str_entries, &c.entries) < 0
+            || attr_i64(stats, str_updates, &c.updates) < 0
+            || attr_i64(stats, str_explored, &c.explored) < 0
+            || attr_i64(stats, str_greedy, &c.greedy) < 0
+            || (reward_obj = PyObject_GetAttr(stats, str_reward)) == NULL)
+        goto done;
+    reward = PyFloat_AsDouble(reward_obj);
+    Py_DECREF(reward_obj);
+    if (reward == -1.0 && PyErr_Occurred())
+        goto done;
+    c.reward = reward;
+    int64_t updates0 = c.updates, explored0 = c.explored;
+    c.pickers_seen = sel_buffer(pickers_small, n_pickers, sizeof(SelPicker));
+    if (c.pickers_seen == NULL)
+        goto done;
+    memset(c.pickers_seen, 0, sizeof(SelPicker) * (size_t)n_pickers);
+
+    if (greedy) {
+        /* the greedy branch (Alg. 2 lines 6-9): the walk, then each rack
+         * it took learns REQUEST, in that order */
+        slack = sel_buffer(slack_small, n_pickers, sizeof(SelSlack));
+        out = slack == NULL ? NULL : PyList_New(0);
+        if (out == NULL || sel_walk(&c, index, selectable, n_racks, budget,
+                                    slack, out) < 0)
+            goto done;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(out); i++) {
+            SelCand k;
+            if (sel_facts(&c, PyLong_AsSsize_t(PyList_GET_ITEM(out, i)),
+                          &k) < 0
+                    || sel_step(&c, &k, NULL, NULL) < 0)
+                goto flush;
+        }
+        result = Py_NewRef(out);
+        goto flush;
+    }
+
+    if (index == Py_None) {
+        /* ATP: every selectable rack, examined in (key, id) order */
+        Py_ssize_t n_selectable = 0;
+        for (Py_ssize_t r = 0; r < n_racks; r++)
+            n_selectable += selectable[r] != 0;
+        cands = sel_buffer(cands_small, n_selectable, sizeof(SelCand));
+        if (cands == NULL)
+            goto done;
+        for (Py_ssize_t r = 0; r < n_racks; r++)
+            if (selectable[r] && sel_candidate(&c, r, &cands[n_cands++]) < 0)
+                goto done;
+        qsort(cands, (size_t)n_cands, sizeof(SelCand), sel_cand_cmp);
+        out = PyList_New(0);
+        if (out == NULL)
+            goto done;
+        for (Py_ssize_t i = 0; i < n_cands; i++) {
+            int action = sel_step(&c, &cands[i], draw, choose);
+            if (action < 0)
+                goto flush;
+            if (action == 1) {
+                PyObject *id = PyLong_FromSsize_t(cands[i].rack);
+                int bad = id == NULL || PyList_Append(out, id) < 0;
+                Py_XDECREF(id);
+                if (bad)
+                    goto flush;
+                if (PyList_GET_SIZE(out) == budget)
+                    break;
+            }
+        }
+        result = Py_NewRef(out);
+        goto flush;
+    }
+
+    /* EATP: each idle robot's selectable K nearest */
+    if (PyObject_GetBuffer(index, &tv, PyBUF_RECORDS_RO) < 0)
+        goto done;
+    have_table = 1;
     if (tv.ndim != 3 || !knn_dtype(&tv)) {
-        PyErr_SetString(PyExc_TypeError, "table must be a (width, "
+        PyErr_SetString(PyExc_TypeError, "the KNN table must be a (width, "
                         "height, K) int16 or int32 buffer");
         goto done;
     }
     if (!PyBuffer_IsContiguous(&tv, 'C')) {
-        PyErr_SetString(PyExc_ValueError, "table must be C-contiguous");
+        PyErr_SetString(PyExc_ValueError, "the KNN table must be "
+                        "C-contiguous");
         goto done;
     }
-    cells = PySequence_Fast(cells_obj, "cells must be a sequence");
-    PyObject *out = cells == NULL ? NULL : PyList_New(0);
-    if (out == NULL)
+    robots = PySequence_Fast(robots_obj, "robots must be a sequence");
+    if (robots == NULL)
         goto done;
-    Py_ssize_t width = tv.shape[0], height = tv.shape[1], k = tv.shape[2];
-    const unsigned char *mask = mv.buf;
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(cells); i++) {
-        PyObject *cell = PySequence_Fast_GET_ITEM(cells, i);
-        if (!PyTuple_Check(cell) || PyTuple_GET_SIZE(cell) != 2) {
-            PyErr_SetString(PyExc_TypeError, "a cell must be an (x, y) "
-                            "tuple");
-            goto fail;
+    Py_ssize_t n_robots = PySequence_Fast_GET_SIZE(robots);
+    Py_ssize_t tw = tv.shape[0], th = tv.shape[1], k = tv.shape[2];
+    int wide = tv.itemsize == 4;
+    served = sel_buffer(served_small, n_robots, sizeof(SelRobot));
+    cands = served == NULL || k > PY_SSIZE_T_MAX / (n_robots + 1) ? NULL
+        : sel_buffer(cands_small, n_robots * k, sizeof(SelCand));
+    if (cands == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n_robots; i++) {
+        PyObject *robot = PySequence_Fast_GET_ITEM(robots, i);
+        PyObject *cell = PyObject_GetAttr(robot, str_location);
+        if (cell == NULL)
+            goto done;
+        Py_ssize_t x = -1, y = -1;
+        if (PyTuple_Check(cell) && PyTuple_GET_SIZE(cell) == 2) {
+            x = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 0));
+            y = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 1));
         }
-        Py_ssize_t x = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 0));
-        Py_ssize_t y = PyLong_AsSsize_t(PyTuple_GET_ITEM(cell, 1));
+        else
+            PyErr_SetString(PyExc_TypeError, "a robot's location must be "
+                            "an (x, y) tuple");
+        Py_DECREF(cell);
         if (PyErr_Occurred())
-            goto fail;
-        if (x < 0 || x >= width || y < 0 || y >= height) {
-            PyErr_SetString(PyExc_IndexError, "cell outside the table");
-            goto fail;
+            goto done;
+        if (x < 0 || x >= tw || y < 0 || y >= th) {
+            PyErr_SetString(PyExc_ValueError, "a robot stands outside the "
+                            "KNN table");
+            goto done;
         }
-        Py_ssize_t at = (x * height + y) * k, hits = 0;
+        Py_ssize_t at = (x * th + y) * k, begin = n_cands;
         for (Py_ssize_t j = 0; j < k; j++) {
             Py_ssize_t r = knn_id(&tv, wide, at + j);
-            if (r < 0 || r >= mv.len) {
-                PyErr_SetString(PyExc_IndexError,
-                                "rack id outside the mask");
-                goto fail;
+            if (r < 0 || r >= n_racks) {
+                PyErr_SetString(PyExc_ValueError, "a KNN row names a rack "
+                                "outside the rack list");
+                goto done;
             }
-            hits += mask[r] != 0;
+            if (selectable[r] && sel_candidate(&c, r, &cands[n_cands++]) < 0)
+                goto done;
         }
-        if (hits == 0)
-            continue;
-        PyObject *ids = PyList_New(hits);
-        if (ids == NULL)
-            goto fail;
-        for (Py_ssize_t j = 0, n = 0; n < hits; j++) {
-            Py_ssize_t r = knn_id(&tv, wide, at + j);
-            if (!mask[r])
-                continue;
-            PyObject *id = PyLong_FromSsize_t(r);
-            if (id == NULL) {
-                Py_DECREF(ids);
-                goto fail;
-            }
-            PyList_SET_ITEM(ids, n++, id);
-        }
-        PyObject *pair = Py_BuildValue("(nN)", i, ids);
-        int bad = pair == NULL || PyList_Append(out, pair) < 0;
-        Py_XDECREF(pair);
-        if (bad)
-            goto fail;
+        if (n_cands == begin)
+            continue;   /* no candidate: ranks nothing, claims nothing */
+        SelRobot *s = &served[n_served++];
+        if (attr_i64(robot, str_robot_id, &s->robot_id) < 0)
+            goto done;
+        qsort(cands + begin, (size_t)(n_cands - begin), sizeof(SelCand),
+              sel_cand_cmp);
+        s->best = cands[begin].key;
+        s->pos = i;
+        s->begin = begin;
+        s->end = n_cands;
     }
-    result = out;
-    goto done;
-fail:
-    Py_DECREF(out);
+    qsort(served, (size_t)n_served, sizeof(SelRobot), sel_robot_cmp);
+    Py_ssize_t slots = 8;
+    while (slots < 2 * n_served)
+        slots *= 2;
+    claimed = slots <= 2 * SEL_SMALL ? claimed_small
+        : PyMem_Malloc(sizeof(Py_ssize_t) * (size_t)slots);
+    out = claimed == NULL ? NULL : PyList_New(0);
+    if (out == NULL) {
+        if (claimed == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    memset(claimed, 0xff, sizeof(Py_ssize_t) * (size_t)slots);
+    for (Py_ssize_t i = 0; i < n_served; i++) {
+        for (Py_ssize_t j = served[i].begin; j < served[i].end; j++) {
+            if (claimed_add(claimed, slots - 1, cands[j].rack, 0))
+                continue;
+            int action = sel_step(&c, &cands[j], draw, choose);
+            if (action < 0)
+                goto flush;
+            if (action == 1) {   /* Alg. 3 line 13: one rack per robot */
+                claimed_add(claimed, slots - 1, cands[j].rack, 1);
+                PyObject *pair = Py_BuildValue("(nn)", served[i].pos,
+                                               cands[j].rack);
+                int bad = pair == NULL || PyList_Append(out, pair) < 0;
+                Py_XDECREF(pair);
+                if (bad)
+                    goto flush;
+                break;
+            }
+        }
+    }
+    result = Py_NewRef(out);
+flush:
+    if (c.updates != updates0 || c.explored != explored0) {
+        /* the steps taken stand, as in python, an error or not */
+        PyObject *type, *value, *trace;
+        PyErr_Fetch(&type, &value, &trace);
+        if (sel_flush(&c, table, stats) < 0) {
+            Py_CLEAR(result);
+            if (type != NULL)
+                PyErr_Clear();
+        }
+        if (type != NULL)
+            PyErr_Restore(type, value, trace);
+    }
 done:
-    Py_XDECREF(cells);
-    PyBuffer_Release(&tv);
-    PyBuffer_Release(&mv);
+    Py_XDECREF(out);
+    Py_XDECREF(robots);
+    Py_XDECREF(c.initial_obj);
+    for (Py_ssize_t i = 0; i < c.memo_cap; i++)
+        Py_XDECREF(c.memo[i].row);
+    sel_release(c.memo, memo_small);
+    if (c.pickers_seen != NULL)
+        sel_release(c.pickers_seen, pickers_small);
+    if (cands != NULL)
+        sel_release(cands, cands_small);
+    if (served != NULL)
+        sel_release(served, served_small);
+    if (slack != NULL)
+        sel_release(slack, slack_small);
+    if (claimed != NULL)
+        sel_release(claimed, claimed_small);
+    if (have_table)
+        PyBuffer_Release(&tv);
+    PyBuffer_Release(&column);
     return result;
 }
 
@@ -2297,13 +3047,25 @@ static PyMethodDef stsearch_methods[] = {
      "Write each cell's K racks of least (Manhattan distance, id) from the\n"
      "(n, 2) int64 ``homes`` into the writable C-contiguous (width,\n"
      "height, K) int16/int32 ``out``; 1 <= K <= n, every home on the floor."},
-    {"knn_select", stsearch_knn_select, METH_VARARGS,
-     "knn_select(table, cells, mask) -> [(i, [rack ids])]\n"
-     "For each (x, y) ``cells[i]`` whose K racks in the C-contiguous\n"
-     "(width, height, K) int16/int32 ``table`` include one whose byte in\n"
-     "the bytes-like ``mask`` is set, the pair (i, those ids in table\n"
-     "order); other cells are left out.  IndexError for a cell off the\n"
-     "table or a rack id past the mask."},
+    {"learned_select", (PyCFunction)(void (*)(void))stsearch_learned_select,
+     METH_FASTCALL,
+     "learned_select(racks, pickers, distance, column, index, robots,\n"
+     "               budget, params, rows, table, stats, draw, choose)\n"
+     " -> list\n"
+     "One selection wake.  ``index`` None: ATP over the racks whose byte\n"
+     "in ``column`` is set, up to ``budget`` REQUESTs; returns their ids.\n"
+     "``index`` a knn_fill table: EATP's flip over each\n"
+     "robot's selectable K nearest, one rack a robot; returns (position\n"
+     "in robots, rack id) pairs.  params is (bin width, epsilon, discount,\n"
+     "deferral weight, learning rate); rows, table and stats are the\n"
+     "agent's QTable rows, QTable and LearnerStats, updated in place; draw\n"
+     "and choose are its RNG's random and choice.  draw and choose None:\n"
+     "the greedy branch, which draws nothing; ``index`` is the world's\n"
+     "(rack ids by picker, selectable count by picker): up to ``budget``\n"
+     "selectable racks, pickers with work by (f_p, id), a picker's racks\n"
+     "in its list's order, each learning REQUEST; returns their ids.\n"
+     "TypeError or ValueError for a malformed argument, before any draw\n"
+     "or write."},
     {"lsap", stsearch_lsap, METH_O,
      "lsap(cost) -> (row_ind, col_ind)\n"
      "The minimum-cost assignment of the C-contiguous 2-D float64 ``cost``,\n"
@@ -2350,6 +3112,28 @@ PyInit__stsearch(void)
         Py_DECREF(array_mod);
     }
     if (array_mod == NULL || array_type == NULL) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    static const char *const names[] = {
+        "picker_id", "accumulated_processing", "pending_processing_time",
+        "pending_items", "remaining_current", "queued_processing",
+        "location", "robot_id", "_entries", "initial_value", "updates",
+        "explored_actions", "greedy_updates", "cumulative_reward"};
+    PyObject **interned[] = {
+        &str_picker_id, &str_accumulated, &str_pending_time,
+        &str_pending_items, &str_remaining, &str_queued, &str_location,
+        &str_robot_id, &str_entries, &str_initial, &str_updates,
+        &str_explored, &str_greedy, &str_reward};
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        Py_XSETREF(*interned[i], PyUnicode_InternFromString(names[i]));
+        if (*interned[i] == NULL) {
+            Py_DECREF(mod);
+            return NULL;
+        }
+    }
+    Py_XSETREF(actions_pair, Py_BuildValue("(ii)", 0, 1));
+    if (actions_pair == NULL) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -81,7 +81,8 @@ def _compiler_command(output: str) -> Optional[List[str]]:
     if include is None:
         return None
     cmd = shlex.split(cc)
-    cmd += ["-O2", "-fPIC", "-shared", "-I" + include,
+    # No fused multiply-add: learned_select's floats are python's.
+    cmd += ["-O2", "-ffp-contract=off", "-fPIC", "-shared", "-I" + include,
             f'-DSTSEARCH_SOURCE_SHA256="{source_stamp()}"',
             _SOURCE, "-o", output]
     return cmd

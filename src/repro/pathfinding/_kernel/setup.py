@@ -22,7 +22,7 @@ setup(
         Extension(
             "_stsearch",
             sources=["_stsearchmodule.c"],
-            extra_compile_args=["-O2"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
             define_macros=[("STSEARCH_SOURCE_SHA256", f'"{_STAMP}"')],
         )
     ],

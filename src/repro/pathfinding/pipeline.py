@@ -148,18 +148,27 @@ class FallbackChain:
         """
         store = self.reservation.kernel_probe_spec()
         grid, budget = self.grid, self.config.max_search_expansions
-        if store is None or budget < grid.n_cells:
+        cache, height, n_cells = self.cache, grid.height, grid.n_cells
+        trigger = 0 if cache is None else cache.threshold
+        source_ci = source[0] * height + source[1]
+        if store is None or budget < n_cells:
+            if (grid.passable(goal) and 0 <= source_ci < n_cells
+                    and self.heuristics.field(goal).flat[source_ci]
+                    > n_cells):
+                self._refuse_unreachable(t, source, goal, trigger)
             return self._reserved(self._chain_leg(t, source, goal))
-        module, cache, height = _kernel.active, self.cache, grid.height
+        module = _kernel.active
         field = self.heuristics.field(goal)
         flat = field.flat
-        trigger = 0 if cache is None else cache.threshold
+        # A lazy field is Manhattan's: every cell reaches the goal.
+        lazy = isinstance(flat, _LazyManhattanFlat)
+        if (not lazy and 0 <= source_ci < n_cells
+                and flat[source_ci] > n_cells):
+            self._refuse_unreachable(t, source, goal, trigger)
         verdict, status, keys, tried, expansions, generated, peak_open = (
-            module.leg(grid.kernel_capsule(module), store,
-                       1 if isinstance(flat, _LazyManhattanFlat) else 2,
-                       flat, source[0] * height + source[1],
-                       goal[0] * height + goal[1], t, trigger,
-                       *self.rescue_caps, budget, grid.paper_scale))
+            module.leg(grid.kernel_capsule(module), store, 1 if lazy else 2,
+                       flat, source_ci, goal[0] * height + goal[1], t,
+                       trigger, *self.rescue_caps, budget, grid.paper_scale))
         for ci in tried:  # record_starts by cell index, tier 0's first
             cache.record(divmod(ci, height), goal, flat[ci] + 1)
         if status < 0:  # tier 0 made the leg: no search ran
@@ -179,6 +188,18 @@ class FallbackChain:
             SearchRequest(source, goal, t, budget, trigger),
             SEARCH_BUDGET if status == 1 else SEARCH_EXHAUSTED, None,
             stats), fastpath))
+
+    def _refuse_unreachable(self, t: Tick, source: Cell, goal: Cell,
+                            trigger: int) -> None:
+        """Raise :class:`~repro.errors.PathNotFoundError`, before any
+        search, for a ``source`` whose field value toward ``goal`` says
+        no path reaches it; a blocked source is left to the tiers' own
+        refusal."""
+        if self.grid.passable(source):
+            budget = self.config.max_search_expansions
+            raise SearchOutcome(
+                SearchRequest(source, goal, t, budget, trigger),
+                SEARCH_EXHAUSTED, None, SearchStats(budget=budget)).error()
 
     def _reserved(self, leg: LegPlan) -> LegPlan:
         """``leg``, its :attr:`~LegPlan.commit_path` reserved."""

@@ -25,6 +25,7 @@ import random
 from typing import Iterable, List, Optional
 
 from ..config import PlannerConfig
+from ..pathfinding import _kernel
 from ..rl.mdp import ACTION_REQUEST
 from ..rl.qlearning import Facts, QLearningAgent
 from ..types import Tick
@@ -64,26 +65,42 @@ class AdaptiveTaskPlanner(Planner):
         budget = len(robots)
         if self.agent.use_approximation():
             return self._select_greedy(budget)
-        return self._select_learned(self.state.selectable_racks(), budget)
+        return self._select_learned(budget)
 
     def _select_greedy(self, budget: int) -> List[SelectionEntry]:
-        """Alg. 2 lines 6–9: greedy choice, q updated from each selection."""
+        """Alg. 2 lines 6–9: greedy choice, q updated from each selection.
+
+        Under the compiled switch the walk and the updates are one
+        ``learned_select`` call that draws nothing, equal to
+        :func:`most_slack_first` then :meth:`QLearningAgent.learn`.
+        """
+        kernel = _kernel.active
+        if kernel is not None:
+            return self._learned_select(kernel, self.state.picker_index(),
+                                        None, budget, greedy=True)
         entries = most_slack_first(self.state, budget,
                                    self.picker_finish_time)
         for entry in entries:
             self.agent.learn(*self.facts(entry.rack), ACTION_REQUEST, True)
         return entries
 
-    def _select_learned(self, racks: List[Rack],
-                        budget: int) -> List[SelectionEntry]:
-        """Alg. 2 lines 11–19: ε-greedy per rack, most urgent rack first.
+    def _select_learned(self, budget: int) -> List[SelectionEntry]:
+        """Alg. 2 lines 11–19: ε-greedy per selectable rack, most urgent
+        rack first.
 
         "Urgent" is the :meth:`_ranked` order — the racks whose expected
         finish time grows fastest if deferred are examined (and thus,
-        under REQUEST, dispatched) first.
+        under REQUEST, dispatched) first.  Under the compiled switch the
+        whole pass is one ``learned_select`` call over the world's
+        selectable-rack column, equal to :meth:`_ranked` then
+        :meth:`_requests` in entries, learner and RNG.
         """
+        kernel = _kernel.active
+        if kernel is not None:
+            return self._learned_select(kernel, None, None, budget)
         entries: List[SelectionEntry] = []
-        for __, __, rack, rack_facts in self._ranked(racks):
+        for __, __, rack, rack_facts in self._ranked(
+                self.state.selectable_racks()):
             if self._requests(rack_facts):
                 entries.append(SelectionEntry(rack=rack))
                 if len(entries) == budget:
@@ -114,6 +131,27 @@ class AdaptiveTaskPlanner(Planner):
         """Alg. 2 lines 13–18 for one rack: one learner step (act
         ε-greedily, learn from the action); whether it was REQUEST."""
         return self.agent.step(*rack_facts) == ACTION_REQUEST
+
+    def _learned_select(self, kernel, index, robots, budget: int,
+                        greedy: bool = False) -> List[SelectionEntry]:
+        """The kernel's ``learned_select`` over this planner's world and
+        learner: the greedy walk over ``index``, the world's picker index,
+        where ``greedy``; else ATP's pass where ``index`` is ``None``,
+        else EATP's flip over ``index``, the KNN table, for ``robots``."""
+        agent, state = self.agent, self.state
+        cfg, table, rng = agent.config, agent.table, agent._rng
+        racks = state.racks
+        picked = kernel.learned_select(
+            racks, state.pickers, self._rack_distance,
+            state.selectable_column(), index, robots, budget,
+            (cfg.state_bin_width, cfg.epsilon, cfg.discount,
+             cfg.deferral_weight, cfg.learning_rate),
+            table.rows, table, agent.stats,
+            *((None, None) if greedy else (rng.random, rng.choice)))
+        if robots is None:
+            return [SelectionEntry(racks[rack_id]) for rack_id in picked]
+        return [SelectionEntry(racks[rack_id], robots[i])
+                for i, rack_id in picked]
 
     # -- memory ------------------------------------------------------------------
 

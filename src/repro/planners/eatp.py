@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..config import PlannerConfig
+from ..pathfinding import _kernel
 from ..pathfinding.cache import ShortestPathCache
 from ..pathfinding.cdt import ConflictDetectionTable
 from ..pathfinding.reservation import ReservationTable
@@ -99,7 +100,13 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
         the cost does not grow with the backlog.  Leaving the others out
         is exact: a robot without a candidate would rank nothing, sort
         last, touch neither the learner nor the RNG, and claim nothing.
+        Under the compiled switch the gather, the ranking and the steps
+        are one ``learned_select`` call, equal to this python pass.
         """
+        kernel = _kernel.active
+        if kernel is not None:
+            return self._learned_select(kernel, self.knn.table, robots,
+                                        len(robots))
         all_racks = self.state.racks
         claimed: Set[int] = set()
         entries: List[SelectionEntry] = []

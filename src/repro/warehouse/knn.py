@@ -10,17 +10,19 @@ The index answers by *home* cell.  A rack that is currently in transit is
 simply skipped by the caller; its slot is not re-used, matching the paper's
 "static and easy to maintain" description.
 
-The flip reads the table through one gather, :meth:`StaticRackKNN.select`:
-given the idle robots' cells in order and the world's selectable-rack
-column (one byte per rack id), it returns only the robots that have a
-selectable rack among their K nearest, as ``(position, rack ids)`` pairs
-with the ids in table order.  A robot without one is left out — it would
-rank no candidate and claim nothing — so a wake pays per robot a table
-row, not a python list.
+Under the python switch the flip reads the table through one gather,
+:meth:`StaticRackKNN.select`: given the idle robots' cells in order and
+the world's selectable-rack column (one byte per rack id), it returns
+only the robots that have a selectable rack among their K nearest, as
+``(position, rack ids)`` pairs with the ids in table order.  A robot
+without one is left out — it would rank no candidate and claim nothing —
+so a wake pays per robot a table row, not a python list.  Under the
+compiled switch the kernel's ``learned_select`` gathers from
+:attr:`StaticRackKNN.table` itself, in the same wake call that ranks
+and steps the learner.
 
-The kernel switch picks both bodies: the native ``knn_fill`` and
-``knn_select``, or :func:`_tile_fill` and :func:`_select`, the python
-twins the tests compare them against.
+The kernel switch picks the builder: the native ``knn_fill`` or
+:func:`_tile_fill`, the numpy twin the tests compare it against.
 """
 
 from __future__ import annotations
@@ -83,18 +85,6 @@ def _tile_fill(homes: np.ndarray, width: int, height: int,
             out[x0:x1, y0:y1] = best % n_racks
 
 
-def _select(table: np.ndarray, cells: Sequence[Cell],
-            mask: bytearray) -> List[Tuple[int, List[int]]]:
-    """``knn_select`` in python: per cell, its K racks whose ``mask`` byte
-    is set, in table order; cells with none are left out."""
-    gathered = []
-    for i, (x, y) in enumerate(cells):
-        ids = [rack_id for rack_id in table[x, y].tolist() if mask[rack_id]]
-        if ids:
-            gathered.append((i, ids))
-    return gathered
-
-
 class StaticRackKNN:
     """Precomputed K closest racks for every grid cell.
 
@@ -144,16 +134,23 @@ class StaticRackKNN:
             raise ConfigurationError(f"cell {cell} outside indexed area")
         return self._nearest[x, y].tolist()
 
+    @property
+    def table(self) -> np.ndarray:
+        """The ``(width, height, K)`` table of rack ids, read in place."""
+        return self._nearest
+
     def select(self, cells: Sequence[Cell],
                mask: bytearray) -> List[Tuple[int, List[int]]]:
         """The flip's gather: ``(i, ids)`` for each ``cells[i]`` whose K
         nearest racks include one with ``mask[id]`` set, ``ids`` those
         racks nearest first; a cell with none is left out."""
-        from ..pathfinding import _kernel
-        kernel = _kernel.active
-        if kernel is None:
-            return _select(self._nearest, cells, mask)
-        return kernel.knn_select(self._nearest, cells, mask)
+        gathered = []
+        for i, (x, y) in enumerate(cells):
+            ids = [rack_id for rack_id in self._nearest[x, y].tolist()
+                   if mask[rack_id]]
+            if ids:
+                gathered.append((i, ids))
+        return gathered
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the index (for the MC metric)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..types import Tick
@@ -159,6 +159,13 @@ class WarehouseState:
         rack_ids = self._racks_by_picker[picker_id]
         return compress(map(self.racks.__getitem__, rack_ids),
                         map(self._selectable_column.__getitem__, rack_ids))
+
+    def picker_index(self) -> Tuple[List[List[int]], List[int]]:
+        """Each picker's rack ids, ascending, and its count of selectable
+        racks, by picker id: what :meth:`pickers_with_work` and
+        :meth:`selectable_of_picker` read.  The live lists: read, never
+        mutate."""
+        return self._racks_by_picker, self._selectable_count
 
     def selectable_column(self) -> bytearray:
         """``column[rack_id]`` is 1 where the rack is selectable, else 0.

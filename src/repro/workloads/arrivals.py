@@ -166,8 +166,20 @@ def deterministic_arrivals(schedule: Sequence[tuple],
                            processing_time: int = 20) -> List[Item]:
     """Hand-written workloads for tests: ``[(arrival, rack_id), ...]``,
     each a non-negative integer (:data:`TICK`)."""
+    try:
+        entries = enumerate(schedule)
+    except TypeError:
+        raise ConfigurationError(
+            "deterministic_arrivals.schedule must be an iterable of "
+            f"(arrival, rack_id) pairs, not {schedule!r}") from None
     items = []
-    for i, (arrival, rack_id) in enumerate(schedule):
+    for i, entry in entries:
+        try:
+            arrival, rack_id = entry
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"deterministic_arrivals.schedule[{i}]: {entry!r} must "
+                "be an (arrival, rack_id) pair") from None
         if not (TICK.admits(arrival) and TICK.admits(rack_id)):
             raise ConfigurationError(
                 f"deterministic_arrivals.schedule[{i}]: arrival "

@@ -178,6 +178,8 @@ def test_a_former_hole_is_refused_naming_its_parameter(call, base, name,
 @pytest.mark.parametrize("schedule", [
     [(nan, 1), (2.5, 0)], [(2.5, 0)], [(inf, 0)], [(-1, 0)], [(0, -1)],
     [(3, 1.5)], [(0, 1), (4, nan)],
+    # Malformed entries, once a bare ValueError or TypeError.
+    [(1,)], [(1, 2, 3)], [5], None,
 ], ids=repr)
 def test_a_schedule_out_of_its_domain_is_refused(schedule):
     with pytest.raises(ConfigurationError,

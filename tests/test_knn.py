@@ -4,9 +4,9 @@ The table has two builders, chosen by the kernel switch: the native
 ``knn_fill`` and the numpy tile body (``knn._tile_fill``).  Each must
 equal the brute-force argsort; the native one must also equal the numpy
 body on the paper floor and refuse malformed arguments before writing.
-The flip's gather has two bodies the same way: the native
-``knn_select`` must equal its python twin (``knn._select``) and refuse
-malformed arguments.
+The flip's gather (``StaticRackKNN.select``) is python under either
+switch; the compiled flip gathers inside the kernel's ``learned_select``,
+which ``tests/test_learned_select.py`` holds to it.
 """
 
 import numpy as np
@@ -232,51 +232,7 @@ def test_knn_fill_refuses_malformed_arguments(name, homes, width, height,
     assert np.array_equal(out, before)
 
 
-def random_gathers(rng, index, n_racks, n_cases=20):
-    """``(cells, mask)`` pairs over ``index``'s floor: random cells (some
-    repeated) and masks from empty to full."""
-    for density in np.linspace(0.0, 1.0, n_cases):
-        cells = [(int(x), int(y)) for x, y in zip(
-            rng.integers(0, index.width, 40), rng.integers(0, index.height,
-                                                           40))]
-        mask = bytearray((rng.random(n_racks) < density).astype(np.uint8))
-        yield cells, mask
-
-
-@needs_compiled
-@pytest.mark.parametrize("racks", [len(HOMES) * 7, 2 ** 15 + 3],
-                         ids=["int16", "int32"])
-def test_knn_select_equals_its_python_twin(racks):
-    rng = np.random.default_rng(racks)
-    width, height = 23, 17
-    homes = [(int(x), int(y)) for x, y in zip(
-        rng.integers(0, width, racks), rng.integers(0, height, racks))]
-    index = StaticRackKNN(homes, width, height, 8)
-    assert index._nearest.dtype == (np.int16 if racks < 2 ** 15
-                                    else np.int32)
-    for cells, mask in random_gathers(rng, index, racks):
-        ours = COMPILED.knn_select(index._nearest, cells, mask)
-        assert ours == knn._select(index._nearest, cells, mask)
-        # only the cells with a masked rack, with exactly those racks
-        assert [i for i, __ in ours] == [
-            i for i, cell in enumerate(cells)
-            if any(mask[r] for r in index.nearest(cell))]
-    assert COMPILED.knn_select(index._nearest, [], bytearray(racks)) == []
-
-
-@needs_compiled
-def test_knn_select_equals_its_python_twin_on_the_paper_floor():
-    spec = next(s for s in fleet_ladder(1.0) if s.name == "Fleet-500")
-    state, __ = spec.build()
-    index = StaticRackKNN([rack.home for rack in state.racks],
-                          state.grid.width, state.grid.height, 8)
-    rng = np.random.default_rng(3)
-    for cells, mask in random_gathers(rng, index, len(state.racks), 8):
-        assert (COMPILED.knn_select(index._nearest, cells, mask)
-                == knn._select(index._nearest, cells, mask))
-
-
-def test_the_switch_picks_the_gather(kernel):
+def test_the_gather_keeps_only_the_masked_racks():
     index = StaticRackKNN(HOMES, 12, 8, k=3)
     mask = bytearray([0, 1, 0, 0, 1, 0])
     cells = [(0, 0), (5, 5), (11, 0), (1, 7)]
@@ -284,39 +240,4 @@ def test_the_switch_picks_the_gather(kernel):
                                          (3, [4])]
     # a cell whose K racks are all unmasked is left out
     mask[1] = 0
-    if COMPILED is None:
-        assert index.select(cells, mask) == [(1, [4]), (3, [4])]
-        return
-    with count_kernel_calls(COMPILED, ["knn_select"]) as calls:
-        assert index.select(cells, mask) == [(1, [4]), (3, [4])]
-    assert calls["knn_select"] == (kernel == "compiled")
-
-
-def malformed_gathers():
-    """``(name, table, cells, mask, error)`` — each gather refused."""
-    table = StaticRackKNN(HOMES, 12, 8, k=3)._nearest
-    full = bytearray([1] * len(HOMES))
-    yield "cell-off-the-right", table, [(1, 1), (12, 0)], full, IndexError
-    yield "cell-off-the-top", table, [(0, 8)], full, IndexError
-    yield "cell-negative", table, [(-1, 3)], full, IndexError
-    yield "mask-short-of-an-id", table, [(9, 5)], full[:-1], IndexError
-    yield "empty-mask", table, [(0, 0)], bytearray(), IndexError
-    yield "float-table", table.astype(np.float32), [(0, 0)], full, TypeError
-    yield "int64-table", table.astype(np.int64), [(0, 0)], full, TypeError
-    yield "flat-table", table.reshape(-1), [(0, 0)], full, TypeError
-    yield "two-d-table", table[:, :, 0], [(0, 0)], full, TypeError
-    yield "strided-table", table[:, ::2], [(0, 0)], full, ValueError
-    yield "cell-not-a-pair", table, [(0, 0, 0)], full, TypeError
-    yield "cell-a-list", table, [[0, 0]], full, TypeError
-    yield "cells-not-a-sequence", table, 5, full, TypeError
-    yield "mask-not-bytes", table, [(0, 0)], [1] * len(HOMES), TypeError
-
-
-@needs_compiled
-@pytest.mark.parametrize("name,table,cells,mask,error",
-                         [pytest.param(*case, id=case[0])
-                          for case in malformed_gathers()])
-def test_knn_select_refuses_malformed_arguments(name, table, cells, mask,
-                                                error):
-    with pytest.raises(error):
-        COMPILED.knn_select(table, cells, mask)
+    assert index.select(cells, mask) == [(1, [4]), (3, [4])]

@@ -342,6 +342,15 @@ class TestCraftedLegs:
             error = twins.refusal(0, (0, 0), (9, 0))
         assert error.stats.budget == 500
 
+    def test_unreachable_goal_raises_before_any_search(self, make_table):
+        # A wall cuts the goal off: the field answers, nothing searches.
+        grid = Grid(12, 10, blocked=[(8, y) for y in range(10)])
+        with kernel_switch("compiled"):
+            twins = Twins(grid, make_table, threshold=3)
+            error = twins.refusal(0, (0, 0), (11, 0))
+        assert error.stats.expansions == 0
+        assert error.stats.budget == PlannerConfig().max_search_expansions
+
 
 @needs_compiled
 def test_a_compiled_leg_is_one_native_call():

@@ -229,32 +229,37 @@ class TestAtpRanking:
                            rack.rack_id) for rack in racks)
         assert [key[:2] for key in planner._ranked(racks)] == expected
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @SETTINGS
     @given(st.data())
-    def test_learned_selection_matches_the_observe_everything_twin(self,
-                                                                   data):
+    def test_learned_selection_matches_the_observe_everything_twin(
+            self, kernel, data):
         planner = AdaptiveTaskPlanner(draw_world(data))
         seed_table(planner, data)
         twin = copy.deepcopy(planner)
         budget = data.draw(st.integers(1, N_RACKS + 1))
-        got = planner._select_learned(planner.state.selectable_racks(),
-                                      budget)
+        with kernel_switch(kernel):
+            got = planner._select_learned(budget)
         want = _scan_select_learned(twin, twin.state.selectable_racks(),
                                     budget)
         assert ids(got) == ids(want)
         assert dict(planner.agent.table) == dict(twin.agent.table)
+        assert vars(planner.agent.stats) == vars(twin.agent.stats)
         assert planner.agent._rng.getstate() == twin.agent._rng.getstate()
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @SETTINGS
     @given(st.data())
-    def test_greedy_updates_match_the_observation_updates(self, data):
+    def test_greedy_updates_match_the_observation_updates(self, kernel,
+                                                          data):
         planner = AdaptiveTaskPlanner(draw_world(data))
         seed_table(planner, data)
         twin = copy.deepcopy(planner)
         if not planner.state.dispatchable():  # the planner never wakes
             return
         budget = data.draw(st.integers(1, N_RACKS + 1))
-        got = planner._select_greedy(budget)
+        with kernel_switch(kernel):
+            got = planner._select_greedy(budget)
         for entry in got:
             twin.agent.learn(*_scan_facts(twin.state, entry.rack),
                              ACTION_REQUEST, greedy=True)
@@ -263,9 +268,10 @@ class TestAtpRanking:
 
 
 class TestEatpFlip:
+    @pytest.mark.parametrize("kernel", KERNELS)
     @SETTINGS
     @given(st.data())
-    def test_flip_matches_the_observe_everything_twin(self, data):
+    def test_flip_matches_the_observe_everything_twin(self, kernel, data):
         state = draw_world(data, n_robots=data.draw(st.integers(1, 6)))
         config = PlannerConfig(
             knn_k=data.draw(st.integers(1, N_RACKS + 2)),
@@ -275,7 +281,8 @@ class TestEatpFlip:
         seed_table(planner, data)
         twin = copy.deepcopy(planner)
         robots = planner.state.idle_robots()
-        got = planner._select_flipped(robots)
+        with kernel_switch(kernel):
+            got = planner._select_flipped(robots)
         want = _scan_select_flipped(twin, twin.state.idle_robots())
         assert ids(got) == ids(want)
         assert ([entry.robot.robot_id for entry in got]
