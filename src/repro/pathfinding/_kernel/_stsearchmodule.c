@@ -2314,16 +2314,26 @@ sel_walk(SelCtx *c, PyObject *index, const unsigned char *selectable,
     return 0;
 }
 
-/* Write the counters a step moved back to the table and the stats. */
+/* Write the counters the steps moved (from ``was``) back to the table
+ * and the stats. */
 static int
-sel_flush(SelCtx *c, PyObject *table, PyObject *stats)
+sel_flush(const SelCtx *c, const SelCtx *was, PyObject *table,
+          PyObject *stats)
 {
+    if (c->entries != was->entries
+            && set_attr_i64(table, str_entries, c->entries) < 0)
+        return -1;
+    if (c->explored != was->explored
+            && set_attr_i64(stats, str_explored, c->explored) < 0)
+        return -1;
+    if (c->greedy != was->greedy
+            && set_attr_i64(stats, str_greedy, c->greedy) < 0)
+        return -1;
+    if (c->updates == was->updates)
+        return 0;
     PyObject *reward = PyFloat_FromDouble(c->reward);
     int rc = reward == NULL
-        || set_attr_i64(table, str_entries, c->entries) < 0
         || set_attr_i64(stats, str_updates, c->updates) < 0
-        || set_attr_i64(stats, str_explored, c->explored) < 0
-        || set_attr_i64(stats, str_greedy, c->greedy) < 0
         || PyObject_SetAttr(stats, str_reward, reward) < 0;
     Py_XDECREF(reward);
     return rc ? -1 : 0;
@@ -2430,7 +2440,7 @@ stsearch_learned_select(PyObject *self, PyObject *const *args,
     if (reward == -1.0 && PyErr_Occurred())
         goto done;
     c.reward = reward;
-    int64_t updates0 = c.updates, explored0 = c.explored;
+    const SelCtx was = c;
     c.pickers_seen = sel_buffer(pickers_small, n_pickers, sizeof(SelPicker));
     if (c.pickers_seen == NULL)
         goto done;
@@ -2594,11 +2604,11 @@ stsearch_learned_select(PyObject *self, PyObject *const *args,
     }
     result = Py_NewRef(out);
 flush:
-    if (c.updates != updates0 || c.explored != explored0) {
+    if (c.updates != was.updates || c.explored != was.explored) {
         /* the steps taken stand, as in python, an error or not */
         PyObject *type, *value, *trace;
         PyErr_Fetch(&type, &value, &trace);
-        if (sel_flush(&c, table, stats) < 0) {
+        if (sel_flush(&c, &was, table, stats) < 0) {
             Py_CLEAR(result);
             if (type != NULL)
                 PyErr_Clear();
